@@ -12,8 +12,9 @@ use mwp_blockmat::fill::{random_block, random_diagonally_dominant, random_matrix
 use mwp_blockmat::gemm::{gemm_parallel, gemm_serial};
 use mwp_blockmat::Block;
 use mwp_core::serving::{JobSpec, MatrixServer};
+use mwp_core::runtime::run_holm;
 use mwp_core::session::RuntimeSession;
-use mwp_lu::runtime::LuSession;
+use mwp_lu::runtime::{run_lu, LuSession};
 use mwp_platform::Platform;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -220,19 +221,11 @@ pub fn measure_all() -> Vec<Measurement> {
         let a = random_matrix(6, 6, q, 10);
         let b = random_matrix(6, 8, q, 11);
         let c0 = random_matrix(6, 8, q, 12);
-        // Explicitly fresh-spawn (one throwaway session per iteration,
-        // the FreshSpawn mode's exact code path) rather than the
-        // mode-switching `run_holm` wrapper, so the fresh half of the
-        // pair — and the baseline JSON — stays meaningful even when the
-        // process runs under `MWP_RUNTIME=session` (the CI pooled leg).
+        // One-shot: every iteration pays the worker spawn + join.
         let ns = time_workload(|| {
-            let session = RuntimeSession::new(black_box(&pf), 0.0);
-            let moved = session
-                .run_holm(&a, &b, c0.clone())
+            run_holm(black_box(&pf), &a, &b, c0.clone(), 0.0)
                 .expect("runtime succeeds")
-                .blocks_moved;
-            session.shutdown();
-            moved
+                .blocks_moved
         });
         out.push(Measurement::timed("run_holm/6x6x8_q20", ns));
 
@@ -257,18 +250,12 @@ pub fn measure_all() -> Vec<Measurement> {
 
     out.extend(measure_serving());
 
-    // Repeated threaded LU, fresh-spawn vs pooled session (32 × 32 in
-    // 8-block panels of width 2, three workers). Fresh half is an
-    // explicit throwaway session per iteration, as above.
+    // Repeated threaded LU, one-shot vs held session (32 × 32 in
+    // 8-block panels of width 2, three workers).
     {
         let pf = Platform::homogeneous(3, 1.0, 1.0, 1000).expect("valid platform");
         let m = random_diagonally_dominant(4, 8, 7);
-        let ns = time_workload(|| {
-            let session = LuSession::new(black_box(&pf), 0.0);
-            let messages = session.run(&m, 2).messages;
-            session.shutdown();
-            messages
-        });
+        let ns = time_workload(|| run_lu(black_box(&pf), &m, 2, 0.0).messages);
         out.push(Measurement::timed("run_lu/4x8_mu2", ns));
 
         let session = LuSession::new(&pf, 0.0);

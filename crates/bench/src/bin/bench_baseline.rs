@@ -29,9 +29,7 @@
 //! elimination is visible as a stat rather than inferred from the timing.
 //!
 //! Measurements run whatever kernel the dispatcher selects; force a
-//! specific one with `MWP_KERNEL=scalar|avx2` to compare code paths, and
-//! `MWP_PACK=off` to A/B the prepacked-reuse paths against per-call
-//! packing on the same build.
+//! specific one with `MWP_KERNEL=scalar|avx2` to compare code paths.
 
 use mwp_bench::baseline::{
     from_json, measure_all, measure_serving, serving_speedup, session_speedups, to_json,

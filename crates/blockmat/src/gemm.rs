@@ -12,24 +12,13 @@ use rayon::prelude::*;
 /// whole `i` loop (one pack per B block instead of one per block update —
 /// `r·s·t` packs become `s·t`), through a single recycled [`PackedB`].
 /// Per C block the `k` accumulation order is unchanged (increasing), so
-/// results are bit-identical to the per-call-pack path; `MWP_PACK=off`
-/// falls back to that path for A/B timing. Panics if the block shapes do
-/// not conform (`A : r × t`, `B : t × s`, `C : r × s`, equal `q`).
+/// results are bit-identical to per-call packing
+/// ([`crate::Block::gemm_acc_with`]). Panics if the block shapes do not
+/// conform (`A : r × t`, `B : t × s`, `C : r × s`, equal `q`).
 pub fn gemm_serial(c: &mut BlockMatrix, a: &BlockMatrix, b: &BlockMatrix) {
     check_conformance(c, a, b);
     let kernel = kernel::active();
     let t = a.cols();
-    if !kernel::prepack_enabled() {
-        for i in 0..c.rows() {
-            for j in 0..c.cols() {
-                let cij = c.block_mut(i, j);
-                for k in 0..t {
-                    cij.gemm_acc_with(kernel, a.block(i, k), b.block(k, j));
-                }
-            }
-        }
-        return;
-    }
     let mut packed = PackedB::new();
     for j in 0..c.cols() {
         for k in 0..t {
@@ -48,24 +37,15 @@ pub fn gemm_serial(c: &mut BlockMatrix, a: &BlockMatrix, b: &BlockMatrix) {
 /// store — no clone of the C grid, no intermediate collect, no re-insert.
 /// Every B block is packed exactly once up front (a transient packed copy
 /// of B, ~`t·s·q²` coefficients) and shared read-only by all tasks, so the
-/// pack count drops from `r·s·t` to `s·t` exactly as in [`gemm_serial`];
-/// `MWP_PACK=off` skips the copy and packs per call. Results are
-/// bit-identical to [`gemm_serial`] — both accumulate over `k` in
-/// increasing order within each C block, and C blocks never share state.
+/// pack count drops from `r·s·t` to `s·t` exactly as in [`gemm_serial`].
+/// Results are bit-identical to [`gemm_serial`] — both accumulate over
+/// `k` in increasing order within each C block, and C blocks never share
+/// state.
 pub fn gemm_parallel(c: &mut BlockMatrix, a: &BlockMatrix, b: &BlockMatrix) {
     check_conformance(c, a, b);
     let kernel = kernel::active();
     let t = a.cols();
     let cols = c.cols();
-    if !kernel::prepack_enabled() {
-        c.blocks_mut().par_iter_mut().enumerate().for_each(|(idx, cij)| {
-            let (i, j) = (idx / cols, idx % cols);
-            for k in 0..t {
-                cij.gemm_acc_with(kernel, a.block(i, k), b.block(k, j));
-            }
-        });
-        return;
-    }
     // The packs are independent, so the O(t·s·q²) pack prefix spreads
     // across the pool instead of serializing on the calling thread.
     let packed: Vec<PackedB> = (0..t * cols)

@@ -11,13 +11,6 @@
 //!    hard error listing the valid names);
 //! 2. otherwise the fastest kernel the CPU supports wins (AVX2+FMA when
 //!    detected, scalar everywhere else).
-//!
-//! A second switch, `MWP_PACK=on|off` (default on), gates *prepacked
-//! reuse*: with `off`, every layer that would pack a B operand once and
-//! reuse it ([`crate::gemm::gemm_serial`], the runtime workers, …) falls
-//! back to packing inside each `gemm_acc` call instead — the PR 2
-//! behavior — so the repack-elimination win can be A/B-timed on one
-//! build. The kernel and the results are identical either way.
 
 use super::packed::PackedB;
 use std::sync::OnceLock;
@@ -171,39 +164,6 @@ pub fn active() -> &'static Kernel {
     })
 }
 
-static PREPACK: OnceLock<bool> = OnceLock::new();
-
-/// The values `MWP_PACK` accepts, in documentation order.
-pub const PACK_MODE_NAMES: &[&str] = &["on", "off"];
-
-/// Parse an `MWP_PACK` value (`true` = prepacked reuse enabled). Empty
-/// means "no override" (on). Unknown values are an error listing the
-/// valid names — the same contract as `MWP_KERNEL`, `MWP_RUNTIME`, and
-/// `MWP_TRANSPORT`: a typo must never silently fall back, or the CI
-/// matrix leg that sets this would silently test the wrong pack mode.
-pub fn parse_pack_mode(value: &str) -> Result<bool, String> {
-    match value {
-        "" | "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!(
-            "unknown pack mode '{other}' (valid: {})",
-            PACK_MODE_NAMES.join(", ")
-        )),
-    }
-}
-
-/// Whether the prepacked-reuse paths are enabled (the default). With
-/// `MWP_PACK=off` every layer falls back to per-call packing — the
-/// escape hatch for A/B-timing repack elimination on a single build.
-/// Resolved once per process, like [`active`].
-#[inline]
-pub fn prepack_enabled() -> bool {
-    *PREPACK.get_or_init(|| match std::env::var("MWP_PACK") {
-        Ok(v) => parse_pack_mode(&v).unwrap_or_else(|e| panic!("MWP_PACK: {e}")),
-        Err(_) => true,
-    })
-}
-
 /// Look a kernel up by `MWP_KERNEL` name, verifying the CPU can run it.
 pub fn by_name(name: &str) -> Result<&'static Kernel, String> {
     match name {
@@ -269,24 +229,6 @@ mod tests {
         assert!(std::ptr::eq(k1, k2), "active() must return the cached entry");
         // Whatever was selected must be one of the runnable kernels.
         assert!(available().iter().any(|k| std::ptr::eq(*k, k1)));
-    }
-
-    #[test]
-    fn pack_mode_parser_is_strict() {
-        assert_eq!(parse_pack_mode(""), Ok(true));
-        assert_eq!(parse_pack_mode("on"), Ok(true));
-        assert_eq!(parse_pack_mode("off"), Ok(false));
-        let err = parse_pack_mode("of").unwrap_err();
-        for name in PACK_MODE_NAMES {
-            assert!(err.contains(name), "error must list '{name}': {err}");
-        }
-    }
-
-    #[test]
-    fn prepack_mode_is_cached() {
-        // Whatever MWP_PACK says (the CI legs exercise both values), the
-        // resolution must be stable across calls.
-        assert_eq!(prepack_enabled(), prepack_enabled());
     }
 
     #[test]

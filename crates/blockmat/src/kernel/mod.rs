@@ -50,9 +50,6 @@
 //!   per-element k-accumulation order — `gemm_acc` *is* "pack into a
 //!   thread-local, then run the packed path" on the AVX2 side.
 //!
-//! `MWP_PACK=off` ([`prepack_enabled`]) forces every prepacking layer
-//! back to per-call packing for A/B timing; results are unchanged.
-//!
 //! Numerical contract: every kernel computes each C element as a sum over
 //! `k` in increasing order — the kc-strip macro loop preserves this, as
 //! the C tile store/reload between strips is exact — so results agree
@@ -71,7 +68,7 @@ pub(crate) mod pack;
 pub(crate) mod packed;
 pub(crate) mod scalar;
 
-pub use dispatch::{active, available, by_name, prepack_enabled, Kernel};
+pub use dispatch::{active, available, by_name, Kernel};
 pub use pack::pack_count;
 pub use packed::PackedB;
 

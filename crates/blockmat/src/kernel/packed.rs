@@ -81,15 +81,6 @@ impl PackedB {
         self.packed_by
     }
 
-    /// Drop the pack identity (shape, kernel) but keep the buffer's
-    /// capacity warm for the next pack.
-    pub fn clear(&mut self) {
-        self.k = 0;
-        self.n = 0;
-        self.alpha = 1.0;
-        self.packed_by = None;
-    }
-
     /// The raw packed buffer (layout private to the producing kernel).
     #[inline]
     pub(super) fn buf(&self) -> &[f64] {
@@ -210,8 +201,6 @@ mod tests {
         bp.pack(kernel, &[1.0, 2.0], 1, 2, -1.0);
         assert_eq!(bp.packed_by(), Some("scalar"));
         assert_eq!((bp.k(), bp.n(), bp.alpha()), (1, 2, -1.0));
-        bp.clear();
-        assert_eq!(bp.packed_by(), None);
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //!   serial product,
 //! * [`chunks`] — the tiling of the `C` matrix into per-worker `µ × µ`
 //!   chunks shared by all of the above,
-//! * [`serving`] — the multi-job serving tier (`MWP_SCHED=on`): a
+//! * [`serving`] — the multi-job serving tier: a
 //!   [`serving::MatrixServer`] queues independent product jobs from many
 //!   caller threads and interleaves them as concurrent run generations
 //!   on one shared fleet, with cost-model admission control and a
-//!   small-`q` batching tier (`MWP_BATCH`) that fuses compatible queued
-//!   jobs into one composite run.
+//!   small-`q` batching tier that fuses compatible queued jobs into one
+//!   composite run.
 //!
 //! ## Quickstart
 //!

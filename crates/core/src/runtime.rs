@@ -18,11 +18,10 @@
 //! (`crate::session`): they are spawned once per platform description and
 //! serve an unbounded sequence of runs, parking on a blocking receive
 //! between runs. The free functions here ([`run_holm`], [`run_heterogeneous`],
-//! …) keep their historical one-shot signatures — they spawn a session,
-//! run once, and shut it down — unless `MWP_RUNTIME=session` routes them
-//! through the process-wide session pool. Repeated-run workloads (benches,
-//! parameter sweeps) should hold a [`RuntimeSession`] directly and call
-//! its methods, amortizing all spawn/join cost.
+//! …) are one-shot: they spawn a session, run once, and shut it down.
+//! Repeated-run workloads (benches, parameter sweeps) hold a
+//! [`RuntimeSession`] directly and call its methods, amortizing all
+//! spawn/join cost.
 
 use crate::chunks::{self, Chunk};
 use crate::selection::homogeneous::select_homogeneous;
@@ -35,7 +34,6 @@ use mwp_msg::transport::run_deadline;
 use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
@@ -128,11 +126,7 @@ impl std::error::Error for RuntimeError {}
 /// resource selection + round-robin chunk distribution).
 ///
 /// One-shot wrapper over [`RuntimeSession::run_holm`]: spawns a session,
-/// runs once, shuts it down — or reuses the process-wide pooled session
-/// when `MWP_RUNTIME=session`. With `MWP_SCHED=on` the call is served as
-/// one job of the process-wide [`crate::serving::MatrixServer`] instead:
-/// same plan, same chunking, bit-identical result, but concurrent
-/// callers interleave on the shared fleet rather than serializing.
+/// runs once, shuts it down.
 pub fn run_holm(
     platform: &Platform,
     a: &BlockMatrix,
@@ -143,9 +137,6 @@ pub fn run_holm(
     // Pre-flight: a rejected call must cost an error return, not a
     // worker-pool spawn + join.
     plan_holm(platform, a, b, &c, true)?;
-    if mwp_msg::sched::sched_enabled() {
-        return crate::serving::run_via_server(platform, a, b, c, true, time_scale);
-    }
     with_session(platform, time_scale, |session| holm_on(session, a, b, c, true))
 }
 
@@ -159,9 +150,6 @@ pub fn run_all_workers(
     time_scale: f64,
 ) -> Result<RunOutcome, RuntimeError> {
     plan_holm(platform, a, b, &c, false)?;
-    if mwp_msg::sched::sched_enabled() {
-        return crate::serving::run_via_server(platform, a, b, c, false, time_scale);
-    }
     with_session(platform, time_scale, |session| holm_on(session, a, b, c, false))
 }
 
@@ -236,12 +224,7 @@ pub(crate) fn holm_on(
     let (r, t, s) = (a.rows(), a.cols(), b.cols());
 
     // Wake workers 0..enrolled from their parked receives; the rest of
-    // the pool stays blocked and costs nothing beyond their spawn (a
-    // deliberate trade-off for the one-shot fresh-spawn path, which now
-    // spawns the whole platform rather than `enrolled` threads: the
-    // single shared code path is what makes fresh and pooled runs
-    // bit-identical, and an unenrolled parked thread costs a few µs of
-    // spawn+join — callers who care run on a session directly).
+    // the pool stays blocked and costs nothing beyond their spawn.
     let epoch = session.begin_run(enrolled, q as u32);
     let master = session.master();
 
@@ -813,8 +796,7 @@ fn serve_chunk(
 /// A resident B block together with its prepacked image: packed once
 /// when the block arrives (or is overwritten by the next step's row) and
 /// reused by every A block that streams against it — the worker-side
-/// repack elimination. With `MWP_PACK=off` the pack stays cleared and
-/// updates run the per-call-pack kernel path instead.
+/// repack elimination.
 struct ResidentB {
     block: Block,
     pack: PackedB,
@@ -964,8 +946,7 @@ impl WorkerState {
 /// reused by every A block of the step (the paper keeps B resident on the
 /// worker precisely so A can stream against it — repacking per update was
 /// pure waste). Pack buffers are recycled alongside the scratch blocks,
-/// so a pooled session keeps them warm across runs. `MWP_PACK=off`
-/// disables the prepack (per-call packing, for A/B timing).
+/// so a held session keeps them warm across runs.
 /// Trace timestamp taken only when a sink is live (`MWP_TRACE=off` costs
 /// one atomic check here and nothing downstream).
 #[inline]
@@ -1000,11 +981,10 @@ pub(crate) fn serve_run(
     memory_cap: usize,
     state: &mut WorkerState,
 ) -> RunExit {
-    // The block-update kernel and prepack mode, resolved per wake from
-    // the cached dispatch table — block updates in the loop below never
-    // touch dispatch again.
+    // The block-update kernel, resolved per wake from the cached
+    // dispatch table — block updates in the loop below never touch
+    // dispatch again.
     let kernel = mwp_blockmat::kernel::active();
-    let prepack = mwp_blockmat::kernel::prepack_enabled();
     // The generation that woke this worker: the outer loop consumed its
     // RUN_BEGIN, whose header generation the endpoint adopted.
     state.open(ep.current_run(), q);
@@ -1042,34 +1022,19 @@ pub(crate) fn serve_run(
                 let run = runs
                     .get_mut(&gen)
                     .unwrap_or_else(|| panic!("B frame for unopened generation {gen}"));
-                let bb = run.q * run.q * 8;
+                let q = run.q;
+                let bb = q * q * 8;
                 let j0 = frame.tag.j as usize;
                 for (w, part) in frame.payload.chunks_exact(bb).enumerate() {
-                    match run.b_row.entry(j0 + w) {
-                        Entry::Occupied(mut e) => {
-                            let resident = e.get_mut();
-                            resident.block.copy_from_bytes(part);
-                            if prepack {
-                                let tp = trace_begin();
-                                resident.block.pack_b_for(kernel, &mut resident.pack);
-                                trace_worker_span(ep.id(), ActivityKind::Pack, tp, gen, "pack B");
-                            }
-                        }
-                        Entry::Vacant(v) => {
-                            let mut blk = if run.q == *spare_q { spare.pop() } else { None }
-                                .unwrap_or_else(|| Block::zeros(run.q));
-                            blk.copy_from_bytes(part);
-                            let mut pack = spare_packs.pop().unwrap_or_default();
-                            if prepack {
-                                let tp = trace_begin();
-                                blk.pack_b_for(kernel, &mut pack);
-                                trace_worker_span(ep.id(), ActivityKind::Pack, tp, gen, "pack B");
-                            } else {
-                                pack.clear();
-                            }
-                            v.insert(ResidentB { block: blk, pack });
-                        }
-                    }
+                    let resident = run.b_row.entry(j0 + w).or_insert_with(|| ResidentB {
+                        block: if q == *spare_q { spare.pop() } else { None }
+                            .unwrap_or_else(|| Block::zeros(q)),
+                        pack: spare_packs.pop().unwrap_or_default(),
+                    });
+                    resident.block.copy_from_bytes(part);
+                    let tp = trace_begin();
+                    resident.block.pack_b_for(kernel, &mut resident.pack);
+                    trace_worker_span(ep.id(), ActivityKind::Pack, tp, gen, "pack B");
                 }
             }
             FrameKind::BlockA => {
@@ -1095,11 +1060,7 @@ pub(crate) fn serve_run(
                             .get(cj)
                             .expect("B row must arrive before the A column (FIFO)");
                         let tk = trace_begin();
-                        if prepack {
-                            c_block.gemm_acc_prepacked(kernel, a_scratch, &resident.pack);
-                        } else {
-                            c_block.gemm_acc_with(kernel, a_scratch, &resident.block);
-                        }
+                        c_block.gemm_acc_prepacked(kernel, a_scratch, &resident.pack);
                         trace_worker_span(ep.id(), ActivityKind::Kernel, tk, gen, "gemm");
                     }
                     trace_worker_span(ep.id(), ActivityKind::Compute, tc, gen, "A update");

@@ -3,12 +3,12 @@
 //! [`MatrixServer`] puts a [`JobScheduler`] in front of a
 //! [`RuntimeSession`]: callers submit independent `C ← C + A·B` jobs
 //! from any number of threads, and a small pool of dispatcher threads
-//! (`MWP_INFLIGHT`) drains the queue by running each job — or each fused
-//! batch of compatible jobs — as its own **interleaved run generation**
-//! on the shared session ([`Session::begin_job`][msg-begin-job]). No
-//! run-exclusion lock is held: in-flight runs share the same links, and
-//! the master demultiplexes replies per generation by the wire header's
-//! `run` field.
+//! (the `inflight` argument of [`MatrixServer::with_options`]) drains the
+//! queue by running each job — or each fused batch of compatible jobs —
+//! as its own **interleaved run generation** on the shared session
+//! ([`Session::begin_job`][msg-begin-job]). No run-exclusion lock is
+//! held: in-flight runs share the same links, and the master
+//! demultiplexes replies per generation by the wire header's `run` field.
 //!
 //! **Admission control** prices each job against live worker memory with
 //! the paper's cost model before it may start: a HoLM plan for the job's
@@ -20,7 +20,8 @@
 //! summed over its open generations, so an admission bug fails loudly
 //! instead of silently overcommitting.
 //!
-//! **Batching tier** (`MWP_BATCH`, default on): small-`q` runs are
+//! **Batching tier** (the `batch` argument of
+//! [`MatrixServer::with_options`]): small-`q` runs are
 //! frame/wakeup-bound, not FLOP-bound, so queued jobs with block side
 //! `q ≤` [`BATCH_MAX_Q`] and identical shape fuse into one composite run
 //! — one `RUN_BEGIN`/`RUN_END` per worker, one generation, the union of
@@ -34,11 +35,6 @@
 //! **bit-identical** to running every job alone — the cross-validation
 //! suites assert this.
 //!
-//! `MWP_SCHED=on` routes the one-shot [`crate::runtime::run_holm`] /
-//! [`crate::runtime::run_all_workers`] entry points through a
-//! process-wide pooled server per platform, making the serving path a
-//! drop-in for existing callers and benches.
-//!
 //! [msg-begin-job]: mwp_msg::session::Session::begin_job
 
 use crate::chunks::{self, Chunk};
@@ -46,13 +42,10 @@ use crate::runtime::{validate_product_shapes, RunOutcome, RuntimeError};
 use crate::session::RuntimeSession;
 use bytes::Bytes;
 use mwp_blockmat::{BlockMatrix, SharedPayloads};
-use mwp_msg::sched::{
-    batch_enabled, max_inflight, Completed, JobDone, JobExecutor, JobHandle, JobScheduler,
-};
-use mwp_msg::session::{run_with_mode, SessionPool};
+use mwp_msg::sched::{Completed, JobDone, JobExecutor, JobHandle, JobScheduler};
 use mwp_msg::transport::run_deadline;
 use mwp_msg::{Frame, FrameKind, Tag};
-use mwp_platform::{Platform, WorkerId};
+use mwp_platform::WorkerId;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -411,19 +404,11 @@ pub struct MatrixServer {
 }
 
 impl MatrixServer {
-    /// Spawn a fleet for `platform` and serve jobs over it, with the
-    /// process-wide knobs (`MWP_INFLIGHT` dispatchers, `MWP_BATCH`).
-    pub fn new(platform: &Platform, time_scale: f64) -> Self {
-        Self::with_options(
-            RuntimeSession::new(platform, time_scale),
-            max_inflight(),
-            batch_enabled(),
-        )
-    }
-
-    /// Serve jobs over an existing session with explicit knobs. The
-    /// server owns the session outright — job runs and legacy exclusive
-    /// runs must not mix on one session, so no other caller may drive it.
+    /// Serve jobs over `session` with `inflight` dispatcher threads
+    /// (clamped to `1..=15`, the link layer's concurrent-run slots) and
+    /// the small-job batching tier on or off. The server owns the session
+    /// outright — job runs and legacy exclusive runs must not mix on one
+    /// session, so no other caller may drive it.
     pub fn with_options(session: RuntimeSession, inflight: usize, batch: bool) -> Self {
         let exec = Arc::new(HolmExecutor {
             session,
@@ -446,8 +431,7 @@ impl MatrixServer {
         self.submit(spec).wait()
     }
 
-    /// How many fleet workers are currently flagged dead (pool-health
-    /// gate for the `MWP_SCHED=on` routing).
+    /// How many fleet workers are currently flagged dead.
     pub fn dead_workers(&self) -> usize {
         self.exec.session.dead_workers()
     }
@@ -466,33 +450,4 @@ impl MatrixServer {
             exec.session.shutdown();
         }
     }
-}
-
-/// Process-wide server cache for the `MWP_SCHED=on` routing (one server
-/// per platform fingerprint, mirroring the `MWP_RUNTIME=session` pool).
-static SERVER_POOL: SessionPool<MatrixServer> = SessionPool::new();
-
-/// Route one job through the process-wide pooled server — the
-/// `MWP_SCHED=on` backend of [`crate::runtime::run_holm`] /
-/// [`crate::runtime::run_all_workers`]. Under `MWP_RUNTIME=fresh` a
-/// throwaway server (fleet + dispatchers) is spawned per call instead —
-/// wasteful but exactly the same code path, which is what the
-/// cross-validation matrix wants.
-pub(crate) fn run_via_server(
-    platform: &Platform,
-    a: &BlockMatrix,
-    b: &BlockMatrix,
-    c: BlockMatrix,
-    select: bool,
-    time_scale: f64,
-) -> Result<RunOutcome, RuntimeError> {
-    run_with_mode(
-        &SERVER_POOL,
-        platform,
-        time_scale,
-        || MatrixServer::new(platform, time_scale),
-        |server| server.dead_workers() == 0,
-        |server| server.shutdown(),
-        |server| server.run(JobSpec { a: a.clone(), b: b.clone(), c, select }).result,
-    )
 }

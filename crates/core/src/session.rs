@@ -29,10 +29,9 @@
 //! ```
 //!
 //! The one-shot entry points ([`crate::runtime::run_holm`], …) are thin
-//! wrappers: by default each call spawns a session and shuts it down;
-//! with `MWP_RUNTIME=session` they reuse one pooled session per platform
-//! fingerprint for the whole process. Results are bit-identical either
-//! way — both paths execute the same master and worker code.
+//! wrappers: each call spawns a session, runs once and shuts it down.
+//! Results are bit-identical to a held session's — both execute the same
+//! master and worker code.
 
 use crate::runtime::{
     heterogeneous_mu, heterogeneous_on, holm_on, select_enrollment, serve_run, RunOutcome,
@@ -40,7 +39,7 @@ use crate::runtime::{
 };
 use crate::selection::incremental::SelectionRule;
 use mwp_blockmat::BlockMatrix;
-use mwp_msg::session::{run_with_mode, RunEpoch, Session, SessionPool};
+use mwp_msg::session::{RunEpoch, Session};
 use mwp_msg::transport::SERVICE_MATRIX;
 use mwp_msg::{MasterEndpoint, TransportListener, TransportMode, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
@@ -292,9 +291,7 @@ impl RuntimeSession {
         removed.len()
     }
 
-    /// How many enrolled workers are currently flagged dead. A pooled
-    /// session with any dead worker is evicted instead of reused by the
-    /// `MWP_RUNTIME=session` entry points.
+    /// How many enrolled workers are currently flagged dead.
     pub fn dead_workers(&self) -> usize {
         self.inner.dead_workers()
     }
@@ -347,31 +344,18 @@ impl RuntimeSession {
     }
 }
 
-/// Process-wide session cache for the `MWP_RUNTIME=session` mode.
-static POOL: SessionPool<RuntimeSession> = SessionPool::new();
-
-/// Run `f` against a session for `platform`: a fresh throwaway session by
-/// default, the shared pooled one under `MWP_RUNTIME=session`. Pooled
-/// sessions serialize concurrent callers per platform (one master, one
-/// port), live until process exit, and are evicted + respawned if a
-/// caller panics mid-run (the pool's poisoning — a desynced session never
-/// serves again).
+/// The one-shot entry points' shape: run `f` on a throwaway session for
+/// `platform`, then shut it down explicitly so a worker panic propagates
+/// to the caller instead of being swallowed by `Drop`.
 pub(crate) fn with_session<R>(
     platform: &Platform,
     time_scale: f64,
     f: impl FnOnce(&RuntimeSession) -> R,
 ) -> R {
-    run_with_mode(
-        &POOL,
-        platform,
-        time_scale,
-        || RuntimeSession::new(platform, time_scale),
-        |session| session.dead_workers() == 0,
-        |session| {
-            session.shutdown();
-        },
-        f,
-    )
+    let session = RuntimeSession::new(platform, time_scale);
+    let out = f(&session);
+    session.shutdown();
+    out
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@
 //! `rows × cols` header before the coefficients). The step's horizontal
 //! panel — the B operand of every core update — is encoded once and
 //! fanned out to the enrolled workers as refcounted views of one buffer
-//! (`OP_SET_HORIZ`); each worker keeps it resident for the step **and
-//! packs it once** for the dispatched kernel, so the rank-µ updates of
-//! all its row groups stream against one prepacked panel instead of
+//! (`OP_SET_HORIZ`); each worker **packs it once** for the dispatched
+//! kernel and keeps the pack resident for the step, so the rank-µ updates
+//! of all its row groups stream against one prepacked panel instead of
 //! repacking per core task. Core-group tasks then carry only their own
 //! rows of the vertical panel and of the core. All payloads are built in
 //! recycled buffer pools, so the steady-state message path allocates
@@ -21,21 +21,18 @@
 //! bytes column groups did).
 //!
 //! Worker threads live in a persistent [`LuSession`]: spawned once per
-//! platform, parked on blocking receives between runs. [`run_lu`] keeps
-//! its one-shot signature (fresh session per call, or the process-wide
-//! pooled one under `MWP_RUNTIME=session`); repeated-factorization
-//! workloads should hold an [`LuSession`] and call [`LuSession::run`].
+//! platform, parked on blocking receives between runs. [`run_lu`] is
+//! one-shot (a fresh session per call); repeated-factorization workloads
+//! hold an [`LuSession`] and call [`LuSession::run`].
 
 use mwp_blockmat::kernel::PackedB;
 use mwp_blockmat::lu::{lu_factor_in_place, trsm_left_unit_lower, trsm_right_upper, Dense};
 use mwp_blockmat::BlockMatrix;
-use mwp_msg::sched::{Completed, JobDone, JobExecutor, JobHandle, JobScheduler};
-use mwp_msg::session::{run_with_mode, serve_worker, RunExit, Session, SessionPool, RUN_ABORT, RUN_END};
+use mwp_msg::session::{serve_worker, RunExit, Session, RUN_ABORT, RUN_END};
 use mwp_msg::transport::{run_deadline, SERVICE_LU};
 use mwp_msg::{BufferPool, Frame, FrameKind, Tag, TransportListener, TransportMode, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::{record, Activity, ActivityKind, Resource};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Operation codes carried in the frame tag's `i` field.
@@ -218,8 +215,7 @@ impl LuSession {
         removed.len()
     }
 
-    /// How many enrolled workers are currently flagged dead. A pooled
-    /// session with any dead worker is evicted instead of reused.
+    /// How many enrolled workers are currently flagged dead.
     pub fn dead_workers(&self) -> usize {
         self.inner.dead_workers()
     }
@@ -231,100 +227,12 @@ impl LuSession {
     }
 }
 
-/// Process-wide session cache for the `MWP_RUNTIME=session` mode.
-static POOL: SessionPool<LuSession> = SessionPool::new();
-
-/// One queued LU factorization for the serving tier.
-pub struct LuJob {
-    /// The (square) matrix to factor.
-    pub matrix: BlockMatrix,
-    /// Panel width in blocks.
-    pub mu_blocks: usize,
-}
-
-/// The LU serving executor: runs each queued job as one **exclusive**
-/// run of the shared session. LU's pivot chain makes a factorization
-/// inherently serial across its panels, so unlike the matrix-product
-/// serving tier there is nothing to interleave — the scheduler buys LU
-/// callers queueing from many threads and per-job metering, not
-/// concurrency (its completion reports carry `run_gen` 0 because the
-/// exclusive path never exposes its generation).
-struct LuExecutor {
-    session: LuSession,
-}
-
-impl JobExecutor<LuJob, LuRunOutcome> for LuExecutor {
-    fn execute(&self, jobs: Vec<LuJob>) -> Vec<JobDone<LuRunOutcome>> {
-        jobs.into_iter()
-            .map(|job| {
-                let out = self.session.run(&job.matrix, job.mu_blocks);
-                JobDone { blocks_moved: out.messages, run_gen: 0, result: out }
-            })
-            .collect()
-    }
-}
-
-/// A multi-caller LU factorization server over one shared fleet: a
-/// single-dispatcher [`JobScheduler`] in front of an [`LuSession`]. See
-/// the private `LuExecutor`'s note on why LU stays one-run-at-a-time.
-pub struct LuServer {
-    exec: Arc<LuExecutor>,
-    sched: JobScheduler<LuJob, LuRunOutcome>,
-}
-
-impl LuServer {
-    /// Spawn a fleet for `platform` and serve LU jobs over it.
-    pub fn new(platform: &Platform, time_scale: f64) -> Self {
-        Self::over(LuSession::new(platform, time_scale))
-    }
-
-    /// Serve jobs over an existing session. The server owns the session
-    /// outright; no other caller may drive runs on it.
-    pub fn over(session: LuSession) -> Self {
-        let exec = Arc::new(LuExecutor { session });
-        // One dispatcher: LU runs are exclusive (see `LuExecutor`).
-        let sched = JobScheduler::spawn(1, Arc::clone(&exec));
-        LuServer { exec, sched }
-    }
-
-    /// Queue one factorization; returns immediately with the handle.
-    /// Panics (before queueing) on malformed inputs, like [`run_lu`].
-    pub fn submit(&self, job: LuJob) -> JobHandle<LuRunOutcome> {
-        validate_lu(&job.matrix, job.mu_blocks);
-        self.sched.submit(job)
-    }
-
-    /// Submit and wait: the one-call serving path, with per-job metering.
-    pub fn run(&self, matrix: &BlockMatrix, mu_blocks: usize) -> Completed<LuRunOutcome> {
-        self.submit(LuJob { matrix: matrix.clone(), mu_blocks }).wait()
-    }
-
-    /// How many fleet workers are currently flagged dead (pool-health
-    /// gate for the `MWP_SCHED=on` routing).
-    pub fn dead_workers(&self) -> usize {
-        self.exec.session.dead_workers()
-    }
-
-    /// Drain the queue, stop the dispatcher, and shut the fleet down.
-    pub fn shutdown(self) {
-        let LuServer { exec, sched } = self;
-        sched.shutdown();
-        if let Ok(exec) = Arc::try_unwrap(exec) {
-            exec.session.shutdown();
-        }
-    }
-}
-
-/// Process-wide server cache for the `MWP_SCHED=on` routing.
-static SERVER_POOL: SessionPool<LuServer> = SessionPool::new();
-
 /// Factor `matrix` (square, block side `q`) in parallel with panel width
 /// `mu_blocks` blocks, over `platform` (first worker also handles pivot
 /// and panel phases). `time_scale` paces the links (0 = off).
 ///
 /// One-shot wrapper over [`LuSession::run`]: spawns a session, runs once,
-/// shuts it down — or reuses the process-wide pooled session when
-/// `MWP_RUNTIME=session`.
+/// shuts it down.
 pub fn run_lu(
     platform: &Platform,
     matrix: &BlockMatrix,
@@ -334,31 +242,10 @@ pub fn run_lu(
     // Pre-flight: a bad call must panic here, before any worker pool is
     // spawned on its behalf.
     validate_lu(matrix, mu_blocks);
-    if mwp_msg::sched::sched_enabled() {
-        // Serve the call as one job of the process-wide LU server: same
-        // exclusive run, bit-identical factors, but concurrent callers
-        // queue instead of racing sessions.
-        return run_with_mode(
-            &SERVER_POOL,
-            platform,
-            time_scale,
-            || LuServer::new(platform, time_scale),
-            |server| server.dead_workers() == 0,
-            LuServer::shutdown,
-            |server| server.run(matrix, mu_blocks).result,
-        );
-    }
-    run_with_mode(
-        &POOL,
-        platform,
-        time_scale,
-        || LuSession::new(platform, time_scale),
-        |session| session.dead_workers() == 0,
-        |session| {
-            session.shutdown();
-        },
-        |session| session.run(matrix, mu_blocks),
-    )
+    let session = LuSession::new(platform, time_scale);
+    let out = session.run(matrix, mu_blocks);
+    session.shutdown();
+    out
 }
 
 /// Panics on malformed inputs; returns `(n, nb)` — matrix side and panel
@@ -564,25 +451,23 @@ fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOu
 /// kernel, return the result matrix. Parks back into the session's outer
 /// loop on `RUN_END`.
 ///
-/// The worker keeps the step's horizontal panel resident (installed by
-/// `OP_SET_HORIZ`) and **packs it once per rank-µ step** into the
-/// session-lifetime `horiz_pack` buffer, so every core row-group update
-/// of the step reuses one pack instead of repacking per task
-/// (`MWP_PACK=off` falls back to per-call packing). Core-update messages
-/// carry only their own rows of the vertical panel and core; the resident
-/// panel is per-run state and drops when the run ends, while the pack
-/// buffer's capacity stays warm across a session's runs. Result payloads
+/// The worker **packs the step's horizontal panel once per rank-µ step**
+/// (on `OP_SET_HORIZ`) into the session-lifetime `horiz_pack` buffer, so
+/// every core row-group update of the step reuses one pack instead of
+/// repacking per task. Core-update messages carry only their own rows of
+/// the vertical panel and core; the pack buffer's capacity stays warm
+/// across a session's runs. Result payloads
 /// are built in the endpoint's recycled buffer pool — which lives in the
 /// endpoint and therefore stays warm **across** runs — so the worker
 /// allocates nothing per message at steady state beyond the decoded task
 /// matrices themselves.
 fn serve_lu_run(ep: &WorkerEndpoint, horiz_pack: &mut PackedB) -> RunExit {
-    // Resolve the block-update kernel and prepack mode once per run from
-    // the cached dispatch table; every OP_CORE rank-µ update below reuses
-    // them.
+    // Resolve the block-update kernel once per run from the cached
+    // dispatch table; every OP_CORE rank-µ update below reuses it.
     let kernel = mwp_blockmat::kernel::active();
-    let prepack = mwp_blockmat::kernel::prepack_enabled();
-    let mut horiz: Option<Dense> = None;
+    // Whether this run has installed a panel yet: `horiz_pack` outlives
+    // the run, so a stale pack must never serve an OP_CORE.
+    let mut horiz_installed = false;
     loop {
         let frame = match ep.recv() {
             Ok(f) => f,
@@ -592,9 +477,8 @@ fn serve_lu_run(ep: &WorkerEndpoint, horiz_pack: &mut PackedB) -> RunExit {
             FrameKind::Shutdown => return RunExit::Terminate,
             FrameKind::Control if frame.tag.i == RUN_END => return RunExit::Completed,
             // Cooperative abort: the master gave up on this run. The
-            // resident panel is per-run state and drops with this frame's
-            // scope; the pack buffer's capacity stays warm for the next
-            // run, exactly as on a normal RUN_END.
+            // pack buffer's capacity stays warm for the next run, exactly
+            // as on a normal RUN_END.
             FrameKind::Control if frame.tag.i == RUN_ABORT => return RunExit::Completed,
             // Any other control frame here means the master aborted a run
             // without closing it and the session was reused (a fresh
@@ -637,38 +521,30 @@ fn serve_lu_run(ep: &WorkerEndpoint, horiz_pack: &mut PackedB) -> RunExit {
                 // One pack per rank-µ step, consumed by every core row
                 // group of the step (the pack snapshot stays valid until
                 // the next step's install overwrites the panel).
-                if prepack {
-                    let tp = record::enabled().then(record::now);
-                    panel.pack_sub_mul_for(kernel, horiz_pack);
-                    if let Some(tp) = tp {
-                        record::record(
-                            Activity::new(
-                                Resource::WorkerDetail(ep.id()),
-                                ActivityKind::Pack,
-                                ep.id(),
-                                tp,
-                                record::now(),
-                                "pack panel".into(),
-                            )
-                            .with_run(frame.run),
-                        );
-                    }
+                let tp = record::enabled().then(record::now);
+                panel.pack_sub_mul_for(kernel, horiz_pack);
+                if let Some(tp) = tp {
+                    record::record(
+                        Activity::new(
+                            Resource::WorkerDetail(ep.id()),
+                            ActivityKind::Pack,
+                            ep.id(),
+                            tp,
+                            record::now(),
+                            "pack panel".into(),
+                        )
+                        .with_run(frame.run),
+                    );
                 }
-                horiz = Some(panel);
+                horiz_installed = true;
                 continue; // stateful install: nothing to send back
             }
             OP_CORE => {
                 let mut it = parts.into_iter();
                 let vert_g = it.next().expect("vertical group");
                 let mut core_g = it.next().expect("core group");
-                let horiz = horiz
-                    .as_ref()
-                    .expect("OP_SET_HORIZ must precede OP_CORE (FIFO order)");
-                if prepack {
-                    core_g.sub_mul_prepacked(kernel, &vert_g, horiz_pack);
-                } else {
-                    core_g.sub_mul_with(kernel, &vert_g, horiz);
-                }
+                assert!(horiz_installed, "OP_SET_HORIZ must precede OP_CORE (FIFO order)");
+                core_g.sub_mul_prepacked(kernel, &vert_g, horiz_pack);
                 core_g
             }
             op => unreachable!("unknown LU op {op}"),

@@ -22,16 +22,14 @@
 //!   in pooled storage that returns to the sender once the receiver drops
 //!   the last view, making steady-state traffic allocation-free,
 //! * [`Session`] — a persistent worker pool over the star: worker threads
-//!   spawn once, park on blocking receives between `RUN_BEGIN`/`RUN_END`
-//!   delimited runs, and are shared process-wide through
-//!   [`session::SessionPool`] when `MWP_RUNTIME=session`,
-//! * [`sched`] — the multi-job serving tier (`MWP_SCHED=on`): a
+//!   spawn once and park on blocking receives between
+//!   `RUN_BEGIN`/`RUN_END` delimited runs,
+//! * [`sched`] — the multi-job serving tier: a
 //!   [`sched::JobScheduler`] queues jobs from many caller threads and
 //!   dispatches each as its own interleaved **run generation** on one
 //!   shared session (`Session::begin_job`), with the master
 //!   demultiplexing replies per generation instead of holding the
-//!   run-exclusion lock, plus the small-job batching hooks
-//!   (`MWP_BATCH`) and the max-inflight knob (`MWP_INFLIGHT`),
+//!   run-exclusion lock, plus the small-job batching hooks,
 //! * [`transport`] — the socket backend (`MWP_TRANSPORT=tcp|uds`):
 //!   length-prefixed frames over TCP or Unix-domain sockets, so master
 //!   and workers can run as separate processes or hosts — the one-port

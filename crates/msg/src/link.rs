@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 pub const RUN_SLOTS: usize = 16;
 
 /// The job-run slots of the registry: every slot except the legacy one.
-/// This is the hard ceiling on `MWP_INFLIGHT`.
+/// This is the hard ceiling on a scheduler's dispatcher count.
 pub const MAX_CONCURRENT_RUNS: usize = RUN_SLOTS - 1;
 
 /// The set of run generations a link currently serves: a fixed array of
@@ -53,8 +53,8 @@ impl ActiveRuns {
     }
 
     /// Claim a free job slot for `run`. Panics when every slot is taken —
-    /// the scheduler's inflight cap (`MWP_INFLIGHT` ≤
-    /// [`MAX_CONCURRENT_RUNS`]) makes that a bug, not a load condition.
+    /// the scheduler's inflight cap (≤ [`MAX_CONCURRENT_RUNS`]) makes
+    /// that a bug, not a load condition.
     fn register(&self, run: u32) {
         assert_ne!(run, 0, "generation 0 is the between-runs sentinel");
         for slot in &self.slots[1..] {

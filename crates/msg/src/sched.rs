@@ -8,10 +8,10 @@
 //!
 //! * [`JobScheduler`] — accepts jobs from any number of caller threads
 //!   into one FIFO queue and drains it with a small pool of *dispatcher*
-//!   threads (the max-inflight knob, `MWP_INFLIGHT`). Each dispatcher
-//!   executes one job — or one fused **batch** of compatible jobs — at a
-//!   time via the caller-supplied [`JobExecutor`], which runs it as its
-//!   own interleaved run generation on the shared session (see
+//!   threads (the `inflight` argument of [`JobScheduler::spawn`]). Each
+//!   dispatcher executes one job — or one fused **batch** of compatible
+//!   jobs — at a time via the caller-supplied [`JobExecutor`], which runs
+//!   it as its own interleaved run generation on the shared session (see
 //!   [`crate::session::Session::begin_job`]).
 //! * [`JobHandle`] — the submitter's receipt: park on
 //!   [`JobHandle::wait`] until the job's result and [`JobReport`] come
@@ -24,18 +24,12 @@
 //! The scheduler is generic over the job and result types: the matrix
 //! runtime's serving layer (`mwp_core::serving`) supplies the executor
 //! that prices jobs against live worker memory and fuses small-`q` jobs
-//! into composite runs; the LU runtime reuses the same machinery with a
-//! single dispatcher (LU runs stay exclusive).
-//!
-//! The `MWP_SCHED`, `MWP_BATCH`, and `MWP_INFLIGHT` switches routing the
-//! one-shot entry points through a scheduler are parsed here, strictly —
-//! a typo never silently falls back, same contract as every other
-//! `MWP_*` flag.
+//! into composite runs.
 
 use crate::link::MAX_CONCURRENT_RUNS;
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -285,77 +279,6 @@ where
     batch
 }
 
-/// Whether the one-shot `run_*` entry points route through a process-wide
-/// job scheduler. `MWP_SCHED`: `on`, or `off`/empty/unset (the valid
-/// names; anything else panics — see [`parse_sched`]).
-pub fn sched_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("MWP_SCHED") {
-        Ok(v) => parse_sched(&v).unwrap_or_else(|e| panic!("MWP_SCHED: {e}")),
-        Err(_) => false,
-    })
-}
-
-/// Parse an `MWP_SCHED` value. Empty means "no override" (off).
-pub fn parse_sched(value: &str) -> Result<bool, String> {
-    match value {
-        "" | "off" => Ok(false),
-        "on" => Ok(true),
-        other => Err(format!("unknown scheduler mode '{other}' (valid: on, off)")),
-    }
-}
-
-/// Whether the serving layer's small-job batching tier is enabled
-/// (`MWP_BATCH`, default **on**; only consulted when the scheduler path
-/// is active). Anything but `on`/`off`/empty panics — see
-/// [`parse_batch`].
-pub fn batch_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("MWP_BATCH") {
-        Ok(v) => parse_batch(&v).unwrap_or_else(|e| panic!("MWP_BATCH: {e}")),
-        Err(_) => true,
-    })
-}
-
-/// Parse an `MWP_BATCH` value. Empty means "no override" (on).
-pub fn parse_batch(value: &str) -> Result<bool, String> {
-    match value {
-        "" | "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("unknown batching mode '{other}' (valid: on, off)")),
-    }
-}
-
-/// The max-inflight knob: how many dispatcher threads (= concurrently
-/// interleaved run generations) the process-wide schedulers use.
-/// `MWP_INFLIGHT`: an integer in `1..=`[`MAX_CONCURRENT_RUNS`], default
-/// 4. An out-of-range or non-numeric value panics — see
-/// [`parse_inflight`].
-pub fn max_inflight() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| match std::env::var("MWP_INFLIGHT") {
-        Ok(v) => parse_inflight(&v).unwrap_or_else(|e| panic!("MWP_INFLIGHT: {e}")),
-        Err(_) => DEFAULT_INFLIGHT,
-    })
-}
-
-/// The default dispatcher count when `MWP_INFLIGHT` is unset.
-pub const DEFAULT_INFLIGHT: usize = 4;
-
-/// Parse an `MWP_INFLIGHT` value. Empty means "no override"
-/// ([`DEFAULT_INFLIGHT`]).
-pub fn parse_inflight(value: &str) -> Result<usize, String> {
-    if value.is_empty() {
-        return Ok(DEFAULT_INFLIGHT);
-    }
-    match value.parse::<usize>() {
-        Ok(n) if (1..=MAX_CONCURRENT_RUNS).contains(&n) => Ok(n),
-        _ => Err(format!(
-            "invalid inflight count '{value}' (valid: an integer in 1..={MAX_CONCURRENT_RUNS})"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,29 +351,6 @@ mod tests {
         sched.shutdown(); // must not strand any queued job
         for (j, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait().result, 2 * j as u64);
-        }
-    }
-
-    #[test]
-    fn switch_parsers_are_strict() {
-        assert_eq!(parse_sched(""), Ok(false));
-        assert_eq!(parse_sched("off"), Ok(false));
-        assert_eq!(parse_sched("on"), Ok(true));
-        assert!(parse_sched("On").unwrap_err().contains("valid: on, off"));
-
-        assert_eq!(parse_batch(""), Ok(true));
-        assert_eq!(parse_batch("on"), Ok(true));
-        assert_eq!(parse_batch("off"), Ok(false));
-        assert!(parse_batch("never").unwrap_err().contains("valid: on, off"));
-
-        assert_eq!(parse_inflight(""), Ok(DEFAULT_INFLIGHT));
-        assert_eq!(parse_inflight("1"), Ok(1));
-        assert_eq!(parse_inflight("15"), Ok(MAX_CONCURRENT_RUNS));
-        for bad in ["0", "16", "-1", "four", "1.5"] {
-            assert!(
-                parse_inflight(bad).unwrap_err().contains("1..=15"),
-                "'{bad}' must be rejected listing the valid range"
-            );
         }
     }
 }

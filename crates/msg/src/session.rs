@@ -22,12 +22,6 @@
 //! is also the shape a future socket transport attaches to — a remote
 //! worker process is exactly a session worker whose endpoint happens to
 //! be a socket.
-//!
-//! [`SessionPool`] adds process-wide reuse: keyed by the platform
-//! fingerprint, it hands out one shared session per distinct platform so
-//! the `MWP_RUNTIME=session` mode (see [`runtime_mode`]) can route the
-//! one-shot `run_*` entry points through pooled workers without any API
-//! change for callers.
 
 use crate::auth;
 use crate::endpoint::{MasterEndpoint, WorkerEndpoint};
@@ -41,10 +35,8 @@ use crate::transport::{
 use mwp_platform::{Platform, WorkerId, WorkerParams};
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread;
 
 // The run-lifecycle sentinels and frame constructors live in
@@ -859,52 +851,9 @@ where
     }
 }
 
-/// Which backing runtime the one-shot `run_*` entry points use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeMode {
-    /// Spawn a fresh session per call and shut it down after (the
-    /// historical behavior, now expressed as a one-run session).
-    FreshSpawn,
-    /// Route through a process-wide [`SessionPool`], reusing workers
-    /// across calls with the same platform.
-    PooledSession,
-}
-
-impl RuntimeMode {
-    /// The names `MWP_RUNTIME` accepts, in documentation order.
-    pub const NAMES: &'static [&'static str] = &["fresh", "session"];
-}
-
-/// Parse an `MWP_RUNTIME` value. Empty means "no override" (fresh spawn).
-/// Unknown values are an error listing the valid names — same contract as
-/// `MWP_KERNEL`, `MWP_PACK`, and `MWP_TRANSPORT`: a typo must never
-/// silently fall back, or the CI matrix leg that sets this would silently
-/// test the wrong runtime.
-pub fn parse_runtime_mode(value: &str) -> Result<RuntimeMode, String> {
-    match value {
-        "" | "fresh" => Ok(RuntimeMode::FreshSpawn),
-        "session" => Ok(RuntimeMode::PooledSession),
-        other => Err(format!(
-            "unknown runtime '{other}' (valid: {})",
-            RuntimeMode::NAMES.join(", ")
-        )),
-    }
-}
-
-/// Reads `MWP_RUNTIME` once per process: `session` forces the pooled
-/// runtime, `fresh`/empty/unset the per-call spawn. Anything else panics
-/// listing the valid names (see [`parse_runtime_mode`]).
-pub fn runtime_mode() -> RuntimeMode {
-    static MODE: OnceLock<RuntimeMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("MWP_RUNTIME") {
-        Ok(v) => parse_runtime_mode(&v).unwrap_or_else(|e| panic!("MWP_RUNTIME: {e}")),
-        Err(_) => RuntimeMode::FreshSpawn,
-    })
-}
-
-/// Stable identity of a platform + pacing configuration, used as the
-/// sharing key for pooled sessions: two calls agree on a session exactly
-/// when every worker's `(c, w, m)` and the time scale are bit-equal.
+/// Stable identity of a platform + pacing configuration — what a
+/// loopback worker presents at enrollment: two stars agree exactly when
+/// every worker's `(c, w, m)` and the time scale are bit-equal.
 pub fn fingerprint(platform: &Platform, time_scale: f64) -> Vec<u64> {
     let mut key = Vec::with_capacity(1 + 3 * platform.len());
     key.push(time_scale.to_bits());
@@ -914,183 +863,6 @@ pub fn fingerprint(platform: &Platform, time_scale: f64) -> Vec<u64> {
         key.push(w.m as u64);
     }
     key
-}
-
-/// One pooled session plus its poison flag (set when a caller panicked
-/// mid-run: the workers may be desynced — parked mid-`serve_run`, stale
-/// scratch — so the entry must never serve another run). The session is
-/// built lazily under the **entry** lock, never under the pool-map lock,
-/// so spawning one platform's workers cannot block callers with other
-/// fingerprints.
-struct PoolEntry<S> {
-    session: Option<S>,
-    poisoned: AtomicBool,
-}
-
-/// Sets the poison flag unless disarmed with [`std::mem::forget`] — the
-/// unwind path of [`SessionPool::with`].
-struct PoisonOnUnwind<'a> {
-    flag: &'a AtomicBool,
-}
-
-impl Drop for PoisonOnUnwind<'_> {
-    fn drop(&mut self) {
-        self.flag.store(true, Ordering::Release);
-    }
-}
-
-/// A process-wide cache of sessions keyed by platform [`fingerprint`].
-///
-/// `S` is the caller's session wrapper (e.g. the matrix runtime's
-/// `RuntimeSession`); each entry is behind a [`Mutex`] because a session
-/// serves one run at a time — concurrent callers with the same platform
-/// serialize, which is exactly the one-master model.
-///
-/// Healthy entries are retained for the life of the process (only
-/// poisoned ones are evicted): each distinct fingerprint keeps its parked
-/// worker threads and warm buffer pools alive. That is the point for
-/// repeated runs on a few platforms; a sweep over **many distinct**
-/// platforms should hold its sessions directly (scoping their lifetime)
-/// instead of going through the pooled mode.
-pub struct SessionPool<S> {
-    map: OnceLock<Mutex<PoolMap<S>>>,
-}
-
-/// Fingerprint → shared pool entry. The entry is `Arc`ed out of the map
-/// so the (expensive) session build happens outside the map lock.
-type PoolMap<S> = HashMap<Vec<u64>, Arc<Mutex<PoolEntry<S>>>>;
-
-impl<S> SessionPool<S> {
-    /// An empty pool (usable in a `static`).
-    pub const fn new() -> Self {
-        SessionPool { map: OnceLock::new() }
-    }
-
-    fn map(&self) -> &Mutex<PoolMap<S>> {
-        self.map.get_or_init(|| Mutex::new(HashMap::new()))
-    }
-
-    /// The shared entry for `key`. Holds the map lock only for the map
-    /// operation itself — the (expensive, thread-spawning) session build
-    /// happens later under the entry's own lock.
-    fn checkout(&self, key: Vec<u64>) -> Arc<Mutex<PoolEntry<S>>> {
-        let mut entries = self.map().lock();
-        entries
-            .entry(key)
-            .or_insert_with(|| {
-                Arc::new(Mutex::new(PoolEntry { session: None, poisoned: AtomicBool::new(false) }))
-            })
-            .clone()
-    }
-
-    /// Drop `stale` from the map (if it is still the entry for `key`), so
-    /// the next checkout rebuilds. The abandoned session shuts down when
-    /// the last `Arc` holder lets go.
-    fn evict(&self, key: &[u64], stale: &Arc<Mutex<PoolEntry<S>>>) {
-        let mut entries = self.map().lock();
-        if entries.get(key).is_some_and(|current| Arc::ptr_eq(current, stale)) {
-            entries.remove(key);
-        }
-    }
-
-    /// Run `f` on the pooled session for `platform` + `time_scale`,
-    /// building one with `build` on first use.
-    ///
-    /// Panic safety: if `f` unwinds mid-run, the entry is **poisoned** —
-    /// its workers may be desynced (parked mid-run with stale state), so
-    /// it is evicted and every later or concurrently-waiting caller
-    /// rebuilds a fresh session instead of corrupting the next run. One
-    /// failing caller therefore costs one session respawn, nothing more.
-    pub fn with<R>(
-        &self,
-        platform: &Platform,
-        time_scale: f64,
-        build: impl Fn() -> S,
-        f: impl FnOnce(&S) -> R,
-    ) -> R {
-        self.with_checked(platform, time_scale, build, |_| true, f)
-    }
-
-    /// [`SessionPool::with`] plus a health check on cached entries: a
-    /// pre-existing session that fails `healthy` — typically because a
-    /// remote worker died (transport error, missed heartbeat deadline)
-    /// since its last run — is evicted and rebuilt exactly like a
-    /// poisoned one, so transport death is handled by the same
-    /// machinery as a caller panic. A freshly built session is served
-    /// without being checked.
-    pub fn with_checked<R>(
-        &self,
-        platform: &Platform,
-        time_scale: f64,
-        build: impl Fn() -> S,
-        healthy: impl Fn(&S) -> bool,
-        f: impl FnOnce(&S) -> R,
-    ) -> R {
-        let key = fingerprint(platform, time_scale);
-        let mut f = Some(f);
-        loop {
-            let shared = self.checkout(key.clone());
-            let mut guard = shared.lock();
-            if guard.poisoned.load(Ordering::Acquire) {
-                // A previous caller panicked mid-run on this session:
-                // evict and retry with a fresh one.
-                drop(guard);
-                self.evict(&key, &shared);
-                continue;
-            }
-            match guard.session.as_ref() {
-                Some(session) if !healthy(session) => {
-                    // A dead remote worker makes the cached session as
-                    // unusable as a poisoned one: evict and rebuild.
-                    drop(guard);
-                    self.evict(&key, &shared);
-                    continue;
-                }
-                Some(_) => {}
-                // First use (or a retry after build itself panicked,
-                // which leaves the entry empty and unpoisoned).
-                None => guard.session = Some(build()),
-            }
-            let PoolEntry { session, poisoned } = &mut *guard;
-            let sentinel = PoisonOnUnwind { flag: poisoned };
-            let out =
-                (f.take().expect("loop only reaches f once"))(session.as_ref().expect("just built"));
-            std::mem::forget(sentinel);
-            return out;
-        }
-    }
-}
-
-impl<S> Default for SessionPool<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The shared entry-point shape of the one-shot `run_*` wrappers: spawn a
-/// throwaway session per call under [`RuntimeMode::FreshSpawn`] (with an
-/// explicit `shutdown` so worker panics propagate), or serve the run from
-/// `pool` under [`RuntimeMode::PooledSession`]. `healthy` gates pooled
-/// reuse: a cached session failing it — a remote worker died since its
-/// last run — is evicted and rebuilt (see [`SessionPool::with_checked`]).
-pub fn run_with_mode<S, R>(
-    pool: &SessionPool<S>,
-    platform: &Platform,
-    time_scale: f64,
-    build: impl Fn() -> S,
-    healthy: impl Fn(&S) -> bool,
-    shutdown: impl FnOnce(S),
-    f: impl FnOnce(&S) -> R,
-) -> R {
-    match runtime_mode() {
-        RuntimeMode::FreshSpawn => {
-            let session = build();
-            let out = f(&session);
-            shutdown(session);
-            out
-        }
-        RuntimeMode::PooledSession => pool.with_checked(platform, time_scale, build, healthy, f),
-    }
 }
 
 #[cfg(test)]
@@ -1206,65 +978,6 @@ mod tests {
         let epoch = session.begin_run(4, 0);
         session.finish_run(4, epoch);
         drop(session); // would hang (test timeout) if workers leaked
-    }
-
-    #[test]
-    fn pool_shares_by_fingerprint() {
-        let pool: SessionPool<u32> = SessionPool::new();
-        let pf_a = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
-        let pf_b = Platform::homogeneous(3, 1.0, 1.0, 8).unwrap();
-        let builds = std::cell::Cell::new(0u32);
-        let build = || {
-            builds.set(builds.get() + 1);
-            builds.get()
-        };
-        assert_eq!(pool.with(&pf_a, 0.0, build, |s| *s), 1);
-        assert_eq!(pool.with(&pf_a, 0.0, build, |s| *s), 1, "same platform reuses the session");
-        assert_eq!(pool.with(&pf_b, 0.0, build, |s| *s), 2, "different platform rebuilds");
-        assert_eq!(pool.with(&pf_a, 0.5, build, |s| *s), 3, "pacing is part of the identity");
-    }
-
-    #[test]
-    fn pool_evicts_poisoned_sessions_after_a_panic() {
-        let pool: SessionPool<u32> = SessionPool::new();
-        let pf = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
-        let builds = std::cell::Cell::new(0u32);
-        let build = || {
-            builds.set(builds.get() + 1);
-            builds.get()
-        };
-        assert_eq!(pool.with(&pf, 0.0, build, |s| *s), 1);
-        // A caller panicking mid-run poisons the entry…
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.with(&pf, 0.0, build, |_: &u32| panic!("run blew up"))
-        }));
-        assert!(panicked.is_err());
-        // …so the next caller gets a freshly built session, not the
-        // desynced one.
-        assert_eq!(pool.with(&pf, 0.0, build, |s| *s), 2);
-        assert_eq!(pool.with(&pf, 0.0, build, |s| *s), 2, "the rebuilt entry is reused");
-    }
-
-    #[test]
-    fn pool_evicts_sessions_failing_the_health_check() {
-        // The transport-death analogue of
-        // `pool_evicts_poisoned_sessions_after_a_panic`: an entry whose
-        // session reports unhealthy (a remote worker died) must be
-        // evicted and rebuilt, not handed out again.
-        let pool: SessionPool<u32> = SessionPool::new();
-        let pf = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
-        let builds = std::cell::Cell::new(0u32);
-        let build = || {
-            builds.set(builds.get() + 1);
-            builds.get()
-        };
-        let healthy = |s: &u32| *s != 1; // session 1 "lost a worker"
-        assert_eq!(pool.with_checked(&pf, 0.0, build, healthy, |s| *s), 1);
-        // The next caller sees the unhealthy cached entry, evicts it,
-        // and is served a freshly built session…
-        assert_eq!(pool.with_checked(&pf, 0.0, build, healthy, |s| *s), 2);
-        // …which, being healthy, is then reused.
-        assert_eq!(pool.with_checked(&pf, 0.0, build, healthy, |s| *s), 2);
     }
 
     #[test]
@@ -1577,17 +1290,6 @@ mod tests {
         // or rejected at admission — counted either way.
         assert!(session.stale_rejections() >= 1);
         assert_eq!(session.shutdown(), 1);
-    }
-
-    #[test]
-    fn runtime_mode_parser_is_strict() {
-        assert_eq!(parse_runtime_mode(""), Ok(RuntimeMode::FreshSpawn));
-        assert_eq!(parse_runtime_mode("fresh"), Ok(RuntimeMode::FreshSpawn));
-        assert_eq!(parse_runtime_mode("session"), Ok(RuntimeMode::PooledSession));
-        let err = parse_runtime_mode("sesion").unwrap_err();
-        for name in RuntimeMode::NAMES {
-            assert!(err.contains(name), "error must list '{name}': {err}");
-        }
     }
 
     /// The loopback-socket star must serve the exact same session

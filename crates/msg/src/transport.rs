@@ -100,9 +100,9 @@ impl TransportMode {
 
 /// Parse an `MWP_TRANSPORT` value. Empty means "no override" (channel).
 /// Unknown values are an error listing the valid names — the same
-/// contract as `MWP_KERNEL`, `MWP_PACK`, and `MWP_RUNTIME`: a typo must
-/// never silently fall back, or a CI matrix leg that sets the variable
-/// would silently test the wrong backend.
+/// contract as `MWP_KERNEL`: a typo must never silently fall back, or a
+/// CI matrix leg that sets the variable would silently test the wrong
+/// backend.
 pub fn parse_transport_mode(value: &str) -> Result<TransportMode, String> {
     match value {
         "" | "channel" => Ok(TransportMode::Channel),

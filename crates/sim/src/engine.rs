@@ -7,9 +7,8 @@
 //! exactly: the master's port is the only contended resource.
 
 use crate::report::SimReport;
-use crate::time::SimTime;
-use crate::trace::{Activity, ActivityKind, Resource, Trace};
 use mwp_platform::{Platform, Seconds, WorkerId};
+use mwp_trace::{Activity, ActivityKind, Resource, SimTime, Trace};
 use std::borrow::Cow;
 
 /// A trace label: static for the common fixed strings, owned only when a

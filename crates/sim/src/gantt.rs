@@ -1,8 +1,8 @@
 //! ASCII Gantt rendering of traces — the textual analogue of the paper's
 //! Figures 7 and 8 (master row `M` on top, one row per worker below).
 
-use crate::trace::{ActivityKind, Resource, Trace};
 use mwp_platform::WorkerId;
+use mwp_trace::{ActivityKind, Resource, Trace};
 
 /// Render `trace` as an ASCII Gantt chart with `width` columns covering
 /// `[0, horizon]` (horizon defaults to the trace end).
@@ -61,8 +61,7 @@ pub fn render_until(trace: &Trace, workers: usize, width: usize, horizon: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
-    use crate::trace::Activity;
+    use mwp_trace::{Activity, SimTime};
 
     #[test]
     fn renders_rows_for_master_and_workers() {

@@ -19,18 +19,22 @@
 //! Section 8 and the incremental selection of Section 6.2 make decisions).
 //!
 //! The engine verifies the memory invariant `held ≤ m_i` on every worker at
-//! every step, produces a complete [`trace::Trace`] (renderable as an ASCII
+//! every step, produces a complete [`Trace`] (renderable as an ASCII
 //! Gantt chart like the paper's Figures 7 and 8), and returns a
 //! [`report::SimReport`] with makespan, utilization and communication
 //! statistics.
+//!
+//! The timestamp and span types live in `mwp-trace` — one vocabulary
+//! shared with the live runtime recorder, so predicted and measured
+//! timelines can be diffed span for span (see the `replay_diff` bench
+//! bin). The engine emits only the occupancy kinds
+//! (`Send`/`Recv`/`Compute`); the extra runtime kinds (`Wait`, `Pack`,
+//! `Kernel`, `Run`) appear in measured traces.
 
 pub mod engine;
 pub mod gantt;
 pub mod report;
-pub mod time;
-pub mod trace;
 
 pub use engine::{label_if, Decision, Label, MasterPolicy, SimError, Simulator, WorkerView};
 pub use report::SimReport;
-pub use time::SimTime;
-pub use trace::{Activity, Resource, Trace};
+pub use mwp_trace::{Activity, ActivityKind, Resource, SimTime, Trace};

@@ -1,7 +1,6 @@
 //! Simulation results: makespan, utilization, communication statistics.
 
-use crate::time::SimTime;
-use crate::trace::Trace;
+use mwp_trace::{SimTime, Trace};
 
 /// The outcome of one simulated execution.
 #[derive(Debug, Clone)]

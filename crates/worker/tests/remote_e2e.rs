@@ -7,7 +7,7 @@
 //! park/wake cycle is exercised across a process boundary too.
 //!
 //! The spawned processes inherit this test's environment, so the
-//! `MWP_KERNEL`/`MWP_PACK` CI legs force the same kernel on both sides
+//! `MWP_KERNEL` CI legs force the same kernel on both sides
 //! of the wire (a mixed-kernel star would be a fingerprint mismatch a
 //! real deployment surfaces via [`RuntimeSession::worker_fingerprints`]).
 

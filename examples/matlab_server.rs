@@ -13,15 +13,19 @@ use mwp_blockmat::fill::random_matrix;
 use mwp_blockmat::gemm::verify_product;
 use mwp_blockmat::norms::frobenius;
 
-/// A toy "session": named matrices living on the master.
+/// A toy "session": named matrices living on the master, and the fleet
+/// the server enrolled — spawned once, reused by every statement.
 struct Session {
-    platform: Platform,
+    fleet: RuntimeSession,
     vars: std::collections::HashMap<String, BlockMatrix>,
 }
 
 impl Session {
-    fn new(platform: Platform) -> Self {
-        Session { platform, vars: std::collections::HashMap::new() }
+    fn new(platform: &Platform) -> Self {
+        Session {
+            fleet: RuntimeSession::new(platform, 0.0),
+            vars: std::collections::HashMap::new(),
+        }
     }
 
     /// `name = random(rows, cols)` — create data on the server.
@@ -35,7 +39,7 @@ impl Session {
         let a = self.vars[a].clone();
         let b = self.vars[b].clone();
         let c = self.vars[target].clone();
-        let out = run_holm(&self.platform, &a, &b, c, 0.0).expect("offload succeeds");
+        let out = self.fleet.run_holm(&a, &b, c).expect("offload succeeds");
         let blocks = out.blocks_moved;
         self.vars.insert(target.to_string(), out.c);
         blocks
@@ -50,7 +54,7 @@ fn main() {
     // The server enrolled four workstations of mixed generations — but
     // the session API does not care; enrollment is the server's problem.
     let platform = Platform::homogeneous(4, 2e-3, 4e-4, 60).expect("valid platform");
-    let mut session = Session::new(platform);
+    let mut session = Session::new(&platform);
 
     let q = 20;
     session.assign_random("A", 8, 6, q, 11);
@@ -82,4 +86,5 @@ fn main() {
     verify_product(session.get("E"), &e_before, &c_now, &d, 1e-8)
         .expect("second product verified");
     println!("chained: E = E + C*D verified, {blocks} more blocks moved");
+    session.fleet.shutdown();
 }

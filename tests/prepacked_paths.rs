@@ -6,10 +6,9 @@
 //! per-element k-accumulation order, the pack being pure data movement.
 //!
 //! The CI matrix runs this file under `MWP_KERNEL=scalar` (the verbatim
-//! row-major pack) and `MWP_RUNTIME=session` (prepacks recycled across
-//! pooled runs) as well as the default AVX2 leg; `MWP_PACK=off` turns
-//! every prepacked path back into the per-call path, which these
-//! equivalences guarantee is indistinguishable in results.
+//! row-major pack) as well as the default AVX2 leg. `Block::gemm_acc_with`
+//! (pack inside every call) is the reference these comparisons run
+//! against; no whole-matrix or worker layer packs per call any more.
 
 use master_worker_matrix::prelude::*;
 use mwp_blockmat::fill::{random_block, random_diagonally_dominant, random_matrix};

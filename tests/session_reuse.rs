@@ -1,10 +1,8 @@
 //! Persistent-session cross-validation: a session reused over N
 //! back-to-back runs must produce **bit-identical** results to N
 //! fresh-spawn runs — under whichever kernel the dispatcher picked (the
-//! `MWP_KERNEL=scalar` CI leg covers the fallback; the
-//! `MWP_RUNTIME=session` leg routes even the "fresh" calls below through
-//! the process-wide pool, which must change nothing either). Block sides
-//! vary across the runs so the pooled workers' in-place scratch reset
+//! `MWP_KERNEL=scalar` CI leg covers the fallback). Block sides vary
+//! across the runs so the pooled workers' in-place scratch reset
 //! (q-bound storage) is exercised, not just the warm path.
 
 use master_worker_matrix::prelude::*;
