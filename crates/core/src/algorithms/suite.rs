@@ -128,15 +128,11 @@ impl SuitePolicy {
         // Chunk order: Algorithm 1 walks column bands of `enrolled`
         // consecutive column-chunks; the Toledo baselines use the usual
         // row-major out-of-core order.
-        let mut tiles = if kind.uses_optimized_layout() {
-            chunks::tile(problem, mu)
+        let tiles = if kind.uses_optimized_layout() {
+            chunks::algorithm1_order(problem, mu, enrolled)
         } else {
             chunks::tile_row_major(problem, mu)
         };
-        if kind.uses_optimized_layout() {
-            let band = (mu * enrolled).max(1);
-            tiles.sort_by_key(|c| (c.j0 / band, c.i0, c.j0));
-        }
 
         Ok(SuitePolicy {
             kind,

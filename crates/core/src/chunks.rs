@@ -65,6 +65,19 @@ pub fn tile(problem: &Partition, mu: usize) -> Vec<Chunk> {
     out
 }
 
+/// Algorithm 1's chunk order for `enrolled` workers: the [`tile`] chunks
+/// regrouped into column bands of `enrolled` consecutive column-chunks,
+/// walked row by row — so each round of `enrolled` chunks shares one
+/// chunk row (its A columns) across the band. The one definition both
+/// executors of the schedule — the simulator's policy and the runtime's
+/// master loop — dispatch from.
+pub fn algorithm1_order(problem: &Partition, mu: usize, enrolled: usize) -> Vec<Chunk> {
+    let mut tiles = tile(problem, mu);
+    let band = (mu * enrolled).max(1);
+    tiles.sort_by_key(|c| (c.j0 / band, c.i0, c.j0));
+    tiles
+}
+
 /// Tile with row-major order instead (used by the Toledo baselines, which
 /// the paper describes without a specific order; row-major matches the
 /// usual out-of-core presentation).

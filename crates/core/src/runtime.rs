@@ -137,7 +137,7 @@ pub fn run_holm(
     // Pre-flight: a rejected call must cost an error return, not a
     // worker-pool spawn + join.
     plan_holm(platform, a, b, &c, true)?;
-    with_session(platform, time_scale, |session| holm_on(session, a, b, c, true))
+    with_session(platform, time_scale, |session| session.run_holm(a, b, c))
 }
 
 /// Same, but enrolling every worker (the ORROML variant) — useful to
@@ -150,13 +150,13 @@ pub fn run_all_workers(
     time_scale: f64,
 ) -> Result<RunOutcome, RuntimeError> {
     plan_holm(platform, a, b, &c, false)?;
-    with_session(platform, time_scale, |session| holm_on(session, a, b, c, false))
+    with_session(platform, time_scale, |session| session.run_all_workers(a, b, c))
 }
 
 /// The pure pre-flight of a HoLM/ORROML run — validation + resource
-/// selection, no side effects. Returns `(enrolled, µ)`. Called by the
-/// one-shot wrappers **before** any session exists and again by
-/// [`holm_on`] for the actual run parameters.
+/// selection, no side effects. Called by the one-shot wrappers **before**
+/// any session exists; the session plans again for the actual run
+/// parameters.
 fn plan_holm(
     platform: &Platform,
     a: &BlockMatrix,
@@ -209,130 +209,260 @@ pub(crate) fn select_enrollment(
     Ok((enrolled, mu))
 }
 
+/// One product `C ← C + A·B` of an open run: the payload caches of its
+/// (borrowed) inputs, its accumulator, its traffic meter, and the tag
+/// offsets that keep its frame coordinates disjoint from every other
+/// product fused into the same run.
+struct JobCtx {
+    /// A serialized once, col-major, so a column stretch is one slice.
+    ap: SharedPayloads,
+    /// B serialized once, row-major, so a row stretch is one slice. Every
+    /// send is a refcount bump into these shared buffers (a B row fanned
+    /// out to all enrolled workers costs one buffer total).
+    bp: SharedPayloads,
+    c: BlockMatrix,
+    /// Matrix blocks this product moved through the port, both ways.
+    moved: u64,
+    row_off: usize,
+    col_off: usize,
+    k_off: usize,
+}
+
+impl JobCtx {
+    /// The `jx`-th product of a run: its tags shift by `jx·(r, s, t)`
+    /// (a solo run is product 0, offsets 0), while the payload bytes stay
+    /// exactly what a solo run would ship.
+    fn new(a: &BlockMatrix, b: &BlockMatrix, c: BlockMatrix, jx: usize) -> Self {
+        JobCtx {
+            ap: SharedPayloads::new_col_major(a),
+            bp: SharedPayloads::new(b),
+            c,
+            moved: 0,
+            row_off: jx * a.rows(),
+            col_off: jx * b.cols(),
+            k_off: jx * a.cols(),
+        }
+    }
+}
+
+/// The master's side of one open run: Algorithm 1's chunk exchange — ship
+/// a C chunk, stream `t` B-row/A-column steps, collect — written once,
+/// with every frame stamped with the run's generation and every receive
+/// scoped to it.
+struct RunPort<'a> {
+    master: &'a mwp_msg::MasterEndpoint,
+    gen: u32,
+    q: usize,
+    t: usize,
+    /// Recycled buffers for the (mutable, serialize-on-demand) C sends.
+    cpool: mwp_msg::BufferPool,
+}
+
+impl<'a> RunPort<'a> {
+    fn new(session: &'a RuntimeSession, gen: u32, q: usize, t: usize) -> Self {
+        RunPort { master: session.master(), gen, q, t, cpool: mwp_msg::BufferPool::new() }
+    }
+
+    /// Failure-aware send of one block frame of `job`, metered on delivery.
+    fn send(&self, wid: WorkerId, job: &mut JobCtx, tag: Tag, payload: Bytes, blocks: usize) -> bool {
+        let frame = Frame::new_in_run(tag, self.gen, payload);
+        let sent = self.master.try_send(wid, frame, blocks as u64).is_some();
+        if sent {
+            job.moved += blocks as u64;
+        }
+        sent
+    }
+
+    /// Ship chunk `ch` of `job`'s C to `wid`: one multi-block frame per
+    /// chunk row, serialized into recycled pool buffers (C mutates between
+    /// chunks, so its payloads cannot be cached). Returns `false` (with
+    /// the worker condemned) if `wid` died mid-ship — the chunk is
+    /// untouched on the master and can be replayed verbatim on a survivor.
+    fn send_c_rows(&self, wid: WorkerId, job: &mut JobCtx, ch: &Chunk) -> bool {
+        let bb = self.q * self.q * 8;
+        ch.rows().all(|i| {
+            let payload = self.cpool.bytes_with(bb * ch.width, |buf| {
+                for j in ch.cols() {
+                    job.c.block(i, j).write_bytes_into(buf);
+                }
+            });
+            let tag = Tag::new(FrameKind::BlockC, i + job.row_off, ch.j0 + job.col_off);
+            self.send(wid, job, tag, payload, ch.width)
+        })
+    }
+
+    /// One k-step of chunk `ch`: a zero-copy B-row frame, then a zero-copy
+    /// A-column frame, both views into `job`'s payload caches.
+    fn send_k_step(&self, wid: WorkerId, job: &mut JobCtx, ch: &Chunk, k: usize) -> bool {
+        let b_tag = Tag::new(FrameKind::BlockB, k + job.k_off, ch.j0 + job.col_off);
+        let b_row = job.bp.row_run(k, ch.j0, ch.width);
+        let a_tag = Tag::new(FrameKind::BlockA, ch.i0 + job.row_off, k + job.k_off);
+        let a_col = job.ap.col_run(ch.i0, k, ch.height);
+        self.send(wid, job, b_tag, b_row, ch.width) && self.send(wid, job, a_tag, a_col, ch.height)
+    }
+
+    /// Ask `wid` for chunk `ch` back and commit it into `job`'s C — only
+    /// once **every** row frame has arrived and checked out. Returns
+    /// `false`, with `wid` marked dead and C untouched, when the worker
+    /// dies, stays silent past the liveness deadline, or answers with
+    /// anything but the chunk's rows: a frame of another kind, a row
+    /// outside the chunk or sent twice, a foreign column origin, a payload
+    /// that is not exactly `width` blocks. The tags and lengths come from
+    /// the worker, so they are checked before they index anything. The
+    /// all-or-nothing commit is what makes re-dispatch exact: a
+    /// half-returned chunk must not leave C half-updated, or replaying the
+    /// chunk would double-accumulate the committed rows.
+    fn collect(&self, wid: WorkerId, job: &mut JobCtx, ch: &Chunk) -> bool {
+        let request = Frame::new_in_run(Tag::new(FrameKind::Control, 0, 0), self.gen, Bytes::new());
+        if self.master.try_send(wid, request, 0).is_none() {
+            return false;
+        }
+        let bb = self.q * self.q * 8;
+        let mut staged: Vec<Option<Bytes>> = vec![None; ch.height];
+        for _ in ch.rows() {
+            let row = self.master.recv_deadline(wid, self.gen, ch.width as u64).and_then(|(f, _)| {
+                let i = (f.tag.i as usize).checked_sub(job.row_off)?;
+                let slot = staged.get_mut(i.checked_sub(ch.i0)?)?;
+                let ours = f.tag.kind == FrameKind::CResult
+                    && slot.is_none()
+                    && f.tag.j as usize == ch.j0 + job.col_off
+                    && f.payload.len() == ch.width * bb;
+                ours.then(|| *slot = Some(f.payload))
+            });
+            if row.is_none() {
+                self.master.mark_dead(wid);
+                return false;
+            }
+        }
+        for (i, payload) in ch.rows().zip(staged) {
+            let payload = payload.expect("height distinct in-range rows fill every slot");
+            for (j, part) in ch.cols().zip(payload.chunks_exact(bb)) {
+                job.c.block_mut(i, j).copy_from_bytes(part);
+            }
+        }
+        job.moved += ch.blocks();
+        true
+    }
+
+    /// Serve one whole chunk exchange to a single worker. Returns `false`
+    /// when `wid` died at any point of it: C is then untouched for this
+    /// chunk and the caller re-dispatches it to a survivor.
+    fn serve_chunk(&self, wid: WorkerId, job: &mut JobCtx, ch: &Chunk) -> bool {
+        self.send_c_rows(wid, job, ch)
+            && (0..self.t).all(|k| self.send_k_step(wid, job, ch, k))
+            && self.collect(wid, job, ch)
+    }
+}
+
+/// One product of a [`holm_on`] run: the borrowed factors `A`, `B` and the
+/// accumulator `C`, consumed and returned updated.
+pub(crate) type Product<'a> = (&'a BlockMatrix, &'a BlockMatrix, BlockMatrix);
+
 /// Algorithm 1 (the master side of HoLM / ORROML), executed as one run of
-/// `session`'s persistent worker pool.
+/// `session`'s persistent worker pool over workers `0..enrolled` with
+/// chunk side `mu`: `jobs` (all of one shape; one entry = one solo run's
+/// worth of chunks, a solo run being the list of length one) execute
+/// under a single run generation. Returns the generation and one
+/// [`RunOutcome`] per job, in order.
+///
+/// Each job's chunk list is the one its solo run would use, and each C
+/// block accumulates its `t` updates in `k`-order inside a single chunk
+/// exchange, so fused results are **bit-identical** to running every job
+/// alone. The loop takes no lock: callers that cannot bound the workers'
+/// resident memory across overlapping runs serialize themselves (see
+/// [`RuntimeSession::run_holm`]; the serving tier admits by memory
+/// instead).
 pub(crate) fn holm_on(
     session: &RuntimeSession,
-    a: &BlockMatrix,
-    b: &BlockMatrix,
-    mut c: BlockMatrix,
-    select: bool,
-) -> Result<RunOutcome, RuntimeError> {
-    validate_product_shapes(a, b, &c)?;
-    let (enrolled, mu) = session.plan_holm_run(a.rows(), b.cols(), select)?;
+    jobs: Vec<Product<'_>>,
+    enrolled: usize,
+    mu: usize,
+) -> Result<(u32, Vec<RunOutcome>), RuntimeError> {
+    let (a, b, _) = &jobs[0];
     let q = a.q();
     let (r, t, s) = (a.rows(), a.cols(), b.cols());
 
     // Wake workers 0..enrolled from their parked receives; the rest of
     // the pool stays blocked and costs nothing beyond their spawn.
     let epoch = session.begin_run(enrolled, q as u32);
-    let master = session.master();
+    let port = RunPort::new(session, epoch.generation(), q, t);
 
     let start = Instant::now();
-    // Serialize the immutable inputs once; every send below is a refcount
-    // bump into these shared buffers (a B row fanned out to all enrolled
-    // workers costs one buffer total). B is laid out row-major so a row
-    // stretch is one contiguous slice; A col-major so a column stretch is.
-    let ap = SharedPayloads::new_col_major(a);
-    let bp = SharedPayloads::new(b);
-    // Recycled buffers for the (mutable, serialize-on-demand) C sends.
-    let cpool = mwp_msg::BufferPool::new();
+    let mut ctxs: Vec<JobCtx> =
+        jobs.into_iter().enumerate().map(|(jx, (a, b, c))| JobCtx::new(a, b, c, jx)).collect();
     let problem = mwp_blockmat::Partition::from_blocks(r, s, t, q);
-    let mut tiles = chunks::tile(&problem, mu);
-    let band = (mu * enrolled).max(1);
-    tiles.sort_by_key(|ch| (ch.j0 / band, ch.i0, ch.j0));
+    let tiles = chunks::algorithm1_order(&problem, mu, enrolled);
 
-    // Algorithm 1: process chunks in groups, one per **live** worker.
-    // With a healthy fleet this is the historical fixed grouping of
-    // `enrolled` chunks per round; a worker dying mid-round gets its
-    // chunk re-queued and the next round regroups over the survivors.
-    // Re-dispatch is exact replay: the master's `c` is only mutated by a
-    // *complete* collected chunk (see `recv_c_rows`), and the A/B
-    // payload caches are immutable, so a lost chunk's frames regenerate
-    // bit-identically for whichever survivor picks it up.
-    let mut queue: std::collections::VecDeque<Chunk> = tiles.into();
+    // Algorithm 1: process chunks in groups, one per **live** worker,
+    // jobs concatenated in batch order. With a healthy fleet this is the
+    // historical fixed grouping of `enrolled` chunks per round; a worker
+    // dying mid-round gets its chunk re-queued and the next round
+    // regroups over the survivors. Re-dispatch is exact replay: a job's C
+    // is only mutated by a *complete* collected chunk (see
+    // `RunPort::collect`), and the A/B payload caches are immutable, so a
+    // lost chunk's frames regenerate bit-identically for whichever
+    // survivor picks it up.
+    let mut queue: std::collections::VecDeque<(usize, Chunk)> =
+        (0..ctxs.len()).flat_map(|jx| tiles.iter().map(move |&ch| (jx, ch))).collect();
     let deadline = run_deadline();
     while !queue.is_empty() {
         // Whole-run budget: checked once per chunk round, the coarsest
-        // unit after which the master's C is still consistent (a round
-        // only commits fully collected chunks).
-        if let Some(budget) = deadline {
-            if start.elapsed() > budget {
-                session.abort_run(enrolled, epoch);
-                return Err(RuntimeError::RunAborted);
-            }
+        // unit after which every C is still consistent (a round only
+        // commits fully collected chunks).
+        if deadline.is_some_and(|budget| start.elapsed() > budget) {
+            session.abort_run(enrolled, epoch);
+            return Err(RuntimeError::RunAborted);
         }
         let live: Vec<WorkerId> =
-            (0..enrolled).map(WorkerId).filter(|&w| !master.is_dead(w)).collect();
+            (0..enrolled).map(WorkerId).filter(|&w| !port.master.is_dead(w)).collect();
         assert!(
             !live.is_empty(),
             "every enrolled worker died mid-run: {} chunk(s) cannot be re-dispatched",
             queue.len()
         );
         let n = live.len().min(queue.len());
-        let assignment: Vec<(WorkerId, Chunk)> =
+        let assignment: Vec<(WorkerId, (usize, Chunk))> =
             live.into_iter().zip(queue.drain(..n)).collect();
-        // Tracks which members of this round are still exchanging; a
-        // failed send condemns the worker for the rest of the round.
-        let mut alive = vec![true; assignment.len()];
 
-        // 1. Ship each worker its C chunk, one run frame per chunk row (C
-        //    mutates between chunks, so its payloads are serialized on
-        //    demand into pooled buffers — each C block still moves exactly
-        //    once per failure-free run).
-        for (idx, (wid, ch)) in assignment.iter().enumerate() {
-            alive[idx] = send_c_rows(master, *wid, &c, ch, &cpool);
-        }
-        // 2. Stream the shared dimension from the payload caches: per
-        //    step, one zero-copy B-row frame and one zero-copy A-column
-        //    frame per worker.
+        // 1. Ship each worker its C chunk — each C block still moves
+        //    exactly once per failure-free run. A failed send condemns
+        //    the worker for the rest of the round.
+        let mut alive: Vec<bool> = assignment
+            .iter()
+            .map(|(wid, (jx, ch))| port.send_c_rows(*wid, &mut ctxs[*jx], ch))
+            .collect();
+        // 2. Stream the shared dimension, one k-step per worker per step.
         for k in 0..t {
-            for (idx, (wid, ch)) in assignment.iter().enumerate() {
-                if !alive[idx] {
-                    continue;
-                }
-                alive[idx] = master
-                    .try_send(
-                        *wid,
-                        Frame::new(
-                            Tag::new(FrameKind::BlockB, k, ch.j0),
-                            bp.row_run(k, ch.j0, ch.width),
-                        ),
-                        ch.width as u64,
-                    )
-                    .is_some()
-                    && master
-                        .try_send(
-                            *wid,
-                            Frame::new(
-                                Tag::new(FrameKind::BlockA, ch.i0, k),
-                                ap.col_run(ch.i0, k, ch.height),
-                            ),
-                            ch.height as u64,
-                        )
-                        .is_some();
+            for (idx, (wid, (jx, ch))) in assignment.iter().enumerate() {
+                alive[idx] = alive[idx] && port.send_k_step(*wid, &mut ctxs[*jx], ch, k);
             }
         }
         // 3. Collect results, deserializing into the existing C blocks
         //    (no per-result allocation). A chunk lost to a death — at
         //    any point of the exchange — goes back on the queue.
-        for (idx, (wid, ch)) in assignment.iter().enumerate() {
-            let collected = alive[idx]
-                && master
-                    .try_send(*wid, Frame::new(Tag::new(FrameKind::Control, 0, 0), Bytes::new()), 0)
-                    .is_some()
-                && recv_c_rows(master, *wid, &mut c, ch, q);
-            if !collected {
-                queue.push_back(*ch);
+        for (idx, (wid, (jx, ch))) in assignment.iter().enumerate() {
+            if !(alive[idx] && port.collect(*wid, &mut ctxs[*jx], ch)) {
+                queue.push_back((*jx, *ch));
             }
         }
     }
 
     // Close the run: every enrolled worker parks again for the next one.
-    let blocks_moved = session.finish_run(enrolled, epoch);
+    let gen = port.gen;
+    session.finish_run(enrolled, epoch);
     let wall = start.elapsed();
 
-    Ok(RunOutcome { c, wall, blocks_moved, workers_used: enrolled, chunk_side: mu })
+    let outcomes = ctxs
+        .into_iter()
+        .map(|ctx| RunOutcome {
+            c: ctx.c,
+            wall,
+            blocks_moved: ctx.moved,
+            workers_used: enrolled,
+            chunk_side: mu,
+        })
+        .collect();
+    Ok((gen, outcomes))
 }
 
 /// Execute `C ← C + A·B` on a **heterogeneous** platform with the
@@ -350,7 +480,7 @@ pub fn run_heterogeneous(
     time_scale: f64,
 ) -> Result<RunOutcome, RuntimeError> {
     plan_heterogeneous(platform, a, b, &c)?;
-    with_session(platform, time_scale, |session| heterogeneous_on(session, a, b, c, rule))
+    with_session(platform, time_scale, |session| session.run_heterogeneous(a, b, c, rule))
 }
 
 /// The pure pre-flight of a heterogeneous run: validation + per-worker
@@ -390,7 +520,7 @@ pub(crate) fn heterogeneous_on(
     session: &RuntimeSession,
     a: &BlockMatrix,
     b: &BlockMatrix,
-    mut c: BlockMatrix,
+    c: BlockMatrix,
     rule: crate::selection::incremental::SelectionRule,
 ) -> Result<RunOutcome, RuntimeError> {
     use crate::selection::incremental::run_selection_with_mu;
@@ -409,14 +539,11 @@ pub(crate) fn heterogeneous_on(
     // C grid in column-band order, clamped to each worker's µ_i.
     let enrolled = platform.len();
     let epoch = session.begin_run(enrolled, q as u32);
-    let master = session.master();
+    let port = RunPort::new(session, epoch.generation(), q, t);
+    let master = port.master;
 
     let start = Instant::now();
-    // Shared payload caches for the immutable inputs (see `run_inner`):
-    // B row-major for row runs, A col-major for column runs.
-    let ap = SharedPayloads::new_col_major(a);
-    let bp = SharedPayloads::new(b);
-    let cpool = mwp_msg::BufferPool::new();
+    let mut job = JobCtx::new(a, b, c, 0);
     // The paper "assigns only full matrix column blocks": each worker owns
     // a group of µ_i consecutive block columns at a time and walks down it
     // in µ_i-row chunks. A single shared column cursor hands out disjoint
@@ -458,21 +585,19 @@ pub(crate) fn heterogeneous_on(
     };
 
     // Chunks lost to a worker death anywhere below; re-dispatched to
-    // survivors after the trace (the master's `c` is only mutated by a
+    // survivors after the trace (the master's C is only mutated by a
     // complete collected chunk, so a lost chunk replays exactly).
     let mut lost: Vec<Chunk> = Vec::new();
 
     // Whole-run budget (`MWP_RUN_DEADLINE_MS`): checked at every point
-    // where the master is about to dispatch more work.  `c` stays
+    // where the master is about to dispatch more work.  C stays
     // consistent because only fully collected chunks mutate it.
     let deadline = run_deadline();
     macro_rules! check_deadline {
         () => {
-            if let Some(budget) = deadline {
-                if start.elapsed() > budget {
-                    session.abort_run(enrolled, epoch);
-                    return Err(RuntimeError::RunAborted);
-                }
+            if deadline.is_some_and(|budget| start.elapsed() > budget) {
+                session.abort_run(enrolled, epoch);
+                return Err(RuntimeError::RunAborted);
             }
         };
     }
@@ -491,33 +616,14 @@ pub(crate) fn heterogeneous_on(
             let Some(ch) = cut_chunk(wi, mu[wi], &mut groups, &mut next_col) else {
                 continue; // grid exhausted: surplus selections are no-ops
             };
-            if !send_c_rows(master, wid, &c, &ch, &cpool) {
+            if !port.send_c_rows(wid, &mut job, &ch) {
                 lost.push(ch);
                 continue;
             }
             active[wi] = Some((ch, 0));
         }
         let (ch, k) = active[wi].expect("just assigned");
-        // One k-step: a zero-copy B-row frame then a zero-copy A-column
-        // frame for this chunk, from the caches.
-        let sent = master
-            .try_send(
-                wid,
-                Frame::new(Tag::new(FrameKind::BlockB, k, ch.j0), bp.row_run(k, ch.j0, ch.width)),
-                ch.width as u64,
-            )
-            .is_some()
-            && master
-                .try_send(
-                    wid,
-                    Frame::new(
-                        Tag::new(FrameKind::BlockA, ch.i0, k),
-                        ap.col_run(ch.i0, k, ch.height),
-                    ),
-                    ch.height as u64,
-                )
-                .is_some();
-        if !sent {
+        if !port.send_k_step(wid, &mut job, &ch, k) {
             lost.push(ch);
             active[wi] = None;
             continue;
@@ -525,11 +631,7 @@ pub(crate) fn heterogeneous_on(
         served.insert(wi);
         if k + 1 == t {
             // Chunk complete: fetch it back.
-            let collected = master
-                .try_send(wid, Frame::new(Tag::new(FrameKind::Control, 0, 0), Bytes::new()), 0)
-                .is_some()
-                && recv_c_rows(master, wid, &mut c, &ch, q);
-            if !collected {
+            if !port.collect(wid, &mut job, &ch) {
                 lost.push(ch);
             }
             active[wi] = None;
@@ -545,39 +647,11 @@ pub(crate) fn heterogeneous_on(
     for (wi, slot) in active.iter_mut().enumerate() {
         check_deadline!();
         let Some((ch, k0)) = slot.take() else { continue };
-        let wid = mwp_platform::WorkerId(wi);
-        let mut ok = !master.is_dead(wid);
-        for k in k0..t {
-            if !ok {
-                break;
-            }
-            ok = master
-                .try_send(
-                    wid,
-                    Frame::new(
-                        Tag::new(FrameKind::BlockB, k, ch.j0),
-                        bp.row_run(k, ch.j0, ch.width),
-                    ),
-                    ch.width as u64,
-                )
-                .is_some()
-                && master
-                    .try_send(
-                        wid,
-                        Frame::new(
-                            Tag::new(FrameKind::BlockA, ch.i0, k),
-                            ap.col_run(ch.i0, k, ch.height),
-                        ),
-                        ch.height as u64,
-                    )
-                    .is_some();
-        }
-        let collected = ok
-            && master
-                .try_send(wid, Frame::new(Tag::new(FrameKind::Control, 0, 0), Bytes::new()), 0)
-                .is_some()
-            && recv_c_rows(master, wid, &mut c, &ch, q);
-        if !collected {
+        let wid = WorkerId(wi);
+        let finished = !master.is_dead(wid)
+            && (k0..t).all(|k| port.send_k_step(wid, &mut job, &ch, k))
+            && port.collect(wid, &mut job, &ch);
+        if !finished {
             lost.push(ch);
         }
     }
@@ -620,9 +694,8 @@ pub(crate) fn heterogeneous_on(
             turn += 1;
             continue;
         };
-        let wid = WorkerId(wi);
         turn += 1;
-        if serve_chunk(master, wid, &mut c, &ch, &ap, &bp, &cpool, t, q) {
+        if port.serve_chunk(WorkerId(wi), &mut job, &ch) {
             served.insert(wi);
         } else {
             lost.push(ch);
@@ -657,140 +730,22 @@ pub(crate) fn heterogeneous_on(
             lost.push(Chunk { i0: ch.i0 + m, height: ch.height - m, ..ch });
             continue;
         }
-        if serve_chunk(master, WorkerId(wi), &mut c, &ch, &ap, &bp, &cpool, t, q) {
+        if port.serve_chunk(WorkerId(wi), &mut job, &ch) {
             served.insert(wi);
         } else {
             lost.push(ch);
         }
     }
 
-    let blocks_moved = session.finish_run(enrolled, epoch);
+    session.finish_run(enrolled, epoch);
 
     Ok(RunOutcome {
-        c,
+        c: job.c,
         wall: start.elapsed(),
-        blocks_moved,
+        blocks_moved: job.moved,
         workers_used: served.len(),
         chunk_side: mu.iter().copied().max().unwrap_or(0),
     })
-}
-
-/// Ship chunk `ch` of `c` to `wid`: one multi-block frame per chunk row,
-/// serialized into recycled pool buffers. Returns `false` (with the
-/// worker condemned) if `wid` died mid-ship — the chunk is untouched on
-/// the master and can be replayed verbatim on a survivor.
-fn send_c_rows(
-    master: &mwp_msg::MasterEndpoint,
-    wid: WorkerId,
-    c: &BlockMatrix,
-    ch: &Chunk,
-    pool: &mwp_msg::BufferPool,
-) -> bool {
-    let bb = c.q() * c.q() * 8;
-    for i in ch.rows() {
-        let payload = pool.bytes_with(bb * ch.width, |buf| {
-            for j in ch.cols() {
-                c.block(i, j).write_bytes_into(buf);
-            }
-        });
-        let sent = master.try_send(
-            wid,
-            Frame::new(Tag::new(FrameKind::BlockC, i, ch.j0), payload),
-            ch.width as u64,
-        );
-        if sent.is_none() {
-            return false;
-        }
-    }
-    true
-}
-
-/// Collect chunk `ch` back from `wid`, committing it into `c` only once
-/// **every** row frame has arrived. Returns `false` — with `wid` marked
-/// dead and `c` untouched — when the worker dies or stays silent past
-/// the liveness deadline mid-collect. The all-or-nothing commit is what
-/// makes re-dispatch exact: a half-returned chunk must not leave `c`
-/// half-updated, or replaying the chunk would double-accumulate the
-/// committed rows.
-fn recv_c_rows(
-    master: &mwp_msg::MasterEndpoint,
-    wid: WorkerId,
-    c: &mut BlockMatrix,
-    ch: &Chunk,
-    q: usize,
-) -> bool {
-    let bb = q * q * 8;
-    let mut staged = Vec::with_capacity(ch.height);
-    for _ in ch.rows() {
-        match master.recv_deadline(wid, ch.width as u64) {
-            Some((frame, _)) => staged.push(frame),
-            None => {
-                master.mark_dead(wid);
-                return false;
-            }
-        }
-    }
-    for frame in staged {
-        debug_assert_eq!(frame.tag.kind, FrameKind::CResult);
-        let (i, j0) = (frame.tag.i as usize, frame.tag.j as usize);
-        let n = frame.payload.len() / bb;
-        debug_assert_eq!(n, ch.width);
-        for w in 0..n {
-            c.block_mut(i, j0 + w).copy_from_bytes(&frame.payload[w * bb..(w + 1) * bb]);
-        }
-    }
-    true
-}
-
-/// Serve one whole chunk exchange — C rows out, all `t` k-steps, the
-/// collect request, the committed result — to a single worker. Returns
-/// `false` when `wid` died at any point of the exchange: `c` is then
-/// untouched for this chunk and the caller re-dispatches it to a
-/// survivor.
-#[allow(clippy::too_many_arguments)]
-fn serve_chunk(
-    master: &mwp_msg::MasterEndpoint,
-    wid: WorkerId,
-    c: &mut BlockMatrix,
-    ch: &Chunk,
-    ap: &SharedPayloads,
-    bp: &SharedPayloads,
-    cpool: &mwp_msg::BufferPool,
-    t: usize,
-    q: usize,
-) -> bool {
-    if !send_c_rows(master, wid, c, ch, cpool) {
-        return false;
-    }
-    for k in 0..t {
-        let sent = master
-            .try_send(
-                wid,
-                Frame::new(Tag::new(FrameKind::BlockB, k, ch.j0), bp.row_run(k, ch.j0, ch.width)),
-                ch.width as u64,
-            )
-            .is_some()
-            && master
-                .try_send(
-                    wid,
-                    Frame::new(
-                        Tag::new(FrameKind::BlockA, ch.i0, k),
-                        ap.col_run(ch.i0, k, ch.height),
-                    ),
-                    ch.height as u64,
-                )
-                .is_some();
-        if !sent {
-            return false;
-        }
-    }
-    if master
-        .try_send(wid, Frame::new(Tag::new(FrameKind::Control, 0, 0), Bytes::new()), 0)
-        .is_none()
-    {
-        return false;
-    }
-    recv_c_rows(master, wid, c, ch, q)
 }
 
 /// A resident B block together with its prepacked image: packed once
@@ -803,9 +758,9 @@ struct ResidentB {
 }
 
 /// Resident state of one open run generation. A worker holds exactly one
-/// of these per interleaved run: the legacy exclusive path never opens
-/// more than one, while the serving tier ([`crate::serving`]) may open
-/// several job generations on the same worker at once.
+/// of these per interleaved run: a [`RuntimeSession`]'s own `run_*` calls
+/// never open more than one, while the serving tier ([`crate::serving`])
+/// may open several on the same worker at once.
 struct RunState {
     /// Block side this run's resident blocks are sized for.
     q: usize,
@@ -918,6 +873,34 @@ impl WorkerState {
     }
 }
 
+/// Trace timestamp taken only when a sink is live (`MWP_TRACE=off` costs
+/// one atomic check here and nothing downstream).
+#[inline]
+fn trace_begin() -> Option<SimTime> {
+    record::enabled().then(record::now)
+}
+
+/// Close a worker-side span opened at `t0`: `Compute` spans land on the
+/// worker's occupancy track, `Pack`/`Kernel` detail spans on its detail
+/// track (they subdivide the enclosing compute span, so they must not
+/// compete with it for per-resource exclusivity).
+fn trace_worker_span(
+    w: WorkerId,
+    kind: ActivityKind,
+    t0: Option<SimTime>,
+    run: u32,
+    label: &'static str,
+) {
+    let Some(t0) = t0 else { return };
+    let resource = match kind {
+        ActivityKind::Compute => Resource::Worker(w),
+        _ => Resource::WorkerDetail(w),
+    };
+    record::record(
+        Activity::new(resource, kind, w, t0, record::now(), label.into()).with_run(run),
+    );
+}
+
 /// Algorithm 2: the worker program, serving **one wake** of a session —
 /// which may span several interleaved run generations.
 ///
@@ -947,34 +930,6 @@ impl WorkerState {
 /// worker precisely so A can stream against it — repacking per update was
 /// pure waste). Pack buffers are recycled alongside the scratch blocks,
 /// so a held session keeps them warm across runs.
-/// Trace timestamp taken only when a sink is live (`MWP_TRACE=off` costs
-/// one atomic check here and nothing downstream).
-#[inline]
-fn trace_begin() -> Option<SimTime> {
-    record::enabled().then(record::now)
-}
-
-/// Close a worker-side span opened at `t0`: `Compute` spans land on the
-/// worker's occupancy track, `Pack`/`Kernel` detail spans on its detail
-/// track (they subdivide the enclosing compute span, so they must not
-/// compete with it for per-resource exclusivity).
-fn trace_worker_span(
-    w: WorkerId,
-    kind: ActivityKind,
-    t0: Option<SimTime>,
-    run: u32,
-    label: &'static str,
-) {
-    let Some(t0) = t0 else { return };
-    let resource = match kind {
-        ActivityKind::Compute => Resource::Worker(w),
-        _ => Resource::WorkerDetail(w),
-    };
-    record::record(
-        Activity::new(resource, kind, w, t0, record::now(), label.into()).with_run(run),
-    );
-}
-
 pub(crate) fn serve_run(
     ep: &WorkerEndpoint,
     q: usize,

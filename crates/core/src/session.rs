@@ -34,8 +34,8 @@
 //! master and worker code.
 
 use crate::runtime::{
-    heterogeneous_mu, heterogeneous_on, holm_on, select_enrollment, serve_run, RunOutcome,
-    RuntimeError, WorkerState,
+    heterogeneous_mu, heterogeneous_on, holm_on, select_enrollment, serve_run,
+    validate_product_shapes, RunOutcome, RuntimeError, WorkerState,
 };
 use crate::selection::incremental::SelectionRule;
 use mwp_blockmat::BlockMatrix;
@@ -86,6 +86,11 @@ pub struct RuntimeSession {
     /// How many fresh resource selections this session has computed —
     /// observably counts automatic re-planning after membership changes.
     replans: AtomicU64,
+    /// Held by each public `run_*` call for its whole run: nothing bounds
+    /// the workers' resident memory across two of *these* runs (the
+    /// serving tier, which calls the master loop directly, admits by
+    /// memory instead), so concurrent callers take turns.
+    run_lock: Mutex<()>,
 }
 
 impl RuntimeSession {
@@ -120,6 +125,7 @@ impl RuntimeSession {
             holm_plan: Mutex::new(None),
             het_plan: Mutex::new(None),
             replans: AtomicU64::new(0),
+            run_lock: Mutex::new(()),
         }
     }
 
@@ -222,14 +228,15 @@ impl RuntimeSession {
     }
 
     /// `C ← C + A·B` with HoLM (resource selection + round-robin chunk
-    /// distribution) on the pooled workers.
+    /// distribution) on the pooled workers. Concurrent callers of the
+    /// `run_*` methods serialize: a session runs one of them at a time.
     pub fn run_holm(
         &self,
         a: &BlockMatrix,
         b: &BlockMatrix,
         c: BlockMatrix,
     ) -> Result<RunOutcome, RuntimeError> {
-        holm_on(self, a, b, c, true)
+        self.run_solo(a, b, c, true)
     }
 
     /// `C ← C + A·B` enrolling every pooled worker (the ORROML variant).
@@ -239,7 +246,29 @@ impl RuntimeSession {
         b: &BlockMatrix,
         c: BlockMatrix,
     ) -> Result<RunOutcome, RuntimeError> {
-        holm_on(self, a, b, c, false)
+        self.run_solo(a, b, c, false)
+    }
+
+    /// Take the run lock. It guards no data, so a run that panicked while
+    /// holding it leaves nothing to distrust: the poison is ignored.
+    fn exclusive(&self) -> std::sync::MutexGuard<'_, ()> {
+        self.run_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// One product as a run of its own: Algorithm 1 over the job list of
+    /// length one.
+    fn run_solo(
+        &self,
+        a: &BlockMatrix,
+        b: &BlockMatrix,
+        c: BlockMatrix,
+        select: bool,
+    ) -> Result<RunOutcome, RuntimeError> {
+        validate_product_shapes(a, b, &c)?;
+        let (enrolled, mu) = self.plan_holm_run(a.rows(), b.cols(), select)?;
+        let _exclusive = self.exclusive();
+        let (_, mut outcomes) = holm_on(self, vec![(a, b, c)], enrolled, mu)?;
+        Ok(outcomes.pop().expect("one outcome per job"))
     }
 
     /// `C ← C + A·B` with the heterogeneous two-phase scheme of
@@ -251,6 +280,7 @@ impl RuntimeSession {
         c: BlockMatrix,
         rule: SelectionRule,
     ) -> Result<RunOutcome, RuntimeError> {
+        let _exclusive = self.exclusive();
         heterogeneous_on(self, a, b, c, rule)
     }
 
@@ -307,32 +337,16 @@ impl RuntimeSession {
         self.inner.master()
     }
 
-    pub(crate) fn begin_run(&self, enrolled: usize, q: u32) -> RunEpoch<'_> {
+    pub(crate) fn begin_run(&self, enrolled: usize, q: u32) -> RunEpoch {
         self.inner.begin_run(enrolled, q)
     }
 
-    pub(crate) fn finish_run(&self, enrolled: usize, epoch: RunEpoch<'_>) -> u64 {
-        self.inner.finish_run(enrolled, epoch)
+    pub(crate) fn finish_run(&self, enrolled: usize, epoch: RunEpoch) {
+        self.inner.finish_run(enrolled, epoch);
     }
 
-    pub(crate) fn abort_run(&self, enrolled: usize, epoch: RunEpoch<'_>) -> u64 {
-        self.inner.abort_run(enrolled, epoch)
-    }
-
-    /// Open an interleaved **job run** on workers `0..enrolled` (see
-    /// [`Session::begin_job`] for the pre-stamping contract). Used by the
-    /// serving tier ([`crate::serving`]); job runs and legacy exclusive
-    /// runs must not mix on one session.
-    pub(crate) fn begin_job(&self, enrolled: usize, q: u32) -> mwp_msg::session::JobRun {
-        self.inner.begin_job(enrolled, q)
-    }
-
-    pub(crate) fn finish_job(&self, enrolled: usize, job: mwp_msg::session::JobRun) {
-        self.inner.finish_job(enrolled, job)
-    }
-
-    pub(crate) fn abort_job(&self, enrolled: usize, job: mwp_msg::session::JobRun) {
-        self.inner.abort_job(enrolled, job)
+    pub(crate) fn abort_run(&self, enrolled: usize, epoch: RunEpoch) {
+        self.inner.abort_run(enrolled, epoch);
     }
 
     /// How many previous-generation data frames the master's links have
@@ -361,8 +375,11 @@ pub(crate) fn with_session<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use mwp_blockmat::fill::random_matrix;
-    use mwp_blockmat::gemm::verify_product;
+    use mwp_blockmat::gemm::{gemm_serial, verify_product};
+    use mwp_msg::session::{RunExit, RUN_ABORT, RUN_END};
+    use mwp_msg::{Frame, FrameKind, Tag};
 
     #[test]
     fn session_survives_runs_with_different_block_sides() {
@@ -412,6 +429,116 @@ mod tests {
         let c0 = random_matrix(2, 2, 4, 3);
         let out = session.run_holm(&a, &b, c0.clone()).unwrap();
         assert!(verify_product(&out.c, &c0, &a, &b, 1e-9).is_ok());
+        assert_eq!(session.shutdown(), 2);
+    }
+
+    /// What a rogue worker answers a collect request with, given the first
+    /// C-row frame of the chunk it was shipped.
+    type RogueReply = fn(&Frame) -> Vec<(Tag, Bytes)>;
+
+    /// Honest and rogue workers of one session share a program type.
+    type Program = Box<dyn FnMut(u32, &WorkerEndpoint) -> RunExit + Send>;
+
+    /// A worker program that swallows its chunk and answers the collect
+    /// request with `reply`'s frames instead of the chunk's rows.
+    fn rogue_program(reply: RogueReply) -> Program {
+        Box::new(move |_q, ep| {
+            let mut first_c_row = None;
+            loop {
+                let Ok(frame) = ep.recv() else { return RunExit::Terminate };
+                match frame.tag.kind {
+                    FrameKind::Shutdown => return RunExit::Terminate,
+                    FrameKind::Control if frame.tag.i == RUN_END || frame.tag.i == RUN_ABORT => {
+                        return RunExit::Completed
+                    }
+                    FrameKind::Control => {
+                        let shipped = first_c_row.take().expect("C rows precede the collect");
+                        for (tag, payload) in reply(&shipped) {
+                            ep.send_in(frame.run, Frame::new(tag, payload));
+                        }
+                    }
+                    FrameKind::BlockC if first_c_row.is_none() => first_c_row = Some(frame),
+                    _ => {}
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn rogue_collect_replies_condemn_the_worker_not_the_master() {
+        // Worker-supplied tags and lengths must be checked before they
+        // index anything: each rogue reply costs worker 1 its link, the
+        // chunk is re-dispatched, and the survivors' result is exact.
+        let replies: [(&str, RogueReply); 3] = [
+            ("out-of-range row", |c| {
+                let tag = Tag::new(FrameKind::CResult, c.tag.i as usize + 10_000, c.tag.j as usize);
+                vec![(tag, c.payload.clone())]
+            }),
+            ("short payload", |c| {
+                let tag = Tag::new(FrameKind::CResult, c.tag.i as usize, c.tag.j as usize);
+                vec![(tag, c.payload.slice(..c.payload.len() - 8))]
+            }),
+            ("repeated row", |c| {
+                let tag = Tag::new(FrameKind::CResult, c.tag.i as usize, c.tag.j as usize);
+                vec![(tag, c.payload.clone()), (tag, c.payload.clone())]
+            }),
+        ];
+        let platform = Platform::homogeneous(3, 4.0, 1.0, 60).unwrap();
+        let q = 4;
+        let a = random_matrix(7, 3, q, 81);
+        let b = random_matrix(3, 13, q, 82);
+        let c0 = random_matrix(7, 13, q, 83);
+        let mut serial = c0.clone();
+        gemm_serial(&mut serial, &a, &b);
+        for (what, reply) in replies {
+            let inner =
+                Session::spawn_with_transport(&platform, 0.0, TransportMode::Channel, |id, params| {
+                    if id == WorkerId(1) {
+                        return rogue_program(reply);
+                    }
+                    let mut state = WorkerState::new();
+                    let honest: Program =
+                        Box::new(move |q, ep| serve_run(ep, q as usize, params.m, &mut state));
+                    honest
+                });
+            let session = RuntimeSession::over(inner, &platform);
+            let out = session.run_all_workers(&a, &b, c0.clone()).unwrap();
+            assert_eq!(out.c.max_abs_diff(&serial), 0.0, "{what}: survivors' result");
+            assert_eq!(session.dead_workers(), 1, "{what}: only the rogue is condemned");
+            assert_eq!(session.shutdown(), 3, "{what}");
+        }
+    }
+
+    #[test]
+    fn concurrent_run_holm_callers_take_turns() {
+        // µ = 6 fills the whole memory (µ² + 4µ = 60 = m): two overlapping
+        // runs on one worker would trip its memory assertion, which
+        // `shutdown` would re-raise here. Paced links make every send hold
+        // the FIFO port for a while, so unserialized callers would
+        // alternate frame by frame and both chunks would be resident.
+        let platform = Platform::homogeneous(2, 4.0, 1.0, 60).unwrap();
+        let session = RuntimeSession::new(&platform, 1e-5);
+        let jobs: Vec<_> = (0..2u64)
+            .map(|j| {
+                let (a, b) = (random_matrix(6, 5, 8, 900 + j), random_matrix(5, 12, 8, 910 + j));
+                let c0 = random_matrix(6, 12, 8, 920 + j);
+                let solo = session.run_holm(&a, &b, c0.clone()).unwrap().c;
+                (a, b, c0, solo)
+            })
+            .collect();
+        let start = std::sync::Barrier::new(jobs.len());
+        std::thread::scope(|scope| {
+            for (a, b, c0, solo) in &jobs {
+                let (session, start) = (&session, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..2 {
+                        let out = session.run_holm(a, b, c0.clone()).unwrap();
+                        assert_eq!(out.c.max_abs_diff(solo), 0.0, "concurrent vs solo");
+                    }
+                });
+            }
+        });
         assert_eq!(session.shutdown(), 2);
     }
 }

@@ -9,6 +9,7 @@
 //! per-chunk `k`-order identical to the solo run; these tests pin that.
 
 use mwp_blockmat::fill::random_matrix;
+use mwp_blockmat::gemm::gemm_serial;
 use mwp_blockmat::BlockMatrix;
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
@@ -50,7 +51,9 @@ fn job(r: usize, t: usize, s: usize, q: usize, seed: u64) -> JobSpec {
     }
 }
 
-/// Serial reference: the same job on a fresh exclusive session.
+/// Serial reference: the same job on a fresh exclusive session — itself
+/// pinned to the single-threaded product, because the solo run shares its
+/// master loop with the serving tier it is the reference for.
 fn solo(pf: &Platform, spec: &JobSpec) -> BlockMatrix {
     let session = RuntimeSession::new(pf, 0.0);
     let out = if spec.select {
@@ -59,6 +62,9 @@ fn solo(pf: &Platform, spec: &JobSpec) -> BlockMatrix {
         session.run_all_workers(&spec.a, &spec.b, spec.c.clone()).unwrap()
     };
     session.shutdown();
+    let mut serial = spec.c.clone();
+    gemm_serial(&mut serial, &spec.a, &spec.b);
+    assert_bits_identical(&out.c, &serial, "solo run vs gemm_serial");
     out.c
 }
 

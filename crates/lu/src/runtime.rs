@@ -86,6 +86,10 @@ pub struct LuSession {
     plan: std::sync::Mutex<Option<(u64, usize)>>,
     /// Fresh plans computed (see [`LuSession::replans`]).
     replans: std::sync::atomic::AtomicU64,
+    /// Held by [`LuSession::run`] for its whole run: the LU worker program
+    /// serves one run at a time (an interleaved `RUN_BEGIN` would be
+    /// misread by an in-run worker), so concurrent callers take turns.
+    run_lock: std::sync::Mutex<()>,
 }
 
 impl LuSession {
@@ -118,6 +122,7 @@ impl LuSession {
             platform: Some(platform.clone()),
             plan: std::sync::Mutex::new(None),
             replans: std::sync::atomic::AtomicU64::new(0),
+            run_lock: std::sync::Mutex::new(()),
         }
     }
 
@@ -175,8 +180,12 @@ impl LuSession {
         self.inner.workers()
     }
 
-    /// Factor `matrix` on the pooled workers (see [`run_lu`]).
+    /// Factor `matrix` on the pooled workers (see [`run_lu`]). Concurrent
+    /// callers serialize: a session factors one matrix at a time.
     pub fn run(&self, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOutcome {
+        // The lock guards no data, so a poisoned one is still usable.
+        let _exclusive =
+            self.run_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         lu_on(self, matrix, mu_blocks)
     }
 
@@ -267,12 +276,12 @@ fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOu
     let enrolled = session.plan_run();
     let epoch = session.inner.begin_run(enrolled, matrix.q() as u32);
     let master = session.inner.master();
+    // Recycled encode buffers for every master-side task payload.
+    let port = LuPort { master, pool: BufferPool::new(), gen: epoch.generation() };
 
     let start = Instant::now();
     let mut a = Dense::from_blocks(matrix);
     let mut messages: u64 = 0;
-    // Recycled encode buffers for every master-side task payload.
-    let pool = BufferPool::new();
 
     // Whole-run budget (`MWP_RUN_DEADLINE_MS`): checked once per panel
     // step, the coarsest unit after which `a` is still a consistent
@@ -298,32 +307,20 @@ fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOu
         //        live id; historically worker 0, and still worker 0
         //        until it dies). ----------------------------------------
         let pivot_in = a.submatrix(k0, k1, k0, k1);
-        let pivot = pivot_exchange(master, &pool, enrolled, OP_FACTOR, &[&pivot_in], &mut messages);
+        let pivot = port.pivot_exchange(enrolled, OP_FACTOR, &[&pivot_in], &mut messages);
         a.set_submatrix(k0, k0, &pivot);
 
         if k1 < n {
             // --- 2. Vertical panel (x ← x·U⁻¹) on the pivot worker. -----
             let vert_in = a.submatrix(k1, n, k0, k1);
-            let vert = pivot_exchange(
-                master,
-                &pool,
-                enrolled,
-                OP_TRSM_RIGHT,
-                &[&pivot, &vert_in],
-                &mut messages,
-            );
+            let vert =
+                port.pivot_exchange(enrolled, OP_TRSM_RIGHT, &[&pivot, &vert_in], &mut messages);
             a.set_submatrix(k1, k0, &vert);
 
             // --- 3. Horizontal panel (y ← L⁻¹·y) on the pivot worker. ---
             let horiz_in = a.submatrix(k0, k1, k1, n);
-            let horiz = pivot_exchange(
-                master,
-                &pool,
-                enrolled,
-                OP_TRSM_LEFT,
-                &[&pivot, &horiz_in],
-                &mut messages,
-            );
+            let horiz =
+                port.pivot_exchange(enrolled, OP_TRSM_LEFT, &[&pivot, &horiz_in], &mut messages);
             a.set_submatrix(k0, k1, &horiz);
 
             // --- 4. Core update, row groups round-robin over the live
@@ -348,13 +345,12 @@ fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOu
             // worker that will compute at least one group (a refcount
             // bump per send, zero copies). A worker the fanout fails on
             // is condemned; its groups go to the re-dispatch pass below.
-            let horiz_payload =
-                pool.bytes_with(parts_len(&[&horiz]), |buf| encode_parts_into(&[&horiz], buf));
+            let horiz_payload = port
+                .pool
+                .bytes_with(parts_len(&[&horiz]), |buf| encode_parts_into(&[&horiz], buf));
             let mut got_horiz = vec![false; enrolled];
             for w in live.iter().take(groups.len()) {
-                let frame =
-                    Frame::new(Tag::new(FrameKind::LuPanel, OP_SET_HORIZ, 0), horiz_payload.clone());
-                if master.try_send(*w, frame, 1).is_some() {
+                if port.send_payload(*w, OP_SET_HORIZ, horiz_payload.clone()) {
                     got_horiz[w.index()] = true;
                     messages += 1;
                 }
@@ -368,7 +364,7 @@ fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOu
                 let shipped = !master.is_dead(to) && got_horiz[to.index()] && {
                     let vert_g = vert.submatrix(r0 - k1, r1 - k1, 0, k1 - k0);
                     let core_g = a.submatrix(r0, r1, k1, n);
-                    send_task(master, &pool, to, OP_CORE, &[&vert_g, &core_g])
+                    port.send_task(to, OP_CORE, &[&vert_g, &core_g])
                 };
                 if shipped {
                     messages += 1;
@@ -383,7 +379,7 @@ fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOu
             let mut lost: Vec<usize> = Vec::new();
             for (g, &(r0, r1)) in groups.iter().enumerate() {
                 let collected = assigned[g].is_some_and(|from| {
-                    match recv_dense(master, from) {
+                    match port.recv_dense(from) {
                         Some(updated) => {
                             messages += 1;
                             debug_assert_eq!(updated.rows(), r1 - r0);
@@ -408,24 +404,20 @@ fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOu
                     else {
                         panic!("every LU worker died mid-run: a core group cannot be re-dispatched")
                     };
-                    let frame = Frame::new(
-                        Tag::new(FrameKind::LuPanel, OP_SET_HORIZ, 0),
-                        horiz_payload.clone(),
-                    );
-                    if master.try_send(wid, frame, 1).is_none() {
+                    if !port.send_payload(wid, OP_SET_HORIZ, horiz_payload.clone()) {
                         continue;
                     }
                     messages += 1;
                     let shipped = {
                         let vert_g = vert.submatrix(r0 - k1, r1 - k1, 0, k1 - k0);
                         let core_g = a.submatrix(r0, r1, k1, n);
-                        send_task(master, &pool, wid, OP_CORE, &[&vert_g, &core_g])
+                        port.send_task(wid, OP_CORE, &[&vert_g, &core_g])
                     };
                     if !shipped {
                         continue;
                     }
                     messages += 1;
-                    if let Some(updated) = recv_dense(master, wid) {
+                    if let Some(updated) = port.recv_dense(wid) {
                         messages += 1;
                         a.set_submatrix(r0, k1, &updated);
                         break;
@@ -582,56 +574,65 @@ pub fn serve_remote(ep: WorkerEndpoint) {
     serve_worker(ep, &mut program);
 }
 
-/// Run one pivot-phase exchange (factor/TRSM) on the lowest live worker,
-/// retrying on the next-lowest when that worker dies mid-exchange. The
-/// inputs all come from master state, so a retry replays the identical
-/// task; panics when the whole fleet is dead.
-fn pivot_exchange(
-    master: &mwp_msg::MasterEndpoint,
-    pool: &BufferPool,
-    enrolled: usize,
-    op: usize,
-    parts: &[&Dense],
-    messages: &mut u64,
-) -> Dense {
-    loop {
-        let Some(wid) = (0..enrolled).map(WorkerId).find(|&w| !master.is_dead(w)) else {
-            panic!("every LU worker died mid-run: pivot op {op} cannot be completed")
-        };
-        if send_task(master, pool, wid, op, parts) {
-            if let Some(result) = recv_dense(master, wid) {
-                *messages += 2;
-                return result;
+/// The master's side of one open LU run: every task frame goes out stamped
+/// with the run's generation and every result is received scoped to it.
+struct LuPort<'a> {
+    master: &'a mwp_msg::MasterEndpoint,
+    pool: BufferPool,
+    gen: u32,
+}
+
+impl LuPort<'_> {
+    /// Run one pivot-phase exchange (factor/TRSM) on the lowest live
+    /// worker, retrying on the next-lowest when that worker dies
+    /// mid-exchange. The inputs all come from master state, so a retry
+    /// replays the identical task; panics when the whole fleet is dead.
+    fn pivot_exchange(
+        &self,
+        enrolled: usize,
+        op: usize,
+        parts: &[&Dense],
+        messages: &mut u64,
+    ) -> Dense {
+        loop {
+            let Some(wid) = (0..enrolled).map(WorkerId).find(|&w| !self.master.is_dead(w)) else {
+                panic!("every LU worker died mid-run: pivot op {op} cannot be completed")
+            };
+            if self.send_task(wid, op, parts) {
+                if let Some(result) = self.recv_dense(wid) {
+                    *messages += 2;
+                    return result;
+                }
             }
+            // `wid` was condemned by the failed send or receive; the next
+            // loop iteration lands on the next-lowest live worker.
         }
-        // `wid` was condemned by the failed send or receive; the next
-        // loop iteration lands on the next-lowest live worker.
     }
-}
 
-/// Failure-aware task send: `false` (with `to` condemned) when the
-/// worker's link is dead.
-fn send_task(
-    master: &mwp_msg::MasterEndpoint,
-    pool: &BufferPool,
-    to: WorkerId,
-    op: usize,
-    parts: &[&Dense],
-) -> bool {
-    let payload = pool.bytes_with(parts_len(parts), |buf| encode_parts_into(parts, buf));
-    // Block accounting: total coefficients / q² is what the cost model
-    // would count; the runtime meters whole messages instead.
-    master.try_send(to, Frame::new(Tag::new(FrameKind::LuPanel, op, 0), payload), 1).is_some()
-}
+    /// Failure-aware task send: `false` (with `to` condemned) when the
+    /// worker's link is dead.
+    fn send_task(&self, to: WorkerId, op: usize, parts: &[&Dense]) -> bool {
+        let payload = self.pool.bytes_with(parts_len(parts), |buf| encode_parts_into(parts, buf));
+        self.send_payload(to, op, payload)
+    }
 
-/// Failure-aware result receive: `None` — with `from` marked dead — when
-/// the worker dies or stays silent past the liveness deadline.
-fn recv_dense(master: &mwp_msg::MasterEndpoint, from: WorkerId) -> Option<Dense> {
-    let Some((frame, _)) = master.recv_deadline(from, 1) else {
-        master.mark_dead(from);
-        return None;
-    };
-    Some(decode_parts(&frame.payload).into_iter().next().expect("result payload"))
+    /// Send an already-encoded task. Block accounting: total coefficients
+    /// / q² is what the cost model would count; the runtime meters whole
+    /// messages instead.
+    fn send_payload(&self, to: WorkerId, op: usize, payload: bytes::Bytes) -> bool {
+        let frame = Frame::new_in_run(Tag::new(FrameKind::LuPanel, op, 0), self.gen, payload);
+        self.master.try_send(to, frame, 1).is_some()
+    }
+
+    /// Failure-aware result receive: `None` — with `from` marked dead —
+    /// when the worker dies or stays silent past the liveness deadline.
+    fn recv_dense(&self, from: WorkerId) -> Option<Dense> {
+        let Some((frame, _)) = self.master.recv_deadline(from, self.gen, 1) else {
+            self.master.mark_dead(from);
+            return None;
+        };
+        Some(decode_parts(&frame.payload).into_iter().next().expect("result payload"))
+    }
 }
 
 /// Total encoded size of a parts sequence.
@@ -763,5 +764,34 @@ mod tests {
         let c = run_lu(&platform(2), &matrix, 4, 0.0).packed;
         assert!(a.max_abs_diff(&b) < 1e-9);
         assert!(b.max_abs_diff(&c) < 1e-9);
+    }
+
+    #[test]
+    fn concurrent_callers_take_turns_on_one_session() {
+        // The LU worker serves one run at a time: a second caller's
+        // RUN_BEGIN landing inside the first caller's run would panic the
+        // worker, which `shutdown` would re-raise here.
+        let session = LuSession::new(&platform(2), 0.0);
+        let jobs: Vec<_> = (0..2u64)
+            .map(|j| {
+                let matrix = random_diagonally_dominant(6, 4, 40 + j);
+                let solo = session.run(&matrix, 2).packed;
+                (matrix, solo)
+            })
+            .collect();
+        let start = std::sync::Barrier::new(jobs.len());
+        std::thread::scope(|scope| {
+            for (matrix, solo) in &jobs {
+                let (session, start) = (&session, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..4 {
+                        let out = session.run(matrix, 2);
+                        assert_eq!(out.packed.max_abs_diff(solo), 0.0, "concurrent vs solo");
+                    }
+                });
+            }
+        });
+        assert_eq!(session.shutdown(), 2);
     }
 }

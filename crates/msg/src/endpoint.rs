@@ -100,10 +100,7 @@ impl MasterEndpoint {
     /// Send `frame` (counted as `blocks` blocks) to `to`, holding the port
     /// for the paced duration. Returns the model-time cost `blocks · c_to`.
     pub fn send(&self, to: WorkerId, frame: Frame, blocks: u64) -> f64 {
-        let pre = trace_start().map(|t0| {
-            let link = &self.links[to.index()];
-            (t0, frame.tag.kind, link.effective_run(frame.run), frame.payload.len())
-        });
+        let pre = trace_start().map(|t0| (t0, frame.tag.kind, frame.run, frame.payload.len()));
         let _guard = self.port.acquire();
         let t1 = pre.as_ref().map(|_| record::now());
         let cost = self.links[to.index()].send(frame, blocks);
@@ -113,19 +110,15 @@ impl MasterEndpoint {
         cost
     }
 
-    /// Receive a frame from `from` (counted as `blocks` blocks). Blocks the
-    /// caller until the worker produced a frame. The port is held only once
-    /// the frame is available — the master "waiting" for a slow worker does
-    /// not occupy the port (matching the simulator, where the port idles
-    /// but could in principle be reordered by the policy instead).
+    /// Run-less receive of a frame from `from` (counted as `blocks`
+    /// blocks), for a bare network that opens no run; a session's runs
+    /// receive through [`MasterEndpoint::recv_deadline`]. Blocks the
+    /// caller until the worker produced a frame, holding the port during
+    /// the wait: in the paper's algorithms the master only posts a receive
+    /// when the worker is (about to be) done, and Algorithm 3 explicitly
+    /// bills waiting time to the port timeline via
+    /// `max(completion, ready)`.
     pub fn recv(&self, from: WorkerId, blocks: u64) -> Result<(Frame, f64), RecvError> {
-        // First wait for availability outside the port, then pay transfer
-        // under the port. MasterSide::recv blocks on the channel while NOT
-        // holding the port only if we split the phases; we accept holding
-        // the port during the wait for simplicity and fidelity: in the
-        // paper's algorithms the master only posts a receive when the
-        // worker is (about to be) done, and Algorithm 3 explicitly bills
-        // waiting time to the port timeline via `max(completion, ready)`.
         let t0 = trace_start();
         let _guard = self.port.acquire();
         let t1 = t0.map(|_| record::now());
@@ -144,36 +137,30 @@ impl MasterEndpoint {
         result
     }
 
-    /// Broadcast the same frame to every worker, one link at a time under
-    /// the one-port rule (the model has no hardware multicast — the paper
-    /// notes all collective traffic serializes through the master's port).
-    /// Returns the total model-time cost.
-    pub fn broadcast(&self, frame: &Frame, blocks: u64) -> f64 {
-        let mut total = 0.0;
-        for i in 0..self.links.len() {
-            total += self.send(WorkerId(i), frame.clone(), blocks);
-        }
-        total
-    }
-
-    /// Receive with a wall-clock timeout. Returns `None` on timeout —
-    /// used by failure-aware masters to detect dead workers instead of
-    /// blocking forever.
+    /// Receive the next frame of run generation `run` from `from`, with
+    /// an optional wall-clock timeout — how failure-aware masters detect
+    /// dead workers instead of blocking forever. Frames of *other* live
+    /// generations pulled en route are routed to their own collectors
+    /// instead of being dropped: this per-generation demultiplexing is
+    /// what lets several runs share one session's links.
     ///
     /// The wait is a real blocking park on the link channel's own
-    /// `recv_timeout` (condvar parking), so a timeout costs **zero**
-    /// idle CPU — no polling loop, no sleep quantum. The
-    /// port is only taken once a frame is actually available, to pay the
-    /// transfer (same discipline as [`MasterEndpoint::recv`]'s contract:
-    /// waiting for a slow worker does not occupy the port).
+    /// `recv_timeout` (condvar parking), so a timeout costs **zero** idle
+    /// CPU — no polling loop, no sleep quantum. The port is only taken
+    /// once a frame is actually available, to pay the transfer: waiting
+    /// for a slow worker does not occupy the port.
+    ///
+    /// `None` means timeout or worker death (closed link) — in either
+    /// case the caller should treat the worker as gone for this exchange.
     pub fn recv_timeout(
         &self,
         from: WorkerId,
+        run: u32,
         blocks: u64,
-        timeout: std::time::Duration,
+        timeout: Option<std::time::Duration>,
     ) -> Option<(Frame, f64)> {
         let t0 = trace_start();
-        let frame = self.links[from.index()].recv_wait(timeout)?;
+        let frame = self.links[from.index()].recv_wait_run(run, timeout)?;
         let _guard = self.port.acquire();
         let t1 = t0.map(|_| record::now());
         let (frame, cost) = self.links[from.index()].finish_recv(frame, blocks);
@@ -196,10 +183,7 @@ impl MasterEndpoint {
     /// worker already exited is ignored instead of panicking (session
     /// shutdown must not fail because a worker died first).
     pub fn send_lossy(&self, to: WorkerId, frame: Frame) {
-        let pre = trace_start().map(|t0| {
-            let link = &self.links[to.index()];
-            (t0, frame.tag.kind, link.effective_run(frame.run), frame.payload.len())
-        });
+        let pre = trace_start().map(|t0| (t0, frame.tag.kind, frame.run, frame.payload.len()));
         let _guard = self.port.acquire();
         let t1 = pre.as_ref().map(|_| record::now());
         self.links[to.index()].send_lossy(frame, 0);
@@ -215,10 +199,7 @@ impl MasterEndpoint {
     /// fault-tolerant schedulers build on: a `None` marks the link dead
     /// (see [`MasterEndpoint::mark_dead`]) and the caller re-plans.
     pub fn try_send(&self, to: WorkerId, frame: Frame, blocks: u64) -> Option<f64> {
-        let pre = trace_start().map(|t0| {
-            let link = &self.links[to.index()];
-            (t0, frame.tag.kind, link.effective_run(frame.run), frame.payload.len())
-        });
+        let pre = trace_start().map(|t0| (t0, frame.tag.kind, frame.run, frame.payload.len()));
         let _guard = self.port.acquire();
         let t1 = pre.as_ref().map(|_| record::now());
         let cost = self.links[to.index()].try_send(frame, blocks);
@@ -228,21 +209,19 @@ impl MasterEndpoint {
         cost
     }
 
-    /// Receive from `from` under the process-wide liveness deadline
-    /// (`MWP_DEADLINE_MS`; see [`crate::transport::liveness`]). `None`
-    /// means the worker is dead or wedged past the detection bound — the
-    /// caller should [`MasterEndpoint::mark_dead`] it and re-dispatch its
-    /// outstanding work. With liveness disabled this is a plain blocking
-    /// receive, where only a closed link (worker exit, pump death)
-    /// returns `None`.
-    pub fn recv_deadline(&self, from: WorkerId, blocks: u64) -> Option<(Frame, f64)> {
+    /// Receive a frame of run generation `run` from `from` under the
+    /// process-wide liveness deadline (`MWP_DEADLINE_MS`; see
+    /// [`crate::transport::liveness`]). `None` means the worker is dead or
+    /// wedged past the detection bound — the caller should
+    /// [`MasterEndpoint::mark_dead`] it and re-dispatch its outstanding
+    /// work. With liveness disabled the wait is unbounded, and only a
+    /// closed link (worker exit, pump death) returns `None`.
+    pub fn recv_deadline(&self, from: WorkerId, run: u32, blocks: u64) -> Option<(Frame, f64)> {
         if self.links[from.index()].is_dead() {
             return None;
         }
-        match crate::transport::liveness() {
-            Some((_, deadline)) => self.recv_timeout(from, blocks, deadline),
-            None => self.recv(from, blocks).ok(),
-        }
+        let timeout = crate::transport::liveness().map(|(_, deadline)| deadline);
+        self.recv_timeout(from, run, blocks, timeout)
     }
 
     /// Whether `w`'s link has been declared dead.
@@ -272,81 +251,22 @@ impl MasterEndpoint {
         self.links.remove(idx)
     }
 
-    /// Publish the current run generation to every link: each outbound
-    /// frame is stamped with it, and inbound data frames carrying any
-    /// other generation are rejected at the link. Called by the session
-    /// layer at run begin (fresh generation) and at run end/abort (0).
-    pub(crate) fn set_run(&self, run: u32) {
-        for link in &self.links {
-            link.set_current_run(run);
-        }
-    }
-
-    /// Register a live **job** generation on every link (see
-    /// [`crate::session::Session::begin_job`]): its data frames are
-    /// admitted concurrently with any other live generation, and its
-    /// pre-stamped outbound frames pass through unrewritten.
+    /// Register a live run generation on every link (see
+    /// [`crate::session::Session::begin_run`]): its data frames are
+    /// admitted concurrently with any other live generation.
     pub(crate) fn register_run(&self, run: u32) {
         for link in &self.links {
             link.register_run(run);
         }
     }
 
-    /// Retire a job generation on every link: stop admitting its data
+    /// Retire a run generation on every link: stop admitting its data
     /// frames and drop (counting as stale) anything still parked in its
     /// demux queues.
     pub(crate) fn deregister_run(&self, run: u32) {
         for link in &self.links {
             link.deregister_run(run);
         }
-    }
-
-    /// Receive the next frame of job generation `run` from `from`, with
-    /// an optional wall-clock timeout. Frames of *other* live generations
-    /// pulled en route are routed to their own collectors instead of
-    /// being dropped — this is the per-generation demultiplexing that
-    /// replaces the run-exclusion lock for interleaved job runs. Same
-    /// port discipline as [`MasterEndpoint::recv_timeout`]: the wait
-    /// parks outside the port; the transfer is paid under it.
-    ///
-    /// `None` means timeout, worker death (closed link), or a link
-    /// already marked dead — in every case the caller should treat the
-    /// worker as gone for this exchange.
-    pub fn recv_run_timeout(
-        &self,
-        from: WorkerId,
-        run: u32,
-        blocks: u64,
-        timeout: Option<std::time::Duration>,
-    ) -> Option<(Frame, f64)> {
-        let t0 = trace_start();
-        let frame = self.links[from.index()].recv_wait_run(run, timeout)?;
-        let _guard = self.port.acquire();
-        let t1 = t0.map(|_| record::now());
-        let (frame, cost) = self.links[from.index()].finish_recv(frame, blocks);
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            trace_port_op(
-                ActivityKind::Recv,
-                from,
-                t0,
-                t1,
-                frame.tag.kind,
-                frame.run,
-                frame.payload.len(),
-            );
-        }
-        Some((frame, cost))
-    }
-
-    /// Receive a frame of job generation `run` from `from` under the
-    /// process-wide liveness deadline — the job-run counterpart of
-    /// [`MasterEndpoint::recv_deadline`], sharing its `None` contract.
-    pub fn recv_run_deadline(&self, from: WorkerId, run: u32, blocks: u64) -> Option<(Frame, f64)> {
-        if self.links[from.index()].is_dead() {
-            return None;
-        }
-        let timeout = crate::transport::liveness().map(|(_, deadline)| deadline);
-        self.recv_run_timeout(from, run, blocks, timeout)
     }
 
     /// Total inbound data frames rejected by the run-generation check,
@@ -598,21 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_every_worker() {
-        let (master, workers) = star(3);
-        let cost = master.broadcast(
-            &Frame::new(Tag::new(FrameKind::Control, 9, 9), Bytes::new()),
-            1,
-        );
-        // One-port: three serialized unit-cost transfers.
-        assert_eq!(cost, 3.0);
-        for w in &workers {
-            let f = w.recv().unwrap();
-            assert_eq!(f.tag.i, 9);
-        }
-    }
-
-    #[test]
     fn recv_timeout_detects_dead_worker() {
         let (master, workers) = star(2);
         // Worker 0 replies; worker 1 "dies" (thread exits immediately).
@@ -626,10 +531,12 @@ mod tests {
             Frame::new(Tag::new(FrameKind::Control, 1, 0), Bytes::new()),
             0,
         );
-        let got = master.recv_timeout(WorkerId(0), 0, std::time::Duration::from_secs(5));
+        // Control echoes belong to no generation: any run's receive takes them.
+        let got = master.recv_timeout(WorkerId(0), 1, 0, Some(std::time::Duration::from_secs(5)));
         assert!(got.is_some(), "healthy worker must answer in time");
         // Nothing was ever sent to worker 1: timeout fires.
-        let none = master.recv_timeout(WorkerId(1), 0, std::time::Duration::from_millis(50));
+        let none =
+            master.recv_timeout(WorkerId(1), 1, 0, Some(std::time::Duration::from_millis(50)));
         assert!(none.is_none(), "dead worker must time out");
         handle.join().unwrap();
     }
@@ -653,7 +560,7 @@ mod tests {
             0,
         );
         let start = std::time::Instant::now();
-        let got = master.recv_timeout(WorkerId(0), 0, std::time::Duration::from_secs(30));
+        let got = master.recv_timeout(WorkerId(0), 1, 0, Some(std::time::Duration::from_secs(30)));
         assert!(got.is_some(), "late frame must wake the parked receiver");
         assert!(
             start.elapsed() < std::time::Duration::from_secs(10),
@@ -667,22 +574,25 @@ mod tests {
         let (master, workers) = star(1);
         let w = workers.into_iter().next().unwrap();
 
-        master.set_run(4);
-        master.send(WorkerId(0), crate::lifecycle::run_begin_frame(6), 0);
+        master.register_run(4);
+        let mut begin = crate::lifecycle::run_begin_frame(6);
+        begin.run = 4;
+        master.send(WorkerId(0), begin, 0);
         let begin = w.recv().unwrap();
         assert_eq!(begin.run, 4, "RUN_BEGIN must carry the generation it opens");
 
         // The worker's reply is stamped with the adopted generation and
         // admitted by the master's link.
         w.send(Frame::new(Tag::new(FrameKind::CResult, 0, 0), Bytes::from_static(b"r")));
-        let (f, _) = master.recv(WorkerId(0), 1).unwrap();
+        let (f, _) = master.recv_deadline(WorkerId(0), 4, 1).unwrap();
         assert_eq!(f.run, 4);
 
-        // After the run ends (generation reset to 0), a late reply still
-        // stamped with the old generation is structurally rejected.
-        master.set_run(0);
+        // After the run ends (generation retired), a late reply still
+        // stamped with it is structurally rejected.
+        master.deregister_run(4);
         w.send(Frame::new(Tag::new(FrameKind::CResult, 1, 1), Bytes::from_static(b"r")));
-        let late = master.recv_timeout(WorkerId(0), 1, std::time::Duration::from_millis(30));
+        let brief = Some(std::time::Duration::from_millis(30));
+        let late = master.recv_timeout(WorkerId(0), 5, 1, brief);
         assert!(late.is_none(), "stale-generation frame must not surface");
         assert_eq!(master.stale_rejections(), 1);
     }

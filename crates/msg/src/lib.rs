@@ -23,13 +23,19 @@
 //!   the last view, making steady-state traffic allocation-free,
 //! * [`Session`] — a persistent worker pool over the star: worker threads
 //!   spawn once and park on blocking receives between
-//!   `RUN_BEGIN`/`RUN_END` delimited runs,
+//!   `RUN_BEGIN`/`RUN_END` delimited runs. There is one run protocol:
+//!   `Session::begin_run` draws a **run generation**, registers it on
+//!   every link and stamps the lifecycle frames with it; the run's driver
+//!   stamps every frame it sends and scopes every receive
+//!   ([`MasterEndpoint::recv_deadline`]) to that generation, so up to
+//!   [`link::MAX_CONCURRENT_RUNS`] runs share one session's links with
+//!   the master demultiplexing replies per generation. Whether runs *may*
+//!   overlap is the caller's business (worker memory, a one-run worker
+//!   program): the layers above hold that lock, not this crate,
 //! * [`sched`] — the multi-job serving tier: a
 //!   [`sched::JobScheduler`] queues jobs from many caller threads and
-//!   dispatches each as its own interleaved **run generation** on one
-//!   shared session (`Session::begin_job`), with the master
-//!   demultiplexing replies per generation instead of holding the
-//!   run-exclusion lock, plus the small-job batching hooks,
+//!   dispatches each as its own interleaved run on one shared session,
+//!   plus the small-job batching hooks,
 //! * [`transport`] — the socket backend (`MWP_TRANSPORT=tcp|uds`):
 //!   length-prefixed frames over TCP or Unix-domain sockets, so master
 //!   and workers can run as separate processes or hosts — the one-port

@@ -5,6 +5,13 @@
 //! unit — `time_scale = 0` keeps ordering and port-exclusion semantics
 //! while running tests at full speed; a positive scale makes wall-clock
 //! measurements reflect the `(c, w)` calibration.
+//!
+//! A link also enforces the run protocol's data-plane rule: it keeps the
+//! set of run generations the session has open ([`MAX_CONCURRENT_RUNS`]
+//! identical slots), rejects any inbound data frame stamped with a
+//! generation outside it, and routes the admitted ones to the collector
+//! of the run they belong to ([`MasterSide::recv_wait_run`]). Outbound
+//! frames travel exactly as their driver stamped them.
 
 use crate::frame::Frame;
 use crate::stats::LinkStats;
@@ -14,28 +21,18 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How many run generations a link can serve **concurrently**: one legacy
-/// slot (slot 0, the exclusive-run generation published by
-/// `MasterSide::set_current_run`) plus [`MAX_CONCURRENT_RUNS`] job
-/// slots for the multi-job serving layer (see [`crate::sched`]).
-pub const RUN_SLOTS: usize = 16;
-
-/// The job-run slots of the registry: every slot except the legacy one.
-/// This is the hard ceiling on a scheduler's dispatcher count.
-pub const MAX_CONCURRENT_RUNS: usize = RUN_SLOTS - 1;
+/// How many run generations a link can serve **concurrently** — the hard
+/// ceiling on a scheduler's dispatcher count (see [`crate::sched`]).
+pub const MAX_CONCURRENT_RUNS: usize = 15;
 
 /// The set of run generations a link currently serves: a fixed array of
-/// atomic slots (0 = free), so the per-frame admission check is a handful
-/// of relaxed loads — no lock on the data path.
-///
-/// Slot 0 is the **legacy** slot: the generation published by the
-/// session's exclusive `begin_run`/`finish_run` protocol (0 between
-/// runs). Slots 1.. hold the generations of interleaved **job runs**
-/// registered by the serving layer. A data frame is admitted when its
-/// generation matches *any* slot — which preserves the historical
-/// single-run behavior exactly (only slot 0 is ever non-free there).
+/// identical atomic slots (0 = free), so the per-frame admission check is
+/// a handful of relaxed loads — no lock on the data path. A run's
+/// generation is registered when the session opens it and released when
+/// it ends or aborts; a data frame is admitted when its generation
+/// matches a slot.
 struct ActiveRuns {
-    slots: [AtomicU32; RUN_SLOTS],
+    slots: [AtomicU32; MAX_CONCURRENT_RUNS],
 }
 
 impl ActiveRuns {
@@ -43,21 +40,12 @@ impl ActiveRuns {
         ActiveRuns { slots: std::array::from_fn(|_| AtomicU32::new(0)) }
     }
 
-    /// The legacy (exclusive-run) generation; 0 between runs.
-    fn legacy(&self) -> u32 {
-        self.slots[0].load(Ordering::Acquire)
-    }
-
-    fn set_legacy(&self, run: u32) {
-        self.slots[0].store(run, Ordering::Release);
-    }
-
-    /// Claim a free job slot for `run`. Panics when every slot is taken —
+    /// Claim a free slot for `run`. Panics when every slot is taken —
     /// the scheduler's inflight cap (≤ [`MAX_CONCURRENT_RUNS`]) makes
     /// that a bug, not a load condition.
     fn register(&self, run: u32) {
-        assert_ne!(run, 0, "generation 0 is the between-runs sentinel");
-        for slot in &self.slots[1..] {
+        assert_ne!(run, 0, "generation 0 is the run-less sentinel");
+        for slot in &self.slots {
             if slot.compare_exchange(0, run, Ordering::AcqRel, Ordering::Acquire).is_ok() {
                 return;
             }
@@ -65,30 +53,30 @@ impl ActiveRuns {
         panic!("more than {MAX_CONCURRENT_RUNS} concurrent run generations on one link");
     }
 
-    /// Release `run`'s job slot (no-op if it was never registered).
+    /// Release `run`'s slot (no-op if it was never registered).
     fn deregister(&self, run: u32) {
-        for slot in &self.slots[1..] {
+        for slot in &self.slots {
             if slot.compare_exchange(run, 0, Ordering::AcqRel, Ordering::Acquire).is_ok() {
                 return;
             }
         }
     }
 
-    /// Whether `run` is one of the currently-served generations.
+    /// Whether `run` is one of the currently-served generations (the
+    /// run-less sentinel 0 never is).
     fn contains(&self, run: u32) -> bool {
-        self.slots.iter().any(|slot| slot.load(Ordering::Acquire) == run)
+        run != 0 && self.slots.iter().any(|slot| slot.load(Ordering::Acquire) == run)
     }
 }
 
-/// Per-generation inbound frame router for interleaved job runs.
+/// Per-generation inbound frame router for interleaved runs.
 ///
-/// Concurrent job drivers all receive from the same link channel; a frame
+/// Concurrent run drivers all receive from the same link channel; a frame
 /// pulled for generation `g1` may belong to `g2`. The demux gives each
 /// generation its own queue: one caller at a time (the *puller*) drains
 /// the channel, keeps frames of its own generation, stashes frames of
 /// other live generations for their collectors, and wakes the waiters.
-/// The legacy receive paths bypass this entirely — they are only safe
-/// while no job run is in flight, which the session layer guarantees.
+/// Only the run-less [`MasterSide::recv`] of a bare network bypasses it.
 struct RunDemux {
     queues: HashMap<u32, VecDeque<Frame>>,
     /// Whether some thread currently owns the channel-draining role.
@@ -138,12 +126,10 @@ impl Pacing {
     }
 }
 
-/// One directional channel pair plus metering for a master↔worker link.
-///
-/// The master-side operations ([`Link::push_to_worker`],
-/// [`Link::pull_from_worker`]) are *not* port-aware by themselves; the
-/// [`crate::endpoint::MasterEndpoint`] takes the one-port guard around
-/// them. Worker-side operations never touch the port.
+/// One directional channel pair plus metering for a master↔worker link,
+/// built whole and then [`Link::split`] into the [`MasterSide`] the
+/// [`crate::endpoint::MasterEndpoint`] drives under its one-port guard and
+/// the [`WorkerSide`] a worker (or a socket link's pump threads) owns.
 pub struct Link {
     /// Per-block communication cost `c_i` of this link (model time units).
     pub c: f64,
@@ -174,46 +160,6 @@ impl Link {
     /// The link's statistics handle.
     pub fn stats(&self) -> LinkStats {
         self.stats.clone()
-    }
-
-    /// Master side: transfer `frame` to the worker, holding the caller for
-    /// the paced duration (`blocks · c`). Returns the model-time cost.
-    pub fn push_to_worker(&self, frame: Frame, blocks: u64) -> f64 {
-        let start = Instant::now();
-        let cost = blocks as f64 * self.c;
-        self.pacing.pace(cost);
-        self.stats
-            .record_to_worker(frame.wire_len(), metered_blocks(&frame, blocks));
-        self.to_worker_tx.send(frame).expect("worker endpoint dropped");
-        self.stats.record_port_busy(start.elapsed().as_nanos() as u64);
-        cost
-    }
-
-    /// Master side: block until the worker has produced a frame, then pay
-    /// the paced transfer time. Returns the frame and its model-time cost.
-    pub fn pull_from_worker(&self, blocks: u64) -> Result<(Frame, f64), RecvError> {
-        let frame = self.to_master_rx.recv()?;
-        let start = Instant::now();
-        let cost = blocks as f64 * self.c;
-        self.pacing.pace(cost);
-        self.stats
-            .record_to_master(frame.wire_len(), metered_blocks(&frame, blocks));
-        self.stats.record_port_busy(start.elapsed().as_nanos() as u64);
-        Ok((frame, cost))
-    }
-
-    /// Worker side: receive the next frame from the master (blocking).
-    pub fn worker_recv(&self) -> Result<Frame, RecvError> {
-        self.to_worker_rx.recv()
-    }
-
-    /// Worker side: enqueue a result frame for the master. Does not pace —
-    /// the transfer time is paid by the master when it pulls (the one-port
-    /// model bills all communication to the master's port).
-    pub fn worker_send(&self, frame: Frame) {
-        // The master endpoint may have been dropped mid-teardown; losing a
-        // result there is fine because nobody will read it.
-        let _ = self.to_master_tx.send(frame);
     }
 
     /// Split into master-facing and worker-facing halves.
@@ -247,10 +193,10 @@ pub struct MasterSide {
     stats: LinkStats,
     tx: Sender<Frame>,
     /// The worker→master channel. Behind a mutex only because the shim's
-    /// receiver is not `Sync` and concurrent job collectors share this
-    /// side; actual access is already exclusive — the legacy paths are
-    /// single-receiver by contract, and the demux admits one puller at a
-    /// time.
+    /// receiver is not `Sync` and concurrent collectors share this side;
+    /// actual access is already exclusive — the demux admits one puller
+    /// at a time, and the run-less [`MasterSide::recv`] is only for bare
+    /// networks that open no run.
     rx: std::sync::Mutex<Receiver<Frame>>,
     /// Sticky liveness verdict for this link. Set by the failure-aware
     /// scheduling layer (deadline expiry, failed send) or by a socket
@@ -259,18 +205,16 @@ pub struct MasterSide {
     /// to inject stale frames into a later exchange.
     dead: Arc<AtomicBool>,
     /// The run generations this link is currently serving (all slots free
-    /// = no run in progress). An outbound frame still carrying the
-    /// unstamped sentinel 0 is stamped with the legacy (exclusive-run)
-    /// generation; frames pre-stamped by a job driver keep their
-    /// generation. Inbound *data* frames carrying a generation outside
-    /// the active set are structurally rejected — counted in
-    /// [`LinkStats`], never delivered, never metered. This is the
-    /// first-class defence the sticky-dead flag used to approximate: even
-    /// a frame from a link nobody marked dead cannot cross a run
+    /// = no run in progress). Outbound frames go out exactly as their
+    /// driver stamped them. Inbound *data* frames carrying a non-zero
+    /// generation outside the active set are structurally rejected —
+    /// counted in [`LinkStats`], never delivered, never metered. This is
+    /// the first-class defence the sticky-dead flag used to approximate:
+    /// even a frame from a link nobody marked dead cannot cross a run
     /// boundary.
     runs: ActiveRuns,
-    /// Inbound per-generation router for interleaved job runs; see
-    /// [`RunDemux`]. The legacy `recv*` paths read the channel directly.
+    /// Inbound per-generation router for interleaved runs; see
+    /// [`RunDemux`].
     demux: std::sync::Mutex<RunDemux>,
     demux_cv: std::sync::Condvar,
 }
@@ -279,18 +223,6 @@ impl MasterSide {
     /// Whether this link has been declared dead (see [`MasterSide::mark_dead`]).
     pub fn is_dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
-    }
-
-    /// The generation an outbound frame stamped `stamped` will actually
-    /// carry on the wire: pre-stamped frames keep their generation, the
-    /// unstamped sentinel 0 adopts the link's exclusive-run generation.
-    /// Used by the trace recorder to tag send spans.
-    pub(crate) fn effective_run(&self, stamped: u32) -> u32 {
-        if stamped == 0 {
-            self.runs.legacy()
-        } else {
-            stamped
-        }
     }
 
     /// Permanently declare the worker behind this link dead.
@@ -304,25 +236,16 @@ impl MasterSide {
         Arc::clone(&self.dead)
     }
 
-    /// Publish the legacy (exclusive) run generation this link is
-    /// serving. Called by the session layer when a run begins (with the
-    /// freshly bumped generation) and when it ends or aborts (resetting
-    /// to 0).
-    pub(crate) fn set_current_run(&self, run: u32) {
-        self.runs.set_legacy(run);
-    }
-
-    /// Register `run` as a live *job* generation: its data frames are
-    /// admitted alongside the legacy run's, and outbound frames
-    /// pre-stamped with it pass through unrewritten.
+    /// Register `run` as a live generation: its data frames are admitted
+    /// alongside those of every other live run.
     pub(crate) fn register_run(&self, run: u32) {
         self.runs.register(run);
     }
 
-    /// Retire job generation `run`: stop admitting its data frames and
-    /// drop anything still parked in its demux queue. Leftovers are
-    /// counted as stale rejections — an aborted run's stragglers stay
-    /// observable the same way the single-run path counted them.
+    /// Retire generation `run`: stop admitting its data frames and drop
+    /// anything still parked in its demux queue. Leftovers are counted as
+    /// stale rejections, so an aborted run's stragglers stay observable
+    /// whether they were already pulled or are still in flight.
     pub(crate) fn deregister_run(&self, run: u32) {
         self.runs.deregister(run);
         let mut demux = self.demux.lock().expect("run demux poisoned");
@@ -333,62 +256,26 @@ impl MasterSide {
         }
     }
 
-    /// Admission check for an inbound frame: data frames must carry one
-    /// of the link's active run generations; control traffic always
-    /// passes. A rejected frame is counted and dropped *before* any
-    /// metering or pacing, so the communication-volume counters stay
-    /// exact.
-    fn admit(&self, frame: &Frame) -> bool {
-        if frame.tag.kind.is_block() && !self.runs.contains(frame.run) {
+    /// Admission check for an inbound frame: a data frame must carry one
+    /// of the link's active run generations — or, on the run-less receive
+    /// of a bare network (`runless_ok`), the unstamped generation 0, which
+    /// no run's collector could own; control traffic always passes. A
+    /// rejected frame is counted and dropped *before* any metering or
+    /// pacing, so the communication-volume counters stay exact.
+    fn admit(&self, frame: &Frame, runless_ok: bool) -> bool {
+        let admitted = !frame.tag.kind.is_block()
+            || self.runs.contains(frame.run)
+            || (runless_ok && frame.run == 0);
+        if !admitted {
             self.stats.record_stale_rejected();
-            return false;
         }
-        true
+        admitted
     }
 
-    /// Paced send; returns model-time cost.
-    pub fn send(&self, frame: Frame, blocks: u64) -> f64 {
-        self.send_inner(frame, blocks, false)
-    }
-
-    /// Best-effort send for lifecycle/teardown traffic: a closed link
-    /// (the worker thread already exited) is silently ignored instead of
-    /// panicking, and nothing is metered for the undelivered frame.
-    pub fn send_lossy(&self, frame: Frame, blocks: u64) -> f64 {
-        self.send_inner(frame, blocks, true)
-    }
-
-    /// Failure-aware send: `Some(cost)` when the frame was delivered,
-    /// `None` when the link is (or just turned out to be) dead — the
-    /// channel closed because the worker exited or its transport pump
-    /// died. A link already known dead is paced and metered for nothing,
-    /// and an undelivered frame is never metered — a declared-dead worker
-    /// costs no model time.
-    pub fn try_send(&self, mut frame: Frame, blocks: u64) -> Option<f64> {
-        if self.is_dead() {
-            return None;
-        }
-        if frame.run == 0 {
-            frame.run = self.runs.legacy();
-        }
-        let start = Instant::now();
-        let cost = blocks as f64 * self.c;
-        self.pacing.pace(cost);
-        let wire_len = frame.wire_len();
-        let metered = metered_blocks(&frame, blocks);
-        if self.tx.send(frame).is_err() {
-            self.mark_dead();
-            return None;
-        }
-        self.stats.record_to_worker(wire_len, metered);
-        self.stats.record_port_busy(start.elapsed().as_nanos() as u64);
-        Some(cost)
-    }
-
-    fn send_inner(&self, mut frame: Frame, blocks: u64, lossy: bool) -> f64 {
-        if frame.run == 0 {
-            frame.run = self.runs.legacy();
-        }
+    /// Pace, enqueue and meter one outbound frame. Returns whether the
+    /// worker's end of the channel was still open — an undelivered frame
+    /// is never metered — and the model-time cost.
+    fn deliver(&self, frame: Frame, blocks: u64) -> (bool, f64) {
         let start = Instant::now();
         let cost = blocks as f64 * self.c;
         self.pacing.pace(cost);
@@ -398,62 +285,61 @@ impl MasterSide {
         if delivered {
             self.stats.record_to_worker(wire_len, metered);
             self.stats.record_port_busy(start.elapsed().as_nanos() as u64);
-        } else if !lossy {
-            panic!("worker endpoint dropped");
         }
+        (delivered, cost)
+    }
+
+    /// Paced send; returns model-time cost. Panics on a closed link.
+    pub fn send(&self, frame: Frame, blocks: u64) -> f64 {
+        let (delivered, cost) = self.deliver(frame, blocks);
+        assert!(delivered, "worker endpoint dropped");
         cost
     }
 
-    /// Non-blocking receive: pays the paced transfer only if a frame is
-    /// already available. `None` when the channel is empty or closed.
-    /// Stale-generation data frames are dropped and the next frame tried.
-    pub fn try_recv(&self, blocks: u64) -> Option<(Frame, f64)> {
-        let rx = self.rx.lock().expect("link receiver poisoned");
-        loop {
-            let frame = rx.try_recv().ok()?;
-            if self.admit(&frame) {
-                drop(rx);
-                return Some(self.finish_recv(frame, blocks));
-            }
-        }
+    /// Best-effort send for lifecycle/teardown traffic: a closed link
+    /// (the worker thread already exited) is silently ignored instead of
+    /// panicking, and nothing is metered for the undelivered frame.
+    pub fn send_lossy(&self, frame: Frame, blocks: u64) -> f64 {
+        self.deliver(frame, blocks).1
     }
 
-    /// Paced receive; blocks until the worker produced a frame of the
-    /// current run (stale-generation data frames are dropped en route).
+    /// Failure-aware send: `Some(cost)` when the frame was delivered,
+    /// `None` when the link is (or just turned out to be) dead — the
+    /// channel closed because the worker exited or its transport pump
+    /// died. A link already known dead is paced and metered for nothing
+    /// — a declared-dead worker costs no model time.
+    pub fn try_send(&self, frame: Frame, blocks: u64) -> Option<f64> {
+        if self.is_dead() {
+            return None;
+        }
+        let (delivered, cost) = self.deliver(frame, blocks);
+        if !delivered {
+            self.mark_dead();
+            return None;
+        }
+        Some(cost)
+    }
+
+    /// Run-less paced receive for a bare network that opens no run: blocks
+    /// until the worker produced an admissible frame, reading the channel
+    /// directly (no demux). Must not race a run-scoped receive on the
+    /// same link.
     pub fn recv(&self, blocks: u64) -> Result<(Frame, f64), RecvError> {
         let rx = self.rx.lock().expect("link receiver poisoned");
         loop {
             let frame = rx.recv()?;
-            if self.admit(&frame) {
+            if self.admit(&frame, true) {
                 drop(rx);
                 return Ok(self.finish_recv(frame, blocks));
             }
         }
     }
 
-    /// Phase 1 of a timed receive: park on the channel's own timed
-    /// receive (condvar parking, no polling) **without** paying any
-    /// transfer cost, until an admissible frame arrives or `timeout`
-    /// elapses. The caller then settles the transfer with
-    /// [`MasterSide::finish_recv`] — under the one-port guard, in the
-    /// endpoint's case.
-    pub fn recv_wait(&self, timeout: Duration) -> Option<Frame> {
-        let deadline = Instant::now() + timeout;
-        let rx = self.rx.lock().expect("link receiver poisoned");
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let frame = rx.recv_timeout(remaining).ok()?;
-            if self.admit(&frame) {
-                return Some(frame);
-            }
-        }
-    }
-
-    /// Phase 1 of a timed receive for one **job generation**: return the
-    /// next admissible frame stamped `run` (or control traffic), parking
-    /// on the channel without paying any transfer cost. Frames of *other*
-    /// live generations pulled en route are stashed in their demux queues
-    /// and their waiters woken. `None` when `timeout` elapses (or, with
+    /// Phase 1 of a run's receive: return the next admissible frame
+    /// stamped `run` (or control traffic), parking on the channel's own
+    /// timed receive (condvar parking, no polling) without paying any
+    /// transfer cost. Frames of *other* live generations pulled en route
+    /// are stashed in their demux queues and their waiters woken. `None` when `timeout` elapses (or, with
     /// `timeout == None`, only when the channel closes — worker death).
     /// The caller settles the transfer with [`MasterSide::finish_recv`].
     ///
@@ -526,7 +412,7 @@ impl MasterSide {
                     Err(RecvError) => return Pulled::Closed,
                 },
             };
-            if !self.admit(&frame) {
+            if !self.admit(&frame, false) {
                 continue;
             }
             // Control traffic has no owning generation and matrix workers
@@ -539,7 +425,7 @@ impl MasterSide {
     }
 
     /// Phase 2 of a receive: meter and pace a frame already pulled off
-    /// the channel (by [`MasterSide::recv_wait`] or a raw channel read).
+    /// the channel (by [`MasterSide::recv_wait_run`] or a raw channel read).
     pub fn finish_recv(&self, frame: Frame, blocks: u64) -> (Frame, f64) {
         let start = Instant::now();
         let cost = blocks as f64 * self.c;
@@ -593,16 +479,16 @@ mod tests {
 
     #[test]
     fn push_pull_roundtrip() {
-        let link = Link::new(2.0, Pacing::OFF);
-        let cost = link.push_to_worker(blk(FrameKind::BlockA, 1, 2), 1);
+        let (master, worker) = Link::new(2.0, Pacing::OFF).split();
+        let cost = master.send(blk(FrameKind::BlockA, 1, 2), 1);
         assert_eq!(cost, 2.0);
-        let got = link.worker_recv().unwrap();
+        let got = worker.recv().unwrap();
         assert_eq!(got.tag, Tag::new(FrameKind::BlockA, 1, 2));
-        link.worker_send(blk(FrameKind::CResult, 1, 2));
-        let (res, cost) = link.pull_from_worker(1).unwrap();
+        worker.send(blk(FrameKind::CResult, 1, 2));
+        let (res, cost) = master.recv(1).unwrap();
         assert_eq!(res.tag.kind, FrameKind::CResult);
         assert_eq!(cost, 2.0);
-        let snap = link.stats().snapshot();
+        let snap = master.stats().snapshot();
         assert_eq!(snap.blocks_to_worker, 1);
         assert_eq!(snap.blocks_to_master, 1);
     }
@@ -621,33 +507,37 @@ mod tests {
 
     #[test]
     fn pacing_sleeps_roughly_right() {
-        let link = Link::new(0.01, Pacing { time_scale: 1.0 });
+        let (master, _worker) = Link::new(0.01, Pacing { time_scale: 1.0 }).split();
         let start = Instant::now();
-        link.push_to_worker(blk(FrameKind::BlockA, 0, 0), 2); // 0.02 s
+        master.send(blk(FrameKind::BlockA, 0, 0), 2); // 0.02 s
         let elapsed = start.elapsed().as_secs_f64();
         assert!(elapsed >= 0.02, "pacing too short: {elapsed}");
         assert!(elapsed < 0.5, "pacing absurdly long: {elapsed}");
     }
 
+    /// A `CResult` frame stamped with run generation `run`.
+    fn result_in(run: u32, i: usize, j: usize) -> Frame {
+        Frame::new_in_run(Tag::new(FrameKind::CResult, i, j), run, Bytes::from_static(&[1, 2, 3]))
+    }
+
     #[test]
     fn outbound_frames_are_stamped_and_stale_data_frames_rejected() {
         let (master, worker) = Link::new(1.0, Pacing::OFF).split();
-        master.set_current_run(3);
+        master.register_run(3);
 
-        // Outbound stamping: the worker sees the generation the master set.
-        master.send(blk(FrameKind::BlockA, 1, 2), 1);
+        // Outbound: the link forwards the generation the driver stamped.
+        let out = Frame::new_in_run(Tag::new(FrameKind::BlockA, 1, 2), 3, Bytes::new());
+        master.send(out, 1);
         assert_eq!(worker.recv().unwrap().run, 3);
 
         // A stale data frame (previous generation) queued ahead of a good
         // one is dropped — counted, not delivered, not metered.
-        let mut stale = blk(FrameKind::CResult, 9, 9);
-        stale.run = 2;
-        worker.send(stale);
-        let mut good = blk(FrameKind::CResult, 1, 2);
-        good.run = 3;
-        worker.send(good);
-        let (got, _) = master.recv(1).unwrap();
+        worker.send(result_in(2, 9, 9));
+        worker.send(result_in(3, 1, 2));
+        let t = Some(Duration::from_secs(5));
+        let got = master.recv_wait_run(3, t).unwrap();
         assert_eq!(got.tag, Tag::new(FrameKind::CResult, 1, 2));
+        master.finish_recv(got, 1);
         let snap = master.stats().snapshot();
         assert_eq!(snap.stale_rejected, 1);
         assert_eq!(snap.blocks_to_master, 1, "stale frame must not be metered");
@@ -656,14 +546,11 @@ mod tests {
         let mut ctl = Frame::new(Tag { kind: FrameKind::Control, i: 7, j: 0 }, Bytes::new());
         ctl.run = 55;
         worker.send(ctl);
-        assert_eq!(master.recv(0).unwrap().0.tag.i, 7);
+        assert_eq!(master.recv_wait_run(3, t).unwrap().tag.i, 7);
 
-        // recv_wait filters too, and still honors its timeout on an
-        // all-stale queue.
-        let mut late = blk(FrameKind::CResult, 4, 4);
-        late.run = 1;
-        worker.send(late);
-        assert!(master.recv_wait(Duration::from_millis(20)).is_none());
+        // The receive still honors its timeout on an all-stale queue.
+        worker.send(result_in(1, 4, 4));
+        assert!(master.recv_wait_run(3, Some(Duration::from_millis(20))).is_none());
         assert_eq!(master.stats().snapshot().stale_rejected, 2);
     }
 
@@ -673,35 +560,30 @@ mod tests {
         master.register_run(7);
         master.register_run(9);
 
-        // A frame pre-stamped with a job generation keeps its stamp even
-        // while the legacy slot is parked at 0.
+        // A frame pre-stamped with one live generation keeps its stamp.
         let mut out = blk(FrameKind::BlockA, 1, 2);
         out.run = 7;
         master.send(out, 1);
         assert_eq!(worker.recv().unwrap().run, 7);
 
         // Data frames of either live generation are admitted; an alien
-        // generation is rejected and counted.
-        for (run, expect_i) in [(9u32, 5usize), (7, 6)] {
-            let mut f = blk(FrameKind::CResult, expect_i, 0);
-            f.run = run;
-            worker.send(f);
-        }
-        let mut alien = blk(FrameKind::CResult, 8, 8);
-        alien.run = 42;
-        worker.send(alien);
-        assert_eq!(master.recv(1).unwrap().0.tag.i, 5);
-        assert_eq!(master.recv(1).unwrap().0.tag.i, 6);
-        assert!(master.try_recv(1).is_none());
-        assert_eq!(master.stats().snapshot().stale_rejected, 1);
+        // generation — or none at all — is rejected and counted.
+        worker.send(result_in(9, 5, 0));
+        worker.send(result_in(7, 6, 0));
+        worker.send(result_in(42, 8, 8));
+        worker.send(result_in(0, 8, 8));
+        let t = Some(Duration::from_secs(5));
+        let brief = Some(Duration::from_millis(10));
+        assert_eq!(master.recv_wait_run(9, t).unwrap().tag.i, 5);
+        assert_eq!(master.recv_wait_run(7, t).unwrap().tag.i, 6);
+        assert!(master.recv_wait_run(7, brief).is_none());
+        assert_eq!(master.stats().snapshot().stale_rejected, 2);
 
         // After deregistering, generation 7 is stale again.
         master.deregister_run(7);
-        let mut late = blk(FrameKind::CResult, 3, 3);
-        late.run = 7;
-        worker.send(late);
-        assert!(master.try_recv(1).is_none());
-        assert_eq!(master.stats().snapshot().stale_rejected, 2);
+        worker.send(result_in(7, 3, 3));
+        assert!(master.recv_wait_run(9, brief).is_none());
+        assert_eq!(master.stats().snapshot().stale_rejected, 3);
     }
 
     #[test]
@@ -775,12 +657,12 @@ mod tests {
 
     #[test]
     fn fifo_frame_order_preserved() {
-        let link = Link::new(1.0, Pacing::OFF);
+        let (master, worker) = Link::new(1.0, Pacing::OFF).split();
         for k in 0..10 {
-            link.push_to_worker(blk(FrameKind::BlockA, k, 0), 1);
+            master.send(blk(FrameKind::BlockA, k, 0), 1);
         }
         for k in 0..10 {
-            assert_eq!(link.worker_recv().unwrap().tag.i, k as u32);
+            assert_eq!(worker.recv().unwrap().tag.i, k as u32);
         }
     }
 }

@@ -1,10 +1,10 @@
 //! A concurrent multi-job scheduler over one shared session.
 //!
-//! The session layer historically served **one run at a time**: the
-//! caller held the run-exclusion lock from `begin_run` to `finish_run`,
-//! so a fleet's throughput stopped at a single caller no matter how many
-//! threads wanted products computed. This module is the serving tier the
-//! "millions of users" north star asks for:
+//! A runtime session that takes its callers one at a time caps a fleet's
+//! throughput at a single caller, no matter how many threads want
+//! products computed — yet the session layer underneath lets up to
+//! [`MAX_CONCURRENT_RUNS`] runs share its links. This module is the
+//! serving tier that uses that room:
 //!
 //! * [`JobScheduler`] — accepts jobs from any number of caller threads
 //!   into one FIFO queue and drains it with a small pool of *dispatcher*
@@ -12,7 +12,7 @@
 //!   dispatcher executes one job — or one fused **batch** of compatible
 //!   jobs — at a time via the caller-supplied [`JobExecutor`], which runs
 //!   it as its own interleaved run generation on the shared session (see
-//!   [`crate::session::Session::begin_job`]).
+//!   [`crate::session::Session::begin_run`]).
 //! * [`JobHandle`] — the submitter's receipt: park on
 //!   [`JobHandle::wait`] until the job's result and [`JobReport`] come
 //!   back.

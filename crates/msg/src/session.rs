@@ -9,7 +9,8 @@
 //!
 //! * the master marks the start of a run by sending every enrolled worker
 //!   a `RUN_BEGIN` control frame (carrying one `u32` run parameter, e.g.
-//!   the block side `q`);
+//!   the block side `q`) stamped with the run's freshly drawn
+//!   **generation**, which every later frame of the run carries too;
 //! * the worker's *program* — a caller-supplied closure holding whatever
 //!   per-worker state it wants to persist across runs (scratch blocks,
 //!   buffer pools) — serves the run's frames until it sees the matching
@@ -34,7 +35,6 @@ use crate::transport::{
 };
 use mwp_platform::{Platform, WorkerId, WorkerParams};
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
-use parking_lot::Mutex;
 use std::io;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread;
@@ -56,39 +56,27 @@ pub enum RunExit {
     Terminate,
 }
 
-/// Opaque receipt returned by [`Session::begin_run`]: remembers the
-/// session's block counters at run start so [`Session::finish_run`] can
-/// report the run's own traffic even though the underlying link stats
-/// accumulate for the session's whole lifetime — and holds the session's
-/// run-exclusion lock, so a second `begin_run` from another thread blocks
-/// until this run is finished (a session serves **one run at a time**;
-/// an interleaved `RUN_BEGIN` would be misread by an in-run worker).
-#[must_use = "pass the epoch back to finish_run to close the run"]
-pub struct RunEpoch<'s> {
+/// Receipt for an open run (see [`Session::begin_run`]): the run is
+/// identified purely by its generation — several may be in flight on one
+/// session at once — and the receipt remembers the session's block
+/// counters at run start so [`Session::finish_run`] can report the
+/// traffic moved while it was open. Pass it back to
+/// [`Session::finish_run`] or [`Session::abort_run`] to retire the
+/// generation.
+#[must_use = "pass the epoch back to finish_run/abort_run to retire its generation"]
+#[derive(Debug)]
+pub struct RunEpoch {
     blocks_at_start: u64,
     /// The generation this run stamps its frames with.
     run: u32,
     /// Trace time of the `RUN_BEGIN` (recorded only while tracing is on):
     /// `finish_run`/`abort_run` close the lifecycle span against it.
     begun: Option<SimTime>,
-    _exclusive: parking_lot::MutexGuard<'s, ()>,
 }
 
-/// Receipt for an open **job run** (see [`Session::begin_job`]): an
-/// interleaved run identified purely by its generation, with no
-/// exclusion lock — several may be in flight on one session at once.
-/// Pass it back to [`Session::finish_job`] or [`Session::abort_job`] to
-/// retire the generation.
-#[must_use = "pass the job back to finish_job/abort_job to retire its generation"]
-#[derive(Debug)]
-pub struct JobRun {
-    run: u32,
-    /// Trace time of the `RUN_BEGIN` (recorded only while tracing is on).
-    begun: Option<SimTime>,
-}
-
-impl JobRun {
-    /// The run generation this job's frames are stamped with.
+impl RunEpoch {
+    /// The run generation every frame of this run must be stamped with,
+    /// and the one its receives are scoped to.
     pub fn generation(&self) -> u32 {
         self.run
     }
@@ -137,8 +125,8 @@ fn trace_run_close(run: u32, begun: Option<SimTime>, label: &'static str) {
 }
 
 /// A star network whose worker threads are spawned once and reused for an
-/// unbounded sequence of runs (one at a time — concurrent callers
-/// serialize on [`Session::begin_run`]).
+/// unbounded sequence of runs, up to [`crate::link::MAX_CONCURRENT_RUNS`]
+/// of them open at once.
 pub struct Session {
     master: MasterEndpoint,
     handles: Vec<thread::JoinHandle<()>>,
@@ -162,15 +150,12 @@ pub struct Session {
     /// later `admit`s.
     secret: Vec<u8>,
     /// The **run generation**: a per-session monotonically increasing
-    /// counter, bumped by every [`Session::begin_run`]. The current value
-    /// is published to every link for the duration of a run (0 between
-    /// runs), stamped into each frame's wire header, and checked on
-    /// receive — a data frame from any other generation is structurally
-    /// rejected, whoever sent it. (Atomic only because `begin_run` takes
-    /// `&self`; the run lock already serializes runs.)
+    /// counter, bumped by every [`Session::begin_run`]. The drawn value is
+    /// registered at every link for the duration of its run, stamped into
+    /// each of the run's frames, and checked on receive — a data frame
+    /// of a generation no open run owns is structurally rejected,
+    /// whoever sent it.
     run_gen: AtomicU32,
-    /// Held from `begin_run` to `finish_run` via the [`RunEpoch`].
-    run_lock: Mutex<()>,
 }
 
 impl Session {
@@ -229,7 +214,6 @@ impl Session {
                     epoch: 1,
                     secret: auth::fleet_secret(),
                     run_gen: AtomicU32::new(0),
-                    run_lock: Mutex::new(()),
                 }
             }
             socket_mode => Self::spawn_loopback(platform, time_scale, socket_mode, &mut factory),
@@ -295,7 +279,6 @@ impl Session {
             epoch: 1,
             secret,
             run_gen: AtomicU32::new(0),
-            run_lock: Mutex::new(()),
         }
     }
 
@@ -330,7 +313,6 @@ impl Session {
             epoch: 1,
             secret,
             run_gen: AtomicU32::new(0),
-            run_lock: Mutex::new(()),
         })
     }
 
@@ -341,8 +323,8 @@ impl Session {
     /// its link joins the one-port arbiter like any original member, so
     /// the next run's selection algorithms see it automatically.
     ///
-    /// Exclusivity with runs is structural: `admit` takes `&mut self`,
-    /// which cannot coexist with an open [`RunEpoch`] borrow.
+    /// `admit` takes `&mut self`, so no other thread can be driving a
+    /// run on this session while the fleet changes.
     ///
     /// Admission is a membership change, so the session's epoch is
     /// bumped and the newcomer's welcome carries the **new** epoch —
@@ -482,60 +464,75 @@ impl Session {
     /// receive with a `RUN_BEGIN` frame carrying `param`. Workers outside
     /// the enrollment stay parked and cost nothing.
     ///
+    /// The run is identified by a freshly drawn generation, registered at
+    /// every link alongside any other open run's, so several runs may
+    /// interleave their frames on the same links and the master
+    /// demultiplexes replies by the header's `run` field
+    /// ([`MasterEndpoint::recv_deadline`]). The caller contract: every
+    /// frame the run's driver sends is stamped with
+    /// [`RunEpoch::generation`], its receives are scoped to that
+    /// generation, and a worker program that may see overlapping runs
+    /// tracks state per generation and replies via
+    /// [`WorkerEndpoint::send_in`]. A session type whose worker program
+    /// serves one run at a time serializes its own callers.
+    ///
+    /// At most [`crate::link::MAX_CONCURRENT_RUNS`] runs may be open at
+    /// once; the scheduler's admission cap enforces this.
+    ///
     /// Lifecycle frames are sent best-effort: a worker that already died
     /// (it panicked mid-previous-run) must surface as the data path's
     /// "worker died" receive failure — or as the worker's own panic at
     /// join time — not as an unrelated send panic here.
-    pub fn begin_run(&self, enrolled: usize, param: u32) -> RunEpoch<'_> {
-        // One run at a time: a concurrent caller parks here until the
-        // in-flight run's epoch is consumed by `finish_run`.
-        let exclusive = self.run_lock.lock();
-        // Bump the run generation and publish it to every link *before*
-        // the RUN_BEGIN frames go out, so the begin frame itself is
-        // stamped with the generation it opens — that is how workers
-        // learn it.
+    pub fn begin_run(&self, enrolled: usize, param: u32) -> RunEpoch {
         let run = self.next_run_gen();
-        self.master.set_run(run);
+        // Register before the RUN_BEGIN goes out: the begin frame itself
+        // carries the generation (that is how workers learn it), and the
+        // first replies may race the registration otherwise.
+        self.master.register_run(run);
         let begun = trace_run_begin(run);
         let blocks_at_start = self.master.total_blocks();
-        for idx in 0..enrolled {
-            self.master.send_lossy(WorkerId(idx), run_begin_frame(param));
-        }
-        RunEpoch { blocks_at_start, run, begun, _exclusive: exclusive }
+        self.send_lifecycle(enrolled, run, run_begin_frame(param));
+        RunEpoch { blocks_at_start, run, begun }
     }
 
     /// Close the run opened by the matching [`Session::begin_run`]: sends
-    /// `RUN_END` to the enrolled workers (parking them again, best-effort
-    /// like [`Session::begin_run`]) and returns the matrix blocks this
-    /// run moved through the port.
-    pub fn finish_run(&self, enrolled: usize, epoch: RunEpoch<'_>) -> u64 {
-        for idx in 0..enrolled {
-            self.master.send_lossy(WorkerId(idx), run_end_frame());
-        }
-        let moved = self.master.total_blocks() - epoch.blocks_at_start;
-        // Back to "no run in progress": anything still in flight from
-        // this run arrives stale and is structurally rejected.
-        self.master.set_run(0);
-        trace_run_close(epoch.run, epoch.begun, "RUN_END");
-        moved
+    /// `RUN_END` (stamped with the run's generation) to the enrolled
+    /// workers, best-effort like [`Session::begin_run`], then retires the
+    /// generation — its data frames are stale again, and anything still
+    /// parked in the demux queues is dropped and counted as rejected.
+    /// Returns the matrix blocks the port moved while the run was open:
+    /// the run's own traffic unless another run overlapped it.
+    pub fn finish_run(&self, enrolled: usize, epoch: RunEpoch) -> u64 {
+        self.close_run(enrolled, epoch, run_end_frame(), "RUN_END")
     }
 
     /// Abort the run opened by the matching [`Session::begin_run`]: each
     /// enrolled worker gets a `RUN_ABORT` control frame — which, FIFO
     /// order being per-link, is the last frame of the aborted run it
-    /// sees, so it drains whatever data frames were already queued, keeps
-    /// its scratch intact, and parks for the next run. Frames the workers
-    /// had already sent back are left un-received; they carry the aborted
-    /// generation, so the next run's receives structurally reject them.
-    /// Returns the blocks the aborted run moved before it was killed.
-    pub fn abort_run(&self, enrolled: usize, epoch: RunEpoch<'_>) -> u64 {
-        for idx in 0..enrolled {
-            self.master.send_lossy(WorkerId(idx), run_abort_frame());
-        }
+    /// sees, so it discards that generation's state, keeps its scratch
+    /// (and any other open run) intact, and parks once nothing is open.
+    /// Frames the workers had already sent back are left un-received;
+    /// they carry the retired generation, so every later receive
+    /// structurally rejects them. Returns the blocks moved before the
+    /// run was killed, as [`Session::finish_run`] counts them.
+    pub fn abort_run(&self, enrolled: usize, epoch: RunEpoch) -> u64 {
+        self.close_run(enrolled, epoch, run_abort_frame(), "RUN_ABORT")
+    }
+
+    fn close_run(&self, enrolled: usize, epoch: RunEpoch, frame: Frame, label: &'static str) -> u64 {
+        self.send_lifecycle(enrolled, epoch.run, frame);
         let moved = self.master.total_blocks() - epoch.blocks_at_start;
-        self.master.set_run(0);
-        trace_run_close(epoch.run, epoch.begun, "RUN_ABORT");
+        self.master.deregister_run(epoch.run);
+        trace_run_close(epoch.run, epoch.begun, label);
         moved
+    }
+
+    /// Send workers `0..enrolled` a copy of `frame` stamped with `run`.
+    fn send_lifecycle(&self, enrolled: usize, run: u32, mut frame: Frame) {
+        frame.run = run;
+        for idx in 0..enrolled {
+            self.master.send_lossy(WorkerId(idx), frame.clone());
+        }
     }
 
     /// Draw the next run generation, skipping the reserved "no run"
@@ -554,72 +551,9 @@ impl Session {
     /// Set the run-generation counter (the **next** run gets `value + 1`,
     /// modulo the skip-0 rule). A hook for wraparound tests and for
     /// serving layers that checkpoint/restore a long-lived session; never
-    /// call it while a run or job is in flight.
+    /// call it while a run is in flight.
     pub fn force_run_gen(&self, value: u32) {
         self.run_gen.store(value, Ordering::Relaxed);
-    }
-
-    /// Open a **job run** on workers `0..enrolled`: like
-    /// [`Session::begin_run`] but *without* taking the run-exclusion lock
-    /// — the run's generation is registered at every link alongside any
-    /// other live job generations, so several jobs interleave their
-    /// frames on the same links and the master demultiplexes replies by
-    /// the header's `run` field ([`MasterEndpoint::recv_run_timeout`]).
-    ///
-    /// The caller contract replaces the lock: every frame the job's
-    /// driver sends must be pre-stamped with [`JobRun::generation`] (the
-    /// link stamps only unstamped frames, with the *legacy* generation),
-    /// receives must go through the `recv_run_*` demux paths, and worker
-    /// programs must be multi-run aware (track state per generation,
-    /// reply via [`WorkerEndpoint::send_in`]). Legacy exclusive runs and
-    /// job runs must not be mixed on one session — the serving layer
-    /// owns its session outright.
-    ///
-    /// At most [`crate::link::MAX_CONCURRENT_RUNS`] job runs may be open
-    /// at once; the scheduler's admission cap enforces this.
-    pub fn begin_job(&self, enrolled: usize, param: u32) -> JobRun {
-        let run = self.next_run_gen();
-        // Register before the RUN_BEGIN goes out: the begin frame itself
-        // carries the generation (that is how workers learn it), and the
-        // first replies may race the registration otherwise.
-        self.master.register_run(run);
-        let begun = trace_run_begin(run);
-        for idx in 0..enrolled {
-            let mut begin = run_begin_frame(param);
-            begin.run = run;
-            self.master.send_lossy(WorkerId(idx), begin);
-        }
-        JobRun { run, begun }
-    }
-
-    /// Close the job run opened by the matching [`Session::begin_job`]:
-    /// `RUN_END` (stamped with the job's generation) to the enrolled
-    /// workers, then the generation is retired — its data frames are
-    /// stale again, and anything still parked in the demux queues is
-    /// dropped and counted as rejected.
-    pub fn finish_job(&self, enrolled: usize, job: JobRun) {
-        for idx in 0..enrolled {
-            let mut end = run_end_frame();
-            end.run = job.run;
-            self.master.send_lossy(WorkerId(idx), end);
-        }
-        self.master.deregister_run(job.run);
-        trace_run_close(job.run, job.begun, "RUN_END");
-    }
-
-    /// Abort the job run opened by the matching [`Session::begin_job`]:
-    /// the generation-stamped counterpart of [`Session::abort_run`] —
-    /// per-link FIFO makes the `RUN_ABORT` the last frame of this job a
-    /// worker sees, so it discards that generation's state and keeps
-    /// serving any other in-flight job untouched.
-    pub fn abort_job(&self, enrolled: usize, job: JobRun) {
-        for idx in 0..enrolled {
-            let mut abort = run_abort_frame();
-            abort.run = job.run;
-            self.master.send_lossy(WorkerId(idx), abort);
-        }
-        self.master.deregister_run(job.run);
-        trace_run_close(job.run, job.begun, "RUN_ABORT");
     }
 
     /// Total inbound data frames this session's links rejected for
@@ -897,20 +831,29 @@ mod tests {
         Session::spawn(&platform, 0.0, |_, _| echo_program)
     }
 
+    /// Send worker `w` one block frame of `epoch`'s run, tagged `(kind, i)`.
+    fn send_in(session: &Session, epoch: &RunEpoch, w: usize, kind: FrameKind, i: usize) {
+        let frame =
+            Frame::new_in_run(Tag::new(kind, i, 0), epoch.generation(), Bytes::from_static(b"x"));
+        session.master().send(WorkerId(w), frame, 1);
+    }
+
+    /// Receive worker `w`'s next frame of `epoch`'s run.
+    fn recv_in(session: &Session, epoch: &RunEpoch, w: usize) -> Frame {
+        let t = Some(std::time::Duration::from_secs(10));
+        session.master().recv_timeout(WorkerId(w), epoch.generation(), 1, t).expect("echo").0
+    }
+
     #[test]
     fn one_session_serves_many_runs() {
         let session = echo_session(2);
         for run in 0..5u32 {
             let epoch = session.begin_run(2, run);
             for w in 0..2 {
-                session.master().send(
-                    WorkerId(w),
-                    Frame::new(Tag::new(FrameKind::BlockA, w, 0), Bytes::from_static(b"x")),
-                    1,
-                );
+                send_in(&session, &epoch, w, FrameKind::BlockA, w);
             }
             for w in 0..2 {
-                let (frame, _) = session.master().recv(WorkerId(w), 1).unwrap();
+                let frame = recv_in(&session, &epoch, w);
                 assert_eq!(frame.tag.kind, FrameKind::CResult);
                 assert_eq!(frame.tag.i as usize, w, "echo routed per link");
                 assert_eq!(frame.tag.j, run, "program saw this run's parameter");
@@ -930,22 +873,14 @@ mod tests {
         // Run 1: send a block but abort without receiving the echo — the
         // reply is left in flight, stamped with generation 1.
         let epoch = session.begin_run(1, 1);
-        session.master().send(
-            WorkerId(0),
-            Frame::new(Tag::new(FrameKind::BlockA, 0, 0), Bytes::from_static(b"x")),
-            1,
-        );
+        send_in(&session, &epoch, 0, FrameKind::BlockA, 0);
         session.abort_run(1, epoch);
 
         // Run 2 on the same session: the leftover generation-1 reply must
         // never surface; the run's own traffic flows normally.
         let epoch = session.begin_run(1, 2);
-        session.master().send(
-            WorkerId(0),
-            Frame::new(Tag::new(FrameKind::BlockA, 5, 0), Bytes::from_static(b"y")),
-            1,
-        );
-        let (frame, _) = session.master().recv(WorkerId(0), 1).unwrap();
+        send_in(&session, &epoch, 0, FrameKind::BlockA, 5);
+        let frame = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.i, 5, "run 2 must see its own echo, not run 1's leftover");
         assert_eq!(frame.tag.j, 2);
         session.finish_run(1, epoch);
@@ -960,12 +895,8 @@ mod tests {
     fn partial_enrollment_leaves_other_workers_parked() {
         let session = echo_session(3);
         let epoch = session.begin_run(1, 7);
-        session.master().send(
-            WorkerId(0),
-            Frame::new(Tag::new(FrameKind::BlockB, 9, 9), Bytes::new()),
-            1,
-        );
-        let (frame, _) = session.master().recv(WorkerId(0), 1).unwrap();
+        send_in(&session, &epoch, 0, FrameKind::BlockB, 9);
+        let frame = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.j, 7);
         assert_eq!(session.finish_run(1, epoch), 2);
         // Workers 1 and 2 never saw a frame; shutdown still joins all 3.
@@ -1006,12 +937,8 @@ mod tests {
         assert_eq!(session.workers(), 1);
         assert_eq!(session.epoch(), 1, "a fresh fleet is generation 1");
         let epoch = session.begin_run(1, 1);
-        session.master().send(
-            WorkerId(0),
-            Frame::new(Tag::new(FrameKind::BlockA, 0, 0), Bytes::from_static(b"x")),
-            1,
-        );
-        assert!(session.master().recv(WorkerId(0), 1).is_ok());
+        send_in(&session, &epoch, 0, FrameKind::BlockA, 0);
+        recv_in(&session, &epoch, 0);
         session.finish_run(1, epoch);
         // Between runs: a new worker dials in and is admitted.
         let w1 = dial(None);
@@ -1024,14 +951,10 @@ mod tests {
         assert_eq!(session.worker_fingerprints()[1], b"elastic".to_vec());
         let epoch = session.begin_run(2, 2);
         for w in 0..2 {
-            session.master().send(
-                WorkerId(w),
-                Frame::new(Tag::new(FrameKind::BlockA, w, 0), Bytes::from_static(b"y")),
-                1,
-            );
+            send_in(&session, &epoch, w, FrameKind::BlockA, w);
         }
         for w in 0..2 {
-            let (frame, _) = session.master().recv(WorkerId(w), 1).unwrap();
+            let frame = recv_in(&session, &epoch, w);
             assert_eq!(frame.tag.j, 2, "the admitted worker serves runs like any other");
         }
         session.finish_run(2, epoch);
@@ -1075,12 +998,8 @@ mod tests {
         assert_eq!(session.epoch(), 2, "pruning advances the membership epoch");
         // The survivor still serves a run at its new slot 0.
         let epoch = session.begin_run(1, 3);
-        session.master().send(
-            WorkerId(0),
-            Frame::new(Tag::new(FrameKind::BlockB, 0, 0), Bytes::from_static(b"z")),
-            1,
-        );
-        let (frame, _) = session.master().recv(WorkerId(0), 1).unwrap();
+        send_in(&session, &epoch, 0, FrameKind::BlockB, 0);
+        let frame = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.j, 3);
         session.finish_run(1, epoch);
         drop(session);
@@ -1161,12 +1080,8 @@ mod tests {
         let mut seen = Vec::new();
         for _ in 0..3 {
             let epoch = session.begin_run(1, 0);
-            session.master().send(
-                WorkerId(0),
-                Frame::new(Tag::new(FrameKind::BlockA, 0, 0), Bytes::from_static(b"x")),
-                1,
-            );
-            let (frame, _) = session.master().recv(WorkerId(0), 1).unwrap();
+            send_in(&session, &epoch, 0, FrameKind::BlockA, 0);
+            let frame = recv_in(&session, &epoch, 0);
             assert_ne!(frame.run, 0, "generation 0 must be skipped on wrap");
             seen.push(frame.run);
             session.finish_run(1, epoch);
@@ -1179,8 +1094,8 @@ mod tests {
     /// A run-generation-aware echo: replies are stamped with the
     /// generation of the frame they answer (not the latest adopted one),
     /// and the program returns to park only when every generation it saw
-    /// open has ended — the multi-run shape job-serving worker programs
-    /// must have.
+    /// open has ended — the shape a worker program serving overlapping
+    /// runs must have.
     fn job_echo_program(_param: u32, ep: &WorkerEndpoint) -> RunExit {
         let mut open = vec![ep.current_run()];
         loop {
@@ -1213,50 +1128,35 @@ mod tests {
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         let session = Session::spawn(&platform, 0.0, |_, _| job_echo_program);
 
-        // Two jobs in flight at once on the same worker link.
-        let job_a = session.begin_job(1, 7);
-        let job_b = session.begin_job(1, 8);
-        let (ga, gb) = (job_a.generation(), job_b.generation());
-        assert_ne!(ga, gb);
+        // Two runs in flight at once on the same worker link.
+        let run_a = session.begin_run(1, 7);
+        let run_b = session.begin_run(1, 8);
+        assert_ne!(run_a.generation(), run_b.generation());
 
-        // Interleave the jobs' frames on the wire, pre-stamped with
-        // their generations.
-        for (run, i) in [(ga, 1usize), (gb, 2), (ga, 3), (gb, 4)] {
-            let mut f = Frame::new(Tag::new(FrameKind::BlockA, i, 0), Bytes::from_static(b"x"));
-            f.run = run;
-            session.master().send(WorkerId(0), f, 1);
+        // Interleave the runs' frames on the wire, each stamped with its
+        // generation.
+        for (epoch, i) in [(&run_a, 1usize), (&run_b, 2), (&run_a, 3), (&run_b, 4)] {
+            send_in(&session, epoch, 0, FrameKind::BlockA, i);
         }
 
-        // Collect job B first: its collector must stash job A's replies
-        // for job A instead of dropping them.
-        let t = Some(std::time::Duration::from_secs(10));
-        let mut b_seen = Vec::new();
-        for _ in 0..2 {
-            let (f, _) = session.master().recv_run_timeout(WorkerId(0), gb, 1, t).unwrap();
-            assert_eq!(f.run, gb);
-            b_seen.push(f.tag.i);
+        // Collect run B first: its collector must stash run A's replies
+        // for run A instead of dropping them.
+        for (epoch, expect) in [(&run_b, [2, 4]), (&run_a, [1, 3])] {
+            for i in expect {
+                let f = recv_in(&session, epoch, 0);
+                assert_eq!(f.run, epoch.generation());
+                assert_eq!(f.tag.i, i);
+            }
         }
-        assert_eq!(b_seen, vec![2, 4]);
-        let mut a_seen = Vec::new();
-        for _ in 0..2 {
-            let (f, _) = session.master().recv_run_timeout(WorkerId(0), ga, 1, t).unwrap();
-            assert_eq!(f.run, ga);
-            a_seen.push(f.tag.i);
-        }
-        assert_eq!(a_seen, vec![1, 3]);
 
-        session.finish_job(1, job_a);
-        session.finish_job(1, job_b);
+        session.finish_run(1, run_a);
+        session.finish_run(1, run_b);
         assert_eq!(session.stale_rejections(), 0, "no interleaved frame was dropped");
 
-        // The session still serves a legacy exclusive run afterwards.
+        // The session serves a solo run afterwards like any other.
         let epoch = session.begin_run(1, 9);
-        session.master().send(
-            WorkerId(0),
-            Frame::new(Tag::new(FrameKind::BlockA, 5, 0), Bytes::from_static(b"y")),
-            1,
-        );
-        let (f, _) = session.master().recv(WorkerId(0), 1).unwrap();
+        send_in(&session, &epoch, 0, FrameKind::BlockA, 5);
+        let f = recv_in(&session, &epoch, 0);
         assert_eq!(f.tag.i, 5);
         session.finish_run(1, epoch);
         assert_eq!(session.shutdown(), 1);
@@ -1267,26 +1167,19 @@ mod tests {
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         let session = Session::spawn(&platform, 0.0, |_, _| job_echo_program);
 
-        let job_a = session.begin_job(1, 1);
-        let job_b = session.begin_job(1, 2);
-        let (ga, gb) = (job_a.generation(), job_b.generation());
+        let run_a = session.begin_run(1, 1);
+        let run_b = session.begin_run(1, 2);
 
-        // Job A sends a frame whose echo is never collected, then aborts.
-        let mut f = Frame::new(Tag::new(FrameKind::BlockA, 1, 0), Bytes::from_static(b"x"));
-        f.run = ga;
-        session.master().send(WorkerId(0), f, 1);
-        session.abort_job(1, job_a);
+        // Run A sends a frame whose echo is never collected, then aborts.
+        send_in(&session, &run_a, 0, FrameKind::BlockA, 1);
+        session.abort_run(1, run_a);
 
-        // Job B is untouched: its exchange completes bit-for-bit.
-        let mut f = Frame::new(Tag::new(FrameKind::BlockA, 2, 0), Bytes::from_static(b"y"));
-        f.run = gb;
-        session.master().send(WorkerId(0), f, 1);
-        let t = Some(std::time::Duration::from_secs(10));
-        let (echo, _) = session.master().recv_run_timeout(WorkerId(0), gb, 1, t).unwrap();
-        assert_eq!(echo.tag.i, 2);
-        session.finish_job(1, job_b);
+        // Run B is untouched: its exchange completes bit-for-bit.
+        send_in(&session, &run_b, 0, FrameKind::BlockA, 2);
+        assert_eq!(recv_in(&session, &run_b, 0).tag.i, 2);
+        session.finish_run(1, run_b);
 
-        // Job A's orphaned echo was either retired from the demux queue
+        // Run A's orphaned echo was either retired from the demux queue
         // or rejected at admission — counted either way.
         assert!(session.stale_rejections() >= 1);
         assert_eq!(session.shutdown(), 1);
@@ -1311,14 +1204,10 @@ mod tests {
         for run in 0..3u32 {
             let epoch = session.begin_run(2, run);
             for w in 0..2 {
-                session.master().send(
-                    WorkerId(w),
-                    Frame::new(Tag::new(FrameKind::BlockA, w, 0), Bytes::from_static(b"x")),
-                    1,
-                );
+                send_in(&session, &epoch, w, FrameKind::BlockA, w);
             }
             for w in 0..2 {
-                let (frame, _) = session.master().recv(WorkerId(w), 1).unwrap();
+                let frame = recv_in(&session, &epoch, w);
                 assert_eq!(frame.tag.i as usize, w, "frames routed per socket link");
                 assert_eq!(frame.tag.j, run, "program saw this run's parameter");
             }
@@ -1332,12 +1221,8 @@ mod tests {
     fn loopback_uds_session_serves_runs() {
         let session = echo_session_over(TransportMode::Uds, 3);
         let epoch = session.begin_run(1, 9);
-        session.master().send(
-            WorkerId(0),
-            Frame::new(Tag::new(FrameKind::BlockB, 4, 4), Bytes::from_static(b"y")),
-            1,
-        );
-        let (frame, _) = session.master().recv(WorkerId(0), 1).unwrap();
+        send_in(&session, &epoch, 0, FrameKind::BlockB, 4);
+        let frame = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.j, 9);
         assert_eq!(session.finish_run(1, epoch), 2);
         // Workers 1 and 2 stayed parked on their sockets; shutdown still
@@ -1400,12 +1285,8 @@ mod tests {
         let session = Session::accept_remote(&platform, 0.0, &listener, 42).unwrap();
         assert_eq!(session.worker_fingerprints()[0], b"real-worker".to_vec());
         let epoch = session.begin_run(1, 5);
-        session.master().send(
-            WorkerId(0),
-            Frame::new(Tag::new(FrameKind::BlockA, 0, 0), Bytes::from_static(b"z")),
-            1,
-        );
-        let (frame, _) = session.master().recv(WorkerId(0), 1).unwrap();
+        send_in(&session, &epoch, 0, FrameKind::BlockA, 0);
+        let frame = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.j, 5);
         assert_eq!(session.finish_run(1, epoch), 2);
         drop(session); // delivers shutdown: the worker thread exits
