@@ -250,7 +250,7 @@ fn main() -> ExitCode {
         "replay_diff: HoLM {r}x{s}x{t}, q={q}, {} workers, time_scale={}, transport={:?}",
         args.workers,
         args.time_scale,
-        mwp_msg::transport::transport_mode(),
+        mwp_msg::config::transport_mode(),
     );
 
     // Measure: one real run under the span recorder. The capture is ended

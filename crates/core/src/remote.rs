@@ -5,8 +5,8 @@
 //! serves `RUN_BEGIN`/`RUN_END`-delimited runs with the same Algorithm 2
 //! program ([`crate::runtime`]'s block server) and the same persistent
 //! scratch state. This module is the thin glue the `mwp-worker` binary
-//! calls after [`mwp_msg::transport::enroll`] hands it an endpoint and a
-//! welcome naming [`mwp_msg::transport::SERVICE_MATRIX`].
+//! calls after [`mwp_msg::transport::enroll_with_retry`] hands it an
+//! endpoint and a welcome naming [`mwp_msg::transport::SERVICE_MATRIX`].
 
 use crate::runtime::WorkerState;
 use mwp_msg::session::serve_worker;

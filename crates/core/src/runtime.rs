@@ -30,7 +30,7 @@ use bytes::Bytes;
 use mwp_blockmat::kernel::PackedB;
 use mwp_blockmat::{Block, BlockMatrix, SharedPayloads};
 use mwp_msg::session::{RunExit, RUN_ABORT, RUN_BEGIN, RUN_END};
-use mwp_msg::transport::run_deadline;
+use mwp_msg::config::run_deadline;
 use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};

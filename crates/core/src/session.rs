@@ -101,7 +101,7 @@ impl RuntimeSession {
     /// follows `MWP_TRANSPORT` (in-process channels by default, loopback
     /// TCP/Unix sockets otherwise — same workers, same programs).
     pub fn new(platform: &Platform, time_scale: f64) -> Self {
-        Self::with_transport(platform, time_scale, mwp_msg::transport::transport_mode())
+        Self::with_transport(platform, time_scale, mwp_msg::config::transport_mode())
     }
 
     /// [`RuntimeSession::new`] with an explicit transport, ignoring

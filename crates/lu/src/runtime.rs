@@ -28,8 +28,9 @@
 use mwp_blockmat::kernel::PackedB;
 use mwp_blockmat::lu::{lu_factor_in_place, trsm_left_unit_lower, trsm_right_upper, Dense};
 use mwp_blockmat::BlockMatrix;
+use mwp_msg::config::run_deadline;
 use mwp_msg::session::{serve_worker, RunExit, Session, RUN_ABORT, RUN_END};
-use mwp_msg::transport::{run_deadline, SERVICE_LU};
+use mwp_msg::transport::SERVICE_LU;
 use mwp_msg::{BufferPool, Frame, FrameKind, Tag, TransportListener, TransportMode, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::{record, Activity, ActivityKind, Resource};
@@ -97,7 +98,7 @@ impl LuSession {
     /// (0 = off), exactly as in [`run_lu`]. The frame transport follows
     /// `MWP_TRANSPORT` (channels by default, loopback sockets otherwise).
     pub fn new(platform: &Platform, time_scale: f64) -> Self {
-        Self::with_transport(platform, time_scale, mwp_msg::transport::transport_mode())
+        Self::with_transport(platform, time_scale, mwp_msg::config::transport_mode())
     }
 
     /// [`LuSession::new`] with an explicit transport, ignoring

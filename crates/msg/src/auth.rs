@@ -1,9 +1,10 @@
-//! Enrollment authentication: SHA-256, HMAC-SHA256, and the fleet
-//! secret.
+//! Enrollment authentication: SHA-256, HMAC-SHA256, and handshake
+//! nonces.
 //!
 //! The enrollment handshake (see [`crate::transport`]) authenticates
 //! both ends of a new connection with an HMAC challenge/response over a
-//! **shared fleet secret** (`MWP_FLEET_SECRET`): the master opens with a
+//! **shared fleet secret** (`MWP_FLEET_SECRET`, read by
+//! [`crate::config::fleet_secret`]): the master opens with a
 //! challenge nonce, the worker's hello carries an HMAC over that nonce
 //! and every field it asserts, and the master's welcome answers with an
 //! HMAC over the worker's nonce — so neither a replayed hello nor a
@@ -179,17 +180,6 @@ pub fn hmac_sha256(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
 /// tags differ, so a byte-at-a-time forgery can't be walked in.
 pub fn macs_equal(a: &[u8; 32], b: &[u8; 32]) -> bool {
     a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
-}
-
-/// The fleet's shared enrollment secret: `MWP_FLEET_SECRET`, re-read on
-/// every call (like `MWP_HANDSHAKE_TIMEOUT_MS`, so tests can stage
-/// secrets within one process). Unset or empty means **no secret**: the
-/// handshake still runs its MACs (the wire format is uniform) but keys
-/// them with the empty string, which any peer can compute — set a
-/// secret on every fleet member before exposing a listener beyond
-/// loopback.
-pub fn fleet_secret() -> Vec<u8> {
-    std::env::var("MWP_FLEET_SECRET").map(String::into_bytes).unwrap_or_default()
 }
 
 /// A process-unique 16-byte handshake nonce. Uniqueness — not secrecy —

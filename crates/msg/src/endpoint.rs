@@ -11,6 +11,7 @@ use crossbeam::channel::RecvError;
 use mwp_platform::WorkerId;
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::Duration;
 
 /// Fixed trace label for a frame kind (no allocation on the hot path).
 fn kind_label(k: FrameKind) -> &'static str {
@@ -85,11 +86,25 @@ fn trace_port_op(
 pub struct MasterEndpoint {
     port: OnePort,
     links: Vec<MasterSide>,
+    /// The liveness `(heartbeat, deadline)` this endpoint's session was
+    /// built under (see [`crate::config::liveness`]), captured once at
+    /// construction: the data path never reads the environment.
+    liveness: Option<(Duration, Duration)>,
 }
 
 impl MasterEndpoint {
-    pub(crate) fn new(port: OnePort, links: Vec<MasterSide>) -> Self {
-        MasterEndpoint { port, links }
+    pub(crate) fn new(
+        port: OnePort,
+        links: Vec<MasterSide>,
+        liveness: Option<(Duration, Duration)>,
+    ) -> Self {
+        MasterEndpoint { port, links, liveness }
+    }
+
+    /// The liveness setting captured at construction — what links
+    /// enrolled later ([`crate::Session::admit`]) are attached under.
+    pub(crate) fn liveness(&self) -> Option<(Duration, Duration)> {
+        self.liveness
     }
 
     /// Number of workers.
@@ -157,7 +172,7 @@ impl MasterEndpoint {
         from: WorkerId,
         run: u32,
         blocks: u64,
-        timeout: Option<std::time::Duration>,
+        timeout: Option<Duration>,
     ) -> Option<(Frame, f64)> {
         let t0 = trace_start();
         let frame = self.links[from.index()].recv_wait_run(run, timeout)?;
@@ -210,18 +225,17 @@ impl MasterEndpoint {
     }
 
     /// Receive a frame of run generation `run` from `from` under the
-    /// process-wide liveness deadline (`MWP_DEADLINE_MS`; see
-    /// [`crate::transport::liveness`]). `None` means the worker is dead or
-    /// wedged past the detection bound — the caller should
-    /// [`MasterEndpoint::mark_dead`] it and re-dispatch its outstanding
-    /// work. With liveness disabled the wait is unbounded, and only a
-    /// closed link (worker exit, pump death) returns `None`.
+    /// liveness deadline this endpoint was built with (`MWP_DEADLINE_MS`
+    /// at session construction; see [`crate::config::liveness`]). `None`
+    /// means the worker is dead or wedged past the detection bound — the
+    /// caller should [`MasterEndpoint::mark_dead`] it and re-dispatch its
+    /// outstanding work. With liveness disabled the wait is unbounded, and
+    /// only a closed link (worker exit, pump death) returns `None`.
     pub fn recv_deadline(&self, from: WorkerId, run: u32, blocks: u64) -> Option<(Frame, f64)> {
         if self.links[from.index()].is_dead() {
             return None;
         }
-        let timeout = crate::transport::liveness().map(|(_, deadline)| deadline);
-        self.recv_timeout(from, run, blocks, timeout)
+        self.recv_timeout(from, run, blocks, self.liveness.map(|(_, deadline)| deadline))
     }
 
     /// Whether `w`'s link has been declared dead.
@@ -345,21 +359,23 @@ impl WorkerEndpoint {
     }
 
     /// A remote worker's endpoint: frames travel over the framed stream
-    /// halves instead of a channel. Built by [`crate::transport::enroll`]
+    /// halves instead of a channel. Built by [`crate::transport::enroll_with`]
     /// after the handshake assigns the id.
     ///
-    /// When liveness is enabled (see [`crate::transport::liveness`]) a
-    /// heartbeat thread sends a probe every `MWP_HEARTBEAT_MS` over the
-    /// shared writer, so the master keeps seeing traffic even while this
-    /// worker's serving thread is deep in a long kernel call — a slow
-    /// worker must not be mistaken for a dead one.
+    /// With a `heartbeat` interval (`MWP_HEARTBEAT_MS`, resolved once by
+    /// the enrollment that builds this endpoint) a heartbeat thread sends
+    /// a probe that often over the shared writer, so the master keeps
+    /// seeing traffic even while this worker's serving thread is deep in
+    /// a long kernel call — a slow worker must not be mistaken for a dead
+    /// one.
     pub(crate) fn remote(
         id: WorkerId,
         reader: Box<dyn crate::transport::FrameRead>,
         writer: Box<dyn crate::transport::FrameWrite>,
+        heartbeat: Option<Duration>,
     ) -> Self {
         let writer = std::sync::Arc::new(parking_lot::Mutex::new(writer));
-        let hb_stop = crate::transport::liveness().map(|(interval, _)| {
+        let hb_stop = heartbeat.map(|interval| {
             let (stop_tx, stop_rx) = crossbeam::channel::unbounded::<()>();
             let hb_writer = std::sync::Arc::clone(&writer);
             std::thread::Builder::new()
@@ -480,7 +496,7 @@ mod tests {
             masters.push(m);
             workers.push(WorkerEndpoint::new(WorkerId(i), w));
         }
-        (MasterEndpoint::new(port, masters), workers)
+        (MasterEndpoint::new(port, masters, crate::config::liveness()), workers)
     }
 
     #[test]

@@ -33,7 +33,9 @@ pub struct StarNetwork {
 
 impl StarNetwork {
     /// Wire a star for `platform`. `time_scale` is wall seconds per model
-    /// time unit (0 disables pacing; see [`Pacing`]).
+    /// time unit (0 disables pacing; see [`Pacing`]). The master
+    /// endpoint's receive deadline is [`crate::config::liveness`], read
+    /// here, once.
     pub fn build(platform: &Platform, time_scale: f64) -> Self {
         let pacing = Pacing { time_scale };
         let port = OnePort::new();
@@ -45,7 +47,7 @@ impl StarNetwork {
             workers.push(WorkerEndpoint::new(id, w));
         }
         StarNetwork {
-            master: MasterEndpoint::new(port, master_sides),
+            master: MasterEndpoint::new(port, master_sides, crate::config::liveness()),
             workers,
         }
     }

@@ -24,20 +24,21 @@
 //! worker process is exactly a session worker whose endpoint happens to
 //! be a socket.
 
-use crate::auth;
+use crate::config;
 use crate::endpoint::{MasterEndpoint, WorkerEndpoint};
 use crate::frame::{Frame, FrameKind};
 use crate::link::Pacing;
 use crate::net::StarNetwork;
 use crate::port::OnePort;
 use crate::transport::{
-    self, RemoteLink, TransportListener, TransportMode, Welcome, SERVICE_INPROC,
+    self, EnrollTerms, TransportListener, TransportMode, HANDSHAKE_TIMEOUT, SERVICE_INPROC,
 };
 use mwp_platform::{Platform, WorkerId, WorkerParams};
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
 use std::io;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread;
+use std::time::Duration;
 
 // The run-lifecycle sentinels and frame constructors live in
 // [`crate::lifecycle`] — one documented module owns the `tag.i` magic
@@ -166,7 +167,7 @@ impl Session {
     /// by the program persists across runs — that is the point.
     ///
     /// The byte transport under the star is chosen by `MWP_TRANSPORT`
-    /// (see [`transport::transport_mode`]): in-process channels by
+    /// (see [`config::transport_mode`]): in-process channels by
     /// default, or loopback TCP/Unix sockets — same worker threads, same
     /// programs, but every frame truly crosses the socket stack. Use
     /// [`Session::spawn_with_transport`] to pick explicitly.
@@ -175,7 +176,7 @@ impl Session {
         F: FnMut(WorkerId, WorkerParams) -> P,
         P: FnMut(u32, &WorkerEndpoint) -> RunExit + Send + 'static,
     {
-        Self::spawn_with_transport(platform, time_scale, transport::transport_mode(), factory)
+        Self::spawn_with_transport(platform, time_scale, config::transport_mode(), factory)
     }
 
     /// [`Session::spawn`] with an explicit [`TransportMode`] (ignoring
@@ -191,95 +192,60 @@ impl Session {
         F: FnMut(WorkerId, WorkerParams) -> P,
         P: FnMut(u32, &WorkerEndpoint) -> RunExit + Send + 'static,
     {
-        match mode {
-            TransportMode::Channel => {
-                let (master, workers) = StarNetwork::build(platform, time_scale).into_endpoints();
-                let handles = platform
-                    .iter()
-                    .zip(workers)
-                    .map(|((id, params), ep)| {
-                        let mut program = factory(id, *params);
-                        thread::Builder::new()
-                            .name(format!("mwp-worker-{}", id.index()))
-                            .spawn(move || worker_loop(ep, &mut program))
-                            .expect("spawn session worker thread")
-                    })
-                    .collect();
-                Session {
-                    master,
-                    handles,
-                    pumps: Vec::new(),
-                    fingerprints: vec![Vec::new(); platform.len()],
-                    pacing: Pacing { time_scale },
-                    epoch: 1,
-                    secret: auth::fleet_secret(),
-                    run_gen: AtomicU32::new(0),
-                }
-            }
-            socket_mode => Self::spawn_loopback(platform, time_scale, socket_mode, &mut factory),
+        // One parked worker thread: obtain its endpoint, then serve runs.
+        fn spawn_worker<P>(
+            id: WorkerId,
+            mut program: P,
+            endpoint: impl FnOnce() -> WorkerEndpoint + Send + 'static,
+        ) -> thread::JoinHandle<()>
+        where
+            P: FnMut(u32, &WorkerEndpoint) -> RunExit + Send + 'static,
+        {
+            thread::Builder::new()
+                .name(format!("mwp-worker-{}", id.index()))
+                .spawn(move || serve_worker(endpoint(), &mut program))
+                .expect("spawn session worker thread")
         }
-    }
-
-    /// The loopback-socket star: worker threads live in this process (as
-    /// on the channel transport, so panics still propagate through
-    /// `shutdown`) but each one dials the master's listener and enrolls
-    /// over the wire — every frame of every run crosses a real socket.
-    fn spawn_loopback<F, P>(
-        platform: &Platform,
-        time_scale: f64,
-        mode: TransportMode,
-        factory: &mut F,
-    ) -> Session
-    where
-        F: FnMut(WorkerId, WorkerParams) -> P,
-        P: FnMut(u32, &WorkerEndpoint) -> RunExit + Send + 'static,
-    {
+        if mode == TransportMode::Channel {
+            let (master, workers) = StarNetwork::build(platform, time_scale).into_endpoints();
+            let handles = platform
+                .iter()
+                .zip(workers)
+                .map(|((id, params), ep)| spawn_worker(id, factory(id, *params), move || ep))
+                .collect();
+            let fingerprints = vec![Vec::new(); platform.len()];
+            let secret = config::fleet_secret();
+            return Session::new(master, handles, Vec::new(), fingerprints, time_scale, secret);
+        }
+        // The loopback-socket star: worker threads live in this process (as
+        // on the channel transport, so panics still propagate through
+        // `shutdown`) but each one dials the master's listener and enrolls
+        // over the wire — every frame of every run crosses a real socket.
         let listener = TransportListener::bind(mode).expect("bind loopback listener");
         let endpoint = listener.endpoint();
-        let secret = auth::fleet_secret();
-        let fp = fingerprint_bytes(&fingerprint(platform, time_scale));
-        let handles: Vec<_> = platform
+        let fp = fingerprint(platform, time_scale);
+        let handles = platform
             .iter()
             .map(|(id, params)| {
-                let mut program = factory(id, *params);
-                let endpoint = endpoint.clone();
-                let fp = fp.clone();
-                thread::Builder::new()
-                    .name(format!("mwp-worker-{}", id.index()))
-                    .spawn(move || {
-                        let stream = transport::connect_with_retry(
-                            &endpoint,
-                            std::time::Duration::from_secs(10),
-                        )
-                        .expect("loopback connect");
-                        let (ep, _welcome) =
-                            transport::enroll(stream, Some(id), &fp).expect("loopback enroll");
-                        worker_loop(ep, &mut program)
-                    })
-                    .expect("spawn session worker thread")
+                let (endpoint, fp) = (endpoint.clone(), fp.clone());
+                spawn_worker(id, factory(id, *params), move || {
+                    let wait = Duration::from_secs(10);
+                    let enrolled =
+                        transport::enroll_with_retry(&endpoint, wait, Some(id), &fp, None);
+                    enrolled.expect("loopback enroll").0
+                })
             })
             .collect();
-        let (master, pumps, fingerprints) = accept_star(
+        let accepted = Self::accept_star(
             &listener,
             platform,
             time_scale,
             SERVICE_INPROC,
             Some(&fp),
-            &handles,
-            &secret,
-            1,
-        )
-        .expect("accept loopback workers");
-        Session {
-            master,
             handles,
-            pumps,
-            fingerprints,
-            pacing: Pacing { time_scale },
-            epoch: 1,
-            secret,
-            run_gen: AtomicU32::new(0),
-        }
+            HANDSHAKE_TIMEOUT,
+        );
+        accepted.expect("accept loopback workers")
     }
 
     /// Build a session whose workers are **remote processes**: accept one
@@ -301,19 +267,133 @@ impl Session {
         listener: &TransportListener,
         service: u8,
     ) -> io::Result<Session> {
-        let secret = auth::fleet_secret();
-        let (master, pumps, fingerprints) =
-            accept_star(listener, platform, time_scale, service, None, &[], &secret, 1)?;
-        Ok(Session {
+        Self::accept_star(
+            listener,
+            platform,
+            time_scale,
+            service,
+            None,
+            Vec::new(),
+            HANDSHAKE_TIMEOUT,
+        )
+    }
+
+    /// Accept enrollments from `listener` until every one of
+    /// `platform.len()` slots is filled, wiring each into a
+    /// [`transport::RemoteLink`]: the master-facing halves assemble into
+    /// a [`MasterEndpoint`] indistinguishable from the channel
+    /// transport's. Slots are honored when claimed (loopback worker
+    /// threads know their id), assigned in arrival order otherwise
+    /// (remote processes ask with `CLAIM_ANY`); `expect_fp`, when given,
+    /// must match every hello's fingerprint. The fleet secret and the
+    /// liveness setting are read here, once, for the session's lifetime.
+    ///
+    /// A connection that fails enrollment — garbage instead of a hello,
+    /// an out-of-range or taken slot claim, a foreign fingerprint, an
+    /// oversized handshake frame, or a peer that simply goes silent (its
+    /// handshake reads run under `handshake_timeout`) — is **dropped and
+    /// the loop keeps accepting**: on a network-reachable listener a
+    /// stray port scan or held-open health probe must not abort or park
+    /// the star's startup. Only a listener-level `accept` failure aborts
+    /// — plus, when `handles` is non-empty (the loopback transport), one
+    /// of those worker threads dying before its slot fills, which would
+    /// otherwise leave this loop waiting for a connection that can never
+    /// arrive.
+    fn accept_star(
+        listener: &TransportListener,
+        platform: &Platform,
+        time_scale: f64,
+        service: u8,
+        expect_fp: Option<&[u8]>,
+        handles: Vec<thread::JoinHandle<()>>,
+        handshake_timeout: Duration,
+    ) -> io::Result<Session> {
+        let secret = config::fleet_secret();
+        let liveness = config::liveness();
+        let terms = EnrollTerms {
+            secret: &secret,
+            epoch: 1,
+            welcome_epoch: 1,
+            pacing: Pacing { time_scale },
+            service,
+            liveness,
+            handshake_timeout,
+        };
+        let p = platform.len();
+        let mut sides: Vec<Option<crate::link::MasterSide>> = (0..p).map(|_| None).collect();
+        let mut fingerprints = vec![Vec::new(); p];
+        let mut pumps = Vec::with_capacity(2 * p);
+        let mut filled = 0usize;
+        while filled < p {
+            let stream = if handles.is_empty() {
+                listener.accept()?
+            } else {
+                // Interleave accepting with a liveness check on the local
+                // worker threads that are supposed to dial in: if one died
+                // (connect/enroll panic) its slot can never fill, and
+                // blocking forever would turn that failure into a hang.
+                match listener.accept_timeout(Duration::from_millis(250))? {
+                    Some(stream) => stream,
+                    None if handles.iter().any(|h| h.is_finished()) => {
+                        return Err(io::Error::other(
+                            "a loopback worker thread died before enrolling",
+                        ));
+                    }
+                    None => continue,
+                }
+            };
+            let enrolled = transport::master_enroll(stream, &terms, |hello| {
+                let id = match hello.claimed {
+                    Some(id) if id.index() < p && sides[id.index()].is_none() => id,
+                    Some(id) => {
+                        let reason =
+                            format!("claimed slot {} (out of range or taken)", id.index());
+                        return Err((transport::REJECT_SLOT, reason));
+                    }
+                    None => WorkerId(
+                        (0..p).find(|&i| sides[i].is_none()).expect("filled < p: a slot is free"),
+                    ),
+                };
+                if expect_fp.is_some_and(|expected| hello.fingerprint != expected) {
+                    let reason = "enrolled with a foreign platform fingerprint".to_string();
+                    return Err((transport::REJECT_FINGERPRINT, reason));
+                }
+                Ok((id, platform.workers()[id.index()]))
+            });
+            // A failed connection is simply dropped; the next accept may
+            // be the worker that actually belongs here.
+            if let Ok((id, fingerprint, link)) = enrolled {
+                let (side, link_pumps) = link.into_parts();
+                sides[id.index()] = Some(side);
+                fingerprints[id.index()] = fingerprint;
+                pumps.extend(link_pumps);
+                filled += 1;
+            }
+        }
+        let links = sides.into_iter().map(|s| s.expect("every slot filled")).collect();
+        let master = MasterEndpoint::new(OnePort::new(), links, liveness);
+        Ok(Session::new(master, handles, pumps, fingerprints, time_scale, secret))
+    }
+
+    /// A fresh fleet (membership epoch 1, no run drawn yet) over `master`.
+    fn new(
+        master: MasterEndpoint,
+        handles: Vec<thread::JoinHandle<()>>,
+        pumps: Vec<thread::JoinHandle<()>>,
+        fingerprints: Vec<Vec<u8>>,
+        time_scale: f64,
+        secret: Vec<u8>,
+    ) -> Session {
+        Session {
             master,
-            handles: Vec::new(),
+            handles,
             pumps,
             fingerprints,
             pacing: Pacing { time_scale },
             epoch: 1,
             secret,
             run_gen: AtomicU32::new(0),
-        })
+        }
     }
 
     /// **Elastic enrollment**: accept and enroll one more worker from
@@ -335,47 +415,34 @@ impl Session {
         params: WorkerParams,
         service: u8,
     ) -> io::Result<WorkerId> {
-        let mut stream = listener.accept()?;
-        let peer = stream.peer();
-        let challenge = transport::master_challenge(stream.as_mut())?;
-        let hello =
-            transport::master_read_hello(stream.as_mut(), &self.secret, &challenge, self.epoch)?;
-        let id = WorkerId(self.master.workers());
-        if let Some(claimed) = hello.claimed {
-            if claimed != id {
-                let reason = format!(
-                    "{peer} claimed slot {} but the next open slot is {}",
-                    claimed.index(),
-                    id.index()
-                );
-                transport::send_reject(stream.as_mut(), transport::REJECT_SLOT, &reason);
-                return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
-            }
-        }
+        let stream = listener.accept()?;
+        let next = WorkerId(self.master.workers());
+        let terms = EnrollTerms {
+            secret: &self.secret,
+            epoch: self.epoch,
+            welcome_epoch: self.epoch + 1,
+            pacing: self.pacing,
+            service,
+            liveness: self.master.liveness(),
+            handshake_timeout: HANDSHAKE_TIMEOUT,
+        };
+        let (id, fingerprint, link) =
+            transport::master_enroll(stream, &terms, |hello| match hello.claimed {
+                Some(claimed) if claimed != next => Err((
+                    transport::REJECT_SLOT,
+                    format!(
+                        "claimed slot {} but the next open slot is {}",
+                        claimed.index(),
+                        next.index()
+                    ),
+                )),
+                _ => Ok((next, params)),
+            })?;
         self.epoch += 1;
-        stream.send_frame(&transport::welcome_frame(
-            &Welcome {
-                worker: id,
-                c: params.c,
-                w: params.w,
-                m: params.m as u64,
-                time_scale: self.pacing.time_scale,
-                service,
-                epoch: self.epoch,
-            },
-            &self.secret,
-            &hello.nonce,
-        ))?;
-        // Same deadline discipline as `accept_star`: liveness read
-        // deadline in place before the split so the in-pump's cloned
-        // reader carries it.
-        stream.set_read_timeout(transport::liveness().map(|(_, deadline)| deadline))?;
-        let (reader, writer) = stream.split()?;
-        let (side, link_pumps) =
-            RemoteLink::attach(reader, writer, params.c, self.pacing, id).into_parts();
+        let (side, link_pumps) = link.into_parts();
         let assigned = self.master.add_link(side);
         debug_assert_eq!(assigned, id);
-        self.fingerprints.push(hello.fingerprint);
+        self.fingerprints.push(fingerprint);
         self.pumps.extend(link_pumps);
         Ok(id)
     }
@@ -603,164 +670,13 @@ impl Drop for Session {
     }
 }
 
-/// What [`accept_star`] assembles: the master endpoint over the accepted
-/// links, the links' pump threads, and each slot's enrollment
-/// fingerprint.
-type AcceptedStar = (MasterEndpoint, Vec<thread::JoinHandle<()>>, Vec<Vec<u8>>);
-
-/// Accept enrollments from `listener` until every one of
-/// `platform.len()` slots is filled, wiring each into a [`RemoteLink`]:
-/// the master-facing halves assemble into a [`MasterEndpoint`]
-/// indistinguishable from the channel transport's. Slots are honored
-/// when claimed (loopback worker threads know their id), assigned in
-/// arrival order otherwise (remote processes ask with `CLAIM_ANY`);
-/// `expect_fp`, when given, must match every hello's fingerprint.
-///
-/// A connection that fails enrollment — garbage instead of a hello, an
-/// out-of-range or taken slot claim, a foreign fingerprint, an
-/// oversized handshake frame, or a peer that simply goes silent (its
-/// handshake reads run under [`transport::handshake_timeout`]) — is
-/// **dropped and the loop keeps accepting**: on a network-reachable
-/// listener a stray port scan or held-open health probe must not abort
-/// or park the star's startup. Only a listener-level `accept` failure
-/// aborts — plus, when `watch` is non-empty (the loopback transport), a
-/// watched worker thread dying before its slot fills, which would
-/// otherwise leave this loop waiting for a connection that can never
-/// arrive.
-#[allow(clippy::too_many_arguments)]
-fn accept_star(
-    listener: &TransportListener,
-    platform: &Platform,
-    time_scale: f64,
-    service: u8,
-    expect_fp: Option<&[u8]>,
-    watch: &[thread::JoinHandle<()>],
-    secret: &[u8],
-    epoch: u64,
-) -> io::Result<AcceptedStar> {
-    let pacing = Pacing { time_scale };
-    let p = platform.len();
-    let mut sides: Vec<Option<crate::link::MasterSide>> = (0..p).map(|_| None).collect();
-    let mut fingerprints = vec![Vec::new(); p];
-    let mut pumps = Vec::with_capacity(2 * p);
-    let mut filled = 0usize;
-    while filled < p {
-        let stream = if watch.is_empty() {
-            listener.accept()?
-        } else {
-            // Interleave accepting with a liveness check on the local
-            // worker threads that are supposed to dial in: if one died
-            // (connect/enroll panic) its slot can never fill, and
-            // blocking forever would turn that failure into a hang.
-            match listener.accept_timeout(std::time::Duration::from_millis(250))? {
-                Some(stream) => stream,
-                None => {
-                    if watch.iter().any(|h| h.is_finished()) {
-                        return Err(io::Error::other(
-                            "a loopback worker thread died before enrolling",
-                        ));
-                    }
-                    continue;
-                }
-            }
-        };
-        // Per-connection enrollment; an Err here condemns only this
-        // connection (dropped on scope exit), never the star. The
-        // handshake runs on the unsplit stream under a read deadline and
-        // the handshake wire-length budget.
-        let enroll_one = || -> io::Result<()> {
-            let mut stream = stream;
-            let peer = stream.peer();
-            let challenge = transport::master_challenge(stream.as_mut())?;
-            let hello =
-                transport::master_read_hello(stream.as_mut(), secret, &challenge, epoch)?;
-            let id = match hello.claimed {
-                Some(id) if id.index() < p && sides[id.index()].is_none() => id,
-                Some(id) => {
-                    let reason =
-                        format!("{peer} claimed slot {} (out of range or taken)", id.index());
-                    transport::send_reject(stream.as_mut(), transport::REJECT_SLOT, &reason);
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
-                }
-                None => WorkerId(
-                    (0..p).find(|&i| sides[i].is_none()).expect("filled < p: a slot is free"),
-                ),
-            };
-            if let Some(expected) = expect_fp {
-                if hello.fingerprint != expected {
-                    let reason = format!("{peer} enrolled with a foreign platform fingerprint");
-                    transport::send_reject(
-                        stream.as_mut(),
-                        transport::REJECT_FINGERPRINT,
-                        &reason,
-                    );
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
-                }
-            }
-            let params = platform.workers()[id.index()];
-            stream.send_frame(&transport::welcome_frame(
-                &Welcome {
-                    worker: id,
-                    c: params.c,
-                    w: params.w,
-                    m: params.m as u64,
-                    time_scale,
-                    service,
-                    epoch,
-                },
-                secret,
-                &hello.nonce,
-            ))?;
-            // Enrolled: swap the handshake deadline for the liveness
-            // deadline (or clear it entirely when liveness is off —
-            // session workers park on blocking reads by design). This
-            // runs **before** `split()` so the cloned reader the
-            // in-pump blocks on inherits the deadline: a worker that
-            // goes silent longer than `MWP_DEADLINE_MS` surfaces as a
-            // timed-out read, which the pump turns into the link's
-            // death flag. Idle-but-alive workers never trip it — their
-            // heartbeat thread keeps frames flowing.
-            stream.set_read_timeout(transport::liveness().map(|(_, deadline)| deadline))?;
-            let (reader, writer) = stream.split()?;
-            let link = RemoteLink::attach(reader, writer, params.c, pacing, id);
-            let (side, link_pumps) = link.into_parts();
-            sides[id.index()] = Some(side);
-            fingerprints[id.index()] = hello.fingerprint;
-            pumps.extend(link_pumps);
-            filled += 1;
-            Ok(())
-        };
-        // The failed connection is simply dropped; the next accept may
-        // be the worker that actually belongs here.
-        let _ = enroll_one();
-    }
-    let links = sides.into_iter().map(|s| s.expect("every slot filled")).collect();
-    Ok((MasterEndpoint::new(OnePort::new(), links), pumps, fingerprints))
-}
-
-/// Encode a platform [`fingerprint`] as the byte string the enrollment
-/// hello carries (little-endian `u64`s).
-pub fn fingerprint_bytes(fingerprint: &[u64]) -> Vec<u8> {
-    fingerprint.iter().flat_map(|v| v.to_le_bytes()).collect()
-}
-
 /// Drive a worker endpoint through the session protocol until shutdown:
-/// the public entry point for **remote worker processes** (the
-/// `mwp-worker` binary), identical to the loop the in-process worker
-/// threads run. Parks in `ep.recv()` between runs; each `RUN_BEGIN`
-/// invokes `program` with the run parameter; returns when the master
-/// sends a shutdown frame or the connection/channel closes.
+/// the outer loop every session worker parks in — the in-process worker
+/// threads and **remote worker processes** (the `mwp-worker` binary)
+/// alike. Parks in `ep.recv()` between runs (blocking, no polling); each
+/// `RUN_BEGIN` invokes `program` with the run parameter; returns when the
+/// master sends a shutdown frame or the connection/channel closes.
 pub fn serve_worker<P>(ep: WorkerEndpoint, program: &mut P)
-where
-    P: FnMut(u32, &WorkerEndpoint) -> RunExit,
-{
-    worker_loop(ep, program)
-}
-
-/// The outer loop every session worker parks in: wait (blocking, no
-/// polling) for the next `RUN_BEGIN`, serve the run through `program`,
-/// repeat until shutdown.
-fn worker_loop<P>(ep: WorkerEndpoint, program: &mut P)
 where
     P: FnMut(u32, &WorkerEndpoint) -> RunExit,
 {
@@ -785,16 +701,17 @@ where
     }
 }
 
-/// Stable identity of a platform + pacing configuration — what a
-/// loopback worker presents at enrollment: two stars agree exactly when
-/// every worker's `(c, w, m)` and the time scale are bit-equal.
-pub fn fingerprint(platform: &Platform, time_scale: f64) -> Vec<u64> {
-    let mut key = Vec::with_capacity(1 + 3 * platform.len());
-    key.push(time_scale.to_bits());
+/// Stable identity of a platform + pacing configuration — the bytes a
+/// loopback worker presents at enrollment (little-endian `u64`s): two
+/// stars agree exactly when every worker's `(c, w, m)` and the time scale
+/// are bit-equal.
+pub fn fingerprint(platform: &Platform, time_scale: f64) -> Vec<u8> {
+    let mut key = Vec::with_capacity(8 * (1 + 3 * platform.len()));
+    key.extend(time_scale.to_bits().to_le_bytes());
     for w in platform.workers() {
-        key.push(w.c.to_bits());
-        key.push(w.w.to_bits());
-        key.push(w.m as u64);
+        for field in [w.c.to_bits(), w.w.to_bits(), w.m as u64] {
+            key.extend(field.to_le_bytes());
+        }
     }
     key
 }
@@ -844,23 +761,54 @@ mod tests {
         session.master().recv_timeout(WorkerId(w), epoch.generation(), 1, t).expect("echo").0
     }
 
+    /// One echo run over workers `0..workers`: each is sent one block and
+    /// must bounce it back, routed per link and stamped with `param`.
+    /// Returns the blocks the run moved.
+    fn echo_round(session: &Session, workers: usize, param: u32) -> u64 {
+        let epoch = session.begin_run(workers, param);
+        for w in 0..workers {
+            send_in(session, &epoch, w, FrameKind::BlockA, w);
+        }
+        for w in 0..workers {
+            let frame = recv_in(session, &epoch, w);
+            assert_eq!(frame.tag.kind, FrameKind::CResult);
+            assert_eq!(frame.tag.i as usize, w, "echo routed per link");
+            assert_eq!(frame.tag.j, param, "program saw this run's parameter");
+        }
+        session.finish_run(workers, epoch)
+    }
+
+    /// A remote fleet member: dial `endpoint` (on the calling thread, so
+    /// dialers reach the listener in the order they are made), then, on a
+    /// thread of its own, enroll presenting `claim`/`epoch`/`fp` and
+    /// serve echo runs until shutdown. Joins to the welcome's epoch, or
+    /// to the kind of the enrollment error. The secret is the ambient one
+    /// the session under test reads too, so a CI leg exporting
+    /// `MWP_FLEET_SECRET` exercises these gates authenticated.
+    fn remote_worker(
+        endpoint: &str,
+        claim: Option<usize>,
+        epoch: u64,
+        fp: &'static [u8],
+    ) -> thread::JoinHandle<Result<u64, io::ErrorKind>> {
+        let stream = transport::connect_with_retry(endpoint, Duration::from_secs(10)).unwrap();
+        thread::spawn(move || {
+            let secret = config::fleet_secret();
+            let (ep, welcome) =
+                transport::enroll_with(stream, claim.map(WorkerId), fp, &secret, epoch, None)
+                    .map_err(|e| e.kind())?;
+            serve_worker(ep, &mut echo_program);
+            Ok(welcome.epoch)
+        })
+    }
+
     #[test]
     fn one_session_serves_many_runs() {
         let session = echo_session(2);
         for run in 0..5u32 {
-            let epoch = session.begin_run(2, run);
-            for w in 0..2 {
-                send_in(&session, &epoch, w, FrameKind::BlockA, w);
-            }
-            for w in 0..2 {
-                let frame = recv_in(&session, &epoch, w);
-                assert_eq!(frame.tag.kind, FrameKind::CResult);
-                assert_eq!(frame.tag.i as usize, w, "echo routed per link");
-                assert_eq!(frame.tag.j, run, "program saw this run's parameter");
-            }
             // Each run moved exactly its own 4 blocks, although the
             // session's raw counters keep growing.
-            assert_eq!(session.finish_run(2, epoch), 4);
+            assert_eq!(echo_round(&session, 2, run), 4);
         }
         assert_eq!(session.master().total_blocks(), 20);
         assert_eq!(session.shutdown(), 2);
@@ -919,29 +867,14 @@ mod tests {
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let endpoint = listener.endpoint();
-        let dial = |claim: Option<WorkerId>| {
-            let endpoint = endpoint.clone();
-            thread::spawn(move || {
-                let stream = transport::connect_with_retry(
-                    &endpoint,
-                    std::time::Duration::from_secs(10),
-                )
-                .unwrap();
-                let (ep, _welcome) = transport::enroll(stream, claim, b"elastic").unwrap();
-                serve_worker(ep, &mut echo_program);
-            })
-        };
-        let w0 = dial(None);
+        let w0 = remote_worker(&endpoint, None, 0, b"elastic");
         let mut session =
             Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC).unwrap();
         assert_eq!(session.workers(), 1);
         assert_eq!(session.epoch(), 1, "a fresh fleet is generation 1");
-        let epoch = session.begin_run(1, 1);
-        send_in(&session, &epoch, 0, FrameKind::BlockA, 0);
-        recv_in(&session, &epoch, 0);
-        session.finish_run(1, epoch);
+        echo_round(&session, 1, 1);
         // Between runs: a new worker dials in and is admitted.
-        let w1 = dial(None);
+        let w1 = remote_worker(&endpoint, None, 0, b"elastic");
         let id = session
             .admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 }, SERVICE_INPROC)
             .unwrap();
@@ -949,18 +882,11 @@ mod tests {
         assert_eq!(session.workers(), 2);
         assert_eq!(session.epoch(), 2, "admission is a membership change");
         assert_eq!(session.worker_fingerprints()[1], b"elastic".to_vec());
-        let epoch = session.begin_run(2, 2);
-        for w in 0..2 {
-            send_in(&session, &epoch, w, FrameKind::BlockA, w);
-        }
-        for w in 0..2 {
-            let frame = recv_in(&session, &epoch, w);
-            assert_eq!(frame.tag.j, 2, "the admitted worker serves runs like any other");
-        }
-        session.finish_run(2, epoch);
+        // The admitted worker serves runs like any other.
+        echo_round(&session, 2, 2);
         drop(session);
-        w0.join().unwrap();
-        w1.join().unwrap();
+        assert_eq!(w0.join().unwrap(), Ok(1));
+        assert_eq!(w1.join().unwrap(), Ok(2));
     }
 
     #[test]
@@ -971,20 +897,8 @@ mod tests {
         let platform = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let endpoint = listener.endpoint();
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let endpoint = endpoint.clone();
-                thread::spawn(move || {
-                    let stream = transport::connect_with_retry(
-                        &endpoint,
-                        std::time::Duration::from_secs(10),
-                    )
-                    .unwrap();
-                    let (ep, _welcome) = transport::enroll(stream, None, b"fleet").unwrap();
-                    serve_worker(ep, &mut echo_program);
-                })
-            })
-            .collect();
+        let workers: Vec<_> =
+            (0..2).map(|_| remote_worker(&endpoint, None, 0, b"fleet")).collect();
         let mut session =
             Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC).unwrap();
         assert_eq!(session.dead_workers(), 0);
@@ -997,17 +911,13 @@ mod tests {
         assert_eq!(session.dead_workers(), 0);
         assert_eq!(session.epoch(), 2, "pruning advances the membership epoch");
         // The survivor still serves a run at its new slot 0.
-        let epoch = session.begin_run(1, 3);
-        send_in(&session, &epoch, 0, FrameKind::BlockB, 0);
-        let frame = recv_in(&session, &epoch, 0);
-        assert_eq!(frame.tag.j, 3);
-        session.finish_run(1, epoch);
+        echo_round(&session, 1, 3);
         drop(session);
         // Both worker threads exit orderly: the survivor on the
         // teardown shutdown frame, the pruned one on the shutdown its
         // dying out-pump synthesized.
         for w in workers {
-            w.join().unwrap();
+            assert_eq!(w.join().unwrap(), Ok(1));
         }
     }
 
@@ -1020,27 +930,7 @@ mod tests {
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let endpoint = listener.endpoint();
-        let dial = |epoch: u64| {
-            let endpoint = endpoint.clone();
-            thread::spawn(move || {
-                let stream = transport::connect_with_retry(
-                    &endpoint,
-                    std::time::Duration::from_secs(10),
-                )
-                .unwrap();
-                // The session under test reads its secret from the
-                // environment; read the same one so a CI leg exporting
-                // MWP_FLEET_SECRET exercises this gate authenticated.
-                let secret = auth::fleet_secret();
-                match transport::enroll_with(stream, None, b"fleet", &secret, epoch, None) {
-                    Ok((ep, welcome)) => {
-                        serve_worker(ep, &mut echo_program);
-                        Ok(welcome.epoch)
-                    }
-                    Err(e) => Err(e.kind()),
-                }
-            })
-        };
+        let dial = |epoch: u64| remote_worker(&endpoint, None, epoch, b"fleet");
         let w0 = dial(0);
         let mut session =
             Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC).unwrap();
@@ -1068,6 +958,93 @@ mod tests {
         assert_eq!(w0.join().unwrap(), Ok(1));
         assert_eq!(w1.join().unwrap(), Ok(2));
         assert_eq!(w2.join().unwrap(), Ok(3), "the newcomer's welcome carries the new epoch");
+    }
+
+    /// The one master-side enrollment, through both of its callers — the
+    /// star accept loop and `Session::admit` — against every refusal its
+    /// slot/fingerprint/epoch gates can issue: each bad dialer reads the
+    /// `REJECT_*` code naming its gate, the next good hello enrolls, and
+    /// the fleet serves a run after every rejection.
+    #[test]
+    fn enrollment_rejections_are_coded_and_leave_the_fleet_serviceable() {
+        use transport::{REJECT_EPOCH, REJECT_FINGERPRINT, REJECT_SLOT};
+        let platform = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
+        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let endpoint = listener.endpoint();
+        // A dialer the master must refuse: walks the handshake by hand and
+        // joins to the code of the REJECT frame it is answered with.
+        let refused = {
+            let endpoint = endpoint.clone();
+            move |claim: Option<usize>, epoch: u64, fp: &'static [u8]| {
+                let wait = Duration::from_secs(10);
+                let mut conn = transport::connect_with_retry(&endpoint, wait).unwrap();
+                thread::spawn(move || {
+                    let cap = transport::MAX_HANDSHAKE_WIRE_LEN;
+                    conn.set_read_timeout(Some(wait)).unwrap();
+                    let challenge = conn.recv_frame_capped(cap).unwrap().expect("challenge");
+                    let challenge = transport::parse_challenge(&challenge).unwrap();
+                    let hello = transport::Hello {
+                        claimed: claim.map(WorkerId),
+                        epoch,
+                        nonce: crate::auth::fresh_nonce(),
+                        fingerprint: fp.to_vec(),
+                    };
+                    let hello = transport::hello_frame(&hello, &config::fleet_secret(), &challenge);
+                    conn.send_frame(&hello).unwrap();
+                    let reply = conn.recv_frame_capped(cap).unwrap().expect("reject");
+                    assert!(transport::is_reject(&reply), "expected a reject, got {:?}", reply.tag);
+                    reply.tag.j
+                })
+            }
+        };
+        // The star accept loop (fingerprint policy on): slot 0 fills, four
+        // dialers are refused in turn, then slot 1 fills and the loop ends.
+        let script = {
+            let (endpoint, refused) = (endpoint.clone(), refused.clone());
+            thread::spawn(move || {
+                let w0 = remote_worker(&endpoint, Some(0), 0, b"fleet");
+                for (claim, epoch, fp, code) in [
+                    (Some(0), 0, b"fleet" as &[u8], REJECT_SLOT),
+                    (Some(9), 0, b"fleet", REJECT_SLOT),
+                    (None, 0, b"alien", REJECT_FINGERPRINT),
+                    (None, 7, b"fleet", REJECT_EPOCH),
+                ] {
+                    assert_eq!(refused(claim, epoch, fp).join().unwrap(), code, "star: {claim:?}");
+                }
+                vec![w0, remote_worker(&endpoint, None, 0, b"fleet")]
+            })
+        };
+        let mut session = Session::accept_star(
+            &listener,
+            &platform,
+            0.0,
+            SERVICE_INPROC,
+            Some(b"fleet"),
+            Vec::new(),
+            HANDSHAKE_TIMEOUT,
+        )
+        .unwrap();
+        let mut workers = script.join().unwrap();
+        echo_round(&session, 2, 1);
+
+        // `Session::admit`: the next open slot is 2 and the epoch is 1.
+        let params = WorkerParams { c: 1.0, w: 1.0, m: 8 };
+        for (claim, epoch, code) in
+            [(Some(0), 0, REJECT_SLOT), (Some(9), 0, REJECT_SLOT), (None, 7, REJECT_EPOCH)]
+        {
+            let dialer = refused(claim, epoch, b"elastic");
+            session.admit(&listener, params, SERVICE_INPROC).expect_err("must be refused");
+            assert_eq!(dialer.join().unwrap(), code, "admit: {claim:?} at epoch {epoch}");
+            assert_eq!((session.workers(), session.epoch()), (2, 1), "no membership change");
+            echo_round(&session, 2, 2);
+        }
+        workers.push(remote_worker(&endpoint, Some(2), 0, b"elastic"));
+        assert_eq!(session.admit(&listener, params, SERVICE_INPROC).unwrap(), WorkerId(2));
+        assert_eq!(session.epoch(), 2);
+        echo_round(&session, 3, 3);
+        drop(session);
+        let welcomed_at: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        assert_eq!(welcomed_at, [Ok(1), Ok(1), Ok(2)]);
     }
 
     #[test]
@@ -1202,16 +1179,7 @@ mod tests {
             assert!(!fp.is_empty(), "loopback workers enroll with a fingerprint");
         }
         for run in 0..3u32 {
-            let epoch = session.begin_run(2, run);
-            for w in 0..2 {
-                send_in(&session, &epoch, w, FrameKind::BlockA, w);
-            }
-            for w in 0..2 {
-                let frame = recv_in(&session, &epoch, w);
-                assert_eq!(frame.tag.i as usize, w, "frames routed per socket link");
-                assert_eq!(frame.tag.j, run, "program saw this run's parameter");
-            }
-            assert_eq!(session.finish_run(2, epoch), 4);
+            assert_eq!(echo_round(&session, 2, run), 4, "frames routed per socket link");
         }
         assert_eq!(session.shutdown(), 2);
     }
@@ -1247,7 +1215,6 @@ mod tests {
         // prefix, and a held-open silent connection (which must be cut
         // by the handshake deadline, not park enrollment forever) —
         // then still enroll the real worker that arrives last.
-        std::env::set_var("MWP_HANDSHAKE_TIMEOUT_MS", "200");
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let endpoint = listener.endpoint();
@@ -1276,19 +1243,20 @@ mod tests {
                 // Arrive after the noise (best-effort ordering; any
                 // interleaving must still enroll exactly one worker).
                 thread::sleep(std::time::Duration::from_millis(30));
-                let stream = transport::connect(&endpoint).unwrap();
-                let (ep, welcome) = transport::enroll(stream, None, b"real-worker").unwrap();
+                let wait = Duration::from_secs(10);
+                let (ep, welcome) =
+                    transport::enroll_with_retry(&endpoint, wait, None, b"real-worker", None)
+                        .unwrap();
                 assert_eq!(welcome.worker, WorkerId(0));
                 serve_worker(ep, &mut echo_program);
             })
         };
-        let session = Session::accept_remote(&platform, 0.0, &listener, 42).unwrap();
+        let silence_budget = Duration::from_millis(200);
+        let session =
+            Session::accept_star(&listener, &platform, 0.0, 42, None, Vec::new(), silence_budget)
+                .unwrap();
         assert_eq!(session.worker_fingerprints()[0], b"real-worker".to_vec());
-        let epoch = session.begin_run(1, 5);
-        send_in(&session, &epoch, 0, FrameKind::BlockA, 0);
-        let frame = recv_in(&session, &epoch, 0);
-        assert_eq!(frame.tag.j, 5);
-        assert_eq!(session.finish_run(1, epoch), 2);
+        assert_eq!(echo_round(&session, 1, 5), 2);
         drop(session); // delivers shutdown: the worker thread exits
         noise.join().unwrap();
         worker.join().unwrap();

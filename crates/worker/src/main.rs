@@ -31,8 +31,8 @@
 //! open.
 //!
 //! Setting `MWP_FAULT` (e.g. `kill:40`, `drop:25`, `delay:10:500`,
-//! `truncate:12`) wraps the socket in the deterministic fault-injection
-//! layer — how the chaos tests make *this* worker the one that dies.
+//! `truncate:12`) puts the deterministic fault trigger on the socket's
+//! send path — how the chaos tests make *this* worker the one that dies.
 //! The data-plane faults `corrupt:<n>` (flip one bit of the nth outbound
 //! frame, caught by the CRC32C trailer) and `stale:<n>` (replay a
 //! captured previous-generation frame, rejected by the run-generation
@@ -100,12 +100,12 @@ fn parse_args() -> Args {
 /// exit (unless a `--reconnect` worker has already served a session and
 /// the master is simply gone).
 fn serve_one_session(args: &Args, fingerprint: &str) -> Result<(), String> {
-    let fault = transport::fault_spec_from_env();
+    let fault = mwp_msg::config::fault_spec_from_env();
     // One retry loop covers dial + handshake: transient failures (the
     // listener not up yet, churn mid-accept) back off and retry, while
     // an authentication/version/epoch rejection fails fast — it will
     // not change on retry.
-    let (ep, welcome) = transport::enroll_with_retry_faulty(
+    let (ep, welcome) = transport::enroll_with_retry(
         &args.endpoint,
         Duration::from_millis(args.wait_ms),
         None,
