@@ -2,9 +2,9 @@
 //! hot-path optimizations.
 //!
 //! The `bench_baseline` binary measures these workloads and either writes
-//! them to `BENCH_baseline.json` (`--write`) or compares the current build
-//! against a previously recorded file (`--compare`), printing per-workload
-//! speedups. The workload parameters intentionally mirror the
+//! them to a baseline file (`--write`) or compares the current build
+//! against one recorded on the same machine (`--compare`), printing
+//! per-workload speedups. The workload parameters intentionally mirror the
 //! `benches/kernels.rs` criterion benches so the two report the same
 //! hot paths.
 
@@ -168,17 +168,12 @@ pub fn measure_all() -> Vec<Measurement> {
     // q = 640 is 3.3 MB, far beyond L2, so these points sit on the
     // kc-blocked pack; without it they fall off the L2 cliff), in
     // GFLOP/s so kernel changes are measured, not asserted. The q = 80
-    // point is the paper's unit of computation; the same measurement also
-    // reports under its legacy `gemm_acc/q80` name (listed first) so the
-    // committed pre-optimization baseline stays comparable.
+    // point is the paper's unit of computation.
     for q in [20usize, 40, 80, 160, 320, 640] {
         let a = random_block(q, 1);
         let b = random_block(q, 2);
         let mut c = Block::zeros(q);
         let ns = time_workload(|| c.gemm_acc(black_box(&a), black_box(&b)));
-        if q == 80 {
-            out.insert(0, Measurement::with_flops("gemm_acc/q80", ns, flops(q)));
-        }
         out.push(
             Measurement::with_flops(format!("block_kernel/q{q}"), ns, flops(q))
                 .with_packs(|| c.gemm_acc(black_box(&a), black_box(&b))),
@@ -351,7 +346,7 @@ fn flops(q: usize) -> u64 {
     (2 * q * q * q) as u64
 }
 
-/// Render measurements as the `BENCH_baseline.json` document.
+/// Render measurements as the baseline-file document.
 pub fn to_json(measurements: &[Measurement], label: &str) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"label\": \"{label}\",\n"));
@@ -504,7 +499,7 @@ mod tests {
 
     #[test]
     fn parses_pre_gflops_documents() {
-        // BENCH_baseline.json recorded before the gflops field existed.
+        // A baseline file recorded before the gflops field existed.
         let doc = "    {\"name\": \"gemm_acc/q80\", \"ns_per_iter\": 119954.6},\n";
         let back = from_json(doc);
         assert_eq!(back.len(), 1);

@@ -1,18 +1,22 @@
 //! `replay_diff` — sim-vs-real replay harness.
 //!
 //! Runs a real HoLM multiplication through the threaded runtime with the
-//! span recorder capturing measured timelines, then replays the **measured
-//! schedule** (the exact sequence of port transfers and the block updates
-//! each one enabled) through the discrete-event simulator on a platform
-//! calibrated from the same trace (`c_i` = measured port seconds per block
-//! to worker `i`, `w_i` = mean measured update time on worker `i`).
+//! span recorder capturing measured timelines, regenerates the run's
+//! [`Schedule`] from its outcome (enrolled workers, chunk side) and checks
+//! that the two executions of that one object agree:
 //!
-//! The diff reports, per phase of the model — makespan, master-port busy
-//! time, per-worker compute time — the simulator's prediction next to the
-//! measured value and the relative error. Busy times agree by construction
-//! (that is the calibration); the makespan error is the real signal: it
-//! measures how well the one-port queueing structure of Algorithm 3
-//! explains the measured timeline (waits, overlap, FIFO arbitration).
+//! * **order** — the block-bearing `MasterPort` spans the runtime
+//!   recorded must equal [`Replay`]'s frames one for one (send or
+//!   receive, peer, blocks); any mismatch is a failure, no tolerance;
+//! * **time** — the same `Replay` runs through the discrete-event
+//!   simulator on a platform calibrated from the trace (`c_i` = measured
+//!   port seconds per block to worker `i`, `w_i` = measured compute
+//!   seconds on worker `i` per block update the schedule gives it), and
+//!   the diff reports per phase — makespan, master-port busy time,
+//!   per-worker compute time — the prediction next to the measured value.
+//!   Busy times agree by calibration; the makespan error is the signal:
+//!   how well the one-port queueing structure of Algorithm 3 explains the
+//!   measured timeline (waits, overlap, FIFO arbitration).
 //!
 //! Exit status is non-zero when any phase exceeds `--tolerance` (default
 //! 25% relative error), making the harness usable as a CI fidelity gate.
@@ -24,73 +28,38 @@
 //! ```
 
 use mwp_blockmat::fill::random_matrix;
+use mwp_blockmat::Partition;
+use mwp_core::schedule::{Replay, Schedule};
 use mwp_core::session::RuntimeSession;
 use mwp_platform::{Platform, WorkerId, WorkerParams};
-use mwp_sim::{Decision, MasterPolicy, SimTime, Simulator, WorkerView};
+use mwp_sim::{Decision, Simulator};
 use mwp_trace::record::Capture;
 use mwp_trace::{Activity, ActivityKind, Resource, Trace};
 use std::process::ExitCode;
 
-/// One measured port operation, in measured start order.
-#[derive(Debug, Clone)]
-struct PortOp {
-    kind: ActivityKind,
-    peer: WorkerId,
-    blocks: u64,
-    /// Block updates this send enabled (sends only; attribution below).
-    spawn_updates: u64,
-}
-
-/// Replays a measured schedule verbatim: the policy ignores the worker
-/// views and issues the recorded port operations in their real order,
-/// letting the engine re-derive every wait from the one-port model.
-struct ReplayPolicy {
-    ops: Vec<PortOp>,
-    next: usize,
-}
-
-impl MasterPolicy for ReplayPolicy {
-    fn next(&mut self, _now: SimTime, _workers: &[WorkerView]) -> Decision {
-        let Some(op) = self.ops.get(self.next) else {
-            return Decision::Finished;
-        };
-        self.next += 1;
-        match op.kind {
-            ActivityKind::Send => Decision::Send {
-                to: op.peer,
-                blocks: op.blocks,
-                spawn_updates: op.spawn_updates,
-                mem_delta: 0,
-                label: "replay send".into(),
-            },
-            _ => Decision::Recv {
-                from: op.peer,
-                blocks: op.blocks,
-                mem_delta: 0,
-                label: "replay recv".into(),
-            },
-        }
-    }
-}
+/// One port transfer as both executions describe it: send or receive,
+/// peer, blocks.
+type Transfer = (ActivityKind, WorkerId, u64);
 
 /// Everything extracted from one captured run.
 struct Measured {
-    ops: Vec<PortOp>,
+    /// Block-bearing port transfers, in measured start order.
+    transfers: Vec<Transfer>,
     makespan: f64,
     port_busy: f64,
-    /// Per-worker `(compute seconds, update count)`.
-    workers: Vec<(f64, u64)>,
+    /// Per-worker compute seconds.
+    compute: Vec<f64>,
     /// Per-worker `(port seconds, blocks)` over that worker's transfers.
     links: Vec<(f64, u64)>,
 }
 
-/// Reduce a captured trace to the replayable schedule and the measured
+/// Reduce a captured trace to its port-transfer sequence and the measured
 /// per-phase totals. Only block-bearing transfers (`bytes > 0`) and
-/// whole-block-update `Compute` spans enter the model — control frames,
+/// whole-A-block `Compute` spans enter the model — control frames,
 /// one-port `Wait` annotations, run markers, and kernel/pack detail spans
 /// are observability-only.
 fn reduce(trace: &Trace, block_bytes: u64, p: usize) -> Measured {
-    let mut transfers: Vec<&Activity> = trace
+    let mut spans: Vec<&Activity> = trace
         .activities
         .iter()
         .filter(|a| {
@@ -99,88 +68,63 @@ fn reduce(trace: &Trace, block_bytes: u64, p: usize) -> Measured {
                 && matches!(a.kind, ActivityKind::Send | ActivityKind::Recv)
         })
         .collect();
-    transfers.sort_by_key(|a| a.start);
-
-    let mut computes: Vec<(WorkerId, f64, f64)> = trace
+    spans.sort_by_key(|a| a.start);
+    let computes: Vec<&Activity> = trace
         .activities
         .iter()
-        .filter_map(|a| match a.resource {
-            Resource::Worker(w) if a.kind == ActivityKind::Compute => {
-                Some((w, a.start.value(), a.duration()))
-            }
-            _ => None,
-        })
+        .filter(|a| matches!(a.resource, Resource::Worker(_)) && a.kind == ActivityKind::Compute)
         .collect();
-    computes.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-    // Attribute each block update to the last send to that worker whose
-    // transfer started no later than the update did: that transfer is the
-    // one that delivered the operand (updates cannot start before their
-    // input message, and later sends had not begun).
-    let mut ops: Vec<PortOp> = transfers
-        .iter()
-        .map(|a| PortOp {
-            kind: a.kind,
-            peer: a.peer,
-            blocks: (a.bytes / block_bytes).max(1),
-            spawn_updates: 0,
-        })
-        .collect();
-    for &(w, start, _) in &computes {
-        let mut owner = None;
-        for (i, a) in transfers.iter().enumerate() {
-            if a.kind == ActivityKind::Send && a.peer == w && a.start.value() <= start {
-                owner = Some(i);
-            }
-        }
-        if let Some(i) = owner {
-            ops[i].spawn_updates += 1;
-        }
-    }
-
-    let mut workers = vec![(0.0, 0u64); p];
-    for &(w, _, dur) in &computes {
-        if let Some(slot) = workers.get_mut(w.0) {
-            slot.0 += dur;
-            slot.1 += 1;
+    let mut compute = vec![0.0; p];
+    for a in &computes {
+        if let Some(slot) = compute.get_mut(a.peer.index()) {
+            *slot += a.duration();
         }
     }
     let mut links = vec![(0.0, 0u64); p];
-    for (a, op) in transfers.iter().zip(&ops) {
-        if let Some(slot) = links.get_mut(op.peer.0) {
+    for a in &spans {
+        if let Some(slot) = links.get_mut(a.peer.index()) {
             slot.0 += a.duration();
-            slot.1 += op.blocks;
+            slot.1 += a.bytes / block_bytes;
         }
     }
 
-    let port_busy: f64 = transfers.iter().map(|a| a.duration()).sum();
-    let starts = transfers
-        .iter()
-        .map(|a| a.start.value())
-        .chain(computes.iter().map(|&(_, s, _)| s));
-    let ends = transfers
-        .iter()
-        .map(|a| a.end.value())
-        .chain(computes.iter().map(|&(_, s, d)| s + d));
-    let t0 = starts.fold(f64::INFINITY, f64::min);
-    let t1 = ends.fold(0.0f64, f64::max);
-    let makespan = if t0.is_finite() { t1 - t0 } else { 0.0 };
-
-    Measured { ops, makespan, port_busy, workers, links }
+    let timed = || spans.iter().chain(&computes);
+    let t0 = timed().map(|a| a.start.value()).fold(f64::INFINITY, f64::min);
+    let t1 = timed().map(|a| a.end.value()).fold(0.0f64, f64::max);
+    Measured {
+        transfers: spans.iter().map(|a| (a.kind, a.peer, a.bytes / block_bytes)).collect(),
+        makespan: if t0.is_finite() { t1 - t0 } else { 0.0 },
+        port_busy: spans.iter().map(|a| a.duration()).sum(),
+        compute,
+        links,
+    }
 }
 
-/// A platform whose link and compute rates are those the trace measured,
-/// with memory wide open (the replayed schedule already respected the real
-/// buffer constraints; re-checking them here would double-count).
-fn calibrated_platform(m: &Measured) -> Platform {
-    let params: Vec<WorkerParams> = m
-        .links
-        .iter()
-        .zip(&m.workers)
-        .map(|(&(link_s, blocks), &(comp_s, updates))| {
-            let c = if blocks > 0 { link_s / blocks as f64 } else { 1e-9 };
-            let w = if updates > 0 { comp_s / updates as f64 } else { 1e-9 };
-            WorkerParams::new(c.max(1e-12), w.max(1e-12), 1 << 20)
+/// The port transfer a replayed frame stands for, and the block updates
+/// it enables.
+fn transfer_of(frame: &Decision) -> (Transfer, u64) {
+    match *frame {
+        Decision::Send { to, blocks, spawn_updates, .. } => {
+            ((ActivityKind::Send, to, blocks), spawn_updates)
+        }
+        Decision::Recv { from, blocks, .. } => ((ActivityKind::Recv, from, blocks), 0),
+        Decision::WaitUntil(_) | Decision::Finished => unreachable!("Replay only transfers"),
+    }
+}
+
+/// `real` with the link and compute rates the trace measured: `c_i` is
+/// port seconds per block, `w_i` compute seconds per block update of the
+/// schedule (`updates[i]`). Memory stays the real `m_i` — the replay
+/// carries the worker's own residency accounting.
+fn calibrated_platform(real: &Platform, m: &Measured, updates: &[u64]) -> Platform {
+    let rate = |seconds: f64, count: u64| {
+        if count > 0 { (seconds / count as f64).max(1e-12) } else { 1e-9 }
+    };
+    let params: Vec<WorkerParams> = (0..real.len())
+        .map(|i| {
+            let (link_s, blocks) = m.links[i];
+            WorkerParams::new(rate(link_s, blocks), rate(m.compute[i], updates[i]), real.workers()[i].m)
         })
         .collect();
     Platform::new(params).expect("calibrated platform is valid")
@@ -239,7 +183,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (r, s, t) = (6usize, 6usize, 8usize);
+    let (r, t, s) = (6usize, 6usize, 8usize);
     let q = args.q;
     // Compute-bound ratio (w ≫ c) so the HoLM resource selection enrolls
     // the whole fleet and the replay exercises multi-worker attribution.
@@ -247,7 +191,7 @@ fn main() -> ExitCode {
         .expect("valid platform");
 
     println!(
-        "replay_diff: HoLM {r}x{s}x{t}, q={q}, {} workers, time_scale={}, transport={:?}",
+        "replay_diff: HoLM {r}x{t}x{s}, q={q}, {} workers, time_scale={}, transport={:?}",
         args.workers,
         args.time_scale,
         mwp_msg::config::transport_mode(),
@@ -255,31 +199,50 @@ fn main() -> ExitCode {
 
     // Measure: one real run under the span recorder. The capture is ended
     // before shutdown so teardown control frames stay out of the timeline.
-    let a = random_matrix(r, s, q, 10);
-    let b = random_matrix(s, t, q, 11);
-    let c0 = random_matrix(r, t, q, 12);
+    let a = random_matrix(r, t, q, 10);
+    let b = random_matrix(t, s, q, 11);
+    let c0 = random_matrix(r, s, q, 12);
     let capture = Capture::begin();
     let session = RuntimeSession::new(&pf, args.time_scale);
     let outcome = session.run_holm(&a, &b, c0).expect("real run succeeds");
     let trace = capture.end();
     session.shutdown();
 
-    let block_bytes = 8 * (q as u64) * (q as u64);
-    let measured = reduce(&trace, block_bytes, args.workers);
-    let replayed_blocks: u64 = measured.ops.iter().map(|op| op.blocks).sum();
+    // The same object, generated again from what the run reported.
+    let problem = Partition::from_blocks(r, s, t, q);
+    let (enrolled, mu) = (outcome.workers_used, outcome.chunk_side);
+    let mut replay = Replay::new(&Schedule::algorithm1(&problem, mu, enrolled, 1));
+
+    let measured = reduce(&trace, 8 * (q as u64) * (q as u64), args.workers);
+    let mut updates = vec![0u64; args.workers];
+    let mut scheduled = Vec::with_capacity(replay.frames().len());
+    for frame in replay.frames() {
+        let (transfer, spawned) = transfer_of(frame);
+        updates[transfer.1.index()] += spawned;
+        scheduled.push(transfer);
+    }
+    if let Some(at) = (0..scheduled.len().max(measured.transfers.len()))
+        .find(|&i| scheduled.get(i) != measured.transfers.get(i))
+    {
+        println!(
+            "FAIL: schedule and trace part at port op {at}: scheduled {:?}, measured {:?}",
+            scheduled.get(at),
+            measured.transfers.get(at),
+        );
+        return ExitCode::FAILURE;
+    }
     println!(
-        "  measured: {} port ops / {replayed_blocks} blocks (runtime reported {} moved), {} updates",
-        measured.ops.len(),
+        "  schedule vs trace: {} port ops matched one for one ({} blocks, runtime reported {} moved), {} updates",
+        scheduled.len(),
+        scheduled.iter().map(|t| t.2).sum::<u64>(),
         outcome.blocks_moved,
-        measured.workers.iter().map(|w| w.1).sum::<u64>(),
+        updates.iter().sum::<u64>(),
     );
 
     // Replay: same schedule, calibrated rates, ideal one-port model.
-    let sim_pf = calibrated_platform(&measured);
-    let mut policy = ReplayPolicy { ops: measured.ops.clone(), next: 0 };
-    let report = Simulator::new(sim_pf)
+    let report = Simulator::new(calibrated_platform(&pf, &measured, &updates))
         .without_trace()
-        .run(&mut policy)
+        .run(&mut replay)
         .expect("replay respects the memory model");
 
     // Diff: predicted vs measured per phase.
@@ -287,7 +250,7 @@ fn main() -> ExitCode {
         ("makespan".into(), report.makespan.value(), measured.makespan),
         ("port busy".into(), report.port_busy_time, measured.port_busy),
     ];
-    for (i, &(comp_s, _)) in measured.workers.iter().enumerate() {
+    for (i, &comp_s) in measured.compute.iter().enumerate() {
         rows.push((
             format!("{} compute", WorkerId(i)),
             report.worker_busy_time.get(i).copied().unwrap_or(0.0),

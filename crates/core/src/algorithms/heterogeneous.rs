@@ -7,6 +7,17 @@
 //! blocks of A and `µ_i` blocks of B enabling `µ_i²` updates; after `t`
 //! such rounds the chunk is complete and is returned to the master before
 //! the next chunk's C blocks are sent.
+//!
+//! This policy is the paper's **idealized** model of the scheme: every
+//! chunk is a full `µ_i × µ_i` square whatever the grid, and the
+//! selection order is all there is. It drives the paper's experiments
+//! (E6b, E13) and the benchmark's selection workloads, whose numbers are
+//! stated in that model. The threaded runtime executes the scheme on a
+//! real `r × s` grid instead — ragged edges, column groups, a round-robin
+//! tail — as [`crate::schedule::Schedule::two_phase`], which
+//! [`crate::schedule::Replay`] can put through the simulator; folding the
+//! idealized model onto that schedule would change the published tables
+//! and is deliberately not done here.
 
 use crate::layout::MemoryLayout;
 use crate::selection::incremental::{run_selection_with_mu, SelectionRule};

@@ -21,7 +21,11 @@
 //!   lookahead selection of Section 6.2 (Algorithm 3),
 //! * [`algorithms`] — the seven-algorithm suite of Section 8 (HoLM,
 //!   ORROML, OMMOML, ODDOML, DDOML, BMM, OBMM) as simulator policies,
-//! * [`runtime`] — a threaded execution of the same schedules over
+//! * [`schedule`] — a run as plain data: the ordered port operations of
+//!   the master, from two pure generators (Algorithm 1's rounds, the
+//!   two-phase heterogeneous scheme), with [`schedule::Replay`] to run
+//!   one through the simulator,
+//! * [`runtime`] — the threaded executor of those schedules over
 //!   [`mwp_msg`] with real `q × q` block arithmetic, verified against the
 //!   serial product,
 //! * [`chunks`] — the tiling of the `C` matrix into per-worker `µ × µ`
@@ -53,6 +57,7 @@ pub mod chunks;
 pub mod layout;
 pub mod remote;
 pub mod runtime;
+pub mod schedule;
 pub mod selection;
 pub mod serving;
 pub mod session;

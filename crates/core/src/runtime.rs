@@ -8,6 +8,13 @@
 //! thread runs Algorithm 2 — receive, update its resident `µ × µ` C chunk
 //! with real `q × q` block GEMMs, return the chunk.
 //!
+//! The master side is one executor (`execute`): every runtime here —
+//! HoLM, ORROML, a fused serving batch, the heterogeneous two-phase scheme
+//! — plans, asks [`crate::schedule`] for the run's [`Schedule`], and has
+//! the executor walk it over the session. What the master sends next is
+//! the generator's business; what happens when a worker dies, or when the
+//! whole-run deadline passes, is the executor's, in one place.
+//!
 //! With `time_scale = 0` the network is un-paced and the run completes as
 //! fast as the arithmetic allows (used by tests, which verify the result
 //! against the serial product). A positive `time_scale` paces every link
@@ -23,7 +30,8 @@
 //! [`RuntimeSession`] directly and call its methods, amortizing all
 //! spawn/join cost.
 
-use crate::chunks::{self, Chunk};
+use crate::chunks::Chunk;
+use crate::schedule::{PortOp, Schedule};
 use crate::selection::homogeneous::select_homogeneous;
 use crate::session::{with_session, RuntimeSession};
 use bytes::Bytes;
@@ -245,24 +253,18 @@ impl JobCtx {
     }
 }
 
-/// The master's side of one open run: Algorithm 1's chunk exchange — ship
-/// a C chunk, stream `t` B-row/A-column steps, collect — written once,
-/// with every frame stamped with the run's generation and every receive
-/// scoped to it.
+/// The master's side of one open run: the chunk exchange — ship a C
+/// chunk, stream a B-row/A-column step, collect — written once, with every
+/// frame stamped with the run's generation and every receive scoped to it.
 struct RunPort<'a> {
     master: &'a mwp_msg::MasterEndpoint,
     gen: u32,
     q: usize,
-    t: usize,
     /// Recycled buffers for the (mutable, serialize-on-demand) C sends.
     cpool: mwp_msg::BufferPool,
 }
 
-impl<'a> RunPort<'a> {
-    fn new(session: &'a RuntimeSession, gen: u32, q: usize, t: usize) -> Self {
-        RunPort { master: session.master(), gen, q, t, cpool: mwp_msg::BufferPool::new() }
-    }
-
+impl RunPort<'_> {
     /// Failure-aware send of one block frame of `job`, metered on delivery.
     fn send(&self, wid: WorkerId, job: &mut JobCtx, tag: Tag, payload: Bytes, blocks: usize) -> bool {
         let frame = Frame::new_in_run(tag, self.gen, payload);
@@ -343,108 +345,90 @@ impl<'a> RunPort<'a> {
         job.moved += ch.blocks();
         true
     }
-
-    /// Serve one whole chunk exchange to a single worker. Returns `false`
-    /// when `wid` died at any point of it: C is then untouched for this
-    /// chunk and the caller re-dispatches it to a survivor.
-    fn serve_chunk(&self, wid: WorkerId, job: &mut JobCtx, ch: &Chunk) -> bool {
-        self.send_c_rows(wid, job, ch)
-            && (0..self.t).all(|k| self.send_k_step(wid, job, ch, k))
-            && self.collect(wid, job, ch)
-    }
 }
 
-/// One product of a [`holm_on`] run: the borrowed factors `A`, `B` and the
+/// One product of a run: the borrowed factors `A`, `B` and the
 /// accumulator `C`, consumed and returned updated.
 pub(crate) type Product<'a> = (&'a BlockMatrix, &'a BlockMatrix, BlockMatrix);
 
-/// Algorithm 1 (the master side of HoLM / ORROML), executed as one run of
-/// `session`'s persistent worker pool over workers `0..enrolled` with
-/// chunk side `mu`: `jobs` (all of one shape; one entry = one solo run's
-/// worth of chunks, a solo run being the list of length one) execute
-/// under a single run generation. Returns the generation and one
-/// [`RunOutcome`] per job, in order.
+/// The one master executor: `schedule`, walked op by op as one run of
+/// `session`'s persistent worker pool over workers `0..mu.len()` (`mu[i]`
+/// is the chunk side worker `i`'s memory admits). `jobs` are the products
+/// the ops' `job` indices name — all of one shape; a solo run is the list
+/// of length one. Returns the run's generation and one [`RunOutcome`] per
+/// job, in order, each reporting `workers_used` as given.
 ///
-/// Each job's chunk list is the one its solo run would use, and each C
-/// block accumulates its `t` updates in `k`-order inside a single chunk
-/// exchange, so fused results are **bit-identical** to running every job
-/// alone. The loop takes no lock: callers that cannot bound the workers'
-/// resident memory across overlapping runs serialize themselves (see
-/// [`RuntimeSession::run_holm`]; the serving tier admits by memory
-/// instead).
-pub(crate) fn holm_on(
-    session: &RuntimeSession,
+/// **Recovery is one rule.** An op whose worker is dead (or dies under
+/// it) is skipped, and the chunk is lost when its `Collect` does not
+/// commit. Once the schedule is exhausted the lost chunks run again as
+/// [`Schedule::redispatch`] — Algorithm 1's rounds over the live workers,
+/// each chunk split to its adopter's `µ_i` — until none are lost.
+/// Re-dispatch is exact replay: a job's C is only mutated by a *complete*
+/// collected chunk (see `RunPort::collect`), and the A/B payload caches
+/// are immutable, so a lost chunk's frames regenerate bit-identically for
+/// whichever survivor adopts it. With no live worker left to adopt, the
+/// run is aborted and the caller gets [`RuntimeError::EmptyFleet`].
+///
+/// The whole-run budget (`MWP_RUN_DEADLINE_MS`) is checked before every
+/// op: every C is consistent at every op boundary, because only a fully
+/// collected chunk mutates one.
+///
+/// Each C block accumulates its `t` updates in `k`-order inside a single
+/// chunk exchange, so fused results are **bit-identical** to running every
+/// job alone, on any schedule. The executor takes no lock: callers that
+/// cannot bound the workers' resident memory across overlapping runs
+/// serialize themselves (see [`RuntimeSession::run_holm`]; the serving
+/// tier admits by memory instead).
+pub(crate) fn execute(
+    session: &mwp_msg::Session,
     jobs: Vec<Product<'_>>,
-    enrolled: usize,
-    mu: usize,
+    mut schedule: Schedule,
+    mu: &[usize],
+    workers_used: usize,
 ) -> Result<(u32, Vec<RunOutcome>), RuntimeError> {
-    let (a, b, _) = &jobs[0];
-    let q = a.q();
-    let (r, t, s) = (a.rows(), a.cols(), b.cols());
+    let (q, t) = (jobs[0].0.q(), jobs[0].0.cols());
+    let enrolled = mu.len();
 
     // Wake workers 0..enrolled from their parked receives; the rest of
     // the pool stays blocked and costs nothing beyond their spawn.
     let epoch = session.begin_run(enrolled, q as u32);
-    let port = RunPort::new(session, epoch.generation(), q, t);
+    let master = session.master();
+    let port = RunPort { master, gen: epoch.generation(), q, cpool: mwp_msg::BufferPool::new() };
 
     let start = Instant::now();
     let mut ctxs: Vec<JobCtx> =
         jobs.into_iter().enumerate().map(|(jx, (a, b, c))| JobCtx::new(a, b, c, jx)).collect();
-    let problem = mwp_blockmat::Partition::from_blocks(r, s, t, q);
-    let tiles = chunks::algorithm1_order(&problem, mu, enrolled);
-
-    // Algorithm 1: process chunks in groups, one per **live** worker,
-    // jobs concatenated in batch order. With a healthy fleet this is the
-    // historical fixed grouping of `enrolled` chunks per round; a worker
-    // dying mid-round gets its chunk re-queued and the next round
-    // regroups over the survivors. Re-dispatch is exact replay: a job's C
-    // is only mutated by a *complete* collected chunk (see
-    // `RunPort::collect`), and the A/B payload caches are immutable, so a
-    // lost chunk's frames regenerate bit-identically for whichever
-    // survivor picks it up.
-    let mut queue: std::collections::VecDeque<(usize, Chunk)> =
-        (0..ctxs.len()).flat_map(|jx| tiles.iter().map(move |&ch| (jx, ch))).collect();
     let deadline = run_deadline();
-    while !queue.is_empty() {
-        // Whole-run budget: checked once per chunk round, the coarsest
-        // unit after which every C is still consistent (a round only
-        // commits fully collected chunks).
-        if deadline.is_some_and(|budget| start.elapsed() > budget) {
-            session.abort_run(enrolled, epoch);
-            return Err(RuntimeError::RunAborted);
+    loop {
+        let mut lost = Vec::new();
+        for op in &schedule.ops {
+            if deadline.is_some_and(|budget| start.elapsed() > budget) {
+                session.abort_run(enrolled, epoch);
+                return Err(RuntimeError::RunAborted);
+            }
+            let (jx, wid, ch) = op.target();
+            let done = !master.is_dead(wid)
+                && match *op {
+                    PortOp::SendC { .. } => port.send_c_rows(wid, &mut ctxs[jx], &ch),
+                    PortOp::Step { k, .. } => port.send_k_step(wid, &mut ctxs[jx], &ch, k),
+                    PortOp::Collect { .. } => port.collect(wid, &mut ctxs[jx], &ch),
+                };
+            if !done && matches!(op, PortOp::Collect { .. }) {
+                lost.push((jx, ch));
+            }
         }
-        let live: Vec<WorkerId> =
-            (0..enrolled).map(WorkerId).filter(|&w| !port.master.is_dead(w)).collect();
-        assert!(
-            !live.is_empty(),
-            "every enrolled worker died mid-run: {} chunk(s) cannot be re-dispatched",
-            queue.len()
-        );
-        let n = live.len().min(queue.len());
-        let assignment: Vec<(WorkerId, (usize, Chunk))> =
-            live.into_iter().zip(queue.drain(..n)).collect();
-
-        // 1. Ship each worker its C chunk — each C block still moves
-        //    exactly once per failure-free run. A failed send condemns
-        //    the worker for the rest of the round.
-        let mut alive: Vec<bool> = assignment
-            .iter()
-            .map(|(wid, (jx, ch))| port.send_c_rows(*wid, &mut ctxs[*jx], ch))
+        if lost.is_empty() {
+            break;
+        }
+        let live: Vec<WorkerId> = (0..enrolled)
+            .map(WorkerId)
+            .filter(|&w| mu[w.index()] > 0 && !master.is_dead(w))
             .collect();
-        // 2. Stream the shared dimension, one k-step per worker per step.
-        for k in 0..t {
-            for (idx, (wid, (jx, ch))) in assignment.iter().enumerate() {
-                alive[idx] = alive[idx] && port.send_k_step(*wid, &mut ctxs[*jx], ch, k);
-            }
+        if live.is_empty() {
+            session.abort_run(enrolled, epoch);
+            return Err(RuntimeError::EmptyFleet);
         }
-        // 3. Collect results, deserializing into the existing C blocks
-        //    (no per-result allocation). A chunk lost to a death — at
-        //    any point of the exchange — goes back on the queue.
-        for (idx, (wid, (jx, ch))) in assignment.iter().enumerate() {
-            if !(alive[idx] && port.collect(*wid, &mut ctxs[*jx], ch)) {
-                queue.push_back((*jx, *ch));
-            }
-        }
+        schedule = Schedule::redispatch(lost, &live, mu, t);
     }
 
     // Close the run: every enrolled worker parks again for the next one.
@@ -452,17 +436,27 @@ pub(crate) fn holm_on(
     session.finish_run(enrolled, epoch);
     let wall = start.elapsed();
 
+    let chunk_side = mu.iter().copied().max().unwrap_or(0);
     let outcomes = ctxs
         .into_iter()
-        .map(|ctx| RunOutcome {
-            c: ctx.c,
-            wall,
-            blocks_moved: ctx.moved,
-            workers_used: enrolled,
-            chunk_side: mu,
-        })
+        .map(|ctx| RunOutcome { c: ctx.c, wall, blocks_moved: ctx.moved, workers_used, chunk_side })
         .collect();
     Ok((gen, outcomes))
+}
+
+/// Algorithm 1 (the master side of HoLM / ORROML) over workers
+/// `0..enrolled` with chunk side `mu`: [`Schedule::algorithm1`] for the
+/// jobs' common shape, [`execute`]d as one run.
+pub(crate) fn holm_on(
+    session: &RuntimeSession,
+    jobs: Vec<Product<'_>>,
+    enrolled: usize,
+    mu: usize,
+) -> Result<(u32, Vec<RunOutcome>), RuntimeError> {
+    let (a, b, _) = &jobs[0];
+    let problem = mwp_blockmat::Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q());
+    let schedule = Schedule::algorithm1(&problem, mu, enrolled, jobs.len());
+    execute(session.fleet(), jobs, schedule, &vec![mu; enrolled], enrolled)
 }
 
 /// Execute `C ← C + A·B` on a **heterogeneous** platform with the
@@ -514,8 +508,9 @@ pub(crate) fn heterogeneous_mu(platform: &Platform) -> Result<Vec<usize>, Runtim
     Ok(mu)
 }
 
-/// The heterogeneous two-phase master, executed as one run of `session`'s
-/// persistent worker pool (every pooled worker is enrolled).
+/// The heterogeneous two-phase master: [`Schedule::two_phase`] for the
+/// session's current fleet (every pooled worker is enrolled), [`execute`]d
+/// as one run. `workers_used` reports the workers the schedule serves.
 pub(crate) fn heterogeneous_on(
     session: &RuntimeSession,
     a: &BlockMatrix,
@@ -523,229 +518,14 @@ pub(crate) fn heterogeneous_on(
     c: BlockMatrix,
     rule: crate::selection::incremental::SelectionRule,
 ) -> Result<RunOutcome, RuntimeError> {
-    use crate::selection::incremental::run_selection_with_mu;
-
     let platform = session.platform().ok_or(RuntimeError::EmptyFleet)?;
     validate_product_shapes(a, b, &c)?;
     let mu = session.plan_heterogeneous_run()?;
-    let q = a.q();
-    let (r, t, s) = (a.rows(), a.cols(), b.cols());
-
-    // Phase 1: the selection order (one entry = one k-step for that
-    // worker's current chunk).
-    let trace = run_selection_with_mu(platform, &mu, rule, r, s, t);
-
-    // Phase 2: replay with real blocks. Chunks are cut greedily from the
-    // C grid in column-band order, clamped to each worker's µ_i.
-    let enrolled = platform.len();
-    let epoch = session.begin_run(enrolled, q as u32);
-    let port = RunPort::new(session, epoch.generation(), q, t);
-    let master = port.master;
-
-    let start = Instant::now();
-    let mut job = JobCtx::new(a, b, c, 0);
-    // The paper "assigns only full matrix column blocks": each worker owns
-    // a group of µ_i consecutive block columns at a time and walks down it
-    // in µ_i-row chunks. A single shared column cursor hands out disjoint
-    // groups, so chunks never overlap even with different µ_i.
-    struct ColumnGroup {
-        j0: usize,
-        width: usize,
-        row: usize,
-    }
-    let mut next_col = 0usize;
-    let mut groups: Vec<Option<ColumnGroup>> = (0..platform.len()).map(|_| None).collect();
-    // Per-worker state: current chunk and its next k-step.
-    let mut active: Vec<Option<(Chunk, usize)>> = vec![None; platform.len()];
-    let mut served = std::collections::HashSet::new();
-
-    let cut_chunk = |wi: usize,
-                         mu_i: usize,
-                         groups: &mut Vec<Option<ColumnGroup>>,
-                         next_col: &mut usize|
-     -> Option<Chunk> {
-        let need_new = match &groups[wi] {
-            Some(g) => g.row >= r,
-            None => true,
-        };
-        if need_new {
-            if *next_col >= s {
-                groups[wi] = None;
-                return None;
-            }
-            let width = mu_i.min(s - *next_col);
-            groups[wi] = Some(ColumnGroup { j0: *next_col, width, row: 0 });
-            *next_col += width;
-        }
-        let g = groups[wi].as_mut().expect("just ensured");
-        let height = mu_i.min(r - g.row);
-        let ch = Chunk { i0: g.row, j0: g.j0, height, width: g.width };
-        g.row += height;
-        Some(ch)
-    };
-
-    // Chunks lost to a worker death anywhere below; re-dispatched to
-    // survivors after the trace (the master's C is only mutated by a
-    // complete collected chunk, so a lost chunk replays exactly).
-    let mut lost: Vec<Chunk> = Vec::new();
-
-    // Whole-run budget (`MWP_RUN_DEADLINE_MS`): checked at every point
-    // where the master is about to dispatch more work.  C stays
-    // consistent because only fully collected chunks mutate it.
-    let deadline = run_deadline();
-    macro_rules! check_deadline {
-        () => {
-            if deadline.is_some_and(|budget| start.elapsed() > budget) {
-                session.abort_run(enrolled, epoch);
-                return Err(RuntimeError::RunAborted);
-            }
-        };
-    }
-
-    for step in &trace.steps {
-        check_deadline!();
-        let wid = step.worker;
-        let wi = wid.index();
-        if master.is_dead(wid) {
-            // A dead worker's surplus selections are no-ops; its lost
-            // chunk and unfinished column group are re-dispatched below.
-            continue;
-        }
-        if active[wi].is_none() {
-            // New chunk for this worker.
-            let Some(ch) = cut_chunk(wi, mu[wi], &mut groups, &mut next_col) else {
-                continue; // grid exhausted: surplus selections are no-ops
-            };
-            if !port.send_c_rows(wid, &mut job, &ch) {
-                lost.push(ch);
-                continue;
-            }
-            active[wi] = Some((ch, 0));
-        }
-        let (ch, k) = active[wi].expect("just assigned");
-        if !port.send_k_step(wid, &mut job, &ch, k) {
-            lost.push(ch);
-            active[wi] = None;
-            continue;
-        }
-        served.insert(wi);
-        if k + 1 == t {
-            // Chunk complete: fetch it back.
-            if !port.collect(wid, &mut job, &ch) {
-                lost.push(ch);
-            }
-            active[wi] = None;
-        } else {
-            active[wi] = Some((ch, k + 1));
-        }
-    }
-
-    // Selection stopped (its column-based termination test), possibly
-    // mid-chunk: stream the remaining steps of every unfinished chunk.
-    // A worker dying here loses its chunk to the re-dispatch pool like
-    // anywhere else.
-    for (wi, slot) in active.iter_mut().enumerate() {
-        check_deadline!();
-        let Some((ch, k0)) = slot.take() else { continue };
-        let wid = WorkerId(wi);
-        let finished = !master.is_dead(wid)
-            && (k0..t).all(|k| port.send_k_step(wid, &mut job, &ch, k))
-            && port.collect(wid, &mut job, &ch);
-        if !finished {
-            lost.push(ch);
-        }
-    }
-
-    // A dead worker's partially-walked column group can never finish on
-    // its owner: surrender the unwalked rows to the re-dispatch pool
-    // (survivors split them to their own µ_i there).
-    for (wi, slot) in groups.iter_mut().enumerate() {
-        if master.is_dead(WorkerId(wi)) {
-            if let Some(g) = slot.take() {
-                if g.row < r {
-                    lost.push(Chunk { i0: g.row, j0: g.j0, height: r - g.row, width: g.width });
-                }
-            }
-        }
-    }
-
-    // The selection loop may terminate before the ragged tail of the grid
-    // is allocated; drain the remainder round-robin over capable (and
-    // still-live) workers.
-    let capable: Vec<usize> = (0..platform.len()).filter(|&i| mu[i] > 0).collect();
-    let mut turn = 0usize;
-    loop {
-        check_deadline!();
-        let live: Vec<usize> =
-            capable.iter().copied().filter(|&i| !master.is_dead(WorkerId(i))).collect();
-        assert!(
-            !live.is_empty(),
-            "every capable worker died mid-run: the remaining chunks cannot be re-dispatched"
-        );
-        let wi = live[turn % live.len()];
-        let Some(ch) = cut_chunk(wi, mu[wi], &mut groups, &mut next_col) else {
-            // This worker's group is done and no columns remain; if no
-            // live worker can cut anything, the grid is fully covered.
-            let any_left = next_col < s
-                || live.iter().any(|&w| groups[w].as_ref().is_some_and(|g| g.row < r));
-            if !any_left {
-                break;
-            }
-            turn += 1;
-            continue;
-        };
-        turn += 1;
-        if port.serve_chunk(WorkerId(wi), &mut job, &ch) {
-            served.insert(wi);
-        } else {
-            lost.push(ch);
-        }
-    }
-
-    // Re-dispatch pool: every chunk lost to a death, replayed on the
-    // survivors. A chunk larger than the adopting worker's µ_i (its
-    // owner had more memory) is split until it fits — correctness only
-    // needs each C block's k-steps to run in order within one exchange,
-    // which any sub-rectangle preserves.
-    turn = 0;
-    while let Some(ch) = lost.pop() {
-        check_deadline!();
-        let live: Vec<usize> =
-            capable.iter().copied().filter(|&i| !master.is_dead(WorkerId(i))).collect();
-        assert!(
-            !live.is_empty(),
-            "every capable worker died mid-run: {} lost chunk(s) cannot be re-dispatched",
-            lost.len() + 1
-        );
-        let wi = live[turn % live.len()];
-        turn += 1;
-        let m = mu[wi];
-        if ch.width > m {
-            lost.push(Chunk { width: m, ..ch });
-            lost.push(Chunk { j0: ch.j0 + m, width: ch.width - m, ..ch });
-            continue;
-        }
-        if ch.height > m {
-            lost.push(Chunk { height: m, ..ch });
-            lost.push(Chunk { i0: ch.i0 + m, height: ch.height - m, ..ch });
-            continue;
-        }
-        if port.serve_chunk(WorkerId(wi), &mut job, &ch) {
-            served.insert(wi);
-        } else {
-            lost.push(ch);
-        }
-    }
-
-    session.finish_run(enrolled, epoch);
-
-    Ok(RunOutcome {
-        c: job.c,
-        wall: start.elapsed(),
-        blocks_moved: job.moved,
-        workers_used: served.len(),
-        chunk_side: mu.iter().copied().max().unwrap_or(0),
-    })
+    let problem = mwp_blockmat::Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q());
+    let schedule = Schedule::two_phase(platform, &mu, rule, &problem);
+    let workers_used = schedule.workers().len();
+    let (_, mut outcomes) = execute(session.fleet(), vec![(a, b, c)], schedule, &mu, workers_used)?;
+    Ok(outcomes.pop().expect("one outcome per job"))
 }
 
 /// A resident B block together with its prepacked image: packed once

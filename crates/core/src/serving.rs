@@ -6,8 +6,9 @@
 //! (the `inflight` argument of [`MatrixServer::with_options`]) drains the
 //! queue by running each job — or each fused batch of compatible jobs —
 //! as its own **interleaved run generation** on the shared session
-//! ([`Session::begin_run`][msg-begin-run]), through the same master loop
-//! a solo [`RuntimeSession::run_holm`] uses (`crate::runtime::holm_on`).
+//! ([`Session::begin_run`][msg-begin-run]), through the same schedule
+//! generator and master executor a solo [`RuntimeSession::run_holm`] uses
+//! (`crate::runtime::holm_on`).
 //! The session's run lock is not taken: in-flight runs share the same
 //! links, and the master demultiplexes replies per generation by the
 //! wire header's `run` field.

@@ -31,7 +31,14 @@
 //! The one-shot entry points ([`crate::runtime::run_holm`], …) are thin
 //! wrappers: each call spawns a session, runs once and shuts it down.
 //! Results are bit-identical to a held session's — both execute the same
-//! master and worker code.
+//! master and worker code: every `run_*` method plans (resource selection,
+//! cached per fleet epoch), generates the run's [`crate::schedule::Schedule`]
+//! and hands it to the one master executor in [`crate::runtime`].
+//!
+//! The fleet itself — links, fingerprints, and the platform description
+//! that `admit` grows and `prune_dead` compacts — lives in the wrapped
+//! [`mwp_msg::session::Session`]; this type adds the plans and the run
+//! lock.
 
 use crate::runtime::{
     heterogeneous_mu, heterogeneous_on, holm_on, select_enrollment, serve_run,
@@ -39,9 +46,9 @@ use crate::runtime::{
 };
 use crate::selection::incremental::SelectionRule;
 use mwp_blockmat::BlockMatrix;
-use mwp_msg::session::{RunEpoch, Session};
+use mwp_msg::session::Session;
 use mwp_msg::transport::SERVICE_MATRIX;
-use mwp_msg::{MasterEndpoint, TransportListener, TransportMode, WorkerEndpoint};
+use mwp_msg::{TransportListener, TransportMode, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -72,13 +79,6 @@ struct HolmPlan {
 /// A persistent worker pool serving the paper's matrix-product runtimes.
 pub struct RuntimeSession {
     inner: Session,
-    /// Per-slot link/memory parameters, compacted in lockstep with the
-    /// fleet (the source of truth `platform` is rebuilt from).
-    workers: Vec<mwp_platform::WorkerParams>,
-    /// The current fleet as a platform description — `None` when every
-    /// worker has been pruned (an empty fleet cannot be a [`Platform`];
-    /// runs return [`RuntimeError::EmptyFleet`] until an `admit`).
-    platform: Option<Platform>,
     /// Last HoLM/ORROML resource selection, keyed by fleet epoch + shape.
     holm_plan: Mutex<Option<(PlanKey, HolmPlan)>>,
     /// Last heterogeneous per-worker chunk sides, keyed by fleet epoch.
@@ -88,7 +88,7 @@ pub struct RuntimeSession {
     replans: AtomicU64,
     /// Held by each public `run_*` call for its whole run: nothing bounds
     /// the workers' resident memory across two of *these* runs (the
-    /// serving tier, which calls the master loop directly, admits by
+    /// serving tier, which calls the master executor directly, admits by
     /// memory instead), so concurrent callers take turns.
     run_lock: Mutex<()>,
 }
@@ -113,15 +113,13 @@ impl RuntimeSession {
             let mut state = WorkerState::new();
             move |q: u32, ep: &WorkerEndpoint| serve_run(ep, q as usize, memory_cap, &mut state)
         });
-        Self::over(inner, platform)
+        Self::over(inner)
     }
 
     /// Wrap a spawned/accepted fleet with fresh (empty) plan state.
-    fn over(inner: Session, platform: &Platform) -> Self {
+    fn over(inner: Session) -> Self {
         RuntimeSession {
             inner,
-            workers: platform.workers().to_vec(),
-            platform: Some(platform.clone()),
             holm_plan: Mutex::new(None),
             het_plan: Mutex::new(None),
             replans: AtomicU64::new(0),
@@ -142,7 +140,7 @@ impl RuntimeSession {
         listener: &TransportListener,
     ) -> std::io::Result<Self> {
         let inner = Session::accept_remote(platform, time_scale, listener, SERVICE_MATRIX)?;
-        Ok(Self::over(inner, platform))
+        Ok(Self::over(inner))
     }
 
     /// Fingerprint bytes each worker presented at enrollment (empty per
@@ -156,7 +154,7 @@ impl RuntimeSession {
     /// worker was pruned (runs then return [`RuntimeError::EmptyFleet`]
     /// until an [`RuntimeSession::admit`] repopulates the fleet).
     pub fn platform(&self) -> Option<&Platform> {
-        self.platform.as_ref()
+        self.inner.platform()
     }
 
     /// The fleet's membership epoch (see [`Session::epoch`]): bumped on
@@ -188,7 +186,7 @@ impl RuntimeSession {
         s: usize,
         select: bool,
     ) -> Result<(usize, usize), RuntimeError> {
-        let platform = self.platform.as_ref().ok_or(RuntimeError::EmptyFleet)?;
+        let platform = self.platform().ok_or(RuntimeError::EmptyFleet)?;
         let key = PlanKey { epoch: self.inner.epoch(), r, s, select };
         let mut cache = self.holm_plan.lock().unwrap();
         if let Some((k, plan)) = cache.as_ref() {
@@ -208,7 +206,7 @@ impl RuntimeSession {
     /// Per-worker chunk sides for a heterogeneous run, cached per fleet
     /// epoch (they depend only on the workers' memory capacities).
     pub(crate) fn plan_heterogeneous_run(&self) -> Result<Vec<usize>, RuntimeError> {
-        let platform = self.platform.as_ref().ok_or(RuntimeError::EmptyFleet)?;
+        let platform = self.platform().ok_or(RuntimeError::EmptyFleet)?;
         let epoch = self.inner.epoch();
         let mut cache = self.het_plan.lock().unwrap();
         if let Some((e, mu)) = cache.as_ref() {
@@ -294,11 +292,7 @@ impl RuntimeSession {
         listener: &TransportListener,
         params: mwp_platform::WorkerParams,
     ) -> std::io::Result<mwp_platform::WorkerId> {
-        let id = self.inner.admit(listener, params, SERVICE_MATRIX)?;
-        self.workers.push(params);
-        self.platform =
-            Some(Platform::new(self.workers.clone()).expect("fleet is non-empty after admit"));
-        Ok(id)
+        self.inner.admit(listener, params, SERVICE_MATRIX)
     }
 
     /// Drop every worker declared dead, compacting the fleet and the
@@ -308,17 +302,7 @@ impl RuntimeSession {
     /// fleet leaves the session alive but empty: runs return
     /// [`RuntimeError::EmptyFleet`] until an `admit` repopulates it.
     pub fn prune_dead(&mut self) -> usize {
-        let removed = self.inner.prune_dead();
-        if !removed.is_empty() {
-            self.workers = std::mem::take(&mut self.workers)
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| !removed.contains(i))
-                .map(|(_, w)| w)
-                .collect();
-            self.platform = Platform::new(self.workers.clone()).ok();
-        }
-        removed.len()
+        self.inner.prune_dead().len()
     }
 
     /// How many enrolled workers are currently flagged dead.
@@ -333,20 +317,10 @@ impl RuntimeSession {
         self.inner.shutdown()
     }
 
-    pub(crate) fn master(&self) -> &MasterEndpoint {
-        self.inner.master()
-    }
-
-    pub(crate) fn begin_run(&self, enrolled: usize, q: u32) -> RunEpoch {
-        self.inner.begin_run(enrolled, q)
-    }
-
-    pub(crate) fn finish_run(&self, enrolled: usize, epoch: RunEpoch) {
-        self.inner.finish_run(enrolled, epoch);
-    }
-
-    pub(crate) fn abort_run(&self, enrolled: usize, epoch: RunEpoch) {
-        self.inner.abort_run(enrolled, epoch);
+    /// The message-layer session under this one: what the master
+    /// executor opens its run on.
+    pub(crate) fn fleet(&self) -> &Session {
+        &self.inner
     }
 
     /// How many previous-generation data frames the master's links have
@@ -464,6 +438,35 @@ mod tests {
         })
     }
 
+    /// A channel-transport fleet for `platform` whose workers picked by
+    /// `rogue` run [`rogue_program`] with `reply`; the rest are honest.
+    fn fleet_with_rogues(
+        platform: &Platform,
+        rogue: impl Fn(WorkerId) -> bool,
+        reply: RogueReply,
+    ) -> RuntimeSession {
+        RuntimeSession::over(Session::spawn_with_transport(
+            platform,
+            0.0,
+            TransportMode::Channel,
+            |id, params| {
+                if rogue(id) {
+                    return rogue_program(reply);
+                }
+                let mut state = WorkerState::new();
+                let honest: Program =
+                    Box::new(move |q, ep| serve_run(ep, q as usize, params.m, &mut state));
+                honest
+            },
+        ))
+    }
+
+    /// A row one `f64` short of the chunk row it answers for.
+    const SHORT_ROW: RogueReply = |c| {
+        let tag = Tag::new(FrameKind::CResult, c.tag.i as usize, c.tag.j as usize);
+        vec![(tag, c.payload.slice(..c.payload.len() - 8))]
+    };
+
     #[test]
     fn rogue_collect_replies_condemn_the_worker_not_the_master() {
         // Worker-supplied tags and lengths must be checked before they
@@ -474,10 +477,7 @@ mod tests {
                 let tag = Tag::new(FrameKind::CResult, c.tag.i as usize + 10_000, c.tag.j as usize);
                 vec![(tag, c.payload.clone())]
             }),
-            ("short payload", |c| {
-                let tag = Tag::new(FrameKind::CResult, c.tag.i as usize, c.tag.j as usize);
-                vec![(tag, c.payload.slice(..c.payload.len() - 8))]
-            }),
+            ("short payload", SHORT_ROW),
             ("repeated row", |c| {
                 let tag = Tag::new(FrameKind::CResult, c.tag.i as usize, c.tag.j as usize);
                 vec![(tag, c.payload.clone()), (tag, c.payload.clone())]
@@ -491,22 +491,71 @@ mod tests {
         let mut serial = c0.clone();
         gemm_serial(&mut serial, &a, &b);
         for (what, reply) in replies {
-            let inner =
-                Session::spawn_with_transport(&platform, 0.0, TransportMode::Channel, |id, params| {
-                    if id == WorkerId(1) {
-                        return rogue_program(reply);
-                    }
-                    let mut state = WorkerState::new();
-                    let honest: Program =
-                        Box::new(move |q, ep| serve_run(ep, q as usize, params.m, &mut state));
-                    honest
-                });
-            let session = RuntimeSession::over(inner, &platform);
+            let session = fleet_with_rogues(&platform, |id| id == WorkerId(1), reply);
             let out = session.run_all_workers(&a, &b, c0.clone()).unwrap();
             assert_eq!(out.c.max_abs_diff(&serial), 0.0, "{what}: survivors' result");
             assert_eq!(session.dead_workers(), 1, "{what}: only the rogue is condemned");
             assert_eq!(session.shutdown(), 3, "{what}");
         }
+    }
+
+    #[test]
+    fn a_lost_chunk_is_split_to_fit_a_smaller_adopter() {
+        // Table 2's platform, µ = (6, 18, 10): the worker with the most
+        // memory is the rogue, so every chunk the two-phase schedule gave
+        // it — up to 18 × 18 — is lost and must be cut down to the
+        // survivors' 6 × 6 and 10 × 10 before they can adopt it (their
+        // memory assertions, re-raised by `shutdown`, check that it was).
+        let platform = Platform::new(vec![
+            mwp_platform::WorkerParams::new(2.0, 2.0, 60),
+            mwp_platform::WorkerParams::new(3.0, 3.0, 396),
+            mwp_platform::WorkerParams::new(5.0, 1.0, 140),
+        ])
+        .unwrap();
+        let q = 4;
+        let a = random_matrix(20, 3, q, 84);
+        let b = random_matrix(3, 25, q, 85);
+        let c0 = random_matrix(20, 25, q, 86);
+        let mut serial = c0.clone();
+        gemm_serial(&mut serial, &a, &b);
+        let session = fleet_with_rogues(&platform, |id| id == WorkerId(1), SHORT_ROW);
+        let out = session.run_heterogeneous(&a, &b, c0, SelectionRule::Global).unwrap();
+        assert_eq!(out.c.max_abs_diff(&serial), 0.0);
+        assert_eq!(session.dead_workers(), 1);
+        assert_eq!(session.shutdown(), 3);
+    }
+
+    #[test]
+    fn losing_the_whole_fleet_is_an_error_not_a_panic() {
+        // Every worker answers its collect with a short row, so the run
+        // condemns them one by one until no survivor can adopt the lost
+        // chunks: the master aborts the run and reports the empty fleet.
+        let platform = Platform::homogeneous(3, 4.0, 1.0, 60).unwrap();
+        let rogue_fleet = || fleet_with_rogues(&platform, |_| true, SHORT_ROW);
+        let q = 4;
+        let a = random_matrix(7, 3, q, 81);
+        let b = random_matrix(3, 13, q, 82);
+        let c0 = random_matrix(7, 13, q, 83);
+
+        let session = rogue_fleet();
+        let lost = session.run_all_workers(&a, &b, c0.clone()).unwrap_err();
+        assert_eq!(lost, RuntimeError::EmptyFleet);
+        assert_eq!(session.dead_workers(), 3);
+        let rule = SelectionRule::Global;
+        assert_eq!(session.run_heterogeneous(&a, &b, c0.clone(), rule).unwrap_err(), lost);
+        assert_eq!(session.shutdown(), 3);
+
+        // Behind the serving tier the failed dispatch must give its
+        // admission footprint back: a panicking dispatcher would keep it
+        // reserved and park every later job forever.
+        let server = crate::serving::MatrixServer::with_options(rogue_fleet(), 2, true);
+        let job = crate::serving::JobSpec { a, b, c: c0, select: false };
+        let handles = [server.submit(job.clone()), server.submit(job)];
+        for handle in handles {
+            assert_eq!(handle.wait().result.unwrap_err(), lost);
+        }
+        assert_eq!(server.dead_workers(), 3);
+        server.shutdown();
     }
 
     #[test]

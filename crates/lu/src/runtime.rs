@@ -75,10 +75,6 @@ pub struct LuRunOutcome {
 /// worker's payload buffer pool warm across runs.
 pub struct LuSession {
     inner: Session,
-    /// Per-slot parameters, compacted in lockstep with the fleet.
-    workers: Vec<mwp_platform::WorkerParams>,
-    /// The current fleet — `None` when every worker has been pruned.
-    platform: Option<Platform>,
     /// Last plan: (membership epoch, enrolled workers). LU enrolls the
     /// whole fleet, so the plan is its size — but re-deriving it per
     /// epoch makes re-planning on fleet change observable ([`LuSession::replans`])
@@ -112,15 +108,13 @@ impl LuSession {
             let mut horiz_pack = PackedB::new();
             move |_q: u32, ep: &WorkerEndpoint| serve_lu_run(ep, &mut horiz_pack)
         });
-        Self::over(inner, platform)
+        Self::over(inner)
     }
 
     /// Wrap a spawned/accepted fleet with fresh (empty) plan state.
-    fn over(inner: Session, platform: &Platform) -> Self {
+    fn over(inner: Session) -> Self {
         LuSession {
             inner,
-            workers: platform.workers().to_vec(),
-            platform: Some(platform.clone()),
             plan: std::sync::Mutex::new(None),
             replans: std::sync::atomic::AtomicU64::new(0),
             run_lock: std::sync::Mutex::new(()),
@@ -137,14 +131,14 @@ impl LuSession {
         listener: &TransportListener,
     ) -> std::io::Result<Self> {
         let inner = Session::accept_remote(platform, time_scale, listener, SERVICE_LU)?;
-        Ok(Self::over(inner, platform))
+        Ok(Self::over(inner))
     }
 
     /// The current fleet as a platform description — `None` after every
     /// worker was pruned ([`LuSession::run`] panics on an empty fleet;
     /// admit a worker first).
     pub fn platform(&self) -> Option<&Platform> {
-        self.platform.as_ref()
+        self.inner.platform()
     }
 
     /// The fleet's membership epoch (see [`Session::epoch`]).
@@ -198,11 +192,7 @@ impl LuSession {
         listener: &TransportListener,
         params: mwp_platform::WorkerParams,
     ) -> std::io::Result<mwp_platform::WorkerId> {
-        let id = self.inner.admit(listener, params, SERVICE_LU)?;
-        self.workers.push(params);
-        self.platform =
-            Some(Platform::new(self.workers.clone()).expect("fleet is non-empty after admit"));
-        Ok(id)
+        self.inner.admit(listener, params, SERVICE_LU)
     }
 
     /// Drop every worker declared dead, compacting the fleet and the
@@ -212,17 +202,7 @@ impl LuSession {
     /// fleet leaves the session empty; [`LuSession::run`] panics until
     /// an [`LuSession::admit`] repopulates it.
     pub fn prune_dead(&mut self) -> usize {
-        let removed = self.inner.prune_dead();
-        if !removed.is_empty() {
-            self.workers = std::mem::take(&mut self.workers)
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| !removed.contains(i))
-                .map(|(_, w)| w)
-                .collect();
-            self.platform = Platform::new(self.workers.clone()).ok();
-        }
-        removed.len()
+        self.inner.prune_dead().len()
     }
 
     /// How many enrolled workers are currently flagged dead.

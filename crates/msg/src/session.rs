@@ -137,6 +137,10 @@ pub struct Session {
     /// Fingerprint bytes each enrolled connection presented (socket
     /// transports only; empty per worker on the channel transport).
     fingerprints: Vec<Vec<u8>>,
+    /// The fleet's per-slot link/memory parameters, compacted and grown
+    /// in lockstep with the links — `None` once every worker has been
+    /// pruned (an empty fleet cannot be a [`Platform`]).
+    platform: Option<Platform>,
     /// The pacing every link was attached with — kept so workers
     /// admitted later ([`Session::admit`]) join under identical terms.
     pacing: Pacing,
@@ -215,7 +219,15 @@ impl Session {
                 .collect();
             let fingerprints = vec![Vec::new(); platform.len()];
             let secret = config::fleet_secret();
-            return Session::new(master, handles, Vec::new(), fingerprints, time_scale, secret);
+            return Session::new(
+                master,
+                handles,
+                Vec::new(),
+                fingerprints,
+                platform,
+                time_scale,
+                secret,
+            );
         }
         // The loopback-socket star: worker threads live in this process (as
         // on the channel transport, so panics still propagate through
@@ -372,7 +384,7 @@ impl Session {
         }
         let links = sides.into_iter().map(|s| s.expect("every slot filled")).collect();
         let master = MasterEndpoint::new(OnePort::new(), links, liveness);
-        Ok(Session::new(master, handles, pumps, fingerprints, time_scale, secret))
+        Ok(Session::new(master, handles, pumps, fingerprints, platform, time_scale, secret))
     }
 
     /// A fresh fleet (membership epoch 1, no run drawn yet) over `master`.
@@ -381,6 +393,7 @@ impl Session {
         handles: Vec<thread::JoinHandle<()>>,
         pumps: Vec<thread::JoinHandle<()>>,
         fingerprints: Vec<Vec<u8>>,
+        platform: &Platform,
         time_scale: f64,
         secret: Vec<u8>,
     ) -> Session {
@@ -389,6 +402,7 @@ impl Session {
             handles,
             pumps,
             fingerprints,
+            platform: Some(platform.clone()),
             pacing: Pacing { time_scale },
             epoch: 1,
             secret,
@@ -444,16 +458,18 @@ impl Session {
         debug_assert_eq!(assigned, id);
         self.fingerprints.push(fingerprint);
         self.pumps.extend(link_pumps);
+        let mut fleet = self.platform.take().map_or_else(Vec::new, |p| p.workers().to_vec());
+        fleet.push(params);
+        self.platform = Some(Platform::new(fleet).expect("fleet is non-empty after admit"));
         Ok(id)
     }
 
     /// **Elastic disenrollment**: drop every link whose death flag is
     /// set (heartbeat deadline missed, socket error, or an explicit
     /// `mark_dead` from a failure-aware scheduler), compacting the
-    /// surviving workers down to ids `0..workers()`. Returns the
-    /// removed workers' **pre-prune** indices, ascending, so callers
-    /// tracking per-worker state (e.g. a platform description) can
-    /// compact in lockstep.
+    /// surviving workers — and [`Session::platform`] with them — down to
+    /// ids `0..workers()`. Returns the removed workers' **pre-prune**
+    /// indices, ascending.
     ///
     /// Survivors shifting down is safe: master-side routing is purely
     /// structural (links are addressed by index) and no data frame
@@ -476,6 +492,11 @@ impl Session {
             original += 1;
         }
         if !removed.is_empty() {
+            let survivors = self.platform.take().map_or_else(Vec::new, |p| {
+                let slots = p.workers().iter().enumerate();
+                slots.filter(|(i, _)| !removed.contains(i)).map(|(_, w)| *w).collect()
+            });
+            self.platform = Platform::new(survivors).ok();
             // A membership change: welcomes issued to the old fleet are
             // now stale, so redialing a dead worker's old epoch at the
             // door gets rejected instead of resurrecting a ghost slot.
@@ -507,6 +528,13 @@ impl Session {
     /// order (empty for channel-transport workers, which never enroll).
     pub fn worker_fingerprints(&self) -> &[Vec<u8>] {
         &self.fingerprints
+    }
+
+    /// The current fleet as a platform description: the parameters each
+    /// slot was spawned, accepted or admitted with. `None` after every
+    /// worker was pruned, until an [`Session::admit`] repopulates it.
+    pub fn platform(&self) -> Option<&Platform> {
+        self.platform.as_ref()
     }
 
     /// The master endpoint (valid for the session's whole lifetime).

@@ -1,6 +1,8 @@
 //! Chaos end-to-end: real `mwp-worker` processes die — deterministically
 //! via `MWP_FAULT=kill:<n>` (a `std::process::abort` mid-protocol, the
-//! stand-in for `kill -9`) or by an actual SIGKILL from the test — while
+//! stand-in for `kill -9`; the matrix-product tests sweep `<n>` over
+//! every result row of a run, so the death lands in every chunk of the
+//! schedule) or by an actual SIGKILL from the test — while
 //! a master in this process is mid-run over loopback TCP. The master
 //! must detect each death, re-dispatch the lost work to survivors, and
 //! produce results **bit-identical** to an all-healthy in-process
@@ -14,13 +16,15 @@
 //! process-wide and therefore runs as its own binary.
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
-use mwp_blockmat::BlockMatrix;
+use mwp_blockmat::{BlockMatrix, Partition};
+use mwp_core::schedule::{PortOp, Schedule};
 use mwp_core::selection::incremental::SelectionRule;
 use mwp_core::session::RuntimeSession;
+use mwp_core::MemoryLayout;
 use mwp_lu::runtime::LuSession;
 use mwp_msg::transport::TransportListener;
 use mwp_msg::TransportMode;
-use mwp_platform::{Platform, WorkerParams};
+use mwp_platform::{Platform, WorkerId, WorkerParams};
 use std::process::{Child, Command, Stdio};
 
 /// Launch one worker process dialing `endpoint`, with `MWP_FAULT` set to
@@ -60,86 +64,107 @@ fn holm_round(round: u64) -> (BlockMatrix, BlockMatrix, BlockMatrix) {
     (a, b, c0)
 }
 
+/// The most result rows any one worker returns over `schedule`: the
+/// doomed worker enrolls into whichever slot it reaches first, so this
+/// bounds the `kill:<n>` values that land inside a single run.
+fn most_result_rows(schedule: &Schedule) -> usize {
+    let rows_of = |w: &WorkerId| {
+        let collected = schedule.ops.iter().filter_map(|op| match op {
+            PortOp::Collect { worker, chunk, .. } if worker == w => Some(chunk.height),
+            _ => None,
+        });
+        collected.sum::<usize>()
+    };
+    schedule.workers().iter().map(rows_of).max().expect("the schedule serves someone")
+}
+
+/// The product every sweep round computes, as the generators see it.
+fn holm_problem() -> Partition {
+    let (a, b, _) = holm_round(0);
+    Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q())
+}
+
+/// Each fault × each phase: for every `n` in `1..=rows`, a fresh fleet of
+/// three remote workers of which one aborts on its `n`-th result row —
+/// so the death lands, in turn, in every chunk the schedule gives it,
+/// mid-collection, after the master has already buffered part of the
+/// chunk. The staged commit must discard the partial chunk, the executor
+/// must re-dispatch it (and everything else the schedule still held for
+/// the dead worker) on the survivors, and every round — before, during,
+/// and after the death — must match the healthy in-process reference
+/// bit for bit.
+fn kill_sweep(
+    platform: &Platform,
+    rows: usize,
+    run: impl Fn(&RuntimeSession, &BlockMatrix, &BlockMatrix, BlockMatrix) -> BlockMatrix,
+) {
+    let local = RuntimeSession::with_transport(platform, 0.0, TransportMode::Channel);
+    for n in 1..=rows {
+        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let endpoint = listener.endpoint();
+        let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
+        let doomed = spawn_worker(&endpoint, &format!("kill:{n}"));
+        let remote = RuntimeSession::accept_remote(platform, 0.0, &listener).unwrap();
+
+        // Keep serving rounds until the abort has been observed (a slot
+        // with fewer rows than `n` dies in a later round).
+        for round in 0..5u64 {
+            let (a, b, c0) = holm_round(round);
+            let over_socket = run(&remote, &a, &b, c0.clone());
+            let over_channel = run(&local, &a, &b, c0);
+            assert_eq!(
+                over_socket.max_abs_diff(&over_channel),
+                0.0,
+                "kill:{n}, round {round}: recovered result must be bit-identical"
+            );
+            if remote.dead_workers() > 0 {
+                break;
+            }
+        }
+        assert_eq!(remote.dead_workers(), 1, "the kill:{n} fault never fired");
+
+        remote.shutdown();
+        reap(healthy);
+        reap_aborted(doomed);
+    }
+    local.shutdown();
+}
+
 #[test]
 fn holm_recovers_bit_identically_when_a_worker_aborts_mid_run() {
-    // Three remote workers; one aborts on its second result frame —
-    // mid-chunk-collection, after the master has already buffered part
-    // of the chunk. The staged commit must discard the partial chunk
-    // and replay it on a survivor with no double-accumulation.
-    //
-    // Memory is deliberately small (µ = 20 blocks): the 5×9-block C
-    // must split into several chunks, so every enrolled worker —
-    // including the doomed one — actually gets work each round.
+    // Memory is deliberately small (m = 20 blocks, µ = 2): the 5×9-block
+    // C splits into 15 chunks, so every enrolled worker — including the
+    // doomed one — holds several chunks per run. ORROML (every worker
+    // enrolled) so the doomed worker always gets work.
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
-    let endpoint = listener.endpoint();
-    let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
-    let doomed = spawn_worker(&endpoint, "kill:2");
-    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
-    let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
-
-    // ORROML (every worker enrolled) so the doomed worker always gets
-    // work. Keep serving rounds until its abort has been observed; each
-    // round — before, during, and after the death — must match the
-    // healthy reference bit-for-bit.
-    for round in 0..5u64 {
-        let (a, b, c0) = holm_round(round);
-        let over_socket = remote.run_all_workers(&a, &b, c0.clone()).unwrap();
-        let over_channel = local.run_all_workers(&a, &b, c0).unwrap();
-        assert_eq!(
-            over_socket.c.max_abs_diff(&over_channel.c),
-            0.0,
-            "round {round}: recovered result must be bit-identical"
-        );
-        if remote.dead_workers() > 0 {
-            break;
-        }
-    }
-    assert_eq!(remote.dead_workers(), 1, "the kill:2 fault never fired");
-
-    local.shutdown();
-    remote.shutdown();
-    reap(healthy);
-    reap_aborted(doomed);
+    let mu = MemoryLayout::MaxReuseOverlapped.mu(20);
+    let schedule = Schedule::algorithm1(&holm_problem(), mu, 3, 1);
+    kill_sweep(&platform, most_result_rows(&schedule), |session, a, b, c| {
+        session.run_all_workers(a, b, c).unwrap().c
+    });
 }
 
 #[test]
 fn heterogeneous_runtime_recovers_when_a_worker_aborts_mid_run() {
-    // Same death, other scheduler: the heterogeneous two-phase runtime
-    // must surrender the dead worker's unfinished column group to the
-    // lost pool and replay it (split to fit, if need be) on survivors.
+    // Same deaths, other generator: whatever the two-phase schedule
+    // still held for the dead worker — the chunk in flight, the rest of
+    // its column group — is lost and re-dispatched by the same rule.
+    // Unequal memories (µ = 4, 2, 4): when a larger slot dies, its
+    // chunks are split to fit their adopters.
     //
     // Compute-heavy workers (w ≫ c) so the resource selection wants the
     // whole fleet: a communication-bound platform would deterministically
     // leave the doomed worker out of the selected set — and out of
     // harm's way.
-    let platform = Platform::homogeneous(3, 1.0, 8.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
-    let endpoint = listener.endpoint();
-    let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
-    let doomed = spawn_worker(&endpoint, "kill:2");
-    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
-    let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
-
-    for round in 0..5u64 {
-        let (a, b, c0) = holm_round(round);
-        let over_socket = remote.run_heterogeneous(&a, &b, c0.clone(), SelectionRule::Global).unwrap();
-        let over_channel = local.run_heterogeneous(&a, &b, c0, SelectionRule::Global).unwrap();
-        assert_eq!(
-            over_socket.c.max_abs_diff(&over_channel.c),
-            0.0,
-            "round {round}: recovered result must be bit-identical"
-        );
-        if remote.dead_workers() > 0 {
-            break;
-        }
-    }
-    assert_eq!(remote.dead_workers(), 1, "the kill:2 fault never fired");
-
-    local.shutdown();
-    remote.shutdown();
-    reap(healthy);
-    reap_aborted(doomed);
+    let platform =
+        Platform::new([32, 20, 32].map(|m| WorkerParams::new(1.0, 8.0, m)).to_vec()).unwrap();
+    let mu: Vec<usize> =
+        platform.workers().iter().map(|w| MemoryLayout::MaxReuseOverlapped.mu(w.m)).collect();
+    let schedule = Schedule::two_phase(&platform, &mu, SelectionRule::Global, &holm_problem());
+    assert_eq!(schedule.workers().len(), 3, "the selection must serve the whole fleet");
+    kill_sweep(&platform, most_result_rows(&schedule), |session, a, b, c| {
+        session.run_heterogeneous(a, b, c, SelectionRule::Global).unwrap().c
+    });
 }
 
 #[test]

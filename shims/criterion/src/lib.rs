@@ -8,7 +8,7 @@
 //!
 //! Set `MWP_BENCH_JSON=<path>` to append one JSON line per benchmark
 //! (`{"name": ..., "ns_per_iter": ...}`) — the format the workspace's
-//! `BENCH_baseline.json` tooling consumes.
+//! `bench_baseline` tooling consumes.
 
 use std::fmt::Display;
 use std::io::Write as _;
