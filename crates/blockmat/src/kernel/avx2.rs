@@ -24,7 +24,7 @@
 //! PR 2 single-pass panel loop, and differ from the scalar kernel only by
 //! FMA's unrounded multiplies, within `k · ‖A‖ · ‖B‖ · ε` elementwise.
 //!
-//! The per-call entry ([`gemm_acc`]) is literally "pack, then run the
+//! The per-call entry ([`gemm_acc_ld`]) is literally "pack, then run the
 //! packed macrokernel" on a thread-local buffer; prepacked reuse enters
 //! at [`gemm_acc_packed`] with a caller-owned [`super::PackedB`] buffer.
 //!
@@ -38,30 +38,36 @@ use std::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-use super::pack::{kc_for, pack_b, packed_len, with_pack_buf, MR, NC, NR};
+use super::pack::{kc_for, pack_b_ld, packed_len, with_pack_buf, MR, NC, NR};
 
-/// Dispatch-table entry: `C += alpha · A · B`, packing B into the
-/// thread-local buffer and running the packed macrokernel — the
-/// pack-per-call path every [`gemm_acc_packed`] caller avoids repeating.
+/// Dispatch-table entry: `C += alpha · A · B` with rows `ldc` / `lda` /
+/// `ldb` apart, packing B into the thread-local buffer and running the
+/// packed macrokernel — the pack-per-call path every [`gemm_acc_packed`]
+/// caller avoids repeating.
 ///
 /// # Safety
 /// The CPU must support AVX2 and FMA (guaranteed by `dispatch` before
-/// this function pointer is ever handed out), and the slices must have
-/// the advertised `m·n` / `m·k` / `k·n` lengths (checked by
-/// [`super::Kernel::gemm_acc`]).
-pub(super) unsafe fn gemm_acc(
-    c: &mut [f64],
-    a: &[f64],
-    b: &[f64],
+/// this function pointer is ever handed out), plus the memory contract
+/// of [`super::Kernel::gemm_acc_ld`].
+#[allow(clippy::too_many_arguments)]
+pub(super) unsafe fn gemm_acc_ld(
+    c: *mut f64,
+    ldc: usize,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    ldb: usize,
     m: usize,
     n: usize,
     k: usize,
     alpha: f64,
 ) {
     with_pack_buf(|buf| {
-        pack_b(b, k, n, alpha, buf);
-        // SAFETY: caller guarantees AVX2+FMA and slice shapes.
-        unsafe { gemm_packed(c, a, buf, m, n, k) }
+        // SAFETY: forwarded caller guarantees.
+        unsafe {
+            pack_b_ld(b, ldb, k, n, alpha, buf);
+            gemm_packed(c, ldc, a, lda, buf, m, n, k)
+        }
     })
 }
 
@@ -70,7 +76,7 @@ pub(super) unsafe fn gemm_acc(
 /// at pack time, so the trailing parameter is unused here).
 ///
 /// # Safety
-/// Same CPU requirement as [`gemm_acc`]; `bp` must be a buffer this
+/// Same CPU requirement as [`gemm_acc_ld`]; `bp` must be a buffer this
 /// kernel's pack routine produced for a `k × n` B (checked by
 /// [`super::Kernel::gemm_acc_packed`] via the pack identity), and `c`/`a`
 /// must have the advertised `m·n` / `m·k` lengths.
@@ -84,13 +90,24 @@ pub(super) unsafe fn gemm_acc_packed(
     _alpha_folded_at_pack: f64,
 ) {
     // SAFETY: forwarded caller guarantees.
-    unsafe { gemm_packed(c, a, bp, m, n, k) }
+    unsafe { gemm_packed(c.as_mut_ptr(), n, a.as_ptr(), k, bp, m, n, k) }
 }
 
 /// The blocked macro loop over a packed B buffer: column blocks → kc
-/// strips → 4-row stripes → panels, microkernel innermost.
+/// strips → 4-row stripes → panels, microkernel innermost. C and A rows
+/// are `ldc` / `lda` apart.
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_packed(c: &mut [f64], a: &[f64], bp: &[f64], m: usize, n: usize, k: usize) {
+unsafe fn gemm_packed(
+    c: *mut f64,
+    ldc: usize,
+    a: *const f64,
+    lda: usize,
+    bp: &[f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
     debug_assert_eq!(bp.len(), packed_len(k, n));
     let kc = kc_for(k, n);
     let mut block_base = 0;
@@ -105,15 +122,15 @@ unsafe fn gemm_packed(c: &mut [f64], a: &[f64], bp: &[f64], m: usize, n: usize, 
             let mut i0 = 0;
             while i0 < m {
                 let mr = MR.min(m - i0);
-                let a_stripe = a.as_ptr().add(i0 * k + k0c);
+                let a_stripe = a.add(i0 * lda + k0c);
                 for p in 0..panels {
                     let j0 = j0c + p * NR;
                     let nr = NR.min(n - j0);
                     let panel = strip.add(p * kcb * NR);
                     if nr == NR {
                         // Full-width tile: accumulate straight into C.
-                        let c_tile = c.as_mut_ptr().add(i0 * n + j0);
-                        microkernel_rows(mr, c_tile, n, a_stripe, k, kcb, panel);
+                        let c_tile = c.add(i0 * ldc + j0);
+                        microkernel_rows(mr, c_tile, ldc, a_stripe, lda, kcb, panel);
                     } else {
                         // Column tail: stage the live columns through a
                         // scratch tile so the kernel always sees an
@@ -122,16 +139,16 @@ unsafe fn gemm_packed(c: &mut [f64], a: &[f64], bp: &[f64], m: usize, n: usize, 
                         let mut tile = [0.0f64; MR * NR];
                         for r in 0..mr {
                             std::ptr::copy_nonoverlapping(
-                                c.as_ptr().add((i0 + r) * n + j0),
+                                c.add((i0 + r) * ldc + j0),
                                 tile.as_mut_ptr().add(r * NR),
                                 nr,
                             );
                         }
-                        microkernel_rows(mr, tile.as_mut_ptr(), NR, a_stripe, k, kcb, panel);
+                        microkernel_rows(mr, tile.as_mut_ptr(), NR, a_stripe, lda, kcb, panel);
                         for r in 0..mr {
                             std::ptr::copy_nonoverlapping(
                                 tile.as_ptr().add(r * NR),
-                                c.as_mut_ptr().add((i0 + r) * n + j0),
+                                c.add((i0 + r) * ldc + j0),
                                 nr,
                             );
                         }

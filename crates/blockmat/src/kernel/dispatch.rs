@@ -15,10 +15,22 @@
 use super::packed::PackedB;
 use std::sync::OnceLock;
 
-/// Raw kernel entry: `C (m×n) += alpha · A (m×k) · B (k×n)`, row-major
-/// contiguous. Unsafe because the AVX2 entry requires CPU support the
-/// dispatcher establishes; shape checking is done by [`Kernel::gemm_acc`].
-type GemmAccRaw = unsafe fn(&mut [f64], &[f64], &[f64], usize, usize, usize, f64);
+/// Raw kernel entry: `C (m×n) += alpha · A (m×k) · B (k×n)`, row-major,
+/// as `(c, ldc, a, lda, b, ldb, m, n, k, alpha)`. Unsafe because the AVX2
+/// entry requires CPU support the dispatcher establishes and the operands
+/// are raw sub-matrix views; see [`Kernel::gemm_acc_ld`].
+type GemmAccLdRaw = unsafe fn(
+    *mut f64,
+    usize,
+    *const f64,
+    usize,
+    *const f64,
+    usize,
+    usize,
+    usize,
+    usize,
+    f64,
+);
 
 /// Raw pack entry: fill the buffer with this kernel's private packed
 /// image of `alpha · B (k×n)`. Safe — packing is plain data movement.
@@ -27,7 +39,7 @@ type PackBRaw = fn(&[f64], usize, usize, f64, &mut Vec<f64>);
 /// Raw prepacked entry: `C (m×n) += A (m×k) · bp` where `bp` is this
 /// kernel's packed image (the trailing `alpha` is the recorded value,
 /// for kernels that apply it at consume time rather than at pack time).
-/// Unsafe for the same reason as [`GemmAccRaw`], plus the layout trust:
+/// Unsafe for the CPU support the dispatcher establishes, plus the layout trust:
 /// `bp` must have been produced by this kernel's pack entry for `k × n`.
 type GemmAccPackedRaw = unsafe fn(&mut [f64], &[f64], &[f64], usize, usize, usize, f64);
 
@@ -40,7 +52,7 @@ type GemmAccPackedRaw = unsafe fn(&mut [f64], &[f64], &[f64], usize, usize, usiz
 /// load out of per-block code.
 pub struct Kernel {
     name: &'static str,
-    gemm_acc: GemmAccRaw,
+    gemm_acc_ld: GemmAccLdRaw,
     pack_b: PackBRaw,
     gemm_acc_packed: GemmAccPackedRaw,
 }
@@ -75,9 +87,42 @@ impl Kernel {
         assert_eq!(c.len(), m * n, "C must be m×n");
         assert_eq!(a.len(), m * k, "A must be m×k");
         assert_eq!(b.len(), k * n, "B must be k×n");
-        // SAFETY: shapes just checked; CPU support was established when
-        // this Kernel was handed out (see module docs).
-        unsafe { (self.gemm_acc)(c, a, b, m, n, k, alpha) }
+        // SAFETY: three distinct slices of the contiguous shapes just
+        // checked.
+        unsafe { self.gemm_acc_ld(c.as_mut_ptr(), n, a.as_ptr(), k, b.as_ptr(), n, m, n, k, alpha) }
+    }
+
+    /// [`Kernel::gemm_acc`] on operands that are sub-matrices of larger
+    /// row-major buffers — rows `ldc` / `lda` / `ldb` elements apart — read
+    /// and updated in place. This is how the blocked LU kernels push their
+    /// off-diagonal work through the gemm micro-kernel without copying
+    /// panels out and back.
+    ///
+    /// # Safety
+    /// Row `r` of C (`n` elements at `c + r·ldc`, `r < m`) must be valid
+    /// for reads and writes, row `r` of A (`k` elements at `a + r·lda`,
+    /// `r < m`) and of B (`n` elements at `b + r·ldb`, `r < k`) for reads,
+    /// and no C row may overlap an A or B row. The three may otherwise
+    /// live in one allocation.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) unsafe fn gemm_acc_ld(
+        &self,
+        c: *mut f64,
+        ldc: usize,
+        a: *const f64,
+        lda: usize,
+        b: *const f64,
+        ldb: usize,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+    ) {
+        debug_assert!(ldc >= n && lda >= k && ldb >= n, "rows must not overlap");
+        // SAFETY: forwarded caller guarantees; CPU support was established
+        // when this Kernel was handed out (see module docs).
+        unsafe { (self.gemm_acc_ld)(c, ldc, a, lda, b, ldb, m, n, k, alpha) }
     }
 
     /// Pack `alpha · b` (`k × n`, row-major) into `dst`, reusing `dst`'s
@@ -127,7 +172,7 @@ impl std::fmt::Debug for Kernel {
 
 static SCALAR: Kernel = Kernel {
     name: "scalar",
-    gemm_acc: super::scalar::gemm_acc,
+    gemm_acc_ld: super::scalar::gemm_acc_ld,
     pack_b: super::scalar::pack_b,
     gemm_acc_packed: super::scalar::gemm_acc_packed,
 };
@@ -135,7 +180,7 @@ static SCALAR: Kernel = Kernel {
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 static AVX2: Kernel = Kernel {
     name: "avx2",
-    gemm_acc: super::avx2::gemm_acc,
+    gemm_acc_ld: super::avx2::gemm_acc_ld,
     pack_b: super::pack::pack_b,
     gemm_acc_packed: super::avx2::gemm_acc_packed,
 };

@@ -22,12 +22,15 @@
 //!   once instead of once per `gemm_acc` call.
 //!
 //! The kernel contract is a rectangular row-major accumulation
-//! `C (m×n) += alpha · A (m×k) · B (k×n)` with contiguous storage
-//! (`ldc = n`, `lda = k`, `ldb = n`). The square `q × q` block update is
-//! the `m = n = k = q, alpha = 1` case; the LU rank-µ panel update is the
-//! `alpha = -1` case. `alpha` is applied as an exact scalar factor
-//! (`±1.0` in every in-tree call site), so sign flips never perturb the
-//! result.
+//! `C (m×n) += alpha · A (m×k) · B (k×n)`. The public entries take
+//! contiguous storage (`ldc = n`, `lda = k`, `ldb = n`); the crate-private
+//! `Kernel::gemm_acc_ld` takes each operand's leading dimension, so the
+//! blocked LU kernels ([`crate::lu`]) update sub-matrices of one buffer in
+//! place — same pack, same macro loop, same micro-kernel. The square
+//! `q × q` block update is the `m = n = k = q, alpha = 1` case; the LU
+//! rank-µ panel update is the `alpha = -1` case. `alpha` is applied as an
+//! exact scalar factor (`±1.0` in every in-tree call site), so sign flips
+//! never perturb the result.
 //!
 //! # The `PackedB` ownership / invalidation contract
 //!
@@ -190,6 +193,46 @@ mod tests {
                     "kernel {} diverges at {m}x{n}x{k} alpha=-1",
                     kernel.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn strided_operands_match_contiguous_copies_bitwise() {
+        // The leading-dimension entry on sub-matrices of one buffer —
+        // C and A sharing rows, as the in-place LU kernels pass them —
+        // against the contiguous entry on copies of the same operands.
+        let (ld, rows) = (61usize, 50usize);
+        let copy = |buf: &[f64], r0: usize, c0: usize, h: usize, w: usize| -> Vec<f64> {
+            (0..h).flat_map(|i| buf[(r0 + i) * ld + c0..][..w].to_vec()).collect()
+        };
+        for kernel in available() {
+            let shapes = [(1usize, 1usize, 1usize), (4, 8, 16), (7, 13, 5), (33, 29, 16), (10, 40, 3)];
+            for (m, n, k) in shapes {
+                let mut buf = seeded(ld * rows, 41);
+                // B: rows 0..k, cols 20..20+n; A: rows 16.., cols 0..k;
+                // C: rows 16.., cols 20..20+n.
+                let (a, b) = (copy(&buf, 16, 0, m, k), copy(&buf, 0, 20, k, n));
+                let mut want = copy(&buf, 16, 20, m, n);
+                kernel.gemm_acc(&mut want, &a, &b, m, n, k, -1.0);
+                let before = buf.clone();
+                let p = buf.as_mut_ptr();
+                // SAFETY: the three sub-matrices lie inside `buf`; C's
+                // columns are disjoint from A's, its rows from B's.
+                unsafe {
+                    let (c, a, b) = (p.add(16 * ld + 20), p.add(16 * ld), p.add(20));
+                    kernel.gemm_acc_ld(c, ld, a, ld, b, ld, m, n, k, -1.0);
+                }
+                let got = copy(&buf, 16, 20, m, n);
+                assert_eq!(got, want, "kernel {} at {m}x{n}x{k}", kernel.name());
+                // Nothing outside C moved.
+                for i in 0..rows {
+                    for j in 0..ld {
+                        let in_c = (16..16 + m).contains(&i) && (20..20 + n).contains(&j);
+                        let kept = buf[i * ld + j] == before[i * ld + j];
+                        assert!(in_c || kept, "({i}, {j}) clobbered");
+                    }
+                }
             }
         }
     }

@@ -96,10 +96,29 @@ pub(super) fn packed_len(k: usize, n: usize) -> usize {
     n.div_ceil(NR) * k * NR
 }
 
-/// Pack `alpha · b` (`k × n`, row-major) into `out` in the blocked
-/// layout: NC blocks → KC strips → NR panels, k-major inside each panel.
+/// Pack `alpha · b` (`k × n`, row-major contiguous) into `out` in the
+/// blocked layout: NC blocks → KC strips → NR panels, k-major inside each
+/// panel.
 pub(super) fn pack_b(b: &[f64], k: usize, n: usize, alpha: f64, out: &mut Vec<f64>) {
     debug_assert_eq!(b.len(), k * n);
+    // SAFETY: `b` holds `k` rows of `n` elements, `n` apart.
+    unsafe { pack_b_ld(b.as_ptr(), n, k, n, alpha, out) }
+}
+
+/// [`pack_b`] for a B whose rows are `ldb ≥ n` apart — a sub-matrix of a
+/// larger row-major buffer, read in place.
+///
+/// # Safety
+/// Each of the `k` rows `b + r·ldb .. + n` must be readable and must not
+/// be written for the duration of the call.
+pub(super) unsafe fn pack_b_ld(
+    b: *const f64,
+    ldb: usize,
+    k: usize,
+    n: usize,
+    alpha: f64,
+    out: &mut Vec<f64>,
+) {
     count_pack();
     // Grow-only at steady state: new capacity is zero-filled once, but
     // slots a previous pack wrote are NOT re-zeroed — the loops below
@@ -120,7 +139,10 @@ pub(super) fn pack_b(b: &[f64], k: usize, n: usize, alpha: f64, out: &mut Vec<f6
                 let nr = NR.min(n - j0);
                 let panel = &mut strip[p * kcb * NR..][..kcb * NR];
                 for kk in 0..kcb {
-                    let src = &b[(k0c + kk) * n + j0..][..nr];
+                    // SAFETY: columns `j0 .. j0 + nr` of row `k0c + kk`,
+                    // inside the row the caller vouched for.
+                    let row = unsafe { b.add((k0c + kk) * ldb + j0) };
+                    let src = unsafe { std::slice::from_raw_parts(row, nr) };
                     let dst = &mut panel[kk * NR..][..NR];
                     for (d, s) in dst[..nr].iter_mut().zip(src) {
                         *d = alpha * *s;

@@ -46,28 +46,40 @@ pub(super) unsafe fn gemm_acc_packed(
     k: usize,
     alpha: f64,
 ) {
-    gemm_acc(c, a, bp, m, n, k, alpha)
+    debug_assert_eq!((c.len(), a.len(), bp.len()), (m * n, m * k, k * n));
+    // SAFETY: contiguous operands of the lengths just stated.
+    unsafe { gemm_acc_ld(c.as_mut_ptr(), n, a.as_ptr(), k, bp.as_ptr(), n, m, n, k, alpha) }
 }
 
-/// `C (m×n) += alpha · A (m×k) · B (k×n)`, row-major contiguous.
+/// `C (m×n) += alpha · A (m×k) · B (k×n)`, row-major with rows `ldc` /
+/// `lda` / `ldb` apart (contiguous operands are `ldc = n`, `lda = k`,
+/// `ldb = n`).
 ///
 /// Each pass streams four `b` rows against one `c` row, so the `c` row is
 /// loaded and stored once per four rank-1 updates instead of once per
 /// update; there is no data-dependent branch in the inner loop to block
 /// autovectorization. `alpha` scales the `a` elements as they are loaded
 /// (exact for `±1.0`, the only values used in-tree).
-pub(super) fn gemm_acc(
-    cv: &mut [f64],
-    av: &[f64],
-    bv: &[f64],
+///
+/// # Safety
+/// The memory contract of [`super::Kernel::gemm_acc_ld`].
+#[allow(clippy::too_many_arguments)]
+pub(super) unsafe fn gemm_acc_ld(
+    c: *mut f64,
+    ldc: usize,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    ldb: usize,
     m: usize,
     n: usize,
     k: usize,
     alpha: f64,
 ) {
-    debug_assert_eq!(cv.len(), m * n);
-    debug_assert_eq!(av.len(), m * k);
-    debug_assert_eq!(bv.len(), k * n);
+    // SAFETY (every `from_raw_parts*` below): row `r` of an operand is the
+    // `n` (C, B) or `k` (A) elements at `r · ld`, which the caller vouched
+    // for; the C row is disjoint from every A and B row.
+    let brow = |kx: usize| unsafe { std::slice::from_raw_parts(b.add(kx * ldb), n) };
     let mut ii = 0;
     while ii < m {
         let i_end = (ii + TILE).min(m);
@@ -75,18 +87,15 @@ pub(super) fn gemm_acc(
         while kk < k {
             let k_end = (kk + TILE).min(k);
             for i in ii..i_end {
-                let arow = &av[i * k..][..k];
-                let crow = &mut cv[i * n..][..n];
+                let arow = unsafe { std::slice::from_raw_parts(a.add(i * lda), k) };
+                let crow = unsafe { std::slice::from_raw_parts_mut(c.add(i * ldc), n) };
                 let mut kx = kk;
                 while kx + 4 <= k_end {
                     let a0 = alpha * arow[kx];
                     let a1 = alpha * arow[kx + 1];
                     let a2 = alpha * arow[kx + 2];
                     let a3 = alpha * arow[kx + 3];
-                    let b0 = &bv[kx * n..][..n];
-                    let b1 = &bv[(kx + 1) * n..][..n];
-                    let b2 = &bv[(kx + 2) * n..][..n];
-                    let b3 = &bv[(kx + 3) * n..][..n];
+                    let (b0, b1, b2, b3) = (brow(kx), brow(kx + 1), brow(kx + 2), brow(kx + 3));
                     for j in 0..n {
                         let mut s = crow[j];
                         s += a0 * b0[j];
@@ -99,8 +108,7 @@ pub(super) fn gemm_acc(
                 }
                 while kx < k_end {
                     let aik = alpha * arow[kx];
-                    let brow = &bv[kx * n..][..n];
-                    for (cj, bj) in crow.iter_mut().zip(brow.iter()) {
+                    for (cj, bj) in crow.iter_mut().zip(brow(kx)) {
                         *cj += aik * *bj;
                     }
                     kx += 1;

@@ -18,8 +18,9 @@
 //!   as ground truth by runtime verification,
 //! * [`payload`] — zero-copy wire payloads: a matrix serialized once into
 //!   a shared buffer, blocks handed out as refcounted slices,
-//! * [`lu`] — the dense kernels for the Section 7 LU extension (unblocked
-//!   factorization, triangular panel updates, rank-µ update).
+//! * [`lu`] — the dense kernels for the Section 7 LU extension (pivot
+//!   factorization and triangular panel solves, blocked onto the gemm
+//!   micro-kernel; rank-µ update).
 //!
 //! Everything here is deliberately dependency-light: the scheduling layers
 //! above know nothing about coefficients, only about block counts.

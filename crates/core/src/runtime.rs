@@ -41,7 +41,7 @@ use mwp_msg::session::{RunExit, RUN_ABORT, RUN_BEGIN, RUN_END};
 use mwp_msg::config::run_deadline;
 use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
-use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
+use mwp_trace::{record, ActivityKind};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
@@ -653,34 +653,6 @@ impl WorkerState {
     }
 }
 
-/// Trace timestamp taken only when a sink is live (`MWP_TRACE=off` costs
-/// one atomic check here and nothing downstream).
-#[inline]
-fn trace_begin() -> Option<SimTime> {
-    record::enabled().then(record::now)
-}
-
-/// Close a worker-side span opened at `t0`: `Compute` spans land on the
-/// worker's occupancy track, `Pack`/`Kernel` detail spans on its detail
-/// track (they subdivide the enclosing compute span, so they must not
-/// compete with it for per-resource exclusivity).
-fn trace_worker_span(
-    w: WorkerId,
-    kind: ActivityKind,
-    t0: Option<SimTime>,
-    run: u32,
-    label: &'static str,
-) {
-    let Some(t0) = t0 else { return };
-    let resource = match kind {
-        ActivityKind::Compute => Resource::Worker(w),
-        _ => Resource::WorkerDetail(w),
-    };
-    record::record(
-        Activity::new(resource, kind, w, t0, record::now(), label.into()).with_run(run),
-    );
-}
-
 /// Algorithm 2: the worker program, serving **one wake** of a session —
 /// which may span several interleaved run generations.
 ///
@@ -767,9 +739,9 @@ pub(crate) fn serve_run(
                         pack: spare_packs.pop().unwrap_or_default(),
                     });
                     resident.block.copy_from_bytes(part);
-                    let tp = trace_begin();
+                    let tp = record::begin();
                     resident.block.pack_b_for(kernel, &mut resident.pack);
-                    trace_worker_span(ep.id(), ActivityKind::Pack, tp, gen, "pack B");
+                    record::worker_span(ep.id(), ActivityKind::Pack, tp, gen, "pack B");
                 }
             }
             FrameKind::BlockA => {
@@ -788,17 +760,17 @@ pub(crate) fn serve_run(
                     // One Compute span per processed A block (the
                     // simulator's unit of worker occupancy), with one
                     // Kernel detail span per GEMM call inside it.
-                    let tc = trace_begin();
+                    let tc = record::begin();
                     a_scratch.copy_from_bytes(part);
                     for (cj, c_block) in row.iter_mut() {
                         let resident = b_row
                             .get(cj)
                             .expect("B row must arrive before the A column (FIFO)");
-                        let tk = trace_begin();
+                        let tk = record::begin();
                         c_block.gemm_acc_prepacked(kernel, a_scratch, &resident.pack);
-                        trace_worker_span(ep.id(), ActivityKind::Kernel, tk, gen, "gemm");
+                        record::worker_span(ep.id(), ActivityKind::Kernel, tk, gen, "gemm");
                     }
-                    trace_worker_span(ep.id(), ActivityKind::Compute, tc, gen, "A update");
+                    record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "A update");
                 }
             }
             FrameKind::Control if frame.tag.i == RUN_END || frame.tag.i == RUN_ABORT => {

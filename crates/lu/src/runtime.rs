@@ -6,19 +6,49 @@
 //! workers updating core column groups in parallel — all with real `f64`
 //! arithmetic, verified against the serial blocked factorization.
 //!
+//! # Message pattern
+//!
 //! The message layer moves self-describing dense sub-matrices (a tiny
-//! `rows × cols` header before the coefficients). The step's horizontal
-//! panel — the B operand of every core update — is encoded once and
-//! fanned out to the enrolled workers as refcounted views of one buffer
-//! (`OP_SET_HORIZ`); each worker **packs it once** for the dispatched
-//! kernel and keeps the pack resident for the step, so the rank-µ updates
-//! of all its row groups stream against one prepacked panel instead of
-//! repacking per core task. Core-group tasks then carry only their own
-//! rows of the vertical panel and of the core. All payloads are built in
-//! recycled buffer pools, so the steady-state message path allocates
-//! nothing. The simulation in [`crate::homogeneous`] models the paper's
-//! exact volumes (the core is square, so row groups move exactly the
-//! bytes column groups did).
+//! `rows × cols` header before the coefficients), several to a frame. One
+//! step of the factorization is:
+//!
+//! 1. **`OP_PANEL`, one exchange on the pivot worker** (the lowest live
+//!    id): the pivot block, the vertical panel below it and the horizontal
+//!    panel right of it go out in one frame; the factored pivot and the
+//!    two solved panels come back in one reply — Section 7.2's aggregate
+//!    message to the one worker that owns the pivot chain, so the pivot
+//!    crosses the port once per step. The last step has no panels and
+//!    ships the pivot alone.
+//! 2. **`OP_SET_HORIZ`**: the solved horizontal panel — the B operand of
+//!    every core update — is encoded once and fanned out to the enrolled
+//!    workers as refcounted views of one buffer; each worker **packs it
+//!    once** for the dispatched kernel and keeps the pack resident for
+//!    the step.
+//! 3. **`OP_CORE`** per row group of the core, round-robin over the live
+//!    workers: its rows of the vertical panel and of the core out (all
+//!    groups first, so they compute in parallel), the updated rows back.
+//!
+//! The master never copies a panel out of its matrix or a reply into
+//! one: tasks are encoded straight from regions of the matrix and
+//! replies are stored straight over them. A task payload is an exact-size
+//! buffer freed once sent (a recycled one would grow to the largest
+//! message — the fused panel — and stay that size); workers build their
+//! replies in their endpoint's recycled pool. The simulation in
+//! [`crate::homogeneous`] models the paper's exact volumes (the core is
+//! square, so row groups move exactly the bytes column groups did).
+//!
+//! # Recovery
+//!
+//! Every input of every op comes from master state, which only a
+//! *validated* reply mutates: a reply must decode (bounded, exact part
+//! count) and each part must have the shape the master sent. A worker
+//! that dies, stays silent past the liveness deadline, or answers with
+//! anything else is condemned; a panel exchange retries on the next
+//! lowest live worker, a lost core group is re-dispatched there, and the
+//! replayed task is the identical bytes — recovered runs are bit-identical
+//! to healthy ones. Losing the **whole** fleet aborts the run
+//! ([`LuRunOutcome::aborted`]); the session serves again once workers are
+//! admitted.
 //!
 //! Worker threads live in a persistent [`LuSession`]: spawned once per
 //! platform, parked on blocking receives between runs. [`run_lu`] is
@@ -31,22 +61,28 @@ use mwp_blockmat::BlockMatrix;
 use mwp_msg::config::run_deadline;
 use mwp_msg::session::{serve_worker, RunExit, Session, RUN_ABORT, RUN_END};
 use mwp_msg::transport::SERVICE_LU;
-use mwp_msg::{BufferPool, Frame, FrameKind, Tag, TransportListener, TransportMode, WorkerEndpoint};
+use mwp_msg::{Frame, FrameKind, Tag, TransportListener, TransportMode, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
-use mwp_trace::{record, Activity, ActivityKind, Resource};
+use mwp_trace::{record, ActivityKind};
+use std::cell::Cell;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Operation codes carried in the frame tag's `i` field.
-const OP_FACTOR: usize = 0;
-const OP_TRSM_RIGHT: usize = 1;
-const OP_TRSM_LEFT: usize = 2;
-const OP_CORE: usize = 3;
+///
+/// The step's whole pivot chain in one exchange: `[pivot]` or `[pivot,
+/// vertical, horizontal]` out, the factored pivot and the solved panels
+/// back in the same order.
+const OP_PANEL: usize = 0;
 /// Install the step's horizontal panel in the worker's resident state.
 /// The panel is encoded **once** per step and fanned out to every
 /// enrolled worker as refcounted views of the same buffer, instead of
 /// being re-encoded into every core-update message — and the worker
 /// packs it once per step for the kernel, instead of once per core task.
-const OP_SET_HORIZ: usize = 4;
+const OP_SET_HORIZ: usize = 1;
+/// One row group of the core: `[vertical rows, core rows]` out, the
+/// updated core rows back.
+const OP_CORE: usize = 2;
 
 /// Outcome of a threaded LU run.
 #[derive(Debug)]
@@ -55,14 +91,17 @@ pub struct LuRunOutcome {
     pub packed: Dense,
     /// Wall-clock duration.
     pub wall: std::time::Duration,
-    /// Dense sub-matrices moved through the master port (both ways).
+    /// Frames moved through the master port (both ways), each carrying
+    /// one to three dense sub-matrices.
     pub messages: u64,
     /// Workers enrolled.
     pub workers_used: usize,
     /// `true` when the whole-run deadline (`MWP_RUN_DEADLINE_MS`) elapsed
-    /// and the master broadcast `RUN_ABORT` instead of finishing: `packed`
-    /// then holds a **partial** factorization and must be discarded. The
-    /// session itself stays serving — the next run starts clean.
+    /// or every enrolled worker was lost, and the master broadcast
+    /// `RUN_ABORT` instead of finishing: `packed` then holds a **partial**
+    /// factorization and must be discarded. The session itself stays
+    /// serving — the next run starts clean (after a whole-fleet loss, once
+    /// [`LuSession::prune_dead`] and [`LuSession::admit`] gave it workers).
     pub aborted: bool,
 }
 
@@ -135,8 +174,8 @@ impl LuSession {
     }
 
     /// The current fleet as a platform description — `None` after every
-    /// worker was pruned ([`LuSession::run`] panics on an empty fleet;
-    /// admit a worker first).
+    /// worker was pruned ([`LuSession::run`] on an empty fleet returns an
+    /// aborted outcome; admit a worker first).
     pub fn platform(&self) -> Option<&Platform> {
         self.inner.platform()
     }
@@ -164,7 +203,6 @@ impl LuSession {
             }
         }
         let enrolled = self.inner.workers();
-        assert!(enrolled > 0, "no workers enrolled: the fleet is empty");
         self.replans.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         *plan = Some((epoch, enrolled));
         enrolled
@@ -199,7 +237,7 @@ impl LuSession {
     /// platform in lockstep (see [`Session::prune_dead`] — a non-empty
     /// prune advances the membership epoch, so the next run re-plans its
     /// enrollment). Returns how many were removed. Pruning the whole
-    /// fleet leaves the session empty; [`LuSession::run`] panics until
+    /// fleet leaves the session empty; [`LuSession::run`] aborts until
     /// an [`LuSession::admit`] repopulates it.
     pub fn prune_dead(&mut self) -> usize {
         self.inner.prune_dead().len()
@@ -238,71 +276,81 @@ pub fn run_lu(
     out
 }
 
-/// Panics on malformed inputs; returns `(n, nb)` — matrix side and panel
-/// width in coefficients. Pure, so the one-shot wrapper can reject bad
-/// calls before spawning a session.
-fn validate_lu(matrix: &BlockMatrix, mu_blocks: usize) -> (usize, usize) {
+/// Panics on malformed inputs; returns the panel width in coefficients.
+/// Pure, so the one-shot wrapper can reject bad calls before spawning a
+/// session.
+fn validate_lu(matrix: &BlockMatrix, mu_blocks: usize) -> usize {
     let (n, m) = matrix.dims();
     assert_eq!(n, m, "LU needs a square matrix");
     let nb = mu_blocks * matrix.q();
     assert!(nb > 0, "panel width must be positive");
-    (n, nb)
+    nb
 }
 
 /// The master side of the factorization, executed as one run of
 /// `session`'s worker pool.
 fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOutcome {
-    let (n, nb) = validate_lu(matrix, mu_blocks);
+    let nb = validate_lu(matrix, mu_blocks);
 
     let enrolled = session.plan_run();
     let epoch = session.inner.begin_run(enrolled, matrix.q() as u32);
-    let master = session.inner.master();
-    // Recycled encode buffers for every master-side task payload.
-    let port = LuPort { master, pool: BufferPool::new(), gen: epoch.generation() };
+    let port = LuPort {
+        master: session.inner.master(),
+        gen: epoch.generation(),
+        enrolled,
+        messages: Cell::new(0),
+    };
 
     let start = Instant::now();
     let mut a = Dense::from_blocks(matrix);
-    let mut messages: u64 = 0;
+    let completed = port.factor(&mut a, nb, start).is_some();
+    if completed {
+        session.inner.finish_run(enrolled, epoch);
+    } else {
+        session.inner.abort_run(enrolled, epoch);
+    }
 
-    // Whole-run budget (`MWP_RUN_DEADLINE_MS`): checked once per panel
-    // step, the coarsest unit after which `a` is still a consistent
-    // partial factorization.
-    let deadline = run_deadline();
+    LuRunOutcome {
+        packed: a,
+        wall: start.elapsed(),
+        messages: port.messages.get(),
+        workers_used: enrolled,
+        aborted: !completed,
+    }
+}
 
-    let mut k0 = 0;
-    while k0 < n {
-        if let Some(budget) = deadline {
-            if start.elapsed() > budget {
-                session.inner.abort_run(enrolled, epoch);
-                return LuRunOutcome {
-                    packed: a,
-                    wall: start.elapsed(),
-                    messages,
-                    workers_used: enrolled,
-                    aborted: true,
-                };
+/// The master's side of one open LU run: every task frame goes out stamped
+/// with the run's generation and every result is received scoped to it.
+struct LuPort<'a> {
+    master: &'a mwp_msg::MasterEndpoint,
+    gen: u32,
+    enrolled: usize,
+    /// Frames that crossed the port, either way.
+    messages: Cell<u64>,
+}
+
+impl LuPort<'_> {
+    /// Factor `a` in place in `nb`-wide steps. `None` — with `a` a partial
+    /// factorization — when the whole-run budget (`MWP_RUN_DEADLINE_MS`,
+    /// checked once per step, the coarsest unit after which `a` is still
+    /// consistent) elapsed or no live worker is left to serve an op.
+    fn factor(&self, a: &mut Dense, nb: usize, start: Instant) -> Option<()> {
+        let deadline = run_deadline();
+        let n = a.rows();
+        for k0 in (0..n).step_by(nb) {
+            if deadline.is_some_and(|budget| start.elapsed() > budget) {
+                return None;
             }
-        }
-        let k1 = (k0 + nb).min(n);
-        // --- 1. Pivot factorization on the pivot worker (the lowest
-        //        live id; historically worker 0, and still worker 0
-        //        until it dies). ----------------------------------------
-        let pivot_in = a.submatrix(k0, k1, k0, k1);
-        let pivot = port.pivot_exchange(enrolled, OP_FACTOR, &[&pivot_in], &mut messages);
-        a.set_submatrix(k0, k0, &pivot);
-
-        if k1 < n {
-            // --- 2. Vertical panel (x ← x·U⁻¹) on the pivot worker. -----
-            let vert_in = a.submatrix(k1, n, k0, k1);
-            let vert =
-                port.pivot_exchange(enrolled, OP_TRSM_RIGHT, &[&pivot, &vert_in], &mut messages);
-            a.set_submatrix(k1, k0, &vert);
-
-            // --- 3. Horizontal panel (y ← L⁻¹·y) on the pivot worker. ---
-            let horiz_in = a.submatrix(k0, k1, k1, n);
-            let horiz =
-                port.pivot_exchange(enrolled, OP_TRSM_LEFT, &[&pivot, &horiz_in], &mut messages);
-            a.set_submatrix(k0, k1, &horiz);
+            let k1 = (k0 + nb).min(n);
+            // --- 1–3. Pivot factorization, vertical panel (x ← x·U⁻¹)
+            //     and horizontal panel (y ← L⁻¹·y): one exchange on the
+            //     pivot worker, or the pivot alone on the last step. ------
+            let (vert, horiz) = ((k1..n, k0..k1), (k0..k1, k1..n));
+            let panel = [(k0..k1, k0..k1), vert, horiz.clone()];
+            self.pivot_exchange(a, if k1 < n { &panel } else { &panel[..1] })?;
+            if k1 == n {
+                break;
+            }
 
             // --- 4. Core update, row groups round-robin over the live
             //        fleet. ----------------------------------------------
@@ -311,66 +359,43 @@ fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOu
             // before — but partitioning by rows makes the *horizontal*
             // panel the operand shared by every group, which the worker
             // packs once per step and reuses across all its groups.
-            let mut groups = Vec::new();
-            let mut r0 = k1;
-            while r0 < n {
-                let r1 = (r0 + nb).min(n);
-                groups.push((r0, r1));
-                r0 = r1;
+            let groups: Vec<_> = (k1..n).step_by(nb).map(|r0| r0..(r0 + nb).min(n)).collect();
+            let live: Vec<WorkerId> = self.live().collect();
+            if live.is_empty() {
+                return None;
             }
-            let live: Vec<WorkerId> =
-                (0..enrolled).map(WorkerId).filter(|&w| !master.is_dead(w)).collect();
-            assert!(!live.is_empty(), "every LU worker died mid-run");
             // The horizontal panel is common to every core update of this
             // step: encode it once and fan the same buffer out to each
             // worker that will compute at least one group (a refcount
             // bump per send, zero copies). A worker the fanout fails on
             // is condemned; its groups go to the re-dispatch pass below.
-            let horiz_payload = port
-                .pool
-                .bytes_with(parts_len(&[&horiz]), |buf| encode_parts_into(&[&horiz], buf));
-            let mut got_horiz = vec![false; enrolled];
+            let horiz_payload = encode_regions(a, &[horiz]);
+            let mut got_horiz = vec![false; self.enrolled];
             for w in live.iter().take(groups.len()) {
-                if port.send_payload(*w, OP_SET_HORIZ, horiz_payload.clone()) {
-                    got_horiz[w.index()] = true;
-                    messages += 1;
-                }
+                got_horiz[w.index()] = self.send_payload(*w, OP_SET_HORIZ, horiz_payload.clone());
             }
-            // Ship every group first (parallel compute), then collect.
-            // `assigned[g]` remembers which worker got group g, `None`
-            // when the ship already failed.
-            let mut assigned: Vec<Option<WorkerId>> = Vec::with_capacity(groups.len());
-            for (g, &(r0, r1)) in groups.iter().enumerate() {
-                let to = live[g % live.len()];
-                let shipped = !master.is_dead(to) && got_horiz[to.index()] && {
-                    let vert_g = vert.submatrix(r0 - k1, r1 - k1, 0, k1 - k0);
-                    let core_g = a.submatrix(r0, r1, k1, n);
-                    port.send_task(to, OP_CORE, &[&vert_g, &core_g])
-                };
-                if shipped {
-                    messages += 1;
-                }
-                assigned.push(shipped.then_some(to));
-            }
-            // Collect; groups lost to a death anywhere in the exchange
-            // are re-dispatched. `a` is only mutated by a successfully
-            // collected group, so a lost group's inputs (`vert`, the
-            // core rows) are still pristine on the master and replay
-            // bit-identically on whichever survivor takes it.
-            let mut lost: Vec<usize> = Vec::new();
-            for (g, &(r0, r1)) in groups.iter().enumerate() {
-                let collected = assigned[g].is_some_and(|from| {
-                    match port.recv_dense(from) {
-                        Some(updated) => {
-                            messages += 1;
-                            debug_assert_eq!(updated.rows(), r1 - r0);
-                            a.set_submatrix(r0, k1, &updated);
-                            true
-                        }
-                        None => false,
-                    }
-                });
-                if !collected {
+            // Ship every group first (parallel compute), then collect:
+            // out its rows of the vertical panel and of the core, back
+            // the core rows.
+            let ship = |a: &Dense, to: WorkerId, g: &Range<usize>| {
+                let task = encode_regions(a, &[(g.clone(), k0..k1), (g.clone(), k1..n)]);
+                self.send_payload(to, OP_CORE, task)
+            };
+            let collect = |a: &mut Dense, from: WorkerId, g: &Range<usize>| {
+                self.recv_into(a, from, &[(g.clone(), k1..n)])
+            };
+            let assigned: Vec<Option<WorkerId>> = (groups.iter().zip(live.iter().cycle()))
+                .map(|(g, &to)| (got_horiz[to.index()] && ship(a, to, g)).then_some(to))
+                .collect();
+            // Collect every group before re-dispatching any: a survivor's
+            // link must be drained of its own groups' replies before it
+            // is asked for another. `a` is only mutated by a validated
+            // reply, so a lost group's inputs (its rows of the vertical
+            // panel and of the core) are still pristine on the master and
+            // replay bit-identically on whichever survivor takes it.
+            let mut lost = Vec::new();
+            for (g, from) in groups.iter().zip(assigned) {
+                if !from.is_some_and(|w| collect(a, w, g)) {
                     lost.push(g);
                 }
             }
@@ -379,50 +404,75 @@ fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOu
             // resident panel install is idempotent, and a worker beyond
             // the original fanout never had it.
             for g in lost {
-                let (r0, r1) = groups[g];
                 loop {
-                    let Some(wid) = (0..enrolled).map(WorkerId).find(|&w| !master.is_dead(w))
-                    else {
-                        panic!("every LU worker died mid-run: a core group cannot be re-dispatched")
-                    };
-                    if !port.send_payload(wid, OP_SET_HORIZ, horiz_payload.clone()) {
-                        continue;
-                    }
-                    messages += 1;
-                    let shipped = {
-                        let vert_g = vert.submatrix(r0 - k1, r1 - k1, 0, k1 - k0);
-                        let core_g = a.submatrix(r0, r1, k1, n);
-                        port.send_task(wid, OP_CORE, &[&vert_g, &core_g])
-                    };
-                    if !shipped {
-                        continue;
-                    }
-                    messages += 1;
-                    if let Some(updated) = port.recv_dense(wid) {
-                        messages += 1;
-                        a.set_submatrix(r0, k1, &updated);
+                    let wid = self.live().next()?;
+                    if self.send_payload(wid, OP_SET_HORIZ, horiz_payload.clone())
+                        && ship(a, wid, g)
+                        && collect(a, wid, g)
+                    {
                         break;
                     }
                 }
             }
         }
-        k0 = k1;
+        Some(())
     }
 
-    session.inner.finish_run(enrolled, epoch);
+    /// The enrolled workers not yet condemned, lowest id first.
+    fn live(&self) -> impl Iterator<Item = WorkerId> + '_ {
+        (0..self.enrolled).map(WorkerId).filter(|&w| !self.master.is_dead(w))
+    }
 
-    LuRunOutcome {
-        packed: a,
-        wall: start.elapsed(),
-        messages,
-        workers_used: enrolled,
-        aborted: false,
+    /// Run the step's `OP_PANEL` exchange on the lowest live worker
+    /// (historically worker 0, and still worker 0 until it dies): ship
+    /// `panel`'s regions of `a`, store the reply over them. Retries on the
+    /// next-lowest worker when that one is condemned mid-exchange — `a`
+    /// is untouched until a reply validates, so a retry replays the
+    /// identical task; `None` when the whole fleet is dead.
+    fn pivot_exchange(&self, a: &mut Dense, panel: &[Region]) -> Option<()> {
+        loop {
+            let wid = self.live().next()?;
+            if self.send_payload(wid, OP_PANEL, encode_regions(a, panel))
+                && self.recv_into(a, wid, panel)
+            {
+                return Some(());
+            }
+            // `wid` was condemned by the failed send or receive; the next
+            // loop iteration lands on the next-lowest live worker.
+        }
+    }
+
+    /// Failure-aware task send: `false` (with `to` condemned) when the
+    /// worker's link is dead. Block accounting: total coefficients / q²
+    /// is what the cost model would count; the runtime meters whole
+    /// messages instead.
+    fn send_payload(&self, to: WorkerId, op: usize, payload: bytes::Bytes) -> bool {
+        let frame = Frame::new_in_run(Tag::new(FrameKind::LuPanel, op, 0), self.gen, payload);
+        let sent = self.master.try_send(to, frame, 1).is_some();
+        self.messages.set(self.messages.get() + u64::from(sent));
+        sent
+    }
+
+    /// Failure-aware result receive: store `from`'s reply over `regions`
+    /// of `a` — what the master sent, so what an honest worker returns.
+    /// `false`, with `a` untouched and `from` marked dead, when the worker
+    /// dies, stays silent past the liveness deadline, or answers with
+    /// anything but exactly those shapes.
+    fn recv_into(&self, a: &mut Dense, from: WorkerId, regions: &[Region]) -> bool {
+        let stored = self.master.recv_deadline(from, self.gen, 1).is_some_and(|(frame, _)| {
+            self.messages.set(self.messages.get() + 1);
+            store_regions(a, regions, &frame.payload)
+        });
+        if !stored {
+            self.master.mark_dead(from);
+        }
+        stored
     }
 }
 
 /// Worker loop for **one run** of a session: decode the op, run the
-/// kernel, return the result matrix. Parks back into the session's outer
-/// loop on `RUN_END`.
+/// kernel, return the result matrices. Parks back into the session's
+/// outer loop on `RUN_END`.
 ///
 /// The worker **packs the step's horizontal panel once per rank-µ step**
 /// (on `OP_SET_HORIZ`) into the session-lifetime `horiz_pack` buffer, so
@@ -465,82 +515,49 @@ fn serve_lu_run(ep: &WorkerEndpoint, horiz_pack: &mut PackedB) -> RunExit {
         }
         debug_assert_eq!(frame.tag.kind, FrameKind::LuPanel);
         // One Compute span per LU op served (the worker's occupancy unit,
-        // matching the sim's per-task granularity); the once-per-step
-        // panel pack gets its own detail span below.
-        let tc = record::enabled().then(record::now);
-        let parts = decode_parts(&frame.payload);
-        let result = match frame.tag.i as usize {
-            OP_FACTOR => {
-                let mut pivot = parts.into_iter().next().expect("pivot payload");
-                lu_factor_in_place(&mut pivot);
-                pivot
+        // matching the sim's per-task granularity), subdivided on the
+        // detail track: `factor` / `trsm` / `core` kernel spans and the
+        // once-per-step panel pack.
+        let tc = record::begin();
+        // The master is this program: its frames are well-formed, and the
+        // part counts below are what it sends for each op.
+        let mut parts = decode_parts(&frame.payload).expect("malformed LU task from the master");
+        let (op, run) = (frame.tag.i as usize, frame.run);
+        let tk = record::begin();
+        match (op, &mut parts[..]) {
+            (OP_PANEL, [pivot, panels @ ..]) => {
+                lu_factor_in_place(pivot);
+                record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "factor");
+                if let [vert, horiz] = panels {
+                    let tk = record::begin();
+                    trsm_right_upper(vert, pivot);
+                    trsm_left_unit_lower(horiz, pivot);
+                    record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "trsm");
+                }
             }
-            OP_TRSM_RIGHT => {
-                let mut it = parts.into_iter();
-                let pivot = it.next().expect("pivot");
-                let mut panel = it.next().expect("panel");
-                trsm_right_upper(&mut panel, &pivot);
-                panel
-            }
-            OP_TRSM_LEFT => {
-                let mut it = parts.into_iter();
-                let pivot = it.next().expect("pivot");
-                let mut panel = it.next().expect("panel");
-                trsm_left_unit_lower(&mut panel, &pivot);
-                panel
-            }
-            OP_SET_HORIZ => {
-                let panel = parts.into_iter().next().expect("horizontal panel");
+            (OP_SET_HORIZ, [panel]) => {
                 // One pack per rank-µ step, consumed by every core row
                 // group of the step (the pack snapshot stays valid until
                 // the next step's install overwrites the panel).
-                let tp = record::enabled().then(record::now);
                 panel.pack_sub_mul_for(kernel, horiz_pack);
-                if let Some(tp) = tp {
-                    record::record(
-                        Activity::new(
-                            Resource::WorkerDetail(ep.id()),
-                            ActivityKind::Pack,
-                            ep.id(),
-                            tp,
-                            record::now(),
-                            "pack panel".into(),
-                        )
-                        .with_run(frame.run),
-                    );
-                }
+                record::worker_span(ep.id(), ActivityKind::Pack, tk, run, "pack panel");
                 horiz_installed = true;
                 continue; // stateful install: nothing to send back
             }
-            OP_CORE => {
-                let mut it = parts.into_iter();
-                let vert_g = it.next().expect("vertical group");
-                let mut core_g = it.next().expect("core group");
+            (OP_CORE, [vert_g, core_g]) => {
                 assert!(horiz_installed, "OP_SET_HORIZ must precede OP_CORE (FIFO order)");
-                core_g.sub_mul_prepacked(kernel, &vert_g, horiz_pack);
-                core_g
+                core_g.sub_mul_prepacked(kernel, vert_g, horiz_pack);
+                record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "core");
+                parts.remove(0);
             }
-            op => unreachable!("unknown LU op {op}"),
-        };
-        if let Some(tc) = tc {
-            record::record(
-                Activity::new(
-                    Resource::Worker(ep.id()),
-                    ActivityKind::Compute,
-                    ep.id(),
-                    tc,
-                    record::now(),
-                    "LU op".into(),
-                )
-                .with_run(frame.run),
-            );
+            (op, parts) => unreachable!("LU op {op} with {} parts", parts.len()),
         }
-        let payload =
-            ep.pooled_payload(parts_len(&[&result]), |buf| encode_parts_into(&[&result], buf));
-        ep.send(Frame::new(
-            Tag::new(FrameKind::LuPanel, frame.tag.i as usize, frame.tag.j as usize),
-            payload,
-        ));
+        record::worker_span(ep.id(), ActivityKind::Compute, tc, run, "LU op");
+        let whole: Vec<Region> = parts.iter().map(|d| (0..d.rows(), 0..d.cols())).collect();
+        let payload = ep.pooled_payload(wire_len(&whole), |buf| {
+            parts.iter().zip(&whole).for_each(|(d, r)| encode_region(d, r, buf));
+        });
+        ep.send(Frame::new(Tag::new(FrameKind::LuPanel, op, frame.tag.j as usize), payload));
     }
 }
 
@@ -555,81 +572,37 @@ pub fn serve_remote(ep: WorkerEndpoint) {
     serve_worker(ep, &mut program);
 }
 
-/// The master's side of one open LU run: every task frame goes out stamped
-/// with the run's generation and every result is received scoped to it.
-struct LuPort<'a> {
-    master: &'a mwp_msg::MasterEndpoint,
-    pool: BufferPool,
-    gen: u32,
+/// A rectangle of a [`Dense`]: its row range and its column range.
+type Region = (Range<usize>, Range<usize>);
+
+/// Total encoded size of parts shaped like `regions`.
+fn wire_len(regions: &[Region]) -> usize {
+    regions.iter().map(|(rows, cols)| 8 + rows.len() * cols.len() * 8).sum()
 }
 
-impl LuPort<'_> {
-    /// Run one pivot-phase exchange (factor/TRSM) on the lowest live
-    /// worker, retrying on the next-lowest when that worker dies
-    /// mid-exchange. The inputs all come from master state, so a retry
-    /// replays the identical task; panics when the whole fleet is dead.
-    fn pivot_exchange(
-        &self,
-        enrolled: usize,
-        op: usize,
-        parts: &[&Dense],
-        messages: &mut u64,
-    ) -> Dense {
-        loop {
-            let Some(wid) = (0..enrolled).map(WorkerId).find(|&w| !self.master.is_dead(w)) else {
-                panic!("every LU worker died mid-run: pivot op {op} cannot be completed")
-            };
-            if self.send_task(wid, op, parts) {
-                if let Some(result) = self.recv_dense(wid) {
-                    *messages += 2;
-                    return result;
-                }
-            }
-            // `wid` was condemned by the failed send or receive; the next
-            // loop iteration lands on the next-lowest live worker.
-        }
-    }
-
-    /// Failure-aware task send: `false` (with `to` condemned) when the
-    /// worker's link is dead.
-    fn send_task(&self, to: WorkerId, op: usize, parts: &[&Dense]) -> bool {
-        let payload = self.pool.bytes_with(parts_len(parts), |buf| encode_parts_into(parts, buf));
-        self.send_payload(to, op, payload)
-    }
-
-    /// Send an already-encoded task. Block accounting: total coefficients
-    /// / q² is what the cost model would count; the runtime meters whole
-    /// messages instead.
-    fn send_payload(&self, to: WorkerId, op: usize, payload: bytes::Bytes) -> bool {
-        let frame = Frame::new_in_run(Tag::new(FrameKind::LuPanel, op, 0), self.gen, payload);
-        self.master.try_send(to, frame, 1).is_some()
-    }
-
-    /// Failure-aware result receive: `None` — with `from` marked dead —
-    /// when the worker dies or stays silent past the liveness deadline.
-    fn recv_dense(&self, from: WorkerId) -> Option<Dense> {
-        let Some((frame, _)) = self.master.recv_deadline(from, self.gen, 1) else {
-            self.master.mark_dead(from);
-            return None;
-        };
-        Some(decode_parts(&frame.payload).into_iter().next().expect("result payload"))
-    }
+/// `regions` of `a` as one task payload, in an exact-size buffer.
+fn encode_regions(a: &Dense, regions: &[Region]) -> bytes::Bytes {
+    let mut buf = Vec::with_capacity(wire_len(regions));
+    regions.iter().for_each(|r| encode_region(a, r, &mut buf));
+    buf.into()
 }
 
-/// Total encoded size of a parts sequence.
-fn parts_len(parts: &[&Dense]) -> usize {
-    parts.iter().map(|d| 8 + d.rows() * d.cols() * 8).sum()
+/// The header of the part holding `region`: `rows u32 | cols u32`.
+fn header((rows, cols): &Region) -> [u8; 8] {
+    let mut h = [0; 8];
+    h[..4].copy_from_slice(&(rows.len() as u32).to_le_bytes());
+    h[4..].copy_from_slice(&(cols.len() as u32).to_le_bytes());
+    h
 }
 
-/// Encode a sequence of dense matrices into `out`: per part, `rows u32 |
-/// cols u32 | rows·cols f64 LE`. On little-endian targets the coefficient
-/// image is one bulk copy.
-fn encode_parts_into(parts: &[&Dense], out: &mut Vec<u8>) {
-    out.reserve(parts_len(parts));
-    for d in parts {
-        out.extend_from_slice(&(d.rows() as u32).to_le_bytes());
-        out.extend_from_slice(&(d.cols() as u32).to_le_bytes());
-        let coeffs = d.as_slice();
+/// Append one part to `out` — `rows u32 | cols u32 | rows·cols f64 LE` —
+/// holding `region` of `src`, read in place. On little-endian targets
+/// each row's coefficient image is one bulk copy.
+fn encode_region(src: &Dense, region: &Region, out: &mut Vec<u8>) {
+    out.extend_from_slice(&header(region));
+    let (rows, cols) = region;
+    for i in rows.clone() {
+        let coeffs = &src.as_slice()[i * src.cols()..][cols.clone()];
         #[cfg(target_endian = "little")]
         {
             // f64 has no padding and any byte pattern is a valid read.
@@ -645,53 +618,83 @@ fn encode_parts_into(parts: &[&Dense], out: &mut Vec<u8>) {
     }
 }
 
-/// Encode into a fresh buffer (tests; the runtime encodes into pooled
-/// buffers via [`encode_parts_into`]).
-#[cfg(test)]
-fn encode_parts(parts: &[&Dense]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(parts_len(parts));
-    encode_parts_into(parts, &mut out);
-    out
+/// The coefficient image `bytes` (f64 LE) into `dst`.
+fn copy_coefficients(dst: &mut [f64], bytes: &[u8]) {
+    for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
+        *d = f64::from_le_bytes(c.try_into().expect("8 bytes"));
+    }
 }
 
-/// Decode the wire format of [`encode_parts_into`].
-fn decode_parts(buf: &[u8]) -> Vec<Dense> {
-    let mut parts = Vec::new();
-    let mut off = 0;
-    while off + 8 <= buf.len() {
-        let rows = u32::from_le_bytes(buf[off..off + 4].try_into().expect("header")) as usize;
-        let cols = u32::from_le_bytes(buf[off + 4..off + 8].try_into().expect("header")) as usize;
-        off += 8;
-        let n = rows * cols;
-        let mut d = Dense::zeros(rows, cols);
-        let bytes = &buf[off..off + n * 8];
-        #[cfg(target_endian = "little")]
-        unsafe {
-            // Byte copy into the f64-aligned destination.
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                d.as_mut_slice().as_mut_ptr().cast::<u8>(),
-                bytes.len(),
-            );
-        }
-        #[cfg(not(target_endian = "little"))]
-        for (dst, c) in d.as_mut_slice().iter_mut().zip(bytes.chunks_exact(8)) {
-            *dst = f64::from_le_bytes(c.try_into().expect("coefficient"));
-        }
-        off += n * 8;
-        parts.push(d);
+/// Store a worker's reply over `regions` of `a`, provided it is exactly
+/// the encoding of parts of those shapes — the length the master
+/// computes from its own numbers, then each header. Nothing the worker
+/// wrote is used to size, slice or index anything, and `a` is untouched
+/// unless the whole reply validates.
+fn store_regions(a: &mut Dense, regions: &[Region], payload: &[u8]) -> bool {
+    if payload.len() != wire_len(regions) {
+        return false;
     }
-    parts
+    // `payload` is as long as one part per region: cut it at the
+    // master's own offsets and check each header before storing any body.
+    let mut bodies = Vec::with_capacity(regions.len());
+    let mut rest = payload;
+    for region in regions {
+        let (part, tail) = rest.split_at(wire_len(std::slice::from_ref(region)));
+        if part[..8] != header(region) {
+            return false;
+        }
+        bodies.push(&part[8..]);
+        rest = tail;
+    }
+    let n = a.cols();
+    for ((rows, cols), body) in regions.iter().zip(bodies) {
+        let row_bytes = cols.len() * 8;
+        for (k, i) in rows.clone().enumerate() {
+            let dst = &mut a.as_mut_slice()[i * n..][cols.clone()];
+            copy_coefficients(dst, &body[k * row_bytes..][..row_bytes]);
+        }
+    }
+    true
+}
+
+/// Decode a task into owned matrices (the worker's side of
+/// [`encode_region`]). `None` unless `buf` is exactly a sequence of whole
+/// parts: a header's `rows × cols` is only trusted once that many
+/// coefficients are known to follow it, so no header can overflow the
+/// size arithmetic or size an allocation beyond the frame it arrived in.
+fn decode_parts(buf: &[u8]) -> Option<Vec<Dense>> {
+    let mut parts = Vec::new();
+    let mut rest = buf;
+    while !rest.is_empty() {
+        let (header, body) = rest.split_at_checked(8)?;
+        let rows = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let cols = u32::from_le_bytes(header[4..].try_into().expect("4 bytes")) as usize;
+        let (bytes, tail) = body.split_at_checked(rows.checked_mul(cols)?.checked_mul(8)?)?;
+        let mut d = Dense::zeros(rows, cols);
+        copy_coefficients(d.as_mut_slice(), bytes);
+        parts.push(d);
+        rest = tail;
+    }
+    Some(parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mwp_blockmat::fill::random_diagonally_dominant;
-    use mwp_blockmat::lu::{lu_blocked_in_place, reconstruct};
+    use mwp_blockmat::lu::{lu_blocked_in_place, scaled_residual};
 
     fn platform(p: usize) -> Platform {
         Platform::homogeneous(p, 1.0, 1.0, 1000).unwrap()
+    }
+
+    /// The wire image of whole matrices.
+    fn encode_parts(parts: &[&Dense]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for d in parts {
+            encode_region(d, &(0..d.rows(), 0..d.cols()), &mut out);
+        }
+        out
     }
 
     #[test]
@@ -700,10 +703,55 @@ mod tests {
         let mut b = Dense::zeros(2, 4);
         b[(1, 3)] = -7.5;
         let wire = encode_parts(&[&a, &b]);
-        let parts = decode_parts(&wire);
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
+        assert_eq!(decode_parts(&wire), Some(vec![a, b]));
+        assert_eq!(decode_parts(&[]), Some(vec![]));
+    }
+
+    #[test]
+    fn regions_travel_in_place_and_only_exact_replies_are_stored() {
+        // Two regions of a 5 × 6 matrix, encoded in place, decode to the
+        // sub-matrices and store back over the same regions of another.
+        let src = Dense::from_blocks(&random_diagonally_dominant(1, 6, 3)).submatrix(0, 5, 0, 6);
+        let regions = [(1..3, 2..6), (3..5, 0..2)];
+        let mut wire = Vec::new();
+        regions.iter().for_each(|r| encode_region(&src, r, &mut wire));
+        assert_eq!(wire.len(), wire_len(&regions));
+        let parts = decode_parts(&wire).unwrap();
+        assert_eq!(parts, [src.submatrix(1, 3, 2, 6), src.submatrix(3, 5, 0, 2)]);
+
+        let mut dst = Dense::zeros(5, 6);
+        assert!(store_regions(&mut dst, &regions, &wire));
+        let mut want = Dense::zeros(5, 6);
+        want.set_submatrix(1, 2, &parts[0]);
+        want.set_submatrix(3, 0, &parts[1]);
+        assert_eq!(dst, want);
+
+        // Right length, wrong shape (4 × 2 for 2 × 4); wrong length;
+        // regions in the other order: nothing is stored.
+        let untouched = dst.clone();
+        let transposed = [(1..5, 2..4), (3..5, 0..2)];
+        let swapped = [regions[1].clone(), regions[0].clone()];
+        assert!(!store_regions(&mut dst, &transposed, &wire));
+        assert!(!store_regions(&mut dst, &regions[..1], &wire));
+        assert!(!store_regions(&mut dst, &regions, &wire[..wire.len() - 1]));
+        assert!(!store_regions(&mut dst, &swapped, &wire));
+        assert_eq!(dst, untouched);
+    }
+
+    #[test]
+    fn malformed_wire_images_do_not_decode() {
+        let wire = encode_parts(&[&Dense::identity(3), &Dense::zeros(2, 4)]);
+        // Cut anywhere but on a part boundary: a torn header or body.
+        let part_ends = [0, 8 + 72, wire.len()];
+        for len in (0..wire.len()).filter(|len| !part_ends.contains(len)) {
+            assert_eq!(decode_parts(&wire[..len]), None, "truncated to {len} bytes");
+        }
+        assert_eq!(decode_parts(&[&wire[..], &[0; 3]].concat()), None, "trailing bytes");
+        // rows · cols · 8 overflows, then merely exceeds the payload.
+        for (rows, cols) in [(u32::MAX, u32::MAX), (1 << 16, 1 << 16), (2, 4)] {
+            let header = [rows.to_le_bytes(), cols.to_le_bytes()].concat();
+            assert_eq!(decode_parts(&header), None, "{rows} x {cols} header, no body");
+        }
     }
 
     #[test]
@@ -712,8 +760,9 @@ mod tests {
         let out = run_lu(&platform(3), &matrix, 2, 0.0);
         let mut serial = Dense::from_blocks(&matrix);
         lu_blocked_in_place(&mut serial, 12);
-        assert!(
-            out.packed.max_abs_diff(&serial) < 1e-10,
+        assert_eq!(
+            out.packed.max_abs_diff(&serial),
+            0.0,
             "parallel and serial factorizations diverge"
         );
         assert!(out.messages > 0);
@@ -723,17 +772,15 @@ mod tests {
     fn reconstruction_is_accurate() {
         let matrix = random_diagonally_dominant(5, 4, 77); // 20×20
         let out = run_lu(&platform(4), &matrix, 1, 0.0);
-        let a = Dense::from_blocks(&matrix);
-        let err = reconstruct(&out.packed).max_abs_diff(&a);
-        assert!(err < 1e-9, "‖LU − A‖ = {err}");
+        let err = scaled_residual(&out.packed, &Dense::from_blocks(&matrix));
+        assert!(err < 1.0, "‖LU − A‖ / (‖A‖·n·ε) = {err}");
     }
 
     #[test]
     fn single_worker_also_works() {
         let matrix = random_diagonally_dominant(3, 5, 5);
         let out = run_lu(&platform(1), &matrix, 1, 0.0);
-        let a = Dense::from_blocks(&matrix);
-        assert!(reconstruct(&out.packed).max_abs_diff(&a) < 1e-9);
+        assert!(scaled_residual(&out.packed, &Dense::from_blocks(&matrix)) < 1.0);
         assert_eq!(out.workers_used, 1);
     }
 
@@ -745,6 +792,17 @@ mod tests {
         let c = run_lu(&platform(2), &matrix, 4, 0.0).packed;
         assert!(a.max_abs_diff(&b) < 1e-9);
         assert!(b.max_abs_diff(&c) < 1e-9);
+    }
+
+    #[test]
+    fn one_panel_exchange_per_step() {
+        // 12 blocks in steps of 2 on 2 workers (the perf shape, small q):
+        // 6 panel exchanges, and per step with g = 5, 4, 3, 2, 1 row
+        // groups left, min(2, g) panel installs and g core exchanges.
+        let matrix = random_diagonally_dominant(12, 4, 11);
+        let out = run_lu(&platform(2), &matrix, 2, 0.0);
+        assert_eq!(out.messages, 6 * 2 + (2 + 2 + 2 + 2 + 1) + 15 * 2);
+        assert_eq!(out.messages, 51);
     }
 
     #[test]
@@ -774,5 +832,120 @@ mod tests {
             }
         });
         assert_eq!(session.shutdown(), 2);
+    }
+
+    /// What a rogue worker answers a task with, given the shapes an honest
+    /// reply would have.
+    type RogueReply = fn(&[(usize, usize)]) -> Vec<u8>;
+
+    /// Honest and rogue workers of one session share a program type.
+    type Program = Box<dyn FnMut(u32, &WorkerEndpoint) -> RunExit + Send>;
+
+    /// The wire image of zero matrices of `shapes`.
+    fn zeros_wire(shapes: &[(usize, usize)]) -> Vec<u8> {
+        let parts: Vec<Dense> = shapes.iter().map(|&(r, c)| Dense::zeros(r, c)).collect();
+        encode_parts(&parts.iter().collect::<Vec<_>>())
+    }
+
+    const SHORT_PAYLOAD: RogueReply = |shapes| {
+        let mut wire = zeros_wire(shapes);
+        wire.truncate(wire.len() - 8);
+        wire
+    };
+
+    const ROGUE_REPLIES: [(&str, RogueReply); 5] = [
+        ("short payload", SHORT_PAYLOAD),
+        ("trailing bytes", |shapes| [zeros_wire(shapes), vec![0; 3]].concat()),
+        ("overflowing header", |_| [u32::MAX.to_le_bytes(); 2].concat()),
+        ("mis-shaped part", |shapes| {
+            zeros_wire(&shapes.iter().map(|&(r, c)| (r + 1, c)).collect::<Vec<_>>())
+        }),
+        ("extra part", |shapes| zeros_wire(&[shapes, &[(1, 1)]].concat())),
+    ];
+
+    /// A channel-transport fleet whose workers picked by `rogue` answer
+    /// every task with `reply` instead of computing; the rest are honest.
+    fn fleet_with_rogues(
+        p: usize,
+        rogue: impl Fn(WorkerId) -> bool,
+        reply: RogueReply,
+    ) -> LuSession {
+        LuSession::over(Session::spawn_with_transport(
+            &platform(p),
+            0.0,
+            TransportMode::Channel,
+            |id, _| -> Program {
+                if !rogue(id) {
+                    let mut horiz_pack = PackedB::new();
+                    return Box::new(move |_q, ep| serve_lu_run(ep, &mut horiz_pack));
+                }
+                Box::new(move |_q, ep| loop {
+                    let Ok(frame) = ep.recv() else { return RunExit::Terminate };
+                    let task = match frame.tag.kind {
+                        FrameKind::Shutdown => return RunExit::Terminate,
+                        FrameKind::Control => return RunExit::Completed,
+                        _ => decode_parts(&frame.payload).expect("the master is honest"),
+                    };
+                    let shapes: Vec<_> = task.iter().map(|d| (d.rows(), d.cols())).collect();
+                    let honest = match frame.tag.i as usize {
+                        OP_SET_HORIZ => continue,
+                        OP_CORE => &shapes[1..],
+                        _ => &shapes[..],
+                    };
+                    ep.send(Frame::new(frame.tag, reply(honest).into()));
+                })
+            },
+        ))
+    }
+
+    #[test]
+    fn rogue_replies_condemn_the_worker_not_the_master() {
+        // Worker-supplied headers and shapes must be checked before
+        // anything is sliced, allocated or written into the matrix: each
+        // rogue reply costs its sender the link, the op is retried or
+        // re-dispatched, and the survivor's result is exact — whether the
+        // rogue holds the pivot chain (slot 0) or only core groups.
+        let matrix = random_diagonally_dominant(6, 4, 51);
+        let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
+        for (what, reply) in ROGUE_REPLIES {
+            for slot in [WorkerId(0), WorkerId(1)] {
+                let session = fleet_with_rogues(2, |id| id == slot, reply);
+                let out = session.run(&matrix, 2);
+                assert!(!out.aborted, "{what} from {slot:?}");
+                assert_eq!(out.packed.max_abs_diff(&healthy), 0.0, "{what} from {slot:?}");
+                assert_eq!(session.dead_workers(), 1, "{what}: only the rogue is condemned");
+                assert_eq!(session.shutdown(), 2, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn losing_the_whole_fleet_aborts_the_run_and_the_session_recovers() {
+        let matrix = random_diagonally_dominant(6, 4, 52);
+        let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
+        let mut session = fleet_with_rogues(2, |_| true, SHORT_PAYLOAD);
+        assert!(session.run(&matrix, 2).aborted, "no survivor can take the pivot chain");
+        assert_eq!(session.dead_workers(), 2);
+        assert!(session.run(&matrix, 2).aborted, "a fleet of dead workers aborts again");
+        assert_eq!(session.prune_dead(), 2);
+        assert!(session.platform().is_none());
+        assert!(session.run(&matrix, 2).aborted, "and so does an empty fleet");
+
+        // One honest worker dials in: the same session serves a clean run.
+        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let endpoint = listener.endpoint();
+        let worker = std::thread::spawn(move || {
+            let patience = std::time::Duration::from_secs(10);
+            let (ep, _) =
+                mwp_msg::transport::enroll_with_retry(&endpoint, patience, None, b"", None)
+                    .expect("enrollment succeeds");
+            serve_remote(ep);
+        });
+        session.admit(&listener, mwp_platform::WorkerParams::new(1.0, 1.0, 1000)).unwrap();
+        let out = session.run(&matrix, 2);
+        assert!(!out.aborted);
+        assert_eq!(out.packed.max_abs_diff(&healthy), 0.0);
+        session.shutdown();
+        worker.join().unwrap();
     }
 }

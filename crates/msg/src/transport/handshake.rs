@@ -45,8 +45,10 @@ pub const CLAIM_ANY: u32 = u32::MAX;
 /// v3 extended the frame header with the run-generation field (and made
 /// the CRC32C trailer part of the wire format): a v2 peer would misread
 /// every data frame, so it must be refused at the door, not discovered
-/// via corruption mid-run.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// via corruption mid-run. v4 changed the LU service's op set (one fused
+/// `OP_PANEL` exchange per step): a v3 `mwp-worker` would meet an op it
+/// does not know mid-run, so it too is refused at enrollment.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).

@@ -253,9 +253,10 @@ fn hello_from_another_protocol_version_is_unsupported_not_corrupt() {
 }
 
 /// A peer from the previous protocol revision — structurally valid
-/// v2 hello, version field and all — must be turned away with the
-/// coded [`REJECT_VERSION`], not a decode error: a v2 build misreads
-/// every v3 data frame, so the door is where it has to stop.
+/// hello, version field and all — must be turned away with the coded
+/// [`REJECT_VERSION`], not a decode error: a stale build misreads data
+/// frames (v2) or meets an LU op it does not serve (v3), so the door is
+/// where it has to stop.
 #[test]
 fn previous_version_peer_is_rejected_with_a_version_code() {
     let secret = b"version-gate-secret";

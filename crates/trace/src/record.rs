@@ -29,8 +29,9 @@
 //! else panics naming the valid values.
 
 use crate::chrome;
-use crate::schema::{Activity, Trace};
+use crate::schema::{Activity, ActivityKind, Resource, Trace};
 use crate::time::SimTime;
+use mwp_platform::WorkerId;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -128,6 +129,33 @@ pub fn enabled() -> bool {
 pub fn now() -> SimTime {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     SimTime(EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64())
+}
+
+/// A span's start time, taken only when a sink is live: `None` means
+/// tracing is off, and costs the [`enabled`] check and nothing else.
+#[inline]
+pub fn begin() -> Option<SimTime> {
+    enabled().then(now)
+}
+
+/// Close a worker-side span opened by [`begin`] (a `None` start records
+/// nothing): `Compute` spans land on the worker's occupancy track,
+/// `Pack`/`Kernel` detail spans on its detail track — they subdivide the
+/// enclosing compute span, so they must not compete with it for
+/// per-resource exclusivity.
+pub fn worker_span(
+    w: WorkerId,
+    kind: ActivityKind,
+    t0: Option<SimTime>,
+    run: u32,
+    label: &'static str,
+) {
+    let Some(t0) = t0 else { return };
+    let resource = match kind {
+        ActivityKind::Compute => Resource::Worker(w),
+        _ => Resource::WorkerDetail(w),
+    };
+    record(Activity::new(resource, kind, w, t0, now(), label.into()).with_run(run));
 }
 
 /// Record one span into every live sink. Call only after [`enabled`]

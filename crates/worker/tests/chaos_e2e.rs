@@ -2,7 +2,9 @@
 //! via `MWP_FAULT=kill:<n>` (a `std::process::abort` mid-protocol, the
 //! stand-in for `kill -9`; the matrix-product tests sweep `<n>` over
 //! every result row of a run, so the death lands in every chunk of the
-//! schedule) or by an actual SIGKILL from the test — while
+//! schedule, and the LU test over every panel and core-group reply of
+//! the factorization, in either slot) or by an actual SIGKILL from the
+//! test — while
 //! a master in this process is mid-run over loopback TCP. The master
 //! must detect each death, re-dispatch the lost work to survivors, and
 //! produce results **bit-identical** to an all-healthy in-process
@@ -167,38 +169,70 @@ fn heterogeneous_runtime_recovers_when_a_worker_aborts_mid_run() {
     });
 }
 
+/// Replies each slot of a healthy fleet sends during one LU run of
+/// `blocks` blocks in steps of `mu`: the pivot worker (slot 0) answers
+/// each step's panel exchange, and the step's core row groups are dealt
+/// round-robin from slot 0.
+fn lu_replies(blocks: usize, mu: usize, workers: usize) -> Vec<usize> {
+    let steps = blocks.div_ceil(mu);
+    let mut replies = vec![0; workers];
+    for step in 0..steps {
+        replies[0] += 1;
+        (0..steps - step - 1).for_each(|group| replies[group % workers] += 1);
+    }
+    replies
+}
+
 #[test]
 fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
-    // Two LU workers; one aborts on its second op response. Whichever
-    // slot it enrolled as, the master must retarget pivot/panel ops and
-    // re-dispatch lost trailing-update groups to the survivor.
+    // Two LU workers, one of which aborts on its n-th reply — swept over
+    // every reply of the run's op sequence, in either slot: as the pivot
+    // worker the doomed process dies on each step's panel reply and on
+    // each of its core-group replies in turn; as slot 1, on its core
+    // groups. The master must retry the panel exchange on, or re-dispatch
+    // the lost row groups to, the survivor, and every round must match
+    // the healthy channel reference bit for bit. The slots are dealt
+    // deterministically: the first worker enrolls alone, the second is
+    // admitted.
+    let (blocks, mu) = (8, 2);
     let platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
-    let endpoint = listener.endpoint();
-    let healthy = spawn_worker(&endpoint, "");
-    let doomed = spawn_worker(&endpoint, "kill:2");
-    let remote = LuSession::accept_remote(&platform, 0.0, &listener).unwrap();
     let local = LuSession::with_transport(&platform, 0.0, TransportMode::Channel);
+    let replies = lu_replies(blocks, mu, 2);
+    assert_eq!(replies, [4 + 4, 2], "4 panel exchanges; 3 + 2 + 1 row groups dealt from slot 0");
+    for (slot, &in_one_run) in replies.iter().enumerate() {
+        for n in 1..=in_one_run {
+            let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+            let endpoint = listener.endpoint();
+            let fault = format!("kill:{n}");
+            let faults = if slot == 0 { [fault.as_str(), ""] } else { ["", fault.as_str()] };
+            let first = spawn_worker(&endpoint, faults[0]);
+            let solo = Platform::homogeneous(1, 1.0, 1.0, 1000).unwrap();
+            let mut remote = LuSession::accept_remote(&solo, 0.0, &listener).unwrap();
+            let second = spawn_worker(&endpoint, faults[1]);
+            remote.admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 1000 }).unwrap();
 
-    for round in 0..5u64 {
-        let matrix = random_diagonally_dominant(6, 4, 8800 + round);
-        let over_socket = remote.run(&matrix, 2);
-        let over_channel = local.run(&matrix, 2);
-        assert_eq!(
-            over_socket.packed.max_abs_diff(&over_channel.packed),
-            0.0,
-            "round {round}: recovered factors must be bit-identical"
-        );
-        if remote.dead_workers() > 0 {
-            break;
+            let matrix = random_diagonally_dominant(blocks, 4, 8800 + n as u64);
+            let over_socket = remote.run(&matrix, mu);
+            let over_channel = local.run(&matrix, mu);
+            assert!(!over_socket.aborted, "slot {slot}, kill:{n}");
+            assert_eq!(
+                over_socket.packed.max_abs_diff(&over_channel.packed),
+                0.0,
+                "slot {slot}, kill:{n}: recovered factors must be bit-identical"
+            );
+            assert_eq!(remote.dead_workers(), 1, "slot {slot}: the kill:{n} fault never fired");
+            // The survivor alone serves the next run just as exactly.
+            let after = remote.run(&matrix, mu);
+            let drift = after.packed.max_abs_diff(&over_channel.packed);
+            assert_eq!(drift, 0.0, "slot {slot}, kill:{n}: the run after the death");
+
+            remote.shutdown();
+            let (doomed, healthy) = if slot == 0 { (first, second) } else { (second, first) };
+            reap(vec![healthy]);
+            reap_aborted(doomed);
         }
     }
-    assert_eq!(remote.dead_workers(), 1, "the kill:2 fault never fired");
-
     local.shutdown();
-    remote.shutdown();
-    reap(vec![healthy]);
-    reap_aborted(doomed);
 }
 
 #[test]

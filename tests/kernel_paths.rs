@@ -9,8 +9,9 @@ use master_worker_matrix::prelude::*;
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_blockmat::gemm::{gemm_parallel, gemm_serial, gemm_serial_oracle, verify_product};
 use mwp_blockmat::kernel;
-use mwp_blockmat::lu::{reconstruct, Dense};
-use mwp_lu::runtime::run_lu;
+use mwp_blockmat::lu::{lu_blocked_in_place, reconstruct, Dense};
+use mwp_lu::runtime::{run_lu, LuSession};
+use mwp_msg::TransportMode;
 
 /// Aligned (q = 8, 16) and tail (q = 33) block sides: the threaded HoLM
 /// runtime must agree with the serial product bit for bit (same kernel,
@@ -96,6 +97,36 @@ fn run_lu_reconstructs_on_aligned_and_tail_sizes() {
             "q = {q}: L·U off A by {err} (scale {scale})"
         );
     }
+}
+
+/// At the benchmark's shape — 12 blocks of q = 80 in steps of µ = 2, so
+/// 160-wide pivots over 800- to 160-row panels — the threaded runtime
+/// ships each panel to a worker as a contiguous matrix while
+/// `lu_blocked_in_place` runs the same blocked kernels through leading
+/// dimensions: the factors must be the same bits whatever the fleet size
+/// (1 worker takes every op, 3 leave row groups uneven) and transport.
+#[test]
+fn run_lu_is_bit_identical_to_serial_blocked_at_the_perf_shape() {
+    let matrix = random_diagonally_dominant(12, 80, 2007);
+    let mut serial = Dense::from_blocks(&matrix);
+    lu_blocked_in_place(&mut serial, 2 * 80);
+    // One thread per transport: unoptimized test builds factor slowly.
+    std::thread::scope(|scope| {
+        for mode in [TransportMode::Channel, TransportMode::Tcp] {
+            let (matrix, serial) = (&matrix, &serial);
+            scope.spawn(move || {
+                for p in 1..=3 {
+                    let platform = Platform::homogeneous(p, 1.0, 1.0, 100_000).unwrap();
+                    let session = LuSession::with_transport(&platform, 0.0, mode);
+                    let out = session.run(matrix, 2);
+                    assert!(!out.aborted);
+                    assert_eq!(out.workers_used, p);
+                    assert!(out.packed == *serial, "{p} workers over {mode:?} diverge from serial");
+                    assert_eq!(session.shutdown(), p);
+                }
+            });
+        }
+    });
 }
 
 /// The serial product through the dispatched kernel agrees with the naive

@@ -15,7 +15,9 @@
 //! * Chrome-trace export structure and lossless round-trip through the
 //!   sim-side reader,
 //! * consistency between the scheduler's [`JobReport`] metering and the
-//!   run spans of the same generation.
+//!   run spans of the same generation,
+//! * the LU worker's `Kernel` detail spans (`factor` / `trsm` / `core`),
+//!   each inside the `Compute` span of the op it served.
 //!
 //! The compute kernel under the captured runs follows `MWP_KERNEL`, so
 //! the CI matrix exercises these invariants under both kernels; the
@@ -24,10 +26,11 @@
 //! Captures are process-global, so every capturing test serializes on
 //! [`CAPTURE_LOCK`].
 
-use mwp_blockmat::fill::random_matrix;
+use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
-use mwp_platform::Platform;
+use mwp_lu::runtime::LuSession;
+use mwp_platform::{Platform, WorkerId};
 use mwp_trace::chrome;
 use mwp_trace::record::Capture;
 use mwp_trace::{Activity, ActivityKind, Resource, Trace};
@@ -258,4 +261,48 @@ fn job_report_consistent_with_spans() {
         .map(|a| a.bytes)
         .sum();
     assert_eq!(gen_bytes, report.blocks_moved * (8 * q * q) as u64);
+}
+
+/// An LU run says where its workers' time went: every op a worker serves
+/// is one `Compute` span, and inside it the detail track carries the
+/// kernels that ran — `factor` and `trsm` for each panel exchange (the
+/// last step has no panels, so no `trsm`), `core` for each row group, one
+/// `Pack` for each panel install — so `trace.kernel_s` is not 0 on LU.
+#[test]
+fn lu_run_records_kernel_spans_inside_compute_spans() {
+    let _serial = capture_lock();
+    let pf = Platform::homogeneous(2, 1.0, 1.0, 1000).expect("valid platform");
+    let matrix = random_diagonally_dominant(6, 4, 11); // 3 steps of µ = 2
+    let capture = Capture::begin();
+    let session = LuSession::new(&pf, 0.0);
+    let out = session.run(&matrix, 2);
+    let trace = capture.end();
+    session.shutdown();
+    assert!(!out.aborted);
+    assert!(trace.check_no_overlap().is_ok(), "{:?}", trace.check_no_overlap());
+
+    let labelled = |kind: ActivityKind, label: &str| {
+        trace.activities.iter().filter(|a| a.kind == kind && &*a.label == label).count()
+    };
+    assert_eq!(labelled(ActivityKind::Kernel, "factor"), 3, "one per step");
+    assert_eq!(labelled(ActivityKind::Kernel, "trsm"), 2, "one per step with panels");
+    assert_eq!(labelled(ActivityKind::Kernel, "core"), 2 + 1, "one per row group");
+    assert_eq!(labelled(ActivityKind::Pack, "pack panel"), 2 + 1, "one per install");
+    // Panel and core ops are Compute spans; installs send nothing back
+    // and are not an occupancy unit.
+    assert_eq!(labelled(ActivityKind::Compute, "LU op"), 3 + 3);
+
+    for detail in trace.activities.iter().filter(|a| a.kind == ActivityKind::Kernel) {
+        let Resource::WorkerDetail(w) = detail.resource else {
+            panic!("kernel span {:?} off the detail track: {:?}", detail.label, detail.resource)
+        };
+        assert_eq!(detail.run, trace.activities[0].run, "stamped with the run's generation");
+        let enclosing = trace.on(Resource::Worker(w)).any(|c| {
+            c.kind == ActivityKind::Compute && c.start <= detail.start && detail.end <= c.end
+        });
+        assert!(enclosing, "{:?} on {w:?} lies outside every Compute span", detail.label);
+    }
+    // The pivot chain stayed on worker 0.
+    let factors = trace.on(Resource::WorkerDetail(WorkerId(0)));
+    assert_eq!(factors.filter(|a| &*a.label == "factor").count(), 3);
 }

@@ -10,8 +10,9 @@
 //! the counter. When the suite itself runs under `MWP_TRACE=json:…`
 //! (the CI tracing leg) the premise is false and the test skips itself.
 
-use mwp_blockmat::fill::random_matrix;
+use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_core::session::RuntimeSession;
+use mwp_lu::runtime::LuSession;
 use mwp_platform::Platform;
 use mwp_trace::record::{self, Capture};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -70,6 +71,11 @@ fn tracing_off_records_nothing_and_does_not_allocate() {
     let session = RuntimeSession::new(&pf, 0.0);
     session.run_holm(&a, &b, c0).expect("run succeeds");
     session.shutdown();
+    // The LU worker's per-op and per-kernel span sites are gated the same
+    // way.
+    let lu = LuSession::new(&pf, 0.0);
+    assert!(!lu.run(&random_diagonally_dominant(4, 4, 4), 2).aborted);
+    lu.shutdown();
 
     let capture = Capture::begin();
     let leftovers = capture.end();
