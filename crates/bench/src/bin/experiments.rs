@@ -6,45 +6,33 @@
 //! cargo run --release -p mwp-bench --bin experiments -- e8    # one experiment
 //! ```
 
-use mwp_bench::experiments::{self, Fidelity};
+use mwp_bench::experiments::{Fidelity, ALL};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fidelity = if args.iter().any(|a| a == "quick") {
-        Fidelity::Quick
-    } else {
-        Fidelity::Full
-    };
-    let filter: Option<&str> = args.iter().find(|a| a.starts_with('e')).map(|s| s.as_str());
-
-    type ExpFn = fn(Fidelity) -> mwp_bench::Table;
-    let named: Vec<(&str, ExpFn)> = vec![
-        ("e1", experiments::e1_alternating),
-        ("e2", experiments::e2_fig4a),
-        ("e3", experiments::e3_fig4b),
-        ("e4", experiments::e4_bounds),
-        ("e5", experiments::e5_table1),
-        ("e6", experiments::e6_global_selection),
-        ("e6b", experiments::e6b_heterogeneous_execution),
-        ("e7", experiments::e7_selection_variants),
-        ("e8", experiments::e8_fig10),
-        ("e9", experiments::e9_fig11),
-        ("e10", experiments::e10_fig12),
-        ("e11", experiments::e11_fig13),
-        ("e12", experiments::e12_lu),
-        ("e13", experiments::e13_heterogeneity_sweep),
-        ("e14", experiments::e14_two_port_ablation),
-    ];
+    let mut fidelity = Fidelity::Full;
+    let mut wanted: Vec<String> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        if arg == "quick" {
+            fidelity = Fidelity::Quick;
+        } else if ALL.iter().any(|(name, _)| *name == arg) {
+            wanted.push(arg);
+        } else {
+            let names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
+            eprintln!(
+                "unknown argument `{arg}`: expected `quick` or one of {}",
+                names.join(", ")
+            );
+            std::process::exit(2);
+        }
+    }
 
     println!("# Experiment results ({fidelity:?} fidelity)\n");
-    for (name, f) in named {
-        if let Some(want) = filter {
-            if want != name {
-                continue;
-            }
+    for (name, run) in ALL {
+        if !wanted.is_empty() && !wanted.iter().any(|w| w == name) {
+            continue;
         }
         let start = std::time::Instant::now();
-        let table = f(fidelity);
+        let table = run(fidelity);
         println!("{table}");
         eprintln!("[{name} done in {:.2?}]", start.elapsed());
     }

@@ -547,31 +547,28 @@ pub fn e14_two_port_ablation(f: Fidelity) -> Table {
     t
 }
 
-/// All experiments in order.
-///
-/// The experiments are independent of each other, so they run in parallel
-/// with rayon; the returned tables keep the paper's order.
-pub fn all(f: Fidelity) -> Vec<Table> {
-    use rayon::prelude::*;
-    let runs: Vec<fn(Fidelity) -> Table> = vec![
-        e1_alternating,
-        e2_fig4a,
-        e3_fig4b,
-        e4_bounds,
-        e5_table1,
-        e6_global_selection,
-        e6b_heterogeneous_execution,
-        e7_selection_variants,
-        e8_fig10,
-        e9_fig11,
-        e10_fig12,
-        e11_fig13,
-        e12_lu,
-        e13_heterogeneity_sweep,
-        e14_two_port_ablation,
-    ];
-    runs.into_par_iter().map(|exp| exp(f)).collect()
-}
+/// One paper artifact: problem sizes in, its table out.
+pub type Experiment = fn(Fidelity) -> Table;
+
+/// Every experiment, named as the `experiments` binary's arguments name
+/// them, in the paper's order.
+pub const ALL: [(&str, Experiment); 15] = [
+    ("e1", e1_alternating),
+    ("e2", e2_fig4a),
+    ("e3", e3_fig4b),
+    ("e4", e4_bounds),
+    ("e5", e5_table1),
+    ("e6", e6_global_selection),
+    ("e6b", e6b_heterogeneous_execution),
+    ("e7", e7_selection_variants),
+    ("e8", e8_fig10),
+    ("e9", e9_fig11),
+    ("e10", e10_fig12),
+    ("e11", e11_fig13),
+    ("e12", e12_lu),
+    ("e13", e13_heterogeneity_sweep),
+    ("e14", e14_two_port_ablation),
+];
 
 /// Helper for tests and the binary: does HoLM use at most as many workers
 /// as ORROML and stay within `tol` of its makespan on the given problem?
@@ -719,10 +716,8 @@ mod tests {
 
     #[test]
     fn all_runs_quickly_in_quick_mode() {
-        let tables = all(Fidelity::Quick);
-        assert_eq!(tables.len(), 15);
-        for t in &tables {
-            assert!(!t.is_empty());
+        for (name, run) in ALL {
+            assert!(!run(Fidelity::Quick).is_empty(), "{name} printed no rows");
         }
     }
 }

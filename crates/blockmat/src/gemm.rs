@@ -1,9 +1,8 @@
 //! Whole-matrix multiplication: the ground truth the master-worker runtime
-//! is verified against, in serial and rayon-parallel flavours.
+//! is verified against.
 
 use crate::kernel::{self, PackedB};
 use crate::matrix::BlockMatrix;
-use rayon::prelude::*;
 
 /// Serial `C ← C + A × B` at the block level.
 ///
@@ -28,40 +27,6 @@ pub fn gemm_serial(c: &mut BlockMatrix, a: &BlockMatrix, b: &BlockMatrix) {
             }
         }
     }
-}
-
-/// Rayon-parallel `C ← C + A × B`: each C block is an independent task, so
-/// this is an embarrassingly parallel loop over `r·s` block dot-products.
-///
-/// C blocks are updated **in place** through `par_iter_mut` over the block
-/// store — no clone of the C grid, no intermediate collect, no re-insert.
-/// Every B block is packed exactly once up front (a transient packed copy
-/// of B, ~`t·s·q²` coefficients) and shared read-only by all tasks, so the
-/// pack count drops from `r·s·t` to `s·t` exactly as in [`gemm_serial`].
-/// Results are bit-identical to [`gemm_serial`] — both accumulate over
-/// `k` in increasing order within each C block, and C blocks never share
-/// state.
-pub fn gemm_parallel(c: &mut BlockMatrix, a: &BlockMatrix, b: &BlockMatrix) {
-    check_conformance(c, a, b);
-    let kernel = kernel::active();
-    let t = a.cols();
-    let cols = c.cols();
-    // The packs are independent, so the O(t·s·q²) pack prefix spreads
-    // across the pool instead of serializing on the calling thread.
-    let packed: Vec<PackedB> = (0..t * cols)
-        .into_par_iter()
-        .map(|kj| {
-            let mut p = PackedB::new();
-            b.block(kj / cols, kj % cols).pack_b_for(kernel, &mut p);
-            p
-        })
-        .collect();
-    c.blocks_mut().par_iter_mut().enumerate().for_each(|(idx, cij)| {
-        let (i, j) = (idx / cols, idx % cols);
-        for k in 0..t {
-            cij.gemm_acc_prepacked(kernel, a.block(i, k), &packed[k * cols + j]);
-        }
-    });
 }
 
 /// `C ← C + A × B` into a fresh zero C, serial.
@@ -133,17 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_bitwise() {
-        let a = random_matrix(4, 6, 16, 3);
-        let b = random_matrix(6, 5, 16, 4);
-        let mut c1 = random_matrix(4, 5, 16, 5);
-        let mut c2 = c1.clone();
-        gemm_serial(&mut c1, &a, &b);
-        gemm_parallel(&mut c2, &a, &b);
-        assert_eq!(c1.max_abs_diff(&c2), 0.0, "must be bit-identical");
-    }
-
-    #[test]
     fn accumulates_into_existing_c() {
         let a = random_matrix(2, 2, 4, 6);
         let b = random_matrix(2, 2, 4, 7);
@@ -178,18 +132,6 @@ mod tests {
             let a_ib = multiply(&a, &multiply(&idt, &b));
             prop_assert!(ab.max_abs_diff(&ai_b) < 1e-10);
             prop_assert!(ab.max_abs_diff(&a_ib) < 1e-10);
-        }
-
-        #[test]
-        fn prop_parallel_equals_serial(r in 1usize..4, s in 1usize..4, t in 1usize..4, seed in 0u64..100) {
-            let q = 8;
-            let a = random_matrix(r, t, q, seed);
-            let b = random_matrix(t, s, q, seed + 1);
-            let mut c1 = random_matrix(r, s, q, seed + 2);
-            let mut c2 = c1.clone();
-            gemm_serial(&mut c1, &a, &b);
-            gemm_parallel(&mut c2, &a, &b);
-            prop_assert_eq!(c1.max_abs_diff(&c2), 0.0);
         }
     }
 }

@@ -14,8 +14,8 @@
 //!   `A`, `B`, and `C`),
 //! * [`Partition`] — the `(r, s, t)` stripe decomposition from matrix
 //!   dimensions and block size,
-//! * [`gemm`] — whole-matrix serial and rayon-parallel multiplication used
-//!   as ground truth by runtime verification,
+//! * [`gemm`] — whole-matrix multiplication used as ground truth by runtime
+//!   verification,
 //! * [`payload`] — zero-copy wire payloads: a matrix serialized once into
 //!   a shared buffer, blocks handed out as refcounted slices,
 //! * [`lu`] — the dense kernels for the Section 7 LU extension (pivot

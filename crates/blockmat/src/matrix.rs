@@ -107,15 +107,6 @@ impl BlockMatrix {
         b[(row % q, col % q)] = v;
     }
 
-    /// The whole block store as a mutable row-major slice — block `(i, j)`
-    /// lives at index `i * cols + j`. This is the in-place parallel-update
-    /// surface: `gemm_parallel` distributes disjoint `&mut Block`s across
-    /// threads instead of cloning and re-collecting blocks.
-    #[inline]
-    pub fn blocks_mut(&mut self) -> &mut [Block] {
-        &mut self.blocks
-    }
-
     /// Iterate blocks in row-major `(i, j, &block)` order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (usize, usize, &Block)> {
         self.blocks

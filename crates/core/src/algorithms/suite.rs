@@ -105,19 +105,19 @@ impl SuitePolicy {
             AlgorithmKind::OBMM => MemoryLayout::ToledoFifths,
             _ => MemoryLayout::MaxReuseOverlapped,
         };
+        // Checked before selecting: `select_homogeneous` asserts µ ≥ 1
+        // (HoLM's layout is the one it selects under).
+        let mu = layout.mu(params.m);
+        if mu == 0 {
+            return Err(AlgoError::MemoryTooSmall { m: params.m });
+        }
         let (enrolled, mu) = match kind {
             AlgorithmKind::HoLM => {
                 let sel = select_homogeneous(&params, p, problem.r, problem.s);
                 (sel.workers, sel.chunk_side)
             }
-            _ => {
-                let mu = layout.mu(params.m);
-                (p, mu)
-            }
+            _ => (p, mu),
         };
-        if mu == 0 {
-            return Err(AlgoError::MemoryTooSmall { m: params.m });
-        }
 
         let dispatch = match kind {
             AlgorithmKind::HoLM | AlgorithmKind::ORROML => Dispatch::RoundRobin,
@@ -564,8 +564,10 @@ mod tests {
     #[test]
     fn tiny_memory_rejected() {
         let pf = Platform::homogeneous(2, 1.0, 1.0, 4).unwrap();
-        let err = SuitePolicy::new(AlgorithmKind::ORROML, &pf, &problem()).unwrap_err();
-        assert!(matches!(err, AlgoError::MemoryTooSmall { m: 4 }));
+        for kind in [AlgorithmKind::ORROML, AlgorithmKind::HoLM] {
+            let err = simulate(kind, &pf, &problem()).unwrap_err();
+            assert_eq!(err, AlgoError::MemoryTooSmall { m: 4 }, "{}", kind.name());
+        }
     }
 
     #[test]

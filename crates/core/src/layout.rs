@@ -7,10 +7,8 @@
 //! the communication-to-computation ratio down to `2/µ + 2/t ≈ 2/√m`,
 //! a factor `√3` below Toledo's equal-thirds layout.
 
-use serde::{Deserialize, Serialize};
-
 /// The memory-splitting policies implemented by the algorithm suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryLayout {
     /// Section 4: `1 + µ + µ² ≤ m` — one A buffer, µ B buffers, µ² C
     /// buffers. Minimal-communication layout without overlap buffers.
@@ -104,7 +102,7 @@ fn int_sqrt(x: usize) -> usize {
 
 /// A concrete memory plan for one worker: the layout, its µ, and the
 /// buffer budget it was derived from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryPlan {
     /// The splitting policy.
     pub layout: MemoryLayout,

@@ -204,17 +204,17 @@ pub(crate) fn select_enrollment(
     let params = platform
         .homogeneous_params()
         .ok_or(RuntimeError::HeterogeneousPlatform)?;
-    let (enrolled, mu) = if select {
-        let sel = select_homogeneous(&params, platform.len(), r, s);
-        (sel.workers, sel.chunk_side)
-    } else {
-        let mu = crate::layout::MemoryLayout::MaxReuseOverlapped.mu(params.m);
-        (platform.len(), mu)
-    };
+    // Checked before selecting: `select_homogeneous` asserts µ ≥ 1.
+    let mu = crate::layout::MemoryLayout::MaxReuseOverlapped.mu(params.m);
     if mu == 0 {
         return Err(RuntimeError::MemoryTooSmall { m: params.m });
     }
-    Ok((enrolled, mu))
+    if select {
+        let sel = select_homogeneous(&params, platform.len(), r, s);
+        Ok((sel.workers, sel.chunk_side))
+    } else {
+        Ok((platform.len(), mu))
+    }
 }
 
 /// One product `C ← C + A·B` of an open run: the payload caches of its
@@ -951,6 +951,23 @@ mod tests {
             run_holm(&pf, &a, &b, c0, 0.0).unwrap_err(),
             RuntimeError::HeterogeneousPlatform
         );
+    }
+
+    #[test]
+    fn too_small_memory_is_an_error_with_or_without_selection() {
+        let pf = platform(2, 4); // µ² + 4µ ≤ 4 has no µ ≥ 1
+        let a = random_matrix(2, 2, 4, 1);
+        let b = random_matrix(2, 2, 4, 2);
+        let c0 = random_matrix(2, 2, 4, 3);
+        let too_small = RuntimeError::MemoryTooSmall { m: 4 };
+        assert_eq!(run_all_workers(&pf, &a, &b, c0.clone(), 0.0).unwrap_err(), too_small);
+        assert_eq!(run_holm(&pf, &a, &b, c0.clone(), 0.0).unwrap_err(), too_small);
+        // A session that already exists answers the same way, and stays
+        // usable: both calls go through its one plan cache.
+        let session = RuntimeSession::new(&pf, 0.0);
+        assert_eq!(session.run_holm(&a, &b, c0.clone()).unwrap_err(), too_small);
+        assert_eq!(session.run_all_workers(&a, &b, c0).unwrap_err(), too_small);
+        assert_eq!(session.shutdown(), 2);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! corresponding (sufficient) condition.
 
 use mwp_platform::{Platform, WorkerId};
-use serde::{Deserialize, Serialize};
 
 /// Enrollment of one worker in the steady-state solution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Enrollment {
     /// The worker.
     pub worker: WorkerId,
@@ -32,7 +31,7 @@ pub struct Enrollment {
 }
 
 /// The steady-state LP solution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SteadyState {
     /// Enrolled workers in bandwidth-centric order (most efficient first).
     pub enrolled: Vec<Enrollment>,

@@ -17,10 +17,9 @@
 
 use crate::layout::MemoryLayout;
 use mwp_platform::WorkerParams;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of homogeneous resource selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HomogeneousSelection {
     /// Number of enrolled workers.
     pub workers: usize,

@@ -21,10 +21,9 @@
 //!   Section 6.2.1: pick the best ordered *pair* of next communications.
 
 use mwp_platform::{Platform, WorkerId};
-use serde::{Deserialize, Serialize};
 
 /// Which incremental objective to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionRule {
     /// Algorithm 3's global ratio.
     Global,
@@ -43,7 +42,7 @@ pub enum SelectionRule {
 }
 
 /// One committed selection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectionStep {
     /// The selected worker.
     pub worker: WorkerId,
@@ -56,7 +55,7 @@ pub struct SelectionStep {
 }
 
 /// The full output of the selection simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectionTrace {
     /// Every committed selection in order.
     pub steps: Vec<SelectionStep>,

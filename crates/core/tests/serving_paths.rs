@@ -11,6 +11,7 @@
 use mwp_blockmat::fill::random_matrix;
 use mwp_blockmat::gemm::gemm_serial;
 use mwp_blockmat::BlockMatrix;
+use mwp_core::runtime::RuntimeError;
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
 use mwp_platform::Platform;
@@ -283,6 +284,23 @@ fn invalid_job_fails_without_poisoning_the_server() {
         &solo(&pf, &good),
         "job after a rejected one",
     );
+    assert_eq!(server.dead_workers(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn too_small_fleet_fails_selection_jobs_as_values() {
+    // m = 4 holds no µ ≥ 1, so no job can run on this fleet; what the
+    // server owes its clients is the documented error from a dispatcher
+    // (one, so both jobs meet the same thread and plan cache) that
+    // outlives it.
+    let pf = platform(2, 4);
+    let server = MatrixServer::with_options(RuntimeSession::new(&pf, 0.0), 1, true);
+    for select in [true, false, true] {
+        let spec = JobSpec { select, ..job(2, 2, 2, 4, 1350) };
+        let err = server.run(spec).result.err();
+        assert_eq!(err, Some(RuntimeError::MemoryTooSmall { m: 4 }), "select={select}");
+    }
     assert_eq!(server.dead_workers(), 0);
     server.shutdown();
 }

@@ -7,10 +7,10 @@ use crate::pool::BufferPool;
 use crate::port::OnePort;
 use crate::stats::LinkSnapshot;
 use bytes::Bytes;
-use crossbeam::channel::RecvError;
 use mwp_platform::WorkerId;
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::RecvError;
 use std::time::Duration;
 
 /// Fixed trace label for a frame kind (no allocation on the hot path).
@@ -344,7 +344,7 @@ pub struct WorkerEndpoint {
     /// Dropping this (with the endpoint) stops the heartbeat thread on
     /// its next wakeup — the thread's timed receive observes the
     /// disconnect immediately, so no join is needed.
-    _hb_stop: Option<crossbeam::channel::Sender<()>>,
+    _hb_stop: Option<std::sync::mpsc::Sender<()>>,
 }
 
 impl WorkerEndpoint {
@@ -376,7 +376,7 @@ impl WorkerEndpoint {
     ) -> Self {
         let writer = std::sync::Arc::new(parking_lot::Mutex::new(writer));
         let hb_stop = heartbeat.map(|interval| {
-            let (stop_tx, stop_rx) = crossbeam::channel::unbounded::<()>();
+            let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
             let hb_writer = std::sync::Arc::clone(&writer);
             std::thread::Builder::new()
                 .name(format!("mwp-heartbeat-{}", id.index()))
@@ -385,7 +385,7 @@ impl WorkerEndpoint {
                     // the endpoint dropping the sender) ends the thread.
                     while matches!(
                         stop_rx.recv_timeout(interval),
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout)
+                        Err(std::sync::mpsc::RecvTimeoutError::Timeout)
                     ) {
                         if hb_writer.lock().send_frame(&Frame::heartbeat()).is_err() {
                             break; // master gone: the serving thread will see it too

@@ -15,9 +15,9 @@
 
 use crate::frame::Frame;
 use crate::stats::LinkStats;
-use crossbeam::channel::{unbounded, Receiver, RecvError, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvError, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -144,8 +144,8 @@ pub struct Link {
 impl Link {
     /// Build a link with per-block cost `c` and the given pacing.
     pub fn new(c: f64, pacing: Pacing) -> Self {
-        let (to_worker_tx, to_worker_rx) = unbounded();
-        let (to_master_tx, to_master_rx) = unbounded();
+        let (to_worker_tx, to_worker_rx) = channel();
+        let (to_master_tx, to_master_rx) = channel();
         Link {
             c,
             pacing,
@@ -192,8 +192,8 @@ pub struct MasterSide {
     pacing: Pacing,
     stats: LinkStats,
     tx: Sender<Frame>,
-    /// The worker→master channel. Behind a mutex only because the shim's
-    /// receiver is not `Sync` and concurrent collectors share this side;
+    /// The worker→master channel. Behind a mutex only because an mpsc
+    /// `Receiver` is not `Sync` and concurrent collectors share this side;
     /// actual access is already exclusive — the demux admits one puller
     /// at a time, and the run-less [`MasterSide::recv`] is only for bare
     /// networks that open no run.

@@ -3,8 +3,8 @@
 use super::framing::{FrameRead, FrameWrite};
 use crate::frame::{Frame, FrameKind};
 use crate::link::{Link, MasterSide, Pacing};
-use crossbeam::channel::RecvTimeoutError;
 use mwp_platform::WorkerId;
+use std::sync::mpsc::RecvTimeoutError;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 

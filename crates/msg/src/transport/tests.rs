@@ -8,8 +8,9 @@ use crate::pool::BufferPool;
 use bytes::Bytes;
 use mwp_platform::WorkerId;
 use std::io::{self, Read};
+use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn frame(kind: FrameKind, i: usize, j: usize, payload: &[u8]) -> Frame {
     Frame::new(Tag::new(kind, i, j), Bytes::from(payload.to_vec()))
@@ -499,6 +500,78 @@ fn remote_link_bridges_a_socket_to_master_side_semantics() {
         p.join().unwrap();
     }
     h.join().unwrap();
+}
+
+/// A write half that reports each frame's kind to the test, in order.
+struct KindTap(mpsc::Sender<FrameKind>);
+
+impl FrameWrite for KindTap {
+    fn send_frame(&mut self, frame: &Frame) -> io::Result<()> {
+        let _ = self.0.send(frame.tag.kind);
+        Ok(())
+    }
+}
+
+/// The read half of a worker that never speaks; EOF once the test drops
+/// its sender.
+struct SilentUntilHangup(mpsc::Receiver<()>);
+
+impl FrameRead for SilentUntilHangup {
+    fn recv_frame(&mut self) -> io::Result<Option<Frame>> {
+        let _ = self.0.recv();
+        Ok(None)
+    }
+}
+
+/// Heartbeats cost a busy link nothing because the out pump probes only
+/// after a whole interval with no frame to forward. Margins are for a
+/// loaded 2-core runner: 5 ms between frames against a 200 ms interval,
+/// and 5 s for the idle probe to show up.
+#[test]
+fn out_pump_probes_only_an_idle_link() {
+    let interval = Duration::from_millis(200);
+    let (tap_tx, tap) = mpsc::channel();
+    let (hangup, silent) = mpsc::channel();
+    let link = RemoteLink::attach(
+        Box::new(SilentUntilHangup(silent)),
+        Box::new(KindTap(tap_tx)),
+        1.0,
+        Pacing::OFF,
+        WorkerId(0),
+        Some(interval),
+    );
+    let (side, pumps) = link.into_parts();
+
+    // Busy for three intervals: nothing but the master's frames goes out.
+    let busy_until = Instant::now() + 3 * interval;
+    let mut sent = 0;
+    while Instant::now() < busy_until {
+        side.send(frame(FrameKind::BlockA, sent, 0, &[0u8; 8]), 0);
+        sent += 1;
+        thread::sleep(Duration::from_millis(5));
+    }
+    let mut forwarded = 0;
+    for kind in tap.try_iter() {
+        assert_eq!(kind, FrameKind::BlockA, "a busy link was probed after {forwarded} frames");
+        forwarded += 1;
+    }
+
+    // Silent: the next thing on the wire (after a last frame the pump
+    // may still have been forwarding) is a probe.
+    let after_silence = loop {
+        match tap.recv_timeout(Duration::from_secs(5)).expect("an idle link must be probed") {
+            FrameKind::BlockA => forwarded += 1,
+            kind => break kind,
+        }
+    };
+    assert_eq!(after_silence, FrameKind::Heartbeat);
+    assert_eq!(forwarded, sent, "every frame sent before the silence was forwarded");
+
+    side.send(Frame::shutdown(), 0);
+    drop(hangup);
+    for p in pumps {
+        p.join().unwrap();
+    }
 }
 
 #[test]

@@ -12,13 +12,12 @@
 //!   one multiply-add as one operation as the paper does).
 
 use crate::units::{Bandwidth, FlopRate, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Bytes per matrix coefficient (we store IEEE-754 f64).
 pub const BYTES_PER_COEFF: usize = 8;
 
 /// Hardware characteristics of one worker class and its link to the master.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareProfile {
     /// Sustained dgemm rate of the node, counting one multiply-add pair as
     /// *two* flops (vendor convention).
@@ -52,7 +51,7 @@ impl HardwareProfile {
 }
 
 /// Maps a hardware profile and block size `q` to per-block costs `(c, w)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Block side `q` (the paper uses 80 or 100).
     pub q: usize,

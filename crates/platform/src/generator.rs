@@ -10,14 +10,13 @@ use crate::platform::Platform;
 use crate::worker::WorkerParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How heterogeneous each dimension of the platform is.
 ///
 /// Each field is a *spread factor* `h ≥ 1`: parameter values are drawn
 /// log-uniformly in `[base/h, base·h]`, so `h = 1` is homogeneous and
 /// `h = 4` spans a 16× ratio between extremes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeterogeneityProfile {
     /// Spread of per-block communication cost `c_i`.
     pub comm: f64,

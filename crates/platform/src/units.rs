@@ -4,7 +4,6 @@
 //! harness calibrates against real hardware (Gflop/s, Mbit/s). Newtypes keep
 //! the two worlds from being mixed up accidentally.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -14,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// All simulator timestamps and cost-model outputs are `Seconds`. The type
 /// is a thin wrapper over `f64` with arithmetic; it intentionally does not
 /// implement `Eq`/`Ord` (floats) — the simulator uses its own ordered time.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Seconds(pub f64);
 
 impl Seconds {
@@ -141,7 +140,7 @@ impl fmt::Display for Seconds {
 }
 
 /// Floating-point operation rate, in flop/s.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct FlopRate(pub f64);
 
 impl FlopRate {
@@ -165,7 +164,7 @@ impl FlopRate {
 }
 
 /// Link bandwidth, in bytes per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Bandwidth(pub f64);
 
 impl Bandwidth {

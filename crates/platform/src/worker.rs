@@ -1,6 +1,5 @@
 //! Per-worker parameters `(c_i, w_i, m_i)`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a worker within a [`crate::Platform`].
@@ -8,7 +7,7 @@ use std::fmt;
 /// Workers are numbered `P1 … Pp` in the paper; `WorkerId(i)` is 0-based, so
 /// `WorkerId(0)` is the paper's `P1`. The master `P0` is never addressed by
 /// a `WorkerId` — it is implicit in all master-side APIs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId(pub usize);
 
 impl WorkerId {
@@ -33,7 +32,7 @@ impl fmt::Display for WorkerId {
 /// * `w` — time for this worker to perform one block update
 ///   `C_ij += A_ik · B_kj`;
 /// * `m` — number of `q × q` block buffers that fit in this worker's memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerParams {
     /// Per-block communication cost `c_i` (time units per block).
     pub c: f64,

@@ -12,11 +12,10 @@
 
 use crate::time::SimTime;
 use mwp_platform::WorkerId;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// The resource an [`Activity`] occupied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// The master's single network port.
     MasterPort,
@@ -31,7 +30,7 @@ pub enum Resource {
 }
 
 /// What kind of activity occupied the resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActivityKind {
     /// Master sending to a worker (port activity).
     Send,
@@ -88,7 +87,7 @@ impl ActivityKind {
 }
 
 /// One contiguous span of activity on a resource.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Activity {
     /// Which resource was busy.
     pub resource: Resource,
@@ -151,7 +150,7 @@ impl Activity {
 }
 
 /// A complete execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// All activities in the order they were recorded (port ops are in
     /// start-time order; compute ops in enqueue order).

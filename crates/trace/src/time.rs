@@ -6,7 +6,6 @@
 //! simulated and measured [`crate::Trace`]s be diffed span for span.
 
 use mwp_platform::Seconds;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -16,7 +15,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// Wraps `f64` but provides a **total order** via `f64::total_cmp`, so it
 /// can key ordered collections. Simulation code never produces NaN; the
 /// total order makes that assumption safe rather than silently wrong.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(pub f64);
 
 impl SimTime {

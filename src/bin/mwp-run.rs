@@ -5,12 +5,18 @@
 //! mwp-run [--workers N] [--c SECS] [--w SECS] [--mem BLOCKS]
 //!         [--blocks RxTxS] [--q Q] [--algorithm NAME|all]
 //!         [--two-port] [--gantt] [--execute]
+//! mwp-run --platform-file PATH [--blocks RxTxS] [--q Q]
 //! ```
 //!
 //! Defaults reproduce the paper's first Figure 10 configuration at a
 //! reduced size. `--execute` additionally runs the threaded runtime with
 //! real coefficients and verifies the product (keep the block counts
-//! modest for that).
+//! modest for that). `--platform-file` simulates the heterogeneous
+//! two-phase scheduler on the described platform instead.
+//!
+//! Exit status: 0 on success, 1 when `--execute` did not produce a
+//! verified product (failed, wrong, or refused as too large), 2 on a
+//! usage error.
 
 use master_worker_matrix::prelude::*;
 use mwp_core::algorithms::{simulate_traced, simulate_two_port};
@@ -25,7 +31,8 @@ struct Args {
     t: usize,
     s: usize,
     q: usize,
-    algorithm: String,
+    /// `None` = not given: HoLM.
+    algorithm: Option<String>,
     two_port: bool,
     gantt: bool,
     execute: bool,
@@ -44,7 +51,7 @@ fn parse_args() -> Result<Args, String> {
         t: 20,
         s: 160,
         q: 80,
-        algorithm: "HoLM".to_string(),
+        algorithm: None,
         two_port: false,
         gantt: false,
         execute: false,
@@ -76,7 +83,7 @@ fn parse_args() -> Result<Args, String> {
                 args.t = parts[1].parse().map_err(|e| format!("{e}"))?;
                 args.s = parts[2].parse().map_err(|e| format!("{e}"))?;
             }
-            "--algorithm" => args.algorithm = value(&mut i)?,
+            "--algorithm" => args.algorithm = Some(value(&mut i)?),
             "--platform-file" => args.platform_file = Some(value(&mut i)?),
             "--two-port" => args.two_port = true,
             "--gantt" => args.gantt = true,
@@ -90,6 +97,16 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
         i += 1;
+    }
+    if args.q == 0 || args.r == 0 || args.t == 0 || args.s == 0 {
+        return Err("--q and every dimension of --blocks must be at least 1".into());
+    }
+    if args.platform_file.is_some()
+        && (args.algorithm.is_some() || args.two_port || args.gantt || args.execute)
+    {
+        return Err("--platform-file runs the heterogeneous two-phase simulation only: it cannot \
+                    be combined with --algorithm, --two-port, --gantt or --execute"
+            .into());
     }
     Ok(args)
 }
@@ -165,15 +182,15 @@ fn main() {
         args.workers, args.c, args.w, args.mem
     );
 
-    let kinds: Vec<AlgorithmKind> = if args.algorithm.eq_ignore_ascii_case("all") {
+    let algorithm = args.algorithm.as_deref().unwrap_or("HoLM");
+    let kinds: Vec<AlgorithmKind> = if algorithm.eq_ignore_ascii_case("all") {
         AlgorithmKind::ALL.to_vec()
     } else {
-        match algorithm_by_name(&args.algorithm) {
+        match algorithm_by_name(algorithm) {
             Some(k) => vec![k],
             None => {
                 eprintln!(
-                    "unknown algorithm {:?}; choose one of {} or 'all'",
-                    args.algorithm,
+                    "unknown algorithm {algorithm:?}; choose one of {} or 'all'",
                     AlgorithmKind::ALL.map(|k| k.name()).join(", ")
                 );
                 std::process::exit(2);
@@ -222,7 +239,7 @@ fn main() {
         use mwp_blockmat::gemm::verify_product;
         if args.r * args.s * args.t > 64_000 {
             eprintln!("--execute skipped: problem too large for a real run (r·s·t > 64000)");
-            return;
+            std::process::exit(1);
         }
         let a = random_matrix(args.r, args.t, args.q, 1);
         let b = random_matrix(args.t, args.s, args.q, 2);
@@ -239,7 +256,10 @@ fn main() {
                     std::process::exit(1);
                 }
             },
-            Err(e) => eprintln!("real execution failed: {e}"),
+            Err(e) => {
+                eprintln!("real execution failed: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }

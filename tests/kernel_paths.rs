@@ -1,4 +1,4 @@
-//! Every compute path — serial/parallel products, both master-worker
+//! Every compute path — the serial product, both master-worker
 //! matrix runtimes, and the threaded LU — runs the same dispatched block
 //! kernel, and all of them cross-validate against the independent naive
 //! oracle. Block sides are chosen to hit both the aligned case and the
@@ -7,7 +7,7 @@
 
 use master_worker_matrix::prelude::*;
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
-use mwp_blockmat::gemm::{gemm_parallel, gemm_serial, gemm_serial_oracle, verify_product};
+use mwp_blockmat::gemm::{gemm_serial, gemm_serial_oracle, verify_product};
 use mwp_blockmat::kernel;
 use mwp_blockmat::lu::{lu_blocked_in_place, reconstruct, Dense};
 use mwp_lu::runtime::{run_lu, LuSession};
@@ -63,20 +63,6 @@ fn run_heterogeneous_cross_validates_on_tail_size() {
     assert_eq!(out.c.max_abs_diff(&serial), 0.0);
     verify_product(&out.c, &c0, &a, &b, 1e-9)
         .unwrap_or_else(|e| panic!("heterogeneous runtime off the oracle by {e}"));
-}
-
-/// The rayon-parallel product stays bit-identical to serial (both run the
-/// dispatched kernel with the same per-block k order) on a tail size.
-#[test]
-fn gemm_parallel_bitwise_on_tail_size() {
-    let q = 33;
-    let a = random_matrix(4, 6, q, 321);
-    let b = random_matrix(6, 5, q, 322);
-    let mut c1 = random_matrix(4, 5, q, 323);
-    let mut c2 = c1.clone();
-    gemm_serial(&mut c1, &a, &b);
-    gemm_parallel(&mut c2, &a, &b);
-    assert_eq!(c1.max_abs_diff(&c2), 0.0);
 }
 
 /// The threaded LU runtime (whose rank-µ core updates run the dispatched

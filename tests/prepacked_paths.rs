@@ -1,6 +1,6 @@
 //! Prepacked-panel reuse cross-validation: every layer that packs a B
-//! operand once and reuses it (kernel `PackedB`, `gemm_serial` /
-//! `gemm_parallel`, the runtime workers' resident-B packs, the LU
+//! operand once and reuses it (kernel `PackedB`, `gemm_serial`,
+//! the runtime workers' resident-B packs, the LU
 //! worker's per-step horizontal-panel pack) must be **bit-identical** to
 //! the per-call-pack path it replaced — same microkernel, same
 //! per-element k-accumulation order, the pack being pure data movement.
@@ -12,7 +12,7 @@
 
 use master_worker_matrix::prelude::*;
 use mwp_blockmat::fill::{random_block, random_diagonally_dominant, random_matrix};
-use mwp_blockmat::gemm::{gemm_parallel, gemm_serial};
+use mwp_blockmat::gemm::gemm_serial;
 use mwp_blockmat::kernel::{available, PackedB};
 use mwp_blockmat::lu::{lu_blocked_in_place, Dense};
 use mwp_blockmat::Block;
@@ -99,10 +99,6 @@ fn gemm_serial_and_parallel_match_per_call_triple_loop_bitwise() {
     let mut serial = c0.clone();
     gemm_serial(&mut serial, &a, &b);
     assert_eq!(serial.max_abs_diff(&per_call), 0.0, "gemm_serial must be bit-identical");
-
-    let mut parallel = c0.clone();
-    gemm_parallel(&mut parallel, &a, &b);
-    assert_eq!(parallel.max_abs_diff(&per_call), 0.0, "gemm_parallel must be bit-identical");
 }
 
 /// The threaded runtimes inherit the equivalence end to end: the worker's

@@ -2,6 +2,8 @@
 //! process environment: every `MWP_*` variable the code reads has a row,
 //! and every row names a variable the code still reads. A switch cannot
 //! be added without documenting it, nor retired without deleting its row.
+//! The same goes for the commands the docs tell a reader to run: every
+//! cargo target they name is one a manifest still declares.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -56,4 +58,59 @@ fn readme_switch_table_lists_exactly_the_variables_the_code_reads() {
         read, documented,
         "left: MWP_* variables read under src/ and crates/*/src; right: README table rows"
     );
+}
+
+/// The `name = "…"` of every package and target table in the
+/// `Cargo.toml`s under `dir` (build directories skipped).
+fn targets_declared_under(dir: &Path, out: &mut BTreeSet<String>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            if !path.ends_with("target") && !path.ends_with(".git") {
+                targets_declared_under(&path, out);
+            }
+        } else if path.ends_with("Cargo.toml") {
+            let text = fs::read_to_string(&path).expect("manifest is UTF-8");
+            out.extend(
+                text.lines()
+                    .filter_map(|line| line.strip_prefix("name = \""))
+                    .map(|rest| rest.trim_end_matches('"').to_string()),
+            );
+        }
+    }
+}
+
+#[test]
+fn docs_name_only_cargo_targets_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+
+    let mut declared = BTreeSet::new();
+    targets_declared_under(root, &mut declared);
+    for example in fs::read_dir(root.join("examples")).expect("examples/ exists") {
+        let path = example.expect("directory entry").path();
+        declared.insert(path.file_stem().expect("example has a name").to_string_lossy().into_owned());
+    }
+
+    let mut stale = BTreeSet::new();
+    for doc in [
+        "README.md",
+        "docs/ARCHITECTURE.md",
+        ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+    ] {
+        let text = fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("read {doc}: {e}"));
+        for marker in ["--bin ", "--bench ", "--example ", "target/release/"] {
+            for (at, _) in text.match_indices(marker) {
+                let name: String = text[at + marker.len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '-')
+                    .collect();
+                // An empty name is the bare `target/release/` directory.
+                if !name.is_empty() && !declared.contains(&name) {
+                    stale.insert(format!("{doc}: {marker}{name}"));
+                }
+            }
+        }
+    }
+    assert!(stale.is_empty(), "docs name targets no Cargo.toml declares: {stale:#?}");
 }
