@@ -11,9 +11,8 @@ use crate::calibrate::{jittered_platform, tennessee_platform, FIG13_MEMORY_MB};
 use crate::table::{fmt_f, Table};
 use mwp_blockmat::Partition;
 use mwp_core::algorithms::heterogeneous::simulate_heterogeneous;
-use mwp_core::algorithms::{simulate, AlgorithmKind, SuitePolicy};
+use mwp_core::algorithms::{simulate, AlgorithmKind};
 use mwp_core::bounds;
-
 use mwp_core::selection::bandwidth_centric::{steady_state, steady_state_with_mu};
 use mwp_core::selection::incremental::{asymptotic_ratio, SelectionRule};
 use mwp_core::toy::alternating::{alternating_greedy_makespan, best_single_worker_makespan};
@@ -475,9 +474,11 @@ pub fn e6b_heterogeneous_execution(f: Fidelity) -> Table {
 /// performance of the various algorithms".
 pub fn e13_heterogeneity_sweep(f: Fidelity) -> Table {
     use mwp_platform::generator::{HeterogeneityProfile, PlatformGenerator};
+    // The scheme assigns whole column groups: the grid is many groups
+    // wide, or the slowest worker's last group is the makespan (see E6b).
     let pr = match f {
-        Fidelity::Full => Partition::from_blocks(36, 72, 200, 80),
-        Fidelity::Quick => Partition::from_blocks(18, 36, 40, 80),
+        Fidelity::Full => Partition::from_blocks(180, 360, 200, 80),
+        Fidelity::Quick => Partition::from_blocks(90, 180, 40, 80),
     };
     let runs = match f {
         Fidelity::Full => 5,
@@ -569,18 +570,6 @@ pub const ALL: [(&str, Experiment); 15] = [
     ("e13", e13_heterogeneity_sweep),
     ("e14", e14_two_port_ablation),
 ];
-
-/// Helper for tests and the binary: does HoLM use at most as many workers
-/// as ORROML and stay within `tol` of its makespan on the given problem?
-pub fn holm_competitiveness(pf: &Platform, pr: &Partition, tol: f64) -> (bool, f64, usize, usize) {
-    let holm = simulate(AlgorithmKind::HoLM, pf, pr).expect("HoLM sim");
-    let orro = simulate(AlgorithmKind::ORROML, pf, pr).expect("ORROML sim");
-    let ratio = holm.makespan.value() / orro.makespan.value();
-    let holm_workers = SuitePolicy::new(AlgorithmKind::HoLM, pf, pr)
-        .expect("config")
-        .enrolled_workers();
-    (ratio <= 1.0 + tol, ratio, holm_workers, pf.len())
-}
 
 #[cfg(test)]
 mod tests {

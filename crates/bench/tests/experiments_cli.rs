@@ -1,6 +1,8 @@
 //! The `experiments` binary's argument contract: `quick` and experiment
 //! names select what runs; anything else is a usage error, not a silent
-//! full-fidelity run or an empty report.
+//! full-fidelity run or an empty report. And the tables themselves: the
+//! simulator is deterministic, so `docs/experiments.txt` is the binary's
+//! full-fidelity stdout, byte for byte.
 
 use mwp_bench::experiments::ALL;
 use std::process::{Command, Output};
@@ -55,4 +57,19 @@ fn unknown_arguments_exit_2_naming_the_valid_ones() {
             "{bad}: {stderr}"
         );
     }
+}
+
+/// Any change to the model shows up as a `git diff` of the committed
+/// tables. Refresh them with
+/// `cargo run --release -p mwp-bench --bin experiments > docs/experiments.txt`.
+#[test]
+fn committed_tables_are_what_a_full_run_prints() {
+    let out = experiments(&[]);
+    assert!(out.status.success());
+    let fresh = String::from_utf8(out.stdout).expect("tables are UTF-8");
+    let committed = include_str!("../../../docs/experiments.txt");
+    for (n, (fresh, committed)) in fresh.lines().zip(committed.lines()).enumerate() {
+        assert_eq!(fresh, committed, "docs/experiments.txt is stale at line {}", n + 1);
+    }
+    assert_eq!(fresh.lines().count(), committed.lines().count(), "docs/experiments.txt is stale");
 }

@@ -2,152 +2,51 @@
 //!
 //! Phase 1 pre-computes the allocation of chunks to processors with an
 //! incremental selection rule ([`crate::selection::incremental`]); phase 2
-//! replays it: the first time a processor is selected it receives a square
-//! chunk of `µ_i²` C blocks, then each subsequent selection sends it `µ_i`
-//! blocks of A and `µ_i` blocks of B enabling `µ_i²` updates; after `t`
-//! such rounds the chunk is complete and is returned to the master before
-//! the next chunk's C blocks are sent.
-//!
-//! This policy is the paper's **idealized** model of the scheme: every
-//! chunk is a full `µ_i × µ_i` square whatever the grid, and the
-//! selection order is all there is. It drives the paper's experiments
-//! (E6b, E13) and the benchmark's selection workloads, whose numbers are
-//! stated in that model. The threaded runtime executes the scheme on a
-//! real `r × s` grid instead — ragged edges, column groups, a round-robin
-//! tail — as [`crate::schedule::Schedule::two_phase`], which
-//! [`crate::schedule::Replay`] can put through the simulator; folding the
-//! idealized model onto that schedule would change the published tables
-//! and is deliberately not done here.
+//! replays it on the real `r × s` grid: each selection of `P_i` is one
+//! step of `P_i`'s current chunk, the paper "assigns only full matrix
+//! column blocks" so chunks are cut from per-worker column groups, and a
+//! round-robin tail finishes what the selection's termination test left.
+//! That order is [`Schedule::two_phase`] — the schedule
+//! `run_heterogeneous` executes — and this module only puts it through
+//! the simulator, so E6b, E13 and `mwp-run --platform-file` describe the
+//! program the runtime runs: exactly `r·s·t` updates, exactly its blocks.
 
-use crate::layout::MemoryLayout;
-use crate::selection::incremental::{run_selection_with_mu, SelectionRule};
+use super::AlgoError;
+use crate::runtime::{heterogeneous_mu, RuntimeError};
+use crate::schedule::{Replay, Schedule};
+use crate::selection::incremental::SelectionRule;
 use mwp_blockmat::Partition;
-use mwp_platform::{Platform, WorkerId};
-use mwp_sim::{label_if, Decision, MasterPolicy, SimReport, SimTime, Simulator, WorkerView};
-use std::collections::VecDeque;
+use mwp_platform::Platform;
+use mwp_sim::{Decision, MasterPolicy, SimReport, SimTime, Simulator, WorkerView};
 
-/// Replays a phase-1 selection as a simulator policy.
-pub struct HeterogeneousPolicy {
-    /// Global order of data communications: worker per selection.
-    order: VecDeque<WorkerId>,
-    /// Per-worker µ.
-    mu: Vec<usize>,
-    /// Rounds remaining in each worker's current chunk (0 = between
-    /// chunks).
-    rounds_left: Vec<usize>,
-    /// Whether the worker's fixed A/B buffers have been accounted.
-    buffers_allocated: Vec<bool>,
-    /// Shared dimension.
-    t: usize,
-    /// Decisions queued for the engine.
-    pending: VecDeque<Decision>,
-    /// Workers holding a finished chunk that still must be returned.
-    outstanding: VecDeque<WorkerId>,
-    /// Whether per-event labels should be formatted (trace on).
-    labels: bool,
-}
+/// [`Replay`] of the two-phase schedule, as a simulator policy.
+pub struct HeterogeneousPolicy(Replay);
 
 impl HeterogeneousPolicy {
-    /// Build from an explicit selection order and per-worker µ.
-    pub fn from_order(order: Vec<WorkerId>, mu: Vec<usize>, t: usize) -> Self {
-        let p = mu.len();
-        HeterogeneousPolicy {
-            order: order.into(),
-            mu,
-            rounds_left: vec![0; p],
-            buffers_allocated: vec![false; p],
-            t,
-            pending: VecDeque::new(),
-            outstanding: VecDeque::new(),
-            labels: true,
-        }
+    /// Phase 1 + policy construction for `platform` and `problem`.
+    /// Panics when no worker's memory holds a chunk
+    /// ([`simulate_heterogeneous`] reports that as an error).
+    pub fn plan(platform: &Platform, problem: &Partition, rule: SelectionRule) -> Self {
+        Self::try_plan(platform, problem, rule).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Phase 1 + policy construction for `platform` and `problem`.
-    pub fn plan(platform: &Platform, problem: &Partition, rule: SelectionRule) -> Self {
-        let mu: Vec<usize> = platform
-            .workers()
-            .iter()
-            .map(|w| MemoryLayout::MaxReuseOverlapped.mu(w.m))
-            .collect();
-        let trace = run_selection_with_mu(platform, &mu, rule, problem.r, problem.s, problem.t);
-        let order = trace.steps.iter().map(|s| s.worker).collect();
-        HeterogeneousPolicy::from_order(order, mu, problem.t)
+    fn try_plan(
+        platform: &Platform,
+        problem: &Partition,
+        rule: SelectionRule,
+    ) -> Result<Self, AlgoError> {
+        let mu = heterogeneous_mu(platform).map_err(|e| match e {
+            RuntimeError::MemoryTooSmall { m } => AlgoError::MemoryTooSmall { m },
+            e => unreachable!("µ_i depend on memory alone: {e}"),
+        })?;
+        let schedule = Schedule::two_phase(platform, &mu, rule, problem);
+        Ok(HeterogeneousPolicy(Replay::new(&schedule)))
     }
 }
 
 impl MasterPolicy for HeterogeneousPolicy {
-    fn trace_labels(&mut self, enabled: bool) {
-        self.labels = enabled;
-    }
-
-    fn next(&mut self, _now: SimTime, _workers: &[WorkerView]) -> Decision {
-        loop {
-            if let Some(d) = self.pending.pop_front() {
-                return d;
-            }
-            match self.order.pop_front() {
-                Some(worker) => {
-                    let i = worker.index();
-                    let mu = self.mu[i] as u64;
-                    if self.rounds_left[i] == 0 {
-                        // New chunk: return the previous one if pending
-                        // (from_order replays may interleave arbitrarily),
-                        // then ship the fresh C square.
-                        if let Some(pos) =
-                            self.outstanding.iter().position(|&w| w == worker)
-                        {
-                            self.outstanding.remove(pos);
-                            self.pending.push_back(Decision::Recv {
-                                from: worker,
-                                blocks: mu * mu,
-                                mem_delta: -((mu * mu) as i64),
-                                label: label_if(self.labels, || format!("C chunk back from {worker}")),
-                            });
-                        }
-                        let mut mem = (mu * mu) as i64;
-                        if !self.buffers_allocated[i] {
-                            self.buffers_allocated[i] = true;
-                            mem += 4 * mu as i64;
-                        }
-                        self.pending.push_back(Decision::Send {
-                            to: worker,
-                            blocks: mu * mu,
-                            spawn_updates: 0,
-                            mem_delta: mem,
-                            label: label_if(self.labels, || format!("C chunk to {worker}")),
-                        });
-                        self.rounds_left[i] = self.t;
-                    }
-                    // One selection = µ blocks of A + µ of B, µ² updates.
-                    self.pending.push_back(Decision::Send {
-                        to: worker,
-                        blocks: 2 * mu,
-                        spawn_updates: mu * mu,
-                        mem_delta: 0,
-                        label: label_if(self.labels, || format!("A+B round to {worker}")),
-                    });
-                    self.rounds_left[i] -= 1;
-                    if self.rounds_left[i] == 0 {
-                        self.outstanding.push_back(worker);
-                    }
-                }
-                None => {
-                    // Drain finished chunks, then stop.
-                    if let Some(worker) = self.outstanding.pop_front() {
-                        let mu = self.mu[worker.index()] as u64;
-                        self.pending.push_back(Decision::Recv {
-                            from: worker,
-                            blocks: mu * mu,
-                            mem_delta: -((mu * mu) as i64),
-                            label: label_if(self.labels, || format!("final C chunk from {worker}")),
-                        });
-                        continue;
-                    }
-                    return Decision::Finished;
-                }
-            }
-        }
+    fn next(&mut self, now: SimTime, workers: &[WorkerView]) -> Decision {
+        self.0.next(now, workers)
     }
 }
 
@@ -156,15 +55,16 @@ pub fn simulate_heterogeneous(
     platform: &Platform,
     problem: &Partition,
     rule: SelectionRule,
-) -> Result<SimReport, mwp_sim::SimError> {
-    let mut policy = HeterogeneousPolicy::plan(platform, problem, rule);
-    Simulator::new(platform.clone()).without_trace().run(&mut policy)
+) -> Result<SimReport, AlgoError> {
+    let mut policy = HeterogeneousPolicy::try_plan(platform, problem, rule)?;
+    Ok(Simulator::new(platform.clone()).without_trace().run(&mut policy)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::selection::bandwidth_centric::steady_state;
+    use crate::selection::incremental::run_selection_with_mu;
     use mwp_platform::WorkerParams;
 
     fn table2() -> Platform {
@@ -196,9 +96,12 @@ mod tests {
     fn throughput_below_steady_state_bound() {
         // The steady-state LP upper-bounds any realizable schedule. The
         // paper (and Algorithm 3) neglect C-chunk I/O, which is only valid
-        // when t is large relative to µ — hence t = 400 here.
+        // when t is large relative to µ — hence t = 400 here. The scheme
+        // assigns whole column groups, so the grid must be many groups
+        // wide for the slowest worker's last one not to be the makespan:
+        // 36 × 72 (four groups of the µ = 18 worker) reads 0.57 / 0.69.
         let pf = table2();
-        let pr = Partition::from_blocks(36, 72, 400, 80);
+        let pr = Partition::from_blocks(180, 180, 400, 80);
         let bound = steady_state(&pf).throughput;
         for rule in [SelectionRule::Global, SelectionRule::Local] {
             let report = simulate_heterogeneous(&pf, &pr, rule).unwrap();
@@ -220,11 +123,13 @@ mod tests {
     fn simulated_ratio_matches_selection_prediction() {
         // Algorithm 3's internal timeline is exactly the simulator's
         // one-port model up to C-chunk I/O, which both the paper and the
-        // prediction neglect; with t ≫ µ the two must agree closely.
+        // prediction neglect; with t ≫ µ and a grid many column groups
+        // wide the two must agree closely (36 × 72 reads 0.794 against
+        // the predicted 1.173: the last column group is the makespan).
         let pf = table2();
-        let pr = Partition::from_blocks(36, 72, 400, 80);
+        let pr = Partition::from_blocks(180, 180, 400, 80);
         let mu = vec![6, 18, 10];
-        let trace = run_selection_with_mu(&pf, &mu, SelectionRule::Global, 36, 72, 400);
+        let trace = run_selection_with_mu(&pf, &mu, SelectionRule::Global, 180, 180, 400);
         let report = simulate_heterogeneous(&pf, &pr, SelectionRule::Global).unwrap();
         let sim_ratio = report.throughput();
         assert!(
@@ -232,6 +137,17 @@ mod tests {
             "predicted {} vs simulated {sim_ratio}",
             trace.ratio
         );
+    }
+
+    #[test]
+    fn tiny_memory_rejected() {
+        // No µ_i ≥ 1 anywhere: an error like `simulate`'s and
+        // `run_heterogeneous`'s, not the selection's assertion.
+        let pf = Platform::new(vec![WorkerParams::new(1.0, 1.0, 4), WorkerParams::new(2.0, 1.0, 3)])
+            .unwrap();
+        let pr = Partition::from_blocks(4, 4, 4, 8);
+        let err = simulate_heterogeneous(&pf, &pr, SelectionRule::Global).unwrap_err();
+        assert_eq!(err, AlgoError::MemoryTooSmall { m: 3 });
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! | name | selection | dispatch | layout |
 //! |---|---|---|---|
-//! | `HoLM`   | `P = min(p, ceil(µw/2c))` | round-robin (Algorithm 1) | `µ² + 4µ` |
-//! | `ORROML` | all `p` workers | round-robin | `µ² + 4µ` |
+//! | `HoLM`   | `P = min(p, ceil(µw/2c))` | Algorithm 1's rounds (static) | `µ² + 4µ` |
+//! | `ORROML` | all `p` workers | Algorithm 1's rounds (static) | `µ² + 4µ` |
 //! | `OMMOML` | emergent (first available) | lowest-index eligible | `µ² + 4µ` |
 //! | `ODDOML` | all `p` | demand-driven (most starved) | `µ² + 4µ` |
 //! | `DDOML`  | all `p` | demand-driven, no overlap | `µ² + 2µ` |
@@ -20,16 +20,21 @@
 //! | `BMM`  | equal thirds (`3µ²`) | none — worker idles during transfers |
 //! | `OBMM` | equal fifths (`5µ²`) | one prefetched square pair |
 //!
-//! All seven are expressed as [`mwp_sim::MasterPolicy`] implementations
-//! over the same chunk state machine ([`suite::SuitePolicy`]); the
-//! heterogeneous two-phase execution of Section 6.2 lives in
-//! [`heterogeneous`].
+//! All seven, and the heterogeneous two-phase execution of Section 6.2
+//! ([`heterogeneous`]), are orders of the one chunk exchange the runtime
+//! executes ([`crate::schedule`]), put through the simulator by the one
+//! lowering `replay_diff` checks against a real run: the static orders
+//! (HoLM, ORROML, two-phase) as [`crate::schedule::Replay`] of the very
+//! `Schedule` the runtime walks, the five demand-driven ones by the
+//! dispatch rule in `suite`, which picks online whose exchange
+//! advances next. The Toledo rows differ only in the step's depth: a
+//! `µ`-deep square of A and of B per step instead of one column and one
+//! row.
 
 pub mod heterogeneous;
-pub mod suite;
+mod suite;
 
 pub use heterogeneous::HeterogeneousPolicy;
-pub use suite::SuitePolicy;
 
 use mwp_blockmat::Partition;
 use mwp_platform::Platform;
@@ -121,17 +126,24 @@ impl From<mwp_sim::SimError> for AlgoError {
     }
 }
 
+/// The one body of the three `simulate*` entry points: `kind`'s policy
+/// through `engine`.
+fn run(
+    kind: AlgorithmKind,
+    platform: &Platform,
+    problem: &Partition,
+    engine: Simulator,
+) -> Result<SimReport, AlgoError> {
+    Ok(engine.run(suite::policy(kind, platform, problem)?.as_mut())?)
+}
+
 /// Simulate `kind` on a homogeneous `platform` computing `problem`.
 pub fn simulate(
     kind: AlgorithmKind,
     platform: &Platform,
     problem: &Partition,
 ) -> Result<SimReport, AlgoError> {
-    let mut policy = SuitePolicy::new(kind, platform, problem)?;
-    let report = Simulator::new(platform.clone())
-        .without_trace()
-        .run(&mut policy)?;
-    Ok(report)
+    run(kind, platform, problem, Simulator::new(platform.clone()).without_trace())
 }
 
 /// Simulate with full trace recording (for Gantt rendering).
@@ -140,9 +152,7 @@ pub fn simulate_traced(
     platform: &Platform,
     problem: &Partition,
 ) -> Result<SimReport, AlgoError> {
-    let mut policy = SuitePolicy::new(kind, platform, problem)?;
-    let report = Simulator::new(platform.clone()).run(&mut policy)?;
-    Ok(report)
+    run(kind, platform, problem, Simulator::new(platform.clone()))
 }
 
 /// Simulate under the **two-port** flavor of the model (simultaneous send
@@ -154,10 +164,5 @@ pub fn simulate_two_port(
     platform: &Platform,
     problem: &Partition,
 ) -> Result<SimReport, AlgoError> {
-    let mut policy = SuitePolicy::new(kind, platform, problem)?;
-    let report = Simulator::new(platform.clone())
-        .without_trace()
-        .two_port()
-        .run(&mut policy)?;
-    Ok(report)
+    run(kind, platform, problem, Simulator::new(platform.clone()).without_trace().two_port())
 }

@@ -68,9 +68,10 @@ pub fn tile(problem: &Partition, mu: usize) -> Vec<Chunk> {
 /// Algorithm 1's chunk order for `enrolled` workers: the [`tile`] chunks
 /// regrouped into column bands of `enrolled` consecutive column-chunks,
 /// walked row by row — so each round of `enrolled` chunks shares one
-/// chunk row (its A columns) across the band. The one definition the
-/// simulator's `SuitePolicy` and the runtime's
-/// [`crate::schedule::Schedule::algorithm1`] both dispatch from.
+/// chunk row (its A columns) across the band. The one definition
+/// [`crate::schedule::Schedule::algorithm1`] (the runtime, and the
+/// simulator's HoLM and ORROML) and the simulator's demand-driven
+/// algorithms both dispatch from.
 pub fn algorithm1_order(problem: &Partition, mu: usize, enrolled: usize) -> Vec<Chunk> {
     let mut tiles = tile(problem, mu);
     let band = (mu * enrolled).max(1);

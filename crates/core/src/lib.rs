@@ -19,12 +19,14 @@
 //!   bandwidth-centric steady-state LP of Section 6.1 (with its memory
 //!   infeasibility check, Table 1), and the incremental global / local /
 //!   lookahead selection of Section 6.2 (Algorithm 3),
-//! * [`algorithms`] — the seven-algorithm suite of Section 8 (HoLM,
-//!   ORROML, OMMOML, ODDOML, DDOML, BMM, OBMM) as simulator policies,
 //! * [`schedule`] — a run as plain data: the ordered port operations of
 //!   the master, from two pure generators (Algorithm 1's rounds, the
 //!   two-phase heterogeneous scheme), with [`schedule::Replay`] to run
 //!   one through the simulator,
+//! * [`algorithms`] — the seven-algorithm suite of Section 8 (HoLM,
+//!   ORROML, OMMOML, ODDOML, DDOML, BMM, OBMM) and the two-phase scheme
+//!   in the simulator: `Replay` of those schedules, plus one online
+//!   dispatch rule over the same chunk exchange,
 //! * [`runtime`] — the threaded executor of those schedules over
 //!   [`mwp_msg`] with real `q × q` block arithmetic, verified against the
 //!   serial product,

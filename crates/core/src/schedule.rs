@@ -11,7 +11,11 @@
 //!   [`Schedule::rounds`] again over the chunks that were lost;
 //! * [`Replay`] feeds the same ops, one [`Decision`] per frame the
 //!   runtime sends, to the simulator's one-port engine — which is how
-//!   `replay_diff` compares the two executions of one object.
+//!   `replay_diff` compares the two executions of one object. Every
+//!   simulated product goes through that one lowering (`lower`): the
+//!   static orders as a `Replay`, the demand-driven suite algorithms
+//!   ([`crate::algorithms`]) op by op, as their dispatch rule picks
+//!   the next worker.
 //!
 //! The generators keep every worker on one chunk at a time and every
 //! chunk on one worker, in the order `SendC`, `Step 0..t`, `Collect`:
@@ -79,10 +83,19 @@ pub struct Schedule {
     pub ops: Vec<PortOp>,
 }
 
-/// The whole exchange of one chunk on one worker, back to back.
-fn exchange(job: usize, worker: WorkerId, chunk: Chunk, t: usize) -> impl Iterator<Item = PortOp> {
+/// The whole exchange of one chunk on one worker, back to back, with a
+/// `Step` every `stride` blocks of the shared dimension: 1 on the
+/// runtime's layout (every generator here), `µ` for Toledo's squares in
+/// the simulated suite.
+pub(crate) fn exchange(
+    job: usize,
+    worker: WorkerId,
+    chunk: Chunk,
+    t: usize,
+    stride: usize,
+) -> impl Iterator<Item = PortOp> {
     std::iter::once(PortOp::SendC { job, worker, chunk })
-        .chain((0..t).map(move |k| PortOp::Step { job, worker, chunk, k }))
+        .chain((0..t).step_by(stride).map(move |k| PortOp::Step { job, worker, chunk, k }))
         .chain(std::iter::once(PortOp::Collect { job, worker, chunk }))
 }
 
@@ -202,7 +215,7 @@ impl Schedule {
         for (wi, resident) in active.into_iter().enumerate() {
             if let Some((chunk, k0)) = resident {
                 // Its SendC and steps `0..k0` already went out.
-                ops.extend(exchange(0, WorkerId(wi), chunk, t).skip(1 + k0));
+                ops.extend(exchange(0, WorkerId(wi), chunk, t, 1).skip(1 + k0));
             }
         }
         let capable: Vec<usize> = (0..mu.len()).filter(|&i| mu[i] > 0).collect();
@@ -210,7 +223,7 @@ impl Schedule {
         while grid.any_left() {
             let &wi = turn.next().expect("the selection requires a worker with µ > 0");
             if let Some(chunk) = grid.cut(wi, mu[wi]) {
-                ops.extend(exchange(0, WorkerId(wi), chunk, t));
+                ops.extend(exchange(0, WorkerId(wi), chunk, t, 1));
             }
         }
         Schedule { ops }
@@ -254,16 +267,62 @@ impl Schedule {
     }
 }
 
-/// A [`Schedule`] as a simulator policy: one [`Decision`] per frame the
-/// runtime sends for each op, in order, ignoring the worker views — the
-/// engine re-derives every wait from the one-port model. `SendC` is one
-/// send per chunk row; `Step` is the B row then the A column, the latter
-/// spawning the step's `height · width` updates; `Collect` is one
-/// receive per chunk row. Memory deltas follow what the worker program's
-/// memory assertion counts: the resident C chunk, the current B row
-/// (allocated by step 0, overwritten by later steps, freed when the
-/// chunk returns), and one A block in flight per worker for the whole
-/// run.
+/// The one lowering of a port operation into simulator frames — one
+/// [`Decision`] per frame the runtime sends for `op`, appended to
+/// `frames`. `SendC` is one send per chunk row; `Step` is the B stretch
+/// under the chunk then the A stretch beside it, `depth` blocks of the
+/// shared dimension deep (1 on the runtime's layout, up to `µ` for
+/// Toledo's squares), the latter spawning the step's
+/// `height · width · depth` updates; `Collect` is one receive per chunk
+/// row.
+///
+/// Memory: the C chunk comes and goes row by row; everything else a
+/// worker holds — its A and B working and prefetch buffers — is `fixed`,
+/// charged with the first C row the worker is ever sent (which zeroes
+/// it) and held to the end of the run.
+pub(crate) fn lower(op: &PortOp, depth: usize, fixed: &mut i64, frames: &mut impl Extend<Decision>) {
+    let (_, peer, chunk) = op.target();
+    let (height, width, depth) = (chunk.height as u64, chunk.width as u64, depth as u64);
+    match op {
+        PortOp::SendC { .. } => frames.extend((0..height).map(|_| Decision::Send {
+            to: peer,
+            blocks: width,
+            spawn_updates: 0,
+            mem_delta: width as i64 + std::mem::take(fixed),
+            label: "C row".into(),
+        })),
+        PortOp::Step { .. } => frames.extend([
+            Decision::Send {
+                to: peer,
+                blocks: depth * width,
+                spawn_updates: 0,
+                mem_delta: 0,
+                label: "B row".into(),
+            },
+            Decision::Send {
+                to: peer,
+                blocks: height * depth,
+                spawn_updates: height * width * depth,
+                mem_delta: 0,
+                label: "A column".into(),
+            },
+        ]),
+        PortOp::Collect { .. } => frames.extend((0..height).map(|_| Decision::Recv {
+            from: peer,
+            blocks: width,
+            mem_delta: -(width as i64),
+            label: "C row back".into(),
+        })),
+    }
+}
+
+/// A [`Schedule`] as a simulator policy: its ops through `lower` at
+/// depth 1, issued in order whatever the workers are doing — the engine
+/// re-derives every wait from the one-port model. Each worker's fixed
+/// buffers are what the worker program's memory assertion counts beside
+/// the resident C chunk: the B row of its widest chunk and one A block
+/// in flight. (The program frees the B row between chunks; holding it
+/// throughout bounds it from above.)
 pub struct Replay {
     frames: std::vec::IntoIter<Decision>,
 }
@@ -271,44 +330,17 @@ pub struct Replay {
 impl Replay {
     /// Expand `schedule` into its frames.
     pub fn new(schedule: &Schedule) -> Self {
-        let p = schedule.ops.iter().map(|op| op.target().1.index() + 1).max().unwrap_or(0);
-        let mut a_in_flight = vec![1i64; p];
+        let mut fixed: Vec<i64> = Vec::new();
+        for op in &schedule.ops {
+            let (_, worker, chunk) = op.target();
+            if fixed.len() <= worker.index() {
+                fixed.resize(worker.index() + 1, 0);
+            }
+            fixed[worker.index()] = fixed[worker.index()].max(chunk.width as i64 + 1);
+        }
         let mut frames = Vec::new();
         for op in &schedule.ops {
-            let (_, peer, ch) = op.target();
-            let (height, width) = (ch.height as u64, ch.width as u64);
-            match op {
-                PortOp::SendC { .. } => frames.extend((0..height).map(|_| Decision::Send {
-                    to: peer,
-                    blocks: width,
-                    spawn_updates: 0,
-                    mem_delta: width as i64 + std::mem::take(&mut a_in_flight[peer.index()]),
-                    label: "C row".into(),
-                })),
-                PortOp::Step { k, .. } => frames.extend([
-                    Decision::Send {
-                        to: peer,
-                        blocks: width,
-                        spawn_updates: 0,
-                        mem_delta: if *k == 0 { width as i64 } else { 0 },
-                        label: "B row".into(),
-                    },
-                    Decision::Send {
-                        to: peer,
-                        blocks: height,
-                        spawn_updates: height * width,
-                        mem_delta: 0,
-                        label: "A column".into(),
-                    },
-                ]),
-                PortOp::Collect { .. } => frames.extend((0..height).map(|row| Decision::Recv {
-                    from: peer,
-                    blocks: width,
-                    // The last row takes the B row with it.
-                    mem_delta: -(width as i64) * if row + 1 == height { 2 } else { 1 },
-                    label: "C row back".into(),
-                })),
-            }
+            lower(op, 1, &mut fixed[op.target().1.index()], &mut frames);
         }
         Replay { frames: frames.into_iter() }
     }
@@ -320,14 +352,15 @@ impl Replay {
 }
 
 impl MasterPolicy for Replay {
-    fn next(&mut self, _now: SimTime, _workers: &[WorkerView]) -> Decision {
-        self.frames.next().unwrap_or(Decision::Finished)
+    fn next(&mut self, now: SimTime, workers: &[WorkerView]) -> Decision {
+        MasterPolicy::next(&mut self.frames, now, workers)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::heterogeneous::simulate_heterogeneous;
     use crate::algorithms::{simulate, AlgorithmKind};
     use crate::chunks::covers_exactly;
     use crate::layout::MemoryLayout;
@@ -421,6 +454,8 @@ mod tests {
             let schedule = Schedule::two_phase(&platform, &mu, rule, &problem);
             check(&schedule, &problem, &mu, 1);
             prop_assert_eq!(replay(&schedule, &platform).total_updates(), (r * s * t) as u64);
+            let simulated = simulate_heterogeneous(&platform, &problem, rule).unwrap();
+            prop_assert_eq!(simulated.total_updates(), (r * s * t) as u64);
         }
 
         #[test]
@@ -440,38 +475,72 @@ mod tests {
         }
     }
 
-    /// Three executions of Algorithm 1 move the same blocks: the
-    /// simulator's own policy, `Replay` of the generated schedule, and
-    /// the real run.
+    /// Three executions of one schedule are one program: the simulator's
+    /// own entry point, `Replay` of the generated schedule, and the real
+    /// run move the same blocks, and the first two take the same time.
     #[test]
     fn simulator_replay_and_runtime_agree_on_volume() {
-        use crate::runtime::{run_all_workers, run_holm, select_enrollment};
+        use crate::runtime::{run_all_workers, run_heterogeneous, run_holm, select_enrollment};
         use mwp_blockmat::fill::random_matrix;
 
-        // The `tests/cross_validation.rs` platforms.
+        let q = 2;
+        let inputs = |r, s, t| (random_matrix(r, t, q, 1), random_matrix(t, s, q, 2), random_matrix(r, s, q, 3));
+
+        // The `tests/cross_validation.rs` platforms, and `serve_mix_tcp`'s
+        // 4 × 4 × 4 jobs (ν = 2 on one worker).
         for (platform, (r, t, s)) in [
             (Platform::homogeneous(8, 4.0, 0.25, 60).unwrap(), (12, 24, 12)),
             (Platform::homogeneous(3, 2.0, 1.0, 60).unwrap(), (6, 5, 12)),
             (Platform::homogeneous(4, 1.0, 1.0, 140).unwrap(), (20, 40, 20)),
+            (Platform::homogeneous(2, 1.0, 1.0, 60).unwrap(), (4, 4, 4)),
         ] {
-            let q = 2;
             let problem = Partition::from_blocks(r, s, t, q);
             for kind in [AlgorithmKind::HoLM, AlgorithmKind::ORROML] {
                 let select = kind == AlgorithmKind::HoLM;
                 let (enrolled, mu) = select_enrollment(&platform, r, s, select).unwrap();
                 let replayed = replay(&Schedule::algorithm1(&problem, mu, enrolled, 1), &platform);
-                let replayed = replayed.blocks_sent + replayed.blocks_received;
-
                 let simulated = simulate(kind, &platform, &problem).unwrap();
+                assert_eq!(simulated.makespan, replayed.makespan, "{kind:?}");
+                let replayed = replayed.blocks_sent + replayed.blocks_received;
                 assert_eq!(simulated.blocks_sent + simulated.blocks_received, replayed, "{kind:?}");
 
-                let (a, b) = (random_matrix(r, t, q, 1), random_matrix(t, s, q, 2));
-                let c0 = random_matrix(r, s, q, 3);
+                let (a, b, c0) = inputs(r, s, t);
                 let run = if select { run_holm } else { run_all_workers };
                 let real = run(&platform, &a, &b, c0, 0.0).unwrap();
                 assert_eq!((real.workers_used, real.chunk_side), (enrolled, mu), "{kind:?}");
                 assert_eq!(real.blocks_moved, replayed, "{kind:?}");
             }
         }
+
+        // The two-phase scheme on the Table 2 platform: the simulated
+        // product is the one the runtime computes, not whole µ_i² squares.
+        let table2 = Platform::new(vec![
+            WorkerParams::new(2.0, 2.0, 60),
+            WorkerParams::new(3.0, 3.0, 396),
+            WorkerParams::new(5.0, 1.0, 140),
+        ])
+        .unwrap();
+        let (r, t, s) = (20, 6, 25);
+        let problem = Partition::from_blocks(r, s, t, q);
+        let simulated = simulate_heterogeneous(&table2, &problem, SelectionRule::Global).unwrap();
+        assert_eq!(simulated.total_updates(), (r * s * t) as u64);
+        let (a, b, c0) = inputs(r, s, t);
+        let real = run_heterogeneous(&table2, &a, &b, c0, SelectionRule::Global, 0.0).unwrap();
+        assert_eq!(simulated.blocks_sent + simulated.blocks_received, real.blocks_moved);
+    }
+
+    /// What a worker holds under `Replay` is never less than what the
+    /// worker program's memory assertion counts at its peak: the resident
+    /// chunk, its B row and one A block in flight.
+    #[test]
+    fn replay_charges_the_chunk_its_b_row_and_an_a_block() {
+        // One 3 × 3 chunk: 9 + 3 + 1 blocks.
+        let schedule = Schedule::algorithm1(&Partition::from_blocks(3, 3, 2, 4), 3, 1, 1);
+        let run = |m| {
+            let platform = Platform::homogeneous(1, 1.0, 1.0, m).unwrap();
+            Simulator::new(platform).without_trace().run(&mut Replay::new(&schedule))
+        };
+        assert!(run(13).is_ok());
+        assert!(matches!(run(12), Err(mwp_sim::SimError::MemoryOverflow { held: 13, .. })));
     }
 }

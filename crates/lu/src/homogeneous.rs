@@ -13,8 +13,7 @@
 
 use crate::cost::LuProblem;
 use mwp_platform::{Platform, WorkerId};
-use mwp_sim::{label_if, Decision, MasterPolicy, SimReport, SimTime, Simulator, WorkerView};
-use std::collections::VecDeque;
+use mwp_sim::{Decision, SimReport, Simulator};
 
 /// The paper's worker count for the LU core update, `ceil(µw/3c)`.
 pub fn ideal_lu_workers(mu: usize, w: f64, c: f64) -> usize {
@@ -22,147 +21,65 @@ pub fn ideal_lu_workers(mu: usize, w: f64, c: f64) -> usize {
     (((mu as f64 * w) / (3.0 * c)) - 1e-9).ceil().max(1.0) as usize
 }
 
-/// Policy replaying the Section 7.2 schedule on the simulator.
+/// The Section 7.2 schedule as the simulator's port operations, in
+/// order, with `enrolled` workers on the core update. LU is outside the
+/// memory model (`mem_delta` 0 throughout).
 ///
 /// Per elimination step `k`:
 /// 1. the master sends the pivot to worker 0, which factors it
 ///    (`2µ²` blocks, `µ³` ops), then streams both panels through worker 0
-///    row/column-wise (`4µ(r−kµ)` blocks, `µ²(r−kµ)` ops),
-/// 2. the `r/µ − k` core column groups are dealt round-robin to the `P`
+///    row/column-wise (`4µ(r−kµ)` blocks, `µ²(r−kµ)` ops) — as single
+///    messages with the step's aggregate cost (the paper streams
+///    rows/columns, but the aggregate port/worker occupation is identical
+///    under linear costs);
+/// 2. the `r/µ − k` core column groups are dealt round-robin to the
 ///    enrolled workers: each group costs `µ² + 3(r−kµ)µ` blocks of
-///    communication and `(r−kµ)µ²` ops,
+///    communication and `(r−kµ)µ²` ops. Outbound is the horizontal panel
+///    chunk (`µ²`) plus one row of the vertical panel and the core rows
+///    (`2(r−kµ)µ`), inbound the updated core rows (`(r−kµ)µ`) — aggregate
+///    cost identical to the paper's accounting. All outbound messages go
+///    first so that workers compute in parallel;
 /// 3. the next step cannot start before every group of the current step
-///    completes (the pivot of step `k+1` depends on the whole core).
-struct LuPolicy {
-    problem: LuProblem,
-    enrolled: usize,
-    step: usize,
-    pending: VecDeque<Decision>,
-    /// Worker that must finish before the next step's pivot (barrier).
-    barrier: Vec<WorkerId>,
-    awaiting_barrier: bool,
-    /// Whether per-event labels should be formatted (trace on).
-    labels: bool,
-}
-
-impl LuPolicy {
-    fn new(problem: LuProblem, enrolled: usize) -> Self {
-        LuPolicy {
-            problem,
-            enrolled,
-            step: 0,
-            pending: VecDeque::new(),
-            barrier: Vec::new(),
-            awaiting_barrier: false,
-            labels: true,
-        }
-    }
-
-    fn plan_step(&mut self, k: usize) {
-        let sc = self.problem.step_cost(k);
-        let mu = self.problem.mu;
-        let rem = self.problem.r - k * mu;
-        // Pivot + panels on worker 0, as single paced messages with the
-        // step's aggregate cost (the paper streams rows/columns, but the
-        // aggregate port/worker occupation is identical under linear
-        // costs).
-        self.pending.push_back(Decision::Send {
-            to: WorkerId(0),
-            blocks: sc.pivot.comm as u64 / 2,
-            spawn_updates: sc.pivot.comp.ceil() as u64,
-            mem_delta: 0,
-            label: label_if(self.labels, || format!("pivot k={k}")),
-        });
-        self.pending.push_back(Decision::Recv {
-            from: WorkerId(0),
-            blocks: sc.pivot.comm as u64 / 2,
-            mem_delta: 0,
-            label: label_if(self.labels, || format!("pivot back k={k}")),
-        });
+///    completes (the pivot of step `k+1` depends on the whole core): the
+///    engine makes each receive wait for its worker to drain, which
+///    realizes the barrier.
+fn lu_frames(problem: LuProblem, enrolled: usize) -> Vec<Decision> {
+    let send = |to, blocks, spawn_updates, label: &'static str| Decision::Send {
+        to: WorkerId(to),
+        blocks,
+        spawn_updates,
+        mem_delta: 0,
+        label: label.into(),
+    };
+    let recv = |from, blocks, label: &'static str| Decision::Recv {
+        from: WorkerId(from),
+        blocks,
+        mem_delta: 0,
+        label: label.into(),
+    };
+    let mu = problem.mu;
+    let mut frames = Vec::new();
+    for k in 1..=problem.steps() {
+        let sc = problem.step_cost(k);
+        let rem = problem.r - k * mu;
+        let pivot = sc.pivot.comm as u64 / 2;
+        frames.push(send(0, pivot, sc.pivot.comp.ceil() as u64, "pivot"));
+        frames.push(recv(0, pivot, "pivot back"));
         if rem > 0 {
-            // Panels: rows out and back (cost split half each way), with
-            // the update work attached to the outbound half.
-            let panel_out = (sc.vertical.comm + sc.horizontal.comm) as u64 / 2;
-            let panel_comp = (sc.vertical.comp + sc.horizontal.comp).ceil() as u64;
-            self.pending.push_back(Decision::Send {
-                to: WorkerId(0),
-                blocks: panel_out,
-                spawn_updates: panel_comp,
-                mem_delta: 0,
-                label: label_if(self.labels, || format!("panels k={k}")),
-            });
-            self.pending.push_back(Decision::Recv {
-                from: WorkerId(0),
-                blocks: panel_out,
-                mem_delta: 0,
-                label: label_if(self.labels, || format!("panels back k={k}")),
-            });
+            // Rows out and back (cost split half each way), with the
+            // update work attached to the outbound half.
+            let panels = (sc.vertical.comm + sc.horizontal.comm) as u64 / 2;
+            let comp = (sc.vertical.comp + sc.horizontal.comp).ceil() as u64;
+            frames.push(send(0, panels, comp, "panels"));
+            frames.push(recv(0, panels, "panels back"));
         }
-        // Core: r/µ − k column groups, round-robin over enrolled workers.
-        let groups = self.problem.steps() - k;
-        let group_comm = (mu * mu + 3 * rem * mu) as u64;
-        let group_comp = (rem * mu * mu) as u64;
-        // All outbound group messages go first (round-robin over the
-        // enrolled workers) so that workers compute in parallel; the
-        // inbound result messages follow. The engine makes each receive
-        // wait for its worker to drain, which realizes the step barrier.
-        for g in 0..groups {
-            let to = WorkerId(g % self.enrolled);
-            // Outbound: the horizontal panel chunk (µ²) plus one row of
-            // the vertical panel and the core rows; inbound: updated core
-            // rows. We bill 2/3 outbound, 1/3 inbound of the 3(r−kµ)µ
-            // term plus the µ² chunk outbound — aggregate cost identical
-            // to the paper's accounting.
-            let outbound = (mu * mu) as u64 + 2 * (rem * mu) as u64;
-            debug_assert!(outbound <= group_comm);
-            self.pending.push_back(Decision::Send {
-                to,
-                blocks: outbound,
-                spawn_updates: group_comp,
-                mem_delta: 0,
-                label: label_if(self.labels, || format!("core k={k} g={g}")),
-            });
-            self.barrier.push(to);
-        }
-        for g in 0..groups {
-            let from = WorkerId(g % self.enrolled);
-            let outbound = (mu * mu) as u64 + 2 * (rem * mu) as u64;
-            let inbound = group_comm - outbound;
-            self.pending.push_back(Decision::Recv {
-                from,
-                blocks: inbound,
-                mem_delta: 0,
-                label: label_if(self.labels, || format!("core back k={k} g={g}")),
-            });
-        }
+        let groups = problem.steps() - k;
+        let outbound = (mu * mu + 2 * rem * mu) as u64;
+        let updates = (rem * mu * mu) as u64;
+        frames.extend((0..groups).map(|g| send(g % enrolled, outbound, updates, "core")));
+        frames.extend((0..groups).map(|g| recv(g % enrolled, (rem * mu) as u64, "core back")));
     }
-}
-
-impl MasterPolicy for LuPolicy {
-    fn trace_labels(&mut self, enabled: bool) {
-        self.labels = enabled;
-    }
-
-    fn next(&mut self, now: SimTime, workers: &[WorkerView]) -> Decision {
-        loop {
-            if let Some(d) = self.pending.pop_front() {
-                return d;
-            }
-            if self.awaiting_barrier {
-                // All receives already issued; the engine serialized them,
-                // so by the time pending drains the barrier is satisfied.
-                self.awaiting_barrier = false;
-                self.barrier.clear();
-            }
-            if self.step >= self.problem.steps() {
-                return Decision::Finished;
-            }
-            self.step += 1;
-            self.plan_step(self.step);
-            self.awaiting_barrier = true;
-            let _ = (now, workers);
-        }
-    }
+    frames
 }
 
 /// Simulate the homogeneous LU algorithm; returns the report and the
@@ -175,8 +92,8 @@ pub fn simulate_homogeneous_lu(
         .homogeneous_params()
         .expect("homogeneous LU needs a homogeneous platform");
     let enrolled = ideal_lu_workers(problem.mu, params.w, params.c).min(platform.len());
-    let mut policy = LuPolicy::new(problem, enrolled);
-    let report = Simulator::new(platform.clone()).without_trace().run(&mut policy)?;
+    let mut frames = lu_frames(problem, enrolled).into_iter();
+    let report = Simulator::new(platform.clone()).without_trace().run(&mut frames)?;
     Ok((report, enrolled))
 }
 

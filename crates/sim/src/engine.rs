@@ -11,19 +11,11 @@ use mwp_platform::{Platform, Seconds, WorkerId};
 use mwp_trace::{Activity, ActivityKind, Resource, SimTime, Trace};
 use std::borrow::Cow;
 
-/// A trace label: static for the common fixed strings, owned only when a
-/// policy formats per-event detail (and then only while tracing is on).
+/// A trace label. Every policy in the workspace names its frames with
+/// fixed strings (`"C row"`, `"A column"`, `"pivot"`), so a million-frame
+/// simulation allocates nothing per frame; the owned form is for ad-hoc
+/// policies in tests and tools.
 pub type Label = Cow<'static, str>;
-
-/// Build an owned label only when `on`; policies use this to stay
-/// allocation-free in untraced (million-message) simulations.
-pub fn label_if(on: bool, f: impl FnOnce() -> String) -> Label {
-    if on {
-        Cow::Owned(f())
-    } else {
-        Cow::Borrowed("")
-    }
-}
 
 /// Read-only view of one worker's state offered to the policy.
 #[derive(Debug, Clone, Copy)]
@@ -142,12 +134,15 @@ impl std::error::Error for SimError {}
 pub trait MasterPolicy {
     /// Decide the next port operation.
     fn next(&mut self, now: SimTime, workers: &[WorkerView]) -> Decision;
+}
 
-    /// Told once per run, before the first `next`, whether the engine
-    /// records a trace. Policies that format per-event labels should skip
-    /// the formatting when `false` (see [`label_if`]); the default impl
-    /// ignores the hint.
-    fn trace_labels(&mut self, _enabled: bool) {}
+/// A static schedule as a policy: the decisions in order, whatever the
+/// workers are doing, then [`Decision::Finished`]. The engine re-derives
+/// every wait from the one-port model.
+impl MasterPolicy for std::vec::IntoIter<Decision> {
+    fn next(&mut self, _now: SimTime, _workers: &[WorkerView]) -> Decision {
+        Iterator::next(self).unwrap_or(Decision::Finished)
+    }
 }
 
 struct WorkerState {
@@ -191,7 +186,6 @@ impl Simulator {
 
     /// Run `policy` to completion and return the report.
     pub fn run(&self, policy: &mut dyn MasterPolicy) -> Result<SimReport, SimError> {
-        policy.trace_labels(self.record_trace);
         let p = self.platform.len();
         let mut workers: Vec<WorkerState> = self
             .platform

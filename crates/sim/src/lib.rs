@@ -35,6 +35,6 @@ pub mod engine;
 pub mod gantt;
 pub mod report;
 
-pub use engine::{label_if, Decision, Label, MasterPolicy, SimError, Simulator, WorkerView};
+pub use engine::{Decision, Label, MasterPolicy, SimError, Simulator, WorkerView};
 pub use report::SimReport;
 pub use mwp_trace::{Activity, ActivityKind, Resource, SimTime, Trace};

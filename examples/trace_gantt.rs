@@ -20,7 +20,7 @@ fn main() {
         WorkerParams::new(5.0, 1.0, 140),
     ])
     .expect("valid platform");
-    let problem = Partition::from_blocks(18, 18, 6, 80);
+    let problem = Partition::from_blocks(36, 72, 6, 80);
     let mut policy = HeterogeneousPolicy::plan(&platform, &problem, SelectionRule::Global);
     let report = Simulator::new(platform.clone()).run(&mut policy).expect("simulation");
     println!("=== Figure 7 style: global selection on the Table 2 platform ===");

@@ -164,7 +164,10 @@ fn main() {
                     report.throughput(),
                     100.0 * report.throughput() / bound
                 ),
-                Err(e) => println!("{name:<12} failed: {e}"),
+                Err(e) => {
+                    eprintln!("{name}: simulation failed: {e}");
+                    std::process::exit(1);
+                }
             }
         }
         return;

@@ -1,6 +1,6 @@
 //! `mwp-run`'s exit status is its contract with scripts: 0 on success,
-//! 1 when `--execute` did not produce a verified product, 2 on a usage
-//! error — never a panic (101) and never a silent 0 after a failure.
+//! 1 when `--execute` did not produce a verified product or the
+//! `--platform-file` simulation could not run, 2 on a usage error — never a panic (101) and never a silent 0 after a failure.
 
 use std::process::{Command, Output};
 
@@ -67,4 +67,14 @@ fn platform_file_rejects_the_flags_it_would_ignore() {
     for ignored in ["--execute", "--gantt", "--two-port", "--algorithm HoLM"] {
         assert_exit(&format!("{base} {ignored}"), 2);
     }
+}
+
+#[test]
+fn a_fleet_with_no_usable_memory_exits_1() {
+    // m = 4 and 3 hold no µ_i ≥ 1: reported like the homogeneous case,
+    // not the selection's assertion (exit 101).
+    let file = "cli_tiny_platform.txt";
+    std::fs::write(std::path::Path::new(DIR).join(file), "1.0 1.0 4\n2.0 1.0 3\n").unwrap();
+    let out = assert_exit(&format!("--platform-file {file} --blocks 4x4x4 --q 8"), 1);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("simulation failed"));
 }
