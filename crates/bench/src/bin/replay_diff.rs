@@ -1,14 +1,17 @@
 //! `replay_diff` — sim-vs-real replay harness.
 //!
-//! Runs a real HoLM multiplication through the threaded runtime with the
-//! span recorder capturing measured timelines, regenerates the run's
-//! [`Schedule`] from its outcome (enrolled workers, chunk side) and checks
-//! that the two executions of that one object agree:
+//! Runs a real HoLM multiplication, then a real blocked LU, through the
+//! threaded runtimes with the span recorder capturing measured timelines,
+//! regenerates each run's schedule from its outcome ([`Schedule`] from the
+//! enrolled workers and chunk side, [`lu_schedule`] from the enrollment)
+//! and checks, leg by leg, that the two executions of that one object
+//! agree:
 //!
 //! * **order** — the block-bearing `MasterPort` spans the runtime
-//!   recorded must equal [`Replay`]'s frames one for one (send or
-//!   receive, peer, blocks); any mismatch is a failure, no tolerance;
-//! * **time** — the same `Replay` runs through the discrete-event
+//!   recorded must equal the schedule's lowered frames ([`Replay`]'s,
+//!   [`lower`]'s) one for one (send or receive, peer, blocks); any
+//!   mismatch is a failure, no tolerance;
+//! * **time** — the same frames run through the discrete-event
 //!   simulator on a platform calibrated from the trace (`c_i` = measured
 //!   port seconds per block to worker `i`, `w_i` = measured compute
 //!   seconds on worker `i` per block update the schedule gives it), and
@@ -27,10 +30,12 @@
 //! cargo run --release -p mwp-bench --bin replay_diff -- --tolerance 0.25
 //! ```
 
-use mwp_blockmat::fill::random_matrix;
+use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_blockmat::Partition;
 use mwp_core::schedule::{Replay, Schedule};
 use mwp_core::session::RuntimeSession;
+use mwp_lu::runtime::LuSession;
+use mwp_lu::schedule::{lower, lu_schedule};
 use mwp_platform::{Platform, WorkerId, WorkerParams};
 use mwp_sim::{Decision, Simulator};
 use mwp_trace::record::Capture;
@@ -175,48 +180,23 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("replay_diff: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (r, t, s) = (6usize, 6usize, 8usize);
-    let q = args.q;
-    // Compute-bound ratio (w ≫ c) so the HoLM resource selection enrolls
-    // the whole fleet and the replay exercises multi-worker attribution.
-    let pf = Platform::homogeneous(args.workers, 1.0, 12.0, 60)
-        .expect("valid platform");
-
-    println!(
-        "replay_diff: HoLM {r}x{t}x{s}, q={q}, {} workers, time_scale={}, transport={:?}",
-        args.workers,
-        args.time_scale,
-        mwp_msg::config::transport_mode(),
-    );
-
-    // Measure: one real run under the span recorder. The capture is ended
-    // before shutdown so teardown control frames stay out of the timeline.
-    let a = random_matrix(r, t, q, 10);
-    let b = random_matrix(t, s, q, 11);
-    let c0 = random_matrix(r, s, q, 12);
-    let capture = Capture::begin();
-    let session = RuntimeSession::new(&pf, args.time_scale);
-    let outcome = session.run_holm(&a, &b, c0).expect("real run succeeds");
-    let trace = capture.end();
-    session.shutdown();
-
-    // The same object, generated again from what the run reported.
-    let problem = Partition::from_blocks(r, s, t, q);
-    let (enrolled, mu) = (outcome.workers_used, outcome.chunk_side);
-    let mut replay = Replay::new(&Schedule::algorithm1(&problem, mu, enrolled, 1));
-
-    let measured = reduce(&trace, 8 * (q as u64) * (q as u64), args.workers);
-    let mut updates = vec![0u64; args.workers];
-    let mut scheduled = Vec::with_capacity(replay.frames().len());
-    for frame in replay.frames() {
+/// One leg of the harness: the frames a run's schedule lowers to
+/// (`frames`) against the `trace` captured from that run on `real`.
+/// `false` when the block-bearing port spans are not those frames one for
+/// one, or a phase of the calibrated replay misses the measured timeline
+/// by more than `tolerance`.
+fn diff(
+    trace: &Trace,
+    block_bytes: u64,
+    real: &Platform,
+    frames: Vec<Decision>,
+    reported_blocks: u64,
+    tolerance: f64,
+) -> bool {
+    let measured = reduce(trace, block_bytes, real.len());
+    let mut updates = vec![0u64; real.len()];
+    let mut scheduled = Vec::with_capacity(frames.len());
+    for frame in &frames {
         let (transfer, spawned) = transfer_of(frame);
         updates[transfer.1.index()] += spawned;
         scheduled.push(transfer);
@@ -229,20 +209,20 @@ fn main() -> ExitCode {
             scheduled.get(at),
             measured.transfers.get(at),
         );
-        return ExitCode::FAILURE;
+        return false;
     }
     println!(
         "  schedule vs trace: {} port ops matched one for one ({} blocks, runtime reported {} moved), {} updates",
         scheduled.len(),
         scheduled.iter().map(|t| t.2).sum::<u64>(),
-        outcome.blocks_moved,
+        reported_blocks,
         updates.iter().sum::<u64>(),
     );
 
-    // Replay: same schedule, calibrated rates, ideal one-port model.
-    let report = Simulator::new(calibrated_platform(&pf, &measured, &updates))
+    // Replay: same frames, calibrated rates, ideal one-port model.
+    let report = Simulator::new(calibrated_platform(real, &measured, &updates))
         .without_trace()
-        .run(&mut replay)
+        .run(&mut frames.into_iter())
         .expect("replay respects the memory model");
 
     // Diff: predicted vs measured per phase.
@@ -272,20 +252,78 @@ fn main() -> ExitCode {
             err * 100.0,
             if gated { "" } else { "  (not gated)" },
         );
-        if gated && err.abs() > args.tolerance {
+        if gated && err.abs() > tolerance {
             failed.push(name.clone());
         }
     }
+    if !failed.is_empty() {
+        println!("FAIL: {} outside ±{:.1}% tolerance", failed.join(", "), tolerance * 100.0);
+    }
+    failed.is_empty()
+}
 
-    if failed.is_empty() {
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("replay_diff: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (r, t, s) = (6usize, 6usize, 8usize);
+    let q = args.q;
+    let block_bytes = 8 * (q as u64) * (q as u64);
+    // Compute-bound ratio (w ≫ c) so the HoLM resource selection enrolls
+    // the whole fleet and the replay exercises multi-worker attribution.
+    let pf = Platform::homogeneous(args.workers, 1.0, 12.0, 60)
+        .expect("valid platform");
+
+    println!(
+        "replay_diff: HoLM {r}x{t}x{s}, q={q}, {} workers, time_scale={}, transport={:?}",
+        args.workers,
+        args.time_scale,
+        mwp_msg::config::transport_mode(),
+    );
+
+    // Measure: one real run under the span recorder. The capture is ended
+    // before shutdown so teardown control frames stay out of the timeline.
+    let a = random_matrix(r, t, q, 10);
+    let b = random_matrix(t, s, q, 11);
+    let c0 = random_matrix(r, s, q, 12);
+    let capture = Capture::begin();
+    let session = RuntimeSession::new(&pf, args.time_scale);
+    let outcome = session.run_holm(&a, &b, c0).expect("real run succeeds");
+    let trace = capture.end();
+    session.shutdown();
+
+    // The same object, generated again from what the run reported.
+    let problem = Partition::from_blocks(r, s, t, q);
+    let (enrolled, mu) = (outcome.workers_used, outcome.chunk_side);
+    let replay = Replay::new(&Schedule::algorithm1(&problem, mu, enrolled, 1));
+    let frames = replay.frames().to_vec();
+    let holm = diff(&trace, block_bytes, &pf, frames, outcome.blocks_moved, args.tolerance);
+
+    // The LU leg: the factorization the runtime walks is `lu_schedule`
+    // for the whole fleet, so its lowering is what the port must carry.
+    let (r, mu) = (12usize, 2usize);
+    println!("replay_diff: LU {r}x{r} blocks, µ={mu}, same fleet and pacing");
+    let matrix = random_diagonally_dominant(r, q, 13);
+    let capture = Capture::begin();
+    let session = LuSession::new(&pf, args.time_scale);
+    let outcome = session.run(&matrix, mu);
+    let trace = capture.end();
+    session.shutdown();
+    if outcome.aborted {
+        println!("FAIL: the LU run was aborted");
+        return ExitCode::FAILURE;
+    }
+    let frames = lu_schedule(r, mu, outcome.workers_used).iter().flat_map(lower).collect();
+    let lu = diff(&trace, block_bytes, &pf, frames, outcome.blocks_moved, args.tolerance);
+
+    if holm && lu {
         println!("OK: every phase within ±{:.1}% of measured", args.tolerance * 100.0);
         ExitCode::SUCCESS
     } else {
-        println!(
-            "FAIL: {} outside ±{:.1}% tolerance",
-            failed.join(", "),
-            args.tolerance * 100.0
-        );
         ExitCode::FAILURE
     }
 }

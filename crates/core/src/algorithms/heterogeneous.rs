@@ -12,7 +12,7 @@
 //! program the runtime runs: exactly `r·s·t` updates, exactly its blocks.
 
 use super::AlgoError;
-use crate::runtime::{heterogeneous_mu, RuntimeError};
+use crate::runtime::{heterogeneous_mu, MemoryTooSmall};
 use crate::schedule::{Replay, Schedule};
 use crate::selection::incremental::SelectionRule;
 use mwp_blockmat::Partition;
@@ -35,10 +35,8 @@ impl HeterogeneousPolicy {
         problem: &Partition,
         rule: SelectionRule,
     ) -> Result<Self, AlgoError> {
-        let mu = heterogeneous_mu(platform).map_err(|e| match e {
-            RuntimeError::MemoryTooSmall { m } => AlgoError::MemoryTooSmall { m },
-            e => unreachable!("µ_i depend on memory alone: {e}"),
-        })?;
+        let mu = heterogeneous_mu(platform)
+            .map_err(|MemoryTooSmall(m)| AlgoError::MemoryTooSmall { m })?;
         let schedule = Schedule::two_phase(platform, &mu, rule, problem);
         Ok(HeterogeneousPolicy(Replay::new(&schedule)))
     }

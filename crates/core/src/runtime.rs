@@ -253,59 +253,176 @@ impl JobCtx {
     }
 }
 
-/// The master's side of one open run: the chunk exchange — ship a C
-/// chunk, stream a B-row/A-column step, collect — written once, with every
-/// frame stamped with the run's generation and every receive scoped to it.
-struct RunPort<'a> {
+/// One product of a run: the borrowed factors `A`, `B` and the
+/// accumulator `C`, consumed and returned updated.
+pub(crate) type Product<'a> = (&'a BlockMatrix, &'a BlockMatrix, BlockMatrix);
+
+/// The master's side of one open run, as the one executor ([`execute`])
+/// sees it: how each op of the run's schedule crosses the port, and what
+/// to issue instead of the ops a dead worker left undone. The products
+/// implement it over [`PortOp`], `mwp_lu`'s factorization over its own
+/// ops; what happens when a worker dies, the run deadline passes or the
+/// whole fleet is lost is the executor's, in one place, for both.
+pub trait Port {
+    /// One operation on the master's port, naming its worker.
+    type Op: Clone;
+
+    /// The worker `op` is on.
+    fn worker(op: &Self::Op) -> WorkerId;
+
+    /// Whether `next` may be issued before what `op` lost is recovered —
+    /// `false` puts a barrier between the two. Every chunk exchange is
+    /// independent of every other, so the default is no barrier at all.
+    fn same_phase(_op: &Self::Op, _next: &Self::Op) -> bool {
+        true
+    }
+
+    /// Send or receive `op`'s frames. `false` — with master state
+    /// untouched — when the worker died, stayed silent past the liveness
+    /// deadline or answered with anything but what `op` asked for; the
+    /// executor condemns it.
+    fn perform(&mut self, op: &Self::Op) -> bool;
+
+    /// The ops that redo, on workers of `live` (ascending), the work the
+    /// `undone` ops of one phase lost; `None` when no live worker can
+    /// adopt it.
+    fn redispatch(&self, undone: Vec<Self::Op>, live: &[WorkerId]) -> Option<Vec<Self::Op>>;
+}
+
+/// The one master executor: `ops`, walked in order as one run of
+/// `session`'s persistent worker pool over workers `0..enrolled`, through
+/// the port `open` builds for the run's generation. Returns the port —
+/// whatever state the ops left in it — and the run's generation, or why
+/// the run was aborted.
+///
+/// **Recovery is one rule.** An op whose worker is dead is skipped, and a
+/// worker an op fails on is condemned
+/// ([`mwp_msg::MasterEndpoint::mark_dead`]). At the end of each phase
+/// ([`Port::same_phase`]) — every op issued, so every live link drained
+/// of the replies it owes — the undone ops run again as
+/// [`Port::redispatch`] over the live workers, until none is undone. Re-dispatch is exact replay: an op only
+/// mutates master state with a *complete*, validated reply, so a lost
+/// op's frames regenerate bit-identically for whichever survivor adopts
+/// it. With no live worker left to adopt, the run is aborted
+/// ([`RuntimeError::EmptyFleet`]).
+///
+/// The whole-run budget (`MWP_RUN_DEADLINE_MS`, counted from before the
+/// port is opened) is checked before every op, and ends the run with
+/// [`RuntimeError::RunAborted`]. The executor takes no lock: callers
+/// whose worker program serves one run at a time, or that cannot bound
+/// the workers' resident memory across overlapping runs, serialize
+/// themselves (see [`RuntimeSession::run_holm`]; the serving tier admits
+/// by memory instead).
+pub fn execute<'s, P: Port>(
+    session: &'s mwp_msg::Session,
+    enrolled: usize,
+    q: usize,
+    ops: Vec<P::Op>,
+    open: impl FnOnce(&'s mwp_msg::MasterEndpoint, u32) -> P,
+) -> (P, Result<u32, RuntimeError>) {
+    // Wake workers 0..enrolled from their parked receives; the rest of
+    // the pool stays blocked and costs nothing beyond their spawn.
+    let epoch = session.begin_run(enrolled, q as u32);
+    let (master, gen) = (session.master(), epoch.generation());
+    let start = Instant::now();
+    let mut port = open(master, gen);
+    let deadline = run_deadline();
+    for phase in ops.chunk_by(P::same_phase) {
+        let mut todo = phase;
+        let mut redo: Vec<P::Op>;
+        loop {
+            let mut undone = Vec::new();
+            for op in todo {
+                if deadline.is_some_and(|budget| start.elapsed() > budget) {
+                    session.abort_run(enrolled, epoch);
+                    return (port, Err(RuntimeError::RunAborted));
+                }
+                if master.is_dead(P::worker(op)) || !port.perform(op) {
+                    master.mark_dead(P::worker(op));
+                    undone.push(op.clone());
+                }
+            }
+            if undone.is_empty() {
+                break;
+            }
+            let live: Vec<WorkerId> =
+                (0..enrolled).map(WorkerId).filter(|&w| !master.is_dead(w)).collect();
+            let Some(ops) = port.redispatch(undone, &live) else {
+                session.abort_run(enrolled, epoch);
+                return (port, Err(RuntimeError::EmptyFleet));
+            };
+            redo = ops;
+            todo = &redo;
+        }
+    }
+    // Close the run: every enrolled worker parks again for the next one.
+    session.finish_run(enrolled, epoch);
+    (port, Ok(gen))
+}
+
+/// The products of one open run on the master's port: the chunk exchange
+/// — ship a C chunk, stream a B-row/A-column step, collect — written
+/// once, with every frame stamped with the run's generation and every
+/// receive scoped to it.
+struct ProductPort<'a> {
     master: &'a mwp_msg::MasterEndpoint,
     gen: u32,
     q: usize,
     /// Recycled buffers for the (mutable, serialize-on-demand) C sends.
     cpool: mwp_msg::BufferPool,
+    /// `jobs[jx]` is the product the ops' `job` index `jx` names.
+    jobs: Vec<JobCtx>,
+    /// `mu[i]` is the chunk side worker `i`'s memory admits.
+    mu: &'a [usize],
+    /// The jobs' common shared dimension.
+    t: usize,
 }
 
-impl RunPort<'_> {
-    /// Failure-aware send of one block frame of `job`, metered on delivery.
-    fn send(&self, wid: WorkerId, job: &mut JobCtx, tag: Tag, payload: Bytes, blocks: usize) -> bool {
+impl ProductPort<'_> {
+    /// Failure-aware send of one block frame of job `jx`, metered on
+    /// delivery.
+    fn send(&mut self, wid: WorkerId, jx: usize, tag: Tag, payload: Bytes, blocks: usize) -> bool {
         let frame = Frame::new_in_run(tag, self.gen, payload);
         let sent = self.master.try_send(wid, frame, blocks as u64).is_some();
         if sent {
-            job.moved += blocks as u64;
+            self.jobs[jx].moved += blocks as u64;
         }
         sent
     }
 
-    /// Ship chunk `ch` of `job`'s C to `wid`: one multi-block frame per
+    /// Ship chunk `ch` of job `jx`'s C to `wid`: one multi-block frame per
     /// chunk row, serialized into recycled pool buffers (C mutates between
     /// chunks, so its payloads cannot be cached). Returns `false` (with
     /// the worker condemned) if `wid` died mid-ship — the chunk is
     /// untouched on the master and can be replayed verbatim on a survivor.
-    fn send_c_rows(&self, wid: WorkerId, job: &mut JobCtx, ch: &Chunk) -> bool {
+    fn send_c_rows(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
         let bb = self.q * self.q * 8;
         ch.rows().all(|i| {
+            let job = &self.jobs[jx];
             let payload = self.cpool.bytes_with(bb * ch.width, |buf| {
                 for j in ch.cols() {
                     job.c.block(i, j).write_bytes_into(buf);
                 }
             });
             let tag = Tag::new(FrameKind::BlockC, i + job.row_off, ch.j0 + job.col_off);
-            self.send(wid, job, tag, payload, ch.width)
+            self.send(wid, jx, tag, payload, ch.width)
         })
     }
 
     /// One k-step of chunk `ch`: a zero-copy B-row frame, then a zero-copy
-    /// A-column frame, both views into `job`'s payload caches.
-    fn send_k_step(&self, wid: WorkerId, job: &mut JobCtx, ch: &Chunk, k: usize) -> bool {
+    /// A-column frame, both views into job `jx`'s payload caches.
+    fn send_k_step(&mut self, wid: WorkerId, jx: usize, ch: &Chunk, k: usize) -> bool {
+        let job = &self.jobs[jx];
         let b_tag = Tag::new(FrameKind::BlockB, k + job.k_off, ch.j0 + job.col_off);
         let b_row = job.bp.row_run(k, ch.j0, ch.width);
         let a_tag = Tag::new(FrameKind::BlockA, ch.i0 + job.row_off, k + job.k_off);
         let a_col = job.ap.col_run(ch.i0, k, ch.height);
-        self.send(wid, job, b_tag, b_row, ch.width) && self.send(wid, job, a_tag, a_col, ch.height)
+        self.send(wid, jx, b_tag, b_row, ch.width) && self.send(wid, jx, a_tag, a_col, ch.height)
     }
 
-    /// Ask `wid` for chunk `ch` back and commit it into `job`'s C — only
+    /// Ask `wid` for chunk `ch` back and commit it into job `jx`'s C — only
     /// once **every** row frame has arrived and checked out. Returns
-    /// `false`, with `wid` marked dead and C untouched, when the worker
+    /// `false`, with C untouched, when the worker
     /// dies, stays silent past the liveness deadline, or answers with
     /// anything but the chunk's rows: a frame of another kind, a row
     /// outside the chunk or sent twice, a foreign column origin, a payload
@@ -314,11 +431,12 @@ impl RunPort<'_> {
     /// all-or-nothing commit is what makes re-dispatch exact: a
     /// half-returned chunk must not leave C half-updated, or replaying the
     /// chunk would double-accumulate the committed rows.
-    fn collect(&self, wid: WorkerId, job: &mut JobCtx, ch: &Chunk) -> bool {
+    fn collect(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
         let request = Frame::new_in_run(Tag::new(FrameKind::Control, 0, 0), self.gen, Bytes::new());
         if self.master.try_send(wid, request, 0).is_none() {
             return false;
         }
+        let job = &mut self.jobs[jx];
         let bb = self.q * self.q * 8;
         let mut staged: Vec<Option<Bytes>> = vec![None; ch.height];
         for _ in ch.rows() {
@@ -332,7 +450,6 @@ impl RunPort<'_> {
                 ours.then(|| *slot = Some(f.payload))
             });
             if row.is_none() {
-                self.master.mark_dead(wid);
                 return false;
             }
         }
@@ -347,97 +464,65 @@ impl RunPort<'_> {
     }
 }
 
-/// One product of a run: the borrowed factors `A`, `B` and the
-/// accumulator `C`, consumed and returned updated.
-pub(crate) type Product<'a> = (&'a BlockMatrix, &'a BlockMatrix, BlockMatrix);
+impl Port for ProductPort<'_> {
+    type Op = PortOp;
 
-/// The one master executor: `schedule`, walked op by op as one run of
-/// `session`'s persistent worker pool over workers `0..mu.len()` (`mu[i]`
-/// is the chunk side worker `i`'s memory admits). `jobs` are the products
-/// the ops' `job` indices name — all of one shape; a solo run is the list
-/// of length one. Returns the run's generation and one [`RunOutcome`] per
-/// job, in order, each reporting `workers_used` as given.
-///
-/// **Recovery is one rule.** An op whose worker is dead (or dies under
-/// it) is skipped, and the chunk is lost when its `Collect` does not
-/// commit. Once the schedule is exhausted the lost chunks run again as
-/// [`Schedule::redispatch`] — Algorithm 1's rounds over the live workers,
-/// each chunk split to its adopter's `µ_i` — until none are lost.
-/// Re-dispatch is exact replay: a job's C is only mutated by a *complete*
-/// collected chunk (see `RunPort::collect`), and the A/B payload caches
-/// are immutable, so a lost chunk's frames regenerate bit-identically for
-/// whichever survivor adopts it. With no live worker left to adopt, the
-/// run is aborted and the caller gets [`RuntimeError::EmptyFleet`].
-///
-/// The whole-run budget (`MWP_RUN_DEADLINE_MS`) is checked before every
-/// op: every C is consistent at every op boundary, because only a fully
-/// collected chunk mutates one.
+    fn worker(op: &PortOp) -> WorkerId {
+        op.target().1
+    }
+
+    fn perform(&mut self, op: &PortOp) -> bool {
+        let (jx, wid, ch) = op.target();
+        match *op {
+            PortOp::SendC { .. } => self.send_c_rows(wid, jx, &ch),
+            PortOp::Step { k, .. } => self.send_k_step(wid, jx, &ch, k),
+            PortOp::Collect { .. } => self.collect(wid, jx, &ch),
+        }
+    }
+
+    /// A chunk is lost when its `Collect` does not commit: the lost
+    /// chunks as [`Schedule::redispatch`] — Algorithm 1's rounds over the
+    /// live workers whose memory holds a chunk at all, each chunk split to
+    /// its adopter's `µ_i`.
+    fn redispatch(&self, undone: Vec<PortOp>, live: &[WorkerId]) -> Option<Vec<PortOp>> {
+        let live: Vec<WorkerId> =
+            live.iter().copied().filter(|w| self.mu[w.index()] > 0).collect();
+        let lost = undone.iter().filter_map(|op| match *op {
+            PortOp::Collect { job, chunk, .. } => Some((job, chunk)),
+            _ => None,
+        });
+        (!live.is_empty()).then(|| Schedule::redispatch(lost.collect(), &live, self.mu, self.t).ops)
+    }
+}
+
+/// `schedule`, [`execute`]d as one run of `session` over workers
+/// `0..mu.len()`. `jobs` are the products the ops' `job` indices name —
+/// all of one shape; a solo run is the list of length one. Returns the
+/// run's generation and one [`RunOutcome`] per job, in order, each
+/// reporting `workers_used` as given.
 ///
 /// Each C block accumulates its `t` updates in `k`-order inside a single
-/// chunk exchange, so fused results are **bit-identical** to running every
-/// job alone, on any schedule. The executor takes no lock: callers that
-/// cannot bound the workers' resident memory across overlapping runs
-/// serialize themselves (see [`RuntimeSession::run_holm`]; the serving
-/// tier admits by memory instead).
-pub(crate) fn execute(
+/// chunk exchange, and a job's C is only mutated by a *complete* collected
+/// chunk (see `ProductPort::collect`), so fused results are
+/// **bit-identical** to running every job alone, on any schedule, through
+/// any recovery.
+pub(crate) fn run_products(
     session: &mwp_msg::Session,
     jobs: Vec<Product<'_>>,
-    mut schedule: Schedule,
+    schedule: Schedule,
     mu: &[usize],
     workers_used: usize,
 ) -> Result<(u32, Vec<RunOutcome>), RuntimeError> {
     let (q, t) = (jobs[0].0.q(), jobs[0].0.cols());
-    let enrolled = mu.len();
-
-    // Wake workers 0..enrolled from their parked receives; the rest of
-    // the pool stays blocked and costs nothing beyond their spawn.
-    let epoch = session.begin_run(enrolled, q as u32);
-    let master = session.master();
-    let port = RunPort { master, gen: epoch.generation(), q, cpool: mwp_msg::BufferPool::new() };
-
     let start = Instant::now();
-    let mut ctxs: Vec<JobCtx> =
-        jobs.into_iter().enumerate().map(|(jx, (a, b, c))| JobCtx::new(a, b, c, jx)).collect();
-    let deadline = run_deadline();
-    loop {
-        let mut lost = Vec::new();
-        for op in &schedule.ops {
-            if deadline.is_some_and(|budget| start.elapsed() > budget) {
-                session.abort_run(enrolled, epoch);
-                return Err(RuntimeError::RunAborted);
-            }
-            let (jx, wid, ch) = op.target();
-            let done = !master.is_dead(wid)
-                && match *op {
-                    PortOp::SendC { .. } => port.send_c_rows(wid, &mut ctxs[jx], &ch),
-                    PortOp::Step { k, .. } => port.send_k_step(wid, &mut ctxs[jx], &ch, k),
-                    PortOp::Collect { .. } => port.collect(wid, &mut ctxs[jx], &ch),
-                };
-            if !done && matches!(op, PortOp::Collect { .. }) {
-                lost.push((jx, ch));
-            }
-        }
-        if lost.is_empty() {
-            break;
-        }
-        let live: Vec<WorkerId> = (0..enrolled)
-            .map(WorkerId)
-            .filter(|&w| mu[w.index()] > 0 && !master.is_dead(w))
-            .collect();
-        if live.is_empty() {
-            session.abort_run(enrolled, epoch);
-            return Err(RuntimeError::EmptyFleet);
-        }
-        schedule = Schedule::redispatch(lost, &live, mu, t);
-    }
-
-    // Close the run: every enrolled worker parks again for the next one.
-    let gen = port.gen;
-    session.finish_run(enrolled, epoch);
-    let wall = start.elapsed();
-
+    let (port, gen) = execute(session, mu.len(), q, schedule.ops, |master, gen| {
+        let jobs = jobs.into_iter().enumerate().map(|(jx, (a, b, c))| JobCtx::new(a, b, c, jx));
+        ProductPort { master, gen, q, cpool: mwp_msg::BufferPool::new(), jobs: jobs.collect(), mu, t }
+    });
+    let (gen, wall) = (gen?, start.elapsed());
     let chunk_side = mu.iter().copied().max().unwrap_or(0);
-    let outcomes = ctxs
+    let outcomes = port
+        .jobs
         .into_iter()
         .map(|ctx| RunOutcome { c: ctx.c, wall, blocks_moved: ctx.moved, workers_used, chunk_side })
         .collect();
@@ -446,7 +531,7 @@ pub(crate) fn execute(
 
 /// Algorithm 1 (the master side of HoLM / ORROML) over workers
 /// `0..enrolled` with chunk side `mu`: [`Schedule::algorithm1`] for the
-/// jobs' common shape, [`execute`]d as one run.
+/// jobs' common shape, run by [`run_products`].
 pub(crate) fn holm_on(
     session: &RuntimeSession,
     jobs: Vec<Product<'_>>,
@@ -456,7 +541,7 @@ pub(crate) fn holm_on(
     let (a, b, _) = &jobs[0];
     let problem = mwp_blockmat::Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q());
     let schedule = Schedule::algorithm1(&problem, mu, enrolled, jobs.len());
-    execute(session.fleet(), jobs, schedule, &vec![mu; enrolled], enrolled)
+    run_products(session.fleet(), jobs, schedule, &vec![mu; enrolled], enrolled)
 }
 
 /// Execute `C ← C + A·B` on a **heterogeneous** platform with the
@@ -486,13 +571,22 @@ fn plan_heterogeneous(
     c: &BlockMatrix,
 ) -> Result<Vec<usize>, RuntimeError> {
     validate_product_shapes(a, b, c)?;
-    heterogeneous_mu(platform)
+    Ok(heterogeneous_mu(platform)?)
+}
+
+/// No worker of the fleet has memory for µ = 1; holds the smallest `m`.
+pub(crate) struct MemoryTooSmall(pub(crate) usize);
+
+impl From<MemoryTooSmall> for RuntimeError {
+    fn from(MemoryTooSmall(m): MemoryTooSmall) -> Self {
+        RuntimeError::MemoryTooSmall { m }
+    }
 }
 
 /// Per-worker chunk sides `µ_i` for the heterogeneous scheme — pure in
 /// the platform description, so a session re-derives it whenever the
 /// fleet changes (see [`RuntimeSession::plan_heterogeneous_run`]).
-pub(crate) fn heterogeneous_mu(platform: &Platform) -> Result<Vec<usize>, RuntimeError> {
+pub(crate) fn heterogeneous_mu(platform: &Platform) -> Result<Vec<usize>, MemoryTooSmall> {
     use crate::layout::MemoryLayout;
 
     let mu: Vec<usize> = platform
@@ -501,16 +595,14 @@ pub(crate) fn heterogeneous_mu(platform: &Platform) -> Result<Vec<usize>, Runtim
         .map(|w| MemoryLayout::MaxReuseOverlapped.mu(w.m))
         .collect();
     if mu.iter().all(|&m| m == 0) {
-        return Err(RuntimeError::MemoryTooSmall {
-            m: platform.workers().iter().map(|w| w.m).min().unwrap_or(0),
-        });
+        return Err(MemoryTooSmall(platform.workers().iter().map(|w| w.m).min().unwrap_or(0)));
     }
     Ok(mu)
 }
 
 /// The heterogeneous two-phase master: [`Schedule::two_phase`] for the
-/// session's current fleet (every pooled worker is enrolled), [`execute`]d
-/// as one run. `workers_used` reports the workers the schedule serves.
+/// session's current fleet (every pooled worker is enrolled), run by
+/// [`run_products`]. `workers_used` reports the workers the schedule serves.
 pub(crate) fn heterogeneous_on(
     session: &RuntimeSession,
     a: &BlockMatrix,
@@ -524,7 +616,8 @@ pub(crate) fn heterogeneous_on(
     let problem = mwp_blockmat::Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q());
     let schedule = Schedule::two_phase(platform, &mu, rule, &problem);
     let workers_used = schedule.workers().len();
-    let (_, mut outcomes) = execute(session.fleet(), vec![(a, b, c)], schedule, &mu, workers_used)?;
+    let (_, mut outcomes) =
+        run_products(session.fleet(), vec![(a, b, c)], schedule, &mu, workers_used)?;
     Ok(outcomes.pop().expect("one outcome per job"))
 }
 

@@ -10,10 +10,18 @@
 //! ```
 //!
 //! workers (neglecting `µ²` against `3µ(r−kµ)` for `r/µ` large).
+//!
+//! The algorithm itself is [`crate::schedule::lu_schedule`], the ops the
+//! threaded runtime executes; this module enrolls the paper's `P` and
+//! puts their lowered frames through the simulator. (The runtime cuts the
+//! core into row groups, not the paper's column groups: the square core
+//! splits either way into as many groups of the same size, and the panel
+//! the groups share is then the one a worker can pack once per step.)
 
 use crate::cost::LuProblem;
-use mwp_platform::{Platform, WorkerId};
-use mwp_sim::{Decision, SimReport, Simulator};
+use crate::schedule::{lower, lu_schedule};
+use mwp_platform::Platform;
+use mwp_sim::{SimReport, Simulator};
 
 /// The paper's worker count for the LU core update, `ceil(µw/3c)`.
 pub fn ideal_lu_workers(mu: usize, w: f64, c: f64) -> usize {
@@ -21,69 +29,14 @@ pub fn ideal_lu_workers(mu: usize, w: f64, c: f64) -> usize {
     (((mu as f64 * w) / (3.0 * c)) - 1e-9).ceil().max(1.0) as usize
 }
 
-/// The Section 7.2 schedule as the simulator's port operations, in
-/// order, with `enrolled` workers on the core update. LU is outside the
-/// memory model (`mem_delta` 0 throughout).
+/// Simulate the homogeneous LU algorithm: the frames of
+/// [`lu_schedule`] — the ops [`crate::runtime`] executes — with
+/// [`ideal_lu_workers`] enrolled, through the one-port engine. Returns the
+/// report and the enrolled worker count.
 ///
-/// Per elimination step `k`:
-/// 1. the master sends the pivot to worker 0, which factors it
-///    (`2µ²` blocks, `µ³` ops), then streams both panels through worker 0
-///    row/column-wise (`4µ(r−kµ)` blocks, `µ²(r−kµ)` ops) — as single
-///    messages with the step's aggregate cost (the paper streams
-///    rows/columns, but the aggregate port/worker occupation is identical
-///    under linear costs);
-/// 2. the `r/µ − k` core column groups are dealt round-robin to the
-///    enrolled workers: each group costs `µ² + 3(r−kµ)µ` blocks of
-///    communication and `(r−kµ)µ²` ops. Outbound is the horizontal panel
-///    chunk (`µ²`) plus one row of the vertical panel and the core rows
-///    (`2(r−kµ)µ`), inbound the updated core rows (`(r−kµ)µ`) — aggregate
-///    cost identical to the paper's accounting. All outbound messages go
-///    first so that workers compute in parallel;
-/// 3. the next step cannot start before every group of the current step
-///    completes (the pivot of step `k+1` depends on the whole core): the
-///    engine makes each receive wait for its worker to drain, which
-///    realizes the barrier.
-fn lu_frames(problem: LuProblem, enrolled: usize) -> Vec<Decision> {
-    let send = |to, blocks, spawn_updates, label: &'static str| Decision::Send {
-        to: WorkerId(to),
-        blocks,
-        spawn_updates,
-        mem_delta: 0,
-        label: label.into(),
-    };
-    let recv = |from, blocks, label: &'static str| Decision::Recv {
-        from: WorkerId(from),
-        blocks,
-        mem_delta: 0,
-        label: label.into(),
-    };
-    let mu = problem.mu;
-    let mut frames = Vec::new();
-    for k in 1..=problem.steps() {
-        let sc = problem.step_cost(k);
-        let rem = problem.r - k * mu;
-        let pivot = sc.pivot.comm as u64 / 2;
-        frames.push(send(0, pivot, sc.pivot.comp.ceil() as u64, "pivot"));
-        frames.push(recv(0, pivot, "pivot back"));
-        if rem > 0 {
-            // Rows out and back (cost split half each way), with the
-            // update work attached to the outbound half.
-            let panels = (sc.vertical.comm + sc.horizontal.comm) as u64 / 2;
-            let comp = (sc.vertical.comp + sc.horizontal.comp).ceil() as u64;
-            frames.push(send(0, panels, comp, "panels"));
-            frames.push(recv(0, panels, "panels back"));
-        }
-        let groups = problem.steps() - k;
-        let outbound = (mu * mu + 2 * rem * mu) as u64;
-        let updates = (rem * mu * mu) as u64;
-        frames.extend((0..groups).map(|g| send(g % enrolled, outbound, updates, "core")));
-        frames.extend((0..groups).map(|g| recv(g % enrolled, (rem * mu) as u64, "core back")));
-    }
-    frames
-}
-
-/// Simulate the homogeneous LU algorithm; returns the report and the
-/// enrolled worker count.
+/// The next step cannot start before every group of the current step
+/// completes (its pivot depends on the whole core): the engine makes each
+/// receive wait for its worker to drain, which realizes the barrier.
 pub fn simulate_homogeneous_lu(
     platform: &Platform,
     problem: LuProblem,
@@ -92,7 +45,8 @@ pub fn simulate_homogeneous_lu(
         .homogeneous_params()
         .expect("homogeneous LU needs a homogeneous platform");
     let enrolled = ideal_lu_workers(problem.mu, params.w, params.c).min(platform.len());
-    let mut frames = lu_frames(problem, enrolled).into_iter();
+    let schedule = lu_schedule(problem.r, problem.mu, enrolled);
+    let mut frames = schedule.iter().flat_map(lower).collect::<Vec<_>>().into_iter();
     let report = Simulator::new(platform.clone()).without_trace().run(&mut frames)?;
     Ok((report, enrolled))
 }
@@ -115,27 +69,21 @@ mod tests {
         let problem = LuProblem::new(24, 6);
         let (report, enrolled) = simulate_homogeneous_lu(&pf, problem).unwrap();
         assert!((1..=4).contains(&enrolled));
-        // Computation volume matches the cost model (up to per-step
-        // rounding of fractional panel ops).
-        let expected = problem.total().comp;
-        let done = report.total_updates() as f64;
-        assert!(
-            (done - expected).abs() / expected < 0.01,
-            "done {done} vs model {expected}"
-        );
+        // Computation volume is the cost model's, to the block operation.
+        assert_eq!(report.total_updates() as f64, problem.total().comp);
     }
 
     #[test]
     fn communication_volume_matches_model() {
+        // The model's volume, less the shared panel it re-sends with every
+        // group and the schedule sends once per worker (`cost` module
+        // docs): 2 880 − 288 here, with one worker enrolled.
         let pf = Platform::homogeneous(4, 2.0, 1.0, 60).unwrap();
         let problem = LuProblem::new(24, 6);
-        let (report, _) = simulate_homogeneous_lu(&pf, problem).unwrap();
+        let (report, enrolled) = simulate_homogeneous_lu(&pf, problem).unwrap();
         let moved = (report.blocks_sent + report.blocks_received) as f64;
-        let expected = problem.total().comm;
-        assert!(
-            (moved - expected).abs() / expected < 0.01,
-            "moved {moved} vs model {expected}"
-        );
+        assert_eq!(moved, crate::cost::scheduled_comm(problem, enrolled));
+        assert_eq!((moved, problem.total().comm, enrolled), (2592.0, 2880.0, 1));
     }
 
     #[test]
@@ -166,8 +114,9 @@ mod tests {
         let pf = Platform::homogeneous(2, 1.0, 1.0, 60).unwrap();
         let problem = LuProblem::new(6, 6); // one step
         let (report, _) = simulate_homogeneous_lu(&pf, problem).unwrap();
-        // Only the pivot phase: 2µ² comm, µ³ comp.
+        // Only the pivot phase: 2µ² comm, µ³ comp — the model's own total.
         assert_eq!(report.blocks_sent + report.blocks_received, 72);
+        assert_eq!(crate::cost::scheduled_comm(problem, 2), 72.0);
         assert_eq!(report.total_updates(), 216);
     }
 }

@@ -13,9 +13,14 @@
 //!   terms; we provide both and use the exact sum),
 //! * [`single`] — the single-worker schedule of Section 7.1, numerically
 //!   verified against [`mwp_blockmat::lu`],
-//! * [`homogeneous`] — the Section 7.2 algorithm: one processor owns the
-//!   pivot/panel work, `P = ceil(µw/3c)` workers share the core update;
-//!   simulated on [`mwp_sim`],
+//! * [`schedule`] — the Section 7.2 algorithm as plain data: one
+//!   processor owns the pivot/panel work, the enrolled workers share the
+//!   core update; the ordered port operations of a factorization, their
+//!   recovery rule and their one lowering to simulator frames,
+//! * [`runtime`] — that schedule walked over [`mwp_msg`] by the product
+//!   runtime's master executor, with real arithmetic,
+//! * [`homogeneous`] — the paper's worker count `P = ceil(µw/3c)` and the
+//!   same schedule replayed on [`mwp_sim`],
 //! * [`heterogeneous`] — the Section 7.3 machinery: per-worker chunk-shape
 //!   choice (square chunk iff `µ_i ≤ µ/2`), memory virtualization for
 //!   over-provisioned workers, and the exhaustive search over µ.
@@ -24,6 +29,7 @@ pub mod cost;
 pub mod heterogeneous;
 pub mod homogeneous;
 pub mod runtime;
+pub mod schedule;
 pub mod single;
 
 pub use cost::{LuCost, LuProblem};

@@ -1,41 +1,44 @@
 //! Threaded LU execution with real arithmetic over the message layer.
 //!
-//! The counterpart of [`crate::homogeneous`]'s simulation: the master (the
-//! calling thread) drives the right-looking factorization of Section 7.2
-//! over [`mwp_msg`], one worker factoring pivots and updating panels, `P`
-//! workers updating core column groups in parallel — all with real `f64`
-//! arithmetic, verified against the serial blocked factorization.
+//! The master (the calling thread) walks [`crate::schedule::lu_schedule`]
+//! — the right-looking factorization of Section 7.2 as plain data — over
+//! [`mwp_msg`] through the product runtime's one master executor
+//! ([`mwp_core::runtime::execute`]): one worker factoring pivots and
+//! solving panels, every enrolled worker updating core row groups in
+//! parallel, all with real `f64` arithmetic, verified against the serial
+//! blocked factorization. [`crate::homogeneous`] simulates the same ops.
 //!
 //! # Message pattern
 //!
 //! The message layer moves self-describing dense sub-matrices (a tiny
-//! `rows × cols` header before the coefficients), several to a frame. One
-//! step of the factorization is:
+//! `rows × cols` header before the coefficients), several to a frame, one
+//! per region of the op ([`crate::schedule`] gives a step's ops and their
+//! order):
 //!
-//! 1. **`OP_PANEL`, one exchange on the pivot worker** (the lowest live
-//!    id): the pivot block, the vertical panel below it and the horizontal
-//!    panel right of it go out in one frame; the factored pivot and the
-//!    two solved panels come back in one reply — Section 7.2's aggregate
-//!    message to the one worker that owns the pivot chain, so the pivot
-//!    crosses the port once per step. The last step has no panels and
-//!    ships the pivot alone.
+//! 1. **`OP_PANEL`, one exchange on the pivot worker**: the pivot block,
+//!    the vertical panel below it and the horizontal panel right of it go
+//!    out in one frame; the factored pivot and the two solved panels come
+//!    back in one reply — Section 7.2's aggregate message to the one
+//!    worker that owns the pivot chain, so the pivot crosses the port once
+//!    per step. The last step has no panels and ships the pivot alone.
 //! 2. **`OP_SET_HORIZ`**: the solved horizontal panel — the B operand of
-//!    every core update — is encoded once and fanned out to the enrolled
-//!    workers as refcounted views of one buffer; each worker **packs it
-//!    once** for the dispatched kernel and keeps the pack resident for
-//!    the step.
-//! 3. **`OP_CORE`** per row group of the core, round-robin over the live
-//!    workers: its rows of the vertical panel and of the core out (all
-//!    groups first, so they compute in parallel), the updated rows back.
+//!    every core update — is encoded once and fanned out to the workers
+//!    that get a group as refcounted views of one buffer; each worker
+//!    **packs it once** for the dispatched kernel and keeps the pack
+//!    resident for the step.
+//! 3. **`OP_CORE`** per row group of the core, round-robin over the
+//!    enrolled workers: its rows of the vertical panel and of the core out
+//!    (all groups first, so they compute in parallel), the updated rows
+//!    back.
 //!
 //! The master never copies a panel out of its matrix or a reply into
 //! one: tasks are encoded straight from regions of the matrix and
 //! replies are stored straight over them. A task payload is an exact-size
 //! buffer freed once sent (a recycled one would grow to the largest
 //! message — the fused panel — and stay that size); workers build their
-//! replies in their endpoint's recycled pool. The simulation in
-//! [`crate::homogeneous`] models the paper's exact volumes (the core is
-//! square, so row groups move exactly the bytes column groups did).
+//! replies in their endpoint's recycled pool. Every frame is metered (and
+//! a paced link charged) at its true size in blocks, coefficients over
+//! `q²`.
 //!
 //! # Recovery
 //!
@@ -43,28 +46,30 @@
 //! *validated* reply mutates: a reply must decode (bounded, exact part
 //! count) and each part must have the shape the master sent. A worker
 //! that dies, stays silent past the liveness deadline, or answers with
-//! anything else is condemned; a panel exchange retries on the next
-//! lowest live worker, a lost core group is re-dispatched there, and the
-//! replayed task is the identical bytes — recovered runs are bit-identical
-//! to healthy ones. Losing the **whole** fleet aborts the run
-//! ([`LuRunOutcome::aborted`]); the session serves again once workers are
-//! admitted.
+//! anything else is condemned, and recovery is the executor's one rule:
+//! the ops it left undone are re-dispatched at the step's next barrier —
+//! every live link drained first — on the lowest live worker
+//! ([`crate::schedule::redispatch`]), a panel exchange and a lost core
+//! group alike, and the replayed task is the identical bytes — recovered
+//! runs are bit-identical to healthy ones. Losing the **whole** fleet
+//! aborts the run ([`LuRunOutcome::aborted`]); the session serves again
+//! once workers are admitted.
 //!
 //! Worker threads live in a persistent [`LuSession`]: spawned once per
 //! platform, parked on blocking receives between runs. [`run_lu`] is
 //! one-shot (a fresh session per call); repeated-factorization workloads
 //! hold an [`LuSession`] and call [`LuSession::run`].
 
+use crate::schedule::{lu_schedule, redispatch, LuOp, LuOpKind, Region};
 use mwp_blockmat::kernel::PackedB;
 use mwp_blockmat::lu::{lu_factor_in_place, trsm_left_unit_lower, trsm_right_upper, Dense};
 use mwp_blockmat::BlockMatrix;
-use mwp_msg::config::run_deadline;
+use mwp_core::runtime::{execute, Port};
 use mwp_msg::session::{serve_worker, RunExit, Session, RUN_ABORT, RUN_END};
 use mwp_msg::transport::SERVICE_LU;
 use mwp_msg::{Frame, FrameKind, Tag, TransportListener, TransportMode, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::{record, ActivityKind};
-use std::cell::Cell;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -94,6 +99,9 @@ pub struct LuRunOutcome {
     /// Frames moved through the master port (both ways), each carrying
     /// one to three dense sub-matrices.
     pub messages: u64,
+    /// Matrix blocks moved through the master port (both ways): every
+    /// frame's coefficients over `q²`.
+    pub blocks_moved: u64,
     /// Workers enrolled.
     pub workers_used: usize,
     /// `true` when the whole-run deadline (`MWP_RUN_DEADLINE_MS`) elapsed
@@ -114,14 +122,6 @@ pub struct LuRunOutcome {
 /// worker's payload buffer pool warm across runs.
 pub struct LuSession {
     inner: Session,
-    /// Last plan: (membership epoch, enrolled workers). LU enrolls the
-    /// whole fleet, so the plan is its size — but re-deriving it per
-    /// epoch makes re-planning on fleet change observable ([`LuSession::replans`])
-    /// and keeps the LU runtime on the same control-plane contract as
-    /// the matrix-product runtimes.
-    plan: std::sync::Mutex<Option<(u64, usize)>>,
-    /// Fresh plans computed (see [`LuSession::replans`]).
-    replans: std::sync::atomic::AtomicU64,
     /// Held by [`LuSession::run`] for its whole run: the LU worker program
     /// serves one run at a time (an interleaved `RUN_BEGIN` would be
     /// misread by an in-run worker), so concurrent callers take turns.
@@ -150,14 +150,9 @@ impl LuSession {
         Self::over(inner)
     }
 
-    /// Wrap a spawned/accepted fleet with fresh (empty) plan state.
+    /// Wrap a spawned/accepted fleet.
     fn over(inner: Session) -> Self {
-        LuSession {
-            inner,
-            plan: std::sync::Mutex::new(None),
-            replans: std::sync::atomic::AtomicU64::new(0),
-            run_lock: std::sync::Mutex::new(()),
-        }
+        LuSession { inner, run_lock: std::sync::Mutex::new(()) }
     }
 
     /// A session whose workers are **remote processes**: accepts one
@@ -180,46 +175,35 @@ impl LuSession {
         self.inner.platform()
     }
 
-    /// The fleet's membership epoch (see [`Session::epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch()
-    }
-
-    /// How many fresh enrollment plans this session has computed: one
-    /// for the first run, plus one per membership change that a later
-    /// run observed.
-    pub fn replans(&self) -> u64 {
-        self.replans.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The run's enrollment, re-planned whenever the fleet generation
-    /// changed since the last run.
-    fn plan_run(&self) -> usize {
-        let epoch = self.inner.epoch();
-        let mut plan = self.plan.lock().unwrap();
-        if let Some((e, enrolled)) = *plan {
-            if e == epoch {
-                return enrolled;
-            }
-        }
-        let enrolled = self.inner.workers();
-        self.replans.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        *plan = Some((epoch, enrolled));
-        enrolled
-    }
-
     /// Number of pooled workers.
     pub fn workers(&self) -> usize {
         self.inner.workers()
     }
 
-    /// Factor `matrix` on the pooled workers (see [`run_lu`]). Concurrent
-    /// callers serialize: a session factors one matrix at a time.
-    pub fn run(&self, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOutcome {
+    /// Factor `matrix` on the pooled workers (see [`run_lu`]):
+    /// [`lu_schedule`] in `mu`-block panels for the whole fleet,
+    /// [`execute`]d as one run. Concurrent callers serialize: a session
+    /// factors one matrix at a time.
+    pub fn run(&self, matrix: &BlockMatrix, mu: usize) -> LuRunOutcome {
+        validate_lu(matrix, mu);
         // The lock guards no data, so a poisoned one is still usable.
         let _exclusive =
             self.run_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        lu_on(self, matrix, mu_blocks)
+        let (enrolled, q) = (self.workers(), matrix.q());
+        let start = Instant::now();
+        let ops = lu_schedule(matrix.rows(), mu, enrolled);
+        let (port, completed) = execute(&self.inner, enrolled, q, ops, |master, gen| {
+            let (a, horiz) = (Dense::from_blocks(matrix), Default::default());
+            LuPort { master, gen, q, mu, a, horiz, messages: 0, blocks_moved: 0 }
+        });
+        LuRunOutcome {
+            packed: port.a,
+            wall: start.elapsed(),
+            messages: port.messages,
+            blocks_moved: port.blocks_moved,
+            workers_used: enrolled,
+            aborted: completed.is_err(),
+        }
     }
 
     /// Accept and enroll one more remote worker from `listener` between
@@ -234,9 +218,8 @@ impl LuSession {
     }
 
     /// Drop every worker declared dead, compacting the fleet and the
-    /// platform in lockstep (see [`Session::prune_dead`] — a non-empty
-    /// prune advances the membership epoch, so the next run re-plans its
-    /// enrollment). Returns how many were removed. Pruning the whole
+    /// platform in lockstep (see [`Session::prune_dead`]; every run enrolls
+    /// the fleet it finds). Returns how many were removed. Pruning the whole
     /// fleet leaves the session empty; [`LuSession::run`] aborts until
     /// an [`LuSession::admit`] repopulates it.
     pub fn prune_dead(&mut self) -> usize {
@@ -276,197 +259,106 @@ pub fn run_lu(
     out
 }
 
-/// Panics on malformed inputs; returns the panel width in coefficients.
-/// Pure, so the one-shot wrapper can reject bad calls before spawning a
-/// session.
-fn validate_lu(matrix: &BlockMatrix, mu_blocks: usize) -> usize {
+/// Panics on malformed inputs. Pure, so the one-shot wrapper can reject
+/// bad calls before spawning a session.
+fn validate_lu(matrix: &BlockMatrix, mu_blocks: usize) {
     let (n, m) = matrix.dims();
     assert_eq!(n, m, "LU needs a square matrix");
-    let nb = mu_blocks * matrix.q();
-    assert!(nb > 0, "panel width must be positive");
-    nb
+    assert!(mu_blocks * matrix.q() > 0, "panel width must be positive");
 }
 
-/// The master side of the factorization, executed as one run of
-/// `session`'s worker pool.
-fn lu_on(session: &LuSession, matrix: &BlockMatrix, mu_blocks: usize) -> LuRunOutcome {
-    let nb = validate_lu(matrix, mu_blocks);
-
-    let enrolled = session.plan_run();
-    let epoch = session.inner.begin_run(enrolled, matrix.q() as u32);
-    let port = LuPort {
-        master: session.inner.master(),
-        gen: epoch.generation(),
-        enrolled,
-        messages: Cell::new(0),
-    };
-
-    let start = Instant::now();
-    let mut a = Dense::from_blocks(matrix);
-    let completed = port.factor(&mut a, nb, start).is_some();
-    if completed {
-        session.inner.finish_run(enrolled, epoch);
-    } else {
-        session.inner.abort_run(enrolled, epoch);
-    }
-
-    LuRunOutcome {
-        packed: a,
-        wall: start.elapsed(),
-        messages: port.messages.get(),
-        workers_used: enrolled,
-        aborted: !completed,
-    }
-}
-
-/// The master's side of one open LU run: every task frame goes out stamped
-/// with the run's generation and every result is received scoped to it.
+/// The master's side of one open LU run: the matrix being factored in
+/// place, every task frame stamped with the run's generation and every
+/// result received scoped to it.
 struct LuPort<'a> {
     master: &'a mwp_msg::MasterEndpoint,
     gen: u32,
-    enrolled: usize,
+    q: usize,
+    /// Panel width in blocks.
+    mu: usize,
+    /// The matrix: tasks are encoded from it, validated replies stored
+    /// over it. After an aborted run, a partial factorization.
+    a: Dense,
+    /// The `OP_SET_HORIZ` task being fanned out: its op's regions and
+    /// their encoding. Empty once any other task is sent.
+    horiz: (Vec<Region>, bytes::Bytes),
     /// Frames that crossed the port, either way.
-    messages: Cell<u64>,
+    messages: u64,
+    /// Blocks those frames carried.
+    blocks_moved: u64,
+}
+
+impl Port for LuPort<'_> {
+    type Op = LuOp;
+
+    fn worker(op: &LuOp) -> WorkerId {
+        op.worker
+    }
+
+    /// A `Panel` reads what the whole step before it stored, and the
+    /// whole step after it reads what it stores: a barrier on both sides.
+    fn same_phase(op: &LuOp, next: &LuOp) -> bool {
+        op.kind != LuOpKind::Panel && next.kind != LuOpKind::Panel
+    }
+
+    fn perform(&mut self, op: &LuOp) -> bool {
+        match op.kind {
+            LuOpKind::Panel => self.send(op, OP_PANEL) && self.recv(op),
+            LuOpKind::SetHoriz => self.send(op, OP_SET_HORIZ),
+            LuOpKind::Core => self.send(op, OP_CORE),
+            LuOpKind::Collect => self.recv(op),
+        }
+    }
+
+    fn redispatch(&self, undone: Vec<LuOp>, live: &[WorkerId]) -> Option<Vec<LuOp>> {
+        live.first().map(|&lowest| redispatch(&undone, lowest, self.mu))
+    }
 }
 
 impl LuPort<'_> {
-    /// Factor `a` in place in `nb`-wide steps. `None` — with `a` a partial
-    /// factorization — when the whole-run budget (`MWP_RUN_DEADLINE_MS`,
-    /// checked once per step, the coarsest unit after which `a` is still
-    /// consistent) elapsed or no live worker is left to serve an op.
-    fn factor(&self, a: &mut Dense, nb: usize, start: Instant) -> Option<()> {
-        let deadline = run_deadline();
-        let n = a.rows();
-        for k0 in (0..n).step_by(nb) {
-            if deadline.is_some_and(|budget| start.elapsed() > budget) {
-                return None;
-            }
-            let k1 = (k0 + nb).min(n);
-            // --- 1–3. Pivot factorization, vertical panel (x ← x·U⁻¹)
-            //     and horizontal panel (y ← L⁻¹·y): one exchange on the
-            //     pivot worker, or the pivot alone on the last step. ------
-            let (vert, horiz) = ((k1..n, k0..k1), (k0..k1, k1..n));
-            let panel = [(k0..k1, k0..k1), vert, horiz.clone()];
-            self.pivot_exchange(a, if k1 < n { &panel } else { &panel[..1] })?;
-            if k1 == n {
-                break;
-            }
+    /// `op`'s block regions as regions of `a`.
+    fn regions(&self, op: &LuOp) -> Vec<Region> {
+        let scale = |blocks: &Range<usize>| blocks.start * self.q..blocks.end * self.q;
+        op.regions.iter().map(|(rows, cols)| (scale(rows), scale(cols))).collect()
+    }
 
-            // --- 4. Core update, row groups round-robin over the live
-            //        fleet. ----------------------------------------------
-            // The core is square, so nb-deep row groups are exactly as
-            // many (and as large) as the nb-wide column groups used
-            // before — but partitioning by rows makes the *horizontal*
-            // panel the operand shared by every group, which the worker
-            // packs once per step and reuses across all its groups.
-            let groups: Vec<_> = (k1..n).step_by(nb).map(|r0| r0..(r0 + nb).min(n)).collect();
-            let live: Vec<WorkerId> = self.live().collect();
-            if live.is_empty() {
-                return None;
-            }
-            // The horizontal panel is common to every core update of this
-            // step: encode it once and fan the same buffer out to each
-            // worker that will compute at least one group (a refcount
-            // bump per send, zero copies). A worker the fanout fails on
-            // is condemned; its groups go to the re-dispatch pass below.
-            let horiz_payload = encode_regions(a, &[horiz]);
-            let mut got_horiz = vec![false; self.enrolled];
-            for w in live.iter().take(groups.len()) {
-                got_horiz[w.index()] = self.send_payload(*w, OP_SET_HORIZ, horiz_payload.clone());
-            }
-            // Ship every group first (parallel compute), then collect:
-            // out its rows of the vertical panel and of the core, back
-            // the core rows.
-            let ship = |a: &Dense, to: WorkerId, g: &Range<usize>| {
-                let task = encode_regions(a, &[(g.clone(), k0..k1), (g.clone(), k1..n)]);
-                self.send_payload(to, OP_CORE, task)
-            };
-            let collect = |a: &mut Dense, from: WorkerId, g: &Range<usize>| {
-                self.recv_into(a, from, &[(g.clone(), k1..n)])
-            };
-            let assigned: Vec<Option<WorkerId>> = (groups.iter().zip(live.iter().cycle()))
-                .map(|(g, &to)| (got_horiz[to.index()] && ship(a, to, g)).then_some(to))
-                .collect();
-            // Collect every group before re-dispatching any: a survivor's
-            // link must be drained of its own groups' replies before it
-            // is asked for another. `a` is only mutated by a validated
-            // reply, so a lost group's inputs (its rows of the vertical
-            // panel and of the core) are still pristine on the master and
-            // replay bit-identically on whichever survivor takes it.
-            let mut lost = Vec::new();
-            for (g, from) in groups.iter().zip(assigned) {
-                if !from.is_some_and(|w| collect(a, w, g)) {
-                    lost.push(g);
-                }
-            }
-            // Re-dispatch pass: serve each lost group on the lowest live
-            // worker, re-sending OP_SET_HORIZ first — the survivor's
-            // resident panel install is idempotent, and a worker beyond
-            // the original fanout never had it.
-            for g in lost {
-                loop {
-                    let wid = self.live().next()?;
-                    if self.send_payload(wid, OP_SET_HORIZ, horiz_payload.clone())
-                        && ship(a, wid, g)
-                        && collect(a, wid, g)
-                    {
-                        break;
-                    }
-                }
-            }
+    /// Failure-aware task send of `op`'s regions of `a`: `false` (with the
+    /// worker condemned) when its link is dead. Consecutive installs of
+    /// one panel — a step's fan-out, with no reply stored in between — are
+    /// refcounted views of one encoding; any other task's buffer is its
+    /// frame's alone, freed once sent.
+    fn send(&mut self, op: &LuOp, code: usize) -> bool {
+        if self.horiz.0 != op.regions {
+            self.horiz = (op.regions.clone(), encode_regions(&self.a, &self.regions(op)));
         }
-        Some(())
-    }
-
-    /// The enrolled workers not yet condemned, lowest id first.
-    fn live(&self) -> impl Iterator<Item = WorkerId> + '_ {
-        (0..self.enrolled).map(WorkerId).filter(|&w| !self.master.is_dead(w))
-    }
-
-    /// Run the step's `OP_PANEL` exchange on the lowest live worker
-    /// (historically worker 0, and still worker 0 until it dies): ship
-    /// `panel`'s regions of `a`, store the reply over them. Retries on the
-    /// next-lowest worker when that one is condemned mid-exchange — `a`
-    /// is untouched until a reply validates, so a retry replays the
-    /// identical task; `None` when the whole fleet is dead.
-    fn pivot_exchange(&self, a: &mut Dense, panel: &[Region]) -> Option<()> {
-        loop {
-            let wid = self.live().next()?;
-            if self.send_payload(wid, OP_PANEL, encode_regions(a, panel))
-                && self.recv_into(a, wid, panel)
-            {
-                return Some(());
-            }
-            // `wid` was condemned by the failed send or receive; the next
-            // loop iteration lands on the next-lowest live worker.
+        let payload =
+            if code == OP_SET_HORIZ { self.horiz.1.clone() } else { std::mem::take(&mut self.horiz).1 };
+        let frame = Frame::new_in_run(Tag::new(FrameKind::LuPanel, code, 0), self.gen, payload);
+        let sent = self.master.try_send(op.worker, frame, op.blocks()).is_some();
+        if sent {
+            self.meter(op);
         }
-    }
-
-    /// Failure-aware task send: `false` (with `to` condemned) when the
-    /// worker's link is dead. Block accounting: total coefficients / q²
-    /// is what the cost model would count; the runtime meters whole
-    /// messages instead.
-    fn send_payload(&self, to: WorkerId, op: usize, payload: bytes::Bytes) -> bool {
-        let frame = Frame::new_in_run(Tag::new(FrameKind::LuPanel, op, 0), self.gen, payload);
-        let sent = self.master.try_send(to, frame, 1).is_some();
-        self.messages.set(self.messages.get() + u64::from(sent));
         sent
     }
 
-    /// Failure-aware result receive: store `from`'s reply over `regions`
-    /// of `a` — what the master sent, so what an honest worker returns.
-    /// `false`, with `a` untouched and `from` marked dead, when the worker
-    /// dies, stays silent past the liveness deadline, or answers with
-    /// anything but exactly those shapes.
-    fn recv_into(&self, a: &mut Dense, from: WorkerId, regions: &[Region]) -> bool {
-        let stored = self.master.recv_deadline(from, self.gen, 1).is_some_and(|(frame, _)| {
-            self.messages.set(self.messages.get() + 1);
-            store_regions(a, regions, &frame.payload)
-        });
-        if !stored {
-            self.master.mark_dead(from);
-        }
-        stored
+    /// Failure-aware result receive: store the worker's reply over `op`'s
+    /// regions of `a` — what the master sent, so what an honest worker
+    /// returns. `false`, with `a` untouched, when it dies, stays silent
+    /// past the liveness deadline, or answers with anything but exactly
+    /// those shapes.
+    fn recv(&mut self, op: &LuOp) -> bool {
+        let regions = self.regions(op);
+        let reply = self.master.recv_deadline(op.worker, self.gen, op.blocks());
+        reply.is_some_and(|(frame, _)| {
+            self.meter(op);
+            store_regions(&mut self.a, &regions, &frame.payload)
+        })
+    }
+
+    /// Count a frame of `op` that crossed the port.
+    fn meter(&mut self, op: &LuOp) {
+        self.messages += 1;
+        self.blocks_moved += op.blocks();
     }
 }
 
@@ -498,30 +390,29 @@ fn serve_lu_run(ep: &WorkerEndpoint, horiz_pack: &mut PackedB) -> RunExit {
         };
         match frame.tag.kind {
             FrameKind::Shutdown => return RunExit::Terminate,
-            FrameKind::Control if frame.tag.i == RUN_END => return RunExit::Completed,
-            // Cooperative abort: the master gave up on this run. The
-            // pack buffer's capacity stays warm for the next run, exactly
-            // as on a normal RUN_END.
-            FrameKind::Control if frame.tag.i == RUN_ABORT => return RunExit::Completed,
-            // Any other control frame here means the master aborted a run
-            // without closing it and the session was reused (a fresh
-            // RUN_BEGIN would otherwise be fed to decode_parts): fail
-            // loudly instead of factoring against stale state.
-            FrameKind::Control => panic!(
-                "control frame {} inside an LU run: session reused after an aborted run",
-                frame.tag.i
-            ),
-            _ => {}
+            // Orderly end, or cooperative abort (the master gave up on this
+            // run): either way the pack buffer's capacity stays warm for
+            // the next run.
+            FrameKind::Control if matches!(frame.tag.i, RUN_END | RUN_ABORT) => {
+                return RunExit::Completed
+            }
+            FrameKind::LuPanel => {}
+            // Anything else — a `RUN_BEGIN` included: the master aborted a
+            // run without closing it and reused the session — would be
+            // factored against stale state: drop the link instead.
+            _ => return RunExit::Terminate,
         }
-        debug_assert_eq!(frame.tag.kind, FrameKind::LuPanel);
         // One Compute span per LU op served (the worker's occupancy unit,
         // matching the sim's per-task granularity), subdivided on the
         // detail track: `factor` / `trsm` / `core` kernel spans and the
         // once-per-step panel pack.
         let tc = record::begin();
-        // The master is this program: its frames are well-formed, and the
-        // part counts below are what it sends for each op.
-        let mut parts = decode_parts(&frame.payload).expect("malformed LU task from the master");
+        // The task arrived over a link, so nothing about it is trusted to
+        // be what the master program sends: a payload that does not
+        // decode, an unknown op, an op with the wrong part count or a core
+        // update before any panel install drops the link — the master
+        // sees a dead worker — instead of unwinding this thread.
+        let Some(mut parts) = decode_parts(&frame.payload) else { return RunExit::Terminate };
         let (op, run) = (frame.tag.i as usize, frame.run);
         let tk = record::begin();
         match (op, &mut parts[..]) {
@@ -544,13 +435,12 @@ fn serve_lu_run(ep: &WorkerEndpoint, horiz_pack: &mut PackedB) -> RunExit {
                 horiz_installed = true;
                 continue; // stateful install: nothing to send back
             }
-            (OP_CORE, [vert_g, core_g]) => {
-                assert!(horiz_installed, "OP_SET_HORIZ must precede OP_CORE (FIFO order)");
+            (OP_CORE, [vert_g, core_g]) if horiz_installed => {
                 core_g.sub_mul_prepacked(kernel, vert_g, horiz_pack);
                 record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "core");
                 parts.remove(0);
             }
-            (op, parts) => unreachable!("LU op {op} with {} parts", parts.len()),
+            _ => return RunExit::Terminate,
         }
         record::worker_span(ep.id(), ActivityKind::Compute, tc, run, "LU op");
         let whole: Vec<Region> = parts.iter().map(|d| (0..d.rows(), 0..d.cols())).collect();
@@ -571,9 +461,6 @@ pub fn serve_remote(ep: WorkerEndpoint) {
     let mut program = move |_q: u32, ep: &WorkerEndpoint| serve_lu_run(ep, &mut horiz_pack);
     serve_worker(ep, &mut program);
 }
-
-/// A rectangle of a [`Dense`]: its row range and its column range.
-type Region = (Range<usize>, Range<usize>);
 
 /// Total encoded size of parts shaped like `regions`.
 fn wire_len(regions: &[Region]) -> usize {
@@ -806,10 +693,76 @@ mod tests {
     }
 
     #[test]
+    fn metered_blocks_are_the_lowered_frames_and_the_closed_form() {
+        use crate::cost::{scheduled_comm, LuProblem};
+        // Ragged sizes included: (r, µ, workers).
+        for (r, mu, p) in [(12, 2, 2), (6, 2, 3), (7, 3, 2), (5, 2, 1), (4, 4, 2)] {
+            let matrix = random_diagonally_dominant(r, 2, 60);
+            let out = run_lu(&platform(p), &matrix, mu, 0.0);
+            let frames: Vec<_> = lu_schedule(r, mu, p).iter().flat_map(crate::schedule::lower).collect();
+            let lowered: u64 = frames
+                .iter()
+                .map(|frame| match frame {
+                    mwp_sim::Decision::Send { blocks, .. } | mwp_sim::Decision::Recv { blocks, .. } => *blocks,
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!((out.blocks_moved, out.messages), (lowered, frames.len() as u64), "{r} x {r}, µ = {mu}, {p} workers");
+            if r % mu == 0 {
+                assert_eq!(lowered as f64, scheduled_comm(LuProblem::new(r, mu), p));
+            }
+        }
+        // The benchmark's shape: 904 blocks in 51 frames, where the model
+        // counts 1 008.
+        let out = run_lu(&platform(2), &random_diagonally_dominant(12, 2, 61), 2, 0.0);
+        assert_eq!((out.blocks_moved, out.messages), (904, 51));
+        assert_eq!(LuProblem::new(12, 2).total().comm, 1008.0);
+    }
+
+    #[test]
+    fn a_paced_link_is_charged_each_frames_true_size() {
+        // One worker, c = 1, 1 ms per block: 4 × 4 blocks at µ = 2 are 7
+        // frames of 48 blocks in all, so the run takes at least 48 ms — a
+        // per-message meter would charge it 7.
+        let matrix = random_diagonally_dominant(4, 2, 62);
+        let session = LuSession::with_transport(&platform(1), 1e-3, TransportMode::Channel);
+        let out = session.run(&matrix, 2);
+        session.shutdown();
+        assert_eq!((out.messages, out.blocks_moved), (7, 48));
+        assert!(out.wall.as_secs_f64() >= out.blocks_moved as f64 * 1e-3, "{:?} for {} blocks", out.wall, out.blocks_moved);
+    }
+
+    #[test]
+    fn a_malformed_task_drops_the_link_without_unwinding_the_worker() {
+        // What arrives on a link is not trusted to be what the master
+        // program sends: a torn payload, an unknown op code and a core
+        // update before any panel install each close the link — the master sees a dead worker — and the
+        // worker thread returns instead of panicking (`shutdown` re-raises
+        // a worker's panic).
+        let core_task = encode_parts(&[&Dense::identity(2), &Dense::zeros(2, 4)]);
+        let torn = core_task[..core_task.len() - 3].to_vec();
+        for (what, op, payload) in [
+            ("torn payload", OP_PANEL, torn),
+            ("unknown op", 7, encode_parts(&[&Dense::identity(2)])),
+            ("core before install", OP_CORE, core_task),
+        ] {
+            let session = LuSession::with_transport(&platform(1), 0.0, TransportMode::Channel);
+            let epoch = session.inner.begin_run(1, 2);
+            let master = session.inner.master();
+            let tag = Tag::new(FrameKind::LuPanel, op, 0);
+            let frame = Frame::new_in_run(tag, epoch.generation(), payload.into());
+            assert!(master.try_send(WorkerId(0), frame, 1).is_some(), "{what}");
+            assert!(master.recv_deadline(WorkerId(0), epoch.generation(), 1).is_none(), "{what}: a reply");
+            session.inner.abort_run(1, epoch);
+            assert_eq!(session.shutdown(), 1, "{what}: the worker thread must return, not unwind");
+        }
+    }
+
+    #[test]
     fn concurrent_callers_take_turns_on_one_session() {
         // The LU worker serves one run at a time: a second caller's
-        // RUN_BEGIN landing inside the first caller's run would panic the
-        // worker, which `shutdown` would re-raise here.
+        // RUN_BEGIN landing inside the first caller's run would make the
+        // worker drop its link, and the session would count it dead.
         let session = LuSession::new(&platform(2), 0.0);
         let jobs: Vec<_> = (0..2u64)
             .map(|j| {
@@ -831,6 +784,7 @@ mod tests {
                 });
             }
         });
+        assert_eq!(session.dead_workers(), 0);
         assert_eq!(session.shutdown(), 2);
     }
 

@@ -238,16 +238,22 @@ impl MasterEndpoint {
         self.recv_timeout(from, run, blocks, self.liveness.map(|(_, deadline)| deadline))
     }
 
-    /// Whether `w`'s link has been declared dead.
+    /// Whether `w`'s link has been declared dead — or `w` is no member of
+    /// the fleet at all (a schedule for an emptied fleet still names
+    /// worker 0).
     pub fn is_dead(&self, w: WorkerId) -> bool {
-        self.links[w.index()].is_dead()
+        self.links.get(w.index()).is_none_or(|link| link.is_dead())
     }
 
     /// Permanently declare `w` dead: no further frame is sent to or
     /// accepted from its link this session (a wedged worker waking up
-    /// late must not inject stale frames into a later exchange).
+    /// late must not inject stale frames into a later exchange). A no-op
+    /// for a `w` outside the fleet, which [`MasterEndpoint::is_dead`]
+    /// already reports dead.
     pub fn mark_dead(&self, w: WorkerId) {
-        self.links[w.index()].mark_dead();
+        if let Some(link) = self.links.get(w.index()) {
+            link.mark_dead();
+        }
     }
 
     /// Append a link for a newly enrolled worker (elastic membership);

@@ -83,14 +83,15 @@ fn deadline_breach_aborts_the_run_and_the_session_serves_the_next_one() {
     reference.shutdown();
 
     // --- Leg 2: LU on its own paced fleet, same contract. ------------
-    // LU meters one model block per message, so pace the messages
-    // themselves: 2 ms each makes the factorization breach 5 ms by its
-    // second panel step.
+    // LU meters every frame at its true size in blocks, so pace the
+    // blocks: at 0.2 ms each, step 0's panel exchange alone (20 blocks out,
+    // 20 back) breaches 5 ms, and the whole factorization (144 blocks) is
+    // 29 ms.
     let lu_platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
     let lu_listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let lu_endpoint = lu_listener.endpoint();
     let lu_children: Vec<Child> = (0..2).map(|_| spawn_worker(&lu_endpoint)).collect();
-    let lu_remote = LuSession::accept_remote(&lu_platform, 2e-3, &lu_listener).unwrap();
+    let lu_remote = LuSession::accept_remote(&lu_platform, 2e-4, &lu_listener).unwrap();
     let matrix = random_diagonally_dominant(6, 4, 9600);
 
     std::env::set_var("MWP_RUN_DEADLINE_MS", "5");
