@@ -23,11 +23,13 @@
 //!
 //! Exit status is non-zero when any phase exceeds `--tolerance` (default
 //! 25% relative error), making the harness usable as a CI fidelity gate.
-//! The transport follows `MWP_TRANSPORT`, so the same invocation validates
-//! in-process channels and loopback sockets.
+//! `--transport channel|tcp|uds` (default `channel`) picks what carries
+//! the frames, so the same harness validates in-process channels and
+//! loopback sockets.
 //!
 //! ```text
 //! cargo run --release -p mwp-bench --bin replay_diff -- --tolerance 0.25
+//! cargo run --release -p mwp-bench --bin replay_diff -- --transport tcp
 //! ```
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
@@ -36,6 +38,8 @@ use mwp_core::schedule::{Replay, Schedule};
 use mwp_core::session::RuntimeSession;
 use mwp_lu::runtime::LuSession;
 use mwp_lu::schedule::{lower, lu_schedule};
+use mwp_msg::config::parse_transport_mode;
+use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId, WorkerParams};
 use mwp_sim::{Decision, Simulator};
 use mwp_trace::record::Capture;
@@ -140,39 +144,37 @@ struct Args {
     q: usize,
     workers: usize,
     time_scale: f64,
+    transport: TransportMode,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args =
-        Args { tolerance: 0.25, q: 16, workers: 4, time_scale: 2e-4 };
+    let mut args = Args {
+        tolerance: 0.25,
+        q: 16,
+        workers: 4,
+        time_scale: 2e-4,
+        transport: TransportMode::Channel,
+    };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?
+                args.tolerance = value()?.parse().map_err(|e| format!("{flag}: {e}"))?
             }
-            "--q" => {
-                args.q =
-                    value("--q")?.parse().map_err(|e| format!("--q: {e}"))?
-            }
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
+            "--q" => args.q = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
+            "--workers" => args.workers = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
             "--time-scale" => {
-                args.time_scale = value("--time-scale")?
-                    .parse()
-                    .map_err(|e| format!("--time-scale: {e}"))?
+                args.time_scale = value()?.parse().map_err(|e| format!("{flag}: {e}"))?
+            }
+            "--transport" => {
+                args.transport =
+                    parse_transport_mode(&value()?).map_err(|e| format!("{flag}: {e}"))?
             }
             other => {
                 return Err(format!(
-                    "unknown flag {other} (valid: --tolerance --q --workers --time-scale)"
+                    "unknown flag {other} \
+                     (valid: --tolerance --q --workers --time-scale --transport)"
                 ))
             }
         }
@@ -282,7 +284,7 @@ fn main() -> ExitCode {
         "replay_diff: HoLM {r}x{t}x{s}, q={q}, {} workers, time_scale={}, transport={:?}",
         args.workers,
         args.time_scale,
-        mwp_msg::config::transport_mode(),
+        args.transport,
     );
 
     // Measure: one real run under the span recorder. The capture is ended
@@ -291,7 +293,7 @@ fn main() -> ExitCode {
     let b = random_matrix(t, s, q, 11);
     let c0 = random_matrix(r, s, q, 12);
     let capture = Capture::begin();
-    let session = RuntimeSession::new(&pf, args.time_scale);
+    let session = RuntimeSession::with_transport(&pf, args.time_scale, args.transport);
     let outcome = session.run_holm(&a, &b, c0).expect("real run succeeds");
     let trace = capture.end();
     session.shutdown();
@@ -309,7 +311,7 @@ fn main() -> ExitCode {
     println!("replay_diff: LU {r}x{r} blocks, µ={mu}, same fleet and pacing");
     let matrix = random_diagonally_dominant(r, q, 13);
     let capture = Capture::begin();
-    let session = LuSession::new(&pf, args.time_scale);
+    let session = LuSession::with_transport(&pf, args.time_scale, args.transport);
     let outcome = session.run(&matrix, mu);
     let trace = capture.end();
     session.shutdown();

@@ -88,12 +88,6 @@ impl BlockMatrix {
         &mut self.blocks[i * self.cols + j]
     }
 
-    /// Replace block `(i, j)` (e.g. when a result returns to the master).
-    pub fn set_block(&mut self, i: usize, j: usize, b: Block) {
-        assert_eq!(b.q(), self.q, "block side mismatch");
-        *self.block_mut(i, j) = b;
-    }
-
     /// Read a single element by global `(row, col)` coordinates.
     pub fn get(&self, row: usize, col: usize) -> f64 {
         let b = self.block(row / self.q, col / self.q);

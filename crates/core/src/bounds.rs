@@ -63,12 +63,6 @@ pub fn ccr_toledo_asymptotic(m: usize) -> f64 {
     2.0 / ((m / 3) as f64).sqrt()
 }
 
-/// The work bound from the Loomis–Whitney inequality for given numbers of
-/// accessed elements: `K = sqrt(N_A · N_B · N_C)`.
-pub fn loomis_whitney_k(n_a: f64, n_b: f64, n_c: f64) -> f64 {
-    (n_a * n_b * n_c).sqrt()
-}
-
 /// The normalized objective of the Section 4.2 optimization: with
 /// `α + β + γ ≤ 2` (elements accessed per `m` communications, in units of
 /// `m`), the work per `m√m q³` is `k = sqrt(α·β·γ)`. The optimum is

@@ -38,7 +38,6 @@ use bytes::Bytes;
 use mwp_blockmat::kernel::PackedB;
 use mwp_blockmat::{Block, BlockMatrix, SharedPayloads};
 use mwp_msg::session::{RunExit, RUN_ABORT, RUN_BEGIN, RUN_END};
-use mwp_msg::config::run_deadline;
 use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::{record, ActivityKind};
@@ -101,7 +100,7 @@ pub enum RuntimeError {
     /// The session's fleet has no workers (every member was pruned);
     /// admit a worker before running.
     EmptyFleet,
-    /// The whole-run deadline (`MWP_RUN_DEADLINE_MS`) elapsed before the
+    /// The whole-run deadline ([`RuntimeSession::set_run_deadline`]) elapsed before the
     /// run finished.  The master broadcast `RUN_ABORT`, the workers
     /// re-parked with their scratch intact, and the session is still
     /// serving — the next run on it starts from a clean generation.
@@ -122,7 +121,7 @@ impl std::fmt::Display for RuntimeError {
                 write!(f, "no workers enrolled: the fleet is empty")
             }
             RuntimeError::RunAborted => {
-                write!(f, "run aborted: the whole-run deadline (MWP_RUN_DEADLINE_MS) elapsed")
+                write!(f, "run aborted: the whole-run deadline elapsed")
             }
         }
     }
@@ -306,8 +305,8 @@ pub trait Port {
 /// it. With no live worker left to adopt, the run is aborted
 /// ([`RuntimeError::EmptyFleet`]).
 ///
-/// The whole-run budget (`MWP_RUN_DEADLINE_MS`, counted from before the
-/// port is opened) is checked before every op, and ends the run with
+/// The whole-run budget ([`mwp_msg::Session::run_deadline`], counted from
+/// before the port is opened) is checked before every op, and ends the run with
 /// [`RuntimeError::RunAborted`]. The executor takes no lock: callers
 /// whose worker program serves one run at a time, or that cannot bound
 /// the workers' resident memory across overlapping runs, serialize
@@ -326,7 +325,7 @@ pub fn execute<'s, P: Port>(
     let (master, gen) = (session.master(), epoch.generation());
     let start = Instant::now();
     let mut port = open(master, gen);
-    let deadline = run_deadline();
+    let deadline = session.run_deadline();
     for phase in ops.chunk_by(P::same_phase) {
         let mut todo = phase;
         let mut redo: Vec<P::Op>;

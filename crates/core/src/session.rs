@@ -46,6 +46,7 @@ use crate::runtime::{
 };
 use crate::selection::incremental::SelectionRule;
 use mwp_blockmat::BlockMatrix;
+use mwp_msg::config::Config;
 use mwp_msg::session::Session;
 use mwp_msg::transport::SERVICE_MATRIX;
 use mwp_msg::{TransportListener, TransportMode, WorkerEndpoint};
@@ -97,16 +98,16 @@ impl RuntimeSession {
     /// Spawn the pool: one parked worker thread per platform worker, each
     /// holding its scratch state (and its endpoint's payload buffer pool)
     /// across runs. `time_scale` paces the links (0 = off), exactly as in
-    /// the one-shot entry points. The frame transport under the pool
-    /// follows `MWP_TRANSPORT` (in-process channels by default, loopback
-    /// TCP/Unix sockets otherwise — same workers, same programs).
+    /// the one-shot entry points. The frames travel over in-process
+    /// channels.
     pub fn new(platform: &Platform, time_scale: f64) -> Self {
-        Self::with_transport(platform, time_scale, mwp_msg::config::transport_mode())
+        Self::with_transport(platform, time_scale, TransportMode::Channel)
     }
 
-    /// [`RuntimeSession::new`] with an explicit transport, ignoring
-    /// `MWP_TRANSPORT` — how tests cross-validate the channel and socket
-    /// backends bit-for-bit inside one process.
+    /// [`RuntimeSession::new`] with an explicit transport (loopback
+    /// TCP/Unix sockets: same workers, same programs) — how tests
+    /// cross-validate the channel and socket backends bit-for-bit inside
+    /// one process.
     pub fn with_transport(platform: &Platform, time_scale: f64, mode: TransportMode) -> Self {
         let inner = Session::spawn_with_transport(platform, time_scale, mode, |_, params| {
             let memory_cap = params.m;
@@ -130,7 +131,9 @@ impl RuntimeSession {
     /// A session whose workers are **remote processes** (`mwp-worker`
     /// binaries, typically): accepts one enrollment per platform worker
     /// from `listener` and answers each with its link/memory parameters
-    /// and the matrix-product service id. Runs, statistics, and shutdown
+    /// and the matrix-product service id, under the deployment's `config`
+    /// (secret, liveness, run budget — see [`Session::accept_remote`]).
+    /// Runs, statistics, and shutdown
     /// behave exactly as on a local session — results are bit-identical
     /// because the remote workers execute the same Algorithm 2 program
     /// against the same frames.
@@ -138,9 +141,10 @@ impl RuntimeSession {
         platform: &Platform,
         time_scale: f64,
         listener: &TransportListener,
+        config: &Config,
     ) -> std::io::Result<Self> {
-        let inner = Session::accept_remote(platform, time_scale, listener, SERVICE_MATRIX)?;
-        Ok(Self::over(inner))
+        Session::accept_remote(platform, time_scale, listener, SERVICE_MATRIX, config)
+            .map(Self::over)
     }
 
     /// Fingerprint bytes each worker presented at enrollment (empty per
@@ -303,6 +307,13 @@ impl RuntimeSession {
     /// [`RuntimeError::EmptyFleet`] until an `admit` repopulates it.
     pub fn prune_dead(&mut self) -> usize {
         self.inner.prune_dead().len()
+    }
+
+    /// Set or lift (`None`) the whole-run budget of the runs that follow
+    /// (see [`Session::set_run_deadline`]): a run that outlasts it returns
+    /// [`RuntimeError::RunAborted`] and leaves the session serving.
+    pub fn set_run_deadline(&mut self, budget: Option<std::time::Duration>) {
+        self.inner.set_run_deadline(budget);
     }
 
     /// How many enrolled workers are currently flagged dead.

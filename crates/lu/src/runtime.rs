@@ -65,6 +65,7 @@ use mwp_blockmat::kernel::PackedB;
 use mwp_blockmat::lu::{lu_factor_in_place, trsm_left_unit_lower, trsm_right_upper, Dense};
 use mwp_blockmat::BlockMatrix;
 use mwp_core::runtime::{execute, Port};
+use mwp_msg::config::Config;
 use mwp_msg::session::{serve_worker, RunExit, Session, RUN_ABORT, RUN_END};
 use mwp_msg::transport::SERVICE_LU;
 use mwp_msg::{Frame, FrameKind, Tag, TransportListener, TransportMode, WorkerEndpoint};
@@ -104,7 +105,7 @@ pub struct LuRunOutcome {
     pub blocks_moved: u64,
     /// Workers enrolled.
     pub workers_used: usize,
-    /// `true` when the whole-run deadline (`MWP_RUN_DEADLINE_MS`) elapsed
+    /// `true` when the whole-run deadline ([`LuSession::set_run_deadline`]) elapsed
     /// or every enrolled worker was lost, and the master broadcast
     /// `RUN_ABORT` instead of finishing: `packed` then holds a **partial**
     /// factorization and must be discarded. The session itself stays
@@ -130,15 +131,15 @@ pub struct LuSession {
 
 impl LuSession {
     /// Spawn the pool for `platform`. `time_scale` paces the links
-    /// (0 = off), exactly as in [`run_lu`]. The frame transport follows
-    /// `MWP_TRANSPORT` (channels by default, loopback sockets otherwise).
+    /// (0 = off), exactly as in [`run_lu`]. The frames travel over
+    /// in-process channels.
     pub fn new(platform: &Platform, time_scale: f64) -> Self {
-        Self::with_transport(platform, time_scale, mwp_msg::config::transport_mode())
+        Self::with_transport(platform, time_scale, TransportMode::Channel)
     }
 
-    /// [`LuSession::new`] with an explicit transport, ignoring
-    /// `MWP_TRANSPORT` — how tests cross-validate the channel and socket
-    /// backends bit-for-bit inside one process.
+    /// [`LuSession::new`] with an explicit transport (loopback sockets) —
+    /// how tests cross-validate the channel and socket backends
+    /// bit-for-bit inside one process.
     pub fn with_transport(platform: &Platform, time_scale: f64, mode: TransportMode) -> Self {
         let inner = Session::spawn_with_transport(platform, time_scale, mode, |_, _| {
             // The horizontal-panel pack buffer lives in the worker
@@ -157,15 +158,16 @@ impl LuSession {
 
     /// A session whose workers are **remote processes**: accepts one
     /// enrollment per platform worker from `listener`, announcing the LU
-    /// service id so each `mwp-worker` runs the LU op server. Driven
+    /// service id so each `mwp-worker` runs the LU op server, under the
+    /// deployment's `config` (see [`Session::accept_remote`]). Driven
     /// exactly like a local session; results are bit-identical.
     pub fn accept_remote(
         platform: &Platform,
         time_scale: f64,
         listener: &TransportListener,
+        config: &Config,
     ) -> std::io::Result<Self> {
-        let inner = Session::accept_remote(platform, time_scale, listener, SERVICE_LU)?;
-        Ok(Self::over(inner))
+        Session::accept_remote(platform, time_scale, listener, SERVICE_LU, config).map(Self::over)
     }
 
     /// The current fleet as a platform description — `None` after every
@@ -224,6 +226,13 @@ impl LuSession {
     /// an [`LuSession::admit`] repopulates it.
     pub fn prune_dead(&mut self) -> usize {
         self.inner.prune_dead().len()
+    }
+
+    /// Set or lift (`None`) the whole-run budget of the runs that follow
+    /// (see [`Session::set_run_deadline`]): a run that outlasts it comes
+    /// back [`LuRunOutcome::aborted`] and leaves the session serving.
+    pub fn set_run_deadline(&mut self, budget: Option<std::time::Duration>) {
+        self.inner.set_run_deadline(budget);
     }
 
     /// How many enrolled workers are currently flagged dead.
@@ -890,8 +899,9 @@ mod tests {
         let endpoint = listener.endpoint();
         let worker = std::thread::spawn(move || {
             let patience = std::time::Duration::from_secs(10);
+            let config = Config::default();
             let (ep, _) =
-                mwp_msg::transport::enroll_with_retry(&endpoint, patience, None, b"", None)
+                mwp_msg::transport::enroll_with_retry(&endpoint, patience, None, b"", &config)
                     .expect("enrollment succeeds");
             serve_remote(ep);
         });

@@ -3,8 +3,8 @@
 //!
 //! The enrollment handshake (see [`crate::transport`]) authenticates
 //! both ends of a new connection with an HMAC challenge/response over a
-//! **shared fleet secret** (`MWP_FLEET_SECRET`, read by
-//! [`crate::config::fleet_secret`]): the master opens with a
+//! **shared fleet secret** ([`crate::config::Config::fleet_secret`],
+//! `MWP_FLEET_SECRET` in the environment): the master opens with a
 //! challenge nonce, the worker's hello carries an HMAC over that nonce
 //! and every field it asserts, and the master's welcome answers with an
 //! HMAC over the worker's nonce — so neither a replayed hello nor a

@@ -86,10 +86,9 @@ fn trace_port_op(
 pub struct MasterEndpoint {
     port: OnePort,
     links: Vec<MasterSide>,
-    /// The liveness `(heartbeat, deadline)` this endpoint's session was
-    /// built under (see [`crate::config::liveness`]), captured once at
-    /// construction: the data path never reads the environment.
-    liveness: Option<(Duration, Duration)>,
+    /// The liveness deadline this endpoint's session was built under
+    /// ([`crate::config::Config::liveness`]), `None` when liveness is off.
+    deadline: Option<Duration>,
 }
 
 impl MasterEndpoint {
@@ -98,13 +97,7 @@ impl MasterEndpoint {
         links: Vec<MasterSide>,
         liveness: Option<(Duration, Duration)>,
     ) -> Self {
-        MasterEndpoint { port, links, liveness }
-    }
-
-    /// The liveness setting captured at construction — what links
-    /// enrolled later ([`crate::Session::admit`]) are attached under.
-    pub(crate) fn liveness(&self) -> Option<(Duration, Duration)> {
-        self.liveness
+        MasterEndpoint { port, links, deadline: liveness.map(|(_, deadline)| deadline) }
     }
 
     /// Number of workers.
@@ -225,17 +218,17 @@ impl MasterEndpoint {
     }
 
     /// Receive a frame of run generation `run` from `from` under the
-    /// liveness deadline this endpoint was built with (`MWP_DEADLINE_MS`
-    /// at session construction; see [`crate::config::liveness`]). `None`
-    /// means the worker is dead or wedged past the detection bound — the
-    /// caller should [`MasterEndpoint::mark_dead`] it and re-dispatch its
-    /// outstanding work. With liveness disabled the wait is unbounded, and
-    /// only a closed link (worker exit, pump death) returns `None`.
+    /// liveness deadline this endpoint was built with
+    /// ([`crate::config::Config::liveness`]). `None` means the worker is
+    /// dead or wedged past the detection bound — the caller should
+    /// [`MasterEndpoint::mark_dead`] it and re-dispatch its outstanding
+    /// work. With liveness disabled the wait is unbounded, and only a
+    /// closed link (worker exit, pump death) returns `None`.
     pub fn recv_deadline(&self, from: WorkerId, run: u32, blocks: u64) -> Option<(Frame, f64)> {
         if self.links[from.index()].is_dead() {
             return None;
         }
-        self.recv_timeout(from, run, blocks, self.liveness.map(|(_, deadline)| deadline))
+        self.recv_timeout(from, run, blocks, self.deadline)
     }
 
     /// Whether `w`'s link has been declared dead — or `w` is no member of
@@ -325,8 +318,8 @@ impl MasterEndpoint {
 enum Route {
     Channel(WorkerSide),
     Remote {
-        reader: parking_lot::Mutex<Box<dyn crate::transport::FrameRead>>,
-        writer: std::sync::Arc<parking_lot::Mutex<Box<dyn crate::transport::FrameWrite>>>,
+        reader: std::sync::Mutex<Box<dyn crate::transport::FrameRead>>,
+        writer: std::sync::Arc<std::sync::Mutex<Box<dyn crate::transport::FrameWrite>>>,
     },
 }
 
@@ -368,8 +361,8 @@ impl WorkerEndpoint {
     /// halves instead of a channel. Built by [`crate::transport::enroll_with`]
     /// after the handshake assigns the id.
     ///
-    /// With a `heartbeat` interval (`MWP_HEARTBEAT_MS`, resolved once by
-    /// the enrollment that builds this endpoint) a heartbeat thread sends
+    /// With a `heartbeat` interval (the enrolling
+    /// [`crate::config::Config::liveness`]'s) a heartbeat thread sends
     /// a probe that often over the shared writer, so the master keeps
     /// seeing traffic even while this worker's serving thread is deep in
     /// a long kernel call — a slow worker must not be mistaken for a dead
@@ -380,7 +373,7 @@ impl WorkerEndpoint {
         writer: Box<dyn crate::transport::FrameWrite>,
         heartbeat: Option<Duration>,
     ) -> Self {
-        let writer = std::sync::Arc::new(parking_lot::Mutex::new(writer));
+        let writer = std::sync::Arc::new(std::sync::Mutex::new(writer));
         let hb_stop = heartbeat.map(|interval| {
             let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
             let hb_writer = std::sync::Arc::clone(&writer);
@@ -393,7 +386,8 @@ impl WorkerEndpoint {
                         stop_rx.recv_timeout(interval),
                         Err(std::sync::mpsc::RecvTimeoutError::Timeout)
                     ) {
-                        if hb_writer.lock().send_frame(&Frame::heartbeat()).is_err() {
+                        let mut writer = hb_writer.lock().unwrap_or_else(|e| e.into_inner());
+                        if writer.send_frame(&Frame::heartbeat()).is_err() {
                             break; // master gone: the serving thread will see it too
                         }
                     }
@@ -403,7 +397,7 @@ impl WorkerEndpoint {
         });
         WorkerEndpoint {
             id,
-            route: Route::Remote { reader: parking_lot::Mutex::new(reader), writer },
+            route: Route::Remote { reader: std::sync::Mutex::new(reader), writer },
             pool: BufferPool::new(),
             current_run: AtomicU32::new(0),
             _hb_stop: hb_stop,
@@ -425,7 +419,7 @@ impl WorkerEndpoint {
         let frame = match &self.route {
             Route::Channel(link) => link.recv()?,
             Route::Remote { reader, .. } => {
-                let mut reader = reader.lock();
+                let mut reader = reader.lock().unwrap_or_else(|e| e.into_inner());
                 loop {
                     match reader.recv_frame() {
                         Ok(Some(frame)) if frame.tag.kind == FrameKind::Heartbeat => continue,
@@ -470,7 +464,7 @@ impl WorkerEndpoint {
         match &self.route {
             Route::Channel(link) => link.send(frame),
             Route::Remote { writer, .. } => {
-                let _ = writer.lock().send_frame(&frame);
+                let _ = writer.lock().unwrap_or_else(|e| e.into_inner()).send_frame(&frame);
             }
         }
     }
@@ -502,7 +496,7 @@ mod tests {
             masters.push(m);
             workers.push(WorkerEndpoint::new(WorkerId(i), w));
         }
-        (MasterEndpoint::new(port, masters, crate::config::liveness()), workers)
+        (MasterEndpoint::new(port, masters, crate::config::Config::default().liveness), workers)
     }
 
     #[test]

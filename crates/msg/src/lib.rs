@@ -36,20 +36,22 @@
 //!   [`sched::JobScheduler`] queues jobs from many caller threads and
 //!   dispatches each as its own interleaved run on one shared session,
 //!   plus the small-job batching hooks,
-//! * [`transport`] — the socket backend (`MWP_TRANSPORT=tcp|uds`):
-//!   length-prefixed, CRC32C-trailed frames over TCP or Unix-domain
+//! * [`transport`] — the socket backend ([`TransportMode::Tcp`] /
+//!   [`TransportMode::Uds`]): length-prefixed, CRC32C-trailed frames over TCP or Unix-domain
 //!   sockets — one socket stream type, one dial/enroll path, one
 //!   master-side enrollment — so master and workers can run as separate
 //!   processes or hosts; the one-port arbiter, pacing, and statistics
 //!   stay on the master side, and worker programs are transport-blind.
 //!   Enrollment is authenticated: an HMAC challenge/response over the
-//!   shared fleet secret ([`config::fleet_secret`]) with protocol-version
+//!   shared fleet secret ([`config::Config::fleet_secret`]) with protocol-version
 //!   negotiation and membership-epoch checks, so only fleet members of
 //!   the current generation get past the master's front door,
-//! * [`config`] — the one module that reads the process environment:
-//!   every `MWP_*` variable of this crate and its strict parser. Sessions
-//!   and worker endpoints resolve what they need once, at construction;
-//!   the data path never touches the environment.
+//! * [`config`] — a deployment's settings as one plain value,
+//!   [`config::Config`]: handed to the master's door
+//!   (`Session::accept_remote`) and the worker's dial
+//!   ([`transport::enroll_with_retry`]), `Config::default()` everywhere
+//!   in-process. `Config::from_env` is the one function of this crate
+//!   that reads the process environment, through strict parsers.
 //!
 //! Worker-side receives do **not** take the port — only the master is
 //! port-limited, exactly as in the model (each worker has its own link).

@@ -1,9 +1,10 @@
 //! Building the star network from a platform description.
 
+use crate::config::Config;
 use crate::endpoint::{MasterEndpoint, WorkerEndpoint};
 use crate::link::{Link, Pacing};
 use crate::port::OnePort;
-use mwp_platform::{Platform, WorkerId};
+use mwp_platform::Platform;
 
 /// A fully wired star network: one master endpoint, `p` worker endpoints.
 ///
@@ -34,8 +35,7 @@ pub struct StarNetwork {
 impl StarNetwork {
     /// Wire a star for `platform`. `time_scale` is wall seconds per model
     /// time unit (0 disables pacing; see [`Pacing`]). The master
-    /// endpoint's receive deadline is [`crate::config::liveness`], read
-    /// here, once.
+    /// endpoint's receive deadline is [`Config::default`]'s.
     pub fn build(platform: &Platform, time_scale: f64) -> Self {
         let pacing = Pacing { time_scale };
         let port = OnePort::new();
@@ -47,7 +47,7 @@ impl StarNetwork {
             workers.push(WorkerEndpoint::new(id, w));
         }
         StarNetwork {
-            master: MasterEndpoint::new(port, master_sides, crate::config::liveness()),
+            master: MasterEndpoint::new(port, master_sides, Config::default().liveness),
             workers,
         }
     }
@@ -56,17 +56,13 @@ impl StarNetwork {
     pub fn into_endpoints(self) -> (MasterEndpoint, Vec<WorkerEndpoint>) {
         (self.master, self.workers)
     }
-
-    /// Worker ids in order, convenience for spawning threads.
-    pub fn worker_ids(&self) -> Vec<WorkerId> {
-        self.workers.iter().map(|w| w.id()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::{Frame, FrameKind, Tag};
+    use mwp_platform::WorkerId;
     use bytes::Bytes;
     use std::thread;
 

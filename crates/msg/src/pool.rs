@@ -10,8 +10,7 @@
 //! few buffers shuttle between the pool and the link forever.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Buffers retained per pool; beyond this, returned buffers are freed.
 /// Runtime links have at most a handful of frames in flight, so a small
@@ -39,7 +38,10 @@ impl BufferPool {
     /// the result is wrapped zero-copy in a [`Bytes`] that returns the
     /// buffer here once every view of it is gone.
     pub fn bytes_with(&self, capacity_hint: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Bytes {
-        let mut buf = self.free.lock().pop().unwrap_or_default();
+        // The free list is valid at every step, so a poisoned lock (a
+        // holder panicked) is recovered, here and below.
+        let mut buf =
+            self.free.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default();
         buf.clear();
         buf.reserve(capacity_hint);
         fill(&mut buf);
@@ -48,7 +50,7 @@ impl BufferPool {
 
     /// Buffers currently parked in the pool (for tests/metrics).
     pub fn idle_buffers(&self) -> usize {
-        self.free.lock().len()
+        self.free.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 }
 
@@ -67,7 +69,7 @@ impl AsRef<[u8]> for PooledBuf {
 impl Drop for PooledBuf {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.upgrade() {
-            let mut free = pool.lock();
+            let mut free = pool.lock().unwrap_or_else(|e| e.into_inner());
             if free.len() < MAX_POOLED {
                 free.push(std::mem::take(&mut self.buf));
             }

@@ -6,9 +6,8 @@
 //! arrival order (matching the deterministic simulator, where port requests
 //! queue FIFO).
 
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 struct PortState {
     /// Ticket currently being served.
@@ -43,16 +42,18 @@ impl OnePort {
     pub fn acquire(&self) -> PortGuard {
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         let (lock, cv) = &*self.state;
-        let mut st = lock.lock();
+        // The state is one counter, valid at every step: a poisoned lock
+        // (a holder panicked) is recovered, here and in `release`.
+        let mut st = lock.lock().unwrap_or_else(|e| e.into_inner());
         while st.now_serving != ticket {
-            cv.wait(&mut st);
+            st = cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         PortGuard { port: self.clone() }
     }
 
     fn release(&self) {
         let (lock, cv) = &*self.state;
-        let mut st = lock.lock();
+        let mut st = lock.lock().unwrap_or_else(|e| e.into_inner());
         st.now_serving += 1;
         cv.notify_all();
     }
@@ -132,7 +133,7 @@ mod tests {
             let order = order.clone();
             handles.push(thread::spawn(move || {
                 let _g = port2.acquire();
-                order.lock().push(id);
+                order.lock().unwrap().push(id);
             }));
             while port.tickets_issued() < id + 2 {
                 thread::yield_now();
@@ -142,7 +143,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3]);
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]

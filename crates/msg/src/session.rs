@@ -24,7 +24,7 @@
 //! worker process is exactly a session worker whose endpoint happens to
 //! be a socket.
 
-use crate::config;
+use crate::config::Config;
 use crate::endpoint::{MasterEndpoint, WorkerEndpoint};
 use crate::frame::{Frame, FrameKind};
 use crate::link::Pacing;
@@ -150,10 +150,11 @@ pub struct Session {
     /// and checked at the door — a connection presenting a previous
     /// generation's epoch is stale (or a replay) and is rejected.
     epoch: u64,
-    /// The fleet secret (`MWP_FLEET_SECRET` at construction) keying the
-    /// enrollment MACs for this session's whole lifetime, including
-    /// later `admit`s.
-    secret: Vec<u8>,
+    /// The configuration handed in at construction: its secret keys the
+    /// enrollment MACs and its liveness times the links for this
+    /// session's whole lifetime, later `admit`s included; its run budget
+    /// is what [`Session::set_run_deadline`] changes.
+    config: Config,
     /// The **run generation**: a per-session monotonically increasing
     /// counter, bumped by every [`Session::begin_run`]. The drawn value is
     /// registered at every link for the duration of its run, stamped into
@@ -170,22 +171,22 @@ impl Session {
     /// serves one run's frames and returns how it exited. State captured
     /// by the program persists across runs — that is the point.
     ///
-    /// The byte transport under the star is chosen by `MWP_TRANSPORT`
-    /// (see [`config::transport_mode`]): in-process channels by
-    /// default, or loopback TCP/Unix sockets — same worker threads, same
-    /// programs, but every frame truly crosses the socket stack. Use
-    /// [`Session::spawn_with_transport`] to pick explicitly.
+    /// The star is wired over in-process channels;
+    /// [`Session::spawn_with_transport`] picks loopback TCP/Unix sockets
+    /// instead — same worker threads, same programs, but every frame
+    /// truly crosses the socket stack.
     pub fn spawn<F, P>(platform: &Platform, time_scale: f64, factory: F) -> Session
     where
         F: FnMut(WorkerId, WorkerParams) -> P,
         P: FnMut(u32, &WorkerEndpoint) -> RunExit + Send + 'static,
     {
-        Self::spawn_with_transport(platform, time_scale, config::transport_mode(), factory)
+        Self::spawn_with_transport(platform, time_scale, TransportMode::Channel, factory)
     }
 
-    /// [`Session::spawn`] with an explicit [`TransportMode`] (ignoring
-    /// `MWP_TRANSPORT`) — how tests cross-validate the channel and socket
-    /// backends against each other inside one process.
+    /// [`Session::spawn`] with an explicit [`TransportMode`] — how tests
+    /// cross-validate the channel and socket backends against each other
+    /// inside one process. Either way the fleet runs under
+    /// [`Config::default`].
     pub fn spawn_with_transport<F, P>(
         platform: &Platform,
         time_scale: f64,
@@ -218,7 +219,6 @@ impl Session {
                 .map(|((id, params), ep)| spawn_worker(id, factory(id, *params), move || ep))
                 .collect();
             let fingerprints = vec![Vec::new(); platform.len()];
-            let secret = config::fleet_secret();
             return Session::new(
                 master,
                 handles,
@@ -226,7 +226,7 @@ impl Session {
                 fingerprints,
                 platform,
                 time_scale,
-                secret,
+                Config::default(),
             );
         }
         // The loopback-socket star: worker threads live in this process (as
@@ -241,9 +241,9 @@ impl Session {
             .map(|(id, params)| {
                 let (endpoint, fp) = (endpoint.clone(), fp.clone());
                 spawn_worker(id, factory(id, *params), move || {
-                    let wait = Duration::from_secs(10);
+                    let (wait, config) = (Duration::from_secs(10), Config::default());
                     let enrolled =
-                        transport::enroll_with_retry(&endpoint, wait, Some(id), &fp, None);
+                        transport::enroll_with_retry(&endpoint, wait, Some(id), &fp, &config);
                     enrolled.expect("loopback enroll").0
                 })
             })
@@ -253,9 +253,9 @@ impl Session {
             platform,
             time_scale,
             SERVICE_INPROC,
-            Some(&fp),
-            handles,
+            Some((&fp, handles)),
             HANDSHAKE_TIMEOUT,
+            &Config::default(),
         );
         accepted.expect("accept loopback workers")
     }
@@ -266,7 +266,9 @@ impl Session {
     /// slots in arrival order (or honor a claimed slot), and reply to each
     /// with its link/memory parameters and `service` — the id telling the
     /// worker which program to run ([`transport::SERVICE_MATRIX`],
-    /// [`transport::SERVICE_LU`]).
+    /// [`transport::SERVICE_LU`]). `config` is the deployment's: its
+    /// secret and liveness terms are what every enrolling worker must
+    /// have been started with too.
     ///
     /// The returned session is driven exactly like a local one: the
     /// one-port arbiter, pacing, and statistics all live on this side.
@@ -278,16 +280,9 @@ impl Session {
         time_scale: f64,
         listener: &TransportListener,
         service: u8,
+        config: &Config,
     ) -> io::Result<Session> {
-        Self::accept_star(
-            listener,
-            platform,
-            time_scale,
-            service,
-            None,
-            Vec::new(),
-            HANDSHAKE_TIMEOUT,
-        )
+        Self::accept_star(listener, platform, time_scale, service, None, HANDSHAKE_TIMEOUT, config)
     }
 
     /// Accept enrollments from `listener` until every one of
@@ -296,9 +291,10 @@ impl Session {
     /// a [`MasterEndpoint`] indistinguishable from the channel
     /// transport's. Slots are honored when claimed (loopback worker
     /// threads know their id), assigned in arrival order otherwise
-    /// (remote processes ask with `CLAIM_ANY`); `expect_fp`, when given,
-    /// must match every hello's fingerprint. The fleet secret and the
-    /// liveness setting are read here, once, for the session's lifetime.
+    /// (remote processes ask with `CLAIM_ANY`). `loopback`, when given,
+    /// is the fingerprint every hello must present and the in-process
+    /// worker threads that dial in. `config` is checked
+    /// ([`Config::check`]) and kept for the session's lifetime.
     ///
     /// A connection that fails enrollment — garbage instead of a hello,
     /// an out-of-range or taken slot claim, a foreign fingerprint, an
@@ -307,8 +303,8 @@ impl Session {
     /// the loop keeps accepting**: on a network-reachable listener a
     /// stray port scan or held-open health probe must not abort or park
     /// the star's startup. Only a listener-level `accept` failure aborts
-    /// — plus, when `handles` is non-empty (the loopback transport), one
-    /// of those worker threads dying before its slot fills, which would
+    /// — plus one of the `loopback` worker threads dying before its slot
+    /// fills, which would
     /// otherwise leave this loop waiting for a connection that can never
     /// arrive.
     fn accept_star(
@@ -316,19 +312,19 @@ impl Session {
         platform: &Platform,
         time_scale: f64,
         service: u8,
-        expect_fp: Option<&[u8]>,
-        handles: Vec<thread::JoinHandle<()>>,
+        loopback: Option<(&[u8], Vec<thread::JoinHandle<()>>)>,
         handshake_timeout: Duration,
+        config: &Config,
     ) -> io::Result<Session> {
-        let secret = config::fleet_secret();
-        let liveness = config::liveness();
+        config.check().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let (expect_fp, handles) = loopback.unzip();
+        let handles = handles.unwrap_or_default();
         let terms = EnrollTerms {
-            secret: &secret,
+            config,
             epoch: 1,
             welcome_epoch: 1,
             pacing: Pacing { time_scale },
             service,
-            liveness,
             handshake_timeout,
         };
         let p = platform.len();
@@ -383,8 +379,8 @@ impl Session {
             }
         }
         let links = sides.into_iter().map(|s| s.expect("every slot filled")).collect();
-        let master = MasterEndpoint::new(OnePort::new(), links, liveness);
-        Ok(Session::new(master, handles, pumps, fingerprints, platform, time_scale, secret))
+        let master = MasterEndpoint::new(OnePort::new(), links, config.liveness);
+        Ok(Session::new(master, handles, pumps, fingerprints, platform, time_scale, config.clone()))
     }
 
     /// A fresh fleet (membership epoch 1, no run drawn yet) over `master`.
@@ -395,7 +391,7 @@ impl Session {
         fingerprints: Vec<Vec<u8>>,
         platform: &Platform,
         time_scale: f64,
-        secret: Vec<u8>,
+        config: Config,
     ) -> Session {
         Session {
             master,
@@ -405,7 +401,7 @@ impl Session {
             platform: Some(platform.clone()),
             pacing: Pacing { time_scale },
             epoch: 1,
-            secret,
+            config,
             run_gen: AtomicU32::new(0),
         }
     }
@@ -432,12 +428,11 @@ impl Session {
         let stream = listener.accept()?;
         let next = WorkerId(self.master.workers());
         let terms = EnrollTerms {
-            secret: &self.secret,
+            config: &self.config,
             epoch: self.epoch,
             welcome_epoch: self.epoch + 1,
             pacing: self.pacing,
             service,
-            liveness: self.master.liveness(),
             handshake_timeout: HANDSHAKE_TIMEOUT,
         };
         let (id, fingerprint, link) =
@@ -516,6 +511,18 @@ impl Session {
             }
         }
         removed
+    }
+
+    /// Change the whole-run budget ([`Config::run_deadline`]) for the runs
+    /// that start after this call; `None` lifts it. `&mut self`, so no
+    /// run is open while it changes.
+    pub fn set_run_deadline(&mut self, budget: Option<Duration>) {
+        self.config.run_deadline = budget;
+    }
+
+    /// The whole-run budget the master executor holds each run to.
+    pub fn run_deadline(&self) -> Option<Duration> {
+        self.config.run_deadline
     }
 
     /// How many enrolled workers are currently flagged dead (their
@@ -806,13 +813,18 @@ mod tests {
         session.finish_run(workers, epoch)
     }
 
+    /// The deployment the remote-fleet tests run under: a secret, so every
+    /// enrollment gate below is exercised authenticated.
+    fn fleet() -> Config {
+        Config { fleet_secret: b"session-tests".to_vec(), ..Config::default() }
+    }
+
     /// A remote fleet member: dial `endpoint` (on the calling thread, so
     /// dialers reach the listener in the order they are made), then, on a
     /// thread of its own, enroll presenting `claim`/`epoch`/`fp` and
     /// serve echo runs until shutdown. Joins to the welcome's epoch, or
-    /// to the kind of the enrollment error. The secret is the ambient one
-    /// the session under test reads too, so a CI leg exporting
-    /// `MWP_FLEET_SECRET` exercises these gates authenticated.
+    /// to the kind of the enrollment error. Dials under [`fleet`], as the
+    /// session under test accepts.
     fn remote_worker(
         endpoint: &str,
         claim: Option<usize>,
@@ -821,9 +833,8 @@ mod tests {
     ) -> thread::JoinHandle<Result<u64, io::ErrorKind>> {
         let stream = transport::connect_with_retry(endpoint, Duration::from_secs(10)).unwrap();
         thread::spawn(move || {
-            let secret = config::fleet_secret();
             let (ep, welcome) =
-                transport::enroll_with(stream, claim.map(WorkerId), fp, &secret, epoch, None)
+                transport::enroll_with(stream, claim.map(WorkerId), fp, epoch, &fleet())
                     .map_err(|e| e.kind())?;
             serve_worker(ep, &mut echo_program);
             Ok(welcome.epoch)
@@ -897,7 +908,7 @@ mod tests {
         let endpoint = listener.endpoint();
         let w0 = remote_worker(&endpoint, None, 0, b"elastic");
         let mut session =
-            Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC).unwrap();
+            Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC, &fleet()).unwrap();
         assert_eq!(session.workers(), 1);
         assert_eq!(session.epoch(), 1, "a fresh fleet is generation 1");
         echo_round(&session, 1, 1);
@@ -928,7 +939,7 @@ mod tests {
         let workers: Vec<_> =
             (0..2).map(|_| remote_worker(&endpoint, None, 0, b"fleet")).collect();
         let mut session =
-            Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC).unwrap();
+            Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC, &fleet()).unwrap();
         assert_eq!(session.dead_workers(), 0);
         assert_eq!(session.prune_dead(), Vec::<usize>::new());
         assert_eq!(session.epoch(), 1, "an empty prune is not a membership change");
@@ -961,7 +972,7 @@ mod tests {
         let dial = |epoch: u64| remote_worker(&endpoint, None, epoch, b"fleet");
         let w0 = dial(0);
         let mut session =
-            Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC).unwrap();
+            Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC, &fleet()).unwrap();
         // Grow the fleet once so the current epoch moves past 1.
         let w1 = dial(0);
         session.admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 }, SERVICE_INPROC).unwrap();
@@ -1017,7 +1028,7 @@ mod tests {
                         nonce: crate::auth::fresh_nonce(),
                         fingerprint: fp.to_vec(),
                     };
-                    let hello = transport::hello_frame(&hello, &config::fleet_secret(), &challenge);
+                    let hello = transport::hello_frame(&hello, &fleet().fleet_secret, &challenge);
                     conn.send_frame(&hello).unwrap();
                     let reply = conn.recv_frame_capped(cap).unwrap().expect("reject");
                     assert!(transport::is_reject(&reply), "expected a reject, got {:?}", reply.tag);
@@ -1047,9 +1058,9 @@ mod tests {
             &platform,
             0.0,
             SERVICE_INPROC,
-            Some(b"fleet"),
-            Vec::new(),
+            Some((b"fleet", Vec::new())),
             HANDSHAKE_TIMEOUT,
+            &fleet(),
         )
         .unwrap();
         let mut workers = script.join().unwrap();
@@ -1273,7 +1284,7 @@ mod tests {
                 thread::sleep(std::time::Duration::from_millis(30));
                 let wait = Duration::from_secs(10);
                 let (ep, welcome) =
-                    transport::enroll_with_retry(&endpoint, wait, None, b"real-worker", None)
+                    transport::enroll_with_retry(&endpoint, wait, None, b"real-worker", &fleet())
                         .unwrap();
                 assert_eq!(welcome.worker, WorkerId(0));
                 serve_worker(ep, &mut echo_program);
@@ -1281,7 +1292,7 @@ mod tests {
         };
         let silence_budget = Duration::from_millis(200);
         let session =
-            Session::accept_star(&listener, &platform, 0.0, 42, None, Vec::new(), silence_budget)
+            Session::accept_star(&listener, &platform, 0.0, 42, None, silence_budget, &fleet())
                 .unwrap();
         assert_eq!(session.worker_fingerprints()[0], b"real-worker".to_vec());
         assert_eq!(echo_round(&session, 1, 5), 2);

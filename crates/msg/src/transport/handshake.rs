@@ -2,12 +2,12 @@
 //! that turns a fresh connection into an authenticated link, on both the
 //! master side ([`master_enroll`]) and the worker side ([`enroll_with`]).
 
-use super::fault::{FaultAction, FaultSpec};
+use super::fault::FaultAction;
 use super::framing::{FrameStream, MAX_HANDSHAKE_WIRE_LEN};
 use super::remote_link::RemoteLink;
 use super::socket::{connect, retry_transient};
 use crate::auth;
-use crate::config;
+use crate::config::Config;
 use crate::endpoint::WorkerEndpoint;
 use crate::frame::{Frame, FrameKind, Tag};
 use crate::link::Pacing;
@@ -431,8 +431,9 @@ pub fn master_read_hello(
 /// What one master offers every connection it enrolls: the terms of
 /// [`master_enroll`] that do not depend on which worker is dialing.
 pub(crate) struct EnrollTerms<'a> {
-    /// The fleet secret keying both handshake MACs.
-    pub secret: &'a [u8],
+    /// The deployment's configuration: its secret keys both handshake
+    /// MACs, its liveness `(heartbeat, deadline)` times the new link.
+    pub config: &'a Config,
     /// The fleet's current membership epoch: a hello presents 0 or this.
     pub epoch: u64,
     /// The epoch the welcome carries: `epoch` while a star assembles,
@@ -442,8 +443,6 @@ pub(crate) struct EnrollTerms<'a> {
     pub pacing: Pacing,
     /// Which worker program the master expects of the newcomer.
     pub service: u8,
-    /// The session's liveness `(heartbeat, deadline)`, if enabled.
-    pub liveness: Option<(Duration, Duration)>,
     /// Read deadline on the peer's handshake frames.
     pub handshake_timeout: Duration,
 }
@@ -466,7 +465,8 @@ pub(crate) fn master_enroll(
     assign: impl FnOnce(&Hello) -> Result<(WorkerId, WorkerParams), (u32, String)>,
 ) -> io::Result<(WorkerId, Vec<u8>, RemoteLink)> {
     let challenge = master_challenge(stream.as_mut(), terms.handshake_timeout)?;
-    let hello = master_read_hello(stream.as_mut(), terms.secret, &challenge, terms.epoch)?;
+    let secret = &terms.config.fleet_secret;
+    let hello = master_read_hello(stream.as_mut(), secret, &challenge, terms.epoch)?;
     let (id, params) =
         assign(&hello).map_err(|(code, reason)| refuse(stream.as_mut(), code, &reason))?;
     let welcome = Welcome {
@@ -478,16 +478,16 @@ pub(crate) fn master_enroll(
         service: terms.service,
         epoch: terms.welcome_epoch,
     };
-    stream.send_frame(&welcome_frame(&welcome, terms.secret, &hello.nonce))?;
+    stream.send_frame(&welcome_frame(&welcome, secret, &hello.nonce))?;
     // Enrolled: swap the handshake deadline for the liveness deadline (or
     // clear it entirely when liveness is off — session workers park on
     // blocking reads by design). This runs **before** `split()` so the
     // cloned reader the in-pump blocks on inherits the deadline: a worker
-    // that goes silent longer than `MWP_DEADLINE_MS` surfaces as a
+    // that goes silent longer than the liveness deadline surfaces as a
     // timed-out read, which the pump turns into the link's death flag.
     // Idle-but-alive workers never trip it — their heartbeat thread keeps
     // frames flowing.
-    let (heartbeat, deadline) = terms.liveness.unzip();
+    let (heartbeat, deadline) = terms.config.liveness.unzip();
     stream.set_read_timeout(deadline)?;
     let (reader, writer) = stream.split()?;
     let link = RemoteLink::attach(reader, writer, params.c, terms.pacing, id, heartbeat);
@@ -496,24 +496,25 @@ pub(crate) fn master_enroll(
 
 /// Worker-side enrollment (a worker process, or a loopback worker
 /// thread): await the master's
-/// challenge, answer with a MAC'd hello — claiming `claim` or asking for
-/// any slot, presenting `epoch` as the believed fleet generation — and
-/// build a socket-backed [`WorkerEndpoint`] from the returned welcome
-/// (whose own MAC is verified: mutual authentication). The endpoint
+/// challenge, answer with a hello MAC'd under `config`'s secret — claiming
+/// `claim` or asking for any slot, presenting `epoch` as the believed
+/// fleet generation — and build a socket-backed [`WorkerEndpoint`] from
+/// the returned welcome (whose own MAC is verified: mutual
+/// authentication). The endpoint
 /// drives the exact same worker programs as the channel transport; see
 /// [`crate::session::serve_worker`] for the outer loop.
 ///
 /// The handshake runs on the unsplit stream under the
 /// [`HANDSHAKE_TIMEOUT`] deadline and the [`MAX_HANDSHAKE_WIRE_LEN`]
 /// budget — a silent or hostile "master" cannot park this worker forever
-/// or feed it a giant allocation. The deadline is swapped for the
-/// liveness deadline ([`config::liveness`], read once here for the
+/// or feed it a giant allocation. The deadline is swapped for `config`'s
+/// liveness deadline (checked — [`Config::check`] — and kept for the
 /// endpoint's whole life) before the stream splits into the endpoint's
 /// halves: the master's idle-link heartbeats keep arriving even while
 /// this worker is parked between runs, so only a dead or wedged master
 /// trips it; with liveness off the link blocks indefinitely.
 ///
-/// A handshake-stage [`FaultSpec`] (`badhello`/`badauth`) is enacted
+/// A handshake-stage [`Config::fault`] (`badhello`/`badauth`) is enacted
 /// here: the hello goes out as an unrelated frame, or with a corrupted
 /// MAC — chaos tests use this to exercise the master's rejection path
 /// with real processes. Data-plane faults are ignored here (they ride
@@ -522,16 +523,17 @@ pub fn enroll_with(
     mut stream: Box<dyn FrameStream>,
     claim: Option<WorkerId>,
     fingerprint: &[u8],
-    secret: &[u8],
     epoch: u64,
-    fault: Option<FaultSpec>,
+    config: &Config,
 ) -> io::Result<(WorkerEndpoint, Welcome)> {
+    config.check().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    let secret = &config.fleet_secret;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     let challenge =
         parse_challenge(&expect_frame(stream.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN)?, "challenge")?)?;
     let hello =
         Hello { claimed: claim, epoch, nonce: auth::fresh_nonce(), fingerprint: fingerprint.to_vec() };
-    let outbound = match fault.map(|f| f.action) {
+    let outbound = match config.fault.map(|f| f.action) {
         // A peer that does not speak the protocol: any valid frame that
         // is not a hello.
         Some(FaultAction::BadHello) => Frame::shutdown(),
@@ -551,7 +553,7 @@ pub fn enroll_with(
         return Err(reject_error(&reply));
     }
     let welcome = parse_welcome(&reply, secret, &hello.nonce)?;
-    let (heartbeat, deadline) = config::liveness().unzip();
+    let (heartbeat, deadline) = config.liveness.unzip();
     stream.set_read_timeout(deadline)?;
     if let Some(claimed) = claim {
         if welcome.worker != claimed {
@@ -573,18 +575,17 @@ pub fn enroll_with(
 /// elapses. Everything else fails **fast**: an authentication rejection,
 /// a version mismatch, or a slot dispute will not change on retry, and
 /// hammering the master's accept loop with doomed handshakes would only
-/// hide the real error behind a timeout. With a `fault`, data-plane
-/// faults ride the dialed stream ([`connect`]) and handshake faults fire
+/// hide the real error behind a timeout. `config`'s data-plane faults
+/// ride the dialed stream ([`connect`]) and its handshake faults fire
 /// inside [`enroll_with`].
 pub fn enroll_with_retry(
     endpoint: &str,
     deadline: Duration,
     claim: Option<WorkerId>,
     fingerprint: &[u8],
-    fault: Option<FaultSpec>,
+    config: &Config,
 ) -> io::Result<(WorkerEndpoint, Welcome)> {
-    let secret = config::fleet_secret();
     retry_transient(deadline, || {
-        enroll_with(connect(endpoint, fault)?, claim, fingerprint, &secret, 0, fault)
+        enroll_with(connect(endpoint, config.fault)?, claim, fingerprint, 0, config)
     })
 }

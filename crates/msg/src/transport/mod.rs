@@ -31,14 +31,14 @@
 //!   real multi-host fleets), and the [`Backoff`] retry loop behind
 //!   [`connect_with_retry`].
 //! * **`fault`** — [`FaultSpec`]: deterministic fault injection
-//!   (`MWP_FAULT`) as an optional trigger the socket stream consults on
-//!   its send path.
+//!   ([`crate::config::Config::fault`]) as an optional trigger the socket
+//!   stream consults on its send path.
 //! * **`handshake`** — an authenticated three-frame exchange (protocol
 //!   version [`PROTOCOL_VERSION`]): the master opens with a
 //!   [challenge](challenge_frame) nonce, the worker answers with a
 //!   [`Hello`] (claimed slot, fleet epoch, its own nonce, fingerprint
 //!   bytes) carrying an HMAC over the challenge and every asserted field
-//!   keyed by the shared fleet secret ([`crate::config::fleet_secret`]),
+//!   keyed by the shared fleet secret ([`crate::config::Config::fleet_secret`]),
 //!   and the master closes with a [`Welcome`] (assigned
 //!   [`mwp_platform::WorkerId`], the worker's `(c, w, m)` parameters, the
 //!   pacing scale, the [service id](SERVICE_MATRIX), and the membership
@@ -62,10 +62,11 @@
 //!   feed, so a socket link and a channel link are indistinguishable to
 //!   the runtime above.
 //!
-//! Which backend a [`crate::Session`] wires is selected by
-//! `MWP_TRANSPORT=channel|tcp|uds` (see [`crate::config::transport_mode`])
-//! or explicitly via `Session::spawn_with_transport`; out-of-process
-//! workers attach via `Session::accept_remote` + the `mwp-worker` binary.
+//! Which backend a [`crate::Session`] wires is a constructor argument:
+//! `Session::spawn` means channels, `Session::spawn_with_transport` takes
+//! a [`TransportMode`]; out-of-process workers attach via
+//! `Session::accept_remote` + the `mwp-worker` binary, each side handed
+//! the deployment's [`crate::config::Config`].
 
 #[cfg(doc)]
 use crate::frame::Frame;
@@ -102,11 +103,6 @@ pub enum TransportMode {
     Tcp,
     /// Unix-domain sockets, same framing as TCP.
     Uds,
-}
-
-impl TransportMode {
-    /// The names `MWP_TRANSPORT` accepts, in documentation order.
-    pub const NAMES: &'static [&'static str] = &["channel", "tcp", "uds"];
 }
 
 #[cfg(test)]

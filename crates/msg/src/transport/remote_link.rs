@@ -89,7 +89,7 @@ impl RemoteLink {
             .name(format!("mwp-pump-in-{}", id.index()))
             .spawn(move || {
                 // The socket carries the liveness read deadline (set before
-                // the split), so a worker silent past `MWP_DEADLINE_MS` —
+                // the split), so a worker silent past the liveness deadline —
                 // no data, no heartbeats — surfaces here as a timed-out
                 // read. Any exit marks the link dead and drops the channel
                 // sender, which a master blocked in `recv` observes as the

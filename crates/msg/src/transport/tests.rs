@@ -1,7 +1,7 @@
 use super::handshake::expect_frame;
 use super::*;
 use crate::auth;
-use crate::config::{parse_fault_spec, parse_millis, parse_transport_mode};
+use crate::config::{parse_fault_spec, parse_millis, parse_transport_mode, Config};
 use crate::frame::{Frame, FrameKind, Tag};
 use crate::link::Pacing;
 use crate::pool::BufferPool;
@@ -355,22 +355,24 @@ fn enrollment_round_rejects_impostors_and_admits_the_fleet() {
     });
     let dial = || connect_with_retry(&endpoint, Duration::from_secs(5)).unwrap();
     // 1: wrong secret.
-    let err = enroll_with(dial(), None, b"", b"not-the-secret", 0, None)
+    let fleet = |secret: &[u8]| Config { fleet_secret: secret.to_vec(), ..Config::default() };
+    let err = enroll_with(dial(), None, b"", 0, &fleet(b"not-the-secret"))
         .err()
         .expect("wrong secret must be rejected");
     assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
     // 2: stale epoch.
     let err =
-        enroll_with(dial(), None, b"", secret, 4, None).err().expect("stale epoch rejected");
+        enroll_with(dial(), None, b"", 4, &fleet(secret)).err().expect("stale epoch rejected");
     assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
     assert!(err.to_string().contains("stale"), "got: {err}");
     // 3: does not even speak the protocol (badhello fault).
     let fault = Some(FaultSpec { action: FaultAction::BadHello, after: 0 });
-    let err =
-        enroll_with(dial(), None, b"", secret, 0, fault).err().expect("bad hello rejected");
+    let err = enroll_with(dial(), None, b"", 0, &Config { fault, ..fleet(secret) })
+        .err()
+        .expect("bad hello rejected");
     assert_eq!(err.kind(), io::ErrorKind::Unsupported);
     // 4: the real fleet member — current epoch, right secret.
-    let (ep, welcome) = enroll_with(dial(), None, b"fp", secret, 5, None).unwrap();
+    let (ep, welcome) = enroll_with(dial(), None, b"fp", 5, &fleet(secret)).unwrap();
     assert_eq!(welcome.epoch, 5);
     assert_eq!(welcome.worker, WorkerId(0));
     drop(ep);
@@ -399,7 +401,7 @@ fn enroll_with_retry_fails_fast_on_rejection() {
         let _ = conn.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN);
     });
     let t0 = std::time::Instant::now();
-    let err = enroll_with_retry(&endpoint, Duration::from_secs(30), None, b"", None)
+    let err = enroll_with_retry(&endpoint, Duration::from_secs(30), None, b"", &Config::default())
         .err()
         .expect("version mismatch must be an error");
     assert_eq!(err.kind(), io::ErrorKind::Unsupported);
@@ -412,14 +414,14 @@ fn enroll_with_retry_fails_fast_on_rejection() {
 
 #[test]
 fn transport_mode_parser_is_strict() {
-    assert_eq!(parse_transport_mode(""), Ok(TransportMode::Channel));
     assert_eq!(parse_transport_mode("channel"), Ok(TransportMode::Channel));
     assert_eq!(parse_transport_mode("tcp"), Ok(TransportMode::Tcp));
     assert_eq!(parse_transport_mode("uds"), Ok(TransportMode::Uds));
     let err = parse_transport_mode("pigeon").unwrap_err();
-    for name in TransportMode::NAMES {
+    for name in ["channel", "tcp", "uds"] {
         assert!(err.contains(name), "error must list '{name}': {err}");
     }
+    assert!(parse_transport_mode("").is_err(), "no transport named is not a transport");
 }
 
 #[test]

@@ -174,12 +174,6 @@ impl Bandwidth {
         Bandwidth(v * 1e6 / 8.0)
     }
 
-    /// Construct from bytes per second.
-    #[inline]
-    pub fn bytes_per_sec(v: f64) -> Self {
-        Bandwidth(v)
-    }
-
     /// Bytes per second.
     #[inline]
     pub fn value(self) -> f64 {

@@ -47,6 +47,7 @@
 //! workers live in separate processes. Point each worker at its own
 //! path — the recorder appends, it does not merge writers.
 
+use mwp_msg::config::Config;
 use mwp_msg::transport::{self, SERVICE_LU, SERVICE_MATRIX};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -99,8 +100,7 @@ fn parse_args() -> Args {
 /// close; `Err` is a connect/enroll/service failure worth a non-zero
 /// exit (unless a `--reconnect` worker has already served a session and
 /// the master is simply gone).
-fn serve_one_session(args: &Args, fingerprint: &str) -> Result<(), String> {
-    let fault = mwp_msg::config::fault_spec_from_env();
+fn serve_one_session(args: &Args, fingerprint: &str, config: &Config) -> Result<(), String> {
     // One retry loop covers dial + handshake: transient failures (the
     // listener not up yet, churn mid-accept) back off and retry, while
     // an authentication/version/epoch rejection fails fast — it will
@@ -110,7 +110,7 @@ fn serve_one_session(args: &Args, fingerprint: &str) -> Result<(), String> {
         Duration::from_millis(args.wait_ms),
         None,
         fingerprint.as_bytes(),
-        fault,
+        config,
     )
     .map_err(|e| format!("enrollment at {} failed: {e}", args.endpoint))?;
     eprintln!(
@@ -132,6 +132,12 @@ fn serve_one_session(args: &Args, fingerprint: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args = parse_args();
+    // The deployment's settings, read from the environment once: the
+    // fleet secret, the liveness terms and (chaos tests) the fault.
+    let config = Config::from_env().unwrap_or_else(|msg| {
+        eprintln!("mwp-worker: {msg}");
+        std::process::exit(2)
+    });
     // The fingerprint the master records for this connection: binary
     // version plus the dispatched kernel, so a master log can spot a
     // worker that would compute with different arithmetic.
@@ -142,7 +148,7 @@ fn main() -> ExitCode {
     );
     let mut sessions_served = 0u64;
     loop {
-        match serve_one_session(&args, &fingerprint) {
+        match serve_one_session(&args, &fingerprint, &config) {
             Ok(()) => {
                 sessions_served += 1;
                 if !args.reconnect {

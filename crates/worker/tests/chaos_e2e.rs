@@ -11,51 +11,37 @@
 //! reference star: the staged-commit re-dispatch contract of
 //! `docs/ARCHITECTURE.md`, proven over a process boundary.
 //!
-//! Death here is detected by socket EOF (the kernel closes a killed
-//! process's sockets), so these tests need no liveness env; the
-//! deadline-driven detection of a *mute* worker lives in
-//! `chaos_liveness.rs`, which stages `MWP_HEARTBEAT_MS`/`MWP_DEADLINE_MS`
-//! process-wide and therefore runs as its own binary.
+//! Those deaths are detected by socket EOF (the kernel closes a killed
+//! process's sockets). Two more failures need a setting the rest run
+//! without, which each test hands its own fleet as a literal [`Config`]
+//! (and its worker processes as their environment): a worker whose socket
+//! stays open but goes **mute** (`MWP_FAULT=drop:<n>`) emits no EOF, so
+//! only a tight liveness deadline catches it; and a master whose
+//! whole-run budget elapses must broadcast `RUN_ABORT`, give up on the
+//! run — `RuntimeError::RunAborted` for the matrix product, the `aborted`
+//! outcome flag for LU — and leave the **session** serving.
+//!
+//! Every fleet here is authenticated: masters and workers are handed one
+//! secret (`common`), so death, re-dispatch and re-admission all go
+//! through the HMAC handshake.
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_blockmat::{BlockMatrix, Partition};
+use mwp_core::runtime::RuntimeError;
 use mwp_core::schedule::{PortOp, Schedule};
 use mwp_core::selection::incremental::SelectionRule;
 use mwp_core::session::RuntimeSession;
 use mwp_core::MemoryLayout;
 use mwp_lu::runtime::LuSession;
+use mwp_msg::config::Config;
 use mwp_msg::transport::TransportListener;
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId, WorkerParams};
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
+use std::time::{Duration, Instant};
 
-/// Launch one worker process dialing `endpoint`, with `MWP_FAULT` set to
-/// `fault` if non-empty.
-fn spawn_worker(endpoint: &str, fault: &str) -> Child {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mwp-worker"));
-    cmd.args(["--connect", endpoint, "--wait-ms", "10000"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if !fault.is_empty() {
-        cmd.env("MWP_FAULT", fault);
-    }
-    cmd.spawn().expect("spawn mwp-worker")
-}
-
-/// Every worker process must have exited successfully (orderly shutdown).
-fn reap(children: Vec<Child>) {
-    for mut child in children {
-        let status = child.wait().expect("wait for mwp-worker");
-        assert!(status.success(), "mwp-worker exited with {status}");
-    }
-}
-
-/// The faulty worker must have died by its own abort — anything else
-/// means the fault never fired and the test proved nothing.
-fn reap_aborted(mut child: Child) {
-    let status = child.wait().expect("wait for the aborted mwp-worker");
-    assert!(!status.success(), "the faulty worker exited cleanly: its fault never fired");
-}
+mod common;
+use common::{fleet, reap, reap_failed, spawn_worker, worker_command};
 
 /// Round inputs shared by the HoLM-shaped chaos tests.
 fn holm_round(round: u64) -> (BlockMatrix, BlockMatrix, BlockMatrix) {
@@ -106,7 +92,7 @@ fn kill_sweep(
         let endpoint = listener.endpoint();
         let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
         let doomed = spawn_worker(&endpoint, &format!("kill:{n}"));
-        let remote = RuntimeSession::accept_remote(platform, 0.0, &listener).unwrap();
+        let remote = RuntimeSession::accept_remote(platform, 0.0, &listener, &fleet()).unwrap();
 
         // Keep serving rounds until the abort has been observed (a slot
         // with fewer rows than `n` dies in a later round).
@@ -127,7 +113,7 @@ fn kill_sweep(
 
         remote.shutdown();
         reap(healthy);
-        reap_aborted(doomed);
+        reap_failed(doomed, "its kill fault never fired");
     }
     local.shutdown();
 }
@@ -207,7 +193,7 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
             let faults = if slot == 0 { [fault.as_str(), ""] } else { ["", fault.as_str()] };
             let first = spawn_worker(&endpoint, faults[0]);
             let solo = Platform::homogeneous(1, 1.0, 1.0, 1000).unwrap();
-            let mut remote = LuSession::accept_remote(&solo, 0.0, &listener).unwrap();
+            let mut remote = LuSession::accept_remote(&solo, 0.0, &listener, &fleet()).unwrap();
             let second = spawn_worker(&endpoint, faults[1]);
             remote.admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 1000 }).unwrap();
 
@@ -229,7 +215,7 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
             remote.shutdown();
             let (doomed, healthy) = if slot == 0 { (first, second) } else { (second, first) };
             reap(vec![healthy]);
-            reap_aborted(doomed);
+            reap_failed(doomed, "its kill fault never fired");
         }
     }
     local.shutdown();
@@ -249,7 +235,7 @@ fn corrupted_frame_trips_the_checksum_and_redispatch_recovers_bit_identically() 
     let endpoint = listener.endpoint();
     let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
     let corruptor = spawn_worker(&endpoint, "corrupt:2");
-    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
     for round in 0..6u64 {
@@ -289,7 +275,7 @@ fn stale_generation_replay_is_rejected_without_touching_the_result() {
     let endpoint = listener.endpoint();
     let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
     let replayer = spawn_worker(&endpoint, "stale:2");
-    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
     // The fault needs a run boundary to harvest a previous-generation
@@ -329,7 +315,7 @@ fn holm_survives_a_real_sigkill_then_readmits_a_replacement() {
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
     let mut children: Vec<Child> = (0..3).map(|_| spawn_worker(&endpoint, "")).collect();
-    let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
     let compare = |remote: &RuntimeSession, round: u64, label: &str| {
@@ -371,4 +357,147 @@ fn holm_survives_a_real_sigkill_then_readmits_a_replacement() {
     local.shutdown();
     remote.shutdown();
     reap(children);
+}
+
+#[test]
+fn a_mute_worker_is_cut_by_the_deadline_and_its_chunks_recovered() {
+    // Tight liveness so the test is fast: heartbeats every 100 ms, a
+    // worker is dead after 600 ms of silence — the master's terms, and
+    // every worker's too, which is what a real fleet does.
+    let ms = Duration::from_millis;
+    let tight = Config { liveness: Some((ms(100), ms(600))), ..fleet() };
+    let spawn_worker = |endpoint: &str, fault: &str| {
+        let mut cmd = worker_command(endpoint, fault);
+        cmd.env("MWP_HEARTBEAT_MS", "100").env("MWP_DEADLINE_MS", "600");
+        cmd.spawn().expect("spawn mwp-worker")
+    };
+
+    let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
+    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let endpoint = listener.endpoint();
+    let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
+    // After two data frames this worker swallows every outbound frame —
+    // results and its own heartbeats — while happily reading forever.
+    let mute = spawn_worker(&endpoint, "drop:2");
+    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &tight).unwrap();
+    let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
+
+    let started = Instant::now();
+    for round in 0..5u64 {
+        let (a, b, c0) = holm_round(round);
+        let over_socket = remote.run_all_workers(&a, &b, c0.clone()).unwrap();
+        let over_channel = local.run_all_workers(&a, &b, c0).unwrap();
+        assert_eq!(
+            over_socket.c.max_abs_diff(&over_channel.c),
+            0.0,
+            "round {round}: recovered result must be bit-identical"
+        );
+        if remote.dead_workers() > 0 {
+            break;
+        }
+    }
+    assert_eq!(remote.dead_workers(), 1, "the mute worker was never declared dead");
+    // The detection bound: with a 600 ms deadline, the whole exercise —
+    // including the round that stalls on the mute worker — must finish
+    // in a few seconds, not the 10 s default-deadline regime.
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "mute-worker detection took {:?}: the configured deadline did not bound it",
+        started.elapsed()
+    );
+
+    local.shutdown();
+    remote.shutdown();
+    // All three processes exit orderly: the healthy pair via shutdown
+    // frames, the mute one when the master drops its link and the
+    // closing socket ends its serve loop (its own sends being swallowed
+    // never made it error out).
+    reap(healthy);
+    reap(vec![mute]);
+}
+
+#[test]
+fn deadline_breach_aborts_the_run_and_the_session_serves_the_next_one() {
+    // Paced links make the runs deliberately slow: each block holds the
+    // port for c · time_scale = 0.8 ms of wall time, so a multi-round
+    // product run costs tens of milliseconds — far past a 5 ms budget —
+    // while the first deadline check (taken before any work) still
+    // passes. Small memory (µ = 20 blocks) forces several chunk rounds,
+    // so there *is* a between-rounds checkpoint to abort at.
+    let time_scale = 2e-4;
+    let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
+    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let endpoint = listener.endpoint();
+    let children: Vec<Child> = (0..3).map(|_| spawn_worker(&endpoint, "")).collect();
+    let mut remote =
+        RuntimeSession::accept_remote(&platform, time_scale, &listener, &fleet()).unwrap();
+
+    let q = 6;
+    let a = random_matrix(5, 7, q, 9700);
+    let b = random_matrix(7, 9, q, 9800);
+    let c0 = random_matrix(5, 9, q, 9900);
+
+    // --- Leg 1: the product run aborts... ---------------------------
+    remote.set_run_deadline(Some(Duration::from_millis(5)));
+    let err = remote
+        .run_all_workers(&a, &b, c0.clone())
+        .expect_err("a 5 ms budget must abort a paced multi-round run");
+    assert_eq!(err, RuntimeError::RunAborted);
+    assert_eq!(remote.dead_workers(), 0, "abort must not condemn any link");
+
+    // ...and a second abort on the same session is just as orderly (the
+    // generation tags keep any first-abort leftovers out of the run).
+    let err = remote.run_all_workers(&a, &b, c0.clone()).expect_err("second abort");
+    assert_eq!(err, RuntimeError::RunAborted);
+
+    // --- Recovery: same session, same worker processes, budget off. --
+    remote.set_run_deadline(None);
+    let recovered = remote.run_all_workers(&a, &b, c0.clone()).expect("post-abort run");
+    let reference = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
+    let healthy = reference.run_all_workers(&a, &b, c0).expect("healthy reference run");
+    assert_eq!(
+        recovered.c.max_abs_diff(&healthy.c),
+        0.0,
+        "the run after an abort must be bit-identical to a fresh session's"
+    );
+    assert_eq!(recovered.blocks_moved, healthy.blocks_moved);
+    assert_eq!(remote.dead_workers(), 0);
+    reference.shutdown();
+
+    // --- Leg 2: LU on its own paced fleet, same contract. ------------
+    // LU meters every frame at its true size in blocks, so pace the
+    // blocks: at 0.2 ms each, step 0's panel exchange alone (20 blocks out,
+    // 20 back) breaches 5 ms, and the whole factorization (144 blocks) is
+    // 29 ms.
+    let lu_platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
+    let lu_listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let lu_endpoint = lu_listener.endpoint();
+    let lu_children: Vec<Child> = (0..2).map(|_| spawn_worker(&lu_endpoint, "")).collect();
+    // This fleet is handed its budget at the door.
+    let budgeted = Config { run_deadline: Some(Duration::from_millis(5)), ..fleet() };
+    let mut lu_remote =
+        LuSession::accept_remote(&lu_platform, 2e-4, &lu_listener, &budgeted).unwrap();
+    let matrix = random_diagonally_dominant(6, 4, 9600);
+
+    let aborted = lu_remote.run(&matrix, 2);
+    assert!(aborted.aborted, "a 5 ms budget must abort a paced factorization");
+    assert_eq!(lu_remote.dead_workers(), 0, "abort must not condemn any link");
+
+    lu_remote.set_run_deadline(None);
+    let recovered = lu_remote.run(&matrix, 2);
+    assert!(!recovered.aborted);
+    let lu_reference = LuSession::with_transport(&lu_platform, 0.0, TransportMode::Channel);
+    let healthy = lu_reference.run(&matrix, 2);
+    assert_eq!(
+        recovered.packed.max_abs_diff(&healthy.packed),
+        0.0,
+        "the factorization after an abort must be bit-identical to a fresh session's"
+    );
+    assert_eq!(lu_remote.dead_workers(), 0);
+    lu_reference.shutdown();
+
+    lu_remote.shutdown();
+    remote.shutdown();
+    reap(children);
+    reap(lu_children);
 }

@@ -2,10 +2,10 @@
 //! epochs, and automatic re-planning, proven over real `mwp-worker`
 //! processes on loopback TCP.
 //!
-//! Every test arms the same `MWP_FLEET_SECRET` on the master (this
-//! process) and passes a secret explicitly to each spawned worker, so
-//! the HMAC challenge/response handshake is live throughout. The tests
-//! then prove the ISSUE's acceptance story:
+//! Every master here accepts its fleet under the same literal [`Config`]
+//! secret and each spawned worker is passed a secret explicitly, so the
+//! HMAC challenge/response handshake is live throughout. The tests then
+//! prove the acceptance story:
 //!
 //! - an unauthenticated (wrong-secret), non-speaking (`badhello`),
 //!   corrupted-MAC (`badauth`), or stale-epoch connection is rejected
@@ -27,17 +27,11 @@ use mwp_core::session::RuntimeSession;
 use mwp_msg::transport::{self, TransportListener};
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerParams};
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 use std::time::{Duration, Instant};
 
-/// The fleet secret shared by every test in this binary. All tests set
-/// the **same** value process-wide, so the harness's parallel test
-/// threads cannot race each other into inconsistent reads.
-const SECRET: &str = "fleet-control-e2e-secret";
-
-fn arm_secret() {
-    std::env::set_var("MWP_FLEET_SECRET", SECRET);
-}
+mod common;
+use common::{fleet, reap, reap_failed, SECRET};
 
 /// The worker parameters every fleet member here enrolls with.
 const PARAMS: WorkerParams = WorkerParams { c: 4.0, w: 1.0, m: 20 };
@@ -46,36 +40,14 @@ const PARAMS: WorkerParams = WorkerParams { c: 4.0, w: 1.0, m: 20 };
 /// secret (the impostor tests pass a wrong one) and optional
 /// `MWP_FAULT` / `--reconnect`.
 fn spawn_worker(endpoint: &str, secret: &str, fault: &str, reconnect: bool) -> Child {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mwp-worker"));
-    cmd.args(["--connect", endpoint, "--wait-ms", "10000"])
-        .env("MWP_FLEET_SECRET", secret)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
+    let mut cmd = common::worker_command(endpoint, fault);
+    cmd.env("MWP_FLEET_SECRET", secret);
     if reconnect {
         // A shorter retry window so the veteran worker gives up (and
         // exits 0) promptly once the listener is gone for good.
-        cmd.args(["--reconnect"]);
-        cmd.args(["--wait-ms", "2000"]);
-    }
-    if !fault.is_empty() {
-        cmd.env("MWP_FAULT", fault);
+        cmd.args(["--reconnect", "--wait-ms", "2000"]);
     }
     cmd.spawn().expect("spawn mwp-worker")
-}
-
-/// Every healthy worker process must have exited successfully.
-fn reap(children: Vec<Child>) {
-    for mut child in children {
-        let status = child.wait().expect("wait for mwp-worker");
-        assert!(status.success(), "mwp-worker exited with {status}");
-    }
-}
-
-/// A rejected worker must fail fast with a non-zero exit — a clean exit
-/// means the master's door opened for it and the test proved nothing.
-fn reap_rejected(mut child: Child, label: &str) {
-    let status = child.wait().expect("wait for the rejected mwp-worker");
-    assert!(!status.success(), "{label}: the impostor worker exited cleanly");
 }
 
 /// Poll until `n` workers are flagged dead (the in-pumps raise the flag
@@ -112,12 +84,11 @@ fn compare_round(remote: &RuntimeSession, reference: &RuntimeSession, round: u64
 
 #[test]
 fn impostors_are_rejected_while_the_master_keeps_serving() {
-    arm_secret();
     let platform = Platform::homogeneous(2, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
     let mut children: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, SECRET, "", false)).collect();
-    let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let reference = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
     assert_eq!(remote.epoch(), 1);
 
@@ -129,14 +100,14 @@ fn impostors_are_rejected_while_the_master_keeps_serving() {
     let impostor = spawn_worker(&endpoint, "not-the-fleet-secret", "", false);
     let err = remote.admit(&listener, PARAMS).expect_err("wrong secret must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::PermissionDenied);
-    reap_rejected(impostor, "wrong secret");
+    reap_failed(impostor, "wrong secret");
 
     // (b) A worker holding the right secret whose hello MAC is corrupted
     // in flight (`MWP_FAULT=badauth`): same rejection.
     let impostor = spawn_worker(&endpoint, SECRET, "badauth", false);
     let err = remote.admit(&listener, PARAMS).expect_err("corrupted MAC must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::PermissionDenied);
-    reap_rejected(impostor, "badauth");
+    reap_failed(impostor, "badauth");
 
     // (c) A peer that does not speak the handshake at all
     // (`MWP_FAULT=badhello` answers the challenge with an unrelated
@@ -144,7 +115,7 @@ fn impostors_are_rejected_while_the_master_keeps_serving() {
     let impostor = spawn_worker(&endpoint, SECRET, "badhello", false);
     let err = remote.admit(&listener, PARAMS).expect_err("non-hello must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
-    reap_rejected(impostor, "badhello");
+    reap_failed(impostor, "badhello");
 
     // (d) A correctly-authenticated dialer presenting a stale membership
     // epoch — a replayed enrollment from a pruned fleet generation. The
@@ -153,7 +124,7 @@ fn impostors_are_rejected_while_the_master_keeps_serving() {
     let stale_dialer = std::thread::spawn(move || {
         let stream = transport::connect_with_retry(&stale_endpoint, Duration::from_secs(10))
             .expect("dial the master");
-        transport::enroll_with(stream, None, b"stale-replay", SECRET.as_bytes(), 99, None)
+        transport::enroll_with(stream, None, b"stale-replay", 99, &fleet())
             .map(|(_, welcome)| welcome.epoch)
             .map_err(|e| e.kind())
     });
@@ -184,12 +155,11 @@ fn impostors_are_rejected_while_the_master_keeps_serving() {
 
 #[test]
 fn pruning_the_whole_fleet_empties_it_and_an_admit_revives_it() {
-    arm_secret();
     let platform = Platform::homogeneous(2, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
     let children: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, SECRET, "", false)).collect();
-    let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let reference = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
     compare_round(&remote, &reference, 0, "healthy fleet");
@@ -234,12 +204,11 @@ fn pruning_the_whole_fleet_empties_it_and_an_admit_revives_it() {
 
 #[test]
 fn membership_churn_forces_a_fresh_resource_selection() {
-    arm_secret();
     let platform = Platform::homogeneous(2, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
     let mut children: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, SECRET, "", false)).collect();
-    let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let reference = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
     // First run plans; an identically-shaped second run reuses the plan.
@@ -271,7 +240,6 @@ fn membership_churn_forces_a_fresh_resource_selection() {
 
 #[test]
 fn a_reconnect_worker_reenrolls_across_sessions() {
-    arm_secret();
     let platform1 = Platform::homogeneous(1, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
@@ -279,14 +247,15 @@ fn a_reconnect_worker_reenrolls_across_sessions() {
 
     // Session A: the --reconnect veteran enrolls and serves a round.
     let veteran = spawn_worker(&endpoint, SECRET, "", true);
-    let session_a = RuntimeSession::accept_remote(&platform1, 0.0, &listener).unwrap();
+    let session_a = RuntimeSession::accept_remote(&platform1, 0.0, &listener, &fleet()).unwrap();
     assert_eq!(session_a.epoch(), 1);
     compare_round(&session_a, &reference1, 0, "session A");
     session_a.shutdown();
 
     // The orderly close sends the veteran back to the listener; a new
     // session on the same door re-authenticates and re-admits it.
-    let mut session_b = RuntimeSession::accept_remote(&platform1, 0.0, &listener).unwrap();
+    let mut session_b =
+        RuntimeSession::accept_remote(&platform1, 0.0, &listener, &fleet()).unwrap();
     assert_eq!(session_b.epoch(), 1);
     compare_round(&session_b, &reference1, 1, "session B, re-enrolled veteran");
 

@@ -10,6 +10,8 @@
 //! `MWP_KERNEL` CI legs force the same kernel on both sides
 //! of the wire (a mixed-kernel star would be a fingerprint mismatch a
 //! real deployment surfaces via [`RuntimeSession::worker_fingerprints`]).
+//! The fleet's own settings are not ambient: the masters accept under a
+//! literal `Config` and the workers are handed its secret (`common`).
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_core::session::RuntimeSession;
@@ -17,29 +19,14 @@ use mwp_lu::runtime::LuSession;
 use mwp_msg::transport::TransportListener;
 use mwp_msg::TransportMode;
 use mwp_platform::Platform;
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
+
+mod common;
+use common::{fleet, reap};
 
 /// Launch `n` worker processes dialing `endpoint`.
 fn spawn_workers(n: usize, endpoint: &str) -> Vec<Child> {
-    (0..n)
-        .map(|_| {
-            Command::new(env!("CARGO_BIN_EXE_mwp-worker"))
-                .args(["--connect", endpoint, "--wait-ms", "10000"])
-                .stdout(Stdio::null())
-                .stderr(Stdio::null())
-                .spawn()
-                .expect("spawn mwp-worker")
-        })
-        .collect()
-}
-
-/// Every worker process must have exited successfully (status 0 — an
-/// orderly shutdown, not a crash or an enrollment failure).
-fn reap(children: Vec<Child>) {
-    for mut child in children {
-        let status = child.wait().expect("wait for mwp-worker");
-        assert!(status.success(), "mwp-worker exited with {status}");
-    }
+    (0..n).map(|_| common::spawn_worker(endpoint, "")).collect()
 }
 
 #[test]
@@ -47,7 +34,7 @@ fn remote_workers_serve_consecutive_holm_runs_bit_identically() {
     let platform = Platform::homogeneous(3, 4.0, 1.0, 60).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let children = spawn_workers(platform.len(), &listener.endpoint());
-    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
 
     // Every enrollment carried the worker binary's fingerprint.
     for fp in remote.worker_fingerprints() {
@@ -55,9 +42,7 @@ fn remote_workers_serve_consecutive_holm_runs_bit_identically() {
         assert!(fp.starts_with("mwp-worker/"), "unexpected fingerprint: {fp}");
     }
 
-    // The reference star: in-process channel workers, explicitly — the
-    // comparison must hold no matter what MWP_TRANSPORT the suite runs
-    // under.
+    // The reference star: in-process channel workers.
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
     // Three consecutive runs over the same connections, with a block-side
@@ -87,7 +72,7 @@ fn remote_workers_serve_lu_runs_bit_identically() {
     let platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let children = spawn_workers(platform.len(), &listener.endpoint());
-    let remote = LuSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let remote = LuSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = LuSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
     // Two consecutive factorizations over one connection per worker.
@@ -116,7 +101,7 @@ fn dropping_a_remote_session_shuts_workers_down() {
     let platform = Platform::homogeneous(2, 4.0, 1.0, 60).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let children = spawn_workers(platform.len(), &listener.endpoint());
-    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let q = 4;
     let a = random_matrix(3, 3, q, 1);
     let b = random_matrix(3, 3, q, 2);

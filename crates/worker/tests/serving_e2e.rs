@@ -12,32 +12,10 @@ use mwp_core::session::RuntimeSession;
 use mwp_msg::transport::TransportListener;
 use mwp_msg::TransportMode;
 use mwp_platform::Platform;
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 
-/// Launch one worker process dialing `endpoint`, with `MWP_FAULT` set to
-/// `fault` if non-empty.
-fn spawn_worker(endpoint: &str, fault: &str) -> Child {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mwp-worker"));
-    cmd.args(["--connect", endpoint, "--wait-ms", "10000"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if !fault.is_empty() {
-        cmd.env("MWP_FAULT", fault);
-    }
-    cmd.spawn().expect("spawn mwp-worker")
-}
-
-fn reap(children: Vec<Child>) {
-    for mut child in children {
-        let status = child.wait().expect("wait for mwp-worker");
-        assert!(status.success(), "mwp-worker exited with {status}");
-    }
-}
-
-fn reap_aborted(mut child: Child) {
-    let status = child.wait().expect("wait for the aborted mwp-worker");
-    assert!(!status.success(), "the faulty worker exited cleanly: its fault never fired");
-}
+mod common;
+use common::{fleet, reap, reap_failed, spawn_worker};
 
 /// One round's jobs: distinct seeds per (round, slot) so every retry of
 /// the test sees the same data.
@@ -79,7 +57,7 @@ fn serving_recovers_bit_identically_when_a_worker_dies_mid_multi_job_run() {
     let endpoint = listener.endpoint();
     let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
     let doomed = spawn_worker(&endpoint, "kill:2");
-    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
     let server = MatrixServer::with_options(remote, 4, false);
@@ -104,7 +82,7 @@ fn serving_recovers_bit_identically_when_a_worker_dies_mid_multi_job_run() {
     local.shutdown();
     server.shutdown();
     reap(healthy);
-    reap_aborted(doomed);
+    reap_failed(doomed, "its kill fault never fired");
 }
 
 #[test]
@@ -120,7 +98,7 @@ fn batched_serving_recovers_bit_identically_when_a_worker_dies() {
     let endpoint = listener.endpoint();
     let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
     let doomed = spawn_worker(&endpoint, "kill:2");
-    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener).unwrap();
+    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
     let server = MatrixServer::with_options(remote, 1, true);
@@ -157,5 +135,5 @@ fn batched_serving_recovers_bit_identically_when_a_worker_dies() {
     local.shutdown();
     server.shutdown();
     reap(healthy);
-    reap_aborted(doomed);
+    reap_failed(doomed, "its kill fault never fired");
 }

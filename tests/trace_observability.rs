@@ -21,7 +21,8 @@
 //!
 //! The compute kernel under the captured runs follows `MWP_KERNEL`, so
 //! the CI matrix exercises these invariants under both kernels; the
-//! transport follows `MWP_TRANSPORT` the same way.
+//! transport is an input of the randomized HoLM captures, so the port's
+//! wait and transfer spans are also checked over a real socket stack.
 //!
 //! Captures are process-global, so every capturing test serializes on
 //! [`CAPTURE_LOCK`].
@@ -30,6 +31,7 @@ use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
 use mwp_lu::runtime::LuSession;
+use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::chrome;
 use mwp_trace::record::Capture;
@@ -45,9 +47,10 @@ fn capture_lock() -> MutexGuard<'static, ()> {
     CAPTURE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One real HoLM run on a fresh pooled session, captured: returns the
-/// measured trace and the runtime's own `blocks_moved` count.
+/// One real HoLM run on a fresh pooled session over `mode`, captured:
+/// returns the measured trace and the runtime's own `blocks_moved` count.
 fn captured_holm(
+    mode: TransportMode,
     p: usize,
     r: usize,
     s: usize,
@@ -60,7 +63,7 @@ fn captured_holm(
     let b = random_matrix(s, t, q, 2);
     let c0 = random_matrix(r, t, q, 3);
     let capture = Capture::begin();
-    let session = RuntimeSession::new(&pf, 0.0);
+    let session = RuntimeSession::with_transport(&pf, 0.0, mode);
     let outcome = session.run_holm(&a, &b, c0).expect("run succeeds");
     let trace = capture.end();
     session.shutdown();
@@ -139,17 +142,19 @@ fn check_invariants(trace: &Trace, moved: u64, q: usize) -> Result<(), TestCaseE
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized platform/problem shapes: every captured real run obeys
-    /// the trace invariants.
+    /// Randomized transport and platform/problem shapes: every captured
+    /// real run obeys the trace invariants.
     #[test]
     fn measured_trace_invariants(
+        mode in 0usize..2,
         p in 1usize..4,
         r in 1usize..5,
         s in 1usize..5,
         t in 1usize..5,
         q in 4usize..10,
     ) {
-        let (trace, moved) = captured_holm(p, r, s, t, q);
+        let mode = [TransportMode::Channel, TransportMode::Tcp][mode];
+        let (trace, moved) = captured_holm(mode, p, r, s, t, q);
         prop_assert!(moved > 0, "run moved no blocks");
         check_invariants(&trace, moved, q)?;
     }
@@ -161,7 +166,7 @@ proptest! {
 /// the sim-side reader without losing a span.
 #[test]
 fn chrome_export_golden_structure() {
-    let (trace, moved) = captured_holm(2, 2, 2, 3, 5);
+    let (trace, moved) = captured_holm(TransportMode::Channel, 2, 2, 2, 3, 5);
     assert!(moved > 0);
     let json = chrome::to_json(&trace);
 
