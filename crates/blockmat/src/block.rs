@@ -81,9 +81,9 @@ impl Block {
     /// The block update `self += a · b` — the paper's unit of computation.
     ///
     /// Runs the process-wide dispatched kernel ([`kernel::active`]): the
-    /// register-blocked AVX2/FMA microkernel where the CPU supports it,
-    /// the cache-tiled scalar loop everywhere else, overridable with
-    /// `MWP_KERNEL=scalar|avx2`. Loops that perform many updates should
+    /// fastest register-blocked SIMD tile the CPU supports (AVX-512, else
+    /// AVX2/FMA — the same bits either way), the cache-tiled scalar loop
+    /// everywhere else, overridable with `MWP_KERNEL=scalar|avx2|avx512`. Loops that perform many updates should
     /// resolve the kernel once and call [`Block::gemm_acc_with`] instead.
     pub fn gemm_acc(&mut self, a: &Block, b: &Block) {
         self.gemm_acc_with(kernel::active(), a, b);

@@ -4,44 +4,24 @@
 //! update resolves the table, every later call is one atomic load. No hot
 //! path ever re-runs `is_x86_feature_detected!` per block update.
 //!
+//! The table has one row per kernel, slowest first: `scalar` (every
+//! target), `avx2` (x86 / x86_64, needs AVX2 + FMA), `avx512` (x86_64,
+//! needs AVX-512F). Both SIMD rows are the same two functions of the
+//! shared `pack` module — the pack and the macro loop — instantiated at
+//! their own register tile.
+//!
 //! Selection order:
-//! 1. `MWP_KERNEL=scalar|avx2` forces a kernel (a forced kernel the CPU
-//!    cannot run is a hard error — a silent fallback would make "tested
-//!    the SIMD path" a lie on machines without it; an unknown name is a
-//!    hard error listing the valid names);
-//! 2. otherwise the fastest kernel the CPU supports wins (AVX2+FMA when
-//!    detected, scalar everywhere else).
+//! 1. `MWP_KERNEL=scalar|avx2|avx512` forces a kernel (a forced kernel
+//!    the CPU cannot run is a hard error — a silent fallback would make
+//!    "tested the SIMD path" a lie on machines without it; an unknown name
+//!    is a hard error listing the valid names);
+//! 2. otherwise the fastest kernel the CPU supports wins: AVX-512 when
+//!    `avx512f` is detected, else AVX2 when AVX2 + FMA are, else scalar.
 
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+use super::pack::{self, Tile};
 use super::packed::PackedB;
 use std::sync::OnceLock;
-
-/// Raw kernel entry: `C (m×n) += alpha · A (m×k) · B (k×n)`, row-major,
-/// as `(c, ldc, a, lda, b, ldb, m, n, k, alpha)`. Unsafe because the AVX2
-/// entry requires CPU support the dispatcher establishes and the operands
-/// are raw sub-matrix views; see [`Kernel::gemm_acc_ld`].
-type GemmAccLdRaw = unsafe fn(
-    *mut f64,
-    usize,
-    *const f64,
-    usize,
-    *const f64,
-    usize,
-    usize,
-    usize,
-    usize,
-    f64,
-);
-
-/// Raw pack entry: fill the buffer with this kernel's private packed
-/// image of `alpha · B (k×n)`. Safe — packing is plain data movement.
-type PackBRaw = fn(&[f64], usize, usize, f64, &mut Vec<f64>);
-
-/// Raw prepacked entry: `C (m×n) += A (m×k) · bp` where `bp` is this
-/// kernel's packed image (the trailing `alpha` is the recorded value,
-/// for kernels that apply it at consume time rather than at pack time).
-/// Unsafe for the CPU support the dispatcher establishes, plus the layout trust:
-/// `bp` must have been produced by this kernel's pack entry for `k × n`.
-type GemmAccPackedRaw = unsafe fn(&mut [f64], &[f64], &[f64], usize, usize, usize, f64);
 
 /// One entry of the dispatch table.
 ///
@@ -52,13 +32,28 @@ type GemmAccPackedRaw = unsafe fn(&mut [f64], &[f64], &[f64], usize, usize, usiz
 /// load out of per-block code.
 pub struct Kernel {
     name: &'static str,
-    gemm_acc_ld: GemmAccLdRaw,
-    pack_b: PackBRaw,
-    gemm_acc_packed: GemmAccPackedRaw,
+    run: Run,
+}
+
+/// What a kernel runs.
+enum Run {
+    /// The scalar loop nest, straight on B (its "pack" is a verbatim
+    /// row-major copy, `alpha` recorded and applied at consume time).
+    Scalar,
+    /// A register tile `T`: `pack` is `pack::pack_b_ld::<T>`, `gemm` is
+    /// `T::gemm_packed`, the shared macro loop under `T`'s target
+    /// features. Per-call updates pack into a thread-local and run the
+    /// packed path.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Simd {
+        pack: unsafe fn(*const f64, usize, usize, usize, f64, &mut Vec<f64>),
+        gemm: unsafe fn(*mut f64, usize, *const f64, usize, &[f64], usize, usize, usize),
+    },
 }
 
 impl Kernel {
-    /// Kernel name as accepted by `MWP_KERNEL` (`"scalar"`, `"avx2"`).
+    /// Kernel name as accepted by `MWP_KERNEL` (`"scalar"`, `"avx2"`,
+    /// `"avx512"`) and recorded in every [`PackedB`] it packs.
     #[inline]
     pub fn name(&self) -> &'static str {
         self.name
@@ -122,7 +117,14 @@ impl Kernel {
         debug_assert!(ldc >= n && lda >= k && ldb >= n, "rows must not overlap");
         // SAFETY: forwarded caller guarantees; CPU support was established
         // when this Kernel was handed out (see module docs).
-        unsafe { (self.gemm_acc_ld)(c, ldc, a, lda, b, ldb, m, n, k, alpha) }
+        match self.run {
+            Run::Scalar => unsafe { super::scalar::gemm_acc_ld(c, ldc, a, lda, b, ldb, m, n, k, alpha) },
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Run::Simd { pack, gemm } => pack::with_pack_buf(|buf| unsafe {
+                pack(b, ldb, k, n, alpha, buf);
+                gemm(c, ldc, a, lda, buf, m, n, k)
+            }),
+        }
     }
 
     /// Pack `alpha · b` (`k × n`, row-major) into `dst`, reusing `dst`'s
@@ -131,7 +133,12 @@ impl Kernel {
     /// the ownership / invalidation contract.
     pub fn pack_into(&self, dst: &mut PackedB, b: &[f64], k: usize, n: usize, alpha: f64) {
         assert_eq!(b.len(), k * n, "B must be k×n");
-        (self.pack_b)(b, k, n, alpha, dst.buf_mut());
+        match self.run {
+            Run::Scalar => super::scalar::pack_b(b, dst.buf_mut()),
+            // SAFETY: `b` holds `k` rows of `n` elements, `n` apart.
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Run::Simd { pack, .. } => unsafe { pack(b.as_ptr(), n, k, n, alpha, dst.buf_mut()) },
+        }
         dst.set_identity(self.name, k, n, alpha);
     }
 
@@ -157,10 +164,18 @@ impl Kernel {
         let (k, n) = (bp.k(), bp.n());
         assert_eq!(c.len(), m * n, "C must be m×n");
         assert_eq!(a.len(), m * k, "A must be m×k");
+        let (c, a) = (c.as_mut_ptr(), a.as_ptr());
         // SAFETY: shapes checked; the pack identity proves `bp`'s buffer
-        // holds this kernel's layout for k × n; CPU support established
-        // when this Kernel was handed out.
-        unsafe { (self.gemm_acc_packed)(c, a, bp.buf(), m, n, k, bp.alpha()) }
+        // holds this kernel's layout for k × n (for scalar: B itself, rows
+        // `n` apart); CPU support established when this Kernel was handed
+        // out.
+        match self.run {
+            Run::Scalar => unsafe {
+                super::scalar::gemm_acc_ld(c, n, a, k, bp.buf().as_ptr(), n, m, n, k, bp.alpha())
+            },
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Run::Simd { gemm, .. } => unsafe { gemm(c, n, a, k, bp.buf(), m, n, k) },
+        }
     }
 }
 
@@ -170,27 +185,37 @@ impl std::fmt::Debug for Kernel {
     }
 }
 
-static SCALAR: Kernel = Kernel {
-    name: "scalar",
-    gemm_acc_ld: super::scalar::gemm_acc_ld,
-    pack_b: super::scalar::pack_b,
-    gemm_acc_packed: super::scalar::gemm_acc_packed,
-};
+/// One row of the dispatch table: a kernel, whether this CPU can run it,
+/// and what it needs when it cannot.
+struct Row {
+    kernel: Kernel,
+    supported: fn() -> bool,
+    needs: &'static str,
+}
 
+/// The SIMD kernel of tile `T`: the shared pack and macro loop at `T`.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-static AVX2: Kernel = Kernel {
-    name: "avx2",
-    gemm_acc_ld: super::avx2::gemm_acc_ld,
-    pack_b: super::pack::pack_b,
-    gemm_acc_packed: super::avx2::gemm_acc_packed,
-};
+const fn simd<T: Tile>(name: &'static str) -> Kernel {
+    Kernel { name, run: Run::Simd { pack: pack::pack_b_ld::<T>, gemm: T::gemm_packed } }
+}
 
-/// Every kernel name compiled into this build (whether or not this CPU
-/// can run it) — the list `MWP_KERNEL` errors cite.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-const KERNEL_NAMES: &[&str] = &["scalar", "avx2"];
-#[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-const KERNEL_NAMES: &[&str] = &["scalar"];
+/// Every kernel compiled into this build, slowest first — the names
+/// `MWP_KERNEL` errors cite, whether or not this CPU can run them.
+static TABLE: &[Row] = &[
+    Row { kernel: Kernel { name: "scalar", run: Run::Scalar }, supported: || true, needs: "" },
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Row {
+        kernel: simd::<super::avx2::Avx2>("avx2"),
+        supported: || std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma"),
+        needs: "AVX2+FMA",
+    },
+    #[cfg(target_arch = "x86_64")]
+    Row {
+        kernel: simd::<super::avx512::Avx512>("avx512"),
+        supported: || std::is_x86_feature_detected!("avx512f"),
+        needs: "AVX-512F",
+    },
+];
 
 static ACTIVE: OnceLock<&'static Kernel> = OnceLock::new();
 
@@ -200,52 +225,30 @@ static ACTIVE: OnceLock<&'static Kernel> = OnceLock::new();
 #[inline]
 pub fn active() -> &'static Kernel {
     ACTIVE.get_or_init(|| match std::env::var("MWP_KERNEL") {
-        // `MWP_KERNEL=` (empty) means "no override", like unset — this is
-        // what a CI matrix leg with an empty value produces.
-        Ok(name) if name.is_empty() => default_kernel(),
-        Ok(name) => by_name(&name)
-            .unwrap_or_else(|e| panic!("MWP_KERNEL: {e}")),
-        Err(_) => default_kernel(),
+        Ok(name) if !name.is_empty() => by_name(&name).unwrap_or_else(|e| panic!("MWP_KERNEL: {e}")),
+        // Unset, or empty — what a CI matrix leg with an empty value
+        // produces: the last (fastest) kernel this CPU runs.
+        _ => available().pop().expect("scalar is always available"),
     })
 }
 
 /// Look a kernel up by `MWP_KERNEL` name, verifying the CPU can run it.
 pub fn by_name(name: &str) -> Result<&'static Kernel, String> {
-    match name {
-        "scalar" => Ok(&SCALAR),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        "avx2" if avx2_supported() => Ok(&AVX2),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        "avx2" => Err("kernel 'avx2' forced but this CPU lacks AVX2+FMA".into()),
-        other => Err(format!(
-            "unknown kernel '{other}' (valid: {})",
-            KERNEL_NAMES.join(", ")
-        )),
+    let Some(row) = TABLE.iter().find(|row| row.kernel.name == name) else {
+        let names: Vec<_> = TABLE.iter().map(|row| row.kernel.name).collect();
+        return Err(format!("unknown kernel '{name}' (valid: {})", names.join(", ")));
+    };
+    if (row.supported)() {
+        Ok(&row.kernel)
+    } else {
+        Err(format!("kernel '{name}' forced but this CPU lacks {}", row.needs))
     }
 }
 
-/// Every kernel this CPU can run, scalar first — for benches and
-/// equivalence tests that want to exercise all of them explicitly.
+/// Every kernel this CPU can run, slowest (scalar) first — for benches
+/// and equivalence tests that want to exercise all of them explicitly.
 pub fn available() -> Vec<&'static Kernel> {
-    let mut out = vec![&SCALAR];
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if avx2_supported() {
-        out.push(&AVX2);
-    }
-    out
-}
-
-fn default_kernel() -> &'static Kernel {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if avx2_supported() {
-        return &AVX2;
-    }
-    &SCALAR
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-fn avx2_supported() -> bool {
-    std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+    TABLE.iter().filter(|row| (row.supported)()).map(|row| &row.kernel).collect()
 }
 
 #[cfg(test)]
@@ -262,7 +265,8 @@ mod tests {
     fn unknown_kernel_error_lists_the_valid_names() {
         let err = by_name("sse9").unwrap_err();
         assert!(err.contains("unknown kernel"), "got: {err}");
-        for name in KERNEL_NAMES {
+        for row in TABLE {
+            let name = row.kernel.name;
             assert!(err.contains(name), "error must list '{name}': {err}");
         }
     }

@@ -10,13 +10,16 @@
 //! * `scalar` — the cache-tiled, k-unrolled loop nest (bit-identical to
 //!   the pre-dispatch `Block::gemm_acc`), always available, and the
 //!   fallback on every target.
-//! * `avx2` — a register-blocked 4×8 microkernel written with
-//!   `std::arch` AVX2/FMA intrinsics over a cache-blocked packed B-panel
-//!   layout (`pack`), selected at runtime when the CPU supports it.
+//! * `avx2` and `avx512` — register tiles written with `std::arch`
+//!   intrinsics (4 × 8 in YMM registers; 8 × 16 in ZMM registers, x86_64
+//!   only), each selected at runtime when the CPU supports it. A tile is
+//!   all a SIMD kernel file holds: the Goto-style packed B layout, the
+//!   strip depth and the blocked macro loop are one copy in `pack`,
+//!   generic over the tile's `MR × NR`.
 //! * [`dispatch`] — the `OnceLock`-cached selection: CPU features are
-//!   detected exactly once per process, and the choice can be forced with
-//!   `MWP_KERNEL=scalar|avx2` for testing either path (an unknown name is
-//!   rejected with the valid list).
+//!   detected exactly once per process, the fastest runnable kernel wins,
+//!   and the choice can be forced with `MWP_KERNEL=scalar|avx2|avx512` for
+//!   testing any path (an unknown name is rejected with the valid list).
 //! * [`PackedB`] — a first-class, reusable packed B operand, so callers
 //!   that stream many A operands against one B pay the `O(k·n)` pack cost
 //!   once instead of once per `gemm_acc` call.
@@ -46,26 +49,31 @@
 //!   rewrites every slot including tail-panel zero padding, so a smaller
 //!   pack after a larger one is safe (pinned by proptest);
 //! * consuming a pack through a **different kernel panics** — layouts are
-//!   kernel-private (`pack`'s blocked panels for AVX2, a verbatim
-//!   row-major copy for scalar) and not interchangeable;
+//!   kernel-private (`pack`'s blocked panels, 8 wide for AVX2 and 16 wide
+//!   for AVX-512; a verbatim row-major copy for scalar) and not
+//!   interchangeable;
 //! * [`Kernel::gemm_acc_packed`] is **bit-identical** to
 //!   [`Kernel::gemm_acc`] on the same operands: same microkernel, same
 //!   per-element k-accumulation order — `gemm_acc` *is* "pack into a
-//!   thread-local, then run the packed path" on the AVX2 side.
+//!   thread-local, then run the packed path" on the SIMD side.
 //!
 //! Numerical contract: every kernel computes each C element as a sum over
 //! `k` in increasing order — the kc-strip macro loop preserves this, as
 //! the C tile store/reload between strips is exact — so results agree
 //! within `k · ‖A‖ · ‖B‖ · ε` elementwise; the scalar kernel reproduces
-//! the historical `gemm_acc` bit for bit, while the AVX2 kernel differs
-//! only by FMA's unrounded multiplies. [`Block::gemm_acc_naive`] (the
-//! plain triple loop) is the documented test oracle all kernels are
-//! verified against — the optimized paths never verify themselves.
+//! the historical `gemm_acc` bit for bit, while the two SIMD kernels
+//! differ from it only by FMA's unrounded multiplies and are **bitwise
+//! equal to each other** (each element is the same chain of FMAs,
+//! whatever tile it lands in). [`Block::gemm_acc_naive`] (the plain triple
+//! loop) is the documented test oracle all kernels are verified against —
+//! the optimized paths never verify themselves.
 //!
 //! [`Block::gemm_acc_naive`]: crate::Block::gemm_acc_naive
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 pub(crate) mod avx2;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx512;
 pub mod dispatch;
 pub(crate) mod pack;
 pub(crate) mod packed;
@@ -118,10 +126,10 @@ mod tests {
 
     #[test]
     fn every_kernel_matches_oracle_on_tail_sizes() {
-        // Sides that are not multiples of the 4-row/8-column register
-        // tile (nor of the 32-wide cache tile) exercise every edge path.
+        // Sides that are not multiples of either register tile (4 × 8,
+        // 8 × 16) nor of the 32-wide cache tile exercise every edge path.
         for kernel in available() {
-            for q in [1usize, 3, 5, 7, 33, 80] {
+            for q in [1usize, 3, 5, 7, 15, 17, 25, 33, 80] {
                 let a = seeded(q * q, 1);
                 let b = seeded(q * q, 2);
                 let mut c = seeded(q * q, 3);
@@ -302,53 +310,123 @@ mod tests {
         }
     }
 
+    /// The SIMD rows this CPU runs (none, `avx2`, or both).
+    fn simd() -> impl Iterator<Item = &'static Kernel> {
+        available().into_iter().filter(|k| k.name() != "scalar")
+    }
+
     #[test]
     fn simd_matches_scalar_on_tail_sizes() {
-        let Ok(simd) = by_name("avx2") else { return }; // CPU without AVX2+FMA
         let scalar = by_name("scalar").expect("always available");
-        for q in [1usize, 3, 5, 7, 33, 80] {
-            let a = random_block(q, 4);
-            let b = random_block(q, 5);
-            let mut c1 = Block::zeros(q);
-            let mut c2 = Block::zeros(q);
-            c1.gemm_acc_with(simd, &a, &b);
-            c2.gemm_acc_with(scalar, &a, &b);
-            assert!(
-                c1.max_abs_diff(&c2) <= tol(q, a.as_slice(), b.as_slice()),
-                "avx2 and scalar kernels diverge at q = {q}"
-            );
+        for simd in simd() {
+            for q in [1usize, 3, 5, 7, 15, 17, 25, 33, 80] {
+                let a = random_block(q, 4);
+                let b = random_block(q, 5);
+                let mut c1 = Block::zeros(q);
+                let mut c2 = Block::zeros(q);
+                c1.gemm_acc_with(simd, &a, &b);
+                c2.gemm_acc_with(scalar, &a, &b);
+                assert!(
+                    c1.max_abs_diff(&c2) <= tol(q, a.as_slice(), b.as_slice()),
+                    "{} and scalar kernels diverge at q = {q}",
+                    simd.name()
+                );
+            }
+        }
+    }
+
+    /// The two SIMD rows, when this CPU runs both — the AVX-512 tests
+    /// self-skip without `avx512f` (GitHub runners may lack it).
+    fn avx2_and_avx512() -> Option<(&'static Kernel, &'static Kernel)> {
+        Some((by_name("avx2").ok()?, by_name("avx512").ok()?))
+    }
+
+    /// Rows `r0..r0 + h`, columns `c0..c0 + w` of the row-major `buf`
+    /// (rows `ld` apart), copied out.
+    fn sub(buf: &[f64], ld: usize, r0: usize, c0: usize, h: usize, w: usize) -> Vec<f64> {
+        (0..h).flat_map(|i| buf[(r0 + i) * ld + c0..][..w].to_vec()).collect()
+    }
+
+    /// `C += alpha · A · B` through each of `kernel`'s three entries, on
+    /// the LU trailing-update layout of one buffer — A left of C in the
+    /// same rows, B above C — and returns the C each produced: per call on
+    /// contiguous copies, prepacked, and in place through leading
+    /// dimensions.
+    fn three_ways(kernel: &Kernel, m: usize, n: usize, k: usize, alpha: f64, seed: u64) -> [Vec<f64>; 3] {
+        let ld = k + n + 3;
+        let mut buf = seeded(ld * (k + m), seed);
+        let (a, b) = (sub(&buf, ld, k, 0, m, k), sub(&buf, ld, 0, k, k, n));
+        let mut per_call = sub(&buf, ld, k, k, m, n);
+        let mut prepacked = per_call.clone();
+        kernel.gemm_acc(&mut per_call, &a, &b, m, n, k, alpha);
+        let mut bp = PackedB::new();
+        kernel.pack_into(&mut bp, &b, k, n, alpha);
+        kernel.gemm_acc_packed(&mut prepacked, &a, &bp, m);
+        let p = buf.as_mut_ptr();
+        // SAFETY: C = rows k.., columns k.., A = the same rows' columns
+        // 0..k, B = rows 0..k above C: all inside `buf`, C disjoint from
+        // both.
+        unsafe { kernel.gemm_acc_ld(p.add(k * ld + k), ld, p.add(k * ld), ld, p.add(k), ld, m, n, k, alpha) };
+        [per_call, prepacked, sub(&buf, ld, k, k, m, n)]
+    }
+
+    #[test]
+    fn avx512_is_bitwise_avx2_past_the_strip_and_block_thresholds() {
+        // 640³ is kc-stripped under both tiles (and multi-block); 9 × 1100
+        // × 30 is three NC blocks with a ragged last panel.
+        let Some((avx2, avx512)) = avx2_and_avx512() else { return };
+        for (m, n, k, alpha) in [(640usize, 640usize, 640usize, 1.0), (9, 1100, 30, -1.0)] {
+            let want = three_ways(avx2, m, n, k, alpha, 51);
+            assert!(want[1..].iter().all(|c| *c == want[0]), "avx2 entries disagree at {m}x{n}x{k}");
+            assert!(three_ways(avx512, m, n, k, alpha, 51) == want, "avx512 is not avx2 at {m}x{n}x{k}");
         }
     }
 
     proptest! {
         /// SIMD vs scalar within the `q · ‖A‖ · ‖B‖ · ε` bound, at sizes
-        /// straddling the 4×8 register tile and the 32-wide cache tile.
+        /// straddling both register tiles and the 32-wide cache tile.
         #[test]
         fn prop_simd_matches_scalar(q in 1usize..48, seed in 0u64..500) {
-            let Ok(simd) = by_name("avx2") else { return Ok(()) };
             let scalar = by_name("scalar").expect("always available");
-            let a = seeded(q * q, seed);
-            let b = seeded(q * q, seed + 1);
-            let mut c1 = seeded(q * q, seed + 2);
-            let mut c2 = c1.clone();
-            simd.gemm_acc(&mut c1, &a, &b, q, q, q, 1.0);
-            scalar.gemm_acc(&mut c2, &a, &b, q, q, q, 1.0);
-            prop_assert!(max_abs_diff(&c1, &c2) <= tol(q, &a, &b));
+            for simd in simd() {
+                let a = seeded(q * q, seed);
+                let b = seeded(q * q, seed + 1);
+                let mut c1 = seeded(q * q, seed + 2);
+                let mut c2 = c1.clone();
+                simd.gemm_acc(&mut c1, &a, &b, q, q, q, 1.0);
+                scalar.gemm_acc(&mut c2, &a, &b, q, q, q, 1.0);
+                prop_assert!(max_abs_diff(&c1, &c2) <= tol(q, &a, &b), "{} at q = {}", simd.name(), q);
+            }
         }
 
         /// Rectangular + alpha = -1 equivalence (the `Dense::sub_mul` shape).
         #[test]
         fn prop_simd_matches_scalar_rect(m in 1usize..20, n in 1usize..20,
                                          k in 1usize..20, seed in 0u64..200) {
-            let Ok(simd) = by_name("avx2") else { return Ok(()) };
             let scalar = by_name("scalar").expect("always available");
-            let a = seeded(m * k, seed);
-            let b = seeded(k * n, seed + 1);
-            let mut c1 = seeded(m * n, seed + 2);
-            let mut c2 = c1.clone();
-            simd.gemm_acc(&mut c1, &a, &b, m, n, k, -1.0);
-            scalar.gemm_acc(&mut c2, &a, &b, m, n, k, -1.0);
-            prop_assert!(max_abs_diff(&c1, &c2) <= tol(k, &a, &b));
+            for simd in simd() {
+                let a = seeded(m * k, seed);
+                let b = seeded(k * n, seed + 1);
+                let mut c1 = seeded(m * n, seed + 2);
+                let mut c2 = c1.clone();
+                simd.gemm_acc(&mut c1, &a, &b, m, n, k, -1.0);
+                scalar.gemm_acc(&mut c2, &a, &b, m, n, k, -1.0);
+                prop_assert!(max_abs_diff(&c1, &c2) <= tol(k, &a, &b), "{} at {}x{}x{}", simd.name(), m, n, k);
+            }
+        }
+
+        /// AVX-512 is AVX2, bit for bit, through all three entries — per
+        /// call, prepacked, strided with C and A sharing rows — for
+        /// alpha = ±1, at shapes straddling both tiles' `MR` (4, 8) and
+        /// `NR` (8, 16) several times over.
+        #[test]
+        fn prop_avx512_is_bitwise_avx2(m in 1usize..40, n in 1usize..70, k in 1usize..40,
+                                       negate in 0u8..2, seed in 0u64..1000) {
+            let Some((avx2, avx512)) = avx2_and_avx512() else { return Ok(()) };
+            let alpha = if negate == 1 { -1.0 } else { 1.0 };
+            let want = three_ways(avx2, m, n, k, alpha, seed);
+            prop_assert!(want[1..].iter().all(|c| *c == want[0]), "avx2 entries disagree at {}x{}x{}", m, n, k);
+            prop_assert!(three_ways(avx512, m, n, k, alpha, seed) == want, "{}x{}x{} alpha {}", m, n, k, alpha);
         }
     }
 }

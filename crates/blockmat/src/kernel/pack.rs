@@ -1,17 +1,30 @@
-//! Cache-blocked packed B-panel layout for the register-blocked
-//! microkernel, plus the process-wide pack counter.
+//! The cache-blocked packed B layout and the blocked macro loop, written
+//! once and shared by every SIMD kernel, plus the process-wide pack
+//! counter.
+//!
+//! A SIMD kernel ([`super::avx2`], [`super::avx512`]) supplies only its
+//! register [`Tile`] — `MR` rows × `NR` columns of C held in vector
+//! registers across a k loop — and gets the rest from here, generic over
+//! the tile:
 //!
 //! B (`k × n`, row-major) is repacked into a Goto-style blocked layout:
 //! the column range is cut into [`NC`]-wide *blocks*, each block into
-//! [`KC`]-deep *strips*, and each strip into [`NR`]-column *panels*
-//! stored k-major — panel element `(kk, j)` of a strip lives at
-//! `kk·NR + j` inside its panel. The macrokernel then walks one kc strip
-//! at a time: a 4-row A stripe (`4·KC·8 B` ≈ 6 KiB) and the current
-//! panel (`KC·NR·8 B` ≈ 12 KiB) both sit in L1 while the full strip
-//! (`KC·NC·8 B` ≲ 0.8 MiB) stays resident in L2 across every A stripe —
-//! the "kc-blocked pack" the roadmap called for, which keeps large-q
-//! updates (q ≫ 200, where a flat pack of B overflows L2) on the same
-//! GFLOP/s plateau as q ≈ 80.
+//! `kc`-deep *strips* ([`kc_for`]), and each strip into `NR`-column
+//! *panels* stored k-major — panel element `(kk, j)` of a strip lives at
+//! `kk·NR + j` inside its panel. The macro loop walks one kc strip at a
+//! time: an `MR`-row A stripe and the current panel share L1 while the
+//! whole strip (`kc · NC · 8` bytes at most) stays resident in L2 across
+//! every A stripe — which keeps large-q updates (q ≫ 200, where a flat
+//! pack of B overflows L2) on the same GFLOP/s plateau as q ≈ 80. The
+//! footprints depend on the tile, so they are per kernel:
+//!
+//! | kernel | tile `MR × NR` | A stripe at [`KC`] (`MR·KC·8` B) | panel at [`KC`] (`KC·NR·8` B) | one full-k strip while |
+//! |---|---|---|---|---|
+//! | `avx2` | 4 × 8 | 6 KiB | 12 KiB | square q ≤ 360 |
+//! | `avx512` | 8 × 16 | 12 KiB | 24 KiB | square q ≤ 356 |
+//!
+//! The packed image depends on `NR`, so it is private to the kernel that
+//! made it (a [`super::PackedB`] records which).
 //!
 //! Every slot of the packed buffer is written on each pack — live columns
 //! from B, tail-panel padding explicitly zeroed — so a recycled buffer
@@ -19,11 +32,11 @@
 //! larger shape without stale values leaking into the zero padding. The
 //! `prop_repack_after_larger_shape_is_clean` proptest pins this.
 //!
-//! The last panel of a block is zero-padded to full [`NR`] width, so the
-//! microkernel never needs a masked load; padded columns contribute exact
-//! zeros that the caller discards. Folding `alpha` into the pack keeps
-//! the multiply out of the FMA inner loop (and is exact for the `±1.0`
-//! used in-tree).
+//! The last panel of a block is zero-padded to full `NR` width, so a
+//! tile may always read whole panel rows; the padded columns contribute
+//! exact zeros to C columns the tile never writes. Folding `alpha` into
+//! the pack keeps the multiply out of the FMA inner loop (and is exact for
+//! the `±1.0` used in-tree).
 //!
 //! The per-call pack buffer is thread-local and grows to a high-water
 //! mark, so `gemm_acc` stays allocation-free at steady state; prepacked
@@ -32,37 +45,85 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Panel width in columns: two 4-lane f64 vectors.
-pub(super) const NR: usize = 8;
+/// A SIMD kernel's register tile: the one thing each SIMD kernel file
+/// writes. Everything else — pack, strip depth, macro loop — is this
+/// module's, instantiated per tile.
+///
+/// Both entries require the implementing kernel's CPU features, which
+/// [`super::dispatch`] verifies before it hands the kernel out.
+pub(super) trait Tile {
+    /// Rows of C one [`Tile::update`] covers.
+    const MR: usize;
 
-/// Microkernel height in rows.
-pub(super) const MR: usize = 4;
+    /// Columns per packed panel: a multiple of the vector width that
+    /// divides [`NC`] (checked at compile time by [`packed_len`]).
+    const NR: usize;
 
-/// Strip depth in k when stripping is needed: one `KC × NR` panel is
-/// ~12 KiB and one 4-row A stripe is ~6 KiB, so panel + stripe fit L1
-/// together; a full `KC × NC` strip is ~0.8 MiB, resident in L2 across
-/// the whole i loop.
+    /// The kernel's packed-path entry: [`macro_loop`] compiled with this
+    /// kernel's target features — the implementation is that one call,
+    /// under `#[target_feature]`, so the tile inlines into it.
+    ///
+    /// # Safety
+    /// The CPU features, plus [`macro_loop`]'s contract.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn gemm_packed(
+        c: *mut f64,
+        ldc: usize,
+        a: *const f64,
+        lda: usize,
+        bp: &[f64],
+        m: usize,
+        n: usize,
+        k: usize,
+    );
+
+    /// `C[0..mr][0..nr] += A[0..mr][0..kc] · panel`, for `1 ≤ mr ≤ MR` and
+    /// `1 ≤ nr ≤ NR`, each C element accumulated over increasing `k` with
+    /// FMA. C rows are `ldc` apart, A rows `lda` apart; the panel is
+    /// `kc × NR`, k-major, zero past column `nr`.
+    ///
+    /// # Safety
+    /// The CPU features; the `mr × nr` C elements readable and writable
+    /// (and none outside them touched), the `mr × kc` A elements and the
+    /// whole panel readable.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn update(
+        mr: usize,
+        nr: usize,
+        c: *mut f64,
+        ldc: usize,
+        a: *const f64,
+        lda: usize,
+        kc: usize,
+        panel: *const f64,
+    );
+}
+
+/// Strip depth in k when stripping is needed: at this depth the A stripe
+/// and the panel fit L1 together (table above: 18 KiB for the AVX2 tile,
+/// 36 KiB for the AVX-512 one, whose CPUs carry a 48 KiB L1D).
 pub(super) const KC: usize = 192;
 
-/// Block width in columns (must be a multiple of [`NR`]): bounds the L2
-/// footprint of one packed strip at `KC · NC · 8` bytes.
+/// Block width in columns (a multiple of every tile's `NR`): bounds the
+/// L2 footprint of one packed strip at `KC · NC · 8` bytes (≈ 0.8 MiB).
 pub(super) const NC: usize = 512;
 
 /// L2 budget for one resident packed strip: half of a typical 2 MiB L2,
 /// leaving the other half for the A and C streams passing through.
 const STRIP_L2_BUDGET_BYTES: usize = 1 << 20;
 
-/// The strip depth used for a `k × n` B — the single point of truth for
-/// both the pack layout and the macro loop that consumes it.
+/// The strip depth used for a `k × n` B under tile `T` — the single point
+/// of truth for both the pack layout and the macro loop that consumes it.
 ///
 /// Stripping the k range costs one extra C load+store pass per extra
-/// strip, which only pays off once the panel no longer fits in L2. So:
-/// one full-k strip while a whole-k strip of the widest column block
-/// stays within the L2 budget (e.g. q ≤ ~400 square), [`KC`]-deep strips
-/// beyond that (q ≫ 400, where the flat pack used to fall off the L2
-/// cliff).
-pub(super) fn kc_for(k: usize, n: usize) -> usize {
-    let strip_width = n.min(NC).div_ceil(NR) * NR;
+/// strip, which only pays off once the strip no longer fits in L2. So:
+/// one full-k strip while a whole-k strip of the widest column block,
+/// padded to whole panels, stays within the L2 budget — square q ≤ 360
+/// for `NR` = 8 (361 · 368 · 8 B > 2²⁰), q ≤ 356 for `NR` = 16 —
+/// [`KC`]-deep strips beyond that, where the flat pack used to fall off
+/// the L2 cliff.
+pub(super) fn kc_for<T: Tile>(k: usize, n: usize) -> usize {
+    let strip_width = n.min(NC).div_ceil(T::NR) * T::NR;
     if k * strip_width * 8 <= STRIP_L2_BUDGET_BYTES {
         k.max(1)
     } else {
@@ -89,29 +150,23 @@ thread_local! {
     static PACK_BUF: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Total packed length for a `k × n` B: whole panels of `k · NR`.
-/// (`NC` is a multiple of `NR`, so only the last panel of the last block
-/// carries padding and the blocked length equals the flat one.)
-pub(super) fn packed_len(k: usize, n: usize) -> usize {
-    n.div_ceil(NR) * k * NR
+/// Total packed length for a `k × n` B under tile `T`: whole panels of
+/// `k · NR`. (`NC` is a multiple of `NR`, so only the last panel of the
+/// last block carries padding and the blocked length equals the flat one.)
+pub(super) fn packed_len<T: Tile>(k: usize, n: usize) -> usize {
+    const { assert!(NC.is_multiple_of(T::NR), "a panel must not straddle two column blocks") };
+    n.div_ceil(T::NR) * k * T::NR
 }
 
-/// Pack `alpha · b` (`k × n`, row-major contiguous) into `out` in the
-/// blocked layout: NC blocks → KC strips → NR panels, k-major inside each
-/// panel.
-pub(super) fn pack_b(b: &[f64], k: usize, n: usize, alpha: f64, out: &mut Vec<f64>) {
-    debug_assert_eq!(b.len(), k * n);
-    // SAFETY: `b` holds `k` rows of `n` elements, `n` apart.
-    unsafe { pack_b_ld(b.as_ptr(), n, k, n, alpha, out) }
-}
-
-/// [`pack_b`] for a B whose rows are `ldb ≥ n` apart — a sub-matrix of a
-/// larger row-major buffer, read in place.
+/// The SIMD rows' pack entry: pack `alpha · B` (`k × n`, rows `ldb ≥ n`
+/// apart — a whole buffer or a sub-matrix of a larger one, read in place)
+/// into `out` in tile `T`'s blocked layout: NC blocks → kc strips → NR
+/// panels, k-major inside each panel.
 ///
 /// # Safety
 /// Each of the `k` rows `b + r·ldb .. + n` must be readable and must not
 /// be written for the duration of the call.
-pub(super) unsafe fn pack_b_ld(
+pub(super) unsafe fn pack_b_ld<T: Tile>(
     b: *const f64,
     ldb: usize,
     k: usize,
@@ -123,86 +178,167 @@ pub(super) unsafe fn pack_b_ld(
     // Grow-only at steady state: new capacity is zero-filled once, but
     // slots a previous pack wrote are NOT re-zeroed — the loops below
     // overwrite every slot (live columns from B, tail padding explicitly).
-    out.resize(packed_len(k, n), 0.0);
-    let kc = kc_for(k, n);
+    out.resize(packed_len::<T>(k, n), 0.0);
+    let kc = kc_for::<T>(k, n);
     let mut block_base = 0;
     for j0c in (0..n).step_by(NC) {
-        let ncb = NC.min(n - j0c);
-        let panels = ncb.div_ceil(NR);
+        let panels = NC.min(n - j0c).div_ceil(T::NR);
         for k0c in (0..k).step_by(kc) {
             let kcb = kc.min(k - k0c);
             // Strip `k0c` starts after the previous strips' panels, all
             // of which are `panels · NR` wide and together `k0c` deep.
-            let strip = &mut out[block_base + panels * NR * k0c..][..panels * NR * kcb];
-            for p in 0..panels {
-                let j0 = j0c + p * NR;
-                let nr = NR.min(n - j0);
-                let panel = &mut strip[p * kcb * NR..][..kcb * NR];
-                for kk in 0..kcb {
+            let strip = &mut out[block_base + panels * T::NR * k0c..][..panels * T::NR * kcb];
+            for (p, panel) in strip.chunks_exact_mut(kcb * T::NR).enumerate() {
+                let j0 = j0c + p * T::NR;
+                let nr = T::NR.min(n - j0);
+                for (kk, dst) in panel.chunks_exact_mut(T::NR).enumerate() {
                     // SAFETY: columns `j0 .. j0 + nr` of row `k0c + kk`,
                     // inside the row the caller vouched for.
-                    let row = unsafe { b.add((k0c + kk) * ldb + j0) };
-                    let src = unsafe { std::slice::from_raw_parts(row, nr) };
-                    let dst = &mut panel[kk * NR..][..NR];
-                    for (d, s) in dst[..nr].iter_mut().zip(src) {
-                        *d = alpha * *s;
-                    }
-                    for d in &mut dst[nr..] {
-                        *d = 0.0;
+                    let src = unsafe { std::slice::from_raw_parts(b.add((k0c + kk) * ldb + j0), nr) };
+                    if nr == T::NR {
+                        // A full row: a fixed-length copy the compiler unrolls.
+                        dst.iter_mut().zip(&src[..T::NR]).for_each(|(d, s)| *d = alpha * s);
+                    } else {
+                        dst.iter_mut().zip(src).for_each(|(d, s)| *d = alpha * s);
+                        dst[nr..].fill(0.0);
                     }
                 }
             }
         }
-        block_base += panels * NR * k;
+        block_base += panels * T::NR * k;
     }
 }
 
-/// Run `f` with this thread's recycled pack buffer.
+/// The blocked macro loop over a packed B buffer: column blocks → kc
+/// strips → `MR`-row stripes → panels, the tile innermost. C and A rows
+/// are `ldc` / `lda` apart. Always inlined, into each tile's
+/// [`Tile::gemm_packed`], so it runs under that kernel's target features.
+///
+/// Accumulation order over `k` is increasing for every C element — kc
+/// strips are visited in increasing k order and the store/reload of C
+/// between strips is exact — so any two tiles whose updates FMA over
+/// increasing `k` produce the same bits, whatever their `MR`, `NR` or
+/// strip depth.
+///
+/// # Safety
+/// The memory contract of [`super::Kernel::gemm_acc_ld`] for C and A;
+/// `bp` is `T`'s packed image of a `k × n` B.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(super) unsafe fn macro_loop<T: Tile>(
+    c: *mut f64,
+    ldc: usize,
+    a: *const f64,
+    lda: usize,
+    bp: &[f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    debug_assert_eq!(bp.len(), packed_len::<T>(k, n));
+    let kc = kc_for::<T>(k, n);
+    let mut block_base = 0;
+    for j0c in (0..n).step_by(NC) {
+        let panels = NC.min(n - j0c).div_ceil(T::NR);
+        for k0c in (0..k).step_by(kc) {
+            let kcb = kc.min(k - k0c);
+            // Strips of this block are laid out back to back, each
+            // `panels · NR` wide: strip `k0c` starts `panels·NR·k0c` in.
+            let strip = bp.as_ptr().add(block_base + panels * T::NR * k0c);
+            for i0 in (0..m).step_by(T::MR) {
+                let mr = T::MR.min(m - i0);
+                let a_stripe = a.add(i0 * lda + k0c);
+                for p in 0..panels {
+                    let j0 = j0c + p * T::NR;
+                    let nr = T::NR.min(n - j0);
+                    let (c_tile, panel) = (c.add(i0 * ldc + j0), strip.add(p * kcb * T::NR));
+                    T::update(mr, nr, c_tile, ldc, a_stripe, lda, kcb, panel);
+                }
+            }
+        }
+        block_base += panels * T::NR * k;
+    }
+}
+
+/// Run `f` with this thread's recycled pack buffer — where the SIMD rows'
+/// per-call updates pack B before running the packed path.
 pub(super) fn with_pack_buf<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
     PACK_BUF.with(|buf| f(&mut buf.borrow_mut()))
 }
 
-#[cfg(test)]
+#[cfg(all(test, any(target_arch = "x86", target_arch = "x86_64")))]
 mod tests {
+    use super::super::avx2::Avx2;
+    #[cfg(target_arch = "x86_64")]
+    use super::super::avx512::Avx512;
     use super::*;
     use proptest::prelude::*;
 
+    /// Pack a contiguous `k × n` B for tile `T`.
+    fn pack_b<T: Tile>(b: &[f64], k: usize, n: usize, alpha: f64, out: &mut Vec<f64>) {
+        assert_eq!(b.len(), k * n);
+        // SAFETY: `b` holds `k` rows of `n` elements, `n` apart.
+        unsafe { pack_b_ld::<T>(b.as_ptr(), n, k, n, alpha, out) }
+    }
+
+    /// Run a layout check under every SIMD tile compiled in (packing is
+    /// plain data movement: no CPU feature needed).
+    fn for_each_tile(check: impl Fn(&dyn Fn(&[f64], usize, usize, f64, &mut Vec<f64>), usize)) {
+        check(&pack_b::<Avx2>, Avx2::NR);
+        #[cfg(target_arch = "x86_64")]
+        check(&pack_b::<Avx512>, Avx512::NR);
+    }
+
     #[test]
     fn packs_panels_k_major_with_zero_padding() {
-        // 2×10 B -> panels of 8: panel 0 full, panel 1 has 2 live columns.
-        // (k ≤ KC and n ≤ NC: a single strip, so the blocked layout
-        // coincides with a flat panel sequence.)
-        let k = 2;
-        let n = 10;
-        let b: Vec<f64> = (0..k * n).map(|x| x as f64).collect();
-        let mut out = vec![f64::NAN; 64]; // dirty buffer: padding must be cleared
-        pack_b(&b, k, n, 1.0, &mut out);
-        assert_eq!(out.len(), packed_len(k, n));
-        // Panel 0, row 0 = b[0..8]; row 1 = b[10..18].
-        assert_eq!(&out[..8], &b[..8]);
-        assert_eq!(&out[8..16], &b[10..18]);
-        // Panel 1, row 0 = b[8], b[9], then six zeros.
-        assert_eq!(&out[16..24], &[8.0, 9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        // Panel 1, row 1 = b[18], b[19], then six zeros.
-        assert_eq!(&out[24..32], &[18.0, 19.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        // 2 × (NR + 2) B: panel 0 full, panel 1 has 2 live columns. (k ≤
+        // KC and n ≤ NC: a single strip, so the blocked layout coincides
+        // with a flat panel sequence.)
+        for_each_tile(|pack, nr| {
+            let (k, n) = (2, nr + 2);
+            let b: Vec<f64> = (0..k * n).map(|x| x as f64).collect();
+            let mut out = vec![f64::NAN; 4 * nr * k]; // dirty buffer: padding must be cleared
+            pack(&b, k, n, 1.0, &mut out);
+            assert_eq!(out.len(), 2 * nr * k);
+            // Panel 0, row 0 = b[0..NR]; row 1 = b[n..n + NR].
+            assert_eq!(&out[..nr], &b[..nr]);
+            assert_eq!(&out[nr..2 * nr], &b[n..n + nr]);
+            // Panel 1, row kk = the row's last two columns, then zeros.
+            for kk in 0..k {
+                let row = &out[(k + kk) * nr..][..nr];
+                assert_eq!(&row[..2], &b[kk * n + nr..][..2], "NR = {nr}, row {kk}");
+                assert!(row[2..].iter().all(|&x| x == 0.0), "NR = {nr}, row {kk}: {row:?}");
+            }
+        });
     }
 
     #[test]
     fn alpha_is_folded_into_the_pack() {
-        let b = vec![1.0, -2.0, 3.0];
-        let mut out = Vec::new();
-        pack_b(&b, 1, 3, -1.0, &mut out);
-        assert_eq!(&out[..3], &[-1.0, 2.0, -3.0]);
+        for_each_tile(|pack, _| {
+            let b = vec![1.0, -2.0, 3.0];
+            let mut out = Vec::new();
+            pack(&b, 1, 3, -1.0, &mut out);
+            assert_eq!(&out[..3], &[-1.0, 2.0, -3.0]);
+        });
     }
 
     #[test]
     fn strip_depth_is_adaptive() {
         // Small B: one full-k strip (no extra C passes). Large B (a
-        // whole-k strip would blow the L2 budget): KC-deep strips.
-        assert_eq!(kc_for(80, 80), 80);
-        assert_eq!(kc_for(320, 320), 320);
-        assert_eq!(kc_for(640, 640), KC);
-        assert_eq!(kc_for(4096, 4), 4096); // deep but narrow: still one strip
+        // whole-k strip would blow the L2 budget): KC-deep strips. The
+        // square thresholds are the ones the module docs state per tile.
+        assert_eq!(kc_for::<Avx2>(80, 80), 80);
+        assert_eq!(kc_for::<Avx2>(320, 320), 320);
+        assert_eq!(kc_for::<Avx2>(360, 360), 360);
+        assert_eq!(kc_for::<Avx2>(361, 361), KC);
+        assert_eq!(kc_for::<Avx2>(640, 640), KC);
+        assert_eq!(kc_for::<Avx2>(4096, 4), 4096); // deep but narrow: still one strip
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_eq!(kc_for::<Avx512>(320, 320), 320);
+            assert_eq!(kc_for::<Avx512>(356, 356), 356);
+            assert_eq!(kc_for::<Avx512>(357, 357), KC);
+        }
     }
 
     #[test]
@@ -212,32 +348,36 @@ mod tests {
         // `kk·NR` within strip 0 and the first element of strip 1 is
         // B[KC][0] at offset `panels·NR·KC`.
         let (k, n) = (300usize, NC);
-        assert_eq!(kc_for(k, n), KC, "this shape must be stripped");
-        let b: Vec<f64> = (0..k * n).map(|x| (x % 7919) as f64).collect();
-        let mut out = Vec::new();
-        pack_b(&b, k, n, 1.0, &mut out);
-        assert_eq!(out.len(), packed_len(k, n));
-        let panels = n.div_ceil(NR);
-        assert_eq!(out[0], b[0]);
-        assert_eq!(out[NR], b[n]); // k-major within the strip
-        assert_eq!(out[panels * NR * KC], b[KC * n]); // strip boundary
-        // Last row of the last strip, panel 0.
-        assert_eq!(out[panels * NR * KC + (k - 1 - KC) * NR], b[(k - 1) * n]);
+        assert_eq!(kc_for::<Avx2>(k, n), KC, "this shape must be stripped");
+        for_each_tile(|pack, nr| {
+            let b: Vec<f64> = (0..k * n).map(|x| (x % 7919) as f64).collect();
+            let mut out = Vec::new();
+            pack(&b, k, n, 1.0, &mut out);
+            assert_eq!(out.len(), n * k);
+            let panels = n / nr;
+            assert_eq!(out[0], b[0]);
+            assert_eq!(out[nr], b[n]); // k-major within the strip
+            assert_eq!(out[panels * nr * KC], b[KC * n]); // strip boundary
+            // Last row of the last strip, panel 0.
+            assert_eq!(out[panels * nr * KC + (k - 1 - KC) * nr], b[(k - 1) * n]);
+        });
     }
 
     #[test]
     fn wide_packs_split_into_nc_blocks() {
         // n > NC: the second block's panels start after the first block's
         // full `NC × k` footprint.
-        let n = NC + 5;
-        let b: Vec<f64> = (0..n).map(|x| x as f64).collect();
-        let mut out = Vec::new();
-        pack_b(&b, 1, n, 1.0, &mut out);
-        assert_eq!(out.len(), packed_len(1, n));
-        assert_eq!(out[0], 0.0);
-        assert_eq!(out[NC], NC as f64); // first element of block 1
-        assert_eq!(out[NC + 4], (NC + 4) as f64);
-        assert_eq!(out[NC + 5], 0.0); // tail padding of the last panel
+        for_each_tile(|pack, nr| {
+            let n = NC + 5;
+            let b: Vec<f64> = (0..n).map(|x| x as f64).collect();
+            let mut out = Vec::new();
+            pack(&b, 1, n, 1.0, &mut out);
+            assert_eq!(out.len(), NC + nr);
+            assert_eq!(out[0], 0.0);
+            assert_eq!(out[NC], NC as f64); // first element of block 1
+            assert_eq!(out[NC + 4], (NC + 4) as f64);
+            assert_eq!(out[NC + 5], 0.0); // tail padding of the last panel
+        });
     }
 
     #[test]
@@ -251,14 +391,16 @@ mod tests {
         let deep = (NC, 300usize); // kc-stripped (see strip_depth test)
         let small = (11usize, 5usize); // tail panel
         let shapes = [wide, deep, small, deep, wide];
-        let mut recycled = Vec::new();
-        for (i, &(n, k)) in shapes.iter().enumerate() {
-            let b: Vec<f64> = (0..k * n).map(|x| (x * 31 + i) as f64).collect();
-            pack_b(&b, k, n, 1.0, &mut recycled);
-            let mut fresh = Vec::new();
-            pack_b(&b, k, n, 1.0, &mut fresh);
-            assert_eq!(recycled, fresh, "shape {i} ({k}x{n}): recycled buffer differs");
-        }
+        for_each_tile(|pack, nr| {
+            let mut recycled = Vec::new();
+            for (i, &(n, k)) in shapes.iter().enumerate() {
+                let b: Vec<f64> = (0..k * n).map(|x| (x * 31 + i) as f64).collect();
+                pack(&b, k, n, 1.0, &mut recycled);
+                let mut fresh = Vec::new();
+                pack(&b, k, n, 1.0, &mut fresh);
+                assert_eq!(recycled, fresh, "NR = {nr}, shape {i} ({k}x{n}): recycled buffer differs");
+            }
+        });
     }
 
     #[test]
@@ -266,8 +408,8 @@ mod tests {
         let before = pack_count();
         let b = vec![1.0; 6];
         let mut out = Vec::new();
-        pack_b(&b, 2, 3, 1.0, &mut out);
-        pack_b(&b, 3, 2, 1.0, &mut out);
+        pack_b::<Avx2>(&b, 2, 3, 1.0, &mut out);
+        pack_b::<Avx2>(&b, 3, 2, 1.0, &mut out);
         assert!(pack_count() >= before + 2);
     }
 
@@ -285,12 +427,14 @@ mod tests {
         ) {
             let big: Vec<f64> = (0..k1 * n1).map(|x| (seed + x as i64) as f64 + 0.5).collect();
             let small: Vec<f64> = (0..k2 * n2).map(|x| (seed - x as i64) as f64 - 0.25).collect();
-            let mut recycled = Vec::new();
-            pack_b(&big, k1, n1, 1.0, &mut recycled);
-            pack_b(&small, k2, n2, 1.0, &mut recycled);
-            let mut fresh = Vec::new();
-            pack_b(&small, k2, n2, 1.0, &mut fresh);
-            prop_assert_eq!(&recycled, &fresh);
+            for_each_tile(|pack, _| {
+                let mut recycled = Vec::new();
+                pack(&big, k1, n1, 1.0, &mut recycled);
+                pack(&small, k2, n2, 1.0, &mut recycled);
+                let mut fresh = Vec::new();
+                pack(&small, k2, n2, 1.0, &mut fresh);
+                assert_eq!(&recycled, &fresh);
+            });
         }
     }
 }

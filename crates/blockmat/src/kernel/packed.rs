@@ -129,9 +129,9 @@ mod tests {
     fn prepacked_is_bit_identical_to_per_call_pack() {
         // The tentpole contract: pack-once-reuse must produce exactly the
         // bytes the per-call path produces, under every runnable kernel,
-        // at tail sizes straddling the 4×8 register tile.
+        // at tail sizes straddling both register tiles (4 × 8, 8 × 16).
         for kernel in available() {
-            for q in [1usize, 3, 5, 7, 33, 80] {
+            for q in [1usize, 3, 5, 7, 15, 17, 25, 33, 80] {
                 let a = seeded(q * q, 1);
                 let b = seeded(q * q, 2);
                 let mut per_call = seeded(q * q, 3);
@@ -175,7 +175,7 @@ mod tests {
         // values into the smaller pack's zero padding.
         for kernel in available() {
             let big = seeded(80 * 80, 11);
-            let (m, n, k) = (6, 11, 5); // tail panel: 11 = 8 + 3
+            let (m, n, k) = (6, 11, 5); // a tail panel under either tile: 11 = 8 + 3 < 16
             let small = seeded(k * n, 12);
             let a = seeded(m * k, 13);
 
@@ -205,15 +205,22 @@ mod tests {
 
     #[test]
     fn consuming_through_the_wrong_kernel_panics() {
-        let Ok(simd) = by_name("avx2") else { return }; // CPU without AVX2+FMA
-        let scalar = by_name("scalar").expect("always available");
-        let mut bp = PackedB::new();
-        scalar.pack_into(&mut bp, &[1.0; 4], 2, 2, 1.0);
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut c = vec![0.0; 4];
-            simd.gemm_acc_packed(&mut c, &[1.0; 4], &bp, 2);
-        }));
-        assert!(res.is_err(), "a scalar pack must not be fed to the avx2 kernel");
+        // Every ordered pair of distinct kernels this CPU runs: a scalar
+        // pack fed to a SIMD row, and an 8-wide AVX2 pack fed to the
+        // 16-wide AVX-512 row (and back).
+        let kernels = available();
+        for packer in &kernels {
+            for consumer in kernels.iter().filter(|k| k.name() != packer.name()) {
+                let mut bp = PackedB::new();
+                packer.pack_into(&mut bp, &[1.0; 4], 2, 2, 1.0);
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut c = vec![0.0; 4];
+                    consumer.gemm_acc_packed(&mut c, &[1.0; 4], &bp, 2);
+                }));
+                let (from, to) = (packer.name(), consumer.name());
+                assert!(res.is_err(), "a {from} pack must not be fed to the {to} kernel");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! The scalar kernel's "packed" B representation is a verbatim row-major
 //! copy (`alpha` recorded, not folded — the consumer applies it to the A
 //! loads exactly as the per-call path does), so the prepacked path runs
-//! the identical loop nest on identical data and stays bit-for-bit equal
+//! this same loop nest on identical data and stays bit-for-bit equal
 //! to per-call `gemm_acc` for **every** `alpha`, not just `±1.0`. The
 //! copy exists so a `PackedB` is self-contained (the runtimes recycle the
 //! resident B block underneath it); the kernel itself gains nothing from
@@ -22,33 +22,11 @@ const TILE: usize = 32;
 
 /// Scalar pack: a verbatim row-major copy of B into the reused buffer.
 /// `alpha` is recorded in the `PackedB` identity and applied at consume
-/// time, keeping the packed path bit-identical to [`gemm_acc`].
-pub(super) fn pack_b(b: &[f64], k: usize, n: usize, _alpha: f64, out: &mut Vec<f64>) {
-    debug_assert_eq!(b.len(), k * n);
+/// time, where the prepacked path is [`gemm_acc_ld`] on the copy.
+pub(super) fn pack_b(b: &[f64], out: &mut Vec<f64>) {
     super::pack::count_pack();
     out.clear();
     out.extend_from_slice(b);
-}
-
-/// Prepacked entry: the packed buffer *is* row-major B, so this is the
-/// per-call loop nest verbatim.
-///
-/// # Safety
-/// None beyond slice shapes (checked by [`super::Kernel::gemm_acc_packed`]
-/// together with the pack identity); `unsafe` only to match the dispatch
-/// table's entry type.
-pub(super) unsafe fn gemm_acc_packed(
-    c: &mut [f64],
-    a: &[f64],
-    bp: &[f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-) {
-    debug_assert_eq!((c.len(), a.len(), bp.len()), (m * n, m * k, k * n));
-    // SAFETY: contiguous operands of the lengths just stated.
-    unsafe { gemm_acc_ld(c.as_mut_ptr(), n, a.as_ptr(), k, bp.as_ptr(), n, m, n, k, alpha) }
 }
 
 /// `C (m×n) += alpha · A (m×k) · B (k×n)`, row-major with rows `ldc` /

@@ -7,9 +7,10 @@
 //!
 //! * [`Block`] — one `q × q` block of `f64` coefficients stored contiguously
 //!   row-major, whose `gemm_acc` runs the dispatched [`kernel`],
-//! * [`kernel`] — the block-update kernel family: a register-blocked
-//!   AVX2/FMA microkernel and the portable cache-tiled scalar loop behind
-//!   a `OnceLock`-cached runtime dispatch (`MWP_KERNEL` to force one),
+//! * [`kernel`] — the block-update kernel family: AVX-512 and AVX2/FMA
+//!   register tiles over one shared packed-B macro loop (bitwise equal to
+//!   each other) and the portable cache-tiled scalar loop, behind a
+//!   `OnceLock`-cached runtime dispatch (`MWP_KERNEL` to force one),
 //! * [`BlockMatrix`] — an `rows × cols` grid of blocks (the master's view of
 //!   `A`, `B`, and `C`),
 //! * [`Partition`] — the `(r, s, t)` stripe decomposition from matrix

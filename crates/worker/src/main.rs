@@ -139,8 +139,9 @@ fn main() -> ExitCode {
         std::process::exit(2)
     });
     // The fingerprint the master records for this connection: binary
-    // version plus the dispatched kernel, so a master log can spot a
-    // worker that would compute with different arithmetic.
+    // version plus the dispatched kernel. `avx2` and `avx512` compute the
+    // same bits, so only a `scalar` worker does different arithmetic —
+    // which a master log can spot here.
     let fingerprint = format!(
         "mwp-worker/{} kernel={}",
         env!("CARGO_PKG_VERSION"),

@@ -8,8 +8,10 @@
 //!
 //! The spawned processes inherit this test's environment, so the
 //! `MWP_KERNEL` CI legs force the same kernel on both sides
-//! of the wire (a mixed-kernel star would be a fingerprint mismatch a
-//! real deployment surfaces via [`RuntimeSession::worker_fingerprints`]).
+//! of the wire (a star mixing `scalar` with a SIMD kernel computes
+//! different bits, which a real deployment surfaces via
+//! [`RuntimeSession::worker_fingerprints`]; `avx2` and `avx512` workers
+//! agree bit for bit).
 //! The fleet's own settings are not ambient: the masters accept under a
 //! literal `Config` and the workers are handed its secret (`common`).
 

@@ -5,8 +5,10 @@
 //! the per-call-pack path it replaced — same microkernel, same
 //! per-element k-accumulation order, the pack being pure data movement.
 //!
-//! The CI matrix runs this file under `MWP_KERNEL=scalar` (the verbatim
-//! row-major pack) as well as the default AVX2 leg. `Block::gemm_acc_with`
+//! Each block-level test iterates every kernel this CPU runs (scalar's
+//! verbatim row-major pack, AVX2's 8-wide panels, AVX-512's 16-wide ones);
+//! the runtime tests use the dispatched kernel, which the CI matrix also
+//! forces to `MWP_KERNEL=scalar`. `Block::gemm_acc_with`
 //! (pack inside every call) is the reference these comparisons run
 //! against; no whole-matrix or worker layer packs per call any more.
 
@@ -24,7 +26,7 @@ use mwp_lu::runtime::run_lu;
 #[test]
 fn prepacked_block_update_is_bit_identical_at_tail_sizes() {
     for kernel in available() {
-        for q in [1usize, 3, 5, 7, 33, 80] {
+        for q in [1usize, 3, 5, 7, 15, 17, 25, 33, 80] {
             let b = random_block(q, 900 + q as u64);
             let mut packed = PackedB::new();
             b.pack_b_for(kernel, &mut packed);
@@ -53,7 +55,7 @@ fn pack_buffer_reuse_across_shapes_is_bit_identical() {
         let mut packed = PackedB::new();
         // Shrinking q sequence: every pack after the first reuses a
         // buffer whose tail held the previous, larger pack.
-        for q in [80usize, 33, 7, 5, 3, 1] {
+        for q in [80usize, 33, 25, 17, 15, 7, 5, 3, 1] {
             let a = random_block(q, 930 + q as u64);
             let b = random_block(q, 940 + q as u64);
             let mut c_recycled = Block::zeros(q);

@@ -97,6 +97,27 @@ fn config_default_is_the_readme_defaults() {
     assert_eq!(config.fault, None);
 }
 
+/// The `MWP_KERNEL` row's values are the dispatch table: *auto* plus
+/// exactly the names `by_name`'s refusal cites, so a kernel row cannot be
+/// added or retired without the README following. (x86_64 builds compile
+/// every row; other targets carry fewer.)
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn readme_kernel_values_are_the_dispatch_table() {
+    let rows = readme_rows(Path::new(env!("CARGO_MANIFEST_DIR")));
+    let documented: BTreeSet<&str> =
+        rows["MWP_KERNEL"].split(',').map(|value| value.trim().trim_matches('`')).collect();
+    let refusal = mwp_blockmat::kernel::by_name("?").expect_err("'?' names no kernel");
+    let cited = refusal
+        .split("(valid: ")
+        .nth(1)
+        .and_then(|rest| rest.strip_suffix(')'))
+        .unwrap_or_else(|| panic!("refusal does not list the valid names: {refusal}"));
+    let mut table: BTreeSet<&str> = cited.split(", ").collect();
+    table.insert("*auto*");
+    assert_eq!(documented, table, "left: README MWP_KERNEL values; right: dispatch table");
+}
+
 /// The `name = "…"` of every package and target table in the
 /// `Cargo.toml`s under `dir` (build directories skipped).
 fn targets_declared_under(dir: &Path, out: &mut BTreeSet<String>) {
