@@ -3,7 +3,7 @@
 //! Runs a real HoLM multiplication, then a real blocked LU, through the
 //! threaded runtimes with the span recorder capturing measured timelines,
 //! regenerates each run's schedule from its outcome ([`Schedule`] from the
-//! enrolled workers and chunk side, [`lu_schedule`] from the enrollment)
+//! enrolled workers and chunk side, [`lu_schedule`] from the fleet's chunk sides)
 //! and checks, leg by leg, that the two executions of that one object
 //! agree:
 //!
@@ -36,7 +36,8 @@ use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_blockmat::Partition;
 use mwp_core::schedule::{Replay, Schedule};
 use mwp_core::session::RuntimeSession;
-use mwp_lu::runtime::LuSession;
+use mwp_core::MemoryLayout;
+use mwp_lu::runtime::factor;
 use mwp_lu::schedule::{lower, lu_schedule};
 use mwp_msg::config::parse_transport_mode;
 use mwp_msg::TransportMode;
@@ -277,8 +278,7 @@ fn main() -> ExitCode {
     let block_bytes = 8 * (q as u64) * (q as u64);
     // Compute-bound ratio (w ≫ c) so the HoLM resource selection enrolls
     // the whole fleet and the replay exercises multi-worker attribution.
-    let pf = Platform::homogeneous(args.workers, 1.0, 12.0, 60)
-        .expect("valid platform");
+    let pf = Platform::homogeneous(args.workers, 1.0, 12.0, 60).expect("valid platform");
 
     println!(
         "replay_diff: HoLM {r}x{t}x{s}, q={q}, {} workers, time_scale={}, transport={:?}",
@@ -306,20 +306,22 @@ fn main() -> ExitCode {
     let holm = diff(&trace, block_bytes, &pf, frames, outcome.blocks_moved, args.tolerance);
 
     // The LU leg: the factorization the runtime walks is `lu_schedule`
-    // for the whole fleet, so its lowering is what the port must carry.
+    // for the whole fleet at its chunk side, so its lowering is what the
+    // port must carry.
     let (r, mu) = (12usize, 2usize);
     println!("replay_diff: LU {r}x{r} blocks, µ={mu}, same fleet and pacing");
     let matrix = random_diagonally_dominant(r, q, 13);
     let capture = Capture::begin();
-    let session = LuSession::with_transport(&pf, args.time_scale, args.transport);
-    let outcome = session.run(&matrix, mu);
+    let session = RuntimeSession::with_transport(&pf, args.time_scale, args.transport);
+    let outcome = factor(&session, &matrix, mu);
     let trace = capture.end();
     session.shutdown();
     if outcome.aborted {
         println!("FAIL: the LU run was aborted");
         return ExitCode::FAILURE;
     }
-    let frames = lu_schedule(r, mu, outcome.workers_used).iter().flat_map(lower).collect();
+    let sides: Vec<usize> = pf.workers().iter().map(|w| MemoryLayout::MaxReuseOverlapped.mu(w.m)).collect();
+    let frames = lower(&lu_schedule(r, mu, &sides));
     let lu = diff(&trace, block_bytes, &pf, frames, outcome.blocks_moved, args.tolerance);
 
     if holm && lu {

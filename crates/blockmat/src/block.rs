@@ -160,26 +160,8 @@ impl Block {
     }
 
     /// Append this block's little-endian byte image to `out`.
-    ///
-    /// On little-endian targets this is a single bulk copy of the
-    /// coefficient storage; the portable fallback converts per element.
     pub fn write_bytes_into(&self, out: &mut Vec<u8>) {
-        #[cfg(target_endian = "little")]
-        {
-            // f64 has no padding and any byte pattern is a valid read, so
-            // viewing the coefficient slice as raw bytes is sound.
-            let raw = unsafe {
-                std::slice::from_raw_parts(self.data.as_ptr().cast::<u8>(), self.byte_len())
-            };
-            out.extend_from_slice(raw);
-        }
-        #[cfg(not(target_endian = "little"))]
-        {
-            out.reserve(self.byte_len());
-            for v in &self.data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        extend_le(out, &self.data);
     }
 
     /// Deserialize from little-endian bytes produced by [`Block::to_bytes`].
@@ -193,24 +175,48 @@ impl Block {
     /// — the allocation-free receive path for reusable scratch blocks.
     pub fn copy_from_bytes(&mut self, bytes: &[u8]) {
         assert_eq!(bytes.len(), self.byte_len(), "byte length must be 8q²");
-        #[cfg(target_endian = "little")]
-        {
-            // Byte-wise copy into the (f64-aligned) destination; the
-            // source carries no alignment guarantee, which a byte copy
-            // does not need.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    bytes.as_ptr(),
-                    self.data.as_mut_ptr().cast::<u8>(),
-                    bytes.len(),
-                );
-            }
+        copy_le(&mut self.data, bytes);
+    }
+}
+
+/// Append the little-endian byte image of `xs` to `out`. On little-endian
+/// targets this is a single bulk copy of the coefficient storage; the
+/// portable fallback converts per element.
+pub(crate) fn extend_le(out: &mut Vec<u8>, xs: &[f64]) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: f64 has no padding and any byte pattern is a valid
+        // read, so viewing the coefficient slice as raw bytes is sound.
+        let raw = unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs)) };
+        out.extend_from_slice(raw);
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        out.reserve(std::mem::size_of_val(xs));
+        for v in xs {
+            out.extend_from_slice(&v.to_le_bytes());
         }
-        #[cfg(not(target_endian = "little"))]
-        {
-            for (d, c) in self.data.iter_mut().zip(bytes.chunks_exact(8)) {
-                *d = f64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
-            }
+    }
+}
+
+/// Overwrite `dst` with the little-endian image `bytes` (`8 · dst.len()`
+/// bytes, which the callers check).
+pub(crate) fn copy_le(dst: &mut [f64], bytes: &[u8]) {
+    debug_assert_eq!(bytes.len(), std::mem::size_of_val(dst));
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: a byte-wise copy of `8 · dst.len()` bytes into the
+        // (f64-aligned) destination; the source carries no alignment
+        // guarantee, which a byte copy does not need.
+        unsafe {
+            let len = std::mem::size_of_val(dst);
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), dst.as_mut_ptr().cast::<u8>(), len);
+        }
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
+            *d = f64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
         }
     }
 }

@@ -33,8 +33,8 @@ use super::dispatch::Kernel;
 /// `C += alpha · A · B` updates against the same B.
 ///
 /// Produce one with [`Kernel::pack_into`] (or [`PackedB::pack`]); consume
-/// it with [`Kernel::gemm_acc_packed`] or the typed wrappers
-/// (`Block::gemm_acc_prepacked`, `Dense::sub_mul_prepacked`).
+/// it with [`Kernel::gemm_acc_packed`] or the typed wrapper
+/// `Block::gemm_acc_prepacked`.
 #[derive(Debug)]
 pub struct PackedB {
     buf: Vec<f64>,

@@ -39,4 +39,4 @@ pub mod payload;
 pub use block::Block;
 pub use matrix::BlockMatrix;
 pub use partition::Partition;
-pub use payload::SharedPayloads;
+pub use payload::{BlockOrder, SharedPayloads};

@@ -27,8 +27,10 @@
 //! minors — e.g. diagonally dominant matrices, which
 //! [`crate::fill::random_diagonally_dominant`] generates.
 
-use crate::kernel::{self, Kernel, PackedB};
+use crate::block::{copy_le, extend_le};
+use crate::kernel::{self, Kernel};
 use crate::matrix::BlockMatrix;
+use crate::payload::BlockOrder;
 
 /// Minimal dense row-major matrix used by the LU kernels.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,39 +111,55 @@ impl Dense {
         m
     }
 
-    /// `self ← self − a · b` (rank-k update with k = a.cols) through the
-    /// dispatched block kernel — this is the LU runtime's core panel
-    /// update, `alpha = −1` in the kernel contract.
-    pub fn sub_mul(&mut self, a: &Dense, b: &Dense) {
-        self.sub_mul_with(kernel::active(), a, b);
+    /// Append the wire image of block `(i, j)` of side `q` — its rows,
+    /// row-major, `f64` little-endian, as [`crate::Block`] lays it out — to
+    /// `out`.
+    pub fn write_block(&self, q: usize, (i, j): (usize, usize), out: &mut Vec<u8>) {
+        for r in i * q..(i + 1) * q {
+            extend_le(out, &self.data[r * self.cols + j * q..][..q]);
+        }
     }
 
-    /// [`Dense::sub_mul`] through an explicitly chosen kernel — the form
-    /// for loops that resolve the dispatch once (e.g. the LU worker).
+    /// Overwrite block `(i, j)` of side `q` with `image`, laid out as
+    /// [`Dense::write_block`] writes it.
+    ///
+    /// # Panics
+    /// If `image` is not `8q²` bytes.
+    pub fn read_block(&mut self, q: usize, (i, j): (usize, usize), image: &[u8]) {
+        assert_eq!(image.len(), q * q * 8, "byte length must be 8q²");
+        for (r, row) in (i * q..(i + 1) * q).zip(image.chunks_exact(q * 8)) {
+            copy_le(&mut self.data[r * self.cols + j * q..][..q], row);
+        }
+    }
+
+    /// The `rows × cols`-block matrix whose side-`q` blocks `bytes` holds
+    /// back to back in `order` — a block region as it crosses the wire.
+    ///
+    /// # Panics
+    /// If `bytes` is not exactly that many blocks long.
+    pub fn from_block_bytes(bytes: &[u8], rows: usize, cols: usize, q: usize, order: BlockOrder) -> Dense {
+        assert_eq!(bytes.len(), rows * cols * q * q * 8, "not a {rows} × {cols} grid of q = {q} blocks");
+        let mut d = Dense::zeros(rows * q, cols * q);
+        for (at, image) in order.coords(rows, cols).zip(bytes.chunks_exact(q * q * 8)) {
+            d.read_block(q, at, image);
+        }
+        d
+    }
+
+    /// Append this matrix's side-`q` blocks to `out` in `order`: the
+    /// inverse of [`Dense::from_block_bytes`].
+    pub fn write_block_bytes(&self, q: usize, order: BlockOrder, out: &mut Vec<u8>) {
+        order.coords(self.rows / q, self.cols / q).for_each(|at| self.write_block(q, at, out));
+    }
+
+    /// `self ← self − a · b` (a rank-`k` update, `k = a.cols`) through
+    /// `kernel`, `alpha = −1` in the kernel contract: the trailing update
+    /// of a right-looking factorization, done whole.
     pub fn sub_mul_with(&mut self, kernel: &Kernel, a: &Dense, b: &Dense) {
         assert_eq!(a.cols, b.rows, "inner dimensions");
         assert_eq!(self.rows, a.rows, "row dimensions");
         assert_eq!(self.cols, b.cols, "col dimensions");
         kernel.gemm_acc(&mut self.data, &a.data, &b.data, a.rows, b.cols, a.cols, -1.0);
-    }
-
-    /// Pack this matrix as the B operand of [`Dense::sub_mul_prepacked`]
-    /// (`alpha = −1`, the rank-µ-update case), reusing `dst`'s buffer.
-    pub fn pack_sub_mul_for(&self, kernel: &Kernel, dst: &mut PackedB) {
-        kernel.pack_into(dst, &self.data, self.rows, self.cols, -1.0);
-    }
-
-    /// `self ← self − a · b` with `b` prepacked by
-    /// [`Dense::pack_sub_mul_for`] — bit-identical to
-    /// [`Dense::sub_mul_with`] on the same data, minus the per-call
-    /// repack. The LU worker packs the step's horizontal panel once and
-    /// streams every core row group of the step against it.
-    pub fn sub_mul_prepacked(&mut self, kernel: &Kernel, a: &Dense, b: &PackedB) {
-        assert_eq!(a.cols, b.k(), "inner dimensions");
-        assert_eq!(self.rows, a.rows, "row dimensions");
-        assert_eq!(self.cols, b.n(), "col dimensions");
-        assert_eq!(b.alpha(), -1.0, "sub_mul operands are packed with alpha = -1");
-        kernel.gemm_acc_packed(&mut self.data, &a.data, b, a.rows);
     }
 
     /// Plain product `a · b` through the dispatched kernel.
@@ -636,6 +654,48 @@ mod tests {
         // Element (i, j) of the dense form is element (i, j) of the grid.
         for (i, j) in [(0, 0), (2, 3), (3, 2), (5, 5), (1, 4)] {
             assert_eq!(d[(i, j)], m.get(i, j));
+        }
+    }
+
+    #[test]
+    fn block_bytes_roundtrip_in_either_order() {
+        // 2 × 4 blocks of q = 3: each block's image sits where the order's
+        // coordinates put it, and reads back to the same matrix.
+        let d = random_dense(6, 12, 13);
+        let blocks = d.to_blocks(3);
+        for order in [BlockOrder::RowMajor, BlockOrder::ColMajor] {
+            let mut wire = Vec::new();
+            d.write_block_bytes(3, order, &mut wire);
+            assert_eq!(Dense::from_block_bytes(&wire, 2, 4, 3, order), d, "{order:?}");
+            for ((i, j), image) in order.coords(2, 4).zip(wire.chunks_exact(72)) {
+                assert_eq!(image, blocks.block(i, j).to_bytes(), "{order:?} block ({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_update_is_its_block_updates_with_a_negated() {
+        // `C − A·B` done whole (`alpha = −1`, how `lu_blocked_in_place`
+        // updates its trailing matrix) and as q-deep block updates
+        // `C_ij += (−A_ik)·B_kj` in increasing `k` (how the product
+        // workers run LU's trailing update): every kernel accumulates each
+        // element as one chain in increasing `k`, and negating A instead
+        // of B is exact, so the bits agree under every kernel.
+        for kernel in available() {
+            for (rows, cols, depth, q) in [(3, 2, 2, 4), (2, 3, 3, 5), (1, 2, 4, 17), (1, 1, 2, 80)] {
+                let a = random_dense(rows * q, depth * q, 61);
+                let b = random_dense(depth * q, cols * q, 62);
+                let mut whole = random_dense(rows * q, cols * q, 63);
+                let mut blocked = whole.to_blocks(q);
+                whole.sub_mul_with(kernel, &a, &b);
+                let (a, b) = (a.to_blocks(q), b.to_blocks(q));
+                for (i, j, k) in (0..rows).flat_map(|i| (0..cols).flat_map(move |j| (0..depth).map(move |k| (i, j, k)))) {
+                    let mut minus_a = a.block(i, k).clone();
+                    minus_a.scale(-1.0);
+                    blocked.block_mut(i, j).gemm_acc_with(kernel, &minus_a, b.block(k, j));
+                }
+                assert_eq!(Dense::from_blocks(&blocked), whole, "{} {rows}x{cols}x{depth} of q = {q}", kernel.name());
+            }
         }
     }
 

@@ -15,17 +15,29 @@
 //! is contiguous, and with [`SharedPayloads::new_col_major`] a stretch of
 //! one block column ([`SharedPayloads::col_run`]) is. The runtimes use
 //! this to ship a whole `B` row or `A` column as **one** zero-copy frame.
+//! A grid that arrived serialized ([`SharedPayloads::from_bytes`]) is
+//! re-sent the same way, without being copied at all.
 
 use crate::matrix::BlockMatrix;
 use bytes::Bytes;
 
-/// Storage order of the serialized blocks.
+/// Storage order of serialized blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockOrder {
+pub enum BlockOrder {
     /// Block `(i, j)` at index `i·cols + j` — block rows are contiguous.
     RowMajor,
     /// Block `(i, j)` at index `j·rows + i` — block columns are contiguous.
     ColMajor,
+}
+
+impl BlockOrder {
+    /// The block coordinates of a `rows × cols` grid, in this order.
+    pub fn coords(self, rows: usize, cols: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..rows * cols).map(move |x| match self {
+            BlockOrder::RowMajor => (x / cols, x % cols),
+            BlockOrder::ColMajor => (x % rows, x / rows),
+        })
+    }
 }
 
 /// Immutable per-block wire payloads of a matrix, backed by one shared
@@ -56,29 +68,22 @@ impl SharedPayloads {
     }
 
     fn build(m: &BlockMatrix, order: BlockOrder) -> Self {
-        let block_bytes = m.q() * m.q() * 8;
-        let mut buf = Vec::with_capacity(block_bytes * m.rows() * m.cols());
-        match order {
-            BlockOrder::RowMajor => {
-                for (_, _, b) in m.iter_blocks() {
-                    b.write_bytes_into(&mut buf);
-                }
-            }
-            BlockOrder::ColMajor => {
-                for j in 0..m.cols() {
-                    for i in 0..m.rows() {
-                        m.block(i, j).write_bytes_into(&mut buf);
-                    }
-                }
-            }
+        let mut buf = Vec::with_capacity(m.byte_len());
+        for (i, j) in order.coords(m.rows(), m.cols()) {
+            m.block(i, j).write_bytes_into(&mut buf);
         }
-        SharedPayloads {
-            data: Bytes::from(buf),
-            rows: m.rows(),
-            cols: m.cols(),
-            block_bytes,
-            order,
-        }
+        Self::from_bytes(Bytes::from(buf), m.rows(), m.cols(), m.q(), order)
+    }
+
+    /// The payloads of a `rows × cols` grid of side-`q` blocks already
+    /// serialized in `order` — `data` itself, not a copy of it.
+    ///
+    /// # Panics
+    /// If `data` is not exactly that many blocks long.
+    pub fn from_bytes(data: Bytes, rows: usize, cols: usize, q: usize, order: BlockOrder) -> Self {
+        let block_bytes = q * q * 8;
+        assert_eq!(data.len(), rows * cols * block_bytes, "not a {rows} × {cols} grid of q = {q} blocks");
+        SharedPayloads { data, rows, cols, block_bytes, order }
     }
 
     fn offset(&self, i: usize, j: usize) -> usize {
@@ -172,6 +177,17 @@ mod tests {
         for (w, i) in (1..5).enumerate() {
             let bb = p.block_bytes();
             assert_eq!(&run[w * bb..(w + 1) * bb], &*p.get(i, 2), "block ({i},2)");
+        }
+    }
+
+    #[test]
+    fn a_serialized_grid_is_reused_not_copied() {
+        let m = random_matrix(3, 2, 4, 13);
+        let built = SharedPayloads::new_col_major(&m);
+        let again = SharedPayloads::from_bytes(built.data.clone(), 3, 2, 4, BlockOrder::ColMajor);
+        assert_eq!(again.col_run(1, 1, 2).as_ptr(), built.col_run(1, 1, 2).as_ptr());
+        for (i, j, b) in m.iter_blocks() {
+            assert_eq!(&*again.get(i, j), b.to_bytes().as_slice(), "block ({i},{j})");
         }
     }
 

@@ -29,7 +29,8 @@
 //!   dispatch rule over the same chunk exchange,
 //! * [`runtime`] — the threaded executor of those schedules over
 //!   [`mwp_msg`] with real `q × q` block arithmetic, verified against the
-//!   serial product,
+//!   serial product, and the one worker program, which also serves
+//!   `mwp_lu`'s factorizations,
 //! * [`chunks`] — the tiling of the `C` matrix into per-worker `µ × µ`
 //!   chunks shared by all of the above,
 //! * [`serving`] — the multi-job serving tier: a

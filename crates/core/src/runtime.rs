@@ -11,9 +11,13 @@
 //! The master side is one executor (`execute`): every runtime here —
 //! HoLM, ORROML, a fused serving batch, the heterogeneous two-phase scheme
 //! — plans, asks [`crate::schedule`] for the run's [`Schedule`], and has
-//! the executor walk it over the session. What the master sends next is
-//! the generator's business; what happens when a worker dies, or when the
-//! whole-run deadline passes, is the executor's, in one place.
+//! the executor walk it over the session through the one chunk exchange
+//! ([`ChunkExchange`]). What the master sends next is the generator's
+//! business; what happens when a worker dies, or when the whole-run
+//! deadline passes, is the executor's, in one place. LU's factorization
+//! (`mwp_lu`) runs on the same fleet and the same worker program: its
+//! trailing updates are chunk exchanges, and its pivot chain the
+//! program's one other op, the `LuPanel` exchange ([`panel_parts`]).
 //!
 //! With `time_scale = 0` the network is un-paced and the run completes as
 //! fast as the arithmetic allows (used by tests, which verify the result
@@ -36,7 +40,8 @@ use crate::selection::homogeneous::select_homogeneous;
 use crate::session::{with_session, RuntimeSession};
 use bytes::Bytes;
 use mwp_blockmat::kernel::PackedB;
-use mwp_blockmat::{Block, BlockMatrix, SharedPayloads};
+use mwp_blockmat::lu::{lu_factor_in_place, trsm_left_unit_lower, trsm_right_upper, Dense};
+use mwp_blockmat::{Block, BlockMatrix, BlockOrder, SharedPayloads};
 use mwp_msg::session::{RunExit, RUN_ABORT, RUN_BEGIN, RUN_END};
 use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
@@ -217,9 +222,9 @@ pub(crate) fn select_enrollment(
 }
 
 /// One product `C ← C + A·B` of an open run: the payload caches of its
-/// (borrowed) inputs, its accumulator, its traffic meter, and the tag
-/// offsets that keep its frame coordinates disjoint from every other
-/// product fused into the same run.
+/// inputs, where its C lives, its traffic meter, and the tag offsets that
+/// keep its frame coordinates disjoint from every other product fused into
+/// the same run.
 struct JobCtx {
     /// A serialized once, col-major, so a column stretch is one slice.
     ap: SharedPayloads,
@@ -227,27 +232,28 @@ struct JobCtx {
     /// send is a refcount bump into these shared buffers (a B row fanned
     /// out to all enrolled workers costs one buffer total).
     bp: SharedPayloads,
-    c: BlockMatrix,
+    /// The exchange's accumulator this product updates, and where in it:
+    /// chunk block `(i, j)` is block `(i + at, j + at)` there.
+    c: usize,
+    at: usize,
     /// Matrix blocks this product moved through the port, both ways.
     moved: u64,
-    row_off: usize,
-    col_off: usize,
-    k_off: usize,
+    /// Added to a chunk's block row, block column and `k` on the wire.
+    off: [usize; 3],
 }
 
 impl JobCtx {
-    /// The `jx`-th product of a run: its tags shift by `jx·(r, s, t)`
-    /// (a solo run is product 0, offsets 0), while the payload bytes stay
-    /// exactly what a solo run would ship.
-    fn new(a: &BlockMatrix, b: &BlockMatrix, c: BlockMatrix, jx: usize) -> Self {
+    /// The `jx`-th product of a run, updating accumulator `jx`: its tags
+    /// shift by `jx·(r, s, t)` (a solo run is product 0, offsets 0), while
+    /// the payload bytes stay exactly what a solo run would ship.
+    fn new(a: &BlockMatrix, b: &BlockMatrix, jx: usize) -> Self {
         JobCtx {
             ap: SharedPayloads::new_col_major(a),
             bp: SharedPayloads::new(b),
-            c,
+            c: jx,
+            at: 0,
             moved: 0,
-            row_off: jx * a.rows(),
-            col_off: jx * b.cols(),
-            k_off: jx * a.cols(),
+            off: [jx * a.rows(), jx * b.cols(), jx * a.cols()],
         }
     }
 }
@@ -359,25 +365,116 @@ pub fn execute<'s, P: Port>(
     (port, Ok(gen))
 }
 
+/// What a chunk exchange accumulates into: a matrix read and written one
+/// `q × q` block at a time, each as its wire image — a product's
+/// [`BlockMatrix`], or the [`Dense`] a factorization keeps whole.
+pub trait Accumulator {
+    /// Append the image of block `(i, j)` to `out`.
+    fn write_block(&self, q: usize, at: (usize, usize), out: &mut Vec<u8>);
+    /// Overwrite block `(i, j)` with `image`.
+    fn read_block(&mut self, q: usize, at: (usize, usize), image: &[u8]);
+}
+
+impl Accumulator for BlockMatrix {
+    fn write_block(&self, _q: usize, (i, j): (usize, usize), out: &mut Vec<u8>) {
+        self.block(i, j).write_bytes_into(out);
+    }
+
+    fn read_block(&mut self, _q: usize, (i, j): (usize, usize), image: &[u8]) {
+        self.block_mut(i, j).copy_from_bytes(image);
+    }
+}
+
+impl Accumulator for Dense {
+    fn write_block(&self, q: usize, at: (usize, usize), out: &mut Vec<u8>) {
+        Dense::write_block(self, q, at, out);
+    }
+
+    fn read_block(&mut self, q: usize, at: (usize, usize), image: &[u8]) {
+        Dense::read_block(self, q, at, image);
+    }
+}
+
 /// The products of one open run on the master's port: the chunk exchange
 /// — ship a C chunk, stream a B-row/A-column step, collect — written
 /// once, with every frame stamped with the run's generation and every
-/// receive scoped to it.
-struct ProductPort<'a> {
+/// receive scoped to it. The product runtimes run it as their [`Port`];
+/// LU's factorization drives it for its trailing updates.
+pub struct ChunkExchange<'a, C = BlockMatrix> {
     master: &'a mwp_msg::MasterEndpoint,
     gen: u32,
     q: usize,
     /// Recycled buffers for the (mutable, serialize-on-demand) C sends.
     cpool: mwp_msg::BufferPool,
+    /// The matrices the products accumulate into.
+    c: Vec<C>,
     /// `jobs[jx]` is the product the ops' `job` index `jx` names.
     jobs: Vec<JobCtx>,
     /// `mu[i]` is the chunk side worker `i`'s memory admits.
     mu: &'a [usize],
-    /// The jobs' common shared dimension.
+    /// The products' common shared dimension.
     t: usize,
+    /// Frames that crossed the port for the run, either way.
+    frames: u64,
+    /// Blocks the round trips moved, both ways.
+    round_trips: u64,
 }
 
-impl ProductPort<'_> {
+impl<'a, C: Accumulator> ChunkExchange<'a, C> {
+    /// The chunk exchanges of `master`'s open run `gen` of block side `q`,
+    /// `t` steps deep, into the accumulators `c`, on workers whose memory
+    /// admits chunks of side `mu[i]`. It holds no product until
+    /// [`ChunkExchange::push`] adds one.
+    pub fn new(
+        master: &'a mwp_msg::MasterEndpoint,
+        gen: u32,
+        q: usize,
+        c: Vec<C>,
+        mu: &'a [usize],
+        t: usize,
+    ) -> Self {
+        let cpool = mwp_msg::BufferPool::new();
+        ChunkExchange { master, gen, q, cpool, c, jobs: Vec::new(), mu, t, frames: 0, round_trips: 0 }
+    }
+
+    /// Add the next product — its `job` index is the number added before
+    /// it: `A·B` accumulated into the first accumulator's square sub-grid
+    /// from block `(at, at)` on, the way a factorization's trailing update
+    /// is a product of its own matrix. `a` holds A's blocks by block
+    /// columns, `b` B's by block rows; the wire carries the accumulator's
+    /// own block coordinates.
+    pub fn push(&mut self, a: SharedPayloads, b: SharedPayloads, at: usize) {
+        self.jobs.push(JobCtx { ap: a, bp: b, c: 0, at, moved: 0, off: [at, at, 0] });
+    }
+
+    /// The first accumulator.
+    pub fn accumulator(&mut self) -> &mut C {
+        &mut self.c[0]
+    }
+
+    /// One task frame and its reply in this run: `payload` to `worker`
+    /// under `tag`, metered as `blocks` each way — how a run's other
+    /// exchanges (LU's panels) cross the port beside its chunks. `None`
+    /// when the worker died or stayed silent past the liveness deadline.
+    pub fn round_trip(&mut self, worker: WorkerId, tag: Tag, payload: Bytes, blocks: u64) -> Option<Frame> {
+        self.master.try_send(worker, Frame::new_in_run(tag, self.gen, payload), blocks)?;
+        let (reply, _) = self.master.recv_deadline(worker, self.gen, blocks)?;
+        (self.frames, self.round_trips) = (self.frames + 2, self.round_trips + 2 * blocks);
+        Some(reply)
+    }
+
+    /// Blocks the run moved through the port, both ways: its products' and
+    /// its round trips'.
+    pub fn moved(&self) -> u64 {
+        self.round_trips + self.jobs.iter().map(|job| job.moved).sum::<u64>()
+    }
+
+    /// Frames the run moved through the port, either way: every frame
+    /// delivered, each committed chunk's request and rows, each round trip.
+    pub fn frames(&self) -> u64 {
+        self.frames
+    }
+
     /// Failure-aware send of one block frame of job `jx`, metered on
     /// delivery.
     fn send(&mut self, wid: WorkerId, jx: usize, tag: Tag, payload: Bytes, blocks: usize) -> bool {
@@ -385,6 +482,7 @@ impl ProductPort<'_> {
         let sent = self.master.try_send(wid, frame, blocks as u64).is_some();
         if sent {
             self.jobs[jx].moved += blocks as u64;
+            self.frames += 1;
         }
         sent
     }
@@ -397,13 +495,11 @@ impl ProductPort<'_> {
     fn send_c_rows(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
         let bb = self.q * self.q * 8;
         ch.rows().all(|i| {
-            let job = &self.jobs[jx];
+            let (job, c) = (&self.jobs[jx], &self.c[self.jobs[jx].c]);
             let payload = self.cpool.bytes_with(bb * ch.width, |buf| {
-                for j in ch.cols() {
-                    job.c.block(i, j).write_bytes_into(buf);
-                }
+                ch.cols().for_each(|j| c.write_block(self.q, (i + job.at, j + job.at), buf));
             });
-            let tag = Tag::new(FrameKind::BlockC, i + job.row_off, ch.j0 + job.col_off);
+            let tag = Tag::new(FrameKind::BlockC, i + job.off[0], ch.j0 + job.off[1]);
             self.send(wid, jx, tag, payload, ch.width)
         })
     }
@@ -412,9 +508,9 @@ impl ProductPort<'_> {
     /// A-column frame, both views into job `jx`'s payload caches.
     fn send_k_step(&mut self, wid: WorkerId, jx: usize, ch: &Chunk, k: usize) -> bool {
         let job = &self.jobs[jx];
-        let b_tag = Tag::new(FrameKind::BlockB, k + job.k_off, ch.j0 + job.col_off);
+        let b_tag = Tag::new(FrameKind::BlockB, k + job.off[2], ch.j0 + job.off[1]);
         let b_row = job.bp.row_run(k, ch.j0, ch.width);
-        let a_tag = Tag::new(FrameKind::BlockA, ch.i0 + job.row_off, k + job.k_off);
+        let a_tag = Tag::new(FrameKind::BlockA, ch.i0 + job.off[0], k + job.off[2]);
         let a_col = job.ap.col_run(ch.i0, k, ch.height);
         self.send(wid, jx, b_tag, b_row, ch.width) && self.send(wid, jx, a_tag, a_col, ch.height)
     }
@@ -440,11 +536,11 @@ impl ProductPort<'_> {
         let mut staged: Vec<Option<Bytes>> = vec![None; ch.height];
         for _ in ch.rows() {
             let row = self.master.recv_deadline(wid, self.gen, ch.width as u64).and_then(|(f, _)| {
-                let i = (f.tag.i as usize).checked_sub(job.row_off)?;
+                let i = (f.tag.i as usize).checked_sub(job.off[0])?;
                 let slot = staged.get_mut(i.checked_sub(ch.i0)?)?;
                 let ours = f.tag.kind == FrameKind::CResult
                     && slot.is_none()
-                    && f.tag.j as usize == ch.j0 + job.col_off
+                    && f.tag.j as usize == ch.j0 + job.off[1]
                     && f.payload.len() == ch.width * bb;
                 ours.then(|| *slot = Some(f.payload))
             });
@@ -452,18 +548,20 @@ impl ProductPort<'_> {
                 return false;
             }
         }
+        let c = &mut self.c[job.c];
         for (i, payload) in ch.rows().zip(staged) {
             let payload = payload.expect("height distinct in-range rows fill every slot");
             for (j, part) in ch.cols().zip(payload.chunks_exact(bb)) {
-                job.c.block_mut(i, j).copy_from_bytes(part);
+                c.read_block(self.q, (i + job.at, j + job.at), part);
             }
         }
         job.moved += ch.blocks();
+        self.frames += 1 + ch.height as u64;
         true
     }
 }
 
-impl Port for ProductPort<'_> {
+impl<C: Accumulator> Port for ChunkExchange<'_, C> {
     type Op = PortOp;
 
     fn worker(op: &PortOp) -> WorkerId {
@@ -479,18 +577,11 @@ impl Port for ProductPort<'_> {
         }
     }
 
-    /// A chunk is lost when its `Collect` does not commit: the lost
-    /// chunks as [`Schedule::redispatch`] — Algorithm 1's rounds over the
-    /// live workers whose memory holds a chunk at all, each chunk split to
-    /// its adopter's `µ_i`.
+    /// The lost chunks as [`Schedule::recover`] — Algorithm 1's rounds
+    /// over the live workers whose memory holds a chunk at all, each chunk
+    /// split to its adopter's `µ_i`.
     fn redispatch(&self, undone: Vec<PortOp>, live: &[WorkerId]) -> Option<Vec<PortOp>> {
-        let live: Vec<WorkerId> =
-            live.iter().copied().filter(|w| self.mu[w.index()] > 0).collect();
-        let lost = undone.iter().filter_map(|op| match *op {
-            PortOp::Collect { job, chunk, .. } => Some((job, chunk)),
-            _ => None,
-        });
-        (!live.is_empty()).then(|| Schedule::redispatch(lost.collect(), &live, self.mu, self.t).ops)
+        Schedule::recover(&undone, live, self.mu, self.t).map(|schedule| schedule.ops)
     }
 }
 
@@ -502,7 +593,7 @@ impl Port for ProductPort<'_> {
 ///
 /// Each C block accumulates its `t` updates in `k`-order inside a single
 /// chunk exchange, and a job's C is only mutated by a *complete* collected
-/// chunk (see `ProductPort::collect`), so fused results are
+/// chunk (see `ChunkExchange::collect`), so fused results are
 /// **bit-identical** to running every job alone, on any schedule, through
 /// any recovery.
 pub(crate) fn run_products(
@@ -515,15 +606,18 @@ pub(crate) fn run_products(
     let (q, t) = (jobs[0].0.q(), jobs[0].0.cols());
     let start = Instant::now();
     let (port, gen) = execute(session, mu.len(), q, schedule.ops, |master, gen| {
-        let jobs = jobs.into_iter().enumerate().map(|(jx, (a, b, c))| JobCtx::new(a, b, c, jx));
-        ProductPort { master, gen, q, cpool: mwp_msg::BufferPool::new(), jobs: jobs.collect(), mu, t }
+        let (factors, c): (Vec<_>, Vec<_>) = jobs.into_iter().map(|(a, b, c)| ((a, b), c)).unzip();
+        let mut exchange = ChunkExchange::new(master, gen, q, c, mu, t);
+        exchange.jobs = factors.into_iter().enumerate().map(|(jx, (a, b))| JobCtx::new(a, b, jx)).collect();
+        exchange
     });
     let (gen, wall) = (gen?, start.elapsed());
     let chunk_side = mu.iter().copied().max().unwrap_or(0);
     let outcomes = port
-        .jobs
+        .c
         .into_iter()
-        .map(|ctx| RunOutcome { c: ctx.c, wall, blocks_moved: ctx.moved, workers_used, chunk_side })
+        .zip(port.jobs)
+        .map(|(c, ctx)| RunOutcome { c, wall, blocks_moved: ctx.moved, workers_used, chunk_side })
         .collect();
     Ok((gen, outcomes))
 }
@@ -652,7 +746,7 @@ struct RunState {
 /// the block side is unchanged — a run with a different `q` re-bases the
 /// block scratch; pack buffers are shape-agnostic and stay warm across
 /// any `q` change).
-pub(crate) struct WorkerState {
+struct WorkerState {
     /// Block side the recycled scratch blocks are sized for (0 = unsized).
     /// Blocks only recycle to/from runs of this side; a run with a
     /// different `q` opening into an otherwise idle worker re-bases the
@@ -669,7 +763,7 @@ pub(crate) struct WorkerState {
 }
 
 impl WorkerState {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         WorkerState {
             spare_q: 0,
             spare: Vec::new(),
@@ -745,6 +839,15 @@ impl WorkerState {
     }
 }
 
+/// The worker program of a worker of memory `memory_cap` blocks, holding
+/// its [`WorkerState`] across runs: what an in-process session worker
+/// runs, and what [`crate::remote::serve`] drives on a socket — for
+/// products and LU factorizations alike.
+pub(crate) fn program(memory_cap: usize) -> impl FnMut(u32, &WorkerEndpoint) -> RunExit + Send {
+    let mut state = WorkerState::new();
+    move |q, ep| serve_run(ep, q as usize, memory_cap, &mut state)
+}
+
 /// Algorithm 2: the worker program, serving **one wake** of a session —
 /// which may span several interleaved run generations.
 ///
@@ -757,11 +860,15 @@ impl WorkerState {
 /// arriving mid-serve opens another alongside it (the serving tier's
 /// interleaved job runs — see [`crate::serving`]), `Control` requests
 /// that generation's chunk back, and `RUN_END`/`RUN_ABORT` retire it.
-/// The worker parks only when its last open generation retires;
+/// An `LuPanel` task is one LU step's pivot chain — the pivot factored,
+/// both panels solved — answered in place ([`panel_parts`]); LU's trailing
+/// updates are chunk exchanges like any product's. A frame of no open
+/// run, or a panel whose payload is not the blocks its tag names, drops
+/// the link. The worker parks only when its last open generation retires;
 /// `Shutdown` (or a dropped master) ends the thread. Asserts the memory
 /// invariant (`resident blocks ≤ m`, summed over the open generations)
 /// the paper's layout — and the serving tier's admission control —
-/// guarantees.
+/// guarantees; the panel exchange's transient blocks stay outside it.
 ///
 /// The receive path is allocation-free at steady state: incoming payloads
 /// are copied into recycled scratch blocks (`state.spare` holds blocks
@@ -774,7 +881,7 @@ impl WorkerState {
 /// worker precisely so A can stream against it — repacking per update was
 /// pure waste). Pack buffers are recycled alongside the scratch blocks,
 /// so a held session keeps them warm across runs.
-pub(crate) fn serve_run(
+fn serve_run(
     ep: &WorkerEndpoint,
     q: usize,
     memory_cap: usize,
@@ -793,14 +900,54 @@ pub(crate) fn serve_run(
             Err(_) => return RunExit::Terminate, // master gone
         };
         let gen = frame.run;
+        match (frame.tag.kind, frame.tag.i) {
+            (FrameKind::Control, RUN_END | RUN_ABORT) => {
+                // Orderly end (chunk already returned and drained) or
+                // cooperative abort (the master gave up; it never commits
+                // a partial chunk, so discarding the residents loses
+                // nothing). Either way the generation retires and its
+                // storage recycles; park only once no generation is open.
+                if state.close(gen) == 0 {
+                    // Run boundary: persist this process's spans — for an
+                    // out-of-process worker nobody else will (the
+                    // master's session-side flush is a different process).
+                    record::flush();
+                    return RunExit::Completed;
+                }
+                continue;
+            }
+            (FrameKind::Control, RUN_BEGIN) => {
+                // Another run generation opens while this worker is
+                // already serving — the serving tier's interleaved job
+                // runs. Its frames carry their own generation, so the
+                // open runs never mix. (Reopening a generation that is
+                // still open panics in `open` — that is the historical
+                // "session reused after an aborted run" guard.)
+                state.open(gen, frame.tag.j as usize);
+                continue;
+            }
+            (FrameKind::Shutdown, _) => {
+                // The worker process may exit right after this returns:
+                // wait for the writer thread, don't just hand off.
+                record::sync();
+                return RunExit::Terminate;
+            }
+            // Heartbeats are swallowed inside `WorkerEndpoint::recv` before
+            // a program ever sees a frame.
+            (FrameKind::CResult | FrameKind::Heartbeat, _) => {
+                unreachable!("master never sends {:?}", frame.tag.kind)
+            }
+            _ => {}
+        }
+        // Every other frame is traffic of an open run. One of no open run
+        // is nothing the master sends: it drops the link — the master sees
+        // a dead worker — instead of unwinding this thread.
+        let WorkerState { runs, spare, spare_packs, spare_q, .. } = &mut *state;
+        let Some(run) = runs.get_mut(&gen) else { return RunExit::Terminate };
+        let bb = run.q * run.q * 8;
         match frame.tag.kind {
             FrameKind::BlockC => {
                 // A run of chunk-row blocks: row i, columns j0, j0+1, …
-                let WorkerState { runs, spare, spare_q, .. } = &mut *state;
-                let run = runs
-                    .get_mut(&gen)
-                    .unwrap_or_else(|| panic!("C frame for unopened generation {gen}"));
-                let bb = run.q * run.q * 8;
                 let (i, j0) = (frame.tag.i as usize, frame.tag.j as usize);
                 for (w, part) in frame.payload.chunks_exact(bb).enumerate() {
                     let mut blk = if run.q == *spare_q { spare.pop() } else { None }
@@ -817,12 +964,7 @@ pub(crate) fn serve_run(
                 // overwrite invalidates the old pack, so the block is
                 // repacked here, exactly once per arrival, and reused by
                 // all of this step's A blocks.
-                let WorkerState { runs, spare, spare_packs, spare_q, .. } = &mut *state;
-                let run = runs
-                    .get_mut(&gen)
-                    .unwrap_or_else(|| panic!("B frame for unopened generation {gen}"));
                 let q = run.q;
-                let bb = q * q * 8;
                 let j0 = frame.tag.j as usize;
                 for (w, part) in frame.payload.chunks_exact(bb).enumerate() {
                     let resident = run.b_row.entry(j0 + w).or_insert_with(|| ResidentB {
@@ -840,11 +982,6 @@ pub(crate) fn serve_run(
                 // A run of A column blocks for rows i0, i0+1, …; each one
                 // updates its row of its generation's chunk through that
                 // generation's reused scratch block: C[i][j] += A · B[j].
-                let run = state
-                    .runs
-                    .get_mut(&gen)
-                    .unwrap_or_else(|| panic!("A frame for unopened generation {gen}"));
-                let bb = run.q * run.q * 8;
                 let RunState { c_rows, b_row, a_scratch, .. } = run;
                 let i0 = frame.tag.i as usize;
                 for (w, part) in frame.payload.chunks_exact(bb).enumerate() {
@@ -865,40 +1002,25 @@ pub(crate) fn serve_run(
                     record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "A update");
                 }
             }
-            FrameKind::Control if frame.tag.i == RUN_END || frame.tag.i == RUN_ABORT => {
-                // Orderly end (chunk already returned and drained) or
-                // cooperative abort (the master gave up; it never commits
-                // a partial chunk, so discarding the residents loses
-                // nothing). Either way the generation retires and its
-                // storage recycles; park only once no generation is open.
-                if state.close(gen) == 0 {
-                    // Run boundary: persist this process's spans — for an
-                    // out-of-process worker nobody else will (the
-                    // master's session-side flush is a different process).
-                    record::flush();
-                    return RunExit::Completed;
-                }
+            FrameKind::LuPanel => {
+                // One LU step's pivot chain, answered in place. Nor is its
+                // payload trusted: one that is not exactly the blocks its
+                // tag names drops the link too.
+                let Some(parts) = panel_task(run.q, frame.tag, &frame.payload) else {
+                    return RunExit::Terminate;
+                };
+                let tc = record::begin();
+                let reply = solve_panel(ep, run.q, frame.tag, parts, gen);
+                record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "panel");
+                ep.send_in(gen, Frame::new(frame.tag, reply));
             }
-            FrameKind::Control if frame.tag.i == RUN_BEGIN => {
-                // Another run generation opens while this worker is
-                // already serving — the serving tier's interleaved job
-                // runs. Its frames carry their own generation, so the
-                // open runs never mix. (Reopening a generation that is
-                // still open panics in `open` — that is the historical
-                // "session reused after an aborted run" guard.)
-                state.open(gen, frame.tag.j as usize);
-            }
-            FrameKind::Control => {
-                // Return this generation's chunk in deterministic (i, j)
-                // order — one run frame per chunk row, built in the
-                // endpoint's buffer pool, stamped with the generation it
-                // belongs to — then recycle every resident block for the
-                // generation's next chunk.
-                let WorkerState { runs, spare, spare_packs, spare_q, .. } = &mut *state;
-                let run = runs
-                    .get_mut(&gen)
-                    .unwrap_or_else(|| panic!("collect for unopened generation {gen}"));
-                let bb = run.q * run.q * 8;
+            _ => {
+                // A collect request (a `Control` frame of no lifecycle
+                // sentinel): return this generation's chunk in
+                // deterministic (i, j) order — one run frame per chunk row,
+                // built in the endpoint's buffer pool, stamped with the
+                // generation it belongs to — then recycle every resident
+                // block for the generation's next chunk.
                 let mut rows: Vec<usize> = run.c_rows.keys().copied().collect();
                 rows.sort_unstable();
                 for i in rows {
@@ -924,17 +1046,6 @@ pub(crate) fn serve_run(
                     spare_packs.push(resident.pack);
                 }
             }
-            FrameKind::Shutdown => {
-                // The worker process may exit right after this returns:
-                // wait for the writer thread, don't just hand off.
-                record::sync();
-                return RunExit::Terminate;
-            }
-            FrameKind::CResult | FrameKind::LuPanel | FrameKind::Heartbeat => {
-                // Heartbeats are swallowed inside `WorkerEndpoint::recv`
-                // before a program ever sees a frame.
-                unreachable!("master never sends {:?}", frame.tag.kind)
-            }
         }
         // The paper's memory invariant: resident blocks never exceed m,
         // now summed over every open generation (+1 per generation for
@@ -948,6 +1059,60 @@ pub(crate) fn serve_run(
             state.runs.len(),
         );
     }
+}
+
+/// The wire layout of an LU `Panel` exchange, task and reply alike, for a
+/// `p`-block pivot with `rest` blocks of the matrix after it: three parts
+/// of `q × q` blocks back to back, each `(block rows, block columns,
+/// order)` — the pivot by block rows, the vertical panel below it by block
+/// columns, the horizontal panel beside it by block rows. So each panel's
+/// `k`-th block column (row) is one slice: the A column and B row of step
+/// `k` of the step's trailing update.
+pub fn panel_parts(p: usize, rest: usize) -> [(usize, usize, BlockOrder); 3] {
+    [(p, p, BlockOrder::RowMajor), (rest, p, BlockOrder::ColMajor), (p, rest, BlockOrder::RowMajor)]
+}
+
+/// The pivot, vertical and horizontal panels of the `LuPanel` task
+/// `tag`/`payload` for block side `q`, in the layout of [`panel_parts`]
+/// for the tag's `(p, rest)`. `None` unless the payload is exactly the
+/// blocks the tag names: the sizes are checked before anything is sliced
+/// or allocated, and no tag can overflow the arithmetic.
+fn panel_task(q: usize, tag: Tag, payload: &[u8]) -> Option<[Dense; 3]> {
+    let (p, rest) = (tag.i as usize, tag.j as usize);
+    let blocks = p.checked_mul(rest.checked_mul(2)?.checked_add(p)?)?;
+    if payload.len() != blocks.checked_mul(q * q * 8)? {
+        return None;
+    }
+    let mut at = 0;
+    Some(panel_parts(p, rest).map(|(rows, cols, order)| {
+        let part = &payload[at..at + rows * cols * q * q * 8];
+        at += part.len();
+        Dense::from_block_bytes(part, rows, cols, q, order)
+    }))
+}
+
+/// The pivot chain of one LU step (Section 7.2) on the parts of the task
+/// `tag` of run `run`: factor the pivot, solve the vertical panel against
+/// its `U` and the horizontal one against its `L`, and return all three in
+/// the task's layout, built in the endpoint's buffer pool.
+fn solve_panel(ep: &WorkerEndpoint, q: usize, tag: Tag, parts: [Dense; 3], run: u32) -> Bytes {
+    let [mut pivot, mut vertical, mut horizontal] = parts;
+    let len = 8 * [&pivot, &vertical, &horizontal].map(|d| d.rows() * d.cols()).iter().sum::<usize>();
+    let tk = record::begin();
+    lu_factor_in_place(&mut pivot);
+    record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "factor");
+    if tag.j > 0 {
+        let tk = record::begin();
+        trsm_right_upper(&mut vertical, &pivot);
+        trsm_left_unit_lower(&mut horizontal, &pivot);
+        record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "trsm");
+    }
+    let layout = panel_parts(tag.i as usize, tag.j as usize);
+    ep.pooled_payload(len, |buf| {
+        for (part, (_, _, order)) in [pivot, vertical, horizontal].iter().zip(layout) {
+            part.write_block_bytes(q, order, buf);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1101,6 +1266,81 @@ mod tests {
         let out =
             run_heterogeneous(&pf, &a, &b, c0.clone(), SelectionRule::Global, 0.0).unwrap();
         assert!(verify_product(&out.c, &c0, &a, &b, 1e-9).is_ok());
+    }
+
+    /// The wire image of a `Panel` task of `p` pivot blocks and `rest`
+    /// after them, all of side `q`: a diagonally dominant pivot and random
+    /// panels.
+    fn panel_image(p: usize, rest: usize, q: usize) -> Vec<u8> {
+        let n = p + rest;
+        let whole = Dense::from_blocks(&mwp_blockmat::fill::random_diagonally_dominant(n, q, 5));
+        let (k, n) = (p * q, n * q);
+        let parts = [whole.submatrix(0, k, 0, k), whole.submatrix(k, n, 0, k), whole.submatrix(0, k, k, n)];
+        let mut wire = Vec::new();
+        for (part, (_, _, order)) in parts.iter().zip(panel_parts(p, rest)) {
+            part.write_block_bytes(q, order, &mut wire);
+        }
+        wire
+    }
+
+    #[test]
+    fn wire_format_roundtrip() {
+        // A task decodes into its three parts, shaped as the tag says.
+        let (p, rest, q) = (2, 3, 4);
+        let wire = panel_image(p, rest, q);
+        let [pivot, vertical, horizontal] =
+            panel_task(q, Tag::new(FrameKind::LuPanel, p, rest), &wire).expect("a well-formed task");
+        let shapes = [pivot, vertical, horizontal].map(|d| (d.rows(), d.cols()));
+        assert_eq!(shapes, [(8, 8), (12, 8), (8, 12)]);
+        let last = panel_task(q, Tag::new(FrameKind::LuPanel, p, 0), &panel_image(p, 0, q)).unwrap();
+        assert_eq!(last.map(|d| (d.rows(), d.cols())), [(8, 8), (0, 8), (8, 0)], "the pivot alone");
+    }
+
+    #[test]
+    fn malformed_wire_images_do_not_decode() {
+        let (p, rest, q) = (2, 1, 3);
+        let wire = panel_image(p, rest, q);
+        let tag = |p: usize, rest: usize| Tag::new(FrameKind::LuPanel, p, rest);
+        // Cut anywhere, or a byte over: a torn or padded payload.
+        for len in 0..wire.len() {
+            assert!(panel_task(q, tag(p, rest), &wire[..len]).is_none(), "truncated to {len} bytes");
+        }
+        assert!(panel_task(q, tag(p, rest), &[&wire[..], &[0]].concat()).is_none(), "a trailing byte");
+        // A shape that disagrees with the length, and ones whose block
+        // count overflows or merely exceeds the payload.
+        for (p, rest) in [(1, 1), (2, 2), (3, 0), (u32::MAX as usize, u32::MAX as usize), (1 << 20, 0)] {
+            assert!(panel_task(q, tag(p, rest), &wire).is_none(), "a {p} + {rest} tag");
+        }
+        assert!(panel_task(q, tag(p, rest), &wire).is_some());
+    }
+
+    #[test]
+    fn a_malformed_task_drops_the_link_without_unwinding_the_worker() {
+        // What arrives on a link is not trusted to be what the master
+        // program sends: a torn `Panel` payload, a tag whose shape
+        // disagrees with the payload's length and a panel outside any open
+        // run each close the link — the master sees a dead worker — and the
+        // worker thread returns instead of panicking (`shutdown` re-raises
+        // a worker's panic). A well-formed task is answered.
+        let (q, wire) = (2, panel_image(1, 1, 2));
+        let torn = wire[..wire.len() - 3].to_vec();
+        for (what, shape, payload, stray, answered) in [
+            ("well-formed", (1, 1), wire.clone(), 0, true),
+            ("torn payload", (1, 1), torn, 0, false),
+            ("shape off the length", (1, 2), wire.clone(), 0, false),
+            ("outside an open run", (1, 1), wire, 1, false),
+        ] {
+            let session = RuntimeSession::new(&platform(1, 60), 0.0);
+            let fleet = session.fleet();
+            let epoch = fleet.begin_run(1, q as u32);
+            let tag = Tag::new(FrameKind::LuPanel, shape.0, shape.1);
+            let frame = Frame::new_in_run(tag, epoch.generation() + stray, payload.into());
+            assert!(fleet.master().try_send(WorkerId(0), frame, 1).is_some(), "{what}");
+            let reply = fleet.master().recv_deadline(WorkerId(0), epoch.generation(), 1);
+            assert_eq!(reply.is_some(), answered, "{what}: a reply");
+            fleet.abort_run(1, epoch);
+            assert_eq!(session.shutdown(), 1, "{what}: the worker thread must return, not unwind");
+        }
     }
 
     #[test]

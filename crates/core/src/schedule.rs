@@ -15,7 +15,8 @@
 //!   simulated product goes through that one lowering (`lower`): the
 //!   static orders as a `Replay`, the demand-driven suite algorithms
 //!   ([`crate::algorithms`]) op by op, as their dispatch rule picks
-//!   the next worker.
+//!   the next worker, and LU's trailing updates through a [`Lowering`]
+//!   (`mwp_lu::schedule`), between the panel exchanges LU lowers itself.
 //!
 //! The generators keep every worker on one chunk at a time and every
 //! chunk on one worker, in the order `SendC`, `Step 0..t`, `Collect`:
@@ -234,8 +235,10 @@ impl Schedule {
     /// larger than its adopter's `µ_i` (its owner had more memory) is
     /// split until it fits — correctness only needs each C block's steps
     /// to run in order within one exchange, which any sub-rectangle
-    /// preserves. Panics if `live` is empty.
-    pub(crate) fn redispatch(
+    /// preserves. The pieces are seated in the order `lost` pops them,
+    /// last first. LU deals its trailing updates through it too: one
+    /// band of rows per worker, split to fit. Panics if `live` is empty.
+    pub fn redispatch(
         mut lost: Vec<(usize, Chunk)>,
         live: &[WorkerId],
         mu: &[usize],
@@ -256,6 +259,19 @@ impl Schedule {
             }
         }
         Schedule::rounds(&pieces, live, t)
+    }
+
+    /// What redoes the work the `undone` ops of a run lost, on the `live`
+    /// workers whose memory holds a chunk at all: a chunk is lost when its
+    /// `Collect` did not commit, and the lost chunks run again as
+    /// [`Schedule::redispatch`]. `None` when no live worker holds a chunk.
+    pub fn recover(undone: &[PortOp], live: &[WorkerId], mu: &[usize], t: usize) -> Option<Schedule> {
+        let live: Vec<WorkerId> = live.iter().copied().filter(|w| mu[w.index()] > 0).collect();
+        let lost = undone.iter().filter_map(|op| match *op {
+            PortOp::Collect { job, chunk, .. } => Some((job, chunk)),
+            _ => None,
+        });
+        (!live.is_empty()).then(|| Schedule::redispatch(lost.collect(), &live, mu, t))
     }
 
     /// The distinct workers the schedule names, ascending.
@@ -316,13 +332,39 @@ pub(crate) fn lower(op: &PortOp, depth: usize, fixed: &mut i64, frames: &mut imp
     }
 }
 
-/// A [`Schedule`] as a simulator policy: its ops through `lower` at
-/// depth 1, issued in order whatever the workers are doing — the engine
-/// re-derives every wait from the one-port model. Each worker's fixed
-/// buffers are what the worker program's memory assertion counts beside
-/// the resident C chunk: the B row of its widest chunk and one A block
-/// in flight. (The program frees the B row between chunks; holding it
-/// throughout bounds it from above.)
+/// The one lowering over a whole run: `lower` at depth 1, with each
+/// worker's fixed buffers what the worker program's memory assertion
+/// counts beside the resident C chunk — the B row of its widest chunk and
+/// one A block in flight. (The program frees the B row between chunks;
+/// holding it throughout bounds it from above.)
+pub struct Lowering {
+    fixed: Vec<i64>,
+}
+
+impl Lowering {
+    /// The lowering of a run made of `ops` (and of whatever else the run
+    /// interleaves with them, which holds no worker memory).
+    pub fn new<'a>(ops: impl IntoIterator<Item = &'a PortOp>) -> Self {
+        let mut fixed: Vec<i64> = Vec::new();
+        for op in ops {
+            let (_, worker, chunk) = op.target();
+            if fixed.len() <= worker.index() {
+                fixed.resize(worker.index() + 1, 0);
+            }
+            fixed[worker.index()] = fixed[worker.index()].max(chunk.width as i64 + 1);
+        }
+        Lowering { fixed }
+    }
+
+    /// Append `op`'s frames to `frames`.
+    pub fn lower(&mut self, op: &PortOp, frames: &mut impl Extend<Decision>) {
+        lower(op, 1, &mut self.fixed[op.target().1.index()], frames);
+    }
+}
+
+/// A [`Schedule`] as a simulator policy: its ops through one [`Lowering`],
+/// issued in order whatever the workers are doing — the engine re-derives
+/// every wait from the one-port model.
 pub struct Replay {
     frames: std::vec::IntoIter<Decision>,
 }
@@ -330,17 +372,10 @@ pub struct Replay {
 impl Replay {
     /// Expand `schedule` into its frames.
     pub fn new(schedule: &Schedule) -> Self {
-        let mut fixed: Vec<i64> = Vec::new();
-        for op in &schedule.ops {
-            let (_, worker, chunk) = op.target();
-            if fixed.len() <= worker.index() {
-                fixed.resize(worker.index() + 1, 0);
-            }
-            fixed[worker.index()] = fixed[worker.index()].max(chunk.width as i64 + 1);
-        }
+        let mut lowering = Lowering::new(&schedule.ops);
         let mut frames = Vec::new();
         for op in &schedule.ops {
-            lower(op, 1, &mut fixed[op.target().1.index()], &mut frames);
+            lowering.lower(op, &mut frames);
         }
         Replay { frames: frames.into_iter() }
     }

@@ -38,18 +38,20 @@
 //! The fleet itself — links, fingerprints, and the platform description
 //! that `admit` grows and `prune_dead` compacts — lives in the wrapped
 //! [`mwp_msg::session::Session`]; this type adds the plans and the run
-//! lock.
+//! lock. It is the one fleet type: LU factorizations
+//! (`mwp_lu::runtime::factor`) run on it too, through
+//! [`RuntimeSession::execute`].
 
 use crate::runtime::{
-    heterogeneous_mu, heterogeneous_on, holm_on, select_enrollment, serve_run,
-    validate_product_shapes, RunOutcome, RuntimeError, WorkerState,
+    execute, heterogeneous_mu, heterogeneous_on, holm_on, program, select_enrollment,
+    validate_product_shapes, Port, RunOutcome, RuntimeError,
 };
 use crate::selection::incremental::SelectionRule;
 use mwp_blockmat::BlockMatrix;
 use mwp_msg::config::Config;
 use mwp_msg::session::Session;
 use mwp_msg::transport::SERVICE_MATRIX;
-use mwp_msg::{TransportListener, TransportMode, WorkerEndpoint};
+use mwp_msg::{MasterEndpoint, TransportListener, TransportMode};
 use mwp_platform::{Platform, WorkerId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -87,10 +89,11 @@ pub struct RuntimeSession {
     /// How many fresh resource selections this session has computed —
     /// observably counts automatic re-planning after membership changes.
     replans: AtomicU64,
-    /// Held by each public `run_*` call for its whole run: nothing bounds
-    /// the workers' resident memory across two of *these* runs (the
-    /// serving tier, which calls the master executor directly, admits by
-    /// memory instead), so concurrent callers take turns.
+    /// Held by each public `run_*` call and [`RuntimeSession::execute`]
+    /// for its whole run: nothing bounds the workers' resident memory
+    /// across two of *these* runs (the serving tier, which calls the
+    /// master executor directly, admits by memory instead), so concurrent
+    /// callers — products and factorizations alike — take turns.
     run_lock: Mutex<()>,
 }
 
@@ -109,11 +112,7 @@ impl RuntimeSession {
     /// cross-validate the channel and socket backends bit-for-bit inside
     /// one process.
     pub fn with_transport(platform: &Platform, time_scale: f64, mode: TransportMode) -> Self {
-        let inner = Session::spawn_with_transport(platform, time_scale, mode, |_, params| {
-            let memory_cap = params.m;
-            let mut state = WorkerState::new();
-            move |q: u32, ep: &WorkerEndpoint| serve_run(ep, q as usize, memory_cap, &mut state)
-        });
+        let inner = Session::spawn_with_transport(platform, time_scale, mode, |_, params| program(params.m));
         Self::over(inner)
     }
 
@@ -251,6 +250,21 @@ impl RuntimeSession {
         self.run_solo(a, b, c, false)
     }
 
+    /// `ops` walked by the master executor as one run of block side `q`
+    /// over the whole fleet, through the [`Port`] `open` builds for the
+    /// run's generation, under the run lock the `run_*` methods take: how a
+    /// runtime built on this fleet outside this crate — LU's factorization
+    /// — runs on the same workers and the same program.
+    pub fn execute<'s, P: Port>(
+        &'s self,
+        q: usize,
+        ops: Vec<P::Op>,
+        open: impl FnOnce(&'s MasterEndpoint, u32) -> P,
+    ) -> (P, Result<u32, RuntimeError>) {
+        let _exclusive = self.exclusive();
+        execute(&self.inner, self.workers(), q, ops, open)
+    }
+
     /// Take the run lock. It guards no data, so a run that panicked while
     /// holding it leaves nothing to distrust: the poison is ignored.
     fn exclusive(&self) -> std::sync::MutexGuard<'_, ()> {
@@ -364,7 +378,7 @@ mod tests {
     use mwp_blockmat::fill::random_matrix;
     use mwp_blockmat::gemm::{gemm_serial, verify_product};
     use mwp_msg::session::{RunExit, RUN_ABORT, RUN_END};
-    use mwp_msg::{Frame, FrameKind, Tag};
+    use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
 
     #[test]
     fn session_survives_runs_with_different_block_sides() {
@@ -464,10 +478,7 @@ mod tests {
                 if rogue(id) {
                     return rogue_program(reply);
                 }
-                let mut state = WorkerState::new();
-                let honest: Program =
-                    Box::new(move |q, ep| serve_run(ep, q as usize, params.m, &mut state));
-                honest
+                Box::new(program(params.m))
             },
         ))
     }

@@ -25,15 +25,30 @@
 //! ### What the runtime moves
 //!
 //! The paper cuts the core into column groups and re-sends the whole
-//! vertical panel with each; [`crate::schedule`] cuts it into row groups
-//! and sends the operand they share — the horizontal panel, `µ(r−kµ)`
-//! blocks — once per *worker*. With `P` workers enrolled, step `k` moves
-//! `(r−kµ)² − min(P, r/µ−k)·µ(r−kµ)` blocks fewer than item 4 above, and
-//! every other term is the model's: the runtime's metered volume, the
-//! simulated one and `total().comm` less that sum are one number (a test
-//! in [`crate::schedule`] and one in [`crate::runtime`] hold them equal).
-//! At the benchmark's `r` = 12, `µ` = 2, `P` = 2 that is 904 blocks in 51
-//! frames against `total().comm` = 1 008: 60 + 32 + 12 + 0 + 0 saved.
+//! vertical panel with each; [`crate::schedule`] runs the core update as a
+//! product instead. Step `k`'s `rem = r − kµ` trailing rows are dealt as
+//! one band per enrolled worker (`P' = min(P, rem)` bands), each band cut
+//! into chunks of at most the workers' chunk side `c` — the product's
+//! `µ² + 4µ` layout, `c = ⌊−2 + √(4 + m)⌋`. Every C block crosses twice,
+//! and each chunk of `h × w` blocks takes a `w`-block row of the
+//! horizontal panel and an `h`-block column of the vertical one per step
+//! of the rank-µ update:
+//!
+//! ```text
+//! pivot + panels   2µ² + 4µ·rem
+//! trailing update  2·rem² + µ·rem·(⌈rem/c⌉ + Σ_bands ⌈h_b/c⌉)
+//! ```
+//!
+//! With every band one chunk (`c ≥ rem`) the update moves
+//! `2·rem² + (P' + 1)·µ·rem` blocks — the model's `3·rem² + µ·rem` less
+//! `rem² − P'·µ·rem`: the horizontal panel crosses once per band, not once
+//! per group. The runtime's metered volume, the simulated one and that sum
+//! are one number (tests in [`crate::schedule`] and [`crate::runtime`]
+//! hold them equal). At the benchmark's `r` = 12, `µ` = 2, `P` = 2 and
+//! `m` = 100 000 that is 908 blocks in 122 frames (12 panel frames, then
+//! `2·rem + 10` a step) against the exact closed form's
+//! [`LuCost::comm_closed_form_exact`] = 1 008; a memory-bound `c` below
+//! `rem` re-ships panel blocks per chunk and can exceed it.
 
 /// An LU factorization instance in block terms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,14 +196,18 @@ impl LuCost {
 }
 
 /// The closed form of "What the runtime moves" (module docs): the blocks
-/// [`crate::schedule::lu_schedule`] moves with `enrolled` workers.
+/// [`crate::schedule::lu_schedule`] moves with `enrolled` workers of
+/// chunk side `side`.
 #[cfg(test)]
-pub(crate) fn scheduled_comm(problem: LuProblem, enrolled: usize) -> f64 {
-    let saved: usize = (1..=problem.steps())
-        .map(|k| problem.r - k * problem.mu)
-        .map(|rem| rem * rem - enrolled.min(rem / problem.mu) * problem.mu * rem)
-        .sum();
-    problem.total().comm - saved as f64
+pub(crate) fn scheduled_comm(problem: LuProblem, enrolled: usize, side: usize) -> f64 {
+    let mu = problem.mu;
+    let step = |rem: usize| {
+        let bands = enrolled.min(rem);
+        let band_chunks: usize =
+            (0..bands).map(|b| ((b + 1) * rem / bands - b * rem / bands).div_ceil(side)).sum();
+        2 * mu * mu + 4 * mu * rem + 2 * rem * rem + mu * rem * (rem.div_ceil(side) + band_chunks)
+    };
+    (1..=problem.steps()).map(|k| step(problem.r - k * mu)).sum::<usize>() as f64
 }
 
 #[cfg(test)]

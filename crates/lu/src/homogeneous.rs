@@ -13,13 +13,14 @@
 //!
 //! The algorithm itself is [`crate::schedule::lu_schedule`], the ops the
 //! threaded runtime executes; this module enrolls the paper's `P` and
-//! puts their lowered frames through the simulator. (The runtime cuts the
-//! core into row groups, not the paper's column groups: the square core
-//! splits either way into as many groups of the same size, and the panel
-//! the groups share is then the one a worker can pack once per step.)
+//! puts their lowered frames through the simulator. (The runtime runs the
+//! core update as a product over the trailing grid — one band of rows per
+//! worker, cut into chunks its memory `m` holds under the product's
+//! `µ² + 4µ` layout — so the simulated workers are held to `m` too.)
 
 use crate::cost::LuProblem;
 use crate::schedule::{lower, lu_schedule};
+use mwp_core::MemoryLayout;
 use mwp_platform::Platform;
 use mwp_sim::{SimReport, Simulator};
 
@@ -31,12 +32,16 @@ pub fn ideal_lu_workers(mu: usize, w: f64, c: f64) -> usize {
 
 /// Simulate the homogeneous LU algorithm: the frames of
 /// [`lu_schedule`] — the ops [`crate::runtime`] executes — with
-/// [`ideal_lu_workers`] enrolled, through the one-port engine. Returns the
-/// report and the enrolled worker count.
+/// [`ideal_lu_workers`] enrolled at the chunk side their memory admits,
+/// through the one-port engine. Returns the report and the enrolled worker
+/// count.
 ///
-/// The next step cannot start before every group of the current step
+/// The next step cannot start before every chunk of the current step
 /// completes (its pivot depends on the whole core): the engine makes each
 /// receive wait for its worker to drain, which realizes the barrier.
+///
+/// # Panics
+/// If the matrix has a trailing update and `m` holds no chunk.
 pub fn simulate_homogeneous_lu(
     platform: &Platform,
     problem: LuProblem,
@@ -45,9 +50,9 @@ pub fn simulate_homogeneous_lu(
         .homogeneous_params()
         .expect("homogeneous LU needs a homogeneous platform");
     let enrolled = ideal_lu_workers(problem.mu, params.w, params.c).min(platform.len());
-    let schedule = lu_schedule(problem.r, problem.mu, enrolled);
-    let mut frames = schedule.iter().flat_map(lower).collect::<Vec<_>>().into_iter();
-    let report = Simulator::new(platform.clone()).without_trace().run(&mut frames)?;
+    let side = MemoryLayout::MaxReuseOverlapped.mu(params.m);
+    let frames = lower(&lu_schedule(problem.r, problem.mu, &vec![side; enrolled]));
+    let report = Simulator::new(platform.clone()).without_trace().run(&mut frames.into_iter())?;
     Ok((report, enrolled))
 }
 
@@ -65,25 +70,35 @@ mod tests {
 
     #[test]
     fn simulation_completes_all_work() {
-        let pf = Platform::homogeneous(4, 2.0, 1.0, 60).unwrap();
-        let problem = LuProblem::new(24, 6);
-        let (report, enrolled) = simulate_homogeneous_lu(&pf, problem).unwrap();
-        assert!((1..=4).contains(&enrolled));
-        // Computation volume is the cost model's, to the block operation.
-        assert_eq!(report.total_updates() as f64, problem.total().comp);
+        // m = 60 and §7.2's m = µ² + 4µ = 12 for 2 × 2 chunks: the replay
+        // holds every worker inside its memory either way.
+        for (m, problem) in [(60, LuProblem::new(24, 6)), (12, LuProblem::new(8, 2))] {
+            let pf = Platform::homogeneous(4, 2.0, 1.0, m).unwrap();
+            let (report, enrolled) = simulate_homogeneous_lu(&pf, problem).unwrap();
+            assert!((1..=4).contains(&enrolled));
+            // Computation volume is the cost model's, to the block operation.
+            assert_eq!(report.total_updates() as f64, problem.total().comp);
+        }
     }
 
     #[test]
     fn communication_volume_matches_model() {
-        // The model's volume, less the shared panel it re-sends with every
-        // group and the schedule sends once per worker (`cost` module
-        // docs): 2 880 − 288 here, with one worker enrolled.
+        // The scheduled volume (`cost` module docs): one worker enrolled,
+        // m = 60 holds 6 × 6 chunks, so each step's 18-, 12- and 6-block
+        // trailing grids re-ship a panel block per chunk and k-step — 3 168
+        // blocks against the model's column-group 2 880. With the trailing
+        // grid one chunk the schedule moves less than the model instead.
         let pf = Platform::homogeneous(4, 2.0, 1.0, 60).unwrap();
         let problem = LuProblem::new(24, 6);
         let (report, enrolled) = simulate_homogeneous_lu(&pf, problem).unwrap();
         let moved = (report.blocks_sent + report.blocks_received) as f64;
-        assert_eq!(moved, crate::cost::scheduled_comm(problem, enrolled));
-        assert_eq!((moved, problem.total().comm, enrolled), (2592.0, 2880.0, 1));
+        assert_eq!(moved, crate::cost::scheduled_comm(problem, enrolled, 6));
+        assert_eq!((moved, problem.total().comm, enrolled), (3168.0, 2880.0, 1));
+        let roomy = Platform::homogeneous(4, 2.0, 1.0, 500).unwrap();
+        let (report, _) = simulate_homogeneous_lu(&roomy, problem).unwrap();
+        let moved = (report.blocks_sent + report.blocks_received) as f64;
+        assert_eq!(moved, crate::cost::scheduled_comm(problem, 1, 20));
+        assert!(moved < problem.total().comm);
     }
 
     #[test]
@@ -116,7 +131,7 @@ mod tests {
         let (report, _) = simulate_homogeneous_lu(&pf, problem).unwrap();
         // Only the pivot phase: 2µ² comm, µ³ comp — the model's own total.
         assert_eq!(report.blocks_sent + report.blocks_received, 72);
-        assert_eq!(crate::cost::scheduled_comm(problem, 2), 72.0);
+        assert_eq!(crate::cost::scheduled_comm(problem, 2, 1), 72.0);
         assert_eq!(report.total_updates(), 216);
     }
 }

@@ -14,11 +14,13 @@
 //! * [`single`] — the single-worker schedule of Section 7.1, numerically
 //!   verified against [`mwp_blockmat::lu`],
 //! * [`schedule`] — the Section 7.2 algorithm as plain data: one
-//!   processor owns the pivot/panel work, the enrolled workers share the
-//!   core update; the ordered port operations of a factorization, their
+//!   processor owns the pivot/panel work, and each core update is a
+//!   product the enrolled workers share through the product's own chunk
+//!   exchanges; the ordered port operations of a factorization, their
 //!   recovery rule and their one lowering to simulator frames,
-//! * [`runtime`] — that schedule walked over [`mwp_msg`] by the product
-//!   runtime's master executor, with real arithmetic,
+//! * [`runtime`] — that schedule walked on a product fleet
+//!   (`mwp_core::session::RuntimeSession`) by its master executor, with
+//!   real arithmetic,
 //! * [`homogeneous`] — the paper's worker count `P = ceil(µw/3c)` and the
 //!   same schedule replayed on [`mwp_sim`],
 //! * [`heterogeneous`] — the Section 7.3 machinery: per-worker chunk-shape
@@ -35,4 +37,4 @@ pub mod single;
 pub use cost::{LuCost, LuProblem};
 pub use heterogeneous::{best_pivot_size, chunk_shape, ChunkShape};
 pub use homogeneous::{ideal_lu_workers, simulate_homogeneous_lu};
-pub use runtime::{run_lu, LuRunOutcome};
+pub use runtime::{factor, run_lu, LuRunOutcome};

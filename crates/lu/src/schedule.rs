@@ -2,20 +2,23 @@
 //! of the master.
 //!
 //! Section 7.2's LU is, like the paper's products, *an order of port
-//! operations* on the one-port master. [`lu_schedule`] is that order — a
-//! pure function of the matrix size, the panel width and the enrollment,
-//! all in blocks — and two executors walk it:
+//! operations* on the one-port master — and most of it *is* a product:
+//! step `k`'s trailing update `A₂₂ ← A₂₂ − L₂₁·U₁₂` is a rank-µ product
+//! with the product's own chunk exchange and `µ² + 4µ` memory layout.
+//! [`lu_schedule`] is that order — a pure function of the matrix size and
+//! panel width in blocks and of each worker's chunk side — and two
+//! executors walk it:
 //!
 //! * [`crate::runtime`] sends each op's frames through the product
 //!   runtime's one master executor (`mwp_core::runtime::execute`), which
-//!   answers a worker's death with [`redispatch`];
-//! * [`lower`] turns each op into the [`Decision`]s of the frames the
-//!   runtime sends for it, so the simulation
+//!   answers a worker's death by re-dispatching what it lost;
+//! * [`lower`] turns the ops into the [`Decision`]s of the frames the
+//!   runtime sends, so the simulation
 //!   ([`crate::homogeneous::simulate_homogeneous_lu`]) and `replay_diff`
 //!   replay the very frames a run puts on the wire.
 //!
 //! One step of the factorization, with pivot block range `p` and the
-//! trailing range `rest` after it:
+//! `rest` blocks after it:
 //!
 //! 1. **`Panel`** on worker 0: the pivot `(p, p)`, the vertical panel
 //!    `(rest, p)` and the horizontal panel `(p, rest)` go out in one frame
@@ -23,154 +26,131 @@
 //!    pivot alone). Everything after it reads what it stores, and it reads
 //!    what everything before it stored: a `Panel` is a barrier on both
 //!    sides.
-//! 2. **`SetHoriz`** to each worker that gets a core group: the solved
-//!    horizontal panel, the operand every core update of the step shares.
-//! 3. **`Core`** per µ-row group `g` of the trailing matrix, round-robin
-//!    over the enrolled workers: its rows `(g, p)` of the vertical panel
-//!    and `(g, rest)` of the core out — all groups first, so they compute
-//!    in parallel.
-//! 4. **`Collect`** per group, in the same order: the updated `(g, rest)`
-//!    back.
+//! 2. **The trailing update** — the product `C ← C + A·B` with C the
+//!    `rest × rest` trailing grid, A the solved vertical panel (negated),
+//!    B the solved horizontal panel, `t = µ` — as `mwp_core`'s chunk
+//!    exchanges ([`PortOp`], the step index as their `job`, coordinates in
+//!    the trailing grid): the trailing rows are dealt as one band per
+//!    worker that can hold a chunk, each band split down to its worker's
+//!    chunk side in Algorithm 1's rounds (`Schedule::redispatch`).
 
+use mwp_core::chunks::Chunk;
+use mwp_core::schedule::{Lowering, PortOp, Schedule};
 use mwp_platform::WorkerId;
 use mwp_sim::Decision;
 use std::ops::Range;
 
-/// A rectangle of the block matrix: its block-row range and its
-/// block-column range.
-pub type Region = (Range<usize>, Range<usize>);
-
-/// What an [`LuOp`] does with its regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LuOpKind {
-    /// Ship the regions and store the reply over them: one exchange.
-    Panel,
-    /// Ship the region for the worker to keep until the next install.
-    SetHoriz,
-    /// Ship the regions; the matching `Collect` brings the result back.
-    Core,
-    /// Store the worker's reply over the region.
-    Collect,
-}
-
-/// One port operation of the factorization: one frame, or for `Panel` a
-/// frame and its reply.
+/// One port operation of the factorization.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LuOp {
-    /// What crosses the port, and which way.
-    pub kind: LuOpKind,
-    /// The worker it is on.
-    pub worker: WorkerId,
-    /// The regions it ships or stores, in wire order, in blocks.
-    pub regions: Vec<Region>,
+pub enum LuOp {
+    /// The pivot chain of the step whose pivot is the block range `pivot`,
+    /// with `rest` blocks of the matrix after it, on `worker`: one frame
+    /// out and its reply, each `p² + 2p·rest` blocks for a `p`-wide pivot.
+    Panel {
+        /// The worker it is on.
+        worker: WorkerId,
+        /// The pivot's block rows (and columns).
+        pivot: Range<usize>,
+        /// Blocks of the matrix after the pivot.
+        rest: usize,
+    },
+    /// One chunk-exchange op of a step's trailing update.
+    Chunk(PortOp),
 }
 
 impl LuOp {
-    /// Blocks in one frame of the op: its coefficients over `q²`.
-    pub fn blocks(&self) -> u64 {
-        self.regions.iter().map(|(rows, cols)| (rows.len() * cols.len()) as u64).sum()
+    /// The chunk-exchange op it is, if any.
+    pub fn chunk(&self) -> Option<&PortOp> {
+        match self {
+            LuOp::Chunk(op) => Some(op),
+            LuOp::Panel { .. } => None,
+        }
     }
 }
 
-/// The exchange of core row group `g` on `worker`, in the step whose pivot
-/// is `pivot`, of an `r`-block matrix: `[SetHoriz, Core, Collect]`.
-fn group_ops(worker: WorkerId, pivot: &Range<usize>, g: &Range<usize>, r: usize) -> [LuOp; 3] {
-    let rest = pivot.end..r;
-    let op = |kind, regions| LuOp { kind, worker, regions };
-    [
-        op(LuOpKind::SetHoriz, vec![(pivot.clone(), rest.clone())]),
-        op(LuOpKind::Core, vec![(g.clone(), pivot.clone()), (g.clone(), rest.clone())]),
-        op(LuOpKind::Collect, vec![(g.clone(), rest)]),
-    ]
-}
-
 /// The right-looking factorization of an `r × r`-block matrix in panels
-/// `mu` blocks wide (the last one narrower when `mu` does not divide `r`,
-/// and so the last row group of every step), its core updates dealt over
-/// workers `0..enrolled` — the module docs give a step's order.
-pub fn lu_schedule(r: usize, mu: usize, enrolled: usize) -> Vec<LuOp> {
+/// `mu` blocks wide (the last one narrower when `mu` does not divide `r`),
+/// the trailing updates dealt over the workers whose chunk side `sides[i]`
+/// is positive — the module docs give a step's order.
+///
+/// # Panics
+/// If the matrix has a trailing update and no worker a chunk side.
+pub fn lu_schedule(r: usize, mu: usize, sides: &[usize]) -> Vec<LuOp> {
+    let workers: Vec<WorkerId> = (0..sides.len()).filter(|&i| sides[i] > 0).map(WorkerId).collect();
     let mut ops = Vec::new();
-    for k0 in (0..r).step_by(mu) {
+    for (step, k0) in (0..r).step_by(mu).enumerate() {
         let pivot = k0..(k0 + mu).min(r);
-        let rest = pivot.end..r;
-        let mut panel = vec![(pivot.clone(), pivot.clone())];
-        if !rest.is_empty() {
-            panel.extend([(rest.clone(), pivot.clone()), (pivot.clone(), rest.clone())]);
+        let rest = r - pivot.end;
+        ops.push(LuOp::Panel { worker: WorkerId(0), pivot, rest });
+        if rest > 0 {
+            // Band `b` of `bands` is the trailing rows `b·rest/bands ..`,
+            // handed over last first, so that band `b` lands on worker `b`.
+            let bands = workers.len().min(rest);
+            let band = |b: usize| {
+                let (i0, i1) = (b * rest / bands, (b + 1) * rest / bands);
+                (step, Chunk { i0, j0: 0, height: i1 - i0, width: rest })
+            };
+            let trailing = Schedule::redispatch((0..bands).rev().map(band).collect(), &workers, sides, mu);
+            ops.extend(trailing.ops.into_iter().map(LuOp::Chunk));
         }
-        ops.push(LuOp { kind: LuOpKind::Panel, worker: WorkerId(0), regions: panel });
-        let seats: Vec<[LuOp; 3]> = rest
-            .step_by(mu)
-            .zip((0..enrolled).map(WorkerId).cycle())
-            .map(|(g0, worker)| group_ops(worker, &pivot, &(g0..(g0 + mu).min(r)), r))
-            .collect();
-        // The first `enrolled` seats are one per worker that has a group.
-        ops.extend(seats.iter().take(enrolled).map(|seat| seat[0].clone()));
-        ops.extend(seats.iter().map(|seat| seat[1].clone()));
-        ops.extend(seats.into_iter().map(|[.., collect]| collect));
     }
     ops
 }
 
-/// The ops that redo on worker `to` what the `undone` ops of one phase
-/// (of a factorization in `mu`-wide panels) lost: a `Panel` as it was, and
-/// for each `Collect` its group's whole exchange again — the install
-/// first, because `to` may never have had the step's panel, and installing
-/// it twice is harmless. An undone `SetHoriz` or `Core` lost nothing its
-/// group's `Collect` does not account for.
-pub fn redispatch(undone: &[LuOp], to: WorkerId, mu: usize) -> Vec<LuOp> {
-    let redo = |op: &LuOp| match (op.kind, &op.regions[..]) {
-        (LuOpKind::Panel, _) => vec![LuOp { worker: to, ..op.clone() }],
-        // A step with a core has a full-width pivot just before it.
-        (LuOpKind::Collect, [(g, rest)]) => {
-            group_ops(to, &(rest.start - mu..rest.start), g, rest.end).to_vec()
-        }
-        _ => Vec::new(),
-    };
-    undone.iter().flat_map(redo).collect()
+/// The ops that redo, on the `live` workers (ascending), what the `undone`
+/// ops of one phase of a factorization in `mu`-wide panels lost: a lost
+/// `Panel` as it was, on the lowest live worker — its operands come from
+/// the master's matrix, untouched until a reply validates — and the
+/// chunks of a trailing update as the product recovers them
+/// (`Schedule::recover`, each chunk's whole exchange again, split to
+/// its adopter's side). `None` when no live worker can adopt them.
+pub fn redispatch(undone: Vec<LuOp>, live: &[WorkerId], sides: &[usize], mu: usize) -> Option<Vec<LuOp>> {
+    let lowest = *live.first()?;
+    if let Some(LuOp::Panel { pivot, rest, .. }) = undone.first() {
+        return Some(vec![LuOp::Panel { worker: lowest, pivot: pivot.clone(), rest: *rest }]);
+    }
+    let chunks: Vec<PortOp> = undone.iter().filter_map(LuOp::chunk).copied().collect();
+    let redo = Schedule::recover(&chunks, live, sides, mu)?;
+    Some(redo.ops.into_iter().map(LuOp::Chunk).collect())
 }
 
-/// The one lowering of an op into simulator frames: one [`Decision`] per
-/// frame the runtime sends for it, each [`LuOp::blocks`] large. A `Panel`
-/// spawns its step's sequential work,
-/// [`crate::cost::StepCost::sequential_comp`] (`p³ + p²·rest` block
-/// operations for a `p`-wide pivot), a `Core` its group's share of the
-/// rank-`p` update (`g · p · rest`); read off the op's own regions, so
-/// ragged sizes lower too. LU is outside the memory model (`mem_delta` 0
-/// throughout).
-pub fn lower(op: &LuOp) -> Vec<Decision> {
-    let (peer, blocks, label) = (op.worker, op.blocks(), format!("{:?}", op.kind));
-    let work = match (op.kind, &op.regions[..]) {
-        (LuOpKind::Panel, [(p, _), panels @ ..]) => {
-            p.len() * p.len() * (p.len() + panels.first().map_or(0, |(rest, _)| rest.len()))
+/// The one lowering of a factorization into simulator frames, one
+/// [`Decision`] per frame the runtime sends: a `Panel` is its frame out,
+/// spawning its step's sequential work
+/// ([`crate::cost::StepCost::sequential_comp`], `p³ + p²·rest` block
+/// operations for a `p`-wide pivot), and its reply; the chunk ops go
+/// through the product's own [`Lowering`], so each worker's C chunk, B row
+/// and A block are charged against its memory exactly as for a product.
+/// The panel exchange's transient blocks stay outside the memory model.
+pub fn lower(ops: &[LuOp]) -> Vec<Decision> {
+    let mut chunks = Lowering::new(ops.iter().filter_map(LuOp::chunk));
+    let mut frames = Vec::new();
+    for op in ops {
+        match op {
+            LuOp::Panel { worker, pivot, rest } => {
+                let p = pivot.len();
+                let blocks = (p * (p + 2 * rest)) as u64;
+                let spawn_updates = (p * p * (p + rest)) as u64;
+                let (to, label) = (*worker, "Panel".into());
+                frames.push(Decision::Send { to, blocks, spawn_updates, mem_delta: 0, label });
+                frames.push(Decision::Recv { from: to, blocks, mem_delta: 0, label: "Panel back".into() });
+            }
+            LuOp::Chunk(op) => chunks.lower(op, &mut frames),
         }
-        (LuOpKind::Core, [(g, p), (_, rest)]) => g.len() * p.len() * rest.len(),
-        _ => 0,
-    };
-    let send = Decision::Send {
-        to: peer,
-        blocks,
-        spawn_updates: work as u64,
-        mem_delta: 0,
-        label: label.clone().into(),
-    };
-    let recv = Decision::Recv { from: peer, blocks, mem_delta: 0, label: (label + " back").into() };
-    match op.kind {
-        LuOpKind::Panel => vec![send, recv],
-        LuOpKind::Collect => vec![recv],
-        LuOpKind::SetHoriz | LuOpKind::Core => vec![send],
     }
+    frames
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{scheduled_comm, LuProblem};
+    use mwp_blockmat::Partition;
     use proptest::prelude::*;
-    use LuOpKind::{Collect, Core, Panel, SetHoriz};
 
     /// Blocks and block operations of `ops`' frames, and how many frames.
     fn volume(ops: &[LuOp]) -> (u64, u64, usize) {
-        let frames: Vec<Decision> = ops.iter().flat_map(lower).collect();
+        let frames = lower(ops);
         let (mut blocks, mut work) = (0, 0);
         for frame in &frames {
             match *frame {
@@ -182,112 +162,166 @@ mod tests {
         (blocks, work, frames.len())
     }
 
-    proptest! {
-        /// Each step's ops are its `Panel`, its `SetHoriz`s, every `Core`,
-        /// every `Collect`; a `Core` only goes to a worker that got the
-        /// step's `SetHoriz`; the core groups tile the trailing matrix
-        /// exactly once — ragged last panels and groups included.
-        #[test]
-        fn every_step_is_panel_installs_cores_collects(r in 1usize..15, mu in 1usize..6, enrolled in 1usize..5) {
-            let ops = lu_schedule(r, mu, enrolled);
-            let mut steps = ops.chunk_by(|_, next| next.kind != Panel);
-            for k0 in (0..r).step_by(mu) {
-                let step = steps.next().expect("one step per panel");
-                let (pivot, rest) = (k0..(k0 + mu).min(r), (k0 + mu).min(r)..r);
-                let kinds: Vec<LuOpKind> = step.iter().map(|op| op.kind).collect();
-                let groups = rest.len().div_ceil(mu);
-                let installs = groups.min(enrolled);
-                let expected = [vec![Panel], vec![SetHoriz; installs], vec![Core; groups], vec![Collect; groups]];
-                prop_assert_eq!(kinds, expected.concat());
+    /// The steps of `ops`: each a `Panel` and the chunk ops after it.
+    fn steps(ops: &[LuOp]) -> impl Iterator<Item = (&LuOp, Vec<PortOp>)> {
+        ops.chunk_by(|_, next| next.chunk().is_some())
+            .map(|step| (&step[0], step[1..].iter().filter_map(LuOp::chunk).copied().collect()))
+    }
 
-                let panel = &step[0];
-                prop_assert_eq!(panel.worker, WorkerId(0));
-                prop_assert_eq!(&panel.regions[0], &(pivot.clone(), pivot.clone()));
-                if rest.is_empty() {
-                    prop_assert_eq!(panel.regions.len(), 1);
-                } else {
-                    let panels = [(rest.clone(), pivot.clone()), (pivot.clone(), rest.clone())];
-                    prop_assert_eq!(&panel.regions[1..], &panels[..]);
+    proptest! {
+        /// Each step is its `Panel` on worker 0, then the chunk exchanges of
+        /// a product over the `rest × rest` trailing grid, `µ` deep, whose
+        /// job is the step: every chunk within its worker's side, one chunk
+        /// per worker at a time, the grid tiled exactly once — ragged last
+        /// panels and uneven sides included.
+        #[test]
+        fn every_step_is_a_panel_then_the_trailing_product(
+            r in 1usize..15, mu in 1usize..6, sides in (0usize..5, 0usize..5, 1usize..5), n in 1usize..4,
+        ) {
+            // At least one worker holds a chunk: the last one drawn.
+            let sides = [sides.0, sides.1, sides.2][3 - n..].to_vec();
+            let ops = lu_schedule(r, mu, &sides);
+            let mut steps = steps(&ops);
+            for (step, k0) in (0..r).step_by(mu).enumerate() {
+                let (panel, chunks) = steps.next().expect("one step per panel");
+                let pivot = k0..(k0 + mu).min(r);
+                let rest = r - pivot.end;
+                prop_assert_eq!(panel, &LuOp::Panel { worker: WorkerId(0), pivot, rest });
+                prop_assert_eq!(chunks.is_empty(), rest == 0);
+                let mut resident = vec![None; sides.len()];
+                let mut tiles = Vec::new();
+                for op in &chunks {
+                    let (job, worker, chunk) = op.target();
+                    prop_assert_eq!(job, step);
+                    let side = sides[worker.index()];
+                    prop_assert!(chunk.height <= side && chunk.width <= side, "{:?} over side {}", chunk, side);
+                    let seat = &mut resident[worker.index()];
+                    match *op {
+                        PortOp::SendC { .. } => { prop_assert!(seat.is_none()); *seat = Some((chunk, 0)); }
+                        PortOp::Step { k, .. } => { prop_assert_eq!(*seat, Some((chunk, k))); *seat = Some((chunk, k + 1)); }
+                        PortOp::Collect { .. } => { prop_assert_eq!(*seat, Some((chunk, mu))); *seat = None; tiles.push(chunk); }
+                    }
                 }
-                let (installs, core) = step[1..].split_at(installs);
-                let (cores, collects) = core.split_at(groups);
-                for install in installs {
-                    prop_assert_eq!(&install.regions, &vec![(pivot.clone(), rest.clone())]);
+                prop_assert!(resident.iter().all(Option::is_none));
+                if rest > 0 {
+                    prop_assert!(mwp_core::chunks::covers_exactly(&Partition::from_blocks(rest, rest, mu, 1), &tiles));
                 }
-                // Cores and collects pair up, on workers holding the panel,
-                // and their row groups tile `rest` in order.
-                let mut next_row = rest.start;
-                for (core, collect) in cores.iter().zip(collects) {
-                    prop_assert!(installs.iter().any(|install| install.worker == core.worker));
-                    prop_assert!(core.worker.index() < enrolled);
-                    prop_assert_eq!(core.worker, collect.worker);
-                    let g = core.regions[0].0.clone();
-                    prop_assert_eq!((g.start, g.len() <= mu, !g.is_empty()), (next_row, true, true));
-                    prop_assert_eq!(&core.regions, &vec![(g.clone(), pivot.clone()), (g.clone(), rest.clone())]);
-                    prop_assert_eq!(&collect.regions, &vec![(g.clone(), rest.clone())]);
-                    next_row = g.end;
-                }
-                prop_assert_eq!(next_row, r);
             }
             prop_assert!(steps.next().is_none());
         }
 
-        /// The lowered frames carry the cost model's work exactly, and its
-        /// volume less the shared panel sent once per worker.
+        /// The lowered frames carry the cost model's work exactly and the
+        /// scheduled volume — which, with every band one chunk, is the
+        /// model's less what sending the horizontal panel once per band
+        /// rather than the vertical one per group saves: `rem² − P'·µ·rem`
+        /// a step, a saving while the bands are at least µ rows deep.
         #[test]
         fn lowered_volume_is_the_models_less_the_shared_panel(steps in 1usize..8, mu in 1usize..6, enrolled in 1usize..5) {
             let problem = LuProblem::new(steps * mu, mu);
-            let (blocks, work, _) = volume(&lu_schedule(problem.r, mu, enrolled));
-            prop_assert_eq!(blocks as f64, scheduled_comm(problem, enrolled));
+            let side = problem.r;
+            let (blocks, work, _) = volume(&lu_schedule(problem.r, mu, &vec![side; enrolled]));
+            prop_assert_eq!(blocks as f64, scheduled_comm(problem, enrolled, side));
             prop_assert_eq!(work as f64, problem.total().comp);
-            prop_assert!(blocks as f64 <= problem.total().comm);
+            let saved: f64 = (1..=steps)
+                .map(|k| problem.r - k * mu)
+                .map(|rem| (rem * rem) as f64 - (enrolled.min(rem) * mu * rem) as f64)
+                .sum();
+            prop_assert_eq!(blocks as f64, problem.total().comm - saved);
+        }
+
+        /// Chunks cut to a smaller side re-ship A and B per chunk: the
+        /// closed form still counts every block.
+        #[test]
+        fn the_closed_form_counts_split_bands(steps in 1usize..8, mu in 1usize..5, enrolled in 1usize..4, side in 1usize..6) {
+            let problem = LuProblem::new(steps * mu, mu);
+            let (blocks, work, _) = volume(&lu_schedule(problem.r, mu, &vec![side; enrolled]));
+            prop_assert_eq!(blocks as f64, scheduled_comm(problem, enrolled, side));
+            prop_assert_eq!(work as f64, problem.total().comp);
         }
     }
 
     #[test]
-    fn the_bench_shape_moves_904_blocks_in_51_frames() {
+    fn the_bench_shape_moves_908_blocks_in_122_frames() {
+        // 12 × 12 blocks, µ = 2, 2 workers of m = 100 000: 6 panel
+        // exchanges of 2 frames; per step with `rest` trailing rows, one
+        // band per worker, each one chunk: `rest` C rows out and back, 2
+        // steps of a B row and an A column to each worker, 2 collect
+        // requests (frames the lowering does not carry: 10 a step, 50).
+        let side = mwp_core::MemoryLayout::MaxReuseOverlapped.mu(100_000);
         let problem = LuProblem::new(12, 2);
-        assert_eq!(volume(&lu_schedule(12, 2, 2)), (904, problem.total().comp as u64, 51));
-        assert_eq!(problem.total().comm, 1008.0);
+        let (blocks, work, frames) = volume(&lu_schedule(12, 2, &[side, side]));
+        assert_eq!((blocks, work), (908, problem.total().comp as u64));
+        assert_eq!(frames + 5 * 2, 12 + [10, 8, 6, 4, 2].map(|rest| 2 * rest + 10).iter().sum::<usize>());
+        assert_eq!(frames + 5 * 2, 122);
+        assert_eq!(problem.total().comm_closed_form_exact(), 1008.0);
     }
 
     #[test]
     fn each_op_lowers_to_its_steps_cost_terms() {
         let problem = LuProblem::new(12, 3);
-        let ops = lu_schedule(12, 3, 2);
-        for (k, step) in ops.chunk_by(|_, next| next.kind != Panel).enumerate() {
+        let ops = lu_schedule(12, 3, &[12, 12]);
+        for (k, (panel, chunks)) in steps(&ops).enumerate() {
             let cost = problem.step_cost(k + 1);
-            let (_, sequential, _) = volume(&step[..1]);
+            let (_, sequential, _) = volume(std::slice::from_ref(panel));
             assert_eq!(sequential as f64, cost.sequential_comp());
-            let cores: Vec<&LuOp> = step.iter().filter(|op| op.kind == Core).collect();
-            for core in &cores {
-                let (_, work, _) = volume(std::slice::from_ref(*core));
-                assert_eq!(work as f64 * cores.len() as f64, cost.core.comp);
-            }
+            let chunks: Vec<LuOp> = chunks.into_iter().map(LuOp::Chunk).collect();
+            let (_, core, _) = volume(&chunks);
+            assert_eq!(core as f64, cost.core.comp);
         }
     }
 
     #[test]
     fn redispatch_replays_panels_and_whole_group_exchanges() {
-        let ops = lu_schedule(7, 2, 3);
-        let step0 = ops.chunk_by(|_, next| next.kind != Panel).next().unwrap();
-        let to = WorkerId(2);
-        // A lost panel is the same exchange on the adopter.
-        assert_eq!(redispatch(&step0[..1], to, 2), [LuOp { worker: to, ..step0[0].clone() }]);
-        // Worker 1's ops of step 0 (one install, one core, one collect)
-        // come back as the group's whole exchange, install first.
-        let undone: Vec<LuOp> = step0.iter().filter(|op| op.worker == WorkerId(1)).cloned().collect();
-        assert_eq!(undone.iter().map(|op| op.kind).collect::<Vec<_>>(), [SetHoriz, Core, Collect]);
-        let redo = redispatch(&undone, to, 2);
-        assert_eq!(redo.iter().map(|op| op.kind).collect::<Vec<_>>(), [SetHoriz, Core, Collect]);
-        for (again, lost) in redo.iter().zip(&undone) {
-            assert_eq!((again.worker, &again.regions), (to, &lost.regions));
+        let sides = [4, 4, 2];
+        let ops = lu_schedule(7, 2, &sides);
+        let (panel, chunks) = steps(&ops).next().unwrap();
+        let live = [WorkerId(0), WorkerId(2)];
+        // A lost panel is the same exchange on the lowest live worker.
+        let LuOp::Panel { pivot, rest, .. } = panel.clone() else { panic!("steps open with a panel") };
+        let again = redispatch(vec![panel.clone()], &live, &sides, 2).unwrap();
+        assert_eq!(again, [LuOp::Panel { worker: WorkerId(0), pivot, rest }]);
+        // Worker 1's ops of step 0 lose its chunks: each comes back as a
+        // whole exchange, split to fit the side-2 worker it lands on.
+        let lost: Vec<LuOp> =
+            chunks.iter().filter(|op| op.target().1 == WorkerId(1)).map(|&op| LuOp::Chunk(op)).collect();
+        let redo = redispatch(lost.clone(), &live, &sides, 2).unwrap();
+        let collected = |ops: &[LuOp]| -> Vec<(usize, mwp_core::chunks::Chunk)> {
+            ops.iter().filter_map(|op| match op.chunk() {
+                Some(&PortOp::Collect { job, chunk, .. }) => Some((job, chunk)),
+                _ => None,
+            }).collect()
+        };
+        let (before, after) = (collected(&lost), collected(&redo));
+        assert!(!before.is_empty() && after.len() >= before.len(), "{before:?} -> {after:?}");
+        let blocks = |tiles: &[(usize, mwp_core::chunks::Chunk)]| tiles.iter().map(|(_, c)| c.blocks()).sum::<u64>();
+        assert_eq!(blocks(&after), blocks(&before), "the same rows, re-cut");
+        for op in redo.iter().filter_map(LuOp::chunk) {
+            let (job, worker, chunk) = op.target();
+            assert!(live.contains(&worker) && job == 0);
+            assert!(chunk.height.max(chunk.width) <= sides[worker.index()], "{chunk:?} on {worker}");
         }
-        // A lost ragged last group (rows 6..7) replays with the step's
-        // full-width pivot.
-        let ragged = step0.iter().rfind(|op| op.kind == Collect).unwrap();
-        assert_eq!(ragged.regions, [(6..7, 2..7)]);
-        let redo = redispatch(std::slice::from_ref(ragged), to, 2);
-        assert_eq!(redo[1].regions, [(6..7, 0..2), (6..7, 2..7)]);
+        // No live worker, or none with a side: nobody can adopt.
+        assert_eq!(redispatch(lost.clone(), &[], &sides, 2), None);
+        assert_eq!(redispatch(lost, &[WorkerId(1)], &[4, 0], 2), None);
+    }
+
+    #[test]
+    fn memory_bounded_workers_stream_their_bands_in_chunks() {
+        // §7.2's layout: m = µ² + 4µ = 12 gives chunks of side 2, so the
+        // trailing 6 × 6 grid of an 8-block matrix — two bands of 3 rows —
+        // streams in 2 × 2 and 1 × 2 chunks, six per band, and the replay
+        // keeps every worker inside m.
+        let side = mwp_core::MemoryLayout::MaxReuseOverlapped.mu(12);
+        assert_eq!(side, 2);
+        let ops = lu_schedule(8, 2, &[side, side]);
+        let (_, first) = steps(&ops).next().unwrap();
+        let shipped = first.iter().filter(|op| matches!(op, PortOp::SendC { .. })).count();
+        assert_eq!(shipped, 2 * 6);
+        let platform = mwp_platform::Platform::homogeneous(2, 1.0, 1.0, 12).unwrap();
+        let replayed = mwp_sim::Simulator::new(platform).without_trace().run(&mut lower(&ops).into_iter());
+        assert!(replayed.is_ok(), "{replayed:?}");
+        let tight = mwp_platform::Platform::homogeneous(2, 1.0, 1.0, 6).unwrap();
+        let over = mwp_sim::Simulator::new(tight).without_trace().run(&mut lower(&ops).into_iter());
+        assert!(matches!(over, Err(mwp_sim::SimError::MemoryOverflow { .. })), "{over:?}");
     }
 }

@@ -92,12 +92,10 @@ pub struct MasterEndpoint {
 }
 
 impl MasterEndpoint {
-    pub(crate) fn new(
-        port: OnePort,
-        links: Vec<MasterSide>,
-        liveness: Option<(Duration, Duration)>,
-    ) -> Self {
-        MasterEndpoint { port, links, deadline: liveness.map(|(_, deadline)| deadline) }
+    /// An endpoint over `links` whose run receives wait at most `deadline`
+    /// for each frame (`None`: unbounded).
+    pub(crate) fn new(port: OnePort, links: Vec<MasterSide>, deadline: Option<Duration>) -> Self {
+        MasterEndpoint { port, links, deadline }
     }
 
     /// Number of workers.
@@ -325,10 +323,10 @@ enum Route {
 
 /// One worker's communication handle.
 ///
-/// The worker programs (Algorithm 2's block server, the LU op server) are
+/// The worker program (Algorithm 2's block server, which serves LU too) is
 /// written against this type only — whether the master is a thread on the
 /// other end of a channel or a process on the other end of a socket is
-/// invisible to them, which is what keeps the two transports
+/// invisible to it, which is what keeps the two transports
 /// bit-identical: there is exactly one compute path.
 pub struct WorkerEndpoint {
     id: WorkerId,
@@ -496,7 +494,8 @@ mod tests {
             masters.push(m);
             workers.push(WorkerEndpoint::new(WorkerId(i), w));
         }
-        (MasterEndpoint::new(port, masters, crate::config::Config::default().liveness), workers)
+        let deadline = crate::config::Config::default().liveness.map(|(_, deadline)| deadline);
+        (MasterEndpoint::new(port, masters, deadline), workers)
     }
 
     #[test]

@@ -30,7 +30,9 @@ pub enum FrameKind {
     /// Fully-updated block(s) of `C` returned worker → master (same run
     /// convention as [`FrameKind::BlockC`]).
     CResult,
-    /// An LU panel fragment (Section 7 runtime).
+    /// One LU step's pivot chain (Section 7 runtime): the pivot and its two
+    /// panels as blocks, out as a task and back factored and solved (tag =
+    /// `(pivot blocks, blocks after it)`).
     LuPanel,
     /// Scheduler-defined control message (no block accounting).
     Control,

@@ -46,10 +46,8 @@ impl StarNetwork {
             master_sides.push(m);
             workers.push(WorkerEndpoint::new(id, w));
         }
-        StarNetwork {
-            master: MasterEndpoint::new(port, master_sides, Config::default().liveness),
-            workers,
-        }
+        let deadline = Config::default().liveness.map(|(_, deadline)| deadline);
+        StarNetwork { master: MasterEndpoint::new(port, master_sides, deadline), workers }
     }
 
     /// Take ownership of the endpoints (master, workers-in-id-order).

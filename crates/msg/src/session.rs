@@ -265,8 +265,8 @@ impl Session {
     /// process, or any peer speaking the enrollment handshake), assign
     /// slots in arrival order (or honor a claimed slot), and reply to each
     /// with its link/memory parameters and `service` — the id telling the
-    /// worker which program to run ([`transport::SERVICE_MATRIX`],
-    /// [`transport::SERVICE_LU`]). `config` is the deployment's: its
+    /// worker which program to run ([`transport::SERVICE_MATRIX`]).
+    /// `config` is the deployment's: its
     /// secret and liveness terms are what every enrolling worker must
     /// have been started with too.
     ///
@@ -379,7 +379,8 @@ impl Session {
             }
         }
         let links = sides.into_iter().map(|s| s.expect("every slot filled")).collect();
-        let master = MasterEndpoint::new(OnePort::new(), links, config.liveness);
+        let deadline = config.liveness.map(|(_, deadline)| deadline);
+        let master = MasterEndpoint::new(OnePort::new(), links, deadline);
         Ok(Session::new(master, handles, pumps, fingerprints, platform, time_scale, config.clone()))
     }
 

@@ -46,9 +46,12 @@ pub const CLAIM_ANY: u32 = u32::MAX;
 /// the CRC32C trailer part of the wire format): a v2 peer would misread
 /// every data frame, so it must be refused at the door, not discovered
 /// via corruption mid-run. v4 changed the LU service's op set (one fused
-/// `OP_PANEL` exchange per step): a v3 `mwp-worker` would meet an op it
-/// does not know mid-run, so it too is refused at enrollment.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// `OP_PANEL` exchange per step). v5 retired the LU service: the
+/// matrix-product program gained the `LuPanel` exchange and serves LU's
+/// trailing updates as its own chunk exchanges. A v4 `mwp-worker` would
+/// meet a `LuPanel` task its product program does not know mid-run, so it
+/// is refused at enrollment.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).
@@ -66,11 +69,10 @@ pub const REJECT_SLOT: u32 = 4;
 /// (a cross-wired loopback connect).
 pub const REJECT_FINGERPRINT: u32 = 5;
 
-/// Service id: the master serves matrix-product runs (the worker must run
-/// the `mwp-core` Algorithm 2 program).
+/// Service id: the master serves matrix-product runs — LU
+/// factorizations included (the worker must run the `mwp-core` Algorithm 2
+/// program).
 pub const SERVICE_MATRIX: u8 = 0;
-/// Service id: the master serves LU-factorization runs.
-pub const SERVICE_LU: u8 = 1;
 /// Service id of sessions whose worker programs are supplied in-process
 /// (loopback transport): the welcome's service byte is advisory only.
 pub const SERVICE_INPROC: u8 = 255;
@@ -113,8 +115,8 @@ pub struct Welcome {
     /// the master's own pacing — informational on the worker side, which
     /// never paces (the one-port model bills all transfers to the master).
     pub time_scale: f64,
-    /// Which worker program the master expects ([`SERVICE_MATRIX`],
-    /// [`SERVICE_LU`], or [`SERVICE_INPROC`]).
+    /// Which worker program the master expects ([`SERVICE_MATRIX`] or
+    /// [`SERVICE_INPROC`]).
     pub service: u8,
     /// The fleet's membership epoch at enrollment. Bumped by the session
     /// on every `admit`/`prune_dead`, so it names the exact fleet

@@ -53,7 +53,7 @@
 //!   [`enroll_with`] / [`enroll_with_retry`]: connect, answer the challenge,
 //!   await the welcome, and get back a socket-backed
 //!   [`crate::WorkerEndpoint`] that the existing worker programs
-//!   (`mwp-core`'s Algorithm 2 loop, the LU op server) drive unchanged.
+//!   (`mwp-core`'s Algorithm 2 loop) drive unchanged.
 //! * **`remote_link`** — [`RemoteLink`], the master-facing half of a
 //!   socket link: a channel-backed [`crate::link::MasterSide`] (so
 //!   [`crate::MasterEndpoint`] is byte-for-byte the code the channel
@@ -88,7 +88,7 @@ pub use handshake::{
     is_reject, master_challenge, master_read_hello, parse_challenge, parse_hello, parse_welcome,
     reject_error, reject_frame, welcome_frame, Hello, Welcome, CHALLENGE, CLAIM_ANY,
     HANDSHAKE_TIMEOUT, HELLO, PROTOCOL_VERSION, REJECT, REJECT_AUTH, REJECT_EPOCH,
-    REJECT_FINGERPRINT, REJECT_SLOT, REJECT_VERSION, SERVICE_INPROC, SERVICE_LU, SERVICE_MATRIX,
+    REJECT_FINGERPRINT, REJECT_SLOT, REJECT_VERSION, SERVICE_INPROC, SERVICE_MATRIX,
     WELCOME,
 };
 pub use remote_link::RemoteLink;

@@ -184,7 +184,7 @@ fn welcome(worker: usize, epoch: u64) -> Welcome {
         w: 1.5,
         m: 60,
         time_scale: 0.25,
-        service: SERVICE_LU,
+        service: SERVICE_INPROC,
         epoch,
     }
 }

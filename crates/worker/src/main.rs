@@ -4,10 +4,10 @@
 //! Dials a master's transport listener, enrolls (sending a fingerprint
 //! naming this binary's version and its dispatched compute kernel), and
 //! serves `RUN_BEGIN`/`RUN_END`-delimited session runs over the socket
-//! until the master shuts the session down. Which program it runs is the
-//! master's choice, carried in the enrollment welcome's service id:
-//! the matrix-product block server (`SERVICE_MATRIX`) or the LU op
-//! server (`SERVICE_LU`).
+//! until the master shuts the session down. It runs one program, the
+//! service its enrollment welcome names (`SERVICE_MATRIX`): the
+//! matrix-product block server, whose chunk exchanges and `LuPanel`
+//! exchange serve products and LU factorizations alike.
 //!
 //! ```text
 //! mwp-worker --connect tcp://192.168.0.10:4455
@@ -17,7 +17,7 @@
 //!
 //! The process exits 0 after an orderly shutdown (shutdown frame or the
 //! master closing the connection), and non-zero on connect/enroll
-//! failures or an unknown service id. With `--reconnect` the worker
+//! failures or any other service id. With `--reconnect` the worker
 //! re-dials the listener after each orderly session close — an elastic
 //! fleet member that enrolls into whatever session is accepting next —
 //! and exits 0 once the listener stays unreachable for the `--wait-ms`
@@ -48,7 +48,7 @@
 //! path — the recorder appends, it does not merge writers.
 
 use mwp_msg::config::Config;
-use mwp_msg::transport::{self, SERVICE_LU, SERVICE_MATRIX};
+use mwp_msg::transport::{self, SERVICE_MATRIX};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -122,11 +122,10 @@ fn serve_one_session(args: &Args, fingerprint: &str, config: &Config) -> Result<
         welcome.service,
         welcome.epoch,
     );
-    match welcome.service {
-        SERVICE_MATRIX => mwp_core::remote::serve(ep, welcome.m as usize),
-        SERVICE_LU => mwp_lu::runtime::serve_remote(ep),
-        other => return Err(format!("master asked for unknown service id {other}")),
+    if welcome.service != SERVICE_MATRIX {
+        return Err(format!("master asked for unknown service id {}", welcome.service));
     }
+    mwp_core::remote::serve(ep, welcome.m as usize);
     Ok(())
 }
 

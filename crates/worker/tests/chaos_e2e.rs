@@ -2,7 +2,7 @@
 //! via `MWP_FAULT=kill:<n>` (a `std::process::abort` mid-protocol, the
 //! stand-in for `kill -9`; the matrix-product tests sweep `<n>` over
 //! every result row of a run, so the death lands in every chunk of the
-//! schedule, and the LU test over every panel and core-group reply of
+//! schedule, and the LU test over every panel reply and trailing C row of
 //! the factorization, in either slot) or by an actual SIGKILL from the
 //! test — while
 //! a master in this process is mid-run over loopback TCP. The master
@@ -32,7 +32,8 @@ use mwp_core::schedule::{PortOp, Schedule};
 use mwp_core::selection::incremental::SelectionRule;
 use mwp_core::session::RuntimeSession;
 use mwp_core::MemoryLayout;
-use mwp_lu::runtime::LuSession;
+use mwp_lu::runtime::{factor, run_lu};
+use mwp_lu::schedule::{lu_schedule, LuOp};
 use mwp_msg::config::Config;
 use mwp_msg::transport::TransportListener;
 use mwp_msg::TransportMode;
@@ -155,36 +156,39 @@ fn heterogeneous_runtime_recovers_when_a_worker_aborts_mid_run() {
     });
 }
 
-/// Replies each slot of a healthy fleet sends during one LU run of
-/// `blocks` blocks in steps of `mu`: the pivot worker (slot 0) answers
-/// each step's panel exchange, and the step's core row groups are dealt
-/// round-robin from slot 0.
-fn lu_replies(blocks: usize, mu: usize, workers: usize) -> Vec<usize> {
-    let steps = blocks.div_ceil(mu);
+/// Reply frames each slot of a healthy fleet of `workers` of memory `m`
+/// sends during one LU run of `blocks` blocks in steps of `mu` — the pivot
+/// worker's panel replies and each slot's collected C rows — read off the
+/// schedule the run walks.
+fn lu_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<usize> {
+    let side = MemoryLayout::MaxReuseOverlapped.mu(m);
     let mut replies = vec![0; workers];
-    for step in 0..steps {
-        replies[0] += 1;
-        (0..steps - step - 1).for_each(|group| replies[group % workers] += 1);
+    for op in lu_schedule(blocks, mu, &vec![side; workers]) {
+        match op {
+            LuOp::Panel { worker, .. } => replies[worker.index()] += 1,
+            LuOp::Chunk(PortOp::Collect { worker, chunk, .. }) => replies[worker.index()] += chunk.height,
+            LuOp::Chunk(_) => {}
+        }
     }
     replies
 }
 
 #[test]
 fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
-    // Two LU workers, one of which aborts on its n-th reply — swept over
+    // Two workers, one of which aborts on its n-th reply — swept over
     // every reply of the run's op sequence, in either slot: as the pivot
     // worker the doomed process dies on each step's panel reply and on
-    // each of its core-group replies in turn; as slot 1, on its core
-    // groups. The master must retry the panel exchange on, or re-dispatch
-    // the lost row groups to, the survivor, and every round must match
-    // the healthy channel reference bit for bit. The slots are dealt
+    // each C row of its trailing chunks in turn; as slot 1, on its C rows.
+    // The master must retry the panel exchange on, or re-dispatch the lost
+    // chunks to, the survivor, and every round must match the healthy
+    // channel reference bit for bit. The slots are dealt
     // deterministically: the first worker enrolls alone, the second is
     // admitted.
     let (blocks, mu) = (8, 2);
     let platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
-    let local = LuSession::with_transport(&platform, 0.0, TransportMode::Channel);
-    let replies = lu_replies(blocks, mu, 2);
-    assert_eq!(replies, [4 + 4, 2], "4 panel exchanges; 3 + 2 + 1 row groups dealt from slot 0");
+    let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
+    let replies = lu_replies(blocks, mu, 2, 1000);
+    assert_eq!(replies, [4 + 6, 6], "4 panel replies; each slot collects 3 + 2 + 1 trailing rows");
     for (slot, &in_one_run) in replies.iter().enumerate() {
         for n in 1..=in_one_run {
             let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
@@ -193,13 +197,13 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
             let faults = if slot == 0 { [fault.as_str(), ""] } else { ["", fault.as_str()] };
             let first = spawn_worker(&endpoint, faults[0]);
             let solo = Platform::homogeneous(1, 1.0, 1.0, 1000).unwrap();
-            let mut remote = LuSession::accept_remote(&solo, 0.0, &listener, &fleet()).unwrap();
+            let mut remote = RuntimeSession::accept_remote(&solo, 0.0, &listener, &fleet()).unwrap();
             let second = spawn_worker(&endpoint, faults[1]);
             remote.admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 1000 }).unwrap();
 
             let matrix = random_diagonally_dominant(blocks, 4, 8800 + n as u64);
-            let over_socket = remote.run(&matrix, mu);
-            let over_channel = local.run(&matrix, mu);
+            let over_socket = factor(&remote, &matrix, mu);
+            let over_channel = factor(&local, &matrix, mu);
             assert!(!over_socket.aborted, "slot {slot}, kill:{n}");
             assert_eq!(
                 over_socket.packed.max_abs_diff(&over_channel.packed),
@@ -208,7 +212,7 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
             );
             assert_eq!(remote.dead_workers(), 1, "slot {slot}: the kill:{n} fault never fired");
             // The survivor alone serves the next run just as exactly.
-            let after = remote.run(&matrix, mu);
+            let after = factor(&remote, &matrix, mu);
             let drift = after.packed.max_abs_diff(&over_channel.packed);
             assert_eq!(drift, 0.0, "slot {slot}, kill:{n}: the run after the death");
 
@@ -464,11 +468,10 @@ fn deadline_breach_aborts_the_run_and_the_session_serves_the_next_one() {
     assert_eq!(remote.dead_workers(), 0);
     reference.shutdown();
 
-    // --- Leg 2: LU on its own paced fleet, same contract. ------------
-    // LU meters every frame at its true size in blocks, so pace the
+    // --- Leg 2: LU on a paced fleet of its own, same contract. --------
+    // Every frame is metered at its true size in blocks, so pace the
     // blocks: at 0.2 ms each, step 0's panel exchange alone (20 blocks out,
-    // 20 back) breaches 5 ms, and the whole factorization (144 blocks) is
-    // 29 ms.
+    // 20 back) breaches 5 ms.
     let lu_platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
     let lu_listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let lu_endpoint = lu_listener.endpoint();
@@ -476,25 +479,23 @@ fn deadline_breach_aborts_the_run_and_the_session_serves_the_next_one() {
     // This fleet is handed its budget at the door.
     let budgeted = Config { run_deadline: Some(Duration::from_millis(5)), ..fleet() };
     let mut lu_remote =
-        LuSession::accept_remote(&lu_platform, 2e-4, &lu_listener, &budgeted).unwrap();
+        RuntimeSession::accept_remote(&lu_platform, 2e-4, &lu_listener, &budgeted).unwrap();
     let matrix = random_diagonally_dominant(6, 4, 9600);
 
-    let aborted = lu_remote.run(&matrix, 2);
+    let aborted = factor(&lu_remote, &matrix, 2);
     assert!(aborted.aborted, "a 5 ms budget must abort a paced factorization");
     assert_eq!(lu_remote.dead_workers(), 0, "abort must not condemn any link");
 
     lu_remote.set_run_deadline(None);
-    let recovered = lu_remote.run(&matrix, 2);
+    let recovered = factor(&lu_remote, &matrix, 2);
     assert!(!recovered.aborted);
-    let lu_reference = LuSession::with_transport(&lu_platform, 0.0, TransportMode::Channel);
-    let healthy = lu_reference.run(&matrix, 2);
+    let healthy = run_lu(&lu_platform, &matrix, 2, 0.0);
     assert_eq!(
         recovered.packed.max_abs_diff(&healthy.packed),
         0.0,
         "the factorization after an abort must be bit-identical to a fresh session's"
     );
     assert_eq!(lu_remote.dead_workers(), 0);
-    lu_reference.shutdown();
 
     lu_remote.shutdown();
     remote.shutdown();

@@ -17,7 +17,7 @@
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_core::session::RuntimeSession;
-use mwp_lu::runtime::LuSession;
+use mwp_lu::runtime::factor;
 use mwp_msg::transport::TransportListener;
 use mwp_msg::TransportMode;
 use mwp_platform::Platform;
@@ -71,23 +71,28 @@ fn remote_workers_serve_consecutive_holm_runs_bit_identically() {
 
 #[test]
 fn remote_workers_serve_lu_runs_bit_identically() {
+    // One fleet, one worker program: the same connections serve
+    // factorizations with a product run between them.
     let platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let children = spawn_workers(platform.len(), &listener.endpoint());
-    let remote = LuSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
-    let local = LuSession::with_transport(&platform, 0.0, TransportMode::Channel);
+    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
+    let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
-    // Two consecutive factorizations over one connection per worker.
     for (round, (r, q)) in [(0u64, (4usize, 6usize)), (1, (3, 5))] {
         let matrix = random_diagonally_dominant(r, q, 301 + round);
-        let over_socket = remote.run(&matrix, 2);
-        let over_channel = local.run(&matrix, 2);
+        let over_socket = factor(&remote, &matrix, 2);
+        let over_channel = factor(&local, &matrix, 2);
         assert_eq!(
             over_socket.packed.max_abs_diff(&over_channel.packed),
             0.0,
             "round {round}: socket and channel factors must be bit-identical"
         );
         assert_eq!(over_socket.messages, over_channel.messages, "round {round}");
+        let (a, b, c0) = (random_matrix(3, 4, q, 311), random_matrix(4, 5, q, 312), random_matrix(3, 5, q, 313));
+        let over_socket = remote.run_all_workers(&a, &b, c0.clone()).unwrap();
+        let over_channel = local.run_all_workers(&a, &b, c0).unwrap();
+        assert_eq!(over_socket.c.max_abs_diff(&over_channel.c), 0.0, "round {round}: the product between");
     }
 
     local.shutdown();

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use mwp_core::layout::{MemoryLayout, MemoryPlan};
     pub use mwp_core::runtime::{run_all_workers, run_heterogeneous, run_holm};
     pub use mwp_core::session::RuntimeSession;
-    pub use mwp_lu::runtime::{run_lu, LuSession};
+    pub use mwp_lu::runtime::{factor, run_lu, LuSession};
     pub use mwp_core::selection::bandwidth_centric::steady_state;
     pub use mwp_core::selection::homogeneous::select_homogeneous;
     pub use mwp_core::selection::incremental::{run_selection, SelectionRule};

@@ -11,7 +11,7 @@ use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_blockmat::gemm::{gemm_serial, gemm_serial_oracle, verify_product};
 use mwp_blockmat::kernel;
 use mwp_blockmat::lu::{lu_blocked_in_place, scaled_residual, Dense};
-use mwp_lu::runtime::{run_lu, LuSession};
+use mwp_lu::runtime::{factor, run_lu};
 use mwp_msg::TransportMode;
 
 /// Aligned (q = 8, 16) and tail (q = 15, 17, 25, 33) block sides: the threaded HoLM
@@ -66,8 +66,8 @@ fn run_heterogeneous_cross_validates_on_tail_size() {
         .unwrap_or_else(|e| panic!("heterogeneous runtime off the oracle by {e}"));
 }
 
-/// The threaded LU runtime (whose rank-µ core updates run the dispatched
-/// kernel with alpha = −1) reconstructs L·U ≈ A on aligned and tail block
+/// The threaded LU runtime (whose trailing updates run the dispatched
+/// kernel as block products) reconstructs L·U ≈ A on aligned and tail block
 /// sides, to within the rounding an `n`-term factorization may carry
 /// (`lu::scaled_residual` ≤ 1).
 #[test]
@@ -83,10 +83,12 @@ fn run_lu_reconstructs_on_aligned_and_tail_sizes() {
 
 /// At the benchmark's shape — 12 blocks of q = 80 in steps of µ = 2, so
 /// 160-wide pivots over 800- to 160-row panels — the threaded runtime
-/// ships each panel to a worker as a contiguous matrix while
-/// `lu_blocked_in_place` runs the same blocked kernels through leading
-/// dimensions: the factors must be the same bits whatever the fleet size
-/// (1 worker takes every op, 3 leave row groups uneven) and transport.
+/// ships each panel to a worker as a contiguous matrix and runs each
+/// trailing update as q-deep block products, while `lu_blocked_in_place`
+/// runs the same blocked kernels through leading dimensions and updates
+/// its trailing matrix whole: the factors must be the same bits whatever
+/// the fleet size (1 worker takes every op, 3 leave bands uneven) and
+/// transport.
 #[test]
 fn run_lu_is_bit_identical_to_serial_blocked_at_the_perf_shape() {
     let matrix = random_diagonally_dominant(12, 80, 2007);
@@ -99,8 +101,8 @@ fn run_lu_is_bit_identical_to_serial_blocked_at_the_perf_shape() {
             scope.spawn(move || {
                 for p in 1..=3 {
                     let platform = Platform::homogeneous(p, 1.0, 1.0, 100_000).unwrap();
-                    let session = LuSession::with_transport(&platform, 0.0, mode);
-                    let out = session.run(matrix, 2);
+                    let session = RuntimeSession::with_transport(&platform, 0.0, mode);
+                    let out = factor(&session, matrix, 2);
                     assert!(!out.aborted);
                     assert_eq!(out.workers_used, p);
                     assert!(out.packed == *serial, "{p} workers over {mode:?} diverge from serial");

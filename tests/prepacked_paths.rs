@@ -1,7 +1,7 @@
 //! Prepacked-panel reuse cross-validation: every layer that packs a B
 //! operand once and reuses it (kernel `PackedB`, `gemm_serial`,
-//! the runtime workers' resident-B packs, the LU
-//! worker's per-step horizontal-panel pack) must be **bit-identical** to
+//! the runtime workers' resident-B packs, for products and for LU's
+//! trailing updates alike) must be **bit-identical** to
 //! the per-call-pack path it replaced — same microkernel, same
 //! per-element k-accumulation order, the pack being pure data movement.
 //!
@@ -124,9 +124,10 @@ fn run_holm_stays_bit_identical_to_serial_with_worker_prepacks() {
     }
 }
 
-/// The LU worker's once-per-step horizontal-panel pack must leave the
-/// parallel factorization bit-identical to the serial blocked one (same
-/// kernel, same row-partitioned rank-µ arithmetic).
+/// The workers' packs of each step's horizontal-panel blocks — the B rows
+/// of its trailing update — must leave the parallel factorization
+/// bit-identical to the serial blocked one (same kernel, the same
+/// increasing-`k` chain per element of the rank-µ update).
 #[test]
 fn run_lu_stays_bit_identical_to_serial_with_panel_prepacks() {
     let platform = Platform::homogeneous(3, 1.0, 1.0, 1000).unwrap();

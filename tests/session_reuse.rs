@@ -9,7 +9,7 @@ use master_worker_matrix::prelude::*;
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_blockmat::gemm::gemm_serial;
 use mwp_core::session::RuntimeSession;
-use mwp_lu::runtime::{run_lu, LuSession};
+use mwp_lu::runtime::{factor, run_lu};
 
 /// N reused-session HoLM runs vs N fresh-spawn runs: same C bits, same
 /// traffic, same enrollment — and both bit-identical to the serial
@@ -96,12 +96,12 @@ fn one_session_serves_mixed_run_kinds() {
 #[test]
 fn reused_lu_session_matches_fresh_spawn_bitwise() {
     let platform = Platform::homogeneous(3, 1.0, 1.0, 1000).unwrap();
-    let session = LuSession::new(&platform, 0.0);
+    let session = RuntimeSession::new(&platform, 0.0);
     for (round, (n_blocks, q, mu)) in
         [(3usize, 8usize, 1usize), (4, 6, 2), (2, 33, 1), (4, 6, 4)].into_iter().enumerate()
     {
         let m = random_diagonally_dominant(n_blocks, q, 431 + round as u64);
-        let pooled = session.run(&m, mu);
+        let pooled = factor(&session, &m, mu);
         let fresh = run_lu(&platform, &m, mu, 0.0);
         assert_eq!(
             pooled.packed.max_abs_diff(&fresh.packed),
@@ -128,8 +128,8 @@ fn shutdown_joins_every_worker_thread() {
     assert!(out.workers_used < 5, "selection should leave some workers parked");
     assert_eq!(session.shutdown(), 5, "all five workers must join, enrolled or not");
 
-    let lu_session = LuSession::new(&platform, 0.0);
-    assert_eq!(lu_session.shutdown(), 5, "a session that never ran still joins cleanly");
+    let idle = RuntimeSession::new(&platform, 0.0);
+    assert_eq!(idle.shutdown(), 5, "a session that never ran still joins cleanly");
 }
 
 /// Dropping a session without an explicit shutdown must also terminate
@@ -148,7 +148,7 @@ fn dropping_a_session_terminates_its_workers() {
         // session dropped here, mid-lifetime, with workers parked
     }
     {
-        let _unused = LuSession::new(&platform, 0.0);
+        let _unused = RuntimeSession::new(&platform, 0.0);
         // dropped without ever serving a run
     }
 }

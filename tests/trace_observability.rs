@@ -16,8 +16,9 @@
 //!   sim-side reader,
 //! * consistency between the scheduler's [`JobReport`] metering and the
 //!   run spans of the same generation,
-//! * the LU worker's `Kernel` detail spans (`factor` / `trsm` / `core`),
-//!   each inside the `Compute` span of the op it served.
+//! * an LU run's spans in the product's vocabulary: `factor` / `trsm`
+//!   kernel spans inside each panel's `Compute` span, and the trailing
+//!   updates' `gemm` / `A update` / `pack B`, counted off the schedule.
 //!
 //! The compute kernel under the captured runs follows `MWP_KERNEL`, so
 //! the CI matrix exercises these invariants under both kernels; the
@@ -30,7 +31,10 @@
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
-use mwp_lu::runtime::LuSession;
+use mwp_core::schedule::PortOp;
+use mwp_core::MemoryLayout;
+use mwp_lu::runtime::factor;
+use mwp_lu::schedule::lu_schedule;
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::chrome;
@@ -268,19 +272,21 @@ fn job_report_consistent_with_spans() {
     assert_eq!(gen_bytes, report.blocks_moved * (8 * q * q) as u64);
 }
 
-/// An LU run says where its workers' time went: every op a worker serves
-/// is one `Compute` span, and inside it the detail track carries the
-/// kernels that ran — `factor` and `trsm` for each panel exchange (the
-/// last step has no panels, so no `trsm`), `core` for each row group, one
-/// `Pack` for each panel install — so `trace.kernel_s` is not 0 on LU.
+/// An LU run says where its workers' time went in the span vocabulary a
+/// product uses: each panel exchange is one `panel` `Compute` span holding
+/// `factor` and — but on the last step, which has no panels — `trsm`
+/// kernel spans, and each trailing update is the product's own `A update`
+/// compute spans, one `gemm` per block update and one `pack B` per B block
+/// shipped, counted off the run's schedule — so `trace.kernel_s` is not 0
+/// on LU.
 #[test]
 fn lu_run_records_kernel_spans_inside_compute_spans() {
     let _serial = capture_lock();
     let pf = Platform::homogeneous(2, 1.0, 1.0, 1000).expect("valid platform");
     let matrix = random_diagonally_dominant(6, 4, 11); // 3 steps of µ = 2
     let capture = Capture::begin();
-    let session = LuSession::new(&pf, 0.0);
-    let out = session.run(&matrix, 2);
+    let session = RuntimeSession::new(&pf, 0.0);
+    let out = factor(&session, &matrix, 2);
     let trace = capture.end();
     session.shutdown();
     assert!(!out.aborted);
@@ -289,13 +295,22 @@ fn lu_run_records_kernel_spans_inside_compute_spans() {
     let labelled = |kind: ActivityKind, label: &str| {
         trace.activities.iter().filter(|a| a.kind == kind && &*a.label == label).count()
     };
+    assert_eq!(labelled(ActivityKind::Compute, "panel"), 3, "one per step");
     assert_eq!(labelled(ActivityKind::Kernel, "factor"), 3, "one per step");
     assert_eq!(labelled(ActivityKind::Kernel, "trsm"), 2, "one per step with panels");
-    assert_eq!(labelled(ActivityKind::Kernel, "core"), 2 + 1, "one per row group");
-    assert_eq!(labelled(ActivityKind::Pack, "pack panel"), 2 + 1, "one per install");
-    // Panel and core ops are Compute spans; installs send nothing back
-    // and are not an occupancy unit.
-    assert_eq!(labelled(ActivityKind::Compute, "LU op"), 3 + 3);
+    let side = MemoryLayout::MaxReuseOverlapped.mu(1000);
+    let steps: Vec<(usize, usize)> = lu_schedule(6, 2, &[side, side])
+        .iter()
+        .filter_map(|op| match op.chunk() {
+            Some(PortOp::Step { chunk, .. }) => Some((chunk.height, chunk.width)),
+            _ => None,
+        })
+        .collect();
+    let updates: usize = steps.iter().map(|(h, w)| h * w).sum();
+    assert_eq!(updates, 4 * 4 * 2 + 2 * 2 * 2, "the rank-2 updates of the 4 × 4 and 2 × 2 trailing grids");
+    assert_eq!(labelled(ActivityKind::Kernel, "gemm"), updates);
+    assert_eq!(labelled(ActivityKind::Compute, "A update"), steps.iter().map(|(h, _)| h).sum());
+    assert_eq!(labelled(ActivityKind::Pack, "pack B"), steps.iter().map(|(_, w)| w).sum());
 
     for detail in trace.activities.iter().filter(|a| a.kind == ActivityKind::Kernel) {
         let Resource::WorkerDetail(w) = detail.resource else {

@@ -12,7 +12,7 @@
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_core::session::RuntimeSession;
-use mwp_lu::runtime::LuSession;
+use mwp_lu::runtime::factor;
 use mwp_platform::Platform;
 use mwp_trace::record::{self, Capture};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -70,12 +70,9 @@ fn tracing_off_records_nothing_and_does_not_allocate() {
     let c0 = random_matrix(2, 3, 4, 3);
     let session = RuntimeSession::new(&pf, 0.0);
     session.run_holm(&a, &b, c0).expect("run succeeds");
+    // The panel exchange's span sites are gated the same way.
+    assert!(!factor(&session, &random_diagonally_dominant(4, 4, 4), 2).aborted);
     session.shutdown();
-    // The LU worker's per-op and per-kernel span sites are gated the same
-    // way.
-    let lu = LuSession::new(&pf, 0.0);
-    assert!(!lu.run(&random_diagonally_dominant(4, 4, 4), 2).aborted);
-    lu.shutdown();
 
     let capture = Capture::begin();
     let leftovers = capture.end();

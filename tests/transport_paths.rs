@@ -20,7 +20,7 @@ use mwp_blockmat::gemm::gemm_serial;
 use mwp_core::runtime::RuntimeError;
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
-use mwp_lu::runtime::LuSession;
+use mwp_lu::runtime::factor;
 use mwp_msg::TransportMode;
 use std::time::Duration;
 
@@ -98,13 +98,13 @@ fn heterogeneous_over_tcp_matches_channels_bitwise() {
 #[test]
 fn lu_over_sockets_matches_channels_bitwise() {
     let platform = Platform::homogeneous(3, 1.0, 1.0, 1000).unwrap();
-    let channel = LuSession::with_transport(&platform, 0.0, TransportMode::Channel);
+    let channel = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
     for mode in socket_modes() {
-        let socket = LuSession::with_transport(&platform, 0.0, mode);
+        let socket = RuntimeSession::with_transport(&platform, 0.0, mode);
         for (round, (r, q, mu)) in [(0u64, (4usize, 6usize, 2usize)), (1, (4, 6, 1)), (2, (3, 5, 2))] {
             let matrix = random_diagonally_dominant(r, q, 191 + round);
-            let over_socket = socket.run(&matrix, mu);
-            let over_channel = channel.run(&matrix, mu);
+            let over_socket = factor(&socket, &matrix, mu);
+            let over_channel = factor(&channel, &matrix, mu);
             assert_eq!(
                 over_socket.packed.max_abs_diff(&over_channel.packed),
                 0.0,
@@ -156,20 +156,19 @@ fn a_serving_batch_over_sockets_matches_solo_channel_runs_bitwise() {
 
 #[test]
 fn a_run_budget_aborts_a_paced_run_and_lifting_it_restores_bit_identity() {
-    // The abort contract without worker processes, on every transport.
-    // Paced links make the runs slow — each block holds the port for
-    // c · time_scale = 0.8 ms (product) or 0.2 ms (LU), tens of
-    // milliseconds a run — so a 5 ms budget passes the first check and
-    // breaches at a later op. The aborted session must then serve the
+    // The abort contract without worker processes, on every transport,
+    // for a product and a factorization on one fleet. Paced links make the
+    // runs slow — each block holds the port for c · time_scale = 0.8 ms,
+    // tens of milliseconds a run — so a 5 ms budget passes the first check
+    // and breaches at a later op. The aborted session must then serve the
     // next run exactly as a session that never aborted would.
     let (time_scale, budget) = (2e-4, Some(Duration::from_millis(5)));
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
     let (a, b) = (random_matrix(5, 7, 6, 9700), random_matrix(7, 9, 6, 9800));
     let c0 = random_matrix(5, 9, 6, 9900);
     let healthy = run_all_workers(&platform, &a, &b, c0.clone(), 0.0).unwrap();
-    let lu_platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
     let matrix = random_diagonally_dominant(6, 4, 9600);
-    let lu_healthy = run_lu(&lu_platform, &matrix, 2, 0.0);
+    let lu_healthy = run_lu(&platform, &matrix, 2, 0.0);
 
     for mode in [vec![TransportMode::Channel], socket_modes()].concat() {
         let mut session = RuntimeSession::with_transport(&platform, time_scale, mode);
@@ -185,17 +184,15 @@ fn a_run_budget_aborts_a_paced_run_and_lifting_it_restores_bit_identity() {
         let recovered = session.run_all_workers(&a, &b, c0.clone()).unwrap();
         assert_eq!(recovered.c.max_abs_diff(&healthy.c), 0.0, "{mode:?}: run after the aborts");
         assert_eq!(recovered.blocks_moved, healthy.blocks_moved, "{mode:?}");
-        assert_eq!(session.shutdown(), 3, "{mode:?}");
 
-        let mut session = LuSession::with_transport(&lu_platform, time_scale, mode);
         session.set_run_deadline(budget);
-        assert!(session.run(&matrix, 2).aborted, "{mode:?}: LU under a 5 ms budget");
+        assert!(factor(&session, &matrix, 2).aborted, "{mode:?}: LU under a 5 ms budget");
         session.set_run_deadline(None);
-        let recovered = session.run(&matrix, 2);
+        let recovered = factor(&session, &matrix, 2);
         assert!(!recovered.aborted && session.dead_workers() == 0, "{mode:?}");
         let drift = recovered.packed.max_abs_diff(&lu_healthy.packed);
         assert_eq!(drift, 0.0, "{mode:?}: factorization after the abort");
-        assert_eq!(session.shutdown(), 2, "{mode:?}");
+        assert_eq!(session.shutdown(), 3, "{mode:?}");
     }
 }
 

@@ -6,10 +6,11 @@
 //! transport, unpaced, and a CRC32C over the sequence of block-bearing
 //! (`bytes > 0`) `MasterPort` send/receive spans `(kind, peer, bytes)`
 //! must equal the digest recorded at the commit before the run's schedule
-//! was data (`mwp_core::schedule` for the three products, `mwp_lu::schedule`
-//! for the factorization). A paced run's wall time is blocks × link cost *in this
-//! order*, so the digests are also what keeps the benchmark's paced
-//! heterogeneous control workload where it was.
+//! was data (`mwp_core::schedule` for the three products) or, for the
+//! factorization (`mwp_lu::schedule`), when its trailing update became a
+//! product. A paced run's wall time is blocks × link cost *in this order*,
+//! so the digests are also what keeps the benchmark's paced heterogeneous
+//! control workload where it was.
 //!
 //! One `#[test]`: captures are process-global, so the four runs take
 //! turns.
@@ -19,7 +20,7 @@ use mwp_blockmat::BlockMatrix;
 use mwp_core::runtime::RunOutcome;
 use mwp_core::selection::incremental::SelectionRule;
 use mwp_core::session::RuntimeSession;
-use mwp_lu::runtime::LuSession;
+use mwp_lu::runtime::factor;
 use mwp_msg::checksum::crc32c;
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerParams};
@@ -87,19 +88,20 @@ fn block_frame_order_on_the_port_is_unchanged() {
     let lu = {
         let matrix = random_diagonally_dominant(12, 4, 74);
         let capture = Capture::begin();
-        let session = LuSession::with_transport(
-            &Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap(),
-            0.0,
-            TransportMode::Channel,
-        );
-        assert!(!session.run(&matrix, 2).aborted);
+        let platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
+        let session = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
+        assert!(!factor(&session, &matrix, 2).aborted);
         let trace = capture.end();
         session.shutdown();
         wire_digest(&trace)
     };
+    // The LU digest was re-captured when the factorization's trailing
+    // update became the product's chunk exchanges (122 frames a run where
+    // the row-group exchanges took 51); the three product digests are the
+    // ones recorded before any schedule was data.
     assert_eq!(
         (holm, orroml, het, lu),
-        (2_667_921_220, 2_772_815_128, 1_010_825_030, 2_306_587_473),
-        "wire order changed: (run_holm, run_all_workers, run_heterogeneous, LuSession::run) digests"
+        (2_667_921_220, 2_772_815_128, 1_010_825_030, 82_459_003),
+        "wire order changed: (run_holm, run_all_workers, run_heterogeneous, factor) digests"
     );
 }
