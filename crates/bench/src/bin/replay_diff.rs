@@ -1,7 +1,9 @@
 //! `replay_diff` — sim-vs-real replay harness.
 //!
-//! Runs a real HoLM multiplication, then a real blocked LU, through the
-//! threaded runtimes with the span recorder capturing measured timelines,
+//! Runs a real HoLM multiplication, the same product on a mixed-width
+//! fleet (one `avx2` and one `avx512` worker; skipped on a CPU without
+//! AVX-512F), then a real blocked LU, through the threaded runtimes with
+//! the span recorder capturing measured timelines,
 //! regenerates each run's schedule from its outcome ([`Schedule`] from the
 //! enrolled workers and chunk side, [`lu_schedule`] from the fleet's chunk sides)
 //! and checks, leg by leg, that the two executions of that one object
@@ -19,7 +21,9 @@
 //!   per-worker compute time — the prediction next to the measured value.
 //!   Busy times agree by calibration; the makespan error is the signal:
 //!   how well the one-port queueing structure of Algorithm 3 explains the
-//!   measured timeline (waits, overlap, FIFO arbitration).
+//!   measured timeline (waits, overlap, FIFO arbitration). Each leg prints
+//!   the fitted `w_i` and the slowest-to-fastest ratio — on the mixed
+//!   fleet, how far apart the two vector widths compute.
 //!
 //! Exit status is non-zero when any phase exceeds `--tolerance` (default
 //! 25% relative error), making the harness usable as a CI fidelity gate.
@@ -33,7 +37,8 @@
 //! ```
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
-use mwp_blockmat::Partition;
+use mwp_blockmat::kernel::{self, by_name, Kernel};
+use mwp_blockmat::{BlockMatrix, Partition};
 use mwp_core::schedule::{Replay, Schedule};
 use mwp_core::session::RuntimeSession;
 use mwp_core::MemoryLayout;
@@ -223,7 +228,16 @@ fn diff(
     );
 
     // Replay: same frames, calibrated rates, ideal one-port model.
-    let report = Simulator::new(calibrated_platform(real, &measured, &updates))
+    let calibrated = calibrated_platform(real, &measured, &updates);
+    let fitted: Vec<(WorkerId, f64)> =
+        (0..real.len()).filter(|&i| updates[i] > 0).map(|i| (WorkerId(i), calibrated.workers()[i].w)).collect();
+    let (slowest, fastest) = fitted.iter().fold((0.0f64, f64::INFINITY), |(hi, lo), &(_, w)| (hi.max(w), lo.min(w)));
+    println!(
+        "  fitted w_i: {} (slowest / fastest {:.2})",
+        fitted.iter().map(|(id, w)| format!("{id} {:.3} us", w * 1e6)).collect::<Vec<_>>().join(", "),
+        slowest / fastest,
+    );
+    let report = Simulator::new(calibrated)
         .without_trace()
         .run(&mut frames.into_iter())
         .expect("replay respects the memory model");
@@ -265,6 +279,30 @@ fn diff(
     failed.is_empty()
 }
 
+/// One captured HoLM run of `a·b + c0` on a fleet of `pf` whose worker `i`
+/// computes with `kernels[i]`, diffed against the [`Schedule::algorithm1`]
+/// its outcome names. Returns whether the leg passed, and the product.
+fn holm_leg(
+    args: &Args,
+    pf: &Platform,
+    kernels: &[&'static Kernel],
+    (a, b, c0): (&BlockMatrix, &BlockMatrix, &BlockMatrix),
+) -> (bool, BlockMatrix) {
+    // The capture ends before shutdown, so teardown control frames stay
+    // out of the timeline.
+    let capture = Capture::begin();
+    let session = RuntimeSession::with_kernels(pf, args.time_scale, args.transport, kernels);
+    let outcome = session.run_holm(a, b, c0.clone()).expect("real run succeeds");
+    let trace = capture.end();
+    session.shutdown();
+    // The same object, generated again from what the run reported.
+    let problem = Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q());
+    let replay = Replay::new(&Schedule::algorithm1(&problem, outcome.chunk_side, outcome.workers_used, 1));
+    let block_bytes = 8 * (a.q() * a.q()) as u64;
+    let passed = diff(&trace, block_bytes, pf, replay.frames().to_vec(), outcome.blocks_moved, args.tolerance);
+    (passed, outcome.c)
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -287,23 +325,32 @@ fn main() -> ExitCode {
         args.transport,
     );
 
-    // Measure: one real run under the span recorder. The capture is ended
-    // before shutdown so teardown control frames stay out of the timeline.
+    // Measure: one real run under the span recorder.
     let a = random_matrix(r, t, q, 10);
     let b = random_matrix(t, s, q, 11);
     let c0 = random_matrix(r, s, q, 12);
-    let capture = Capture::begin();
-    let session = RuntimeSession::with_transport(&pf, args.time_scale, args.transport);
-    let outcome = session.run_holm(&a, &b, c0).expect("real run succeeds");
-    let trace = capture.end();
-    session.shutdown();
+    let (holm, product) = holm_leg(&args, &pf, &vec![kernel::active(); pf.len()], (&a, &b, &c0));
 
-    // The same object, generated again from what the run reported.
-    let problem = Partition::from_blocks(r, s, t, q);
-    let (enrolled, mu) = (outcome.workers_used, outcome.chunk_side);
-    let replay = Replay::new(&Schedule::algorithm1(&problem, mu, enrolled, 1));
-    let frames = replay.frames().to_vec();
-    let holm = diff(&trace, block_bytes, &pf, frames, outcome.blocks_moved, args.tolerance);
+    // The mixed-width leg: the same product on one `avx2` and one `avx512`
+    // worker, the paper's §6 platform of unequal compute speeds on real
+    // arithmetic. The two kernels agree bit for bit, so the product must
+    // be the HoLM leg's; their fitted `w_i` say how far apart they compute.
+    let mixed = match (by_name("avx2"), by_name("avx512")) {
+        (Ok(avx2), Ok(avx512)) => {
+            println!("replay_diff: HoLM {r}x{t}x{s}, P1 on avx2 and P2 on avx512, same pacing");
+            let pf = Platform::homogeneous(2, 1.0, 12.0, 60).expect("valid platform");
+            let (passed, c) = holm_leg(&args, &pf, &[avx2, avx512], (&a, &b, &c0));
+            let same_bits = c.max_abs_diff(&product) == 0.0;
+            if !same_bits {
+                println!("FAIL: the mixed fleet's product is not the HoLM leg's, bit for bit");
+            }
+            passed && same_bits
+        }
+        _ => {
+            println!("replay_diff: mixed-width leg skipped: this CPU lacks AVX-512F");
+            true
+        }
+    };
 
     // The LU leg: the factorization the runtime walks is `lu_schedule`
     // for the whole fleet at its chunk side, so its lowering is what the
@@ -324,7 +371,7 @@ fn main() -> ExitCode {
     let frames = lower(&lu_schedule(r, mu, &sides));
     let lu = diff(&trace, block_bytes, &pf, frames, outcome.blocks_moved, args.tolerance);
 
-    if holm && lu {
+    if holm && mixed && lu {
         println!("OK: every phase within ±{:.1}% of measured", args.tolerance * 100.0);
         ExitCode::SUCCESS
     } else {

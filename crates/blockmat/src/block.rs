@@ -80,11 +80,11 @@ impl Block {
 
     /// The block update `self += a · b` — the paper's unit of computation.
     ///
-    /// Runs the process-wide dispatched kernel ([`kernel::active`]): the
-    /// fastest register-blocked SIMD tile the CPU supports (AVX-512, else
-    /// AVX2/FMA — the same bits either way), the cache-tiled scalar loop
-    /// everywhere else, overridable with `MWP_KERNEL=scalar|avx2|avx512`. Loops that perform many updates should
-    /// resolve the kernel once and call [`Block::gemm_acc_with`] instead.
+    /// Runs the fastest kernel this CPU supports ([`kernel::active`]): the
+    /// widest register-blocked SIMD tile (AVX-512, else AVX2/FMA — the same
+    /// bits either way), the cache-tiled scalar loop everywhere else. Code
+    /// that is handed a kernel, or performs many updates, calls
+    /// [`Block::gemm_acc_with`] instead.
     pub fn gemm_acc(&mut self, a: &Block, b: &Block) {
         self.gemm_acc_with(kernel::active(), a, b);
     }

@@ -1,12 +1,18 @@
 //! Whole-matrix multiplication: the ground truth the master-worker runtime
 //! is verified against.
 
-use crate::kernel::{self, PackedB};
+use crate::kernel::{self, Kernel, PackedB};
 use crate::matrix::BlockMatrix;
 
-/// Serial `C ← C + A × B` at the block level.
+/// Serial `C ← C + A × B` at the block level, through the fastest kernel
+/// this CPU runs ([`gemm_serial_with`] of [`kernel::active`]).
+pub fn gemm_serial(c: &mut BlockMatrix, a: &BlockMatrix, b: &BlockMatrix) {
+    gemm_serial_with(kernel::active(), c, a, b);
+}
+
+/// Serial `C ← C + A × B` at the block level through `kernel` — the
+/// reference a fleet of `kernel` workers is compared against.
 ///
-/// Runs the dispatched block kernel, resolved once for the whole product.
 /// Each B block is packed **once** per `(k, j)` and reused across the
 /// whole `i` loop (one pack per B block instead of one per block update —
 /// `r·s·t` packs become `s·t`), through a single recycled [`PackedB`].
@@ -14,9 +20,8 @@ use crate::matrix::BlockMatrix;
 /// results are bit-identical to per-call packing
 /// ([`crate::Block::gemm_acc_with`]). Panics if the block shapes do not
 /// conform (`A : r × t`, `B : t × s`, `C : r × s`, equal `q`).
-pub fn gemm_serial(c: &mut BlockMatrix, a: &BlockMatrix, b: &BlockMatrix) {
+pub fn gemm_serial_with(kernel: &Kernel, c: &mut BlockMatrix, a: &BlockMatrix, b: &BlockMatrix) {
     check_conformance(c, a, b);
-    let kernel = kernel::active();
     let t = a.cols();
     let mut packed = PackedB::new();
     for j in 0..c.cols() {

@@ -1,8 +1,5 @@
-//! Runtime kernel selection, cached in a `OnceLock`.
-//!
-//! CPU-feature detection runs exactly once per process — the first block
-//! update resolves the table, every later call is one atomic load. No hot
-//! path ever re-runs `is_x86_feature_detected!` per block update.
+//! The kernel table: which kernels this build has, which of them this CPU
+//! runs, and the fastest of those.
 //!
 //! The table has one row per kernel, slowest first: `scalar` (every
 //! target), `avx2` (x86 / x86_64, needs AVX2 + FMA), `avx512` (x86_64,
@@ -10,13 +7,18 @@
 //! shared `pack` module — the pack and the macro loop — instantiated at
 //! their own register tile.
 //!
-//! Selection order:
-//! 1. `MWP_KERNEL=scalar|avx2|avx512` forces a kernel (a forced kernel
-//!    the CPU cannot run is a hard error — a silent fallback would make
-//!    "tested the SIMD path" a lie on machines without it; an unknown name
-//!    is a hard error listing the valid names);
-//! 2. otherwise the fastest kernel the CPU supports wins: AVX-512 when
+//! A kernel is a value, handed to whatever computes with it: a worker
+//! program is built with the kernel it runs, so one fleet may mix widths.
+//! Three ways to get one, none of which reads the environment:
+//! 1. [`active`] — the fastest kernel the CPU supports: AVX-512 when
 //!    `avx512f` is detected, else AVX2 when AVX2 + FMA are, else scalar.
+//!    CPU-feature detection runs once per process, and every later call is
+//!    one atomic load, so no hot path re-runs `is_x86_feature_detected!`;
+//! 2. [`by_name`] — one kernel by name, refused (never silently replaced)
+//!    when the CPU cannot run it or the name is unknown, so "ran the SIMD
+//!    path" cannot be a lie on a machine without it;
+//! 3. [`available`] — every kernel this CPU runs, for tests that exercise
+//!    each one.
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 use super::pack::{self, Tile};
@@ -27,9 +29,8 @@ use std::sync::OnceLock;
 ///
 /// Instances are only constructed by this module, after validating that
 /// the CPU can execute them — every `&Kernel` in the program is safe to
-/// call. Grab one with [`active`] (honours `MWP_KERNEL`), [`by_name`], or
-/// [`available`], and hold it across a loop to keep even the `OnceLock`
-/// load out of per-block code.
+/// call. Grab one with [`active`], [`by_name`], or [`available`], and hold
+/// it across a loop to keep even the `OnceLock` load out of per-block code.
 pub struct Kernel {
     name: &'static str,
     run: Run,
@@ -52,7 +53,7 @@ enum Run {
 }
 
 impl Kernel {
-    /// Kernel name as accepted by `MWP_KERNEL` (`"scalar"`, `"avx2"`,
+    /// Kernel name as [`by_name`] accepts it (`"scalar"`, `"avx2"`,
     /// `"avx512"`) and recorded in every [`PackedB`] it packs.
     #[inline]
     pub fn name(&self) -> &'static str {
@@ -200,7 +201,7 @@ const fn simd<T: Tile>(name: &'static str) -> Kernel {
 }
 
 /// Every kernel compiled into this build, slowest first — the names
-/// `MWP_KERNEL` errors cite, whether or not this CPU can run them.
+/// [`by_name`]'s refusals cite, whether or not this CPU can run them.
 static TABLE: &[Row] = &[
     Row { kernel: Kernel { name: "scalar", run: Run::Scalar }, supported: || true, needs: "" },
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -217,22 +218,15 @@ static TABLE: &[Row] = &[
     },
 ];
 
-static ACTIVE: OnceLock<&'static Kernel> = OnceLock::new();
-
-/// The process-wide active kernel: `MWP_KERNEL` override if set, else the
-/// fastest kernel this CPU supports. Resolved once, then a single atomic
-/// load per call.
+/// The fastest kernel this CPU supports — the last row of [`available`].
+/// Resolved once, then a single atomic load per call.
 #[inline]
 pub fn active() -> &'static Kernel {
-    ACTIVE.get_or_init(|| match std::env::var("MWP_KERNEL") {
-        Ok(name) if !name.is_empty() => by_name(&name).unwrap_or_else(|e| panic!("MWP_KERNEL: {e}")),
-        // Unset, or empty — what a CI matrix leg with an empty value
-        // produces: the last (fastest) kernel this CPU runs.
-        _ => available().pop().expect("scalar is always available"),
-    })
+    static ACTIVE: OnceLock<&'static Kernel> = OnceLock::new();
+    ACTIVE.get_or_init(|| available().pop().expect("scalar is always available"))
 }
 
-/// Look a kernel up by `MWP_KERNEL` name, verifying the CPU can run it.
+/// Look a kernel up by name, verifying the CPU can run it.
 pub fn by_name(name: &str) -> Result<&'static Kernel, String> {
     let Some(row) = TABLE.iter().find(|row| row.kernel.name == name) else {
         let names: Vec<_> = TABLE.iter().map(|row| row.kernel.name).collect();
@@ -241,7 +235,7 @@ pub fn by_name(name: &str) -> Result<&'static Kernel, String> {
     if (row.supported)() {
         Ok(&row.kernel)
     } else {
-        Err(format!("kernel '{name}' forced but this CPU lacks {}", row.needs))
+        Err(format!("kernel '{name}' needs {}, which this CPU lacks", row.needs))
     }
 }
 
@@ -276,8 +270,8 @@ mod tests {
         let k1 = active();
         let k2 = active();
         assert!(std::ptr::eq(k1, k2), "active() must return the cached entry");
-        // Whatever was selected must be one of the runnable kernels.
-        assert!(available().iter().any(|k| std::ptr::eq(*k, k1)));
+        // The fastest of the runnable kernels, whatever the environment.
+        assert!(std::ptr::eq(k1, *available().last().expect("scalar is always available")));
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!   all a SIMD kernel file holds: the Goto-style packed B layout, the
 //!   strip depth and the blocked macro loop are one copy in `pack`,
 //!   generic over the tile's `MR × NR`.
-//! * [`dispatch`] — the `OnceLock`-cached selection: CPU features are
-//!   detected exactly once per process, the fastest runnable kernel wins,
-//!   and the choice can be forced with `MWP_KERNEL=scalar|avx2|avx512` for
-//!   testing any path (an unknown name is rejected with the valid list).
+//! * [`dispatch`] — the table: CPU features are detected exactly once per
+//!   process, [`active`] is the fastest runnable kernel, and [`by_name`] /
+//!   [`available`] hand out any other one. A kernel is a value passed to
+//!   whatever computes with it — each worker program is built with its own
+//!   — not a process-wide setting.
 //! * [`PackedB`] — a first-class, reusable packed B operand, so callers
 //!   that stream many A operands against one B pay the `O(k·n)` pack cost
 //!   once instead of once per `gemm_acc` call.

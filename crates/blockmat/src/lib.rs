@@ -6,11 +6,12 @@
 //! routines", Section 2.1). This crate is the numerical substrate:
 //!
 //! * [`Block`] — one `q × q` block of `f64` coefficients stored contiguously
-//!   row-major, whose `gemm_acc` runs the dispatched [`kernel`],
+//!   row-major, whose `gemm_acc_with` runs the [`kernel`] it is handed,
 //! * [`kernel`] — the block-update kernel family: AVX-512 and AVX2/FMA
 //!   register tiles over one shared packed-B macro loop (bitwise equal to
-//!   each other) and the portable cache-tiled scalar loop, behind a
-//!   `OnceLock`-cached runtime dispatch (`MWP_KERNEL` to force one),
+//!   each other) and the portable cache-tiled scalar loop, each a value
+//!   from a table the CPU is probed against once (`kernel::active` is the
+//!   fastest it runs),
 //! * [`BlockMatrix`] — an `rows × cols` grid of blocks (the master's view of
 //!   `A`, `B`, and `C`),
 //! * [`Partition`] — the `(r, s, t)` stripe decomposition from matrix

@@ -19,7 +19,10 @@
 //! the textbook loops' bits, under either SIMD kernel they differ by FMA's
 //! unrounded multiplies, within `n · ε · ‖·‖`, and the AVX2 and AVX-512
 //! kernels agree bit for bit (all pinned by this module's tests, which
-//! keep the textbook loops as their oracle).
+//! keep the textbook loops as their oracle). The `_with` forms run through
+//! the [`Kernel`] they are handed — the pivot factor is
+//! `lu_blocked_with(kernel, a, NB)` — and the plain forms through
+//! [`kernel::active`].
 //!
 //! Pivoting: the paper never pivots across workers (its LU is a structural
 //! blueprint, not a numerically robust solver), so these kernels factor
@@ -256,8 +259,10 @@ pub const PIVOT_TOL: f64 = 1e-12;
 /// shape (AVX2, right / left solve in GFLOP/s): 8 → 22.1 / 29.3,
 /// 16 → 22.8 / 30.0, 32 → 20.8 / 23.6, 64 → 17.1 / 18.0 — narrower
 /// blocks starve the micro-kernel's k loop, wider ones leave too much of
-/// the work to the axpys.
-const NB: usize = 16;
+/// the work to the axpys. [`lu_factor_in_place`] is
+/// `lu_blocked_in_place(a, NB)`, so `lu_blocked_with(kernel, a, NB)` is
+/// the pivot factor through any kernel.
+pub const NB: usize = 16;
 
 /// Rows the right solve's diagonal block advances together: the rows are
 /// independent, so walking a few of them in lockstep keeps several
@@ -303,7 +308,8 @@ pub fn lu_blocked_in_place(a: &mut Dense, nb: usize) {
     lu_blocked_with(kernel::active(), a, nb);
 }
 
-fn trsm_right_upper_with(kernel: &Kernel, panel: &mut Dense, lu: &Dense) {
+/// [`trsm_right_upper`] through `kernel`.
+pub fn trsm_right_upper_with(kernel: &Kernel, panel: &mut Dense, lu: &Dense) {
     assert_eq!(lu.rows, lu.cols, "pivot must be square");
     assert_eq!(panel.cols, lu.rows, "panel width must equal pivot side");
     let (p, u) = (panel.data.as_mut_ptr(), lu.data.as_ptr());
@@ -311,7 +317,8 @@ fn trsm_right_upper_with(kernel: &Kernel, panel: &mut Dense, lu: &Dense) {
     unsafe { solve_right_upper(kernel, p, panel.cols, panel.rows, u, lu.cols, lu.rows) }
 }
 
-fn trsm_left_unit_lower_with(kernel: &Kernel, panel: &mut Dense, lu: &Dense) {
+/// [`trsm_left_unit_lower`] through `kernel`.
+pub fn trsm_left_unit_lower_with(kernel: &Kernel, panel: &mut Dense, lu: &Dense) {
     assert_eq!(lu.rows, lu.cols, "pivot must be square");
     assert_eq!(panel.rows, lu.rows, "panel height must equal pivot side");
     let (p, l) = (panel.data.as_mut_ptr(), lu.data.as_ptr());
@@ -319,7 +326,9 @@ fn trsm_left_unit_lower_with(kernel: &Kernel, panel: &mut Dense, lu: &Dense) {
     unsafe { solve_left_unit_lower(kernel, p, panel.cols, panel.cols, l, lu.cols, lu.rows) }
 }
 
-fn lu_blocked_with(kernel: &Kernel, a: &mut Dense, nb: usize) {
+/// [`lu_blocked_in_place`] through `kernel` — the serial reference a
+/// fleet of `kernel` workers is compared against.
+pub fn lu_blocked_with(kernel: &Kernel, a: &mut Dense, nb: usize) {
     assert_eq!(a.rows, a.cols, "LU needs a square matrix");
     assert!(nb > 0, "panel width must be positive");
     // SAFETY: one contiguous n × n matrix.

@@ -9,6 +9,7 @@
 //! [`mwp_msg::transport::enroll_with_retry`] hands it an endpoint and a
 //! welcome naming [`mwp_msg::transport::SERVICE_MATRIX`].
 
+use mwp_blockmat::kernel;
 use mwp_msg::session::serve_worker;
 use mwp_msg::WorkerEndpoint;
 
@@ -16,7 +17,8 @@ use mwp_msg::WorkerEndpoint;
 /// down (or the connection drops). `memory_cap` is the worker's memory
 /// capacity `m` in blocks, as announced in the enrollment welcome — the
 /// paper's per-worker invariant (`resident blocks < m`) is asserted
-/// against it on every frame, remote or not.
+/// against it on every frame, remote or not. The worker computes with the
+/// fastest kernel its own machine runs ([`kernel::active`]).
 ///
 /// Worker state (recycled scratch blocks, chunk/row maps, prepack
 /// buffers, the endpoint's payload buffer pool) persists across runs on
@@ -24,5 +26,5 @@ use mwp_msg::WorkerEndpoint;
 /// re-allocates nothing — the same steady state the in-process session
 /// workers reach.
 pub fn serve(ep: WorkerEndpoint, memory_cap: usize) {
-    serve_worker(ep, &mut crate::runtime::program(memory_cap));
+    serve_worker(ep, &mut crate::runtime::program(memory_cap, kernel::active()));
 }

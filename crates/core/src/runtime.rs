@@ -39,8 +39,8 @@ use crate::schedule::{PortOp, Schedule};
 use crate::selection::homogeneous::select_homogeneous;
 use crate::session::{with_session, RuntimeSession};
 use bytes::Bytes;
-use mwp_blockmat::kernel::PackedB;
-use mwp_blockmat::lu::{lu_factor_in_place, trsm_left_unit_lower, trsm_right_upper, Dense};
+use mwp_blockmat::kernel::{Kernel, PackedB};
+use mwp_blockmat::lu::{lu_blocked_with, trsm_left_unit_lower_with, trsm_right_upper_with, Dense, NB};
 use mwp_blockmat::{Block, BlockMatrix, BlockOrder, SharedPayloads};
 use mwp_msg::session::{RunExit, RUN_ABORT, RUN_BEGIN, RUN_END};
 use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
@@ -839,13 +839,16 @@ impl WorkerState {
     }
 }
 
-/// The worker program of a worker of memory `memory_cap` blocks, holding
-/// its [`WorkerState`] across runs: what an in-process session worker
-/// runs, and what [`crate::remote::serve`] drives on a socket — for
-/// products and LU factorizations alike.
-pub(crate) fn program(memory_cap: usize) -> impl FnMut(u32, &WorkerEndpoint) -> RunExit + Send {
+/// The worker program of a worker of memory `memory_cap` blocks that
+/// computes with `kernel`, holding its [`WorkerState`] across runs: what an
+/// in-process session worker runs, and what [`crate::remote::serve`]
+/// drives on a socket — for products and LU factorizations alike.
+pub(crate) fn program(
+    memory_cap: usize,
+    kernel: &'static Kernel,
+) -> impl FnMut(u32, &WorkerEndpoint) -> RunExit + Send {
     let mut state = WorkerState::new();
-    move |q, ep| serve_run(ep, q as usize, memory_cap, &mut state)
+    move |q, ep| serve_run(ep, q as usize, memory_cap, kernel, &mut state)
 }
 
 /// Algorithm 2: the worker program, serving **one wake** of a session —
@@ -880,17 +883,16 @@ pub(crate) fn program(memory_cap: usize) -> impl FnMut(u32, &WorkerEndpoint) -> 
 /// reused by every A block of the step (the paper keeps B resident on the
 /// worker precisely so A can stream against it — repacking per update was
 /// pure waste). Pack buffers are recycled alongside the scratch blocks,
-/// so a held session keeps them warm across runs.
+/// so a held session keeps them warm across runs. Every pack, block update
+/// and panel solve runs through `kernel`, the one this worker was built
+/// with.
 fn serve_run(
     ep: &WorkerEndpoint,
     q: usize,
     memory_cap: usize,
+    kernel: &Kernel,
     state: &mut WorkerState,
 ) -> RunExit {
-    // The block-update kernel, resolved per wake from the cached
-    // dispatch table — block updates in the loop below never touch
-    // dispatch again.
-    let kernel = mwp_blockmat::kernel::active();
     // The generation that woke this worker: the outer loop consumed its
     // RUN_BEGIN, whose header generation the endpoint adopted.
     state.open(ep.current_run(), q);
@@ -926,12 +928,7 @@ fn serve_run(
                 state.open(gen, frame.tag.j as usize);
                 continue;
             }
-            (FrameKind::Shutdown, _) => {
-                // The worker process may exit right after this returns:
-                // wait for the writer thread, don't just hand off.
-                record::sync();
-                return RunExit::Terminate;
-            }
+            (FrameKind::Shutdown, _) => return RunExit::Terminate,
             // Heartbeats are swallowed inside `WorkerEndpoint::recv` before
             // a program ever sees a frame.
             (FrameKind::CResult | FrameKind::Heartbeat, _) => {
@@ -1010,7 +1007,7 @@ fn serve_run(
                     return RunExit::Terminate;
                 };
                 let tc = record::begin();
-                let reply = solve_panel(ep, run.q, frame.tag, parts, gen);
+                let reply = solve_panel(ep, kernel, run.q, frame.tag, parts, gen);
                 record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "panel");
                 ep.send_in(gen, Frame::new(frame.tag, reply));
             }
@@ -1092,19 +1089,20 @@ fn panel_task(q: usize, tag: Tag, payload: &[u8]) -> Option<[Dense; 3]> {
 }
 
 /// The pivot chain of one LU step (Section 7.2) on the parts of the task
-/// `tag` of run `run`: factor the pivot, solve the vertical panel against
-/// its `U` and the horizontal one against its `L`, and return all three in
-/// the task's layout, built in the endpoint's buffer pool.
-fn solve_panel(ep: &WorkerEndpoint, q: usize, tag: Tag, parts: [Dense; 3], run: u32) -> Bytes {
+/// `tag` of run `run`, through `kernel`: factor the pivot, solve the
+/// vertical panel against its `U` and the horizontal one against its `L`,
+/// and return all three in the task's layout, built in the endpoint's
+/// buffer pool.
+fn solve_panel(ep: &WorkerEndpoint, kernel: &Kernel, q: usize, tag: Tag, parts: [Dense; 3], run: u32) -> Bytes {
     let [mut pivot, mut vertical, mut horizontal] = parts;
     let len = 8 * [&pivot, &vertical, &horizontal].map(|d| d.rows() * d.cols()).iter().sum::<usize>();
     let tk = record::begin();
-    lu_factor_in_place(&mut pivot);
+    lu_blocked_with(kernel, &mut pivot, NB);
     record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "factor");
     if tag.j > 0 {
         let tk = record::begin();
-        trsm_right_upper(&mut vertical, &pivot);
-        trsm_left_unit_lower(&mut horizontal, &pivot);
+        trsm_right_upper_with(kernel, &mut vertical, &pivot);
+        trsm_left_unit_lower_with(kernel, &mut horizontal, &pivot);
         record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "trsm");
     }
     let layout = panel_parts(tag.i as usize, tag.j as usize);

@@ -47,6 +47,7 @@ use crate::runtime::{
     validate_product_shapes, Port, RunOutcome, RuntimeError,
 };
 use crate::selection::incremental::SelectionRule;
+use mwp_blockmat::kernel::{self, Kernel};
 use mwp_blockmat::BlockMatrix;
 use mwp_msg::config::Config;
 use mwp_msg::session::Session;
@@ -102,7 +103,8 @@ impl RuntimeSession {
     /// holding its scratch state (and its endpoint's payload buffer pool)
     /// across runs. `time_scale` paces the links (0 = off), exactly as in
     /// the one-shot entry points. The frames travel over in-process
-    /// channels.
+    /// channels, and every worker computes with the fastest kernel this
+    /// CPU runs.
     pub fn new(platform: &Platform, time_scale: f64) -> Self {
         Self::with_transport(platform, time_scale, TransportMode::Channel)
     }
@@ -112,7 +114,28 @@ impl RuntimeSession {
     /// cross-validate the channel and socket backends bit-for-bit inside
     /// one process.
     pub fn with_transport(platform: &Platform, time_scale: f64, mode: TransportMode) -> Self {
-        let inner = Session::spawn_with_transport(platform, time_scale, mode, |_, params| program(params.m));
+        Self::with_kernels(platform, time_scale, mode, &vec![kernel::active(); platform.len()])
+    }
+
+    /// [`RuntimeSession::with_transport`] whose worker `i` computes with
+    /// `kernels[i]` — every pack, block update and panel solve it runs. A
+    /// fleet of `scalar` workers reproduces the scalar serial references
+    /// bit for bit; one mixing `avx2` and `avx512` workers computes at two
+    /// speeds and returns a homogeneous fleet's bits, as the two kernels
+    /// agree bit for bit.
+    ///
+    /// # Panics
+    /// If `kernels` does not name one kernel per platform worker.
+    pub fn with_kernels(
+        platform: &Platform,
+        time_scale: f64,
+        mode: TransportMode,
+        kernels: &[&'static Kernel],
+    ) -> Self {
+        assert_eq!(kernels.len(), platform.len(), "one kernel per worker");
+        let inner = Session::spawn_with_transport(platform, time_scale, mode, |id, params| {
+            program(params.m, kernels[id.index()])
+        });
         Self::over(inner)
     }
 
@@ -478,7 +501,7 @@ mod tests {
                 if rogue(id) {
                     return rogue_program(reply);
                 }
-                Box::new(program(params.m))
+                Box::new(program(params.m, kernel::active()))
             },
         ))
     }

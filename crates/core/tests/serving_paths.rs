@@ -9,11 +9,13 @@
 //! per-chunk `k`-order identical to the solo run; these tests pin that.
 
 use mwp_blockmat::fill::random_matrix;
-use mwp_blockmat::gemm::gemm_serial;
+use mwp_blockmat::gemm::gemm_serial_with;
+use mwp_blockmat::kernel::{active, available, Kernel};
 use mwp_blockmat::BlockMatrix;
 use mwp_core::runtime::RuntimeError;
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
+use mwp_msg::TransportMode;
 use mwp_platform::Platform;
 
 fn platform(p: usize, m: usize) -> Platform {
@@ -52,11 +54,17 @@ fn job(r: usize, t: usize, s: usize, q: usize, seed: u64) -> JobSpec {
     }
 }
 
-/// Serial reference: the same job on a fresh exclusive session — itself
-/// pinned to the single-threaded product, because the solo run shares its
-/// master loop with the serving tier it is the reference for.
-fn solo(pf: &Platform, spec: &JobSpec) -> BlockMatrix {
-    let session = RuntimeSession::new(pf, 0.0);
+/// A channel fleet for `pf` whose every worker computes with `kernel`.
+fn fleet(pf: &Platform, kernel: &'static Kernel) -> RuntimeSession {
+    RuntimeSession::with_kernels(pf, 0.0, TransportMode::Channel, &vec![kernel; pf.len()])
+}
+
+/// Serial reference: the same job on a fresh exclusive session of
+/// `kernel` workers — itself pinned to the single-threaded product through
+/// `kernel`, because the solo run shares its master loop with the serving
+/// tier it is the reference for.
+fn solo(pf: &Platform, kernel: &'static Kernel, spec: &JobSpec) -> BlockMatrix {
+    let session = fleet(pf, kernel);
     let out = if spec.select {
         session.run_holm(&spec.a, &spec.b, spec.c.clone()).unwrap()
     } else {
@@ -64,8 +72,8 @@ fn solo(pf: &Platform, spec: &JobSpec) -> BlockMatrix {
     };
     session.shutdown();
     let mut serial = spec.c.clone();
-    gemm_serial(&mut serial, &spec.a, &spec.b);
-    assert_bits_identical(&out.c, &serial, "solo run vs gemm_serial");
+    gemm_serial_with(kernel, &mut serial, &spec.a, &spec.b);
+    assert_bits_identical(&out.c, &serial, "solo run vs gemm_serial_with");
     out.c
 }
 
@@ -73,35 +81,35 @@ fn solo(pf: &Platform, spec: &JobSpec) -> BlockMatrix {
 fn concurrent_jobs_bit_identical_to_serial() {
     // 4 dispatcher threads over 4 workers: up to 4 job generations
     // interleave on the same links. Batching off — this test isolates
-    // the concurrency axis.
+    // the concurrency axis. Once per kernel this CPU runs.
     let pf = platform(4, 60);
-    let server =
-        MatrixServer::with_options(RuntimeSession::new(&pf, 0.0), 4, false);
-
     let specs: Vec<JobSpec> =
         (0..6).map(|j| job(5, 4, 6, 8, 100 + 10 * j)).collect();
-    let done: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .iter()
-            .map(|spec| {
-                let spec = spec.clone();
-                let server = &server;
-                scope.spawn(move || server.run(spec))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    for kernel in available() {
+        let server = MatrixServer::with_options(fleet(&pf, kernel), 4, false);
+        let done: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|spec| {
+                    let spec = spec.clone();
+                    let server = &server;
+                    scope.spawn(move || server.run(spec))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
 
-    for (spec, completed) in specs.iter().zip(&done) {
-        let got = completed.result.as_ref().unwrap();
-        assert_bits_identical(&got.c, &solo(&pf, spec), "concurrent job");
-        assert!(completed.report.run_gen > 0, "job runs get real generations");
-        assert!(got.blocks_moved > 0);
+        for (spec, completed) in specs.iter().zip(&done) {
+            let got = completed.result.as_ref().unwrap();
+            assert_bits_identical(&got.c, &solo(&pf, kernel, spec), kernel.name());
+            assert!(completed.report.run_gen > 0, "job runs get real generations");
+            assert!(got.blocks_moved > 0);
+        }
+        // Batching was off, so every job must have run alone.
+        assert!(done.iter().all(|c| c.report.batched_with == 0));
+        assert_eq!(server.dead_workers(), 0);
+        server.shutdown();
     }
-    // Batching was off, so every job must have run alone.
-    assert!(done.iter().all(|c| c.report.batched_with == 0));
-    assert_eq!(server.dead_workers(), 0);
-    server.shutdown();
 }
 
 #[test]
@@ -123,7 +131,7 @@ fn interleaved_generations_bit_identical_to_serial() {
     let mut gens = Vec::new();
     for (spec, completed) in specs.iter().zip(&done) {
         let got = completed.result.as_ref().unwrap();
-        assert_bits_identical(&got.c, &solo(&pf, spec), "interleaved job");
+        assert_bits_identical(&got.c, &solo(&pf, active(), spec), "interleaved job");
         assert_eq!(got.workers_used, 5, "small-matrix regime enrolls Q = 5");
         assert_eq!(got.chunk_side, 4, "small-matrix regime picks ν = 4");
         gens.push(completed.report.run_gen);
@@ -154,14 +162,14 @@ fn batched_small_q_jobs_bit_identical_to_solo() {
     let plug_done = plug_handle.wait();
     assert_bits_identical(
         &plug_done.result.as_ref().unwrap().c,
-        &solo(&pf, &plug),
+        &solo(&pf, active(), &plug),
         "plug job",
     );
 
     let done: Vec<_> = small_handles.into_iter().map(|h| h.wait()).collect();
     for (spec, completed) in smalls.iter().zip(&done) {
         let got = completed.result.as_ref().unwrap();
-        assert_bits_identical(&got.c, &solo(&pf, spec), "batched job");
+        assert_bits_identical(&got.c, &solo(&pf, active(), spec), "batched job");
     }
     // The queued compatible jobs fused: same generation, mutual
     // batched_with counts. (All four piled up behind the plug, so they
@@ -196,7 +204,7 @@ fn incompatible_shapes_never_share_a_generation() {
 
     for (spec, completed) in shape_a.iter().zip(&da).chain(shape_b.iter().zip(&db)) {
         let got = completed.result.as_ref().unwrap();
-        assert_bits_identical(&got.c, &solo(&pf, spec), "mixed-shape job");
+        assert_bits_identical(&got.c, &solo(&pf, active(), spec), "mixed-shape job");
     }
     // A job of one shape may never ride a composite run of the other.
     for a in &da {
@@ -281,7 +289,7 @@ fn invalid_job_fails_without_poisoning_the_server() {
     let completed = server.run(good.clone());
     assert_bits_identical(
         &completed.result.unwrap().c,
-        &solo(&pf, &good),
+        &solo(&pf, active(), &good),
         "job after a rejected one",
     );
     assert_eq!(server.dead_workers(), 0);
@@ -318,7 +326,7 @@ fn holm_selection_jobs_also_serve_bit_identically() {
         let completed = server.run(spec.clone());
         assert_bits_identical(
             &completed.result.unwrap().c,
-            &solo(&pf, &spec),
+            &solo(&pf, active(), &spec),
             "select=true job",
         );
     }

@@ -693,6 +693,9 @@ impl Session {
         for pump in self.pumps.drain(..) {
             let _ = pump.join();
         }
+        // The master process may exit next: the spans of the teardown
+        // itself, and any batch still queued, reach the trace file first.
+        record::sync();
         joined
     }
 }
@@ -711,7 +714,8 @@ impl Drop for Session {
 /// threads and **remote worker processes** (the `mwp-worker` binary)
 /// alike. Parks in `ep.recv()` between runs (blocking, no polling); each
 /// `RUN_BEGIN` invokes `program` with the run parameter; returns when the
-/// master sends a shutdown frame or the connection/channel closes.
+/// master sends a shutdown frame or the connection/channel closes, with
+/// every span this process recorded on disk ([`record::sync`]).
 pub fn serve_worker<P>(ep: WorkerEndpoint, program: &mut P)
 where
     P: FnMut(u32, &WorkerEndpoint) -> RunExit,
@@ -719,13 +723,13 @@ where
     loop {
         let frame = match ep.recv() {
             Ok(f) => f,
-            Err(_) => return, // master endpoint dropped: implicit shutdown
+            Err(_) => break, // master endpoint dropped: implicit shutdown
         };
         match frame.tag.kind {
-            FrameKind::Shutdown => return,
+            FrameKind::Shutdown => break,
             FrameKind::Control if frame.tag.i == RUN_BEGIN => {
                 if program(frame.tag.j, &ep) == RunExit::Terminate {
-                    return;
+                    break;
                 }
             }
             // A stray lifecycle frame while parked is harmless: an abort
@@ -735,6 +739,9 @@ where
             other => unreachable!("{other:?} frame outside a run (tag {:?})", frame.tag),
         }
     }
+    // A worker process may exit right after this returns: wait for the
+    // trace writer, don't just hand off.
+    record::sync();
 }
 
 /// Stable identity of a platform + pacing configuration — the bytes a

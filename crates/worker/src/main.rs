@@ -2,12 +2,13 @@
 //! runtimes.
 //!
 //! Dials a master's transport listener, enrolls (sending a fingerprint
-//! naming this binary's version and its dispatched compute kernel), and
-//! serves `RUN_BEGIN`/`RUN_END`-delimited session runs over the socket
-//! until the master shuts the session down. It runs one program, the
-//! service its enrollment welcome names (`SERVICE_MATRIX`): the
-//! matrix-product block server, whose chunk exchanges and `LuPanel`
-//! exchange serve products and LU factorizations alike.
+//! naming this binary's version and the compute kernel it runs — the
+//! fastest its machine supports), and serves `RUN_BEGIN`/`RUN_END`-delimited
+//! session runs over the socket until the master shuts the session down.
+//! It runs one program, the service its enrollment welcome names
+//! (`SERVICE_MATRIX`): the matrix-product block server, whose chunk
+//! exchanges and `LuPanel` exchange serve products and LU factorizations
+//! alike.
 //!
 //! ```text
 //! mwp-worker --connect tcp://192.168.0.10:4455
@@ -138,8 +139,9 @@ fn main() -> ExitCode {
         std::process::exit(2)
     });
     // The fingerprint the master records for this connection: binary
-    // version plus the dispatched kernel. `avx2` and `avx512` compute the
-    // same bits, so only a `scalar` worker does different arithmetic —
+    // version plus the kernel `remote::serve` computes with, this
+    // machine's fastest. `avx2` and `avx512` compute the same bits, so only
+    // a `scalar` worker (a CPU without AVX2) does different arithmetic —
     // which a master log can spot here.
     let fingerprint = format!(
         "mwp-worker/{} kernel={}",

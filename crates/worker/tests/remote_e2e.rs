@@ -6,21 +6,27 @@
 //! pooled-session runs over one connection, so the session protocol's
 //! park/wake cycle is exercised across a process boundary too.
 //!
-//! The spawned processes inherit this test's environment, so the
-//! `MWP_KERNEL` CI legs force the same kernel on both sides
-//! of the wire (a star mixing `scalar` with a SIMD kernel computes
-//! different bits, which a real deployment surfaces via
-//! [`RuntimeSession::worker_fingerprints`]; `avx2` and `avx512` workers
-//! agree bit for bit).
+//! A worker process computes with the fastest kernel its CPU runs, and so
+//! does the in-process reference fleet on the same machine (a star mixing
+//! `scalar` with a SIMD kernel computes different bits, which a real
+//! deployment surfaces via [`RuntimeSession::worker_fingerprints`]; `avx2`
+//! and `avx512` workers agree bit for bit).
 //! The fleet's own settings are not ambient: the masters accept under a
-//! literal `Config` and the workers are handed its secret (`common`).
+//! literal `Config` and the workers are handed its secret (`common`) — and,
+//! in the tracing test, a trace file each.
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
+use mwp_blockmat::Partition;
+use mwp_core::schedule::{PortOp, Schedule};
 use mwp_core::session::RuntimeSession;
+use mwp_core::MemoryLayout;
 use mwp_lu::runtime::factor;
+use mwp_lu::schedule::{lu_schedule, LuOp};
 use mwp_msg::transport::TransportListener;
 use mwp_msg::TransportMode;
-use mwp_platform::Platform;
+use mwp_platform::{Platform, WorkerId};
+use mwp_trace::{chrome, ActivityKind, Resource};
+use std::collections::BTreeSet;
 use std::process::Child;
 
 mod common;
@@ -116,4 +122,67 @@ fn dropping_a_remote_session_shuts_workers_down() {
     remote.run_holm(&a, &b, c0).unwrap();
     drop(remote);
     reap(children);
+}
+
+/// `MWP_TRACE` in worker processes: two `mwp-worker`s, each streaming to a
+/// file of its own, serve a HoLM run and an LU run over TCP. After
+/// shutdown each file parses and holds exactly its worker's `Compute`
+/// spans, counted off the two runs' schedules — the flush at every run
+/// close and the `sync` at shutdown put each one on disk before the
+/// process exits.
+#[test]
+fn traced_worker_processes_stream_their_compute_spans() {
+    let platform = Platform::homogeneous(2, 1.0, 4.0, 60).unwrap();
+    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let paths: Vec<_> = (0..2)
+        .map(|i| std::env::temp_dir().join(format!("mwp-worker-trace-{}-{i}.json", std::process::id())))
+        .collect();
+    let children = paths
+        .iter()
+        .map(|path| {
+            let _ = std::fs::remove_file(path);
+            let mut worker = common::worker_command(&listener.endpoint(), "");
+            worker.env("MWP_TRACE", format!("json:{}", path.display())).spawn().expect("spawn mwp-worker")
+        })
+        .collect();
+    let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
+    let (q, (r, t, s), (n, mu)) = (4, (8, 3, 8), (5, 2));
+    let (a, b, c0) = (random_matrix(r, t, q, 341), random_matrix(t, s, q, 342), random_matrix(r, s, q, 343));
+    let holm = remote.run_holm(&a, &b, c0).unwrap();
+    assert!(!factor(&remote, &random_diagonally_dominant(n, q, 344), mu).aborted);
+    remote.shutdown();
+    reap(children);
+
+    // One `Compute` span per A block a `Step` streams, one per `Panel`.
+    let step = |op: &PortOp| match op {
+        PortOp::Step { worker, chunk, .. } => Some((*worker, chunk.height)),
+        _ => None,
+    };
+    let problem = Partition::from_blocks(r, s, t, q);
+    let holm_ops = Schedule::algorithm1(&problem, holm.chunk_side, holm.workers_used, 1).ops;
+    let side = MemoryLayout::MaxReuseOverlapped.mu(60);
+    let lu_ops = lu_schedule(n, mu, &[side, side]);
+    let mut want = [0usize; 2];
+    let lu_spans = lu_ops.iter().filter_map(|op| match op {
+        LuOp::Panel { worker, .. } => Some((*worker, 1)),
+        LuOp::Chunk(op) => step(op),
+    });
+    for (worker, spans) in holm_ops.iter().filter_map(step).chain(lu_spans) {
+        want[worker.index()] += spans;
+    }
+    let mut streamed = BTreeSet::new();
+    for path in &paths {
+        let json = std::fs::read_to_string(path).expect("the worker wrote its trace file");
+        std::fs::remove_file(path).expect("remove the trace file");
+        let trace = chrome::from_json(&json).expect("the streamed file parses");
+        let on: Vec<Resource> =
+            trace.activities.iter().filter(|a| a.kind == ActivityKind::Compute).map(|a| a.resource).collect();
+        let Some(&Resource::Worker(WorkerId(w))) = on.first() else {
+            panic!("{}: no worker compute spans", path.display())
+        };
+        assert!(on.iter().all(|&r| r == on[0]), "{}: compute spans of one worker expected", path.display());
+        assert_eq!(on.len(), want[w], "worker {w}'s compute spans");
+        streamed.insert(w);
+    }
+    assert_eq!(streamed.len(), 2, "each worker streamed its own file");
 }

@@ -5,16 +5,17 @@
 //! the per-call-pack path it replaced — same microkernel, same
 //! per-element k-accumulation order, the pack being pure data movement.
 //!
-//! Each block-level test iterates every kernel this CPU runs (scalar's
-//! verbatim row-major pack, AVX2's 8-wide panels, AVX-512's 16-wide ones);
-//! the runtime tests use the dispatched kernel, which the CI matrix also
-//! forces to `MWP_KERNEL=scalar`. `Block::gemm_acc_with`
+//! Each block-level test, and the serial product's, iterates every kernel
+//! this CPU runs (scalar's verbatim row-major pack, AVX2's 8-wide panels,
+//! AVX-512's 16-wide ones); the runtime tests here use the fastest, and
+//! `kernel_paths`, `session_reuse` and `transport_paths` run the workers'
+//! packs under every kernel. `Block::gemm_acc_with`
 //! (pack inside every call) is the reference these comparisons run
 //! against; no whole-matrix or worker layer packs per call any more.
 
 use master_worker_matrix::prelude::*;
 use mwp_blockmat::fill::{random_block, random_diagonally_dominant, random_matrix};
-use mwp_blockmat::gemm::gemm_serial;
+use mwp_blockmat::gemm::{gemm_serial, gemm_serial_with};
 use mwp_blockmat::kernel::{available, PackedB};
 use mwp_blockmat::lu::{lu_blocked_in_place, Dense};
 use mwp_blockmat::Block;
@@ -75,9 +76,9 @@ fn pack_buffer_reuse_across_shapes_is_bit_identical() {
     }
 }
 
-/// The whole-matrix products (which pack each B block once per `(k, j)`)
+/// The whole-matrix product (which packs each B block once per `(k, j)`)
 /// against a hand-rolled per-call-pack triple loop in the historical
-/// i → j → k order: bit-identical, tail block side.
+/// i → j → k order: bit-identical under every kernel, tail block side.
 #[test]
 fn gemm_serial_and_parallel_match_per_call_triple_loop_bitwise() {
     let q = 33;
@@ -86,21 +87,22 @@ fn gemm_serial_and_parallel_match_per_call_triple_loop_bitwise() {
     let b = random_matrix(t, s, q, 952);
     let c0 = random_matrix(r, s, q, 953);
 
-    // The PR 2 path: per-call packing inside every gemm_acc, i-outer.
-    let kernel = mwp_blockmat::kernel::active();
-    let mut per_call = c0.clone();
-    for i in 0..r {
-        for j in 0..s {
-            let cij = per_call.block_mut(i, j);
-            for k in 0..t {
-                cij.gemm_acc_with(kernel, a.block(i, k), b.block(k, j));
+    for kernel in available() {
+        // Per-call packing inside every gemm_acc, i-outer.
+        let mut per_call = c0.clone();
+        for i in 0..r {
+            for j in 0..s {
+                let cij = per_call.block_mut(i, j);
+                for k in 0..t {
+                    cij.gemm_acc_with(kernel, a.block(i, k), b.block(k, j));
+                }
             }
         }
-    }
 
-    let mut serial = c0.clone();
-    gemm_serial(&mut serial, &a, &b);
-    assert_eq!(serial.max_abs_diff(&per_call), 0.0, "gemm_serial must be bit-identical");
+        let mut serial = c0.clone();
+        gemm_serial_with(kernel, &mut serial, &a, &b);
+        assert_eq!(serial.max_abs_diff(&per_call), 0.0, "{}: gemm_serial_with must be bit-identical", kernel.name());
+    }
 }
 
 /// The threaded runtimes inherit the equivalence end to end: the worker's

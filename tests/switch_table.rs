@@ -13,7 +13,7 @@ use std::time::Duration;
 
 /// Every `"MWP_…"` string literal in the `.rs` files under `dir`, with
 /// the files it occurs in — the shape of each `env::var` read (messages
-/// like `"MWP_KERNEL: {e}"` do not close the quote right after the name,
+/// like `"MWP_TRACE: {e}"` do not close the quote right after the name,
 /// so they do not match).
 fn names_read_under(dir: &Path, out: &mut BTreeMap<String, BTreeSet<PathBuf>>) {
     for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
@@ -74,7 +74,7 @@ fn readme_switch_table_lists_exactly_the_variables_the_code_reads() {
         read, documented,
         "left: MWP_* variables read under src/ and crates/*/src; right: README table rows"
     );
-    assert_eq!(documented.len(), 7, "the README counts its switches: {documented:?}");
+    assert_eq!(documented.len(), 6, "the README counts its switches: {documented:?}");
 }
 
 #[test]
@@ -97,25 +97,30 @@ fn config_default_is_the_readme_defaults() {
     assert_eq!(config.fault, None);
 }
 
-/// The `MWP_KERNEL` row's values are the dispatch table: *auto* plus
-/// exactly the names `by_name`'s refusal cites, so a kernel row cannot be
-/// added or retired without the README following. (x86_64 builds compile
-/// every row; other targets carry fewer.)
+/// The README's kernel table lists exactly the dispatch table — the
+/// names `by_name`'s refusal cites — so a kernel row cannot be added or
+/// retired without the README following. (x86_64 builds compile every
+/// row; other targets carry fewer.)
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn readme_kernel_values_are_the_dispatch_table() {
-    let rows = readme_rows(Path::new(env!("CARGO_MANIFEST_DIR")));
-    let documented: BTreeSet<&str> =
-        rows["MWP_KERNEL"].split(',').map(|value| value.trim().trim_matches('`')).collect();
+    let readme = fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("README.md")).expect("README.md exists");
+    let rows = readme.split("| kernel |").nth(1).expect("README has a kernel table");
+    // Past the header's tail and the separator, one row per kernel.
+    let documented: BTreeSet<&str> = rows
+        .lines()
+        .skip(2)
+        .map_while(|line| line.strip_prefix("| `"))
+        .map(|rest| rest.split('`').next().expect("split yields a first piece"))
+        .collect();
     let refusal = mwp_blockmat::kernel::by_name("?").expect_err("'?' names no kernel");
     let cited = refusal
         .split("(valid: ")
         .nth(1)
         .and_then(|rest| rest.strip_suffix(')'))
         .unwrap_or_else(|| panic!("refusal does not list the valid names: {refusal}"));
-    let mut table: BTreeSet<&str> = cited.split(", ").collect();
-    table.insert("*auto*");
-    assert_eq!(documented, table, "left: README MWP_KERNEL values; right: dispatch table");
+    let table: BTreeSet<&str> = cited.split(", ").collect();
+    assert_eq!(documented, table, "left: README kernel table; right: dispatch table");
 }
 
 /// The `name = "…"` of every package and target table in the

@@ -18,17 +18,20 @@
 //!   run spans of the same generation,
 //! * an LU run's spans in the product's vocabulary: `factor` / `trsm`
 //!   kernel spans inside each panel's `Compute` span, and the trailing
-//!   updates' `gemm` / `A update` / `pack B`, counted off the schedule.
+//!   updates' `gemm` / `A update` / `pack B`, counted off the schedule,
+//! * the operator's sink: `mwp-run --execute` under `MWP_TRACE=json:<path>`
+//!   streams the spans a capture of the same run records, kind by kind.
 //!
-//! The compute kernel under the captured runs follows `MWP_KERNEL`, so
-//! the CI matrix exercises these invariants under both kernels; the
-//! transport is an input of the randomized HoLM captures, so the port's
-//! wait and transfer spans are also checked over a real socket stack.
+//! The transport is an input of the randomized HoLM captures, so the
+//! port's wait and transfer spans are also checked over a real socket
+//! stack. (`crates/worker/tests/remote_e2e.rs` checks the sink of worker
+//! processes.)
 //!
 //! Captures are process-global, so every capturing test serializes on
 //! [`CAPTURE_LOCK`].
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
+use mwp_core::runtime::run_holm;
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
 use mwp_core::schedule::PortOp;
@@ -41,7 +44,8 @@ use mwp_trace::chrome;
 use mwp_trace::record::Capture;
 use mwp_trace::{Activity, ActivityKind, Resource, Trace};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::process::{Command, Stdio};
 use std::sync::{Mutex, MutexGuard};
 
 static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
@@ -325,4 +329,47 @@ fn lu_run_records_kernel_spans_inside_compute_spans() {
     // The pivot chain stayed on worker 0.
     let factors = trace.on(Resource::WorkerDetail(WorkerId(0)));
     assert_eq!(factors.filter(|a| &*a.label == "factor").count(), 3);
+}
+
+/// Spans per kind, `wait` annotations left out: one is recorded only when
+/// the clock advanced while the caller was arbitrated, which two runs of
+/// one schedule need not share.
+fn kind_counts(trace: &Trace) -> BTreeMap<&'static str, usize> {
+    let mut counts = BTreeMap::new();
+    for a in trace.activities.iter().filter(|a| a.kind != ActivityKind::Wait) {
+        *counts.entry(a.kind.name()).or_default() += 1;
+    }
+    counts
+}
+
+/// `mwp-run --execute` under `MWP_TRACE=json:<path>` streams to `path`
+/// the spans a [`Capture`] of the same run — platform, shape and seeds —
+/// records in this process, kind by kind: the run's close flushes them to
+/// the writer, and the session's shutdown waits for it before the process
+/// exits. The file reads back through `chrome::from_json`.
+#[test]
+fn mwp_run_streams_the_spans_a_capture_of_the_same_run_records() {
+    let path = std::env::temp_dir().join(format!("mwp-run-trace-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let (workers, q, (r, t, s)) = (2, 8, (8, 3, 8));
+    let status = Command::new(env!("CARGO_BIN_EXE_mwp-run"))
+        .args(["--workers", &workers.to_string(), "--blocks", &format!("{r}x{t}x{s}"), "--q", &q.to_string()])
+        .args(["--mem", "60", "--c", "1.0", "--w", "4.0", "--execute"])
+        .env("MWP_TRACE", format!("json:{}", path.display()))
+        .stdout(Stdio::null())
+        .status()
+        .expect("spawn mwp-run");
+    assert!(status.success(), "mwp-run exited with {status}");
+    let json = std::fs::read_to_string(&path).expect("mwp-run wrote its trace file");
+    std::fs::remove_file(&path).expect("remove the trace file");
+    let streamed = chrome::from_json(&json).expect("the streamed file parses");
+
+    let _serial = capture_lock();
+    let pf = Platform::homogeneous(workers, 1.0, 4.0, 60).expect("valid platform");
+    let (a, b, c0) = (random_matrix(r, t, q, 1), random_matrix(t, s, q, 2), random_matrix(r, s, q, 3));
+    let capture = Capture::begin();
+    let outcome = run_holm(&pf, &a, &b, c0, 0.0).expect("run succeeds");
+    let captured = capture.end();
+    assert_eq!(outcome.workers_used, workers, "every worker streams spans");
+    assert_eq!(kind_counts(&streamed), kind_counts(&captured), "left: mwp-run's file; right: a capture");
 }

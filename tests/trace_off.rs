@@ -7,8 +7,9 @@
 //!
 //! This file installs a counting global allocator, so it holds exactly
 //! one `#[test]` — a second test running concurrently would alloc into
-//! the counter. When the suite itself runs under `MWP_TRACE=json:…`
-//! (the CI tracing leg) the premise is false and the test skips itself.
+//! the counter. When someone runs the suite with `MWP_TRACE=json:…` set
+//! (to record its timelines) the premise is false and the test skips
+//! itself; CI sets no `MWP_*` variable, so there it always runs.
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_core::session::RuntimeSession;

@@ -12,17 +12,25 @@
 //! backends are compared inside one process. No CI leg re-runs the suite
 //! per transport: what crosses a socket is asserted here, in
 //! `mwp-msg`'s own loopback tests, and over real worker processes in
-//! `crates/worker/tests`.
+//! `crates/worker/tests`. Nor per kernel: the HoLM and LU comparisons run
+//! once per kernel this CPU runs, every worker built with it.
 
 use master_worker_matrix::prelude::*;
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
-use mwp_blockmat::gemm::gemm_serial;
+use mwp_blockmat::gemm::gemm_serial_with;
+use mwp_blockmat::kernel::{available, Kernel};
 use mwp_core::runtime::RuntimeError;
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
 use mwp_lu::runtime::factor;
 use mwp_msg::TransportMode;
 use std::time::Duration;
+
+/// A fleet for `platform` over `mode` whose every worker computes with
+/// `kernel`.
+fn fleet(platform: &Platform, mode: TransportMode, kernel: &'static Kernel) -> RuntimeSession {
+    RuntimeSession::with_kernels(platform, 0.0, mode, &vec![kernel; platform.len()])
+}
 
 /// The socket modes this platform can run.
 fn socket_modes() -> Vec<TransportMode> {
@@ -36,34 +44,33 @@ fn socket_modes() -> Vec<TransportMode> {
 #[test]
 fn holm_over_sockets_matches_channels_bitwise() {
     let platform = Platform::homogeneous(4, 4.0, 1.0, 60).unwrap();
-    let channel = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
-    for mode in socket_modes() {
-        let socket = RuntimeSession::with_transport(&platform, 0.0, mode);
-        // Consecutive runs on one socket session, with a q change in the
-        // middle (scratch reset on the far side of a real socket).
-        for (round, q) in [(0u64, 8usize), (1, 8), (2, 33)] {
-            let a = random_matrix(5, 7, q, 131 + round);
-            let b = random_matrix(7, 9, q, 141 + round);
-            let c0 = random_matrix(5, 9, q, 151 + round);
-            let over_socket = socket.run_holm(&a, &b, c0.clone()).unwrap();
-            let over_channel = channel.run_holm(&a, &b, c0.clone()).unwrap();
-            assert_eq!(
-                over_socket.c.max_abs_diff(&over_channel.c),
-                0.0,
-                "{mode:?} round {round} (q = {q}): socket vs channel bits"
-            );
-            assert_eq!(over_socket.blocks_moved, over_channel.blocks_moved, "{mode:?} {round}");
-            assert_eq!(over_socket.workers_used, over_channel.workers_used, "{mode:?} {round}");
-            assert_eq!(over_socket.chunk_side, over_channel.chunk_side, "{mode:?} {round}");
+    for kernel in available() {
+        let channel = fleet(&platform, TransportMode::Channel, kernel);
+        for mode in socket_modes() {
+            let socket = fleet(&platform, mode, kernel);
+            // Consecutive runs on one socket session, with a q change in the
+            // middle (scratch reset on the far side of a real socket).
+            for (round, q) in [(0u64, 8usize), (1, 8), (2, 33)] {
+                let a = random_matrix(5, 7, q, 131 + round);
+                let b = random_matrix(7, 9, q, 141 + round);
+                let c0 = random_matrix(5, 9, q, 151 + round);
+                let what = format!("{} {mode:?} round {round} (q = {q})", kernel.name());
+                let over_socket = socket.run_holm(&a, &b, c0.clone()).unwrap();
+                let over_channel = channel.run_holm(&a, &b, c0.clone()).unwrap();
+                assert_eq!(over_socket.c.max_abs_diff(&over_channel.c), 0.0, "{what}: socket vs channel bits");
+                assert_eq!(over_socket.blocks_moved, over_channel.blocks_moved, "{what}");
+                assert_eq!(over_socket.workers_used, over_channel.workers_used, "{what}");
+                assert_eq!(over_socket.chunk_side, over_channel.chunk_side, "{what}");
 
-            // And both match the serial oracle product bit-for-bit.
-            let mut serial = c0;
-            gemm_serial(&mut serial, &a, &b);
-            assert_eq!(over_socket.c.max_abs_diff(&serial), 0.0, "{mode:?} {round} vs serial");
+                // And both match the serial product bit-for-bit.
+                let mut serial = c0;
+                gemm_serial_with(kernel, &mut serial, &a, &b);
+                assert_eq!(over_socket.c.max_abs_diff(&serial), 0.0, "{what} vs serial");
+            }
+            assert_eq!(socket.shutdown(), 4);
         }
-        assert_eq!(socket.shutdown(), 4);
+        channel.shutdown();
     }
-    channel.shutdown();
 }
 
 #[test]
@@ -98,23 +105,26 @@ fn heterogeneous_over_tcp_matches_channels_bitwise() {
 #[test]
 fn lu_over_sockets_matches_channels_bitwise() {
     let platform = Platform::homogeneous(3, 1.0, 1.0, 1000).unwrap();
-    let channel = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
-    for mode in socket_modes() {
-        let socket = RuntimeSession::with_transport(&platform, 0.0, mode);
-        for (round, (r, q, mu)) in [(0u64, (4usize, 6usize, 2usize)), (1, (4, 6, 1)), (2, (3, 5, 2))] {
-            let matrix = random_diagonally_dominant(r, q, 191 + round);
-            let over_socket = factor(&socket, &matrix, mu);
-            let over_channel = factor(&channel, &matrix, mu);
-            assert_eq!(
-                over_socket.packed.max_abs_diff(&over_channel.packed),
-                0.0,
-                "{mode:?} round {round}: LU socket vs channel bits"
-            );
-            assert_eq!(over_socket.messages, over_channel.messages, "{mode:?} {round}");
+    for kernel in available() {
+        let channel = fleet(&platform, TransportMode::Channel, kernel);
+        for mode in socket_modes() {
+            let socket = fleet(&platform, mode, kernel);
+            for (round, (r, q, mu)) in [(0u64, (4usize, 6usize, 2usize)), (1, (4, 6, 1)), (2, (3, 5, 2))] {
+                let matrix = random_diagonally_dominant(r, q, 191 + round);
+                let what = format!("{} {mode:?} round {round}", kernel.name());
+                let over_socket = factor(&socket, &matrix, mu);
+                let over_channel = factor(&channel, &matrix, mu);
+                assert_eq!(
+                    over_socket.packed.max_abs_diff(&over_channel.packed),
+                    0.0,
+                    "{what}: LU socket vs channel bits"
+                );
+                assert_eq!(over_socket.messages, over_channel.messages, "{what}");
+            }
+            assert_eq!(socket.shutdown(), 3);
         }
-        assert_eq!(socket.shutdown(), 3);
+        channel.shutdown();
     }
-    channel.shutdown();
 }
 
 #[test]
