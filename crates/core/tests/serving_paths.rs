@@ -314,6 +314,21 @@ fn too_small_fleet_fails_selection_jobs_as_values() {
 }
 
 #[test]
+fn a_lone_workers_job_ships_as_one_chunk() {
+    // The serving mix's large job: on its c = w = 1, m = 60 fleet (µ = 6)
+    // HoLM enrolls one worker, which holds the 4 × 4 grid as one chunk —
+    // 32 C blocks both ways plus 4 + 4 A and B blocks per k = 64, where
+    // §5's four 2 × 2 chunks would move 96.
+    let pf = Platform::homogeneous(2, 1.0, 1.0, 60).unwrap();
+    let server = MatrixServer::with_options(RuntimeSession::new(&pf, 0.0), 2, true);
+    let spec = JobSpec { select: true, ..job(4, 4, 4, 40, 1600) };
+    let got = server.run(spec.clone()).result.unwrap();
+    assert_bits_identical(&got.c, &solo(&pf, active(), &spec), "one-chunk job");
+    assert_eq!((got.workers_used, got.chunk_side, got.blocks_moved), (1, 4, 64));
+    server.shutdown();
+}
+
+#[test]
 fn holm_selection_jobs_also_serve_bit_identically() {
     // The select=true (HoLM resource selection) flavor through the
     // server, including two jobs of different shapes back to back.

@@ -250,10 +250,12 @@ fn main() {
         match run_holm(&platform, &a, &b, c0.clone(), 0.0) {
             Ok(out) => match verify_product(&out.c, &c0, &a, &b, 1e-9) {
                 Ok(err) => println!(
-                    "\nreal execution: {} blocks moved by {} workers in {:?} on the {} \
-                     kernel; verified (max abs error {err:.2e})",
+                    "\nreal execution: {} blocks moved by {} worker{} on chunks of side {} in \
+                     {:?} on the {} kernel; verified (max abs error {err:.2e})",
                     out.blocks_moved,
                     out.workers_used,
+                    if out.workers_used == 1 { "" } else { "s" },
+                    out.chunk_side,
                     out.wall,
                     mwp_blockmat::kernel::active().name()
                 ),

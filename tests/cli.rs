@@ -51,7 +51,12 @@ fn a_verified_real_run_exits_0() {
         "--workers 2 --blocks 3x4x5 --q 8 --mem 60 --c 4.0 --w 1.0 --execute",
         0,
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("verified"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("verified"));
+    // One worker holds the 3 × 5 grid as one chunk: 2·15 C blocks plus
+    // 3 + 5 A and B blocks for each of the 4 steps.
+    let line = "real execution: 62 blocks moved by 1 worker on chunks of side 5";
+    assert!(stdout.contains(line), "{stdout}");
 }
 
 #[test]
