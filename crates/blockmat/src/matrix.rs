@@ -2,6 +2,7 @@
 //! view of `A`, `B` and `C`.
 
 use crate::block::Block;
+use crate::payload::BlockOrder;
 use std::fmt;
 
 /// An `rows × cols` grid of [`Block`]s, all with the same side `q`.
@@ -126,6 +127,12 @@ impl BlockMatrix {
     /// Total payload bytes of the whole matrix.
     pub fn byte_len(&self) -> usize {
         self.blocks.len() * self.q * self.q * 8
+    }
+
+    /// Append the image of every block, in `order`, to `out` — the one
+    /// writer of a whole matrix's wire image ([`crate::SharedPayloads`]).
+    pub fn write_block_bytes(&self, order: BlockOrder, out: &mut Vec<u8>) {
+        order.coords(self.rows, self.cols).for_each(|(i, j)| self.block(i, j).write_bytes_into(out));
     }
 }
 

@@ -69,14 +69,14 @@ impl SharedPayloads {
 
     fn build(m: &BlockMatrix, order: BlockOrder) -> Self {
         let mut buf = Vec::with_capacity(m.byte_len());
-        for (i, j) in order.coords(m.rows(), m.cols()) {
-            m.block(i, j).write_bytes_into(&mut buf);
-        }
+        m.write_block_bytes(order, &mut buf);
         Self::from_bytes(Bytes::from(buf), m.rows(), m.cols(), m.q(), order)
     }
 
     /// The payloads of a `rows × cols` grid of side-`q` blocks already
-    /// serialized in `order` — `data` itself, not a copy of it.
+    /// serialized in `order` — `data` itself, not a copy of it. A runtime
+    /// that keeps its own buffers writes `m`'s image into one with
+    /// [`BlockMatrix::write_block_bytes`] and wraps it here.
     ///
     /// # Panics
     /// If `data` is not exactly that many blocks long.

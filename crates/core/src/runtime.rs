@@ -226,11 +226,15 @@ pub(crate) fn select_enrollment(
 /// keep its frame coordinates disjoint from every other product fused into
 /// the same run.
 struct JobCtx {
-    /// A serialized once, col-major, so a column stretch is one slice.
+    /// A serialized once per run, col-major, so a column stretch is one
+    /// slice.
     ap: SharedPayloads,
-    /// B serialized once, row-major, so a row stretch is one slice. Every
-    /// send is a refcount bump into these shared buffers (a B row fanned
-    /// out to all enrolled workers costs one buffer total).
+    /// B serialized once per run, row-major, so a row stretch is one
+    /// slice. Every send is a refcount bump into these shared buffers (a B
+    /// row fanned out to all enrolled workers costs one buffer total), and
+    /// both buffers are the master endpoint's recycled ones
+    /// ([`pooled_image`]): the next run of the session writes into them
+    /// again instead of faulting in fresh pages.
     bp: SharedPayloads,
     /// The exchange's accumulator this product updates, and where in it:
     /// chunk block `(i, j)` is block `(i + at, j + at)` there.
@@ -246,16 +250,24 @@ impl JobCtx {
     /// The `jx`-th product of a run, updating accumulator `jx`: its tags
     /// shift by `jx·(r, s, t)` (a solo run is product 0, offsets 0), while
     /// the payload bytes stay exactly what a solo run would ship.
-    fn new(a: &BlockMatrix, b: &BlockMatrix, jx: usize) -> Self {
+    fn new(master: &mwp_msg::MasterEndpoint, a: &BlockMatrix, b: &BlockMatrix, jx: usize) -> Self {
         JobCtx {
-            ap: SharedPayloads::new_col_major(a),
-            bp: SharedPayloads::new(b),
+            ap: pooled_image(master, a, BlockOrder::ColMajor),
+            bp: pooled_image(master, b, BlockOrder::RowMajor),
             c: jx,
             at: 0,
             moved: 0,
             off: [jx * a.rows(), jx * b.cols(), jx * a.cols()],
         }
     }
+}
+
+/// `m`'s payloads in `order`, written into one of `master`'s recycled
+/// buffers: the bytes of [`SharedPayloads::new`] / `new_col_major`, in
+/// storage that outlives the run.
+fn pooled_image(master: &mwp_msg::MasterEndpoint, m: &BlockMatrix, order: BlockOrder) -> SharedPayloads {
+    let image = master.pooled_payload(m.byte_len(), |buf| m.write_block_bytes(order, buf));
+    SharedPayloads::from_bytes(image, m.rows(), m.cols(), m.q(), order)
 }
 
 /// One product of a run: the borrowed factors `A`, `B` and the
@@ -404,8 +416,6 @@ pub struct ChunkExchange<'a, C = BlockMatrix> {
     master: &'a mwp_msg::MasterEndpoint,
     gen: u32,
     q: usize,
-    /// Recycled buffers for the (mutable, serialize-on-demand) C sends.
-    cpool: mwp_msg::BufferPool,
     /// The matrices the products accumulate into.
     c: Vec<C>,
     /// `jobs[jx]` is the product the ops' `job` index `jx` names.
@@ -433,8 +443,7 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         mu: &'a [usize],
         t: usize,
     ) -> Self {
-        let cpool = mwp_msg::BufferPool::new();
-        ChunkExchange { master, gen, q, cpool, c, jobs: Vec::new(), mu, t, frames: 0, round_trips: 0 }
+        ChunkExchange { master, gen, q, c, jobs: Vec::new(), mu, t, frames: 0, round_trips: 0 }
     }
 
     /// Add the next product — its `job` index is the number added before
@@ -488,15 +497,16 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     }
 
     /// Ship chunk `ch` of job `jx`'s C to `wid`: one multi-block frame per
-    /// chunk row, serialized into recycled pool buffers (C mutates between
-    /// chunks, so its payloads cannot be cached). Returns `false` (with
+    /// chunk row, serialized into the master endpoint's recycled buffers
+    /// (C mutates between chunks, so its payloads cannot be cached; the
+    /// buffers outlive the run). Returns `false` (with
     /// the worker condemned) if `wid` died mid-ship — the chunk is
     /// untouched on the master and can be replayed verbatim on a survivor.
     fn send_c_rows(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
         let bb = self.q * self.q * 8;
         ch.rows().all(|i| {
             let (job, c) = (&self.jobs[jx], &self.c[self.jobs[jx].c]);
-            let payload = self.cpool.bytes_with(bb * ch.width, |buf| {
+            let payload = self.master.pooled_payload(bb * ch.width, |buf| {
                 ch.cols().for_each(|j| c.write_block(self.q, (i + job.at, j + job.at), buf));
             });
             let tag = Tag::new(FrameKind::BlockC, i + job.off[0], ch.j0 + job.off[1]);
@@ -608,7 +618,8 @@ pub(crate) fn run_products(
     let (port, gen) = execute(session, mu.len(), q, schedule.ops, |master, gen| {
         let (factors, c): (Vec<_>, Vec<_>) = jobs.into_iter().map(|(a, b, c)| ((a, b), c)).unzip();
         let mut exchange = ChunkExchange::new(master, gen, q, c, mu, t);
-        exchange.jobs = factors.into_iter().enumerate().map(|(jx, (a, b))| JobCtx::new(a, b, jx)).collect();
+        exchange.jobs =
+            factors.into_iter().enumerate().map(|(jx, (a, b))| JobCtx::new(master, a, b, jx)).collect();
         exchange
     });
     let (gen, wall) = (gen?, start.elapsed());
@@ -1264,6 +1275,25 @@ mod tests {
         let out =
             run_heterogeneous(&pf, &a, &b, c0.clone(), SelectionRule::Global, 0.0).unwrap();
         assert!(verify_product(&out.c, &c0, &a, &b, 1e-9).is_ok());
+    }
+
+    #[test]
+    fn pooled_images_are_the_shared_payloads_bytes_in_recycled_buffers() {
+        let session = RuntimeSession::new(&platform(1, 60), 0.0);
+        let master = session.fleet().master();
+        let m = random_matrix(3, 5, 4, 70);
+        let bytes = |p: &SharedPayloads| BlockOrder::RowMajor.coords(3, 5).map(|(i, j)| p.get(i, j)).collect::<Vec<_>>();
+        for (order, fresh) in [
+            (BlockOrder::RowMajor, SharedPayloads::new(&m)),
+            (BlockOrder::ColMajor, SharedPayloads::new_col_major(&m)),
+        ] {
+            let pooled = pooled_image(master, &m, order);
+            assert_eq!(bytes(&pooled), bytes(&fresh), "{order:?}");
+            let at = pooled.get(0, 0).as_ptr();
+            drop(pooled);
+            assert_eq!(pooled_image(master, &m, order).get(0, 0).as_ptr(), at, "{order:?}: the buffer recycles");
+        }
+        session.shutdown();
     }
 
     /// The wire image of a `Panel` task of `p` pivot blocks and `rest`

@@ -64,7 +64,7 @@ use mwp_blockmat::{BlockMatrix, BlockOrder, SharedPayloads};
 use mwp_core::runtime::{panel_parts, ChunkExchange, Port};
 use mwp_core::session::RuntimeSession;
 use mwp_core::MemoryLayout;
-use mwp_msg::{Frame, FrameKind, Tag, TransportMode};
+use mwp_msg::{Frame, FrameKind, MasterEndpoint, Tag, TransportMode};
 use mwp_platform::{Platform, WorkerId};
 use std::ops::Range;
 use std::time::Instant;
@@ -150,6 +150,7 @@ pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunO
     let (ops, q) = (lu_schedule(matrix.rows(), mu, &sides), matrix.q());
     let (mut port, done) = fleet.execute(q, ops, |master, gen| LuPort {
         chunks: ChunkExchange::new(master, gen, q, vec![Dense::from_blocks(matrix)], &sides, mu),
+        master,
         sides: &sides,
         mu,
         q,
@@ -178,6 +179,9 @@ fn validate_lu(matrix: &BlockMatrix, mu_blocks: usize) {
 /// after an aborted run, a partial factorization.
 struct LuPort<'a> {
     chunks: ChunkExchange<'a, Dense>,
+    /// The run's master endpoint, whose recycled buffers hold each step's
+    /// panel task and negated vertical panel.
+    master: &'a MasterEndpoint,
     /// `sides[i]` is the chunk side worker `i`'s memory admits.
     sides: &'a [usize],
     /// Panel width in blocks: the trailing updates' depth.
@@ -227,19 +231,22 @@ impl LuPort<'_> {
         let (p, k1, q) = (pivot.len(), pivot.end, self.q);
         let (blocks, bb) = (panel_blocks(pivot, rest), q * q * 8);
         let matrix = self.chunks.accumulator();
-        let mut task = Vec::with_capacity(blocks.len() * bb);
-        blocks.iter().for_each(|&at| matrix.write_block(q, at, &mut task));
+        let task = self.master.pooled_payload(blocks.len() * bb, |task| {
+            blocks.iter().for_each(|&at| matrix.write_block(q, at, task));
+        });
         let (tag, n) = (Tag::new(FrameKind::LuPanel, p, rest), blocks.len() as u64);
-        let Some(reply) = self.chunks.round_trip(worker, tag, task.into(), n) else { return false };
+        let Some(reply) = self.chunks.round_trip(worker, tag, task, n) else { return false };
         if !store(self.chunks.accumulator(), q, &blocks, tag, &reply) {
             return false;
         }
         if rest > 0 {
             // A: the solved vertical panel with every sign bit flipped.
             let (vertical, horizontal) = (p * p * bb, p * (p + rest) * bb);
-            let mut minus_l = reply.payload[vertical..horizontal].to_vec();
-            minus_l.chunks_exact_mut(8).for_each(|le| le[7] ^= 0x80);
-            let a = SharedPayloads::from_bytes(minus_l.into(), rest, p, q, BlockOrder::ColMajor);
+            let minus_l = self.master.pooled_payload(horizontal - vertical, |minus_l| {
+                minus_l.extend_from_slice(&reply.payload[vertical..horizontal]);
+                minus_l.chunks_exact_mut(8).for_each(|le| le[7] ^= 0x80);
+            });
+            let a = SharedPayloads::from_bytes(minus_l, rest, p, q, BlockOrder::ColMajor);
             let b = reply.payload.slice(horizontal..);
             let b = SharedPayloads::from_bytes(b, p, rest, q, BlockOrder::RowMajor);
             self.chunks.push(a, b, k1);

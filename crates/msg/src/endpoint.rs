@@ -89,13 +89,29 @@ pub struct MasterEndpoint {
     /// The liveness deadline this endpoint's session was built under
     /// ([`crate::config::Config::liveness`]), `None` when liveness is off.
     deadline: Option<Duration>,
+    /// Where every payload the master builds comes from; it lives as long
+    /// as the endpoint, so a held session's runs reuse each other's
+    /// buffers.
+    pool: BufferPool,
 }
 
 impl MasterEndpoint {
     /// An endpoint over `links` whose run receives wait at most `deadline`
     /// for each frame (`None`: unbounded).
     pub(crate) fn new(port: OnePort, links: Vec<MasterSide>, deadline: Option<Duration>) -> Self {
-        MasterEndpoint { port, links, deadline }
+        MasterEndpoint { port, links, deadline, pool: BufferPool::new() }
+    }
+
+    /// Build a payload in this endpoint's recycled buffer pool — the
+    /// master's operand images, C rows and task frames.
+    ///
+    /// The buffer returns to the pool once the last view of the payload
+    /// is dropped (by whichever worker consumed it last), so a session
+    /// that runs the same shapes again allocates no fresh pages: at most
+    /// the pool's cap of buffers, each one a run already had live, stays
+    /// parked between runs.
+    pub fn pooled_payload(&self, capacity_hint: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+        self.pool.bytes_with(capacity_hint, fill)
     }
 
     /// Number of workers.

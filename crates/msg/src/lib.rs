@@ -18,9 +18,10 @@
 //!   [`mwp_platform::Platform`] and hands out master/worker endpoints,
 //! * [`LinkStats`] — lock-free per-link counters (blocks, bytes, busy
 //!   time) that the experiment harness reads after a run,
-//! * [`BufferPool`] — recycling payload buffers: result frames are built
-//!   in pooled storage that returns to the sender once the receiver drops
-//!   the last view, making steady-state traffic allocation-free,
+//! * [`BufferPool`] — recycling payload buffers: every payload either
+//!   endpoint builds lives in pooled storage that returns to the sender
+//!   once the receiver drops the last view, making steady-state traffic
+//!   allocation-free,
 //! * [`Session`] — a persistent worker pool over the star: worker threads
 //!   spawn once and park on blocking receives between
 //!   `RUN_BEGIN`/`RUN_END` delimited runs. There is one run protocol:

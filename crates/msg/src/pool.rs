@@ -1,13 +1,23 @@
 //! Recycling buffer pool for frame payloads.
 //!
-//! Result frames (worker → master C blocks, LU panels) are built fresh per
-//! message; without pooling every one is a heap allocation that dies as
-//! soon as the receiver finishes with it. [`BufferPool::bytes_with`] hands
-//! out recycled buffers wrapped in [`Bytes::from_owner`], whose owner
-//! returns the buffer to the pool when the **last** view of the payload is
-//! dropped — typically on the far side of the link, after the receiver
-//! consumed it. Steady-state traffic therefore allocates nothing: the same
-//! few buffers shuttle between the pool and the link forever.
+//! Every payload that crosses a link is built in a pool buffer: the
+//! master's A and B images and C rows (and LU's panel tasks) in its
+//! endpoint's pool, a worker's result frames (C rows, LU panel replies) in
+//! its own, and every frame a socket reads in that stream's. Without
+//! pooling each one is a heap allocation that dies as soon as the receiver
+//! finishes with it — and a multi-megabyte image freed at the end of a run
+//! goes back to the OS, to be faulted in again by the next one.
+//! [`BufferPool::bytes_with`] hands out recycled buffers wrapped in
+//! [`Bytes::from_owner`], whose owner returns the buffer to the pool when
+//! the **last** view of the payload is dropped — typically on the far side
+//! of the link, after the receiver consumed it. Steady-state traffic
+//! therefore allocates nothing: the same few buffers shuttle between the
+//! pool and the link forever.
+//!
+//! A request takes the smallest idle buffer that fits it, so payloads of
+//! mixed sizes on one pool (tiny control frames beside C rows, a serving
+//! master's small and large operands) each keep to a buffer of their own
+//! size instead of regrowing whichever buffer came back last.
 
 use bytes::Bytes;
 use std::sync::{Arc, Mutex, Weak};
@@ -37,11 +47,23 @@ impl BufferPool {
     /// bytes to a cleared buffer of at least `capacity_hint` capacity, and
     /// the result is wrapped zero-copy in a [`Bytes`] that returns the
     /// buffer here once every view of it is gone.
+    ///
+    /// The buffer is the smallest idle one whose capacity fits the hint;
+    /// when none does, the largest idle one is grown, and only an empty
+    /// pool allocates.
     pub fn bytes_with(&self, capacity_hint: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Bytes {
-        // The free list is valid at every step, so a poisoned lock (a
-        // holder panicked) is recovered, here and below.
-        let mut buf =
-            self.free.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default();
+        let mut buf = {
+            // The free list is valid at every step, so a poisoned lock (a
+            // holder panicked) is recovered, here and below.
+            let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
+            // (capacity, index) of the idle buffers that fit, or that do not.
+            let idle = |fits: bool| {
+                let sized = free.iter().map(Vec::capacity).enumerate();
+                sized.filter(move |&(_, cap)| (cap >= capacity_hint) == fits).map(|(at, cap)| (cap, at))
+            };
+            let best = idle(true).min().or_else(|| idle(false).max());
+            best.map(|(_, at)| free.swap_remove(at)).unwrap_or_default()
+        };
         buf.clear();
         buf.reserve(capacity_hint);
         fill(&mut buf);
@@ -103,6 +125,59 @@ mod tests {
         let second = pool.bytes_with(64, |b| b.extend_from_slice(&[8u8; 64]));
         assert_eq!(second.as_ptr(), first_ptr);
         assert_eq!(&*second, &[8u8; 64]);
+    }
+
+    /// A payload of `n` bytes built in `pool`.
+    fn filled(pool: &BufferPool, n: usize) -> Bytes {
+        pool.bytes_with(n, |b| b.resize(n, 1))
+    }
+
+    /// Park one buffer of each size in `pool`, all allocated while the
+    /// others are held, so each has its own storage; returns their
+    /// addresses.
+    fn park<const N: usize>(pool: &BufferPool, sizes: [usize; N]) -> [*const u8; N] {
+        let held = sizes.map(|n| filled(pool, n));
+        held.each_ref().map(|b| b.as_ptr())
+    }
+
+    #[test]
+    fn a_request_takes_the_smallest_idle_buffer_that_fits() {
+        let pool = BufferPool::new();
+        let [big, small, middle] = park(&pool, [4096, 64, 512]);
+        assert_eq!(pool.idle_buffers(), 3);
+        assert_eq!(filled(&pool, 64).as_ptr(), small, "an exact fit");
+        assert_eq!(filled(&pool, 65).as_ptr(), middle, "the 512 B buffer, not the 4 KiB one");
+        assert_eq!(filled(&pool, 512).as_ptr(), middle);
+        assert_eq!(filled(&pool, 1).as_ptr(), small, "a tiny request leaves the large buffers");
+        assert_eq!(filled(&pool, 4000).as_ptr(), big);
+        assert_eq!(pool.idle_buffers(), 3, "nothing allocated, nothing lost");
+    }
+
+    #[test]
+    fn with_none_fitting_the_largest_is_grown_and_the_small_ones_stay() {
+        let pool = BufferPool::new();
+        let [small, _] = park(&pool, [64, 1024]);
+        let grown = filled(&pool, 1 << 20);
+        // The 1 KiB buffer was taken and grown (its storage may have
+        // moved); the 64 B one is still parked for a small request.
+        assert_eq!(pool.idle_buffers(), 1, "one buffer taken, none allocated beside it");
+        assert_eq!(filled(&pool, 64).as_ptr(), small);
+        let grown_at = grown.as_ptr();
+        drop(grown);
+        assert_eq!(pool.idle_buffers(), 2);
+        assert_eq!(filled(&pool, 1 << 20).as_ptr(), grown_at, "the grown buffer now fits outright");
+        assert_eq!(filled(&pool, 64).as_ptr(), small);
+    }
+
+    #[test]
+    fn alternating_sizes_on_a_warm_pool_reuse_the_same_two_buffers() {
+        let pool = BufferPool::new();
+        let [tiny, wide] = park(&pool, [64, 64 << 10]);
+        for round in 0..100 {
+            assert_eq!(filled(&pool, 64).as_ptr(), tiny, "round {round}: 64 B");
+            assert_eq!(filled(&pool, 64 << 10).as_ptr(), wide, "round {round}: 64 KiB");
+        }
+        assert_eq!(pool.idle_buffers(), 2);
     }
 
     #[test]
