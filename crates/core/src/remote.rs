@@ -7,7 +7,7 @@
 //! too) and the same persistent scratch state. This module is the thin
 //! glue the `mwp-worker` binary calls after
 //! [`mwp_msg::transport::enroll_with_retry`] hands it an endpoint and a
-//! welcome naming [`mwp_msg::transport::SERVICE_MATRIX`].
+//! welcome.
 
 use mwp_blockmat::kernel;
 use mwp_msg::session::serve_worker;

@@ -165,24 +165,23 @@ pub fn run_all_workers(
     with_session(platform, time_scale, |session| session.run_all_workers(a, b, c))
 }
 
-/// The pure pre-flight of a HoLM/ORROML run — validation + resource
-/// selection, no side effects. Called by the one-shot wrappers **before**
-/// any session exists; the session plans again for the actual run
-/// parameters.
-fn plan_holm(
+/// The plan of a HoLM/ORROML run on `platform` — validation + resource
+/// selection, no side effects: `(enrolled, µ)`. Every caller runs it on
+/// the fleet as it stands: the one-shot wrappers on theirs **before** any
+/// session exists (a rejected call costs no worker-pool spawn), a session
+/// or the serving tier on [`RuntimeSession::platform`] for every run.
+pub(crate) fn plan_holm(
     platform: &Platform,
     a: &BlockMatrix,
     b: &BlockMatrix,
     c: &BlockMatrix,
     select: bool,
 ) -> Result<(usize, usize), RuntimeError> {
-    platform.homogeneous_params().ok_or(RuntimeError::HeterogeneousPlatform)?;
     validate_product_shapes(a, b, c)?;
     select_enrollment(platform, a.rows(), b.cols(), select)
 }
 
-/// The shape gate every product run passes per call (cheap, and the
-/// matrices differ between calls even when the cached plan does not).
+/// The shape gate every product run passes.
 pub(crate) fn validate_product_shapes(
     a: &BlockMatrix,
     b: &BlockMatrix,
@@ -196,9 +195,7 @@ pub(crate) fn validate_product_shapes(
 
 /// The pure resource-selection step of a HoLM/ORROML plan for an `r × s`
 /// result grid: Algorithm 1's worker count + chunk side µ under
-/// selection, or the whole fleet under ORROML. This is what a session
-/// re-runs when its fleet changes (see
-/// [`RuntimeSession::plan_holm_run`]).
+/// selection, or the whole fleet under ORROML.
 pub(crate) fn select_enrollment(
     platform: &Platform,
     r: usize,
@@ -666,7 +663,7 @@ pub fn run_heterogeneous(
     with_session(platform, time_scale, |session| session.run_heterogeneous(a, b, c, rule))
 }
 
-/// The pure pre-flight of a heterogeneous run: validation + per-worker
+/// The plan of a heterogeneous run on `platform`: validation + per-worker
 /// chunk sides `µ_i`. Same contract as [`plan_holm`].
 fn plan_heterogeneous(
     platform: &Platform,
@@ -687,9 +684,8 @@ impl From<MemoryTooSmall> for RuntimeError {
     }
 }
 
-/// Per-worker chunk sides `µ_i` for the heterogeneous scheme — pure in
-/// the platform description, so a session re-derives it whenever the
-/// fleet changes (see [`RuntimeSession::plan_heterogeneous_run`]).
+/// Per-worker chunk sides `µ_i` for the heterogeneous scheme, one per
+/// worker's memory `m_i`.
 pub(crate) fn heterogeneous_mu(platform: &Platform) -> Result<Vec<usize>, MemoryTooSmall> {
     use crate::layout::MemoryLayout;
 
@@ -715,8 +711,7 @@ pub(crate) fn heterogeneous_on(
     rule: crate::selection::incremental::SelectionRule,
 ) -> Result<RunOutcome, RuntimeError> {
     let platform = session.platform().ok_or(RuntimeError::EmptyFleet)?;
-    validate_product_shapes(a, b, &c)?;
-    let mu = session.plan_heterogeneous_run()?;
+    let mu = plan_heterogeneous(platform, a, b, &c)?;
     let problem = mwp_blockmat::Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q());
     let schedule = Schedule::two_phase(platform, &mu, rule, &problem);
     let workers_used = schedule.workers().len();
@@ -1229,7 +1224,7 @@ mod tests {
         assert_eq!(run_all_workers(&pf, &a, &b, c0.clone(), 0.0).unwrap_err(), too_small);
         assert_eq!(run_holm(&pf, &a, &b, c0.clone(), 0.0).unwrap_err(), too_small);
         // A session that already exists answers the same way, and stays
-        // usable: both calls go through its one plan cache.
+        // usable.
         let session = RuntimeSession::new(&pf, 0.0);
         assert_eq!(session.run_holm(&a, &b, c0.clone()).unwrap_err(), too_small);
         assert_eq!(session.run_all_workers(&a, &b, c0).unwrap_err(), too_small);

@@ -40,7 +40,7 @@
 //!
 //! [msg-begin-run]: mwp_msg::session::Session::begin_run
 
-use crate::runtime::{holm_on, validate_product_shapes, RunOutcome, RuntimeError};
+use crate::runtime::{holm_on, plan_holm, validate_product_shapes, RunOutcome, RuntimeError};
 use crate::session::RuntimeSession;
 use mwp_blockmat::BlockMatrix;
 use mwp_msg::sched::{Completed, JobDone, JobExecutor, JobHandle, JobScheduler};
@@ -121,17 +121,12 @@ impl JobExecutor<JobSpec, JobResult> for HolmExecutor {
     fn execute(&self, jobs: Vec<JobSpec>) -> Vec<JobDone<JobResult>> {
         let n = jobs.len();
         let lead = &jobs[0];
-        if let Err(e) = validate_product_shapes(&lead.a, &lead.b, &lead.c) {
-            // Only a solo job can be invalid: `compatible` refuses
-            // malformed batch members and `batch_limit` malformed leads.
-            debug_assert_eq!(n, 1);
-            return self.all_failed(n, e);
-        }
-        let (enrolled, mu) = match self.session.plan_holm_run(
-            lead.a.rows(),
-            lead.b.cols(),
-            lead.select,
-        ) {
+        let Some(platform) = self.session.platform() else {
+            return self.all_failed(n, RuntimeError::EmptyFleet);
+        };
+        // The lead's plan is the batch's: `compatible` fuses only jobs of
+        // its shape and mode, so only a solo job can fail validation here.
+        let (enrolled, mu) = match plan_holm(platform, &lead.a, &lead.b, &lead.c, lead.select) {
             Ok(plan) => plan,
             Err(e) => return self.all_failed(n, e),
         };
@@ -140,12 +135,7 @@ impl JobExecutor<JobSpec, JobResult> for HolmExecutor {
         // fleet's memory. A composite batch serves its chunks
         // one-at-a-time per worker, so its footprint equals a solo run's.
         let footprint = mu * mu + 4 * mu;
-        let memory = self
-            .session
-            .platform()
-            .and_then(|p| p.homogeneous_params())
-            .map(|params| params.m)
-            .unwrap_or(footprint);
+        let memory = platform.homogeneous_params().map_or(footprint, |params| params.m);
         {
             let mut reserved = self.reserved.lock().expect("admission ledger poisoned");
             // A single plan always fits alone (µ is chosen so that

@@ -31,69 +31,32 @@
 //! The one-shot entry points ([`crate::runtime::run_holm`], …) are thin
 //! wrappers: each call spawns a session, runs once and shuts it down.
 //! Results are bit-identical to a held session's — both execute the same
-//! master and worker code: every `run_*` method plans (resource selection,
-//! cached per fleet epoch and run shape), generates the run's
+//! master and worker code: every `run_*` method plans (resource selection
+//! against [`RuntimeSession::platform`] as it stands), generates the run's
 //! [`crate::schedule::Schedule`] and hands it to the one master executor
 //! in [`crate::runtime`].
 //!
 //! The fleet itself — links, fingerprints, and the platform description
 //! that `admit` grows and `prune_dead` compacts — lives in the wrapped
-//! [`mwp_msg::session::Session`]; this type adds the plans and the run
-//! lock. It is the one fleet type: LU factorizations
-//! (`mwp_lu::runtime::factor`) run on it too, through
-//! [`RuntimeSession::execute`].
+//! [`mwp_msg::session::Session`]; this type adds the run lock. It is the
+//! one fleet type: LU factorizations (`mwp_lu::runtime::factor`) run on it
+//! too, through [`RuntimeSession::execute`].
 
 use crate::runtime::{
-    execute, heterogeneous_mu, heterogeneous_on, holm_on, program, select_enrollment,
-    validate_product_shapes, Port, RunOutcome, RuntimeError,
+    execute, heterogeneous_on, holm_on, plan_holm, program, Port, RunOutcome, RuntimeError,
 };
 use crate::selection::incremental::SelectionRule;
 use mwp_blockmat::kernel::{self, Kernel};
 use mwp_blockmat::BlockMatrix;
 use mwp_msg::config::Config;
 use mwp_msg::session::Session;
-use mwp_msg::transport::SERVICE_MATRIX;
 use mwp_msg::{MasterEndpoint, TransportListener, TransportMode};
-use mwp_platform::{Platform, WorkerId};
-use std::collections::hash_map::{Entry, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use mwp_platform::Platform;
 use std::sync::Mutex;
-
-/// The HoLM/ORROML resource selections of one fleet generation (the
-/// session's membership epoch), one per run shape, so a workload that
-/// alternates shapes plans each once. Any `admit`/`prune_dead` bumps the
-/// epoch and thereby drops them all before the next run — the paper's
-/// algorithms re-run against the fleet that actually exists, never a
-/// stale enrollment.
-#[derive(Default)]
-struct HolmPlans {
-    epoch: u64,
-    /// Keyed by the run's `(r, s, select)`.
-    by_shape: HashMap<(usize, usize, bool), HolmPlan>,
-    /// The shape the most recent run planned for.
-    last: Option<(usize, usize, bool)>,
-}
-
-/// A remembered HoLM/ORROML resource selection.
-struct HolmPlan {
-    enrolled: usize,
-    mu: usize,
-    /// The enrolled sub-platform, re-derived through [`Platform::select`]
-    /// — the placement the cost model chose, materialized.
-    placement: Platform,
-}
 
 /// A persistent worker pool serving the paper's matrix-product runtimes.
 pub struct RuntimeSession {
     inner: Session,
-    /// The current fleet epoch's HoLM/ORROML resource selections.
-    holm_plans: Mutex<HolmPlans>,
-    /// Last heterogeneous per-worker chunk sides, keyed by fleet epoch.
-    het_plan: Mutex<Option<(u64, Vec<usize>)>>,
-    /// How many fresh resource selections this session has computed — one
-    /// per run shape per fleet epoch, so it observably counts automatic
-    /// re-planning after membership changes.
-    replans: AtomicU64,
     /// Held by each public `run_*` call and [`RuntimeSession::execute`]
     /// for its whole run: nothing bounds the workers' resident memory
     /// across two of *these* runs (the serving tier, which calls the
@@ -143,34 +106,26 @@ impl RuntimeSession {
         Self::over(inner)
     }
 
-    /// Wrap a spawned/accepted fleet with fresh (empty) plan state.
+    /// Wrap a spawned/accepted fleet.
     fn over(inner: Session) -> Self {
-        RuntimeSession {
-            inner,
-            holm_plans: Mutex::default(),
-            het_plan: Mutex::new(None),
-            replans: AtomicU64::new(0),
-            run_lock: Mutex::new(()),
-        }
+        RuntimeSession { inner, run_lock: Mutex::new(()) }
     }
 
     /// A session whose workers are **remote processes** (`mwp-worker`
     /// binaries, typically): accepts one enrollment per platform worker
-    /// from `listener` and answers each with its link/memory parameters
-    /// and the matrix-product service id, under the deployment's `config`
-    /// (secret, liveness, run budget — see [`Session::accept_remote`]).
-    /// Runs, statistics, and shutdown
-    /// behave exactly as on a local session — results are bit-identical
-    /// because the remote workers execute the same Algorithm 2 program
-    /// against the same frames.
+    /// from `listener` and answers each with its link/memory parameters,
+    /// under the deployment's `config` (secret, liveness, run budget — see
+    /// [`Session::accept_remote`]). Runs, statistics, and shutdown behave
+    /// exactly as on a local session — results are bit-identical because
+    /// the remote workers execute the same Algorithm 2 program against the
+    /// same frames.
     pub fn accept_remote(
         platform: &Platform,
         time_scale: f64,
         listener: &TransportListener,
         config: &Config,
     ) -> std::io::Result<Self> {
-        Session::accept_remote(platform, time_scale, listener, SERVICE_MATRIX, config)
-            .map(Self::over)
+        Session::accept_remote(platform, time_scale, listener, config).map(Self::over)
     }
 
     /// Fingerprint bytes each worker presented at enrollment (empty per
@@ -188,75 +143,10 @@ impl RuntimeSession {
     }
 
     /// The fleet's membership epoch (see [`Session::epoch`]): bumped on
-    /// every `admit` / non-empty `prune_dead`, and the key that
-    /// invalidates cached resource selections.
+    /// every `admit` / non-empty `prune_dead`, so a dialer presenting an
+    /// earlier one is refused at the door.
     pub fn epoch(&self) -> u64 {
         self.inner.epoch()
-    }
-
-    /// How many fresh resource selections this session has computed: one
-    /// per run shape per fleet epoch. A membership change followed by a
-    /// run must raise this — the run planned against the new fleet, not a
-    /// stale enrollment.
-    pub fn replans(&self) -> u64 {
-        self.replans.load(Ordering::Relaxed)
-    }
-
-    /// The enrolled sub-platform (via [`Platform::select`]) of the
-    /// HoLM/ORROML selection the most recent run planned with, if any run
-    /// has planned yet.
-    pub fn placement(&self) -> Option<Platform> {
-        let plans = self.holm_plans.lock().expect("plan cache poisoned");
-        plans.last.and_then(|key| plans.by_shape.get(&key)).map(|plan| plan.placement.clone())
-    }
-
-    /// Resource selection for a HoLM/ORROML run of shape `r × s`, cached
-    /// per (fleet epoch, shape): re-planned automatically after any
-    /// membership change, reused otherwise. Returns `(enrolled, µ)`.
-    pub(crate) fn plan_holm_run(
-        &self,
-        r: usize,
-        s: usize,
-        select: bool,
-    ) -> Result<(usize, usize), RuntimeError> {
-        let platform = self.platform().ok_or(RuntimeError::EmptyFleet)?;
-        let epoch = self.inner.epoch();
-        let key = (r, s, select);
-        let mut plans = self.holm_plans.lock().expect("plan cache poisoned");
-        if plans.epoch != epoch {
-            *plans = HolmPlans { epoch, ..HolmPlans::default() };
-        }
-        let plan = match plans.by_shape.entry(key) {
-            Entry::Occupied(plan) => plan.into_mut(),
-            Entry::Vacant(slot) => {
-                let (enrolled, mu) = select_enrollment(platform, r, s, select)?;
-                let placement = platform
-                    .select(&(0..enrolled).map(WorkerId).collect::<Vec<_>>())
-                    .expect("resource selection enrolls at least one worker");
-                self.replans.fetch_add(1, Ordering::Relaxed);
-                slot.insert(HolmPlan { enrolled, mu, placement })
-            }
-        };
-        let chosen = (plan.enrolled, plan.mu);
-        plans.last = Some(key);
-        Ok(chosen)
-    }
-
-    /// Per-worker chunk sides for a heterogeneous run, cached per fleet
-    /// epoch (they depend only on the workers' memory capacities).
-    pub(crate) fn plan_heterogeneous_run(&self) -> Result<Vec<usize>, RuntimeError> {
-        let platform = self.platform().ok_or(RuntimeError::EmptyFleet)?;
-        let epoch = self.inner.epoch();
-        let mut cache = self.het_plan.lock().unwrap();
-        if let Some((e, mu)) = cache.as_ref() {
-            if *e == epoch {
-                return Ok(mu.clone());
-            }
-        }
-        let mu = heterogeneous_mu(platform)?;
-        self.replans.fetch_add(1, Ordering::Relaxed);
-        *cache = Some((epoch, mu.clone()));
-        Ok(mu)
     }
 
     /// Number of pooled workers.
@@ -316,8 +206,8 @@ impl RuntimeSession {
         c: BlockMatrix,
         select: bool,
     ) -> Result<RunOutcome, RuntimeError> {
-        validate_product_shapes(a, b, &c)?;
-        let (enrolled, mu) = self.plan_holm_run(a.rows(), b.cols(), select)?;
+        let platform = self.platform().ok_or(RuntimeError::EmptyFleet)?;
+        let (enrolled, mu) = plan_holm(platform, a, b, &c, select)?;
         let _exclusive = self.exclusive();
         let (_, mut outcomes) = holm_on(self, vec![(a, b, c)], enrolled, mu)?;
         Ok(outcomes.pop().expect("one outcome per job"))
@@ -338,22 +228,20 @@ impl RuntimeSession {
 
     /// Accept and enroll one more remote worker from `listener` between
     /// runs, growing both the fleet and this session's platform by one
-    /// slot (see [`Session::admit`] — the membership epoch advances, so
-    /// the next run's resource selection re-plans over the newcomer
-    /// automatically). Admitting into an emptied fleet revives it.
+    /// slot (see [`Session::admit`]): the next run plans over the
+    /// newcomer. Admitting into an emptied fleet revives it.
     pub fn admit(
         &mut self,
         listener: &TransportListener,
         params: mwp_platform::WorkerParams,
     ) -> std::io::Result<mwp_platform::WorkerId> {
-        self.inner.admit(listener, params, SERVICE_MATRIX)
+        self.inner.admit(listener, params)
     }
 
     /// Drop every worker declared dead, compacting the fleet and the
-    /// platform in lockstep (see [`Session::prune_dead`] — a non-empty
-    /// prune advances the membership epoch, forcing a re-plan before the
-    /// next run). Returns how many were removed. Pruning the **whole**
-    /// fleet leaves the session alive but empty: runs return
+    /// platform in lockstep (see [`Session::prune_dead`]): the next run
+    /// plans over the survivors. Returns how many were removed. Pruning
+    /// the **whole** fleet leaves the session alive but empty: runs return
     /// [`RuntimeError::EmptyFleet`] until an `admit` repopulates it.
     pub fn prune_dead(&mut self) -> usize {
         self.inner.prune_dead().len()
@@ -415,6 +303,7 @@ mod tests {
     use mwp_blockmat::gemm::{gemm_serial, verify_product};
     use mwp_msg::session::{RunExit, RUN_ABORT, RUN_END};
     use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
+    use mwp_platform::WorkerId;
 
     #[test]
     fn session_survives_runs_with_different_block_sides() {
@@ -449,10 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn alternating_shapes_plan_each_shape_once_per_epoch() {
-        // The serving mix alternates shapes: each is planned once, and
-        // `placement` follows the run that planned last (a 1 × 1 grid
-        // enrolls one worker, a 12 × 12 grid both).
+    fn alternating_shapes_enroll_what_each_shape_needs() {
+        // The serving mix alternates shapes, and each run plans its own:
+        // a 1 × 1 grid enrolls one worker, a 12 × 12 grid both.
         let platform = Platform::homogeneous(2, 1.0, 1.0, 60).unwrap();
         let session = RuntimeSession::new(&platform, 0.0);
         for round in 0..4 {
@@ -461,10 +349,8 @@ mod tests {
                 let c0 = random_matrix(side, side, 2, round + 20);
                 let out = session.run_holm(&a, &b, c0).unwrap();
                 assert_eq!(out.workers_used, enrolled);
-                assert_eq!(session.placement().unwrap().len(), enrolled);
             }
         }
-        assert_eq!(session.replans(), 2);
         assert_eq!(session.shutdown(), 2);
     }
 

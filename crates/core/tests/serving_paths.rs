@@ -300,8 +300,7 @@ fn invalid_job_fails_without_poisoning_the_server() {
 fn too_small_fleet_fails_selection_jobs_as_values() {
     // m = 4 holds no µ ≥ 1, so no job can run on this fleet; what the
     // server owes its clients is the documented error from a dispatcher
-    // (one, so both jobs meet the same thread and plan cache) that
-    // outlives it.
+    // (one, so every job meets the same thread) that outlives it.
     let pf = platform(2, 4);
     let server = MatrixServer::with_options(RuntimeSession::new(&pf, 0.0), 1, true);
     for select in [true, false, true] {

@@ -242,7 +242,7 @@ mod tests {
         // Both doors refuse the literal.
         let listener = crate::TransportListener::bind(TransportMode::Tcp).unwrap();
         let platform = mwp_platform::Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
-        let door = crate::Session::accept_remote(&platform, 0.0, &listener, 0, &literal);
+        let door = crate::Session::accept_remote(&platform, 0.0, &listener, &literal);
         assert_eq!(door.err().map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
         let wait = Duration::from_secs(5);
         let dial =

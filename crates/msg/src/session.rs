@@ -31,7 +31,7 @@ use crate::link::Pacing;
 use crate::net::StarNetwork;
 use crate::port::OnePort;
 use crate::transport::{
-    self, EnrollTerms, TransportListener, TransportMode, HANDSHAKE_TIMEOUT, SERVICE_INPROC,
+    self, EnrollTerms, TransportListener, TransportMode, HANDSHAKE_TIMEOUT,
 };
 use mwp_platform::{Platform, WorkerId, WorkerParams};
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
@@ -59,15 +59,11 @@ pub enum RunExit {
 
 /// Receipt for an open run (see [`Session::begin_run`]): the run is
 /// identified purely by its generation — several may be in flight on one
-/// session at once — and the receipt remembers the session's block
-/// counters at run start so [`Session::finish_run`] can report the
-/// traffic moved while it was open. Pass it back to
-/// [`Session::finish_run`] or [`Session::abort_run`] to retire the
-/// generation.
+/// session at once. Pass it back to [`Session::finish_run`] or
+/// [`Session::abort_run`] to retire the generation.
 #[must_use = "pass the epoch back to finish_run/abort_run to retire its generation"]
 #[derive(Debug)]
 pub struct RunEpoch {
-    blocks_at_start: u64,
     /// The generation this run stamps its frames with.
     run: u32,
     /// Trace time of the `RUN_BEGIN` (recorded only while tracing is on):
@@ -252,7 +248,6 @@ impl Session {
             &listener,
             platform,
             time_scale,
-            SERVICE_INPROC,
             Some((&fp, handles)),
             HANDSHAKE_TIMEOUT,
             &Config::default(),
@@ -264,9 +259,7 @@ impl Session {
     /// connection per platform worker from `listener` (each a `mwp-worker`
     /// process, or any peer speaking the enrollment handshake), assign
     /// slots in arrival order (or honor a claimed slot), and reply to each
-    /// with its link/memory parameters and `service` — the id telling the
-    /// worker which program to run ([`transport::SERVICE_MATRIX`]).
-    /// `config` is the deployment's: its
+    /// with its link/memory parameters. `config` is the deployment's: its
     /// secret and liveness terms are what every enrolling worker must
     /// have been started with too.
     ///
@@ -279,10 +272,9 @@ impl Session {
         platform: &Platform,
         time_scale: f64,
         listener: &TransportListener,
-        service: u8,
         config: &Config,
     ) -> io::Result<Session> {
-        Self::accept_star(listener, platform, time_scale, service, None, HANDSHAKE_TIMEOUT, config)
+        Self::accept_star(listener, platform, time_scale, None, HANDSHAKE_TIMEOUT, config)
     }
 
     /// Accept enrollments from `listener` until every one of
@@ -311,7 +303,6 @@ impl Session {
         listener: &TransportListener,
         platform: &Platform,
         time_scale: f64,
-        service: u8,
         loopback: Option<(&[u8], Vec<thread::JoinHandle<()>>)>,
         handshake_timeout: Duration,
         config: &Config,
@@ -324,7 +315,6 @@ impl Session {
             epoch: 1,
             welcome_epoch: 1,
             pacing: Pacing { time_scale },
-            service,
             handshake_timeout,
         };
         let p = platform.len();
@@ -424,7 +414,6 @@ impl Session {
         &mut self,
         listener: &TransportListener,
         params: WorkerParams,
-        service: u8,
     ) -> io::Result<WorkerId> {
         let stream = listener.accept()?;
         let next = WorkerId(self.master.workers());
@@ -433,7 +422,6 @@ impl Session {
             epoch: self.epoch,
             welcome_epoch: self.epoch + 1,
             pacing: self.pacing,
-            service,
             handshake_timeout: HANDSHAKE_TIMEOUT,
         };
         let (id, fingerprint, link) =
@@ -551,9 +539,8 @@ impl Session {
     }
 
     /// The current membership epoch: 1 for a fresh fleet, bumped by every
-    /// [`Session::admit`] and every non-empty [`Session::prune_dead`].
-    /// Runtimes key their cached resource selection on this — a changed
-    /// epoch means the plan must be recomputed before the next run.
+    /// [`Session::admit`] and every non-empty [`Session::prune_dead`]. A
+    /// hello presenting any other non-zero epoch is refused at the door.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -593,9 +580,8 @@ impl Session {
         // first replies may race the registration otherwise.
         self.master.register_run(run);
         let begun = trace_run_begin(run);
-        let blocks_at_start = self.master.total_blocks();
         self.send_lifecycle(enrolled, run, run_begin_frame(param));
-        RunEpoch { blocks_at_start, run, begun }
+        RunEpoch { run, begun }
     }
 
     /// Close the run opened by the matching [`Session::begin_run`]: sends
@@ -603,9 +589,7 @@ impl Session {
     /// workers, best-effort like [`Session::begin_run`], then retires the
     /// generation — its data frames are stale again, and anything still
     /// parked in the demux queues is dropped and counted as rejected.
-    /// Returns the matrix blocks the port moved while the run was open:
-    /// the run's own traffic unless another run overlapped it.
-    pub fn finish_run(&self, enrolled: usize, epoch: RunEpoch) -> u64 {
+    pub fn finish_run(&self, enrolled: usize, epoch: RunEpoch) {
         self.close_run(enrolled, epoch, run_end_frame(), "RUN_END")
     }
 
@@ -616,18 +600,15 @@ impl Session {
     /// (and any other open run) intact, and parks once nothing is open.
     /// Frames the workers had already sent back are left un-received;
     /// they carry the retired generation, so every later receive
-    /// structurally rejects them. Returns the blocks moved before the
-    /// run was killed, as [`Session::finish_run`] counts them.
-    pub fn abort_run(&self, enrolled: usize, epoch: RunEpoch) -> u64 {
+    /// structurally rejects them.
+    pub fn abort_run(&self, enrolled: usize, epoch: RunEpoch) {
         self.close_run(enrolled, epoch, run_abort_frame(), "RUN_ABORT")
     }
 
-    fn close_run(&self, enrolled: usize, epoch: RunEpoch, frame: Frame, label: &'static str) -> u64 {
+    fn close_run(&self, enrolled: usize, epoch: RunEpoch, frame: Frame, label: &'static str) {
         self.send_lifecycle(enrolled, epoch.run, frame);
-        let moved = self.master.total_blocks() - epoch.blocks_at_start;
         self.master.deregister_run(epoch.run);
         trace_run_close(epoch.run, epoch.begun, label);
-        moved
     }
 
     /// Send workers `0..enrolled` a copy of `frame` stamped with `run`.
@@ -806,8 +787,9 @@ mod tests {
 
     /// One echo run over workers `0..workers`: each is sent one block and
     /// must bounce it back, routed per link and stamped with `param`.
-    /// Returns the blocks the run moved.
+    /// Returns the blocks the master's port moved meanwhile.
     fn echo_round(session: &Session, workers: usize, param: u32) -> u64 {
+        let before = session.master().total_blocks();
         let epoch = session.begin_run(workers, param);
         for w in 0..workers {
             send_in(session, &epoch, w, FrameKind::BlockA, w);
@@ -818,7 +800,8 @@ mod tests {
             assert_eq!(frame.tag.i as usize, w, "echo routed per link");
             assert_eq!(frame.tag.j, param, "program saw this run's parameter");
         }
-        session.finish_run(workers, epoch)
+        session.finish_run(workers, epoch);
+        session.master().total_blocks() - before
     }
 
     /// The deployment the remote-fleet tests run under: a secret, so every
@@ -893,7 +876,8 @@ mod tests {
         send_in(&session, &epoch, 0, FrameKind::BlockB, 9);
         let frame = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.j, 7);
-        assert_eq!(session.finish_run(1, epoch), 2);
+        session.finish_run(1, epoch);
+        assert_eq!(session.master().total_blocks(), 2);
         // Workers 1 and 2 never saw a frame; shutdown still joins all 3.
         assert_eq!(session.shutdown(), 3);
     }
@@ -916,14 +900,14 @@ mod tests {
         let endpoint = listener.endpoint();
         let w0 = remote_worker(&endpoint, None, 0, b"elastic");
         let mut session =
-            Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC, &fleet()).unwrap();
+            Session::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
         assert_eq!(session.workers(), 1);
         assert_eq!(session.epoch(), 1, "a fresh fleet is generation 1");
         echo_round(&session, 1, 1);
         // Between runs: a new worker dials in and is admitted.
         let w1 = remote_worker(&endpoint, None, 0, b"elastic");
         let id = session
-            .admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 }, SERVICE_INPROC)
+            .admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 })
             .unwrap();
         assert_eq!(id, WorkerId(1));
         assert_eq!(session.workers(), 2);
@@ -947,7 +931,7 @@ mod tests {
         let workers: Vec<_> =
             (0..2).map(|_| remote_worker(&endpoint, None, 0, b"fleet")).collect();
         let mut session =
-            Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC, &fleet()).unwrap();
+            Session::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
         assert_eq!(session.dead_workers(), 0);
         assert_eq!(session.prune_dead(), Vec::<usize>::new());
         assert_eq!(session.epoch(), 1, "an empty prune is not a membership change");
@@ -980,15 +964,15 @@ mod tests {
         let dial = |epoch: u64| remote_worker(&endpoint, None, epoch, b"fleet");
         let w0 = dial(0);
         let mut session =
-            Session::accept_remote(&platform, 0.0, &listener, SERVICE_INPROC, &fleet()).unwrap();
+            Session::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
         // Grow the fleet once so the current epoch moves past 1.
         let w1 = dial(0);
-        session.admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 }, SERVICE_INPROC).unwrap();
+        session.admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 }).unwrap();
         assert_eq!(session.epoch(), 2);
         // A replay from generation 1 is rejected by the admission gate…
         let stale = dial(1);
         let err = session
-            .admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 }, SERVICE_INPROC)
+            .admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 })
             .expect_err("stale-epoch dialer must not be admitted");
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
         assert_eq!(stale.join().unwrap(), Err(io::ErrorKind::PermissionDenied));
@@ -997,7 +981,7 @@ mod tests {
         // …while a fresh worker enrolls right after, at generation 3.
         let w2 = dial(0);
         let id = session
-            .admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 }, SERVICE_INPROC)
+            .admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 })
             .unwrap();
         assert_eq!(id, WorkerId(2));
         assert_eq!(session.epoch(), 3);
@@ -1065,7 +1049,6 @@ mod tests {
             &listener,
             &platform,
             0.0,
-            SERVICE_INPROC,
             Some((b"fleet", Vec::new())),
             HANDSHAKE_TIMEOUT,
             &fleet(),
@@ -1080,13 +1063,13 @@ mod tests {
             [(Some(0), 0, REJECT_SLOT), (Some(9), 0, REJECT_SLOT), (None, 7, REJECT_EPOCH)]
         {
             let dialer = refused(claim, epoch, b"elastic");
-            session.admit(&listener, params, SERVICE_INPROC).expect_err("must be refused");
+            session.admit(&listener, params).expect_err("must be refused");
             assert_eq!(dialer.join().unwrap(), code, "admit: {claim:?} at epoch {epoch}");
             assert_eq!((session.workers(), session.epoch()), (2, 1), "no membership change");
             echo_round(&session, 2, 2);
         }
         workers.push(remote_worker(&endpoint, Some(2), 0, b"elastic"));
-        assert_eq!(session.admit(&listener, params, SERVICE_INPROC).unwrap(), WorkerId(2));
+        assert_eq!(session.admit(&listener, params).unwrap(), WorkerId(2));
         assert_eq!(session.epoch(), 2);
         echo_round(&session, 3, 3);
         drop(session);
@@ -1239,7 +1222,8 @@ mod tests {
         send_in(&session, &epoch, 0, FrameKind::BlockB, 4);
         let frame = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.j, 9);
-        assert_eq!(session.finish_run(1, epoch), 2);
+        session.finish_run(1, epoch);
+        assert_eq!(session.master().total_blocks(), 2);
         // Workers 1 and 2 stayed parked on their sockets; shutdown still
         // joins all three threads (and all six pumps, silently).
         assert_eq!(session.shutdown(), 3);
@@ -1300,7 +1284,7 @@ mod tests {
         };
         let silence_budget = Duration::from_millis(200);
         let session =
-            Session::accept_star(&listener, &platform, 0.0, 42, None, silence_budget, &fleet())
+            Session::accept_star(&listener, &platform, 0.0, None, silence_budget, &fleet())
                 .unwrap();
         assert_eq!(session.worker_fingerprints()[0], b"real-worker".to_vec());
         assert_eq!(echo_round(&session, 1, 5), 2);

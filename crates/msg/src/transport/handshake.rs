@@ -50,8 +50,8 @@ pub const CLAIM_ANY: u32 = u32::MAX;
 /// matrix-product program gained the `LuPanel` exchange and serves LU's
 /// trailing updates as its own chunk exchanges. A v4 `mwp-worker` would
 /// meet a `LuPanel` task its product program does not know mid-run, so it
-/// is refused at enrollment.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// is refused at enrollment. v6 dropped the welcome's service byte.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).
@@ -68,14 +68,6 @@ pub const REJECT_SLOT: u32 = 4;
 /// Reject code: the fingerprint does not match what the master expects
 /// (a cross-wired loopback connect).
 pub const REJECT_FINGERPRINT: u32 = 5;
-
-/// Service id: the master serves matrix-product runs — LU
-/// factorizations included (the worker must run the `mwp-core` Algorithm 2
-/// program).
-pub const SERVICE_MATRIX: u8 = 0;
-/// Service id of sessions whose worker programs are supplied in-process
-/// (loopback transport): the welcome's service byte is advisory only.
-pub const SERVICE_INPROC: u8 = 255;
 
 /// The worker's answer to the master's challenge: who it is and which
 /// fleet generation it believes it belongs to.
@@ -115,9 +107,6 @@ pub struct Welcome {
     /// the master's own pacing — informational on the worker side, which
     /// never paces (the one-port model bills all transfers to the master).
     pub time_scale: f64,
-    /// Which worker program the master expects ([`SERVICE_MATRIX`] or
-    /// [`SERVICE_INPROC`]).
-    pub service: u8,
     /// The fleet's membership epoch at enrollment. Bumped by the session
     /// on every `admit`/`prune_dead`, so it names the exact fleet
     /// generation this worker joined.
@@ -135,9 +124,9 @@ pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 const HELLO_FIXED_LEN: usize = 4 + 8 + 16 + 32;
 /// Byte offset of the MAC within a hello payload.
 const HELLO_MAC_AT: usize = 4 + 8 + 16;
-/// Exact length of a welcome payload (layout unchanged since v2): c, w,
-/// m, time_scale (8 each) + service (1) + epoch (8) + MAC (32).
-const WELCOME_WIRE_LEN: usize = 8 * 4 + 1 + 8 + 32;
+/// Exact length of a welcome payload (layout since v6): c, w, m,
+/// time_scale, epoch (8 each) + MAC (32).
+const WELCOME_WIRE_LEN: usize = 8 * 5 + 32;
 /// Byte offset of the MAC within a welcome payload (everything before it
 /// is the MAC'd fixed image).
 const WELCOME_MAC_AT: usize = WELCOME_WIRE_LEN - 32;
@@ -284,7 +273,6 @@ pub fn welcome_frame(welcome: &Welcome, secret: &[u8], worker_nonce: &[u8; 16]) 
     payload.extend_from_slice(&welcome.w.to_le_bytes());
     payload.extend_from_slice(&welcome.m.to_le_bytes());
     payload.extend_from_slice(&welcome.time_scale.to_le_bytes());
-    payload.push(welcome.service);
     payload.extend_from_slice(&welcome.epoch.to_le_bytes());
     let j = welcome.worker.index() as u32;
     let mac = welcome_mac(secret, worker_nonce, j, &payload);
@@ -320,8 +308,7 @@ pub fn parse_welcome(frame: &Frame, secret: &[u8], worker_nonce: &[u8; 16]) -> i
         w: f64_at(8),
         m: u64::from_le_bytes(p[16..24].try_into().expect("len checked")),
         time_scale: f64_at(24),
-        service: p[32],
-        epoch: u64::from_le_bytes(p[33..41].try_into().expect("len checked")),
+        epoch: u64::from_le_bytes(p[32..40].try_into().expect("len checked")),
     })
 }
 
@@ -443,8 +430,6 @@ pub(crate) struct EnrollTerms<'a> {
     pub welcome_epoch: u64,
     /// The pacing the new link is attached with.
     pub pacing: Pacing,
-    /// Which worker program the master expects of the newcomer.
-    pub service: u8,
     /// Read deadline on the peer's handshake frames.
     pub handshake_timeout: Duration,
 }
@@ -477,7 +462,6 @@ pub(crate) fn master_enroll(
         w: params.w,
         m: params.m as u64,
         time_scale: terms.pacing.time_scale,
-        service: terms.service,
         epoch: terms.welcome_epoch,
     };
     stream.send_frame(&welcome_frame(&welcome, secret, &hello.nonce))?;

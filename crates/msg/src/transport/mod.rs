@@ -41,8 +41,7 @@
 //!   keyed by the shared fleet secret ([`crate::config::Config::fleet_secret`]),
 //!   and the master closes with a [`Welcome`] (assigned
 //!   [`mwp_platform::WorkerId`], the worker's `(c, w, m)` parameters, the
-//!   pacing scale, the [service id](SERVICE_MATRIX), and the membership
-//!   epoch) MAC'd over the worker's nonce — mutual authentication,
+//!   pacing scale, and the membership epoch) MAC'd over the worker's nonce — mutual authentication,
 //!   replay-proof in both directions. A peer that fails any check gets a
 //!   [`REJECT`] frame naming the reason and is dropped; a pre-v2 or
 //!   future-version peer degrades to that clean rejection instead of a
@@ -88,8 +87,7 @@ pub use handshake::{
     is_reject, master_challenge, master_read_hello, parse_challenge, parse_hello, parse_welcome,
     reject_error, reject_frame, welcome_frame, Hello, Welcome, CHALLENGE, CLAIM_ANY,
     HANDSHAKE_TIMEOUT, HELLO, PROTOCOL_VERSION, REJECT, REJECT_AUTH, REJECT_EPOCH,
-    REJECT_FINGERPRINT, REJECT_SLOT, REJECT_VERSION, SERVICE_INPROC, SERVICE_MATRIX,
-    WELCOME,
+    REJECT_FINGERPRINT, REJECT_SLOT, REJECT_VERSION, WELCOME,
 };
 pub use remote_link::RemoteLink;
 pub use socket::{connect, connect_with_retry, Backoff, TransportListener};

@@ -184,7 +184,6 @@ fn welcome(worker: usize, epoch: u64) -> Welcome {
         w: 1.5,
         m: 60,
         time_scale: 0.25,
-        service: SERVICE_INPROC,
         epoch,
     }
 }
@@ -255,9 +254,8 @@ fn hello_from_another_protocol_version_is_unsupported_not_corrupt() {
 
 /// A peer from the previous protocol revision — structurally valid
 /// hello, version field and all — must be turned away with the coded
-/// [`REJECT_VERSION`], not a decode error: a stale build misreads data
-/// frames (v2) or meets an LU op it does not serve (v3), so the door is
-/// where it has to stop.
+/// [`REJECT_VERSION`], not a decode error: a v5 build would misparse
+/// the service-byte-free welcome, so the door is where it has to stop.
 #[test]
 fn previous_version_peer_is_rejected_with_a_version_code() {
     let secret = b"version-gate-secret";

@@ -82,12 +82,6 @@ impl CostModel {
         Seconds((self.q * self.q * self.q) as f64 * self.tau_a)
     }
 
-    /// Ratio `w/c = q · τ_a/τ_c`: grows linearly with q, which is why
-    /// larger blocks shift the platform toward compute-bound behaviour.
-    pub fn w_over_c(&self) -> f64 {
-        self.q as f64 * self.tau_a / self.tau_c
-    }
-
     /// Number of block buffers that fit in `bytes` of worker memory.
     pub fn buffers_for_memory(&self, bytes: usize) -> usize {
         bytes / (self.q * self.q * BYTES_PER_COEFF)
@@ -122,7 +116,7 @@ mod tests {
         // w: 2*80^3 flops at 3.3 Gflop/s ≈ 0.31 ms.
         assert!((cm.w().value() - 2.0 * 512_000.0 / 3.3e9).abs() < 1e-9);
         // Communication-bound: w < c on Fast Ethernet.
-        assert!(cm.w_over_c() < 1.0);
+        assert!(cm.w().value() < cm.c().value());
     }
 
     #[test]
@@ -146,10 +140,14 @@ mod tests {
 
     #[test]
     fn w_over_c_scales_linearly_with_q() {
+        // w/c = q · τ_a/τ_c: larger blocks shift the platform toward
+        // compute-bound behaviour.
         let hw = HardwareProfile::tennessee_2006();
-        let cm40 = CostModel::from_profile(40, &hw);
-        let cm80 = CostModel::from_profile(80, &hw);
-        assert!((cm80.w_over_c() / cm40.w_over_c() - 2.0).abs() < 1e-12);
+        let ratio = |q| {
+            let cm = CostModel::from_profile(q, &hw);
+            cm.w().value() / cm.c().value()
+        };
+        assert!((ratio(80) / ratio(40) - 2.0).abs() < 1e-12);
     }
 
     #[test]

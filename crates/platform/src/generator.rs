@@ -78,11 +78,6 @@ impl PlatformGenerator {
             .collect();
         Platform::new(workers).expect("generated parameters are always valid")
     }
-
-    /// Generate `n` platforms with consecutive seeds (for averaging).
-    pub fn generate_many(&self, p: usize, first_seed: u64, n: usize) -> Vec<Platform> {
-        (0..n as u64).map(|k| self.generate(p, first_seed + k)).collect()
-    }
 }
 
 /// Draw log-uniformly from `[base/spread, base·spread]`.
@@ -130,21 +125,12 @@ mod tests {
     #[test]
     fn spread_bounds_are_respected() {
         let g = PlatformGenerator::new(2.0, 4.0, 1000, HeterogeneityProfile::strong());
-        for pf in g.generate_many(16, 0, 10) {
+        for pf in (0..10).map(|seed| g.generate(16, seed)) {
             for (_, wk) in pf.iter() {
                 assert!(wk.c >= 2.0 / 4.0 - 1e-9 && wk.c <= 2.0 * 4.0 + 1e-9);
                 assert!(wk.w >= 1.0 - 1e-9 && wk.w <= 16.0 + 1e-9);
                 assert!(wk.m >= 250 - 1 && wk.m <= 4000 + 1);
             }
         }
-    }
-
-    #[test]
-    fn generate_many_uses_consecutive_seeds() {
-        let g = PlatformGenerator::new(2.0, 4.5, 100, HeterogeneityProfile::mild());
-        let many = g.generate_many(4, 10, 3);
-        assert_eq!(many.len(), 3);
-        assert_eq!(many[0], g.generate(4, 10));
-        assert_eq!(many[2], g.generate(4, 12));
     }
 }

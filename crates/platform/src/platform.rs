@@ -101,31 +101,6 @@ impl Platform {
             None
         }
     }
-
-    /// Restrict the platform to a subset of workers (resource selection
-    /// output). Ids refer to the original platform; the result renumbers
-    /// workers consecutively while preserving order.
-    pub fn select(&self, ids: &[WorkerId]) -> Result<Platform, PlatformError> {
-        Platform::new(ids.iter().map(|id| *self.worker(*id)).collect())
-    }
-
-    /// Aggregate compute throughput `Σ 1/w_i` (block updates per time unit)
-    /// — an upper bound on any schedule's steady-state rate.
-    pub fn total_compute_rate(&self) -> f64 {
-        self.workers.iter().map(|w| 1.0 / w.w).sum()
-    }
-
-    /// The fastest (smallest `w`) worker.
-    pub fn fastest_worker(&self) -> WorkerId {
-        let i = self
-            .workers
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.w.partial_cmp(&b.1.w).expect("validated finite w"))
-            .map(|(i, _)| i)
-            .expect("platform is non-empty");
-        WorkerId(i)
-    }
 }
 
 impl std::ops::Index<WorkerId> for Platform {
@@ -172,34 +147,5 @@ mod tests {
         let het = table2();
         assert!(!het.is_homogeneous());
         assert_eq!(het.homogeneous_params(), None);
-    }
-
-    #[test]
-    fn table2_mu_values_match_paper() {
-        // Table 2 reports µ1 = 6, µ2 = 18, µ3 = 10 with µ² + 4µ ≤ m.
-        let p = table2();
-        assert_eq!(p[WorkerId(0)].mu(), 6);
-        assert_eq!(p[WorkerId(1)].mu(), 18);
-        assert_eq!(p[WorkerId(2)].mu(), 10);
-    }
-
-    #[test]
-    fn select_preserves_order_and_renumbers() {
-        let p = table2();
-        let sub = p.select(&[WorkerId(2), WorkerId(0)]).unwrap();
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub[WorkerId(0)].c, 5.0);
-        assert_eq!(sub[WorkerId(1)].c, 2.0);
-    }
-
-    #[test]
-    fn fastest_worker_is_min_w() {
-        assert_eq!(table2().fastest_worker(), WorkerId(2));
-    }
-
-    #[test]
-    fn total_compute_rate_sums_inverse_w() {
-        let p = table2();
-        assert!((p.total_compute_rate() - (0.5 + 1.0 / 3.0 + 1.0)).abs() < 1e-12);
     }
 }

@@ -5,8 +5,7 @@
 //! naming this binary's version and the compute kernel it runs — the
 //! fastest its machine supports), and serves `RUN_BEGIN`/`RUN_END`-delimited
 //! session runs over the socket until the master shuts the session down.
-//! It runs one program, the service its enrollment welcome names
-//! (`SERVICE_MATRIX`): the matrix-product block server, whose chunk
+//! It runs one program, the matrix-product block server, whose chunk
 //! exchanges and `LuPanel` exchange serve products and LU factorizations
 //! alike.
 //!
@@ -18,11 +17,11 @@
 //!
 //! The process exits 0 after an orderly shutdown (shutdown frame or the
 //! master closing the connection), and non-zero on connect/enroll
-//! failures or any other service id. With `--reconnect` the worker
-//! re-dials the listener after each orderly session close — an elastic
-//! fleet member that enrolls into whatever session is accepting next —
-//! and exits 0 once the listener stays unreachable for the `--wait-ms`
-//! window (the master is gone for good).
+//! failures. With `--reconnect` the worker re-dials the listener after
+//! each orderly session close — an elastic fleet member that enrolls into
+//! whatever session is accepting next — and exits 0 once the listener
+//! stays unreachable for the `--wait-ms` window (the master is gone for
+//! good).
 //!
 //! Enrollment is authenticated: the worker answers the master's
 //! challenge with an HMAC over the shared fleet secret
@@ -49,7 +48,7 @@
 //! path — the recorder appends, it does not merge writers.
 
 use mwp_msg::config::Config;
-use mwp_msg::transport::{self, SERVICE_MATRIX};
+use mwp_msg::transport;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -98,7 +97,7 @@ fn parse_args() -> Args {
 }
 
 /// Dial, enroll, and serve one full session. `Ok(())` is an orderly
-/// close; `Err` is a connect/enroll/service failure worth a non-zero
+/// close; `Err` is a connect/enroll failure worth a non-zero
 /// exit (unless a `--reconnect` worker has already served a session and
 /// the master is simply gone).
 fn serve_one_session(args: &Args, fingerprint: &str, config: &Config) -> Result<(), String> {
@@ -115,17 +114,13 @@ fn serve_one_session(args: &Args, fingerprint: &str, config: &Config) -> Result<
     )
     .map_err(|e| format!("enrollment at {} failed: {e}", args.endpoint))?;
     eprintln!(
-        "mwp-worker: enrolled as worker {} (c = {}, w = {}, m = {}, service = {}, epoch = {})",
+        "mwp-worker: enrolled as worker {} (c = {}, w = {}, m = {}, epoch = {})",
         welcome.worker.index(),
         welcome.c,
         welcome.w,
         welcome.m,
-        welcome.service,
         welcome.epoch,
     );
-    if welcome.service != SERVICE_MATRIX {
-        return Err(format!("master asked for unknown service id {}", welcome.service));
-    }
     mwp_core::remote::serve(ep, welcome.m as usize);
     Ok(())
 }
