@@ -63,14 +63,6 @@ impl Block {
         self.data.len() * std::mem::size_of::<f64>()
     }
 
-    /// `self += other`, element-wise.
-    pub fn add_assign_block(&mut self, other: &Block) {
-        assert_eq!(self.q, other.q, "block sides must match");
-        for (d, s) in self.data.iter_mut().zip(other.data.iter()) {
-            *d += *s;
-        }
-    }
-
     /// Scale every coefficient by `alpha`.
     pub fn scale(&mut self, alpha: f64) {
         for d in &mut self.data {
@@ -316,12 +308,10 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_and_scale() {
-        let mut a = seq_block(5, 1.0);
-        let b = seq_block(5, 1.0);
-        a.add_assign_block(&b);
+    fn scale_multiplies_every_coefficient() {
+        let mut a = seq_block(5, 2.0);
         a.scale(0.5);
-        let expected = seq_block(5, 1.0);
+        let expected = Block::from_vec(5, (0..25).map(|i| 1.0 + 0.5 * i as f64).collect());
         assert!(a.max_abs_diff(&expected) < 1e-12);
     }
 

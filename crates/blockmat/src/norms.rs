@@ -13,20 +13,6 @@ pub fn frobenius(m: &BlockMatrix) -> f64 {
     acc.sqrt()
 }
 
-/// Infinity norm: max absolute row sum.
-pub fn inf_norm(m: &BlockMatrix) -> f64 {
-    let (rows, cols) = m.dims();
-    let mut best = 0.0_f64;
-    for i in 0..rows {
-        let mut row = 0.0;
-        for j in 0..cols {
-            row += m.get(i, j).abs();
-        }
-        best = best.max(row);
-    }
-    best
-}
-
 /// Relative Frobenius error `‖a − b‖_F / max(‖b‖_F, ε)`.
 pub fn relative_error(a: &BlockMatrix, b: &BlockMatrix) -> f64 {
     assert_eq!(a.dims(), b.dims(), "dimension mismatch");
@@ -50,12 +36,6 @@ mod tests {
         let m = BlockMatrix::identity(3, 4);
         // 12 ones -> sqrt(12).
         assert!((frobenius(&m) - 12.0_f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inf_norm_of_identity_is_one() {
-        let m = BlockMatrix::identity(2, 5);
-        assert!((inf_norm(&m) - 1.0).abs() < 1e-12);
     }
 
     #[test]

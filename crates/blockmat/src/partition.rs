@@ -49,16 +49,6 @@ impl Partition {
         self.r as u64 * self.s as u64
     }
 
-    /// Number of A blocks `r·t`.
-    pub fn a_blocks(&self) -> u64 {
-        self.r as u64 * self.t as u64
-    }
-
-    /// Number of B blocks `t·s`.
-    pub fn b_blocks(&self) -> u64 {
-        self.t as u64 * self.s as u64
-    }
-
     /// Element dimensions `(nA, nAB, nB)`.
     pub fn dims(&self) -> (usize, usize, usize) {
         (self.r * self.q, self.t * self.q, self.s * self.q)
@@ -94,8 +84,6 @@ mod tests {
         assert_eq!((p.r, p.t, p.s), (100, 100, 800));
         assert_eq!(p.total_updates(), 8_000_000);
         assert_eq!(p.c_blocks(), 80_000);
-        assert_eq!(p.a_blocks(), 10_000);
-        assert_eq!(p.b_blocks(), 80_000);
     }
 
     #[test]

@@ -123,10 +123,6 @@ impl MemoryPlan {
         self.m - self.layout.buffers_used(self.mu)
     }
 
-    /// Whether the plan is usable at all (µ ≥ 1).
-    pub fn is_viable(&self) -> bool {
-        self.mu >= 1
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +183,7 @@ mod tests {
         assert_eq!(MemoryLayout::MaxReuse.mu(2), 0);
         assert_eq!(MemoryLayout::MaxReuseOverlapped.mu(4), 0);
         assert_eq!(MemoryLayout::ToledoThirds.mu(2), 0);
-        assert!(!MemoryPlan::derive(MemoryLayout::MaxReuse, 2).is_viable());
+        assert_eq!(MemoryPlan::derive(MemoryLayout::MaxReuse, 2).mu, 0);
     }
 
     #[test]

@@ -20,11 +20,11 @@ use mwp_msg::WorkerEndpoint;
 /// against it on every frame, remote or not. The worker computes with the
 /// fastest kernel its own machine runs ([`kernel::active`]).
 ///
-/// Worker state (recycled scratch blocks, chunk/row maps, prepack
-/// buffers, the endpoint's payload buffer pool) persists across runs on
-/// one connection, so a remote worker serving back-to-back pooled runs
-/// re-allocates nothing — the same steady state the in-process session
-/// workers reach.
+/// Worker state (a run state per block side — the chunk, B row and
+/// prepack grids — and the endpoint's payload buffer pool) persists
+/// across runs on one connection, so a remote worker serving
+/// back-to-back pooled runs of one shape re-allocates no chunk storage —
+/// the same steady state the in-process session workers reach.
 pub fn serve(ep: WorkerEndpoint, memory_cap: usize) {
     serve_worker(ep, &mut crate::runtime::program(memory_cap, kernel::active()));
 }

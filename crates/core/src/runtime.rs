@@ -47,33 +47,7 @@ use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::{record, ActivityKind};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
-
-/// One-multiply mixer for the worker maps' small-integer keys (block
-/// rows / columns): the default SipHash costs more than the whole map
-/// operation on the per-A-block hot path. Fibonacci multiplicative
-/// hashing spreads dense low keys across the high bits the hash table
-/// reads, which is all these maps need.
-#[derive(Default)]
-struct BlockIndexHasher(u64);
-
-impl Hasher for BlockIndexHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("block-index maps hash usize keys only");
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// `HashMap` keyed by a block row/column index, with the cheap mixer.
-type BlockIndexMap<V> = HashMap<usize, V, BuildHasherDefault<BlockIndexHasher>>;
 
 /// Outcome of a runtime execution.
 #[derive(Debug)]
@@ -499,7 +473,7 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     /// buffers outlive the run). Returns `false` (with
     /// the worker condemned) if `wid` died mid-ship — the chunk is
     /// untouched on the master and can be replayed verbatim on a survivor.
-    fn send_c_rows(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
+    fn ship_chunk(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
         let bb = self.q * self.q * 8;
         ch.rows().all(|i| {
             let (job, c) = (&self.jobs[jx], &self.c[self.jobs[jx].c]);
@@ -516,21 +490,20 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     fn send_k_step(&mut self, wid: WorkerId, jx: usize, ch: &Chunk, k: usize) -> bool {
         let job = &self.jobs[jx];
         let b_tag = Tag::new(FrameKind::BlockB, k + job.off[2], ch.j0 + job.off[1]);
-        let b_row = job.bp.row_run(k, ch.j0, ch.width);
+        let b_run = job.bp.row_run(k, ch.j0, ch.width);
         let a_tag = Tag::new(FrameKind::BlockA, ch.i0 + job.off[0], k + job.off[2]);
-        let a_col = job.ap.col_run(ch.i0, k, ch.height);
-        self.send(wid, jx, b_tag, b_row, ch.width) && self.send(wid, jx, a_tag, a_col, ch.height)
+        let a_run = job.ap.col_run(ch.i0, k, ch.height);
+        self.send(wid, jx, b_tag, b_run, ch.width) && self.send(wid, jx, a_tag, a_run, ch.height)
     }
 
     /// Ask `wid` for chunk `ch` back and commit it into job `jx`'s C — only
-    /// once **every** row frame has arrived and checked out. Returns
-    /// `false`, with C untouched, when the worker
-    /// dies, stays silent past the liveness deadline, or answers with
-    /// anything but the chunk's rows: a frame of another kind, a row
-    /// outside the chunk or sent twice, a foreign column origin, a payload
-    /// that is not exactly `width` blocks. The tags and lengths come from
-    /// the worker, so they are checked before they index anything. The
-    /// all-or-nothing commit is what makes re-dispatch exact: a
+    /// once **every** row frame has arrived and checked out. The rows come
+    /// in order: row `r` must be the `CResult` of block row `i0 + r` from
+    /// column `j0`, exactly `width` blocks. Returns `false`, with C
+    /// untouched, when the worker dies, stays silent past the liveness
+    /// deadline, or answers with anything else. The tags and lengths come
+    /// from the worker, so they are checked before they index anything.
+    /// The all-or-nothing commit is what makes re-dispatch exact: a
     /// half-returned chunk must not leave C half-updated, or replaying the
     /// chunk would double-accumulate the committed rows.
     fn collect(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
@@ -540,24 +513,17 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         }
         let job = &mut self.jobs[jx];
         let bb = self.q * self.q * 8;
-        let mut staged: Vec<Option<Bytes>> = vec![None; ch.height];
-        for _ in ch.rows() {
-            let row = self.master.recv_deadline(wid, self.gen, ch.width as u64).and_then(|(f, _)| {
-                let i = (f.tag.i as usize).checked_sub(job.off[0])?;
-                let slot = staged.get_mut(i.checked_sub(ch.i0)?)?;
-                let ours = f.tag.kind == FrameKind::CResult
-                    && slot.is_none()
-                    && f.tag.j as usize == ch.j0 + job.off[1]
-                    && f.payload.len() == ch.width * bb;
-                ours.then(|| *slot = Some(f.payload))
-            });
-            if row.is_none() {
-                return false;
+        let mut rows = Vec::with_capacity(ch.height);
+        for i in ch.rows() {
+            let tag = Tag::new(FrameKind::CResult, i + job.off[0], ch.j0 + job.off[1]);
+            let reply = self.master.recv_deadline(wid, self.gen, ch.width as u64);
+            match reply {
+                Some((f, _)) if f.tag == tag && f.payload.len() == ch.width * bb => rows.push(f.payload),
+                _ => return false,
             }
         }
         let c = &mut self.c[job.c];
-        for (i, payload) in ch.rows().zip(staged) {
-            let payload = payload.expect("height distinct in-range rows fill every slot");
+        for (i, payload) in ch.rows().zip(rows) {
             for (j, part) in ch.cols().zip(payload.chunks_exact(bb)) {
                 c.read_block(self.q, (i + job.at, j + job.at), part);
             }
@@ -578,7 +544,7 @@ impl<C: Accumulator> Port for ChunkExchange<'_, C> {
     fn perform(&mut self, op: &PortOp) -> bool {
         let (jx, wid, ch) = op.target();
         match *op {
-            PortOp::SendC { .. } => self.send_c_rows(wid, jx, &ch),
+            PortOp::SendC { .. } => self.ship_chunk(wid, jx, &ch),
             PortOp::Step { k, .. } => self.send_k_step(wid, jx, &ch, k),
             PortOp::Collect { .. } => self.collect(wid, jx, &ch),
         }
@@ -729,88 +695,77 @@ struct ResidentB {
     pack: PackedB,
 }
 
-/// Resident state of one open run generation. A worker holds exactly one
-/// of these per interleaved run: a [`RuntimeSession`]'s own `run_*` calls
-/// never open more than one, while the serving tier ([`crate::serving`])
-/// may open several on the same worker at once.
+/// Resident state of one open run generation: Algorithm 2's grids — the C
+/// chunk, the current step's row of B blocks over its columns, and the one
+/// A block in flight (the `µ² + 4µ` layout of §5). A worker holds exactly
+/// one of these per interleaved run: a [`RuntimeSession`]'s own `run_*`
+/// calls never open more than one, while the serving tier
+/// ([`crate::serving`]) may open several on the same worker at once.
+///
+/// The grids are laid out as the wire carries them. A chunk arrives as its
+/// rows in order: the first fixes `origin` and `width`, and each later one
+/// is the row below it, as wide. Each step's B row spans the chunk's
+/// columns and its A column the chunk's rows. The storage outlives its
+/// chunk: the next chunk overwrites the blocks in place, so `c_len` and
+/// `b_len` count what is resident, not what is allocated.
 struct RunState {
-    /// Block side this run's resident blocks are sized for.
+    /// Block side this state's blocks are sized for.
     q: usize,
-    /// Resident C chunk, indexed by block row: c_rows[i] = [(j, block)].
-    c_rows: BlockIndexMap<Vec<(usize, Block)>>,
-    /// The current B row (block + prepack), indexed by block column.
-    b_row: BlockIndexMap<ResidentB>,
-    /// Resident C blocks held — this run's term of the memory invariant.
-    c_count: usize,
+    /// Wire coordinates `(i, j)` of the chunk's first block.
+    origin: (usize, usize),
+    /// Blocks per chunk row.
+    width: usize,
+    /// The chunk, row-major; its first `c_len` blocks are resident.
+    c: Vec<Block>,
+    c_len: usize,
+    /// The step's B row (block + prepack) by chunk column; its first
+    /// `b_len` are resident, until the step's A column consumes them.
+    b: Vec<ResidentB>,
+    b_len: usize,
     /// The single in-flight A block of this run.
-    a_scratch: Block,
+    a: Block,
 }
 
-/// Per-worker state that survives across a session's runs: recycled block
-/// storage, retired per-run chunk/row maps, and the B pack buffers, so a
-/// pooled worker serving its second run re-allocates nothing (as long as
-/// the block side is unchanged — a run with a different `q` re-bases the
-/// block scratch; pack buffers are shape-agnostic and stay warm across
-/// any `q` change).
+impl RunState {
+    fn new(q: usize) -> Self {
+        RunState { q, origin: (0, 0), width: 0, c: Vec::new(), c_len: 0, b: Vec::new(), b_len: 0, a: Block::zeros(q) }
+    }
+
+    /// Rows of the resident chunk.
+    fn height(&self) -> usize {
+        self.c_len.checked_div(self.width).unwrap_or(0)
+    }
+}
+
+/// `payload` as `n ≥ 1` block images of `bb` bytes each; `None` unless it
+/// is exactly that.
+fn blocks_of(payload: &[u8], bb: usize, n: usize) -> Option<std::slice::ChunksExact<'_, u8>> {
+    (n > 0 && payload.len() == n * bb).then(|| payload.chunks_exact(bb))
+}
+
+/// Per-worker state that survives across a session's runs: the open runs,
+/// and the retired ones. A new run reopens a retired [`RunState`] of its
+/// block side, so each `q` a session serves keeps its own warm grids.
+#[derive(Default)]
 struct WorkerState {
-    /// Block side the recycled scratch blocks are sized for (0 = unsized).
-    /// Blocks only recycle to/from runs of this side; a run with a
-    /// different `q` opening into an otherwise idle worker re-bases the
-    /// pool to its side.
-    spare_q: usize,
-    /// Recycled block storage (scratch, not resident data).
-    spare: Vec<Block>,
-    /// Recycled pack buffers (high-water capacity kept across runs).
-    spare_packs: Vec<PackedB>,
-    /// Retired [`RunState`]s — their warmed-up maps recycle across runs.
+    /// Retired [`RunState`]s, of any block side.
     idle: Vec<RunState>,
     /// The open run generations this worker is currently serving.
     runs: HashMap<u32, RunState>,
 }
 
 impl WorkerState {
-    fn new() -> Self {
-        WorkerState {
-            spare_q: 0,
-            spare: Vec::new(),
-            spare_packs: Vec::new(),
-            idle: Vec::new(),
-            runs: HashMap::new(),
-        }
-    }
-
-    /// Open run generation `gen` with block side `q`, recycling a retired
-    /// [`RunState`] when one is warm. With no other run open, a `q`
-    /// change re-bases the recycled block pool to the new side (the
-    /// historical between-runs reset); while other runs are in flight the
-    /// pool keeps its side and mismatched runs simply allocate fresh.
+    /// Open run generation `gen` with block side `q`, reopening a retired
+    /// [`RunState`] of side `q` when there is one.
     ///
     /// Panics if `gen` is already open — the master never reopens a live
     /// generation, so a duplicate `RUN_BEGIN` means the session got
     /// desynced (e.g. reused after a master panic mid-run).
     fn open(&mut self, gen: u32, q: usize) {
-        if self.runs.is_empty() && self.spare_q != q {
-            self.spare_q = q;
-            self.spare.clear();
-        }
-        let mut st = self.idle.pop().unwrap_or_else(|| RunState {
-            q: 0,
-            c_rows: BlockIndexMap::default(),
-            b_row: BlockIndexMap::default(),
-            c_count: 0,
-            a_scratch: Block::zeros(1),
-        });
-        if st.q != q {
-            st.q = q;
-            st.a_scratch = Block::zeros(q);
-        }
-        // The retire path drains both maps; a defensive clear keeps a
-        // desynced run from leaking into this one.
-        st.c_rows.clear();
-        for (_, resident) in st.b_row.drain() {
-            self.spare_packs.push(resident.pack);
-        }
-        st.c_count = 0;
+        let st = match self.idle.iter().position(|st| st.q == q) {
+            Some(at) => self.idle.swap_remove(at),
+            None => RunState::new(q),
+        };
         assert!(
             self.runs.insert(gen, st).is_none(),
             "RUN_BEGIN for generation {gen} which is already open: \
@@ -818,28 +773,16 @@ impl WorkerState {
         );
     }
 
-    /// Retire run generation `gen` (orderly end or abort — either way any
-    /// still-resident blocks are recycled; the master never commits a
-    /// partial chunk, so discarding them loses nothing). Returns how many
-    /// runs stay open.
+    /// Retire run generation `gen` (orderly end or abort — either way its
+    /// resident blocks are discarded; the master never commits a partial
+    /// chunk, so that loses nothing) and keep its storage for the next run
+    /// of its side. Returns how many runs stay open.
     fn close(&mut self, gen: u32) -> usize {
         let mut st = self
             .runs
             .remove(&gen)
             .unwrap_or_else(|| panic!("RUN_END/RUN_ABORT for unopened generation {gen}"));
-        let recycle_blocks = st.q == self.spare_q;
-        for (_, row) in st.c_rows.drain() {
-            if recycle_blocks {
-                self.spare.extend(row.into_iter().map(|(_, blk)| blk));
-            }
-        }
-        for (_, resident) in st.b_row.drain() {
-            if recycle_blocks {
-                self.spare.push(resident.block);
-            }
-            self.spare_packs.push(resident.pack);
-        }
-        st.c_count = 0;
+        (st.c_len, st.b_len) = (0, 0);
         self.idle.push(st);
         self.runs.len()
     }
@@ -853,45 +796,53 @@ pub(crate) fn program(
     memory_cap: usize,
     kernel: &'static Kernel,
 ) -> impl FnMut(u32, &WorkerEndpoint) -> RunExit + Send {
-    let mut state = WorkerState::new();
+    let mut state = WorkerState::default();
     move |q, ep| serve_run(ep, q as usize, memory_cap, kernel, &mut state)
 }
 
 /// Algorithm 2: the worker program, serving **one wake** of a session —
 /// which may span several interleaved run generations.
 ///
-/// Per open generation it holds the resident C chunk (indexed by block
-/// row, so an incoming `A` block touches exactly its row instead of
-/// scanning the whole chunk) and the current `B` row, and applies each
-/// incoming `A` block to every column of that generation's chunk. Every
+/// Per open generation it holds a [`RunState`]: the resident C chunk as a
+/// row-major grid, the current `B` row over its columns and one `A`
+/// block. A step's `A` column updates the chunk row by row: block `r`
+/// against every resident `B` block, `C[r][j] += A[r] · B[j]`. Every
 /// frame routes to its generation by the wire header's `run` field: the
 /// wake-up `RUN_BEGIN` opens the first generation, a further `RUN_BEGIN`
 /// arriving mid-serve opens another alongside it (the serving tier's
 /// interleaved job runs — see [`crate::serving`]), `Control` requests
-/// that generation's chunk back, and `RUN_END`/`RUN_ABORT` retire it.
-/// An `LuPanel` task is one LU step's pivot chain — the pivot factored,
-/// both panels solved — answered in place ([`panel_parts`]); LU's trailing
-/// updates are chunk exchanges like any product's. A frame of no open
-/// run, or a panel whose payload is not the blocks its tag names, drops
-/// the link. The worker parks only when its last open generation retires;
-/// `Shutdown` (or a dropped master) ends the thread. Asserts the memory
-/// invariant (`resident blocks ≤ m`, summed over the open generations)
-/// the paper's layout — and the serving tier's admission control —
-/// guarantees; the panel exchange's transient blocks stay outside it.
+/// that generation's chunk back — its rows in order, from the grid as it
+/// stands — and `RUN_END`/`RUN_ABORT` retire it. An `LuPanel` task is one
+/// LU step's pivot chain — the pivot factored, both panels solved —
+/// answered in place ([`panel_parts`]); LU's trailing updates are chunk
+/// exchanges like any product's. The worker parks only when its last open
+/// generation retires; `Shutdown` (or a dropped master) ends the thread.
 ///
-/// The receive path is allocation-free at steady state: incoming payloads
-/// are copied into recycled scratch blocks (`state.spare` holds blocks
-/// from returned chunks and retired `B` rows, surviving across runs), the
-/// in-flight `A` block lives in one reused scratch, and result payloads
-/// are built in the endpoint's buffer pool.
+/// **What arrives is not trusted.** Traffic that misses its run's grids
+/// drops the link — the master sees a dead worker — instead of unwinding
+/// this thread: a frame of no open run, a `C` row that is not the chunk's
+/// next row at its column origin and width, a `B` row that does not span
+/// the chunk's columns, an `A` column that does not span its rows or comes
+/// before its step's `B` row, a `CResult` (the master never sends one),
+/// and a panel whose payload is not the blocks its tag names. Asserts the
+/// memory invariant (`resident blocks ≤ m`, summed over the open
+/// generations) the paper's layout — and the serving tier's admission
+/// control — guarantees; the panel exchange's transient blocks stay
+/// outside it.
+///
+/// The chunk path allocates only to grow: a run of a block side with no
+/// retired [`RunState`] builds one, and a chunk (or `B` row) larger than
+/// any its state held before grows the grid. Otherwise incoming payloads
+/// are copied into the blocks already there, the in-flight `A` block is
+/// one reused block, and result payloads are built in the endpoint's
+/// buffer pool. The panel exchange allocates its parts per task.
 ///
 /// Each resident B block is **packed once on arrival** and the pack is
 /// reused by every A block of the step (the paper keeps B resident on the
 /// worker precisely so A can stream against it — repacking per update was
-/// pure waste). Pack buffers are recycled alongside the scratch blocks,
-/// so a held session keeps them warm across runs. Every pack, block update
-/// and panel solve runs through `kernel`, the one this worker was built
-/// with.
+/// pure waste). The packs live beside their blocks in the grid, so a held
+/// session keeps them warm across runs. Every pack, block update and
+/// panel solve runs through `kernel`, the one this worker was built with.
 fn serve_run(
     ep: &WorkerEndpoint,
     q: usize,
@@ -914,7 +865,8 @@ fn serve_run(
                 // cooperative abort (the master gave up; it never commits
                 // a partial chunk, so discarding the residents loses
                 // nothing). Either way the generation retires and its
-                // storage recycles; park only once no generation is open.
+                // storage waits for the next run of its side; park only
+                // once no generation is open.
                 if state.close(gen) == 0 {
                     // Run boundary: persist this process's spans — for an
                     // out-of-process worker nobody else will (the
@@ -935,127 +887,115 @@ fn serve_run(
                 continue;
             }
             (FrameKind::Shutdown, _) => return RunExit::Terminate,
-            // Heartbeats are swallowed inside `WorkerEndpoint::recv` before
-            // a program ever sees a frame.
-            (FrameKind::CResult | FrameKind::Heartbeat, _) => {
-                unreachable!("master never sends {:?}", frame.tag.kind)
-            }
             _ => {}
         }
-        // Every other frame is traffic of an open run. One of no open run
-        // is nothing the master sends: it drops the link — the master sees
-        // a dead worker — instead of unwinding this thread.
-        let WorkerState { runs, spare, spare_packs, spare_q, .. } = &mut *state;
-        let Some(run) = runs.get_mut(&gen) else { return RunExit::Terminate };
-        let bb = run.q * run.q * 8;
+        // Every other frame is traffic of an open run, and must fit its
+        // grids; one that does not drops the link.
+        let Some(run) = state.runs.get_mut(&gen) else { return RunExit::Terminate };
+        let (q, bb) = (run.q, run.q * run.q * 8);
+        let (i, j) = (frame.tag.i as usize, frame.tag.j as usize);
         match frame.tag.kind {
             FrameKind::BlockC => {
-                // A run of chunk-row blocks: row i, columns j0, j0+1, …
-                let (i, j0) = (frame.tag.i as usize, frame.tag.j as usize);
-                for (w, part) in frame.payload.chunks_exact(bb).enumerate() {
-                    let mut blk = if run.q == *spare_q { spare.pop() } else { None }
-                        .unwrap_or_else(|| Block::zeros(run.q));
-                    blk.copy_from_bytes(part);
-                    run.c_rows.entry(i).or_default().push((j0 + w, blk));
-                    run.c_count += 1;
+                // The chunk's next row, `i`, from column `j`. A chunk's
+                // first row fixes its origin and width.
+                if run.c_len == 0 {
+                    (run.origin, run.width) = ((i, j), frame.payload.len() / bb);
                 }
+                let next = (run.origin.0 + run.height(), run.origin.1);
+                let Some(parts) = blocks_of(&frame.payload, bb, run.width).filter(|_| (i, j) == next) else {
+                    return RunExit::Terminate;
+                };
+                let end = run.c_len + run.width;
+                if run.c.len() < end {
+                    run.c.resize_with(end, || Block::zeros(q));
+                }
+                for (blk, part) in run.c[run.c_len..end].iter_mut().zip(parts) {
+                    blk.copy_from_bytes(part);
+                }
+                run.c_len = end;
             }
             FrameKind::BlockB => {
-                // A run of B row blocks for columns j0, j0+1, …; the step
+                // The step's B row over the chunk's columns; the step
                 // index k is implicit in per-generation FIFO order (each
                 // step overwrites the previous step's row). Every
                 // overwrite invalidates the old pack, so the block is
                 // repacked here, exactly once per arrival, and reused by
                 // all of this step's A blocks.
-                let q = run.q;
-                let j0 = frame.tag.j as usize;
-                for (w, part) in frame.payload.chunks_exact(bb).enumerate() {
-                    let resident = run.b_row.entry(j0 + w).or_insert_with(|| ResidentB {
-                        block: if q == *spare_q { spare.pop() } else { None }
-                            .unwrap_or_else(|| Block::zeros(q)),
-                        pack: spare_packs.pop().unwrap_or_default(),
-                    });
+                let spans = run.c_len > 0 && j == run.origin.1;
+                let Some(parts) = blocks_of(&frame.payload, bb, run.width).filter(|_| spans) else {
+                    return RunExit::Terminate;
+                };
+                if run.b.len() < run.width {
+                    run.b.resize_with(run.width, || ResidentB { block: Block::zeros(q), pack: PackedB::default() });
+                }
+                for (resident, part) in run.b.iter_mut().zip(parts) {
                     resident.block.copy_from_bytes(part);
                     let tp = record::begin();
                     resident.block.pack_b_for(kernel, &mut resident.pack);
                     record::worker_span(ep.id(), ActivityKind::Pack, tp, gen, "pack B");
                 }
+                run.b_len = run.width;
             }
             FrameKind::BlockA => {
-                // A run of A column blocks for rows i0, i0+1, …; each one
-                // updates its row of its generation's chunk through that
-                // generation's reused scratch block: C[i][j] += A · B[j].
-                let RunState { c_rows, b_row, a_scratch, .. } = run;
-                let i0 = frame.tag.i as usize;
-                for (w, part) in frame.payload.chunks_exact(bb).enumerate() {
-                    let Some(row) = c_rows.get_mut(&(i0 + w)) else { continue };
+                // The step's A column over the chunk's rows, behind its B
+                // row: each block, through the one reused A block,
+                // updates its row of the chunk — and the column consumes
+                // the row.
+                let spans = run.b_len == run.width && i == run.origin.0;
+                let Some(parts) = blocks_of(&frame.payload, bb, run.height()).filter(|_| spans) else {
+                    return RunExit::Terminate;
+                };
+                let RunState { c, c_len, b, a, width, .. } = run;
+                for (row, part) in c[..*c_len].chunks_exact_mut(*width).zip(parts) {
                     // One Compute span per processed A block (the
                     // simulator's unit of worker occupancy), with one
                     // Kernel detail span per GEMM call inside it.
                     let tc = record::begin();
-                    a_scratch.copy_from_bytes(part);
-                    for (cj, c_block) in row.iter_mut() {
-                        let resident = b_row
-                            .get(cj)
-                            .expect("B row must arrive before the A column (FIFO)");
+                    a.copy_from_bytes(part);
+                    for (c_block, resident) in row.iter_mut().zip(b.iter()) {
                         let tk = record::begin();
-                        c_block.gemm_acc_prepacked(kernel, a_scratch, &resident.pack);
+                        c_block.gemm_acc_prepacked(kernel, a, &resident.pack);
                         record::worker_span(ep.id(), ActivityKind::Kernel, tk, gen, "gemm");
                     }
                     record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "A update");
                 }
+                run.b_len = 0;
             }
             FrameKind::LuPanel => {
-                // One LU step's pivot chain, answered in place. Nor is its
-                // payload trusted: one that is not exactly the blocks its
-                // tag names drops the link too.
-                let Some(parts) = panel_task(run.q, frame.tag, &frame.payload) else {
+                // One LU step's pivot chain, answered in place.
+                let Some(parts) = panel_task(q, frame.tag, &frame.payload) else {
                     return RunExit::Terminate;
                 };
                 let tc = record::begin();
-                let reply = solve_panel(ep, kernel, run.q, frame.tag, parts, gen);
+                let reply = solve_panel(ep, kernel, q, frame.tag, parts, gen);
                 record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "panel");
                 ep.send_in(gen, Frame::new(frame.tag, reply));
             }
-            _ => {
-                // A collect request (a `Control` frame of no lifecycle
-                // sentinel): return this generation's chunk in
-                // deterministic (i, j) order — one run frame per chunk row,
+            FrameKind::Control => {
+                // A collect request (no lifecycle sentinel): return the
+                // chunk row by row, in order — one run frame per row,
                 // built in the endpoint's buffer pool, stamped with the
-                // generation it belongs to — then recycle every resident
-                // block for the generation's next chunk.
-                let mut rows: Vec<usize> = run.c_rows.keys().copied().collect();
-                rows.sort_unstable();
-                for i in rows {
-                    let mut row = run.c_rows.remove(&i).expect("row just listed");
-                    row.sort_unstable_by_key(|(j, _)| *j);
-                    let j0 = row.first().expect("rows are never empty").0;
-                    let payload = ep.pooled_payload(row.len() * bb, |buf| {
-                        for (w, (j, block)) in row.iter().enumerate() {
-                            debug_assert_eq!(*j, j0 + w, "chunk rows are contiguous");
-                            block.write_bytes_into(buf);
-                        }
+                // generation it belongs to. The grids stay in place for
+                // the generation's next chunk.
+                let (width, (i0, j0)) = (run.width, run.origin);
+                for r in 0..run.height() {
+                    let row = &run.c[r * width..(r + 1) * width];
+                    let payload = ep.pooled_payload(width * bb, |buf| {
+                        row.iter().for_each(|blk| blk.write_bytes_into(buf));
                     });
-                    ep.send_in(gen, Frame::new(Tag::new(FrameKind::CResult, i, j0), payload));
-                    run.c_count -= row.len();
-                    if run.q == *spare_q {
-                        spare.extend(row.into_iter().map(|(_, blk)| blk));
-                    }
+                    ep.send_in(gen, Frame::new(Tag::new(FrameKind::CResult, i0 + r, j0), payload));
                 }
-                for (_, resident) in run.b_row.drain() {
-                    if run.q == *spare_q {
-                        spare.push(resident.block);
-                    }
-                    spare_packs.push(resident.pack);
-                }
+                (run.c_len, run.b_len) = (0, 0);
             }
+            // A `CResult` (or anything else the master never sends).
+            _ => return RunExit::Terminate,
         }
         // The paper's memory invariant: resident blocks never exceed m,
         // now summed over every open generation (+1 per generation for
-        // its A block in flight; `spare` holds recycled storage, not
-        // resident matrix data). The serving tier's admission control
+        // its A block in flight; grid storage past `c_len` / `b_len` is
+        // not resident matrix data). The serving tier's admission control
         // keeps concurrent jobs under this bound by construction.
-        let resident: usize = state.runs.values().map(|r| r.c_count + r.b_row.len()).sum();
+        let resident: usize = state.runs.values().map(|r| r.c_len + r.b_len).sum();
         assert!(
             resident + state.runs.len() <= memory_cap,
             "worker exceeded its memory: {resident} resident + {} in-flight A > {memory_cap}",
@@ -1364,6 +1304,66 @@ mod tests {
             fleet.abort_run(1, epoch);
             assert_eq!(session.shutdown(), 1, "{what}: the worker thread must return, not unwind");
         }
+    }
+
+    #[test]
+    fn chunk_traffic_that_misses_its_chunk_drops_the_link_without_unwinding_the_worker() {
+        // A 2 × 2 chunk of q = 2 blocks. Its own rows, B row and A column
+        // are answered by the chunk at collect; traffic that does not fit
+        // the chunk's grid closes the link — no reply — and the worker
+        // thread returns instead of panicking (`shutdown` re-raises a
+        // worker's panic).
+        let q = 2;
+        let frame = |kind, i, j, blocks: usize| (Tag::new(kind, i, j), vec![0u8; blocks * q * q * 8]);
+        let (c0, c1) = (frame(FrameKind::BlockC, 0, 0, 2), frame(FrameKind::BlockC, 1, 0, 2));
+        let (b, a) = (frame(FrameKind::BlockB, 0, 0, 2), frame(FrameKind::BlockA, 0, 0, 2));
+        for (what, frames, answered) in [
+            ("the chunk's own traffic", vec![c0.clone(), c1.clone(), b.clone(), a.clone()], true),
+            ("an A column before its B row", vec![c0.clone(), c1.clone(), a.clone()], false),
+            ("a C row out of order", vec![c1.clone(), c0.clone()], false),
+            ("a B row narrower than the chunk", vec![c0.clone(), c1.clone(), frame(FrameKind::BlockB, 0, 0, 1)], false),
+            ("an A column taller than the chunk", vec![c0.clone(), c1.clone(), b.clone(), frame(FrameKind::BlockA, 0, 0, 3)], false),
+            ("a CResult sent to the worker", vec![c0.clone(), c1.clone(), frame(FrameKind::CResult, 0, 0, 2)], false),
+        ] {
+            let session = RuntimeSession::new(&platform(1, 60), 0.0);
+            let fleet = session.fleet();
+            let epoch = fleet.begin_run(1, q as u32);
+            let collect = (Tag::new(FrameKind::Control, 0, 0), Vec::new());
+            for (tag, payload) in frames.into_iter().chain([collect]) {
+                // A send after the link dropped may fail; the reply tells.
+                let _ = fleet.master().try_send(WorkerId(0), Frame::new_in_run(tag, epoch.generation(), payload.into()), 1);
+            }
+            let reply = fleet.master().recv_deadline(WorkerId(0), epoch.generation(), 2);
+            assert_eq!(reply.is_some(), answered, "{what}: a reply");
+            if let Some((row, _)) = reply {
+                assert_eq!(row.tag, Tag::new(FrameKind::CResult, 0, 0), "{what}: the chunk's first row");
+            }
+            fleet.abort_run(1, epoch);
+            assert_eq!(session.shutdown(), 1, "{what}: the worker thread must return, not unwind");
+        }
+    }
+
+    #[test]
+    fn storage_recycles_by_block_side() {
+        // A run reopens the retired state of its own block side, so the
+        // q = 2 run after a q = 4 one gets back the first q = 2 run's C
+        // grid, not the q = 4 run's.
+        let mut state = WorkerState::default();
+        let mut cycle = |gen: u32, q: usize| {
+            state.open(gen, q);
+            let run = state.runs.get_mut(&gen).expect("just opened");
+            if run.c.is_empty() {
+                run.c.push(Block::zeros(q));
+            }
+            let grid = run.c.as_ptr();
+            assert_eq!(state.close(gen), 0);
+            grid
+        };
+        let first = cycle(1, 2);
+        let other = cycle(2, 4);
+        assert_ne!(other, first);
+        assert_eq!(cycle(3, 2), first, "the q = 2 run reopens its own grid");
+        assert_eq!(cycle(4, 4), other, "and the q = 4 run its own");
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl SteadyState {
     pub fn memory_feasible(&self, platform: &Platform) -> bool {
         self.memory_infeasible_workers(platform).is_empty()
     }
-
-    /// The enrolled worker ids in selection order.
-    pub fn worker_ids(&self) -> Vec<WorkerId> {
-        self.enrolled.iter().map(|e| e.worker).collect()
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +149,8 @@ mod tests {
             ss.throughput
         );
         // Enrollment order by 2c/µ: P2 (1/3), P1 (2/3), P3 (1).
-        assert_eq!(ss.worker_ids(), vec![WorkerId(1), WorkerId(0), WorkerId(2)]);
+        let order: Vec<WorkerId> = ss.enrolled.iter().map(|e| e.worker).collect();
+        assert_eq!(order, vec![WorkerId(1), WorkerId(0), WorkerId(2)]);
         // P2 and P1 run compute-bound; P3 is the fractional one.
         assert!((ss.enrolled[0].rate - 1.0 / 3.0).abs() < 1e-12);
         assert!((ss.enrolled[1].rate - 0.5).abs() < 1e-12);
@@ -215,6 +211,7 @@ mod tests {
         ])
         .unwrap();
         let ss = steady_state(&pf);
-        assert_eq!(ss.worker_ids(), vec![WorkerId(1)]);
+        assert_eq!(ss.enrolled.len(), 1);
+        assert_eq!(ss.enrolled[0].worker, WorkerId(1));
     }
 }

@@ -373,9 +373,9 @@ mod tests {
         assert_eq!(session.shutdown(), 2);
     }
 
-    /// What a rogue worker answers a collect request with, given the first
-    /// C-row frame of the chunk it was shipped.
-    type RogueReply = fn(&Frame) -> Vec<(Tag, Bytes)>;
+    /// What a rogue worker answers a collect request with, given the C-row
+    /// frames of the chunk it was shipped.
+    type RogueReply = fn(&[Frame]) -> Vec<(Tag, Bytes)>;
 
     /// Honest and rogue workers of one session share a program type.
     type Program = Box<dyn FnMut(u32, &WorkerEndpoint) -> RunExit + Send>;
@@ -384,7 +384,7 @@ mod tests {
     /// request with `reply`'s frames instead of the chunk's rows.
     fn rogue_program(reply: RogueReply) -> Program {
         Box::new(move |_q, ep| {
-            let mut first_c_row = None;
+            let mut shipped = Vec::new();
             loop {
                 let Ok(frame) = ep.recv() else { return RunExit::Terminate };
                 match frame.tag.kind {
@@ -393,12 +393,12 @@ mod tests {
                         return RunExit::Completed
                     }
                     FrameKind::Control => {
-                        let shipped = first_c_row.take().expect("C rows precede the collect");
                         for (tag, payload) in reply(&shipped) {
                             ep.send_in(frame.run, Frame::new(tag, payload));
                         }
+                        shipped.clear();
                     }
-                    FrameKind::BlockC if first_c_row.is_none() => first_c_row = Some(frame),
+                    FrameKind::BlockC => shipped.push(frame),
                     _ => {}
                 }
             }
@@ -426,7 +426,8 @@ mod tests {
     }
 
     /// A row one `f64` short of the chunk row it answers for.
-    const SHORT_ROW: RogueReply = |c| {
+    const SHORT_ROW: RogueReply = |rows| {
+        let c = &rows[0];
         let tag = Tag::new(FrameKind::CResult, c.tag.i as usize, c.tag.j as usize);
         vec![(tag, c.payload.slice(..c.payload.len() - 8))]
     };
@@ -436,15 +437,21 @@ mod tests {
         // Worker-supplied tags and lengths must be checked before they
         // index anything: each rogue reply costs worker 1 its link, the
         // chunk is re-dispatched, and the survivors' result is exact.
-        let replies: [(&str, RogueReply); 3] = [
-            ("out-of-range row", |c| {
-                let tag = Tag::new(FrameKind::CResult, c.tag.i as usize + 10_000, c.tag.j as usize);
-                vec![(tag, c.payload.clone())]
+        let replies: [(&str, RogueReply); 4] = [
+            ("out-of-range row", |rows| {
+                let tag = Tag::new(FrameKind::CResult, rows[0].tag.i as usize + 10_000, rows[0].tag.j as usize);
+                vec![(tag, rows[0].payload.clone())]
             }),
             ("short payload", SHORT_ROW),
-            ("repeated row", |c| {
-                let tag = Tag::new(FrameKind::CResult, c.tag.i as usize, c.tag.j as usize);
-                vec![(tag, c.payload.clone()), (tag, c.payload.clone())]
+            ("repeated row", |rows| {
+                let tag = Tag::new(FrameKind::CResult, rows[0].tag.i as usize, rows[0].tag.j as usize);
+                vec![(tag, rows[0].payload.clone()), (tag, rows[0].payload.clone())]
+            }),
+            // Every row, each under its own tag, but last first: the rows
+            // of a chunk come back in order or not at all.
+            ("rows out of order", |rows| {
+                let tag = |c: &Frame| Tag::new(FrameKind::CResult, c.tag.i as usize, c.tag.j as usize);
+                rows.iter().rev().map(|c| (tag(c), c.payload.clone())).collect()
             }),
         ];
         let platform = Platform::homogeneous(3, 4.0, 1.0, 60).unwrap();

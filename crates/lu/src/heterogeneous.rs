@@ -48,12 +48,6 @@ pub fn chunk_comm_cost(mu_i: usize, mu: usize, shape: ChunkShape) -> f64 {
     }
 }
 
-/// Number of virtual µ-sized workers an over-provisioned worker hosts.
-pub fn virtual_workers(mu_i: usize, mu: usize) -> usize {
-    assert!(mu > 0);
-    ((mu_i * mu_i) / (mu * mu)).max(if mu_i >= mu { 1 } else { 0 })
-}
-
 /// Estimated makespan of the heterogeneous factorization for a given µ:
 /// per step, the fastest worker executes the sequential phases
 /// (communication + computation serialized), then the core groups are
@@ -173,14 +167,6 @@ mod tests {
         let square = chunk_comm_cost(mu_i, mu, ChunkShape::Square);
         let cols = chunk_comm_cost(mu_i, mu, ChunkShape::WholeColumns);
         assert!((square - cols).abs() < 1e-12, "{square} vs {cols}");
-    }
-
-    #[test]
-    fn virtual_worker_split() {
-        assert_eq!(virtual_workers(10, 5), 4); // 100/25
-        assert_eq!(virtual_workers(7, 5), 1); // 49/25 -> 1
-        assert_eq!(virtual_workers(5, 5), 1);
-        assert_eq!(virtual_workers(3, 5), 0); // under-provisioned
     }
 
     #[test]

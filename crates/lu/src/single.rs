@@ -1,7 +1,6 @@
-//! Single-worker LU (Section 7.1): cost accounting plus numerical
-//! verification of the schedule's arithmetic.
+//! Single-worker LU (Section 7.1): numerical verification of the
+//! schedule's arithmetic.
 
-use crate::cost::LuProblem;
 use mwp_blockmat::lu::{lu_blocked_in_place, lu_factor_in_place, reconstruct, Dense};
 use mwp_blockmat::BlockMatrix;
 
@@ -17,11 +16,6 @@ pub fn factor_single(matrix: &BlockMatrix, mu_blocks: usize) -> Dense {
     let mut dense = Dense::from_blocks(matrix);
     lu_blocked_in_place(&mut dense, panel);
     dense
-}
-
-/// Predicted single-worker time for `matrix` (r×r blocks) under `(c, w)`.
-pub fn predicted_time(r: usize, mu: usize, c: f64, w: f64) -> f64 {
-    LuProblem::new(r, mu).total().single_worker_time(c, w)
 }
 
 /// Verify that [`factor_single`] produces a correct factorization
@@ -47,7 +41,14 @@ pub fn factor_reference(matrix: &BlockMatrix) -> Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::LuProblem;
     use mwp_blockmat::fill::random_diagonally_dominant;
+
+    /// The single-worker time of an `r × r` factorization at `mu` under
+    /// `(c, w)`.
+    fn predicted_time(r: usize, mu: usize, c: f64, w: f64) -> f64 {
+        LuProblem::new(r, mu).total().single_worker_time(c, w)
+    }
 
     #[test]
     fn schedule_factorization_is_correct() {

@@ -591,10 +591,10 @@ mod tests {
             for &b in &report.worker_busy_time {
                 assert!(b <= report.makespan.value() + 1e-9, "seed {seed}");
             }
-            // Idle accounting stays within the idle fraction.
-            let (w, b, o) = report.idle_breakdown();
-            assert!(w >= 0.0 && b >= 0.0 && o >= 0.0, "seed {seed}");
-            assert!(w + b + o <= 1.0 + 1e-9, "seed {seed}");
+            // Idle accounting stays within the port's idle time.
+            let (w, b) = (report.port_wait_for_worker, report.port_wait_for_buffers);
+            assert!(w >= 0.0 && b >= 0.0, "seed {seed}");
+            assert!(w + b <= report.makespan.value() - report.port_busy_time + 1e-9, "seed {seed}");
         }
     }
 

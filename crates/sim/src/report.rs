@@ -41,15 +41,6 @@ impl SimReport {
         }
     }
 
-    /// Per-worker utilization in `[0, 1]`.
-    pub fn worker_utilization(&self) -> Vec<f64> {
-        let t = self.makespan.value();
-        self.worker_busy_time
-            .iter()
-            .map(|&b| if t == 0.0 { 0.0 } else { b / t })
-            .collect()
-    }
-
     /// Total block updates across all workers.
     pub fn total_updates(&self) -> u64 {
         self.updates_per_worker.iter().sum()
@@ -80,21 +71,6 @@ impl SimReport {
     pub fn workers_used(&self) -> usize {
         self.updates_per_worker.iter().filter(|&&u| u > 0).count()
     }
-
-    /// Where the port's idle time went, as fractions of the makespan:
-    /// `(waiting for workers to drain, eligibility blocking, other)`.
-    /// "Other" covers start-up/tail effects not attributed to either
-    /// cause. Diagnostic companion to [`SimReport::port_utilization`].
-    pub fn idle_breakdown(&self) -> (f64, f64, f64) {
-        let t = self.makespan.value();
-        if t == 0.0 {
-            return (0.0, 0.0, 0.0);
-        }
-        let idle = (t - self.port_busy_time).max(0.0);
-        let w = self.port_wait_for_worker / t;
-        let b = self.port_wait_for_buffers / t;
-        ((w).min(idle / t), b.min(idle / t), (idle / t - w - b).max(0.0))
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +95,6 @@ mod tests {
     fn utilizations() {
         let r = report();
         assert_eq!(r.port_utilization(), 0.5);
-        assert_eq!(r.worker_utilization(), vec![1.0, 0.2, 0.0]);
     }
 
     #[test]
@@ -129,16 +104,6 @@ mod tests {
         assert_eq!(r.measured_ccr(), 2.0);
         assert_eq!(r.throughput(), 1.0);
         assert_eq!(r.workers_used(), 2);
-    }
-
-    #[test]
-    fn idle_breakdown_sums_to_idle_fraction() {
-        let r = report();
-        let (worker, buffers, other) = r.idle_breakdown();
-        assert!((worker - 0.2).abs() < 1e-12);
-        assert!((buffers - 0.1).abs() < 1e-12);
-        // idle = 0.5 of makespan; 0.2 + 0.1 accounted, 0.2 other.
-        assert!((other - 0.2).abs() < 1e-12);
     }
 
     #[test]

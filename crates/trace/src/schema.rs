@@ -51,7 +51,7 @@ pub enum ActivityKind {
 }
 
 impl ActivityKind {
-    /// Lowercase wire name, stable across CSV and Chrome-JSON exports.
+    /// Lowercase wire name, stable across Chrome-JSON exports.
     pub fn name(self) -> &'static str {
         match self {
             ActivityKind::Send => "send",
@@ -211,30 +211,6 @@ impl Trace {
         }
         Ok(())
     }
-
-    /// Export as CSV rows `resource,kind,peer,start,end,bytes,run,label`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("resource,kind,peer,start,end,bytes,run,label\n");
-        for a in &self.activities {
-            let res = match a.resource {
-                Resource::MasterPort => "port".to_string(),
-                Resource::Worker(w) => format!("{w}"),
-                Resource::Master => "master".to_string(),
-                Resource::WorkerDetail(w) => format!("{w}.detail"),
-            };
-            out.push_str(&format!(
-                "{res},{},{},{:.6},{:.6},{},{},{}\n",
-                a.kind.name(),
-                a.peer,
-                a.start.value(),
-                a.end.value(),
-                a.bytes,
-                a.run,
-                a.label
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -317,14 +293,5 @@ mod tests {
             assert_eq!(ActivityKind::from_name(k.name()), Some(k));
         }
         assert_eq!(ActivityKind::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut t = Trace::default();
-        t.push(act(Resource::MasterPort, 0.0, 1.0).with_bytes(512).with_run(3));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("resource,kind,peer,start,end,bytes,run,label\n"));
-        assert!(csv.contains("port,send,P1,0.000000,1.000000,512,3,x"));
     }
 }

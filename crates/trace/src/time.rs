@@ -22,9 +22,6 @@ impl SimTime {
     /// Time zero, the start of every simulation.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// A time beyond any schedule — used as an "infinity" sentinel.
-    pub const FAR_FUTURE: SimTime = SimTime(f64::MAX);
-
     /// Raw value.
     #[inline]
     pub fn value(self) -> f64 {
@@ -108,7 +105,7 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-        assert!(SimTime::ZERO < SimTime::FAR_FUTURE);
+        assert!(SimTime::ZERO < SimTime(f64::MAX));
     }
 
     #[test]
