@@ -756,35 +756,31 @@ struct WorkerState {
 
 impl WorkerState {
     /// Open run generation `gen` with block side `q`, reopening a retired
-    /// [`RunState`] of side `q` when there is one.
-    ///
-    /// Panics if `gen` is already open — the master never reopens a live
-    /// generation, so a duplicate `RUN_BEGIN` means the session got
-    /// desynced (e.g. reused after a master panic mid-run).
-    fn open(&mut self, gen: u32, q: usize) {
+    /// [`RunState`] of side `q` when there is one. `false`, opening
+    /// nothing, if `gen` is already open — the master never reopens a live
+    /// generation.
+    fn open(&mut self, gen: u32, q: usize) -> bool {
+        if self.runs.contains_key(&gen) {
+            return false;
+        }
         let st = match self.idle.iter().position(|st| st.q == q) {
             Some(at) => self.idle.swap_remove(at),
             None => RunState::new(q),
         };
-        assert!(
-            self.runs.insert(gen, st).is_none(),
-            "RUN_BEGIN for generation {gen} which is already open: \
-             session reused after an aborted run"
-        );
+        self.runs.insert(gen, st);
+        true
     }
 
     /// Retire run generation `gen` (orderly end or abort — either way its
     /// resident blocks are discarded; the master never commits a partial
     /// chunk, so that loses nothing) and keep its storage for the next run
-    /// of its side. Returns how many runs stay open.
-    fn close(&mut self, gen: u32) -> usize {
-        let mut st = self
-            .runs
-            .remove(&gen)
-            .unwrap_or_else(|| panic!("RUN_END/RUN_ABORT for unopened generation {gen}"));
+    /// of its side. Returns how many runs stay open, `None` if `gen` was
+    /// not open.
+    fn close(&mut self, gen: u32) -> Option<usize> {
+        let mut st = self.runs.remove(&gen)?;
         (st.c_len, st.b_len) = (0, 0);
         self.idle.push(st);
-        self.runs.len()
+        Some(self.runs.len())
     }
 }
 
@@ -820,15 +816,16 @@ pub(crate) fn program(
 ///
 /// **What arrives is not trusted.** Traffic that misses its run's grids
 /// drops the link — the master sees a dead worker — instead of unwinding
-/// this thread: a frame of no open run, a `C` row that is not the chunk's
-/// next row at its column origin and width, a `B` row that does not span
-/// the chunk's columns, an `A` column that does not span its rows or comes
-/// before its step's `B` row, a `CResult` (the master never sends one),
-/// and a panel whose payload is not the blocks its tag names. Asserts the
-/// memory invariant (`resident blocks ≤ m`, summed over the open
-/// generations) the paper's layout — and the serving tier's admission
-/// control — guarantees; the panel exchange's transient blocks stay
-/// outside it.
+/// this thread: a frame of no open run, a `RUN_BEGIN` of a generation
+/// already open, a `RUN_END`/`RUN_ABORT` of one that is not, a `C` row
+/// that is not the chunk's next row at its column origin and width, a `B`
+/// row that does not span the chunk's columns, an `A` column that does not
+/// span its rows or comes before its step's `B` row, a `CResult` (the
+/// master never sends one), and a panel whose payload is not the blocks
+/// its tag names. Asserts the memory invariant (`resident blocks ≤ m`,
+/// summed over the open generations) the paper's layout — and the serving
+/// tier's admission control — guarantees; the panel exchange's transient
+/// blocks stay outside it.
 ///
 /// The chunk path allocates only to grow: a run of a block side with no
 /// retired [`RunState`] builds one, and a chunk (or `B` row) larger than
@@ -852,7 +849,9 @@ fn serve_run(
 ) -> RunExit {
     // The generation that woke this worker: the outer loop consumed its
     // RUN_BEGIN, whose header generation the endpoint adopted.
-    state.open(ep.current_run(), q);
+    if !state.open(ep.current_run(), q) {
+        return RunExit::Terminate;
+    }
     loop {
         let frame = match ep.recv() {
             Ok(f) => f,
@@ -866,8 +865,10 @@ fn serve_run(
                 // a partial chunk, so discarding the residents loses
                 // nothing). Either way the generation retires and its
                 // storage waits for the next run of its side; park only
-                // once no generation is open.
-                if state.close(gen) == 0 {
+                // once no generation is open. Closing a generation that is
+                // not open drops the link.
+                let Some(open) = state.close(gen) else { return RunExit::Terminate };
+                if open == 0 {
                     // Run boundary: persist this process's spans — for an
                     // out-of-process worker nobody else will (the
                     // master's session-side flush is a different process).
@@ -880,10 +881,11 @@ fn serve_run(
                 // Another run generation opens while this worker is
                 // already serving — the serving tier's interleaved job
                 // runs. Its frames carry their own generation, so the
-                // open runs never mix. (Reopening a generation that is
-                // still open panics in `open` — that is the historical
-                // "session reused after an aborted run" guard.)
-                state.open(gen, frame.tag.j as usize);
+                // open runs never mix. Reopening a generation that is
+                // still open drops the link.
+                if !state.open(gen, frame.tag.j as usize) {
+                    return RunExit::Terminate;
+                }
                 continue;
             }
             (FrameKind::Shutdown, _) => return RunExit::Terminate,
@@ -1310,11 +1312,13 @@ mod tests {
     fn chunk_traffic_that_misses_its_chunk_drops_the_link_without_unwinding_the_worker() {
         // A 2 × 2 chunk of q = 2 blocks. Its own rows, B row and A column
         // are answered by the chunk at collect; traffic that does not fit
-        // the chunk's grid closes the link — no reply — and the worker
-        // thread returns instead of panicking (`shutdown` re-raises a
-        // worker's panic).
+        // the chunk's grid, reopens its generation or closes another one
+        // closes the link (no reply), and the worker thread returns instead
+        // of panicking (`shutdown` re-raises a worker's panic). Each frame
+        // is stamped with the run's generation plus its offset.
         let q = 2;
-        let frame = |kind, i, j, blocks: usize| (Tag::new(kind, i, j), vec![0u8; blocks * q * q * 8]);
+        let stamped = |kind, i, j, blocks: usize, offset: u32| (Tag::new(kind, i, j), offset, vec![0u8; blocks * q * q * 8]);
+        let frame = |kind, i, j, blocks| stamped(kind, i, j, blocks, 0);
         let (c0, c1) = (frame(FrameKind::BlockC, 0, 0, 2), frame(FrameKind::BlockC, 1, 0, 2));
         let (b, a) = (frame(FrameKind::BlockB, 0, 0, 2), frame(FrameKind::BlockA, 0, 0, 2));
         for (what, frames, answered) in [
@@ -1324,14 +1328,17 @@ mod tests {
             ("a B row narrower than the chunk", vec![c0.clone(), c1.clone(), frame(FrameKind::BlockB, 0, 0, 1)], false),
             ("an A column taller than the chunk", vec![c0.clone(), c1.clone(), b.clone(), frame(FrameKind::BlockA, 0, 0, 3)], false),
             ("a CResult sent to the worker", vec![c0.clone(), c1.clone(), frame(FrameKind::CResult, 0, 0, 2)], false),
+            ("a RUN_BEGIN of the open generation", vec![c0.clone(), frame(FrameKind::Control, RUN_BEGIN as usize, q, 0)], false),
+            ("a RUN_END of an unopened generation", vec![c0.clone(), stamped(FrameKind::Control, RUN_END as usize, 0, 0, 1)], false),
         ] {
             let session = RuntimeSession::new(&platform(1, 60), 0.0);
             let fleet = session.fleet();
             let epoch = fleet.begin_run(1, q as u32);
-            let collect = (Tag::new(FrameKind::Control, 0, 0), Vec::new());
-            for (tag, payload) in frames.into_iter().chain([collect]) {
+            let collect = frame(FrameKind::Control, 0, 0, 0);
+            for (tag, offset, payload) in frames.into_iter().chain([collect]) {
                 // A send after the link dropped may fail; the reply tells.
-                let _ = fleet.master().try_send(WorkerId(0), Frame::new_in_run(tag, epoch.generation(), payload.into()), 1);
+                let frame = Frame::new_in_run(tag, epoch.generation() + offset, payload.into());
+                let _ = fleet.master().try_send(WorkerId(0), frame, 1);
             }
             let reply = fleet.master().recv_deadline(WorkerId(0), epoch.generation(), 2);
             assert_eq!(reply.is_some(), answered, "{what}: a reply");
@@ -1350,13 +1357,13 @@ mod tests {
         // grid, not the q = 4 run's.
         let mut state = WorkerState::default();
         let mut cycle = |gen: u32, q: usize| {
-            state.open(gen, q);
+            assert!(state.open(gen, q));
             let run = state.runs.get_mut(&gen).expect("just opened");
             if run.c.is_empty() {
                 run.c.push(Block::zeros(q));
             }
             let grid = run.c.as_ptr();
-            assert_eq!(state.close(gen), 0);
+            assert_eq!(state.close(gen), Some(0));
             grid
         };
         let first = cycle(1, 2);

@@ -179,7 +179,7 @@ pub struct MatrixServer {
 
 impl MatrixServer {
     /// Serve jobs over `session` with `inflight` dispatcher threads
-    /// (clamped to `1..=15`, the link layer's concurrent-run slots) and
+    /// (clamped to `1..=15`, the run generations a link serves at once) and
     /// the small-job batching tier on or off. The server owns the session
     /// outright: its admission ledger is what bounds the workers'
     /// resident memory, so no other caller may drive the fleet.

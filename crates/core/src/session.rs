@@ -5,11 +5,11 @@
 //! platform description and then serves any number of HoLM / ORROML /
 //! heterogeneous runs, each delimited by the message layer's
 //! `RUN_BEGIN`/`RUN_END` frames (see [`mwp_msg::session`]). Worker state
-//! — recycled scratch blocks, chunk storage, payload buffer pools, and
-//! the resident-B pack buffers ([`mwp_blockmat::kernel::PackedB`], which
-//! are shape-agnostic and stay warm even when `q` changes between runs)
-//! — resets in place between runs, so a repeated-run workload pays the
-//! thread spawn/join and allocation warm-up cost exactly once:
+//! — payload buffer pools, and per block side `q` the chunk grids with
+//! their resident-B packs ([`mwp_blockmat::kernel::PackedB`]) — outlives
+//! each run: a run reopens the grids the last run of its `q` left, so a
+//! repeated-run workload pays the thread spawn/join and allocation
+//! warm-up cost exactly once:
 //!
 //! ```
 //! use mwp_core::session::RuntimeSession;

@@ -122,11 +122,23 @@ impl MasterEndpoint {
     /// Send `frame` (counted as `blocks` blocks) to `to`, holding the port
     /// for the paced duration. Returns the model-time cost `blocks · c_to`.
     pub fn send(&self, to: WorkerId, frame: Frame, blocks: u64) -> f64 {
+        self.send_traced(to, frame, |link, frame| link.send_lossy(frame, blocks))
+            .expect("worker endpoint dropped")
+    }
+
+    /// Hand `frame` to `send` on `to`'s link while holding the port, and
+    /// trace the wait for the port and the transfer when it went out.
+    fn send_traced(
+        &self,
+        to: WorkerId,
+        frame: Frame,
+        send: impl FnOnce(&MasterSide, Frame) -> Option<f64>,
+    ) -> Option<f64> {
         let pre = trace_start().map(|t0| (t0, frame.tag.kind, frame.run, frame.payload.len()));
         let _guard = self.port.acquire();
         let t1 = pre.as_ref().map(|_| record::now());
-        let cost = self.links[to.index()].send(frame, blocks);
-        if let (Some((t0, fk, run, len)), Some(t1)) = (pre, t1) {
+        let cost = send(&self.links[to.index()], frame);
+        if let (Some((t0, fk, run, len)), Some(t1), Some(_)) = (pre, t1, cost) {
             trace_port_op(ActivityKind::Send, to, t0, t1, fk, run, len);
         }
         cost
@@ -161,16 +173,17 @@ impl MasterEndpoint {
 
     /// Receive the next frame of run generation `run` from `from`, with
     /// an optional wall-clock timeout — how failure-aware masters detect
-    /// dead workers instead of blocking forever. Frames of *other* live
-    /// generations pulled en route are routed to their own collectors
-    /// instead of being dropped: this per-generation demultiplexing is
-    /// what lets several runs share one session's links.
+    /// dead workers instead of blocking forever. The link files each
+    /// frame under its generation as it arrives, so frames of *other* live
+    /// generations wait for their own collectors: this is what lets
+    /// several runs share one session's links.
     ///
-    /// The wait is a real blocking park on the link channel's own
-    /// `recv_timeout` (condvar parking), so a timeout costs **zero** idle
-    /// CPU — no polling loop, no sleep quantum. The port is only taken
-    /// once a frame is actually available, to pay the transfer: waiting
-    /// for a slow worker does not occupy the port.
+    /// The wait is a real blocking park on the generation's queue (condvar
+    /// parking, woken only by that generation's arrivals and unowned
+    /// traffic), so a timeout costs **zero** idle CPU — no polling loop,
+    /// no sleep quantum. The port is only taken once a frame is actually
+    /// available, to pay the transfer: waiting for a slow worker does not
+    /// occupy the port.
     ///
     /// `None` means timeout or worker death (closed link) — in either
     /// case the caller should treat the worker as gone for this exchange.
@@ -203,15 +216,10 @@ impl MasterEndpoint {
     /// Best-effort control send for teardown paths: identical port and
     /// metering behavior to [`MasterEndpoint::send`], but a link whose
     /// worker already exited is ignored instead of panicking (session
-    /// shutdown must not fail because a worker died first).
+    /// shutdown must not fail because a worker died first). A link only
+    /// marked dead still gets the frame: it unparks an in-process worker.
     pub fn send_lossy(&self, to: WorkerId, frame: Frame) {
-        let pre = trace_start().map(|t0| (t0, frame.tag.kind, frame.run, frame.payload.len()));
-        let _guard = self.port.acquire();
-        let t1 = pre.as_ref().map(|_| record::now());
-        self.links[to.index()].send_lossy(frame, 0);
-        if let (Some((t0, fk, run, len)), Some(t1)) = (pre, t1) {
-            trace_port_op(ActivityKind::Send, to, t0, t1, fk, run, len);
-        }
+        self.send_traced(to, frame, |link, frame| link.send_lossy(frame, 0));
     }
 
     /// Failure-aware send: `Some(cost)` when the frame reached `to`'s
@@ -221,14 +229,7 @@ impl MasterEndpoint {
     /// fault-tolerant schedulers build on: a `None` marks the link dead
     /// (see [`MasterEndpoint::mark_dead`]) and the caller re-plans.
     pub fn try_send(&self, to: WorkerId, frame: Frame, blocks: u64) -> Option<f64> {
-        let pre = trace_start().map(|t0| (t0, frame.tag.kind, frame.run, frame.payload.len()));
-        let _guard = self.port.acquire();
-        let t1 = pre.as_ref().map(|_| record::now());
-        let cost = self.links[to.index()].try_send(frame, blocks);
-        if let (Some((t0, fk, run, len)), Some(t1), Some(_)) = (pre, t1, cost) {
-            trace_port_op(ActivityKind::Send, to, t0, t1, fk, run, len);
-        }
-        cost
+        self.send_traced(to, frame, |link, frame| link.try_send(frame, blocks))
     }
 
     /// Receive a frame of run generation `run` from `from` under the
@@ -288,8 +289,7 @@ impl MasterEndpoint {
     }
 
     /// Retire a run generation on every link: stop admitting its data
-    /// frames and drop (counting as stale) anything still parked in its
-    /// demux queues.
+    /// frames and drop (counting as stale) anything still in its queues.
     pub(crate) fn deregister_run(&self, run: u32) {
         for link in &self.links {
             link.deregister_run(run);
@@ -497,7 +497,7 @@ impl WorkerEndpoint {
 mod tests {
     use super::*;
     use crate::frame::{FrameKind, Tag};
-    use crate::link::{Link, Pacing};
+    use crate::link::{link, Pacing};
     use bytes::Bytes;
     use std::thread;
 
@@ -506,7 +506,7 @@ mod tests {
         let mut masters = Vec::new();
         let mut workers = Vec::new();
         for i in 0..p {
-            let (m, w) = Link::new(1.0, Pacing::OFF).split();
+            let (m, w) = link(1.0, Pacing::OFF);
             masters.push(m);
             workers.push(WorkerEndpoint::new(WorkerId(i), w));
         }

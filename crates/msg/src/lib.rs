@@ -10,8 +10,10 @@
 //!   as [`bytes::Bytes`], so forwarding never copies coefficients),
 //! * [`OnePort`] — a FIFO arbiter enforcing the paper's one-port model:
 //!   at most one master-side transfer (send *or* receive) in flight,
-//! * [`Link`] — a bandwidth-paced channel pair between the master and one
-//!   worker; pacing holds the port for `blocks · c_i · time_scale` wall
+//! * [`link::link`] — a bandwidth-paced link between the master and one
+//!   worker: a channel to the worker, and an inbox at the master that
+//!   files each frame the worker sends under its run generation as it
+//!   arrives; pacing holds the port for `blocks · c_i · time_scale` wall
 //!   seconds (`time_scale = 0` disables pacing for fast tests while
 //!   preserving ordering semantics),
 //! * [`StarNetwork`] — builds the full star from a
@@ -29,8 +31,8 @@
 //!   every link and stamps the lifecycle frames with it; the run's driver
 //!   stamps every frame it sends and scopes every receive
 //!   ([`MasterEndpoint::recv_deadline`]) to that generation, so up to
-//!   [`link::MAX_CONCURRENT_RUNS`] runs share one session's links with
-//!   the master demultiplexing replies per generation. Whether runs *may*
+//!   [`link::MAX_CONCURRENT_RUNS`] runs share one session's links, each
+//!   link filing replies per generation. Whether runs *may*
 //!   overlap is the caller's business (worker memory, a one-run worker
 //!   program): the layers above hold that lock, not this crate,
 //! * [`sched`] — the multi-job serving tier: a
@@ -74,7 +76,6 @@ pub mod transport;
 
 pub use endpoint::{MasterEndpoint, WorkerEndpoint};
 pub use frame::{Frame, FrameKind, Tag};
-pub use link::Link;
 pub use net::StarNetwork;
 pub use pool::BufferPool;
 pub use port::OnePort;

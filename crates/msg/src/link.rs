@@ -6,94 +6,106 @@
 //! while running tests at full speed; a positive scale makes wall-clock
 //! measurements reflect the `(c, w)` calibration.
 //!
-//! A link also enforces the run protocol's data-plane rule: it keeps the
-//! set of run generations the session has open ([`MAX_CONCURRENT_RUNS`]
-//! identical slots), rejects any inbound data frame stamped with a
-//! generation outside it, and routes the admitted ones to the collector
-//! of the run they belong to ([`MasterSide::recv_wait_run`]). Outbound
-//! frames travel exactly as their driver stamped them.
+//! A link also enforces the run protocol's data-plane rule. Every frame
+//! the worker sends is filed where it arrives, in the link's inbox: under
+//! its run generation when the session has that generation open (at most
+//! [`MAX_CONCURRENT_RUNS`] at once), with the unowned traffic when it is
+//! unstamped or control, and otherwise — a data frame of a generation
+//! that is not open — counted as stale and dropped. Each run's collector
+//! takes its own queue ([`MasterSide::recv_wait_run`]) and is the only one
+//! its arrivals wake. Outbound frames travel exactly as their driver
+//! stamped them.
 
 use crate::frame::Frame;
 use crate::stats::LinkStats;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvError, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How many run generations a link can serve **concurrently** — the hard
 /// ceiling on a scheduler's dispatcher count (see [`crate::sched`]).
 pub const MAX_CONCURRENT_RUNS: usize = 15;
 
-/// The set of run generations a link currently serves: a fixed array of
-/// identical atomic slots (0 = free), so the per-frame admission check is
-/// a handful of relaxed loads — no lock on the data path. A run's
-/// generation is registered when the session opens it and released when
-/// it ends or aborts; a data frame is admitted when its generation
-/// matches a slot.
-struct ActiveRuns {
-    slots: [AtomicU32; MAX_CONCURRENT_RUNS],
+/// The worker's frames the master has not taken yet, filed by generation
+/// as they arrive.
+#[derive(Default)]
+struct Inbox {
+    /// One queue per open run generation.
+    runs: HashMap<u32, Queue>,
+    /// Unstamped frames (generation 0) and control frames of no open
+    /// generation: any receiver may take them.
+    unowned: Queue,
+    /// The worker's half is gone: nothing more will arrive.
+    closed: bool,
 }
 
-impl ActiveRuns {
-    fn new() -> Self {
-        ActiveRuns { slots: std::array::from_fn(|_| AtomicU32::new(0)) }
-    }
+/// Frames of one owner, and the receivers parked for them.
+#[derive(Default)]
+struct Queue {
+    frames: VecDeque<Frame>,
+    /// Receivers parked on `arrived`; a notify costs a syscall, so none is
+    /// made while this is 0.
+    waiting: usize,
+    /// Shared with the parked receivers, which outlive the queue when its
+    /// generation is deregistered under them.
+    arrived: Arc<Condvar>,
+}
 
-    /// Claim a free slot for `run`. Panics when every slot is taken —
-    /// the scheduler's inflight cap (≤ [`MAX_CONCURRENT_RUNS`]) makes
-    /// that a bug, not a load condition.
-    fn register(&self, run: u32) {
-        assert_ne!(run, 0, "generation 0 is the run-less sentinel");
-        for slot in &self.slots {
-            if slot.compare_exchange(0, run, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                return;
-            }
-        }
-        panic!("more than {MAX_CONCURRENT_RUNS} concurrent run generations on one link");
-    }
-
-    /// Release `run`'s slot (no-op if it was never registered).
-    fn deregister(&self, run: u32) {
-        for slot in &self.slots {
-            if slot.compare_exchange(run, 0, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                return;
-            }
+impl Queue {
+    fn wake(&self) {
+        if self.waiting > 0 {
+            self.arrived.notify_all();
         }
     }
+}
 
-    /// Whether `run` is one of the currently-served generations (the
-    /// run-less sentinel 0 never is).
-    fn contains(&self, run: u32) -> bool {
-        run != 0 && self.slots.iter().any(|slot| slot.load(Ordering::Acquire) == run)
+impl Inbox {
+    /// The queue a receiver of generation `run` parks on: its own, or the
+    /// unowned one when `run` is not open.
+    fn queue(&mut self, run: u32) -> &mut Queue {
+        let Inbox { runs, unowned, .. } = self;
+        runs.get_mut(&run).unwrap_or(unowned)
+    }
+
+    fn wake_all(&self) {
+        self.runs.values().chain([&self.unowned]).for_each(Queue::wake);
     }
 }
 
-/// Per-generation inbound frame router for interleaved runs.
-///
-/// Concurrent run drivers all receive from the same link channel; a frame
-/// pulled for generation `g1` may belong to `g2`. The demux gives each
-/// generation its own queue: one caller at a time (the *puller*) drains
-/// the channel, keeps frames of its own generation, stashes frames of
-/// other live generations for their collectors, and wakes the waiters.
-/// Only the run-less [`MasterSide::recv`] of a bare network bypasses it.
-struct RunDemux {
-    queues: HashMap<u32, VecDeque<Frame>>,
-    /// Whether some thread currently owns the channel-draining role.
-    pulling: bool,
+/// The sending end of a link's worker→master direction: held by the
+/// [`WorkerSide`], or by a socket link's in-pump.
+pub(crate) struct ToMaster {
+    inbox: Arc<Mutex<Inbox>>,
+    stats: LinkStats,
 }
 
-/// What one channel pull produced for a caller waiting on a generation.
-enum Pulled {
-    /// A frame this caller should consume (its generation, or control
-    /// traffic — which is never queued, it has no owning generation).
-    Mine(Frame),
-    /// An admissible frame of another live generation: stash it.
-    Other(Frame),
-    /// The deadline elapsed with no admissible frame.
-    TimedOut,
-    /// The channel closed (worker exit or pump death).
-    Closed,
+impl ToMaster {
+    /// File `frame` in the inbox. Returns `false` once the master's half is
+    /// gone.
+    pub(crate) fn send(&self, frame: Frame) -> bool {
+        let mut inbox = self.inbox.lock().expect("link inbox poisoned");
+        if let Some(queue) = inbox.runs.get_mut(&frame.run) {
+            queue.frames.push_back(frame);
+            queue.wake();
+        } else if frame.run == 0 || !frame.tag.kind.is_block() {
+            inbox.unowned.frames.push_back(frame);
+            inbox.wake_all();
+        } else {
+            self.stats.record_stale_rejected();
+        }
+        // The master's half holds the only other reference.
+        Arc::strong_count(&self.inbox) > 1
+    }
+}
+
+impl Drop for ToMaster {
+    fn drop(&mut self) {
+        let mut inbox = self.inbox.lock().unwrap_or_else(|e| e.into_inner());
+        inbox.closed = true;
+        inbox.wake_all();
+    }
 }
 
 /// Shared pacing configuration of the whole network.
@@ -126,63 +138,17 @@ impl Pacing {
     }
 }
 
-/// One directional channel pair plus metering for a master↔worker link,
-/// built whole and then [`Link::split`] into the [`MasterSide`] the
-/// [`crate::endpoint::MasterEndpoint`] drives under its one-port guard and
-/// the [`WorkerSide`] a worker (or a socket link's pump threads) owns.
-pub struct Link {
-    /// Per-block communication cost `c_i` of this link (model time units).
-    pub c: f64,
-    pacing: Pacing,
-    stats: LinkStats,
-    to_worker_tx: Sender<Frame>,
-    to_worker_rx: Receiver<Frame>,
-    to_master_tx: Sender<Frame>,
-    to_master_rx: Receiver<Frame>,
-}
-
-impl Link {
-    /// Build a link with per-block cost `c` and the given pacing.
-    pub fn new(c: f64, pacing: Pacing) -> Self {
-        let (to_worker_tx, to_worker_rx) = channel();
-        let (to_master_tx, to_master_rx) = channel();
-        Link {
-            c,
-            pacing,
-            stats: LinkStats::new(),
-            to_worker_tx,
-            to_worker_rx,
-            to_master_tx,
-            to_master_rx,
-        }
-    }
-
-    /// The link's statistics handle.
-    pub fn stats(&self) -> LinkStats {
-        self.stats.clone()
-    }
-
-    /// Split into master-facing and worker-facing halves.
-    pub fn split(self) -> (MasterSide, WorkerSide) {
-        let stats = self.stats.clone();
-        (
-            MasterSide {
-                c: self.c,
-                pacing: self.pacing,
-                stats: stats.clone(),
-                tx: self.to_worker_tx,
-                rx: std::sync::Mutex::new(self.to_master_rx),
-                dead: Arc::new(AtomicBool::new(false)),
-                runs: ActiveRuns::new(),
-                demux: std::sync::Mutex::new(RunDemux { queues: HashMap::new(), pulling: false }),
-                demux_cv: std::sync::Condvar::new(),
-            },
-            WorkerSide {
-                rx: self.to_worker_rx,
-                tx: self.to_master_tx,
-            },
-        )
-    }
+/// A link of per-block cost `c` and the given pacing, as its two halves:
+/// the [`MasterSide`] the [`crate::endpoint::MasterEndpoint`] drives under
+/// its one-port guard, and the [`WorkerSide`] a worker (or a socket link's
+/// pump threads) owns.
+pub fn link(c: f64, pacing: Pacing) -> (MasterSide, WorkerSide) {
+    let (tx, rx) = channel();
+    let stats = LinkStats::new();
+    let inbox = Arc::new(Mutex::new(Inbox::default()));
+    let to_master = ToMaster { inbox: Arc::clone(&inbox), stats: stats.clone() };
+    let dead = Arc::new(AtomicBool::new(false));
+    (MasterSide { c, pacing, stats, tx, inbox, dead }, WorkerSide { rx, tx: to_master })
 }
 
 /// Master-facing half of a link.
@@ -192,31 +158,17 @@ pub struct MasterSide {
     pacing: Pacing,
     stats: LinkStats,
     tx: Sender<Frame>,
-    /// The worker→master channel. Behind a mutex only because an mpsc
-    /// `Receiver` is not `Sync` and concurrent collectors share this side;
-    /// actual access is already exclusive — the demux admits one puller
-    /// at a time, and the run-less [`MasterSide::recv`] is only for bare
-    /// networks that open no run.
-    rx: std::sync::Mutex<Receiver<Frame>>,
+    /// Where the worker's frames wait, filed by generation. A data frame
+    /// stamped with a generation that is not open never gets in — counted
+    /// in [`LinkStats`], never delivered, never metered — so even a frame
+    /// from a link nobody marked dead cannot cross a run boundary.
+    inbox: Arc<Mutex<Inbox>>,
     /// Sticky liveness verdict for this link. Set by the failure-aware
     /// scheduling layer (deadline expiry, failed send) or by a socket
     /// link's in-pump when the stream dies; once dead, a link is never
     /// used again — a wedged worker that wakes up late must not be able
     /// to inject stale frames into a later exchange.
     dead: Arc<AtomicBool>,
-    /// The run generations this link is currently serving (all slots free
-    /// = no run in progress). Outbound frames go out exactly as their
-    /// driver stamped them. Inbound *data* frames carrying a non-zero
-    /// generation outside the active set are structurally rejected —
-    /// counted in [`LinkStats`], never delivered, never metered. This is
-    /// the first-class defence the sticky-dead flag used to approximate:
-    /// even a frame from a link nobody marked dead cannot cross a run
-    /// boundary.
-    runs: ActiveRuns,
-    /// Inbound per-generation router for interleaved runs; see
-    /// [`RunDemux`].
-    demux: std::sync::Mutex<RunDemux>,
-    demux_cv: std::sync::Condvar,
 }
 
 impl MasterSide {
@@ -236,71 +188,55 @@ impl MasterSide {
         Arc::clone(&self.dead)
     }
 
-    /// Register `run` as a live generation: its data frames are admitted
-    /// alongside those of every other live run.
-    pub(crate) fn register_run(&self, run: u32) {
-        self.runs.register(run);
+    fn inbox(&self) -> std::sync::MutexGuard<'_, Inbox> {
+        self.inbox.lock().expect("link inbox poisoned")
     }
 
-    /// Retire generation `run`: stop admitting its data frames and drop
-    /// anything still parked in its demux queue. Leftovers are counted as
-    /// stale rejections, so an aborted run's stragglers stay observable
-    /// whether they were already pulled or are still in flight.
+    /// Open generation `run` on this link: its frames are filed in a
+    /// queue of their own, alongside those of every other open run.
+    pub(crate) fn register_run(&self, run: u32) {
+        assert_ne!(run, 0, "generation 0 is the run-less sentinel");
+        let mut inbox = self.inbox();
+        // The scheduler's inflight cap (≤ MAX_CONCURRENT_RUNS) makes a
+        // breach a bug, not a load condition.
+        assert!(
+            inbox.runs.len() < MAX_CONCURRENT_RUNS,
+            "more than {MAX_CONCURRENT_RUNS} concurrent run generations on one link"
+        );
+        inbox.runs.insert(run, Queue::default());
+    }
+
+    /// Retire generation `run`: its later data frames are stale, and so is
+    /// anything still in its queue — counted, so an aborted run's
+    /// stragglers stay observable whether they arrived before or after.
     pub(crate) fn deregister_run(&self, run: u32) {
-        self.runs.deregister(run);
-        let mut demux = self.demux.lock().expect("run demux poisoned");
-        if let Some(queue) = demux.queues.remove(&run) {
-            for _ in 0..queue.len() {
+        if let Some(queue) = self.inbox().runs.remove(&run) {
+            for _ in &queue.frames {
                 self.stats.record_stale_rejected();
             }
         }
     }
 
-    /// Admission check for an inbound frame: a data frame must carry one
-    /// of the link's active run generations — or, on the run-less receive
-    /// of a bare network (`runless_ok`), the unstamped generation 0, which
-    /// no run's collector could own; control traffic always passes. A
-    /// rejected frame is counted and dropped *before* any metering or
-    /// pacing, so the communication-volume counters stay exact.
-    fn admit(&self, frame: &Frame, runless_ok: bool) -> bool {
-        let admitted = !frame.tag.kind.is_block()
-            || self.runs.contains(frame.run)
-            || (runless_ok && frame.run == 0);
-        if !admitted {
-            self.stats.record_stale_rejected();
-        }
-        admitted
-    }
-
-    /// Pace, enqueue and meter one outbound frame. Returns whether the
-    /// worker's end of the channel was still open — an undelivered frame
-    /// is never metered — and the model-time cost.
-    fn deliver(&self, frame: Frame, blocks: u64) -> (bool, f64) {
+    /// Pace, enqueue and meter one outbound frame: `Some(cost)` in model
+    /// time when it was delivered, `None` — for a link whose worker
+    /// already exited — when it was not. An undelivered frame is never
+    /// metered. For lifecycle and teardown traffic, which must not fail
+    /// because a worker died first.
+    pub fn send_lossy(&self, frame: Frame, blocks: u64) -> Option<f64> {
         let start = Instant::now();
         let cost = blocks as f64 * self.c;
         self.pacing.pace(cost);
         let wire_len = frame.wire_len();
         let metered = metered_blocks(&frame, blocks);
-        let delivered = self.tx.send(frame).is_ok();
-        if delivered {
-            self.stats.record_to_worker(wire_len, metered);
-            self.stats.record_port_busy(start.elapsed().as_nanos() as u64);
-        }
-        (delivered, cost)
+        self.tx.send(frame).ok()?;
+        self.stats.record_to_worker(wire_len, metered);
+        self.stats.record_port_busy(start.elapsed().as_nanos() as u64);
+        Some(cost)
     }
 
     /// Paced send; returns model-time cost. Panics on a closed link.
     pub fn send(&self, frame: Frame, blocks: u64) -> f64 {
-        let (delivered, cost) = self.deliver(frame, blocks);
-        assert!(delivered, "worker endpoint dropped");
-        cost
-    }
-
-    /// Best-effort send for lifecycle/teardown traffic: a closed link
-    /// (the worker thread already exited) is silently ignored instead of
-    /// panicking, and nothing is metered for the undelivered frame.
-    pub fn send_lossy(&self, frame: Frame, blocks: u64) -> f64 {
-        self.deliver(frame, blocks).1
+        self.send_lossy(frame, blocks).expect("worker endpoint dropped")
     }
 
     /// Failure-aware send: `Some(cost)` when the frame was delivered,
@@ -312,120 +248,64 @@ impl MasterSide {
         if self.is_dead() {
             return None;
         }
-        let (delivered, cost) = self.deliver(frame, blocks);
-        if !delivered {
+        let sent = self.send_lossy(frame, blocks);
+        if sent.is_none() {
             self.mark_dead();
-            return None;
         }
-        Some(cost)
+        sent
     }
 
     /// Run-less paced receive for a bare network that opens no run: blocks
-    /// until the worker produced an admissible frame, reading the channel
-    /// directly (no demux). Must not race a run-scoped receive on the
-    /// same link.
+    /// until the worker sent an unstamped or control frame. `Err` once the
+    /// worker's half is gone.
     pub fn recv(&self, blocks: u64) -> Result<(Frame, f64), RecvError> {
-        let rx = self.rx.lock().expect("link receiver poisoned");
-        loop {
-            let frame = rx.recv()?;
-            if self.admit(&frame, true) {
-                drop(rx);
-                return Ok(self.finish_recv(frame, blocks));
-            }
-        }
+        let frame = self.recv_wait_run(0, None).ok_or(RecvError)?;
+        Ok(self.finish_recv(frame, blocks))
     }
 
-    /// Phase 1 of a run's receive: return the next admissible frame
-    /// stamped `run` (or control traffic), parking on the channel's own
-    /// timed receive (condvar parking, no polling) without paying any
-    /// transfer cost. Frames of *other* live generations pulled en route
-    /// are stashed in their demux queues and their waiters woken. `None` when `timeout` elapses (or, with
-    /// `timeout == None`, only when the channel closes — worker death).
-    /// The caller settles the transfer with [`MasterSide::finish_recv`].
-    ///
-    /// Only one thread at a time drains the channel (the *puller*); the
-    /// rest wait on their queues. This keeps frame order per generation
-    /// exactly as the worker sent it.
+    /// Phase 1 of a run's receive: the next frame of generation `run` —
+    /// else the next unowned one (a data frame stamped 0 there is stale to
+    /// a run, and taken by the run-less receive, `run == 0`) — parking
+    /// until one arrives without paying any transfer cost. `None` when
+    /// `timeout` elapses or the worker's half is gone with nothing left to
+    /// take. The caller settles the transfer with
+    /// [`MasterSide::finish_recv`]. Frames of one generation come out in
+    /// the order the worker sent them.
     pub fn recv_wait_run(&self, run: u32, timeout: Option<Duration>) -> Option<Frame> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut demux = self.demux.lock().expect("run demux poisoned");
+        let mut inbox = self.inbox();
         loop {
-            if let Some(frame) = demux.queues.get_mut(&run).and_then(VecDeque::pop_front) {
+            if let Some(frame) = inbox.runs.get_mut(&run).and_then(|q| q.frames.pop_front()) {
                 return Some(frame);
             }
-            if demux.pulling {
-                // Someone else owns the channel; wait for them to stash a
-                // frame for us or release the puller role.
-                demux = match deadline {
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            return None;
-                        }
-                        self.demux_cv
-                            .wait_timeout(demux, d - now)
-                            .expect("run demux poisoned")
-                            .0
-                    }
-                    None => self.demux_cv.wait(demux).expect("run demux poisoned"),
-                };
-                continue;
-            }
-            demux.pulling = true;
-            drop(demux);
-            let pulled = self.pull_admissible(run, deadline);
-            demux = self.demux.lock().expect("run demux poisoned");
-            demux.pulling = false;
-            // Wake everyone: a stashed frame may be theirs, and at least
-            // one waiter must take over the puller role.
-            self.demux_cv.notify_all();
-            match pulled {
-                Pulled::Mine(frame) => return Some(frame),
-                Pulled::Other(frame) => {
-                    demux.queues.entry(frame.run).or_default().push_back(frame);
+            if let Some(frame) = inbox.unowned.frames.pop_front() {
+                if run != 0 && frame.run == 0 && frame.tag.kind.is_block() {
+                    self.stats.record_stale_rejected();
+                    continue;
                 }
-                Pulled::TimedOut | Pulled::Closed => return None,
+                return Some(frame);
             }
-        }
-    }
-
-    /// Drain the channel until one admissible frame surfaces, classifying
-    /// it for the caller waiting on generation `run`. Runs *outside* the
-    /// demux lock so stashing waiters can drain their queues meanwhile.
-    fn pull_admissible(&self, run: u32, deadline: Option<Instant>) -> Pulled {
-        let rx = self.rx.lock().expect("link receiver poisoned");
-        loop {
-            let frame = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Pulled::TimedOut;
-                    }
-                    match rx.recv_timeout(d - now) {
-                        Ok(frame) => frame,
-                        Err(RecvTimeoutError::Timeout) => return Pulled::TimedOut,
-                        Err(RecvTimeoutError::Disconnected) => return Pulled::Closed,
-                    }
-                }
-                None => match rx.recv() {
-                    Ok(frame) => frame,
-                    Err(RecvError) => return Pulled::Closed,
-                },
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if inbox.closed || left == Some(Duration::ZERO) {
+                return None;
+            }
+            let queue = inbox.queue(run);
+            queue.waiting += 1;
+            let arrived = Arc::clone(&queue.arrived);
+            inbox = match left {
+                Some(left) => arrived.wait_timeout(inbox, left).expect("link inbox poisoned").0,
+                None => arrived.wait(inbox).expect("link inbox poisoned"),
             };
-            if !self.admit(&frame, false) {
-                continue;
+            // The generation may have been deregistered meanwhile.
+            let queue = inbox.queue(run);
+            if Arc::ptr_eq(&queue.arrived, &arrived) {
+                queue.waiting -= 1;
             }
-            // Control traffic has no owning generation and matrix workers
-            // never send it unsolicited: hand it to whoever pulled it.
-            if frame.run == run || !frame.tag.kind.is_block() {
-                return Pulled::Mine(frame);
-            }
-            return Pulled::Other(frame);
         }
     }
 
-    /// Phase 2 of a receive: meter and pace a frame already pulled off
-    /// the channel (by [`MasterSide::recv_wait_run`] or a raw channel read).
+    /// Phase 2 of a receive: meter and pace a frame already taken from the
+    /// inbox by [`MasterSide::recv_wait_run`].
     pub fn finish_recv(&self, frame: Frame, blocks: u64) -> (Frame, f64) {
         let start = Instant::now();
         let cost = blocks as f64 * self.c;
@@ -445,7 +325,7 @@ impl MasterSide {
 /// Worker-facing half of a link.
 pub struct WorkerSide {
     rx: Receiver<Frame>,
-    tx: Sender<Frame>,
+    tx: ToMaster,
 }
 
 impl WorkerSide {
@@ -454,16 +334,16 @@ impl WorkerSide {
         self.rx.recv()
     }
 
-    /// Disassemble into the raw channel halves, so the socket transport's
-    /// pump threads can own each direction independently (the receiver of
-    /// master→worker frames and the sender of worker→master frames).
-    pub(crate) fn into_channels(self) -> (Receiver<Frame>, Sender<Frame>) {
+    /// Disassemble into the receiver of master→worker frames and the
+    /// sender of worker→master ones, so the socket transport's pump
+    /// threads can own each direction independently.
+    pub(crate) fn split(self) -> (Receiver<Frame>, ToMaster) {
         (self.rx, self.tx)
     }
 
     /// Enqueue a result for the master (un-paced; the master pays on pull).
     pub fn send(&self, frame: Frame) {
-        let _ = self.tx.send(frame);
+        self.tx.send(frame);
     }
 }
 
@@ -479,7 +359,7 @@ mod tests {
 
     #[test]
     fn push_pull_roundtrip() {
-        let (master, worker) = Link::new(2.0, Pacing::OFF).split();
+        let (master, worker) = link(2.0, Pacing::OFF);
         let cost = master.send(blk(FrameKind::BlockA, 1, 2), 1);
         assert_eq!(cost, 2.0);
         let got = worker.recv().unwrap();
@@ -495,7 +375,7 @@ mod tests {
 
     #[test]
     fn split_halves_communicate() {
-        let (master, worker) = Link::new(1.0, Pacing::OFF).split();
+        let (master, worker) = link(1.0, Pacing::OFF);
         master.send(blk(FrameKind::BlockB, 0, 5), 1);
         let f = worker.recv().unwrap();
         assert_eq!(f.tag.j, 5);
@@ -507,7 +387,7 @@ mod tests {
 
     #[test]
     fn pacing_sleeps_roughly_right() {
-        let (master, _worker) = Link::new(0.01, Pacing { time_scale: 1.0 }).split();
+        let (master, _worker) = link(0.01, Pacing { time_scale: 1.0 });
         let start = Instant::now();
         master.send(blk(FrameKind::BlockA, 0, 0), 2); // 0.02 s
         let elapsed = start.elapsed().as_secs_f64();
@@ -522,7 +402,7 @@ mod tests {
 
     #[test]
     fn outbound_frames_are_stamped_and_stale_data_frames_rejected() {
-        let (master, worker) = Link::new(1.0, Pacing::OFF).split();
+        let (master, worker) = link(1.0, Pacing::OFF);
         master.register_run(3);
 
         // Outbound: the link forwards the generation the driver stamped.
@@ -556,7 +436,7 @@ mod tests {
 
     #[test]
     fn registered_job_generations_are_admitted_and_prestamps_survive() {
-        let (master, worker) = Link::new(1.0, Pacing::OFF).split();
+        let (master, worker) = link(1.0, Pacing::OFF);
         master.register_run(7);
         master.register_run(9);
 
@@ -588,7 +468,7 @@ mod tests {
 
     #[test]
     fn recv_wait_run_routes_frames_to_their_generation() {
-        let (master, worker) = Link::new(1.0, Pacing::OFF).split();
+        let (master, worker) = link(1.0, Pacing::OFF);
         master.register_run(11);
         master.register_run(12);
 
@@ -622,7 +502,7 @@ mod tests {
 
     #[test]
     fn concurrent_collectors_each_get_their_own_frames() {
-        let (master, worker) = Link::new(1.0, Pacing::OFF).split();
+        let (master, worker) = link(1.0, Pacing::OFF);
         master.register_run(21);
         master.register_run(22);
         let master = Arc::new(master);
@@ -656,8 +536,48 @@ mod tests {
     }
 
     #[test]
+    fn a_parked_receiver_drains_what_arrived_before_the_worker_left() {
+        let (master, worker) = link(1.0, Pacing::OFF);
+        master.register_run(5);
+        let master = Arc::new(master);
+        let m = Arc::clone(&master);
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        // No deadline: only an arrival or the worker's half going away
+        // ends the wait.
+        let collector = std::thread::spawn(move || {
+            while let Some(f) = m.recv_wait_run(5, None) {
+                got_tx.send(f.tag.i).unwrap();
+            }
+        });
+        // Send only once the collector is (very likely) parked: the
+        // arrival must wake it.
+        std::thread::sleep(Duration::from_millis(20));
+        worker.send(result_in(5, 0, 0));
+        assert_eq!(got_rx.recv_timeout(Duration::from_secs(10)), Ok(0), "woken by its frame");
+        worker.send(result_in(5, 1, 0));
+        worker.send(result_in(5, 2, 0));
+        drop(worker);
+        collector.join().unwrap();
+        assert_eq!(got_rx.iter().collect::<Vec<_>>(), [1, 2]);
+        assert!(master.recv_wait_run(5, None).is_none(), "a closed, drained link");
+    }
+
+    #[test]
+    fn a_control_frame_of_an_open_generation_reaches_its_collector() {
+        let (master, worker) = link(1.0, Pacing::OFF);
+        master.register_run(31);
+        master.register_run(32);
+        let ctl = Frame::new_in_run(Tag { kind: FrameKind::Control, i: 4, j: 0 }, 32, Bytes::new());
+        worker.send(ctl);
+        let brief = Some(Duration::from_millis(10));
+        assert!(master.recv_wait_run(31, brief).is_none(), "another generation's control");
+        assert_eq!(master.recv_wait_run(32, brief).unwrap().tag.i, 4);
+        assert_eq!(master.stats().snapshot().stale_rejected, 0);
+    }
+
+    #[test]
     fn fifo_frame_order_preserved() {
-        let (master, worker) = Link::new(1.0, Pacing::OFF).split();
+        let (master, worker) = link(1.0, Pacing::OFF);
         for k in 0..10 {
             master.send(blk(FrameKind::BlockA, k, 0), 1);
         }

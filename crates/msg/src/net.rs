@@ -2,7 +2,7 @@
 
 use crate::config::Config;
 use crate::endpoint::{MasterEndpoint, WorkerEndpoint};
-use crate::link::{Link, Pacing};
+use crate::link::{link, Pacing};
 use crate::port::OnePort;
 use mwp_platform::Platform;
 
@@ -42,7 +42,7 @@ impl StarNetwork {
         let mut master_sides = Vec::with_capacity(platform.len());
         let mut workers = Vec::with_capacity(platform.len());
         for (id, params) in platform.iter() {
-            let (m, w) = Link::new(params.c, pacing).split();
+            let (m, w) = link(params.c, pacing);
             master_sides.push(m);
             workers.push(WorkerEndpoint::new(id, w));
         }

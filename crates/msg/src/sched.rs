@@ -140,8 +140,8 @@ impl<R> JobHandle<R> {
 
 impl<J: Send + 'static, R: Send + 'static> JobScheduler<J, R> {
     /// Spawn a scheduler with `inflight` dispatcher threads (clamped to
-    /// `1..=`[`MAX_CONCURRENT_RUNS`] — the link layer's per-link slot
-    /// registry bounds how many run generations can interleave).
+    /// `1..=`[`MAX_CONCURRENT_RUNS`] — how many run generations a link
+    /// serves at once).
     pub fn spawn<E>(inflight: usize, executor: Arc<E>) -> Self
     where
         E: JobExecutor<J, R> + 'static,

@@ -18,11 +18,9 @@
 //! * a [`Frame::shutdown`] (or the master endpoint dropping) terminates
 //!   the thread for good.
 //!
-//! Between runs a worker costs nothing: it is blocked in the channel's
-//! own blocking receive (condvar parking), not polling. This
-//! is also the shape a future socket transport attaches to — a remote
-//! worker process is exactly a session worker whose endpoint happens to
-//! be a socket.
+//! Between runs a worker costs nothing: it is blocked in its endpoint's
+//! blocking receive (condvar parking on a channel, a blocking read on a
+//! socket), not polling.
 
 use crate::config::Config;
 use crate::endpoint::{MasterEndpoint, WorkerEndpoint};
@@ -556,8 +554,8 @@ impl Session {
     ///
     /// The run is identified by a freshly drawn generation, registered at
     /// every link alongside any other open run's, so several runs may
-    /// interleave their frames on the same links and the master
-    /// demultiplexes replies by the header's `run` field
+    /// interleave their frames on the same links: each link files a reply
+    /// under the header's `run` field as it arrives
     /// ([`MasterEndpoint::recv_deadline`]). The caller contract: every
     /// frame the run's driver sends is stamped with
     /// [`RunEpoch::generation`], its receives are scoped to that
@@ -588,7 +586,7 @@ impl Session {
     /// `RUN_END` (stamped with the run's generation) to the enrolled
     /// workers, best-effort like [`Session::begin_run`], then retires the
     /// generation — its data frames are stale again, and anything still
-    /// parked in the demux queues is dropped and counted as rejected.
+    /// in its queues is dropped and counted as rejected.
     pub fn finish_run(&self, enrolled: usize, epoch: RunEpoch) {
         self.close_run(enrolled, epoch, run_end_frame(), "RUN_END")
     }
@@ -695,8 +693,9 @@ impl Drop for Session {
 /// threads and **remote worker processes** (the `mwp-worker` binary)
 /// alike. Parks in `ep.recv()` between runs (blocking, no polling); each
 /// `RUN_BEGIN` invokes `program` with the run parameter; returns when the
-/// master sends a shutdown frame or the connection/channel closes, with
-/// every span this process recorded on disk ([`record::sync`]).
+/// master sends a shutdown frame, the connection/channel closes or a data
+/// frame arrives outside any run (which drops the link), with every span
+/// this process recorded on disk ([`record::sync`]).
 pub fn serve_worker<P>(ep: WorkerEndpoint, program: &mut P)
 where
     P: FnMut(u32, &WorkerEndpoint) -> RunExit,
@@ -717,7 +716,8 @@ where
             // (or end) broadcast can reach a worker whose program already
             // left the run on its own. Stay parked.
             FrameKind::Control if frame.tag.i == RUN_END || frame.tag.i == RUN_ABORT => {}
-            other => unreachable!("{other:?} frame outside a run (tag {:?})", frame.tag),
+            // Data outside a run: the peer is desynced, drop the link.
+            _ => break,
         }
     }
     // A worker process may exit right after this returns: wait for the
@@ -880,6 +880,17 @@ mod tests {
         assert_eq!(session.master().total_blocks(), 2);
         // Workers 1 and 2 never saw a frame; shutdown still joins all 3.
         assert_eq!(session.shutdown(), 3);
+    }
+
+    #[test]
+    fn a_block_frame_to_a_parked_worker_drops_its_link_without_unwinding() {
+        let session = echo_session(2);
+        let frame = Frame::new(Tag::new(FrameKind::BlockA, 0, 0), Bytes::from_static(b"x"));
+        session.master().send(WorkerId(1), frame, 1);
+        // Worker 1 leaves its loop; `shutdown` would re-raise a panic.
+        assert!(session.master().recv_timeout(WorkerId(1), 0, 0, None).is_none(), "the link closed");
+        assert_eq!(echo_round(&session, 1, 3), 2, "worker 0 still serves");
+        assert_eq!(session.shutdown(), 2);
     }
 
     #[test]
@@ -1186,8 +1197,8 @@ mod tests {
         assert_eq!(recv_in(&session, &run_b, 0).tag.i, 2);
         session.finish_run(1, run_b);
 
-        // Run A's orphaned echo was either retired from the demux queue
-        // or rejected at admission — counted either way.
+        // Run A's orphaned echo was either retired from its queue or
+        // rejected on arrival — counted either way.
         assert!(session.stale_rejections() >= 1);
         assert_eq!(session.shutdown(), 1);
     }

@@ -2,7 +2,7 @@
 
 use super::framing::{FrameRead, FrameWrite};
 use crate::frame::{Frame, FrameKind};
-use crate::link::{Link, MasterSide, Pacing};
+use crate::link::{link, MasterSide, Pacing};
 use mwp_platform::WorkerId;
 use std::sync::mpsc::RecvTimeoutError;
 use std::thread::{self, JoinHandle};
@@ -10,20 +10,20 @@ use std::time::Duration;
 
 /// The master side of one socket-backed link.
 ///
-/// Internally this is a channel-backed [`MasterSide`] — the very struct
-/// the channel transport hands to [`crate::MasterEndpoint`], with pacing,
-/// one-port metering, and statistics untouched — whose worker half is
-/// bridged to the socket by two pump threads:
+/// Internally this is a [`MasterSide`] — the very struct the channel
+/// transport hands to [`crate::MasterEndpoint`], with pacing, one-port
+/// metering, and statistics untouched — whose worker half is bridged to
+/// the socket by two pump threads:
 ///
 /// * the **out pump** drains master→worker frames from the channel onto
 ///   the socket; it exits after forwarding a [`Frame::shutdown`] (or,
 ///   when the master endpoint drops without one, after sending a
 ///   best-effort shutdown of its own), so the remote worker always
 ///   observes an orderly end-of-session;
-/// * the **in pump** reads worker→master frames off the socket into the
-///   channel and exits on EOF or a transport error — at which point a
-///   master blocked in `recv` observes the same "worker died" channel
-///   error the in-process transport produces.
+/// * the **in pump** reads worker→master frames off the socket and files
+///   each in the link's inbox under its run generation, and exits on EOF
+///   or a transport error — at which point a master blocked in `recv`
+///   observes the same closed link the in-process transport produces.
 ///
 /// Pump threads never meter or pace: the master pays for a transfer when
 /// the frame crosses its `MasterSide`, exactly as with channel links, so
@@ -34,10 +34,10 @@ pub struct RemoteLink {
 }
 
 impl RemoteLink {
-    /// Bridge split stream halves into a channel-backed link for worker
-    /// `id` with per-block cost `c` and the network's pacing. With a
-    /// `heartbeat` interval (the session's liveness setting) the out
-    /// pump probes the worker whenever the link is idle that long.
+    /// Bridge split stream halves into a link for worker `id` with
+    /// per-block cost `c` and the network's pacing. With a `heartbeat`
+    /// interval (the session's liveness setting) the out pump probes the
+    /// worker whenever the link is idle that long.
     pub fn attach(
         reader: Box<dyn FrameRead>,
         writer: Box<dyn FrameWrite>,
@@ -46,8 +46,8 @@ impl RemoteLink {
         id: WorkerId,
         heartbeat: Option<Duration>,
     ) -> RemoteLink {
-        let (master_side, worker_side) = Link::new(c, pacing).split();
-        let (to_worker_rx, to_master_tx) = worker_side.into_channels();
+        let (master_side, worker_side) = link(c, pacing);
+        let (to_worker_rx, to_master) = worker_side.split();
         let mut writer = writer;
         let out_pump = thread::Builder::new()
             .name(format!("mwp-pump-out-{}", id.index()))
@@ -91,16 +91,16 @@ impl RemoteLink {
                 // The socket carries the liveness read deadline (set before
                 // the split), so a worker silent past the liveness deadline —
                 // no data, no heartbeats — surfaces here as a timed-out
-                // read. Any exit marks the link dead and drops the channel
+                // read. Any exit marks the link dead and drops the inbox
                 // sender, which a master blocked in `recv` observes as the
-                // same "worker died" error the in-process transport
-                // produces. Worker heartbeats are swallowed here; they
+                // same closed link the in-process transport produces.
+                // Worker heartbeats are swallowed here; they
                 // exist only to feed the socket's deadline.
                 loop {
                     match reader.recv_frame() {
                         Ok(Some(f)) if f.tag.kind == FrameKind::Heartbeat => continue,
                         Ok(Some(f)) => {
-                            if to_master_tx.send(f).is_err() {
+                            if !to_master.send(f) {
                                 break; // master endpoint gone
                             }
                         }
