@@ -115,7 +115,7 @@ impl RuntimeSession {
     /// binaries, typically): accepts one enrollment per platform worker
     /// from `listener` and answers each with its link/memory parameters,
     /// under the deployment's `config` (secret, liveness, run budget — see
-    /// [`Session::accept_remote`]). Runs, statistics, and shutdown behave
+    /// [`Session::accept_remote`]). Runs, their meters, and shutdown behave
     /// exactly as on a local session — results are bit-identical because
     /// the remote workers execute the same Algorithm 2 program against the
     /// same frames.
@@ -273,7 +273,7 @@ impl RuntimeSession {
     }
 
     /// How many previous-generation data frames the master's links have
-    /// structurally rejected (see [`mwp_msg::stats::LinkSnapshot`]) —
+    /// structurally rejected (see [`mwp_msg::link::MasterSide::stale_rejected`]) —
     /// observably non-zero when a stale frame from an earlier run (e.g. a
     /// replay fault) reached a link after its run ended.
     pub fn stale_rejections(&self) -> u64 {

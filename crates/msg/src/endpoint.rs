@@ -5,7 +5,6 @@ use crate::lifecycle::RUN_BEGIN;
 use crate::link::{MasterSide, WorkerSide};
 use crate::pool::BufferPool;
 use crate::port::OnePort;
-use crate::stats::LinkSnapshot;
 use bytes::Bytes;
 use mwp_platform::WorkerId;
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
@@ -122,7 +121,7 @@ impl MasterEndpoint {
     /// Send `frame` (counted as `blocks` blocks) to `to`, holding the port
     /// for the paced duration. Returns the model-time cost `blocks · c_to`.
     pub fn send(&self, to: WorkerId, frame: Frame, blocks: u64) -> f64 {
-        self.send_traced(to, frame, |link, frame| link.send_lossy(frame, blocks))
+        self.send_traced(to, frame, |link, frame| link.send(frame, blocks))
             .expect("worker endpoint dropped")
     }
 
@@ -147,28 +146,12 @@ impl MasterEndpoint {
     /// Run-less receive of a frame from `from` (counted as `blocks`
     /// blocks), for a bare network that opens no run; a session's runs
     /// receive through [`MasterEndpoint::recv_deadline`]. Blocks the
-    /// caller until the worker produced a frame, holding the port during
-    /// the wait: in the paper's algorithms the master only posts a receive
-    /// when the worker is (about to be) done, and Algorithm 3 explicitly
-    /// bills waiting time to the port timeline via
-    /// `max(completion, ready)`.
+    /// caller until the worker produced an unstamped or control frame,
+    /// then takes the port to pay the transfer: like a run's receive, it
+    /// does not hold the port while it waits. `Err` once the worker's half
+    /// is gone.
     pub fn recv(&self, from: WorkerId, blocks: u64) -> Result<(Frame, f64), RecvError> {
-        let t0 = trace_start();
-        let _guard = self.port.acquire();
-        let t1 = t0.map(|_| record::now());
-        let result = self.links[from.index()].recv(blocks);
-        if let (Some(t0), Some(t1), Ok((frame, _))) = (t0, t1, &result) {
-            trace_port_op(
-                ActivityKind::Recv,
-                from,
-                t0,
-                t1,
-                frame.tag.kind,
-                frame.run,
-                frame.payload.len(),
-            );
-        }
-        result
+        self.recv_timeout(from, 0, blocks, None).ok_or(RecvError)
     }
 
     /// Receive the next frame of run generation `run` from `from`, with
@@ -198,7 +181,7 @@ impl MasterEndpoint {
         let frame = self.links[from.index()].recv_wait_run(run, timeout)?;
         let _guard = self.port.acquire();
         let t1 = t0.map(|_| record::now());
-        let (frame, cost) = self.links[from.index()].finish_recv(frame, blocks);
+        let cost = self.links[from.index()].pace(blocks);
         if let (Some(t0), Some(t1)) = (t0, t1) {
             trace_port_op(
                 ActivityKind::Recv,
@@ -214,12 +197,12 @@ impl MasterEndpoint {
     }
 
     /// Best-effort control send for teardown paths: identical port and
-    /// metering behavior to [`MasterEndpoint::send`], but a link whose
+    /// trace behavior to [`MasterEndpoint::send`], but a link whose
     /// worker already exited is ignored instead of panicking (session
     /// shutdown must not fail because a worker died first). A link only
     /// marked dead still gets the frame: it unparks an in-process worker.
     pub fn send_lossy(&self, to: WorkerId, frame: Frame) {
-        self.send_traced(to, frame, |link, frame| link.send_lossy(frame, 0));
+        self.send_traced(to, frame, |link, frame| link.send(frame, 0));
     }
 
     /// Failure-aware send: `Some(cost)` when the frame reached `to`'s
@@ -228,8 +211,19 @@ impl MasterEndpoint {
     /// which panics on a closed link, this is the primitive the
     /// fault-tolerant schedulers build on: a `None` marks the link dead
     /// (see [`MasterEndpoint::mark_dead`]) and the caller re-plans.
+    /// A link already known dead is paced for nothing — a declared-dead
+    /// worker costs no model time.
     pub fn try_send(&self, to: WorkerId, frame: Frame, blocks: u64) -> Option<f64> {
-        self.send_traced(to, frame, |link, frame| link.try_send(frame, blocks))
+        self.send_traced(to, frame, |link, frame| {
+            if link.is_dead() {
+                return None;
+            }
+            let sent = link.send(frame, blocks);
+            if sent.is_none() {
+                link.mark_dead();
+            }
+            sent
+        })
     }
 
     /// Receive a frame of run generation `run` from `from` under the
@@ -299,26 +293,7 @@ impl MasterEndpoint {
     /// Total inbound data frames rejected by the run-generation check,
     /// summed over all links.
     pub fn stale_rejections(&self) -> u64 {
-        (0..self.links.len())
-            .map(|i| self.link_stats(WorkerId(i)).stale_rejected)
-            .sum()
-    }
-
-    /// Per-link statistics snapshot.
-    pub fn link_stats(&self, w: WorkerId) -> LinkSnapshot {
-        self.links[w.index()].stats().snapshot()
-    }
-
-    /// Total blocks sent + received over all links.
-    pub fn total_blocks(&self) -> u64 {
-        (0..self.links.len())
-            .map(|i| self.link_stats(WorkerId(i)).total_blocks())
-            .sum()
-    }
-
-    /// Per-block link cost `c_i`.
-    pub fn link_cost(&self, w: WorkerId) -> f64 {
-        self.links[w.index()].c
+        self.links.iter().map(MasterSide::stale_rejected).sum()
     }
 }
 
@@ -530,8 +505,9 @@ mod tests {
                 })
             })
             .collect();
+        let mut blocks = 0.0;
         for i in 0..3 {
-            master.send(
+            blocks += master.send(
                 WorkerId(i),
                 Frame::new(Tag::new(FrameKind::BlockA, i, 0), Bytes::from_static(b"x")),
                 1,
@@ -540,12 +516,40 @@ mod tests {
         for i in 0..3 {
             let (f, cost) = master.recv(WorkerId(i), 1).unwrap();
             assert_eq!(f.tag.i as usize, i);
-            assert_eq!(cost, 1.0);
+            blocks += cost;
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(master.total_blocks(), 6);
+        assert_eq!(blocks, 6.0, "c = 1: each transfer costs its block count");
+    }
+
+    #[test]
+    fn a_runless_receive_waits_without_holding_the_port() {
+        let (master, workers) = star(2);
+        let master = std::sync::Arc::new(master);
+        let mut workers = workers.into_iter();
+        let (w0, w1) = (workers.next().unwrap(), workers.next().unwrap());
+        // One thread parks on worker 0, which stays silent for now.
+        let m = std::sync::Arc::clone(&master);
+        let parked = thread::spawn(move || m.recv(WorkerId(0), 0).unwrap().0.tag.i);
+        thread::sleep(std::time::Duration::from_millis(20));
+        // A send to worker 1 from another thread must not wait for it.
+        let m = std::sync::Arc::clone(&master);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let sender = thread::spawn(move || {
+            let ctl = Frame::new(Tag::new(FrameKind::Control, 1, 0), Bytes::new());
+            m.send(WorkerId(1), ctl, 0);
+            done_tx.send(()).unwrap();
+        });
+        let sent = done_rx.recv_timeout(std::time::Duration::from_secs(5));
+        // Reply to worker 0 before reading worker 1, so that a receive
+        // holding the port fails the test here instead of hanging it.
+        w0.send(Frame::new(Tag::new(FrameKind::Control, 7, 0), Bytes::new()));
+        assert_eq!(parked.join().unwrap(), 7);
+        sender.join().unwrap();
+        assert!(sent.is_ok(), "the send waited for the parked receive to end");
+        assert_eq!(w1.recv().unwrap().tag.i, 1);
     }
 
     #[test]
@@ -635,18 +639,5 @@ mod tests {
         // A plain send would panic; the lossy teardown send must not.
         master.send_lossy(WorkerId(0), Frame::shutdown());
         master.send_lossy(WorkerId(1), Frame::shutdown());
-    }
-
-    #[test]
-    fn stats_are_per_link() {
-        let (master, workers) = star(2);
-        master.send(
-            WorkerId(1),
-            Frame::new(Tag::new(FrameKind::BlockB, 0, 0), Bytes::new()),
-            1,
-        );
-        assert_eq!(master.link_stats(WorkerId(0)).blocks_to_worker, 0);
-        assert_eq!(master.link_stats(WorkerId(1)).blocks_to_worker, 1);
-        drop(workers);
     }
 }

@@ -76,27 +76,12 @@ impl FrameKind {
         })
     }
 
-    /// Whether frames of this kind count as matrix-block traffic in the
-    /// per-link statistics (control traffic is free in the paper's model).
+    /// Whether frames of this kind are matrix-block traffic: the data a
+    /// link holds to its run generation, where a frame of no open run is
+    /// stale. Control traffic is free in the paper's model and passes
+    /// regardless of generation.
     pub fn is_block(self) -> bool {
         !matches!(self, FrameKind::Control | FrameKind::Shutdown | FrameKind::Heartbeat)
-    }
-
-    /// The payload quantum a frame of this kind must respect for block
-    /// side `q`, or `None` when the length is scheduler-defined.
-    ///
-    /// Matrix-block frames carry one or more `q × q` blocks of
-    /// little-endian `f64`s, so their payload must be a nonzero multiple
-    /// of `8q²` bytes; a shutdown frame is empty (quantum 0). `Control`
-    /// and `LuPanel` payloads are variable.
-    pub fn expected_payload_len(self, q: usize) -> Option<usize> {
-        match self {
-            FrameKind::BlockA | FrameKind::BlockB | FrameKind::BlockC | FrameKind::CResult => {
-                Some(q * q * 8)
-            }
-            FrameKind::Shutdown | FrameKind::Heartbeat => Some(0),
-            FrameKind::Control | FrameKind::LuPanel => None,
-        }
     }
 }
 
@@ -128,11 +113,10 @@ pub struct Frame {
     /// monotonically increasing counter stamped on every frame of a run
     /// (`RUN_BEGIN` announces it, every data frame repeats it). `0` means
     /// "outside any run" — handshake, heartbeat, and teardown traffic.
-    /// Receivers structurally reject data frames whose generation is not
-    /// their current run, so a late frame from an aborted or superseded
-    /// run can never corrupt a later one — independent of the sticky
-    /// per-link death flag, and the field the frame format needs for
-    /// interleaved multi-run links later.
+    /// The master's links structurally reject data frames of no open run,
+    /// so a late frame from an aborted or superseded run can never corrupt
+    /// a later one — independent of the sticky per-link death flag — and
+    /// the runs that interleave on one link each receive only their own.
     pub run: u32,
     /// Opaque payload (block coefficients, little-endian f64s).
     pub payload: Bytes,
@@ -176,7 +160,7 @@ impl Frame {
     /// Serialize to a contiguous buffer (header + payload). The channel
     /// transport moves frames without serializing; this is the wire image
     /// the socket transport (`crate::transport`) frames with a length
-    /// prefix, and what byte-level tests decode.
+    /// prefix, and what [`Frame::decode_bytes`] reads back.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
         out.extend_from_slice(&self.encode_header());
@@ -200,48 +184,16 @@ impl Frame {
         header
     }
 
-    /// Decode a buffer produced by [`Frame::encode`].
-    ///
-    /// Copies the payload out of the borrowed buffer; prefer
-    /// [`Frame::decode_bytes`] when the buffer is already a [`Bytes`].
-    pub fn decode(buf: &[u8]) -> Option<Frame> {
-        let (tag, run, _) = Self::decode_header(buf)?;
-        Some(Frame { tag, run, payload: Bytes::copy_from_slice(&buf[13..]) })
-    }
-
-    /// Decode a shared buffer **zero-copy**: the returned frame's payload
-    /// is a refcounted slice of `buf`, not a copy.
+    /// Decode a buffer produced by [`Frame::encode`] **zero-copy**: the
+    /// returned frame's payload is a refcounted slice of `buf`, not a
+    /// copy. The payload's length is checked where `q` is known, by the
+    /// receiver that reads its blocks.
     pub fn decode_bytes(buf: Bytes) -> Option<Frame> {
-        let (tag, run, _) = Self::decode_header(&buf)?;
+        let (tag, run) = Self::decode_header(&buf)?;
         Some(Frame { tag, run, payload: buf.slice(13..) })
     }
 
-    /// Decode and validate: when the frame kind fixes its payload quantum
-    /// (any matrix-block kind, shutdown), a mismatched payload — truncated
-    /// coefficients or trailing garbage after a valid header — is rejected
-    /// instead of being passed through to a worker. Block frames must
-    /// carry a nonzero whole number of `8q²`-byte blocks. The length is
-    /// validated **before** the payload is copied out of `buf`, so a
-    /// malformed buffer costs no allocation.
-    pub fn decode_checked(buf: &[u8], q: usize) -> Option<Frame> {
-        let (tag, run, payload_len) = Self::decode_header(buf)?;
-        match tag.kind.expected_payload_len(q) {
-            Some(0) if payload_len != 0 => return None,
-            Some(quantum) if quantum != 0 && (payload_len == 0 || payload_len % quantum != 0) => {
-                return None;
-            }
-            _ => {}
-        }
-        Some(Frame { tag, run, payload: Bytes::copy_from_slice(&buf[13..]) })
-    }
-
-    /// The payload quantum this frame must respect for block side `q`
-    /// (see [`FrameKind::expected_payload_len`]).
-    pub fn expected_payload_len(&self, q: usize) -> Option<usize> {
-        self.tag.kind.expected_payload_len(q)
-    }
-
-    fn decode_header(buf: &[u8]) -> Option<(Tag, u32, usize)> {
+    fn decode_header(buf: &[u8]) -> Option<(Tag, u32)> {
         if buf.len() < 13 {
             return None;
         }
@@ -249,7 +201,7 @@ impl Frame {
         let i = u32::from_le_bytes(buf[1..5].try_into().ok()?);
         let j = u32::from_le_bytes(buf[5..9].try_into().ok()?);
         let run = u32::from_le_bytes(buf[9..13].try_into().ok()?);
-        Some((Tag { kind, i, j }, run, buf.len() - 13))
+        Some((Tag { kind, i, j }, run))
     }
 }
 
@@ -265,28 +217,26 @@ mod tests {
         );
         let wire = f.encode();
         assert_eq!(wire.len(), f.wire_len());
-        let back = Frame::decode(&wire).unwrap();
+        let back = Frame::decode_bytes(Bytes::from(wire)).unwrap();
         assert_eq!(back, f);
     }
 
     #[test]
     fn run_generation_rides_the_wire() {
-        // The generation survives every decode path, and two frames that
-        // differ only in generation are different frames: a replayed
-        // previous-run frame can never pass for a current-run one.
+        // The generation survives the decode, and two frames that differ
+        // only in generation are different frames: a replayed previous-run
+        // frame can never pass for a current-run one.
         let f = Frame::new_in_run(Tag::new(FrameKind::CResult, 2, 4), 7, Bytes::from(vec![3u8; 32]));
         let wire = f.encode();
-        assert_eq!(Frame::decode(&wire).unwrap().run, 7);
         assert_eq!(Frame::decode_bytes(Bytes::from(wire.clone())).unwrap().run, 7);
-        assert_eq!(Frame::decode_checked(&wire, 2).unwrap().run, 7);
         let other = Frame::new_in_run(f.tag, 8, f.payload.clone());
         assert_ne!(f, other, "frames differing only in run generation are distinct");
         // Garbage in the generation bytes still decodes structurally —
         // the generation is an identity field, not a structure field; the
-        // receive path rejects the mismatch, counted in LinkStats.
+        // master's link rejects the mismatch and counts it as stale.
         let mut stale = wire;
         stale[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(Frame::decode(&stale).unwrap().run, u32::MAX);
+        assert_eq!(Frame::decode_bytes(Bytes::from(stale)).unwrap().run, u32::MAX);
     }
 
     #[test]
@@ -302,17 +252,16 @@ mod tests {
             FrameKind::Heartbeat,
         ] {
             let f = Frame::new(Tag::new(kind, 1, 2), Bytes::new());
-            assert_eq!(Frame::decode(&f.encode()).unwrap().tag.kind, kind);
+            assert_eq!(Frame::decode_bytes(Bytes::from(f.encode())).unwrap().tag.kind, kind);
         }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Frame::decode(&[]).is_none());
-        assert!(Frame::decode(&[0, 1, 2]).is_none()); // too short
+        assert!(Frame::decode_bytes(Bytes::from_static(&[0, 1, 2])).is_none()); // too short
         let mut wire = Frame::shutdown().encode();
         wire[0] = 200; // unknown kind
-        assert!(Frame::decode(&wire).is_none());
+        assert!(Frame::decode_bytes(Bytes::from(wire)).is_none());
     }
 
     #[test]
@@ -372,51 +321,5 @@ mod tests {
         assert_eq!(back, f);
         // The payload is a slice of the wire buffer, not a copy.
         assert_eq!(back.payload.as_ptr(), unsafe { wire.as_ptr().add(13) });
-    }
-
-    #[test]
-    fn expected_payload_len_by_kind() {
-        let q = 4;
-        for kind in [FrameKind::BlockA, FrameKind::BlockB, FrameKind::BlockC, FrameKind::CResult] {
-            assert_eq!(kind.expected_payload_len(q), Some(128));
-        }
-        assert_eq!(FrameKind::Shutdown.expected_payload_len(q), Some(0));
-        assert_eq!(FrameKind::Heartbeat.expected_payload_len(q), Some(0));
-        assert_eq!(FrameKind::Control.expected_payload_len(q), None);
-        assert_eq!(FrameKind::LuPanel.expected_payload_len(q), None);
-    }
-
-    #[test]
-    fn decode_checked_rejects_bad_block_lengths() {
-        let q = 2; // the block quantum is 32 payload bytes
-        let good = Frame::new(Tag::new(FrameKind::BlockB, 0, 0), Bytes::from(vec![1u8; 32]));
-        assert!(Frame::decode_checked(&good.encode(), q).is_some());
-
-        // A run of three blocks is also valid.
-        let run = Frame::new(Tag::new(FrameKind::BlockB, 0, 0), Bytes::from(vec![1u8; 96]));
-        assert!(Frame::decode_checked(&run.encode(), q).is_some());
-
-        // Trailing garbage after a valid header + block payload.
-        let mut wire = good.encode();
-        wire.extend_from_slice(b"garbage");
-        assert!(Frame::decode(&wire).is_some(), "plain decode cannot know q");
-        assert!(Frame::decode_checked(&wire, q).is_none(), "checked decode must reject");
-
-        // Truncated coefficients.
-        let short = Frame::new(Tag::new(FrameKind::BlockA, 0, 0), Bytes::from(vec![1u8; 31]));
-        assert!(Frame::decode_checked(&short.encode(), q).is_none());
-
-        // An empty block frame carries no block at all.
-        let empty = Frame::new(Tag::new(FrameKind::BlockC, 0, 0), Bytes::new());
-        assert!(Frame::decode_checked(&empty.encode(), q).is_none());
-
-        // Shutdown must be empty.
-        let mut bad_shutdown = Frame::shutdown().encode();
-        bad_shutdown.push(0);
-        assert!(Frame::decode_checked(&bad_shutdown, q).is_none());
-
-        // Control payloads are scheduler-defined: any length passes.
-        let ctl = Frame::new(Tag::new(FrameKind::Control, 0, 0), Bytes::from(vec![0u8; 7]));
-        assert!(Frame::decode_checked(&ctl.encode(), q).is_some());
     }
 }

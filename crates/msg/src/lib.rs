@@ -18,8 +18,6 @@
 //!   preserving ordering semantics),
 //! * [`StarNetwork`] — builds the full star from a
 //!   [`mwp_platform::Platform`] and hands out master/worker endpoints,
-//! * [`LinkStats`] — lock-free per-link counters (blocks, bytes, busy
-//!   time) that the experiment harness reads after a run,
 //! * [`BufferPool`] — recycling payload buffers: every payload either
 //!   endpoint builds lives in pooled storage that returns to the sender
 //!   once the receiver drops the last view, making steady-state traffic
@@ -43,8 +41,8 @@
 //!   [`TransportMode::Uds`]): length-prefixed, CRC32C-trailed frames over TCP or Unix-domain
 //!   sockets — one socket stream type, one dial/enroll path, one
 //!   master-side enrollment — so master and workers can run as separate
-//!   processes or hosts; the one-port arbiter, pacing, and statistics
-//!   stay on the master side, and worker programs are transport-blind.
+//!   processes or hosts; the one-port arbiter and pacing stay on the
+//!   master side, and worker programs are transport-blind.
 //!   Enrollment is authenticated: an HMAC challenge/response over the
 //!   shared fleet secret ([`config::Config::fleet_secret`]) with protocol-version
 //!   negotiation and membership-epoch checks, so only fleet members of
@@ -71,7 +69,6 @@ pub mod pool;
 pub mod port;
 pub mod sched;
 pub mod session;
-pub mod stats;
 pub mod transport;
 
 pub use endpoint::{MasterEndpoint, WorkerEndpoint};
@@ -80,5 +77,4 @@ pub use net::StarNetwork;
 pub use pool::BufferPool;
 pub use port::OnePort;
 pub use session::Session;
-pub use stats::LinkStats;
 pub use transport::{TransportListener, TransportMode};

@@ -17,7 +17,6 @@
 //! stamped them.
 
 use crate::frame::Frame;
-use crate::stats::LinkStats;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender};
@@ -39,6 +38,10 @@ struct Inbox {
     unowned: Queue,
     /// The worker's half is gone: nothing more will arrive.
     closed: bool,
+    /// Data frames dropped for a generation that is not open: on arrival,
+    /// left in a retired generation's queue, or unstamped where a run
+    /// receives. Never delivered, never metered.
+    stale: u64,
 }
 
 /// Frames of one owner, and the receivers parked for them.
@@ -78,7 +81,6 @@ impl Inbox {
 /// [`WorkerSide`], or by a socket link's in-pump.
 pub(crate) struct ToMaster {
     inbox: Arc<Mutex<Inbox>>,
-    stats: LinkStats,
 }
 
 impl ToMaster {
@@ -93,7 +95,7 @@ impl ToMaster {
             inbox.unowned.frames.push_back(frame);
             inbox.wake_all();
         } else {
-            self.stats.record_stale_rejected();
+            inbox.stale += 1;
         }
         // The master's half holds the only other reference.
         Arc::strong_count(&self.inbox) > 1
@@ -115,17 +117,6 @@ pub struct Pacing {
     pub time_scale: f64,
 }
 
-/// Matrix blocks a frame contributes to the per-link statistics: the
-/// metered count for block frames (a run frame carries several), zero for
-/// control traffic even when the caller paces it.
-fn metered_blocks(frame: &Frame, blocks: u64) -> u64 {
-    if frame.tag.kind.is_block() {
-        blocks
-    } else {
-        0
-    }
-}
-
 impl Pacing {
     /// No pacing: transfers complete as fast as channels allow.
     pub const OFF: Pacing = Pacing { time_scale: 0.0 };
@@ -144,24 +135,22 @@ impl Pacing {
 /// pump threads) owns.
 pub fn link(c: f64, pacing: Pacing) -> (MasterSide, WorkerSide) {
     let (tx, rx) = channel();
-    let stats = LinkStats::new();
     let inbox = Arc::new(Mutex::new(Inbox::default()));
-    let to_master = ToMaster { inbox: Arc::clone(&inbox), stats: stats.clone() };
+    let to_master = ToMaster { inbox: Arc::clone(&inbox) };
     let dead = Arc::new(AtomicBool::new(false));
-    (MasterSide { c, pacing, stats, tx, inbox, dead }, WorkerSide { rx, tx: to_master })
+    (MasterSide { c, pacing, tx, inbox, dead }, WorkerSide { rx, tx: to_master })
 }
 
 /// Master-facing half of a link.
 pub struct MasterSide {
     /// Per-block cost `c_i`.
-    pub c: f64,
+    c: f64,
     pacing: Pacing,
-    stats: LinkStats,
     tx: Sender<Frame>,
     /// Where the worker's frames wait, filed by generation. A data frame
     /// stamped with a generation that is not open never gets in — counted
-    /// in [`LinkStats`], never delivered, never metered — so even a frame
-    /// from a link nobody marked dead cannot cross a run boundary.
+    /// as stale, never delivered, never metered — so even a frame from a
+    /// link nobody marked dead cannot cross a run boundary.
     inbox: Arc<Mutex<Inbox>>,
     /// Sticky liveness verdict for this link. Set by the failure-aware
     /// scheduling layer (deadline expiry, failed send) or by a socket
@@ -210,67 +199,41 @@ impl MasterSide {
     /// anything still in its queue — counted, so an aborted run's
     /// stragglers stay observable whether they arrived before or after.
     pub(crate) fn deregister_run(&self, run: u32) {
-        if let Some(queue) = self.inbox().runs.remove(&run) {
-            for _ in &queue.frames {
-                self.stats.record_stale_rejected();
-            }
+        let mut inbox = self.inbox();
+        if let Some(queue) = inbox.runs.remove(&run) {
+            inbox.stale += queue.frames.len() as u64;
         }
     }
 
-    /// Pace, enqueue and meter one outbound frame: `Some(cost)` in model
-    /// time when it was delivered, `None` — for a link whose worker
-    /// already exited — when it was not. An undelivered frame is never
-    /// metered. For lifecycle and teardown traffic, which must not fail
-    /// because a worker died first.
-    pub fn send_lossy(&self, frame: Frame, blocks: u64) -> Option<f64> {
-        let start = Instant::now();
+    /// Data frames this link dropped for a generation that is not open.
+    pub fn stale_rejected(&self) -> u64 {
+        self.inbox().stale
+    }
+
+    /// Pace the transfer of `blocks` blocks over this link; returns its
+    /// model-time cost `blocks · c`. Sends and receives both pay it.
+    pub fn pace(&self, blocks: u64) -> f64 {
         let cost = blocks as f64 * self.c;
         self.pacing.pace(cost);
-        let wire_len = frame.wire_len();
-        let metered = metered_blocks(&frame, blocks);
+        cost
+    }
+
+    /// Pace and enqueue one outbound frame: `Some(cost)` in model time
+    /// when it was delivered, `None` — for a link whose worker already
+    /// exited — when it was not.
+    pub fn send(&self, frame: Frame, blocks: u64) -> Option<f64> {
+        let cost = self.pace(blocks);
         self.tx.send(frame).ok()?;
-        self.stats.record_to_worker(wire_len, metered);
-        self.stats.record_port_busy(start.elapsed().as_nanos() as u64);
         Some(cost)
     }
 
-    /// Paced send; returns model-time cost. Panics on a closed link.
-    pub fn send(&self, frame: Frame, blocks: u64) -> f64 {
-        self.send_lossy(frame, blocks).expect("worker endpoint dropped")
-    }
-
-    /// Failure-aware send: `Some(cost)` when the frame was delivered,
-    /// `None` when the link is (or just turned out to be) dead — the
-    /// channel closed because the worker exited or its transport pump
-    /// died. A link already known dead is paced and metered for nothing
-    /// — a declared-dead worker costs no model time.
-    pub fn try_send(&self, frame: Frame, blocks: u64) -> Option<f64> {
-        if self.is_dead() {
-            return None;
-        }
-        let sent = self.send_lossy(frame, blocks);
-        if sent.is_none() {
-            self.mark_dead();
-        }
-        sent
-    }
-
-    /// Run-less paced receive for a bare network that opens no run: blocks
-    /// until the worker sent an unstamped or control frame. `Err` once the
-    /// worker's half is gone.
-    pub fn recv(&self, blocks: u64) -> Result<(Frame, f64), RecvError> {
-        let frame = self.recv_wait_run(0, None).ok_or(RecvError)?;
-        Ok(self.finish_recv(frame, blocks))
-    }
-
-    /// Phase 1 of a run's receive: the next frame of generation `run` —
-    /// else the next unowned one (a data frame stamped 0 there is stale to
-    /// a run, and taken by the run-less receive, `run == 0`) — parking
-    /// until one arrives without paying any transfer cost. `None` when
-    /// `timeout` elapses or the worker's half is gone with nothing left to
-    /// take. The caller settles the transfer with
-    /// [`MasterSide::finish_recv`]. Frames of one generation come out in
-    /// the order the worker sent them.
+    /// The next frame of generation `run` — else the next unowned one (a
+    /// data frame stamped 0 there is stale to a run, and taken by the
+    /// run-less receive, `run == 0`) — parking until one arrives without
+    /// paying any transfer cost ([`MasterSide::pace`] settles that).
+    /// `None` when `timeout` elapses or the worker's half is gone with
+    /// nothing left to take. Frames of one generation come out in the
+    /// order the worker sent them.
     pub fn recv_wait_run(&self, run: u32, timeout: Option<Duration>) -> Option<Frame> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut inbox = self.inbox();
@@ -280,7 +243,7 @@ impl MasterSide {
             }
             if let Some(frame) = inbox.unowned.frames.pop_front() {
                 if run != 0 && frame.run == 0 && frame.tag.kind.is_block() {
-                    self.stats.record_stale_rejected();
+                    inbox.stale += 1;
                     continue;
                 }
                 return Some(frame);
@@ -302,23 +265,6 @@ impl MasterSide {
                 queue.waiting -= 1;
             }
         }
-    }
-
-    /// Phase 2 of a receive: meter and pace a frame already taken from the
-    /// inbox by [`MasterSide::recv_wait_run`].
-    pub fn finish_recv(&self, frame: Frame, blocks: u64) -> (Frame, f64) {
-        let start = Instant::now();
-        let cost = blocks as f64 * self.c;
-        self.pacing.pace(cost);
-        self.stats
-            .record_to_master(frame.wire_len(), metered_blocks(&frame, blocks));
-        self.stats.record_port_busy(start.elapsed().as_nanos() as u64);
-        (frame, cost)
-    }
-
-    /// Statistics handle for this link.
-    pub fn stats(&self) -> LinkStats {
-        self.stats.clone()
     }
 }
 
@@ -360,36 +306,33 @@ mod tests {
     #[test]
     fn push_pull_roundtrip() {
         let (master, worker) = link(2.0, Pacing::OFF);
-        let cost = master.send(blk(FrameKind::BlockA, 1, 2), 1);
-        assert_eq!(cost, 2.0);
+        assert_eq!(master.send(blk(FrameKind::BlockA, 1, 2), 1), Some(2.0));
         let got = worker.recv().unwrap();
         assert_eq!(got.tag, Tag::new(FrameKind::BlockA, 1, 2));
         worker.send(blk(FrameKind::CResult, 1, 2));
-        let (res, cost) = master.recv(1).unwrap();
+        let res = master.recv_wait_run(0, None).unwrap();
         assert_eq!(res.tag.kind, FrameKind::CResult);
-        assert_eq!(cost, 2.0);
-        let snap = master.stats().snapshot();
-        assert_eq!(snap.blocks_to_worker, 1);
-        assert_eq!(snap.blocks_to_master, 1);
+        assert_eq!(master.pace(1), 2.0);
     }
 
     #[test]
     fn split_halves_communicate() {
         let (master, worker) = link(1.0, Pacing::OFF);
-        master.send(blk(FrameKind::BlockB, 0, 5), 1);
+        master.send(blk(FrameKind::BlockB, 0, 5), 1).unwrap();
         let f = worker.recv().unwrap();
         assert_eq!(f.tag.j, 5);
         worker.send(blk(FrameKind::CResult, 0, 5));
-        let (f, _) = master.recv(1).unwrap();
+        let f = master.recv_wait_run(0, None).unwrap();
         assert_eq!(f.tag.kind, FrameKind::CResult);
-        assert_eq!(master.stats().snapshot().total_blocks(), 2);
+        drop(worker);
+        assert_eq!(master.send(blk(FrameKind::BlockB, 0, 6), 1), None, "the worker's half is gone");
     }
 
     #[test]
     fn pacing_sleeps_roughly_right() {
         let (master, _worker) = link(0.01, Pacing { time_scale: 1.0 });
         let start = Instant::now();
-        master.send(blk(FrameKind::BlockA, 0, 0), 2); // 0.02 s
+        master.send(blk(FrameKind::BlockA, 0, 0), 2).unwrap(); // 0.02 s
         let elapsed = start.elapsed().as_secs_f64();
         assert!(elapsed >= 0.02, "pacing too short: {elapsed}");
         assert!(elapsed < 0.5, "pacing absurdly long: {elapsed}");
@@ -407,20 +350,17 @@ mod tests {
 
         // Outbound: the link forwards the generation the driver stamped.
         let out = Frame::new_in_run(Tag::new(FrameKind::BlockA, 1, 2), 3, Bytes::new());
-        master.send(out, 1);
+        master.send(out, 1).unwrap();
         assert_eq!(worker.recv().unwrap().run, 3);
 
         // A stale data frame (previous generation) queued ahead of a good
-        // one is dropped — counted, not delivered, not metered.
+        // one is dropped — counted, not delivered.
         worker.send(result_in(2, 9, 9));
         worker.send(result_in(3, 1, 2));
         let t = Some(Duration::from_secs(5));
         let got = master.recv_wait_run(3, t).unwrap();
         assert_eq!(got.tag, Tag::new(FrameKind::CResult, 1, 2));
-        master.finish_recv(got, 1);
-        let snap = master.stats().snapshot();
-        assert_eq!(snap.stale_rejected, 1);
-        assert_eq!(snap.blocks_to_master, 1, "stale frame must not be metered");
+        assert_eq!(master.stale_rejected(), 1);
 
         // Control traffic passes regardless of generation.
         let mut ctl = Frame::new(Tag { kind: FrameKind::Control, i: 7, j: 0 }, Bytes::new());
@@ -431,7 +371,7 @@ mod tests {
         // The receive still honors its timeout on an all-stale queue.
         worker.send(result_in(1, 4, 4));
         assert!(master.recv_wait_run(3, Some(Duration::from_millis(20))).is_none());
-        assert_eq!(master.stats().snapshot().stale_rejected, 2);
+        assert_eq!(master.stale_rejected(), 2);
     }
 
     #[test]
@@ -443,7 +383,7 @@ mod tests {
         // A frame pre-stamped with one live generation keeps its stamp.
         let mut out = blk(FrameKind::BlockA, 1, 2);
         out.run = 7;
-        master.send(out, 1);
+        master.send(out, 1).unwrap();
         assert_eq!(worker.recv().unwrap().run, 7);
 
         // Data frames of either live generation are admitted; an alien
@@ -457,13 +397,13 @@ mod tests {
         assert_eq!(master.recv_wait_run(9, t).unwrap().tag.i, 5);
         assert_eq!(master.recv_wait_run(7, t).unwrap().tag.i, 6);
         assert!(master.recv_wait_run(7, brief).is_none());
-        assert_eq!(master.stats().snapshot().stale_rejected, 2);
+        assert_eq!(master.stale_rejected(), 2);
 
         // After deregistering, generation 7 is stale again.
         master.deregister_run(7);
         worker.send(result_in(7, 3, 3));
         assert!(master.recv_wait_run(9, brief).is_none());
-        assert_eq!(master.stats().snapshot().stale_rejected, 3);
+        assert_eq!(master.stale_rejected(), 3);
     }
 
     #[test]
@@ -486,7 +426,7 @@ mod tests {
         assert_eq!(master.recv_wait_run(11, Some(t)).unwrap().tag.i, 3);
         assert_eq!(master.recv_wait_run(12, Some(t)).unwrap().tag.i, 0);
         assert_eq!(master.recv_wait_run(12, Some(t)).unwrap().tag.i, 2);
-        assert_eq!(master.stats().snapshot().stale_rejected, 0);
+        assert_eq!(master.stale_rejected(), 0);
 
         // Timeout with nothing pending.
         assert!(master.recv_wait_run(11, Some(Duration::from_millis(10))).is_none());
@@ -497,7 +437,7 @@ mod tests {
         worker.send(leftover);
         assert!(master.recv_wait_run(11, Some(Duration::from_millis(10))).is_none());
         master.deregister_run(12);
-        assert_eq!(master.stats().snapshot().stale_rejected, 1);
+        assert_eq!(master.stale_rejected(), 1);
     }
 
     #[test]
@@ -572,14 +512,14 @@ mod tests {
         let brief = Some(Duration::from_millis(10));
         assert!(master.recv_wait_run(31, brief).is_none(), "another generation's control");
         assert_eq!(master.recv_wait_run(32, brief).unwrap().tag.i, 4);
-        assert_eq!(master.stats().snapshot().stale_rejected, 0);
+        assert_eq!(master.stale_rejected(), 0);
     }
 
     #[test]
     fn fifo_frame_order_preserved() {
         let (master, worker) = link(1.0, Pacing::OFF);
         for k in 0..10 {
-            master.send(blk(FrameKind::BlockA, k, 0), 1);
+            master.send(blk(FrameKind::BlockA, k, 0), 1).unwrap();
         }
         for k in 0..10 {
             assert_eq!(worker.recv().unwrap().tag.i, k as u32);

@@ -72,8 +72,9 @@ mod tests {
         ])
         .unwrap();
         let (master, _workers) = StarNetwork::build(&platform, 0.0).into_endpoints();
-        assert_eq!(master.link_cost(WorkerId(0)), 2.0);
-        assert_eq!(master.link_cost(WorkerId(1)), 7.0);
+        let block = || Frame::new(Tag::new(FrameKind::BlockA, 0, 0), Bytes::new());
+        assert_eq!(master.send(WorkerId(0), block(), 1), 2.0);
+        assert_eq!(master.send(WorkerId(1), block(), 1), 7.0);
         assert_eq!(master.workers(), 2);
     }
 
@@ -96,17 +97,19 @@ mod tests {
                 })
             })
             .collect();
+        let mut blocks = 0.0;
         for round in 0..3 {
             for i in 0..4 {
-                master.send(
+                blocks += master.send(
                     WorkerId(i),
                     Frame::new(Tag::new(FrameKind::BlockC, round, i), Bytes::from_static(b"p")),
                     1,
                 );
             }
             for i in 0..4 {
-                let (f, _) = master.recv(WorkerId(i), 1).unwrap();
+                let (f, cost) = master.recv(WorkerId(i), 1).unwrap();
                 assert_eq!(f.tag.i as usize, round);
+                blocks += cost;
             }
         }
         for i in 0..4 {
@@ -115,6 +118,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(master.total_blocks(), 24);
+        assert_eq!(blocks, 24.0, "c = 1: each transfer costs its block count");
     }
 }

@@ -57,15 +57,6 @@ impl OnePort {
         st.now_serving += 1;
         cv.notify_all();
     }
-
-    /// Tickets handed out since creation (= acquires *started*, including
-    /// the one currently served and any queued waiters). A waiter's FIFO
-    /// position is fixed the instant its ticket is taken, so tests and
-    /// diagnostics can wait on this counter to know a thread is enqueued —
-    /// no timing assumptions, no sleeps.
-    pub fn tickets_issued(&self) -> u64 {
-        self.next_ticket.load(Ordering::SeqCst)
-    }
 }
 
 /// Exclusive hold of the port; released on drop.
@@ -135,7 +126,8 @@ mod tests {
                 let _g = port2.acquire();
                 order.lock().unwrap().push(id);
             }));
-            while port.tickets_issued() < id + 2 {
+            // Tickets issued so far count the acquires *started*.
+            while port.next_ticket.load(Ordering::SeqCst) < id + 2 {
                 thread::yield_now();
             }
         }

@@ -16,10 +16,9 @@
 //! * [`JobHandle`] — the submitter's receipt: park on
 //!   [`JobHandle::wait`] until the job's result and [`JobReport`] come
 //!   back.
-//! * [`JobReport`] — per-job metering the session-lifetime link counters
-//!   cannot provide once runs interleave: queue wait, service time,
-//!   blocks moved, the run generation served, and how many jobs shared
-//!   the run.
+//! * [`JobReport`] — per-job metering, attributed to the job even when
+//!   runs interleave: queue wait, service time, blocks moved, the run
+//!   generation served, and how many jobs shared the run.
 //!
 //! The scheduler is generic over the job and result types: the matrix
 //! runtime's serving layer (`mwp_core::serving`) supplies the executor
@@ -45,8 +44,8 @@ pub struct JobDone<R> {
     pub run_gen: u32,
 }
 
-/// Per-job metering attached to every completed job: the attribution the
-/// session-lifetime link counters cannot provide once runs interleave.
+/// Per-job metering attached to every completed job, attributed to the
+/// job even when runs interleave on the session's links.
 #[derive(Debug, Clone, Copy)]
 pub struct JobReport {
     /// Time from submission until a dispatcher picked the job up.

@@ -262,7 +262,7 @@ impl Session {
     /// have been started with too.
     ///
     /// The returned session is driven exactly like a local one: the
-    /// one-port arbiter, pacing, and statistics all live on this side.
+    /// one-port arbiter, pacing, and the stale count all live on this side.
     /// `shutdown` sends every remote worker a shutdown frame; an orderly
     /// worker process exits on it, which is what terminates the link's
     /// pump threads.
@@ -630,16 +630,8 @@ impl Session {
         }
     }
 
-    /// Set the run-generation counter (the **next** run gets `value + 1`,
-    /// modulo the skip-0 rule). A hook for wraparound tests and for
-    /// serving layers that checkpoint/restore a long-lived session; never
-    /// call it while a run is in flight.
-    pub fn force_run_gen(&self, value: u32) {
-        self.run_gen.store(value, Ordering::Relaxed);
-    }
-
     /// Total inbound data frames this session's links rejected for
-    /// carrying a stale run generation (see [`crate::stats`]).
+    /// carrying a stale run generation (see [`crate::link`]).
     pub fn stale_rejections(&self) -> u64 {
         self.master.stale_rejections()
     }
@@ -773,35 +765,38 @@ mod tests {
     }
 
     /// Send worker `w` one block frame of `epoch`'s run, tagged `(kind, i)`.
-    fn send_in(session: &Session, epoch: &RunEpoch, w: usize, kind: FrameKind, i: usize) {
+    /// Returns its cost, which is 1 on the `c = 1` platforms used here.
+    fn send_in(session: &Session, epoch: &RunEpoch, w: usize, kind: FrameKind, i: usize) -> f64 {
         let frame =
             Frame::new_in_run(Tag::new(kind, i, 0), epoch.generation(), Bytes::from_static(b"x"));
-        session.master().send(WorkerId(w), frame, 1);
+        session.master().send(WorkerId(w), frame, 1)
     }
 
-    /// Receive worker `w`'s next frame of `epoch`'s run.
-    fn recv_in(session: &Session, epoch: &RunEpoch, w: usize) -> Frame {
+    /// Receive worker `w`'s next frame of `epoch`'s run, and its cost.
+    fn recv_in(session: &Session, epoch: &RunEpoch, w: usize) -> (Frame, f64) {
         let t = Some(std::time::Duration::from_secs(10));
-        session.master().recv_timeout(WorkerId(w), epoch.generation(), 1, t).expect("echo").0
+        session.master().recv_timeout(WorkerId(w), epoch.generation(), 1, t).expect("echo")
     }
 
     /// One echo run over workers `0..workers`: each is sent one block and
     /// must bounce it back, routed per link and stamped with `param`.
-    /// Returns the blocks the master's port moved meanwhile.
+    /// Returns the blocks the master's port moved meanwhile (on `c = 1`
+    /// links, the sum of the transfers' costs).
     fn echo_round(session: &Session, workers: usize, param: u32) -> u64 {
-        let before = session.master().total_blocks();
+        let mut blocks = 0.0;
         let epoch = session.begin_run(workers, param);
         for w in 0..workers {
-            send_in(session, &epoch, w, FrameKind::BlockA, w);
+            blocks += send_in(session, &epoch, w, FrameKind::BlockA, w);
         }
         for w in 0..workers {
-            let frame = recv_in(session, &epoch, w);
+            let (frame, cost) = recv_in(session, &epoch, w);
             assert_eq!(frame.tag.kind, FrameKind::CResult);
             assert_eq!(frame.tag.i as usize, w, "echo routed per link");
             assert_eq!(frame.tag.j, param, "program saw this run's parameter");
+            blocks += cost;
         }
         session.finish_run(workers, epoch);
-        session.master().total_blocks() - before
+        blocks as u64
     }
 
     /// The deployment the remote-fleet tests run under: a secret, so every
@@ -835,12 +830,14 @@ mod tests {
     #[test]
     fn one_session_serves_many_runs() {
         let session = echo_session(2);
+        let mut blocks = 0;
         for run in 0..5u32 {
-            // Each run moved exactly its own 4 blocks, although the
-            // session's raw counters keep growing.
-            assert_eq!(echo_round(&session, 2, run), 4);
+            // Each run moved exactly its own 4 blocks.
+            let moved = echo_round(&session, 2, run);
+            assert_eq!(moved, 4);
+            blocks += moved;
         }
-        assert_eq!(session.master().total_blocks(), 20);
+        assert_eq!(blocks, 20);
         assert_eq!(session.shutdown(), 2);
     }
 
@@ -858,7 +855,7 @@ mod tests {
         // never surface; the run's own traffic flows normally.
         let epoch = session.begin_run(1, 2);
         send_in(&session, &epoch, 0, FrameKind::BlockA, 5);
-        let frame = recv_in(&session, &epoch, 0);
+        let (frame, _) = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.i, 5, "run 2 must see its own echo, not run 1's leftover");
         assert_eq!(frame.tag.j, 2);
         session.finish_run(1, epoch);
@@ -873,11 +870,11 @@ mod tests {
     fn partial_enrollment_leaves_other_workers_parked() {
         let session = echo_session(3);
         let epoch = session.begin_run(1, 7);
-        send_in(&session, &epoch, 0, FrameKind::BlockB, 9);
-        let frame = recv_in(&session, &epoch, 0);
+        let sent = send_in(&session, &epoch, 0, FrameKind::BlockB, 9);
+        let (frame, received) = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.j, 7);
         session.finish_run(1, epoch);
-        assert_eq!(session.master().total_blocks(), 2);
+        assert_eq!(sent + received, 2.0);
         // Workers 1 and 2 never saw a frame; shutdown still joins all 3.
         assert_eq!(session.shutdown(), 3);
     }
@@ -1094,12 +1091,14 @@ mod tests {
         // stamp the reserved "no run" generation 0: the wrapped run
         // would have every data frame structurally rejected.
         let session = echo_session(1);
-        session.force_run_gen(u32::MAX - 1);
+        // Set the run-generation counter: the next run gets `value + 1`,
+        // modulo the skip-0 rule.
+        session.run_gen.store(u32::MAX - 1, Ordering::Relaxed);
         let mut seen = Vec::new();
         for _ in 0..3 {
             let epoch = session.begin_run(1, 0);
             send_in(&session, &epoch, 0, FrameKind::BlockA, 0);
-            let frame = recv_in(&session, &epoch, 0);
+            let (frame, _) = recv_in(&session, &epoch, 0);
             assert_ne!(frame.run, 0, "generation 0 must be skipped on wrap");
             seen.push(frame.run);
             session.finish_run(1, epoch);
@@ -1161,7 +1160,7 @@ mod tests {
         // for run A instead of dropping them.
         for (epoch, expect) in [(&run_b, [2, 4]), (&run_a, [1, 3])] {
             for i in expect {
-                let f = recv_in(&session, epoch, 0);
+                let (f, _) = recv_in(&session, epoch, 0);
                 assert_eq!(f.run, epoch.generation());
                 assert_eq!(f.tag.i, i);
             }
@@ -1174,7 +1173,7 @@ mod tests {
         // The session serves a solo run afterwards like any other.
         let epoch = session.begin_run(1, 9);
         send_in(&session, &epoch, 0, FrameKind::BlockA, 5);
-        let f = recv_in(&session, &epoch, 0);
+        let (f, _) = recv_in(&session, &epoch, 0);
         assert_eq!(f.tag.i, 5);
         session.finish_run(1, epoch);
         assert_eq!(session.shutdown(), 1);
@@ -1194,7 +1193,7 @@ mod tests {
 
         // Run B is untouched: its exchange completes bit-for-bit.
         send_in(&session, &run_b, 0, FrameKind::BlockA, 2);
-        assert_eq!(recv_in(&session, &run_b, 0).tag.i, 2);
+        assert_eq!(recv_in(&session, &run_b, 0).0.tag.i, 2);
         session.finish_run(1, run_b);
 
         // Run A's orphaned echo was either retired from its queue or
@@ -1230,11 +1229,11 @@ mod tests {
     fn loopback_uds_session_serves_runs() {
         let session = echo_session_over(TransportMode::Uds, 3);
         let epoch = session.begin_run(1, 9);
-        send_in(&session, &epoch, 0, FrameKind::BlockB, 4);
-        let frame = recv_in(&session, &epoch, 0);
+        let sent = send_in(&session, &epoch, 0, FrameKind::BlockB, 4);
+        let (frame, received) = recv_in(&session, &epoch, 0);
         assert_eq!(frame.tag.j, 9);
         session.finish_run(1, epoch);
-        assert_eq!(session.master().total_blocks(), 2);
+        assert_eq!(sent + received, 2.0);
         // Workers 1 and 2 stayed parked on their sockets; shutdown still
         // joins all three threads (and all six pumps, silently).
         assert_eq!(session.shutdown(), 3);

@@ -4,7 +4,7 @@
 //! through in-process channels. This module grows the message stack a
 //! second backend with the **same master-side semantics**: frames travel
 //! length-prefixed over a TCP or Unix-domain socket, while the one-port
-//! arbiter, link pacing, and per-link statistics all stay on the master
+//! arbiter, link pacing, and the stale count all stay on the master
 //! side of the wire, exactly where the paper's model puts them — a link
 //! is nothing but its cost `c_i`, whatever carries its bytes.
 //!
@@ -57,9 +57,9 @@
 //!   socket link: a channel-backed [`crate::link::MasterSide`] (so
 //!   [`crate::MasterEndpoint`] is byte-for-byte the code the channel
 //!   transport uses) bridged to the socket by two pump threads. The pumps
-//!   meter nothing — pacing and stats happen in the `MasterSide` they
-//!   feed, so a socket link and a channel link are indistinguishable to
-//!   the runtime above.
+//!   pace nothing — pacing and the stale count happen in the `MasterSide`
+//!   they feed, so a socket link and a channel link are indistinguishable
+//!   to the runtime above.
 //!
 //! Which backend a [`crate::Session`] wires is a constructor argument:
 //! `Session::spawn` means channels, `Session::spawn_with_transport` takes

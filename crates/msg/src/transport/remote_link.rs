@@ -11,9 +11,9 @@ use std::time::Duration;
 /// The master side of one socket-backed link.
 ///
 /// Internally this is a [`MasterSide`] — the very struct the channel
-/// transport hands to [`crate::MasterEndpoint`], with pacing, one-port
-/// metering, and statistics untouched — whose worker half is bridged to
-/// the socket by two pump threads:
+/// transport hands to [`crate::MasterEndpoint`], with pacing and the
+/// stale count untouched — whose worker half is bridged to the socket by
+/// two pump threads:
 ///
 /// * the **out pump** drains master→worker frames from the channel onto
 ///   the socket; it exits after forwarding a [`Frame::shutdown`] (or,
@@ -25,9 +25,9 @@ use std::time::Duration;
 ///   or a transport error — at which point a master blocked in `recv`
 ///   observes the same closed link the in-process transport produces.
 ///
-/// Pump threads never meter or pace: the master pays for a transfer when
-/// the frame crosses its `MasterSide`, exactly as with channel links, so
-/// the one-port model's accounting is transport-independent.
+/// Pump threads never pace: the master pays for a transfer when the frame
+/// crosses its `MasterSide`, exactly as with channel links, so the
+/// one-port model's costs are transport-independent.
 pub struct RemoteLink {
     side: MasterSide,
     pumps: [JoinHandle<()>; 2],

@@ -489,13 +489,11 @@ fn remote_link_bridges_a_socket_to_master_side_semantics() {
     let link = RemoteLink::attach(reader, writer, 2.0, Pacing::OFF, WorkerId(0), None);
     let (side, pumps) = link.into_parts();
     let cost = side.send(frame(FrameKind::BlockA, 5, 0, &[1u8; 16]), 2);
-    assert_eq!(cost, 4.0, "pacing cost is metered on the master side");
-    let (back, _) = side.recv(2).unwrap();
+    assert_eq!(cost, Some(4.0), "the master side prices the transfer");
+    let back = side.recv_wait_run(0, Some(Duration::from_secs(10))).unwrap();
     assert_eq!(back.tag.i, 5);
-    let snap = side.stats().snapshot();
-    assert_eq!(snap.blocks_to_worker, 2);
-    assert_eq!(snap.blocks_to_master, 2);
-    side.send(Frame::shutdown(), 0);
+    assert_eq!(side.pace(2), 4.0, "the master side prices the reply");
+    side.send(Frame::shutdown(), 0).unwrap();
     for p in pumps {
         p.join().unwrap();
     }
