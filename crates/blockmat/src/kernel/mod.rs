@@ -44,7 +44,7 @@
 //!
 //! * the pack is a **snapshot** — it does not watch the source B. The
 //!   caller repacks when the source data, the desired `alpha`, or the
-//!   kernel changes (the runtimes repack exactly when a resident B block
+//!   kernel changes (the runtimes repack exactly when the resident B row
 //!   is overwritten by the next step's row);
 //! * the buffer is **recycled, never re-zeroed wholesale** — each pack
 //!   rewrites every slot including tail-panel zero padding, so a smaller

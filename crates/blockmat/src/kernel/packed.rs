@@ -3,9 +3,12 @@
 //! PR 2 packed B thread-locally inside every `gemm_acc` call, which meant
 //! the same B panel was repacked for **every** block update that streamed
 //! against it — pure `O(k·n)` waste repeated once per A stripe-mate in
-//! the paper's master–worker runtimes, where a worker keeps one B block
+//! the paper's master–worker runtimes, where a worker keeps one B row
 //! resident and streams many A blocks through it. `PackedB` promotes the
-//! packed panel to a first-class value the caller owns:
+//! packed panel to a first-class value the caller owns — the worker packs
+//! each step's whole `q × (width·q)` B row into one, once, and every A
+//! block of the step updates a `q`-row slab of its chunk against it in a
+//! single call:
 //!
 //! * **Ownership** — the `PackedB` owns its buffer outright (no thread
 //!   locals); it can live in per-worker state, be recycled across runs,
@@ -18,7 +21,7 @@
 //! * **Invalidation** — a pack is a snapshot: it stays valid until the
 //!   source B changes, the desired `alpha` changes, or the caller wants a
 //!   different kernel. Nothing tracks the source; the caller repacks on
-//!   those events (the runtimes repack exactly when a resident B block is
+//!   those events (the runtimes repack exactly when a resident B row is
 //!   overwritten) or calls [`PackedB::clear`] to drop the identity while
 //!   keeping the buffer's capacity warm.
 //! * **Reuse** — repacking reuses the buffer (grow-only, never re-zeroed

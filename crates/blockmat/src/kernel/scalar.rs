@@ -13,7 +13,7 @@
 //! this same loop nest on identical data and stays bit-for-bit equal
 //! to per-call `gemm_acc` for **every** `alpha`, not just `±1.0`. The
 //! copy exists so a `PackedB` is self-contained (the runtimes recycle the
-//! resident B block underneath it); the kernel itself gains nothing from
+//! resident B row underneath it); the kernel itself gains nothing from
 //! packing.
 
 /// Tile side for the cache-blocked loop nest. 32×32 f64 tiles (3 × 8 KiB

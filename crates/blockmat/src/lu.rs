@@ -35,8 +35,12 @@ use crate::kernel::{self, Kernel};
 use crate::matrix::BlockMatrix;
 use crate::payload::BlockOrder;
 
-/// Minimal dense row-major matrix used by the LU kernels.
-#[derive(Debug, Clone, PartialEq)]
+/// Minimal dense row-major matrix: what the LU kernels factor and solve,
+/// and what a worker holds its C chunk and the step's B row in, so that
+/// each A block updates a whole `q`-row slab of the chunk in one kernel
+/// call. [`Dense::resize`] reshapes one in place, keeping its storage, so
+/// a held worker refills the same allocation run after run.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dense {
     rows: usize,
     cols: usize,
@@ -47,6 +51,15 @@ impl Dense {
     /// Zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Dense { rows, cols, data: vec![0.0; rows * cols] }
+    }
+
+    /// Reshape to `rows × cols` in place, keeping the allocation (it
+    /// only grows). The first `rows · cols` coefficients of the old
+    /// row-major data stay, the rest are zero — so adding rows at the same
+    /// width keeps the rows already there.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
     }
 
     /// Identity matrix.
@@ -135,22 +148,22 @@ impl Dense {
         }
     }
 
-    /// The `rows × cols`-block matrix whose side-`q` blocks `bytes` holds
-    /// back to back in `order` — a block region as it crosses the wire.
+    /// Become the `rows × cols`-block matrix whose side-`q` blocks `bytes`
+    /// holds back to back in `order` — a block region as it crosses the
+    /// wire — in this matrix's storage.
     ///
     /// # Panics
     /// If `bytes` is not exactly that many blocks long.
-    pub fn from_block_bytes(bytes: &[u8], rows: usize, cols: usize, q: usize, order: BlockOrder) -> Dense {
+    pub fn read_block_bytes(&mut self, bytes: &[u8], rows: usize, cols: usize, q: usize, order: BlockOrder) {
         assert_eq!(bytes.len(), rows * cols * q * q * 8, "not a {rows} × {cols} grid of q = {q} blocks");
-        let mut d = Dense::zeros(rows * q, cols * q);
+        self.resize(rows * q, cols * q);
         for (at, image) in order.coords(rows, cols).zip(bytes.chunks_exact(q * q * 8)) {
-            d.read_block(q, at, image);
+            self.read_block(q, at, image);
         }
-        d
     }
 
     /// Append this matrix's side-`q` blocks to `out` in `order`: the
-    /// inverse of [`Dense::from_block_bytes`].
+    /// inverse of [`Dense::read_block_bytes`].
     pub fn write_block_bytes(&self, q: usize, order: BlockOrder, out: &mut Vec<u8>) {
         order.coords(self.rows / q, self.cols / q).for_each(|at| self.write_block(q, at, out));
     }
@@ -675,7 +688,9 @@ mod tests {
         for order in [BlockOrder::RowMajor, BlockOrder::ColMajor] {
             let mut wire = Vec::new();
             d.write_block_bytes(3, order, &mut wire);
-            assert_eq!(Dense::from_block_bytes(&wire, 2, 4, 3, order), d, "{order:?}");
+            let mut read = Dense::default();
+            read.read_block_bytes(&wire, 2, 4, 3, order);
+            assert_eq!(read, d, "{order:?}");
             for ((i, j), image) in order.coords(2, 4).zip(wire.chunks_exact(72)) {
                 assert_eq!(image, blocks.block(i, j).to_bytes(), "{order:?} block ({i}, {j})");
             }

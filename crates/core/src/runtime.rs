@@ -6,7 +6,8 @@
 //! C-chunk distribution, per-step `B` row + `A` block streaming, result
 //! collection — over the [`mwp_msg`] message layer, while each worker
 //! thread runs Algorithm 2 — receive, update its resident `µ × µ` C chunk
-//! with real `q × q` block GEMMs, return the chunk.
+//! with real GEMMs, one per `A` block against the step's whole `B` row,
+//! return the chunk.
 //!
 //! The master side is one executor (`execute`): every runtime here —
 //! HoLM, ORROML, a fused serving batch, the heterogeneous two-phase scheme
@@ -686,28 +687,22 @@ pub(crate) fn heterogeneous_on(
     Ok(outcomes.pop().expect("one outcome per job"))
 }
 
-/// A resident B block together with its prepacked image: packed once
-/// when the block arrives (or is overwritten by the next step's row) and
-/// reused by every A block that streams against it — the worker-side
-/// repack elimination.
-struct ResidentB {
-    block: Block,
-    pack: PackedB,
-}
-
-/// Resident state of one open run generation: Algorithm 2's grids — the C
-/// chunk, the current step's row of B blocks over its columns, and the one
-/// A block in flight (the `µ² + 4µ` layout of §5). A worker holds exactly
-/// one of these per interleaved run: a [`RuntimeSession`]'s own `run_*`
-/// calls never open more than one, while the serving tier
+/// Resident state of one open run generation: Algorithm 2's operands —
+/// the C chunk, the current step's row of B blocks over its columns and
+/// the one A block in flight (the `µ² + 4µ` layout of §5). A worker holds
+/// exactly one of these per interleaved run: a [`RuntimeSession`]'s own
+/// `run_*` calls never open more than one, while the serving tier
 /// ([`crate::serving`]) may open several on the same worker at once.
 ///
-/// The grids are laid out as the wire carries them. A chunk arrives as its
-/// rows in order: the first fixes `origin` and `width`, and each later one
-/// is the row below it, as wide. Each step's B row spans the chunk's
-/// columns and its A column the chunk's rows. The storage outlives its
-/// chunk: the next chunk overwrites the blocks in place, so `c_len` and
-/// `b_len` count what is resident, not what is allocated.
+/// The chunk and the B row are row-major slabs, so that each A block
+/// updates its `q`-row slab of the chunk in one kernel call against the
+/// row's one pack. A chunk arrives as its block rows in order: the first
+/// fixes `origin` and `width`, and each later one is the row below it, as
+/// wide. Each step's B row spans the chunk's columns and its A column the
+/// chunk's rows. `c` is as tall as the rows resident, while `b` keeps its
+/// shape from step to step, so each row overwrites the last. The storage
+/// outlives its chunk: [`Dense::resize`] keeps it, so the next chunk
+/// refills it in place.
 struct RunState {
     /// Block side this state's blocks are sized for.
     q: usize,
@@ -715,25 +710,37 @@ struct RunState {
     origin: (usize, usize),
     /// Blocks per chunk row.
     width: usize,
-    /// The chunk, row-major; its first `c_len` blocks are resident.
-    c: Vec<Block>,
-    c_len: usize,
-    /// The step's B row (block + prepack) by chunk column; its first
-    /// `b_len` are resident, until the step's A column consumes them.
-    b: Vec<ResidentB>,
-    b_len: usize,
+    /// The chunk, `(height · q) × (width · q)`.
+    c: Dense,
+    /// The step's B row, `q × (width · q)`, and its pack; resident from
+    /// its arrival until the step's A column consumes it.
+    b: Dense,
+    pack: PackedB,
+    b_resident: bool,
     /// The single in-flight A block of this run.
     a: Block,
 }
 
 impl RunState {
     fn new(q: usize) -> Self {
-        RunState { q, origin: (0, 0), width: 0, c: Vec::new(), c_len: 0, b: Vec::new(), b_len: 0, a: Block::zeros(q) }
+        let (c, b, pack) = (Dense::default(), Dense::default(), PackedB::default());
+        RunState { q, origin: (0, 0), width: 0, c, b, pack, b_resident: false, a: Block::zeros(q) }
     }
 
-    /// Rows of the resident chunk.
+    /// Block rows of the resident chunk.
     fn height(&self) -> usize {
-        self.c_len.checked_div(self.width).unwrap_or(0)
+        self.c.rows() / self.q
+    }
+
+    /// Blocks resident: the chunk's and the B row's.
+    fn resident(&self) -> usize {
+        (self.height() + usize::from(self.b_resident)) * self.width
+    }
+
+    /// Drop the chunk and its B row, keeping their storage.
+    fn clear(&mut self) {
+        self.c.resize(0, 0);
+        self.b_resident = false;
     }
 }
 
@@ -744,14 +751,18 @@ fn blocks_of(payload: &[u8], bb: usize, n: usize) -> Option<std::slice::ChunksEx
 }
 
 /// Per-worker state that survives across a session's runs: the open runs,
-/// and the retired ones. A new run reopens a retired [`RunState`] of its
-/// block side, so each `q` a session serves keeps its own warm grids.
+/// the retired ones, and the parts of an LU panel task. A new run reopens
+/// a retired [`RunState`] of its block side, so each `q` a session serves
+/// keeps its own warm storage.
 #[derive(Default)]
 struct WorkerState {
     /// Retired [`RunState`]s, of any block side.
     idle: Vec<RunState>,
     /// The open run generations this worker is currently serving.
     runs: HashMap<u32, RunState>,
+    /// The pivot, vertical and horizontal panel of the `LuPanel` task in
+    /// hand, refilled by each task ([`panel_task`]).
+    panel: [Dense; 3],
 }
 
 impl WorkerState {
@@ -778,7 +789,7 @@ impl WorkerState {
     /// not open.
     fn close(&mut self, gen: u32) -> Option<usize> {
         let mut st = self.runs.remove(&gen)?;
-        (st.c_len, st.b_len) = (0, 0);
+        st.clear();
         self.idle.push(st);
         Some(self.runs.len())
     }
@@ -799,22 +810,24 @@ pub(crate) fn program(
 /// Algorithm 2: the worker program, serving **one wake** of a session —
 /// which may span several interleaved run generations.
 ///
-/// Per open generation it holds a [`RunState`]: the resident C chunk as a
-/// row-major grid, the current `B` row over its columns and one `A`
-/// block. A step's `A` column updates the chunk row by row: block `r`
-/// against every resident `B` block, `C[r][j] += A[r] · B[j]`. Every
-/// frame routes to its generation by the wire header's `run` field: the
-/// wake-up `RUN_BEGIN` opens the first generation, a further `RUN_BEGIN`
-/// arriving mid-serve opens another alongside it (the serving tier's
-/// interleaved job runs — see [`crate::serving`]), `Control` requests
-/// that generation's chunk back — its rows in order, from the grid as it
+/// Per open generation it holds a [`RunState`]: the resident C chunk and
+/// the current `B` row over its columns, each one row-major slab, and one
+/// `A` block. A step's `A` column updates the chunk row by row: block `r`
+/// against the whole `B` row in one kernel call, `C[r][·] += A[r] · B[·]`
+/// — the widest operand the data allows, and the same bits as one call
+/// per block, since each C element is still one FMA chain over increasing
+/// `k`. Every frame routes to its generation by the wire header's `run`
+/// field: the wake-up `RUN_BEGIN` opens the first generation, a further
+/// `RUN_BEGIN` arriving mid-serve opens another alongside it (the serving
+/// tier's interleaved job runs — see [`crate::serving`]), `Control`
+/// requests that generation's chunk back — its rows in order, as it
 /// stands — and `RUN_END`/`RUN_ABORT` retire it. An `LuPanel` task is one
 /// LU step's pivot chain — the pivot factored, both panels solved —
 /// answered in place ([`panel_parts`]); LU's trailing updates are chunk
 /// exchanges like any product's. The worker parks only when its last open
 /// generation retires; `Shutdown` (or a dropped master) ends the thread.
 ///
-/// **What arrives is not trusted.** Traffic that misses its run's grids
+/// **What arrives is not trusted.** Traffic that misses its run's chunk
 /// drops the link — the master sees a dead worker — instead of unwinding
 /// this thread: a frame of no open run, a `RUN_BEGIN` of a generation
 /// already open, a `RUN_END`/`RUN_ABORT` of one that is not, a `C` row
@@ -827,19 +840,20 @@ pub(crate) fn program(
 /// tier's admission control — guarantees; the panel exchange's transient
 /// blocks stay outside it.
 ///
-/// The chunk path allocates only to grow: a run of a block side with no
-/// retired [`RunState`] builds one, and a chunk (or `B` row) larger than
-/// any its state held before grows the grid. Otherwise incoming payloads
-/// are copied into the blocks already there, the in-flight `A` block is
-/// one reused block, and result payloads are built in the endpoint's
-/// buffer pool. The panel exchange allocates its parts per task.
+/// The worker allocates only to grow: a run of a block side with no
+/// retired [`RunState`] builds one, and a chunk, `B` row or panel task
+/// larger than any its storage held before grows it. Otherwise incoming
+/// payloads are copied into the storage already there — the chunk's and
+/// the `B` row's slabs, the one reused `A` block, the three panel parts
+/// [`WorkerState`] keeps — and result payloads are built in the
+/// endpoint's buffer pool.
 ///
-/// Each resident B block is **packed once on arrival** and the pack is
+/// Each `B` row is **packed once on arrival**, whole, and the pack is
 /// reused by every A block of the step (the paper keeps B resident on the
 /// worker precisely so A can stream against it — repacking per update was
-/// pure waste). The packs live beside their blocks in the grid, so a held
-/// session keeps them warm across runs. Every pack, block update and
-/// panel solve runs through `kernel`, the one this worker was built with.
+/// pure waste). The pack lives beside its row, so a held session keeps it
+/// warm across runs. Every pack, slab update and panel solve runs through
+/// `kernel`, the one this worker was built with.
 fn serve_run(
     ep: &WorkerEndpoint,
     q: usize,
@@ -892,7 +906,7 @@ fn serve_run(
             _ => {}
         }
         // Every other frame is traffic of an open run, and must fit its
-        // grids; one that does not drops the link.
+        // chunk; one that does not drops the link.
         let Some(run) = state.runs.get_mut(&gen) else { return RunExit::Terminate };
         let (q, bb) = (run.q, run.q * run.q * 8);
         let (i, j) = (frame.tag.i as usize, frame.tag.j as usize);
@@ -900,76 +914,69 @@ fn serve_run(
             FrameKind::BlockC => {
                 // The chunk's next row, `i`, from column `j`. A chunk's
                 // first row fixes its origin and width.
-                if run.c_len == 0 {
+                if run.c.rows() == 0 {
                     (run.origin, run.width) = ((i, j), frame.payload.len() / bb);
                 }
-                let next = (run.origin.0 + run.height(), run.origin.1);
+                let row = run.height();
+                let next = (run.origin.0 + row, run.origin.1);
                 let Some(parts) = blocks_of(&frame.payload, bb, run.width).filter(|_| (i, j) == next) else {
                     return RunExit::Terminate;
                 };
-                let end = run.c_len + run.width;
-                if run.c.len() < end {
-                    run.c.resize_with(end, || Block::zeros(q));
+                run.c.resize((row + 1) * q, run.width * q);
+                for (jj, part) in parts.enumerate() {
+                    run.c.read_block(q, (row, jj), part);
                 }
-                for (blk, part) in run.c[run.c_len..end].iter_mut().zip(parts) {
-                    blk.copy_from_bytes(part);
-                }
-                run.c_len = end;
             }
             FrameKind::BlockB => {
                 // The step's B row over the chunk's columns; the step
                 // index k is implicit in per-generation FIFO order (each
                 // step overwrites the previous step's row). Every
-                // overwrite invalidates the old pack, so the block is
+                // overwrite invalidates the old pack, so the row is
                 // repacked here, exactly once per arrival, and reused by
                 // all of this step's A blocks.
-                let spans = run.c_len > 0 && j == run.origin.1;
+                let spans = run.c.rows() > 0 && j == run.origin.1;
                 let Some(parts) = blocks_of(&frame.payload, bb, run.width).filter(|_| spans) else {
                     return RunExit::Terminate;
                 };
-                if run.b.len() < run.width {
-                    run.b.resize_with(run.width, || ResidentB { block: Block::zeros(q), pack: PackedB::default() });
+                run.b.resize(q, run.width * q);
+                for (jj, part) in parts.enumerate() {
+                    run.b.read_block(q, (0, jj), part);
                 }
-                for (resident, part) in run.b.iter_mut().zip(parts) {
-                    resident.block.copy_from_bytes(part);
-                    let tp = record::begin();
-                    resident.block.pack_b_for(kernel, &mut resident.pack);
-                    record::worker_span(ep.id(), ActivityKind::Pack, tp, gen, "pack B");
-                }
-                run.b_len = run.width;
+                run.b_resident = true;
+                let tp = record::begin();
+                kernel.pack_into(&mut run.pack, run.b.as_slice(), q, run.width * q, 1.0);
+                record::worker_span(ep.id(), ActivityKind::Pack, tp, gen, "pack B");
             }
             FrameKind::BlockA => {
                 // The step's A column over the chunk's rows, behind its B
                 // row: each block, through the one reused A block,
-                // updates its row of the chunk — and the column consumes
-                // the row.
-                let spans = run.b_len == run.width && i == run.origin.0;
+                // updates its `q`-row slab of the chunk in one kernel call
+                // — and the column consumes the row.
+                let spans = run.b_resident && i == run.origin.0;
                 let Some(parts) = blocks_of(&frame.payload, bb, run.height()).filter(|_| spans) else {
                     return RunExit::Terminate;
                 };
-                let RunState { c, c_len, b, a, width, .. } = run;
-                for (row, part) in c[..*c_len].chunks_exact_mut(*width).zip(parts) {
+                let slab = q * run.c.cols();
+                for (c_slab, part) in run.c.as_mut_slice().chunks_exact_mut(slab).zip(parts) {
                     // One Compute span per processed A block (the
-                    // simulator's unit of worker occupancy), with one
-                    // Kernel detail span per GEMM call inside it.
+                    // simulator's unit of worker occupancy), with its one
+                    // Kernel detail span inside it.
                     let tc = record::begin();
-                    a.copy_from_bytes(part);
-                    for (c_block, resident) in row.iter_mut().zip(b.iter()) {
-                        let tk = record::begin();
-                        c_block.gemm_acc_prepacked(kernel, a, &resident.pack);
-                        record::worker_span(ep.id(), ActivityKind::Kernel, tk, gen, "gemm");
-                    }
+                    run.a.copy_from_bytes(part);
+                    let tk = record::begin();
+                    kernel.gemm_acc_packed(c_slab, run.a.as_slice(), &run.pack, q);
+                    record::worker_span(ep.id(), ActivityKind::Kernel, tk, gen, "gemm");
                     record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "A update");
                 }
-                run.b_len = 0;
+                run.b_resident = false;
             }
             FrameKind::LuPanel => {
                 // One LU step's pivot chain, answered in place.
-                let Some(parts) = panel_task(q, frame.tag, &frame.payload) else {
+                if !panel_task(q, frame.tag, &frame.payload, &mut state.panel) {
                     return RunExit::Terminate;
-                };
+                }
                 let tc = record::begin();
-                let reply = solve_panel(ep, kernel, q, frame.tag, parts, gen);
+                let reply = solve_panel(ep, kernel, q, frame.tag, &mut state.panel, gen);
                 record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "panel");
                 ep.send_in(gen, Frame::new(frame.tag, reply));
             }
@@ -977,27 +984,26 @@ fn serve_run(
                 // A collect request (no lifecycle sentinel): return the
                 // chunk row by row, in order — one run frame per row,
                 // built in the endpoint's buffer pool, stamped with the
-                // generation it belongs to. The grids stay in place for
-                // the generation's next chunk.
+                // generation it belongs to. The storage stays for the
+                // generation's next chunk.
                 let (width, (i0, j0)) = (run.width, run.origin);
                 for r in 0..run.height() {
-                    let row = &run.c[r * width..(r + 1) * width];
                     let payload = ep.pooled_payload(width * bb, |buf| {
-                        row.iter().for_each(|blk| blk.write_bytes_into(buf));
+                        (0..width).for_each(|jj| run.c.write_block(q, (r, jj), buf));
                     });
                     ep.send_in(gen, Frame::new(Tag::new(FrameKind::CResult, i0 + r, j0), payload));
                 }
-                (run.c_len, run.b_len) = (0, 0);
+                run.clear();
             }
             // A `CResult` (or anything else the master never sends).
             _ => return RunExit::Terminate,
         }
         // The paper's memory invariant: resident blocks never exceed m,
         // now summed over every open generation (+1 per generation for
-        // its A block in flight; grid storage past `c_len` / `b_len` is
-        // not resident matrix data). The serving tier's admission control
+        // its A block in flight; storage kept past the rows held is not
+        // resident matrix data). The serving tier's admission control
         // keeps concurrent jobs under this bound by construction.
-        let resident: usize = state.runs.values().map(|r| r.c_len + r.b_len).sum();
+        let resident: usize = state.runs.values().map(RunState::resident).sum();
         assert!(
             resident + state.runs.len() <= memory_cap,
             "worker exceeded its memory: {resident} resident + {} in-flight A > {memory_cap}",
@@ -1017,23 +1023,25 @@ pub fn panel_parts(p: usize, rest: usize) -> [(usize, usize, BlockOrder); 3] {
     [(p, p, BlockOrder::RowMajor), (rest, p, BlockOrder::ColMajor), (p, rest, BlockOrder::RowMajor)]
 }
 
-/// The pivot, vertical and horizontal panels of the `LuPanel` task
-/// `tag`/`payload` for block side `q`, in the layout of [`panel_parts`]
-/// for the tag's `(p, rest)`. `None` unless the payload is exactly the
-/// blocks the tag names: the sizes are checked before anything is sliced
-/// or allocated, and no tag can overflow the arithmetic.
-fn panel_task(q: usize, tag: Tag, payload: &[u8]) -> Option<[Dense; 3]> {
+/// Refill `parts` with the pivot, vertical and horizontal panels of the
+/// `LuPanel` task `tag`/`payload` for block side `q`, in the layout of
+/// [`panel_parts`] for the tag's `(p, rest)`. `false`, touching nothing,
+/// unless the payload is exactly the blocks the tag names: the sizes are
+/// checked before anything is sliced or resized, and no tag can overflow
+/// the arithmetic.
+fn panel_task(q: usize, tag: Tag, payload: &[u8], parts: &mut [Dense; 3]) -> bool {
     let (p, rest) = (tag.i as usize, tag.j as usize);
-    let blocks = p.checked_mul(rest.checked_mul(2)?.checked_add(p)?)?;
-    if payload.len() != blocks.checked_mul(q * q * 8)? {
-        return None;
+    let blocks = || p.checked_mul(rest.checked_mul(2)?.checked_add(p)?)?.checked_mul(q * q * 8);
+    if blocks() != Some(payload.len()) {
+        return false;
     }
     let mut at = 0;
-    Some(panel_parts(p, rest).map(|(rows, cols, order)| {
-        let part = &payload[at..at + rows * cols * q * q * 8];
-        at += part.len();
-        Dense::from_block_bytes(part, rows, cols, q, order)
-    }))
+    for (part, (rows, cols, order)) in parts.iter_mut().zip(panel_parts(p, rest)) {
+        let image = &payload[at..at + rows * cols * q * q * 8];
+        at += image.len();
+        part.read_block_bytes(image, rows, cols, q, order);
+    }
+    true
 }
 
 /// The pivot chain of one LU step (Section 7.2) on the parts of the task
@@ -1041,21 +1049,21 @@ fn panel_task(q: usize, tag: Tag, payload: &[u8]) -> Option<[Dense; 3]> {
 /// vertical panel against its `U` and the horizontal one against its `L`,
 /// and return all three in the task's layout, built in the endpoint's
 /// buffer pool.
-fn solve_panel(ep: &WorkerEndpoint, kernel: &Kernel, q: usize, tag: Tag, parts: [Dense; 3], run: u32) -> Bytes {
-    let [mut pivot, mut vertical, mut horizontal] = parts;
-    let len = 8 * [&pivot, &vertical, &horizontal].map(|d| d.rows() * d.cols()).iter().sum::<usize>();
+fn solve_panel(ep: &WorkerEndpoint, kernel: &Kernel, q: usize, tag: Tag, parts: &mut [Dense; 3], run: u32) -> Bytes {
+    let len = 8 * parts.iter().map(|d| d.rows() * d.cols()).sum::<usize>();
+    let [pivot, vertical, horizontal] = parts;
     let tk = record::begin();
-    lu_blocked_with(kernel, &mut pivot, NB);
+    lu_blocked_with(kernel, pivot, NB);
     record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "factor");
     if tag.j > 0 {
         let tk = record::begin();
-        trsm_right_upper_with(kernel, &mut vertical, &pivot);
-        trsm_left_unit_lower_with(kernel, &mut horizontal, &pivot);
+        trsm_right_upper_with(kernel, vertical, pivot);
+        trsm_left_unit_lower_with(kernel, horizontal, pivot);
         record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "trsm");
     }
     let layout = panel_parts(tag.i as usize, tag.j as usize);
     ep.pooled_payload(len, |buf| {
-        for (part, (_, _, order)) in [pivot, vertical, horizontal].iter().zip(layout) {
+        for (part, (_, _, order)) in parts.iter().zip(layout) {
             part.write_block_bytes(q, order, buf);
         }
     })
@@ -1251,32 +1259,33 @@ mod tests {
     #[test]
     fn wire_format_roundtrip() {
         // A task decodes into its three parts, shaped as the tag says.
+        // The same parts serve the next task, reshaped.
         let (p, rest, q) = (2, 3, 4);
-        let wire = panel_image(p, rest, q);
-        let [pivot, vertical, horizontal] =
-            panel_task(q, Tag::new(FrameKind::LuPanel, p, rest), &wire).expect("a well-formed task");
-        let shapes = [pivot, vertical, horizontal].map(|d| (d.rows(), d.cols()));
-        assert_eq!(shapes, [(8, 8), (12, 8), (8, 12)]);
-        let last = panel_task(q, Tag::new(FrameKind::LuPanel, p, 0), &panel_image(p, 0, q)).unwrap();
-        assert_eq!(last.map(|d| (d.rows(), d.cols())), [(8, 8), (0, 8), (8, 0)], "the pivot alone");
+        let mut parts = <[Dense; 3]>::default();
+        assert!(panel_task(q, Tag::new(FrameKind::LuPanel, p, rest), &panel_image(p, rest, q), &mut parts));
+        assert_eq!(parts.each_ref().map(|d| (d.rows(), d.cols())), [(8, 8), (12, 8), (8, 12)]);
+        assert!(panel_task(q, Tag::new(FrameKind::LuPanel, p, 0), &panel_image(p, 0, q), &mut parts));
+        assert_eq!(parts.each_ref().map(|d| (d.rows(), d.cols())), [(8, 8), (0, 8), (8, 0)], "the pivot alone");
     }
 
     #[test]
     fn malformed_wire_images_do_not_decode() {
         let (p, rest, q) = (2, 1, 3);
         let wire = panel_image(p, rest, q);
-        let tag = |p: usize, rest: usize| Tag::new(FrameKind::LuPanel, p, rest);
+        let decodes = |p: usize, rest: usize, payload: &[u8]| {
+            panel_task(q, Tag::new(FrameKind::LuPanel, p, rest), payload, &mut Default::default())
+        };
         // Cut anywhere, or a byte over: a torn or padded payload.
         for len in 0..wire.len() {
-            assert!(panel_task(q, tag(p, rest), &wire[..len]).is_none(), "truncated to {len} bytes");
+            assert!(!decodes(p, rest, &wire[..len]), "truncated to {len} bytes");
         }
-        assert!(panel_task(q, tag(p, rest), &[&wire[..], &[0]].concat()).is_none(), "a trailing byte");
+        assert!(!decodes(p, rest, &[&wire[..], &[0]].concat()), "a trailing byte");
         // A shape that disagrees with the length, and ones whose block
         // count overflows or merely exceeds the payload.
         for (p, rest) in [(1, 1), (2, 2), (3, 0), (u32::MAX as usize, u32::MAX as usize), (1 << 20, 0)] {
-            assert!(panel_task(q, tag(p, rest), &wire).is_none(), "a {p} + {rest} tag");
+            assert!(!decodes(p, rest, &wire), "a {p} + {rest} tag");
         }
-        assert!(panel_task(q, tag(p, rest), &wire).is_some());
+        assert!(decodes(p, rest, &wire));
     }
 
     #[test]
@@ -1312,7 +1321,7 @@ mod tests {
     fn chunk_traffic_that_misses_its_chunk_drops_the_link_without_unwinding_the_worker() {
         // A 2 × 2 chunk of q = 2 blocks. Its own rows, B row and A column
         // are answered by the chunk at collect; traffic that does not fit
-        // the chunk's grid, reopens its generation or closes another one
+        // the chunk's shape, reopens its generation or closes another one
         // closes the link (no reply), and the worker thread returns instead
         // of panicking (`shutdown` re-raises a worker's panic). Each frame
         // is stamped with the run's generation plus its offset.
@@ -1354,22 +1363,20 @@ mod tests {
     fn storage_recycles_by_block_side() {
         // A run reopens the retired state of its own block side, so the
         // q = 2 run after a q = 4 one gets back the first q = 2 run's C
-        // grid, not the q = 4 run's.
+        // storage, not the q = 4 run's.
         let mut state = WorkerState::default();
         let mut cycle = |gen: u32, q: usize| {
             assert!(state.open(gen, q));
             let run = state.runs.get_mut(&gen).expect("just opened");
-            if run.c.is_empty() {
-                run.c.push(Block::zeros(q));
-            }
-            let grid = run.c.as_ptr();
+            run.c.resize(q, q);
+            let storage = run.c.as_slice().as_ptr();
             assert_eq!(state.close(gen), Some(0));
-            grid
+            storage
         };
         let first = cycle(1, 2);
         let other = cycle(2, 4);
         assert_ne!(other, first);
-        assert_eq!(cycle(3, 2), first, "the q = 2 run reopens its own grid");
+        assert_eq!(cycle(3, 2), first, "the q = 2 run reopens its own storage");
         assert_eq!(cycle(4, 4), other, "and the q = 4 run its own");
     }
 

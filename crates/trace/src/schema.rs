@@ -41,7 +41,7 @@ pub enum ActivityKind {
     /// Time spent blocked — on the one-port arbiter or waiting for a frame
     /// to arrive. Not occupancy: concurrent waiters legitimately overlap.
     Wait,
-    /// Packing a B block into kernel-friendly layout (worker detail).
+    /// Packing a B operand into kernel-friendly layout (worker detail).
     Pack,
     /// One GEMM kernel invocation (worker detail).
     Kernel,

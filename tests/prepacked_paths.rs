@@ -1,9 +1,11 @@
 //! Prepacked-panel reuse cross-validation: every layer that packs a B
 //! operand once and reuses it (kernel `PackedB`, `gemm_serial`,
-//! the runtime workers' resident-B packs, for products and for LU's
-//! trailing updates alike) must be **bit-identical** to
+//! the runtime workers' one pack of each step's whole B row, for products
+//! and for LU's trailing updates alike) must be **bit-identical** to
 //! the per-call-pack path it replaced — same microkernel, same
 //! per-element k-accumulation order, the pack being pure data movement.
+//! The worker's one kernel call per chunk row, against the row's one
+//! pack, must equal one prepacked call per block of that row.
 //!
 //! Each block-level test, and the serial product's, iterates every kernel
 //! this CPU runs (scalar's verbatim row-major pack, AVX2's 8-wide panels,
@@ -44,6 +46,37 @@ fn prepacked_block_update_is_bit_identical_at_tail_sizes() {
                     kernel.name()
                 );
             }
+        }
+    }
+}
+
+/// The worker's slab update: one `gemm_acc_packed` of a `q × q` A block
+/// against a `q × (w·q)` B row packed once equals the `w` per-block
+/// `gemm_acc_prepacked` calls it replaces, bit for bit, under every kernel
+/// — at tail sides of either register tile, and at q = 320, w = 2, whose
+/// row crosses the pack's column-block and k-strip boundaries.
+#[test]
+fn one_call_per_b_row_is_bit_identical_to_one_per_block() {
+    let shapes = [1usize, 3, 5, 7, 15, 17, 20, 25, 33, 40, 80].into_iter().flat_map(|q| (1..=7).map(move |w| (q, w)));
+    for kernel in available() {
+        for (q, w) in shapes.clone().chain([(320, 2)]) {
+            let seed = (q * 8 + w) as u64;
+            let (a, b, c0) = (random_block(q, seed), random_matrix(1, w, q, seed + 1), random_matrix(1, w, q, seed + 2));
+            let mut per_block = c0.clone();
+            let mut packed = PackedB::new();
+            for j in 0..w {
+                b.block(0, j).pack_b_for(kernel, &mut packed);
+                per_block.block_mut(0, j).gemm_acc_prepacked(kernel, &a, &packed);
+            }
+            let mut slab = Dense::from_blocks(&c0);
+            kernel.pack_into(&mut packed, Dense::from_blocks(&b).as_slice(), q, w * q, 1.0);
+            kernel.gemm_acc_packed(slab.as_mut_slice(), a.as_slice(), &packed, q);
+            let bits = |d: &Dense| d.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&slab) == bits(&Dense::from_blocks(&per_block)),
+                "kernel {}: one call per B row diverges from one per block at q = {q}, w = {w}",
+                kernel.name()
+            );
         }
     }
 }

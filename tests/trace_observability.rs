@@ -280,9 +280,9 @@ fn job_report_consistent_with_spans() {
 /// product uses: each panel exchange is one `panel` `Compute` span holding
 /// `factor` and — but on the last step, which has no panels — `trsm`
 /// kernel spans, and each trailing update is the product's own `A update`
-/// compute spans, one `gemm` per block update and one `pack B` per B block
-/// shipped, counted off the run's schedule — so `trace.kernel_s` is not 0
-/// on LU.
+/// compute spans, each holding the one `gemm` of its A block against the
+/// step's B row, and one `pack B` per `Step` op, counted off the run's
+/// schedule — so `trace.kernel_s` is not 0 on LU.
 #[test]
 fn lu_run_records_kernel_spans_inside_compute_spans() {
     let _serial = capture_lock();
@@ -312,9 +312,10 @@ fn lu_run_records_kernel_spans_inside_compute_spans() {
         .collect();
     let updates: usize = steps.iter().map(|(h, w)| h * w).sum();
     assert_eq!(updates, 4 * 4 * 2 + 2 * 2 * 2, "the rank-2 updates of the 4 × 4 and 2 × 2 trailing grids");
-    assert_eq!(labelled(ActivityKind::Kernel, "gemm"), updates);
-    assert_eq!(labelled(ActivityKind::Compute, "A update"), steps.iter().map(|(h, _)| h).sum());
-    assert_eq!(labelled(ActivityKind::Pack, "pack B"), steps.iter().map(|(_, w)| w).sum());
+    let a_blocks: usize = steps.iter().map(|(h, _)| h).sum();
+    assert_eq!(labelled(ActivityKind::Compute, "A update"), a_blocks);
+    assert_eq!(labelled(ActivityKind::Kernel, "gemm"), a_blocks, "one per A block");
+    assert_eq!(labelled(ActivityKind::Pack, "pack B"), steps.len(), "one per Step op");
 
     for detail in trace.activities.iter().filter(|a| a.kind == ActivityKind::Kernel) {
         let Resource::WorkerDetail(w) = detail.resource else {
