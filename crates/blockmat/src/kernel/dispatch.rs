@@ -47,7 +47,7 @@ enum Run {
     /// packed path.
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     Simd {
-        pack: unsafe fn(*const f64, usize, usize, usize, f64, &mut Vec<f64>),
+        pack: unsafe fn(*const f64, usize, usize, usize, f64, &mut pack::PackBuf),
         gemm: unsafe fn(*mut f64, usize, *const f64, usize, &[f64], usize, usize, usize),
     },
 }
@@ -123,7 +123,7 @@ impl Kernel {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             Run::Simd { pack, gemm } => pack::with_pack_buf(|buf| unsafe {
                 pack(b, ldb, k, n, alpha, buf);
-                gemm(c, ldc, a, lda, buf, m, n, k)
+                gemm(c, ldc, a, lda, buf.as_slice(), m, n, k)
             }),
         }
     }

@@ -38,9 +38,10 @@
 //! the pack keeps the multiply out of the FMA inner loop (and is exact for
 //! the `±1.0` used in-tree).
 //!
-//! The per-call pack buffer is thread-local and grows to a high-water
-//! mark, so `gemm_acc` stays allocation-free at steady state; prepacked
-//! reuse goes through [`super::PackedB`], which owns its buffer outright.
+//! Every pack buffer is a [`PackBuf`], which starts on a cache line. The
+//! per-call one is thread-local and grows to a high-water mark, so
+//! `gemm_acc` stays allocation-free at steady state; prepacked reuse goes
+//! through [`super::PackedB`], which owns its buffer outright.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,7 +148,45 @@ pub(super) fn count_pack() {
 }
 
 thread_local! {
-    static PACK_BUF: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    static PACK_BUF: RefCell<PackBuf> = const { RefCell::new(PackBuf::new()) };
+}
+
+/// One cache line of packed coefficients, the unit a [`PackBuf`] grows by.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct Line([f64; 8]);
+
+/// A grow-only pack buffer that starts on a cache line. In a pack off the
+/// line, the tile's vector loads of each panel row straddle two lines, and
+/// a `Vec<f64>` lands wherever the heap has room — 16 bytes past a line as
+/// often as on one — so each pack's speed would be a draw. With one pack
+/// per `B` row a whole run rests on one draw; this takes the draw away.
+#[derive(Debug)]
+pub(super) struct PackBuf {
+    lines: Vec<Line>,
+    len: usize,
+}
+
+impl PackBuf {
+    pub(super) const fn new() -> Self {
+        PackBuf { lines: Vec::new(), len: 0 }
+    }
+
+    /// The packed coefficients.
+    pub(super) fn as_slice(&self) -> &[f64] {
+        // SAFETY: `Line` is `repr(C)` over `[f64; 8]`, so the lines are
+        // `8 · lines.len() ≥ len` contiguous, initialized `f64`s.
+        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast(), self.len) }
+    }
+
+    /// The buffer as `len` coefficients, for a pack to overwrite: grown
+    /// (new slots zero) or cut to length, never re-zeroed.
+    pub(super) fn sized(&mut self, len: usize) -> &mut [f64] {
+        self.lines.resize(len.div_ceil(8), Line::default());
+        self.len = len;
+        // SAFETY: as in `as_slice`, and `self` is borrowed mutably.
+        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast(), len) }
+    }
 }
 
 /// Total packed length for a `k × n` B under tile `T`: whole panels of
@@ -172,13 +211,13 @@ pub(super) unsafe fn pack_b_ld<T: Tile>(
     k: usize,
     n: usize,
     alpha: f64,
-    out: &mut Vec<f64>,
+    out: &mut PackBuf,
 ) {
     count_pack();
     // Grow-only at steady state: new capacity is zero-filled once, but
     // slots a previous pack wrote are NOT re-zeroed — the loops below
     // overwrite every slot (live columns from B, tail padding explicitly).
-    out.resize(packed_len::<T>(k, n), 0.0);
+    let out = out.sized(packed_len::<T>(k, n));
     let kc = kc_for::<T>(k, n);
     let mut block_base = 0;
     for j0c in (0..n).step_by(NC) {
@@ -262,7 +301,7 @@ pub(super) unsafe fn macro_loop<T: Tile>(
 
 /// Run `f` with this thread's recycled pack buffer — where the SIMD rows'
 /// per-call updates pack B before running the packed path.
-pub(super) fn with_pack_buf<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+pub(super) fn with_pack_buf<R>(f: impl FnOnce(&mut PackBuf) -> R) -> R {
     PACK_BUF.with(|buf| f(&mut buf.borrow_mut()))
 }
 
@@ -275,7 +314,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// Pack a contiguous `k × n` B for tile `T`.
-    fn pack_b<T: Tile>(b: &[f64], k: usize, n: usize, alpha: f64, out: &mut Vec<f64>) {
+    fn pack_b<T: Tile>(b: &[f64], k: usize, n: usize, alpha: f64, out: &mut PackBuf) {
         assert_eq!(b.len(), k * n);
         // SAFETY: `b` holds `k` rows of `n` elements, `n` apart.
         unsafe { pack_b_ld::<T>(b.as_ptr(), n, k, n, alpha, out) }
@@ -283,7 +322,7 @@ mod tests {
 
     /// Run a layout check under every SIMD tile compiled in (packing is
     /// plain data movement: no CPU feature needed).
-    fn for_each_tile(check: impl Fn(&dyn Fn(&[f64], usize, usize, f64, &mut Vec<f64>), usize)) {
+    fn for_each_tile(check: impl Fn(&dyn Fn(&[f64], usize, usize, f64, &mut PackBuf), usize)) {
         check(&pack_b::<Avx2>, Avx2::NR);
         #[cfg(target_arch = "x86_64")]
         check(&pack_b::<Avx512>, Avx512::NR);
@@ -297,8 +336,10 @@ mod tests {
         for_each_tile(|pack, nr| {
             let (k, n) = (2, nr + 2);
             let b: Vec<f64> = (0..k * n).map(|x| x as f64).collect();
-            let mut out = vec![f64::NAN; 4 * nr * k]; // dirty buffer: padding must be cleared
-            pack(&b, k, n, 1.0, &mut out);
+            let mut buf = PackBuf::new();
+            buf.sized(4 * nr * k).fill(f64::NAN); // dirty buffer: padding must be cleared
+            pack(&b, k, n, 1.0, &mut buf);
+            let out = buf.as_slice();
             assert_eq!(out.len(), 2 * nr * k);
             // Panel 0, row 0 = b[0..NR]; row 1 = b[n..n + NR].
             assert_eq!(&out[..nr], &b[..nr]);
@@ -316,9 +357,9 @@ mod tests {
     fn alpha_is_folded_into_the_pack() {
         for_each_tile(|pack, _| {
             let b = vec![1.0, -2.0, 3.0];
-            let mut out = Vec::new();
+            let mut out = PackBuf::new();
             pack(&b, 1, 3, -1.0, &mut out);
-            assert_eq!(&out[..3], &[-1.0, 2.0, -3.0]);
+            assert_eq!(&out.as_slice()[..3], &[-1.0, 2.0, -3.0]);
         });
     }
 
@@ -351,8 +392,9 @@ mod tests {
         assert_eq!(kc_for::<Avx2>(k, n), KC, "this shape must be stripped");
         for_each_tile(|pack, nr| {
             let b: Vec<f64> = (0..k * n).map(|x| (x % 7919) as f64).collect();
-            let mut out = Vec::new();
-            pack(&b, k, n, 1.0, &mut out);
+            let mut buf = PackBuf::new();
+            pack(&b, k, n, 1.0, &mut buf);
+            let out = buf.as_slice();
             assert_eq!(out.len(), n * k);
             let panels = n / nr;
             assert_eq!(out[0], b[0]);
@@ -370,8 +412,9 @@ mod tests {
         for_each_tile(|pack, nr| {
             let n = NC + 5;
             let b: Vec<f64> = (0..n).map(|x| x as f64).collect();
-            let mut out = Vec::new();
-            pack(&b, 1, n, 1.0, &mut out);
+            let mut buf = PackBuf::new();
+            pack(&b, 1, n, 1.0, &mut buf);
+            let out = buf.as_slice();
             assert_eq!(out.len(), NC + nr);
             assert_eq!(out[0], 0.0);
             assert_eq!(out[NC], NC as f64); // first element of block 1
@@ -392,13 +435,13 @@ mod tests {
         let small = (11usize, 5usize); // tail panel
         let shapes = [wide, deep, small, deep, wide];
         for_each_tile(|pack, nr| {
-            let mut recycled = Vec::new();
+            let mut recycled = PackBuf::new();
             for (i, &(n, k)) in shapes.iter().enumerate() {
                 let b: Vec<f64> = (0..k * n).map(|x| (x * 31 + i) as f64).collect();
                 pack(&b, k, n, 1.0, &mut recycled);
-                let mut fresh = Vec::new();
+                let mut fresh = PackBuf::new();
                 pack(&b, k, n, 1.0, &mut fresh);
-                assert_eq!(recycled, fresh, "NR = {nr}, shape {i} ({k}x{n}): recycled buffer differs");
+                assert_eq!(recycled.as_slice(), fresh.as_slice(), "NR = {nr}, shape {i} ({k}x{n}): recycled buffer differs");
             }
         });
     }
@@ -407,7 +450,7 @@ mod tests {
     fn count_increments_per_pack() {
         let before = pack_count();
         let b = vec![1.0; 6];
-        let mut out = Vec::new();
+        let mut out = PackBuf::new();
         pack_b::<Avx2>(&b, 2, 3, 1.0, &mut out);
         pack_b::<Avx2>(&b, 3, 2, 1.0, &mut out);
         assert!(pack_count() >= before + 2);
@@ -428,12 +471,12 @@ mod tests {
             let big: Vec<f64> = (0..k1 * n1).map(|x| (seed + x as i64) as f64 + 0.5).collect();
             let small: Vec<f64> = (0..k2 * n2).map(|x| (seed - x as i64) as f64 - 0.25).collect();
             for_each_tile(|pack, _| {
-                let mut recycled = Vec::new();
+                let mut recycled = PackBuf::new();
                 pack(&big, k1, n1, 1.0, &mut recycled);
                 pack(&small, k2, n2, 1.0, &mut recycled);
-                let mut fresh = Vec::new();
+                let mut fresh = PackBuf::new();
                 pack(&small, k2, n2, 1.0, &mut fresh);
-                assert_eq!(&recycled, &fresh);
+                assert_eq!(recycled.as_slice(), fresh.as_slice());
             });
         }
     }

@@ -27,9 +27,11 @@
 //! * **Reuse** — repacking reuses the buffer (grow-only, never re-zeroed
 //!   wholesale); every slot is rewritten on each pack, including the
 //!   zero padding of tail panels, so shape shrinks are safe (pinned by a
-//!   proptest in [`super::pack`]).
+//!   proptest in [`super::pack`]). The buffer starts on a cache line, so
+//!   no pack's speed hangs on where the heap placed it.
 
 use super::dispatch::Kernel;
+use super::pack::PackBuf;
 
 /// A packed, kernel-private image of a B operand (`k × n`, with `alpha`
 /// folded in or recorded), reusable across any number of
@@ -40,7 +42,7 @@ use super::dispatch::Kernel;
 /// `Block::gemm_acc_prepacked`.
 #[derive(Debug)]
 pub struct PackedB {
-    buf: Vec<f64>,
+    buf: PackBuf,
     k: usize,
     n: usize,
     alpha: f64,
@@ -51,7 +53,7 @@ pub struct PackedB {
 impl PackedB {
     /// An empty, unpacked operand. Allocation happens on first pack.
     pub const fn new() -> Self {
-        PackedB { buf: Vec::new(), k: 0, n: 0, alpha: 1.0, packed_by: None }
+        PackedB { buf: PackBuf::new(), k: 0, n: 0, alpha: 1.0, packed_by: None }
     }
 
     /// Pack `alpha · b` (`k × n`, row-major) for `kernel`, reusing this
@@ -87,12 +89,12 @@ impl PackedB {
     /// The raw packed buffer (layout private to the producing kernel).
     #[inline]
     pub(super) fn buf(&self) -> &[f64] {
-        &self.buf
+        self.buf.as_slice()
     }
 
     /// The buffer for a kernel's pack routine to (re)fill.
     #[inline]
-    pub(super) fn buf_mut(&mut self) -> &mut Vec<f64> {
+    pub(super) fn buf_mut(&mut self) -> &mut PackBuf {
         &mut self.buf
     }
 
@@ -193,6 +195,27 @@ mod tests {
             kernel.gemm_acc_packed(&mut c1, &a, &recycled, m);
             kernel.gemm_acc_packed(&mut c2, &a, &fresh, m);
             assert_eq!(c1, c2, "kernel {}: recycled pack differs from fresh", kernel.name());
+        }
+    }
+
+    #[test]
+    fn every_pack_starts_on_a_cache_line() {
+        // Whatever the heap's state, a pack's alignment is not a draw:
+        // first packs, a grown repack and a shrunk one, under every kernel,
+        // with odd-sized allocations in between to shift the heap.
+        for kernel in available() {
+            let mut packs: Vec<PackedB> = Vec::new();
+            let mut shift = Vec::new();
+            for (i, (k, n)) in [(1usize, 1usize), (3, 5), (20, 20), (80, 800), (80, 80), (7, 33)].into_iter().enumerate() {
+                shift.push(vec![0u8; 8 + 16 * i]);
+                let mut bp = PackedB::new();
+                kernel.pack_into(&mut bp, &seeded(k * n, i as u64), k, n, 1.0);
+                packs.push(bp);
+                for bp in &mut packs {
+                    kernel.pack_into(bp, &seeded(k * n, 50 + i as u64), k, n, 1.0);
+                    assert_eq!(bp.buf().as_ptr() as usize % 64, 0, "kernel {}: a {k} × {n} pack", kernel.name());
+                }
+            }
         }
     }
 

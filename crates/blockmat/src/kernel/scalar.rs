@@ -23,10 +23,9 @@ const TILE: usize = 32;
 /// Scalar pack: a verbatim row-major copy of B into the reused buffer.
 /// `alpha` is recorded in the `PackedB` identity and applied at consume
 /// time, where the prepacked path is [`gemm_acc_ld`] on the copy.
-pub(super) fn pack_b(b: &[f64], out: &mut Vec<f64>) {
+pub(super) fn pack_b(b: &[f64], out: &mut super::pack::PackBuf) {
     super::pack::count_pack();
-    out.clear();
-    out.extend_from_slice(b);
+    out.sized(b.len()).copy_from_slice(b);
 }
 
 /// `C (m×n) += alpha · A (m×k) · B (k×n)`, row-major with rows `ldc` /
