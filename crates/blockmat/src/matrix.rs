@@ -4,6 +4,7 @@
 use crate::block::Block;
 use crate::payload::BlockOrder;
 use std::fmt;
+use std::ops::Range;
 
 /// An `rows × cols` grid of [`Block`]s, all with the same side `q`.
 ///
@@ -129,10 +130,18 @@ impl BlockMatrix {
         self.blocks.len() * self.q * self.q * 8
     }
 
-    /// Append the image of every block, in `order`, to `out` — the one
-    /// writer of a whole matrix's wire image ([`crate::SharedPayloads`]).
-    pub fn write_block_bytes(&self, order: BlockOrder, out: &mut Vec<u8>) {
-        order.coords(self.rows, self.cols).for_each(|(i, j)| self.block(i, j).write_bytes_into(out));
+    /// Append the image of the block rows (`RowMajor`) or block columns
+    /// (`ColMajor`) `lines`, block by block in `order`, to `out` — the one
+    /// writer of a matrix's wire image, whole ([`crate::SharedPayloads`])
+    /// or a stretch of its lines, whose image is the slice of the whole
+    /// one it covers.
+    pub fn write_block_bytes(&self, order: BlockOrder, lines: Range<usize>, out: &mut Vec<u8>) {
+        for line in lines {
+            match order {
+                BlockOrder::RowMajor => (0..self.cols).for_each(|j| self.block(line, j).write_bytes_into(out)),
+                BlockOrder::ColMajor => (0..self.rows).for_each(|i| self.block(i, line).write_bytes_into(out)),
+            }
+        }
     }
 }
 

@@ -68,8 +68,12 @@ impl SharedPayloads {
     }
 
     fn build(m: &BlockMatrix, order: BlockOrder) -> Self {
+        let lines = match order {
+            BlockOrder::RowMajor => m.rows(),
+            BlockOrder::ColMajor => m.cols(),
+        };
         let mut buf = Vec::with_capacity(m.byte_len());
-        m.write_block_bytes(order, &mut buf);
+        m.write_block_bytes(order, 0..lines, &mut buf);
         Self::from_bytes(Bytes::from(buf), m.rows(), m.cols(), m.q(), order)
     }
 
@@ -117,6 +121,11 @@ impl SharedPayloads {
         assert!(n >= 1 && i0 + n <= self.rows, "run exceeds the block column");
         let start = self.offset(i0, j);
         self.data.slice(start..start + n * self.block_bytes)
+    }
+
+    /// Block rows and block columns of the grid.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
     }
 
     /// Payload size of one block in bytes (`8q²`).

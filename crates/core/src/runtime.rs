@@ -193,21 +193,17 @@ pub(crate) fn select_enrollment(
     }
 }
 
-/// One product `C ← C + A·B` of an open run: the payload caches of its
-/// inputs, where its C lives, its traffic meter, and the tag offsets that
-/// keep its frame coordinates disjoint from every other product fused into
-/// the same run.
-struct JobCtx {
-    /// A serialized once per run, col-major, so a column stretch is one
-    /// slice.
-    ap: SharedPayloads,
-    /// B serialized once per run, row-major, so a row stretch is one
-    /// slice. Every send is a refcount bump into these shared buffers (a B
-    /// row fanned out to all enrolled workers costs one buffer total), and
-    /// both buffers are the master endpoint's recycled ones
-    /// ([`pooled_image`]): the next run of the session writes into them
-    /// again instead of faulting in fresh pages.
-    bp: SharedPayloads,
+/// One product `C ← C + A·B` of an open run: its factors as the steps
+/// read them, where its C lives, its traffic meter, and the tag offsets
+/// that keep its frame coordinates disjoint from every other product fused
+/// into the same run.
+struct JobCtx<'a> {
+    /// A by block columns, so a column stretch is one slice.
+    ap: Operand<'a>,
+    /// B by block rows, so a row stretch is one slice. Every send is a
+    /// refcount bump into these shared images (a B row fanned out to all
+    /// enrolled workers costs one buffer total).
+    bp: Operand<'a>,
     /// The exchange's accumulator this product updates, and where in it:
     /// chunk block `(i, j)` is block `(i + at, j + at)` there.
     c: usize,
@@ -218,14 +214,14 @@ struct JobCtx {
     off: [usize; 3],
 }
 
-impl JobCtx {
+impl<'a> JobCtx<'a> {
     /// The `jx`-th product of a run, updating accumulator `jx`: its tags
     /// shift by `jx·(r, s, t)` (a solo run is product 0, offsets 0), while
     /// the payload bytes stay exactly what a solo run would ship.
-    fn new(master: &mwp_msg::MasterEndpoint, a: &BlockMatrix, b: &BlockMatrix, jx: usize) -> Self {
+    fn new(a: &'a BlockMatrix, b: &'a BlockMatrix, jx: usize) -> Self {
         JobCtx {
-            ap: pooled_image(master, a, BlockOrder::ColMajor),
-            bp: pooled_image(master, b, BlockOrder::RowMajor),
+            ap: Operand::new(a, BlockOrder::ColMajor),
+            bp: Operand::new(b, BlockOrder::RowMajor),
             c: jx,
             at: 0,
             moved: 0,
@@ -234,12 +230,62 @@ impl JobCtx {
     }
 }
 
-/// `m`'s payloads in `order`, written into one of `master`'s recycled
-/// buffers: the bytes of [`SharedPayloads::new`] / `new_col_major`, in
-/// storage that outlives the run.
-fn pooled_image(master: &mwp_msg::MasterEndpoint, m: &BlockMatrix, order: BlockOrder) -> SharedPayloads {
-    let image = master.pooled_payload(m.byte_len(), |buf| m.write_block_bytes(order, buf));
-    SharedPayloads::from_bytes(image, m.rows(), m.cols(), m.q(), order)
+/// One factor of a product as its steps read it — A by block columns, B
+/// by block rows — serialized in groups of steps, each on its first use.
+/// Each group covers as many steps as all the groups before it (1, 1, 2,
+/// 4, … steps), so a run's first frames wait for one step of the image,
+/// not all `t`, and each later group is written while the workers compute
+/// the steps before it. A group is one buffer of the master endpoint's
+/// operand pool ([`mwp_msg::MasterEndpoint::pooled_operand`]), which the
+/// next run of the session writes into again instead of faulting in fresh
+/// pages; each step's stretch is still one zero-copy slice, with the bytes
+/// of [`SharedPayloads::new`] / `new_col_major`.
+struct Operand<'a> {
+    /// The factor and its order, while groups remain to serialize; `None`
+    /// for a prebuilt image.
+    src: Option<(&'a BlockMatrix, BlockOrder)>,
+    /// The groups serialized so far, in step order, each with its first
+    /// step.
+    groups: Vec<(usize, SharedPayloads)>,
+    /// Steps the groups cover, of `steps`.
+    covered: usize,
+    steps: usize,
+}
+
+impl<'a> Operand<'a> {
+    /// `m` in `order`, nothing serialized yet.
+    fn new(m: &'a BlockMatrix, order: BlockOrder) -> Self {
+        let steps = match order {
+            BlockOrder::RowMajor => m.rows(),
+            BlockOrder::ColMajor => m.cols(),
+        };
+        Operand { src: Some((m, order)), groups: Vec::new(), covered: 0, steps }
+    }
+
+    /// A prebuilt image of `steps` steps, as one group.
+    fn whole(image: SharedPayloads, steps: usize) -> Self {
+        Operand { src: None, groups: vec![(0, image)], covered: steps, steps }
+    }
+
+    /// The group holding step `k`, and `k`'s step within it; serializes
+    /// the groups up to `k`'s that are not yet.
+    fn step(&mut self, master: &mwp_msg::MasterEndpoint, k: usize) -> (&SharedPayloads, usize) {
+        while self.covered <= k {
+            let (m, order) = self.src.expect("a prebuilt image covers every step");
+            let (first, n) = (self.covered, self.covered.clamp(1, self.steps - self.covered));
+            let image = master.pooled_operand(m.byte_len() / self.steps * n, |buf| {
+                m.write_block_bytes(order, first..first + n, buf);
+            });
+            let (rows, cols) = match order {
+                BlockOrder::RowMajor => (n, m.cols()),
+                BlockOrder::ColMajor => (m.rows(), n),
+            };
+            self.groups.push((first, SharedPayloads::from_bytes(image, rows, cols, m.q(), order)));
+            self.covered += n;
+        }
+        let (first, image) = self.groups.iter().rfind(|&&(first, _)| first <= k).expect("the first group starts at step 0");
+        (image, k - first)
+    }
 }
 
 /// One product of a run: the borrowed factors `A`, `B` and the
@@ -391,7 +437,7 @@ pub struct ChunkExchange<'a, C = BlockMatrix> {
     /// The matrices the products accumulate into.
     c: Vec<C>,
     /// `jobs[jx]` is the product the ops' `job` index `jx` names.
-    jobs: Vec<JobCtx>,
+    jobs: Vec<JobCtx<'a>>,
     /// `mu[i]` is the chunk side worker `i`'s memory admits.
     mu: &'a [usize],
     /// The products' common shared dimension.
@@ -422,10 +468,12 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     /// it: `A·B` accumulated into the first accumulator's square sub-grid
     /// from block `(at, at)` on, the way a factorization's trailing update
     /// is a product of its own matrix. `a` holds A's blocks by block
-    /// columns, `b` B's by block rows; the wire carries the accumulator's
-    /// own block coordinates.
+    /// columns, `b` B's by block rows, each one group that covers every
+    /// step; the wire carries the accumulator's own block coordinates.
     pub fn push(&mut self, a: SharedPayloads, b: SharedPayloads, at: usize) {
-        self.jobs.push(JobCtx { ap: a, bp: b, c: 0, at, moved: 0, off: [at, at, 0] });
+        let steps = a.shape().1;
+        let (ap, bp) = (Operand::whole(a, steps), Operand::whole(b, steps));
+        self.jobs.push(JobCtx { ap, bp, c: 0, at, moved: 0, off: [at, at, 0] });
     }
 
     /// The first accumulator.
@@ -486,32 +534,46 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         })
     }
 
-    /// One k-step of chunk `ch`: a zero-copy B-row frame, then a zero-copy
-    /// A-column frame, both views into job `jx`'s payload caches.
+    /// One k-step of chunk `ch`: a B-row frame, then an A-column frame,
+    /// both zero-copy views into job `jx`'s operand images — each group
+    /// serialized when its first step goes out, the B row's before the A
+    /// column's, so the worker packs the row while the master writes the
+    /// column. Behind the chunk's last step goes the collect request (an
+    /// unmetered control frame), so the worker returns the chunk as soon
+    /// as it has computed it, instead of waiting for the master to reach
+    /// the chunk's `Collect` — in a round, behind the rows of every worker
+    /// collected before it.
     fn send_k_step(&mut self, wid: WorkerId, jx: usize, ch: &Chunk, k: usize) -> bool {
-        let job = &self.jobs[jx];
+        let (master, job) = (self.master, &mut self.jobs[jx]);
         let b_tag = Tag::new(FrameKind::BlockB, k + job.off[2], ch.j0 + job.off[1]);
-        let b_run = job.bp.row_run(k, ch.j0, ch.width);
         let a_tag = Tag::new(FrameKind::BlockA, ch.i0 + job.off[0], k + job.off[2]);
-        let a_run = job.ap.col_run(ch.i0, k, ch.height);
-        self.send(wid, jx, b_tag, b_run, ch.width) && self.send(wid, jx, a_tag, a_run, ch.height)
-    }
-
-    /// Ask `wid` for chunk `ch` back and commit it into job `jx`'s C — only
-    /// once **every** row frame has arrived and checked out. The rows come
-    /// in order: row `r` must be the `CResult` of block row `i0 + r` from
-    /// column `j0`, exactly `width` blocks. Returns `false`, with C
-    /// untouched, when the worker dies, stays silent past the liveness
-    /// deadline, or answers with anything else. The tags and lengths come
-    /// from the worker, so they are checked before they index anything.
-    /// The all-or-nothing commit is what makes re-dispatch exact: a
-    /// half-returned chunk must not leave C half-updated, or replaying the
-    /// chunk would double-accumulate the committed rows.
-    fn collect(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
-        let request = Frame::new_in_run(Tag::new(FrameKind::Control, 0, 0), self.gen, Bytes::new());
-        if self.master.try_send(wid, request, 0).is_none() {
+        let last = k + 1 == job.ap.steps;
+        let (b, kb) = job.bp.step(master, k);
+        let b_run = b.row_run(kb, ch.j0, ch.width);
+        if !self.send(wid, jx, b_tag, b_run, ch.width) {
             return false;
         }
+        let (a, ka) = self.jobs[jx].ap.step(master, k);
+        let a_run = a.col_run(ch.i0, ka, ch.height);
+        if !self.send(wid, jx, a_tag, a_run, ch.height) {
+            return false;
+        }
+        let request = || Frame::new_in_run(Tag::new(FrameKind::Control, 0, 0), self.gen, Bytes::new());
+        !last || master.try_send(wid, request(), 0).is_some()
+    }
+
+    /// Receive chunk `ch` back from `wid` — [`ChunkExchange::send_k_step`]
+    /// asked for it behind the chunk's last step — and commit it into job
+    /// `jx`'s C, only once **every** row frame has arrived and checked
+    /// out. The rows come in order: row `r` must be the `CResult` of block
+    /// row `i0 + r` from column `j0`, exactly `width` blocks. Returns
+    /// `false`, with C untouched, when the worker dies, stays silent past
+    /// the liveness deadline, or answers with anything else. The tags and
+    /// lengths come from the worker, so they are checked before they index
+    /// anything. The all-or-nothing commit is what makes re-dispatch
+    /// exact: a half-returned chunk must not leave C half-updated, or
+    /// replaying the chunk would double-accumulate the committed rows.
+    fn collect(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
         let job = &mut self.jobs[jx];
         let bb = self.q * self.q * 8;
         let mut rows = Vec::with_capacity(ch.height);
@@ -582,8 +644,7 @@ pub(crate) fn run_products(
     let (port, gen) = execute(session, mu.len(), q, schedule.ops, |master, gen| {
         let (factors, c): (Vec<_>, Vec<_>) = jobs.into_iter().map(|(a, b, c)| ((a, b), c)).unzip();
         let mut exchange = ChunkExchange::new(master, gen, q, c, mu, t);
-        exchange.jobs =
-            factors.into_iter().enumerate().map(|(jx, (a, b))| JobCtx::new(master, a, b, jx)).collect();
+        exchange.jobs = factors.into_iter().enumerate().map(|(jx, (a, b))| JobCtx::new(a, b, jx)).collect();
         exchange
     });
     let (gen, wall) = (gen?, start.elapsed());
@@ -1223,22 +1284,42 @@ mod tests {
     }
 
     #[test]
-    fn pooled_images_are_the_shared_payloads_bytes_in_recycled_buffers() {
-        let session = RuntimeSession::new(&platform(1, 60), 0.0);
-        let master = session.fleet().master();
-        let m = random_matrix(3, 5, 4, 70);
-        let bytes = |p: &SharedPayloads| BlockOrder::RowMajor.coords(3, 5).map(|(i, j)| p.get(i, j)).collect::<Vec<_>>();
-        for (order, fresh) in [
-            (BlockOrder::RowMajor, SharedPayloads::new(&m)),
-            (BlockOrder::ColMajor, SharedPayloads::new_col_major(&m)),
-        ] {
-            let pooled = pooled_image(master, &m, order);
-            assert_eq!(bytes(&pooled), bytes(&fresh), "{order:?}");
-            let at = pooled.get(0, 0).as_ptr();
-            drop(pooled);
-            assert_eq!(pooled_image(master, &m, order).get(0, 0).as_ptr(), at, "{order:?}: the buffer recycles");
+    fn operand_groups_double_hold_the_shared_payloads_bytes_and_recycle() {
+        for t in [1, 4, 12, 24] {
+            // A fresh session per `t`: its operand pool starts empty, so the
+            // first run allocates each group's buffer at its own size.
+            let session = RuntimeSession::new(&platform(1, 60), 0.0);
+            let master = session.fleet().master();
+            let (a, b) = (random_matrix(3, t, 2, 70), random_matrix(t, 5, 2, 71));
+            let (whole_a, whole_b) = (SharedPayloads::new_col_major(&a), SharedPayloads::new(&b));
+            // Each group covers as many steps as all the groups before it.
+            let firsts: Vec<usize> = [0, 1, 2, 4, 8, 16].into_iter().filter(|&first| first < t).collect();
+            let mut first_run = Vec::new();
+            for run in 0..2 {
+                let mut ap = Operand::new(&a, BlockOrder::ColMajor);
+                let mut bp = Operand::new(&b, BlockOrder::RowMajor);
+                for k in 0..t {
+                    let (image, at) = ap.step(master, k);
+                    assert_eq!(image.col_run(0, at, 3), whole_a.col_run(0, k, 3), "t = {t}: A column {k}");
+                    let (image, at) = bp.step(master, k);
+                    assert_eq!(image.row_run(at, 0, 5), whole_b.row_run(k, 0, 5), "t = {t}: B row {k}");
+                    let groups = firsts.iter().filter(|&&first| first <= k).count();
+                    assert_eq!((ap.groups.len(), bp.groups.len()), (groups, groups), "t = {t}: serialized up to step {k}'s group");
+                }
+                for op in [&ap, &bp] {
+                    assert_eq!(op.groups.iter().map(|&(first, _)| first).collect::<Vec<_>>(), firsts, "t = {t}");
+                    assert_eq!(op.covered, t);
+                }
+                let mut buffers: Vec<_> = ap.groups.iter().chain(&bp.groups).map(|(_, image)| image.get(0, 0).as_ptr()).collect();
+                buffers.sort_unstable();
+                if run == 0 {
+                    first_run = buffers;
+                } else {
+                    assert_eq!(buffers, first_run, "t = {t}: the second run writes into the first run's buffers");
+                }
+            }
+            session.shutdown();
         }
-        session.shutdown();
     }
 
     /// The wire image of a `Panel` task of `p` pivot blocks and `rest`

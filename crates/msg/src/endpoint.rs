@@ -88,21 +88,24 @@ pub struct MasterEndpoint {
     /// The liveness deadline this endpoint's session was built under
     /// ([`crate::config::Config::liveness`]), `None` when liveness is off.
     deadline: Option<Duration>,
-    /// Where every payload the master builds comes from; it lives as long
+    /// Where the payloads the master builds come from — C rows and task
+    /// frames in `pool`, operand images in `operands`. Both live as long
     /// as the endpoint, so a held session's runs reuse each other's
     /// buffers.
     pool: BufferPool,
+    operands: BufferPool,
 }
 
 impl MasterEndpoint {
     /// An endpoint over `links` whose run receives wait at most `deadline`
     /// for each frame (`None`: unbounded).
     pub(crate) fn new(port: OnePort, links: Vec<MasterSide>, deadline: Option<Duration>) -> Self {
-        MasterEndpoint { port, links, deadline, pool: BufferPool::new() }
+        MasterEndpoint { port, links, deadline, pool: BufferPool::new(), operands: BufferPool::new() }
     }
 
     /// Build a payload in this endpoint's recycled buffer pool — the
-    /// master's operand images, C rows and task frames.
+    /// master's C rows and task frames (LU's `Panel` tasks and negated
+    /// panels).
     ///
     /// The buffer returns to the pool once the last view of the payload
     /// is dropped (by whichever worker consumed it last), so a session
@@ -111,6 +114,19 @@ impl MasterEndpoint {
     /// parked between runs.
     pub fn pooled_payload(&self, capacity_hint: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Bytes {
         self.pool.bytes_with(capacity_hint, fill)
+    }
+
+    /// Build an operand image — a group of steps of a product's A or B —
+    /// in this endpoint's second pool, recycled like
+    /// [`MasterEndpoint::pooled_payload`]'s. The images are kept apart
+    /// from the C rows and task frames: a run's images come in a few
+    /// sizes (each group as many steps as the ones before it) and live
+    /// for the whole run, while C rows come and go every chunk, and a
+    /// shared pool would hand a row's buffer to an image and grow it, or
+    /// an image's to a row, so the next run faults in fresh pages for
+    /// both.
+    pub fn pooled_operand(&self, capacity_hint: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+        self.operands.bytes_with(capacity_hint, fill)
     }
 
     /// Number of workers.

@@ -1,9 +1,10 @@
 //! Recycling buffer pool for frame payloads.
 //!
 //! Every payload that crosses a link is built in a pool buffer: the
-//! master's A and B images and C rows (and LU's panel tasks) in its
-//! endpoint's pool, a worker's result frames (C rows, LU panel replies) in
-//! its own, and every frame a socket reads in that stream's. Without
+//! master's C rows and LU's panel tasks in its endpoint's pool, its A and
+//! B images in the endpoint's second, operand pool, a worker's result
+//! frames (C rows, LU panel replies) in its own, and every frame a socket
+//! reads in that stream's. Without
 //! pooling each one is a heap allocation that dies as soon as the receiver
 //! finishes with it — and a multi-megabyte image freed at the end of a run
 //! goes back to the OS, to be faulted in again by the next one.
@@ -17,7 +18,12 @@
 //! A request takes the smallest idle buffer that fits it, so payloads of
 //! mixed sizes on one pool (tiny control frames beside C rows, a serving
 //! master's small and large operands) each keep to a buffer of their own
-//! size instead of regrowing whichever buffer came back last.
+//! size instead of regrowing whichever buffer came back last. The master
+//! keeps its operand images in a pool of their own for the same reason:
+//! they are serialized in groups of steps through the run (1, 1, 2, 4, …
+//! steps), so a pool shared with the C rows would see images and rows
+//! taken and returned in a different interleaving every run, and hand
+//! one's buffer to the other, grown.
 
 use bytes::Bytes;
 use std::sync::{Arc, Mutex, Weak};
