@@ -5,9 +5,10 @@
 //! platform description and then serves any number of HoLM / ORROML /
 //! heterogeneous runs, each delimited by the message layer's
 //! `RUN_BEGIN`/`RUN_END` frames (see [`mwp_msg::session`]). Worker state
-//! — payload buffer pools, and per block side `q` the chunk grids with
-//! their resident-B packs ([`mwp_blockmat::kernel::PackedB`]) — outlives
-//! each run: a run reopens the grids the last run of its `q` left, so a
+//! — payload buffer pools, and per block side `q` the chunk's and the B
+//! row's row-major slabs with the row's one pack
+//! ([`mwp_blockmat::kernel::PackedB`]) — outlives each run: a run refills
+//! in place the storage the last run of its `q` left, so a
 //! repeated-run workload pays the thread spawn/join and allocation
 //! warm-up cost exactly once:
 //!

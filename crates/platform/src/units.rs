@@ -155,12 +155,6 @@ impl FlopRate {
     pub fn per_second(self) -> f64 {
         self.0
     }
-
-    /// Time to execute `flops` floating-point operations at this rate.
-    #[inline]
-    pub fn time_for(self, flops: f64) -> Seconds {
-        Seconds(flops / self.0)
-    }
 }
 
 /// Link bandwidth, in bytes per second.
@@ -178,12 +172,6 @@ impl Bandwidth {
     #[inline]
     pub fn value(self) -> f64 {
         self.0
-    }
-
-    /// Time to transfer `bytes` at this bandwidth.
-    #[inline]
-    pub fn time_for(self, bytes: f64) -> Seconds {
-        Seconds(bytes / self.0)
     }
 }
 
@@ -219,19 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn floprate_time() {
-        let r = FlopRate::gflops(2.0);
-        // 2e9 flops at 2 Gflop/s takes one second.
-        assert!((r.time_for(2e9).value() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn bandwidth_mbps_conversion() {
         let b = Bandwidth::mbps(100.0);
         // 100 Mbps = 12.5 MB/s.
         assert!((b.value() - 12.5e6).abs() < 1e-6);
-        // One 80x80 f64 block = 51_200 bytes -> 4.096 ms.
-        assert!((b.time_for(51_200.0).value() - 4.096e-3).abs() < 1e-9);
     }
 
     #[test]

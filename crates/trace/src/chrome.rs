@@ -1,27 +1,19 @@
-//! Chrome-trace-JSON export and import.
+//! The Chrome-trace event format of the streamed `MWP_TRACE=json:` sink.
 //!
-//! [`to_json`] renders a [`Trace`] as a Chrome trace-event array —
-//! loadable directly in Perfetto or `chrome://tracing` — and
-//! [`from_json`] reads one back into a [`Trace`], bit-exactly: every
-//! event carries the original `f64` start/end seconds in its `args`
-//! (printed with Rust's shortest-round-trip formatting), so export →
-//! import is lossless even though the `ts`/`dur` microsecond fields are
-//! rounded for the viewer.
+//! [`event_json`] renders one [`Activity`] as a Chrome `"X"` (complete)
+//! event, and [`crate::record`]'s writer thread appends each one, then a
+//! comma and a newline, to a file that starts with `[` and is never
+//! closed. Perfetto and `chrome://tracing` load that unterminated array
+//! as it stands, so a file whose writer died mid-run still opens. Each
+//! event carries the exact `f64` start/end seconds in its `args`
+//! (printed with Rust's shortest-round-trip formatting) beside the
+//! viewer's rounded `ts`/`dur` microseconds.
 //!
-//! The reader is deliberately tolerant: it accepts a complete document,
-//! an object wrapper with a `traceEvents` array, or the *unterminated*
-//! array the streaming [`crate::record`] sink appends to (no closing
-//! `]`, trailing comma) — the same leniency the Chrome trace viewer
-//! itself extends to streamed files.
-//!
-//! Track mapping (stable and reversible): pid is always 1; tid 0 is the
-//! master lifecycle track, tid 1 the master port, tid `100 + i` worker
-//! `i`'s compute track, tid `100000 + i` worker `i`'s pack/kernel detail
-//! track.
+//! Track mapping: pid is always 1; tid 0 is the master lifecycle track,
+//! tid 1 the master port, tid `100 + i` worker `i`'s compute track, tid
+//! `100000 + i` worker `i`'s pack/kernel detail track.
 
-use crate::schema::{Activity, ActivityKind, Resource, Trace};
-use crate::time::SimTime;
-use mwp_platform::WorkerId;
+use crate::schema::{Activity, Resource};
 use std::fmt::Write as _;
 
 /// The single process id every span is filed under.
@@ -32,24 +24,13 @@ const TID_PORT: u64 = 1;
 const TID_WORKER_BASE: u64 = 100;
 const TID_DETAIL_BASE: u64 = 100_000;
 
-/// Stable thread id for a resource (reversed by [`resource_of_tid`]).
+/// Stable thread id for a resource: one viewer track per resource.
 pub fn tid_of_resource(r: Resource) -> u64 {
     match r {
         Resource::Master => TID_MASTER,
         Resource::MasterPort => TID_PORT,
         Resource::Worker(w) => TID_WORKER_BASE + w.0 as u64,
         Resource::WorkerDetail(w) => TID_DETAIL_BASE + w.0 as u64,
-    }
-}
-
-/// Inverse of [`tid_of_resource`].
-pub fn resource_of_tid(tid: u64) -> Option<Resource> {
-    match tid {
-        TID_MASTER => Some(Resource::Master),
-        TID_PORT => Some(Resource::MasterPort),
-        t if t >= TID_DETAIL_BASE => Some(Resource::WorkerDetail(WorkerId((t - TID_DETAIL_BASE) as usize))),
-        t if t >= TID_WORKER_BASE => Some(Resource::Worker(WorkerId((t - TID_WORKER_BASE) as usize))),
-        _ => None,
     }
 }
 
@@ -69,18 +50,9 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-fn thread_name(r: Resource) -> String {
-    match r {
-        Resource::Master => "master".to_string(),
-        Resource::MasterPort => "master port".to_string(),
-        Resource::Worker(w) => format!("{w}"),
-        Resource::WorkerDetail(w) => format!("{w} detail"),
-    }
-}
-
 /// Render one activity as a single-line Chrome `"X"` (complete) event.
 /// `ts`/`dur` are microseconds for the viewer; the exact `f64` seconds
-/// ride in `args` for lossless re-import.
+/// ride in `args`.
 pub fn event_json(a: &Activity) -> String {
     let mut out = String::with_capacity(160);
     out.push_str("{\"name\":\"");
@@ -105,456 +77,59 @@ pub fn event_json(a: &Activity) -> String {
     out
 }
 
-/// Render metadata (`ph:"M"`) events naming the process and every track
-/// that appears in `trace`, one JSON object per line-element.
-fn metadata_events(trace: &Trace) -> Vec<String> {
-    let mut tids: Vec<(u64, Resource)> = trace
-        .activities
-        .iter()
-        .map(|a| (tid_of_resource(a.resource), a.resource))
-        .collect();
-    tids.sort_by_key(|(t, _)| *t);
-    tids.dedup_by_key(|(t, _)| *t);
-    let mut out = vec![format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID},\"args\":{{\"name\":\"mwp\"}}}}"
-    )];
-    for (tid, r) in tids {
-        let mut e = format!("{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"args\":{{\"name\":\"");
-        escape_into(&mut e, &thread_name(r));
-        e.push_str("\"}}");
-        out.push(e);
-    }
-    out
-}
-
-/// Export a complete, valid Chrome-trace JSON document (a closed array).
-pub fn to_json(trace: &Trace) -> String {
-    let mut out = String::from("[\n");
-    let mut first = true;
-    for e in metadata_events(trace)
-        .into_iter()
-        .chain(trace.activities.iter().map(event_json))
-    {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&e);
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (the workspace has no serde_json; this parses the
-// subset Chrome trace files use, tolerantly).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, held as `f64`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, preserving key order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .s
-            .get(self.i)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.s.get(self.i).copied() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.s.get(self.i).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .s
-                                .get(self.i + 1..self.i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            // Surrogate pairs don't occur in our labels;
-                            // map unpaired surrogates to the replacement
-                            // character rather than failing.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err("bad escape".to_string()),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Pass UTF-8 bytes through unchanged.
-                    let rest = std::str::from_utf8(&self.s[self.i..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Arrays are parsed leniently: a trailing comma or plain end of
-    /// input both terminate the array, so the streaming sink's
-    /// never-closed file reads fine.
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        loop {
-            match self.peek() {
-                None => return Ok(Json::Arr(items)),
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                Some(_) => {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => {
-                            self.i += 1;
-                        }
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        None => return Ok(Json::Arr(items)),
-                        Some(c) => {
-                            return Err(format!(
-                                "expected ',' or ']' at byte {}, got '{}'",
-                                self.i, c as char
-                            ))
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            match self.peek() {
-                Some(b',') => {
-                    self.i += 1;
-                    if self.peek() == Some(b'}') {
-                        self.i += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                }
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-}
-
-/// Parse an arbitrary JSON document.
-pub fn parse_json(doc: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        s: doc.as_bytes(),
-        i: 0,
-    };
-    p.value()
-}
-
-fn u64_field(e: &Json, key: &str) -> u64 {
-    e.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64
-}
-
-/// Read a Chrome trace document back into a [`Trace`].
-///
-/// Accepts a plain event array, an `{"traceEvents": [...]}` wrapper, or
-/// the unterminated streamed form. Metadata (`ph:"M"`) events are
-/// skipped; each `ph:"X"` event is rebuilt from its `args` (exact `f64`
-/// seconds), falling back to `ts`/`dur` microseconds for foreign files.
-pub fn from_json(doc: &str) -> Result<Trace, String> {
-    let parsed = parse_json(doc)?;
-    let events = match &parsed {
-        Json::Arr(items) => items.as_slice(),
-        obj @ Json::Obj(_) => match obj.get("traceEvents") {
-            Some(Json::Arr(items)) => items.as_slice(),
-            _ => return Err("object has no traceEvents array".to_string()),
-        },
-        _ => return Err("not a trace document".to_string()),
-    };
-    let mut trace = Trace::default();
-    for e in events {
-        if e.get("ph").and_then(Json::as_str) != Some("X") {
-            continue;
-        }
-        let tid = u64_field(e, "tid");
-        let resource =
-            resource_of_tid(tid).ok_or_else(|| format!("unknown tid {tid} in trace event"))?;
-        let kind = e
-            .get("cat")
-            .and_then(Json::as_str)
-            .and_then(ActivityKind::from_name)
-            .ok_or("event has no recognizable cat field")?;
-        let label = e
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let (start, end) = match e.get("args") {
-            Some(args) if args.get("start_s").is_some() => (
-                args.get("start_s").and_then(Json::as_f64).unwrap_or(0.0),
-                args.get("end_s").and_then(Json::as_f64).unwrap_or(0.0),
-            ),
-            _ => {
-                let ts = e.get("ts").and_then(Json::as_f64).unwrap_or(0.0) / 1e6;
-                let dur = e.get("dur").and_then(Json::as_f64).unwrap_or(0.0) / 1e6;
-                (ts, ts + dur)
-            }
-        };
-        let args = e.get("args");
-        let field = |k: &str| args.map(|a| u64_field(a, k)).unwrap_or(0);
-        trace.push(
-            Activity::new(
-                resource,
-                kind,
-                WorkerId(field("peer") as usize),
-                SimTime(start),
-                SimTime(end),
-                label.into(),
-            )
-            .with_bytes(field("bytes"))
-            .with_run(field("run") as u32),
-        );
-    }
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Trace {
-        let mut t = Trace::default();
-        t.push(
-            Activity::new(
-                Resource::MasterPort,
-                ActivityKind::Send,
-                WorkerId(2),
-                SimTime(0.000123456789),
-                SimTime(0.25),
-                "B\"q\\uote".into(),
-            )
-            .with_bytes(4096)
-            .with_run(7),
-        );
-        t.push(Activity::new(
-            Resource::Worker(WorkerId(2)),
-            ActivityKind::Compute,
-            WorkerId(2),
-            SimTime(0.25),
-            SimTime(1.0 / 3.0),
-            "upd".into(),
-        ));
-        t.push(Activity::new(
-            Resource::WorkerDetail(WorkerId(2)),
-            ActivityKind::Kernel,
-            WorkerId(2),
-            SimTime(0.26),
-            SimTime(0.27),
-            "gemm".into(),
-        ));
-        let mut run = Activity::new(
-            Resource::Master,
-            ActivityKind::Run,
-            WorkerId(0),
-            SimTime(0.0),
-            SimTime(1.0),
-            "RUN_END".into(),
-        );
-        run.run = 7;
-        t.push(run);
-        t
-    }
+    use crate::schema::ActivityKind;
+    use crate::time::SimTime;
+    use mwp_platform::WorkerId;
 
     #[test]
     fn tid_mapping_round_trips() {
-        for r in [
-            Resource::Master,
-            Resource::MasterPort,
-            Resource::Worker(WorkerId(0)),
-            Resource::Worker(WorkerId(31)),
-            Resource::WorkerDetail(WorkerId(0)),
-            Resource::WorkerDetail(WorkerId(31)),
-        ] {
-            assert_eq!(resource_of_tid(tid_of_resource(r)), Some(r));
+        // Distinct resources land on distinct tracks, so every tid in a
+        // file names one resource.
+        let resources = [Resource::Master, Resource::MasterPort]
+            .into_iter()
+            .chain((0..64).flat_map(|i| [Resource::Worker(WorkerId(i)), Resource::WorkerDetail(WorkerId(i))]));
+        let mut tids: Vec<u64> = resources.map(tid_of_resource).collect();
+        let n = tids.len();
+        tids.sort_unstable();
+        tids.dedup();
+        assert_eq!(tids.len(), n);
+    }
+
+    /// The exact bytes the sink writes per span, one span per resource:
+    /// every escape `escape_into` performs, non-zero `bytes`, `run` and
+    /// `peer`, and `args` seconds that read back to the same `f64`.
+    #[test]
+    fn event_json_golden() {
+        let worker = WorkerId(12);
+        let (master, port) = (Resource::Master, Resource::MasterPort);
+        let (on, detail) = (Resource::Worker(worker), Resource::WorkerDetail(worker));
+        let label = "B\"q\\u\no\rt\te\u{1}\u{1f}";
+        let spans = [
+            Activity::new(master, ActivityKind::Run, WorkerId(0), SimTime(0.0), SimTime(1.0 / 3.0), "RUN_END".into()),
+            Activity::new(port, ActivityKind::Send, worker, SimTime(0.000123456789), SimTime(0.25), label.into())
+                .with_bytes(51_200),
+            Activity::new(on, ActivityKind::Compute, worker, SimTime(0.25), SimTime(2.0 / 3.0), "upd".into()),
+            Activity::new(detail, ActivityKind::Kernel, worker, SimTime(0.26), SimTime(0.26 + 1e-7), "gemm".into()),
+        ];
+        let golden = [
+            r#"{"name":"RUN_END","cat":"run","ph":"X","ts":0.000,"dur":333333.333,"pid":1,"tid":0,"args":{"start_s":0,"end_s":0.3333333333333333,"bytes":0,"run":7,"peer":0}}"#,
+            r#"{"name":"B\"q\\u\no\rt\te\u0001\u001f","cat":"send","ph":"X","ts":123.457,"dur":249876.543,"pid":1,"tid":1,"args":{"start_s":0.000123456789,"end_s":0.25,"bytes":51200,"run":7,"peer":12}}"#,
+            r#"{"name":"upd","cat":"compute","ph":"X","ts":250000.000,"dur":416666.667,"pid":1,"tid":112,"args":{"start_s":0.25,"end_s":0.6666666666666666,"bytes":0,"run":7,"peer":12}}"#,
+            r#"{"name":"gemm","cat":"kernel","ph":"X","ts":260000.000,"dur":0.100,"pid":1,"tid":100012,"args":{"start_s":0.26,"end_s":0.2600001,"bytes":0,"run":7,"peer":12}}"#,
+        ];
+        for (span, want) in spans.into_iter().zip(golden) {
+            let span = span.with_run(7);
+            let got = event_json(&span);
+            assert_eq!(got, want);
+            let seconds = |key: &str| -> f64 {
+                let tail = &got[got.find(key).expect(key) + key.len()..];
+                tail[..tail.find(',').unwrap()].parse().expect(key)
+            };
+            assert_eq!(seconds("\"start_s\":").to_bits(), span.start.value().to_bits());
+            assert_eq!(seconds("\"end_s\":").to_bits(), span.end.value().to_bits());
         }
-        assert_eq!(resource_of_tid(55), None);
-    }
-
-    #[test]
-    fn export_round_trips_exactly() {
-        let t = sample();
-        let doc = to_json(&t);
-        let back = from_json(&doc).expect("parses");
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn reader_accepts_streamed_unterminated_array() {
-        let t = sample();
-        let mut doc = String::from("[\n");
-        for a in &t.activities {
-            doc.push_str(&event_json(a));
-            doc.push_str(",\n");
-        }
-        // No closing bracket, trailing comma — the streaming sink's shape.
-        let back = from_json(&doc).expect("lenient parse");
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn reader_accepts_trace_events_wrapper() {
-        let t = sample();
-        let doc = format!("{{\"traceEvents\":{}}}", to_json(&t));
-        assert_eq!(from_json(&doc).expect("wrapper"), t);
-    }
-
-    #[test]
-    fn parser_reports_garbage() {
-        assert!(from_json("not json").is_err());
-        assert!(from_json("{\"traceEvents\": 4}").is_err());
-        assert!(parse_json("[1, 2, }").is_err());
-    }
-
-    #[test]
-    fn numbers_and_literals_parse() {
-        let v = parse_json("{\"a\": -1.5e3, \"b\": true, \"c\": null, \"d\": [1,2,]}").unwrap();
-        assert_eq!(v.get("a").and_then(Json::as_f64), Some(-1500.0));
-        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("c"), Some(&Json::Null));
-        assert_eq!(
-            v.get("d"),
-            Some(&Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)]))
-        );
     }
 }

@@ -11,9 +11,9 @@
 //!   span taxonomy both `mwp-sim`'s engine and `mwp-msg`'s live recorder
 //!   emit, so a simulated HoLM run and a measured one produce traces with
 //!   identical shape;
-//! * [`chrome`] — a Chrome-trace-JSON exporter (loadable in Perfetto /
-//!   `chrome://tracing`) and a reader that round-trips the exact `f64`
-//!   timestamps back into a [`Trace`];
+//! * [`chrome`] — the Chrome trace event (loadable in Perfetto /
+//!   `chrome://tracing`) that the `MWP_TRACE=json:` sink streams, one line
+//!   per span, exact `f64` seconds in its `args`;
 //! * [`record`] — the process-global runtime recorder behind the
 //!   `MWP_TRACE` switch (`off` by default and free when off), plus an
 //!   in-process capture API used by tests and the `replay_diff` harness.

@@ -64,20 +64,6 @@ impl ActivityKind {
         }
     }
 
-    /// Parse a wire name written by [`ActivityKind::name`].
-    pub fn from_name(s: &str) -> Option<ActivityKind> {
-        Some(match s {
-            "send" => ActivityKind::Send,
-            "recv" => ActivityKind::Recv,
-            "compute" => ActivityKind::Compute,
-            "wait" => ActivityKind::Wait,
-            "pack" => ActivityKind::Pack,
-            "kernel" => ActivityKind::Kernel,
-            "run" => ActivityKind::Run,
-            _ => return None,
-        })
-    }
-
     /// Whether spans of this kind claim exclusive use of their resource.
     /// `Wait` and `Run` are annotations, not occupancy, and are exempt
     /// from [`Trace::check_no_overlap`].
@@ -169,15 +155,6 @@ impl Trace {
         self.activities.iter().filter(move |a| a.resource == r)
     }
 
-    /// Total busy time of a resource (occupancy spans only — `Wait` and
-    /// `Run` annotations never count as busy).
-    pub fn busy_time(&self, r: Resource) -> f64 {
-        self.on(r)
-            .filter(|a| a.kind.occupies())
-            .map(Activity::duration)
-            .sum()
-    }
-
     /// End of the last activity (0 for an empty trace).
     pub fn end_time(&self) -> SimTime {
         self.activities
@@ -229,13 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_sums_durations() {
+    fn end_time_is_the_latest_end() {
         let mut t = Trace::default();
         t.push(act(Resource::MasterPort, 0.0, 2.0));
         t.push(act(Resource::MasterPort, 3.0, 4.0));
         t.push(act(Resource::Worker(WorkerId(0)), 0.0, 10.0));
-        assert_eq!(t.busy_time(Resource::MasterPort), 3.0);
-        assert_eq!(t.busy_time(Resource::Worker(WorkerId(0))), 10.0);
         assert_eq!(t.end_time(), SimTime(10.0));
     }
 
@@ -274,24 +249,5 @@ mod tests {
             t.push(r);
         }
         assert!(t.check_no_overlap().is_ok());
-        // And neither contributes to busy time.
-        assert_eq!(t.busy_time(Resource::MasterPort), 2.0);
-        assert_eq!(t.busy_time(Resource::Master), 0.0);
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for k in [
-            ActivityKind::Send,
-            ActivityKind::Recv,
-            ActivityKind::Compute,
-            ActivityKind::Wait,
-            ActivityKind::Pack,
-            ActivityKind::Kernel,
-            ActivityKind::Run,
-        ] {
-            assert_eq!(ActivityKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(ActivityKind::from_name("bogus"), None);
     }
 }

@@ -124,12 +124,27 @@ fn dropping_a_remote_session_shuts_workers_down() {
     reap(children);
 }
 
+/// Checks one line of a streamed trace file — a `chrome::event_json`
+/// object, then a comma — and returns its `cat` and `tid`.
+fn cat_and_tid(line: &str) -> (&str, u64) {
+    let event = line.strip_prefix(r#"{"name":""#).and_then(|l| l.strip_suffix("}},"));
+    let (_, event) = event.and_then(|e| e.split_once(r#"","cat":""#)).unwrap_or_else(|| panic!("{line}"));
+    let (cat, numbers) = event.split_once(r#"","ph":"X","#).unwrap_or_else(|| panic!("{line}"));
+    let numbers = numbers.replacen(r#""args":{"#, "", 1);
+    let fields: Vec<(&str, f64)> =
+        numbers.split(',').filter_map(|f| f.split_once(':').and_then(|(k, v)| Some((k, v.parse().ok()?)))).collect();
+    let keys: Vec<&str> = fields.iter().map(|f| f.0.trim_matches('"')).collect();
+    assert_eq!(keys, ["ts", "dur", "pid", "tid", "start_s", "end_s", "bytes", "run", "peer"], "{line}");
+    assert_eq!(fields[2].1, 1.0, "{line}");
+    (cat, fields[3].1 as u64)
+}
+
 /// `MWP_TRACE` in worker processes: two `mwp-worker`s, each streaming to a
-/// file of its own, serve a HoLM run and an LU run over TCP. After
-/// shutdown each file parses and holds exactly its worker's `Compute`
-/// spans, counted off the two runs' schedules — the flush at every run
-/// close and the `sync` at shutdown put each one on disk before the
-/// process exits.
+/// file of its own, serve an LU run and then a HoLM run over TCP. After
+/// shutdown each file is `[` and then one event line per span, and holds
+/// exactly its worker's `Compute` spans, counted off the two runs'
+/// schedules — the flush at every run close and the `sync` at shutdown
+/// put each one on disk before the process exits.
 #[test]
 fn traced_worker_processes_stream_their_compute_spans() {
     let platform = Platform::homogeneous(2, 1.0, 4.0, 60).unwrap();
@@ -146,10 +161,12 @@ fn traced_worker_processes_stream_their_compute_spans() {
         })
         .collect();
     let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
-    let (q, (r, t, s), (n, mu)) = (4, (8, 3, 8), (5, 2));
+    // The product runs last and streams the most spans, so its batch is
+    // the one the shutdown's `sync` must wait for.
+    let (q, (r, t, s), (n, mu)) = (4, (32, 16, 32), (5, 2));
+    assert!(!factor(&remote, &random_diagonally_dominant(n, q, 344), mu).aborted);
     let (a, b, c0) = (random_matrix(r, t, q, 341), random_matrix(t, s, q, 342), random_matrix(r, s, q, 343));
     let holm = remote.run_holm(&a, &b, c0).unwrap();
-    assert!(!factor(&remote, &random_diagonally_dominant(n, q, 344), mu).aborted);
     remote.shutdown();
     reap(children);
 
@@ -174,13 +191,15 @@ fn traced_worker_processes_stream_their_compute_spans() {
     for path in &paths {
         let json = std::fs::read_to_string(path).expect("the worker wrote its trace file");
         std::fs::remove_file(path).expect("remove the trace file");
-        let trace = chrome::from_json(&json).expect("the streamed file parses");
-        let on: Vec<Resource> =
-            trace.activities.iter().filter(|a| a.kind == ActivityKind::Compute).map(|a| a.resource).collect();
-        let Some(&Resource::Worker(WorkerId(w))) = on.first() else {
+        let mut lines = json.lines();
+        assert_eq!(lines.next(), Some("["), "{}: the file opens the array", path.display());
+        let compute = ActivityKind::Compute.name();
+        let on: Vec<u64> = lines.map(cat_and_tid).filter(|&(cat, _)| cat == compute).map(|(_, tid)| tid).collect();
+        let tid = |w| chrome::tid_of_resource(Resource::Worker(WorkerId(w)));
+        let Some(w) = (0..2).find(|&w| on.first() == Some(&tid(w))) else {
             panic!("{}: no worker compute spans", path.display())
         };
-        assert!(on.iter().all(|&r| r == on[0]), "{}: compute spans of one worker expected", path.display());
+        assert!(on.iter().all(|&t| t == tid(w)), "{}: compute spans of one worker expected", path.display());
         assert_eq!(on.len(), want[w], "worker {w}'s compute spans");
         streamed.insert(w);
     }

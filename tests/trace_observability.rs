@@ -12,15 +12,15 @@
 //!   or `RUN_ABORT` of the same generation),
 //! * conservation of transferred volume (port span bytes sum to exactly
 //!   `blocks_moved × 8q²`),
-//! * Chrome-trace export structure and lossless round-trip through the
-//!   sim-side reader,
 //! * consistency between the scheduler's [`JobReport`] metering and the
 //!   run spans of the same generation,
 //! * an LU run's spans in the product's vocabulary: `factor` / `trsm`
 //!   kernel spans inside each panel's `Compute` span, and the trailing
 //!   updates' `gemm` / `A update` / `pack B`, counted off the schedule,
 //! * the operator's sink: `mwp-run --execute` under `MWP_TRACE=json:<path>`
-//!   streams the spans a capture of the same run records, kind by kind.
+//!   streams the spans a capture of the same run records, kind by kind
+//!   and track by track, each line one `chrome::event_json` object (whose
+//!   exact bytes `mwp_trace::chrome`'s own golden test pins).
 //!
 //! The transport is an input of the randomized HoLM captures, so the
 //! port's wait and transfer spans are also checked over a real socket
@@ -168,58 +168,6 @@ proptest! {
     }
 }
 
-/// The golden structural contract of the Chrome-trace export for a fixed
-/// small HoLM run: parses as JSON, carries the pid/tid/ph/ts/dur fields
-/// Perfetto requires plus thread-name metadata, and round-trips through
-/// the sim-side reader without losing a span.
-#[test]
-fn chrome_export_golden_structure() {
-    let (trace, moved) = captured_holm(TransportMode::Channel, 2, 2, 2, 3, 5);
-    assert!(moved > 0);
-    let json = chrome::to_json(&trace);
-
-    let doc = chrome::parse_json(&json).expect("export is valid JSON");
-    let events = match &doc {
-        chrome::Json::Arr(events) => events,
-        other => panic!("export is not a JSON array: {other:?}"),
-    };
-    assert!(!events.is_empty());
-
-    let mut complete = 0usize;
-    let mut names = 0usize;
-    for ev in events {
-        let ph = ev.get("ph").and_then(|v| v.as_str()).expect("every event has ph");
-        assert_eq!(ev.get("pid").and_then(chrome::Json::as_f64), Some(1.0));
-        assert!(ev.get("name").and_then(|v| v.as_str()).is_some());
-        match ph {
-            "X" => {
-                complete += 1;
-                assert!(ev.get("tid").and_then(chrome::Json::as_f64).is_some());
-                assert!(ev.get("ts").and_then(chrome::Json::as_f64).is_some());
-                assert!(ev.get("dur").and_then(chrome::Json::as_f64).is_some());
-                let args = ev.get("args").expect("X events carry args");
-                assert!(args.get("start_s").and_then(chrome::Json::as_f64).is_some());
-                assert!(args.get("end_s").and_then(chrome::Json::as_f64).is_some());
-            }
-            "M" => names += 1,
-            other => panic!("unexpected event phase {other:?}"),
-        }
-    }
-    assert_eq!(complete, trace.activities.len());
-    assert!(names >= 2, "expected process + thread name metadata");
-
-    // Round-trip through the reader: args carry exact f64 seconds, so
-    // the rebuilt trace is bit-identical.
-    let back = chrome::from_json(&json).expect("reader accepts own export");
-    let sort = |mut v: Vec<Activity>| {
-        v.sort_by(|a, b| {
-            a.start.cmp(&b.start).then_with(|| format!("{:?}", a.resource).cmp(&format!("{:?}", b.resource)))
-        });
-        v
-    };
-    assert_eq!(sort(back.activities), sort(trace.activities.clone()));
-}
-
 /// Scheduler metering and trace agree: the served job's run generation
 /// appears as a bracketed run span no longer than the reported service
 /// time, and the port spans of that generation carry exactly the bytes
@@ -332,27 +280,45 @@ fn lu_run_records_kernel_spans_inside_compute_spans() {
     assert_eq!(factors.filter(|a| &*a.label == "factor").count(), 3);
 }
 
-/// Spans per kind, `wait` annotations left out: one is recorded only when
-/// the clock advanced while the caller was arbitrated, which two runs of
-/// one schedule need not share.
-fn kind_counts(trace: &Trace) -> BTreeMap<&'static str, usize> {
+/// Checks one line of a streamed trace file — a `chrome::event_json`
+/// object, then a comma — and returns its `cat` and `tid`.
+fn cat_and_tid(line: &str) -> (&str, u64) {
+    let event = line.strip_prefix(r#"{"name":""#).and_then(|l| l.strip_suffix("}},"));
+    let (_, event) = event.and_then(|e| e.split_once(r#"","cat":""#)).unwrap_or_else(|| panic!("{line}"));
+    let (cat, numbers) = event.split_once(r#"","ph":"X","#).unwrap_or_else(|| panic!("{line}"));
+    let numbers = numbers.replacen(r#""args":{"#, "", 1);
+    let fields: Vec<(&str, f64)> =
+        numbers.split(',').filter_map(|f| f.split_once(':').and_then(|(k, v)| Some((k, v.parse().ok()?)))).collect();
+    let keys: Vec<&str> = fields.iter().map(|f| f.0.trim_matches('"')).collect();
+    assert_eq!(keys, ["ts", "dur", "pid", "tid", "start_s", "end_s", "bytes", "run", "peer"], "{line}");
+    assert_eq!(fields[2].1, 1.0, "{line}");
+    (cat, fields[3].1 as u64)
+}
+
+/// Spans per kind and track, `wait` annotations left out: one is recorded
+/// only when the clock advanced while the caller was arbitrated, which two
+/// runs of one schedule need not share.
+fn span_counts<'a>(spans: impl Iterator<Item = (&'a str, u64)>) -> BTreeMap<(&'a str, u64), usize> {
     let mut counts = BTreeMap::new();
-    for a in trace.activities.iter().filter(|a| a.kind != ActivityKind::Wait) {
-        *counts.entry(a.kind.name()).or_default() += 1;
+    for span in spans.filter(|&(cat, _)| cat != ActivityKind::Wait.name()) {
+        *counts.entry(span).or_default() += 1;
     }
     counts
 }
 
 /// `mwp-run --execute` under `MWP_TRACE=json:<path>` streams to `path`
 /// the spans a [`Capture`] of the same run — platform, shape and seeds —
-/// records in this process, kind by kind: the run's close flushes them to
-/// the writer, and the session's shutdown waits for it before the process
-/// exits. The file reads back through `chrome::from_json`.
+/// records in this process, kind by kind and track by track: the run's
+/// close flushes them to the writer, and the session's shutdown waits for
+/// it before the process exits. The file is `[` and then one event line
+/// per span.
 #[test]
 fn mwp_run_streams_the_spans_a_capture_of_the_same_run_records() {
     let path = std::env::temp_dir().join(format!("mwp-run-trace-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let (workers, q, (r, t, s)) = (2, 8, (8, 3, 8));
+    // Many tiny blocks: a long last batch and a quick verification, so a
+    // shutdown that does not wait for the writer loses spans.
+    let (workers, q, (r, t, s)) = (2, 2, (24, 12, 24));
     let status = Command::new(env!("CARGO_BIN_EXE_mwp-run"))
         .args(["--workers", &workers.to_string(), "--blocks", &format!("{r}x{t}x{s}"), "--q", &q.to_string()])
         .args(["--mem", "60", "--c", "1.0", "--w", "4.0", "--execute"])
@@ -363,7 +329,9 @@ fn mwp_run_streams_the_spans_a_capture_of_the_same_run_records() {
     assert!(status.success(), "mwp-run exited with {status}");
     let json = std::fs::read_to_string(&path).expect("mwp-run wrote its trace file");
     std::fs::remove_file(&path).expect("remove the trace file");
-    let streamed = chrome::from_json(&json).expect("the streamed file parses");
+    let mut lines = json.lines();
+    assert_eq!(lines.next(), Some("["), "the file opens the array");
+    let streamed = span_counts(lines.map(cat_and_tid));
 
     let _serial = capture_lock();
     let pf = Platform::homogeneous(workers, 1.0, 4.0, 60).expect("valid platform");
@@ -372,5 +340,6 @@ fn mwp_run_streams_the_spans_a_capture_of_the_same_run_records() {
     let outcome = run_holm(&pf, &a, &b, c0, 0.0).expect("run succeeds");
     let captured = capture.end();
     assert_eq!(outcome.workers_used, workers, "every worker streams spans");
-    assert_eq!(kind_counts(&streamed), kind_counts(&captured), "left: mwp-run's file; right: a capture");
+    let captured = span_counts(captured.activities.iter().map(|a| (a.kind.name(), chrome::tid_of_resource(a.resource))));
+    assert_eq!(streamed, captured, "left: mwp-run's file; right: a capture");
 }
