@@ -75,11 +75,6 @@ impl BufferPool {
         fill(&mut buf);
         Bytes::from_owner(PooledBuf { buf, pool: Arc::downgrade(&self.free) })
     }
-
-    /// Buffers currently parked in the pool (for tests/metrics).
-    pub fn idle_buffers(&self) -> usize {
-        self.free.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
 }
 
 /// Owns one buffer on loan from a [`BufferPool`]; gives it back on drop.
@@ -102,6 +97,14 @@ impl Drop for PooledBuf {
                 free.push(std::mem::take(&mut self.buf));
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl BufferPool {
+    /// Buffers currently parked in the pool.
+    pub(crate) fn idle_buffers(&self) -> usize {
+        self.free.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 }
 

@@ -25,57 +25,69 @@ pub const MAX_HANDSHAKE_WIRE_LEN: usize = 64 * 1024;
 /// kind (1) + `i` (4) + `j` (4) + run generation (4).
 pub(super) const HEADER_LEN: usize = 13;
 
-/// Write `frame` to `w` as `u32 LE wire length` + the [`Frame::encode`]
-/// image, without intermediate allocation: the 17 fixed bytes, the
-/// payload (zero-copy from the frame's [`bytes::Bytes`]), and — with
-/// `checksum` on — a CRC32C over the encoded image (header + payload,
-/// **not** the length prefix) as a `u32 LE` trailer covered by the length
-/// prefix. Socket links always pass `checksum = true`; the trailer-less
-/// image exists only for callers that frame over their own byte streams.
-/// All pieces go out in one vectored write, so on a `TCP_NODELAY` socket
-/// a frame is one syscall and one segment regardless of the trailer — a
-/// separate 4-byte `write` per frame would otherwise double the packet
-/// count on small-frame workloads. A frame beyond [`MAX_WIRE_LEN`] is
-/// rejected here, on the send side, before any byte hits the wire.
+/// Write `frame` to `w`: the one-frame case of [`write_frames_to`].
 pub fn write_frame_to(w: &mut impl Write, frame: &Frame, checksum: bool) -> io::Result<()> {
+    write_frames_to(w, std::slice::from_ref(frame), checksum)
+}
+
+/// Write `frames` to `w`, in order, each as `u32 LE wire length` + the
+/// [`Frame::encode`] image, without copying a payload: per frame the 17
+/// fixed bytes, the payload (zero-copy from the frame's
+/// [`bytes::Bytes`]), and — with `checksum` on — a CRC32C over the
+/// encoded image (header + payload, **not** the length prefix) as a
+/// `u32 LE` trailer covered by the length prefix. Socket links always
+/// pass `checksum = true`; the trailer-less image exists only for callers
+/// that frame over their own byte streams.
+///
+/// All pieces of all frames go out through one vectored-write loop, so
+/// on a `TCP_NODELAY` socket a batch of small frames costs one syscall
+/// (the kernel takes at most `IOV_MAX` slices per call; the loop resumes
+/// where it stopped) instead of one per frame. Every frame's length is
+/// checked against [`MAX_WIRE_LEN`] before the first byte is written: a
+/// batch holding an oversized frame fails whole, on the send side.
+pub fn write_frames_to(w: &mut impl Write, frames: &[Frame], checksum: bool) -> io::Result<()> {
     let trailer = if checksum { 4 } else { 0 };
-    let wire_len = frame.wire_len() + trailer;
-    if wire_len > MAX_WIRE_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("outbound frame of {wire_len} bytes exceeds the {MAX_WIRE_LEN}-byte cap"),
-        ));
+    let mut edges = Vec::with_capacity(frames.len());
+    let mut remaining = 0;
+    for frame in frames {
+        let wire_len = frame.wire_len() + trailer;
+        if wire_len > MAX_WIRE_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("outbound frame of {wire_len} bytes exceeds the {MAX_WIRE_LEN}-byte cap"),
+            ));
+        }
+        let encoded = frame.encode_header();
+        let mut prefix = [0u8; 4 + HEADER_LEN];
+        prefix[..4].copy_from_slice(&(wire_len as u32).to_le_bytes());
+        prefix[4..].copy_from_slice(&encoded);
+        let mut crc = [0u8; 4];
+        if checksum {
+            let mut state = Crc32c::new();
+            state.update(&encoded);
+            state.update(&frame.payload);
+            crc = state.finish().to_le_bytes();
+        }
+        edges.push((prefix, crc));
+        remaining += 4 + wire_len;
     }
-    let encoded = frame.encode_header();
-    let mut prefix = [0u8; 4 + HEADER_LEN];
-    prefix[..4].copy_from_slice(&(wire_len as u32).to_le_bytes());
-    prefix[4..].copy_from_slice(&encoded);
-    let mut trailer_bytes = [0u8; 4];
-    if checksum {
-        let mut crc = Crc32c::new();
-        crc.update(&encoded);
-        crc.update(&frame.payload);
-        trailer_bytes = crc.finish().to_le_bytes();
-    }
-    let mut slices = [
-        io::IoSlice::new(&prefix),
-        io::IoSlice::new(&frame.payload),
-        io::IoSlice::new(&trailer_bytes[..trailer]),
-    ];
+    let mut slices: Vec<io::IoSlice> = frames
+        .iter()
+        .zip(&edges)
+        .flat_map(|(frame, (prefix, crc))| {
+            [io::IoSlice::new(prefix), io::IoSlice::new(&frame.payload), io::IoSlice::new(&crc[..trailer])]
+        })
+        .collect();
     // Manual write_all_vectored: loop until every byte is out, advancing
     // past whole and partial slices (zero-length slices are skipped by
     // `advance_slices`). Tracking the byte count — rather than testing
     // `slices.is_empty()` — keeps trailing empty slices from stalling
     // the loop.
-    let mut remaining = 4 + wire_len;
     let mut slices = &mut slices[..];
     while remaining > 0 {
         match w.write_vectored(slices) {
             Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write whole frame",
-                ))
+                return Err(io::Error::new(io::ErrorKind::WriteZero, "failed to write whole frame"))
             }
             Ok(n) => {
                 remaining -= n;
@@ -91,7 +103,11 @@ pub fn write_frame_to(w: &mut impl Write, frame: &Frame, checksum: bool) -> io::
 /// Read the next frame from `r`: length prefix, then the whole encoded
 /// frame into a recycled buffer from `pool`, decoded zero-copy (the
 /// frame's payload is a refcounted slice of the pooled buffer, which
-/// returns to the pool when the last view drops).
+/// returns to the pool when the last view drops). Socket read halves pass
+/// a buffered reader, so the four pieces come out of memory and a `read`
+/// syscall fetches as many queued frames as the buffer holds; the frame
+/// is still copied into its pooled buffer, and the length cap is still
+/// checked before that buffer is sized.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (EOF exactly at a frame
 /// boundary). Everything else that is not a whole, well-formed frame is
@@ -171,12 +187,18 @@ pub trait FrameRead: Send {
     fn recv_frame(&mut self) -> io::Result<Option<Frame>>;
 }
 
-/// The write half of a framed stream. Each frame is flushed on send — the
-/// protocol above interleaves small control frames with request/response
-/// rounds, so buffering across frames would only add latency.
+/// The write half of a framed stream. Nothing is held back to wait for
+/// more: each call writes its frames out and flushes. Frames that are
+/// already queued go out together through [`send_frames`](Self::send_frames),
+/// one vectored write for the lot, but no frame waits for a later one.
 pub trait FrameWrite: Send {
     /// Send one frame (length-prefixed, flushed).
     fn send_frame(&mut self, frame: &Frame) -> io::Result<()>;
+    /// Send `frames` in order. A stream that can write them in one go
+    /// overrides this; the default writes frame by frame.
+    fn send_frames(&mut self, frames: &[Frame]) -> io::Result<()> {
+        frames.iter().try_for_each(|frame| self.send_frame(frame))
+    }
 }
 
 /// A connected, bidirectional framed byte stream — both halves in one —

@@ -10,13 +10,15 @@
 //!
 //! One file per seam, bottom to top:
 //!
-//! * **`framing`** — [`write_frame_to`] / [`read_frame_from`]: a `u32`
-//!   little-endian length prefix followed by the [`Frame::encode`] image
-//!   (13-byte header + payload) and a CRC32C trailer over the encoded
-//!   image, verified on receive so a flipped bit anywhere in header or
-//!   payload surfaces as stream corruption instead of silently wrong
-//!   coefficients. Receives land in recycled [`crate::BufferPool`]
-//!   buffers and are decoded zero-copy with [`Frame::decode_bytes`];
+//! * **`framing`** — [`write_frames_to`] (with its one-frame case
+//!   [`write_frame_to`]) / [`read_frame_from`]: a `u32` little-endian
+//!   length prefix followed by the [`Frame::encode`] image (13-byte
+//!   header + payload) and a CRC32C trailer over the encoded image,
+//!   verified on receive so a flipped bit anywhere in header or payload
+//!   surfaces as stream corruption instead of silently wrong
+//!   coefficients. A batch of frames goes out in one vectored write.
+//!   Receives land in recycled [`crate::BufferPool`] buffers and are
+//!   decoded zero-copy with [`Frame::decode_bytes`];
 //!   adversarial input (truncated streams, oversized or undersized length
 //!   prefixes, unknown frame tags, mismatched checksums) is rejected with
 //!   an [`std::io::Error`], never a panic. Also the framed-stream traits
@@ -29,7 +31,9 @@
 //!   and `uds:/path` address strings ([`TransportListener::bind_tcp`] /
 //!   [`TransportListener::bind_uds`] move the master off loopback for
 //!   real multi-host fleets), and the [`Backoff`] retry loop behind
-//!   [`connect_with_retry`].
+//!   [`connect_with_retry`]. The stream reads through a 64 KiB buffer,
+//!   so one `read` takes in every frame queued on the socket;
+//!   [`socket_calls`] counts its `read` and `write` calls.
 //! * **`fault`** — [`FaultSpec`]: deterministic fault injection
 //!   ([`crate::config::Config::fault`]) as an optional trigger the socket
 //!   stream consults on its send path.
@@ -56,10 +60,12 @@
 //! * **`remote_link`** — [`RemoteLink`], the master-facing half of a
 //!   socket link: a channel-backed [`crate::link::MasterSide`] (so
 //!   [`crate::MasterEndpoint`] is byte-for-byte the code the channel
-//!   transport uses) bridged to the socket by two pump threads. The pumps
-//!   pace nothing — pacing and the stale count happen in the `MasterSide`
-//!   they feed, so a socket link and a channel link are indistinguishable
-//!   to the runtime above.
+//!   transport uses) bridged to the socket by two pump threads. The out
+//!   pump writes every frame already queued when it wakes as one batch,
+//!   one vectored write; no frame waits for another. The pumps pace
+//!   nothing — pacing and the stale count happen in the `MasterSide` they
+//!   feed, so a socket link and a channel link are indistinguishable to
+//!   the runtime above.
 //!
 //! Which backend a [`crate::Session`] wires is a constructor argument:
 //! `Session::spawn` means channels, `Session::spawn_with_transport` takes
@@ -78,8 +84,8 @@ mod socket;
 
 pub use fault::{FaultAction, FaultSpec};
 pub use framing::{
-    read_frame_from, write_frame_to, FrameRead, FrameStream, FrameWrite, MAX_HANDSHAKE_WIRE_LEN,
-    MAX_WIRE_LEN,
+    read_frame_from, write_frame_to, write_frames_to, FrameRead, FrameStream, FrameWrite,
+    MAX_HANDSHAKE_WIRE_LEN, MAX_WIRE_LEN,
 };
 pub(crate) use handshake::{master_enroll, EnrollTerms};
 pub use handshake::{
@@ -90,7 +96,9 @@ pub use handshake::{
     REJECT_FINGERPRINT, REJECT_SLOT, REJECT_VERSION, WELCOME,
 };
 pub use remote_link::RemoteLink;
-pub use socket::{connect, connect_with_retry, Backoff, TransportListener};
+pub use socket::{
+    connect, connect_with_retry, socket_calls, Backoff, SocketCalls, TransportListener,
+};
 
 /// Which byte transport carries a session's frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,6 +8,11 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+/// Most frames the out pump writes in one batch: at 3 slices per frame a
+/// batch stays within Linux's `IOV_MAX` of 1024, so one `writev` can take
+/// it whole.
+const MAX_BATCH: usize = 256;
+
 /// The master side of one socket-backed link.
 ///
 /// Internally this is a [`MasterSide`] — the very struct the channel
@@ -16,14 +21,18 @@ use std::time::Duration;
 /// two pump threads:
 ///
 /// * the **out pump** drains master→worker frames from the channel onto
-///   the socket; it exits after forwarding a [`Frame::shutdown`] (or,
-///   when the master endpoint drops without one, after sending a
+///   the socket: it waits for one frame, takes every frame already queued
+///   behind it (at most 256) and writes them with one vectored write,
+///   then drops them; it exits after forwarding a [`Frame::shutdown`]
+///   (or, when the master endpoint drops without one, after sending a
 ///   best-effort shutdown of its own), so the remote worker always
 ///   observes an orderly end-of-session;
-/// * the **in pump** reads worker→master frames off the socket and files
-///   each in the link's inbox under its run generation, and exits on EOF
-///   or a transport error — at which point a master blocked in `recv`
-///   observes the same closed link the in-process transport produces.
+/// * the **in pump** reads worker→master frames off the socket, through
+///   the read half's buffer (one `read` takes in every frame queued on
+///   it), files each in the link's inbox under its run generation, and
+///   exits on EOF or a transport error — at which point a master blocked
+///   in `recv` observes the same closed link the in-process transport
+///   produces.
 ///
 /// Pump threads never pace: the master pays for a transfer when the frame
 /// crosses its `MasterSide`, exactly as with channel links, so the
@@ -52,6 +61,7 @@ impl RemoteLink {
         let out_pump = thread::Builder::new()
             .name(format!("mwp-pump-out-{}", id.index()))
             .spawn(move || {
+                let mut batch = Vec::with_capacity(MAX_BATCH);
                 loop {
                     let next = match heartbeat {
                         Some(interval) => to_worker_rx.recv_timeout(interval),
@@ -76,8 +86,18 @@ impl RemoteLink {
                             break;
                         }
                     };
-                    let is_shutdown = frame.tag.kind == FrameKind::Shutdown;
-                    if writer.send_frame(&frame).is_err() || is_shutdown {
+                    // Take what is already queued behind it, up to a
+                    // shutdown, and write the lot at once.
+                    let mut is_shutdown = frame.tag.kind == FrameKind::Shutdown;
+                    batch.push(frame);
+                    while !is_shutdown && batch.len() < MAX_BATCH {
+                        let Ok(frame) = to_worker_rx.try_recv() else { break };
+                        is_shutdown = frame.tag.kind == FrameKind::Shutdown;
+                        batch.push(frame);
+                    }
+                    let sent = writer.send_frames(&batch);
+                    batch.clear();
+                    if sent.is_err() || is_shutdown {
                         break;
                     }
                 }

@@ -4,12 +4,12 @@
 
 use super::fault::{FaultSpec, FaultState};
 use super::framing::{
-    read_frame_from, write_frame_to, FrameRead, FrameStream, FrameWrite, MAX_WIRE_LEN,
+    read_frame_from, write_frames_to, FrameRead, FrameStream, FrameWrite, MAX_WIRE_LEN,
 };
 use super::TransportMode;
 use crate::frame::Frame;
 use crate::pool::BufferPool;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -68,64 +68,172 @@ impl RawStream for UnixStream {
     }
 }
 
-/// The socket-backed [`FrameStream`], and — after [`FrameStream::split`]
-/// — each of its halves. Every frame carries and verifies the CRC32C
-/// trailer. With a [`FaultSpec`] the send path consults the shared fault
-/// trigger first; the honest stream is the same type with `fault: None`.
+/// Size of a read half's buffer: a `read` syscall takes in up to this
+/// many bytes of whatever frames are queued on the socket.
+const READ_BUFFER: usize = 64 * 1024;
+
+static READ_CALLS: AtomicU64 = AtomicU64::new(0);
+static WRITE_CALLS: AtomicU64 = AtomicU64::new(0);
+static FRAMES_READ: AtomicU64 = AtomicU64::new(0);
+
+/// What this process's socket streams have done so far, all threads and
+/// all links together: `read` and `write` calls on their sockets, and
+/// frames received. Monotonic; snapshot it around a workload to count
+/// syscalls per frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SocketCalls {
+    /// `read` calls on a socket.
+    pub reads: u64,
+    /// `write` / `writev` calls on a socket.
+    pub writes: u64,
+    /// Whole frames received.
+    pub frames_read: u64,
+}
+
+/// This process's socket call and frame counts so far.
+pub fn socket_calls() -> SocketCalls {
+    SocketCalls {
+        reads: READ_CALLS.load(Ordering::Relaxed),
+        writes: WRITE_CALLS.load(Ordering::Relaxed),
+        frames_read: FRAMES_READ.load(Ordering::Relaxed),
+    }
+}
+
+/// A raw socket whose every `read` and `write` call is counted in
+/// [`socket_calls`].
+struct Counted<S>(S);
+
+impl<S: Read> Read for Counted<S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        READ_CALLS.fetch_add(1, Ordering::Relaxed);
+        self.0.read(buf)
+    }
+}
+
+impl<S: Write> Write for Counted<S> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        WRITE_CALLS.fetch_add(1, Ordering::Relaxed);
+        self.0.write(buf)
+    }
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        WRITE_CALLS.fetch_add(1, Ordering::Relaxed);
+        self.0.write_vectored(bufs)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// The socket-backed [`FrameStream`]: a read half and a write half over
+/// one socket, handed out separately by [`FrameStream::split`]. Every
+/// frame carries and verifies the CRC32C trailer.
 struct SocketStream<S: RawStream> {
-    stream: S,
+    read: ReadHalf<S>,
+    write: WriteHalf<S>,
+}
+
+/// Reads frames through a [`READ_BUFFER`]-byte buffer. The handshake
+/// reads through the same buffer before the split, and the split moves
+/// it here whole, so frames a peer sent right behind its handshake reply
+/// are not lost.
+struct ReadHalf<S: RawStream> {
+    stream: BufReader<Counted<S>>,
     pool: BufferPool,
+}
+
+/// Writes frames straight to the socket. With a [`FaultSpec`] each frame
+/// consults the shared fault trigger first, one write per frame; the
+/// honest stream is the same type with `fault: None`.
+struct WriteHalf<S: RawStream> {
+    stream: Counted<S>,
     fault: Option<Arc<FaultState>>,
 }
 
 impl<S: RawStream> SocketStream<S> {
     fn boxed(stream: S, fault: Option<FaultSpec>) -> io::Result<Box<dyn FrameStream>> {
         stream.prepare()?;
+        let writer = Counted(stream.try_clone_raw()?);
+        let reader = BufReader::with_capacity(READ_BUFFER, Counted(stream));
         let fault = fault.map(|spec| Arc::new(FaultState::new(spec)));
-        Ok(Box::new(SocketStream { stream, pool: BufferPool::new(), fault }))
+        Ok(Box::new(SocketStream {
+            read: ReadHalf { stream: reader, pool: BufferPool::new() },
+            write: WriteHalf { stream: writer, fault },
+        }))
     }
 }
 
-impl<S: RawStream> FrameWrite for SocketStream<S> {
+impl<S: RawStream> ReadHalf<S> {
+    fn recv(&mut self, max_wire_len: usize) -> io::Result<Option<Frame>> {
+        let frame = read_frame_from(&mut self.stream, &self.pool, max_wire_len, true)?;
+        FRAMES_READ.fetch_add(u64::from(frame.is_some()), Ordering::Relaxed);
+        Ok(frame)
+    }
+}
+
+impl<S: RawStream> FrameRead for ReadHalf<S> {
+    fn recv_frame(&mut self) -> io::Result<Option<Frame>> {
+        self.recv(MAX_WIRE_LEN)
+    }
+}
+
+impl<S: RawStream> FrameWrite for WriteHalf<S> {
     fn send_frame(&mut self, frame: &Frame) -> io::Result<()> {
         if let Some(fault) = &self.fault {
             if !fault.on_send(frame, &mut self.stream)? {
                 return Ok(());
             }
         }
-        write_frame_to(&mut self.stream, frame, true)
+        write_frames_to(&mut self.stream, std::slice::from_ref(frame), true)
+    }
+
+    fn send_frames(&mut self, frames: &[Frame]) -> io::Result<()> {
+        if self.fault.is_some() {
+            return frames.iter().try_for_each(|frame| self.send_frame(frame));
+        }
+        write_frames_to(&mut self.stream, frames, true)
     }
 }
 
 impl<S: RawStream> FrameRead for SocketStream<S> {
     fn recv_frame(&mut self) -> io::Result<Option<Frame>> {
-        self.recv_frame_capped(MAX_WIRE_LEN)
+        self.read.recv_frame()
+    }
+}
+
+impl<S: RawStream> FrameWrite for SocketStream<S> {
+    fn send_frame(&mut self, frame: &Frame) -> io::Result<()> {
+        self.write.send_frame(frame)
+    }
+
+    fn send_frames(&mut self, frames: &[Frame]) -> io::Result<()> {
+        self.write.send_frames(frames)
     }
 }
 
 impl<S: RawStream> FrameStream for SocketStream<S> {
     fn recv_frame_capped(&mut self, max_wire_len: usize) -> io::Result<Option<Frame>> {
-        read_frame_from(&mut self.stream, &self.pool, max_wire_len, true)
+        self.read.recv(max_wire_len)
     }
 
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout_raw(timeout)
+        self.read.stream.get_ref().0.set_read_timeout_raw(timeout)
     }
 
     fn split(self: Box<Self>) -> io::Result<(Box<dyn FrameRead>, Box<dyn FrameWrite>)> {
-        // The clone shares the socket (and so the read deadline set
+        // Both halves share the socket (and so the read deadline set
         // before the split); the fault trigger stays with the write half.
-        // The read half starts a pool of its own rather than inheriting
-        // the handshake's: seeding the link's receive pool with buffers
-        // the enrolling thread allocated measured +9% peak RSS on the
-        // LU-over-TCP benchmark workload (82 -> 90 MiB).
-        let stream = self.stream.try_clone_raw()?;
-        let reader = SocketStream { stream, pool: BufferPool::new(), fault: None };
-        Ok((Box::new(reader), self))
+        // The read half keeps the handshake's buffer, with whatever it
+        // already holds, but starts a pool of its own rather than
+        // inheriting the handshake's: seeding the link's receive pool
+        // with buffers the enrolling thread allocated measured +9% peak
+        // RSS on the LU-over-TCP benchmark workload (82 -> 90 MiB).
+        let SocketStream { read, write } = *self;
+        let reader = ReadHalf { stream: read.stream, pool: BufferPool::new() };
+        Ok((Box::new(reader), Box::new(write)))
     }
 
     fn peer(&self) -> String {
-        self.stream.peer_desc()
+        self.write.stream.0.peer_desc()
     }
 }
 

@@ -1,3 +1,4 @@
+use super::framing::HEADER_LEN;
 use super::handshake::expect_frame;
 use super::*;
 use crate::auth;
@@ -7,7 +8,7 @@ use crate::link::Pacing;
 use crate::pool::BufferPool;
 use bytes::Bytes;
 use mwp_platform::WorkerId;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -173,6 +174,64 @@ fn received_payloads_reuse_pooled_buffers() {
     // Second receive lands in the recycled storage (same backing
     // buffer, so same payload offset within it).
     assert_eq!(f2.payload.as_ptr(), first_ptr);
+}
+
+/// A sink that takes at most 7 bytes per call, from as many slices as
+/// those bytes span: every batched write resumes mid-slice.
+struct SevenBytesPerCall(Vec<u8>);
+
+impl Write for SevenBytesPerCall {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[io::IoSlice::new(buf)])
+    }
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        let before = self.0.len();
+        for buf in bufs {
+            let take = (7 - (self.0.len() - before)).min(buf.len());
+            self.0.extend_from_slice(&buf[..take]);
+        }
+        Ok(self.0.len() - before)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_batch_beyond_iov_max_slices_reads_back_bit_exact_through_seven_byte_writes() {
+    // 3 slices per frame: 450 frames are 1 350 slices, over Linux's
+    // IOV_MAX of 1 024. Payload lengths vary, some are empty.
+    let frames: Vec<Frame> = (0..450)
+        .map(|i| {
+            let payload: Vec<u8> = (0..i % 37).map(|b| (b * 7 + i) as u8).collect();
+            Frame::new_in_run(Tag::new(FrameKind::BlockB, i, i % 5), i as u32, Bytes::from(payload))
+        })
+        .collect();
+    for checksum in [false, true] {
+        let mut sink = SevenBytesPerCall(Vec::new());
+        write_frames_to(&mut sink, &frames, checksum).unwrap();
+        assert_eq!(sink.0, wire_of(&frames, checksum), "checksum {checksum}: the per-frame image");
+        let mut r = SplitReader { data: sink.0, pos: 0, chunk: usize::MAX };
+        let pool = BufferPool::new();
+        for f in &frames {
+            assert_eq!(read_frame_from(&mut r, &pool, MAX_WIRE_LEN, checksum).unwrap().as_ref(), Some(f));
+        }
+        assert!(read_frame_from(&mut r, &pool, MAX_WIRE_LEN, checksum).unwrap().is_none());
+    }
+}
+
+#[test]
+fn a_batch_with_an_oversized_frame_fails_before_writing_it() {
+    // Zeroed and never read, so the pages of this payload are never
+    // touched: the cap is checked on its length alone.
+    let oversized = vec![0u8; MAX_WIRE_LEN - HEADER_LEN - 4 + 1];
+    let frames =
+        [frame(FrameKind::BlockA, 0, 0, &[1, 2, 3]), Frame::new(Tag::new(FrameKind::BlockB, 1, 0), Bytes::from(oversized))];
+    let mut sink = Vec::new();
+    let err = write_frames_to(&mut sink, &frames, true).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("exceeds"), "got: {err}");
+    assert!(sink.is_empty(), "no byte of the batch was written, {} were", sink.len());
 }
 
 /// A welcome for slot `worker` at membership `epoch`, every other field a
@@ -467,6 +526,69 @@ fn uds_stream_carries_frames_and_unlinks_its_path() {
     assert!(path.exists());
     drop((r, w, listener));
     assert!(!path.exists(), "socket path must be unlinked on drop");
+}
+
+/// A dialed stream and the accepted end of it over `mode`, the accepted
+/// end with a read deadline so a lost frame fails the test instead of
+/// hanging it.
+fn socket_pair(mode: TransportMode) -> (Box<dyn FrameStream>, Box<dyn FrameStream>) {
+    let listener = TransportListener::bind(mode).unwrap();
+    let dialer = connect(&listener.endpoint(), None).unwrap();
+    let accepted = listener.accept().unwrap();
+    accepted.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    (dialer, accepted)
+}
+
+#[test]
+fn frames_a_peer_sent_behind_its_reply_survive_the_split() {
+    let sent = [
+        frame(FrameKind::Control, 1, 0, &[7u8; 24]),
+        frame(FrameKind::BlockA, 2, 3, &[1u8; 300]),
+        frame(FrameKind::BlockB, 4, 5, &[2u8; 40]),
+    ];
+    for mode in SOCKET_MODES {
+        // The reply is read on the unsplit stream, whose buffer takes in
+        // the data frames behind it; the split must hand them on.
+        let (mut peer, mut conn) = socket_pair(mode);
+        peer.send_frames(&sent).unwrap();
+        assert_eq!(conn.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN).unwrap().as_ref(), Some(&sent[0]));
+        let (mut r, _w) = conn.split().unwrap();
+        for f in &sent[1..] {
+            assert_eq!(r.recv_frame().unwrap().as_ref(), Some(f), "{mode:?}");
+        }
+        // All three arrive before the split: the read half delivers them.
+        let (mut peer, conn) = socket_pair(mode);
+        peer.send_frames(&sent).unwrap();
+        let (mut r, _w) = conn.split().unwrap();
+        for f in &sent {
+            assert_eq!(r.recv_frame().unwrap().as_ref(), Some(f), "{mode:?}");
+        }
+    }
+}
+
+#[test]
+fn the_read_deadline_fires_after_the_buffered_frames_are_delivered() {
+    let deadline = Duration::from_millis(200);
+    for mode in SOCKET_MODES {
+        let (mut peer, conn) = socket_pair(mode);
+        conn.set_read_timeout(Some(deadline)).unwrap();
+        let (mut r, _w) = conn.split().unwrap();
+        // One write of three frames, then a peer that stays connected
+        // and says nothing more.
+        let sent: Vec<Frame> = (0..3).map(|i| frame(FrameKind::CResult, i, 0, &[i as u8; 64])).collect();
+        peer.send_frames(&sent).unwrap();
+        for f in &sent {
+            assert_eq!(r.recv_frame().unwrap().as_ref(), Some(f), "{mode:?}");
+        }
+        let start = Instant::now();
+        let err = r.recv_frame().expect_err("silence past the deadline is an error");
+        assert!(
+            matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+            "{mode:?}: {err}"
+        );
+        assert!(start.elapsed() >= deadline / 2, "{mode:?}: the deadline fired early");
+        drop(peer);
+    }
 }
 
 #[test]
