@@ -144,19 +144,12 @@ impl Block {
             .fold(0.0_f64, |m, (&x, &y)| m.max((x - y).abs()))
     }
 
-    /// Serialize to little-endian bytes (for the message layer).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.byte_len());
-        self.write_bytes_into(&mut out);
-        out
-    }
-
     /// Append this block's little-endian byte image to `out`.
     pub fn write_bytes_into(&self, out: &mut Vec<u8>) {
         extend_le(out, &self.data);
     }
 
-    /// Deserialize from little-endian bytes produced by [`Block::to_bytes`].
+    /// Deserialize from little-endian bytes appended by [`Block::write_bytes_into`].
     pub fn from_bytes(q: usize, bytes: &[u8]) -> Self {
         let mut b = Block::zeros(q);
         b.copy_from_bytes(bytes);
@@ -293,7 +286,8 @@ mod tests {
     #[test]
     fn byte_roundtrip() {
         let b = seq_block(13, -7.25);
-        let bytes = b.to_bytes();
+        let mut bytes = Vec::new();
+        b.write_bytes_into(&mut bytes);
         assert_eq!(bytes.len(), b.byte_len());
         let back = Block::from_bytes(13, &bytes);
         assert_eq!(b, back);
@@ -343,7 +337,9 @@ mod tests {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let b = Block::from_vec(q, (0..q*q).map(|_| rng.gen::<f64>()).collect());
-            prop_assert_eq!(Block::from_bytes(q, &b.to_bytes()), b);
+            let mut bytes = Vec::new();
+            b.write_bytes_into(&mut bytes);
+            prop_assert_eq!(Block::from_bytes(q, &bytes), b);
         }
     }
 }

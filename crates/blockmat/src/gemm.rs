@@ -34,13 +34,6 @@ pub fn gemm_serial_with(kernel: &Kernel, c: &mut BlockMatrix, a: &BlockMatrix, b
     }
 }
 
-/// `C ← C + A × B` into a fresh zero C, serial.
-pub fn multiply(a: &BlockMatrix, b: &BlockMatrix) -> BlockMatrix {
-    let mut c = BlockMatrix::zeros(a.rows(), b.cols(), a.q());
-    gemm_serial(&mut c, a, b);
-    c
-}
-
 fn check_conformance(c: &BlockMatrix, a: &BlockMatrix, b: &BlockMatrix) {
     assert_eq!(a.q(), b.q(), "A and B block sides differ");
     assert_eq!(a.q(), c.q(), "A and C block sides differ");
@@ -93,6 +86,13 @@ mod tests {
     use super::*;
     use crate::fill::random_matrix;
     use proptest::prelude::*;
+
+    /// `A × B` into a fresh zero C, serial.
+    fn multiply(a: &BlockMatrix, b: &BlockMatrix) -> BlockMatrix {
+        let mut c = BlockMatrix::zeros(a.rows(), b.cols(), a.q());
+        gemm_serial(&mut c, a, b);
+        c
+    }
 
     #[test]
     fn multiply_by_identity() {

@@ -400,7 +400,7 @@ mod tests {
             }
         }
 
-        /// Rectangular + alpha = -1 equivalence (the `Dense::sub_mul_with` shape).
+        /// Rectangular + alpha = -1 equivalence (the shape of LU's whole trailing update).
         #[test]
         fn prop_simd_matches_scalar_rect(m in 1usize..20, n in 1usize..20,
                                          k in 1usize..20, seed in 0u64..200) {

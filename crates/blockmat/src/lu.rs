@@ -168,16 +168,6 @@ impl Dense {
         order.coords(self.rows / q, self.cols / q).for_each(|at| self.write_block(q, at, out));
     }
 
-    /// `self ← self − a · b` (a rank-`k` update, `k = a.cols`) through
-    /// `kernel`, `alpha = −1` in the kernel contract: the trailing update
-    /// of a right-looking factorization, done whole.
-    pub fn sub_mul_with(&mut self, kernel: &Kernel, a: &Dense, b: &Dense) {
-        assert_eq!(a.cols, b.rows, "inner dimensions");
-        assert_eq!(self.rows, a.rows, "row dimensions");
-        assert_eq!(self.cols, b.cols, "col dimensions");
-        kernel.gemm_acc(&mut self.data, &a.data, &b.data, a.rows, b.cols, a.cols, -1.0);
-    }
-
     /// Plain product `a · b` through the dispatched kernel.
     pub fn mul(a: &Dense, b: &Dense) -> Dense {
         let mut c = Dense::zeros(a.rows, b.cols);
@@ -208,15 +198,6 @@ impl Dense {
             data.extend_from_slice(&self.data[i * self.cols + c0..][..cols]);
         }
         Dense { rows: r1 - r0, cols, data }
-    }
-
-    /// Write `sub` into position `(r0, c0)`.
-    pub fn set_submatrix(&mut self, r0: usize, c0: usize, sub: &Dense) {
-        assert!(r0 + sub.rows <= self.rows && c0 + sub.cols <= self.cols);
-        for i in 0..sub.rows {
-            self.data[(r0 + i) * self.cols + c0..][..sub.cols]
-                .copy_from_slice(&sub.data[i * sub.cols..][..sub.cols]);
-        }
     }
 
     /// The unit-lower-triangular factor from a packed LU result (lower part
@@ -521,6 +502,18 @@ mod tests {
     use crate::kernel::{available, by_name};
     use proptest::prelude::*;
 
+    /// `c ← c − a · b` done whole through `kernel` (`alpha = −1`).
+    fn sub_mul(kernel: &Kernel, c: &mut Dense, a: &Dense, b: &Dense) {
+        kernel.gemm_acc(&mut c.data, &a.data, &b.data, a.rows, b.cols, a.cols, -1.0);
+    }
+
+    /// Write `sub` into `d` at `(r0, c0)`.
+    fn put(d: &mut Dense, r0: usize, c0: usize, sub: &Dense) {
+        for i in 0..sub.rows {
+            d.data[(r0 + i) * d.cols + c0..][..sub.cols].copy_from_slice(&sub.data[i * sub.cols..][..sub.cols]);
+        }
+    }
+
     /// The textbook triple loops the blocked kernels replaced — the test
     /// oracle, in the role `Block::gemm_acc_naive` plays for gemm. Each
     /// element receives its subtractions in increasing `k`.
@@ -692,7 +685,9 @@ mod tests {
             read.read_block_bytes(&wire, 2, 4, 3, order);
             assert_eq!(read, d, "{order:?}");
             for ((i, j), image) in order.coords(2, 4).zip(wire.chunks_exact(72)) {
-                assert_eq!(image, blocks.block(i, j).to_bytes(), "{order:?} block ({i}, {j})");
+                let mut block = Vec::new();
+                blocks.block(i, j).write_bytes_into(&mut block);
+                assert_eq!(image, block, "{order:?} block ({i}, {j})");
             }
         }
     }
@@ -711,7 +706,7 @@ mod tests {
                 let b = random_dense(depth * q, cols * q, 62);
                 let mut whole = random_dense(rows * q, cols * q, 63);
                 let mut blocked = whole.to_blocks(q);
-                whole.sub_mul_with(kernel, &a, &b);
+                sub_mul(kernel, &mut whole, &a, &b);
                 let (a, b) = (a.to_blocks(q), b.to_blocks(q));
                 for (i, j, k) in (0..rows).flat_map(|i| (0..cols).flat_map(move |j| (0..depth).map(move |k| (i, j, k)))) {
                     let mut minus_a = a.block(i, k).clone();
@@ -731,7 +726,7 @@ mod tests {
         assert_eq!(sub[(0, 0)], d[(2, 3)]);
         assert_eq!(sub[(3, 4)], d[(5, 7)]);
         let mut back = Dense::zeros(7, 9);
-        back.set_submatrix(2, 3, &sub);
+        put(&mut back, 2, 3, &sub);
         assert_eq!(back.submatrix(2, 6, 3, 8), sub);
         assert_eq!(back[(1, 3)], 0.0);
         assert_eq!(d.submatrix(3, 3, 0, 9), Dense::zeros(0, 9));
@@ -808,16 +803,16 @@ mod tests {
                     let k1 = (k0 + nb).min(n);
                     let mut pivot = shipped.submatrix(k0, k1, k0, k1);
                     lu_blocked_with(kernel, &mut pivot, NB);
-                    shipped.set_submatrix(k0, k0, &pivot);
+                    put(&mut shipped, k0, k0, &pivot);
                     let mut vert = shipped.submatrix(k1, n, k0, k1);
                     trsm_right_upper_with(kernel, &mut vert, &pivot);
-                    shipped.set_submatrix(k1, k0, &vert);
+                    put(&mut shipped, k1, k0, &vert);
                     let mut horiz = shipped.submatrix(k0, k1, k1, n);
                     trsm_left_unit_lower_with(kernel, &mut horiz, &pivot);
-                    shipped.set_submatrix(k0, k1, &horiz);
+                    put(&mut shipped, k0, k1, &horiz);
                     let mut core = shipped.submatrix(k1, n, k1, n);
-                    core.sub_mul_with(kernel, &vert, &horiz);
-                    shipped.set_submatrix(k1, k1, &core);
+                    sub_mul(kernel, &mut core, &vert, &horiz);
+                    put(&mut shipped, k1, k1, &core);
                 }
                 assert_eq!(in_place, shipped, "{} n = {n}, nb = {nb}", kernel.name());
             }

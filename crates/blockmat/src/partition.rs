@@ -44,11 +44,6 @@ impl Partition {
         self.r as u64 * self.s as u64 * self.t as u64
     }
 
-    /// Number of C blocks `r·s`.
-    pub fn c_blocks(&self) -> u64 {
-        self.r as u64 * self.s as u64
-    }
-
     /// Element dimensions `(nA, nAB, nB)`.
     pub fn dims(&self) -> (usize, usize, usize) {
         (self.r * self.q, self.t * self.q, self.s * self.q)
@@ -83,7 +78,7 @@ mod tests {
         let p = Partition::from_dims(8000, 8000, 64_000, 80);
         assert_eq!((p.r, p.t, p.s), (100, 100, 800));
         assert_eq!(p.total_updates(), 8_000_000);
-        assert_eq!(p.c_blocks(), 80_000);
+        assert_eq!(p.r * p.s, 80_000);
     }
 
     #[test]

@@ -199,7 +199,7 @@ mod tests {
             // Every C block out and back exactly once.
             assert_eq!(
                 report.blocks_received,
-                pr.c_blocks(),
+                (pr.r * pr.s) as u64,
                 "{} returned wrong C volume",
                 kind.name()
             );

@@ -118,11 +118,6 @@ impl MemoryPlan {
         MemoryPlan { layout, mu: layout.mu(m), m }
     }
 
-    /// Buffers left unused by the plan.
-    pub fn slack(&self) -> usize {
-        self.m - self.layout.buffers_used(self.mu)
-    }
-
 }
 
 #[cfg(test)]
@@ -191,7 +186,7 @@ mod tests {
         let plan = MemoryPlan::derive(MemoryLayout::MaxReuseOverlapped, 100);
         // µ = 8 (64 + 32 = 96 ≤ 100).
         assert_eq!(plan.mu, 8);
-        assert_eq!(plan.slack(), 4);
+        assert_eq!(plan.m - plan.layout.buffers_used(plan.mu), 4);
     }
 
     proptest! {

@@ -343,11 +343,9 @@ pub trait Port {
 ///
 /// The whole-run budget ([`mwp_msg::Session::run_deadline`], counted from
 /// before the port is opened) is checked before every op, and ends the run with
-/// [`RuntimeError::RunAborted`]. The executor takes no lock: callers
-/// whose worker program serves one run at a time, or that cannot bound
-/// the workers' resident memory across overlapping runs, serialize
-/// themselves (see [`RuntimeSession::run_holm`]; the serving tier admits
-/// by memory instead).
+/// [`RuntimeError::RunAborted`]. The executor admits nothing itself:
+/// [`RuntimeSession::execute`], its one caller, reserves the run's
+/// footprint in the fleet's memory ledger first.
 pub fn execute<'s, P: Port>(
     session: &'s mwp_msg::Session,
     enrolled: usize,
@@ -622,8 +620,9 @@ impl<C: Accumulator> Port for ChunkExchange<'_, C> {
 }
 
 /// `schedule`, [`execute`]d as one run of `session` over workers
-/// `0..mu.len()`. `jobs` are the products the ops' `job` indices name —
-/// all of one shape; a solo run is the list of length one. Returns the
+/// `0..mu.len()`, admitted for chunks of side `mu[i]` on worker `i`
+/// ([`RuntimeSession::execute`]). `jobs` are the products the ops' `job`
+/// indices name — all of one shape; a solo run is the list of length one. Returns the
 /// run's generation and one [`RunOutcome`] per job, in order, each
 /// reporting `workers_used` as given.
 ///
@@ -633,7 +632,7 @@ impl<C: Accumulator> Port for ChunkExchange<'_, C> {
 /// **bit-identical** to running every job alone, on any schedule, through
 /// any recovery.
 pub(crate) fn run_products(
-    session: &mwp_msg::Session,
+    session: &RuntimeSession,
     jobs: Vec<Product<'_>>,
     schedule: Schedule,
     mu: &[usize],
@@ -641,7 +640,7 @@ pub(crate) fn run_products(
 ) -> Result<(u32, Vec<RunOutcome>), RuntimeError> {
     let (q, t) = (jobs[0].0.q(), jobs[0].0.cols());
     let start = Instant::now();
-    let (port, gen) = execute(session, mu.len(), q, schedule.ops, |master, gen| {
+    let (port, gen) = session.execute(mu, q, schedule.ops, |master, gen| {
         let (factors, c): (Vec<_>, Vec<_>) = jobs.into_iter().map(|(a, b, c)| ((a, b), c)).unzip();
         let mut exchange = ChunkExchange::new(master, gen, q, c, mu, t);
         exchange.jobs = factors.into_iter().enumerate().map(|(jx, (a, b))| JobCtx::new(a, b, jx)).collect();
@@ -670,7 +669,7 @@ pub(crate) fn holm_on(
     let (a, b, _) = &jobs[0];
     let problem = mwp_blockmat::Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q());
     let schedule = Schedule::algorithm1(&problem, mu, enrolled, jobs.len());
-    run_products(session.fleet(), jobs, schedule, &vec![mu; enrolled], enrolled)
+    run_products(session, jobs, schedule, &vec![mu; enrolled], enrolled)
 }
 
 /// Execute `C ← C + A·B` on a **heterogeneous** platform with the
@@ -744,16 +743,15 @@ pub(crate) fn heterogeneous_on(
     let schedule = Schedule::two_phase(platform, &mu, rule, &problem);
     let workers_used = schedule.workers().len();
     let (_, mut outcomes) =
-        run_products(session.fleet(), vec![(a, b, c)], schedule, &mu, workers_used)?;
+        run_products(session, vec![(a, b, c)], schedule, &mu, workers_used)?;
     Ok(outcomes.pop().expect("one outcome per job"))
 }
 
 /// Resident state of one open run generation: Algorithm 2's operands —
 /// the C chunk, the current step's row of B blocks over its columns and
 /// the one A block in flight (the `µ² + 4µ` layout of §5). A worker holds
-/// exactly one of these per interleaved run: a [`RuntimeSession`]'s own
-/// `run_*` calls never open more than one, while the serving tier
-/// ([`crate::serving`]) may open several on the same worker at once.
+/// exactly one of these per open run, and as many at once as the
+/// session's memory ledger admits runs beside each other on it.
 ///
 /// The chunk and the B row are row-major slabs, so that each A block
 /// updates its `q`-row slab of the chunk in one kernel call against the
@@ -879,8 +877,8 @@ pub(crate) fn program(
 /// per block, since each C element is still one FMA chain over increasing
 /// `k`. Every frame routes to its generation by the wire header's `run`
 /// field: the wake-up `RUN_BEGIN` opens the first generation, a further
-/// `RUN_BEGIN` arriving mid-serve opens another alongside it (the serving
-/// tier's interleaved job runs — see [`crate::serving`]), `Control`
+/// `RUN_BEGIN` arriving mid-serve opens another alongside it (a run the
+/// session admitted beside the open ones), `Control`
 /// requests that generation's chunk back — its rows in order, as it
 /// stands — and `RUN_END`/`RUN_ABORT` retire it. An `LuPanel` task is one
 /// LU step's pivot chain — the pivot factored, both panels solved —
@@ -897,8 +895,8 @@ pub(crate) fn program(
 /// span its rows or comes before its step's `B` row, a `CResult` (the
 /// master never sends one), and a panel whose payload is not the blocks
 /// its tag names. Asserts the memory invariant (`resident blocks ≤ m`,
-/// summed over the open generations) the paper's layout — and the serving
-/// tier's admission control — guarantees; the panel exchange's transient
+/// summed over the open generations) the paper's layout — and the
+/// session's memory ledger — guarantees; the panel exchange's transient
 /// blocks stay outside it.
 ///
 /// The worker allocates only to grow: a run of a block side with no
@@ -954,8 +952,8 @@ fn serve_run(
             }
             (FrameKind::Control, RUN_BEGIN) => {
                 // Another run generation opens while this worker is
-                // already serving — the serving tier's interleaved job
-                // runs. Its frames carry their own generation, so the
+                // already serving — a run admitted beside the open ones.
+                // Its frames carry their own generation, so the
                 // open runs never mix. Reopening a generation that is
                 // still open drops the link.
                 if !state.open(gen, frame.tag.j as usize) {
@@ -1062,8 +1060,8 @@ fn serve_run(
         // The paper's memory invariant: resident blocks never exceed m,
         // now summed over every open generation (+1 per generation for
         // its A block in flight; storage kept past the rows held is not
-        // resident matrix data). The serving tier's admission control
-        // keeps concurrent jobs under this bound by construction.
+        // resident matrix data). The session's memory ledger keeps
+        // overlapping runs under this bound by construction.
         let resident: usize = state.runs.values().map(RunState::resident).sum();
         assert!(
             resident + state.runs.len() <= memory_cap,

@@ -8,17 +8,15 @@
 //! as its own **interleaved run generation** on the shared session
 //! ([`Session::begin_run`][msg-begin-run]), through the same schedule
 //! generator and master executor a solo [`RuntimeSession::run_holm`] uses
-//! (`crate::runtime::holm_on`).
-//! The session's run lock is not taken: in-flight runs share the same
-//! links, and the master demultiplexes replies per generation by the
-//! wire header's `run` field.
+//! (`crate::runtime::holm_on`). In-flight runs share the same links, and
+//! the master demultiplexes replies per generation by the wire header's
+//! `run` field.
 //!
-//! **Admission control** prices each job against live worker memory with
-//! the paper's cost model before it may start: a HoLM plan for the job's
-//! shape fixes its chunk side µ, the job's per-worker footprint is the
-//! `MaxReuseOverlapped` layout bound `µ² + 4µ` blocks, and a dispatcher
-//! parks until the sum of in-flight footprints plus its own fits in the
-//! (homogeneous) worker memory `m`. The worker-side memory assertion
+//! **Admission** is the session's, as for every run: a HoLM plan for the
+//! job's shape fixes its chunk side µ and its enrolled workers, and the
+//! dispatcher parks in the session's memory ledger until the
+//! `MaxReuseOverlapped` footprint `µ² + 4µ` fits beside the open runs' on
+//! each of them (see [`crate::session`]). The worker-side memory assertion
 //! (`crate::runtime::serve_run`) independently checks the same invariant
 //! summed over its open generations, so an admission bug fails loudly
 //! instead of silently overcommitting.
@@ -44,7 +42,7 @@ use crate::runtime::{holm_on, plan_holm, validate_product_shapes, RunOutcome, Ru
 use crate::session::RuntimeSession;
 use mwp_blockmat::BlockMatrix;
 use mwp_msg::sched::{Completed, JobDone, JobExecutor, JobHandle, JobScheduler};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// Largest block side `q` eligible for the batching tier. Above this the
 /// run is FLOP-bound (PR 4's kernel analysis) and fusing buys nothing —
@@ -77,16 +75,10 @@ impl JobSpec {
     }
 }
 
-/// The scheduler's executor: owns the shared session and the admission
-/// ledger, and runs every dispatch as one interleaved run generation.
+/// The scheduler's executor: owns the shared session and runs every
+/// dispatch as one interleaved run generation.
 struct HolmExecutor {
     session: RuntimeSession,
-    /// Model blocks (`µ² + 4µ` per in-flight run) currently reserved
-    /// against each worker's memory `m` — homogeneous fleet, so one
-    /// ledger covers every worker.
-    reserved: Mutex<usize>,
-    /// Parks dispatchers whose job does not fit until a run retires.
-    admit: Condvar,
     /// Whether the batching tier is on (resolved once at server build).
     batch: bool,
 }
@@ -130,34 +122,13 @@ impl JobExecutor<JobSpec, JobResult> for HolmExecutor {
             Ok(plan) => plan,
             Err(e) => return self.all_failed(n, e),
         };
-
-        // Admission: reserve this run's per-worker footprint against the
-        // fleet's memory. A composite batch serves its chunks
-        // one-at-a-time per worker, so its footprint equals a solo run's.
-        let footprint = mu * mu + 4 * mu;
-        let memory = platform.homogeneous_params().map_or(footprint, |params| params.m);
-        {
-            let mut reserved = self.reserved.lock().expect("admission ledger poisoned");
-            // A single plan always fits alone (µ is chosen so that
-            // µ² + 4µ ≤ m), so the `> 0` guard makes starvation
-            // impossible even if the fleet shrank under the plan.
-            while *reserved > 0 && *reserved + footprint > memory {
-                reserved = self.admit.wait(reserved).expect("admission ledger poisoned");
-            }
-            *reserved += footprint;
-        }
-        // The loop borrows A and B; only each job's C moves into it.
+        // The loop borrows A and B; only each job's C moves into it. A
+        // composite batch serves its chunks one at a time per worker, so
+        // the session admits it with a solo run's footprint.
         let (inputs, accumulators): (Vec<_>, Vec<_>) =
             jobs.into_iter().map(|job| ((job.a, job.b), job.c)).unzip();
         let products = inputs.iter().zip(accumulators).map(|((a, b), c)| (a, b, c)).collect();
-        let outcome = holm_on(&self.session, products, enrolled, mu);
-        {
-            let mut reserved = self.reserved.lock().expect("admission ledger poisoned");
-            *reserved -= footprint;
-            self.admit.notify_all();
-        }
-
-        match outcome {
+        match holm_on(&self.session, products, enrolled, mu) {
             Ok((run_gen, outs)) => outs
                 .into_iter()
                 .map(|out| {
@@ -178,18 +149,13 @@ pub struct MatrixServer {
 }
 
 impl MatrixServer {
-    /// Serve jobs over `session` with `inflight` dispatcher threads
-    /// (clamped to `1..=15`, the run generations a link serves at once) and
-    /// the small-job batching tier on or off. The server owns the session
-    /// outright: its admission ledger is what bounds the workers'
-    /// resident memory, so no other caller may drive the fleet.
+    /// Serve jobs over `session` with `inflight` dispatcher threads (at
+    /// least one) and the small-job batching tier on or off. How many of
+    /// the dispatchers' runs are open at once is the session's memory
+    /// ledger's call. The server takes the session and shuts it down with
+    /// itself.
     pub fn with_options(session: RuntimeSession, inflight: usize, batch: bool) -> Self {
-        let exec = Arc::new(HolmExecutor {
-            session,
-            reserved: Mutex::new(0),
-            admit: Condvar::new(),
-            batch,
-        });
+        let exec = Arc::new(HolmExecutor { session, batch });
         let sched = JobScheduler::spawn(inflight, Arc::clone(&exec));
         MatrixServer { exec, sched }
     }

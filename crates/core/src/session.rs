@@ -39,13 +39,25 @@
 //!
 //! The fleet itself — links, fingerprints, and the platform description
 //! that `admit` grows and `prune_dead` compacts — lives in the wrapped
-//! [`mwp_msg::session::Session`]; this type adds the run lock. It is the
-//! one fleet type: LU factorizations (`mwp_lu::runtime::factor`) run on it
-//! too, through [`RuntimeSession::execute`].
+//! [`mwp_msg::session::Session`]; this type adds the memory ledger that
+//! admits every run. It is the one fleet type: LU factorizations
+//! (`mwp_lu::runtime::factor`) run on it too, through
+//! [`RuntimeSession::execute`].
+//!
+//! **Admission.** Worker `i` holds at most `m_i` blocks (§2), and a run
+//! whose chunk side there is `µ_i` keeps at most the `µ_i² + 4µ_i` blocks
+//! of its layout on it (§5). The ledger counts, per worker, the blocks of
+//! every open run, and a run opens only once its own fit beside them —
+//! or once no run is open at all. Runs whose footprints fill `m` take
+//! turns; smaller ones overlap, and the worker program keeps state per
+//! run generation. Products, heterogeneous runs, LU factorizations and
+//! the serving tier's batches all reserve this way, in
+//! [`RuntimeSession::execute`].
 
 use crate::runtime::{
     execute, heterogeneous_on, holm_on, plan_holm, program, Port, RunOutcome, RuntimeError,
 };
+use crate::layout::MemoryLayout;
 use crate::selection::incremental::SelectionRule;
 use mwp_blockmat::kernel::{self, Kernel};
 use mwp_blockmat::BlockMatrix;
@@ -53,17 +65,31 @@ use mwp_msg::config::Config;
 use mwp_msg::session::Session;
 use mwp_msg::{MasterEndpoint, TransportListener, TransportMode};
 use mwp_platform::Platform;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A persistent worker pool serving the paper's matrix-product runtimes.
 pub struct RuntimeSession {
     inner: Session,
-    /// Held by each public `run_*` call and [`RuntimeSession::execute`]
-    /// for its whole run: nothing bounds the workers' resident memory
-    /// across two of *these* runs (the serving tier, which calls the
-    /// master executor directly, admits by memory instead), so concurrent
-    /// callers — products and factorizations alike — take turns.
-    run_lock: Mutex<()>,
+    /// `reserved[i]`: the blocks the open runs keep on worker `i`.
+    reserved: Mutex<Vec<usize>>,
+    /// Wakes the runs waiting in [`RuntimeSession::reserve`] when one
+    /// returns its blocks.
+    released: Condvar,
+}
+
+/// A run's footprint in the ledger, returned when it drops — whether the
+/// run finished, aborted, failed or unwound.
+pub(crate) struct Reservation<'s> {
+    session: &'s RuntimeSession,
+    blocks: Vec<usize>,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        let mut reserved = self.session.ledger();
+        reserved.iter_mut().zip(&self.blocks).for_each(|(held, blocks)| *held -= blocks);
+        self.session.released.notify_all();
+    }
 }
 
 impl RuntimeSession {
@@ -109,7 +135,7 @@ impl RuntimeSession {
 
     /// Wrap a spawned/accepted fleet.
     fn over(inner: Session) -> Self {
-        RuntimeSession { inner, run_lock: Mutex::new(()) }
+        RuntimeSession { inner, reserved: Mutex::new(Vec::new()), released: Condvar::new() }
     }
 
     /// A session whose workers are **remote processes** (`mwp-worker`
@@ -156,8 +182,9 @@ impl RuntimeSession {
     }
 
     /// `C ← C + A·B` with HoLM (resource selection + round-robin chunk
-    /// distribution) on the pooled workers. Concurrent callers of the
-    /// `run_*` methods serialize: a session runs one of them at a time.
+    /// distribution) on the pooled workers. Concurrent callers overlap
+    /// their runs as far as the workers' memory admits them (see the
+    /// module docs).
     pub fn run_holm(
         &self,
         a: &BlockMatrix,
@@ -178,24 +205,49 @@ impl RuntimeSession {
     }
 
     /// `ops` walked by the master executor as one run of block side `q`
-    /// over the whole fleet, through the [`Port`] `open` builds for the
-    /// run's generation, under the run lock the `run_*` methods take: how a
-    /// runtime built on this fleet outside this crate — LU's factorization
-    /// — runs on the same workers and the same program.
+    /// over workers `0..sides.len()`, through the [`Port`] `open` builds
+    /// for the run's generation, once the memory ledger admits chunks of
+    /// side `sides[i]` on each worker `i` (see the module docs): how
+    /// every run of this fleet opens — the `run_*` methods' and, from
+    /// outside this crate, LU's factorization.
     pub fn execute<'s, P: Port>(
         &'s self,
+        sides: &[usize],
         q: usize,
         ops: Vec<P::Op>,
         open: impl FnOnce(&'s MasterEndpoint, u32) -> P,
     ) -> (P, Result<u32, RuntimeError>) {
-        let _exclusive = self.exclusive();
-        execute(&self.inner, self.workers(), q, ops, open)
+        let _reservation = self.reserve(sides);
+        execute(&self.inner, sides.len(), q, ops, open)
     }
 
-    /// Take the run lock. It guards no data, so a run that panicked while
-    /// holding it leaves nothing to distrust: the poison is ignored.
-    fn exclusive(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.run_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Park until chunks of side `sides[i]` fit on each worker `i` beside
+    /// every open run's — each takes its layout's `µ² + 4µ` blocks of the
+    /// worker's memory `m_i` — or until no run is open, then hold them
+    /// until the returned reservation drops.
+    pub(crate) fn reserve(&self, sides: &[usize]) -> Reservation<'_> {
+        let blocks: Vec<usize> =
+            sides.iter().map(|&side| MemoryLayout::MaxReuseOverlapped.buffers_used(side)).collect();
+        let workers = self.platform().map_or(&[][..], Platform::workers);
+        let mut reserved = self.ledger();
+        if reserved.len() < blocks.len() {
+            reserved.resize(blocks.len(), 0);
+        }
+        let mut reserved = self
+            .released
+            .wait_while(reserved, |reserved| {
+                reserved.iter().any(|&held| held > 0)
+                    && reserved.iter().zip(&blocks).zip(workers).any(|((held, b), w)| held + b > w.m)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        reserved.iter_mut().zip(&blocks).for_each(|(held, b)| *held += b);
+        Reservation { session: self, blocks }
+    }
+
+    /// The ledger. Its updates cannot panic halfway, so a poisoned lock
+    /// still holds true counts.
+    fn ledger(&self) -> MutexGuard<'_, Vec<usize>> {
+        self.reserved.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// One product as a run of its own: Algorithm 1 over the job list of
@@ -209,7 +261,6 @@ impl RuntimeSession {
     ) -> Result<RunOutcome, RuntimeError> {
         let platform = self.platform().ok_or(RuntimeError::EmptyFleet)?;
         let (enrolled, mu) = plan_holm(platform, a, b, &c, select)?;
-        let _exclusive = self.exclusive();
         let (_, mut outcomes) = holm_on(self, vec![(a, b, c)], enrolled, mu)?;
         Ok(outcomes.pop().expect("one outcome per job"))
     }
@@ -223,7 +274,6 @@ impl RuntimeSession {
         c: BlockMatrix,
         rule: SelectionRule,
     ) -> Result<RunOutcome, RuntimeError> {
-        let _exclusive = self.exclusive();
         heterogeneous_on(self, a, b, c, rule)
     }
 
@@ -267,12 +317,6 @@ impl RuntimeSession {
         self.inner.shutdown()
     }
 
-    /// The message-layer session under this one: what the master
-    /// executor opens its run on.
-    pub(crate) fn fleet(&self) -> &Session {
-        &self.inner
-    }
-
     /// How many previous-generation data frames the master's links have
     /// structurally rejected (see [`mwp_msg::link::MasterSide::stale_rejected`]) —
     /// observably non-zero when a stale frame from an earlier run (e.g. a
@@ -294,6 +338,15 @@ pub(crate) fn with_session<R>(
     let out = f(&session);
     session.shutdown();
     out
+}
+
+#[cfg(test)]
+impl RuntimeSession {
+    /// The message-layer session under this one, for tests that open a
+    /// run by hand.
+    pub(crate) fn fleet(&self) -> &Session {
+        &self.inner
+    }
 }
 
 #[cfg(test)]
@@ -528,6 +581,53 @@ mod tests {
         }
         assert_eq!(server.dead_workers(), 3);
         server.shutdown();
+    }
+
+    /// `run` on a thread of its own; panics if it has not returned within
+    /// a minute — a run parked on a leaked reservation never does, and its
+    /// thread is then left behind.
+    fn within_a_minute<R: Send + 'static>(run: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done, result) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || done.send(run()).expect("the test waits for the result"));
+        let out = result.recv_timeout(std::time::Duration::from_secs(60)).expect("the run did not return within a minute");
+        runner.join().expect("the run's thread");
+        out
+    }
+
+    #[test]
+    fn a_failed_run_gives_its_memory_back() {
+        // µ = 6 fills the whole memory (µ² + 4µ = 60 = m), so a run that
+        // kept its reservation past its end would park every run that
+        // fills a worker. Worker 0 answers its collect with a short row: a
+        // 6 × 6 product enrolls it alone and ends in `EmptyFleet`; a 1 ns
+        // budget ends the next run in `RunAborted`. After each, a run
+        // filling both workers is admitted, and worker 1 adopts the chunk
+        // of condemned worker 0.
+        let platform = Platform::homogeneous(2, 4.0, 1.0, 60).unwrap();
+        let session = fleet_with_rogues(&platform, |id| id == WorkerId(0), SHORT_ROW);
+        let q = 4;
+        let (a, b, c0) = (random_matrix(6, 3, q, 94), random_matrix(3, 12, q, 95), random_matrix(6, 12, q, 96));
+        let mut serial = c0.clone();
+        gemm_serial(&mut serial, &a, &b);
+        let fill = |session: RuntimeSession| {
+            let (a, b, c0) = (a.clone(), b.clone(), c0.clone());
+            within_a_minute(move || {
+                let out = session.run_all_workers(&a, &b, c0);
+                (session, out)
+            })
+        };
+        let lone = session.run_holm(&a, &random_matrix(3, 6, q, 97), random_matrix(6, 6, q, 98));
+        assert_eq!(lone.unwrap_err(), RuntimeError::EmptyFleet);
+        let (mut session, out) = fill(session);
+        assert_eq!(out.unwrap().c.max_abs_diff(&serial), 0.0, "after EmptyFleet");
+
+        session.set_run_deadline(Some(std::time::Duration::from_nanos(1)));
+        assert_eq!(session.run_all_workers(&a, &b, c0.clone()).unwrap_err(), RuntimeError::RunAborted);
+        session.set_run_deadline(None);
+        let (session, out) = fill(session);
+        assert_eq!(out.unwrap().c.max_abs_diff(&serial), 0.0, "after RunAborted");
+        assert_eq!(session.dead_workers(), 1);
+        assert_eq!(session.shutdown(), 2);
     }
 
     #[test]

@@ -186,13 +186,6 @@ impl LuCost {
         let mu = self.problem.mu as f64;
         (r * r * r + 2.0 * mu * mu * r) / 3.0
     }
-
-    /// Elapsed time on a single worker with costs `(c, w)`: everything is
-    /// serialized (communication then computation per step — the paper's
-    /// single-processor schedule overlaps nothing).
-    pub fn single_worker_time(&self, c: f64, w: f64) -> f64 {
-        self.comm * c + self.comp * w
-    }
 }
 
 /// The closed form of "What the runtime moves" (module docs): the blocks
@@ -290,11 +283,12 @@ mod tests {
 
     #[test]
     fn single_worker_time_is_linear_in_costs() {
+        // One worker overlaps nothing, so it spends `comm · c + comp · w`:
+        // at r = 12, µ = 3 that is 720 blocks moved and 648 block updates.
         let total = LuProblem::new(12, 3).total();
-        let t1 = total.single_worker_time(1.0, 1.0);
-        let t2 = total.single_worker_time(2.0, 2.0);
-        assert!((t2 - 2.0 * t1).abs() < 1e-9);
-        assert_eq!(t1, total.comm + total.comp);
+        let time = |c: f64, w: f64| total.comm * c + total.comp * w;
+        assert_eq!((time(1.0, 0.0), time(0.0, 1.0)), (720.0, 648.0));
+        assert!((time(2.0, 0.5) - 1764.0).abs() < 1e-9);
     }
 
     proptest! {

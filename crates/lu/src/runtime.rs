@@ -53,8 +53,10 @@
 //! # Fleets
 //!
 //! [`factor`] runs on any [`RuntimeSession`] — local or remote, the same
-//! fleet, workers and worker program serving products and factorizations,
-//! one run at a time under the session's run lock. [`run_lu`] is one-shot
+//! fleet, workers and worker program serving products and factorizations.
+//! A factorization reserves its chunks' `µ_i² + 4µ_i` blocks in the
+//! session's memory ledger like any product, so it overlaps the runs whose
+//! blocks fit beside its own and takes turns with the rest. [`run_lu`] is one-shot
 //! (a fresh session per call); [`LuSession`] holds a fleet spawned for
 //! factorizations.
 
@@ -134,7 +136,8 @@ pub fn run_lu(
 /// Factor `matrix` (square, block side `q`) in `mu`-block panels on
 /// `fleet`: [`lu_schedule`] for every worker of the fleet, each dealt
 /// chunks of the side its memory admits, run as one run of the fleet's
-/// master executor under its run lock ([`RuntimeSession::execute`]).
+/// master executor once the fleet's memory ledger admits those chunks
+/// beside every open run's ([`RuntimeSession::execute`]).
 pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunOutcome {
     validate_lu(matrix, mu);
     let start = Instant::now();
@@ -148,7 +151,7 @@ pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunO
         return LuRunOutcome { packed, wall, messages: 0, blocks_moved: 0, workers_used, aborted: true };
     }
     let (ops, q) = (lu_schedule(matrix.rows(), mu, &sides), matrix.q());
-    let (mut port, done) = fleet.execute(q, ops, |master, gen| LuPort {
+    let (mut port, done) = fleet.execute(&sides, q, ops, |master, gen| LuPort {
         chunks: ChunkExchange::new(master, gen, q, vec![Dense::from_blocks(matrix)], &sides, mu),
         master,
         sides: &sides,

@@ -47,7 +47,8 @@ mod tests {
     /// The single-worker time of an `r × r` factorization at `mu` under
     /// `(c, w)`.
     fn predicted_time(r: usize, mu: usize, c: f64, w: f64) -> f64 {
-        LuProblem::new(r, mu).total().single_worker_time(c, w)
+        let total = LuProblem::new(r, mu).total();
+        total.comm * c + total.comp * w
     }
 
     #[test]

@@ -28,11 +28,11 @@
 //!   `Session::begin_run` draws a **run generation**, registers it on
 //!   every link and stamps the lifecycle frames with it; the run's driver
 //!   stamps every frame it sends and scopes every receive
-//!   ([`MasterEndpoint::recv_deadline`]) to that generation, so up to
-//!   [`link::MAX_CONCURRENT_RUNS`] runs share one session's links, each
-//!   link filing replies per generation. Whether runs *may*
-//!   overlap is the caller's business (worker memory, a one-run worker
-//!   program): the layers above hold that lock, not this crate,
+//!   ([`MasterEndpoint::recv_deadline`]) to that generation, so any
+//!   number of runs share one session's links, each link filing replies
+//!   per generation. Whether runs *may* overlap is the caller's business
+//!   (worker memory, a one-run worker program): the layers above admit
+//!   them, not this crate,
 //! * [`sched`] — the multi-job serving tier: a
 //!   [`sched::JobScheduler`] queues jobs from many caller threads and
 //!   dispatches each as its own interleaved run on one shared session,

@@ -8,8 +8,8 @@
 //!
 //! A link also enforces the run protocol's data-plane rule. Every frame
 //! the worker sends is filed where it arrives, in the link's inbox: under
-//! its run generation when the session has that generation open (at most
-//! [`MAX_CONCURRENT_RUNS`] at once), with the unowned traffic when it is
+//! its run generation when the session has that generation open (any
+//! number at once), with the unowned traffic when it is
 //! unstamped or control, and otherwise — a data frame of a generation
 //! that is not open — counted as stale and dropped. Each run's collector
 //! takes its own queue ([`MasterSide::recv_wait_run`]) and is the only one
@@ -22,10 +22,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// How many run generations a link can serve **concurrently** — the hard
-/// ceiling on a scheduler's dispatcher count (see [`crate::sched`]).
-pub const MAX_CONCURRENT_RUNS: usize = 15;
 
 /// The worker's frames the master has not taken yet, filed by generation
 /// as they arrive.
@@ -118,9 +114,6 @@ pub struct Pacing {
 }
 
 impl Pacing {
-    /// No pacing: transfers complete as fast as channels allow.
-    pub const OFF: Pacing = Pacing { time_scale: 0.0 };
-
     /// Pace `model_time` units, blocking the calling thread.
     pub fn pace(&self, model_time: f64) {
         if self.time_scale > 0.0 && model_time > 0.0 {
@@ -185,14 +178,7 @@ impl MasterSide {
     /// queue of their own, alongside those of every other open run.
     pub(crate) fn register_run(&self, run: u32) {
         assert_ne!(run, 0, "generation 0 is the run-less sentinel");
-        let mut inbox = self.inbox();
-        // The scheduler's inflight cap (≤ MAX_CONCURRENT_RUNS) makes a
-        // breach a bug, not a load condition.
-        assert!(
-            inbox.runs.len() < MAX_CONCURRENT_RUNS,
-            "more than {MAX_CONCURRENT_RUNS} concurrent run generations on one link"
-        );
-        inbox.runs.insert(run, Queue::default());
+        self.inbox().runs.insert(run, Queue::default());
     }
 
     /// Retire generation `run`: its later data frames are stale, and so is
@@ -298,6 +284,11 @@ mod tests {
     use super::*;
     use crate::frame::{FrameKind, Tag};
     use bytes::Bytes;
+
+    impl Pacing {
+        /// No pacing: transfers complete as fast as channels allow.
+        pub(crate) const OFF: Pacing = Pacing { time_scale: 0.0 };
+    }
 
     fn blk(kind: FrameKind, i: usize, j: usize) -> Frame {
         Frame::new(Tag::new(kind, i, j), Bytes::from_static(&[1, 2, 3]))

@@ -1,10 +1,8 @@
 //! A concurrent multi-job scheduler over one shared session.
 //!
-//! A runtime session that takes its callers one at a time caps a fleet's
-//! throughput at a single caller, no matter how many threads want
-//! products computed — yet the session layer underneath lets up to
-//! [`MAX_CONCURRENT_RUNS`] runs share its links. This module is the
-//! serving tier that uses that room:
+//! The session layer lets any number of runs share its links, each under
+//! its own generation. This module is the serving tier that fills that
+//! room from many callers:
 //!
 //! * [`JobScheduler`] — accepts jobs from any number of caller threads
 //!   into one FIFO queue and drains it with a small pool of *dispatcher*
@@ -22,10 +20,9 @@
 //!
 //! The scheduler is generic over the job and result types: the matrix
 //! runtime's serving layer (`mwp_core::serving`) supplies the executor
-//! that prices jobs against live worker memory and fuses small-`q` jobs
-//! into composite runs.
+//! that fuses small-`q` jobs into composite runs and runs each on its
+//! session, whose memory ledger admits it against live worker memory.
 
-use crate::link::MAX_CONCURRENT_RUNS;
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -138,14 +135,13 @@ impl<R> JobHandle<R> {
 }
 
 impl<J: Send + 'static, R: Send + 'static> JobScheduler<J, R> {
-    /// Spawn a scheduler with `inflight` dispatcher threads (clamped to
-    /// `1..=`[`MAX_CONCURRENT_RUNS`] — how many run generations a link
-    /// serves at once).
+    /// Spawn a scheduler with `inflight` dispatcher threads (at least
+    /// one). Whether their runs may overlap is the executor's business.
     pub fn spawn<E>(inflight: usize, executor: Arc<E>) -> Self
     where
         E: JobExecutor<J, R> + 'static,
     {
-        let inflight = inflight.clamp(1, MAX_CONCURRENT_RUNS);
+        let inflight = inflight.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(SchedQueue { pending: VecDeque::new(), closed: false }),
             nonempty: Condvar::new(),

@@ -120,8 +120,7 @@ fn trace_run_close(run: u32, begun: Option<SimTime>, label: &'static str) {
 }
 
 /// A star network whose worker threads are spawned once and reused for an
-/// unbounded sequence of runs, up to [`crate::link::MAX_CONCURRENT_RUNS`]
-/// of them open at once.
+/// unbounded sequence of runs, any number of them open at once.
 pub struct Session {
     master: MasterEndpoint,
     handles: Vec<thread::JoinHandle<()>>,
@@ -561,11 +560,9 @@ impl Session {
     /// [`RunEpoch::generation`], its receives are scoped to that
     /// generation, and a worker program that may see overlapping runs
     /// tracks state per generation and replies via
-    /// [`WorkerEndpoint::send_in`]. A session type whose worker program
-    /// serves one run at a time serializes its own callers.
-    ///
-    /// At most [`crate::link::MAX_CONCURRENT_RUNS`] runs may be open at
-    /// once; the scheduler's admission cap enforces this.
+    /// [`WorkerEndpoint::send_in`]. How many runs may be open at once is
+    /// the caller's to decide (the workers' memory bounds it); this layer
+    /// sets no limit.
     ///
     /// Lifecycle frames are sent best-effort: a worker that already died
     /// (it panicked mid-previous-run) must surface as the data path's

@@ -82,11 +82,6 @@ impl Platform {
         self.workers.iter().enumerate().map(|(i, w)| (WorkerId(i), w))
     }
 
-    /// All worker ids in order.
-    pub fn ids(&self) -> impl Iterator<Item = WorkerId> {
-        (0..self.workers.len()).map(WorkerId)
-    }
-
     /// True iff every worker has the same `(c, w, m)` triple.
     pub fn is_homogeneous(&self) -> bool {
         let first = &self.workers[0];

@@ -33,13 +33,6 @@ pub struct WorkerView {
     pub updates_assigned: u64,
 }
 
-impl WorkerView {
-    /// Free buffers right now.
-    pub fn free_buffers(&self) -> u64 {
-        self.capacity - self.blocks_held
-    }
-}
-
 /// One decision of the master policy.
 #[derive(Debug, Clone)]
 pub enum Decision {
@@ -554,7 +547,7 @@ mod tests {
                     label: "fuzz-recv".into(),
                 }
             } else {
-                let free = views[w].free_buffers();
+                let free = views[w].capacity - views[w].blocks_held;
                 if free == 0 {
                     // Engine requires strictly-advancing waits.
                     return Decision::WaitUntil(SimTime(
@@ -700,7 +693,7 @@ mod tests {
                     0 => {
                         assert_eq!(now, SimTime::ZERO);
                         assert_eq!(w[0].blocks_held, 0);
-                        assert_eq!(w[0].free_buffers(), 10);
+                        assert_eq!(w[0].capacity - w[0].blocks_held, 10);
                         self.step = 1;
                         Decision::Send {
                             to: WorkerId(0),

@@ -17,7 +17,7 @@ fn simulator_matches_port_bound_when_comm_bound() {
     // Total traffic: C out+back plus per-chunk A/B streams.
     let mu = 6u64;
     let chunks = (12 / 6) * (12 / 6);
-    let blocks = 2 * problem.c_blocks() + chunks * problem.t as u64 * 2 * mu;
+    let blocks = 2 * (problem.r * problem.s) as u64 + chunks * problem.t as u64 * 2 * mu;
     assert_eq!(report.blocks_sent + report.blocks_received, blocks);
     let port_bound = blocks as f64 * c;
     let slack = report.makespan.value() / port_bound;

@@ -32,7 +32,7 @@ proptest! {
             };
             prop_assert_eq!(report.total_updates(), pr.total_updates(),
                 "{} lost updates", kind.name());
-            prop_assert_eq!(report.blocks_received, pr.c_blocks(),
+            prop_assert_eq!(report.blocks_received, (pr.r * pr.s) as u64,
                 "{} returned wrong C volume", kind.name());
         }
     }
