@@ -325,37 +325,38 @@ pub trait Port {
 }
 
 /// The one master executor: `ops`, walked in order as one run of
-/// `session`'s persistent worker pool over workers `0..enrolled`, through
-/// the port `open` builds for the run's generation. Returns the port —
-/// whatever state the ops left in it — and the run's generation, or why
-/// the run was aborted.
+/// `session`'s persistent worker pool over `workers` — the run's slots,
+/// as the session's memory ledger placed them — through the port `open`
+/// builds for the run's generation. Returns the port — whatever state the
+/// ops left in it — and the run's generation, or why the run was aborted.
 ///
 /// **Recovery is one rule.** An op whose worker is dead is skipped, and a
 /// worker an op fails on is condemned
 /// ([`mwp_msg::MasterEndpoint::mark_dead`]). At the end of each phase
 /// ([`Port::same_phase`]) — every op issued, so every live link drained
 /// of the replies it owes — the undone ops run again as
-/// [`Port::redispatch`] over the live workers, until none is undone. Re-dispatch is exact replay: an op only
+/// [`Port::redispatch`] over the run's live workers, until none is
+/// undone. Re-dispatch is exact replay: an op only
 /// mutates master state with a *complete*, validated reply, so a lost
 /// op's frames regenerate bit-identically for whichever survivor adopts
-/// it. With no live worker left to adopt, the run is aborted
+/// it. With no live worker of the run left to adopt, the run is aborted
 /// ([`RuntimeError::EmptyFleet`]).
 ///
 /// The whole-run budget ([`mwp_msg::Session::run_deadline`], counted from
 /// before the port is opened) is checked before every op, and ends the run with
-/// [`RuntimeError::RunAborted`]. The executor admits nothing itself:
-/// [`RuntimeSession::execute`], its one caller, reserves the run's
-/// footprint in the fleet's memory ledger first.
+/// [`RuntimeError::RunAborted`]. The executor admits and places nothing
+/// itself: [`RuntimeSession::execute`], its one caller, reserves the
+/// run's footprint on the workers the fleet's memory ledger picks first.
 pub fn execute<'s, P: Port>(
     session: &'s mwp_msg::Session,
-    enrolled: usize,
+    workers: &[WorkerId],
     q: usize,
     ops: Vec<P::Op>,
     open: impl FnOnce(&'s mwp_msg::MasterEndpoint, u32) -> P,
 ) -> (P, Result<u32, RuntimeError>) {
-    // Wake workers 0..enrolled from their parked receives; the rest of
-    // the pool stays blocked and costs nothing beyond their spawn.
-    let epoch = session.begin_run(enrolled, q as u32);
+    // Wake the run's workers from their parked receives; the rest of the
+    // pool stays blocked and costs nothing beyond their spawn.
+    let epoch = session.begin_run_on(workers, q as u32);
     let (master, gen) = (session.master(), epoch.generation());
     let start = Instant::now();
     let mut port = open(master, gen);
@@ -367,7 +368,7 @@ pub fn execute<'s, P: Port>(
             let mut undone = Vec::new();
             for op in todo {
                 if deadline.is_some_and(|budget| start.elapsed() > budget) {
-                    session.abort_run(enrolled, epoch);
+                    session.abort_run_on(workers, epoch);
                     return (port, Err(RuntimeError::RunAborted));
                 }
                 if master.is_dead(P::worker(op)) || !port.perform(op) {
@@ -378,18 +379,17 @@ pub fn execute<'s, P: Port>(
             if undone.is_empty() {
                 break;
             }
-            let live: Vec<WorkerId> =
-                (0..enrolled).map(WorkerId).filter(|&w| !master.is_dead(w)).collect();
+            let live: Vec<WorkerId> = workers.iter().copied().filter(|&w| !master.is_dead(w)).collect();
             let Some(ops) = port.redispatch(undone, &live) else {
-                session.abort_run(enrolled, epoch);
+                session.abort_run_on(workers, epoch);
                 return (port, Err(RuntimeError::EmptyFleet));
             };
             redo = ops;
             todo = &redo;
         }
     }
-    // Close the run: every enrolled worker parks again for the next one.
-    session.finish_run(enrolled, epoch);
+    // Close the run: each of its workers parks again for the next one.
+    session.finish_run_on(workers, epoch);
     (port, Ok(gen))
 }
 
@@ -436,8 +436,8 @@ pub struct ChunkExchange<'a, C = BlockMatrix> {
     c: Vec<C>,
     /// `jobs[jx]` is the product the ops' `job` index `jx` names.
     jobs: Vec<JobCtx<'a>>,
-    /// `mu[i]` is the chunk side worker `i`'s memory admits.
-    mu: &'a [usize],
+    /// `mu[i]` is the chunk side worker `i` holds in this run.
+    mu: Vec<usize>,
     /// The products' common shared dimension.
     t: usize,
     /// Frames that crossed the port for the run, either way.
@@ -448,15 +448,15 @@ pub struct ChunkExchange<'a, C = BlockMatrix> {
 
 impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     /// The chunk exchanges of `master`'s open run `gen` of block side `q`,
-    /// `t` steps deep, into the accumulators `c`, on workers whose memory
-    /// admits chunks of side `mu[i]`. It holds no product until
+    /// `t` steps deep, into the accumulators `c`, on workers each holding
+    /// chunks of side `mu[i]` (0 off the run). It holds no product until
     /// [`ChunkExchange::push`] adds one.
     pub fn new(
         master: &'a mwp_msg::MasterEndpoint,
         gen: u32,
         q: usize,
         c: Vec<C>,
-        mu: &'a [usize],
+        mu: Vec<usize>,
         t: usize,
     ) -> Self {
         ChunkExchange { master, gen, q, c, jobs: Vec::new(), mu, t, frames: 0, round_trips: 0 }
@@ -615,39 +615,43 @@ impl<C: Accumulator> Port for ChunkExchange<'_, C> {
     /// over the live workers whose memory holds a chunk at all, each chunk
     /// split to its adopter's `µ_i`.
     fn redispatch(&self, undone: Vec<PortOp>, live: &[WorkerId]) -> Option<Vec<PortOp>> {
-        Schedule::recover(&undone, live, self.mu, self.t).map(|schedule| schedule.ops)
+        Schedule::recover(&undone, live, &self.mu, self.t).map(|schedule| schedule.ops)
     }
 }
 
-/// `schedule`, [`execute`]d as one run of `session` over workers
-/// `0..mu.len()`, admitted for chunks of side `mu[i]` on worker `i`
-/// ([`RuntimeSession::execute`]). `jobs` are the products the ops' `job`
-/// indices name — all of one shape; a solo run is the list of length one. Returns the
-/// run's generation and one [`RunOutcome`] per job, in order, each
-/// reporting `workers_used` as given.
+/// `schedule`, laid out over the workers the session's memory ledger
+/// places the run on and [`execute`]d as one run there, with chunks of
+/// side `sides[slot]` ([`RuntimeSession::execute`]). `jobs` are the
+/// products the ops' `job` indices name — all of one shape; a solo run
+/// is the list of length one. Returns the run's generation and one
+/// [`RunOutcome`] per job, in order, each reporting `workers_used` as
+/// given.
 ///
 /// Each C block accumulates its `t` updates in `k`-order inside a single
 /// chunk exchange, and a job's C is only mutated by a *complete* collected
 /// chunk (see `ChunkExchange::collect`), so fused results are
-/// **bit-identical** to running every job alone, on any schedule, through
-/// any recovery.
+/// **bit-identical** to running every job alone, on any schedule, on any
+/// workers, through any recovery.
 pub(crate) fn run_products(
     session: &RuntimeSession,
     jobs: Vec<Product<'_>>,
-    schedule: Schedule,
-    mu: &[usize],
+    sides: &[usize],
+    schedule: impl FnOnce(&[WorkerId]) -> Schedule,
     workers_used: usize,
 ) -> Result<(u32, Vec<RunOutcome>), RuntimeError> {
     let (q, t) = (jobs[0].0.q(), jobs[0].0.cols());
     let start = Instant::now();
-    let (port, gen) = session.execute(mu, q, schedule.ops, |master, gen| {
+    let ops = |workers: &[WorkerId]| schedule(workers).ops;
+    let (port, gen) = session.execute(sides, q, ops, |master, gen, workers| {
+        let mut mu = vec![0; master.workers()];
+        workers.iter().zip(sides).for_each(|(w, &side)| mu[w.index()] = side);
         let (factors, c): (Vec<_>, Vec<_>) = jobs.into_iter().map(|(a, b, c)| ((a, b), c)).unzip();
         let mut exchange = ChunkExchange::new(master, gen, q, c, mu, t);
         exchange.jobs = factors.into_iter().enumerate().map(|(jx, (a, b))| JobCtx::new(a, b, jx)).collect();
         exchange
     });
     let (gen, wall) = (gen?, start.elapsed());
-    let chunk_side = mu.iter().copied().max().unwrap_or(0);
+    let chunk_side = sides.iter().copied().max().unwrap_or(0);
     let outcomes = port
         .c
         .into_iter()
@@ -657,9 +661,10 @@ pub(crate) fn run_products(
     Ok((gen, outcomes))
 }
 
-/// Algorithm 1 (the master side of HoLM / ORROML) over workers
-/// `0..enrolled` with chunk side `mu`: [`Schedule::algorithm1`] for the
-/// jobs' common shape, run by [`run_products`].
+/// Algorithm 1 (the master side of HoLM / ORROML) over `enrolled` slots
+/// with chunk side `mu`: [`Schedule::algorithm1_on`] for the jobs' common
+/// shape, over whichever workers the ledger places the slots on, run by
+/// [`run_products`].
 pub(crate) fn holm_on(
     session: &RuntimeSession,
     jobs: Vec<Product<'_>>,
@@ -668,8 +673,9 @@ pub(crate) fn holm_on(
 ) -> Result<(u32, Vec<RunOutcome>), RuntimeError> {
     let (a, b, _) = &jobs[0];
     let problem = mwp_blockmat::Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q());
-    let schedule = Schedule::algorithm1(&problem, mu, enrolled, jobs.len());
-    run_products(session, jobs, schedule, &vec![mu; enrolled], enrolled)
+    let fused = jobs.len();
+    let schedule = |workers: &[WorkerId]| Schedule::algorithm1_on(&problem, mu, workers, fused);
+    run_products(session, jobs, &vec![mu; enrolled], schedule, enrolled)
 }
 
 /// Execute `C ← C + A·B` on a **heterogeneous** platform with the
@@ -742,8 +748,9 @@ pub(crate) fn heterogeneous_on(
     let problem = mwp_blockmat::Partition::from_blocks(a.rows(), b.cols(), a.cols(), a.q());
     let schedule = Schedule::two_phase(platform, &mu, rule, &problem);
     let workers_used = schedule.workers().len();
+    // A run over the whole fleet: the ledger puts slot `i` on worker `i`.
     let (_, mut outcomes) =
-        run_products(session, vec![(a, b, c)], schedule, &mu, workers_used)?;
+        run_products(session, vec![(a, b, c)], &mu, |_| schedule, workers_used)?;
     Ok(outcomes.pop().expect("one outcome per job"))
 }
 
@@ -1391,7 +1398,7 @@ mod tests {
             assert!(fleet.master().try_send(WorkerId(0), frame, 1).is_some(), "{what}");
             let reply = fleet.master().recv_deadline(WorkerId(0), epoch.generation(), 1);
             assert_eq!(reply.is_some(), answered, "{what}: a reply");
-            fleet.abort_run(1, epoch);
+            fleet.abort_run_on(&[WorkerId(0)], epoch);
             assert_eq!(session.shutdown(), 1, "{what}: the worker thread must return, not unwind");
         }
     }
@@ -1433,7 +1440,7 @@ mod tests {
             if let Some((row, _)) = reply {
                 assert_eq!(row.tag, Tag::new(FrameKind::CResult, 0, 0), "{what}: the chunk's first row");
             }
-            fleet.abort_run(1, epoch);
+            fleet.abort_run_on(&[WorkerId(0)], epoch);
             assert_eq!(session.shutdown(), 1, "{what}: the worker thread must return, not unwind");
         }
     }

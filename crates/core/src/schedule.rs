@@ -164,11 +164,17 @@ impl Schedule {
     /// would use — jobs concatenated in order, dealt in
     /// [`Schedule::rounds`] over workers `0..enrolled`.
     pub fn algorithm1(problem: &Partition, mu: usize, enrolled: usize, jobs: usize) -> Schedule {
-        let tiles = algorithm1_order(problem, mu, enrolled);
+        let workers: Vec<WorkerId> = (0..enrolled).map(WorkerId).collect();
+        Schedule::algorithm1_on(problem, mu, &workers, jobs)
+    }
+
+    /// [`Schedule::algorithm1`] with its slots on `workers`: the same
+    /// chunks in the same rounds, slot `n` on `workers[n]`.
+    pub(crate) fn algorithm1_on(problem: &Partition, mu: usize, workers: &[WorkerId], jobs: usize) -> Schedule {
+        let tiles = algorithm1_order(problem, mu, workers.len());
         let chunks: Vec<(usize, Chunk)> =
             (0..jobs).flat_map(|job| tiles.iter().map(move |&ch| (job, ch))).collect();
-        let workers: Vec<WorkerId> = (0..enrolled).map(WorkerId).collect();
-        Schedule::rounds(&chunks, &workers, problem.t)
+        Schedule::rounds(&chunks, workers, problem.t)
     }
 
     /// The two-phase heterogeneous scheme of Section 6.2 for one product

@@ -6,20 +6,23 @@
 //! (the `inflight` argument of [`MatrixServer::with_options`]) drains the
 //! queue by running each job — or each fused batch of compatible jobs —
 //! as its own **interleaved run generation** on the shared session
-//! ([`Session::begin_run`][msg-begin-run]), through the same schedule
+//! ([`Session::begin_run_on`][msg-begin-run]), through the same schedule
 //! generator and master executor a solo [`RuntimeSession::run_holm`] uses
 //! (`crate::runtime::holm_on`). In-flight runs share the same links, and
 //! the master demultiplexes replies per generation by the wire header's
 //! `run` field.
 //!
-//! **Admission** is the session's, as for every run: a HoLM plan for the
-//! job's shape fixes its chunk side µ and its enrolled workers, and the
-//! dispatcher parks in the session's memory ledger until the
-//! `MaxReuseOverlapped` footprint `µ² + 4µ` fits beside the open runs' on
-//! each of them (see [`crate::session`]). The worker-side memory assertion
-//! (`crate::runtime::serve_run`) independently checks the same invariant
-//! summed over its open generations, so an admission bug fails loudly
-//! instead of silently overcommitting.
+//! **Admission and placement** are the session's, as for every run: a
+//! HoLM plan for the job's shape fixes its chunk side µ and how many
+//! workers it enrolls, and the session's memory ledger picks *which*:
+//! fewer than the whole homogeneous fleet go to the live workers holding
+//! the fewest blocks (see [`crate::session`]). The dispatcher parks there
+//! only while even those cannot fit the `MaxReuseOverlapped` footprint
+//! `µ² + 4µ` beside the open runs'. So one-worker jobs from several
+//! dispatchers run side by side on different workers. The worker-side
+//! memory assertion (`crate::runtime::serve_run`) independently checks
+//! the same invariant summed over its open generations, so an admission
+//! or placement bug fails loudly instead of silently overcommitting.
 //!
 //! **Batching tier** (the `batch` argument of
 //! [`MatrixServer::with_options`]): small-`q` runs are
@@ -36,7 +39,7 @@
 //! **bit-identical** to running every job alone — the cross-validation
 //! suites assert this.
 //!
-//! [msg-begin-run]: mwp_msg::session::Session::begin_run
+//! [msg-begin-run]: mwp_msg::session::Session::begin_run_on
 
 use crate::runtime::{holm_on, plan_holm, validate_product_shapes, RunOutcome, RuntimeError};
 use crate::session::RuntimeSession;

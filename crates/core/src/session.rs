@@ -44,15 +44,23 @@
 //! (`mwp_lu::runtime::factor`) run on it too, through
 //! [`RuntimeSession::execute`].
 //!
-//! **Admission.** Worker `i` holds at most `m_i` blocks (§2), and a run
-//! whose chunk side there is `µ_i` keeps at most the `µ_i² + 4µ_i` blocks
-//! of its layout on it (§5). The ledger counts, per worker, the blocks of
-//! every open run, and a run opens only once its own fit beside them —
-//! or once no run is open at all. Runs whose footprints fill `m` take
-//! turns; smaller ones overlap, and the worker program keeps state per
-//! run generation. Products, heterogeneous runs, LU factorizations and
-//! the serving tier's batches all reserve this way, in
-//! [`RuntimeSession::execute`].
+//! **Admission and placement.** Worker `i` holds at most `m_i` blocks
+//! (§2), and a run whose chunk side there is `µ_i` keeps at most the
+//! `µ_i² + 4µ_i` blocks of its layout on it (§5). The ledger counts, per
+//! worker, the blocks of every open run, and it places each run as it
+//! admits it, in one step under its lock. A run names its chunk sides
+//! per *slot*. On a homogeneous fleet, a run of fewer slots than the
+//! fleet has workers — a HoLM plan after §5's selection — may run on any
+//! of them, so its slots go to the live workers that hold the fewest
+//! blocks, lowest id first on a tie. Every other run (LU, heterogeneous,
+//! ORROML) puts slot `i` on worker `i`. A run opens only once its
+//! footprint fits beside the open runs' on the workers it was placed on —
+//! or once no run is open at all. So a solo run on an idle fleet runs on
+//! workers `0..n`; one-worker runs arriving together spread over the
+//! fleet; runs whose footprints fill `m` everywhere take turns; smaller
+//! ones overlap, and the worker program keeps state per run generation.
+//! Products, heterogeneous runs, LU factorizations and the serving tier's
+//! batches all reserve this way, in [`RuntimeSession::execute`].
 
 use crate::runtime::{
     execute, heterogeneous_on, holm_on, plan_holm, program, Port, RunOutcome, RuntimeError,
@@ -64,7 +72,7 @@ use mwp_blockmat::BlockMatrix;
 use mwp_msg::config::Config;
 use mwp_msg::session::Session;
 use mwp_msg::{MasterEndpoint, TransportListener, TransportMode};
-use mwp_platform::Platform;
+use mwp_platform::{Platform, WorkerId};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A persistent worker pool serving the paper's matrix-product runtimes.
@@ -81,13 +89,16 @@ pub struct RuntimeSession {
 /// run finished, aborted, failed or unwound.
 pub(crate) struct Reservation<'s> {
     session: &'s RuntimeSession,
+    /// The worker of each slot, ascending.
+    workers: Vec<WorkerId>,
+    /// The blocks each slot keeps on its worker.
     blocks: Vec<usize>,
 }
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         let mut reserved = self.session.ledger();
-        reserved.iter_mut().zip(&self.blocks).for_each(|(held, blocks)| *held -= blocks);
+        self.workers.iter().zip(&self.blocks).for_each(|(w, blocks)| reserved[w.index()] -= blocks);
         self.session.released.notify_all();
     }
 }
@@ -204,44 +215,62 @@ impl RuntimeSession {
         self.run_solo(a, b, c, false)
     }
 
-    /// `ops` walked by the master executor as one run of block side `q`
-    /// over workers `0..sides.len()`, through the [`Port`] `open` builds
-    /// for the run's generation, once the memory ledger admits chunks of
-    /// side `sides[i]` on each worker `i` (see the module docs): how
-    /// every run of this fleet opens — the `run_*` methods' and, from
-    /// outside this crate, LU's factorization.
+    /// One run of block side `q` whose slot `n` holds chunks of side
+    /// `sides[n]`. The memory ledger places and admits it (see the module
+    /// docs); `ops` then lays the run's port ops out over the placed
+    /// workers — one per slot, ascending — and the master executor walks
+    /// them through the [`Port`] `open` builds for the run's generation
+    /// and workers. Every run of this fleet opens here: the `run_*`
+    /// methods' and, from outside this crate, LU's factorization.
     pub fn execute<'s, P: Port>(
         &'s self,
         sides: &[usize],
         q: usize,
-        ops: Vec<P::Op>,
-        open: impl FnOnce(&'s MasterEndpoint, u32) -> P,
+        ops: impl FnOnce(&[WorkerId]) -> Vec<P::Op>,
+        open: impl FnOnce(&'s MasterEndpoint, u32, &[WorkerId]) -> P,
     ) -> (P, Result<u32, RuntimeError>) {
-        let _reservation = self.reserve(sides);
-        execute(&self.inner, sides.len(), q, ops, open)
+        let reservation = self.reserve(sides);
+        let workers = &reservation.workers;
+        execute(&self.inner, workers, q, ops(workers), |master, gen| open(master, gen, workers))
     }
 
-    /// Park until chunks of side `sides[i]` fit on each worker `i` beside
-    /// every open run's — each takes its layout's `µ² + 4µ` blocks of the
-    /// worker's memory `m_i` — or until no run is open, then hold them
-    /// until the returned reservation drops.
+    /// Place a run with chunks of side `sides[slot]` and reserve them —
+    /// each takes its layout's `µ² + 4µ` blocks of its worker's memory
+    /// `m` — in one step under the ledger's lock, parking while they do
+    /// not fit beside every open run's and some run is open; held until
+    /// the returned reservation drops. The placement is the module docs':
+    /// an interchangeable run takes the live workers holding the fewest
+    /// blocks (a dead one only when too few live), any other run slot `i`
+    /// on worker `i`.
     pub(crate) fn reserve(&self, sides: &[usize]) -> Reservation<'_> {
         let blocks: Vec<usize> =
             sides.iter().map(|&side| MemoryLayout::MaxReuseOverlapped.buffers_used(side)).collect();
-        let workers = self.platform().map_or(&[][..], Platform::workers);
+        let fleet = self.platform().map_or(&[][..], Platform::workers);
+        let interchangeable =
+            self.platform().is_some_and(Platform::is_homogeneous) && blocks.len() < fleet.len();
+        let slots = blocks.len().max(fleet.len());
         let mut reserved = self.ledger();
-        if reserved.len() < blocks.len() {
-            reserved.resize(blocks.len(), 0);
+        if reserved.len() < slots {
+            reserved.resize(slots, 0);
         }
-        let mut reserved = self
-            .released
-            .wait_while(reserved, |reserved| {
-                reserved.iter().any(|&held| held > 0)
-                    && reserved.iter().zip(&blocks).zip(workers).any(|((held, b), w)| held + b > w.m)
-            })
-            .unwrap_or_else(PoisonError::into_inner);
-        reserved.iter_mut().zip(&blocks).for_each(|(held, b)| *held += b);
-        Reservation { session: self, blocks }
+        loop {
+            let mut workers: Vec<WorkerId> = (0..slots).map(WorkerId).collect();
+            if interchangeable {
+                // Live first, then the least held; the sort is stable, so a
+                // tie keeps the lower id first.
+                workers.sort_by_key(|&w| (self.inner.master().is_dead(w), reserved[w.index()]));
+            }
+            workers.truncate(blocks.len());
+            workers.sort_unstable();
+            let fits = workers.iter().zip(&blocks).all(|(w, b)| {
+                fleet.get(w.index()).is_none_or(|params| reserved[w.index()] + b <= params.m)
+            });
+            if fits || reserved.iter().all(|&held| held == 0) {
+                workers.iter().zip(&blocks).for_each(|(w, b)| reserved[w.index()] += b);
+                return Reservation { session: self, workers, blocks };
+            }
+            reserved = self.released.wait(reserved).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// The ledger. Its updates cannot panic halfway, so a poisoned lock
@@ -626,6 +655,26 @@ mod tests {
         session.set_run_deadline(None);
         let (session, out) = fill(session);
         assert_eq!(out.unwrap().c.max_abs_diff(&serial), 0.0, "after RunAborted");
+        assert_eq!(session.dead_workers(), 1);
+        assert_eq!(session.shutdown(), 2);
+    }
+
+    #[test]
+    fn a_dead_worker_leaves_one_worker_runs_to_the_live_one() {
+        // Worker 0 answers its collect with a short row. On the idle fleet
+        // a one-worker run goes to worker 0, which condemns it and ends in
+        // `EmptyFleet`; the ledger places the next one-worker run on live
+        // worker 1, where it completes.
+        let platform = Platform::homogeneous(2, 4.0, 1.0, 60).unwrap();
+        let session = fleet_with_rogues(&platform, |id| id == WorkerId(0), SHORT_ROW);
+        let q = 4;
+        let (a, b, c0) = (random_matrix(6, 3, q, 94), random_matrix(3, 6, q, 95), random_matrix(6, 6, q, 96));
+        let mut serial = c0.clone();
+        gemm_serial(&mut serial, &a, &b);
+        assert_eq!(session.run_holm(&a, &b, c0.clone()).unwrap_err(), RuntimeError::EmptyFleet);
+        let out = session.run_holm(&a, &b, c0).unwrap();
+        assert_eq!(out.workers_used, 1);
+        assert_eq!(out.c.max_abs_diff(&serial), 0.0);
         assert_eq!(session.dead_workers(), 1);
         assert_eq!(session.shutdown(), 2);
     }

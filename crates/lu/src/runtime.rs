@@ -150,9 +150,10 @@ pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunO
         let wall = start.elapsed();
         return LuRunOutcome { packed, wall, messages: 0, blocks_moved: 0, workers_used, aborted: true };
     }
-    let (ops, q) = (lu_schedule(matrix.rows(), mu, &sides), matrix.q());
-    let (mut port, done) = fleet.execute(&sides, q, ops, |master, gen| LuPort {
-        chunks: ChunkExchange::new(master, gen, q, vec![Dense::from_blocks(matrix)], &sides, mu),
+    // A run over the whole fleet: the ledger puts slot `i` on worker `i`.
+    let (ops, q) = (|_: &[WorkerId]| lu_schedule(matrix.rows(), mu, &sides), matrix.q());
+    let (mut port, done) = fleet.execute(&sides, q, ops, |master, gen, _| LuPort {
+        chunks: ChunkExchange::new(master, gen, q, vec![Dense::from_blocks(matrix)], sides.to_vec(), mu),
         master,
         sides: &sides,
         mu,

@@ -290,7 +290,7 @@ impl MasterEndpoint {
     }
 
     /// Register a live run generation on every link (see
-    /// [`crate::session::Session::begin_run`]): its data frames are
+    /// [`crate::session::Session::begin_run_on`]): its data frames are
     /// admitted concurrently with any other live generation.
     pub(crate) fn register_run(&self, run: u32) {
         for link in &self.links {

@@ -25,14 +25,15 @@
 //! * [`Session`] — a persistent worker pool over the star: worker threads
 //!   spawn once and park on blocking receives between
 //!   `RUN_BEGIN`/`RUN_END` delimited runs. There is one run protocol:
-//!   `Session::begin_run` draws a **run generation**, registers it on
-//!   every link and stamps the lifecycle frames with it; the run's driver
-//!   stamps every frame it sends and scopes every receive
-//!   ([`MasterEndpoint::recv_deadline`]) to that generation, so any
-//!   number of runs share one session's links, each link filing replies
-//!   per generation. Whether runs *may* overlap is the caller's business
-//!   (worker memory, a one-run worker program): the layers above admit
-//!   them, not this crate,
+//!   `Session::begin_run_on` draws a **run generation**, registers it on
+//!   every link and stamps the lifecycle frames it sends the run's
+//!   workers with it; the run's driver stamps every frame it sends and
+//!   scopes every receive ([`MasterEndpoint::recv_deadline`]) to that
+//!   generation, so any number of runs share one session's links, each
+//!   link filing replies per generation. Whether runs *may* overlap, and
+//!   on which workers, is the caller's business (worker memory, a one-run
+//!   worker program): the layers above admit and place them, not this
+//!   crate,
 //! * [`sched`] — the multi-job serving tier: a
 //!   [`sched::JobScheduler`] queues jobs from many caller threads and
 //!   dispatches each as its own interleaved run on one shared session,

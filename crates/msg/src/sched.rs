@@ -10,7 +10,7 @@
 //!   dispatcher executes one job — or one fused **batch** of compatible
 //!   jobs — at a time via the caller-supplied [`JobExecutor`], which runs
 //!   it as its own interleaved run generation on the shared session (see
-//!   [`crate::session::Session::begin_run`]).
+//!   [`crate::session::Session::begin_run_on`]).
 //! * [`JobHandle`] — the submitter's receipt: park on
 //!   [`JobHandle::wait`] until the job's result and [`JobReport`] come
 //!   back.

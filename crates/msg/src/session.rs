@@ -55,17 +55,18 @@ pub enum RunExit {
     Terminate,
 }
 
-/// Receipt for an open run (see [`Session::begin_run`]): the run is
+/// Receipt for an open run (see [`Session::begin_run_on`]): the run is
 /// identified purely by its generation — several may be in flight on one
-/// session at once. Pass it back to [`Session::finish_run`] or
-/// [`Session::abort_run`] to retire the generation.
-#[must_use = "pass the epoch back to finish_run/abort_run to retire its generation"]
+/// session at once. Pass it back to [`Session::finish_run_on`] or
+/// [`Session::abort_run_on`], with the run's workers, to retire the
+/// generation.
+#[must_use = "pass the epoch back to finish_run_on/abort_run_on to retire its generation"]
 #[derive(Debug)]
 pub struct RunEpoch {
     /// The generation this run stamps its frames with.
     run: u32,
     /// Trace time of the `RUN_BEGIN` (recorded only while tracing is on):
-    /// `finish_run`/`abort_run` close the lifecycle span against it.
+    /// `finish_run_on`/`abort_run_on` close the lifecycle span against it.
     begun: Option<SimTime>,
 }
 
@@ -119,6 +120,11 @@ fn trace_run_close(run: u32, begun: Option<SimTime>, label: &'static str) {
     record::flush();
 }
 
+/// Workers `0..n`: the set the count forms of the run lifecycle name.
+fn first(n: usize) -> Vec<WorkerId> {
+    (0..n).map(WorkerId).collect()
+}
+
 /// A star network whose worker threads are spawned once and reused for an
 /// unbounded sequence of runs, any number of them open at once.
 pub struct Session {
@@ -149,7 +155,7 @@ pub struct Session {
     /// is what [`Session::set_run_deadline`] changes.
     config: Config,
     /// The **run generation**: a per-session monotonically increasing
-    /// counter, bumped by every [`Session::begin_run`]. The drawn value is
+    /// counter, bumped by every [`Session::begin_run_on`]. The drawn value is
     /// registered at every link for the duration of its run, stamped into
     /// each of the run's frames, and checked on receive — a data frame
     /// of a generation no open run owns is structurally rejected,
@@ -547,9 +553,9 @@ impl Session {
         self.master.workers()
     }
 
-    /// Open a run on workers `0..enrolled`, waking each from its parked
-    /// receive with a `RUN_BEGIN` frame carrying `param`. Workers outside
-    /// the enrollment stay parked and cost nothing.
+    /// Open a run on `workers`, waking each from its parked receive with a
+    /// `RUN_BEGIN` frame carrying `param`. Workers outside the set stay
+    /// parked and cost nothing.
     ///
     /// The run is identified by a freshly drawn generation, registered at
     /// every link alongside any other open run's, so several runs may
@@ -558,59 +564,69 @@ impl Session {
     /// ([`MasterEndpoint::recv_deadline`]). The caller contract: every
     /// frame the run's driver sends is stamped with
     /// [`RunEpoch::generation`], its receives are scoped to that
-    /// generation, and a worker program that may see overlapping runs
-    /// tracks state per generation and replies via
-    /// [`WorkerEndpoint::send_in`]. How many runs may be open at once is
-    /// the caller's to decide (the workers' memory bounds it); this layer
-    /// sets no limit.
+    /// generation, it closes the run on the same `workers`, and a worker
+    /// program that may see overlapping runs tracks state per generation
+    /// and replies via [`WorkerEndpoint::send_in`]. How many runs may be
+    /// open at once, and on which workers, is the caller's to decide (the
+    /// workers' memory bounds it); this layer sets no limit.
     ///
     /// Lifecycle frames are sent best-effort: a worker that already died
     /// (it panicked mid-previous-run) must surface as the data path's
     /// "worker died" receive failure — or as the worker's own panic at
     /// join time — not as an unrelated send panic here.
-    pub fn begin_run(&self, enrolled: usize, param: u32) -> RunEpoch {
+    pub fn begin_run_on(&self, workers: &[WorkerId], param: u32) -> RunEpoch {
         let run = self.next_run_gen();
         // Register before the RUN_BEGIN goes out: the begin frame itself
         // carries the generation (that is how workers learn it), and the
         // first replies may race the registration otherwise.
         self.master.register_run(run);
         let begun = trace_run_begin(run);
-        self.send_lifecycle(enrolled, run, run_begin_frame(param));
+        self.send_lifecycle(workers, run, run_begin_frame(param));
         RunEpoch { run, begun }
     }
 
-    /// Close the run opened by the matching [`Session::begin_run`]: sends
-    /// `RUN_END` (stamped with the run's generation) to the enrolled
-    /// workers, best-effort like [`Session::begin_run`], then retires the
-    /// generation — its data frames are stale again, and anything still
-    /// in its queues is dropped and counted as rejected.
-    pub fn finish_run(&self, enrolled: usize, epoch: RunEpoch) {
-        self.close_run(enrolled, epoch, run_end_frame(), "RUN_END")
+    /// Close the run opened by the matching [`Session::begin_run_on`]:
+    /// sends `RUN_END` (stamped with the run's generation) to its
+    /// `workers`, best-effort like [`Session::begin_run_on`], then retires
+    /// the generation — its data frames are stale again, and anything
+    /// still in its queues is dropped and counted as rejected.
+    pub fn finish_run_on(&self, workers: &[WorkerId], epoch: RunEpoch) {
+        self.close_run(workers, epoch, run_end_frame(), "RUN_END")
     }
 
-    /// Abort the run opened by the matching [`Session::begin_run`]: each
-    /// enrolled worker gets a `RUN_ABORT` control frame — which, FIFO
+    /// Abort the run opened by the matching [`Session::begin_run_on`]: each
+    /// of its `workers` gets a `RUN_ABORT` control frame — which, FIFO
     /// order being per-link, is the last frame of the aborted run it
     /// sees, so it discards that generation's state, keeps its scratch
     /// (and any other open run) intact, and parks once nothing is open.
     /// Frames the workers had already sent back are left un-received;
     /// they carry the retired generation, so every later receive
     /// structurally rejects them.
-    pub fn abort_run(&self, enrolled: usize, epoch: RunEpoch) {
-        self.close_run(enrolled, epoch, run_abort_frame(), "RUN_ABORT")
+    pub fn abort_run_on(&self, workers: &[WorkerId], epoch: RunEpoch) {
+        self.close_run(workers, epoch, run_abort_frame(), "RUN_ABORT")
     }
 
-    fn close_run(&self, enrolled: usize, epoch: RunEpoch, frame: Frame, label: &'static str) {
-        self.send_lifecycle(enrolled, epoch.run, frame);
+    /// [`Session::begin_run_on`] workers `0..enrolled`.
+    pub fn begin_run(&self, enrolled: usize, param: u32) -> RunEpoch {
+        self.begin_run_on(&first(enrolled), param)
+    }
+
+    /// [`Session::finish_run_on`] workers `0..enrolled`.
+    pub fn finish_run(&self, enrolled: usize, epoch: RunEpoch) {
+        self.finish_run_on(&first(enrolled), epoch)
+    }
+
+    fn close_run(&self, workers: &[WorkerId], epoch: RunEpoch, frame: Frame, label: &'static str) {
+        self.send_lifecycle(workers, epoch.run, frame);
         self.master.deregister_run(epoch.run);
         trace_run_close(epoch.run, epoch.begun, label);
     }
 
-    /// Send workers `0..enrolled` a copy of `frame` stamped with `run`.
-    fn send_lifecycle(&self, enrolled: usize, run: u32, mut frame: Frame) {
+    /// Send each of `workers` a copy of `frame` stamped with `run`.
+    fn send_lifecycle(&self, workers: &[WorkerId], run: u32, mut frame: Frame) {
         frame.run = run;
-        for idx in 0..enrolled {
-            self.master.send_lossy(WorkerId(idx), frame.clone());
+        for &worker in workers {
+            self.master.send_lossy(worker, frame.clone());
         }
     }
 
@@ -846,7 +862,7 @@ mod tests {
         // reply is left in flight, stamped with generation 1.
         let epoch = session.begin_run(1, 1);
         send_in(&session, &epoch, 0, FrameKind::BlockA, 0);
-        session.abort_run(1, epoch);
+        session.abort_run_on(&[WorkerId(0)], epoch);
 
         // Run 2 on the same session: the leftover generation-1 reply must
         // never surface; the run's own traffic flows normally.
@@ -874,6 +890,37 @@ mod tests {
         assert_eq!(sent + received, 2.0);
         // Workers 1 and 2 never saw a frame; shutdown still joins all 3.
         assert_eq!(session.shutdown(), 3);
+    }
+
+    #[test]
+    fn lifecycle_frames_reach_only_the_runs_workers() {
+        // Every worker logs each wake and each orderly end with the run's
+        // parameter: a run on worker 1 alone wakes and ends worker 1 only,
+        // and the count form still opens the next run on both.
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let platform = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
+        let session = Session::spawn(&platform, 0.0, |id, _| {
+            let log = std::sync::Arc::clone(&log);
+            move |param: u32, ep: &WorkerEndpoint| {
+                log.lock().unwrap().push((id, RUN_BEGIN, param));
+                let exit = echo_program(param, ep);
+                if exit == RunExit::Completed {
+                    log.lock().unwrap().push((id, RUN_END, param));
+                }
+                exit
+            }
+        });
+        let alone = [WorkerId(1)];
+        let epoch = session.begin_run_on(&alone, 7);
+        send_in(&session, &epoch, 1, FrameKind::BlockA, 3);
+        assert_eq!(recv_in(&session, &epoch, 1).0.tag.j, 7);
+        session.finish_run_on(&alone, epoch);
+        assert_eq!(echo_round(&session, 2, 8), 4, "both workers serve the next run");
+        assert_eq!(session.shutdown(), 2);
+        let log = log.lock().unwrap();
+        let seen = |w| log.iter().filter(|e| e.0 == WorkerId(w)).map(|e| (e.1, e.2)).collect::<Vec<_>>();
+        assert_eq!(seen(0), [(RUN_BEGIN, 8), (RUN_END, 8)], "worker 0 parked through run 7");
+        assert_eq!(seen(1), [(RUN_BEGIN, 7), (RUN_END, 7), (RUN_BEGIN, 8), (RUN_END, 8)]);
     }
 
     #[test]
@@ -1186,7 +1233,7 @@ mod tests {
 
         // Run A sends a frame whose echo is never collected, then aborts.
         send_in(&session, &run_a, 0, FrameKind::BlockA, 1);
-        session.abort_run(1, run_a);
+        session.abort_run_on(&[WorkerId(0)], run_a);
 
         // Run B is untouched: its exchange completes bit-for-bit.
         send_in(&session, &run_b, 0, FrameKind::BlockA, 2);

@@ -1,7 +1,9 @@
 //! One session admits every run against its workers' memory: a run keeps
-//! its chunks' `µ² + 4µ` blocks on each worker it enrolls, and opens as
-//! soon as they fit beside the blocks of the runs already open. Runs that
-//! fit overlap; the `Run` spans a [`Capture`] records show it.
+//! its chunks' `µ² + 4µ` blocks on each worker it is placed on, and opens
+//! as soon as they fit beside the blocks of the runs already open. A run
+//! that needs fewer workers than the fleet has goes to the ones holding
+//! the fewest blocks. Runs that fit overlap; the `Run` spans a
+//! [`Capture`] records show it.
 //!
 //! Captures are process-global, so the tests take turns on [`CAPTURE`].
 
@@ -11,7 +13,8 @@ use mwp_core::session::RuntimeSession;
 use mwp_lu::runtime::factor;
 use mwp_platform::Platform;
 use mwp_trace::record::Capture;
-use mwp_trace::{ActivityKind, Trace};
+use mwp_trace::{ActivityKind, Resource, Trace};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -110,4 +113,68 @@ fn a_factorization_and_a_product_run_at_once() {
     assert_eq!(most_runs_open(&trace), 2, "the factorization and a product overlap");
     assert_eq!(session.dead_workers(), 0);
     assert_eq!(session.shutdown(), 2);
+}
+
+#[test]
+fn one_worker_runs_overlap_up_to_the_fleet_never_past_m() {
+    let _turn = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
+    // Each 6 × 12 product is µ = 6 on one worker, a 60-block footprint
+    // that fills the worker's m. Three arrive at once: the ledger places
+    // two of them on the two workers, and the third waits for one to end.
+    // Placed beside another, it would hold two chunks on one worker and
+    // trip that worker's `resident ≤ m` assert, which `shutdown`
+    // re-raises. Paced links keep each run open while the others arrive.
+    let platform = Platform::homogeneous(2, 4.0, 1.0, 60).unwrap();
+    let session = RuntimeSession::new(&platform, 5e-5);
+    let jobs: Vec<_> = (0..3u64)
+        .map(|j| {
+            let (a, b) = (random_matrix(6, 5, 8, 900 + j), random_matrix(5, 12, 8, 910 + j));
+            let c0 = random_matrix(6, 12, 8, 920 + j);
+            let solo = session.run_holm(&a, &b, c0.clone()).unwrap();
+            assert_eq!((solo.workers_used, solo.chunk_side), (1, 6), "the run this test is sized for");
+            (a, b, c0, solo.c)
+        })
+        .collect();
+    let start = Barrier::new(jobs.len());
+    let capture = Capture::begin();
+    std::thread::scope(|scope| {
+        for (a, b, c0, solo) in &jobs {
+            let (session, start) = (&session, &start);
+            scope.spawn(move || {
+                start.wait();
+                let out = session.run_holm(a, b, c0.clone()).unwrap();
+                assert_eq!(out.c.max_abs_diff(solo), 0.0, "concurrent vs solo");
+            });
+        }
+    });
+    let trace = capture.end();
+    assert_eq!(most_runs_open(&trace), 2, "one run per worker at a time");
+    assert_eq!(session.dead_workers(), 0);
+    assert_eq!(session.shutdown(), 2);
+}
+
+#[test]
+fn a_solo_run_on_an_idle_fleet_runs_on_the_first_workers() {
+    let _turn = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
+    // Alone on an idle fleet, a run's P slots are workers 0..P, as
+    // Algorithm 1 numbers them: the exact counts and the wire-order
+    // digests rest on this. Both runs here enroll fewer than the four
+    // workers, so the ledger had a choice.
+    let platform = Platform::homogeneous(4, 1.0, 1.0, 60).unwrap();
+    let session = RuntimeSession::new(&platform, 0.0);
+    for (r, t, s) in [(1, 1, 1), (12, 2, 12)] {
+        let (a, b, c0) = (random_matrix(r, t, 4, 70), random_matrix(t, s, 4, 71), random_matrix(r, s, 4, 72));
+        let capture = Capture::begin();
+        let out = session.run_holm(&a, &b, c0).unwrap();
+        let trace = capture.end();
+        assert!(out.workers_used < platform.len(), "{r} × {s}: enrolls {} of 4", out.workers_used);
+        let peers: BTreeSet<usize> = trace
+            .activities
+            .iter()
+            .filter(|span| span.kind == ActivityKind::Send && span.resource == Resource::MasterPort)
+            .map(|span| span.peer.index())
+            .collect();
+        assert_eq!(peers, (0..out.workers_used).collect(), "{r} × {s}: sends go to workers 0..P");
+    }
+    assert_eq!(session.shutdown(), 4);
 }
