@@ -19,9 +19,8 @@
 //! | `MWP_HEARTBEAT_MS`, `MWP_DEADLINE_MS` | [`Config::liveness`] |
 //! | `MWP_RUN_DEADLINE_MS` | [`Config::run_deadline`] |
 //! | `MWP_FLEET_SECRET` | [`Config::fleet_secret`] |
-//! | `MWP_FAULT` | [`Config::fault`] |
 
-use crate::transport::{FaultAction, FaultSpec, TransportMode};
+use crate::transport::TransportMode;
 use std::time::Duration;
 
 /// What a fleet member is told about its deployment.
@@ -29,11 +28,14 @@ use std::time::Duration;
 pub struct Config {
     /// The liveness layer's `(heartbeat, deadline)`, `None` when off.
     ///
-    /// When on, socket links carry [`crate::Frame::heartbeat`] probes
-    /// whenever a direction is idle for a heartbeat period, every socket
-    /// read runs under the deadline, and the failure-aware schedulers
-    /// treat a worker silent past the deadline as dead. The deadline must
-    /// exceed the heartbeat ([`Config::check`]).
+    /// When on, socket links carry [`crate::Frame::heartbeat`] probes:
+    /// the master sends one on a link it has had nothing else to send on
+    /// for a heartbeat period, while a worker sends one every period
+    /// whatever else it sends, so that a worker deep in a long kernel call
+    /// still shows traffic. Every socket read runs under the deadline, and
+    /// the failure-aware schedulers treat a worker silent past the
+    /// deadline as dead. The deadline must exceed the heartbeat
+    /// ([`Config::check`]).
     pub liveness: Option<(Duration, Duration)>,
     /// The master's whole-run wall-clock budget, `None` for no budget.
     /// When a run's master loop observes the budget exhausted it
@@ -47,20 +49,16 @@ pub struct Config {
     /// set a secret on every fleet member before exposing a listener
     /// beyond loopback.
     pub fleet_secret: Vec<u8>,
-    /// Deterministic fault injection on a worker's dial (chaos tests);
-    /// a master ignores it.
-    pub fault: Option<FaultSpec>,
 }
 
 impl Default for Config {
-    /// A heartbeat every second on idle socket links and a peer declared
-    /// dead after ten of silence, no run budget, no secret, no fault.
+    /// A heartbeat every second and a peer declared dead after ten of
+    /// silence, no run budget, no secret.
     fn default() -> Self {
         Config {
             liveness: Some((Duration::from_millis(1000), Duration::from_millis(10_000))),
             run_deadline: None,
             fleet_secret: Vec::new(),
-            fault: None,
         }
     }
 }
@@ -80,7 +78,6 @@ impl Config {
         let millis = |name: &str| {
             var(name).map_or(Ok(None), |v| parse_millis(&v)).map_err(|e| format!("{name}: {e}"))
         };
-        let fault = var("MWP_FAULT").map_or(Ok(None), |v| parse_fault_spec(&v));
         let ms = Duration::from_millis;
         let (heartbeat, deadline) = Config::default().liveness.expect("on by default");
         let heartbeat = millis("MWP_HEARTBEAT_MS")?.map_or(heartbeat, ms);
@@ -90,7 +87,6 @@ impl Config {
             liveness: on.then_some((heartbeat, deadline)),
             run_deadline: millis("MWP_RUN_DEADLINE_MS")?.filter(|&budget| budget != 0).map(ms),
             fleet_secret: var("MWP_FLEET_SECRET").map(String::into_bytes).unwrap_or_default(),
-            fault: fault.map_err(|e| format!("MWP_FAULT: {e}"))?,
         };
         config.check()?;
         Ok(config)
@@ -135,50 +131,6 @@ pub fn parse_millis(value: &str) -> Result<Option<u64>, String> {
         .map_err(|_| format!("'{value}' is not a whole number of milliseconds"))
 }
 
-/// Parse an `MWP_FAULT` value: empty means "no fault" (`None`);
-/// otherwise `kill:<n>`, `drop:<n>`, `delay:<n>:<ms>`, `truncate:<n>`,
-/// `corrupt:<n>`, or `stale:<n>`, where `<n>` is the number of outbound
-/// data frames that pass before the fault fires — or a bare `badhello` /
-/// `badauth` handshake fault, which fires at enrollment (there is no
-/// frame count to wait for: the handshake is the first exchange).
-/// Strict: anything else is an error naming the valid forms.
-pub fn parse_fault_spec(value: &str) -> Result<Option<FaultSpec>, String> {
-    let v = value.trim();
-    if v.is_empty() {
-        return Ok(None);
-    }
-    let bad = || {
-        format!(
-            "unknown fault '{value}' (valid: kill:<n>, drop:<n>, delay:<n>:<ms>, truncate:<n>, \
-             corrupt:<n>, stale:<n>, badhello, badauth)"
-        )
-    };
-    match v {
-        "badhello" => return Ok(Some(FaultSpec { action: FaultAction::BadHello, after: 0 })),
-        "badauth" => return Ok(Some(FaultSpec { action: FaultAction::BadAuth, after: 0 })),
-        _ => {}
-    }
-    let mut parts = v.split(':');
-    let action = parts.next().unwrap_or("");
-    let after: u64 = parts.next().and_then(|n| n.parse().ok()).ok_or_else(bad)?;
-    let spec = match (action, parts.next()) {
-        ("kill", None) => FaultSpec { action: FaultAction::Kill, after },
-        ("drop", None) => FaultSpec { action: FaultAction::Drop, after },
-        ("truncate", None) => FaultSpec { action: FaultAction::Truncate, after },
-        ("corrupt", None) => FaultSpec { action: FaultAction::Corrupt, after },
-        ("stale", None) => FaultSpec { action: FaultAction::Stale, after },
-        ("delay", Some(ms)) => {
-            let ms: u64 = ms.parse().map_err(|_| bad())?;
-            FaultSpec { action: FaultAction::Delay(Duration::from_millis(ms)), after }
-        }
-        _ => return Err(bad()),
-    };
-    if parts.next().is_some() {
-        return Err(bad());
-    }
-    Ok(Some(spec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,7 +144,7 @@ mod tests {
     fn every_variable_lands_in_its_field_and_unset_is_the_default() {
         assert_eq!(from(&[]), Ok(Config::default()));
         // Set-but-empty is "no override", as a CI matrix leaves variables.
-        let empty = ["MWP_HEARTBEAT_MS", "MWP_DEADLINE_MS", "MWP_RUN_DEADLINE_MS", "MWP_FAULT"];
+        let empty = ["MWP_HEARTBEAT_MS", "MWP_DEADLINE_MS", "MWP_RUN_DEADLINE_MS"];
         assert_eq!(from(&empty.map(|name| (name, ""))), Ok(Config::default()));
         let ms = Duration::from_millis;
         let config = from(&[
@@ -200,13 +152,11 @@ mod tests {
             ("MWP_DEADLINE_MS", " 600 "),
             ("MWP_RUN_DEADLINE_MS", "5"),
             ("MWP_FLEET_SECRET", "s3cret"),
-            ("MWP_FAULT", "delay:2:150"),
         ]);
         let expected = Config {
             liveness: Some((ms(100), ms(600))),
             run_deadline: Some(ms(5)),
             fleet_secret: b"s3cret".to_vec(),
-            fault: Some(FaultSpec { action: FaultAction::Delay(ms(150)), after: 2 }),
         };
         assert_eq!(config, Ok(expected));
         // Zero switches liveness, and the run budget, off.
@@ -223,10 +173,6 @@ mod tests {
                 let err = from(&[(name, bad)]).expect_err("must be rejected, not defaulted");
                 assert!(err.starts_with(name), "{name}={bad}: {err}");
             }
-        }
-        for bad in ["kill", "kill:x", "drop:1:2", "delay:1", "explode:1", "stale"] {
-            let err = from(&[("MWP_FAULT", bad)]).expect_err("a chaos leg must not run faultless");
-            assert!(err.starts_with("MWP_FAULT"), "{bad}: {err}");
         }
     }
 

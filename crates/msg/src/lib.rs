@@ -47,7 +47,9 @@
 //!   Enrollment is authenticated: an HMAC challenge/response over the
 //!   shared fleet secret ([`config::Config::fleet_secret`]) with protocol-version
 //!   negotiation and membership-epoch checks, so only fleet members of
-//!   the current generation get past the master's front door,
+//!   the current generation get past the master's front door. No fault
+//!   injection ships: the framing functions are public, and a test that
+//!   needs a misbehaving worker builds its own faulty stream on them,
 //! * [`config`] — a deployment's settings as one plain value,
 //!   [`config::Config`]: handed to the master's door
 //!   (`Session::accept_remote`) and the worker's dial

@@ -1347,6 +1347,48 @@ mod tests {
         worker.join().unwrap();
     }
 
+    /// A dialer that dies mid-handshake, on a thread: it reads the
+    /// master's challenge and closes, or first answers it with a valid
+    /// hello and closes before reading the welcome.
+    fn dies_mid_handshake(endpoint: &str, after_hello: bool) -> thread::JoinHandle<()> {
+        let mut stream = transport::connect(endpoint).unwrap();
+        thread::spawn(move || {
+            let challenge = stream.recv_frame_capped(transport::MAX_HANDSHAKE_WIRE_LEN);
+            let challenge = transport::parse_challenge(&challenge.unwrap().unwrap()).unwrap();
+            if after_hello {
+                let hello = transport::Hello {
+                    claimed: None,
+                    epoch: 0,
+                    nonce: [3; 16],
+                    fingerprint: b"dies-mid-handshake".to_vec(),
+                };
+                let hello = transport::hello_frame(&hello, &fleet().fleet_secret, &challenge);
+                stream.send_frame(&hello).unwrap();
+            }
+        })
+    }
+
+    #[test]
+    fn accept_remote_survives_a_peer_that_dies_mid_handshake() {
+        // A dialer that dies between the challenge and the welcome is a
+        // failed enrollment like any other: the door keeps accepting and
+        // the honest worker dialing next gets the slot.
+        let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
+        for after_hello in [false, true] {
+            let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+            let endpoint = listener.endpoint();
+            let dier = dies_mid_handshake(&endpoint, after_hello);
+            let honest = remote_worker(&endpoint, None, 0, b"honest");
+            let session = Session::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
+            assert_eq!(session.worker_fingerprints(), [b"honest".to_vec()], "after_hello: {after_hello}");
+            assert_eq!(echo_round(&session, 1, 7), 2);
+            assert_eq!(session.dead_workers(), 0);
+            drop(session);
+            dier.join().unwrap();
+            assert_eq!(honest.join().unwrap(), Ok(1));
+        }
+    }
+
     #[test]
     fn fingerprints_distinguish_worker_params() {
         let a = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();

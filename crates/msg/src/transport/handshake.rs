@@ -1,8 +1,8 @@
-//! The enrollment handshake: the challenge → hello → welcome exchange
-//! that turns a fresh connection into an authenticated link, on both the
-//! master side ([`master_enroll`]) and the worker side ([`enroll_with`]).
+//! The enrollment handshake: the challenge → hello → welcome exchange,
+//! closed by the worker's heartbeat, that turns a fresh connection into
+//! an authenticated link, on both the master side ([`master_enroll`]) and
+//! the worker side ([`enroll_with`]).
 
-use super::fault::FaultAction;
 use super::framing::{FrameStream, MAX_HANDSHAKE_WIRE_LEN};
 use super::remote_link::RemoteLink;
 use super::socket::{connect, retry_transient};
@@ -50,8 +50,11 @@ pub const CLAIM_ANY: u32 = u32::MAX;
 /// matrix-product program gained the `LuPanel` exchange and serves LU's
 /// trailing updates as its own chunk exchanges. A v4 `mwp-worker` would
 /// meet a `LuPanel` task its product program does not know mid-run, so it
-/// is refused at enrollment. v6 dropped the welcome's service byte.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// is refused at enrollment. v6 dropped the welcome's service byte. v7
+/// has the worker confirm the welcome with a heartbeat before the master
+/// attaches its link, so a peer that dies between its hello and the
+/// welcome fails enrollment instead of taking a slot.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).
@@ -437,7 +440,8 @@ pub(crate) struct EnrollTerms<'a> {
 /// The master side of enrollment, whole: challenge the fresh connection,
 /// vet its hello ([`master_read_hello`]), let `assign` — the caller's
 /// slot/fingerprint policy — name the worker's slot and `(c, w, m)` terms
-/// or refuse with a `REJECT_*` code and reason, send the welcome, swap the
+/// or refuse with a `REJECT_*` code and reason, send the welcome, await
+/// the worker's confirming heartbeat, swap the
 /// handshake read deadline for the liveness deadline, split the stream
 /// and bridge it into a [`RemoteLink`]. Returns the assigned slot, the
 /// fingerprint the hello presented, and the link.
@@ -465,6 +469,12 @@ pub(crate) fn master_enroll(
         epoch: terms.welcome_epoch,
     };
     stream.send_frame(&welcome_frame(&welcome, secret, &hello.nonce))?;
+    // The worker confirms with a heartbeat: a peer that died before
+    // reading the welcome fails here, not after taking a slot.
+    let confirm = expect_frame(stream.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN)?, "confirming")?;
+    if confirm.tag.kind != FrameKind::Heartbeat {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "the welcome was not confirmed"));
+    }
     // Enrolled: swap the handshake deadline for the liveness deadline (or
     // clear it entirely when liveness is off — session workers park on
     // blocking reads by design). This runs **before** `split()` so the
@@ -486,7 +496,7 @@ pub(crate) fn master_enroll(
 /// `claim` or asking for any slot, presenting `epoch` as the believed
 /// fleet generation — and build a socket-backed [`WorkerEndpoint`] from
 /// the returned welcome (whose own MAC is verified: mutual
-/// authentication). The endpoint
+/// authentication), once a heartbeat has confirmed it. The endpoint
 /// drives the exact same worker programs as the channel transport; see
 /// [`crate::session::serve_worker`] for the outer loop.
 ///
@@ -500,11 +510,10 @@ pub(crate) fn master_enroll(
 /// this worker is parked between runs, so only a dead or wedged master
 /// trips it; with liveness off the link blocks indefinitely.
 ///
-/// A handshake-stage [`Config::fault`] (`badhello`/`badauth`) is enacted
-/// here: the hello goes out as an unrelated frame, or with a corrupted
-/// MAC — chaos tests use this to exercise the master's rejection path
-/// with real processes. Data-plane faults are ignored here (they ride
-/// the stream [`connect`] built instead).
+/// `stream` may be any [`FrameStream`]: the worker binary's comes from
+/// [`connect`], and a test can hand in one of its own (the chaos tests'
+/// faulty stream is built on [`super::read_frame_from`] and
+/// [`super::write_frames_to`]).
 pub fn enroll_with(
     mut stream: Box<dyn FrameStream>,
     claim: Option<WorkerId>,
@@ -519,21 +528,7 @@ pub fn enroll_with(
         parse_challenge(&expect_frame(stream.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN)?, "challenge")?)?;
     let hello =
         Hello { claimed: claim, epoch, nonce: auth::fresh_nonce(), fingerprint: fingerprint.to_vec() };
-    let outbound = match config.fault.map(|f| f.action) {
-        // A peer that does not speak the protocol: any valid frame that
-        // is not a hello.
-        Some(FaultAction::BadHello) => Frame::shutdown(),
-        // A peer without the secret: a structurally perfect hello whose
-        // MAC is off by one bit.
-        Some(FaultAction::BadAuth) => {
-            let good = hello_frame(&hello, secret, &challenge);
-            let mut payload = good.payload.to_vec();
-            payload[HELLO_MAC_AT] ^= 0x01;
-            Frame::new(good.tag, Bytes::from(payload))
-        }
-        _ => hello_frame(&hello, secret, &challenge),
-    };
-    stream.send_frame(&outbound)?;
+    stream.send_frame(&hello_frame(&hello, secret, &challenge))?;
     let reply = expect_frame(stream.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN)?, "welcome")?;
     if is_reject(&reply) {
         return Err(reject_error(&reply));
@@ -549,6 +544,7 @@ pub fn enroll_with(
             ));
         }
     }
+    stream.send_frame(&Frame::heartbeat())?;
     let (reader, writer) = stream.split()?;
     Ok((WorkerEndpoint::remote(welcome.worker, reader, writer, heartbeat), welcome))
 }
@@ -561,9 +557,7 @@ pub fn enroll_with(
 /// elapses. Everything else fails **fast**: an authentication rejection,
 /// a version mismatch, or a slot dispute will not change on retry, and
 /// hammering the master's accept loop with doomed handshakes would only
-/// hide the real error behind a timeout. `config`'s data-plane faults
-/// ride the dialed stream ([`connect`]) and its handshake faults fire
-/// inside [`enroll_with`].
+/// hide the real error behind a timeout.
 pub fn enroll_with_retry(
     endpoint: &str,
     deadline: Duration,
@@ -572,6 +566,6 @@ pub fn enroll_with_retry(
     config: &Config,
 ) -> io::Result<(WorkerEndpoint, Welcome)> {
     retry_transient(deadline, || {
-        enroll_with(connect(endpoint, config.fault)?, claim, fingerprint, 0, config)
+        enroll_with(connect(endpoint)?, claim, fingerprint, 0, config)
     })
 }

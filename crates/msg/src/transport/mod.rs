@@ -17,6 +17,9 @@
 //!   verified on receive so a flipped bit anywhere in header or payload
 //!   surfaces as stream corruption instead of silently wrong
 //!   coefficients. A batch of frames goes out in one vectored write.
+//!   These functions are public, so a test can build a
+//!   [`FrameStream`] of its own over a raw socket: the worker crate's
+//!   chaos tests inject their faults that way, and no fault path ships.
 //!   Receives land in recycled [`crate::BufferPool`] buffers and are
 //!   decoded zero-copy with [`Frame::decode_bytes`];
 //!   adversarial input (truncated streams, oversized or undersized length
@@ -34,10 +37,7 @@
 //!   [`connect_with_retry`]. The stream reads through a 64 KiB buffer,
 //!   so one `read` takes in every frame queued on the socket;
 //!   [`socket_calls`] counts its `read` and `write` calls.
-//! * **`fault`** — [`FaultSpec`]: deterministic fault injection
-//!   ([`crate::config::Config::fault`]) as an optional trigger the socket
-//!   stream consults on its send path.
-//! * **`handshake`** — an authenticated three-frame exchange (protocol
+//! * **`handshake`** — an authenticated four-frame exchange (protocol
 //!   version [`PROTOCOL_VERSION`]): the master opens with a
 //!   [challenge](challenge_frame) nonce, the worker answers with a
 //!   [`Hello`] (claimed slot, fleet epoch, its own nonce, fingerprint
@@ -46,15 +46,18 @@
 //!   and the master closes with a [`Welcome`] (assigned
 //!   [`mwp_platform::WorkerId`], the worker's `(c, w, m)` parameters, the
 //!   pacing scale, and the membership epoch) MAC'd over the worker's nonce — mutual authentication,
-//!   replay-proof in both directions. A peer that fails any check gets a
+//!   replay-proof in both directions. The worker confirms the welcome
+//!   with a heartbeat before the master attaches its link, so a peer
+//!   that dies mid-handshake never takes a slot. A peer that fails any check gets a
 //!   [`REJECT`] frame naming the reason and is dropped; a pre-v2 or
 //!   future-version peer degrades to that clean rejection instead of a
 //!   decode panic. All frames ride the frame format itself, as `Control`
-//!   frames with reserved sentinels, under the [`HANDSHAKE_TIMEOUT`] read
+//!   frames with reserved sentinels (the confirmation is a plain
+//!   heartbeat), under the [`HANDSHAKE_TIMEOUT`] read
 //!   deadline. The master side of the exchange exists once (the star
 //!   accept loop and `Session::admit` both call it); the worker side is
 //!   [`enroll_with`] / [`enroll_with_retry`]: connect, answer the challenge,
-//!   await the welcome, and get back a socket-backed
+//!   await and confirm the welcome, and get back a socket-backed
 //!   [`crate::WorkerEndpoint`] that the existing worker programs
 //!   (`mwp-core`'s Algorithm 2 loop) drive unchanged.
 //! * **`remote_link`** — [`RemoteLink`], the master-facing half of a
@@ -76,13 +79,11 @@
 #[cfg(doc)]
 use crate::frame::Frame;
 
-mod fault;
 mod framing;
 mod handshake;
 mod remote_link;
 mod socket;
 
-pub use fault::{FaultAction, FaultSpec};
 pub use framing::{
     read_frame_from, write_frame_to, write_frames_to, FrameRead, FrameStream, FrameWrite,
     MAX_HANDSHAKE_WIRE_LEN, MAX_WIRE_LEN,

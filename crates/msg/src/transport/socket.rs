@@ -2,7 +2,6 @@
 //! socket, the listener that accepts it, and the dial/backoff that
 //! connects it.
 
-use super::fault::{FaultSpec, FaultState};
 use super::framing::{
     read_frame_from, write_frames_to, FrameRead, FrameStream, FrameWrite, MAX_WIRE_LEN,
 };
@@ -15,7 +14,6 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -141,23 +139,20 @@ struct ReadHalf<S: RawStream> {
     pool: BufferPool,
 }
 
-/// Writes frames straight to the socket. With a [`FaultSpec`] each frame
-/// consults the shared fault trigger first, one write per frame; the
-/// honest stream is the same type with `fault: None`.
+/// Writes frames straight to the socket, each batch in one vectored
+/// write.
 struct WriteHalf<S: RawStream> {
     stream: Counted<S>,
-    fault: Option<Arc<FaultState>>,
 }
 
 impl<S: RawStream> SocketStream<S> {
-    fn boxed(stream: S, fault: Option<FaultSpec>) -> io::Result<Box<dyn FrameStream>> {
+    fn boxed(stream: S) -> io::Result<Box<dyn FrameStream>> {
         stream.prepare()?;
         let writer = Counted(stream.try_clone_raw()?);
         let reader = BufReader::with_capacity(READ_BUFFER, Counted(stream));
-        let fault = fault.map(|spec| Arc::new(FaultState::new(spec)));
         Ok(Box::new(SocketStream {
             read: ReadHalf { stream: reader, pool: BufferPool::new() },
-            write: WriteHalf { stream: writer, fault },
+            write: WriteHalf { stream: writer },
         }))
     }
 }
@@ -178,18 +173,10 @@ impl<S: RawStream> FrameRead for ReadHalf<S> {
 
 impl<S: RawStream> FrameWrite for WriteHalf<S> {
     fn send_frame(&mut self, frame: &Frame) -> io::Result<()> {
-        if let Some(fault) = &self.fault {
-            if !fault.on_send(frame, &mut self.stream)? {
-                return Ok(());
-            }
-        }
-        write_frames_to(&mut self.stream, std::slice::from_ref(frame), true)
+        self.send_frames(std::slice::from_ref(frame))
     }
 
     fn send_frames(&mut self, frames: &[Frame]) -> io::Result<()> {
-        if self.fault.is_some() {
-            return frames.iter().try_for_each(|frame| self.send_frame(frame));
-        }
         write_frames_to(&mut self.stream, frames, true)
     }
 }
@@ -221,7 +208,7 @@ impl<S: RawStream> FrameStream for SocketStream<S> {
 
     fn split(self: Box<Self>) -> io::Result<(Box<dyn FrameRead>, Box<dyn FrameWrite>)> {
         // Both halves share the socket (and so the read deadline set
-        // before the split); the fault trigger stays with the write half.
+        // before the split).
         // The read half keeps the handshake's buffer, with whatever it
         // already holds, but starts a pool of its own rather than
         // inheriting the handshake's: seeding the link's receive pool
@@ -323,11 +310,9 @@ impl TransportListener {
     /// One `accept` call in whatever blocking mode the listener is in.
     fn accept_once(&self) -> io::Result<Box<dyn FrameStream>> {
         match self {
-            TransportListener::Tcp(l) => SocketStream::boxed(l.accept()?.0, None),
+            TransportListener::Tcp(l) => SocketStream::boxed(l.accept()?.0),
             #[cfg(unix)]
-            TransportListener::Uds { listener, .. } => {
-                SocketStream::boxed(listener.accept()?.0, None)
-            }
+            TransportListener::Uds { listener, .. } => SocketStream::boxed(listener.accept()?.0),
         }
     }
 
@@ -368,20 +353,14 @@ impl Drop for TransportListener {
 }
 
 /// Dial an endpoint string produced by [`TransportListener::endpoint`]:
-/// `tcp://host:port` or `uds:/path/to/socket`. A data-plane `fault` rides
-/// the returned stream's send path — the worker binary's `MWP_FAULT`
-/// sits on the worker's side of the wire, so every master-side recovery
-/// path can be exercised deterministically. Handshake-stage faults are
-/// enacted inside [`enroll_with`](super::enroll_with) instead: the
-/// connection itself is an honest one.
-pub fn connect(endpoint: &str, fault: Option<FaultSpec>) -> io::Result<Box<dyn FrameStream>> {
-    let fault = fault.filter(|f| !f.action.is_handshake());
+/// `tcp://host:port` or `uds:/path/to/socket`.
+pub fn connect(endpoint: &str) -> io::Result<Box<dyn FrameStream>> {
     if let Some(addr) = endpoint.strip_prefix("tcp://") {
-        return SocketStream::boxed(TcpStream::connect(addr)?, fault);
+        return SocketStream::boxed(TcpStream::connect(addr)?);
     }
     #[cfg(unix)]
     if let Some(path) = endpoint.strip_prefix("uds:") {
-        return SocketStream::boxed(UnixStream::connect(path)?, fault);
+        return SocketStream::boxed(UnixStream::connect(path)?);
     }
     Err(io::Error::new(
         io::ErrorKind::InvalidInput,
@@ -464,7 +443,7 @@ pub(super) fn retry_transient<T>(
     }
 }
 
-/// [`connect`] (fault-free) with retries, until `deadline` wall time has
+/// [`connect`] with retries, until `deadline` wall time has
 /// elapsed. **Transient** failures are the ones a worker racing the
 /// master's startup (or a fleet mid-churn) meets: the listener not up
 /// yet (`ConnectionRefused`, a not-yet-created Unix socket path), a
@@ -473,5 +452,5 @@ pub(super) fn retry_transient<T>(
 /// not change on retry and fails immediately; retrying would only burn
 /// the deadline before reporting the same error.
 pub fn connect_with_retry(endpoint: &str, deadline: Duration) -> io::Result<Box<dyn FrameStream>> {
-    retry_transient(deadline, || connect(endpoint, None))
+    retry_transient(deadline, || connect(endpoint))
 }

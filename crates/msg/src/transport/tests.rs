@@ -2,7 +2,7 @@ use super::framing::HEADER_LEN;
 use super::handshake::expect_frame;
 use super::*;
 use crate::auth;
-use crate::config::{parse_fault_spec, parse_millis, parse_transport_mode, Config};
+use crate::config::{parse_millis, parse_transport_mode, Config};
 use crate::frame::{Frame, FrameKind, Tag};
 use crate::link::Pacing;
 use crate::pool::BufferPool;
@@ -97,6 +97,28 @@ fn any_flipped_bit_fails_the_checksum() {
         wire[at] ^= 0x10;
         assert_eq!(read_err(wire, true).kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
     }
+}
+
+#[test]
+fn corrupt_fault_flips_one_bit_the_checksum_catches_and_the_stream_survives() {
+    // A frame with one payload bit flipped under the CRC of its clean
+    // bytes, between two clean frames: the reader fails that frame on
+    // its checksum and, since its length prefix is honest, reads the
+    // next one whole. The blast radius of a flipped bit is one frame
+    // (over a socket the link is condemned on the error anyway).
+    let frames: Vec<Frame> = (0..3).map(|i| frame(FrameKind::BlockA, i, 0, &[6u8; 32])).collect();
+    let mut wire = wire_of(&frames, true);
+    let second = wire.len() / 3;
+    wire[second + 4 + HEADER_LEN] ^= 0x01;
+    let mut r = SplitReader { data: wire, pos: 0, chunk: usize::MAX };
+    let pool = BufferPool::new();
+    let mut next = || read_frame_from(&mut r, &pool, MAX_WIRE_LEN, true);
+    assert_eq!(next().unwrap().unwrap().tag.i, 0);
+    let err = next().unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("checksum"), "got: {err}");
+    assert_eq!(next().unwrap().unwrap().tag.i, 2);
+    assert!(next().unwrap().is_none(), "then a clean EOF");
 }
 
 #[test]
@@ -422,12 +444,15 @@ fn enrollment_round_rejects_impostors_and_admits_the_fleet() {
         enroll_with(dial(), None, b"", 4, &fleet(secret)).err().expect("stale epoch rejected");
     assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
     assert!(err.to_string().contains("stale"), "got: {err}");
-    // 3: does not even speak the protocol (badhello fault).
-    let fault = Some(FaultSpec { action: FaultAction::BadHello, after: 0 });
-    let err = enroll_with(dial(), None, b"", 0, &Config { fault, ..fleet(secret) })
-        .err()
-        .expect("bad hello rejected");
-    assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+    // 3: does not even speak the protocol: it answers the challenge with
+    // a frame that is not a hello.
+    let mut stream = dial();
+    let challenge = stream.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN).unwrap().unwrap();
+    parse_challenge(&challenge).unwrap();
+    stream.send_frame(&Frame::shutdown()).unwrap();
+    let reply = stream.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN).unwrap().unwrap();
+    assert!(is_reject(&reply), "a non-hello is answered with a rejection");
+    assert_eq!(reject_error(&reply).kind(), io::ErrorKind::Unsupported);
     // 4: the real fleet member — current epoch, right secret.
     let (ep, welcome) = enroll_with(dial(), None, b"fp", 5, &fleet(secret)).unwrap();
     assert_eq!(welcome.epoch, 5);
@@ -486,7 +511,7 @@ fn tcp_stream_carries_frames_both_ways() {
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
     let h = thread::spawn(move || {
-        let stream = connect(&endpoint, None).unwrap();
+        let stream = connect(&endpoint).unwrap();
         let (mut r, mut w) = stream.split().unwrap();
         // Echo one frame back with a changed tag.
         let f = r.recv_frame().unwrap().unwrap();
@@ -512,7 +537,7 @@ fn uds_stream_carries_frames_and_unlinks_its_path() {
         _ => unreachable!(),
     };
     let h = thread::spawn(move || {
-        let stream = connect(&endpoint, None).unwrap();
+        let stream = connect(&endpoint).unwrap();
         let (mut r, mut w) = stream.split().unwrap();
         let f = r.recv_frame().unwrap().unwrap();
         w.send_frame(&f).unwrap();
@@ -528,12 +553,19 @@ fn uds_stream_carries_frames_and_unlinks_its_path() {
     assert!(!path.exists(), "socket path must be unlinked on drop");
 }
 
+/// The socket families the stream tests run over: one stream type, two
+/// raw sockets.
+#[cfg(unix)]
+const SOCKET_MODES: [TransportMode; 2] = [TransportMode::Tcp, TransportMode::Uds];
+#[cfg(not(unix))]
+const SOCKET_MODES: [TransportMode; 1] = [TransportMode::Tcp];
+
 /// A dialed stream and the accepted end of it over `mode`, the accepted
 /// end with a read deadline so a lost frame fails the test instead of
 /// hanging it.
 fn socket_pair(mode: TransportMode) -> (Box<dyn FrameStream>, Box<dyn FrameStream>) {
     let listener = TransportListener::bind(mode).unwrap();
-    let dialer = connect(&listener.endpoint(), None).unwrap();
+    let dialer = connect(&listener.endpoint()).unwrap();
     let accepted = listener.accept().unwrap();
     accepted.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     (dialer, accepted)
@@ -597,7 +629,7 @@ fn remote_link_bridges_a_socket_to_master_side_semantics() {
     let endpoint = listener.endpoint();
     // "Remote worker": echo frames until shutdown.
     let h = thread::spawn(move || {
-        let stream = connect(&endpoint, None).unwrap();
+        let stream = connect(&endpoint).unwrap();
         let (mut r, mut w) = stream.split().unwrap();
         while let Some(f) = r.recv_frame().unwrap() {
             if f.tag.kind == FrameKind::Shutdown {
@@ -706,45 +738,6 @@ fn millis_parser_is_strict() {
     }
 }
 
-#[test]
-fn fault_spec_parser_is_strict() {
-    assert_eq!(parse_fault_spec(""), Ok(None));
-    assert_eq!(
-        parse_fault_spec("kill:3"),
-        Ok(Some(FaultSpec { action: FaultAction::Kill, after: 3 }))
-    );
-    assert_eq!(
-        parse_fault_spec("drop:0"),
-        Ok(Some(FaultSpec { action: FaultAction::Drop, after: 0 }))
-    );
-    assert_eq!(
-        parse_fault_spec("delay:2:150"),
-        Ok(Some(FaultSpec {
-            action: FaultAction::Delay(Duration::from_millis(150)),
-            after: 2
-        }))
-    );
-    assert_eq!(
-        parse_fault_spec("truncate:7"),
-        Ok(Some(FaultSpec { action: FaultAction::Truncate, after: 7 }))
-    );
-    assert_eq!(
-        parse_fault_spec("corrupt:4"),
-        Ok(Some(FaultSpec { action: FaultAction::Corrupt, after: 4 }))
-    );
-    assert_eq!(
-        parse_fault_spec("stale:2"),
-        Ok(Some(FaultSpec { action: FaultAction::Stale, after: 2 }))
-    );
-    for bad in [
-        "kill", "kill:", "kill:x", "drop:1:2", "delay:1", "delay:1:", "explode:1", "kill:3:",
-        "corrupt", "corrupt:1:2", "stale", "stale:x",
-    ] {
-        assert!(parse_fault_spec(bad).is_err(), "'{bad}' must be rejected: a chaos leg \
-             silently running faultless would be green CI lying");
-    }
-}
-
 /// The backoff schedule over an injected clock: no sleeping, fully
 /// deterministic for a fixed seed.
 #[test]
@@ -789,153 +782,4 @@ fn backoff_clips_to_the_deadline_then_expires() {
     // At (or past) the deadline the schedule is exhausted.
     assert_eq!(backoff.next_delay(Duration::from_millis(250)), None);
     assert_eq!(backoff.next_delay(Duration::from_secs(1)), None);
-}
-
-/// The socket families every data-plane fault test runs over: one
-/// stream type, two raw sockets.
-#[cfg(unix)]
-const SOCKET_MODES: [TransportMode; 2] = [TransportMode::Tcp, TransportMode::Uds];
-#[cfg(not(unix))]
-const SOCKET_MODES: [TransportMode; 1] = [TransportMode::Tcp];
-
-/// Wire a faulty dialer to a plain accepted stream over `mode`, without
-/// any `MWP_FAULT` env staging (the spec is passed explicitly).
-fn faulty_pair(
-    mode: TransportMode,
-    spec: FaultSpec,
-) -> (Box<dyn FrameStream>, Box<dyn FrameStream>) {
-    let listener = TransportListener::bind(mode).unwrap();
-    let dialer = connect(&listener.endpoint(), Some(spec)).unwrap();
-    let accepted = listener.accept().unwrap();
-    (dialer, accepted)
-}
-
-#[test]
-fn drop_fault_goes_mute_after_n_frames_but_heartbeats_never_count() {
-    for mode in SOCKET_MODES {
-        let (mut faulty, mut peer) =
-            faulty_pair(mode, FaultSpec { action: FaultAction::Drop, after: 2 });
-        // A heartbeat before the trigger must not advance the count —
-        // its timing is wall-clock-driven and would make the fault
-        // frame nondeterministic.
-        faulty.send_frame(&Frame::heartbeat()).unwrap();
-        faulty.send_frame(&frame(FrameKind::BlockA, 0, 0, &[1u8; 8])).unwrap();
-        faulty.send_frame(&frame(FrameKind::BlockA, 1, 0, &[2u8; 8])).unwrap();
-        // Third data frame: the drop fires — the send "succeeds" (a
-        // mute worker doesn't know it is mute) but nothing hits the wire.
-        faulty.send_frame(&frame(FrameKind::BlockA, 2, 0, &[3u8; 8])).unwrap();
-        assert_eq!(
-            peer.recv_frame_capped(MAX_WIRE_LEN).unwrap().unwrap().tag.kind,
-            FrameKind::Heartbeat
-        );
-        for i in 0..2 {
-            let f = peer.recv_frame_capped(MAX_WIRE_LEN).unwrap().unwrap();
-            assert_eq!(f.tag.i, i, "pre-trigger data frames pass unharmed");
-        }
-        // The peer sees a healthy socket that has simply gone silent:
-        // only a read deadline can surface this.
-        peer.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
-        assert!(peer.recv_frame_capped(MAX_WIRE_LEN).is_err(), "silence, not a frame or EOF");
-    }
-}
-
-#[test]
-fn delay_fault_stalls_every_frame_past_the_trigger() {
-    for mode in SOCKET_MODES {
-        let stall = Duration::from_millis(120);
-        let (mut faulty, mut peer) =
-            faulty_pair(mode, FaultSpec { action: FaultAction::Delay(stall), after: 1 });
-        let t0 = std::time::Instant::now();
-        faulty.send_frame(&frame(FrameKind::BlockB, 0, 0, &[0u8; 4])).unwrap();
-        assert!(t0.elapsed() < stall, "pre-trigger frame goes out promptly");
-        let t1 = std::time::Instant::now();
-        faulty.send_frame(&frame(FrameKind::BlockB, 1, 0, &[0u8; 4])).unwrap();
-        assert!(t1.elapsed() >= stall, "post-trigger frame is wedged for the delay");
-        // Both frames do arrive — a wedged worker is slow, not gone.
-        for i in 0..2 {
-            assert_eq!(peer.recv_frame_capped(MAX_WIRE_LEN).unwrap().unwrap().tag.i, i);
-        }
-    }
-}
-
-#[test]
-fn corrupt_fault_flips_one_bit_the_checksum_catches_and_the_stream_survives() {
-    for mode in SOCKET_MODES {
-        let (mut faulty, mut peer) =
-            faulty_pair(mode, FaultSpec { action: FaultAction::Corrupt, after: 1 });
-        faulty.send_frame(&frame(FrameKind::BlockA, 0, 0, &[6u8; 32])).unwrap();
-        // The trigger frame: its wire image goes out with one payload
-        // bit flipped under a CRC computed over the clean bytes. The
-        // sender sees a successful write — a corrupting NIC does not
-        // report itself.
-        faulty.send_frame(&frame(FrameKind::BlockA, 1, 0, &[6u8; 32])).unwrap();
-        faulty.send_frame(&frame(FrameKind::BlockA, 2, 0, &[6u8; 32])).unwrap();
-        assert_eq!(peer.recv_frame_capped(MAX_WIRE_LEN).unwrap().unwrap().tag.i, 0);
-        let err = peer.recv_frame_capped(MAX_WIRE_LEN).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"), "got: {err}");
-        // The fault fires once: the frame after the corrupted one is
-        // clean, and because the corrupted image had an honest length
-        // prefix the stream never desyncs. (In production the pump
-        // thread exits on the error and the link is marked dead — the
-        // frame-level recovery here just proves the blast radius is one
-        // frame.)
-        assert_eq!(peer.recv_frame_capped(MAX_WIRE_LEN).unwrap().unwrap().tag.i, 2);
-    }
-}
-
-#[test]
-fn stale_fault_replays_a_previous_generation_frame_verbatim() {
-    for mode in SOCKET_MODES {
-        let (mut faulty, mut peer) =
-            faulty_pair(mode, FaultSpec { action: FaultAction::Stale, after: 2 });
-        let block =
-            |i: usize, run: u32| Frame::new_in_run(Tag::new(FrameKind::CResult, i, 0), run, Bytes::from(vec![i as u8; 16]));
-        // Run 1's frame is captured; run 2's first frame promotes it to
-        // replay material; run 2's second frame trips the trigger, so
-        // the run-1 image is replayed ahead of it — checksum intact,
-        // generation stale.
-        faulty.send_frame(&block(10, 1)).unwrap();
-        faulty.send_frame(&block(20, 2)).unwrap();
-        faulty.send_frame(&block(21, 2)).unwrap();
-        let received: Vec<Frame> = (0..4)
-            .map(|_| peer.recv_frame_capped(MAX_WIRE_LEN).unwrap().unwrap())
-            .collect();
-        assert_eq!(received[0], block(10, 1));
-        assert_eq!(received[1], block(20, 2));
-        assert_eq!(received[2], block(10, 1), "the stale replay rides between live frames");
-        assert_eq!(received[3], block(21, 2));
-        // Heartbeats and run-0 control frames are never captured, and
-        // the replay fires exactly once.
-        faulty.send_frame(&Frame::heartbeat()).unwrap();
-        faulty.send_frame(&block(22, 2)).unwrap();
-        assert_eq!(peer.recv_frame_capped(MAX_WIRE_LEN).unwrap().unwrap().tag.kind, FrameKind::Heartbeat);
-        assert_eq!(peer.recv_frame_capped(MAX_WIRE_LEN).unwrap().unwrap(), block(22, 2));
-    }
-}
-
-#[test]
-fn truncate_fault_tears_a_frame_mid_write_and_poisons_the_stream() {
-    for mode in SOCKET_MODES {
-        let (mut faulty, mut peer) =
-            faulty_pair(mode, FaultSpec { action: FaultAction::Truncate, after: 1 });
-        faulty.send_frame(&frame(FrameKind::BlockC, 0, 0, &[9u8; 64])).unwrap();
-        // The trigger frame: an honest length prefix, half the bytes,
-        // then the write "fails" — and every later send is poisoned.
-        let torn = faulty.send_frame(&frame(FrameKind::BlockC, 1, 0, &[9u8; 64]));
-        assert!(torn.is_err(), "the torn write surfaces as an error on the faulty side");
-        assert!(
-            faulty.send_frame(&Frame::heartbeat()).is_err(),
-            "a torn stream stays broken — even heartbeats fail"
-        );
-        assert_eq!(peer.recv_frame_capped(MAX_WIRE_LEN).unwrap().unwrap().tag.i, 0);
-        // The peer is now mid-frame on a stream that will never finish
-        // it: dropping the faulty side turns that into corruption
-        // (unexpected EOF), never a clean end-of-stream.
-        drop(faulty);
-        assert!(
-            peer.recv_frame_capped(MAX_WIRE_LEN).is_err(),
-            "a torn frame must read as corruption, not clean EOF"
-        );
-    }
 }

@@ -30,16 +30,6 @@
 //! non-zero exit instead of retrying against a door that will never
 //! open.
 //!
-//! Setting `MWP_FAULT` (e.g. `kill:40`, `drop:25`, `delay:10:500`,
-//! `truncate:12`) puts the deterministic fault trigger on the socket's
-//! send path — how the chaos tests make *this* worker the one that dies.
-//! The data-plane faults `corrupt:<n>` (flip one bit of the nth outbound
-//! frame, caught by the CRC32C trailer) and `stale:<n>` (replay a
-//! captured previous-generation frame, rejected by the run-generation
-//! tag) exercise the integrity layer; the handshake-stage faults
-//! `badhello` / `badauth` corrupt the enrollment itself, exercising the
-//! master's rejection path.
-//!
 //! Setting `MWP_TRACE=json:<path>` turns on the span recorder in *this*
 //! process: the worker's compute, kernel, and pack spans stream to the
 //! given Chrome-trace file (flushed at every run close and at shutdown),
@@ -128,7 +118,7 @@ fn serve_one_session(args: &Args, fingerprint: &str, config: &Config) -> Result<
 fn main() -> ExitCode {
     let args = parse_args();
     // The deployment's settings, read from the environment once: the
-    // fleet secret, the liveness terms and (chaos tests) the fault.
+    // fleet secret and the liveness terms.
     let config = Config::from_env().unwrap_or_else(|msg| {
         eprintln!("mwp-worker: {msg}");
         std::process::exit(2)

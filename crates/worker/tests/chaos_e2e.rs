@@ -1,29 +1,31 @@
-//! Chaos end-to-end: real `mwp-worker` processes die — deterministically
-//! via `MWP_FAULT=kill:<n>` (a `std::process::abort` mid-protocol, the
-//! stand-in for `kill -9`; the matrix-product tests sweep `<n>` over
-//! every result row of a run, so the death lands in every chunk of the
-//! schedule, and the LU test over every panel reply and trailing C row of
-//! the factorization, in either slot) or by an actual SIGKILL from the
-//! test — while
-//! a master in this process is mid-run over loopback TCP. The master
-//! must detect each death, re-dispatch the lost work to survivors, and
-//! produce results **bit-identical** to an all-healthy in-process
-//! reference star: the staged-commit re-dispatch contract of
-//! `docs/ARCHITECTURE.md`, proven over a process boundary.
+//! Chaos end-to-end: a worker dies, goes mute, corrupts a frame or
+//! replays a stale one while a master in this process is mid-run over
+//! loopback TCP. The master must detect each failure, re-dispatch the
+//! lost work to survivors, and produce results **bit-identical** to an
+//! all-healthy in-process reference star: the staged-commit re-dispatch
+//! contract of `docs/ARCHITECTURE.md`.
 //!
-//! Those deaths are detected by socket EOF (the kernel closes a killed
-//! process's sockets). Two more failures need a setting the rest run
-//! without, which each test hands its own fleet as a literal [`Config`]
-//! (and its worker processes as their environment): a worker whose socket
-//! stays open but goes **mute** (`MWP_FAULT=drop:<n>`) emits no EOF, so
-//! only a tight liveness deadline catches it; and a master whose
-//! whole-run budget elapses must broadcast `RUN_ABORT`, give up on the
-//! run — `RuntimeError::RunAborted` for the matrix product, the `aborted`
-//! outcome flag for LU — and leave the **session** serving.
+//! The faulty workers are in-process (`common::spawn_in_process`): the
+//! worker program on a thread, over a test-side socket stream that acts
+//! from its `n`-th outbound data frame on. A killed worker's socket is
+//! shut down both ways, so the master reads the EOF a killed process
+//! leaves. The matrix-product tests sweep `n` over every result row of a
+//! run, so the death lands in every chunk of the schedule, and the LU
+//! test over every panel reply and trailing C row of the factorization,
+//! in either slot. Workers enroll in the order they are spawned, so each
+//! test knows its faulty worker's slot.
 //!
-//! Every fleet here is authenticated: masters and workers are handed one
-//! secret (`common`), so death, re-dispatch and re-admission all go
-//! through the HMAC handshake.
+//! Two tests keep real `mwp-worker` processes: an actual SIGKILL from
+//! the test, and a master whose whole-run budget elapses, which must
+//! broadcast `RUN_ABORT`, give up on the run — `RuntimeError::RunAborted`
+//! for the matrix product, the `aborted` outcome flag for LU — and leave
+//! the **session** serving.
+//!
+//! A worker whose socket stays open but goes **mute** emits no EOF, so
+//! only a tight liveness deadline catches it: that test hands its fleet
+//! a literal [`Config`]. Every fleet here is authenticated: masters and
+//! workers are handed one secret (`common`), so death, re-dispatch and
+//! re-admission all go through the HMAC handshake.
 
 use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_blockmat::{BlockMatrix, Partition};
@@ -42,7 +44,7 @@ use std::process::Child;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{fleet, reap, reap_failed, spawn_worker, worker_command};
+use common::{fleet, join_all, reap, spawn_honest, spawn_in_process, spawn_worker, Fault};
 
 /// Round inputs shared by the HoLM-shaped chaos tests.
 fn holm_round(round: u64) -> (BlockMatrix, BlockMatrix, BlockMatrix) {
@@ -53,9 +55,9 @@ fn holm_round(round: u64) -> (BlockMatrix, BlockMatrix, BlockMatrix) {
     (a, b, c0)
 }
 
-/// The most result rows any one worker returns over `schedule`: the
-/// doomed worker enrolls into whichever slot it reaches first, so this
-/// bounds the `kill:<n>` values that land inside a single run.
+/// The most result rows any one worker returns over `schedule`: this
+/// bounds the kill indices that land inside a single run, whichever
+/// slot the doomed worker holds.
 fn most_result_rows(schedule: &Schedule) -> usize {
     let rows_of = |w: &WorkerId| {
         let collected = schedule.ops.iter().filter_map(|op| match op {
@@ -74,7 +76,7 @@ fn holm_problem() -> Partition {
 }
 
 /// Each fault × each phase: for every `n` in `1..=rows`, a fresh fleet of
-/// three remote workers of which one aborts on its `n`-th result row —
+/// three remote workers of which one is killed at its `n`-th result row —
 /// so the death lands, in turn, in every chunk the schedule gives it,
 /// mid-collection, after the master has already buffered part of the
 /// chunk. The staged commit must discard the partial chunk, the executor
@@ -91,11 +93,11 @@ fn kill_sweep(
     for n in 1..=rows {
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let endpoint = listener.endpoint();
-        let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
-        let doomed = spawn_worker(&endpoint, &format!("kill:{n}"));
+        let healthy = spawn_honest(&endpoint, &fleet(), 2);
+        let doomed = spawn_in_process(&endpoint, &fleet(), Some((Fault::Kill, n as u64)));
         let remote = RuntimeSession::accept_remote(platform, 0.0, &listener, &fleet()).unwrap();
 
-        // Keep serving rounds until the abort has been observed (a slot
+        // Keep serving rounds until the death has been observed (a slot
         // with fewer rows than `n` dies in a later round).
         for round in 0..5u64 {
             let (a, b, c0) = holm_round(round);
@@ -110,11 +112,12 @@ fn kill_sweep(
                 break;
             }
         }
-        assert_eq!(remote.dead_workers(), 1, "the kill:{n} fault never fired");
+        assert!(doomed.fired(), "the kill:{n} fault never fired");
+        assert_eq!(remote.dead_workers(), 1, "kill:{n}: one worker is dead");
 
         remote.shutdown();
-        reap(healthy);
-        reap_failed(doomed, "its kill fault never fired");
+        join_all(healthy);
+        doomed.join();
     }
     local.shutdown();
 }
@@ -175,9 +178,9 @@ fn lu_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<usize> 
 
 #[test]
 fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
-    // Two workers, one of which aborts on its n-th reply — swept over
+    // Two workers, one of which is killed at its n-th reply — swept over
     // every reply of the run's op sequence, in either slot: as the pivot
-    // worker the doomed process dies on each step's panel reply and on
+    // worker the doomed one dies on each step's panel reply and on
     // each C row of its trailing chunks in turn; as slot 1, on its C rows.
     // The master must retry the panel exchange on, or re-dispatch the lost
     // chunks to, the survivor, and every round must match the healthy
@@ -193,33 +196,32 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
         for n in 1..=in_one_run {
             let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
             let endpoint = listener.endpoint();
-            let fault = format!("kill:{n}");
-            let faults = if slot == 0 { [fault.as_str(), ""] } else { ["", fault.as_str()] };
-            let first = spawn_worker(&endpoint, faults[0]);
+            let fault = |at_slot| (slot == at_slot).then_some((Fault::Kill, n as u64));
+            let first = spawn_in_process(&endpoint, &fleet(), fault(0));
             let solo = Platform::homogeneous(1, 1.0, 1.0, 1000).unwrap();
             let mut remote = RuntimeSession::accept_remote(&solo, 0.0, &listener, &fleet()).unwrap();
-            let second = spawn_worker(&endpoint, faults[1]);
+            let second = spawn_in_process(&endpoint, &fleet(), fault(1));
             remote.admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 1000 }).unwrap();
 
             let matrix = random_diagonally_dominant(blocks, 4, 8800 + n as u64);
             let over_socket = factor(&remote, &matrix, mu);
             let over_channel = factor(&local, &matrix, mu);
+            let doomed = if slot == 0 { &first } else { &second };
+            assert!(doomed.fired(), "slot {slot}: the kill:{n} fault never fired");
             assert!(!over_socket.aborted, "slot {slot}, kill:{n}");
             assert_eq!(
                 over_socket.packed.max_abs_diff(&over_channel.packed),
                 0.0,
                 "slot {slot}, kill:{n}: recovered factors must be bit-identical"
             );
-            assert_eq!(remote.dead_workers(), 1, "slot {slot}: the kill:{n} fault never fired");
+            assert_eq!(remote.dead_workers(), 1, "slot {slot}, kill:{n}: one worker is dead");
             // The survivor alone serves the next run just as exactly.
             let after = factor(&remote, &matrix, mu);
             let drift = after.packed.max_abs_diff(&over_channel.packed);
             assert_eq!(drift, 0.0, "slot {slot}, kill:{n}: the run after the death");
 
             remote.shutdown();
-            let (doomed, healthy) = if slot == 0 { (first, second) } else { (second, first) };
-            reap(vec![healthy]);
-            reap_failed(doomed, "its kill fault never fired");
+            join_all(vec![first, second]);
         }
     }
     local.shutdown();
@@ -227,8 +229,8 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
 
 #[test]
 fn corrupted_frame_trips_the_checksum_and_redispatch_recovers_bit_identically() {
-    // One worker flips a single bit in its nth outbound result frame
-    // (`MWP_FAULT=corrupt:2`) — the CRC32C trailer still vouches for the
+    // One worker flips a single bit in its 2nd outbound result frame —
+    // the CRC32C trailer still vouches for the
     // original bytes, so the master's pump must reject the frame, declare
     // the link dead, and re-dispatch the lost chunk to the survivors.
     // Every round, before and after the corruption, must stay
@@ -237,8 +239,8 @@ fn corrupted_frame_trips_the_checksum_and_redispatch_recovers_bit_identically() 
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
-    let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
-    let corruptor = spawn_worker(&endpoint, "corrupt:2");
+    let healthy = spawn_honest(&endpoint, &fleet(), 2);
+    let corruptor = spawn_in_process(&endpoint, &fleet(), Some((Fault::Corrupt, 2)));
     let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
@@ -255,30 +257,31 @@ fn corrupted_frame_trips_the_checksum_and_redispatch_recovers_bit_identically() 
             break;
         }
     }
-    assert_eq!(remote.dead_workers(), 1, "the corrupt:2 fault never tripped the checksum");
+    assert!(corruptor.fired(), "the corrupt:2 fault never fired");
+    assert_eq!(remote.dead_workers(), 1, "the corrupted frame condemns its worker");
 
     local.shutdown();
     remote.shutdown();
-    reap(healthy);
-    // Unlike kill, corruption leaves the worker process healthy — only
-    // its *link* dies (the master stops talking to it). It exits 0 when
+    join_all(healthy);
+    // Unlike kill, corruption leaves the worker program running — only
+    // its *link* dies (the master stops talking to it). It returns when
     // the session closes its socket.
-    reap(vec![corruptor]);
+    corruptor.join();
 }
 
 #[test]
 fn stale_generation_replay_is_rejected_without_touching_the_result() {
     // One worker captures a result frame from an earlier run and replays
     // it verbatim — previous generation tag, valid checksum — ahead of a
-    // later run's traffic (`MWP_FAULT=stale:2`). The master's link layer
+    // later run's traffic, from its 2nd data frame on. The master's link layer
     // must reject it structurally (the run tag mismatches) before any
     // block accounting: the run stays bit-identical, the link stays
     // alive, and the rejection is observable in the session's stats.
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
-    let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
-    let replayer = spawn_worker(&endpoint, "stale:2");
+    let healthy = spawn_honest(&endpoint, &fleet(), 2);
+    let replayer = spawn_in_process(&endpoint, &fleet(), Some((Fault::Stale, 2)));
     let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
@@ -297,13 +300,14 @@ fn stale_generation_replay_is_rejected_without_touching_the_result() {
             break;
         }
     }
-    assert!(remote.stale_rejections() > 0, "the stale:2 fault never replayed a frame");
+    assert!(replayer.fired(), "the stale:2 fault never fired");
+    assert!(remote.stale_rejections() > 0, "the replayed frame was rejected as stale");
     assert_eq!(remote.dead_workers(), 0, "a stale frame is rejected, not a link death");
 
     local.shutdown();
     remote.shutdown();
-    reap(healthy);
-    reap(vec![replayer]);
+    join_all(healthy);
+    replayer.join();
 }
 
 #[test]
@@ -318,7 +322,7 @@ fn holm_survives_a_real_sigkill_then_readmits_a_replacement() {
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
-    let mut children: Vec<Child> = (0..3).map(|_| spawn_worker(&endpoint, "")).collect();
+    let mut children: Vec<Child> = (0..3).map(|_| spawn_worker(&endpoint)).collect();
     let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
@@ -350,7 +354,7 @@ fn holm_survives_a_real_sigkill_then_readmits_a_replacement() {
     // fresh worker process enrolling on the still-open listener.
     assert_eq!(remote.prune_dead(), 1);
     assert_eq!(remote.workers(), 2);
-    children.push(spawn_worker(&endpoint, ""));
+    children.push(spawn_worker(&endpoint));
     remote.admit(&listener, WorkerParams { c: 4.0, w: 1.0, m: 20 }).unwrap();
     assert_eq!(remote.workers(), 3);
     assert_eq!(remote.platform().expect("regrown fleet is non-empty").len(), 3);
@@ -370,19 +374,14 @@ fn a_mute_worker_is_cut_by_the_deadline_and_its_chunks_recovered() {
     // every worker's too, which is what a real fleet does.
     let ms = Duration::from_millis;
     let tight = Config { liveness: Some((ms(100), ms(600))), ..fleet() };
-    let spawn_worker = |endpoint: &str, fault: &str| {
-        let mut cmd = worker_command(endpoint, fault);
-        cmd.env("MWP_HEARTBEAT_MS", "100").env("MWP_DEADLINE_MS", "600");
-        cmd.spawn().expect("spawn mwp-worker")
-    };
 
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
-    let healthy: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, "")).collect();
-    // After two data frames this worker swallows every outbound frame —
-    // results and its own heartbeats — while happily reading forever.
-    let mute = spawn_worker(&endpoint, "drop:2");
+    let healthy = spawn_honest(&endpoint, &tight, 2);
+    // From its 2nd data frame on this worker swallows every outbound
+    // frame — results and its own heartbeats — while happily reading.
+    let mute = spawn_in_process(&endpoint, &tight, Some((Fault::Mute, 2)));
     let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &tight).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
@@ -400,6 +399,7 @@ fn a_mute_worker_is_cut_by_the_deadline_and_its_chunks_recovered() {
             break;
         }
     }
+    assert!(mute.fired(), "the mute:2 fault never fired");
     assert_eq!(remote.dead_workers(), 1, "the mute worker was never declared dead");
     // The detection bound: with a 600 ms deadline, the whole exercise —
     // including the round that stalls on the mute worker — must finish
@@ -412,12 +412,12 @@ fn a_mute_worker_is_cut_by_the_deadline_and_its_chunks_recovered() {
 
     local.shutdown();
     remote.shutdown();
-    // All three processes exit orderly: the healthy pair via shutdown
+    // All three workers end orderly: the healthy pair via shutdown
     // frames, the mute one when the master drops its link and the
     // closing socket ends its serve loop (its own sends being swallowed
     // never made it error out).
-    reap(healthy);
-    reap(vec![mute]);
+    join_all(healthy);
+    mute.join();
 }
 
 #[test]
@@ -432,7 +432,7 @@ fn deadline_breach_aborts_the_run_and_the_session_serves_the_next_one() {
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
-    let children: Vec<Child> = (0..3).map(|_| spawn_worker(&endpoint, "")).collect();
+    let children: Vec<Child> = (0..3).map(|_| spawn_worker(&endpoint)).collect();
     let mut remote =
         RuntimeSession::accept_remote(&platform, time_scale, &listener, &fleet()).unwrap();
 
@@ -475,7 +475,7 @@ fn deadline_breach_aborts_the_run_and_the_session_serves_the_next_one() {
     let lu_platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
     let lu_listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let lu_endpoint = lu_listener.endpoint();
-    let lu_children: Vec<Child> = (0..2).map(|_| spawn_worker(&lu_endpoint, "")).collect();
+    let lu_children: Vec<Child> = (0..2).map(|_| spawn_worker(&lu_endpoint)).collect();
     // This fleet is handed its budget at the door.
     let budgeted = Config { run_deadline: Some(Duration::from_millis(5)), ..fleet() };
     let mut lu_remote =

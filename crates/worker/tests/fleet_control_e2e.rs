@@ -1,16 +1,20 @@
 //! Fleet control plane end-to-end: authenticated enrollment, membership
 //! epochs, and runs that plan against the fleet as it stands, proven over
-//! real `mwp-worker` processes on loopback TCP.
+//! real `mwp-worker` processes on loopback TCP (and, for the hand-written
+//! handshake impostors and the workers that die mid-handshake, dialers
+//! in this process).
 //!
 //! Every master here accepts its fleet under the same literal [`Config`]
 //! secret and each spawned worker is passed a secret explicitly, so the
 //! HMAC challenge/response handshake is live throughout. The tests then
 //! prove the acceptance story:
 //!
-//! - an unauthenticated (wrong-secret), non-speaking (`badhello`),
-//!   corrupted-MAC (`badauth`), or stale-epoch connection is rejected
-//!   at the door while the master keeps serving the live fleet
-//!   bit-identically;
+//! - an unauthenticated (wrong-secret worker process, or a hello MAC'd
+//!   under another secret), non-speaking (a non-hello answer to the
+//!   challenge), or stale-epoch connection is rejected at the door while
+//!   the master keeps serving the live fleet bit-identically;
+//! - a dialer that dies mid-handshake fails its admission and leaves the
+//!   fleet serving;
 //! - pruning the whole fleet leaves an alive-but-empty session whose
 //!   runs return `RuntimeError::EmptyFleet`, and an `admit` revives it;
 //! - every membership change advances the epoch, and the next run plans
@@ -31,16 +35,16 @@ use std::process::Child;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{fleet, reap, reap_failed, SECRET};
+use common::{dial_impostor, fleet, join_all, reap, reap_failed, spawn_honest, Impostor, SECRET};
 
 /// The worker parameters every fleet member here enrolls with.
 const PARAMS: WorkerParams = WorkerParams { c: 4.0, w: 1.0, m: 20 };
 
 /// Launch one worker process dialing `endpoint` with its own fleet
-/// secret (the impostor tests pass a wrong one) and optional
-/// `MWP_FAULT` / `--reconnect`.
-fn spawn_worker(endpoint: &str, secret: &str, fault: &str, reconnect: bool) -> Child {
-    let mut cmd = common::worker_command(endpoint, fault);
+/// secret (the impostor tests pass a wrong one), optionally with
+/// `--reconnect`.
+fn spawn_worker(endpoint: &str, secret: &str, reconnect: bool) -> Child {
+    let mut cmd = common::worker_command(endpoint);
     cmd.env("MWP_FLEET_SECRET", secret);
     if reconnect {
         // A shorter retry window so the veteran worker gives up (and
@@ -91,7 +95,7 @@ fn impostors_are_rejected_while_the_master_keeps_serving() {
     let platform = Platform::homogeneous(2, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
-    let mut children: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, SECRET, "", false)).collect();
+    let mut children: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, SECRET, false)).collect();
     let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let reference = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
     assert_eq!(remote.epoch(), 1);
@@ -101,25 +105,31 @@ fn impostors_are_rejected_while_the_master_keeps_serving() {
     // (a) A worker process without the fleet secret: its hello MAC is
     // keyed wrong, the master rejects with REJECT_AUTH, and the worker
     // fails fast instead of hammering the door.
-    let impostor = spawn_worker(&endpoint, "not-the-fleet-secret", "", false);
+    let impostor = spawn_worker(&endpoint, "not-the-fleet-secret", false);
     let err = remote.admit(&listener, PARAMS).expect_err("wrong secret must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::PermissionDenied);
     reap_failed(impostor, "wrong secret");
 
-    // (b) A worker holding the right secret whose hello MAC is corrupted
-    // in flight (`MWP_FAULT=badauth`): same rejection.
-    let impostor = spawn_worker(&endpoint, SECRET, "badauth", false);
-    let err = remote.admit(&listener, PARAMS).expect_err("corrupted MAC must be rejected");
+    // (b) A hand-written dialer whose well-formed hello is MAC'd under a
+    // secret that is not the fleet's: same rejection, on both ends.
+    let dialer = dial_impostor(&endpoint, Impostor::WrongSecret);
+    let err = remote
+        .admit(&listener, PARAMS)
+        .expect_err("the wrong-secret impostor never fired: its hello was admitted");
+    let rejected = dialer.join().expect("the wrong-secret impostor never fired");
+    assert_eq!(rejected, Some(std::io::ErrorKind::PermissionDenied));
     assert_eq!(err.kind(), std::io::ErrorKind::PermissionDenied);
-    reap_failed(impostor, "badauth");
 
-    // (c) A peer that does not speak the handshake at all
-    // (`MWP_FAULT=badhello` answers the challenge with an unrelated
-    // frame): rejected as an unsupported protocol.
-    let impostor = spawn_worker(&endpoint, SECRET, "badhello", false);
-    let err = remote.admit(&listener, PARAMS).expect_err("non-hello must be rejected");
+    // (c) A peer that does not speak the handshake at all (it answers
+    // the challenge with a frame that is not a hello): rejected as an
+    // unsupported protocol.
+    let dialer = dial_impostor(&endpoint, Impostor::NotAHello);
+    let err = remote
+        .admit(&listener, PARAMS)
+        .expect_err("the not-a-hello impostor never fired: its answer was admitted");
+    let rejected = dialer.join().expect("the not-a-hello impostor never fired");
+    assert_eq!(rejected, Some(std::io::ErrorKind::Unsupported));
     assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
-    reap_failed(impostor, "badhello");
 
     // (d) A correctly-authenticated dialer presenting a stale membership
     // epoch — a replayed enrollment from a pruned fleet generation. The
@@ -144,7 +154,7 @@ fn impostors_are_rejected_while_the_master_keeps_serving() {
 
     // And the door still opens for a legitimate newcomer, whose first
     // run plans over the grown fleet.
-    children.push(spawn_worker(&endpoint, SECRET, "", false));
+    children.push(spawn_worker(&endpoint, SECRET, false));
     remote.admit(&listener, PARAMS).unwrap();
     assert_eq!(remote.workers(), 3);
     assert_eq!(remote.epoch(), 2);
@@ -159,11 +169,41 @@ fn impostors_are_rejected_while_the_master_keeps_serving() {
 }
 
 #[test]
+fn a_worker_that_dies_mid_handshake_fails_its_admission_and_the_fleet_serves_on() {
+    // Two in-process members, then two dialers that die mid-handshake:
+    // one hangs up right after reading the challenge, one after sending
+    // a valid hello, before reading the welcome. Each admission must fail
+    // without touching the fleet or its epoch, and the next run must still
+    // match the reference star's plan and bits.
+    let platform = Platform::homogeneous(2, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
+    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let endpoint = listener.endpoint();
+    let members = spawn_honest(&endpoint, &fleet(), 2);
+    let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
+    let reference = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
+    compare_round(&remote, &reference, 0, "healthy fleet");
+
+    for (round, gone) in [(1, Impostor::GoneAfterChallenge), (2, Impostor::GoneAfterHello)] {
+        let dialer = dial_impostor(&endpoint, gone);
+        remote.admit(&listener, PARAMS).expect_err("a dialer that died mid-handshake was admitted");
+        assert_eq!(dialer.join().unwrap(), None, "{gone:?}");
+        assert_eq!(remote.workers(), 2, "{gone:?}");
+        assert_eq!(remote.epoch(), 1, "{gone:?}");
+        compare_round(&remote, &reference, round, &format!("after {gone:?}"));
+        assert_eq!(remote.dead_workers(), 0, "{gone:?}");
+    }
+
+    reference.shutdown();
+    remote.shutdown();
+    join_all(members);
+}
+
+#[test]
 fn pruning_the_whole_fleet_empties_it_and_an_admit_revives_it() {
     let platform = Platform::homogeneous(2, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
     let endpoint = listener.endpoint();
-    let children: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, SECRET, "", false)).collect();
+    let children: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, SECRET, false)).collect();
     let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let reference = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
 
@@ -191,7 +231,7 @@ fn pruning_the_whole_fleet_empties_it_and_an_admit_revives_it() {
     // Admit a fresh worker into the emptied fleet: the session revives,
     // the epoch advances again, and the next run plans over the one
     // worker it has — as a never-churned single-worker reference star does.
-    let fresh = spawn_worker(&endpoint, SECRET, "", false);
+    let fresh = spawn_worker(&endpoint, SECRET, false);
     remote.admit(&listener, PARAMS).unwrap();
     assert_eq!(remote.workers(), 1);
     assert_eq!(remote.epoch(), 3);
@@ -213,7 +253,7 @@ fn a_reconnect_worker_reenrolls_across_sessions() {
     let reference1 = RuntimeSession::with_transport(&platform1, 0.0, TransportMode::Channel);
 
     // Session A: the --reconnect veteran enrolls and serves a round.
-    let veteran = spawn_worker(&endpoint, SECRET, "", true);
+    let veteran = spawn_worker(&endpoint, SECRET, true);
     let session_a = RuntimeSession::accept_remote(&platform1, 0.0, &listener, &fleet()).unwrap();
     assert_eq!(session_a.epoch(), 1);
     compare_round(&session_a, &reference1, 0, "session A");
@@ -229,7 +269,7 @@ fn a_reconnect_worker_reenrolls_across_sessions() {
     // The new session's membership machinery keeps advancing: admit a
     // newcomer next to the veteran and match a never-churned two-worker
     // reference's plan and bits.
-    let newcomer = spawn_worker(&endpoint, SECRET, "", false);
+    let newcomer = spawn_worker(&endpoint, SECRET, false);
     session_b.admit(&listener, PARAMS).unwrap();
     assert_eq!(session_b.epoch(), 2);
     assert_eq!(session_b.workers(), 2);

@@ -34,7 +34,7 @@ use common::{fleet, reap};
 
 /// Launch `n` worker processes dialing `endpoint`.
 fn spawn_workers(n: usize, endpoint: &str) -> Vec<Child> {
-    (0..n).map(|_| common::spawn_worker(endpoint, "")).collect()
+    (0..n).map(|_| common::spawn_worker(endpoint)).collect()
 }
 
 #[test]
@@ -156,7 +156,7 @@ fn traced_worker_processes_stream_their_compute_spans() {
         .iter()
         .map(|path| {
             let _ = std::fs::remove_file(path);
-            let mut worker = common::worker_command(&listener.endpoint(), "");
+            let mut worker = common::worker_command(&listener.endpoint());
             worker.env("MWP_TRACE", format!("json:{}", path.display())).spawn().expect("spawn mwp-worker")
         })
         .collect();

@@ -74,7 +74,7 @@ fn readme_switch_table_lists_exactly_the_variables_the_code_reads() {
         read, documented,
         "left: MWP_* variables read under src/ and crates/*/src; right: README table rows"
     );
-    assert_eq!(documented.len(), 6, "the README counts its switches: {documented:?}");
+    assert_eq!(documented.len(), 5, "the README counts its switches: {documented:?}");
 }
 
 #[test]
@@ -93,8 +93,6 @@ fn config_default_is_the_readme_defaults() {
     assert_eq!(config.run_deadline, None);
     assert_eq!(default_of("MWP_FLEET_SECRET"), "*unset*");
     assert!(config.fleet_secret.is_empty());
-    assert_eq!(default_of("MWP_FAULT"), "*unset*");
-    assert_eq!(config.fault, None);
 }
 
 /// The README's kernel table lists exactly the dispatch table — the
