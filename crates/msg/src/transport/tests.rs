@@ -87,16 +87,55 @@ fn checksummed_framing_roundtrip_preserves_frames_and_run_tags() {
 
 #[test]
 fn any_flipped_bit_fails_the_checksum() {
-    let f = Frame::new_in_run(Tag::new(FrameKind::CResult, 2, 5), 3, Bytes::from(vec![7u8; 48]));
-    let clean = wire_of(std::slice::from_ref(&f), true);
-    // Flip one bit at every position past the length prefix —
-    // header, payload, and the trailer itself: every single one
-    // must be detected, never delivered as a (wrong) frame.
-    for at in 4..clean.len() {
-        let mut wire = clean.clone();
-        wire[at] ^= 0x10;
-        assert_eq!(read_err(wire, true).kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
+    // A short frame, and one whose 613-byte image spans fold blocks, a
+    // fold's leftover and the short tail after it.
+    for payload in [vec![7u8; 48], payload_of(600)] {
+        let f = Frame::new_in_run(Tag::new(FrameKind::CResult, 2, 5), 3, Bytes::from(payload));
+        let clean = wire_of(std::slice::from_ref(&f), true);
+        // Flip one bit at every position past the length prefix —
+        // header, payload, and the trailer itself: every single one
+        // must be detected, never delivered as a (wrong) frame.
+        for at in 4..clean.len() {
+            let mut wire = clean.clone();
+            wire[at] ^= 0x10;
+            assert_eq!(read_err(wire, true).kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
+        }
     }
+}
+
+/// `len` bytes of a fixed pseudo-random stream.
+fn payload_of(len: usize) -> Vec<u8> {
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn checksummed_frames_round_trip_at_every_fold_edge() {
+    // Payload lengths 0..=1 100, both sides of larger block edges, and
+    // LU's first panel frame, all written in one batch: the writer
+    // checksums header and payload as two pieces, the reader the
+    // image whole.
+    let mut lens: Vec<usize> = (0..=1100).collect();
+    lens.extend([255, 256, 257, 4095, 4096, 4097, 19_200 + 17, 65_536 + 13, 2_252_800 + 7]);
+    let payload = payload_of(2_252_807);
+    let frames: Vec<Frame> =
+        lens.iter().enumerate().map(|(i, &len)| frame(FrameKind::BlockA, i, len, &payload[..len])).collect();
+    let mut wire = Vec::new();
+    write_frames_to(&mut wire, &frames, true).unwrap();
+    let mut r = SplitReader { data: wire, pos: 0, chunk: usize::MAX };
+    let pool = BufferPool::new();
+    for f in &frames {
+        let back = read_frame_from(&mut r, &pool, MAX_WIRE_LEN, true).unwrap();
+        assert_eq!(back.as_ref(), Some(f), "payload of {} bytes", f.tag.j);
+    }
+    assert!(read_frame_from(&mut r, &pool, MAX_WIRE_LEN, true).unwrap().is_none(), "clean EOF");
 }
 
 #[test]

@@ -11,12 +11,23 @@
 # working tree. Then, one workload after another, runs <pairs> pairs of
 # `perf --workload <workload> --seed 1 --seconds 10 --trace 0`,
 # alternating which side runs first (odd pairs: parent first). Prints
-# every run's value of each <metric>, then per workload and metric each
-# side's median, the pairs the change won (by the metric's direction in
-# BENCHMARK.json), the change in the median, and the parent's
-# interquartile range. A metric a workload does not print reads n/a. A
-# claimed gain needs the change to win nine pairs in ten and its median
-# gain to exceed the parent's IQR.
+# every run's value of each <metric> and its CPU seconds, then per
+# workload and metric each side's median, the pairs the change won (by
+# the metric's direction in BENCHMARK.json), the change in the median,
+# and the parent's interquartile range. A metric a workload does not
+# print reads n/a. A claimed gain needs the change to win nine pairs in
+# ten and its median gain to exceed the parent's IQR.
+#
+# A run's CPU seconds are its user + sys time, the difference in the
+# children's times POSIX `times` reports around it. `cpu_s_per_op`
+# divides them by the run's `ops_attempted` and gets the same summary
+# line as a metric (lower is better): on a shared host, where the CPU a
+# run gets swings between one and two cores' worth, it can separate
+# sides that wall-time metrics do not.
+#
+# A run that exits non-zero (a failed op) is listed as failed, and its
+# values stay out of the summary; the pairs go on. The failures are
+# printed per side after the summary, and the script then exits 1.
 #
 # Changes nothing in the repo; run from anywhere.
 set -eu
@@ -50,25 +61,53 @@ better() {
     sed -n "s/.*\"name\": \"$1\".*\"better\": \"\([a-z]*\)\".*/\1/p" "$repo/BENCHMARK.json" | head -n 1
 }
 
+# The children's user + sys seconds, from the second line of a `times`
+# output like `0m1.230000s 0m0.040000s`.
+children_cpu() {
+    awk 'NR == 2 {
+        for (f = 1; f <= 2; f++) { split($f, t, /[ms]/); s += 60 * t[1] + t[2] }
+        print s
+    }' "$1"
+}
+
 runs=$work/runs.txt
+failures=$work/failures.txt
 : >"$runs"
+: >"$failures"
 for workload in $workloads; do
     i=1
     while [ "$i" -le "$pairs" ]; do
         order="parent change"
         [ $((i % 2)) -eq 0 ] && order="change parent"
         for side in $order; do
-            out=$("$work/$side-target/release/perf" --workload "$workload" --seed 1 --seconds 10 --trace 0)
+            # `times` runs in this shell, so nothing but the perf run is
+            # waited for between the two readings.
+            times >"$work/times-before"
+            status=0
+            out=$("$work/$side-target/release/perf" --workload "$workload" --seed 1 --seconds 10 --trace 0) ||
+                status=$?
+            times >"$work/times-after"
+            cpu=$(awk -v a="$(children_cpu "$work/times-before")" -v b="$(children_cpu "$work/times-after")" \
+                'BEGIN { printf "%.2f", b - a }')
+            if [ "$status" -ne 0 ]; then
+                echo "run $workload pair=$i side=$side failed: exit $status, cpu_s $cpu" | tee -a "$failures"
+                continue
+            fi
+            ops=$(printf '%s\n' "$out" | awk '$1 == "ops_attempted" { print $2 }')
+            per_op=$(awk -v c="$cpu" -v n="${ops:-0}" 'BEGIN { if (n > 0) printf "%.6g", c / n; else print "n/a" }')
             for metric in "$@"; do
                 value=$(printf '%s\n' "$out" | awk -v m="$metric" '$1 == "metric" && $2 == m { print $3 }')
-                echo "run $workload pair=$i side=$side $metric ${value:-n/a}" | tee -a "$runs"
+                echo "run $workload pair=$i side=$side $metric ${value:-n/a} cpu_s $cpu" | tee -a "$runs"
             done
+            echo "run $workload pair=$i side=$side cpu_s_per_op $per_op cpu_s $cpu" >>"$runs"
         done
         i=$((i + 1))
     done
 
-    for metric in "$@"; do
-        awk -v w="$workload" -v m="$metric" -v better="$(better "$metric")" '
+    for metric in "$@" cpu_s_per_op; do
+        better=lower
+        [ "$metric" = cpu_s_per_op ] || better=$(better "$metric")
+        awk -v w="$workload" -v m="$metric" -v better="$better" '
             function sort(a, n,   i, j, t) {
                 for (i = 2; i <= n; i++)
                     for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
@@ -100,3 +139,11 @@ for workload in $workloads; do
             }' "$runs"
     done
 done
+
+if [ -s "$failures" ]; then
+    for side in parent change; do
+        echo "$side: $(grep -c "side=$side failed" "$failures") failed runs"
+    done
+    cat "$failures"
+    exit 1
+fi
