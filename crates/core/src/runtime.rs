@@ -394,32 +394,29 @@ pub fn execute<'s, P: Port>(
 }
 
 /// What a chunk exchange accumulates into: a matrix read and written one
-/// `q × q` block at a time, each as its wire image — a product's
-/// [`BlockMatrix`], or the [`Dense`] a factorization keeps whole.
+/// stretch of a block row at a time, as the wire image of its `q × q`
+/// blocks — a product's [`BlockMatrix`], or the reply images a
+/// factorization keeps its trailing rows in. A chunk ships and commits
+/// through it one row per call.
 pub trait Accumulator {
-    /// Append the image of block `(i, j)` to `out`.
-    fn write_block(&self, q: usize, at: (usize, usize), out: &mut Vec<u8>);
-    /// Overwrite block `(i, j)` with `image`.
-    fn read_block(&mut self, q: usize, at: (usize, usize), image: &[u8]);
+    /// The image of blocks `(i, j0..j0 + w)`, built in `master`'s
+    /// recycled buffers where it cannot be a view of one already held.
+    fn row(&self, master: &mwp_msg::MasterEndpoint, at: (usize, usize), w: usize) -> Bytes;
+    /// Overwrite blocks `(i, j0..)` with `payload`, the images of as many
+    /// blocks as it holds.
+    fn commit_row(&mut self, at: (usize, usize), payload: Bytes);
 }
 
 impl Accumulator for BlockMatrix {
-    fn write_block(&self, _q: usize, (i, j): (usize, usize), out: &mut Vec<u8>) {
-        self.block(i, j).write_bytes_into(out);
+    fn row(&self, master: &mwp_msg::MasterEndpoint, (i, j0): (usize, usize), w: usize) -> Bytes {
+        let bb = self.q() * self.q() * 8;
+        master.pooled_payload(bb * w, |buf| (j0..j0 + w).for_each(|j| self.block(i, j).write_bytes_into(buf)))
     }
 
-    fn read_block(&mut self, _q: usize, (i, j): (usize, usize), image: &[u8]) {
-        self.block_mut(i, j).copy_from_bytes(image);
-    }
-}
-
-impl Accumulator for Dense {
-    fn write_block(&self, q: usize, at: (usize, usize), out: &mut Vec<u8>) {
-        Dense::write_block(self, q, at, out);
-    }
-
-    fn read_block(&mut self, q: usize, at: (usize, usize), image: &[u8]) {
-        Dense::read_block(self, q, at, image);
+    fn commit_row(&mut self, (i, j0): (usize, usize), payload: Bytes) {
+        for (j, image) in (j0..).zip(payload.chunks_exact(self.q() * self.q() * 8)) {
+            self.block_mut(i, j).copy_from_bytes(image);
+        }
     }
 }
 
@@ -515,18 +512,16 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     }
 
     /// Ship chunk `ch` of job `jx`'s C to `wid`: one multi-block frame per
-    /// chunk row, serialized into the master endpoint's recycled buffers
-    /// (C mutates between chunks, so its payloads cannot be cached; the
-    /// buffers outlive the run). Returns `false` (with
-    /// the worker condemned) if `wid` died mid-ship — the chunk is
-    /// untouched on the master and can be replayed verbatim on a survivor.
+    /// chunk row, each the accumulator's image of that row (C mutates
+    /// between chunks, so a product's rows are serialized anew into the
+    /// master endpoint's recycled buffers, which outlive the run). Returns
+    /// `false` (with the worker condemned) if `wid` died mid-ship — the
+    /// chunk is untouched on the master and can be replayed verbatim on a
+    /// survivor.
     fn ship_chunk(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
-        let bb = self.q * self.q * 8;
         ch.rows().all(|i| {
             let (job, c) = (&self.jobs[jx], &self.c[self.jobs[jx].c]);
-            let payload = self.master.pooled_payload(bb * ch.width, |buf| {
-                ch.cols().for_each(|j| c.write_block(self.q, (i + job.at, j + job.at), buf));
-            });
+            let payload = c.row(self.master, (i + job.at, ch.j0 + job.at), ch.width);
             let tag = Tag::new(FrameKind::BlockC, i + job.off[0], ch.j0 + job.off[1]);
             self.send(wid, jx, tag, payload, ch.width)
         })
@@ -585,9 +580,7 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         }
         let c = &mut self.c[job.c];
         for (i, payload) in ch.rows().zip(rows) {
-            for (j, part) in ch.cols().zip(payload.chunks_exact(bb)) {
-                c.read_block(self.q, (i + job.at, j + job.at), part);
-            }
+            c.commit_row((i + job.at, ch.j0 + job.at), payload);
         }
         job.moved += ch.blocks();
         self.frames += 1 + ch.height as u64;

@@ -12,9 +12,13 @@
 //!
 //! # Message pattern
 //!
-//! The master holds the matrix whole — the [`Dense`] the run returns — and
-//! factors it in place; it crosses the wire as `q × q` blocks. Per step
-//! ([`crate::schedule`] gives the order):
+//! The master never copies the matrix whole. It keeps each block row as
+//! the wire images of its `q × q` blocks: the caller's [`BlockMatrix`] until
+//! a reply replaces them, then the reply images the row's chunks came back
+//! in, which the next step ships again as views. A block is final in
+//! exactly one panel reply, and the master stores it from there into the
+//! [`Dense`] the run returns, then lets go of every image left of the
+//! trailing grid. Per step ([`crate::schedule`] gives the order):
 //!
 //! 1. **One `LuPanel` exchange on the pivot worker**: the pivot block, the
 //!    vertical panel below it and the horizontal panel beside it go out in
@@ -24,7 +28,7 @@
 //!    of the same shape: Section 7.2's aggregate message to the one worker
 //!    that owns the pivot chain. The last step ships the pivot alone.
 //! 2. **The trailing update as a product** ([`ChunkExchange`]): C the
-//!    trailing grid of the matrix, A the solved vertical panel — negated as
+//!    trailing grid's row images, A the solved vertical panel — negated as
 //!    the master serializes it, which is exact, so each `(−a)·b` block
 //!    update carries the bits of `lu_blocked_in_place`'s `a·(−b)` — and B
 //!    the solved horizontal panel, re-sent from the reply's own bytes. The
@@ -38,8 +42,8 @@
 //!
 //! # Recovery
 //!
-//! Every input of every op comes from the master's matrix, which only a
-//! *validated* reply mutates: a `Panel` reply must carry its task's tag and
+//! Every input of every op comes from the master's row images, which only
+//! a *validated* reply replaces: a `Panel` reply must carry its task's tag and
 //! exactly its length, a chunk the product's all-or-nothing collect. A
 //! worker that dies, stays silent past the liveness deadline, or answers
 //! with anything else is condemned, and recovery is the executor's one
@@ -55,15 +59,18 @@
 //! [`factor`] runs on any [`RuntimeSession`] — local or remote, the same
 //! fleet, workers and worker program serving products and factorizations.
 //! A factorization reserves its chunks' `µ_i² + 4µ_i` blocks in the
-//! session's memory ledger like any product, so it overlaps the runs whose
+//! session's memory ledger like any product — `µ_i` the side worker `i`'s
+//! memory admits, but no more than the `max(r − µ, 1)` of the largest
+//! trailing grid, since no chunk is wider — so it overlaps the runs whose
 //! blocks fit beside its own and takes turns with the rest. [`run_lu`] is one-shot
 //! (a fresh session per call); [`LuSession`] holds a fleet spawned for
 //! factorizations.
 
 use crate::schedule::{lu_schedule, redispatch, LuOp};
+use bytes::Bytes;
 use mwp_blockmat::lu::Dense;
 use mwp_blockmat::{BlockMatrix, BlockOrder, SharedPayloads};
-use mwp_core::runtime::{panel_parts, ChunkExchange, Port};
+use mwp_core::runtime::{panel_parts, Accumulator, ChunkExchange, Port};
 use mwp_core::session::RuntimeSession;
 use mwp_core::MemoryLayout;
 use mwp_msg::{Frame, FrameKind, MasterEndpoint, Tag, TransportMode};
@@ -74,7 +81,9 @@ use std::time::Instant;
 /// Outcome of a threaded LU run.
 #[derive(Debug)]
 pub struct LuRunOutcome {
-    /// Packed factors (L below the unit diagonal, U on and above it).
+    /// Packed factors (L below the unit diagonal, U on and above it). Each
+    /// block is stored from the one panel reply that made it final, so
+    /// after an abort the blocks whose panel never validated read 0.
     pub packed: Dense,
     /// Wall-clock duration.
     pub wall: std::time::Duration,
@@ -88,8 +97,10 @@ pub struct LuRunOutcome {
     /// `true` when the master gave up instead of finishing — the fleet is
     /// empty or no worker's memory holds a chunk, the whole-run deadline
     /// (`RuntimeSession::set_run_deadline`) elapsed, or every enrolled
-    /// worker was lost: `packed` then holds a **partial** factorization
-    /// and must be discarded. The fleet itself stays serving.
+    /// worker was lost: `packed` then holds a **partial** factorization —
+    /// 0 wherever no panel validated, or the whole input when the fleet
+    /// holds no chunk — and must be discarded. The fleet itself stays
+    /// serving.
     pub aborted: bool,
 }
 
@@ -135,14 +146,19 @@ pub fn run_lu(
 
 /// Factor `matrix` (square, block side `q`) in `mu`-block panels on
 /// `fleet`: [`lu_schedule`] for every worker of the fleet, each dealt
-/// chunks of the side its memory admits, run as one run of the fleet's
+/// chunks of the side its memory admits up to the largest trailing grid's,
+/// run as one run of the fleet's
 /// master executor once the fleet's memory ledger admits those chunks
 /// beside every open run's ([`RuntimeSession::execute`]).
 pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunOutcome {
     validate_lu(matrix, mu);
     let start = Instant::now();
+    // No chunk exceeds the first step's trailing grid, so a side past it
+    // would only hold memory the chunks never use.
+    let (r, q) = (matrix.rows(), matrix.q());
+    let largest = r.saturating_sub(mu).max(1);
     let sides: Vec<usize> = fleet.platform().map_or_else(Vec::new, |platform| {
-        platform.workers().iter().map(|w| MemoryLayout::MaxReuseOverlapped.mu(w.m)).collect()
+        platform.workers().iter().map(|w| MemoryLayout::MaxReuseOverlapped.mu(w.m).min(largest)).collect()
     });
     let workers_used = sides.len();
     if sides.iter().all(|&side| side == 0) {
@@ -151,19 +167,20 @@ pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunO
         return LuRunOutcome { packed, wall, messages: 0, blocks_moved: 0, workers_used, aborted: true };
     }
     // A run over the whole fleet: the ledger puts slot `i` on worker `i`.
-    let (ops, q) = (|_: &[WorkerId]| lu_schedule(matrix.rows(), mu, &sides), matrix.q());
-    let (mut port, done) = fleet.execute(&sides, q, ops, |master, gen, _| LuPort {
-        chunks: ChunkExchange::new(master, gen, q, vec![Dense::from_blocks(matrix)], sides.to_vec(), mu),
+    let ops = |_: &[WorkerId]| lu_schedule(r, mu, &sides);
+    let (port, done) = fleet.execute(&sides, q, ops, |master, gen, _| LuPort {
+        chunks: ChunkExchange::new(master, gen, q, vec![RowImages::new(matrix)], sides.to_vec(), mu),
+        packed: Dense::zeros(r * q, r * q),
         master,
         sides: &sides,
         mu,
         q,
     });
     LuRunOutcome {
-        packed: std::mem::replace(port.chunks.accumulator(), Dense::zeros(0, 0)),
         wall: start.elapsed(),
         messages: port.chunks.frames(),
         blocks_moved: port.chunks.moved(),
+        packed: port.packed,
         workers_used,
         aborted: done.is_err(),
     }
@@ -179,10 +196,13 @@ fn validate_lu(matrix: &BlockMatrix, mu_blocks: usize) {
 
 /// The master's side of one open LU run: the chunk exchanges of its
 /// trailing updates, one product per step, whose accumulator is the
-/// matrix — held whole, as the run returns it, and factored in place;
-/// after an aborted run, a partial factorization.
+/// trailing rows' images, and the factors each validated panel stores.
 struct LuPort<'a> {
-    chunks: ChunkExchange<'a, Dense>,
+    chunks: ChunkExchange<'a, RowImages<'a>>,
+    /// The packed factors: every block is final in exactly one panel
+    /// reply, and is stored here from it. After an aborted run, the blocks
+    /// whose panel never validated read 0.
+    packed: Dense,
     /// The run's master endpoint, whose recycled buffers hold each step's
     /// panel task and negated vertical panel.
     master: &'a MasterEndpoint,
@@ -226,23 +246,25 @@ impl LuPort<'_> {
     /// The `Panel` exchange on `worker` of the step whose pivot is the
     /// block range `pivot`, with `rest` blocks after it: the pivot and both
     /// panels out in one frame, factored and solved back in one reply,
-    /// stored over the matrix only once the reply validates — then the
-    /// step's trailing update is added to the chunk exchanges as the
-    /// product of the negated vertical panel and the horizontal one.
-    /// `false`, with the matrix untouched, when the worker dies, stays
-    /// silent past the liveness deadline, or answers with anything else.
+    /// stored as factors only once the reply validates — then the rows'
+    /// images let go of what is final, and the step's trailing update is
+    /// added to the chunk exchanges as the product of the negated vertical
+    /// panel and the horizontal one. `false`, with nothing stored, when the
+    /// worker dies, stays silent past the liveness deadline, or answers
+    /// with anything else.
     fn panel(&mut self, worker: WorkerId, pivot: &Range<usize>, rest: usize) -> bool {
         let (p, k1, q) = (pivot.len(), pivot.end, self.q);
         let (blocks, bb) = (panel_blocks(pivot, rest), q * q * 8);
-        let matrix = self.chunks.accumulator();
+        let rows = &*self.chunks.accumulator();
         let task = self.master.pooled_payload(blocks.len() * bb, |task| {
-            blocks.iter().for_each(|&at| matrix.write_block(q, at, task));
+            blocks.iter().for_each(|&at| rows.write_block(at, task));
         });
         let (tag, n) = (Tag::new(FrameKind::LuPanel, p, rest), blocks.len() as u64);
         let Some(reply) = self.chunks.round_trip(worker, tag, task, n) else { return false };
-        if !store(self.chunks.accumulator(), q, &blocks, tag, &reply) {
+        if !store(&mut self.packed, q, &blocks, tag, &reply) {
             return false;
         }
+        self.chunks.accumulator().retire(pivot);
         if rest > 0 {
             // A: the solved vertical panel with every sign bit flipped.
             let (vertical, horizontal) = (p * p * bb, p * (p + rest) * bb);
@@ -259,6 +281,87 @@ impl LuPort<'_> {
     }
 }
 
+/// The master's copy of the matrix a factorization has not yet finished:
+/// each block row a list of non-overlapping segments `(first block column,
+/// image)` in column order — the reply images its trailing chunks came
+/// back in, or what is left of them — over the caller's matrix, which
+/// holds every block no reply has replaced yet. Nothing is copied up
+/// front, a chunk row commits by keeping its reply, and the next step
+/// ships that row's suffix as a view of it.
+struct RowImages<'a> {
+    input: &'a BlockMatrix,
+    rows: Vec<Vec<(usize, Bytes)>>,
+    /// Bytes per block image.
+    bb: usize,
+}
+
+impl<'a> RowImages<'a> {
+    fn new(input: &'a BlockMatrix) -> Self {
+        RowImages { input, rows: vec![Vec::new(); input.rows()], bb: input.q() * input.q() * 8 }
+    }
+
+    /// The segment of row `i` holding column `j`, if a reply replaced it.
+    fn segment(&self, (i, j): (usize, usize)) -> Option<&(usize, Bytes)> {
+        let row = &self.rows[i];
+        let segment = row[..row.partition_point(|&(j0, _)| j0 <= j)].last()?;
+        (j < segment.0 + segment.1.len() / self.bb).then_some(segment)
+    }
+
+    /// Append the image of block `(i, j)` to `out`.
+    fn write_block(&self, (i, j): (usize, usize), out: &mut Vec<u8>) {
+        match self.segment((i, j)) {
+            Some((j0, image)) => out.extend_from_slice(&image[(j - j0) * self.bb..][..self.bb]),
+            None => self.input.block(i, j).write_bytes_into(out),
+        }
+    }
+
+    /// Cut columns `cols` out of row `i`, keeping the remnants either side
+    /// of them; returns where in the row a segment at `cols` would go.
+    fn cut(&mut self, i: usize, cols: Range<usize>) -> usize {
+        let (bb, row) = (self.bb, &mut self.rows[i]);
+        let first = row.partition_point(|(j0, image)| j0 + image.len() / bb <= cols.start);
+        let last = row.partition_point(|&(j0, _)| j0 < cols.end);
+        if first >= last {
+            return first;
+        }
+        let (j0, image) = &row[first];
+        let left = (*j0 < cols.start).then(|| (*j0, image.slice(..(cols.start - j0) * bb)));
+        let (j0, image) = &row[last - 1];
+        let end = j0 + image.len() / bb;
+        let right = (end > cols.end).then(|| (cols.end, image.slice((cols.end - j0) * bb..)));
+        let at = first + usize::from(left.is_some());
+        row.splice(first..last, left.into_iter().chain(right));
+        at
+    }
+
+    /// Let go of what a validated panel made final: the pivot rows, and
+    /// every trailing row left of the trailing grid.
+    fn retire(&mut self, pivot: &Range<usize>) {
+        self.rows[pivot.clone()].iter_mut().for_each(Vec::clear);
+        for i in pivot.end..self.rows.len() {
+            self.cut(i, 0..pivot.end);
+        }
+    }
+}
+
+impl Accumulator for RowImages<'_> {
+    /// A view of the one reply image holding the whole range, else the
+    /// blocks gathered into `master`'s recycled buffers.
+    fn row(&self, master: &MasterEndpoint, (i, j0): (usize, usize), w: usize) -> Bytes {
+        if let Some((s, image)) = self.segment((i, j0)) {
+            if j0 + w <= s + image.len() / self.bb {
+                return image.slice((j0 - s) * self.bb..(j0 + w - s) * self.bb);
+            }
+        }
+        master.pooled_payload(w * self.bb, |buf| (j0..j0 + w).for_each(|j| self.write_block((i, j), buf)))
+    }
+
+    fn commit_row(&mut self, (i, j0): (usize, usize), payload: Bytes) {
+        let at = self.cut(i, j0..j0 + payload.len() / self.bb);
+        self.rows[i].insert(at, (j0, payload));
+    }
+}
+
 /// The blocks of the matrix a `Panel` exchange carries for the pivot
 /// `pivot` with `rest` blocks after it, in wire order ([`panel_parts`]):
 /// the pivot, the vertical panel below it, the horizontal panel beside it.
@@ -272,16 +375,16 @@ fn panel_blocks(pivot: &Range<usize>, rest: usize) -> Vec<(usize, usize)> {
     blocks
 }
 
-/// Store `reply` over `blocks` (of side `q`) of `matrix`, provided it answers the task
+/// Store `reply` over `blocks` (of side `q`) of `packed`, provided it answers the task
 /// `tag` with exactly those blocks — a length the master computes from
 /// its own numbers. Nothing the worker wrote sizes, slices or indexes
-/// anything, and `matrix` is untouched unless the whole reply validates.
-fn store(matrix: &mut Dense, q: usize, blocks: &[(usize, usize)], tag: Tag, reply: &Frame) -> bool {
+/// anything, and `packed` is untouched unless the whole reply validates.
+fn store(packed: &mut Dense, q: usize, blocks: &[(usize, usize)], tag: Tag, reply: &Frame) -> bool {
     if reply.tag != tag || reply.payload.len() != blocks.len() * q * q * 8 {
         return false;
     }
     for (&at, image) in blocks.iter().zip(reply.payload.chunks_exact(q * q * 8)) {
-        matrix.read_block(q, at, image);
+        packed.read_block(q, at, image);
     }
     true
 }
@@ -291,7 +394,6 @@ mod tests {
     use super::*;
     use crate::cost::{scheduled_comm, LuProblem};
     use crate::schedule::lower;
-    use bytes::Bytes;
     use mwp_core::schedule::PortOp;
     use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
     use mwp_blockmat::lu::{lu_blocked_in_place, scaled_residual};
@@ -359,6 +461,97 @@ mod tests {
         for (i, j, block) in dst.to_blocks(3).iter_blocks() {
             let carried = blocks.contains(&(i, j));
             assert_eq!(block == source.block(i, j), carried, "block ({i}, {j})");
+        }
+    }
+
+    /// The images of blocks `(i, cols)` of `matrix`, back to back.
+    fn images(matrix: &BlockMatrix, i: usize, cols: Range<usize>) -> Vec<u8> {
+        let mut out = Vec::new();
+        cols.for_each(|j| matrix.block(i, j).write_bytes_into(&mut out));
+        out
+    }
+
+    /// A master endpoint, whose buffer pool row gathers are built in.
+    fn master() -> MasterEndpoint {
+        mwp_msg::StarNetwork::build(&platform(1), 0.0).into_endpoints().0
+    }
+
+    #[test]
+    fn a_committed_row_ships_its_suffix_as_a_view() {
+        // A 10-block reply committed at column 2: the next step's 8 blocks
+        // from column 4 are the reply's own bytes, 2 blocks in.
+        let (input, reply) = (random_matrix(12, 12, 2, 70), random_matrix(12, 12, 2, 71));
+        let master = master();
+        let mut rows = RowImages::new(&input);
+        let payload = Bytes::from(images(&reply, 3, 2..12));
+        rows.commit_row((3, 2), payload.clone());
+        let suffix = rows.row(&master, (3, 4), 8);
+        assert_eq!(suffix.as_ptr(), payload.as_ptr().wrapping_add(2 * 8 * 2 * 2), "a view, not a copy");
+        assert_eq!(suffix[..], images(&reply, 3, 4..12));
+    }
+
+    #[test]
+    fn a_range_across_segments_gathers_the_blocks_images() {
+        let (input, reply) = (random_matrix(12, 12, 2, 72), random_matrix(12, 12, 2, 73));
+        let master = master();
+        let mut rows = RowImages::new(&input);
+        rows.commit_row((5, 2), Bytes::from(images(&reply, 5, 2..6)));
+        rows.commit_row((5, 6), Bytes::from(images(&reply, 5, 6..10)));
+        assert_eq!(rows.row(&master, (5, 4), 4)[..], images(&reply, 5, 4..8), "across two replies");
+        let past = [images(&reply, 5, 8..10), images(&input, 5, 10..12)].concat();
+        assert_eq!(rows.row(&master, (5, 8), 4)[..], past, "from a reply into the input");
+        let before = [images(&input, 5, 0..2), images(&reply, 5, 2..4)].concat();
+        assert_eq!(rows.row(&master, (5, 0), 4)[..], before, "from the input into a reply");
+    }
+
+    #[test]
+    fn a_commit_inside_a_segment_keeps_both_remnants() {
+        let (input, reply, update) =
+            (random_matrix(12, 12, 2, 74), random_matrix(12, 12, 2, 75), random_matrix(12, 12, 2, 76));
+        let master = master();
+        let mut rows = RowImages::new(&input);
+        rows.commit_row((6, 0), Bytes::from(images(&reply, 6, 0..12)));
+        rows.commit_row((6, 4), Bytes::from(images(&update, 6, 4..7)));
+        assert_eq!(rows.rows[6].iter().map(|(j0, _)| *j0).collect::<Vec<_>>(), [0, 4, 7]);
+        let want = [images(&reply, 6, 0..4), images(&update, 6, 4..7), images(&reply, 6, 7..12)].concat();
+        assert_eq!(rows.row(&master, (6, 0), 12)[..], want);
+        assert_eq!(rows.row(&master, (6, 7), 5)[..], images(&reply, 6, 7..12), "the right remnant");
+        assert_eq!(rows.row(&master, (6, 0), 4)[..], images(&reply, 6, 0..4), "the left remnant");
+    }
+
+    #[test]
+    fn blocks_no_commit_touched_read_as_the_input() {
+        let (input, reply) = (random_matrix(4, 6, 2, 77), random_matrix(4, 6, 2, 78));
+        let master = master();
+        let mut rows = RowImages::new(&input);
+        rows.commit_row((1, 2), Bytes::from(images(&reply, 1, 2..4)));
+        for i in [0, 2, 3] {
+            assert_eq!(rows.row(&master, (i, 0), 6)[..], images(&input, i, 0..6), "row {i}");
+        }
+        for j in [0, 1, 4, 5] {
+            let mut block = Vec::new();
+            rows.write_block((1, j), &mut block);
+            assert_eq!(block, images(&input, 1, j..j + 1), "block (1, {j})");
+        }
+    }
+
+    #[test]
+    fn validated_panels_let_go_of_everything_left_of_the_trailing_grid() {
+        // Every row committed whole, then the panels of steps 0 and 1: the
+        // pivot rows hold nothing, and each trailing row holds its one reply
+        // from column 4 on.
+        let (input, reply) = (random_matrix(8, 8, 2, 79), random_matrix(8, 8, 2, 80));
+        let master = master();
+        let mut rows = RowImages::new(&input);
+        let payloads: Vec<Bytes> = (0..8).map(|i| Bytes::from(images(&reply, i, 0..8))).collect();
+        (0..8).for_each(|i| rows.commit_row((i, 0), payloads[i].clone()));
+        rows.retire(&(0..2));
+        rows.retire(&(2..4));
+        assert!(rows.rows[..4].iter().all(Vec::is_empty), "the pivot rows hold nothing");
+        for (i, payload) in payloads.iter().enumerate().skip(4) {
+            let [(j0, image)] = &rows.rows[i][..] else { panic!("row {i}: {} segments", rows.rows[i].len()) };
+            assert_eq!((*j0, image.as_ptr()), (4, payload.as_ptr().wrapping_add(4 * 32)), "row {i}");
+            assert_eq!(rows.row(&master, (i, 4), 4)[..], images(&reply, i, 4..8));
         }
     }
 
@@ -487,10 +680,10 @@ mod tests {
 
     #[test]
     fn concurrent_callers_take_turns_on_one_session() {
-        // One fleet serves factorizations and products under one run lock.
-        // m = 12 is one 2 × 2 chunk's exchange on either side, so two runs
-        // overlapping on a worker would trip its memory assertion, which
-        // `shutdown` re-raises.
+        // One fleet serves factorizations and products, admitted by its
+        // memory ledger. m = 12 is one 2 × 2 chunk's exchange on either
+        // side, so two runs overlapping on a worker would trip its memory
+        // assertion, which `shutdown` re-raises.
         let session = RuntimeSession::new(&Platform::homogeneous(2, 1.0, 1.0, 12).unwrap(), 0.0);
         let matrix = random_diagonally_dominant(6, 4, 40);
         let (a, b, c) = (random_matrix(4, 3, 4, 41), random_matrix(3, 4, 4, 42), random_matrix(4, 4, 4, 43));
@@ -538,12 +731,13 @@ mod tests {
         ("another kind", |task| Frame::new(Tag::new(FrameKind::CResult, 0, 0), task.payload.clone())),
     ];
 
-    /// A fleet of `p` workers over loopback TCP, each a thread in this
-    /// process: the product program where `!rogue(i)`, else one that
-    /// answers every `Panel` task with `reply` and every collect with a
-    /// frame of nothing. Returns the session and the threads.
+    /// A fleet of `p` workers of memory `m` over loopback TCP, each a
+    /// thread in this process: the product program where `!rogue(i)`, else
+    /// one that answers every `Panel` task with `reply` and every collect
+    /// with a frame of nothing. Returns the session and the threads.
     fn fleet_with_rogues(
         p: usize,
+        m: usize,
         rogue: impl Fn(usize) -> bool,
         reply: RogueReply,
     ) -> (RuntimeSession, Vec<JoinHandle<()>>) {
@@ -557,7 +751,7 @@ mod tests {
                     let enrolled = mwp_msg::transport::enroll_with_retry(&endpoint, patience, claim, b"", &Config::default());
                     let (ep, _) = enrolled.expect("enrollment succeeds");
                     if !rogue {
-                        return mwp_core::remote::serve(ep, 1000);
+                        return mwp_core::remote::serve(ep, m);
                     }
                     serve_worker(ep, &mut |_q: u32, ep: &WorkerEndpoint| loop {
                         let Ok(frame) = ep.recv() else { return RunExit::Terminate };
@@ -574,7 +768,8 @@ mod tests {
                 })
             })
             .collect();
-        let session = RuntimeSession::accept_remote(&platform(p), 0.0, &listener, &Config::default()).unwrap();
+        let fleet = Platform::homogeneous(p, 1.0, 1.0, m).unwrap();
+        let session = RuntimeSession::accept_remote(&fleet, 0.0, &listener, &Config::default()).unwrap();
         (session, threads)
     }
 
@@ -588,7 +783,7 @@ mod tests {
         let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
         for (what, reply) in ROGUE_REPLIES {
             for slot in [0, 1] {
-                let (session, threads) = fleet_with_rogues(2, |i| i == slot, reply);
+                let (session, threads) = fleet_with_rogues(2, 1000, |i| i == slot, reply);
                 let out = factor(&session, &matrix, 2);
                 assert!(!out.aborted, "{what} from slot {slot}");
                 assert_eq!(out.packed, healthy, "{what} from slot {slot}");
@@ -600,10 +795,31 @@ mod tests {
     }
 
     #[test]
+    fn a_rogue_costs_its_link_where_chunk_rows_straddle_reply_images() {
+        // m = 12 holds chunks of side 2, and panels 1 block wide move the
+        // trailing grid one column per step, so each chunk row the next
+        // step ships straddles two of the rows this step committed and is
+        // gathered. The rogue's lost work is re-run from those gathers, and
+        // the factors are still the serial ones, bit for bit.
+        let matrix = random_diagonally_dominant(6, 4, 53);
+        let mut serial = Dense::from_blocks(&matrix);
+        lu_blocked_in_place(&mut serial, 4);
+        for slot in [0, 1] {
+            let (session, threads) = fleet_with_rogues(2, 12, |i| i == slot, SHORT_PAYLOAD);
+            let out = factor(&session, &matrix, 1);
+            assert!(!out.aborted, "rogue in slot {slot}");
+            assert_eq!(out.packed, serial, "rogue in slot {slot}");
+            assert_eq!(session.dead_workers(), 1, "only the rogue in slot {slot} is condemned");
+            session.shutdown();
+            threads.into_iter().for_each(|t| t.join().unwrap());
+        }
+    }
+
+    #[test]
     fn losing_the_whole_fleet_aborts_the_run_and_the_session_recovers() {
         let matrix = random_diagonally_dominant(6, 4, 52);
         let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
-        let (mut session, rogues) = fleet_with_rogues(2, |_| true, SHORT_PAYLOAD);
+        let (mut session, rogues) = fleet_with_rogues(2, 1000, |_| true, SHORT_PAYLOAD);
         assert!(factor(&session, &matrix, 2).aborted, "no survivor can take the pivot chain");
         assert_eq!(session.dead_workers(), 2);
         assert!(factor(&session, &matrix, 2).aborted, "a fleet of dead workers aborts again");

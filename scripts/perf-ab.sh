@@ -19,7 +19,9 @@
 # ten and its median gain to exceed the parent's IQR.
 #
 # A run's CPU seconds are its user + sys time, the difference in the
-# children's times POSIX `times` reports around it. `cpu_s_per_op`
+# children's times POSIX `times` reports around it; each run line also
+# gives the two apart, `user_s` and `sys_s`, from the same readings
+# (a change to user-space copies moves the one and not the other). `cpu_s_per_op`
 # divides them by the run's `ops_attempted` and gets the same summary
 # line as a metric (lower is better): on a shared host, where the CPU a
 # run gets swings between one and two cores' worth, it can separate
@@ -61,12 +63,12 @@ better() {
     sed -n "s/.*\"name\": \"$1\".*\"better\": \"\([a-z]*\)\".*/\1/p" "$repo/BENCHMARK.json" | head -n 1
 }
 
-# The children's user + sys seconds, from the second line of a `times`
-# output like `0m1.230000s 0m0.040000s`.
+# The children's user and sys seconds, from the second line of a
+# `times` output like `0m1.230000s 0m0.040000s`.
 children_cpu() {
     awk 'NR == 2 {
-        for (f = 1; f <= 2; f++) { split($f, t, /[ms]/); s += 60 * t[1] + t[2] }
-        print s
+        for (f = 1; f <= 2; f++) { split($f, t, /[ms]/); printf "%s%.6f", f == 1 ? "" : " ", 60 * t[1] + t[2] }
+        print ""
     }' "$1"
 }
 
@@ -87,8 +89,12 @@ for workload in $workloads; do
             out=$("$work/$side-target/release/perf" --workload "$workload" --seed 1 --seconds 10 --trace 0) ||
                 status=$?
             times >"$work/times-after"
-            cpu=$(awk -v a="$(children_cpu "$work/times-before")" -v b="$(children_cpu "$work/times-after")" \
-                'BEGIN { printf "%.2f", b - a }')
+            # "user sys total", each the difference of the two readings.
+            split=$(printf '%s %s\n' "$(children_cpu "$work/times-before")" "$(children_cpu "$work/times-after")" |
+                awk '{ printf "%.2f %.2f %.2f", $3 - $1, $4 - $2, $3 + $4 - $1 - $2 }')
+            user=${split%% *} cpu=${split##* }
+            sys=${split#* }
+            sys=${sys%% *}
             if [ "$status" -ne 0 ]; then
                 echo "run $workload pair=$i side=$side failed: exit $status, cpu_s $cpu" | tee -a "$failures"
                 continue
@@ -97,9 +103,10 @@ for workload in $workloads; do
             per_op=$(awk -v c="$cpu" -v n="${ops:-0}" 'BEGIN { if (n > 0) printf "%.6g", c / n; else print "n/a" }')
             for metric in "$@"; do
                 value=$(printf '%s\n' "$out" | awk -v m="$metric" '$1 == "metric" && $2 == m { print $3 }')
-                echo "run $workload pair=$i side=$side $metric ${value:-n/a} cpu_s $cpu" | tee -a "$runs"
+                echo "run $workload pair=$i side=$side $metric ${value:-n/a} cpu_s $cpu user_s $user sys_s $sys" |
+                    tee -a "$runs"
             done
-            echo "run $workload pair=$i side=$side cpu_s_per_op $per_op cpu_s $cpu" >>"$runs"
+            echo "run $workload pair=$i side=$side cpu_s_per_op $per_op cpu_s $cpu user_s $user sys_s $sys" >>"$runs"
         done
         i=$((i + 1))
     done

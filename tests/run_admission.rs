@@ -82,14 +82,51 @@ fn twenty_small_runs_overlap_on_one_session() {
 #[test]
 fn a_factorization_and_a_product_run_at_once() {
     let _turn = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
-    // m = 110: LU deals each worker chunks of side 8, 96 blocks, which
-    // leaves 14 for a 1 × 1 × 1 product's 5. Products run one after the
+    // m = 110: LU deals each worker chunks of side 6, 60 blocks, which
+    // leaves 50 for a 1 × 1 × 1 product's 5. Products run one after the
     // other while the factorization runs, so two `Run` spans open at once
     // are the factorization and a product.
     let platform = Platform::homogeneous(2, 1.0, 1.0, 110).unwrap();
     let session = RuntimeSession::new(&platform, 2e-4);
     let matrix = random_diagonally_dominant(8, 4, 60);
     let (a, b, c0) = tiny_product(61);
+    let factors = factor(&session, &matrix, 2).packed;
+    let product = session.run_holm(&a, &b, c0.clone()).unwrap().c;
+    let (start, factored) = (Barrier::new(2), AtomicBool::new(false));
+    let capture = Capture::begin();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            start.wait();
+            let packed = factor(&session, &matrix, 2).packed;
+            factored.store(true, Ordering::Release);
+            assert_eq!(packed, factors, "concurrent vs solo LU");
+        });
+        scope.spawn(|| {
+            start.wait();
+            while !factored.load(Ordering::Acquire) {
+                let out = session.run_holm(&a, &b, c0.clone()).unwrap();
+                assert_eq!(out.c, product, "concurrent vs solo product");
+            }
+        });
+    });
+    let trace = capture.end();
+    assert_eq!(most_runs_open(&trace), 2, "the factorization and a product overlap");
+    assert_eq!(session.dead_workers(), 0);
+    assert_eq!(session.shutdown(), 2);
+}
+
+#[test]
+fn a_factorization_reserves_only_the_chunks_it_deals() {
+    let _turn = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
+    // m = 100 admits chunks of side 8, 96 blocks, but an 8 × 8-block LU in
+    // panels of 2 deals none wider than its 6 × 6 trailing grid: it
+    // reserves side 6, 60 blocks, and a 1 × 1 × 1 product's 5 fit beside
+    // it. Reserving all 96 would leave 4, and the products would wait for
+    // the factorization to end.
+    let platform = Platform::homogeneous(2, 1.0, 1.0, 100).unwrap();
+    let session = RuntimeSession::new(&platform, 2e-4);
+    let matrix = random_diagonally_dominant(8, 4, 62);
+    let (a, b, c0) = tiny_product(63);
     let factors = factor(&session, &matrix, 2).packed;
     let product = session.run_holm(&a, &b, c0.clone()).unwrap().c;
     let (start, factored) = (Barrier::new(2), AtomicBool::new(false));
