@@ -322,7 +322,22 @@ pub fn trsm_left_unit_lower_with(kernel: &Kernel, panel: &mut Dense, lu: &Dense)
 
 /// [`lu_blocked_in_place`] through `kernel` — the serial reference a
 /// fleet of `kernel` workers is compared against.
+///
+/// # Panics
+/// If a pivot smaller than [`PIVOT_TOL`] in magnitude, or not a number,
+/// is met.
 pub fn lu_blocked_with(kernel: &Kernel, a: &mut Dense, nb: usize) {
+    if let Err(step) = try_lu_blocked_with(kernel, a, nb) {
+        panic!("zero pivot at step {step}: unpivoted LU requires nonsingular leading minors");
+    }
+}
+
+/// [`lu_blocked_with`], except that a refused pivot — one smaller than
+/// [`PIVOT_TOL`] in magnitude, or not a number — ends the factorization
+/// with `Err` naming its step (counted from the matrix's first row)
+/// instead of a panic, leaving `a` part-factored. What a worker runs on
+/// input it does not control: a refusal is an answer, not a death.
+pub fn try_lu_blocked_with(kernel: &Kernel, a: &mut Dense, nb: usize) -> Result<(), usize> {
     assert_eq!(a.rows, a.cols, "LU needs a square matrix");
     assert!(nb > 0, "panel width must be positive");
     // SAFETY: one contiguous n × n matrix.
@@ -425,11 +440,12 @@ unsafe fn solve_left_unit_lower(
 /// `nb`-wide steps: factor the diagonal block — by recursion at width
 /// [`NB`] when `nb` is wider than that, by Doolittle elimination with
 /// row-axpys otherwise — solve the panel below and the panel to the right
-/// against it, rank-`nb` update the rest.
+/// against it, rank-`nb` update the rest. `Err` names the step, counted
+/// from `a`'s first row, whose pivot was refused.
 ///
 /// # Safety
 /// `a` must be valid for reads and writes over the whole `n × n` extent.
-unsafe fn factor(kernel: &Kernel, a: *mut f64, lda: usize, n: usize, nb: usize) {
+unsafe fn factor(kernel: &Kernel, a: *mut f64, lda: usize, n: usize, nb: usize) -> Result<(), usize> {
     for k0 in (0..n).step_by(nb) {
         let k1 = (k0 + nb).min(n);
         // SAFETY (whole body): every pointer below is a sub-matrix of the
@@ -438,11 +454,8 @@ unsafe fn factor(kernel: &Kernel, a: *mut f64, lda: usize, n: usize, nb: usize) 
         // disjoint from the ones read.
         unsafe {
             let diag = a.add(k0 * lda + k0);
-            if nb > NB {
-                factor(kernel, diag, lda, k1 - k0, NB);
-            } else {
-                eliminate(diag, lda, k1 - k0, k0);
-            }
+            let pivots = if nb > NB { factor(kernel, diag, lda, k1 - k0, NB) } else { eliminate(diag, lda, k1 - k0) };
+            pivots.map_err(|step| k0 + step)?;
             let rest = n - k1;
             if rest > 0 {
                 let (below, right) = (a.add(k1 * lda + k0), a.add(k0 * lda + k1));
@@ -453,23 +466,23 @@ unsafe fn factor(kernel: &Kernel, a: *mut f64, lda: usize, n: usize, nb: usize) 
             }
         }
     }
+    Ok(())
 }
 
-/// Unblocked Doolittle elimination of the `n × n` block at `a`; `step0`
-/// is the block's position in the whole matrix, for the panic message.
+/// Unblocked Doolittle elimination of the `n × n` block at `a`; `Err`
+/// names the step within the block whose pivot was refused (a `NaN`
+/// fails the test too).
 ///
 /// # Safety
 /// `a` must be valid for reads and writes over the `n × n` extent.
-unsafe fn eliminate(a: *mut f64, lda: usize, n: usize, step0: usize) {
+unsafe fn eliminate(a: *mut f64, lda: usize, n: usize) -> Result<(), usize> {
     for k in 0..n {
         // SAFETY: row k right of its diagonal; rows i > k are distinct.
         let pivot = unsafe { *a.add(k * lda + k) };
         let u = unsafe { std::slice::from_raw_parts(a.add(k * lda + k + 1), n - k - 1) };
-        assert!(
-            pivot.abs() > PIVOT_TOL,
-            "zero pivot at step {}: unpivoted LU requires nonsingular leading minors",
-            step0 + k
-        );
+        if pivot.is_nan() || pivot.abs() <= PIVOT_TOL {
+            return Err(k);
+        }
         for i in (k + 1)..n {
             let x = unsafe { std::slice::from_raw_parts_mut(a.add(i * lda + k), n - k) };
             let lik = x[0] / pivot;
@@ -479,6 +492,7 @@ unsafe fn eliminate(a: *mut f64, lda: usize, n: usize, step0: usize) {
             }
         }
     }
+    Ok(())
 }
 
 /// Reconstruct `L · U` from a packed factorization — verification helper.

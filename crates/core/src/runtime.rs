@@ -41,7 +41,7 @@ use crate::selection::homogeneous::select_homogeneous;
 use crate::session::{with_session, RuntimeSession};
 use bytes::Bytes;
 use mwp_blockmat::kernel::{Kernel, PackedB};
-use mwp_blockmat::lu::{lu_blocked_with, trsm_left_unit_lower_with, trsm_right_upper_with, Dense, NB};
+use mwp_blockmat::lu::{try_lu_blocked_with, trsm_left_unit_lower_with, trsm_right_upper_with, Dense, NB};
 use mwp_blockmat::{Block, BlockMatrix, BlockOrder, SharedPayloads};
 use mwp_msg::session::{RunExit, RUN_ABORT, RUN_BEGIN, RUN_END};
 use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
@@ -85,6 +85,11 @@ pub enum RuntimeError {
     /// re-parked with their scratch intact, and the session is still
     /// serving — the next run on it starts from a clean generation.
     RunAborted,
+    /// A live worker refused an op's input (an LU pivot it cannot take):
+    /// an answer, not a death, and any worker would give it, so the
+    /// master aborted the run as for [`RuntimeError::RunAborted`] and no
+    /// worker was condemned.
+    Refused,
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -103,6 +108,7 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::RunAborted => {
                 write!(f, "run aborted: the whole-run deadline elapsed")
             }
+            RuntimeError::Refused => write!(f, "run aborted: a worker refused its input"),
         }
     }
 }
@@ -312,16 +318,30 @@ pub trait Port {
         true
     }
 
-    /// Send or receive `op`'s frames. `false` — with master state
-    /// untouched — when the worker died, stayed silent past the liveness
-    /// deadline or answered with anything but what `op` asked for; the
-    /// executor condemns it.
-    fn perform(&mut self, op: &Self::Op) -> bool;
+    /// Send or receive `op`'s frames, and say what became of them.
+    fn perform(&mut self, op: &Self::Op) -> Performed;
 
     /// The ops that redo, on workers of `live` (ascending), the work the
     /// `undone` ops of one phase lost; `None` when no live worker can
     /// adopt it.
     fn redispatch(&self, undone: Vec<Self::Op>, live: &[WorkerId]) -> Option<Vec<Self::Op>>;
+}
+
+/// What became of one op on the port ([`Port::perform`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Performed {
+    /// Its frames crossed, and its reply, if it has one, validated.
+    Done,
+    /// The worker died, stayed silent past the liveness deadline or
+    /// answered with anything but what the op asked for, and master
+    /// state is untouched: the executor condemns the worker and
+    /// re-dispatches the op.
+    Lost,
+    /// A live worker answered that it refuses the op's input. The answer
+    /// is the input's, not the worker's: the executor condemns no one,
+    /// re-dispatches nothing and aborts the run
+    /// ([`RuntimeError::Refused`]).
+    Refused,
 }
 
 /// The one master executor: `ops`, walked in order as one run of
@@ -340,7 +360,9 @@ pub trait Port {
 /// mutates master state with a *complete*, validated reply, so a lost
 /// op's frames regenerate bit-identically for whichever survivor adopts
 /// it. With no live worker of the run left to adopt, the run is aborted
-/// ([`RuntimeError::EmptyFleet`]).
+/// ([`RuntimeError::EmptyFleet`]). An op a live worker refuses
+/// ([`Performed::Refused`]) aborts the run at once, and its worker
+/// stays in the fleet.
 ///
 /// The whole-run budget ([`mwp_msg::Session::run_deadline`], counted from
 /// before the port is opened) is checked before every op, and ends the run with
@@ -371,9 +393,17 @@ pub fn execute<'s, P: Port>(
                     session.abort_run_on(workers, epoch);
                     return (port, Err(RuntimeError::RunAborted));
                 }
-                if master.is_dead(P::worker(op)) || !port.perform(op) {
-                    master.mark_dead(P::worker(op));
-                    undone.push(op.clone());
+                let performed = if master.is_dead(P::worker(op)) { Performed::Lost } else { port.perform(op) };
+                match performed {
+                    Performed::Done => {}
+                    Performed::Lost => {
+                        master.mark_dead(P::worker(op));
+                        undone.push(op.clone());
+                    }
+                    Performed::Refused => {
+                        session.abort_run_on(workers, epoch);
+                        return (port, Err(RuntimeError::Refused));
+                    }
                 }
             }
             if undone.is_empty() {
@@ -595,13 +625,14 @@ impl<C: Accumulator> Port for ChunkExchange<'_, C> {
         op.target().1
     }
 
-    fn perform(&mut self, op: &PortOp) -> bool {
+    fn perform(&mut self, op: &PortOp) -> Performed {
         let (jx, wid, ch) = op.target();
-        match *op {
+        let done = match *op {
             PortOp::SendC { .. } => self.ship_chunk(wid, jx, &ch),
             PortOp::Step { k, .. } => self.send_k_step(wid, jx, &ch, k),
             PortOp::Collect { .. } => self.collect(wid, jx, &ch),
-        }
+        };
+        if done { Performed::Done } else { Performed::Lost }
     }
 
     /// The lost chunks as [`Schedule::recover`] — Algorithm 1's rounds
@@ -894,7 +925,9 @@ pub(crate) fn program(
 /// row that does not span the chunk's columns, an `A` column that does not
 /// span its rows or comes before its step's `B` row, a `CResult` (the
 /// master never sends one), and a panel whose payload is not the blocks
-/// its tag names. Asserts the memory invariant (`resident blocks ≤ m`,
+/// its tag names. A pivot the worker cannot factor is no such traffic:
+/// the task is answered with a refusal ([`solve_panel`]) and the worker
+/// serves on. Asserts the memory invariant (`resident blocks ≤ m`,
 /// summed over the open generations) the paper's layout — and the
 /// session's memory ledger — guarantees; the panel exchange's transient
 /// blocks stay outside it.
@@ -1071,8 +1104,8 @@ fn serve_run(
     }
 }
 
-/// The wire layout of an LU `Panel` exchange, task and reply alike, for a
-/// `p`-block pivot with `rest` blocks of the matrix after it: three parts
+/// The wire layout of an LU `Panel` exchange, task and reply alike (but
+/// for a refusal reply, whose payload is empty), for a `p`-block pivot with `rest` blocks of the matrix after it: three parts
 /// of `q × q` blocks back to back, each `(block rows, block columns,
 /// order)` — the pivot by block rows, the vertical panel below it by block
 /// columns, the horizontal panel beside it by block rows. So each panel's
@@ -1107,13 +1140,19 @@ fn panel_task(q: usize, tag: Tag, payload: &[u8], parts: &mut [Dense; 3]) -> boo
 /// `tag` of run `run`, through `kernel`: factor the pivot, solve the
 /// vertical panel against its `U` and the horizontal one against its `L`,
 /// and return all three in the task's layout, built in the endpoint's
-/// buffer pool.
+/// buffer pool. A pivot the factor refuses (below `PIVOT_TOL`, or not a
+/// number) is answered with the refusal reply, an empty payload: no task
+/// is empty, so it cannot be mistaken for factors, and the master ends
+/// the run without condemning this worker.
 fn solve_panel(ep: &WorkerEndpoint, kernel: &Kernel, q: usize, tag: Tag, parts: &mut [Dense; 3], run: u32) -> Bytes {
     let len = 8 * parts.iter().map(|d| d.rows() * d.cols()).sum::<usize>();
     let [pivot, vertical, horizontal] = parts;
     let tk = record::begin();
-    lu_blocked_with(kernel, pivot, NB);
+    let factored = try_lu_blocked_with(kernel, pivot, NB);
     record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "factor");
+    if factored.is_err() {
+        return Bytes::new();
+    }
     if tag.j > 0 {
         let tk = record::begin();
         trsm_right_upper_with(kernel, vertical, pivot);

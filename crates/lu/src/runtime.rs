@@ -54,6 +54,12 @@
 //! Losing the **whole** fleet aborts the run ([`LuRunOutcome::aborted`]);
 //! the fleet serves again once workers are admitted.
 //!
+//! A pivot the worker cannot take (below `PIVOT_TOL`, or not a number) is
+//! no loss: the worker answers the `Panel` task with a refusal, the task's
+//! tag and an empty payload, and any other worker would answer the same.
+//! So nobody is condemned and nothing re-dispatched; the run is aborted,
+//! and the fleet serves the next run whole.
+//!
 //! # Fleets
 //!
 //! [`factor`] runs on any [`RuntimeSession`] — local or remote, the same
@@ -70,7 +76,7 @@ use crate::schedule::{lu_schedule, redispatch, LuOp};
 use bytes::Bytes;
 use mwp_blockmat::lu::Dense;
 use mwp_blockmat::{BlockMatrix, BlockOrder, SharedPayloads};
-use mwp_core::runtime::{panel_parts, Accumulator, ChunkExchange, Port};
+use mwp_core::runtime::{panel_parts, Accumulator, ChunkExchange, Performed, Port};
 use mwp_core::session::RuntimeSession;
 use mwp_core::MemoryLayout;
 use mwp_msg::{Frame, FrameKind, MasterEndpoint, Tag, TransportMode};
@@ -96,8 +102,8 @@ pub struct LuRunOutcome {
     pub workers_used: usize,
     /// `true` when the master gave up instead of finishing — the fleet is
     /// empty or no worker's memory holds a chunk, the whole-run deadline
-    /// (`RuntimeSession::set_run_deadline`) elapsed, or every enrolled
-    /// worker was lost: `packed` then holds a **partial** factorization —
+    /// (`RuntimeSession::set_run_deadline`) elapsed, a worker refused a
+    /// pivot, or every enrolled worker was lost: `packed` then holds a **partial** factorization —
     /// 0 wherever no panel validated, or the whole input when the fleet
     /// holds no chunk — and must be discarded. The fleet itself stays
     /// serving.
@@ -230,7 +236,7 @@ impl Port for LuPort<'_> {
         op.chunk().is_some() && next.chunk().is_some()
     }
 
-    fn perform(&mut self, op: &LuOp) -> bool {
+    fn perform(&mut self, op: &LuOp) -> Performed {
         match op {
             LuOp::Panel { worker, pivot, rest } => self.panel(*worker, pivot, *rest),
             LuOp::Chunk(op) => self.chunks.perform(op),
@@ -249,10 +255,12 @@ impl LuPort<'_> {
     /// stored as factors only once the reply validates — then the rows'
     /// images let go of what is final, and the step's trailing update is
     /// added to the chunk exchanges as the product of the negated vertical
-    /// panel and the horizontal one. `false`, with nothing stored, when the
-    /// worker dies, stays silent past the liveness deadline, or answers
-    /// with anything else.
-    fn panel(&mut self, worker: WorkerId, pivot: &Range<usize>, rest: usize) -> bool {
+    /// panel and the horizontal one. `Refused`, with nothing stored, when
+    /// the worker answers with the refusal reply (the task's tag, an empty
+    /// payload: it met a pivot it cannot take); `Lost`, with nothing
+    /// stored, when it dies, stays silent past the liveness deadline, or
+    /// answers with anything else.
+    fn panel(&mut self, worker: WorkerId, pivot: &Range<usize>, rest: usize) -> Performed {
         let (p, k1, q) = (pivot.len(), pivot.end, self.q);
         let (blocks, bb) = (panel_blocks(pivot, rest), q * q * 8);
         let rows = &*self.chunks.accumulator();
@@ -260,9 +268,12 @@ impl LuPort<'_> {
             blocks.iter().for_each(|&at| rows.write_block(at, task));
         });
         let (tag, n) = (Tag::new(FrameKind::LuPanel, p, rest), blocks.len() as u64);
-        let Some(reply) = self.chunks.round_trip(worker, tag, task, n) else { return false };
+        let Some(reply) = self.chunks.round_trip(worker, tag, task, n) else { return Performed::Lost };
+        if reply.tag == tag && reply.payload.is_empty() {
+            return Performed::Refused;
+        }
         if !store(&mut self.packed, q, &blocks, tag, &reply) {
-            return false;
+            return Performed::Lost;
         }
         self.chunks.accumulator().retire(pivot);
         if rest > 0 {
@@ -277,7 +288,7 @@ impl LuPort<'_> {
             let b = SharedPayloads::from_bytes(b, p, rest, q, BlockOrder::RowMajor);
             self.chunks.push(a, b, k1);
         }
-        true
+        Performed::Done
     }
 }
 
@@ -812,6 +823,31 @@ mod tests {
             assert_eq!(session.dead_workers(), 1, "only the rogue in slot {slot} is condemned");
             session.shutdown();
             threads.into_iter().for_each(|t| t.join().unwrap());
+        }
+    }
+
+    #[test]
+    fn a_refused_pivot_aborts_the_run_and_condemns_no_worker() {
+        // Strictly dominant, but scaled by 1e-14 every pivot falls below
+        // `PIVOT_TOL`: refused at step 0. A NaN on block (2, 2)'s diagonal
+        // is met at step 2, after two panels validated.
+        let mut tiny = random_diagonally_dominant(4, 8, 7);
+        (0..4).for_each(|i| (0..4).for_each(|j| tiny.block_mut(i, j).scale(1e-14)));
+        let mut nan = random_diagonally_dominant(4, 8, 7);
+        nan.set(20, 20, f64::NAN);
+        let (a, b, c) = (random_matrix(3, 4, 8, 1), random_matrix(4, 3, 8, 2), random_matrix(3, 3, 8, 3));
+        let solo = RuntimeSession::new(&platform(2), 0.0);
+        let want = solo.run_holm(&a, &b, c.clone()).unwrap().c;
+        solo.shutdown();
+        for mode in [TransportMode::Channel, TransportMode::Tcp] {
+            let session = RuntimeSession::with_transport(&platform(2), 0.0, mode);
+            for (what, input) in [("scaled by 1e-14", &tiny), ("a NaN entry", &nan)] {
+                assert!(factor(&session, input, 1).aborted, "{mode:?}, {what}");
+                assert_eq!(session.dead_workers(), 0, "{mode:?}, {what}: a refusal is no death");
+                let next = session.run_holm(&a, &b, c.clone()).unwrap().c;
+                assert_eq!(next.max_abs_diff(&want), 0.0, "{mode:?}, {what}: the fleet serves on");
+            }
+            session.shutdown();
         }
     }
 

@@ -16,7 +16,7 @@
 //!
 //! | variable | field |
 //! |---|---|
-//! | `MWP_HEARTBEAT_MS`, `MWP_DEADLINE_MS` | [`Config::liveness`] |
+//! | `MWP_DEADLINE_MS` | [`Config::liveness`] |
 //! | `MWP_RUN_DEADLINE_MS` | [`Config::run_deadline`] |
 //! | `MWP_FLEET_SECRET` | [`Config::fleet_secret`] |
 
@@ -26,17 +26,20 @@ use std::time::Duration;
 /// What a fleet member is told about its deployment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
-    /// The liveness layer's `(heartbeat, deadline)`, `None` when off.
+    /// The liveness deadline, `None` when liveness is off.
     ///
-    /// When on, socket links carry [`crate::Frame::heartbeat`] probes:
-    /// the master sends one on a link it has had nothing else to send on
-    /// for a heartbeat period, while a worker sends one every period
-    /// whatever else it sends, so that a worker deep in a long kernel call
-    /// still shows traffic. Every socket read runs under the deadline, and
-    /// the failure-aware schedulers treat a worker silent past the
-    /// deadline as dead. The deadline must exceed the heartbeat
+    /// When on, socket links carry [`crate::Frame::heartbeat`] frames,
+    /// and the master owns them: it probes a link it has had nothing else
+    /// to send on for one [`Config::probe_period`], a tenth of the
+    /// deadline. A worker sends none on its own: it answers each probe
+    /// it reads, and before it hands its program a data frame it writes
+    /// one if it has written nothing for a probe period, so a worker that
+    /// only receives still shows traffic. Every socket read runs under
+    /// the deadline, and a run's receives wait no longer for a reply, so
+    /// a worker silent past it — one whose step computes longer than
+    /// the deadline included — is dead. Zero is refused
     /// ([`Config::check`]).
-    pub liveness: Option<(Duration, Duration)>,
+    pub liveness: Option<Duration>,
     /// The master's whole-run wall-clock budget, `None` for no budget.
     /// When a run's master loop observes the budget exhausted it
     /// broadcasts [`crate::lifecycle::RUN_ABORT`] and returns an abort
@@ -52,11 +55,11 @@ pub struct Config {
 }
 
 impl Default for Config {
-    /// A heartbeat every second and a peer declared dead after ten of
-    /// silence, no run budget, no secret.
+    /// A peer declared dead after ten seconds of silence (probed every
+    /// second), no run budget, no secret.
     fn default() -> Self {
         Config {
-            liveness: Some((Duration::from_millis(1000), Duration::from_millis(10_000))),
+            liveness: Some(Duration::from_millis(10_000)),
             run_deadline: None,
             fleet_secret: Vec::new(),
         }
@@ -65,10 +68,9 @@ impl Default for Config {
 
 impl Config {
     /// The configuration the process environment describes: each unset
-    /// variable leaves its field at the default, `MWP_HEARTBEAT_MS=0` or
-    /// `MWP_DEADLINE_MS=0` switches liveness off, `MWP_RUN_DEADLINE_MS=0`
-    /// means no budget. A value its parser refuses, or a deadline that
-    /// does not exceed the heartbeat, is an error naming the variable.
+    /// variable leaves its field at the default, `MWP_DEADLINE_MS=0`
+    /// switches liveness off, `MWP_RUN_DEADLINE_MS=0` means no budget. A
+    /// value its parser refuses is an error naming the variable.
     pub fn from_env() -> Result<Config, String> {
         Self::from_vars(|name| std::env::var(name).ok())
     }
@@ -79,31 +81,36 @@ impl Config {
             var(name).map_or(Ok(None), |v| parse_millis(&v)).map_err(|e| format!("{name}: {e}"))
         };
         let ms = Duration::from_millis;
-        let (heartbeat, deadline) = Config::default().liveness.expect("on by default");
-        let heartbeat = millis("MWP_HEARTBEAT_MS")?.map_or(heartbeat, ms);
-        let deadline = millis("MWP_DEADLINE_MS")?.map_or(deadline, ms);
-        let on = !heartbeat.is_zero() && !deadline.is_zero();
-        let config = Config {
-            liveness: on.then_some((heartbeat, deadline)),
+        let liveness = match millis("MWP_DEADLINE_MS")? {
+            None => Config::default().liveness,
+            Some(deadline) => (deadline != 0).then(|| ms(deadline)),
+        };
+        Ok(Config {
+            liveness,
             run_deadline: millis("MWP_RUN_DEADLINE_MS")?.filter(|&budget| budget != 0).map(ms),
             fleet_secret: var("MWP_FLEET_SECRET").map(String::into_bytes).unwrap_or_default(),
-        };
-        config.check()?;
-        Ok(config)
+        })
     }
 
-    /// Refuse a liveness deadline that does not exceed the heartbeat.
-    /// [`Config::from_env`] applies it to the environment, the master's
-    /// door and the worker's dial to whatever value they are handed.
+    /// How long a link may idle before the master probes it: a tenth of
+    /// the liveness deadline, so a healthy idle peer answers several times
+    /// per deadline window. `None` when liveness is off.
+    pub fn probe_period(&self) -> Option<Duration> {
+        self.liveness.map(|deadline| deadline / 10)
+    }
+
+    /// Refuse a zero liveness deadline: its probe period would be zero,
+    /// and an idle link would be probed without pause. The master's door
+    /// and the worker's dial apply it to whatever value they are handed;
+    /// the environment cannot spell it, since `MWP_DEADLINE_MS=0` means
+    /// off.
     pub fn check(&self) -> Result<(), String> {
-        match self.liveness {
-            Some((heartbeat, deadline)) if deadline <= heartbeat => Err(format!(
-                "the liveness deadline ({deadline:?}, MWP_DEADLINE_MS) must exceed the heartbeat \
-                 ({heartbeat:?}, MWP_HEARTBEAT_MS): a peer must get several heartbeats per \
-                 deadline window or healthy links would be declared dead"
-            )),
-            _ => Ok(()),
+        if self.probe_period().is_some_and(|period| period.is_zero()) {
+            return Err("the liveness deadline leaves no probe period (a tenth of it): switch \
+                        liveness off with no deadline instead"
+                .into());
         }
+        Ok(())
     }
 }
 
@@ -144,31 +151,29 @@ mod tests {
     fn every_variable_lands_in_its_field_and_unset_is_the_default() {
         assert_eq!(from(&[]), Ok(Config::default()));
         // Set-but-empty is "no override", as a CI matrix leaves variables.
-        let empty = ["MWP_HEARTBEAT_MS", "MWP_DEADLINE_MS", "MWP_RUN_DEADLINE_MS"];
+        let empty = ["MWP_DEADLINE_MS", "MWP_RUN_DEADLINE_MS"];
         assert_eq!(from(&empty.map(|name| (name, ""))), Ok(Config::default()));
         let ms = Duration::from_millis;
         let config = from(&[
-            ("MWP_HEARTBEAT_MS", "100"),
             ("MWP_DEADLINE_MS", " 600 "),
             ("MWP_RUN_DEADLINE_MS", "5"),
             ("MWP_FLEET_SECRET", "s3cret"),
         ]);
         let expected = Config {
-            liveness: Some((ms(100), ms(600))),
+            liveness: Some(ms(600)),
             run_deadline: Some(ms(5)),
             fleet_secret: b"s3cret".to_vec(),
         };
         assert_eq!(config, Ok(expected));
+        assert_eq!(config.unwrap().probe_period(), Some(ms(60)), "a tenth of the deadline");
         // Zero switches liveness, and the run budget, off.
-        for off in ["MWP_HEARTBEAT_MS", "MWP_DEADLINE_MS"] {
-            assert_eq!(from(&[(off, "0")]).unwrap().liveness, None, "{off}=0");
-        }
+        assert_eq!(from(&[("MWP_DEADLINE_MS", "0")]).unwrap().liveness, None);
         assert_eq!(from(&[("MWP_RUN_DEADLINE_MS", "0")]).unwrap().run_deadline, None);
     }
 
     #[test]
     fn a_refused_value_is_an_error_naming_its_variable() {
-        for name in ["MWP_HEARTBEAT_MS", "MWP_DEADLINE_MS", "MWP_RUN_DEADLINE_MS"] {
+        for name in ["MWP_DEADLINE_MS", "MWP_RUN_DEADLINE_MS"] {
             for bad in ["1.5", "-1", "1s", "fast", "1_000"] {
                 let err = from(&[(name, bad)]).expect_err("must be rejected, not defaulted");
                 assert!(err.starts_with(name), "{name}={bad}: {err}");
@@ -177,15 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn a_deadline_within_the_heartbeat_is_refused_literal_or_env() {
-        let ms = Duration::from_millis;
-        let from_env = from(&[("MWP_HEARTBEAT_MS", "500"), ("MWP_DEADLINE_MS", "500")]);
-        let literal = Config { liveness: Some((ms(500), ms(500))), ..Config::default() };
-        assert_eq!(from_env.unwrap_err(), literal.check().unwrap_err());
-        // The default deadline counts too: a heartbeat beyond it needs a
-        // deadline set with it.
-        assert!(from(&[("MWP_HEARTBEAT_MS", "20000")]).is_err());
-        // Both doors refuse the literal.
+    fn a_zero_deadline_is_refused_at_both_doors() {
+        let literal = Config { liveness: Some(Duration::ZERO), ..Config::default() };
+        assert!(literal.check().is_err());
         let listener = crate::TransportListener::bind(TransportMode::Tcp).unwrap();
         let platform = mwp_platform::Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         let door = crate::Session::accept_remote(&platform, 0.0, &listener, &literal);

@@ -10,7 +10,8 @@ use mwp_platform::WorkerId;
 use mwp_trace::{record, Activity, ActivityKind, Resource, SimTime};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::RecvError;
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Fixed trace label for a frame kind (no allocation on the hot path).
 fn kind_label(k: FrameKind) -> &'static str {
@@ -315,17 +316,38 @@ impl MasterEndpoint {
 
 /// How a worker endpoint reaches its master: an in-process channel pair,
 /// or the read/write halves of a framed socket (the remote-worker case —
-/// see [`crate::transport`]). The reader sits behind a mutex only to keep
-/// `recv` on `&self` (a worker drives its endpoint from one thread); the
-/// writer is additionally shared with the endpoint's heartbeat thread,
-/// which interleaves liveness probes between result frames while the
-/// worker computes — the only time the writer lock is ever contended.
+/// see [`crate::transport`]). The halves sit behind mutexes only to keep
+/// `recv` and `send` on `&self`: a worker drives its endpoint from one
+/// thread, and no other thread writes, so neither lock is contended. The
+/// writer keeps when it last wrote, and the probe period
+/// ([`crate::config::Config::probe_period`]) that silence is held to:
+/// `recv` answers every probe of the master's it reads, and writes a
+/// heartbeat of its own before it returns a data frame to a worker that
+/// has written nothing for a probe period — on a link busy from the
+/// master's side, which the master never probes, that is the only
+/// traffic a worker that only receives sends.
 enum Route {
     Channel(WorkerSide),
     Remote {
-        reader: std::sync::Mutex<Box<dyn crate::transport::FrameRead>>,
-        writer: std::sync::Arc<std::sync::Mutex<Box<dyn crate::transport::FrameWrite>>>,
+        reader: Mutex<Box<dyn crate::transport::FrameRead>>,
+        writer: Mutex<RemoteWriter>,
+        probe: Option<Duration>,
     },
+}
+
+/// The write half of a socket route, and when it last wrote.
+struct RemoteWriter {
+    frames: Box<dyn crate::transport::FrameWrite>,
+    wrote: Instant,
+}
+
+impl RemoteWriter {
+    /// Write `frame`; a failure is swallowed, since the next receive
+    /// reports the dead master.
+    fn send(&mut self, frame: &Frame) {
+        let _ = self.frames.send_frame(frame);
+        self.wrote = Instant::now();
+    }
 }
 
 /// One worker's communication handle.
@@ -345,67 +367,30 @@ pub struct WorkerEndpoint {
     /// structurally reject anything this worker sends that belongs to an
     /// earlier run.
     current_run: AtomicU32,
-    /// Dropping this (with the endpoint) stops the heartbeat thread on
-    /// its next wakeup — the thread's timed receive observes the
-    /// disconnect immediately, so no join is needed.
-    _hb_stop: Option<std::sync::mpsc::Sender<()>>,
 }
 
 impl WorkerEndpoint {
     pub(crate) fn new(id: WorkerId, link: WorkerSide) -> Self {
-        WorkerEndpoint {
-            id,
-            route: Route::Channel(link),
-            pool: BufferPool::new(),
-            current_run: AtomicU32::new(0),
-            _hb_stop: None,
-        }
+        WorkerEndpoint { id, route: Route::Channel(link), pool: BufferPool::new(), current_run: AtomicU32::new(0) }
     }
 
     /// A remote worker's endpoint: frames travel over the framed stream
     /// halves instead of a channel. Built by [`crate::transport::enroll_with`]
-    /// after the handshake assigns the id.
-    ///
-    /// With a `heartbeat` interval (the enrolling
-    /// [`crate::config::Config::liveness`]'s) a heartbeat thread sends
-    /// a probe that often over the shared writer, so the master keeps
-    /// seeing traffic even while this worker's serving thread is deep in
-    /// a long kernel call — a slow worker must not be mistaken for a dead
-    /// one.
+    /// after the handshake assigns the id, with the enrolling
+    /// configuration's [`crate::config::Config::probe_period`] (`None`:
+    /// liveness off, and the endpoint writes no heartbeat at all).
     pub(crate) fn remote(
         id: WorkerId,
         reader: Box<dyn crate::transport::FrameRead>,
         writer: Box<dyn crate::transport::FrameWrite>,
-        heartbeat: Option<Duration>,
+        probe: Option<Duration>,
     ) -> Self {
-        let writer = std::sync::Arc::new(std::sync::Mutex::new(writer));
-        let hb_stop = heartbeat.map(|interval| {
-            let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
-            let hb_writer = std::sync::Arc::clone(&writer);
-            std::thread::Builder::new()
-                .name(format!("mwp-heartbeat-{}", id.index()))
-                .spawn(move || {
-                    // Timeout = tick; any other outcome (a stop signal or
-                    // the endpoint dropping the sender) ends the thread.
-                    while matches!(
-                        stop_rx.recv_timeout(interval),
-                        Err(std::sync::mpsc::RecvTimeoutError::Timeout)
-                    ) {
-                        let mut writer = hb_writer.lock().unwrap_or_else(|e| e.into_inner());
-                        if writer.send_frame(&Frame::heartbeat()).is_err() {
-                            break; // master gone: the serving thread will see it too
-                        }
-                    }
-                })
-                .expect("spawn heartbeat thread");
-            stop_tx
-        });
+        let writer = Mutex::new(RemoteWriter { frames: writer, wrote: Instant::now() });
         WorkerEndpoint {
             id,
-            route: Route::Remote { reader: std::sync::Mutex::new(reader), writer },
+            route: Route::Remote { reader: Mutex::new(reader), writer, probe },
             pool: BufferPool::new(),
             current_run: AtomicU32::new(0),
-            _hb_stop: hb_stop,
         }
     }
 
@@ -417,21 +402,32 @@ impl WorkerEndpoint {
     /// Blocking receive of the next frame from the master. On the socket
     /// route, a clean peer close or a transport error surfaces as the
     /// same [`RecvError`] a dropped channel produces — worker programs
-    /// treat both as "master gone". The master's idle-link heartbeats are
-    /// swallowed here: no worker program ever sees a liveness probe, and
-    /// each one resets the socket's read deadline simply by arriving.
+    /// treat both as "master gone". The master's idle-link probes are
+    /// answered and swallowed here, so no worker program ever sees one;
+    /// and a data frame is preceded by a heartbeat when this worker has
+    /// written nothing for a probe period (see `Route`). Liveness costs a
+    /// worker no thread: its traffic is written in order with its results.
     pub fn recv(&self) -> Result<Frame, RecvError> {
         let frame = match &self.route {
             Route::Channel(link) => link.recv()?,
-            Route::Remote { reader, .. } => {
+            Route::Remote { reader, writer, probe } => {
                 let mut reader = reader.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
+                let frame = loop {
                     match reader.recv_frame() {
-                        Ok(Some(frame)) if frame.tag.kind == FrameKind::Heartbeat => continue,
+                        Ok(Some(frame)) if frame.tag.kind == FrameKind::Heartbeat => {
+                            writer.lock().unwrap_or_else(|e| e.into_inner()).send(&Frame::heartbeat());
+                        }
                         Ok(Some(frame)) => break frame,
                         Ok(None) | Err(_) => return Err(RecvError),
                     }
+                };
+                if let Some(period) = *probe {
+                    let mut writer = writer.lock().unwrap_or_else(|e| e.into_inner());
+                    if writer.wrote.elapsed() >= period {
+                        writer.send(&Frame::heartbeat());
+                    }
                 }
+                frame
             }
         };
         // A RUN_BEGIN carries the generation it opens: adopt it, so every
@@ -468,9 +464,7 @@ impl WorkerEndpoint {
         frame.run = run;
         match &self.route {
             Route::Channel(link) => link.send(frame),
-            Route::Remote { writer, .. } => {
-                let _ = writer.lock().unwrap_or_else(|e| e.into_inner()).send_frame(&frame);
-            }
+            Route::Remote { writer, .. } => writer.lock().unwrap_or_else(|e| e.into_inner()).send(&frame),
         }
     }
 
@@ -501,8 +495,7 @@ mod tests {
             masters.push(m);
             workers.push(WorkerEndpoint::new(WorkerId(i), w));
         }
-        let deadline = crate::config::Config::default().liveness.map(|(_, deadline)| deadline);
-        (MasterEndpoint::new(port, masters, deadline), workers)
+        (MasterEndpoint::new(port, masters, crate::config::Config::default().liveness), workers)
     }
 
     #[test]

@@ -38,11 +38,12 @@ pub enum FrameKind {
     Control,
     /// Orderly end-of-stream: the worker should drain and exit.
     Shutdown,
-    /// Liveness probe exchanged on idle socket links. Heartbeats are
-    /// swallowed by the receiving pump/endpoint before any program sees
-    /// them, carry no payload, and are never metered (the paper's cost
-    /// model has no control traffic, and heartbeats only flow when a
-    /// link is otherwise idle).
+    /// Liveness traffic on socket links: the master's probe of a link it
+    /// has had nothing to send on for a probe period, and the worker's
+    /// answer to it (or its sign of life on a link it only receives on).
+    /// Heartbeats are swallowed by the receiving pump/endpoint before any
+    /// program sees them, carry no payload, and are never metered (the
+    /// paper's cost model has no control traffic).
     Heartbeat,
 }
 

@@ -46,8 +46,7 @@ impl StarNetwork {
             master_sides.push(m);
             workers.push(WorkerEndpoint::new(id, w));
         }
-        let deadline = Config::default().liveness.map(|(_, deadline)| deadline);
-        StarNetwork { master: MasterEndpoint::new(port, master_sides, deadline), workers }
+        StarNetwork { master: MasterEndpoint::new(port, master_sides, Config::default().liveness), workers }
     }
 
     /// Take ownership of the endpoints (master, workers-in-id-order).

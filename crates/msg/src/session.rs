@@ -372,8 +372,7 @@ impl Session {
             }
         }
         let links = sides.into_iter().map(|s| s.expect("every slot filled")).collect();
-        let deadline = config.liveness.map(|(_, deadline)| deadline);
-        let master = MasterEndpoint::new(OnePort::new(), links, deadline);
+        let master = MasterEndpoint::new(OnePort::new(), links, config.liveness);
         Ok(Session::new(master, handles, pumps, fingerprints, platform, time_scale, config.clone()))
     }
 
@@ -452,7 +451,7 @@ impl Session {
     }
 
     /// **Elastic disenrollment**: drop every link whose death flag is
-    /// set (heartbeat deadline missed, socket error, or an explicit
+    /// set (liveness deadline missed, socket error, or an explicit
     /// `mark_dead` from a failure-aware scheduler), compacting the
     /// surviving workers — and [`Session::platform`] with them — down to
     /// ids `0..workers()`. Returns the removed workers' **pre-prune**

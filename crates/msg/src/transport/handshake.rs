@@ -53,8 +53,14 @@ pub const CLAIM_ANY: u32 = u32::MAX;
 /// is refused at enrollment. v6 dropped the welcome's service byte. v7
 /// has the worker confirm the welcome with a heartbeat before the master
 /// attaches its link, so a peer that dies between its hello and the
-/// welcome fails enrollment instead of taking a slot.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// welcome fails enrollment instead of taking a slot. v8 makes liveness
+/// the master's: a worker sends no heartbeat on its own, only answers to
+/// the master's probes and, on a link it only receives on, one per probe
+/// period; and a worker that refuses an LU pivot answers the `LuPanel`
+/// task with an empty payload instead of dying. A v7 worker still dies
+/// on such a pivot and a v7 master reads the refusal as a bad reply, so
+/// a mixed fleet is refused at the hello.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).
@@ -424,7 +430,7 @@ pub fn master_read_hello(
 /// [`master_enroll`] that do not depend on which worker is dialing.
 pub(crate) struct EnrollTerms<'a> {
     /// The deployment's configuration: its secret keys both handshake
-    /// MACs, its liveness `(heartbeat, deadline)` times the new link.
+    /// MACs, its liveness deadline times the new link and its probes.
     pub config: &'a Config,
     /// The fleet's current membership epoch: a hello presents 0 or this.
     pub epoch: u64,
@@ -481,12 +487,12 @@ pub(crate) fn master_enroll(
     // cloned reader the in-pump blocks on inherits the deadline: a worker
     // that goes silent longer than the liveness deadline surfaces as a
     // timed-out read, which the pump turns into the link's death flag.
-    // Idle-but-alive workers never trip it — their heartbeat thread keeps
-    // frames flowing.
-    let (heartbeat, deadline) = terms.config.liveness.unzip();
-    stream.set_read_timeout(deadline)?;
+    // Idle-but-alive workers never trip it: they answer the out pump's
+    // probes.
+    stream.set_read_timeout(terms.config.liveness)?;
     let (reader, writer) = stream.split()?;
-    let link = RemoteLink::attach(reader, writer, params.c, terms.pacing, id, heartbeat);
+    let probe = terms.config.probe_period();
+    let link = RemoteLink::attach(reader, writer, params.c, terms.pacing, id, probe);
     Ok((id, hello.fingerprint, link))
 }
 
@@ -506,9 +512,10 @@ pub(crate) fn master_enroll(
 /// or feed it a giant allocation. The deadline is swapped for `config`'s
 /// liveness deadline (checked — [`Config::check`] — and kept for the
 /// endpoint's whole life) before the stream splits into the endpoint's
-/// halves: the master's idle-link heartbeats keep arriving even while
-/// this worker is parked between runs, so only a dead or wedged master
-/// trips it; with liveness off the link blocks indefinitely.
+/// halves: the master's idle-link probes keep arriving even while this
+/// worker is parked between runs, so only a dead or wedged master trips
+/// it; with liveness off the link blocks indefinitely. The endpoint
+/// answers those probes itself ([`WorkerEndpoint::recv`]).
 ///
 /// `stream` may be any [`FrameStream`]: the worker binary's comes from
 /// [`connect`], and a test can hand in one of its own (the chaos tests'
@@ -534,8 +541,7 @@ pub fn enroll_with(
         return Err(reject_error(&reply));
     }
     let welcome = parse_welcome(&reply, secret, &hello.nonce)?;
-    let (heartbeat, deadline) = config.liveness.unzip();
-    stream.set_read_timeout(deadline)?;
+    stream.set_read_timeout(config.liveness)?;
     if let Some(claimed) = claim {
         if welcome.worker != claimed {
             return Err(io::Error::new(
@@ -546,7 +552,7 @@ pub fn enroll_with(
     }
     stream.send_frame(&Frame::heartbeat())?;
     let (reader, writer) = stream.split()?;
-    Ok((WorkerEndpoint::remote(welcome.worker, reader, writer, heartbeat), welcome))
+    Ok((WorkerEndpoint::remote(welcome.worker, reader, writer, config.probe_period()), welcome))
 }
 
 /// Dial + enroll with retries: the worker binary's whole connection

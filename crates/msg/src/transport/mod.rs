@@ -65,7 +65,9 @@
 //!   [`crate::MasterEndpoint`] is byte-for-byte the code the channel
 //!   transport uses) bridged to the socket by two pump threads. The out
 //!   pump writes every frame already queued when it wakes as one batch,
-//!   one vectored write; no frame waits for another. The pumps pace
+//!   one vectored write; no frame waits for another. It also probes a
+//!   link idle for a probe period, and the worker's endpoint answers:
+//!   liveness is the master's, and a worker runs no thread for it. The pumps pace
 //!   nothing — pacing and the stale count happen in the `MasterSide` they
 //!   feed, so a socket link and a channel link are indistinguishable to
 //!   the runtime above.

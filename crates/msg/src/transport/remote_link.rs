@@ -45,8 +45,9 @@ pub struct RemoteLink {
 impl RemoteLink {
     /// Bridge split stream halves into a link for worker `id` with
     /// per-block cost `c` and the network's pacing. With a `heartbeat`
-    /// interval (the session's liveness setting) the out pump probes the
-    /// worker whenever the link is idle that long.
+    /// interval (the session's [`crate::config::Config::probe_period`])
+    /// the out pump probes the worker whenever the link is idle that long;
+    /// the worker answers each probe.
     pub fn attach(
         reader: Box<dyn FrameRead>,
         writer: Box<dyn FrameWrite>,
@@ -114,8 +115,9 @@ impl RemoteLink {
                 // read. Any exit marks the link dead and drops the inbox
                 // sender, which a master blocked in `recv` observes as the
                 // same closed link the in-process transport produces.
-                // Worker heartbeats are swallowed here; they
-                // exist only to feed the socket's deadline.
+                // Worker heartbeats (answers to the out pump's probes, or
+                // a receiving worker's sign of life) are swallowed here;
+                // they exist only to feed the socket's deadline.
                 loop {
                     match reader.recv_frame() {
                         Ok(Some(f)) if f.tag.kind == FrameKind::Heartbeat => continue,

@@ -369,11 +369,11 @@ fn holm_survives_a_real_sigkill_then_readmits_a_replacement() {
 
 #[test]
 fn a_mute_worker_is_cut_by_the_deadline_and_its_chunks_recovered() {
-    // Tight liveness so the test is fast: heartbeats every 100 ms, a
+    // Tight liveness so the test is fast: probes every 60 ms, a
     // worker is dead after 600 ms of silence — the master's terms, and
     // every worker's too, which is what a real fleet does.
     let ms = Duration::from_millis;
-    let tight = Config { liveness: Some((ms(100), ms(600))), ..fleet() };
+    let tight = Config { liveness: Some(ms(600)), ..fleet() };
 
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
     let listener = TransportListener::bind(TransportMode::Tcp).unwrap();

@@ -74,7 +74,7 @@ fn readme_switch_table_lists_exactly_the_variables_the_code_reads() {
         read, documented,
         "left: MWP_* variables read under src/ and crates/*/src; right: README table rows"
     );
-    assert_eq!(documented.len(), 5, "the README counts its switches: {documented:?}");
+    assert_eq!(documented.len(), 4, "the README counts its switches: {documented:?}");
 }
 
 #[test]
@@ -88,7 +88,7 @@ fn config_default_is_the_readme_defaults() {
         Duration::from_millis(ms.parse().unwrap_or_else(|e| panic!("{name} default {ms}: {e}")))
     };
     let config = mwp_msg::config::Config::default();
-    assert_eq!(config.liveness, Some((millis("MWP_HEARTBEAT_MS"), millis("MWP_DEADLINE_MS"))));
+    assert_eq!(config.liveness, Some(millis("MWP_DEADLINE_MS")));
     assert_eq!(millis("MWP_RUN_DEADLINE_MS"), Duration::ZERO, "0 = no budget");
     assert_eq!(config.run_deadline, None);
     assert_eq!(default_of("MWP_FLEET_SECRET"), "*unset*");
