@@ -85,10 +85,10 @@ pub enum RuntimeError {
     /// re-parked with their scratch intact, and the session is still
     /// serving — the next run on it starts from a clean generation.
     RunAborted,
-    /// A live worker refused an op's input (an LU pivot it cannot take):
-    /// an answer, not a death, and any worker would give it, so the
-    /// master aborted the run as for [`RuntimeError::RunAborted`] and no
-    /// worker was condemned.
+    /// A live worker refused an op's input (an LU pivot it cannot take),
+    /// and so did the second worker asked, if the run had one: an answer,
+    /// not a death, so the master aborted the run as for
+    /// [`RuntimeError::RunAborted`] and no worker was condemned.
     Refused,
 }
 
@@ -337,10 +337,11 @@ pub enum Performed {
     /// state is untouched: the executor condemns the worker and
     /// re-dispatches the op.
     Lost,
-    /// A live worker answered that it refuses the op's input. The answer
-    /// is the input's, not the worker's: the executor condemns no one,
-    /// re-dispatches nothing and aborts the run
-    /// ([`RuntimeError::Refused`]).
+    /// A live worker answered that it refuses the op's input. The
+    /// executor asks a second live worker: if it refuses too, the answer
+    /// is the input's, no one is condemned and the run is aborted
+    /// ([`RuntimeError::Refused`]); if it does the op, the refuser is
+    /// condemned.
     Refused,
 }
 
@@ -360,9 +361,15 @@ pub enum Performed {
 /// mutates master state with a *complete*, validated reply, so a lost
 /// op's frames regenerate bit-identically for whichever survivor adopts
 /// it. With no live worker of the run left to adopt, the run is aborted
-/// ([`RuntimeError::EmptyFleet`]). An op a live worker refuses
-/// ([`Performed::Refused`]) aborts the run at once, and its worker
-/// stays in the fleet.
+/// ([`RuntimeError::EmptyFleet`]).
+///
+/// **A refusal needs a second opinion.** An op a live worker refuses
+/// ([`Performed::Refused`]) runs once more, as [`Port::redispatch`] puts
+/// it on the lowest other live worker of the run. If that worker does it,
+/// the refuser is condemned and the run goes on; if it refuses too, or
+/// the run has no other live worker, the run is aborted
+/// ([`RuntimeError::Refused`]) and no one is condemned — one worker's
+/// word cannot veto an input, and one input cannot cost a worker.
 ///
 /// The whole-run budget ([`mwp_msg::Session::run_deadline`], counted from
 /// before the port is opened) is checked before every op, and ends the run with
@@ -401,8 +408,30 @@ pub fn execute<'s, P: Port>(
                         undone.push(op.clone());
                     }
                     Performed::Refused => {
-                        session.abort_run_on(workers, epoch);
-                        return (port, Err(RuntimeError::Refused));
+                        let refuser = P::worker(op);
+                        let second = workers.iter().copied().find(|&w| w != refuser && !master.is_dead(w));
+                        let Some(retry) = second.and_then(|w| port.redispatch(vec![op.clone()], &[w])) else {
+                            session.abort_run_on(workers, epoch);
+                            return (port, Err(RuntimeError::Refused));
+                        };
+                        let mut done = true;
+                        for op in retry {
+                            match port.perform(&op) {
+                                Performed::Done => {}
+                                Performed::Lost => {
+                                    master.mark_dead(P::worker(&op));
+                                    undone.push(op);
+                                    done = false;
+                                }
+                                Performed::Refused => {
+                                    session.abort_run_on(workers, epoch);
+                                    return (port, Err(RuntimeError::Refused));
+                                }
+                            }
+                        }
+                        if done {
+                            master.mark_dead(refuser);
+                        }
                     }
                 }
             }

@@ -456,6 +456,40 @@ mod tests {
         assert_eq!(session.shutdown(), 2);
     }
 
+    #[test]
+    fn a_nan_entry_flows_through_a_product_and_the_fleet_serves_on() {
+        // A NaN is data, not a fault: the product puts NaNs exactly where
+        // the serial product does, condemns no one, and the session's next
+        // run has a fresh session's bits.
+        let platform = Platform::homogeneous(2, 1.0, 4.0, 12).unwrap();
+        let q = 4;
+        let (mut a, b, c0) = (random_matrix(6, 3, q, 91), random_matrix(3, 6, q, 92), random_matrix(6, 6, q, 93));
+        a.set(5, 7, f64::NAN);
+        let mut want = c0.clone();
+        gemm_serial(&mut want, &a, &b);
+        let clean = random_matrix(6, 3, q, 94);
+        let fresh = RuntimeSession::new(&platform, 0.0);
+        let clean_want = fresh.run_holm(&clean, &b, c0.clone()).unwrap().c;
+        fresh.shutdown();
+        for mode in [TransportMode::Channel, TransportMode::Tcp] {
+            let session = RuntimeSession::with_transport(&platform, 0.0, mode);
+            let out = session.run_holm(&a, &b, c0.clone()).unwrap();
+            assert_eq!(out.workers_used, 2, "{mode:?}");
+            let mut nans = 0;
+            for (row, col) in (0..6 * q).flat_map(|row| (0..6 * q).map(move |col| (row, col))) {
+                let (got, want) = (out.c.get(row, col), want.get(row, col));
+                assert_eq!(got.is_nan(), want.is_nan(), "{mode:?}: NaN at ({row}, {col})");
+                nans += usize::from(want.is_nan());
+                assert!(want.is_nan() || got == want, "{mode:?}: ({row}, {col}) is {got}, not {want}");
+            }
+            assert_eq!(nans, 6 * q, "{mode:?}: the NaN row of A is a NaN row of C");
+            assert_eq!(session.dead_workers(), 0, "{mode:?}");
+            let next = session.run_holm(&clean, &b, c0.clone()).unwrap().c;
+            assert_eq!(next.max_abs_diff(&clean_want), 0.0, "{mode:?}: the next run");
+            assert_eq!(session.shutdown(), 2, "{mode:?}");
+        }
+    }
+
     /// What a rogue worker answers a collect request with, given the C-row
     /// frames of the chunk it was shipped.
     type RogueReply = fn(&[Frame]) -> Vec<(Tag, Bytes)>;

@@ -57,8 +57,10 @@
 //! A pivot the worker cannot take (below `PIVOT_TOL`, or not a number) is
 //! no loss: the worker answers the `Panel` task with a refusal, the task's
 //! tag and an empty payload, and any other worker would answer the same.
-//! So nobody is condemned and nothing re-dispatched; the run is aborted,
-//! and the fleet serves the next run whole.
+//! The executor asks one: the lowest other live worker of the run gets the
+//! same `Panel` exchange. If it refuses too, nobody is condemned, the run
+//! is aborted, and the fleet serves the next run whole; if it factors the
+//! pivot, the refuser was lying and is condemned like any rogue.
 //!
 //! # Fleets
 //!
@@ -745,7 +747,9 @@ mod tests {
     /// A fleet of `p` workers of memory `m` over loopback TCP, each a
     /// thread in this process: the product program where `!rogue(i)`, else
     /// one that answers every `Panel` task with `reply` and every collect
-    /// with a frame of nothing. Returns the session and the threads.
+    /// with a frame of nothing. Worker `i` dials `i`-th, on the calling
+    /// thread, so it is enrolled into slot `i`. Returns the session and the
+    /// threads.
     fn fleet_with_rogues(
         p: usize,
         m: usize,
@@ -755,11 +759,10 @@ mod tests {
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let threads = (0..p)
             .map(|i| {
-                let (endpoint, rogue) = (listener.endpoint(), rogue(i));
+                let stream = mwp_msg::transport::connect(&listener.endpoint()).expect("dial the master");
+                let rogue = rogue(i);
                 std::thread::spawn(move || {
-                    let patience = std::time::Duration::from_secs(10);
-                    let claim = Some(WorkerId(i));
-                    let enrolled = mwp_msg::transport::enroll_with_retry(&endpoint, patience, claim, b"", &Config::default());
+                    let enrolled = mwp_msg::transport::enroll_with(stream, b"", 0, &Config::default());
                     let (ep, _) = enrolled.expect("enrollment succeeds");
                     if !rogue {
                         return mwp_core::remote::serve(ep, m);
@@ -852,6 +855,22 @@ mod tests {
     }
 
     #[test]
+    fn a_rogue_refusing_every_pivot_is_condemned_and_the_run_finishes() {
+        // A refusal gets a second opinion: slot 1 factors every pivot slot
+        // 0 refuses, so slot 0 is the rogue, not the input, and cannot veto
+        // the factorization.
+        let matrix = random_diagonally_dominant(6, 4, 54);
+        let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
+        let (session, threads) = fleet_with_rogues(2, 1000, |i| i == 0, |t| Frame::new(t.tag, Bytes::new()));
+        let out = factor(&session, &matrix, 2);
+        assert!(!out.aborted, "one worker's refusal must not abort the run");
+        assert_eq!(out.packed, healthy);
+        assert_eq!(session.dead_workers(), 1, "the refuser is condemned");
+        session.shutdown();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+    }
+
+    #[test]
     fn losing_the_whole_fleet_aborts_the_run_and_the_session_recovers() {
         let matrix = random_diagonally_dominant(6, 4, 52);
         let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
@@ -870,7 +889,7 @@ mod tests {
         let worker = std::thread::spawn(move || {
             let patience = std::time::Duration::from_secs(10);
             let (ep, welcome) =
-                mwp_msg::transport::enroll_with_retry(&endpoint, patience, None, b"", &Config::default())
+                mwp_msg::transport::enroll_with_retry(&endpoint, patience, b"", &Config::default())
                     .expect("enrollment succeeds");
             mwp_core::remote::serve(ep, welcome.m as usize);
         });

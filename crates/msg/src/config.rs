@@ -191,7 +191,7 @@ mod tests {
         assert_eq!(door.err().map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
         let wait = Duration::from_secs(5);
         let dial =
-            crate::transport::enroll_with_retry(&listener.endpoint(), wait, None, b"", &literal);
+            crate::transport::enroll_with_retry(&listener.endpoint(), wait, b"", &literal);
         assert_eq!(dial.err().map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
     }
 }

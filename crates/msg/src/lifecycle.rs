@@ -17,10 +17,6 @@
 //! | `u32::MAX - 5`  | `REJECT`                 | `transport`           |
 //! | `u32::MAX - 6`  | `RUN_ABORT`              | this module           |
 //!
-//! (`transport::CLAIM_ANY` is also `u32::MAX`, but it lives in the
-//! *hello payload's claimed-slot field*, never in `tag.i`, so it cannot
-//! collide with `RUN_END`.)
-//!
 //! The lifecycle frames themselves are built by the constructors below so
 //! call sites never assemble a `Control` tag by hand. Their `run` field
 //! is left at 0 — the link layer stamps every outbound frame with the

@@ -171,7 +171,7 @@ impl Session {
     /// by the program persists across runs — that is the point.
     ///
     /// The star is wired over in-process channels;
-    /// [`Session::spawn_with_transport`] picks loopback TCP/Unix sockets
+    /// [`Session::spawn_with_transport`] picks TCP/Unix socket pairs
     /// instead — same worker threads, same programs, but every frame
     /// truly crosses the socket stack.
     pub fn spawn<F, P>(platform: &Platform, time_scale: f64, factory: F) -> Session
@@ -228,43 +228,43 @@ impl Session {
                 Config::default(),
             );
         }
-        // The loopback-socket star: worker threads live in this process (as
-        // on the channel transport, so panics still propagate through
-        // `shutdown`) but each one dials the master's listener and enrolls
-        // over the wire — every frame of every run crosses a real socket.
-        let listener = TransportListener::bind(mode).expect("bind loopback listener");
-        let endpoint = listener.endpoint();
+        // The in-process socket star: worker threads live in this process
+        // (as on the channel transport, so panics still propagate through
+        // `shutdown`), each wired to the master by a connected pair of its
+        // own and enrolled over it — every frame of every run crosses a
+        // real socket. No listener outlives this call, and slot `i` is the
+        // `i`-th pair by construction.
         let fp = fingerprint(platform, time_scale);
+        let mut masters = Vec::with_capacity(platform.len());
         let handles = platform
             .iter()
             .map(|(id, params)| {
-                let (endpoint, fp) = (endpoint.clone(), fp.clone());
+                let (master, worker) = transport::stream_pair(mode).expect("wire an in-process worker");
+                masters.push(master);
+                let fp = fp.clone();
                 spawn_worker(id, factory(id, *params), move || {
-                    let (wait, config) = (Duration::from_secs(10), Config::default());
-                    let enrolled =
-                        transport::enroll_with_retry(&endpoint, wait, Some(id), &fp, &config);
-                    enrolled.expect("loopback enroll").0
+                    let enrolled = transport::enroll_with(worker, &fp, 0, &Config::default());
+                    enrolled.expect("in-process enroll").0
                 })
             })
             .collect();
-        let accepted = Self::accept_star(
-            &listener,
-            platform,
-            time_scale,
-            Some((&fp, handles)),
-            HANDSHAKE_TIMEOUT,
-            &Config::default(),
-        );
-        accepted.expect("accept loopback workers")
+        // A pair whose worker failed to enroll is dropped by `accept_star`,
+        // which then runs out of pairs: this fails instead of hanging.
+        let mut masters = masters.into_iter();
+        let next = || masters.next().ok_or_else(|| io::Error::other("an in-process worker failed to enroll"));
+        let mut session = Self::accept_star(next, platform, time_scale, HANDSHAKE_TIMEOUT, &Config::default())
+            .expect("enroll the in-process workers");
+        session.handles = handles;
+        session
     }
 
     /// Build a session whose workers are **remote processes**: accept one
     /// connection per platform worker from `listener` (each a `mwp-worker`
-    /// process, or any peer speaking the enrollment handshake), assign
-    /// slots in arrival order (or honor a claimed slot), and reply to each
-    /// with its link/memory parameters. `config` is the deployment's: its
-    /// secret and liveness terms are what every enrolling worker must
-    /// have been started with too.
+    /// process, or any peer speaking the enrollment handshake), fill the
+    /// slots in arrival order, and reply to each with its link/memory
+    /// parameters. `config` is the deployment's: its secret and liveness
+    /// terms are what every enrolling worker must have been started with
+    /// too.
     ///
     /// The returned session is driven exactly like a local one: the
     /// one-port arbiter, pacing, and the stale count all live on this side.
@@ -277,42 +277,31 @@ impl Session {
         listener: &TransportListener,
         config: &Config,
     ) -> io::Result<Session> {
-        Self::accept_star(listener, platform, time_scale, None, HANDSHAKE_TIMEOUT, config)
+        Self::accept_star(|| listener.accept(), platform, time_scale, HANDSHAKE_TIMEOUT, config)
     }
 
-    /// Accept enrollments from `listener` until every one of
-    /// `platform.len()` slots is filled, wiring each into a
-    /// [`transport::RemoteLink`]: the master-facing halves assemble into
-    /// a [`MasterEndpoint`] indistinguishable from the channel
-    /// transport's. Slots are honored when claimed (loopback worker
-    /// threads know their id), assigned in arrival order otherwise
-    /// (remote processes ask with `CLAIM_ANY`). `loopback`, when given,
-    /// is the fingerprint every hello must present and the in-process
-    /// worker threads that dial in. `config` is checked
-    /// ([`Config::check`]) and kept for the session's lifetime.
+    /// Enroll the connections `next` hands out until every one of
+    /// `platform.len()` slots is filled, in arrival order, wiring each
+    /// into a [`transport::RemoteLink`]: the master-facing halves
+    /// assemble into a [`MasterEndpoint`] indistinguishable from the
+    /// channel transport's. `config` is checked ([`Config::check`]) and
+    /// kept for the session's lifetime.
     ///
     /// A connection that fails enrollment — garbage instead of a hello,
-    /// an out-of-range or taken slot claim, a foreign fingerprint, an
-    /// oversized handshake frame, or a peer that simply goes silent (its
-    /// handshake reads run under `handshake_timeout`) — is **dropped and
-    /// the loop keeps accepting**: on a network-reachable listener a
-    /// stray port scan or held-open health probe must not abort or park
-    /// the star's startup. Only a listener-level `accept` failure aborts
-    /// — plus one of the `loopback` worker threads dying before its slot
-    /// fills, which would
-    /// otherwise leave this loop waiting for a connection that can never
-    /// arrive.
+    /// a wrong secret or a stale epoch, an oversized handshake frame, or
+    /// a peer that simply goes silent (its handshake reads run under
+    /// `handshake_timeout`) — is **dropped and the loop keeps taking
+    /// connections**: on a network-reachable listener a stray port scan
+    /// or held-open health probe must not abort or park the star's
+    /// startup. Only an error from `next` itself aborts.
     fn accept_star(
-        listener: &TransportListener,
+        mut next: impl FnMut() -> io::Result<Box<dyn transport::FrameStream>>,
         platform: &Platform,
         time_scale: f64,
-        loopback: Option<(&[u8], Vec<thread::JoinHandle<()>>)>,
         handshake_timeout: Duration,
         config: &Config,
     ) -> io::Result<Session> {
         config.check().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let (expect_fp, handles) = loopback.unzip();
-        let handles = handles.unwrap_or_default();
         let terms = EnrollTerms {
             config,
             epoch: 1,
@@ -320,60 +309,24 @@ impl Session {
             pacing: Pacing { time_scale },
             handshake_timeout,
         };
-        let p = platform.len();
-        let mut sides: Vec<Option<crate::link::MasterSide>> = (0..p).map(|_| None).collect();
-        let mut fingerprints = vec![Vec::new(); p];
-        let mut pumps = Vec::with_capacity(2 * p);
-        let mut filled = 0usize;
-        while filled < p {
-            let stream = if handles.is_empty() {
-                listener.accept()?
-            } else {
-                // Interleave accepting with a liveness check on the local
-                // worker threads that are supposed to dial in: if one died
-                // (connect/enroll panic) its slot can never fill, and
-                // blocking forever would turn that failure into a hang.
-                match listener.accept_timeout(Duration::from_millis(250))? {
-                    Some(stream) => stream,
-                    None if handles.iter().any(|h| h.is_finished()) => {
-                        return Err(io::Error::other(
-                            "a loopback worker thread died before enrolling",
-                        ));
-                    }
-                    None => continue,
+        let mut links = Vec::with_capacity(platform.len());
+        let mut fingerprints = Vec::with_capacity(platform.len());
+        let mut pumps = Vec::with_capacity(2 * platform.len());
+        for (id, params) in platform.iter() {
+            // A failed connection is simply dropped; the next one may be
+            // the worker that actually belongs here.
+            let (fingerprint, link) = loop {
+                if let Ok(enrolled) = transport::master_enroll(next()?, &terms, id, *params) {
+                    break enrolled;
                 }
             };
-            let enrolled = transport::master_enroll(stream, &terms, |hello| {
-                let id = match hello.claimed {
-                    Some(id) if id.index() < p && sides[id.index()].is_none() => id,
-                    Some(id) => {
-                        let reason =
-                            format!("claimed slot {} (out of range or taken)", id.index());
-                        return Err((transport::REJECT_SLOT, reason));
-                    }
-                    None => WorkerId(
-                        (0..p).find(|&i| sides[i].is_none()).expect("filled < p: a slot is free"),
-                    ),
-                };
-                if expect_fp.is_some_and(|expected| hello.fingerprint != expected) {
-                    let reason = "enrolled with a foreign platform fingerprint".to_string();
-                    return Err((transport::REJECT_FINGERPRINT, reason));
-                }
-                Ok((id, platform.workers()[id.index()]))
-            });
-            // A failed connection is simply dropped; the next accept may
-            // be the worker that actually belongs here.
-            if let Ok((id, fingerprint, link)) = enrolled {
-                let (side, link_pumps) = link.into_parts();
-                sides[id.index()] = Some(side);
-                fingerprints[id.index()] = fingerprint;
-                pumps.extend(link_pumps);
-                filled += 1;
-            }
+            let (side, link_pumps) = link.into_parts();
+            links.push(side);
+            fingerprints.push(fingerprint);
+            pumps.extend(link_pumps);
         }
-        let links = sides.into_iter().map(|s| s.expect("every slot filled")).collect();
         let master = MasterEndpoint::new(OnePort::new(), links, config.liveness);
-        Ok(Session::new(master, handles, pumps, fingerprints, platform, time_scale, config.clone()))
+        Ok(Session::new(master, Vec::new(), pumps, fingerprints, platform, time_scale, config.clone()))
     }
 
     /// A fresh fleet (membership epoch 1, no run drawn yet) over `master`.
@@ -401,10 +354,10 @@ impl Session {
 
     /// **Elastic enrollment**: accept and enroll one more worker from
     /// `listener` *between runs*, growing the fleet by one slot. The new
-    /// worker gets the next free id (a claimed slot must match it),
-    /// `params` as its link/memory terms, and the session's own pacing;
-    /// its link joins the one-port arbiter like any original member, so
-    /// the next run's selection algorithms see it automatically.
+    /// worker gets the next free id, `params` as its link/memory terms,
+    /// and the session's own pacing; its link joins the one-port arbiter
+    /// like any original member, so the next run's selection algorithms
+    /// see it automatically.
     ///
     /// `admit` takes `&mut self`, so no other thread can be driving a
     /// run on this session while the fleet changes.
@@ -426,22 +379,11 @@ impl Session {
             pacing: self.pacing,
             handshake_timeout: HANDSHAKE_TIMEOUT,
         };
-        let (id, fingerprint, link) =
-            transport::master_enroll(stream, &terms, |hello| match hello.claimed {
-                Some(claimed) if claimed != next => Err((
-                    transport::REJECT_SLOT,
-                    format!(
-                        "claimed slot {} but the next open slot is {}",
-                        claimed.index(),
-                        next.index()
-                    ),
-                )),
-                _ => Ok((next, params)),
-            })?;
+        let (fingerprint, link) = transport::master_enroll(stream, &terms, next, params)?;
         self.epoch += 1;
         let (side, link_pumps) = link.into_parts();
-        let assigned = self.master.add_link(side);
-        debug_assert_eq!(assigned, id);
+        let id = self.master.add_link(side);
+        debug_assert_eq!(id, next);
         self.fingerprints.push(fingerprint);
         self.pumps.extend(link_pumps);
         let mut fleet = self.platform.take().map_or_else(Vec::new, |p| p.workers().to_vec());
@@ -729,8 +671,8 @@ where
     record::sync();
 }
 
-/// Stable identity of a platform + pacing configuration — the bytes a
-/// loopback worker presents at enrollment (little-endian `u64`s): two
+/// Stable identity of a platform + pacing configuration — the bytes an
+/// in-process socket worker presents at enrollment (little-endian `u64`s): two
 /// stars agree exactly when every worker's `(c, w, m)` and the time scale
 /// are bit-equal.
 pub fn fingerprint(platform: &Platform, time_scale: f64) -> Vec<u8> {
@@ -819,21 +761,19 @@ mod tests {
 
     /// A remote fleet member: dial `endpoint` (on the calling thread, so
     /// dialers reach the listener in the order they are made), then, on a
-    /// thread of its own, enroll presenting `claim`/`epoch`/`fp` and
+    /// thread of its own, enroll presenting `epoch`/`fp` and
     /// serve echo runs until shutdown. Joins to the welcome's epoch, or
     /// to the kind of the enrollment error. Dials under [`fleet`], as the
     /// session under test accepts.
     fn remote_worker(
         endpoint: &str,
-        claim: Option<usize>,
         epoch: u64,
         fp: &'static [u8],
     ) -> thread::JoinHandle<Result<u64, io::ErrorKind>> {
         let stream = transport::connect_with_retry(endpoint, Duration::from_secs(10)).unwrap();
         thread::spawn(move || {
             let (ep, welcome) =
-                transport::enroll_with(stream, claim.map(WorkerId), fp, epoch, &fleet())
-                    .map_err(|e| e.kind())?;
+                transport::enroll_with(stream, fp, epoch, &fleet()).map_err(|e| e.kind())?;
             serve_worker(ep, &mut echo_program);
             Ok(welcome.epoch)
         })
@@ -949,14 +889,14 @@ mod tests {
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let endpoint = listener.endpoint();
-        let w0 = remote_worker(&endpoint, None, 0, b"elastic");
+        let w0 = remote_worker(&endpoint, 0, b"elastic");
         let mut session =
             Session::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
         assert_eq!(session.workers(), 1);
         assert_eq!(session.epoch(), 1, "a fresh fleet is generation 1");
         echo_round(&session, 1, 1);
         // Between runs: a new worker dials in and is admitted.
-        let w1 = remote_worker(&endpoint, None, 0, b"elastic");
+        let w1 = remote_worker(&endpoint, 0, b"elastic");
         let id = session
             .admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 8 })
             .unwrap();
@@ -980,7 +920,7 @@ mod tests {
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let endpoint = listener.endpoint();
         let workers: Vec<_> =
-            (0..2).map(|_| remote_worker(&endpoint, None, 0, b"fleet")).collect();
+            (0..2).map(|_| remote_worker(&endpoint, 0, b"fleet")).collect();
         let mut session =
             Session::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
         assert_eq!(session.dead_workers(), 0);
@@ -1012,7 +952,7 @@ mod tests {
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let endpoint = listener.endpoint();
-        let dial = |epoch: u64| remote_worker(&endpoint, None, epoch, b"fleet");
+        let dial = |epoch: u64| remote_worker(&endpoint, epoch, b"fleet");
         let w0 = dial(0);
         let mut session =
             Session::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
@@ -1043,13 +983,13 @@ mod tests {
     }
 
     /// The one master-side enrollment, through both of its callers — the
-    /// star accept loop and `Session::admit` — against every refusal its
-    /// slot/fingerprint/epoch gates can issue: each bad dialer reads the
+    /// star accept loop and `Session::admit` — against the refusal its
+    /// epoch gate issues: each bad dialer reads the
     /// `REJECT_*` code naming its gate, the next good hello enrolls, and
     /// the fleet serves a run after every rejection.
     #[test]
     fn enrollment_rejections_are_coded_and_leave_the_fleet_serviceable() {
-        use transport::{REJECT_EPOCH, REJECT_FINGERPRINT, REJECT_SLOT};
+        use transport::REJECT_EPOCH;
         let platform = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
         let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
         let endpoint = listener.endpoint();
@@ -1057,7 +997,7 @@ mod tests {
         // joins to the code of the REJECT frame it is answered with.
         let refused = {
             let endpoint = endpoint.clone();
-            move |claim: Option<usize>, epoch: u64, fp: &'static [u8]| {
+            move |epoch: u64, fp: &'static [u8]| {
                 let wait = Duration::from_secs(10);
                 let mut conn = transport::connect_with_retry(&endpoint, wait).unwrap();
                 thread::spawn(move || {
@@ -1066,7 +1006,6 @@ mod tests {
                     let challenge = conn.recv_frame_capped(cap).unwrap().expect("challenge");
                     let challenge = transport::parse_challenge(&challenge).unwrap();
                     let hello = transport::Hello {
-                        claimed: claim.map(WorkerId),
                         epoch,
                         nonce: crate::auth::fresh_nonce(),
                         fingerprint: fp.to_vec(),
@@ -1079,47 +1018,28 @@ mod tests {
                 })
             }
         };
-        // The star accept loop (fingerprint policy on): slot 0 fills, four
-        // dialers are refused in turn, then slot 1 fills and the loop ends.
+        // The star accept loop: slot 0 fills, a dialer is refused, then
+        // slot 1 fills and the loop ends.
         let script = {
             let (endpoint, refused) = (endpoint.clone(), refused.clone());
             thread::spawn(move || {
-                let w0 = remote_worker(&endpoint, Some(0), 0, b"fleet");
-                for (claim, epoch, fp, code) in [
-                    (Some(0), 0, b"fleet" as &[u8], REJECT_SLOT),
-                    (Some(9), 0, b"fleet", REJECT_SLOT),
-                    (None, 0, b"alien", REJECT_FINGERPRINT),
-                    (None, 7, b"fleet", REJECT_EPOCH),
-                ] {
-                    assert_eq!(refused(claim, epoch, fp).join().unwrap(), code, "star: {claim:?}");
-                }
-                vec![w0, remote_worker(&endpoint, None, 0, b"fleet")]
+                let w0 = remote_worker(&endpoint, 0, b"fleet");
+                assert_eq!(refused(7, b"fleet").join().unwrap(), REJECT_EPOCH, "star");
+                vec![w0, remote_worker(&endpoint, 0, b"fleet")]
             })
         };
-        let mut session = Session::accept_star(
-            &listener,
-            &platform,
-            0.0,
-            Some((b"fleet", Vec::new())),
-            HANDSHAKE_TIMEOUT,
-            &fleet(),
-        )
-        .unwrap();
+        let mut session = Session::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
         let mut workers = script.join().unwrap();
         echo_round(&session, 2, 1);
 
         // `Session::admit`: the next open slot is 2 and the epoch is 1.
         let params = WorkerParams { c: 1.0, w: 1.0, m: 8 };
-        for (claim, epoch, code) in
-            [(Some(0), 0, REJECT_SLOT), (Some(9), 0, REJECT_SLOT), (None, 7, REJECT_EPOCH)]
-        {
-            let dialer = refused(claim, epoch, b"elastic");
-            session.admit(&listener, params).expect_err("must be refused");
-            assert_eq!(dialer.join().unwrap(), code, "admit: {claim:?} at epoch {epoch}");
-            assert_eq!((session.workers(), session.epoch()), (2, 1), "no membership change");
-            echo_round(&session, 2, 2);
-        }
-        workers.push(remote_worker(&endpoint, Some(2), 0, b"elastic"));
+        let dialer = refused(7, b"elastic");
+        session.admit(&listener, params).expect_err("must be refused");
+        assert_eq!(dialer.join().unwrap(), REJECT_EPOCH, "admit at epoch 7");
+        assert_eq!((session.workers(), session.epoch()), (2, 1), "no membership change");
+        echo_round(&session, 2, 2);
+        workers.push(remote_worker(&endpoint, 0, b"elastic"));
         assert_eq!(session.admit(&listener, params).unwrap(), WorkerId(2));
         assert_eq!(session.epoch(), 2);
         echo_round(&session, 3, 3);
@@ -1329,7 +1249,7 @@ mod tests {
                 thread::sleep(std::time::Duration::from_millis(30));
                 let wait = Duration::from_secs(10);
                 let (ep, welcome) =
-                    transport::enroll_with_retry(&endpoint, wait, None, b"real-worker", &fleet())
+                    transport::enroll_with_retry(&endpoint, wait, b"real-worker", &fleet())
                         .unwrap();
                 assert_eq!(welcome.worker, WorkerId(0));
                 serve_worker(ep, &mut echo_program);
@@ -1337,7 +1257,7 @@ mod tests {
         };
         let silence_budget = Duration::from_millis(200);
         let session =
-            Session::accept_star(&listener, &platform, 0.0, None, silence_budget, &fleet())
+            Session::accept_star(|| listener.accept(), &platform, 0.0, silence_budget, &fleet())
                 .unwrap();
         assert_eq!(session.worker_fingerprints()[0], b"real-worker".to_vec());
         assert_eq!(echo_round(&session, 1, 5), 2);
@@ -1356,7 +1276,6 @@ mod tests {
             let challenge = transport::parse_challenge(&challenge.unwrap().unwrap()).unwrap();
             if after_hello {
                 let hello = transport::Hello {
-                    claimed: None,
                     epoch: 0,
                     nonce: [3; 16],
                     fingerprint: b"dies-mid-handshake".to_vec(),
@@ -1377,7 +1296,7 @@ mod tests {
             let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
             let endpoint = listener.endpoint();
             let dier = dies_mid_handshake(&endpoint, after_hello);
-            let honest = remote_worker(&endpoint, None, 0, b"honest");
+            let honest = remote_worker(&endpoint, 0, b"honest");
             let session = Session::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
             assert_eq!(session.worker_fingerprints(), [b"honest".to_vec()], "after_hello: {after_hello}");
             assert_eq!(echo_round(&session, 1, 7), 2);

@@ -33,8 +33,6 @@ pub const CHALLENGE: u32 = u32::MAX - 4;
 /// before the master drops the connection, so a rejected worker fails
 /// with a diagnosis instead of a bare EOF.
 pub const REJECT: u32 = u32::MAX - 5;
-/// `Tag::j` value in a hello meaning "assign me any free worker slot".
-pub const CLAIM_ANY: u32 = u32::MAX;
 
 /// Version of the enrollment handshake this build speaks. A peer
 /// presenting any other version — including a pre-versioning build,
@@ -59,8 +57,12 @@ pub const CLAIM_ANY: u32 = u32::MAX;
 /// period; and a worker that refuses an LU pivot answers the `LuPanel`
 /// task with an empty payload instead of dying. A v7 worker still dies
 /// on such a pivot and a v7 master reads the refusal as a bad reply, so
-/// a mixed fleet is refused at the hello.
-pub const PROTOCOL_VERSION: u32 = 8;
+/// a mixed fleet is refused at the hello. v9 drops the hello's slot
+/// claim: the master places every worker it enrolls, in-process ones
+/// included. A v8 hello's MAC covers the claim, so without the bump a v8
+/// worker would be refused as holding the wrong secret, not as the
+/// version it is.
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).
@@ -71,20 +73,11 @@ pub const REJECT_AUTH: u32 = 2;
 /// Reject code: the hello presented a stale membership epoch — a
 /// connection (or replay) from a previous fleet generation.
 pub const REJECT_EPOCH: u32 = 3;
-/// Reject code: the claimed worker slot is not the one the master is
-/// enrolling.
-pub const REJECT_SLOT: u32 = 4;
-/// Reject code: the fingerprint does not match what the master expects
-/// (a cross-wired loopback connect).
-pub const REJECT_FINGERPRINT: u32 = 5;
 
 /// The worker's answer to the master's challenge: who it is and which
 /// fleet generation it believes it belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
-    /// The worker slot this connection claims, or `None` to let the
-    /// master assign the next free slot (out-of-process workers).
-    pub claimed: Option<WorkerId>,
     /// The membership epoch the worker believes is current. `0` means
     /// "fresh connection, no prior generation" — always admissible. A
     /// non-zero epoch that is not the master's current one marks a
@@ -94,10 +87,9 @@ pub struct Hello {
     /// The worker's handshake nonce: the master's welcome MAC covers it,
     /// so a recorded welcome cannot be replayed to a later enrollment.
     pub nonce: [u8; 16],
-    /// Opaque fingerprint bytes: loopback workers send the platform
-    /// fingerprint (and the master verifies it — a cross-wired connect
-    /// must fail fast); remote workers send a self-description (binary
-    /// version, compute kernel) the master records.
+    /// Opaque fingerprint bytes the master records: in-process workers
+    /// send the platform fingerprint, remote workers a self-description
+    /// (binary version, compute kernel).
     pub fingerprint: Vec<u8>,
 }
 
@@ -141,28 +133,20 @@ const WELCOME_WIRE_LEN: usize = 8 * 5 + 32;
 const WELCOME_MAC_AT: usize = WELCOME_WIRE_LEN - 32;
 
 /// The hello's authentication tag: an HMAC over the master's challenge
-/// nonce and **every field the hello asserts** (version, claimed slot,
-/// epoch, worker nonce, fingerprint), domain-separated from the welcome
-/// MAC. Binding the challenge makes a recorded hello worthless against
-/// any later connection.
-fn hello_mac(
-    secret: &[u8],
-    challenge: &[u8; 16],
-    claim_j: u32,
-    epoch: u64,
-    nonce: &[u8; 16],
-    fingerprint: &[u8],
-) -> [u8; 32] {
+/// nonce and **every field the hello asserts** (version, epoch, worker
+/// nonce, fingerprint), domain-separated from the welcome MAC. Binding
+/// the challenge makes a recorded hello worthless against any later
+/// connection.
+fn hello_mac(secret: &[u8], challenge: &[u8; 16], hello: &Hello) -> [u8; 32] {
     auth::hmac_sha256(
         secret,
         &[
             b"mwp-hello-v2",
             challenge,
             &PROTOCOL_VERSION.to_le_bytes(),
-            &claim_j.to_le_bytes(),
-            &epoch.to_le_bytes(),
-            nonce,
-            fingerprint,
+            &hello.epoch.to_le_bytes(),
+            &hello.nonce,
+            &hello.fingerprint,
         ],
     )
 }
@@ -209,15 +193,14 @@ pub fn parse_challenge(frame: &Frame) -> io::Result<[u8; 16]> {
 
 /// Encode a [`Hello`] answering `challenge`, MAC'd with `secret`.
 pub fn hello_frame(hello: &Hello, secret: &[u8], challenge: &[u8; 16]) -> Frame {
-    let j = hello.claimed.map_or(CLAIM_ANY, |id| id.index() as u32);
-    let mac = hello_mac(secret, challenge, j, hello.epoch, &hello.nonce, &hello.fingerprint);
+    let mac = hello_mac(secret, challenge, hello);
     let mut payload = Vec::with_capacity(HELLO_FIXED_LEN + hello.fingerprint.len());
     payload.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     payload.extend_from_slice(&hello.epoch.to_le_bytes());
     payload.extend_from_slice(&hello.nonce);
     payload.extend_from_slice(&mac);
     payload.extend_from_slice(&hello.fingerprint);
-    Frame::new(Tag { kind: FrameKind::Control, i: HELLO, j }, Bytes::from(payload))
+    Frame::new(Tag { kind: FrameKind::Control, i: HELLO, j: 0 }, Bytes::from(payload))
 }
 
 /// Decode a [`Hello`] (structure and version only — authenticity is
@@ -245,12 +228,7 @@ pub fn parse_hello(frame: &Frame) -> io::Result<Hello> {
             format!("peer speaks enrollment protocol v{version}, this build speaks v{PROTOCOL_VERSION}"),
         ));
     }
-    let claimed = match frame.tag.j {
-        CLAIM_ANY => None,
-        idx => Some(WorkerId(idx as usize)),
-    };
     Ok(Hello {
-        claimed,
         epoch: u64::from_le_bytes(p[4..12].try_into().expect("len checked")),
         nonce: p[12..28].try_into().expect("len checked"),
         fingerprint: p[HELLO_FIXED_LEN..].to_vec(),
@@ -269,9 +247,7 @@ pub fn hello_authentic(
         Some(mac) => mac.try_into().expect("32-byte slice"),
         None => return false,
     };
-    let expected =
-        hello_mac(secret, challenge, frame.tag.j, hello.epoch, &hello.nonce, &hello.fingerprint);
-    auth::macs_equal(&presented, &expected)
+    auth::macs_equal(&presented, &hello_mac(secret, challenge, hello))
 }
 
 /// Encode a [`Welcome`] as its control frame, MAC'd over the enrolling
@@ -338,9 +314,10 @@ pub fn is_reject(frame: &Frame) -> bool {
 /// The error kind a `REJECT_*` code stands for, on both ends of the
 /// wire: version mismatches are [`io::ErrorKind::Unsupported`], failed
 /// authentication and stale epochs are
-/// [`io::ErrorKind::PermissionDenied`], slot/fingerprint disputes are
-/// [`io::ErrorKind::InvalidData`]. All of them are **permanent** — the
-/// retry loop in [`enroll_with_retry`] gives up on them immediately.
+/// [`io::ErrorKind::PermissionDenied`], and a code this build does not
+/// know is [`io::ErrorKind::InvalidData`]. All of them are
+/// **permanent** — the retry loop in [`enroll_with_retry`] gives up on
+/// them immediately.
 fn reject_kind(code: u32) -> io::ErrorKind {
     match code {
         REJECT_VERSION => io::ErrorKind::Unsupported,
@@ -444,13 +421,11 @@ pub(crate) struct EnrollTerms<'a> {
 }
 
 /// The master side of enrollment, whole: challenge the fresh connection,
-/// vet its hello ([`master_read_hello`]), let `assign` — the caller's
-/// slot/fingerprint policy — name the worker's slot and `(c, w, m)` terms
-/// or refuse with a `REJECT_*` code and reason, send the welcome, await
-/// the worker's confirming heartbeat, swap the
-/// handshake read deadline for the liveness deadline, split the stream
-/// and bridge it into a [`RemoteLink`]. Returns the assigned slot, the
-/// fingerprint the hello presented, and the link.
+/// vet its hello ([`master_read_hello`]), welcome it as worker `id` with
+/// the `(c, w, m)` terms `params`, await the worker's confirming
+/// heartbeat, swap the handshake read deadline for the liveness
+/// deadline, split the stream and bridge it into a [`RemoteLink`].
+/// Returns the fingerprint the hello presented, and the link.
 ///
 /// An `Err` condemns only this connection (dropped on return, after a
 /// best-effort [`REJECT`] naming the reason), never the caller's fleet.
@@ -459,13 +434,12 @@ pub(crate) struct EnrollTerms<'a> {
 pub(crate) fn master_enroll(
     mut stream: Box<dyn FrameStream>,
     terms: &EnrollTerms<'_>,
-    assign: impl FnOnce(&Hello) -> Result<(WorkerId, WorkerParams), (u32, String)>,
-) -> io::Result<(WorkerId, Vec<u8>, RemoteLink)> {
+    id: WorkerId,
+    params: WorkerParams,
+) -> io::Result<(Vec<u8>, RemoteLink)> {
     let challenge = master_challenge(stream.as_mut(), terms.handshake_timeout)?;
     let secret = &terms.config.fleet_secret;
     let hello = master_read_hello(stream.as_mut(), secret, &challenge, terms.epoch)?;
-    let (id, params) =
-        assign(&hello).map_err(|(code, reason)| refuse(stream.as_mut(), code, &reason))?;
     let welcome = Welcome {
         worker: id,
         c: params.c,
@@ -493,16 +467,16 @@ pub(crate) fn master_enroll(
     let (reader, writer) = stream.split()?;
     let probe = terms.config.probe_period();
     let link = RemoteLink::attach(reader, writer, params.c, terms.pacing, id, probe);
-    Ok((id, hello.fingerprint, link))
+    Ok((hello.fingerprint, link))
 }
 
-/// Worker-side enrollment (a worker process, or a loopback worker
-/// thread): await the master's
-/// challenge, answer with a hello MAC'd under `config`'s secret — claiming
-/// `claim` or asking for any slot, presenting `epoch` as the believed
-/// fleet generation — and build a socket-backed [`WorkerEndpoint`] from
-/// the returned welcome (whose own MAC is verified: mutual
-/// authentication), once a heartbeat has confirmed it. The endpoint
+/// Worker-side enrollment (a worker process, or an in-process worker
+/// thread): await the master's challenge, answer with a hello MAC'd under
+/// `config`'s secret — presenting `fingerprint` and `epoch` as the
+/// believed fleet generation — and build a socket-backed
+/// [`WorkerEndpoint`] for the slot the returned welcome names (whose own
+/// MAC is verified: mutual authentication), once a heartbeat has
+/// confirmed it. The endpoint
 /// drives the exact same worker programs as the channel transport; see
 /// [`crate::session::serve_worker`] for the outer loop.
 ///
@@ -518,12 +492,12 @@ pub(crate) fn master_enroll(
 /// answers those probes itself ([`WorkerEndpoint::recv`]).
 ///
 /// `stream` may be any [`FrameStream`]: the worker binary's comes from
-/// [`connect`], and a test can hand in one of its own (the chaos tests'
-/// faulty stream is built on [`super::read_frame_from`] and
-/// [`super::write_frames_to`]).
+/// [`connect`], an in-process worker's is its end of the pair
+/// `Session::spawn_with_transport` wires, and a test can hand in one of
+/// its own (the chaos tests' faulty stream is built on
+/// [`super::read_frame_from`] and [`super::write_frames_to`]).
 pub fn enroll_with(
     mut stream: Box<dyn FrameStream>,
-    claim: Option<WorkerId>,
     fingerprint: &[u8],
     epoch: u64,
     config: &Config,
@@ -533,8 +507,7 @@ pub fn enroll_with(
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     let challenge =
         parse_challenge(&expect_frame(stream.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN)?, "challenge")?)?;
-    let hello =
-        Hello { claimed: claim, epoch, nonce: auth::fresh_nonce(), fingerprint: fingerprint.to_vec() };
+    let hello = Hello { epoch, nonce: auth::fresh_nonce(), fingerprint: fingerprint.to_vec() };
     stream.send_frame(&hello_frame(&hello, secret, &challenge))?;
     let reply = expect_frame(stream.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN)?, "welcome")?;
     if is_reject(&reply) {
@@ -542,14 +515,6 @@ pub fn enroll_with(
     }
     let welcome = parse_welcome(&reply, secret, &hello.nonce)?;
     stream.set_read_timeout(config.liveness)?;
-    if let Some(claimed) = claim {
-        if welcome.worker != claimed {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("claimed slot {} but was welcomed as {}", claimed.index(), welcome.worker.index()),
-            ));
-        }
-    }
     stream.send_frame(&Frame::heartbeat())?;
     let (reader, writer) = stream.split()?;
     Ok((WorkerEndpoint::remote(welcome.worker, reader, writer, config.probe_period()), welcome))
@@ -561,17 +526,14 @@ pub fn enroll_with(
 /// Unix socket path, a peer that closed before answering — retry on the
 /// jittered exponential [`Backoff`](super::Backoff) until `deadline`
 /// elapses. Everything else fails **fast**: an authentication rejection,
-/// a version mismatch, or a slot dispute will not change on retry, and
+/// a version mismatch, or a stale epoch will not change on retry, and
 /// hammering the master's accept loop with doomed handshakes would only
 /// hide the real error behind a timeout.
 pub fn enroll_with_retry(
     endpoint: &str,
     deadline: Duration,
-    claim: Option<WorkerId>,
     fingerprint: &[u8],
     config: &Config,
 ) -> io::Result<(WorkerEndpoint, Welcome)> {
-    retry_transient(deadline, || {
-        enroll_with(connect(endpoint)?, claim, fingerprint, 0, config)
-    })
+    retry_transient(deadline, || enroll_with(connect(endpoint)?, fingerprint, 0, config))
 }

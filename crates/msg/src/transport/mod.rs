@@ -34,15 +34,17 @@
 //!   and `uds:/path` address strings ([`TransportListener::bind_tcp`] /
 //!   [`TransportListener::bind_uds`] move the master off loopback for
 //!   real multi-host fleets), and the [`Backoff`] retry loop behind
-//!   [`connect_with_retry`]. The stream reads through a 64 KiB buffer,
+//!   [`connect_with_retry`]. An in-process worker gets no listener at all:
+//!   its session wires it a connected pair of its own (a Unix socket pair,
+//!   or a loopback TCP connection through a private listener dropped at
+//!   once). The stream reads through a 64 KiB buffer,
 //!   so one `read` takes in every frame queued on the socket;
 //!   [`socket_calls`] counts its `read` and `write` calls.
 //! * **`handshake`** — an authenticated four-frame exchange (protocol
 //!   version [`PROTOCOL_VERSION`]): the master opens with a
 //!   [challenge](challenge_frame) nonce, the worker answers with a
-//!   [`Hello`] (claimed slot, fleet epoch, its own nonce, fingerprint
-//!   bytes) carrying an HMAC over the challenge and every asserted field
-//!   keyed by the shared fleet secret ([`crate::config::Config::fleet_secret`]),
+//!   [`Hello`] (fleet epoch, its own nonce, fingerprint bytes) carrying
+//!   an HMAC over the challenge and every asserted field keyed by the shared fleet secret ([`crate::config::Config::fleet_secret`]),
 //!   and the master closes with a [`Welcome`] (assigned
 //!   [`mwp_platform::WorkerId`], the worker's `(c, w, m)` parameters, the
 //!   pacing scale, and the membership epoch) MAC'd over the worker's nonce — mutual authentication,
@@ -55,7 +57,8 @@
 //!   frames with reserved sentinels (the confirmation is a plain
 //!   heartbeat), under the [`HANDSHAKE_TIMEOUT`] read
 //!   deadline. The master side of the exchange exists once (the star
-//!   accept loop and `Session::admit` both call it); the worker side is
+//!   enrollment loop and `Session::admit` both call it, each naming the
+//!   slot it fills); the worker side is
 //!   [`enroll_with`] / [`enroll_with_retry`]: connect, answer the challenge,
 //!   await and confirm the welcome, and get back a socket-backed
 //!   [`crate::WorkerEndpoint`] that the existing worker programs
@@ -94,11 +97,11 @@ pub(crate) use handshake::{master_enroll, EnrollTerms};
 pub use handshake::{
     challenge_frame, enroll_with, enroll_with_retry, hello_authentic, hello_frame,
     is_reject, master_challenge, master_read_hello, parse_challenge, parse_hello, parse_welcome,
-    reject_error, reject_frame, welcome_frame, Hello, Welcome, CHALLENGE, CLAIM_ANY,
-    HANDSHAKE_TIMEOUT, HELLO, PROTOCOL_VERSION, REJECT, REJECT_AUTH, REJECT_EPOCH,
-    REJECT_FINGERPRINT, REJECT_SLOT, REJECT_VERSION, WELCOME,
+    reject_error, reject_frame, welcome_frame, Hello, Welcome, CHALLENGE, HANDSHAKE_TIMEOUT,
+    HELLO, PROTOCOL_VERSION, REJECT, REJECT_AUTH, REJECT_EPOCH, REJECT_VERSION, WELCOME,
 };
 pub use remote_link::RemoteLink;
+pub(crate) use socket::stream_pair;
 pub use socket::{
     connect, connect_with_retry, socket_calls, Backoff, SocketCalls, TransportListener,
 };

@@ -20,12 +20,12 @@ use std::time::{Duration, Instant};
 /// What [`SocketStream`] needs from a raw connected socket, so one
 /// implementation covers both socket families.
 trait RawStream: Read + Write + Send + Sized + 'static {
-    /// Put a fresh connection in the state framing expects: blocking
-    /// mode (an accept on a non-blocking listener may hand out a
-    /// non-blocking socket) and, on TCP, `TCP_NODELAY` — the protocol's
-    /// many small control frames must not sit in Nagle's buffer behind
-    /// an ACK.
-    fn prepare(&self) -> io::Result<()>;
+    /// Put a fresh connection in the state framing expects: on TCP,
+    /// `TCP_NODELAY` — the protocol's many small control frames must not
+    /// sit in Nagle's buffer behind an ACK.
+    fn prepare(&self) -> io::Result<()> {
+        Ok(())
+    }
     fn try_clone_raw(&self) -> io::Result<Self>;
     fn set_read_timeout_raw(&self, t: Option<Duration>) -> io::Result<()>;
     fn peer_desc(&self) -> String;
@@ -33,7 +33,6 @@ trait RawStream: Read + Write + Send + Sized + 'static {
 
 impl RawStream for TcpStream {
     fn prepare(&self) -> io::Result<()> {
-        self.set_nonblocking(false)?;
         self.set_nodelay(true)
     }
     fn try_clone_raw(&self) -> io::Result<Self> {
@@ -52,9 +51,6 @@ impl RawStream for TcpStream {
 
 #[cfg(unix)]
 impl RawStream for UnixStream {
-    fn prepare(&self) -> io::Result<()> {
-        self.set_nonblocking(false)
-    }
     fn try_clone_raw(&self) -> io::Result<Self> {
         self.try_clone()
     }
@@ -299,46 +295,12 @@ impl TransportListener {
         }
     }
 
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            TransportListener::Tcp(l) => l.set_nonblocking(nonblocking),
-            #[cfg(unix)]
-            TransportListener::Uds { listener, .. } => listener.set_nonblocking(nonblocking),
-        }
-    }
-
-    /// One `accept` call in whatever blocking mode the listener is in.
-    fn accept_once(&self) -> io::Result<Box<dyn FrameStream>> {
+    /// Accept the next connection (blocking).
+    pub fn accept(&self) -> io::Result<Box<dyn FrameStream>> {
         match self {
             TransportListener::Tcp(l) => SocketStream::boxed(l.accept()?.0),
             #[cfg(unix)]
             TransportListener::Uds { listener, .. } => SocketStream::boxed(listener.accept()?.0),
-        }
-    }
-
-    /// Accept the next connection (blocking).
-    pub fn accept(&self) -> io::Result<Box<dyn FrameStream>> {
-        self.set_nonblocking(false)?;
-        self.accept_once()
-    }
-
-    /// Accept with a bound: `Ok(None)` if no connection arrived within
-    /// `timeout`. Lets an accept loop interleave waiting with liveness
-    /// checks (e.g. "did the worker thread that was supposed to dial us
-    /// die?") instead of parking forever.
-    pub fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<Box<dyn FrameStream>>> {
-        self.set_nonblocking(true)?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.accept_once() {
-                Ok(stream) => return Ok(Some(stream)),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(e),
-            }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
-            thread::sleep(Duration::from_millis(5));
         }
     }
 }
@@ -348,6 +310,39 @@ impl Drop for TransportListener {
         #[cfg(unix)]
         if let TransportListener::Uds { path, .. } = self {
             let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// A connected pair of `mode`'s sockets, (master end, worker end), that
+/// no other process can reach: a Unix socket pair with no path, or a
+/// loopback TCP connection made through a private listener that is gone
+/// when this returns. How a session wires its in-process workers.
+pub(crate) fn stream_pair(mode: TransportMode) -> io::Result<(Box<dyn FrameStream>, Box<dyn FrameStream>)> {
+    match mode {
+        TransportMode::Tcp => {
+            let (master, worker) = tcp_pair(&TcpListener::bind("127.0.0.1:0")?)?;
+            Ok((SocketStream::boxed(master)?, SocketStream::boxed(worker)?))
+        }
+        #[cfg(unix)]
+        TransportMode::Uds => {
+            let (master, worker) = UnixStream::pair()?;
+            Ok((SocketStream::boxed(master)?, SocketStream::boxed(worker)?))
+        }
+        _ => Err(io::Error::new(io::ErrorKind::InvalidInput, format!("{mode:?} has no socket pair"))),
+    }
+}
+
+/// Dial `listener` and accept the connection just dialed, (accepted end,
+/// dialed end). Whatever else the listener queued is dropped unpaired: a
+/// stream is paired only if its peer is the dialed end's own address.
+pub(super) fn tcp_pair(listener: &TcpListener) -> io::Result<(TcpStream, TcpStream)> {
+    let dialed = TcpStream::connect(listener.local_addr()?)?;
+    let own = dialed.local_addr()?;
+    loop {
+        let (accepted, peer) = listener.accept()?;
+        if peer == own {
+            return Ok((accepted, dialed));
         }
     }
 }

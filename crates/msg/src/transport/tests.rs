@@ -313,7 +313,6 @@ fn hello_welcome_roundtrip() {
     let secret = b"roundtrip-secret";
     let challenge = auth::fresh_nonce();
     let h1 = Hello {
-        claimed: Some(WorkerId(3)),
         epoch: 7,
         nonce: auth::fresh_nonce(),
         fingerprint: b"fp".to_vec(),
@@ -322,10 +321,10 @@ fn hello_welcome_roundtrip() {
     let parsed = parse_hello(&f1).unwrap();
     assert_eq!(parsed, h1);
     assert!(hello_authentic(&f1, &parsed, secret, &challenge));
-    let h2 = Hello { claimed: None, epoch: 0, nonce: auth::fresh_nonce(), fingerprint: vec![] };
+    let h2 = Hello { epoch: 0, nonce: auth::fresh_nonce(), fingerprint: vec![] };
     let f2 = hello_frame(&h2, secret, &challenge);
     let parsed2 = parse_hello(&f2).unwrap();
-    assert_eq!(parsed2.claimed, None);
+    assert_eq!(parsed2, h2);
     assert!(hello_authentic(&f2, &parsed2, secret, &challenge));
     let welcome = welcome(2, 7);
     let wf = welcome_frame(&welcome, secret, &h1.nonce);
@@ -355,7 +354,7 @@ fn hello_from_another_protocol_version_is_unsupported_not_corrupt() {
     let secret = b"s";
     let challenge = auth::fresh_nonce();
     let hello =
-        Hello { claimed: None, epoch: 0, nonce: auth::fresh_nonce(), fingerprint: vec![] };
+        Hello { epoch: 0, nonce: auth::fresh_nonce(), fingerprint: vec![] };
     // Version field rewritten: parse must classify it as a foreign
     // protocol revision.
     let good = hello_frame(&hello, secret, &challenge);
@@ -366,7 +365,7 @@ fn hello_from_another_protocol_version_is_unsupported_not_corrupt() {
     // A pre-versioning hello (short payload — the v1 wire format was
     // just fingerprint bytes) classifies the same way.
     let legacy = Frame::new(
-        Tag { kind: FrameKind::Control, i: HELLO, j: CLAIM_ANY },
+        Tag { kind: FrameKind::Control, i: HELLO, j: 0 },
         Bytes::from(b"fp".to_vec()),
     );
     assert_eq!(parse_hello(&legacy).unwrap_err().kind(), io::ErrorKind::Unsupported);
@@ -393,7 +392,7 @@ fn previous_version_peer_is_rejected_with_a_version_code() {
     let challenge =
         parse_challenge(&expect_frame(conn.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN).unwrap(), "challenge").unwrap())
             .unwrap();
-    let hello = Hello { claimed: None, epoch: 0, nonce: auth::fresh_nonce(), fingerprint: vec![] };
+    let hello = Hello { epoch: 0, nonce: auth::fresh_nonce(), fingerprint: vec![] };
     let good = hello_frame(&hello, secret, &challenge);
     let mut payload = good.payload.to_vec();
     payload[0..4].copy_from_slice(&(PROTOCOL_VERSION - 1).to_le_bytes());
@@ -409,7 +408,6 @@ fn previous_version_peer_is_rejected_with_a_version_code() {
 fn wrong_secret_fails_both_mac_directions() {
     let challenge = auth::fresh_nonce();
     let hello = Hello {
-        claimed: Some(WorkerId(0)),
         epoch: 0,
         nonce: auth::fresh_nonce(),
         fingerprint: b"x".to_vec(),
@@ -439,8 +437,8 @@ fn reject_frames_map_to_the_right_error_kinds() {
         (REJECT_VERSION, io::ErrorKind::Unsupported),
         (REJECT_AUTH, io::ErrorKind::PermissionDenied),
         (REJECT_EPOCH, io::ErrorKind::PermissionDenied),
-        (REJECT_SLOT, io::ErrorKind::InvalidData),
-        (REJECT_FINGERPRINT, io::ErrorKind::InvalidData),
+        // A code this build does not know.
+        (REJECT_EPOCH + 1, io::ErrorKind::InvalidData),
     ] {
         let f = reject_frame(code, "nope");
         assert!(is_reject(&f));
@@ -474,13 +472,13 @@ fn enrollment_round_rejects_impostors_and_admits_the_fleet() {
     let dial = || connect_with_retry(&endpoint, Duration::from_secs(5)).unwrap();
     // 1: wrong secret.
     let fleet = |secret: &[u8]| Config { fleet_secret: secret.to_vec(), ..Config::default() };
-    let err = enroll_with(dial(), None, b"", 0, &fleet(b"not-the-secret"))
+    let err = enroll_with(dial(), b"", 0, &fleet(b"not-the-secret"))
         .err()
         .expect("wrong secret must be rejected");
     assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
     // 2: stale epoch.
     let err =
-        enroll_with(dial(), None, b"", 4, &fleet(secret)).err().expect("stale epoch rejected");
+        enroll_with(dial(), b"", 4, &fleet(secret)).err().expect("stale epoch rejected");
     assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
     assert!(err.to_string().contains("stale"), "got: {err}");
     // 3: does not even speak the protocol: it answers the challenge with
@@ -493,7 +491,7 @@ fn enrollment_round_rejects_impostors_and_admits_the_fleet() {
     assert!(is_reject(&reply), "a non-hello is answered with a rejection");
     assert_eq!(reject_error(&reply).kind(), io::ErrorKind::Unsupported);
     // 4: the real fleet member — current epoch, right secret.
-    let (ep, welcome) = enroll_with(dial(), None, b"fp", 5, &fleet(secret)).unwrap();
+    let (ep, welcome) = enroll_with(dial(), b"fp", 5, &fleet(secret)).unwrap();
     assert_eq!(welcome.epoch, 5);
     assert_eq!(welcome.worker, WorkerId(0));
     drop(ep);
@@ -522,7 +520,7 @@ fn enroll_with_retry_fails_fast_on_rejection() {
         let _ = conn.recv_frame_capped(MAX_HANDSHAKE_WIRE_LEN);
     });
     let t0 = std::time::Instant::now();
-    let err = enroll_with_retry(&endpoint, Duration::from_secs(30), None, b"", &Config::default())
+    let err = enroll_with_retry(&endpoint, Duration::from_secs(30), b"", &Config::default())
         .err()
         .expect("version mismatch must be an error");
     assert_eq!(err.kind(), io::ErrorKind::Unsupported);
@@ -608,6 +606,42 @@ fn socket_pair(mode: TransportMode) -> (Box<dyn FrameStream>, Box<dyn FrameStrea
     let accepted = listener.accept().unwrap();
     accepted.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     (dialer, accepted)
+}
+
+/// The pair a session wires an in-process worker with is one checksummed
+/// socket stream at each end: frames cross both ways, over both socket
+/// families, and closing one end is the other's EOF.
+#[test]
+fn a_stream_pair_carries_frames_both_ways() {
+    for mode in SOCKET_MODES {
+        let (master, worker) = stream_pair(mode).unwrap();
+        master.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        worker.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let ((mut master_r, mut master_w), (mut worker_r, mut worker_w)) =
+            (master.split().unwrap(), worker.split().unwrap());
+        let task = frame(FrameKind::BlockA, 1, 2, &[1u8; 300]);
+        master_w.send_frame(&task).unwrap();
+        assert_eq!(worker_r.recv_frame().unwrap().as_ref(), Some(&task), "{mode:?}");
+        let reply = frame(FrameKind::CResult, 3, 4, &[2u8; 40]);
+        worker_w.send_frame(&reply).unwrap();
+        assert_eq!(master_r.recv_frame().unwrap().as_ref(), Some(&reply), "{mode:?}");
+        drop((worker_r, worker_w));
+        assert!(master_r.recv_frame().unwrap().is_none(), "{mode:?}: the worker end closed");
+    }
+    assert_eq!(stream_pair(TransportMode::Channel).err().map(|e| e.kind()), Some(io::ErrorKind::InvalidInput));
+}
+
+/// A TCP pair is made through a listener someone else may dial too: a
+/// connection a stranger queued first is dropped, not paired.
+#[test]
+fn a_tcp_pair_leaves_a_strangers_queued_connection_unpaired() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut stranger = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (accepted, dialed) = super::socket::tcp_pair(&listener).unwrap();
+    assert_eq!(accepted.peer_addr().unwrap(), dialed.local_addr().unwrap());
+    assert_ne!(accepted.peer_addr().unwrap(), stranger.local_addr().unwrap());
+    stranger.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert_eq!(stranger.read(&mut [0u8; 1]).unwrap(), 0, "the stranger is hung up on");
 }
 
 #[test]

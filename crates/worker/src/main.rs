@@ -98,7 +98,6 @@ fn serve_one_session(args: &Args, fingerprint: &str, config: &Config) -> Result<
     let (ep, welcome) = transport::enroll_with_retry(
         &args.endpoint,
         Duration::from_millis(args.wait_ms),
-        None,
         fingerprint.as_bytes(),
         config,
     )

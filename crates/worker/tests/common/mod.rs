@@ -131,7 +131,7 @@ pub fn spawn_in_process(endpoint: &str, config: &Config, fault: Option<(Fault, u
     let config = config.clone();
     let thread = thread::spawn(move || {
         let (ep, welcome) =
-            transport::enroll_with(Box::new(stream), None, b"in-process", 0, &config)
+            transport::enroll_with(Box::new(stream), b"in-process", 0, &config)
                 .expect("enroll the in-process worker");
         mwp_core::remote::serve(ep, welcome.m as usize);
     });
@@ -329,7 +329,7 @@ pub fn dial_impostor(endpoint: &str, impostor: Impostor) -> JoinHandle<Option<io
         let challenge = parse_challenge(&challenge).expect("a challenge");
         let hello = |secret: &[u8]| {
             let hello =
-                Hello { claimed: None, epoch: 0, nonce: [7; 16], fingerprint: b"impostor".to_vec() };
+                Hello { epoch: 0, nonce: [7; 16], fingerprint: b"impostor".to_vec() };
             hello_frame(&hello, secret, &challenge)
         };
         let answer = match impostor {

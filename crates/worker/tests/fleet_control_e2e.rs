@@ -138,7 +138,7 @@ fn impostors_are_rejected_while_the_master_keeps_serving() {
     let stale_dialer = std::thread::spawn(move || {
         let stream = transport::connect_with_retry(&stale_endpoint, Duration::from_secs(10))
             .expect("dial the master");
-        transport::enroll_with(stream, None, b"stale-replay", 99, &fleet())
+        transport::enroll_with(stream, b"stale-replay", 99, &fleet())
             .map(|(_, welcome)| welcome.epoch)
             .map_err(|e| e.kind())
     });

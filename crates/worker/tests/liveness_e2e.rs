@@ -63,7 +63,7 @@ fn a_hung_worker_is_condemned_within_the_deadline_and_the_rest_finish_the_run() 
     let socket = transport::connect(&endpoint).expect("dial the master");
     let (release, hold) = mpsc::channel::<()>();
     let hung = thread::spawn(move || {
-        let (ep, _) = transport::enroll_with(socket, None, b"hung", 0, &tight()).expect("enroll");
+        let (ep, _) = transport::enroll_with(socket, b"hung", 0, &tight()).expect("enroll");
         let _ = hold.recv();
         drop(ep);
     });
@@ -173,7 +173,7 @@ fn a_step_longer_than_the_probe_period_condemns_no_one() {
     let socket = transport::connect(&endpoint).expect("dial the master");
     let slow = thread::spawn(move || {
         let stream = Box::new(SlowStepStream(socket, pause));
-        let (ep, welcome) = transport::enroll_with(stream, None, b"slow", 0, &tight()).expect("enroll");
+        let (ep, welcome) = transport::enroll_with(stream, b"slow", 0, &tight()).expect("enroll");
         mwp_core::remote::serve(ep, welcome.m as usize);
     });
     let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &tight()).unwrap();
