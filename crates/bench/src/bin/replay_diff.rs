@@ -41,9 +41,8 @@ use mwp_blockmat::kernel::{self, by_name, Kernel};
 use mwp_blockmat::{BlockMatrix, Partition};
 use mwp_core::schedule::{Replay, Schedule};
 use mwp_core::session::RuntimeSession;
-use mwp_core::MemoryLayout;
 use mwp_lu::runtime::factor;
-use mwp_lu::schedule::{lower, lu_schedule};
+use mwp_lu::schedule::{chunk_sides, lower, lu_schedule};
 use mwp_msg::config::parse_transport_mode;
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId, WorkerParams};
@@ -367,8 +366,7 @@ fn main() -> ExitCode {
         println!("FAIL: the LU run was aborted");
         return ExitCode::FAILURE;
     }
-    let sides: Vec<usize> = pf.workers().iter().map(|w| MemoryLayout::MaxReuseOverlapped.mu(w.m)).collect();
-    let frames = lower(&lu_schedule(r, mu, &sides));
+    let frames = lower(&lu_schedule(r, mu, &chunk_sides(&pf, r, mu)));
     let lu = diff(&trace, block_bytes, &pf, frames, outcome.blocks_moved, args.tolerance);
 
     if holm && mixed && lu {

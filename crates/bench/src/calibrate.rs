@@ -22,7 +22,7 @@ pub const FIG13_MEMORY_MB: [usize; 4] = [132, 256, 384, 512];
 pub fn tennessee_platform(p: usize, q: usize, mem_mb: usize) -> Platform {
     let cm = cost_model(q);
     let m = cm.buffers_for_memory(mem_mb * 1024 * 1024);
-    Platform::homogeneous(p, cm.c().value(), cm.w().value(), m)
+    Platform::homogeneous(p, cm.c(), cm.w(), m)
         .expect("calibrated parameters are valid")
 }
 

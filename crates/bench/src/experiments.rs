@@ -436,7 +436,7 @@ pub fn e12_lu(f: Fidelity) -> Table {
     t.row(vec![
         "heterogeneous best µ (exhaustive search)".into(),
         best_mu.to_string(),
-        format!("interior optimum, est. {}", fmt_f(best_time)),
+        format!("interior optimum, sim. {}", fmt_f(best_time)),
     ]);
     t
 }

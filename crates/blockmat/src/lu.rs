@@ -243,8 +243,13 @@ impl std::ops::IndexMut<(usize, usize)> for Dense {
     }
 }
 
-/// Smallest pivot magnitude we accept before declaring the matrix
-/// numerically singular for unpivoted LU.
+/// Relative pivot tolerance of unpivoted LU: a pivot is refused, and the
+/// matrix declared numerically singular, unless its magnitude exceeds
+/// `PIVOT_TOL` times the largest magnitude in the diagonal block being
+/// eliminated, as elimination reaches that block. The serial reference
+/// and every worker hold that block bit for bit, so they refuse alike;
+/// and being relative, the test accepts a matrix at any scale — zero,
+/// `NaN` and infinite pivots and all-zero blocks are refused at all.
 pub const PIVOT_TOL: f64 = 1e-12;
 
 /// Side of the diagonal blocks the solves and the factor work through
@@ -271,7 +276,7 @@ const ROWS: usize = 8;
 /// the two solves below, the trailing matrix by the gemm micro-kernel.
 ///
 /// # Panics
-/// If a pivot smaller than [`PIVOT_TOL`] in magnitude is met.
+/// If a pivot [`PIVOT_TOL`] refuses is met.
 pub fn lu_factor_in_place(a: &mut Dense) {
     lu_blocked_in_place(a, NB);
 }
@@ -324,16 +329,15 @@ pub fn trsm_left_unit_lower_with(kernel: &Kernel, panel: &mut Dense, lu: &Dense)
 /// fleet of `kernel` workers is compared against.
 ///
 /// # Panics
-/// If a pivot smaller than [`PIVOT_TOL`] in magnitude, or not a number,
-/// is met.
+/// If a pivot [`PIVOT_TOL`] refuses is met.
 pub fn lu_blocked_with(kernel: &Kernel, a: &mut Dense, nb: usize) {
     if let Err(step) = try_lu_blocked_with(kernel, a, nb) {
         panic!("zero pivot at step {step}: unpivoted LU requires nonsingular leading minors");
     }
 }
 
-/// [`lu_blocked_with`], except that a refused pivot — one smaller than
-/// [`PIVOT_TOL`] in magnitude, or not a number — ends the factorization
+/// [`lu_blocked_with`], except that a refused pivot (see [`PIVOT_TOL`])
+/// ends the factorization
 /// with `Err` naming its step (counted from the matrix's first row)
 /// instead of a panic, leaving `a` part-factored. What a worker runs on
 /// input it does not control: a refusal is an answer, not a death.
@@ -470,17 +474,21 @@ unsafe fn factor(kernel: &Kernel, a: *mut f64, lda: usize, n: usize, nb: usize) 
 }
 
 /// Unblocked Doolittle elimination of the `n × n` block at `a`; `Err`
-/// names the step within the block whose pivot was refused (a `NaN`
-/// fails the test too).
+/// names the step within the block whose pivot was refused: one not
+/// above [`PIVOT_TOL`] times the block's largest magnitude on entry (a
+/// `NaN` fails the test too).
 ///
 /// # Safety
 /// `a` must be valid for reads and writes over the `n × n` extent.
 unsafe fn eliminate(a: *mut f64, lda: usize, n: usize) -> Result<(), usize> {
+    // SAFETY: row i of the block, n elements from its diagonal column.
+    let rows = (0..n).map(|i| unsafe { std::slice::from_raw_parts(a.add(i * lda), n) });
+    let floor = PIVOT_TOL * rows.flatten().fold(0.0, |max: f64, x| max.max(x.abs()));
     for k in 0..n {
         // SAFETY: row k right of its diagonal; rows i > k are distinct.
         let pivot = unsafe { *a.add(k * lda + k) };
         let u = unsafe { std::slice::from_raw_parts(a.add(k * lda + k + 1), n - k - 1) };
-        if pivot.is_nan() || pivot.abs() <= PIVOT_TOL {
+        if pivot.is_nan() || pivot.abs() <= floor {
             return Err(k);
         }
         for i in (k + 1)..n {
@@ -675,6 +683,29 @@ mod tests {
     }
 
     #[test]
+    fn the_pivot_test_is_relative_to_its_diagonal_block() {
+        // Scaled by 1e-14 every pivot of this strictly dominant matrix is
+        // ≈ 3e-13, under `PIVOT_TOL` itself, yet each is the largest entry
+        // of its block by far: the matrix factors, to the residual it has
+        // at scale 1.
+        let mut tiny = random_diagonally_dominant(4, 8, 7);
+        (0..4).for_each(|i| (0..4).for_each(|j| tiny.block_mut(i, j).scale(1e-14)));
+        let a = Dense::from_blocks(&tiny);
+        let mut packed = a.clone();
+        assert_eq!(try_lu_blocked_with(kernel::active(), &mut packed, 8), Ok(()));
+        assert!(scaled_residual(&packed, &a) <= 1.0);
+        // What no scale makes a pivot is still refused: zero, NaN and ∞
+        // pivots, and a block of zeros.
+        for (what, pivot, step) in [("zero", 0.0, 0), ("NaN", f64::NAN, 0), ("∞", f64::INFINITY, 0)] {
+            let mut a = random_dd(12, 3);
+            a[(0, 0)] = pivot;
+            assert_eq!(try_lu_blocked_with(kernel::active(), &mut a, 4), Err(step), "{what} pivot");
+        }
+        let mut zeros = Dense::zeros(6, 6);
+        assert_eq!(try_lu_blocked_with(kernel::active(), &mut zeros, 3), Err(0), "all-zero block");
+    }
+
+    #[test]
     fn block_roundtrip() {
         let m = random_diagonally_dominant(2, 3, 8);
         let d = Dense::from_blocks(&m);
@@ -866,6 +897,25 @@ mod tests {
             let mut packed = a.clone();
             lu_blocked_in_place(&mut packed, nb);
             prop_assert!(scaled_residual(&packed, &a) <= 1.0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The pivot test has no scale: a strictly diagonally dominant
+        /// matrix factors, to the same scaled residual, at every scale
+        /// from 10^-200 to 10^200.
+        #[test]
+        fn prop_every_scaling_of_a_dominant_matrix_factors(
+            exp in -200i32..201, n_blocks in 1usize..4, q in 1usize..9, nb in 1usize..20, seed in 0u64..100,
+        ) {
+            let mut m = random_diagonally_dominant(n_blocks, q, seed);
+            let scale = 10f64.powi(exp);
+            (0..n_blocks).for_each(|i| (0..n_blocks).for_each(|j| m.block_mut(i, j).scale(scale)));
+            let a = Dense::from_blocks(&m);
+            let mut packed = a.clone();
+            prop_assert_eq!(try_lu_blocked_with(kernel::active(), &mut packed, nb), Ok(()), "10^{}", exp);
+            prop_assert!(scaled_residual(&packed, &a) <= 1.0, "10^{}", exp);
         }
     }
 

@@ -142,6 +142,18 @@ mod tests {
     }
 
     #[test]
+    fn fig13_worker_counts_match_paper() {
+        // The calibration target: HoLM enrolls 2 workers at 132 MB and 4
+        // at 512 MB, as the paper reports for Figure 13.
+        use mwp_platform::{CostModel, HardwareProfile};
+        let cm = CostModel::from_profile(80, &HardwareProfile::tennessee_2006());
+        for (mb, p) in [(132, 2), (512, 4)] {
+            let mu = MemoryLayout::MaxReuseOverlapped.mu(cm.buffers_for_memory(mb * 1024 * 1024));
+            assert_eq!(ideal_worker_count(mu, cm.w(), cm.c()), p, "{mb} MB: µ = {mu}");
+        }
+    }
+
+    #[test]
     fn large_matrix_uses_full_mu() {
         // µ² + 4µ ≤ 32 -> µ = 4. P_ideal = ceil(4·4.5/4) = 5, p = 8.
         let params = WorkerParams::new(2.0, 4.5, 32);

@@ -1,21 +1,22 @@
 //! Heterogeneous LU (Section 7.3).
 //!
 //! Unlike matrix product, LU fixes one pivot size µ for *all* workers at a
-//! given step, so a worker's memory may not match µ. The paper's policy:
+//! given step, so a worker's memory may not match µ. The paper's policy for
+//! a worker whose memory holds `µ_i < µ` is its chunk shape: keep either a
+//! **square** `µ_i × µ_i` chunk of the horizontal panel (communication
+//! `3µ_i c` per `µ_i²` ops) or a set of **whole columns**
+//! (`(µ + 2µ_i²/µ)c` per `µ_i²` ops); the square shape wins iff
+//! `µ_i ≤ µ/2` ([`chunk_shape`], [`chunk_comm_cost`]).
 //!
-//! * `µ_i < µ` (not enough memory): keep either a **square** `µ_i × µ_i`
-//!   chunk of the horizontal panel (communication `3µ_i c` per `µ_i²`
-//!   ops) or a set of **whole columns** (`(µ + 2µ_i²/µ)c` per `µ_i²`
-//!   ops). The square shape wins iff `µ_i ≤ µ/2`.
-//! * `µ_i > µ` (more than enough): split the worker's memory into
-//!   `floor(µ_i²/µ²)` virtual workers of square side µ.
-//!
-//! The overall µ is chosen by exhaustive search: for each candidate µ,
-//! pick the fastest processor for the sequential phases, run resource
-//! selection for the core update, estimate the makespan, and keep the
-//! best.
+//! The paper picks µ by exhaustive search over a makespan estimate.
+//! [`best_pivot_size`] searches the same divisors of `r`, but prices each
+//! by the schedule the runtime runs: the simulator's [`replay`] of
+//! [`crate::schedule::lu_schedule`] at the chunk sides
+//! [`crate::runtime::factor`] deals ([`chunk_sides`]) — the pivot chain on
+//! worker 0, the core update as the product's chunk exchanges — so the
+//! search prices the frames `replay_diff` checks against real runs.
 
-use crate::cost::LuProblem;
+use crate::schedule::{chunk_sides, replay};
 use mwp_platform::Platform;
 
 /// Shape of the horizontal-panel chunk a memory-limited worker keeps.
@@ -48,79 +49,29 @@ pub fn chunk_comm_cost(mu_i: usize, mu: usize, shape: ChunkShape) -> f64 {
     }
 }
 
-/// Estimated makespan of the heterogeneous factorization for a given µ:
-/// per step, the fastest worker executes the sequential phases
-/// (communication + computation serialized), then the core groups are
-/// processed at the aggregate steady-state rate of the enrolled virtual
-/// workers, bounded by the master's port.
-pub fn estimate_makespan(platform: &Platform, r: usize, mu: usize) -> f64 {
-    assert!(mu > 0 && r.is_multiple_of(mu), "r must be a multiple of µ");
-    let problem = LuProblem::new(r, mu);
-
-    // Fastest worker (comm + comp) handles pivot and panels.
-    let seq_rate = platform
-        .iter()
-        .map(|(_, wk)| (wk.c, wk.w))
-        .min_by(|a, b| (a.0 + a.1).partial_cmp(&(b.0 + b.1)).expect("finite"))
-        .expect("non-empty platform");
-
-    // Aggregate core-update capability: each worker contributes its
-    // compute rate, capped by its share of the port at its per-chunk
-    // communication price.
-    let mut total = 0.0;
-    for k in 1..=problem.steps() {
-        let sc = problem.step_cost(k);
-        let seq_time = (sc.pivot.comm + sc.vertical.comm + sc.horizontal.comm) * seq_rate.0
-            + sc.sequential_comp() * seq_rate.1;
-
-        // Core: LP-style bound. Port time per update for worker i uses
-        // the better chunk shape; work rate capped at 1/w_i.
-        let mut port_left = 1.0_f64;
-        let mut rate = 0.0_f64;
-        let mut prices: Vec<(f64, f64)> = platform
-            .iter()
-            .filter_map(|(_, wk)| {
-                let mu_i = mwp_core::layout::MemoryLayout::MaxReuseOverlapped.mu(wk.m);
-                if mu_i == 0 {
-                    return None;
-                }
-                let eff_mu = mu_i.min(mu);
-                let shape = chunk_shape(eff_mu, mu);
-                let comm_per_chunk = chunk_comm_cost(eff_mu, mu, shape) * wk.c;
-                let work_per_chunk = (eff_mu * eff_mu) as f64;
-                Some((comm_per_chunk / work_per_chunk, 1.0 / wk.w))
-            })
-            .collect();
-        prices.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-        for (price, max_rate) in prices {
-            if port_left <= 0.0 {
-                break;
-            }
-            let r_i = max_rate.min(port_left / price);
-            rate += r_i;
-            port_left -= r_i * price;
-        }
-        let core_time = if sc.core.comp > 0.0 { sc.core.comp / rate.max(1e-12) } else { 0.0 };
-        total += seq_time + core_time;
-    }
-    total
-}
-
-/// Exhaustively search the best pivot size µ over the divisors of `r`
-/// (the paper: "it is feasible to exhaustively study all the possible
-/// values of µ"). Returns `(µ, estimated makespan)`.
+/// The divisor µ of `r` whose factorization replays fastest on
+/// `platform`, and that replayed makespan: the argmin over every divisor
+/// of the simulated [`replay`] of the schedule [`crate::runtime::factor`]
+/// runs at that µ (the paper: "it is feasible to exhaustively study all
+/// the possible values of µ"). A µ the fleet cannot run — no worker holds
+/// a chunk, so `factor` would abort, or the replay overflows a worker's
+/// memory — is not a candidate; ties go to the smaller µ.
+///
+/// # Panics
+/// If no divisor is a candidate: no worker's memory holds a chunk.
 pub fn best_pivot_size(platform: &Platform, r: usize) -> (usize, f64) {
-    let mut best: Option<(usize, f64)> = None;
-    for mu in 1..=r {
-        if !r.is_multiple_of(mu) {
-            continue;
+    let replayed = |mu: usize| {
+        let sides = chunk_sides(platform, r, mu);
+        if sides.iter().all(|&side| side == 0) {
+            return None;
         }
-        let t = estimate_makespan(platform, r, mu);
-        if best.is_none_or(|(_, bt)| t < bt) {
-            best = Some((mu, t));
-        }
-    }
-    best.expect("r ≥ 1 has at least the divisor 1")
+        replay(platform, r, mu, &sides).ok().map(|report| (mu, report.makespan.value()))
+    };
+    (1..=r)
+        .filter(|mu| r.is_multiple_of(*mu))
+        .filter_map(replayed)
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("no worker's memory holds a chunk")
 }
 
 #[cfg(test)]
@@ -169,30 +120,66 @@ mod tests {
         assert!((square - cols).abs() < 1e-12, "{square} vs {cols}");
     }
 
-    #[test]
-    fn estimate_prefers_intermediate_mu() {
-        // Tiny µ floods the port (comm ~ r³/µ); huge µ serializes the
-        // pivot work. The best µ is interior for a balanced platform.
-        let pf = Platform::new(vec![
+    /// The replayed makespan of the factorization at `mu`, through the
+    /// same helper the search uses.
+    fn replayed(platform: &Platform, r: usize, mu: usize) -> f64 {
+        replay(platform, r, mu, &chunk_sides(platform, r, mu)).unwrap().makespan.value()
+    }
+
+    /// E12's heterogeneous platform.
+    fn three_workers() -> Platform {
+        Platform::new(vec![
             WorkerParams::new(1.0, 1.0, 400),
             WorkerParams::new(1.5, 0.8, 300),
             WorkerParams::new(2.0, 1.2, 500),
         ])
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn estimate_prefers_intermediate_mu() {
+        // Tiny µ floods the port (comm ~ r³/µ); huge µ serializes the
+        // pivot work. The best µ is interior for a balanced platform.
+        let pf = three_workers();
         let (best_mu, best_t) = best_pivot_size(&pf, 60);
         assert!(best_mu > 1, "µ = 1 should lose to larger pivots");
         assert!(best_mu < 60, "µ = r serializes everything");
         // The optimum beats both extremes.
-        assert!(best_t < estimate_makespan(&pf, 60, 1));
-        assert!(best_t < estimate_makespan(&pf, 60, 60));
+        assert!(best_t < replayed(&pf, 60, 1));
+        assert!(best_t < replayed(&pf, 60, 60));
+    }
+
+    #[test]
+    fn the_search_is_the_argmin_of_the_replays_over_the_divisors() {
+        // A brute-force loop over the divisors of r through the helper the
+        // search shares, on E12's platform, a homogeneous one and one whose
+        // only chunk-holding worker is not the pivot's.
+        let lopsided = Platform::new(vec![WorkerParams::new(1.0, 0.5, 4), WorkerParams::new(2.0, 1.0, 60)]).unwrap();
+        for (pf, r) in [(three_workers(), 60), (three_workers(), 24), (Platform::homogeneous(2, 1.0, 2.0, 60).unwrap(), 36), (lopsided, 12)] {
+            let mut best: Option<(usize, f64)> = None;
+            for mu in (1..=r).filter(|mu| r % mu == 0) {
+                let t = replayed(&pf, r, mu);
+                if best.is_none_or(|(_, bt)| t < bt) {
+                    best = Some((mu, t));
+                }
+            }
+            assert_eq!(Some(best_pivot_size(&pf, r)), best, "r = {r} on {pf:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no worker's memory holds a chunk")]
+    fn a_fleet_that_holds_no_chunk_has_no_pivot_size() {
+        best_pivot_size(&Platform::homogeneous(2, 1.0, 1.0, 4).unwrap(), 12);
     }
 
     #[test]
     fn estimate_improves_with_faster_platform() {
         let slow = Platform::homogeneous(3, 2.0, 2.0, 200).unwrap();
         let fast = Platform::homogeneous(3, 1.0, 1.0, 200).unwrap();
-        let ts = estimate_makespan(&slow, 24, 4);
-        let tf = estimate_makespan(&fast, 24, 4);
+        let ts = replayed(&slow, 24, 4);
+        let tf = replayed(&fast, 24, 4);
         assert!((ts / tf - 2.0).abs() < 1e-6, "linear cost scaling: {ts} vs {tf}");
+        assert_eq!(best_pivot_size(&slow, 24).0, best_pivot_size(&fast, 24).0, "the same µ either way");
     }
 }

@@ -13,16 +13,16 @@
 //!
 //! The algorithm itself is [`crate::schedule::lu_schedule`], the ops the
 //! threaded runtime executes; this module enrolls the paper's `P` and
-//! puts their lowered frames through the simulator. (The runtime runs the
+//! replays their lowered frames on the simulator
+//! ([`crate::schedule::replay`]). (The runtime runs the
 //! core update as a product over the trailing grid — one band of rows per
 //! worker, cut into chunks its memory `m` holds under the product's
 //! `µ² + 4µ` layout — so the simulated workers are held to `m` too.)
 
 use crate::cost::LuProblem;
-use crate::schedule::{lower, lu_schedule};
-use mwp_core::MemoryLayout;
+use crate::schedule::{chunk_sides, replay};
 use mwp_platform::Platform;
-use mwp_sim::{SimReport, Simulator};
+use mwp_sim::SimReport;
 
 /// The paper's worker count for the LU core update, `ceil(µw/3c)`.
 pub fn ideal_lu_workers(mu: usize, w: f64, c: f64) -> usize {
@@ -30,15 +30,11 @@ pub fn ideal_lu_workers(mu: usize, w: f64, c: f64) -> usize {
     (((mu as f64 * w) / (3.0 * c)) - 1e-9).ceil().max(1.0) as usize
 }
 
-/// Simulate the homogeneous LU algorithm: the frames of
-/// [`lu_schedule`] — the ops [`crate::runtime`] executes — with
-/// [`ideal_lu_workers`] enrolled at the chunk side their memory admits,
-/// through the one-port engine. Returns the report and the enrolled worker
-/// count.
-///
-/// The next step cannot start before every chunk of the current step
-/// completes (its pivot depends on the whole core): the engine makes each
-/// receive wait for its worker to drain, which realizes the barrier.
+/// Simulate the homogeneous LU algorithm: the [`replay`] of
+/// [`crate::schedule::lu_schedule`] — the ops [`crate::runtime`]
+/// executes — with [`ideal_lu_workers`] enrolled at the chunk side
+/// [`crate::runtime::factor`] deals them ([`chunk_sides`]). Returns the
+/// report and the enrolled worker count.
 ///
 /// # Panics
 /// If the matrix has a trailing update and `m` holds no chunk.
@@ -50,10 +46,9 @@ pub fn simulate_homogeneous_lu(
         .homogeneous_params()
         .expect("homogeneous LU needs a homogeneous platform");
     let enrolled = ideal_lu_workers(problem.mu, params.w, params.c).min(platform.len());
-    let side = MemoryLayout::MaxReuseOverlapped.mu(params.m);
-    let frames = lower(&lu_schedule(problem.r, problem.mu, &vec![side; enrolled]));
-    let report = Simulator::new(platform.clone()).without_trace().run(&mut frames.into_iter())?;
-    Ok((report, enrolled))
+    let mut sides = chunk_sides(platform, problem.r, problem.mu);
+    sides.truncate(enrolled);
+    Ok((replay(platform, problem.r, problem.mu, &sides)?, enrolled))
 }
 
 #[cfg(test)]

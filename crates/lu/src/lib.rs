@@ -17,15 +17,16 @@
 //!   processor owns the pivot/panel work, and each core update is a
 //!   product the enrolled workers share through the product's own chunk
 //!   exchanges; the ordered port operations of a factorization, their
-//!   recovery rule and their one lowering to simulator frames,
+//!   recovery rule, their one lowering to simulator frames and its replay,
 //! * [`runtime`] — that schedule walked on a product fleet
 //!   (`mwp_core::session::RuntimeSession`) by its master executor, with
 //!   real arithmetic,
 //! * [`homogeneous`] — the paper's worker count `P = ceil(µw/3c)` and the
 //!   same schedule replayed on [`mwp_sim`],
-//! * [`heterogeneous`] — the Section 7.3 machinery: per-worker chunk-shape
-//!   choice (square chunk iff `µ_i ≤ µ/2`), memory virtualization for
-//!   over-provisioned workers, and the exhaustive search over µ.
+//! * [`heterogeneous`] — Section 7.3: the per-worker chunk-shape rule
+//!   (square chunk iff `µ_i ≤ µ/2`) and the exhaustive search over µ, each
+//!   candidate priced by the replay of the schedule [`runtime`] runs —
+//!   one cost model, the simulator's, for every LU question.
 
 pub mod cost;
 pub mod heterogeneous;

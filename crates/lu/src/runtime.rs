@@ -74,13 +74,12 @@
 //! (a fresh session per call); [`LuSession`] holds a fleet spawned for
 //! factorizations.
 
-use crate::schedule::{lu_schedule, redispatch, LuOp};
+use crate::schedule::{chunk_sides, lu_schedule, redispatch, LuOp};
 use bytes::Bytes;
 use mwp_blockmat::lu::Dense;
 use mwp_blockmat::{BlockMatrix, BlockOrder, SharedPayloads};
 use mwp_core::runtime::{panel_parts, Accumulator, ChunkExchange, Performed, Port};
 use mwp_core::session::RuntimeSession;
-use mwp_core::MemoryLayout;
 use mwp_msg::{Frame, FrameKind, MasterEndpoint, Tag, TransportMode};
 use mwp_platform::{Platform, WorkerId};
 use std::ops::Range;
@@ -154,20 +153,16 @@ pub fn run_lu(
 
 /// Factor `matrix` (square, block side `q`) in `mu`-block panels on
 /// `fleet`: [`lu_schedule`] for every worker of the fleet, each dealt
-/// chunks of the side its memory admits up to the largest trailing grid's,
+/// chunks of the side its memory admits up to the largest trailing grid's
+/// ([`chunk_sides`]),
 /// run as one run of the fleet's
 /// master executor once the fleet's memory ledger admits those chunks
 /// beside every open run's ([`RuntimeSession::execute`]).
 pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunOutcome {
     validate_lu(matrix, mu);
     let start = Instant::now();
-    // No chunk exceeds the first step's trailing grid, so a side past it
-    // would only hold memory the chunks never use.
     let (r, q) = (matrix.rows(), matrix.q());
-    let largest = r.saturating_sub(mu).max(1);
-    let sides: Vec<usize> = fleet.platform().map_or_else(Vec::new, |platform| {
-        platform.workers().iter().map(|w| MemoryLayout::MaxReuseOverlapped.mu(w.m).min(largest)).collect()
-    });
+    let sides = fleet.platform().map_or_else(Vec::new, |platform| chunk_sides(platform, r, mu));
     let workers_used = sides.len();
     if sides.iter().all(|&side| side == 0) {
         let packed = Dense::from_blocks(matrix);
@@ -408,6 +403,7 @@ mod tests {
     use crate::cost::{scheduled_comm, LuProblem};
     use crate::schedule::lower;
     use mwp_core::schedule::PortOp;
+    use mwp_core::MemoryLayout;
     use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
     use mwp_blockmat::lu::{lu_blocked_in_place, scaled_residual};
     use mwp_msg::config::Config;
@@ -756,7 +752,7 @@ mod tests {
         rogue: impl Fn(usize) -> bool,
         reply: RogueReply,
     ) -> (RuntimeSession, Vec<JoinHandle<()>>) {
-        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let threads = (0..p)
             .map(|i| {
                 let stream = mwp_msg::transport::connect(&listener.endpoint()).expect("dial the master");
@@ -829,22 +825,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_refused_pivot_aborts_the_run_and_condemns_no_worker() {
-        // Strictly dominant, but scaled by 1e-14 every pivot falls below
-        // `PIVOT_TOL`: refused at step 0. A NaN on block (2, 2)'s diagonal
-        // is met at step 2, after two panels validated.
-        let mut tiny = random_diagonally_dominant(4, 8, 7);
-        (0..4).for_each(|i| (0..4).for_each(|j| tiny.block_mut(i, j).scale(1e-14)));
-        let mut nan = random_diagonally_dominant(4, 8, 7);
-        nan.set(20, 20, f64::NAN);
+    /// Three small products and the C a fresh 2-worker session's HoLM
+    /// run makes of them: what a shared fleet must still compute after
+    /// a factorization, bit for bit.
+    fn next_product() -> ((BlockMatrix, BlockMatrix, BlockMatrix), BlockMatrix) {
         let (a, b, c) = (random_matrix(3, 4, 8, 1), random_matrix(4, 3, 8, 2), random_matrix(3, 3, 8, 3));
         let solo = RuntimeSession::new(&platform(2), 0.0);
         let want = solo.run_holm(&a, &b, c.clone()).unwrap().c;
         solo.shutdown();
+        ((a, b, c), want)
+    }
+
+    #[test]
+    fn a_matrix_at_any_scale_factors_on_a_shared_fleet() {
+        // Strictly dominant, but scaled by 1e-14 every pivot is ≈ 3e-13,
+        // below `PIVOT_TOL` itself: the pivot test is relative to its
+        // block, so the fleet factors it as the serial reference does, bit
+        // for bit, loses no worker, and serves the next caller's product.
+        let mut tiny = random_diagonally_dominant(4, 8, 7);
+        (0..4).for_each(|i| (0..4).for_each(|j| tiny.block_mut(i, j).scale(1e-14)));
+        let mut serial = Dense::from_blocks(&tiny);
+        lu_blocked_in_place(&mut serial, 8);
+        let ((a, b, c), want) = next_product();
         for mode in [TransportMode::Channel, TransportMode::Tcp] {
             let session = RuntimeSession::with_transport(&platform(2), 0.0, mode);
-            for (what, input) in [("scaled by 1e-14", &tiny), ("a NaN entry", &nan)] {
+            let out = factor(&session, &tiny, 1);
+            assert!(!out.aborted, "{mode:?}");
+            assert_eq!(out.packed, serial, "{mode:?}: the serial factors, bit for bit");
+            assert_eq!(session.dead_workers(), 0, "{mode:?}");
+            let next = session.run_holm(&a, &b, c.clone()).unwrap().c;
+            assert_eq!(next.max_abs_diff(&want), 0.0, "{mode:?}: the fleet serves on");
+            session.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_refused_pivot_aborts_the_run_and_condemns_no_worker() {
+        // An exact zero leading pivot is refused at step 0. A NaN on block
+        // (2, 2)'s diagonal is met at step 2, after two panels validated.
+        let mut zero = random_diagonally_dominant(4, 8, 7);
+        zero.set(0, 0, 0.0);
+        let mut nan = random_diagonally_dominant(4, 8, 7);
+        nan.set(20, 20, f64::NAN);
+        let ((a, b, c), want) = next_product();
+        for mode in [TransportMode::Channel, TransportMode::Tcp] {
+            let session = RuntimeSession::with_transport(&platform(2), 0.0, mode);
+            for (what, input) in [("a zero leading pivot", &zero), ("a NaN entry", &nan)] {
                 assert!(factor(&session, input, 1).aborted, "{mode:?}, {what}");
                 assert_eq!(session.dead_workers(), 0, "{mode:?}, {what}: a refusal is no death");
                 let next = session.run_holm(&a, &b, c.clone()).unwrap().c;
@@ -884,7 +910,7 @@ mod tests {
         rogues.into_iter().for_each(|t| t.join().unwrap());
 
         // One honest worker dials in: the same session serves a clean run.
-        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let endpoint = listener.endpoint();
         let worker = std::thread::spawn(move || {
             let patience = std::time::Duration::from_secs(10);

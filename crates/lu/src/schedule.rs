@@ -13,9 +13,10 @@
 //!   runtime's one master executor (`mwp_core::runtime::execute`), which
 //!   answers a worker's death by re-dispatching what it lost;
 //! * [`lower`] turns the ops into the [`Decision`]s of the frames the
-//!   runtime sends, so the simulation
-//!   ([`crate::homogeneous::simulate_homogeneous_lu`]) and `replay_diff`
-//!   replay the very frames a run puts on the wire.
+//!   runtime sends, and [`replay`] puts them through the simulator, so the
+//!   simulation ([`crate::homogeneous::simulate_homogeneous_lu`]), the
+//!   pivot-size search ([`crate::heterogeneous::best_pivot_size`]) and
+//!   `replay_diff` replay the very frames a run puts on the wire.
 //!
 //! One step of the factorization, with pivot block range `p` and the
 //! `rest` blocks after it:
@@ -36,8 +37,9 @@
 
 use mwp_core::chunks::Chunk;
 use mwp_core::schedule::{Lowering, PortOp, Schedule};
-use mwp_platform::WorkerId;
-use mwp_sim::Decision;
+use mwp_core::MemoryLayout;
+use mwp_platform::{Platform, WorkerId};
+use mwp_sim::{Decision, SimError, SimReport, Simulator};
 use std::ops::Range;
 
 /// One port operation of the factorization.
@@ -95,6 +97,29 @@ pub fn lu_schedule(r: usize, mu: usize, sides: &[usize]) -> Vec<LuOp> {
         }
     }
     ops
+}
+
+/// The chunk side each worker of `platform` is dealt when an `r`-block
+/// matrix is factored in `mu`-block panels: the side its memory `m_i`
+/// admits (`µ_i² + 4µ_i ≤ m_i`), but no wider than the first trailing
+/// grid, `max(r − mu, 1)`, since no chunk is — a wider side would only
+/// reserve memory the chunks never use.
+pub fn chunk_sides(platform: &Platform, r: usize, mu: usize) -> Vec<usize> {
+    let largest = r.saturating_sub(mu).max(1);
+    platform.workers().iter().map(|w| MemoryLayout::MaxReuseOverlapped.mu(w.m).min(largest)).collect()
+}
+
+/// The simulator's replay of [`lu_schedule`]`(r, mu, sides)` on
+/// `platform`: the [`lower`]ed frames through the one-port engine, which
+/// holds every worker to its memory `m_i` and makes each receive wait
+/// for its worker to drain — the barrier between a step's chunks and the
+/// next pivot.
+///
+/// # Panics
+/// If the matrix has a trailing update and no worker a chunk side.
+pub fn replay(platform: &Platform, r: usize, mu: usize, sides: &[usize]) -> Result<SimReport, SimError> {
+    let frames = lower(&lu_schedule(r, mu, sides));
+    Simulator::new(platform.clone()).without_trace().run(&mut frames.into_iter())
 }
 
 /// The ops that redo, on the `live` workers (ascending), what the `undone`

@@ -185,7 +185,7 @@ mod tests {
     fn a_zero_deadline_is_refused_at_both_doors() {
         let literal = Config { liveness: Some(Duration::ZERO), ..Config::default() };
         assert!(literal.check().is_err());
-        let listener = crate::TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = crate::TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let platform = mwp_platform::Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         let door = crate::Session::accept_remote(&platform, 0.0, &listener, &literal);
         assert_eq!(door.err().map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));

@@ -234,16 +234,14 @@ impl Session {
         // own and enrolled over it — every frame of every run crosses a
         // real socket. No listener outlives this call, and slot `i` is the
         // `i`-th pair by construction.
-        let fp = fingerprint(platform, time_scale);
         let mut masters = Vec::with_capacity(platform.len());
         let handles = platform
             .iter()
             .map(|(id, params)| {
                 let (master, worker) = transport::stream_pair(mode).expect("wire an in-process worker");
                 masters.push(master);
-                let fp = fp.clone();
                 spawn_worker(id, factory(id, *params), move || {
-                    let enrolled = transport::enroll_with(worker, &fp, 0, &Config::default());
+                    let enrolled = transport::enroll_with(worker, b"", 0, &Config::default());
                     enrolled.expect("in-process enroll").0
                 })
             })
@@ -671,21 +669,6 @@ where
     record::sync();
 }
 
-/// Stable identity of a platform + pacing configuration — the bytes an
-/// in-process socket worker presents at enrollment (little-endian `u64`s): two
-/// stars agree exactly when every worker's `(c, w, m)` and the time scale
-/// are bit-equal.
-pub fn fingerprint(platform: &Platform, time_scale: f64) -> Vec<u8> {
-    let mut key = Vec::with_capacity(8 * (1 + 3 * platform.len()));
-    key.extend(time_scale.to_bits().to_le_bytes());
-    for w in platform.workers() {
-        for field in [w.c.to_bits(), w.w.to_bits(), w.m as u64] {
-            key.extend(field.to_le_bytes());
-        }
-    }
-    key
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -887,7 +870,7 @@ mod tests {
         // a second worker on the still-open listener and serve a run on
         // both: the fleet grew without tearing the session down.
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
-        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let endpoint = listener.endpoint();
         let w0 = remote_worker(&endpoint, 0, b"elastic");
         let mut session =
@@ -917,7 +900,7 @@ mod tests {
         // drops its link and the survivor (shifted down to slot 0 if it
         // was above) keeps serving runs.
         let platform = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
-        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let endpoint = listener.endpoint();
         let workers: Vec<_> =
             (0..2).map(|_| remote_worker(&endpoint, 0, b"fleet")).collect();
@@ -950,7 +933,7 @@ mod tests {
     #[test]
     fn stale_epoch_redial_is_rejected_but_the_door_stays_open() {
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
-        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let endpoint = listener.endpoint();
         let dial = |epoch: u64| remote_worker(&endpoint, epoch, b"fleet");
         let w0 = dial(0);
@@ -991,7 +974,7 @@ mod tests {
     fn enrollment_rejections_are_coded_and_leave_the_fleet_serviceable() {
         use transport::REJECT_EPOCH;
         let platform = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
-        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let endpoint = listener.endpoint();
         // A dialer the master must refuse: walks the handshake by hand and
         // joins to the code of the REJECT frame it is answered with.
@@ -1177,10 +1160,8 @@ mod tests {
     #[test]
     fn loopback_tcp_session_serves_consecutive_runs() {
         let session = echo_session_over(TransportMode::Tcp, 2);
-        // Every worker enrolled with the platform fingerprint.
-        for fp in session.worker_fingerprints() {
-            assert!(!fp.is_empty(), "loopback workers enroll with a fingerprint");
-        }
+        // In-process workers present no fingerprint, as on channels.
+        assert_eq!(session.worker_fingerprints(), [Vec::<u8>::new(), Vec::new()]);
         for run in 0..3u32 {
             assert_eq!(echo_round(&session, 2, run), 4, "frames routed per socket link");
         }
@@ -1220,7 +1201,7 @@ mod tests {
         // by the handshake deadline, not park enrollment forever) —
         // then still enroll the real worker that arrives last.
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
-        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let endpoint = listener.endpoint();
         let addr = endpoint.strip_prefix("tcp://").unwrap().to_string();
         let noise = thread::spawn(move || {
@@ -1293,7 +1274,7 @@ mod tests {
         // the honest worker dialing next gets the slot.
         let platform = Platform::homogeneous(1, 1.0, 1.0, 8).unwrap();
         for after_hello in [false, true] {
-            let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+            let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
             let endpoint = listener.endpoint();
             let dier = dies_mid_handshake(&endpoint, after_hello);
             let honest = remote_worker(&endpoint, 0, b"honest");
@@ -1305,13 +1286,5 @@ mod tests {
             dier.join().unwrap();
             assert_eq!(honest.join().unwrap(), Ok(1));
         }
-    }
-
-    #[test]
-    fn fingerprints_distinguish_worker_params() {
-        let a = Platform::homogeneous(2, 1.0, 1.0, 8).unwrap();
-        let b = Platform::homogeneous(2, 1.0, 1.0, 9).unwrap();
-        assert_ne!(fingerprint(&a, 0.0), fingerprint(&b, 0.0));
-        assert_eq!(fingerprint(&a, 0.0), fingerprint(&a.clone(), 0.0));
     }
 }

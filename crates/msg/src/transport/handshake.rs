@@ -87,9 +87,9 @@ pub struct Hello {
     /// The worker's handshake nonce: the master's welcome MAC covers it,
     /// so a recorded welcome cannot be replayed to a later enrollment.
     pub nonce: [u8; 16],
-    /// Opaque fingerprint bytes the master records: in-process workers
-    /// send the platform fingerprint, remote workers a self-description
-    /// (binary version, compute kernel).
+    /// Opaque fingerprint bytes the master records, never checks: remote
+    /// workers send a self-description (binary version, compute kernel),
+    /// in-process workers nothing.
     pub fingerprint: Vec<u8>,
 }
 

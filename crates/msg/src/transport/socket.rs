@@ -235,47 +235,16 @@ pub enum TransportListener {
     },
 }
 
-/// Distinguishes concurrently-bound Unix socket paths within one process.
-static UDS_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 impl TransportListener {
-    /// Bind a loopback listener for `mode` ([`TransportMode::Channel`] has
-    /// no listener and is rejected): TCP on `127.0.0.1` with an ephemeral
-    /// port, or a Unix socket under the system temp directory.
-    pub fn bind(mode: TransportMode) -> io::Result<Self> {
-        match mode {
-            TransportMode::Channel => Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "the channel transport has no listener",
-            )),
-            TransportMode::Tcp => Self::bind_tcp("127.0.0.1:0"),
-            #[cfg(unix)]
-            TransportMode::Uds => {
-                let path = std::env::temp_dir().join(format!(
-                    "mwp-{}-{}.sock",
-                    std::process::id(),
-                    UDS_COUNTER.fetch_add(1, Ordering::Relaxed),
-                ));
-                Self::bind_uds(path)
-            }
-            #[cfg(not(unix))]
-            TransportMode::Uds => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix-domain sockets are not available on this platform",
-            )),
-        }
-    }
-
-    /// Bind a TCP listener on an explicit address (e.g. `0.0.0.0:4455`
-    /// for workers on other hosts) — how a master exposes its listener
-    /// beyond loopback.
+    /// Bind a TCP listener on `addr`: `127.0.0.1:0` for a loopback
+    /// listener on an ephemeral port, or e.g. `0.0.0.0:4455` for workers
+    /// on other hosts.
     pub fn bind_tcp(addr: &str) -> io::Result<Self> {
         Ok(TransportListener::Tcp(TcpListener::bind(addr)?))
     }
 
     /// Bind a Unix-domain listener on an explicit socket path. The path
-    /// is unlinked when the listener drops, like [`bind`](Self::bind)'s
-    /// temp-dir sockets.
+    /// is unlinked when the listener drops.
     #[cfg(unix)]
     pub fn bind_uds(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();

@@ -378,7 +378,7 @@ fn hello_from_another_protocol_version_is_unsupported_not_corrupt() {
 #[test]
 fn previous_version_peer_is_rejected_with_a_version_code() {
     let secret = b"version-gate-secret";
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let master = thread::spawn(move || {
         let mut conn = listener.accept().unwrap();
@@ -453,7 +453,7 @@ fn reject_frames_map_to_the_right_error_kinds() {
 #[test]
 fn enrollment_round_rejects_impostors_and_admits_the_fleet() {
     let secret = b"fleet-secret";
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let master = thread::spawn(move || {
         let mut outcomes = Vec::new();
@@ -506,7 +506,7 @@ fn enrollment_round_rejects_impostors_and_admits_the_fleet() {
 /// deadline in backoff like a refused connection does.
 #[test]
 fn enroll_with_retry_fails_fast_on_rejection() {
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let master = thread::spawn(move || {
         // A master from a different protocol era: its challenge
@@ -545,7 +545,7 @@ fn transport_mode_parser_is_strict() {
 
 #[test]
 fn tcp_stream_carries_frames_both_ways() {
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let h = thread::spawn(move || {
         let stream = connect(&endpoint).unwrap();
@@ -564,15 +564,21 @@ fn tcp_stream_carries_frames_both_ways() {
     h.join().unwrap();
 }
 
+/// A Unix socket path under the system temp directory that only the
+/// calling test thread uses: each thread binds one listener at a time,
+/// and the listener unlinks the path on drop.
+#[cfg(unix)]
+fn thread_socket_path() -> std::path::PathBuf {
+    let thread = format!("{:?}", thread::current().id()).replace(|c: char| !c.is_ascii_digit(), "");
+    std::env::temp_dir().join(format!("mwp-test-{}-{thread}.sock", std::process::id()))
+}
+
 #[cfg(unix)]
 #[test]
 fn uds_stream_carries_frames_and_unlinks_its_path() {
-    let listener = TransportListener::bind(TransportMode::Uds).unwrap();
+    let path = thread_socket_path();
+    let listener = TransportListener::bind_uds(&path).unwrap();
     let endpoint = listener.endpoint();
-    let path = match &listener {
-        TransportListener::Uds { path, .. } => path.clone(),
-        _ => unreachable!(),
-    };
     let h = thread::spawn(move || {
         let stream = connect(&endpoint).unwrap();
         let (mut r, mut w) = stream.split().unwrap();
@@ -601,7 +607,12 @@ const SOCKET_MODES: [TransportMode; 1] = [TransportMode::Tcp];
 /// end with a read deadline so a lost frame fails the test instead of
 /// hanging it.
 fn socket_pair(mode: TransportMode) -> (Box<dyn FrameStream>, Box<dyn FrameStream>) {
-    let listener = TransportListener::bind(mode).unwrap();
+    let listener = match mode {
+        #[cfg(unix)]
+        TransportMode::Uds => TransportListener::bind_uds(thread_socket_path()),
+        _ => TransportListener::bind_tcp("127.0.0.1:0"),
+    }
+    .unwrap();
     let dialer = connect(&listener.endpoint()).unwrap();
     let accepted = listener.accept().unwrap();
     accepted.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -698,7 +709,7 @@ fn the_read_deadline_fires_after_the_buffered_frames_are_delivered() {
 
 #[test]
 fn remote_link_bridges_a_socket_to_master_side_semantics() {
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     // "Remote worker": echo frames until shutdown.
     let h = thread::spawn(move || {

@@ -11,19 +11,17 @@
 //!   is the time per arithmetic operation (1 / effective flop rate, counting
 //!   one multiply-add as one operation as the paper does).
 
-use crate::units::{Bandwidth, FlopRate, Seconds};
-
 /// Bytes per matrix coefficient (we store IEEE-754 f64).
 pub const BYTES_PER_COEFF: usize = 8;
 
 /// Hardware characteristics of one worker class and its link to the master.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareProfile {
-    /// Sustained dgemm rate of the node, counting one multiply-add pair as
-    /// *two* flops (vendor convention).
-    pub flop_rate: FlopRate,
-    /// Link bandwidth between the master and this node.
-    pub bandwidth: Bandwidth,
+    /// Sustained dgemm rate of the node in flop/s, counting one
+    /// multiply-add pair as *two* flops (vendor convention).
+    pub flops_per_s: f64,
+    /// Link bandwidth between the master and this node, in bytes/s.
+    pub bytes_per_s: f64,
 }
 
 impl HardwareProfile {
@@ -34,19 +32,15 @@ impl HardwareProfile {
     /// 512 MB of buffers, matching the worker counts the paper reports in
     /// its Figure 13 discussion (and a plausible ATLAS rate for that CPU).
     pub fn tennessee_2006() -> Self {
-        HardwareProfile {
-            flop_rate: FlopRate::gflops(3.3),
-            bandwidth: Bandwidth::mbps(100.0),
-        }
+        // 3.3 Gflop/s; 100 Mbit/s.
+        HardwareProfile { flops_per_s: 3.3 * 1e9, bytes_per_s: 100.0 * 1e6 / 8.0 }
     }
 
     /// A contemporary profile (for what-if sweeps): 50 Gflop/s dgemm on
     /// 10 GbE.
     pub fn modern() -> Self {
-        HardwareProfile {
-            flop_rate: FlopRate::gflops(50.0),
-            bandwidth: Bandwidth::mbps(10_000.0),
-        }
+        // 50 Gflop/s; 10 000 Mbit/s.
+        HardwareProfile { flops_per_s: 50.0 * 1e9, bytes_per_s: 10_000.0 * 1e6 / 8.0 }
     }
 }
 
@@ -66,20 +60,20 @@ impl CostModel {
     /// Build a cost model from a hardware profile.
     pub fn from_profile(q: usize, hw: &HardwareProfile) -> Self {
         // One coefficient = 8 bytes. One block update = q³ multiply-adds
-        // = 2q³ flops at `flop_rate`.
-        let tau_c = BYTES_PER_COEFF as f64 / hw.bandwidth.value();
-        let tau_a = 2.0 / hw.flop_rate.per_second();
+        // = 2q³ flops at `flops_per_s`.
+        let tau_c = BYTES_PER_COEFF as f64 / hw.bytes_per_s;
+        let tau_a = 2.0 / hw.flops_per_s;
         CostModel { q, tau_c, tau_a }
     }
 
     /// Per-block communication cost `c = q² τ_c`, in seconds.
-    pub fn c(&self) -> Seconds {
-        Seconds((self.q * self.q) as f64 * self.tau_c)
+    pub fn c(&self) -> f64 {
+        (self.q * self.q) as f64 * self.tau_c
     }
 
     /// Per-block-update computation cost `w = q³ τ_a`, in seconds.
-    pub fn w(&self) -> Seconds {
-        Seconds((self.q * self.q * self.q) as f64 * self.tau_a)
+    pub fn w(&self) -> f64 {
+        (self.q * self.q * self.q) as f64 * self.tau_a
     }
 
     /// Number of block buffers that fit in `bytes` of worker memory.
@@ -90,16 +84,6 @@ impl CostModel {
     /// Size of one block in bytes.
     pub fn block_bytes(&self) -> usize {
         self.q * self.q * BYTES_PER_COEFF
-    }
-
-    /// The optimal enrolled-worker count of the homogeneous algorithm,
-    /// `P = ceil(µw / 2c) = ceil(µ q τ_a / 2 τ_c)` (Section 5), before
-    /// clamping to the available `p`.
-    pub fn ideal_worker_count(&self, mu: usize) -> usize {
-        let p = (mu as f64 * self.w().value()) / (2.0 * self.c().value());
-        // Guard against float slop turning an exact integer ratio into
-        // its successor (e.g. 5.0000000000000009 -> 6).
-        (p - 1e-9).ceil().max(1.0) as usize
     }
 }
 
@@ -112,30 +96,11 @@ mod tests {
         let hw = HardwareProfile::tennessee_2006();
         let cm = CostModel::from_profile(80, &hw);
         // c: 80*80*8 bytes at 12.5 MB/s = 4.096 ms.
-        assert!((cm.c().value() - 4.096e-3).abs() < 1e-9);
+        assert!((cm.c() - 4.096e-3).abs() < 1e-9);
         // w: 2*80^3 flops at 3.3 Gflop/s ≈ 0.31 ms.
-        assert!((cm.w().value() - 2.0 * 512_000.0 / 3.3e9).abs() < 1e-9);
+        assert!((cm.w() - 2.0 * 512_000.0 / 3.3e9).abs() < 1e-9);
         // Communication-bound: w < c on Fast Ethernet.
-        assert!(cm.w().value() < cm.c().value());
-    }
-
-    #[test]
-    fn fig13_worker_counts_match_paper() {
-        // The calibration target: HoLM enrolls 2 workers at 132 MB and 4
-        // at 512 MB, as the paper reports for Figure 13.
-        let hw = HardwareProfile::tennessee_2006();
-        let cm = CostModel::from_profile(80, &hw);
-        let mu_132 = {
-            let m = cm.buffers_for_memory(132 * 1024 * 1024);
-            // µ² + 4µ ≤ m
-            ((4.0 + m as f64).sqrt() - 2.0).floor() as usize
-        };
-        let mu_512 = {
-            let m = cm.buffers_for_memory(512 * 1024 * 1024);
-            ((4.0 + m as f64).sqrt() - 2.0).floor() as usize
-        };
-        assert_eq!(cm.ideal_worker_count(mu_132), 2, "µ = {mu_132}");
-        assert_eq!(cm.ideal_worker_count(mu_512), 4, "µ = {mu_512}");
+        assert!(cm.w() < cm.c());
     }
 
     #[test]
@@ -145,7 +110,7 @@ mod tests {
         let hw = HardwareProfile::tennessee_2006();
         let ratio = |q| {
             let cm = CostModel::from_profile(q, &hw);
-            cm.w().value() / cm.c().value()
+            cm.w() / cm.c()
         };
         assert!((ratio(80) / ratio(40) - 2.0).abs() < 1e-12);
     }
@@ -164,21 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn ideal_worker_count_matches_formula() {
-        // Paper example (Section 5): c = 2, w = 4.5, µ = 4 -> P = ceil(4.5) = 5.
-        let cm = CostModel { q: 1, tau_c: 2.0, tau_a: 4.5 };
-        assert_eq!(cm.c().value(), 2.0);
-        assert_eq!(cm.w().value(), 4.5);
-        assert_eq!(cm.ideal_worker_count(4), 5);
-    }
-
-    #[test]
     fn modern_profile_is_compute_richer() {
         let old = CostModel::from_profile(80, &HardwareProfile::tennessee_2006());
         let new = CostModel::from_profile(80, &HardwareProfile::modern());
         // Modern nodes compute faster relative to their (also faster) links
         // at the same ratio here; just sanity-check both costs dropped.
-        assert!(new.c().value() < old.c().value());
-        assert!(new.w().value() < old.w().value());
+        assert!(new.c() < old.c());
+        assert!(new.w() < old.w());
     }
 }

@@ -26,7 +26,8 @@
 //! * [`WorkerParams`] — the `(c_i, w_i, m_i)` triple for one worker,
 //! * [`Platform`] — a validated collection of workers with helper queries,
 //! * [`CostModel`] — the calibration layer mapping hardware characteristics
-//!   (flop rate, link bandwidth, block size `q`) to `(c, w)`,
+//!   (flop rate, link bandwidth, block size `q`) to `(c, w)`, in plain `f64`
+//!   seconds like every cost in the workspace,
 //! * [`generator`] — reproducible homogeneous and heterogeneous platform
 //!   generators used by the experiment harness.
 
@@ -35,12 +36,10 @@ pub mod error;
 pub mod generator;
 pub mod platform;
 pub mod textfmt;
-pub mod units;
 pub mod worker;
 
 pub use cost::{CostModel, HardwareProfile};
 pub use error::PlatformError;
 pub use generator::{HeterogeneityProfile, PlatformGenerator};
 pub use platform::Platform;
-pub use units::{Bandwidth, FlopRate, Seconds};
 pub use worker::{WorkerId, WorkerParams};

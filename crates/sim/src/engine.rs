@@ -7,7 +7,7 @@
 //! exactly: the master's port is the only contended resource.
 
 use crate::report::SimReport;
-use mwp_platform::{Platform, Seconds, WorkerId};
+use mwp_platform::{Platform, WorkerId};
 use mwp_trace::{Activity, ActivityKind, Resource, SimTime, Trace};
 use std::borrow::Cow;
 
@@ -219,8 +219,8 @@ impl Simulator {
                 Decision::Send { to, blocks, spawn_updates, mem_delta, label } => {
                     let wp = *self.platform.worker(to);
                     let start = send_free;
-                    let end = start + Seconds(blocks as f64 * wp.c);
-                    port_busy += (end - start).value();
+                    let end = start + blocks as f64 * wp.c;
+                    port_busy += end - start;
                     if self.record_trace {
                         trace.push(Activity::new(
                             Resource::MasterPort,
@@ -238,8 +238,8 @@ impl Simulator {
                         // Computation can only start once the message has
                         // fully arrived and earlier queued work finished.
                         let cstart = st.ready.max(end);
-                        let cend = cstart + Seconds(spawn_updates as f64 * wp.w);
-                        st.busy += (cend - cstart).value();
+                        let cend = cstart + spawn_updates as f64 * wp.w;
+                        st.busy += cend - cstart;
                         st.updates_assigned += spawn_updates;
                         st.ready = cend;
                         if self.record_trace {
@@ -263,8 +263,8 @@ impl Simulator {
                     // The worker must have finished computing before it can
                     // start returning results; the port idles if needed.
                     let start = recv_free.max(workers[from.index()].ready);
-                    wait_for_worker += (start - recv_free).value().max(0.0);
-                    let end = start + Seconds(blocks as f64 * wp.c);
+                    wait_for_worker += (start - recv_free).max(0.0);
+                    let end = start + blocks as f64 * wp.c;
                     port_busy += blocks as f64 * wp.c;
                     if self.record_trace {
                         trace.push(Activity::new(
@@ -289,7 +289,7 @@ impl Simulator {
                         t > now,
                         "WaitUntil({t}) does not advance time past {now}: livelock"
                     );
-                    wait_for_buffers += (t - now).value();
+                    wait_for_buffers += t - now;
                     send_free = send_free.max(t);
                     recv_free = recv_free.max(t);
                 }

@@ -5,7 +5,6 @@
 //! since the process trace epoch. Keeping them the same type is what lets
 //! simulated and measured [`crate::Trace`]s be diffed span for span.
 
-use mwp_platform::Seconds;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -65,26 +64,28 @@ impl Ord for SimTime {
     }
 }
 
-impl Add<Seconds> for SimTime {
+/// A time plus a duration in seconds.
+impl Add<f64> for SimTime {
     type Output = SimTime;
     #[inline]
-    fn add(self, rhs: Seconds) -> SimTime {
-        SimTime(self.0 + rhs.value())
+    fn add(self, seconds: f64) -> SimTime {
+        SimTime(self.0 + seconds)
     }
 }
 
-impl AddAssign<Seconds> for SimTime {
+impl AddAssign<f64> for SimTime {
     #[inline]
-    fn add_assign(&mut self, rhs: Seconds) {
-        self.0 += rhs.value();
+    fn add_assign(&mut self, seconds: f64) {
+        self.0 += seconds;
     }
 }
 
+/// The seconds between two times.
 impl Sub<SimTime> for SimTime {
-    type Output = Seconds;
+    type Output = f64;
     #[inline]
-    fn sub(self, rhs: SimTime) -> Seconds {
-        Seconds(self.0 - rhs.0)
+    fn sub(self, rhs: SimTime) -> f64 {
+        self.0 - rhs.0
     }
 }
 
@@ -110,12 +111,12 @@ mod tests {
 
     #[test]
     fn arithmetic_with_seconds() {
-        let t = SimTime(1.0) + Seconds(0.5);
+        let t = SimTime(1.0) + 0.5;
         assert_eq!(t, SimTime(1.5));
         let mut u = SimTime(2.0);
-        u += Seconds(1.0);
+        u += 1.0;
         assert_eq!(u, SimTime(3.0));
-        assert_eq!((u - t).value(), 1.5);
+        assert_eq!(u - t, 1.5);
     }
 
     #[test]

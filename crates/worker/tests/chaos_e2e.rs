@@ -91,7 +91,7 @@ fn kill_sweep(
 ) {
     let local = RuntimeSession::with_transport(platform, 0.0, TransportMode::Channel);
     for n in 1..=rows {
-        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let endpoint = listener.endpoint();
         let healthy = spawn_honest(&endpoint, &fleet(), 2);
         let doomed = spawn_in_process(&endpoint, &fleet(), Some((Fault::Kill, n as u64)));
@@ -194,7 +194,7 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
     assert_eq!(replies, [4 + 6, 6], "4 panel replies; each slot collects 3 + 2 + 1 trailing rows");
     for (slot, &in_one_run) in replies.iter().enumerate() {
         for n in 1..=in_one_run {
-            let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+            let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
             let endpoint = listener.endpoint();
             let fault = |at_slot| (slot == at_slot).then_some((Fault::Kill, n as u64));
             let first = spawn_in_process(&endpoint, &fleet(), fault(0));
@@ -237,7 +237,7 @@ fn corrupted_frame_trips_the_checksum_and_redispatch_recovers_bit_identically() 
     // bit-identical to the healthy in-process reference: a flipped bit
     // costs one worker, never one ulp.
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let healthy = spawn_honest(&endpoint, &fleet(), 2);
     let corruptor = spawn_in_process(&endpoint, &fleet(), Some((Fault::Corrupt, 2)));
@@ -278,7 +278,7 @@ fn stale_generation_replay_is_rejected_without_touching_the_result() {
     // block accounting: the run stays bit-identical, the link stays
     // alive, and the rejection is observable in the session's stats.
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let healthy = spawn_honest(&endpoint, &fleet(), 2);
     let replayer = spawn_in_process(&endpoint, &fleet(), Some((Fault::Stale, 2)));
@@ -320,7 +320,7 @@ fn holm_survives_a_real_sigkill_then_readmits_a_replacement() {
     // 20 blocks) keeps every worker, the victim included, on the
     // critical path of each round.
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let mut children: Vec<Child> = (0..3).map(|_| spawn_worker(&endpoint)).collect();
     let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
@@ -376,7 +376,7 @@ fn a_mute_worker_is_cut_by_the_deadline_and_its_chunks_recovered() {
     let tight = Config { liveness: Some(ms(600)), ..fleet() };
 
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let healthy = spawn_honest(&endpoint, &tight, 2);
     // From its 2nd data frame on this worker swallows every outbound
@@ -430,7 +430,7 @@ fn deadline_breach_aborts_the_run_and_the_session_serves_the_next_one() {
     // so there *is* a between-rounds checkpoint to abort at.
     let time_scale = 2e-4;
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let children: Vec<Child> = (0..3).map(|_| spawn_worker(&endpoint)).collect();
     let mut remote =
@@ -473,7 +473,7 @@ fn deadline_breach_aborts_the_run_and_the_session_serves_the_next_one() {
     // blocks: at 0.2 ms each, step 0's panel exchange alone (20 blocks out,
     // 20 back) breaches 5 ms.
     let lu_platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
-    let lu_listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let lu_listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let lu_endpoint = lu_listener.endpoint();
     let lu_children: Vec<Child> = (0..2).map(|_| spawn_worker(&lu_endpoint)).collect();
     // This fleet is handed its budget at the door.

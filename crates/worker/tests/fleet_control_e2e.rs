@@ -93,7 +93,7 @@ fn compare_round(remote: &RuntimeSession, reference: &RuntimeSession, round: u64
 #[test]
 fn impostors_are_rejected_while_the_master_keeps_serving() {
     let platform = Platform::homogeneous(2, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let mut children: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, SECRET, false)).collect();
     let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
@@ -176,7 +176,7 @@ fn a_worker_that_dies_mid_handshake_fails_its_admission_and_the_fleet_serves_on(
     // without touching the fleet or its epoch, and the next run must still
     // match the reference star's plan and bits.
     let platform = Platform::homogeneous(2, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let members = spawn_honest(&endpoint, &fleet(), 2);
     let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
@@ -201,7 +201,7 @@ fn a_worker_that_dies_mid_handshake_fails_its_admission_and_the_fleet_serves_on(
 #[test]
 fn pruning_the_whole_fleet_empties_it_and_an_admit_revives_it() {
     let platform = Platform::homogeneous(2, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let children: Vec<Child> = (0..2).map(|_| spawn_worker(&endpoint, SECRET, false)).collect();
     let mut remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
@@ -248,7 +248,7 @@ fn pruning_the_whole_fleet_empties_it_and_an_admit_revives_it() {
 #[test]
 fn a_reconnect_worker_reenrolls_across_sessions() {
     let platform1 = Platform::homogeneous(1, PARAMS.c, PARAMS.w, PARAMS.m).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let reference1 = RuntimeSession::with_transport(&platform1, 0.0, TransportMode::Channel);
 

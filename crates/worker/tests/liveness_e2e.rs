@@ -55,7 +55,7 @@ fn reference(platform: &Platform, (a, b, c): &(BlockMatrix, BlockMatrix, BlockMa
 #[test]
 fn a_hung_worker_is_condemned_within_the_deadline_and_the_rest_finish_the_run() {
     let platform = Platform::homogeneous(3, 4.0, 1.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let healthy = spawn_honest(&endpoint, &tight(), 2);
     // The third worker enrolls and then never touches its endpoint again:
@@ -90,7 +90,7 @@ fn a_hung_worker_is_condemned_within_the_deadline_and_the_rest_finish_the_run() 
 #[test]
 fn an_idle_fleet_stays_alive_across_ten_deadlines() {
     let platform = Platform::homogeneous(2, 4.0, 1.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let workers = spawn_honest(&listener.endpoint(), &tight(), 2);
     let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &tight()).unwrap();
     // Nothing but probes and their answers cross either link meanwhile.
@@ -167,7 +167,7 @@ fn a_step_longer_than_the_probe_period_condemns_no_one() {
     // Five probe periods, half the deadline.
     let pause = DEADLINE / 2;
     let platform = Platform::homogeneous(2, 4.0, 1.0, 20).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let honest = spawn_honest(&endpoint, &tight(), 1);
     let socket = transport::connect(&endpoint).expect("dial the master");
@@ -197,7 +197,7 @@ fn a_worker_that_only_receives_for_longer_than_the_deadline_is_not_condemned() {
     // port 25 ms: the master keeps the link busy for 1.25 s, so its out
     // pump never probes it.
     let platform = Platform::homogeneous(1, 1.0, 1.0, 12).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let workers = spawn_honest(&listener.endpoint(), &tight(), 1);
     let remote = RuntimeSession::accept_remote(&platform, 0.0125, &listener, &tight()).unwrap();
     let problem = product(2, 24, 2);

@@ -40,7 +40,7 @@ fn spawn_workers(n: usize, endpoint: &str) -> Vec<Child> {
 #[test]
 fn remote_workers_serve_consecutive_holm_runs_bit_identically() {
     let platform = Platform::homogeneous(3, 4.0, 1.0, 60).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let children = spawn_workers(platform.len(), &listener.endpoint());
     let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
 
@@ -80,7 +80,7 @@ fn remote_workers_serve_lu_runs_bit_identically() {
     // One fleet, one worker program: the same connections serve
     // factorizations with a product run between them.
     let platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let children = spawn_workers(platform.len(), &listener.endpoint());
     let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
@@ -112,7 +112,7 @@ fn dropping_a_remote_session_shuts_workers_down() {
     // deliver shutdown frames so the worker processes exit 0 (a leak
     // here would hang `reap`, failing via test timeout).
     let platform = Platform::homogeneous(2, 4.0, 1.0, 60).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let children = spawn_workers(platform.len(), &listener.endpoint());
     let remote = RuntimeSession::accept_remote(&platform, 0.0, &listener, &fleet()).unwrap();
     let q = 4;
@@ -148,7 +148,7 @@ fn cat_and_tid(line: &str) -> (&str, u64) {
 #[test]
 fn traced_worker_processes_stream_their_compute_spans() {
     let platform = Platform::homogeneous(2, 1.0, 4.0, 60).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let paths: Vec<_> = (0..2)
         .map(|i| std::env::temp_dir().join(format!("mwp-worker-trace-{}-{i}.json", std::process::id())))
         .collect();

@@ -59,7 +59,7 @@ fn serving_recovers_bit_identically_when_a_worker_dies_mid_multi_job_run() {
     // resident. Every job, in-flight or later, must come back
     // bit-identical to the healthy exclusive reference.
     let platform = Platform::homogeneous(3, 2.0, 4.5, 60).unwrap();
-    let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+    let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
     let endpoint = listener.endpoint();
     let healthy = spawn_honest(&endpoint, &fleet(), 2);
     let doomed = spawn_in_process(&endpoint, &fleet(), Some((Fault::Kill, 2)));
@@ -125,7 +125,7 @@ fn batched_serving_recovers_bit_identically_when_a_worker_dies() {
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
     let rows = doomed_rows_per_round(plug_shape, small_shape, smalls_per_round, 20);
     for n in 1..=rows as u64 {
-        let listener = TransportListener::bind(TransportMode::Tcp).unwrap();
+        let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
         let endpoint = listener.endpoint();
         let healthy = spawn_honest(&endpoint, &fleet(), 2);
         let doomed = spawn_in_process(&endpoint, &fleet(), Some((Fault::Kill, n)));

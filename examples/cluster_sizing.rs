@@ -6,6 +6,7 @@
 //! cargo run --release --example cluster_sizing
 //! ```
 
+use master_worker_matrix::core::selection::homogeneous::ideal_worker_count;
 use master_worker_matrix::prelude::*;
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
         for mem_mb in [132usize, 512, 2048] {
             let m = cm.buffers_for_memory(mem_mb * 1024 * 1024);
             let mu = MemoryLayout::MaxReuseOverlapped.mu(m);
-            let p = cm.ideal_worker_count(mu);
+            let p = ideal_worker_count(mu, cm.w(), cm.c());
             println!("{net:<12} {mem_mb:>10} {mu:>6} {p:>10}");
         }
     }
@@ -42,7 +43,7 @@ fn main() {
     println!("\nmakespan vs cluster size (512 MB workers, 100 Mbps):");
     let mut last = f64::INFINITY;
     for p in [1usize, 2, 4, 8, 16] {
-        let platform = Platform::homogeneous(p, cm.c().value(), cm.w().value(), m)
+        let platform = Platform::homogeneous(p, cm.c(), cm.w(), m)
             .expect("valid platform");
         let report = simulate(AlgorithmKind::ORROML, &platform, &problem).expect("simulation");
         let t = report.makespan.value();

@@ -50,7 +50,8 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 3. Heterogeneous: chunk shapes and the exhaustive µ search.
+    // 3. Heterogeneous: chunk shapes, and the exhaustive µ search that
+    //    replays the runtime's schedule at every divisor of r.
     // ------------------------------------------------------------------
     let het = Platform::new(vec![
         WorkerParams::new(1.0, 1.0, 400),
@@ -67,8 +68,11 @@ fn main() {
         };
         println!("  µ_i = {mu_i}: {label}");
     }
-    let (best_mu, est) = best_pivot_size(&het, 60);
-    println!("exhaustive µ search on the heterogeneous platform: µ* = {best_mu} (est. {est:.0})");
+    let (best_mu, makespan) = best_pivot_size(&het, 60);
+    println!(
+        "exhaustive µ search on the heterogeneous platform: µ* = {best_mu} \
+         (its schedule replays in {makespan:.0})"
+    );
 
     // ------------------------------------------------------------------
     // 4. Real arithmetic: factor and verify.

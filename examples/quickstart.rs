@@ -16,12 +16,12 @@ fn main() {
     // ------------------------------------------------------------------
     let cm = CostModel::from_profile(80, &HardwareProfile::tennessee_2006());
     let m = cm.buffers_for_memory(132 * 1024 * 1024); // 132 MB of buffers
-    let platform = Platform::homogeneous(8, cm.c().value(), cm.w().value(), m)
+    let platform = Platform::homogeneous(8, cm.c(), cm.w(), m)
         .expect("calibrated platform is valid");
     println!(
         "platform: 8 workers, c = {:.3} ms/block, w = {:.3} ms/update, m = {m} buffers",
-        cm.c().value() * 1e3,
-        cm.w().value() * 1e3,
+        cm.c() * 1e3,
+        cm.w() * 1e3,
     );
 
     // ------------------------------------------------------------------

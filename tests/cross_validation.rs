@@ -3,6 +3,7 @@
 
 use master_worker_matrix::prelude::*;
 use mwp_blockmat::fill::random_matrix;
+use mwp_core::selection::homogeneous::ideal_worker_count;
 
 /// On a comm-bound homogeneous platform with all workers enrolled, the
 /// ORROML schedule keeps the port saturated: the simulated makespan must
@@ -113,15 +114,15 @@ fn steady_state_dominates_heterogeneous_runs() {
     }
 }
 
-/// HoLM's enrolled-worker prediction agrees between the selection module
-/// and the cost model's convenience method.
+/// HoLM's enrolled-worker prediction on a calibrated platform is §5's one
+/// `P = ceil(µw/2c)`.
 #[test]
 fn selection_and_cost_model_agree_on_p() {
     let cm = CostModel::from_profile(80, &HardwareProfile::tennessee_2006());
     let m = cm.buffers_for_memory(512 * 1024 * 1024);
     let mu = MemoryLayout::MaxReuseOverlapped.mu(m);
-    let params = WorkerParams::new(cm.c().value(), cm.w().value(), m);
+    let params = WorkerParams::new(cm.c(), cm.w(), m);
     let sel = select_homogeneous(&params, 64, 1000, 1000);
-    assert_eq!(sel.workers, cm.ideal_worker_count(mu));
+    assert_eq!(sel.workers, ideal_worker_count(mu, cm.w(), cm.c()));
     assert_eq!(sel.chunk_side, mu);
 }

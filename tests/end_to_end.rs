@@ -11,7 +11,7 @@ use mwp_platform::generator::{HeterogeneityProfile, PlatformGenerator};
 fn homogeneous_pipeline() {
     // 1. Calibrated platform.
     let cm = CostModel::from_profile(8, &HardwareProfile::tennessee_2006());
-    let platform = Platform::homogeneous(6, cm.c().value(), cm.w().value(), 60).unwrap();
+    let platform = Platform::homogeneous(6, cm.c(), cm.w(), 60).unwrap();
 
     // 2. Resource selection.
     let params = platform.homogeneous_params().unwrap();
