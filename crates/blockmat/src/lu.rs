@@ -764,6 +764,42 @@ mod tests {
     }
 
     #[test]
+    fn a_rebuilt_row_is_the_kept_rows_step_by_step_updates() {
+        // A row a worker keeps across `steps` steps takes each step's
+        // µ-deep update in turn — one packed q-row of U and one q × q block
+        // of −L per `k`, the worker's own calls — and its µ leftmost blocks
+        // leave after each step. Rebuilt from the image shipped before the
+        // first step, the blocks still there take all `steps · µ` updates
+        // in one go, U cut to their columns. Every element is the same chain
+        // in increasing `k` however wide the row it sits in, so the bits
+        // agree under every kernel.
+        let update = |kernel: &Kernel, c: &mut Dense, l: &Dense, u: &Dense, k: usize, q: usize| {
+            let b = u.submatrix(k * q, (k + 1) * q, u.cols - c.cols, u.cols);
+            let mut pack = kernel::PackedB::default();
+            kernel.pack_into(&mut pack, &b.data, q, b.cols, 1.0);
+            for (i, slab) in c.data.chunks_exact_mut(q * c.cols).enumerate() {
+                let a = l.submatrix(i * q, (i + 1) * q, k * q, (k + 1) * q);
+                kernel.gemm_acc_packed(slab, &a.data, &pack, q);
+            }
+        };
+        for kernel in available() {
+            for (rows, steps, mu, rest, q) in [(2, 3, 2, 2, 4), (1, 2, 1, 3, 17), (3, 2, 2, 1, 8), (1, 1, 2, 1, 80)] {
+                let width = steps * mu + rest;
+                let (l, u) = (random_dense(rows * q, steps * mu * q, 64), random_dense(steps * mu * q, width * q, 65));
+                let c0 = random_dense(rows * q, width * q, 66);
+                let mut kept = c0.clone();
+                for s in 0..steps {
+                    (s * mu..(s + 1) * mu).for_each(|k| update(kernel, &mut kept, &l, &u, k, q));
+                    kept = kept.submatrix(0, rows * q, mu * q, kept.cols);
+                }
+                let mut rebuilt = c0.submatrix(0, rows * q, steps * mu * q, width * q);
+                (0..steps * mu).for_each(|k| update(kernel, &mut rebuilt, &l, &u, k, q));
+                assert_eq!(rebuilt, kept, "{} {rows} rows, {steps} steps of {mu}, q = {q}", kernel.name());
+            }
+        }
+    }
+
+    #[test]
     fn submatrix_roundtrip() {
         let d = random_dense(7, 9, 12);
         let sub = d.submatrix(2, 6, 3, 8);

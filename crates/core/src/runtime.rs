@@ -324,7 +324,7 @@ pub trait Port {
     /// The ops that redo, on workers of `live` (ascending), the work the
     /// `undone` ops of one phase lost; `None` when no live worker can
     /// adopt it.
-    fn redispatch(&self, undone: Vec<Self::Op>, live: &[WorkerId]) -> Option<Vec<Self::Op>>;
+    fn redispatch(&mut self, undone: Vec<Self::Op>, live: &[WorkerId]) -> Option<Vec<Self::Op>>;
 }
 
 /// What became of one op on the port ([`Port::perform`]).
@@ -479,6 +479,20 @@ impl Accumulator for BlockMatrix {
     }
 }
 
+/// Where one worker's chunk of an open run stands on the master's side.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seat {
+    /// The job of the chunk last shipped to it: the steps of that job
+    /// finish the chunk, so the last of them asks for it back.
+    job: usize,
+    /// Whether the chunk's collect request went out.
+    requested: bool,
+    /// The part of its last chunk a [`PortOp::Keep`] left on it, with that
+    /// chunk's job, until its next chunk's `SendC` takes it as its first
+    /// rows or a `Collect` of it brings it back.
+    held: Option<(usize, Chunk)>,
+}
+
 /// The products of one open run on the master's port: the chunk exchange
 /// — ship a C chunk, stream a B-row/A-column step, collect — written
 /// once, with every frame stamped with the run's generation and every
@@ -500,6 +514,12 @@ pub struct ChunkExchange<'a, C = BlockMatrix> {
     frames: u64,
     /// Blocks the round trips moved, both ways.
     round_trips: u64,
+    /// Per worker: where its chunk stands.
+    seats: Vec<Seat>,
+    /// The `kept` part of each `(job, worker, chunk)` a `Keep` ends
+    /// ([`ChunkExchange::expect_keeps`]): what the collect request behind
+    /// the chunk's last step asks the worker to hold on to.
+    keeps: HashMap<(usize, WorkerId, Chunk), Chunk>,
 }
 
 impl<'a, C: Accumulator> ChunkExchange<'a, C> {
@@ -515,7 +535,24 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         mu: Vec<usize>,
         t: usize,
     ) -> Self {
-        ChunkExchange { master, gen, q, c, jobs: Vec::new(), mu, t, frames: 0, round_trips: 0 }
+        let (seats, keeps) = (vec![Seat::default(); mu.len()], HashMap::new());
+        ChunkExchange { master, gen, q, c, jobs: Vec::new(), mu, t, frames: 0, round_trips: 0, seats, keeps }
+    }
+
+    /// Note the `Keep`s among `ops`, so that each chunk's collect request
+    /// names what the worker keeps of it.
+    pub fn expect_keeps<'o>(&mut self, ops: impl IntoIterator<Item = &'o PortOp>) {
+        for op in ops {
+            if let PortOp::Keep { job, worker, chunk, kept } = *op {
+                self.keeps.insert((job, worker, chunk), kept);
+            }
+        }
+    }
+
+    /// What a `Keep` left on `worker` and has not yet been taken up or
+    /// brought back, with the job of the chunk it was part of.
+    pub fn held(&self, worker: WorkerId) -> Option<(usize, Chunk)> {
+        self.seats[worker.index()].held
     }
 
     /// Add the next product — its `job` index is the number added before
@@ -573,12 +610,17 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     /// Ship chunk `ch` of job `jx`'s C to `wid`: one multi-block frame per
     /// chunk row, each the accumulator's image of that row (C mutates
     /// between chunks, so a product's rows are serialized anew into the
-    /// master endpoint's recycled buffers, which outlive the run). Returns
+    /// master endpoint's recycled buffers, which outlive the run) — but
+    /// for the rows a `Keep` left on the worker, the chunk's first rows,
+    /// which it already holds. Returns
     /// `false` (with the worker condemned) if `wid` died mid-ship — the
     /// chunk is untouched on the master and can be replayed verbatim on a
     /// survivor.
     fn ship_chunk(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
-        ch.rows().all(|i| {
+        let seat = &mut self.seats[wid.index()];
+        let held = seat.held.take().map_or(0, |(_, kept)| kept.height);
+        (seat.job, seat.requested) = (jx, false);
+        ch.rows().skip(held).all(|i| {
             let (job, c) = (&self.jobs[jx], &self.c[self.jobs[jx].c]);
             let payload = c.row(self.master, (i + job.at, ch.j0 + job.at), ch.width);
             let tag = Tag::new(FrameKind::BlockC, i + job.off[0], ch.j0 + job.off[1]);
@@ -599,7 +641,7 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         let (master, job) = (self.master, &mut self.jobs[jx]);
         let b_tag = Tag::new(FrameKind::BlockB, k + job.off[2], ch.j0 + job.off[1]);
         let a_tag = Tag::new(FrameKind::BlockA, ch.i0 + job.off[0], k + job.off[2]);
-        let last = k + 1 == job.ap.steps;
+        let last = k + 1 == job.ap.steps && self.seats[wid.index()].job == jx;
         let (b, kb) = job.bp.step(master, k);
         let b_run = b.row_run(kb, ch.j0, ch.width);
         if !self.send(wid, jx, b_tag, b_run, ch.width) {
@@ -610,8 +652,23 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         if !self.send(wid, jx, a_tag, a_run, ch.height) {
             return false;
         }
-        let request = || Frame::new_in_run(Tag::new(FrameKind::Control, 0, 0), self.gen, Bytes::new());
-        !last || master.try_send(wid, request(), 0).is_some()
+        !last || self.request(wid, jx, ch)
+    }
+
+    /// Ask `wid` for chunk `ch` of job `jx` back: a control frame that
+    /// names nothing — the whole chunk — or, for a chunk a `Keep` ends,
+    /// the wire coordinates of the part it keeps and that part's height.
+    fn request(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
+        let (tag, payload) = match self.keeps.get(&(jx, wid, *ch)) {
+            None => (Tag::new(FrameKind::Control, 0, 0), Bytes::new()),
+            Some(kept) => {
+                let at = self.jobs[jx].at;
+                let height = Bytes::copy_from_slice(&(kept.height as u32).to_le_bytes());
+                (Tag::new(FrameKind::Control, kept.i0 + at, kept.j0 + at), height)
+            }
+        };
+        self.seats[wid.index()].requested = true;
+        self.master.try_send(wid, Frame::new_in_run(tag, self.gen, payload), 0).is_some()
     }
 
     /// Receive chunk `ch` back from `wid` — [`ChunkExchange::send_k_step`]
@@ -625,24 +682,35 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     /// anything. The all-or-nothing commit is what makes re-dispatch
     /// exact: a half-returned chunk must not leave C half-updated, or
     /// replaying the chunk would double-accumulate the committed rows.
-    fn collect(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
+    ///
+    /// A chunk a `Keep` ends returns only the blocks outside `kept`
+    /// ([`PortOp::returned`]); `kept` stays on the worker, and the
+    /// worker's next `SendC` ships only the rows below it. A chunk whose
+    /// request did not go out behind a last step — a kept part brought
+    /// back whole — is asked for here.
+    fn collect(&mut self, wid: WorkerId, jx: usize, ch: &Chunk, kept: Option<Chunk>) -> bool {
+        if !std::mem::take(&mut self.seats[wid.index()].requested) && !self.request(wid, jx, ch) {
+            return false;
+        }
+        let kept = kept.unwrap_or(Chunk { height: 0, ..*ch });
         let job = &mut self.jobs[jx];
         let bb = self.q * self.q * 8;
         let mut rows = Vec::with_capacity(ch.height);
-        for i in ch.rows() {
-            let tag = Tag::new(FrameKind::CResult, i + job.off[0], ch.j0 + job.off[1]);
-            let reply = self.master.recv_deadline(wid, self.gen, ch.width as u64);
+        for (i, j0, width) in PortOp::returned(*ch, kept) {
+            let tag = Tag::new(FrameKind::CResult, i + job.off[0], j0 + job.off[1]);
+            let reply = self.master.recv_deadline(wid, self.gen, width as u64);
             match reply {
-                Some((f, _)) if f.tag == tag && f.payload.len() == ch.width * bb => rows.push(f.payload),
+                Some((f, _)) if f.tag == tag && f.payload.len() == width * bb => rows.push((i, j0, f.payload)),
                 _ => return false,
             }
         }
         let c = &mut self.c[job.c];
-        for (i, payload) in ch.rows().zip(rows) {
-            c.commit_row((i + job.at, ch.j0 + job.at), payload);
+        job.moved += ch.blocks() - kept.blocks();
+        self.frames += 1 + rows.len() as u64;
+        for (i, j0, payload) in rows {
+            c.commit_row((i + job.at, j0 + job.at), payload);
         }
-        job.moved += ch.blocks();
-        self.frames += 1 + ch.height as u64;
+        self.seats[wid.index()].held = (kept.height > 0).then_some((jx, kept));
         true
     }
 }
@@ -659,7 +727,8 @@ impl<C: Accumulator> Port for ChunkExchange<'_, C> {
         let done = match *op {
             PortOp::SendC { .. } => self.ship_chunk(wid, jx, &ch),
             PortOp::Step { k, .. } => self.send_k_step(wid, jx, &ch, k),
-            PortOp::Collect { .. } => self.collect(wid, jx, &ch),
+            PortOp::Collect { .. } => self.collect(wid, jx, &ch, None),
+            PortOp::Keep { kept, .. } => self.collect(wid, jx, &ch, Some(kept)),
         };
         if done { Performed::Done } else { Performed::Lost }
     }
@@ -667,7 +736,7 @@ impl<C: Accumulator> Port for ChunkExchange<'_, C> {
     /// The lost chunks as [`Schedule::recover`] — Algorithm 1's rounds
     /// over the live workers whose memory holds a chunk at all, each chunk
     /// split to its adopter's `µ_i`.
-    fn redispatch(&self, undone: Vec<PortOp>, live: &[WorkerId]) -> Option<Vec<PortOp>> {
+    fn redispatch(&mut self, undone: Vec<PortOp>, live: &[WorkerId]) -> Option<Vec<PortOp>> {
         Schedule::recover(&undone, live, &self.mu, self.t).map(|schedule| schedule.ops)
     }
 }
@@ -861,6 +930,37 @@ impl RunState {
         self.c.resize(0, 0);
         self.b_resident = false;
     }
+
+    /// Keep only block rows `rows` of the chunk, from block column `col`
+    /// on: each kept row slides up and left in place, and the kept part
+    /// becomes the chunk, its wire origin moved with it.
+    fn keep(&mut self, rows: std::ops::Range<usize>, col: usize) {
+        let (q, cols) = (self.q, self.c.cols());
+        let (skip, kept_cols) = (col * q, cols - col * q);
+        let data = self.c.as_mut_slice();
+        for (to, from) in (rows.start * q..rows.end * q).enumerate() {
+            data.copy_within(from * cols + skip..(from + 1) * cols, to * kept_cols);
+        }
+        self.c.resize(rows.len() * q, kept_cols);
+        self.origin = (self.origin.0 + rows.start, self.origin.1 + col);
+        self.width -= col;
+        self.b_resident = false;
+    }
+}
+
+/// The part of its chunk a collect request asks the worker to keep, in
+/// chunk block coordinates: `(rows, first column)`. A request naming
+/// nothing keeps nothing; one naming a part keeps it if it lies in the
+/// chunk, its columns running to the chunk's right edge. `None` when the
+/// request is neither.
+fn kept_part(run: &RunState, tag: Tag, payload: &[u8]) -> Option<(std::ops::Range<usize>, usize)> {
+    if payload.is_empty() && (tag.i, tag.j) == (0, 0) {
+        return Some((0..0, run.width));
+    }
+    let height = u32::from_le_bytes(payload.try_into().ok()?) as usize;
+    let i = (tag.i as usize).checked_sub(run.origin.0)?;
+    let j = (tag.j as usize).checked_sub(run.origin.1)?;
+    (height > 0 && i.checked_add(height)? <= run.height() && j < run.width).then_some((i..i + height, j))
 }
 
 /// `payload` as `n ≥ 1` block images of `bb` bytes each; `None` unless it
@@ -1105,16 +1205,26 @@ fn serve_run(
                 // A collect request (no lifecycle sentinel): return the
                 // chunk row by row, in order — one run frame per row,
                 // built in the endpoint's buffer pool, stamped with the
-                // generation it belongs to. The storage stays for the
-                // generation's next chunk.
+                // generation it belongs to — but for the part the request
+                // names, which stays: a kept row returns only its blocks
+                // left of that part, if any, and the part becomes the
+                // chunk the generation's next chunk starts with. The
+                // storage stays for the generation's next chunk.
+                let Some((kept, col)) = kept_part(run, frame.tag, &frame.payload) else {
+                    return RunExit::Terminate;
+                };
                 let (width, (i0, j0)) = (run.width, run.origin);
                 for r in 0..run.height() {
-                    let payload = ep.pooled_payload(width * bb, |buf| {
-                        (0..width).for_each(|jj| run.c.write_block(q, (r, jj), buf));
+                    let w = if kept.contains(&r) { col } else { width };
+                    if w == 0 {
+                        continue;
+                    }
+                    let payload = ep.pooled_payload(w * bb, |buf| {
+                        (0..w).for_each(|jj| run.c.write_block(q, (r, jj), buf));
                     });
                     ep.send_in(gen, Frame::new(Tag::new(FrameKind::CResult, i0 + r, j0), payload));
                 }
-                run.clear();
+                run.keep(kept, col);
             }
             // A `CResult` (or anything else the master never sends).
             _ => return RunExit::Terminate,

@@ -22,6 +22,9 @@
 //! chunk on one worker, in the order `SendC`, `Step 0..t`, `Collect`:
 //! each C block accumulates its `t` updates in `k`-order inside a single
 //! exchange, so any schedule over the same grid yields the same bits.
+//! A product never emits [`PortOp::Keep`]: that form is for schedules of
+//! several products over one matrix (LU's trailing updates), where part of
+//! a chunk stays on its worker as the first rows of its next chunk.
 
 use crate::chunks::{algorithm1_order, Chunk};
 use crate::selection::incremental::{run_selection_with_mu, SelectionRule};
@@ -33,7 +36,10 @@ use mwp_sim::{Decision, MasterPolicy, SimTime, WorkerView};
 /// `job` (its index in the run's job list), resident on `worker`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortOp {
-    /// Ship the chunk's C blocks: one frame per chunk row.
+    /// Ship the chunk's C blocks: one frame per chunk row, for the rows
+    /// the worker does not already hold — after a [`PortOp::Keep`], the
+    /// kept rows are the chunk's first rows and only the rows below them
+    /// cross.
     SendC {
         /// Product the chunk belongs to.
         job: usize,
@@ -64,6 +70,21 @@ pub enum PortOp {
         /// The chunk.
         chunk: Chunk,
     },
+    /// Receive back the chunk's blocks outside `kept`, one frame per chunk
+    /// row that returns any: the rows outside `kept` whole, and each kept
+    /// row's blocks left of `kept`. `kept` — rows within the chunk's, and
+    /// columns from `kept.j0` to the chunk's right edge — stays on the
+    /// worker, where the same worker's next chunk starts with it.
+    Keep {
+        /// Product the chunk belongs to.
+        job: usize,
+        /// Worker the chunk is resident on.
+        worker: WorkerId,
+        /// The chunk.
+        chunk: Chunk,
+        /// What stays resident, in the chunk's coordinates.
+        kept: Chunk,
+    },
 }
 
 impl PortOp {
@@ -71,8 +92,18 @@ impl PortOp {
     pub fn target(&self) -> (usize, WorkerId, Chunk) {
         let (PortOp::SendC { job, worker, chunk }
         | PortOp::Step { job, worker, chunk, .. }
-        | PortOp::Collect { job, worker, chunk }) = *self;
+        | PortOp::Collect { job, worker, chunk }
+        | PortOp::Keep { job, worker, chunk, .. }) = *self;
         (job, worker, chunk)
+    }
+
+    /// Blocks a [`PortOp::Keep`] of `chunk` leaving `kept` returns, per
+    /// returning row in order: `(row, first column, width)`.
+    pub fn returned(chunk: Chunk, kept: Chunk) -> impl Iterator<Item = (usize, usize, usize)> {
+        chunk.rows().filter_map(move |i| {
+            let width = if kept.rows().contains(&i) { kept.j0 - chunk.j0 } else { chunk.width };
+            (width > 0).then_some((i, chunk.j0, width))
+        })
     }
 }
 
@@ -244,15 +275,15 @@ impl Schedule {
     /// preserves. The pieces are seated in the order `lost` pops them,
     /// last first. LU deals its trailing updates through it too: one
     /// band of rows per worker, split to fit. Panics if `live` is empty.
-    pub fn redispatch(
-        mut lost: Vec<(usize, Chunk)>,
-        live: &[WorkerId],
-        mu: &[usize],
-        t: usize,
-    ) -> Schedule {
+    pub fn redispatch(lost: Vec<(usize, Chunk)>, live: &[WorkerId], mu: &[usize], t: usize) -> Schedule {
+        Schedule::rounds(&Schedule::pieces(lost, live, mu), live, t)
+    }
+
+    /// The pieces [`Schedule::redispatch`] seats, in seating order: piece
+    /// `n` goes to `live[n mod live.len()]`, and each fits its seat's side.
+    pub fn pieces(mut lost: Vec<(usize, Chunk)>, live: &[WorkerId], mu: &[usize]) -> Vec<(usize, Chunk)> {
         let mut pieces = Vec::with_capacity(lost.len());
         while let Some((job, ch)) = lost.pop() {
-            // `rounds` seats piece `n` on worker `n mod live`.
             let m = mu[live[pieces.len() % live.len()].index()];
             if ch.width > m {
                 lost.push((job, Chunk { j0: ch.j0 + m, width: ch.width - m, ..ch }));
@@ -264,20 +295,17 @@ impl Schedule {
                 pieces.push((job, ch));
             }
         }
-        Schedule::rounds(&pieces, live, t)
+        pieces
     }
 
     /// What redoes the work the `undone` ops of a run lost, on the `live`
     /// workers whose memory holds a chunk at all: a chunk is lost when its
-    /// `Collect` did not commit, and the lost chunks run again as
-    /// [`Schedule::redispatch`]. `None` when no live worker holds a chunk.
+    /// `Collect` (or `Keep`) did not commit, and the lost chunks run again
+    /// as [`Schedule::redispatch`]. `None` when no live worker holds a
+    /// chunk.
     pub fn recover(undone: &[PortOp], live: &[WorkerId], mu: &[usize], t: usize) -> Option<Schedule> {
-        let live: Vec<WorkerId> = live.iter().copied().filter(|w| mu[w.index()] > 0).collect();
-        let lost = undone.iter().filter_map(|op| match *op {
-            PortOp::Collect { job, chunk, .. } => Some((job, chunk)),
-            _ => None,
-        });
-        (!live.is_empty()).then(|| Schedule::redispatch(lost.collect(), &live, mu, t))
+        let live = holding(live, mu);
+        (!live.is_empty()).then(|| Schedule::redispatch(lost(undone).collect(), &live, mu, t))
     }
 
     /// The distinct workers the schedule names, ascending.
@@ -289,6 +317,20 @@ impl Schedule {
     }
 }
 
+/// The `live` workers whose side `mu[i]` holds a chunk at all.
+pub fn holding(live: &[WorkerId], mu: &[usize]) -> Vec<WorkerId> {
+    live.iter().copied().filter(|w| mu[w.index()] > 0).collect()
+}
+
+/// The chunks the `undone` ops of a run lost, each with its job: those
+/// whose `Collect` or `Keep` did not commit.
+pub fn lost(undone: &[PortOp]) -> impl Iterator<Item = (usize, Chunk)> + '_ {
+    undone.iter().filter_map(|op| match *op {
+        PortOp::Collect { job, chunk, .. } | PortOp::Keep { job, chunk, .. } => Some((job, chunk)),
+        _ => None,
+    })
+}
+
 /// The one lowering of a port operation into simulator frames — one
 /// [`Decision`] per frame the runtime sends for `op`, appended to
 /// `frames`. `SendC` is one send per chunk row; `Step` is the B stretch
@@ -296,9 +338,10 @@ impl Schedule {
 /// shared dimension deep (1 on the runtime's layout, up to `µ` for
 /// Toledo's squares), the latter spawning the step's
 /// `height · width · depth` updates; `Collect` is one receive per chunk
-/// row.
+/// row, and `Keep` one per row that returns blocks ([`PortOp::returned`]).
 ///
-/// Memory: the C chunk comes and goes row by row; everything else a
+/// Memory: the C chunk comes and goes row by row, a kept part staying
+/// charged; everything else a
 /// worker holds — its A and B working and prefetch buffers — is `fixed`,
 /// charged with the first C row the worker is ever sent (which zeroes
 /// it) and held to the end of the run.
@@ -329,22 +372,28 @@ pub(crate) fn lower(op: &PortOp, depth: usize, fixed: &mut i64, frames: &mut imp
                 label: "A column".into(),
             },
         ]),
-        PortOp::Collect { .. } => frames.extend((0..height).map(|_| Decision::Recv {
-            from: peer,
-            blocks: width,
-            mem_delta: -(width as i64),
-            label: "C row back".into(),
-        })),
+        PortOp::Collect { .. } => frames.extend((0..height).map(|_| back(peer, width))),
+        PortOp::Keep { kept, .. } => frames.extend(PortOp::returned(chunk, *kept).map(|(_, _, w)| back(peer, w as u64))),
     }
+}
+
+/// The receive of a C row (or its part) of `blocks` blocks from `from`.
+fn back(from: WorkerId, blocks: u64) -> Decision {
+    Decision::Recv { from, blocks, mem_delta: -(blocks as i64), label: "C row back".into() }
 }
 
 /// The one lowering over a whole run: `lower` at depth 1, with each
 /// worker's fixed buffers what the worker program's memory assertion
 /// counts beside the resident C chunk — the B row of its widest chunk and
 /// one A block in flight. (The program frees the B row between chunks;
-/// holding it throughout bounds it from above.)
+/// holding it throughout bounds it from above.) A `Keep` leaves its kept
+/// rows charged, and the worker's next `SendC` ships only the rows below
+/// them.
 pub struct Lowering {
     fixed: Vec<i64>,
+    /// Per worker: rows a `Keep` left resident, which its next `SendC`
+    /// does not ship.
+    held: Vec<usize>,
 }
 
 impl Lowering {
@@ -359,12 +408,26 @@ impl Lowering {
             }
             fixed[worker.index()] = fixed[worker.index()].max(chunk.width as i64 + 1);
         }
-        Lowering { fixed }
+        let held = vec![0; fixed.len()];
+        Lowering { fixed, held }
     }
 
     /// Append `op`'s frames to `frames`.
     pub fn lower(&mut self, op: &PortOp, frames: &mut impl Extend<Decision>) {
-        lower(op, 1, &mut self.fixed[op.target().1.index()], frames);
+        let wi = op.target().1.index();
+        let op = match *op {
+            PortOp::SendC { job, worker, chunk } => {
+                let held = std::mem::take(&mut self.held[wi]);
+                let chunk = Chunk { i0: chunk.i0 + held, height: chunk.height - held, ..chunk };
+                PortOp::SendC { job, worker, chunk }
+            }
+            PortOp::Keep { kept, .. } => {
+                self.held[wi] = kept.height;
+                *op
+            }
+            _ => *op,
+        };
+        lower(&op, 1, &mut self.fixed[wi], frames);
     }
 }
 
@@ -437,6 +500,7 @@ mod tests {
                     *seat = None;
                     done[job].push(chunk);
                 }
+                PortOp::Keep { .. } => panic!("a product never keeps a chunk"),
             }
         }
         assert!(resident.iter().all(Option::is_none), "a chunk is never collected");

@@ -29,8 +29,8 @@
 //! product instead. Step `k`'s `rem = r − kµ` trailing rows are dealt as
 //! one band per enrolled worker (`P' = min(P, rem)` bands), each band cut
 //! into chunks of at most the workers' chunk side `c` — the product's
-//! `µ² + 4µ` layout, `c = ⌊−2 + √(4 + m)⌋`. Every C block crosses twice,
-//! and each chunk of `h × w` blocks takes a `w`-block row of the
+//! `µ² + 4µ` layout, `c = ⌊−2 + √(4 + m)⌋`. Every C block a chunk streams
+//! crosses twice, and each chunk of `h × w` blocks takes a `w`-block row of the
 //! horizontal panel and an `h`-block column of the vertical one per step
 //! of the rank-µ update:
 //!
@@ -39,16 +39,35 @@
 //! trailing update  2·rem² + µ·rem·(⌈rem/c⌉ + Σ_bands ⌈h_b/c⌉)
 //! ```
 //!
-//! With every band one chunk (`c ≥ rem`) the update moves
+//! With every band one chunk (`c ≥ rem`) the update streams
 //! `2·rem² + (P' + 1)·µ·rem` blocks — the model's `3·rem² + µ·rem` less
 //! `rem² − P'·µ·rem`: the horizontal panel crosses once per band, not once
-//! per group. The runtime's metered volume, the simulated one and that sum
-//! are one number (tests in [`crate::schedule`] and [`crate::runtime`]
-//! hold them equal). At the benchmark's `r` = 12, `µ` = 2, `P` = 2 and
-//! `m` = 100 000 that is 908 blocks in 122 frames (12 panel frames, then
-//! `2·rem + 10` a step) against the exact closed form's
-//! [`LuCost::comm_closed_form_exact`] = 1 008; a memory-bound `c` below
-//! `rem` re-ships panel blocks per chunk and can exceed it.
+//! per group.
+//!
+//! Less what stays: while every band is one chunk, band `b`'s rows that
+//! band `b` of the next step starts among stay on their worker
+//! ([`crate::schedule`]), from the next grid's first column on, so
+//! neither come back nor go out again. Between steps with trailing grids
+//! `rem` and `rem' = rem − µ`, with band `b` rows `[s_b, e_b)` of the
+//! first grid and `[s'_b, e'_b)` of the second, that is
+//!
+//! ```text
+//! kept = Σ_b rem'·(min(e_b, µ + e'_b) − (µ + s'_b))    over the b with s_b ≤ µ + s'_b < e_b
+//! ```
+//!
+//! blocks, and the op moves `2·kept` fewer. The runtime's
+//! metered volume, the simulated one and that sum are one number (tests
+//! in [`crate::schedule`] and [`crate::runtime`] hold them equal). At the
+//! benchmark's `r` = 12, `µ` = 2, `P` = 2 and `m` = 100 000 the streamed
+//! sum is 908 blocks and 100 stay — 56, 30, 12 and 2 at the four step
+//! ends — so an op moves 708 blocks in 106 frames (12 panel frames; C
+//! rows out 10 at step 0, then the one row a step that changes band; `rem`
+//! C frames back a step, one per band row; and 10 B, A and request frames
+//! a step), C 240 of them: 100 out at step 0, 100 back as they join
+//! panels, and 20 each way for the rows that change band. The exact
+//! closed form [`LuCost::comm_closed_form_exact`] counts 1 008; a
+//! memory-bound `c` below `rem` re-ships panel blocks per chunk, keeps
+//! nothing, and can exceed it.
 
 /// An LU factorization instance in block terms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,13 +213,30 @@ impl LuCost {
 #[cfg(test)]
 pub(crate) fn scheduled_comm(problem: LuProblem, enrolled: usize, side: usize) -> f64 {
     let mu = problem.mu;
+    // Band `b` of a `rem`-block trailing grid, as rows of that grid.
+    let band = |rem: usize, b: usize| {
+        let bands = enrolled.min(rem);
+        (b * rem / bands, (b + 1) * rem / bands)
+    };
     let step = |rem: usize| {
         let bands = enrolled.min(rem);
-        let band_chunks: usize =
-            (0..bands).map(|b| ((b + 1) * rem / bands - b * rem / bands).div_ceil(side)).sum();
+        let band_chunks: usize = (0..bands).map(|b| (band(rem, b).1 - band(rem, b).0).div_ceil(side)).sum();
         2 * mu * mu + 4 * mu * rem + 2 * rem * rem + mu * rem * (rem.div_ceil(side) + band_chunks)
     };
-    (1..=problem.steps()).map(|k| step(problem.r - k * mu)).sum::<usize>() as f64
+    // What band `b` keeps into the next, `µ` rows further on and `next`
+    // wide, while every band is one chunk.
+    let kept = |rem: usize, next: usize| -> usize {
+        let shared = |b| {
+            let ((start, end), (next_start, next_end)) = (band(rem, b), band(next, b));
+            let (from, to) = (next_start + mu, (next_end + mu).min(end));
+            if (start..end).contains(&from) { (to - from) * next } else { 0 }
+        };
+        if side < rem || next == 0 { 0 } else { (0..enrolled.min(next)).map(shared).sum() }
+    };
+    let rems: Vec<usize> = (1..=problem.steps()).map(|k| problem.r - k * mu).collect();
+    let streamed: usize = rems.iter().map(|&rem| step(rem)).sum();
+    let stayed: usize = rems.windows(2).map(|w| kept(w[0], w[1])).sum();
+    (streamed - 2 * stayed) as f64
 }
 
 #[cfg(test)]

@@ -59,6 +59,7 @@ pub fn chunk_comm_cost(mu_i: usize, mu: usize, shape: ChunkShape) -> f64 {
 ///
 /// # Panics
 /// If no divisor is a candidate: no worker's memory holds a chunk.
+#[allow(clippy::expect_used, reason = "a documented panic: no worker's memory holds a chunk")]
 pub fn best_pivot_size(platform: &Platform, r: usize) -> (usize, f64) {
     let replayed = |mu: usize| {
         let sides = chunk_sides(platform, r, mu);

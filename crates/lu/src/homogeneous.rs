@@ -30,25 +30,29 @@ pub fn ideal_lu_workers(mu: usize, w: f64, c: f64) -> usize {
     (((mu as f64 * w) / (3.0 * c)) - 1e-9).ceil().max(1.0) as usize
 }
 
-/// Simulate the homogeneous LU algorithm: the [`replay`] of
+/// Simulate the homogeneous LU algorithm on [`ideal_lu_workers`] of
+/// `platform`'s workers: the [`replay`] of
 /// [`crate::schedule::lu_schedule`] — the ops [`crate::runtime`]
-/// executes — with [`ideal_lu_workers`] enrolled at the chunk side
-/// [`crate::runtime::factor`] deals them ([`chunk_sides`]). Returns the
-/// report and the enrolled worker count.
+/// executes — on `Platform::homogeneous(P, c, w, m)`, the fleet a session
+/// spawned for §7.2's count runs, at the chunk sides
+/// [`crate::runtime::factor`] deals it ([`chunk_sides`]): `factor` deals
+/// over every worker of its fleet, so the replay's fleet is the `P`
+/// enrolled. Returns the report and `P`.
 ///
 /// # Panics
-/// If the matrix has a trailing update and `m` holds no chunk.
+/// If `platform` is not homogeneous, or the matrix has a trailing update
+/// and `m` holds no chunk.
 pub fn simulate_homogeneous_lu(
     platform: &Platform,
     problem: LuProblem,
 ) -> Result<(SimReport, usize), mwp_sim::SimError> {
-    let params = platform
-        .homogeneous_params()
-        .expect("homogeneous LU needs a homogeneous platform");
+    #[allow(clippy::expect_used, reason = "a documented panic: the caller's platform is not homogeneous")]
+    let params = platform.homogeneous_params().expect("homogeneous LU needs a homogeneous platform");
     let enrolled = ideal_lu_workers(problem.mu, params.w, params.c).min(platform.len());
-    let mut sides = chunk_sides(platform, problem.r, problem.mu);
-    sides.truncate(enrolled);
-    Ok((replay(platform, problem.r, problem.mu, &sides)?, enrolled))
+    #[allow(clippy::expect_used, reason = "1 ≤ P ≤ p workers of a valid platform's own parameters")]
+    let fleet = Platform::homogeneous(enrolled, params.c, params.w, params.m).expect("a valid platform's parameters");
+    let sides = chunk_sides(&fleet, problem.r, problem.mu);
+    Ok((replay(&fleet, problem.r, problem.mu, &sides)?, enrolled))
 }
 
 #[cfg(test)]
@@ -117,6 +121,27 @@ mod tests {
         // Past saturation the gain flattens: t16 cannot be 4× better
         // than t4.
         assert!(t4.value() / t16.value() < 4.0);
+    }
+
+    #[test]
+    fn the_simulation_prices_what_factor_runs_on_the_enrolled_fleet() {
+        // ⌈µw/3c⌉ = ⌈3·2/3⌉ = 2 of 4 workers: `factor` on a session of
+        // those 2 moves the replay's blocks, in its frames (the lowered
+        // ones plus a collect request per chunk).
+        use crate::schedule::{lower, lu_schedule};
+        use mwp_core::schedule::PortOp;
+        let (problem, q) = (LuProblem::new(12, 3), 4);
+        let (report, enrolled) = simulate_homogeneous_lu(&Platform::homogeneous(4, 1.0, 2.0, 60).unwrap(), problem).unwrap();
+        assert_eq!(enrolled, 2);
+        let fleet = Platform::homogeneous(enrolled, 1.0, 2.0, 60).unwrap();
+        let session = mwp_core::session::RuntimeSession::with_transport(&fleet, 0.0, mwp_msg::TransportMode::Channel);
+        let out = crate::runtime::factor(&session, &mwp_blockmat::fill::random_diagonally_dominant(12, q, 17), 3);
+        session.shutdown();
+        assert!(!out.aborted);
+        assert_eq!(out.blocks_moved, report.blocks_sent + report.blocks_received);
+        let ops = lu_schedule(12, 3, &chunk_sides(&fleet, 12, 3));
+        let requests = ops.iter().filter(|op| matches!(op.chunk(), Some(PortOp::Collect { .. } | PortOp::Keep { .. })));
+        assert_eq!(out.messages, (lower(&ops).len() + requests.count()) as u64);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! * [`schedule`] — the Section 7.2 algorithm as plain data: one
 //!   processor owns the pivot/panel work, and each core update is a
 //!   product the enrolled workers share through the product's own chunk
-//!   exchanges; the ordered port operations of a factorization, their
-//!   recovery rule, their one lowering to simulator frames and its replay,
+//!   exchanges, each band of rows staying on its worker from step to step
+//!   where it can; the ordered port operations of a factorization, their
+//!   recovery rule (lost rows rebuilt from the stored factors), their one
+//!   lowering to simulator frames and its replay,
 //! * [`runtime`] — that schedule walked on a product fleet
 //!   (`mwp_core::session::RuntimeSession`) by its master executor, with
 //!   real arithmetic,
@@ -27,6 +29,8 @@
 //!   (square chunk iff `µ_i ≤ µ/2`) and the exhaustive search over µ, each
 //!   candidate priced by the replay of the schedule [`runtime`] runs —
 //!   one cost model, the simulator's, for every LU question.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod cost;
 pub mod heterogeneous;

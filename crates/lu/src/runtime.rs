@@ -15,7 +15,7 @@
 //! The master never copies the matrix whole. It keeps each block row as
 //! the wire images of its `q × q` blocks: the caller's [`BlockMatrix`] until
 //! a reply replaces them, then the reply images the row's chunks came back
-//! in, which the next step ships again as views. A block is final in
+//! in, which a later step ships again as views. A block is final in
 //! exactly one panel reply, and the master stores it from there into the
 //! [`Dense`] the run returns, then lets go of every image left of the
 //! trailing grid. Per step ([`crate::schedule`] gives the order):
@@ -32,10 +32,23 @@
 //!    the master serializes it, which is exact, so each `(−a)·b` block
 //!    update carries the bits of `lu_blocked_in_place`'s `a·(−b)` — and B
 //!    the solved horizontal panel, re-sent from the reply's own bytes. The
-//!    trailing rows go out as one band per worker, cut into chunks its
+//!    trailing rows are dealt as one band per worker, cut into chunks its
 //!    memory `m` holds under the product's `µ² + 4µ` layout, so the worker
 //!    program's `resident ≤ m` invariant covers LU too. (The `Panel`
 //!    exchange's `µ² + 2µ·rest` transient blocks stay outside it.)
+//!
+//! **C crosses the port once each way.** A band that is one chunk stays on
+//! its worker into the next step when that step's band on the worker is
+//! one chunk too and starts among its rows: the step ends it with a
+//! partial collect (`PortOp::Keep`), whose request names the part the
+//! worker keeps. The worker sends back only the rows that leave the band —
+//! the next pivot rows, and rows dealt to another band — and the leftmost
+//! `µ` blocks of the rows it keeps, which are the next vertical panel's;
+//! it slides the rest into place as its chunk. The next step ships only
+//! the rows the band gains, appended below the kept ones. Every other
+//! chunk goes out and comes back within its step. At the benchmark's
+//! shape the trailing grid's C is 240 blocks an op instead of 440
+//! ([`crate::cost`]).
 //!
 //! Every frame is metered, and a paced link charged, at its true size in
 //! blocks.
@@ -48,11 +61,22 @@
 //! worker that dies, stays silent past the liveness deadline, or answers
 //! with anything else is condemned, and recovery is the executor's one
 //! rule: the ops it left undone run again at the step's next barrier on
-//! the live workers ([`crate::schedule::redispatch`]) — a panel exchange
-//! on the lowest, lost chunks as the product re-deals them — from the
-//! identical bytes, so recovered runs are bit-identical to healthy ones.
-//! Losing the **whole** fleet aborts the run ([`LuRunOutcome::aborted`]);
-//! the fleet serves again once workers are admitted.
+//! the live workers ([`crate::schedule::redispatch`]). A lost panel
+//! exchange runs again on the lowest, from the identical bytes.
+//!
+//! A lost chunk is rebuilt, not re-collected: rows a worker kept are not
+//! on the master as they stand. For each block the master records the
+//! step at whose start its image was current — the image it last
+//! shipped, for a kept block — and the adopter is sent that image and
+//! every update since, through the step the chunk was lost in: the stored
+//! factors' `−L` and `U`, as the kept rows met them, one `k` at a time in
+//! increasing order. Those are the same kernel calls on the same values in
+//! the same order, so the rebuilt rows carry the healthy run's bits, and
+//! they come back whole. An adopter holding kept rows of its own brings
+//! them back first, so that it holds one chunk, and its next chunk ships
+//! whole. Recovered runs are bit-identical to healthy ones. Losing the
+//! **whole** fleet aborts the run ([`LuRunOutcome::aborted`]); the fleet
+//! serves again once workers are admitted.
 //!
 //! A pivot the worker cannot take (below `PIVOT_TOL`, or not a number) is
 //! no loss: the worker answers the `Panel` task with a refusal, the task's
@@ -78,7 +102,9 @@ use crate::schedule::{chunk_sides, lu_schedule, redispatch, LuOp};
 use bytes::Bytes;
 use mwp_blockmat::lu::Dense;
 use mwp_blockmat::{BlockMatrix, BlockOrder, SharedPayloads};
-use mwp_core::runtime::{panel_parts, Accumulator, ChunkExchange, Performed, Port};
+use mwp_core::runtime::{panel_parts, Accumulator, ChunkExchange, Performed, Port, RuntimeError};
+use mwp_core::chunks::Chunk;
+use mwp_core::schedule::PortOp;
 use mwp_core::session::RuntimeSession;
 use mwp_msg::{Frame, FrameKind, MasterEndpoint, Tag, TransportMode};
 use mwp_platform::{Platform, WorkerId};
@@ -101,6 +127,11 @@ pub struct LuRunOutcome {
     pub blocks_moved: u64,
     /// Workers enrolled.
     pub workers_used: usize,
+    /// The first block row of the pivot the run was aborted on because
+    /// two workers refused it (below `PIVOT_TOL`, or not a number); `None`
+    /// when no pivot was refused twice. [`LuRunOutcome::aborted`] is then
+    /// set too.
+    pub refused: Option<usize>,
     /// `true` when the master gave up instead of finishing — the fleet is
     /// empty or no worker's memory holds a chunk, the whole-run deadline
     /// (`RuntimeSession::set_run_deadline`) elapsed, a worker refused a
@@ -167,17 +198,17 @@ pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunO
     if sides.iter().all(|&side| side == 0) {
         let packed = Dense::from_blocks(matrix);
         let wall = start.elapsed();
-        return LuRunOutcome { packed, wall, messages: 0, blocks_moved: 0, workers_used, aborted: true };
+        let (messages, blocks_moved, refused) = (0, 0, None);
+        return LuRunOutcome { packed, wall, messages, blocks_moved, workers_used, aborted: true, refused };
     }
+    let schedule = lu_schedule(r, mu, &sides);
     // A run over the whole fleet: the ledger puts slot `i` on worker `i`.
-    let ops = |_: &[WorkerId]| lu_schedule(r, mu, &sides);
-    let (port, done) = fleet.execute(&sides, q, ops, |master, gen, _| LuPort {
-        chunks: ChunkExchange::new(master, gen, q, vec![RowImages::new(matrix)], sides.to_vec(), mu),
-        packed: Dense::zeros(r * q, r * q),
-        master,
-        sides: &sides,
-        mu,
-        q,
+    let ops = |_: &[WorkerId]| schedule.clone();
+    let (port, done) = fleet.execute(&sides, q, ops, |master, gen, _| {
+        let mut chunks = ChunkExchange::new(master, gen, q, vec![RowImages::new(matrix)], sides.to_vec(), mu);
+        chunks.expect_keeps(schedule.iter().filter_map(LuOp::chunk));
+        let (packed, fresh) = (Dense::zeros(r * q, r * q), vec![0; r * r]);
+        LuPort { chunks, packed, fresh, refused: None, master, sides: &sides, mu, q }
     });
     LuRunOutcome {
         wall: start.elapsed(),
@@ -186,6 +217,7 @@ pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunO
         packed: port.packed,
         workers_used,
         aborted: done.is_err(),
+        refused: if done == Err(RuntimeError::Refused) { port.refused } else { None },
     }
 }
 
@@ -206,6 +238,13 @@ struct LuPort<'a> {
     /// reply, and is stored here from it. After an aborted run, the blocks
     /// whose panel never validated read 0.
     packed: Dense,
+    /// Per block, row by row: the step at whose start the master's image
+    /// of the block was current. A block a worker keeps stays at the step
+    /// it was last shipped in, and a lost one is rebuilt from there
+    /// ([`crate::schedule::redispatch`]).
+    fresh: Vec<usize>,
+    /// The first block row of the last pivot a worker refused.
+    refused: Option<usize>,
     /// The run's master endpoint, whose recycled buffers hold each step's
     /// panel task and negated vertical panel.
     master: &'a MasterEndpoint,
@@ -236,12 +275,20 @@ impl Port for LuPort<'_> {
     fn perform(&mut self, op: &LuOp) -> Performed {
         match op {
             LuOp::Panel { worker, pivot, rest } => self.panel(*worker, pivot, *rest),
-            LuOp::Chunk(op) => self.chunks.perform(op),
+            LuOp::Chunk(op) => {
+                let performed = self.chunks.perform(op);
+                if performed == Performed::Done {
+                    self.committed(op);
+                }
+                performed
+            }
         }
     }
 
-    fn redispatch(&self, undone: Vec<LuOp>, live: &[WorkerId]) -> Option<Vec<LuOp>> {
-        redispatch(undone, live, self.sides, self.mu)
+    fn redispatch(&mut self, undone: Vec<LuOp>, live: &[WorkerId]) -> Option<Vec<LuOp>> {
+        let held: Vec<_> = (0..self.sides.len()).map(|i| self.chunks.held(WorkerId(i))).collect();
+        let r = self.packed.rows() / self.q;
+        redispatch(undone, live, self.sides, self.mu, |i, j| self.fresh[i * r + j], &held)
     }
 }
 
@@ -267,6 +314,7 @@ impl LuPort<'_> {
         let (tag, n) = (Tag::new(FrameKind::LuPanel, p, rest), blocks.len() as u64);
         let Some(reply) = self.chunks.round_trip(worker, tag, task, n) else { return Performed::Lost };
         if reply.tag == tag && reply.payload.is_empty() {
+            self.refused = Some(pivot.start);
             return Performed::Refused;
         }
         if !store(&mut self.packed, q, &blocks, tag, &reply) {
@@ -286,6 +334,24 @@ impl LuPort<'_> {
             self.chunks.push(a, b, k1);
         }
         Performed::Done
+    }
+}
+
+impl LuPort<'_> {
+    /// Note what the validated chunk op `op` brought back: the blocks a
+    /// `Collect` or `Keep` returned are current on the master as of the
+    /// next step; a kept block stays where it was.
+    fn committed(&mut self, op: &PortOp) {
+        let (step, chunk, kept) = match *op {
+            PortOp::Collect { job, chunk, .. } => (job, chunk, Chunk { height: 0, ..chunk }),
+            PortOp::Keep { job, chunk, kept, .. } => (job, chunk, kept),
+            PortOp::SendC { .. } | PortOp::Step { .. } => return,
+        };
+        // Step `s`'s grid starts at block `(s + 1)·µ`, as in the schedule.
+        let (at, r) = ((step + 1) * self.mu, self.packed.rows() / self.q);
+        for (i, j0, width) in PortOp::returned(chunk, kept) {
+            self.fresh[(at + i) * r + at + j0..][..width].fill(step + 1);
+        }
     }
 }
 
@@ -637,7 +703,7 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        let requests = ops.iter().filter(|op| matches!(op.chunk(), Some(PortOp::Collect { .. }))).count();
+        let requests = ops.iter().filter(|op| matches!(op.chunk(), Some(PortOp::Collect { .. } | PortOp::Keep { .. }))).count();
         ((frames.len() + requests) as u64, blocks)
     }
 
@@ -645,13 +711,15 @@ mod tests {
     fn one_panel_exchange_per_step() {
         // 12 blocks in steps of 2 on 2 workers (the perf shape, small q):
         // 6 panel exchanges, and per step with `rest` = 10, 8, 6, 4, 2
-        // trailing rows one band per worker — its `rest` C rows out and
-        // back, 2 B rows and 2 A columns, a collect request each.
+        // trailing rows one band per worker — one frame back per band row,
+        // 2 B rows and 2 A columns, a collect request each. The C rows go
+        // out at step 0, and then only the row a step that changes band.
         let matrix = random_diagonally_dominant(12, 4, 11);
         let out = run_lu(&platform(2), &matrix, 2, 0.0);
         assert_eq!(out.messages, scheduled(&lu_schedule(12, 2, &[29, 29])).0);
-        assert_eq!(out.messages, 6 * 2 + [10, 8, 6, 4, 2].map(|rest| 2 * rest + 2 * 4 + 2).iter().sum::<u64>());
-        assert_eq!(out.messages, 122);
+        let out_rows = 10 + 4;
+        assert_eq!(out.messages, 6 * 2 + out_rows + [10, 8, 6, 4, 2].map(|rest| rest + 2 * 4 + 2).iter().sum::<u64>());
+        assert_eq!(out.messages, 106);
     }
 
     #[test]
@@ -668,10 +736,10 @@ mod tests {
                 assert_eq!(blocks as f64, scheduled_comm(LuProblem::new(r, mu), p, side));
             }
         }
-        // The benchmark's shape: 908 blocks in 122 frames, where the
+        // The benchmark's shape: 708 blocks in 106 frames, where the
         // model's exact closed form counts 1 008.
         let out = run_lu(&platform(2), &random_diagonally_dominant(12, 2, 61), 2, 0.0);
-        assert_eq!((out.blocks_moved, out.messages), (908, 122));
+        assert_eq!((out.blocks_moved, out.messages), (708, 106));
         assert_eq!(LuProblem::new(12, 2).total().comm_closed_form_exact(), 1008.0);
     }
 
@@ -870,8 +938,10 @@ mod tests {
         let ((a, b, c), want) = next_product();
         for mode in [TransportMode::Channel, TransportMode::Tcp] {
             let session = RuntimeSession::with_transport(&platform(2), 0.0, mode);
-            for (what, input) in [("a zero leading pivot", &zero), ("a NaN entry", &nan)] {
-                assert!(factor(&session, input, 1).aborted, "{mode:?}, {what}");
+            for (what, input, step) in [("a zero leading pivot", &zero, 0), ("a NaN entry", &nan, 2)] {
+                let out = factor(&session, input, 1);
+                assert!(out.aborted, "{mode:?}, {what}");
+                assert_eq!(out.refused, Some(step), "{mode:?}, {what}: the pivot's first block row");
                 assert_eq!(session.dead_workers(), 0, "{mode:?}, {what}: a refusal is no death");
                 let next = session.run_holm(&a, &b, c.clone()).unwrap().c;
                 assert_eq!(next.max_abs_diff(&want), 0.0, "{mode:?}, {what}: the fleet serves on");
@@ -890,6 +960,7 @@ mod tests {
         let (session, threads) = fleet_with_rogues(2, 1000, |i| i == 0, |t| Frame::new(t.tag, Bytes::new()));
         let out = factor(&session, &matrix, 2);
         assert!(!out.aborted, "one worker's refusal must not abort the run");
+        assert_eq!(out.refused, None, "no pivot was refused twice");
         assert_eq!(out.packed, healthy);
         assert_eq!(session.dead_workers(), 1, "the refuser is condemned");
         session.shutdown();

@@ -61,8 +61,11 @@ pub const REJECT: u32 = u32::MAX - 5;
 /// claim: the master places every worker it enrolls, in-process ones
 /// included. A v8 hello's MAC covers the claim, so without the bump a v8
 /// worker would be refused as holding the wrong secret, not as the
-/// version it is.
-pub const PROTOCOL_VERSION: u32 = 9;
+/// version it is. v10 lets a collect request name the part of its chunk
+/// the worker keeps (LU's trailing rows stay on their workers between
+/// steps): a v9 worker would return the whole chunk, which the master
+/// reads as a bad reply.
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).

@@ -161,17 +161,24 @@ fn heterogeneous_runtime_recovers_when_a_worker_aborts_mid_run() {
 
 /// Reply frames each slot of a healthy fleet of `workers` of memory `m`
 /// sends during one LU run of `blocks` blocks in steps of `mu` — the pivot
-/// worker's panel replies and each slot's collected C rows — read off the
-/// schedule the run walks.
-fn lu_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<usize> {
+/// worker's panel replies, each slot's collected C rows and the rows and
+/// row parts its partial collects return — read off the schedule the run
+/// walks, in order: each `true` where the slot sends it while holding rows
+/// a `Keep` left on it, which a death there loses for the master to
+/// rebuild.
+fn lu_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<Vec<bool>> {
     let side = MemoryLayout::MaxReuseOverlapped.mu(m);
-    let mut replies = vec![0; workers];
+    let (mut replies, mut holding) = (vec![Vec::new(); workers], vec![false; workers]);
     for op in lu_schedule(blocks, mu, &vec![side; workers]) {
-        match op {
-            LuOp::Panel { worker, .. } => replies[worker.index()] += 1,
-            LuOp::Chunk(PortOp::Collect { worker, chunk, .. }) => replies[worker.index()] += chunk.height,
-            LuOp::Chunk(_) => {}
-        }
+        let (worker, sent, holds) = match op {
+            LuOp::Panel { worker, .. } => (worker, 1, None),
+            LuOp::Chunk(PortOp::Collect { worker, chunk, .. }) => (worker, chunk.height, Some(false)),
+            LuOp::Chunk(PortOp::Keep { worker, chunk, kept, .. }) => (worker, PortOp::returned(chunk, kept).count(), Some(true)),
+            LuOp::Chunk(_) => continue,
+        };
+        let w = worker.index();
+        replies[w].extend(std::iter::repeat_n(holding[w], sent));
+        holding[w] = holds.unwrap_or(holding[w]);
     }
     replies
 }
@@ -182,17 +189,25 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
     // every reply of the run's op sequence, in either slot: as the pivot
     // worker the doomed one dies on each step's panel reply and on
     // each C row of its trailing chunks in turn; as slot 1, on its C rows.
-    // The master must retry the panel exchange on, or re-dispatch the lost
-    // chunks to, the survivor, and every round must match the healthy
-    // channel reference bit for bit. The slots are dealt
+    // A chunk's rows that stay on their worker between steps are lost with
+    // it. The master must retry the panel exchange on the survivor, or
+    // have it rebuild the lost rows from the images it last shipped and
+    // the stored factors, and every round must match the healthy channel
+    // reference bit for bit. The slots are dealt
     // deterministically: the first worker enrolls alone, the second is
     // admitted.
     let (blocks, mu) = (8, 2);
     let platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
     let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
     let replies = lu_replies(blocks, mu, 2, 1000);
-    assert_eq!(replies, [4 + 6, 6], "4 panel replies; each slot collects 3 + 2 + 1 trailing rows");
-    for (slot, &in_one_run) in replies.iter().enumerate() {
+    let counts: Vec<usize> = replies.iter().map(Vec::len).collect();
+    assert_eq!(counts, [4 + 6, 6], "4 panel replies; each slot returns a frame per row of its 3 + 2 + 1 trailing rows");
+    // Each slot keeps rows at step 0's end, so the sweep kills it while the
+    // master's image of them is step 0's, and the survivor rebuilds them.
+    for (slot, holding) in replies.iter().enumerate() {
+        assert!(holding.iter().any(|&kept| kept), "slot {slot} dies holding kept rows somewhere in the sweep");
+    }
+    for (slot, in_one_run) in counts.into_iter().enumerate() {
         for n in 1..=in_one_run {
             let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
             let endpoint = listener.endpoint();

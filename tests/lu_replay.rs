@@ -5,31 +5,36 @@
 //! factorization runs on a channel fleet whose workers hold different
 //! chunk sides (`m` = 60, 21 and 32: sides 6, 3 and 4), and the
 //! block-bearing frames the master's port carried must be those lowered
-//! frames one for one — send or receive, peer, blocks.
+//! frames one for one — send or receive, peer, blocks. So must those of
+//! the benchmark's shape (12 × 12 blocks, µ = 2, two workers of
+//! `m` = 100 000), where every band's rows stay on their worker between
+//! steps; the mixed fleet keeps some chunks and streams the rest.
 //!
 //! One `#[test]`: captures are process-global.
 
 use mwp_blockmat::fill::random_diagonally_dominant;
 use mwp_blockmat::lu::{lu_blocked_in_place, Dense};
+use mwp_core::schedule::PortOp;
 use mwp_core::session::RuntimeSession;
 use mwp_lu::runtime::factor;
-use mwp_lu::schedule::{chunk_sides, lower, lu_schedule};
+use mwp_lu::schedule::{chunk_sides, lower, lu_schedule, LuOp};
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId, WorkerParams};
 use mwp_sim::Decision;
 use mwp_trace::record::Capture;
 use mwp_trace::{ActivityKind, Resource};
 
-#[test]
-fn a_mixed_fleets_port_carries_the_lowered_schedule() {
-    let platform = Platform::new([60, 21, 32].map(|m| WorkerParams::new(1.0, 1.0, m)).to_vec()).unwrap();
-    let (r, mu, q) = (12, 2, 4);
-    let sides = chunk_sides(&platform, r, mu);
-    assert_eq!(sides, [6, 3, 4]);
-    let matrix = random_diagonally_dominant(r, q, 75);
+/// Factor an `r`-block matrix of side-`q` blocks in `mu`-block panels on
+/// a channel fleet of `platform`, check the factors against the serial
+/// ones bit for bit and the port's block-bearing frames against the
+/// lowered schedule's one for one; returns the schedule and the blocks
+/// the run moved.
+fn port_carries_the_lowered_schedule(platform: &Platform, r: usize, mu: usize, q: usize, seed: u64) -> (Vec<LuOp>, u64) {
+    let sides = chunk_sides(platform, r, mu);
+    let matrix = random_diagonally_dominant(r, q, seed);
 
     let capture = Capture::begin();
-    let session = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
+    let session = RuntimeSession::with_transport(platform, 0.0, TransportMode::Channel);
     let out = factor(&session, &matrix, mu);
     let trace = capture.end();
     session.shutdown();
@@ -48,7 +53,8 @@ fn a_mixed_fleets_port_carries_the_lowered_schedule() {
     spans.sort_by_key(|a| a.start);
     let carried: Vec<(ActivityKind, WorkerId, u64)> =
         spans.iter().map(|a| (a.kind, a.peer, a.bytes / block_bytes)).collect();
-    let scheduled: Vec<(ActivityKind, WorkerId, u64)> = lower(&lu_schedule(r, mu, &sides))
+    let ops = lu_schedule(r, mu, &sides);
+    let scheduled: Vec<(ActivityKind, WorkerId, u64)> = lower(&ops)
         .into_iter()
         .map(|frame| match frame {
             Decision::Send { to, blocks, .. } => (ActivityKind::Send, to, blocks),
@@ -56,7 +62,37 @@ fn a_mixed_fleets_port_carries_the_lowered_schedule() {
             other => panic!("the lowering only transfers: {other:?}"),
         })
         .collect();
-    assert!(scheduled.iter().any(|&(_, peer, _)| peer == WorkerId(1)), "the side-3 worker takes chunks");
     assert_eq!(carried, scheduled, "the port's block-bearing frames are the lowered schedule's");
     assert_eq!(carried.iter().map(|t| t.2).sum::<u64>(), out.blocks_moved);
+    (ops, out.blocks_moved)
+}
+
+/// How many of `ops`' chunks stay on their worker, and how many stream.
+fn kept_and_streamed(ops: &[LuOp]) -> (usize, usize) {
+    let ends = |keep: bool| {
+        ops.iter()
+            .filter(|op| matches!(op.chunk(), Some(PortOp::Keep { .. })) == keep)
+            .filter(|op| matches!(op.chunk(), Some(PortOp::Keep { .. } | PortOp::Collect { .. })))
+            .count()
+    };
+    (ends(true), ends(false))
+}
+
+#[test]
+fn a_mixed_fleets_port_carries_the_lowered_schedule() {
+    let platform = Platform::new([60, 21, 32].map(|m| WorkerParams::new(1.0, 1.0, m)).to_vec()).unwrap();
+    let (r, mu, q) = (12, 2, 4);
+    let sides = chunk_sides(&platform, r, mu);
+    assert_eq!(sides, [6, 3, 4]);
+    let (ops, _) = port_carries_the_lowered_schedule(&platform, r, mu, q, 75);
+    let takes = |frame: &Decision| matches!(frame, Decision::Send { to: WorkerId(1), .. });
+    assert!(lower(&ops).iter().any(takes), "the side-3 worker takes chunks");
+    let (kept, streamed) = kept_and_streamed(&ops);
+    assert!(kept > 0 && streamed > 0, "{kept} chunks stay and {streamed} stream");
+
+    let bench = Platform::homogeneous(2, 1.0, 1.0, 100_000).unwrap();
+    assert_eq!(chunk_sides(&bench, 12, 2), [10, 10]);
+    let (ops, moved) = port_carries_the_lowered_schedule(&bench, 12, 2, 4, 76);
+    assert_eq!(moved, 708);
+    assert_eq!(kept_and_streamed(&ops), (7, 3), "every band stays until its rows join a pivot");
 }
