@@ -2,7 +2,9 @@
 //!
 //! Runs a real HoLM multiplication, the same product on a mixed-width
 //! fleet (one `avx2` and one `avx512` worker; skipped on a CPU without
-//! AVX-512F), then a real blocked LU, through the threaded runtimes with
+//! AVX-512F), then a real blocked LU twice — on the product's fleet, whose
+//! rows stream, and on the benchmark's shape, whose workers own their
+//! rows — through the threaded runtimes with
 //! the span recorder capturing measured timelines,
 //! regenerates each run's schedule from its outcome ([`Schedule`] from the
 //! enrolled workers and chunk side, [`lu_schedule`] from the fleet's chunk sides)
@@ -42,7 +44,7 @@ use mwp_blockmat::{BlockMatrix, Partition};
 use mwp_core::schedule::{Replay, Schedule};
 use mwp_core::session::RuntimeSession;
 use mwp_lu::runtime::factor;
-use mwp_lu::schedule::{chunk_sides, lower, lu_schedule};
+use mwp_lu::schedule::{chunk_sides, lower, lu_schedule, owners};
 use mwp_msg::config::parse_transport_mode;
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId, WorkerParams};
@@ -206,7 +208,11 @@ fn diff(
     for frame in &frames {
         let (transfer, spawned) = transfer_of(frame);
         updates[transfer.1.index()] += spawned;
-        scheduled.push(transfer);
+        // A frame of no blocks — a pivot request, or the model's start of
+        // an owner's own rows — leaves no block-bearing span.
+        if transfer.2 > 0 {
+            scheduled.push(transfer);
+        }
     }
     if let Some(at) = (0..scheduled.len().max(measured.transfers.len()))
         .find(|&i| scheduled.get(i) != measured.transfers.get(i))
@@ -302,6 +308,28 @@ fn holm_leg(
     (passed, outcome.c)
 }
 
+/// One captured factorization of a 12 × 12-block matrix in 2-block panels
+/// on a fleet of `pf`, diffed against the [`lower`]ed [`lu_schedule`] of
+/// its chunk sides. Returns whether the leg passed.
+fn lu_leg(args: &Args, pf: &Platform, seed: u64) -> bool {
+    let (r, mu, q) = (12usize, 2usize, args.q);
+    let sides = chunk_sides(pf, r, mu);
+    let path = if owners(r, mu, &sides).is_some() { "rows owned" } else { "rows streamed" };
+    println!("replay_diff: LU {r}x{r} blocks, µ={mu}, {} workers of m={}, {path}", pf.len(), pf.workers()[0].m);
+    let matrix = random_diagonally_dominant(r, q, seed);
+    let capture = Capture::begin();
+    let session = RuntimeSession::with_transport(pf, args.time_scale, args.transport);
+    let outcome = factor(&session, &matrix, mu);
+    let trace = capture.end();
+    session.shutdown();
+    if outcome.aborted {
+        println!("FAIL: the LU run was aborted");
+        return false;
+    }
+    let block_bytes = 8 * (q as u64) * (q as u64);
+    diff(&trace, block_bytes, pf, lower(&lu_schedule(r, mu, &sides)), outcome.blocks_moved, args.tolerance)
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -312,7 +340,6 @@ fn main() -> ExitCode {
     };
     let (r, t, s) = (6usize, 6usize, 8usize);
     let q = args.q;
-    let block_bytes = 8 * (q as u64) * (q as u64);
     // Compute-bound ratio (w ≫ c) so the HoLM resource selection enrolls
     // the whole fleet and the replay exercises multi-worker attribution.
     let pf = Platform::homogeneous(args.workers, 1.0, 12.0, 60).expect("valid platform");
@@ -351,23 +378,14 @@ fn main() -> ExitCode {
         }
     };
 
-    // The LU leg: the factorization the runtime walks is `lu_schedule`
-    // for the whole fleet at its chunk side, so its lowering is what the
-    // port must carry.
-    let (r, mu) = (12usize, 2usize);
-    println!("replay_diff: LU {r}x{r} blocks, µ={mu}, same fleet and pacing");
-    let matrix = random_diagonally_dominant(r, q, 13);
-    let capture = Capture::begin();
-    let session = RuntimeSession::with_transport(&pf, args.time_scale, args.transport);
-    let outcome = factor(&session, &matrix, mu);
-    let trace = capture.end();
-    session.shutdown();
-    if outcome.aborted {
-        println!("FAIL: the LU run was aborted");
-        return ExitCode::FAILURE;
-    }
-    let frames = lower(&lu_schedule(r, mu, &chunk_sides(&pf, r, mu)));
-    let lu = diff(&trace, block_bytes, &pf, frames, outcome.blocks_moved, args.tolerance);
+    // The LU legs: the factorization the runtime walks is `lu_schedule`
+    // for the whole fleet at its chunk sides, so its lowering is what the
+    // port must carry. On the product's fleet (m = 60) the rows stream; on
+    // the benchmark's shape (2 workers of m = 100 000) each worker owns its
+    // rows.
+    let streamed = lu_leg(&args, &pf, 13);
+    let owned = lu_leg(&args, &Platform::homogeneous(2, 1.0, 12.0, 100_000).expect("valid platform"), 14);
+    let lu = streamed && owned;
 
     if holm && mixed && lu {
         println!("OK: every phase within ±{:.1}% of measured", args.tolerance * 100.0);

@@ -155,6 +155,20 @@ impl Kernel {
     /// interchangeable) or the shapes do not conform.
     #[inline]
     pub fn gemm_acc_packed(&self, c: &mut [f64], a: &[f64], bp: &PackedB, m: usize) {
+        assert_eq!(c.len(), m * bp.n(), "C must be m×n");
+        self.gemm_acc_packed_ld(c, bp.n(), a, bp, m);
+    }
+
+    /// [`Kernel::gemm_acc_packed`] on a C whose rows are `ldc ≥ n`
+    /// elements apart — the trailing columns of a wider row-major matrix,
+    /// updated in place. The same bits as on a contiguous copy of them:
+    /// `ldc` only addresses the rows.
+    ///
+    /// # Panics
+    /// As [`Kernel::gemm_acc_packed`], or if `c` is too short to hold `m`
+    /// rows of `n` elements `ldc` apart.
+    #[inline]
+    pub fn gemm_acc_packed_ld(&self, c: &mut [f64], ldc: usize, a: &[f64], bp: &PackedB, m: usize) {
         assert_eq!(
             bp.packed_by(),
             Some(self.name),
@@ -163,7 +177,7 @@ impl Kernel {
             self.name
         );
         let (k, n) = (bp.k(), bp.n());
-        assert_eq!(c.len(), m * n, "C must be m×n");
+        assert!(ldc >= n && c.len() >= m.saturating_sub(1) * ldc + n * usize::from(m > 0), "C must hold m rows of n, ldc apart");
         assert_eq!(a.len(), m * k, "A must be m×k");
         let (c, a) = (c.as_mut_ptr(), a.as_ptr());
         // SAFETY: shapes checked; the pack identity proves `bp`'s buffer
@@ -172,10 +186,10 @@ impl Kernel {
         // out.
         match self.run {
             Run::Scalar => unsafe {
-                super::scalar::gemm_acc_ld(c, n, a, k, bp.buf().as_ptr(), n, m, n, k, bp.alpha())
+                super::scalar::gemm_acc_ld(c, ldc, a, k, bp.buf().as_ptr(), n, m, n, k, bp.alpha())
             },
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Run::Simd { gemm, .. } => unsafe { gemm(c, n, a, k, bp.buf(), m, n, k) },
+            Run::Simd { gemm, .. } => unsafe { gemm(c, ldc, a, k, bp.buf(), m, n, k) },
         }
     }
 }

@@ -26,6 +26,7 @@ impl HeterogeneousPolicy {
     /// Phase 1 + policy construction for `platform` and `problem`.
     /// Panics when no worker's memory holds a chunk
     /// ([`simulate_heterogeneous`] reports that as an error).
+    #[allow(clippy::panic, reason = "a documented panic: no worker's memory holds a chunk")]
     pub fn plan(platform: &Platform, problem: &Partition, rule: SelectionRule) -> Self {
         Self::try_plan(platform, problem, rule).unwrap_or_else(|e| panic!("{e}"))
     }

@@ -155,9 +155,11 @@ impl MasterPolicy for DemandDriven {
                 return Decision::Finished;
             };
             if self.runs[wi].is_empty() {
+                #[allow(clippy::expect_used, reason = "a worker with no run is eligible only while chunks remain")]
                 let chunk = self.queue.pop_front().expect("eligible only while chunks remain");
                 self.runs[wi].extend(exchange(0, WorkerId(wi), chunk, t, stride));
             }
+            #[allow(clippy::expect_used, reason = "the branch above refilled an empty run")]
             let op = self.runs[wi].pop_front().expect("just ensured");
             let deep = if let PortOp::Step { k, .. } = op { depth(k) } else { 1 };
             lower(&op, deep, &mut self.fixed[wi], &mut self.pending);

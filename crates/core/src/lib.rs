@@ -55,6 +55,8 @@
 //! assert!(report.makespan.value() > 0.0);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod algorithms;
 pub mod bounds;
 pub mod chunks;

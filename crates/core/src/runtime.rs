@@ -16,9 +16,12 @@
 //! ([`ChunkExchange`]). What the master sends next is the generator's
 //! business; what happens when a worker dies, or when the whole-run
 //! deadline passes, is the executor's, in one place. LU's factorization
-//! (`mwp_lu`) runs on the same fleet and the same worker program: its
-//! trailing updates are chunk exchanges, and its pivot chain the
-//! program's one other op, the `LuPanel` exchange ([`panel_parts`]).
+//! (`mwp_lu`) runs on the same fleet and the same worker program: either
+//! each worker owns block rows for the whole run — dealt as `LuRow`
+//! frames, factoring the pivots it owns on an `LuPivot` request and taking
+//! each step on its rows from a forwarded pivot — or its trailing updates
+//! are chunk exchanges and its pivot chain the `LuPanel` exchange
+//! ([`panel_parts`]).
 //!
 //! With `time_scale = 0` the network is un-paced and the run completes as
 //! fast as the arithmetic allows (used by tests, which verify the result
@@ -277,6 +280,7 @@ impl<'a> Operand<'a> {
     /// the groups up to `k`'s that are not yet.
     fn step(&mut self, master: &mwp_msg::MasterEndpoint, k: usize) -> (&SharedPayloads, usize) {
         while self.covered <= k {
+            #[allow(clippy::expect_used, reason = "a prebuilt image covers every step, so only a source is serialized")]
             let (m, order) = self.src.expect("a prebuilt image covers every step");
             let (first, n) = (self.covered, self.covered.clamp(1, self.steps - self.covered));
             let image = master.pooled_operand(m.byte_len() / self.steps * n, |buf| {
@@ -289,6 +293,7 @@ impl<'a> Operand<'a> {
             self.groups.push((first, SharedPayloads::from_bytes(image, rows, cols, m.q(), order)));
             self.covered += n;
         }
+        #[allow(clippy::expect_used, reason = "the loop above serialized step k's group, and the first starts at step 0")]
         let (first, image) = self.groups.iter().rfind(|&&(first, _)| first <= k).expect("the first group starts at step 0");
         (image, k - first)
     }
@@ -512,8 +517,8 @@ pub struct ChunkExchange<'a, C = BlockMatrix> {
     t: usize,
     /// Frames that crossed the port for the run, either way.
     frames: u64,
-    /// Blocks the round trips moved, both ways.
-    round_trips: u64,
+    /// Blocks the run's other exchanges ([`ChunkExchange::post`], [`ChunkExchange::take`]) moved.
+    exchanged: u64,
     /// Per worker: where its chunk stands.
     seats: Vec<Seat>,
     /// The `kept` part of each `(job, worker, chunk)` a `Keep` ends
@@ -536,7 +541,7 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         t: usize,
     ) -> Self {
         let (seats, keeps) = (vec![Seat::default(); mu.len()], HashMap::new());
-        ChunkExchange { master, gen, q, c, jobs: Vec::new(), mu, t, frames: 0, round_trips: 0, seats, keeps }
+        ChunkExchange { master, gen, q, c, jobs: Vec::new(), mu, t, frames: 0, exchanged: 0, seats, keeps }
     }
 
     /// Note the `Keep`s among `ops`, so that each chunk's collect request
@@ -567,30 +572,46 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         self.jobs.push(JobCtx { ap, bp, c: 0, at, moved: 0, off: [at, at, 0] });
     }
 
+    /// How many products [`ChunkExchange::push`] added.
+    pub fn products(&self) -> usize {
+        self.jobs.len()
+    }
+
     /// The first accumulator.
     pub fn accumulator(&mut self) -> &mut C {
         &mut self.c[0]
     }
 
-    /// One task frame and its reply in this run: `payload` to `worker`
-    /// under `tag`, metered as `blocks` each way — how a run's other
-    /// exchanges (LU's panels) cross the port beside its chunks. `None`
-    /// when the worker died or stayed silent past the liveness deadline.
-    pub fn round_trip(&mut self, worker: WorkerId, tag: Tag, payload: Bytes, blocks: u64) -> Option<Frame> {
-        self.master.try_send(worker, Frame::new_in_run(tag, self.gen, payload), blocks)?;
+    /// One frame of this run's other exchanges — how LU's panels, pivots
+    /// and dealt rows cross the port beside its chunks — to `worker`:
+    /// `payload` under `tag`, metered as `blocks`. `false` when the worker
+    /// died.
+    pub fn post(&mut self, worker: WorkerId, tag: Tag, payload: Bytes, blocks: u64) -> bool {
+        let sent = self.master.try_send(worker, Frame::new_in_run(tag, self.gen, payload), blocks).is_some();
+        if sent {
+            (self.frames, self.exchanged) = (self.frames + 1, self.exchanged + blocks);
+        }
+        sent
+    }
+
+    /// The next frame of this run from `worker`, metered as `blocks`.
+    /// `None` when the worker died or stayed silent past the liveness
+    /// deadline.
+    pub fn take(&mut self, worker: WorkerId, blocks: u64) -> Option<Frame> {
         let (reply, _) = self.master.recv_deadline(worker, self.gen, blocks)?;
-        (self.frames, self.round_trips) = (self.frames + 2, self.round_trips + 2 * blocks);
+        (self.frames, self.exchanged) = (self.frames + 1, self.exchanged + blocks);
         Some(reply)
     }
 
     /// Blocks the run moved through the port, both ways: its products' and
-    /// its round trips'.
+    /// its other exchanges'.
     pub fn moved(&self) -> u64 {
-        self.round_trips + self.jobs.iter().map(|job| job.moved).sum::<u64>()
+        self.exchanged + self.jobs.iter().map(|job| job.moved).sum::<u64>()
     }
 
     /// Frames the run moved through the port, either way: every frame
-    /// delivered, each committed chunk's request and rows, each round trip.
+    /// delivered, each committed chunk's request and rows, each frame of
+    /// the other exchanges.
     pub fn frames(&self) -> u64 {
         self.frames
     }
@@ -873,7 +894,9 @@ pub(crate) fn heterogeneous_on(
     // A run over the whole fleet: the ledger puts slot `i` on worker `i`.
     let (_, mut outcomes) =
         run_products(session, vec![(a, b, c)], &mu, |_| schedule, workers_used)?;
-    Ok(outcomes.pop().expect("one outcome per job"))
+    #[allow(clippy::expect_used, reason = "a run of one job returns one outcome")]
+    let outcome = outcomes.pop().expect("one outcome per job");
+    Ok(outcome)
 }
 
 /// Resident state of one open run generation: Algorithm 2's operands —
@@ -907,12 +930,14 @@ struct RunState {
     b_resident: bool,
     /// The single in-flight A block of this run.
     a: Block,
+    /// The block rows an owner-computes factorization dealt this worker.
+    owned: OwnedRows,
 }
 
 impl RunState {
     fn new(q: usize) -> Self {
-        let (c, b, pack) = (Dense::default(), Dense::default(), PackedB::default());
-        RunState { q, origin: (0, 0), width: 0, c, b, pack, b_resident: false, a: Block::zeros(q) }
+        let (c, b, pack, owned) = (Dense::default(), Dense::default(), PackedB::default(), OwnedRows::default());
+        RunState { q, origin: (0, 0), width: 0, c, b, pack, b_resident: false, a: Block::zeros(q), owned }
     }
 
     /// Block rows of the resident chunk.
@@ -920,15 +945,17 @@ impl RunState {
         self.c.rows() / self.q
     }
 
-    /// Blocks resident: the chunk's and the B row's.
+    /// Blocks resident: the chunk's, the B row's and the owned rows'.
     fn resident(&self) -> usize {
-        (self.height() + usize::from(self.b_resident)) * self.width
+        (self.height() + usize::from(self.b_resident)) * self.width + self.owned.resident()
     }
 
-    /// Drop the chunk and its B row, keeping their storage.
+    /// Drop the chunk, its B row and the owned rows, keeping their
+    /// storage.
     fn clear(&mut self) {
         self.c.resize(0, 0);
         self.b_resident = false;
+        self.owned.clear();
     }
 
     /// Keep only block rows `rows` of the chunk, from block column `col`
@@ -945,6 +972,192 @@ impl RunState {
         self.origin = (self.origin.0 + rows.start, self.origin.1 + col);
         self.width -= col;
         self.b_resident = false;
+    }
+}
+
+/// One block row an owner-computes factorization dealt this worker: block
+/// row `i` from block column `j0` to the matrix's right edge, `q × (w·q)`
+/// row-major, and `col`, the pivot column the row waits on next — every
+/// column left of it is eliminated and was returned.
+struct OwnedRow {
+    i: usize,
+    j0: usize,
+    col: usize,
+    data: Dense,
+}
+
+impl OwnedRow {
+    /// One past the row's last block column.
+    fn end(&self, q: usize) -> usize {
+        self.j0 + self.data.cols() / q
+    }
+}
+
+/// The block rows an owner-computes LU keeps on this worker for its whole
+/// run (Section 7.2, with rows owned), and the scratch of one step: the
+/// step's factored pivot, its solved `U₁₂`, the `L₂₁` blocks of the rows
+/// that waited on it, one `U₁₂` block row's pack and one negated `L₂₁`
+/// block. Retired rows keep their storage for the next run's.
+#[derive(Default)]
+struct OwnedRows {
+    /// In ascending block row.
+    rows: Vec<OwnedRow>,
+    pivot: Dense,
+    upper: Dense,
+    lower: Dense,
+    pack: PackedB,
+    minus_l: Vec<f64>,
+    /// Blocks of the pivot and `U₁₂` of the step in hand.
+    held: usize,
+    spare: Vec<Dense>,
+}
+
+impl OwnedRows {
+    /// Blocks resident: every owned row's from the column it waits on,
+    /// and the step's pivot and `U₁₂`.
+    fn resident(&self) -> usize {
+        self.held + self.rows.iter().map(|row| row.end(row.data.rows()) - row.col).sum::<usize>()
+    }
+
+    /// Retire every row and the step in hand.
+    fn clear(&mut self) {
+        self.spare.extend(self.rows.drain(..).map(|row| row.data));
+        self.held = 0;
+    }
+
+    /// Take block row `i` from column `j0`, `payload` its blocks. `false`,
+    /// taking nothing, unless it is whole blocks, at least one, of a row
+    /// not held already.
+    fn deal(&mut self, q: usize, (i, j0): (usize, usize), payload: &[u8]) -> bool {
+        let bb = q * q * 8;
+        let at = self.rows.partition_point(|row| row.i < i);
+        if payload.is_empty() || !payload.len().is_multiple_of(bb) || self.rows.get(at).is_some_and(|row| row.i == i) {
+            return false;
+        }
+        let w = payload.len() / bb;
+        let mut data = self.spare.pop().unwrap_or_default();
+        data.resize(q, w * q);
+        for (jj, image) in payload.chunks_exact(bb).enumerate() {
+            data.read_block(q, (0, jj), image);
+        }
+        self.rows.insert(at, OwnedRow { i, j0, col: j0, data });
+        true
+    }
+
+    /// The rows waiting on the pivot at column `p0`, and the one past
+    /// their last column they share; `None` when there are none or they
+    /// do not all end at the same column right of `p1`.
+    fn waiting(&self, q: usize, p0: usize, p1: usize) -> Option<(Vec<usize>, usize)> {
+        let at: Vec<usize> = (0..self.rows.len()).filter(|&n| self.rows[n].col == p0).collect();
+        let end = self.rows[*at.first()?].end(q);
+        at.iter().all(|&n| self.rows[n].end(q) == end && end >= p1).then_some((at, end))
+    }
+
+    /// Copy columns `cols` of the rows at `at` into `into`, one `q`-row
+    /// slab per row.
+    fn gather(rows: &[OwnedRow], q: usize, at: &[usize], cols: std::ops::Range<usize>, into: &mut Dense) {
+        let width = cols.len() * q;
+        into.resize(at.len() * q, width);
+        for (slab, &n) in into.as_mut_slice().chunks_exact_mut(q * width.max(1)).zip(at) {
+            let row = &rows[n];
+            let (stride, from) = (row.data.cols(), (cols.start - row.j0) * q);
+            for (line, src) in slab.chunks_exact_mut(width.max(1)).zip(row.data.as_slice().chunks_exact(stride)) {
+                line.copy_from_slice(&src[from..from + width]);
+            }
+        }
+    }
+
+    /// The pivot at block rows and columns `p0..p1`, through `kernel`:
+    /// factor it from the rows held and solve their `U₁₂`, and return both
+    /// in the `LuPivot` reply's layout, built in `ep`'s buffer pool — or an
+    /// empty payload, the refusal, when the factor refuses the pivot, the
+    /// rows left as they were. `None` unless this worker holds exactly the
+    /// pivot's rows, all waiting on it.
+    fn factor(&mut self, ep: &WorkerEndpoint, kernel: &Kernel, q: usize, (p0, p1): (usize, usize), run: u32) -> Option<Bytes> {
+        let at: Vec<usize> = (0..self.rows.len()).filter(|&n| (p0..p1).contains(&self.rows[n].i)).collect();
+        let (waiting, end) = self.waiting(q, p0, p1)?;
+        if p1 <= p0 || at.len() != p1 - p0 || !at.iter().all(|n| waiting.contains(n)) {
+            return None;
+        }
+        OwnedRows::gather(&self.rows, q, &at, p0..p1, &mut self.pivot);
+        OwnedRows::gather(&self.rows, q, &at, p1..end, &mut self.upper);
+        let tk = record::begin();
+        let factored = try_lu_blocked_with(kernel, &mut self.pivot, NB);
+        record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "factor");
+        if factored.is_err() {
+            return Some(Bytes::new());
+        }
+        if end > p1 {
+            let tk = record::begin();
+            trsm_left_unit_lower_with(kernel, &mut self.upper, &self.pivot);
+            record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "trsm");
+        }
+        let p = p1 - p0;
+        self.held = p * (end - p0);
+        for n in at.into_iter().rev() {
+            self.spare.push(self.rows.remove(n).data);
+        }
+        let (pivot, upper) = (&self.pivot, &self.upper);
+        Some(ep.pooled_payload(self.held * q * q * 8, |buf| {
+            pivot.write_block_bytes(q, BlockOrder::RowMajor, buf);
+            upper.write_block_bytes(q, BlockOrder::RowMajor, buf);
+        }))
+    }
+
+    /// Take a forwarded pivot of block rows `p0..p1` — its factors and
+    /// `U₁₂` in the `LuPivot` reply's layout — as the step in hand.
+    /// `false`, taking nothing, unless the payload is exactly a `p × p`
+    /// pivot and `p` block rows of `U₁₂`.
+    fn take(&mut self, q: usize, (p0, p1): (usize, usize), payload: &[u8]) -> bool {
+        let (bb, p) = (q * q * 8, p1.saturating_sub(p0));
+        let n = payload.len() / bb;
+        let square = p.checked_mul(p).filter(|&sq| p > 0 && sq <= n);
+        let Some(sq) = square.filter(|&sq| payload.len() == n * bb && (n - sq).is_multiple_of(p)) else { return false };
+        self.pivot.read_block_bytes(&payload[..sq * bb], p, p, q, BlockOrder::RowMajor);
+        self.upper.read_block_bytes(&payload[sq * bb..], p, (n - sq) / p, q, BlockOrder::RowMajor);
+        self.held = n;
+        true
+    }
+
+    /// The step in hand, pivot `p0..p1`, on the rows waiting on it, through
+    /// `kernel`: solve their `L₂₁ = A₂₁·U₁₁⁻¹`, update them with
+    /// `−L₂₁·U₁₂`, `U₁₂` packed once per block row `k` and each row's
+    /// update one kernel call per `k`, in increasing `k` — the kernel
+    /// calls, operands and order of the product's chunk exchange — and
+    /// return their `L₂₁` blocks, row by row, built in `ep`'s buffer pool.
+    /// `None` when no row waits on it, or the rows do not end where
+    /// `U₁₂` does.
+    fn apply(&mut self, ep: &WorkerEndpoint, kernel: &Kernel, q: usize, (p0, p1): (usize, usize), run: u32) -> Option<Bytes> {
+        let (at, end) = self.waiting(q, p0, p1)?;
+        let (p, rest) = (p1 - p0, self.upper.cols() / q);
+        if end != p1 + rest || self.pivot.rows() != p * q || self.upper.rows() != p * q {
+            return None;
+        }
+        let tc = record::begin();
+        OwnedRows::gather(&self.rows, q, &at, p0..p1, &mut self.lower);
+        let tk = record::begin();
+        trsm_right_upper_with(kernel, &mut self.lower, &self.pivot);
+        record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "trsm");
+        let width = rest * q;
+        for k in (0..p).filter(|_| rest > 0) {
+            let tp = record::begin();
+            kernel.pack_into(&mut self.pack, &self.upper.as_slice()[k * q * width..][..q * width], q, width, 1.0);
+            record::worker_span(ep.id(), ActivityKind::Pack, tp, run, "pack U");
+            for (slab, &n) in at.iter().enumerate() {
+                let lower = &self.lower.as_slice()[slab * q * p * q..][..q * p * q];
+                self.minus_l.clear();
+                self.minus_l.extend(lower.chunks_exact(p * q).flat_map(|line| line[k * q..][..q].iter().map(|x| -x)));
+                let row = &mut self.rows[n];
+                let (ldc, from) = (row.data.cols(), (p1 - row.j0) * q);
+                let tk = record::begin();
+                kernel.gemm_acc_packed_ld(&mut row.data.as_mut_slice()[from..], ldc, &self.minus_l, &self.pack, q);
+                record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "gemm");
+            }
+        }
+        at.iter().for_each(|&n| self.rows[n].col = p1);
+        record::worker_span(ep.id(), ActivityKind::Compute, tc, run, "L21 update");
+        let lower = &self.lower;
+        Some(ep.pooled_payload(at.len() * p * q * q * 8, |buf| lower.write_block_bytes(q, BlockOrder::RowMajor, buf)))
     }
 }
 
@@ -1042,9 +1255,14 @@ pub(crate) fn program(
 /// requests that generation's chunk back — its rows in order, as it
 /// stands — and `RUN_END`/`RUN_ABORT` retire it. An `LuPanel` task is one
 /// LU step's pivot chain — the pivot factored, both panels solved —
-/// answered in place ([`panel_parts`]); LU's trailing updates are chunk
-/// exchanges like any product's. The worker parks only when its last open
-/// generation retires; `Shutdown` (or a dropped master) ends the thread.
+/// answered in place ([`panel_parts`]); streamed LU's trailing updates are
+/// chunk exchanges like any product's. Owner-computes LU keeps each dealt
+/// `LuRow` for the run; an `LuPivot` request is answered with the factored
+/// pivot and its solved `U₁₂` from the rows held, and then — like a
+/// forwarded `LuPivot` — the rows waiting on that pivot solve their `L₂₁`,
+/// take the update and send their `L₂₁` back in one `LuRow` frame. The
+/// worker parks only when its last open generation retires; `Shutdown`
+/// (or a dropped master) ends the thread.
 ///
 /// **What arrives is not trusted.** Traffic that misses its run's chunk
 /// drops the link — the master sees a dead worker — instead of unwinding
@@ -1200,6 +1418,35 @@ fn serve_run(
                 let reply = solve_panel(ep, kernel, q, frame.tag, &mut state.panel, gen);
                 record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "panel");
                 ep.send_in(gen, Frame::new(frame.tag, reply));
+            }
+            FrameKind::LuRow => {
+                // A block row of an owner-computes factorization, held to
+                // the run's end.
+                if !run.owned.deal(q, (i, j), &frame.payload) {
+                    return RunExit::Terminate;
+                }
+            }
+            FrameKind::LuPivot => {
+                // Empty, a request to factor the pivot rows this worker
+                // holds: the factors go back, then its own rows that wait
+                // on the pivot take the step. Else a pivot forwarded from
+                // its owner, which the waiting rows take.
+                let tc = record::begin();
+                let step = if frame.payload.is_empty() {
+                    let Some(reply) = run.owned.factor(ep, kernel, q, (i, j), gen) else { return RunExit::Terminate };
+                    let factored = !reply.is_empty();
+                    record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "pivot");
+                    ep.send_in(gen, Frame::new(frame.tag, reply));
+                    factored && run.owned.waiting(q, i, j).is_some()
+                } else if run.owned.take(q, (i, j), &frame.payload) {
+                    true
+                } else {
+                    return RunExit::Terminate;
+                };
+                if step {
+                    let Some(lower) = run.owned.apply(ep, kernel, q, (i, j), gen) else { return RunExit::Terminate };
+                    ep.send_in(gen, Frame::new(Tag::new(FrameKind::LuRow, i, j), lower));
+                }
             }
             FrameKind::Control => {
                 // A collect request (no lifecycle sentinel): return the

@@ -157,6 +157,7 @@ impl ColumnGroups {
             self.groups[wi] = Some((self.next_col, width, 0));
             self.next_col += width;
         }
+        #[allow(clippy::expect_used, reason = "the branch above opened a group for `wi` or returned")]
         let (j0, width, row) = self.groups[wi].as_mut().expect("just ensured");
         let chunk = Chunk { i0: *row, j0: *j0, height: mu.min(self.r - *row), width: *width };
         *row += chunk.height;
@@ -259,6 +260,7 @@ impl Schedule {
         let capable: Vec<usize> = (0..mu.len()).filter(|&i| mu[i] > 0).collect();
         let mut turn = capable.iter().cycle();
         while grid.any_left() {
+            #[allow(clippy::expect_used, reason = "the selection before it required a worker with µ > 0, so the cycle never ends")]
             let &wi = turn.next().expect("the selection requires a worker with µ > 0");
             if let Some(chunk) = grid.cut(wi, mu[wi]) {
                 ops.extend(exchange(0, WorkerId(wi), chunk, t, 1));

@@ -57,7 +57,7 @@ pub fn steady_state_with_mu(platform: &Platform, mu_of: impl Fn(usize) -> usize)
     order.sort_by(|a, b| {
         let ka = 2.0 * platform[a.0].c / a.1 as f64;
         let kb = 2.0 * platform[b.0].c / b.1 as f64;
-        ka.partial_cmp(&kb).expect("finite keys")
+        ka.total_cmp(&kb)
     });
 
     let mut port_left = 1.0_f64;

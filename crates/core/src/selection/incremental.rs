@@ -213,23 +213,25 @@ fn select(platform: &Platform, mu: &[usize], st: &State, rule: SelectionRule) ->
     let candidates: Vec<usize> = (0..p).filter(|&i| mu[i] > 0).collect();
     match rule {
         SelectionRule::Global => {
+            #[allow(clippy::expect_used, reason = "the selection runs only while some worker has µ > 0")]
             let best = candidates
                 .into_iter()
                 .max_by(|&a, &b| {
                     let ra = global_ratio(platform, mu, st, a);
                     let rb = global_ratio(platform, mu, st, b);
-                    ra.partial_cmp(&rb).expect("finite ratios")
+                    ra.total_cmp(&rb)
                 })
                 .expect("at least one candidate");
             vec![best]
         }
         SelectionRule::Local => {
+            #[allow(clippy::expect_used, reason = "the selection runs only while some worker has µ > 0")]
             let best = candidates
                 .into_iter()
                 .max_by(|&a, &b| {
                     let ra = local_ratio(platform, mu, st, a);
                     let rb = local_ratio(platform, mu, st, b);
-                    ra.partial_cmp(&rb).expect("finite ratios")
+                    ra.total_cmp(&rb)
                 })
                 .expect("at least one candidate");
             vec![best]
@@ -261,7 +263,9 @@ fn lookahead(
         total_work: st.total_work,
     };
     explore_sequences(platform, mu, &mut tmp, candidates, depth, &mut seq, &mut best);
-    best.expect("at least one sequence").1
+    #[allow(clippy::expect_used, reason = "depth ≥ 1 over a non-empty candidate list explores a sequence")]
+    let best = best.expect("at least one sequence");
+    best.1
 }
 
 /// DFS over selection sequences; `tmp` is mutated and restored around

@@ -291,7 +291,9 @@ impl RuntimeSession {
         let platform = self.platform().ok_or(RuntimeError::EmptyFleet)?;
         let (enrolled, mu) = plan_holm(platform, a, b, &c, select)?;
         let (_, mut outcomes) = holm_on(self, vec![(a, b, c)], enrolled, mu)?;
-        Ok(outcomes.pop().expect("one outcome per job"))
+        #[allow(clippy::expect_used, reason = "a run of one job returns one outcome")]
+        let outcome = outcomes.pop().expect("one outcome per job");
+        Ok(outcome)
     }
 
     /// `C ← C + A·B` with the heterogeneous two-phase scheme of

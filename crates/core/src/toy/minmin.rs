@@ -37,6 +37,7 @@ pub fn min_min(inst: &ToyInstance) -> ToySim {
                 }
             }
         }
+        #[allow(clippy::expect_used, reason = "the loop runs while a task is unclaimed, and every worker can claim it")]
         let (_, i, j, w) = best.expect("unclaimed task exists");
         commit(&mut sim, i, j, w);
     }

@@ -39,6 +39,7 @@ pub fn thrifty(inst: &ToyInstance) -> ToySim {
             .copied()
             .find(|&w| sim.workers[w].ready < horizon && sim.best_alternating_file(w).is_some());
         if let Some(w) = urgent {
+            #[allow(clippy::expect_used, reason = "`urgent` is a worker with a best file, found just above")]
             let f = sim.best_alternating_file(w).expect("checked above");
             sim.send(w, f);
             continue;
@@ -66,10 +67,10 @@ pub fn thrifty(inst: &ToyInstance) -> ToySim {
             .min_by(|&a, &b| {
                 sim.workers[a]
                     .ready
-                    .partial_cmp(&sim.workers[b].ready)
-                    .expect("finite ready times")
+                    .total_cmp(&sim.workers[b].ready)
             });
         if let Some(w) = wanting {
+            #[allow(clippy::expect_used, reason = "`wanting` is a worker with a best file, found just above")]
             let f = sim.best_alternating_file(w).expect("checked above");
             sim.send(w, f);
             continue;

@@ -24,15 +24,35 @@
 //!
 //! ### What the runtime moves
 //!
-//! The paper cuts the core into column groups and re-sends the whole
-//! vertical panel with each; [`crate::schedule`] runs the core update as a
-//! product instead. Step `k`'s `rem = r − kµ` trailing rows are dealt as
-//! one band per enrolled worker (`P' = min(P, rem)` bands), each band cut
-//! into chunks of at most the workers' chunk side `c` — the product's
-//! `µ² + 4µ` layout, `c = ⌊−2 + √(4 + m)⌋`. Every C block a chunk streams
-//! crosses twice, and each chunk of `h × w` blocks takes a `w`-block row of the
-//! horizontal panel and an `h`-block column of the vertical one per step
-//! of the rank-µ update:
+//! [`crate::schedule`] runs one of two paths, by whether the workers'
+//! memories hold the rows they own.
+//!
+//! **Owner-computes.** The `r²` blocks are dealt once, by `µ`-row groups
+//! over `P'` workers, and every final block crosses back exactly once:
+//! step `k`'s pivot and `U₁₂` in its owner's reply, each trailing row's
+//! `L₂₁` in its worker's. Between them the reply is forwarded to the `F_k`
+//! other workers whose rows wait on it. With `G = r/µ` groups, group `g`
+//! on worker `g mod P'` and `rem_k = r − (k + 1)µ`:
+//!
+//! ```text
+//! r² + Σ_k [(1 + F_k)·(µ² + µ·rem_k) + µ·rem_k],   F_k = min(P', G − 1 − k) − [k + P' < G]
+//! ```
+//!
+//! (the bracket is 1 when the pivot's owner holds trailing rows too). At
+//! the benchmark's `r` = 12, `µ` = 2 and `P'` = 2 that is 144 dealt, 84 of
+//! pivot replies, 80 forwarded and 60 of `L₂₁`: **368 blocks** an op, in 38
+//! frames (12 rows dealt, a request and a reply a step, 5 forwards and 9
+//! `L₂₁` replies).
+//!
+//! **Streamed.** The paper cuts the core into column groups and re-sends
+//! the whole vertical panel with each; the streamed path runs the core
+//! update as a product instead. Step `k`'s `rem = r − kµ` trailing rows are
+//! dealt as one band per enrolled worker (`P' = min(P, rem)` bands), each
+//! band cut into chunks of at most the workers' chunk side `c` — the
+//! product's `µ² + 4µ` layout, `c = ⌊−2 + √(4 + m)⌋`. Every C block a chunk
+//! streams crosses twice, and each chunk of `h × w` blocks takes a
+//! `w`-block row of the horizontal panel and an `h`-block column of the
+//! vertical one per step of the rank-µ update:
 //!
 //! ```text
 //! pivot + panels   2µ² + 4µ·rem
@@ -45,29 +65,26 @@
 //! per group.
 //!
 //! Less what stays: while every band is one chunk, band `b`'s rows that
-//! band `b` of the next step starts among stay on their worker
-//! ([`crate::schedule`]), from the next grid's first column on, so
-//! neither come back nor go out again. Between steps with trailing grids
-//! `rem` and `rem' = rem − µ`, with band `b` rows `[s_b, e_b)` of the
-//! first grid and `[s'_b, e'_b)` of the second, that is
+//! band `b` of the next step starts among stay on their worker, from the
+//! next grid's first column on, so neither come back nor go out again.
+//! Between steps with trailing grids `rem` and `rem' = rem − µ`, with band
+//! `b` rows `[s_b, e_b)` of the first grid and `[s'_b, e'_b)` of the
+//! second, that is
 //!
 //! ```text
 //! kept = Σ_b rem'·(min(e_b, µ + e'_b) − (µ + s'_b))    over the b with s_b ≤ µ + s'_b < e_b
 //! ```
 //!
-//! blocks, and the op moves `2·kept` fewer. The runtime's
-//! metered volume, the simulated one and that sum are one number (tests
-//! in [`crate::schedule`] and [`crate::runtime`] hold them equal). At the
-//! benchmark's `r` = 12, `µ` = 2, `P` = 2 and `m` = 100 000 the streamed
-//! sum is 908 blocks and 100 stay — 56, 30, 12 and 2 at the four step
-//! ends — so an op moves 708 blocks in 106 frames (12 panel frames; C
-//! rows out 10 at step 0, then the one row a step that changes band; `rem`
-//! C frames back a step, one per band row; and 10 B, A and request frames
-//! a step), C 240 of them: 100 out at step 0, 100 back as they join
-//! panels, and 20 each way for the rows that change band. The exact
-//! closed form [`LuCost::comm_closed_form_exact`] counts 1 008; a
-//! memory-bound `c` below `rem` re-ships panel blocks per chunk, keeps
-//! nothing, and can exceed it.
+//! blocks, and the op moves `2·kept` fewer. At the benchmark's shape, were
+//! it to stream, the sum is 908 blocks and 100 stay, so it would move 708
+//! in 106 frames; the exact closed form
+//! [`LuCost::comm_closed_form_exact`] counts 1 008. A memory-bound `c`
+//! below `rem` re-ships panel blocks per chunk, keeps nothing, and can
+//! exceed it.
+//!
+//! On either path the runtime's metered volume, the simulated one and the
+//! closed form are one number (tests in [`crate::schedule`] and
+//! [`crate::runtime`] hold them equal).
 
 /// An LU factorization instance in block terms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,12 +176,6 @@ impl StepCost {
     pub fn comp(&self) -> f64 {
         self.pivot.comp + self.vertical.comp + self.horizontal.comp + self.core.comp
     }
-
-    /// The sequential (non-core) part of the step — the fraction a single
-    /// processor must execute before the parallel core update.
-    pub fn sequential_comp(&self) -> f64 {
-        self.pivot.comp + self.vertical.comp + self.horizontal.comp
-    }
 }
 
 /// Totals for a whole factorization.
@@ -237,6 +248,21 @@ pub(crate) fn scheduled_comm(problem: LuProblem, enrolled: usize, side: usize) -
     let streamed: usize = rems.iter().map(|&rem| step(rem)).sum();
     let stayed: usize = rems.windows(2).map(|w| kept(w[0], w[1])).sum();
     (streamed - 2 * stayed) as f64
+}
+
+/// The owner-computes closed form of "What the runtime moves" (module
+/// docs): the blocks [`crate::schedule::lu_schedule`] moves when it deals
+/// the rows over `workers` workers.
+#[cfg(test)]
+pub(crate) fn owned_comm(problem: LuProblem, workers: usize) -> f64 {
+    let (r, mu) = (problem.r, problem.mu);
+    let groups = r / mu;
+    let step = |k: usize| {
+        let rest = r - (k + 1) * mu;
+        let forwards = workers.min(groups - 1 - k) - usize::from(k + workers < groups);
+        (1 + forwards) * (mu * mu + mu * rest) + mu * rest
+    };
+    (r * r + (0..groups).map(step).sum::<usize>()) as f64
 }
 
 #[cfg(test)]
@@ -344,7 +370,7 @@ mod tests {
             for k in 1..=p.steps() {
                 let s = p.step_cost(k);
                 prop_assert!(s.comm() >= 0.0 && s.comp() >= 0.0);
-                prop_assert!(s.sequential_comp() <= s.comp());
+                prop_assert!(s.pivot.comp + s.horizontal.comp <= s.comp());
             }
         }
     }

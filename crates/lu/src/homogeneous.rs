@@ -14,10 +14,12 @@
 //! The algorithm itself is [`crate::schedule::lu_schedule`], the ops the
 //! threaded runtime executes; this module enrolls the paper's `P` and
 //! replays their lowered frames on the simulator
-//! ([`crate::schedule::replay`]). (The runtime runs the
-//! core update as a product over the trailing grid — one band of rows per
-//! worker, cut into chunks its memory `m` holds under the product's
-//! `µ² + 4µ` layout — so the simulated workers are held to `m` too.)
+//! ([`crate::schedule::replay`]). (Where the workers' memories hold their
+//! share of the rows, each owns it for the whole run and solves its own
+//! rows' panels; otherwise the core update runs as a product over the
+//! trailing grid, one band of rows per worker, cut into chunks its memory
+//! `m` holds under the product's `µ² + 4µ` layout. Either way the
+//! simulated workers are held to `m` too.)
 
 use crate::cost::LuProblem;
 use crate::schedule::{chunk_sides, replay};

@@ -13,13 +13,14 @@
 //!   terms; we provide both and use the exact sum),
 //! * [`single`] — the single-worker schedule of Section 7.1, numerically
 //!   verified against [`mwp_blockmat::lu`],
-//! * [`schedule`] — the Section 7.2 algorithm as plain data: one
-//!   processor owns the pivot/panel work, and each core update is a
-//!   product the enrolled workers share through the product's own chunk
-//!   exchanges, each band of rows staying on its worker from step to step
-//!   where it can; the ordered port operations of a factorization, their
-//!   recovery rule (lost rows rebuilt from the stored factors), their one
-//!   lowering to simulator frames and its replay,
+//! * [`schedule`] — the Section 7.2 algorithm as plain data, on one of
+//!   two paths by the fleet's memory: each worker owns a fixed share of
+//!   the rows for the whole run, factors the pivots it owns and solves
+//!   its own rows' panels; or one processor owns the pivot/panel work and
+//!   each core update is a product the enrolled workers share through the
+//!   product's own chunk exchanges. The ordered port operations of a
+//!   factorization, their recovery rule (lost rows rebuilt from the stored
+//!   factors), their one lowering to simulator frames and its replay,
 //! * [`runtime`] — that schedule walked on a product fleet
 //!   (`mwp_core::session::RuntimeSession`) by its master executor, with
 //!   real arithmetic,

@@ -4,87 +4,112 @@
 //! — the right-looking factorization of Section 7.2 as plain data — over
 //! a [`RuntimeSession`]'s workers through the product runtime's one master
 //! executor ([`mwp_core::runtime::execute`]). The workers run the
-//! product's own program: one of them factors each pivot and solves its
-//! panels, and every trailing update is a product made of the chunk
-//! exchanges the product runtimes use — real `f64` arithmetic throughout,
-//! verified against the serial blocked factorization.
-//! [`crate::homogeneous`] simulates the same ops.
+//! product's own program, real `f64` arithmetic throughout, verified
+//! against the serial blocked factorization. [`crate::homogeneous`]
+//! simulates the same ops.
 //!
 //! # Message pattern
 //!
-//! The master never copies the matrix whole. It keeps each block row as
-//! the wire images of its `q × q` blocks: the caller's [`BlockMatrix`] until
-//! a reply replaces them, then the reply images the row's chunks came back
-//! in, which a later step ships again as views. A block is final in
-//! exactly one panel reply, and the master stores it from there into the
-//! [`Dense`] the run returns, then lets go of every image left of the
-//! trailing grid. Per step ([`crate::schedule`] gives the order):
+//! A block is final in exactly one reply, and the master stores it from
+//! there into the [`Dense`] the run returns. The master never copies the
+//! matrix whole: it keeps each block row as the wire images of its `q × q`
+//! blocks — the caller's [`BlockMatrix`] until a reply replaces them —
+//! and ships rows as views of those images. Which of two paths a run takes
+//! is one rule of the fleet's memory ([`crate::schedule::owners`]): the
+//! rows are **owned** when every worker with a chunk side holds its share
+//! of them, one step's pivot and `U₁₂` and a block in flight within the
+//! `µ_i² + 4µ_i` blocks the ledger reserves for it, and **streamed**
+//! otherwise. Every frame is metered, and a paced link charged, at its
+//! true size in blocks.
+//!
+//! **Owned rows** (the benchmark's shape). The block rows are dealt once,
+//! `µ`-row group `g` to the `g mod P'`-th worker, one `LuRow` frame a row,
+//! and stay there. At each step:
+//!
+//! 1. the pivot rows' owner gets an `LuPivot` request, factors `A₁₁`,
+//!    solves its own `U₁₂ = L₁₁⁻¹·A₁₂` and replies with both — final, so
+//!    the master stores them — and then solves and updates its own rows
+//!    that wait on the pivot;
+//! 2. the master forwards that reply's bytes, zero-copy, to every other
+//!    worker whose rows wait on the pivot;
+//! 3. each such worker solves its rows' `L₂₁ = A₂₁·U₁₁⁻¹`, negates it
+//!    locally (exact) and updates its rows with `−L₂₁·U₁₂`, `U₁₂` packed
+//!    once per `k`, one kernel call per row and `k` in increasing `k` —
+//!    the kernel calls, operands and order of the product's chunk
+//!    exchange, so the factors carry `lu_blocked_in_place`'s bits — and
+//!    replies with its `L₂₁` blocks, final.
+//!
+//! At the benchmark's shape that is 368 blocks in 38 frames an op
+//! ([`crate::cost`]), and the vertical solve runs on the rows' owners
+//! beside their updates. The owned rows, the step's pivot and `U₁₂` and a
+//! block in flight are what the worker program's `resident ≤ m` invariant
+//! counts.
+//!
+//! **Streamed rows.** Per step:
 //!
 //! 1. **One `LuPanel` exchange on the pivot worker**: the pivot block, the
 //!    vertical panel below it and the horizontal panel beside it go out in
 //!    one frame — blocks in the fixed order of
 //!    [`mwp_core::runtime::panel_parts`], the tag naming the pivot width and
 //!    the blocks after it — and come back factored and solved in one reply
-//!    of the same shape: Section 7.2's aggregate message to the one worker
-//!    that owns the pivot chain. The last step ships the pivot alone.
+//!    of the same shape. The last step ships the pivot alone. The master
+//!    then lets go of every row image left of the trailing grid.
 //! 2. **The trailing update as a product** ([`ChunkExchange`]): C the
 //!    trailing grid's row images, A the solved vertical panel — negated as
-//!    the master serializes it, which is exact, so each `(−a)·b` block
-//!    update carries the bits of `lu_blocked_in_place`'s `a·(−b)` — and B
-//!    the solved horizontal panel, re-sent from the reply's own bytes. The
-//!    trailing rows are dealt as one band per worker, cut into chunks its
-//!    memory `m` holds under the product's `µ² + 4µ` layout, so the worker
+//!    the master serializes it, which is exact — and B the solved
+//!    horizontal panel, re-sent from the reply's own bytes. The trailing
+//!    rows are dealt as one band per worker, cut into chunks its memory
+//!    `m` holds under the product's `µ² + 4µ` layout, so the worker
 //!    program's `resident ≤ m` invariant covers LU too. (The `Panel`
 //!    exchange's `µ² + 2µ·rest` transient blocks stay outside it.)
 //!
-//! **C crosses the port once each way.** A band that is one chunk stays on
-//! its worker into the next step when that step's band on the worker is
-//! one chunk too and starts among its rows: the step ends it with a
-//! partial collect (`PortOp::Keep`), whose request names the part the
-//! worker keeps. The worker sends back only the rows that leave the band —
-//! the next pivot rows, and rows dealt to another band — and the leftmost
-//! `µ` blocks of the rows it keeps, which are the next vertical panel's;
-//! it slides the rest into place as its chunk. The next step ships only
-//! the rows the band gains, appended below the kept ones. Every other
-//! chunk goes out and comes back within its step. At the benchmark's
-//! shape the trailing grid's C is 240 blocks an op instead of 440
-//! ([`crate::cost`]).
-//!
-//! Every frame is metered, and a paced link charged, at its true size in
-//! blocks.
+//! A band that is one chunk stays on its worker into the next step when
+//! that step's band on the worker is one chunk too and starts among its
+//! rows: the step ends it with a partial collect (`PortOp::Keep`), whose
+//! request names the part the worker keeps. The worker sends back only
+//! the rows that leave the band and the leftmost `µ` blocks of the rows
+//! it keeps, which are the next vertical panel's; the next step ships
+//! only the rows the band gains. Every other chunk goes out and comes back
+//! within its step.
 //!
 //! # Recovery
 //!
-//! Every input of every op comes from the master's row images, which only
-//! a *validated* reply replaces: a `Panel` reply must carry its task's tag and
-//! exactly its length, a chunk the product's all-or-nothing collect. A
-//! worker that dies, stays silent past the liveness deadline, or answers
-//! with anything else is condemned, and recovery is the executor's one
-//! rule: the ops it left undone run again at the step's next barrier on
-//! the live workers ([`crate::schedule::redispatch`]). A lost panel
-//! exchange runs again on the lowest, from the identical bytes.
+//! Every input of every op comes from the master's row images and stored
+//! factors, which only a *validated* reply changes: a pivot, panel or
+//! `L₂₁` reply must carry the tag the master expects and exactly the
+//! length it computes from its own numbers, a chunk the product's
+//! all-or-nothing collect. A worker that dies, stays silent past the
+//! liveness deadline, or answers with anything else is condemned, and
+//! recovery is the executor's one rule: the ops it left undone run again
+//! at the step's next barrier on the live workers.
 //!
-//! A lost chunk is rebuilt, not re-collected: rows a worker kept are not
-//! on the master as they stand. For each block the master records the
-//! step at whose start its image was current — the image it last
-//! shipped, for a kept block — and the adopter is sent that image and
-//! every update since, through the step the chunk was lost in: the stored
-//! factors' `−L` and `U`, as the kept rows met them, one `k` at a time in
-//! increasing order. Those are the same kernel calls on the same values in
-//! the same order, so the rebuilt rows carry the healthy run's bits, and
-//! they come back whole. An adopter holding kept rows of its own brings
-//! them back first, so that it holds one chunk, and its next chunk ships
-//! whole. Recovered runs are bit-identical to healthy ones. Losing the
-//! **whole** fleet aborts the run ([`LuRunOutcome::aborted`]); the fleet
-//! serves again once workers are admitted.
+//! *Streamed*, a lost panel exchange runs again on the lowest live worker,
+//! from the identical bytes ([`crate::schedule::redispatch`]). *Owned*, a
+//! lost worker's rows are adopted, `µ`-row group by group, round-robin by
+//! the live workers; the step in hand then goes on — its pivot on the
+//! adopter, or a forward to and an `L₂₁` reply from each worker whose rows
+//! still wait on it. Either way a lost row is rebuilt, not re-collected:
+//! rows a worker held are not on the master as they stand. For each block
+//! the master records the step at whose start its image was current — the
+//! image it last shipped — and a live worker is sent that image and every
+//! update since, through the step the row waits on: the stored factors'
+//! `−L` and `U`, one `k` at a time in increasing order
+//! ([`crate::schedule::rebuild`]). Those are the same kernel calls on the
+//! same values in the same order, so the rebuilt rows carry the healthy
+//! run's bits. They come back whole, and owned rows are then dealt to
+//! their adopter. An adopter that cannot hold what it adopts within its
+//! memory `m` aborts the run, as losing the **whole** fleet does
+//! ([`LuRunOutcome::aborted`]); the fleet serves again once workers are
+//! admitted. Recovered runs are bit-identical to healthy ones.
 //!
 //! A pivot the worker cannot take (below `PIVOT_TOL`, or not a number) is
-//! no loss: the worker answers the `Panel` task with a refusal, the task's
-//! tag and an empty payload, and any other worker would answer the same.
-//! The executor asks one: the lowest other live worker of the run gets the
-//! same `Panel` exchange. If it refuses too, nobody is condemned, the run
-//! is aborted, and the fleet serves the next run whole; if it factors the
-//! pivot, the refuser was lying and is condemned like any rogue.
+//! no loss: the worker answers the pivot request or `Panel` task with a
+//! refusal, the request's tag and an empty payload, and any other worker
+//! would answer the same. The executor asks one: the lowest other live
+//! worker of the run gets the same pivot — owned, after the pivot rows are
+//! rebuilt and dealt to it. If it refuses too, nobody is condemned, the
+//! run is aborted, and the fleet serves the next run whole; if it factors
+//! the pivot, the refuser was lying and is condemned like any rogue.
 //!
 //! # Fleets
 //!
@@ -98,13 +123,13 @@
 //! (a fresh session per call); [`LuSession`] holds a fleet spawned for
 //! factorizations.
 
-use crate::schedule::{chunk_sides, lu_schedule, redispatch, LuOp};
+use crate::schedule::{chunk_sides, lu_schedule, owners, rebuild, redispatch, LuOp};
 use bytes::Bytes;
 use mwp_blockmat::lu::Dense;
 use mwp_blockmat::{BlockMatrix, BlockOrder, SharedPayloads};
 use mwp_core::runtime::{panel_parts, Accumulator, ChunkExchange, Performed, Port, RuntimeError};
 use mwp_core::chunks::Chunk;
-use mwp_core::schedule::PortOp;
+use mwp_core::schedule::{holding, PortOp};
 use mwp_core::session::RuntimeSession;
 use mwp_msg::{Frame, FrameKind, MasterEndpoint, Tag, TransportMode};
 use mwp_platform::{Platform, WorkerId};
@@ -163,8 +188,8 @@ impl LuSession {
 }
 
 /// Factor `matrix` (square, block side `q`) with panel width `mu_blocks`
-/// blocks over `platform` (its first worker also handles the pivot and
-/// panel phases). `time_scale` paces the links (0 = off).
+/// blocks over `platform` (see [`factor`]). `time_scale` paces the links
+/// (0 = off).
 ///
 /// One-shot: spawns a session, runs [`factor`] once, shuts it down.
 pub fn run_lu(
@@ -202,13 +227,16 @@ pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunO
         return LuRunOutcome { packed, wall, messages, blocks_moved, workers_used, aborted: true, refused };
     }
     let schedule = lu_schedule(r, mu, &sides);
+    let owned = if owners(r, mu, &sides).is_some() { vec![Held::default(); r] } else { Vec::new() };
+    let memory: Vec<usize> = fleet.platform().map_or_else(Vec::new, |platform| platform.workers().iter().map(|w| w.m).collect());
     // A run over the whole fleet: the ledger puts slot `i` on worker `i`.
     let ops = |_: &[WorkerId]| schedule.clone();
     let (port, done) = fleet.execute(&sides, q, ops, |master, gen, _| {
         let mut chunks = ChunkExchange::new(master, gen, q, vec![RowImages::new(matrix)], sides.to_vec(), mu);
         chunks.expect_keeps(schedule.iter().filter_map(LuOp::chunk));
         let (packed, fresh) = (Dense::zeros(r * q, r * q), vec![0; r * r]);
-        LuPort { chunks, packed, fresh, refused: None, master, sides: &sides, mu, q }
+        let (sides, memory) = (&sides[..], &memory[..]);
+        LuPort { chunks, packed, fresh, refused: None, master, sides, memory, mu, q, owned, step: None }
     });
     LuRunOutcome {
         wall: start.elapsed(),
@@ -230,18 +258,19 @@ fn validate_lu(matrix: &BlockMatrix, mu_blocks: usize) {
 }
 
 /// The master's side of one open LU run: the chunk exchanges of its
-/// trailing updates, one product per step, whose accumulator is the
-/// trailing rows' images, and the factors each validated panel stores.
+/// trailing updates (streamed) or of its rebuilt rows (owner-computes),
+/// one product per step, whose accumulator is the trailing rows' images,
+/// and the factors each validated reply stores.
 struct LuPort<'a> {
     chunks: ChunkExchange<'a, RowImages<'a>>,
-    /// The packed factors: every block is final in exactly one panel
-    /// reply, and is stored here from it. After an aborted run, the blocks
-    /// whose panel never validated read 0.
+    /// The packed factors: every block is final in exactly one reply, and
+    /// is stored here from it. After an aborted run, the blocks whose
+    /// reply never validated read 0.
     packed: Dense,
     /// Per block, row by row: the step at whose start the master's image
     /// of the block was current. A block a worker keeps stays at the step
     /// it was last shipped in, and a lost one is rebuilt from there
-    /// ([`crate::schedule::redispatch`]).
+    /// ([`crate::schedule::rebuild`]).
     fresh: Vec<usize>,
     /// The first block row of the last pivot a worker refused.
     refused: Option<usize>,
@@ -250,26 +279,42 @@ struct LuPort<'a> {
     master: &'a MasterEndpoint,
     /// `sides[i]` is the chunk side worker `i`'s memory admits.
     sides: &'a [usize],
+    /// `memory[i]` is worker `i`'s memory `m`, in blocks.
+    memory: &'a [usize],
     /// Panel width in blocks: the trailing updates' depth.
     mu: usize,
     /// Block side.
     q: usize,
+    /// Owner-computes: per block row, where it is. Empty on the streamed
+    /// path.
+    owned: Vec<Held>,
+    /// Owner-computes: the step in hand's pivot, and the reply its owner
+    /// sent once it validated.
+    step: Option<(Range<usize>, Option<Frame>)>,
+}
+
+/// Where one block row of an owner-computes run is: the worker holding it
+/// (none before its deal and once it is final), the pivot column it waits
+/// on, and whether its worker was told of that pivot — by the request or
+/// a forward — and owes its `L₂₁`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Held {
+    worker: Option<WorkerId>,
+    col: usize,
+    told: bool,
 }
 
 impl Port for LuPort<'_> {
     type Op = LuOp;
 
     fn worker(op: &LuOp) -> WorkerId {
-        match op {
-            LuOp::Panel { worker, .. } => *worker,
-            LuOp::Chunk(op) => op.target().1,
-        }
+        op.worker()
     }
 
-    /// A `Panel` reads what the whole step before it stored, and the
+    /// A pivot reads what the whole step before it stored, and the
     /// whole step after it reads what it stores: a barrier on both sides.
     fn same_phase(op: &LuOp, next: &LuOp) -> bool {
-        op.chunk().is_some() && next.chunk().is_some()
+        !op.is_pivot() && !next.is_pivot()
     }
 
     fn perform(&mut self, op: &LuOp) -> Performed {
@@ -282,12 +327,19 @@ impl Port for LuPort<'_> {
                 }
                 performed
             }
+            LuOp::Deal { worker, rows, cols } => self.deal(*worker, rows.clone(), cols.clone()),
+            LuOp::Pivot { worker, pivot, rest, .. } => self.pivot(*worker, pivot, *rest),
+            LuOp::Forward { worker, .. } => self.forward(*worker),
+            LuOp::Lower { worker, .. } => self.lower(*worker),
         }
     }
 
     fn redispatch(&mut self, undone: Vec<LuOp>, live: &[WorkerId]) -> Option<Vec<LuOp>> {
+        if !self.owned.is_empty() {
+            return self.adopt(&undone, live);
+        }
         let held: Vec<_> = (0..self.sides.len()).map(|i| self.chunks.held(WorkerId(i))).collect();
-        let r = self.packed.rows() / self.q;
+        let r = self.r();
         redispatch(undone, live, self.sides, self.mu, |i, j| self.fresh[i * r + j], &held)
     }
 }
@@ -312,7 +364,10 @@ impl LuPort<'_> {
             blocks.iter().for_each(|&at| rows.write_block(at, task));
         });
         let (tag, n) = (Tag::new(FrameKind::LuPanel, p, rest), blocks.len() as u64);
-        let Some(reply) = self.chunks.round_trip(worker, tag, task, n) else { return Performed::Lost };
+        if !self.chunks.post(worker, tag, task, n) {
+            return Performed::Lost;
+        }
+        let Some(reply) = self.chunks.take(worker, n) else { return Performed::Lost };
         if reply.tag == tag && reply.payload.is_empty() {
             self.refused = Some(pivot.start);
             return Performed::Refused;
@@ -348,10 +403,228 @@ impl LuPort<'_> {
             PortOp::SendC { .. } | PortOp::Step { .. } => return,
         };
         // Step `s`'s grid starts at block `(s + 1)·µ`, as in the schedule.
-        let (at, r) = ((step + 1) * self.mu, self.packed.rows() / self.q);
+        let (at, r) = ((step + 1) * self.mu, self.r());
         for (i, j0, width) in PortOp::returned(chunk, kept) {
             self.fresh[(at + i) * r + at + j0..][..width].fill(step + 1);
         }
+    }
+}
+
+impl LuPort<'_> {
+    /// Block rows of the matrix.
+    fn r(&self) -> usize {
+        self.packed.rows() / self.q
+    }
+
+    /// Deal block rows `rows`, columns `cols`, to `worker` from the
+    /// master's images, one frame a row. The rows are the worker's from
+    /// the first frame on, so that a death mid-deal leaves them with it.
+    fn deal(&mut self, worker: WorkerId, rows: Range<usize>, cols: Range<usize>) -> Performed {
+        for i in rows.clone() {
+            self.owned[i] = Held { worker: Some(worker), col: cols.start, told: false };
+        }
+        for i in rows {
+            let payload = self.chunks.accumulator().row(self.master, (i, cols.start), cols.len());
+            if !self.chunks.post(worker, Tag::new(FrameKind::LuRow, i, cols.start), payload, cols.len() as u64) {
+                return Performed::Lost;
+            }
+        }
+        Performed::Done
+    }
+
+    /// The pivot `pivot`, with `rest` blocks after it, on its rows' owner
+    /// `worker`: the request out, and the factored pivot and `U₁₂` back,
+    /// stored as factors only once the reply validates; the owner's rows
+    /// that wait on the pivot then owe their `L₂₁`. `Refused`, with nothing
+    /// stored, when the worker answers with the refusal (the request's
+    /// tag, no payload); `Lost`, with nothing stored, when it dies, stays
+    /// silent past the liveness deadline, or answers with anything else.
+    fn pivot(&mut self, worker: WorkerId, pivot: &Range<usize>, rest: usize) -> Performed {
+        let (p, q, r) = (pivot.len(), self.q, self.r());
+        self.step = Some((pivot.clone(), None));
+        let tag = Tag::new(FrameKind::LuPivot, pivot.start, pivot.end);
+        if !self.chunks.post(worker, tag, Bytes::new(), 0) {
+            return Performed::Lost;
+        }
+        let Some(reply) = self.chunks.take(worker, (p * (p + rest)) as u64) else { return Performed::Lost };
+        if reply.tag == tag && reply.payload.is_empty() {
+            self.refused = Some(pivot.start);
+            return Performed::Refused;
+        }
+        let rows = || pivot.clone();
+        let blocks: Vec<(usize, usize)> = rows()
+            .flat_map(|i| pivot.clone().map(move |j| (i, j)))
+            .chain(rows().flat_map(|i| (pivot.end..r).map(move |j| (i, j))))
+            .collect();
+        if !store(&mut self.packed, q, &blocks, tag, &reply) {
+            return Performed::Lost;
+        }
+        rows().for_each(|i| self.owned[i].worker = None);
+        for held in self.owned.iter_mut().filter(|held| held.worker == Some(worker) && held.col == pivot.start) {
+            held.told = true;
+        }
+        self.step = Some((pivot.clone(), Some(reply)));
+        Performed::Done
+    }
+
+    /// The step in hand's pivot and its stored reply, once it validated.
+    fn stored(&self) -> Option<(Range<usize>, Frame)> {
+        let (pivot, reply) = self.step.as_ref()?;
+        Some((pivot.clone(), reply.clone()?))
+    }
+
+    /// The rows `worker` holds that wait on the pivot at column `p0`,
+    /// told of it (`told`) or not.
+    fn waiting(&self, worker: WorkerId, p0: usize, told: bool) -> Vec<usize> {
+        let on = |held: &Held| held.worker == Some(worker) && held.col == p0 && held.told == told;
+        (0..self.owned.len()).filter(|&i| on(&self.owned[i])).collect()
+    }
+
+    /// Forward the stored pivot reply, as it came, to `worker` if it
+    /// holds rows that wait on the pivot and were not told of it.
+    fn forward(&mut self, worker: WorkerId) -> Performed {
+        let Some((pivot, reply)) = self.stored() else { return Performed::Done };
+        let untold = self.waiting(worker, pivot.start, false);
+        if untold.is_empty() {
+            return Performed::Done;
+        }
+        let blocks = (reply.payload.len() / (self.q * self.q * 8)) as u64;
+        if !self.chunks.post(worker, reply.tag, reply.payload, blocks) {
+            return Performed::Lost;
+        }
+        untold.into_iter().for_each(|i| self.owned[i].told = true);
+        Performed::Done
+    }
+
+    /// Receive the `L₂₁` blocks `worker` owes for the pivot in hand — its
+    /// rows told of it, in ascending order, `p` blocks each — and store
+    /// them once the reply validates; the rows then wait on the next
+    /// pivot.
+    fn lower(&mut self, worker: WorkerId) -> Performed {
+        let Some((pivot, _)) = self.stored() else { return Performed::Done };
+        let owed = self.waiting(worker, pivot.start, true);
+        if owed.is_empty() {
+            return Performed::Done;
+        }
+        let blocks: Vec<(usize, usize)> = owed.iter().flat_map(|&i| pivot.clone().map(move |j| (i, j))).collect();
+        let Some(reply) = self.chunks.take(worker, blocks.len() as u64) else { return Performed::Lost };
+        let tag = Tag::new(FrameKind::LuRow, pivot.start, pivot.end);
+        if !store(&mut self.packed, self.q, &blocks, tag, &reply) {
+            return Performed::Lost;
+        }
+        owed.into_iter().for_each(|i| self.owned[i] = Held { worker: Some(worker), col: pivot.end, told: false });
+        Performed::Done
+    }
+
+    /// What redoes an owner-computes phase the `undone` ops lost, on the
+    /// `live` workers with a chunk side: the rows of every dead worker —
+    /// and, for a pivot its live owner refused, the pivot's rows, which go
+    /// to the one worker asked for a second opinion — are adopted by
+    /// `µ`-row group, round-robin. Each is rebuilt from the master's image
+    /// through the steps it has taken ([`rebuild`], from the stored `−L`
+    /// and `U`), brought back and dealt to its adopter as a row it owns;
+    /// rows an undone deal never delivered count as their dead worker's.
+    /// Then the phase goes on: an undone pivot on the pivot rows' owner,
+    /// or else a forward of the stored pivot to, and the `L₂₁` from, each
+    /// worker whose rows still wait on it. `None` when no live worker holds
+    /// a chunk, or an adopter's memory cannot hold what it adopts.
+    fn adopt(&mut self, undone: &[LuOp], live: &[WorkerId]) -> Option<Vec<LuOp>> {
+        let (master, mu, r) = (self.master, self.mu, self.r());
+        let live = holding(live, self.sides);
+        if live.is_empty() {
+            return None;
+        }
+        // A pivot left undone runs again; one its live owner refused moves
+        // its rows to the worker asked for a second opinion.
+        let pivot = undone.iter().find_map(|op| match op {
+            LuOp::Pivot { worker, pivot, rest, .. } => Some((*worker, pivot.clone(), *rest)),
+            _ => None,
+        });
+        let refused = pivot.as_ref().filter(|(worker, ..)| !master.is_dead(*worker)).map(|(_, pivot, _)| pivot.clone());
+        // Rows a deal to a worker already dead never reached are its too.
+        for op in undone {
+            if let LuOp::Deal { worker, rows, cols } = op {
+                for held in self.owned[rows.clone()].iter_mut().filter(|held| held.worker.is_none()) {
+                    *held = Held { worker: Some(*worker), col: cols.start, told: false };
+                }
+            }
+        }
+        let lost = |i: usize, held: &Held| {
+            held.worker.is_some_and(|w| master.is_dead(w)) || refused.as_ref().is_some_and(|p| p.contains(&i))
+        };
+        // (row, its adopter), by group, round-robin.
+        let mut moved: Vec<(usize, WorkerId)> = Vec::new();
+        for g in (0..r).step_by(mu) {
+            let rows: Vec<usize> = (g..(g + mu).min(r)).filter(|&i| lost(i, &self.owned[i])).collect();
+            if !rows.is_empty() {
+                let adopter = live[moved.len() % live.len()];
+                moved.extend(rows.into_iter().map(|i| (i, adopter)));
+            }
+        }
+        let (side, step) = (self.sides.iter().max().copied().unwrap_or(0), mu.min(r) * r);
+        for &w in &live {
+            let held: usize = (0..r).filter(|&i| self.owned[i].worker == Some(w) || moved.contains(&(i, w))).map(|i| r - self.owned[i].col).sum();
+            if held + step + side * side + 2 * side + 1 > self.memory.get(w.index()).copied().unwrap_or(0) {
+                return None;
+            }
+        }
+        // What the master's images lack: each moved row's updates from its
+        // image's step to the pivot it waits on, as a chunk of the grid of
+        // the step before that pivot, by runs of rows with one target.
+        let mut lost_chunks: Vec<(usize, Chunk)> = Vec::new();
+        for &(i, _) in &moved {
+            let col = self.owned[i].col;
+            if col / mu == self.fresh[i * r + col] {
+                continue;
+            }
+            let target = col / mu - 1;
+            match lost_chunks.last_mut() {
+                Some((t, chunk)) if *t == target && chunk.i0 + chunk.height + col == i => chunk.height += 1,
+                _ => lost_chunks.push((target, Chunk { i0: i - col, j0: 0, height: 1, width: r - col })),
+            }
+        }
+        if let Some(last) = lost_chunks.iter().map(|&(t, _)| t).max() {
+            (self.chunks.products()..=last).for_each(|k| self.push_step(k));
+        }
+        let none = vec![None; self.sides.len()];
+        let fresh = |i: usize, j: usize| self.fresh[i * r + j];
+        let mut ops: Vec<LuOp> = rebuild(lost_chunks, &live, self.sides, mu, fresh, &none)?.into_iter().map(LuOp::Chunk).collect();
+        for run in moved.chunk_by(|a, b| b.0 == a.0 + 1 && a.1 == b.1 && self.owned[a.0].col == self.owned[b.0].col) {
+            let (worker, col) = (run[0].1, self.owned[run[0].0].col);
+            ops.push(LuOp::Deal { worker, rows: run[0].0..run[run.len() - 1].0 + 1, cols: col..r });
+        }
+        match (pivot, self.stored()) {
+            (Some((_, pivot, rest)), _) => {
+                let owner = moved.iter().find(|&&(i, _)| i == pivot.start).map(|&(_, w)| w);
+                let worker = owner.or(self.owned[pivot.start].worker)?;
+                ops.push(LuOp::Pivot { worker, pivot, rest, rows: 0 });
+            }
+            (None, Some((pivot, _))) => {
+                let rest = r - pivot.end;
+                ops.extend(live.iter().map(|&worker| LuOp::Forward { worker, pivot: pivot.clone(), rest, rows: 0 }));
+                ops.extend(live.iter().map(|&worker| LuOp::Lower { worker, pivot: pivot.clone(), rows: 0 }));
+            }
+            (None, None) => {}
+        }
+        Some(ops)
+    }
+
+    /// Add step `k`'s trailing update to the chunk exchanges as its job
+    /// `k`, from the factors stored: A the negated `L₂₁`, B the `U₁₂`.
+    fn push_step(&mut self, k: usize) {
+        let (q, mu, r, bb) = (self.q, self.mu, self.r(), self.q * self.q * 8);
+        let (k0, k1) = (k * mu, ((k + 1) * mu).min(r));
+        let (p, rest, packed) = (k1 - k0, r - k1, &self.packed);
+        let minus_l = self.master.pooled_payload(rest * p * bb, |buf| {
+            BlockOrder::ColMajor.coords(rest, p).for_each(|(i, j)| packed.write_block(q, (k1 + i, k0 + j), buf));
+            buf.chunks_exact_mut(8).for_each(|le| le[7] ^= 0x80);
+        });
+        let upper = self.master.pooled_payload(p * rest * bb, |buf| {
+            BlockOrder::RowMajor.coords(p, rest).for_each(|(i, j)| packed.write_block(q, (k0 + i, k1 + j), buf));
+        });
+        let a = SharedPayloads::from_bytes(minus_l, rest, p, q, BlockOrder::ColMajor);
+        let b = SharedPayloads::from_bytes(upper, p, rest, q, BlockOrder::RowMajor);
+        self.chunks.push(a, b, k1);
     }
 }
 
@@ -466,10 +739,9 @@ fn store(packed: &mut Dense, q: usize, blocks: &[(usize, usize)], tag: Tag, repl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{scheduled_comm, LuProblem};
+    use crate::cost::{owned_comm, scheduled_comm, LuProblem};
     use crate::schedule::lower;
     use mwp_core::schedule::PortOp;
-    use mwp_core::MemoryLayout;
     use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
     use mwp_blockmat::lu::{lu_blocked_in_place, scaled_residual};
     use mwp_msg::config::Config;
@@ -692,54 +964,73 @@ mod tests {
         assert!(b.max_abs_diff(&c) < 1e-9);
     }
 
-    /// Frames and blocks `ops` put through the port: the lowered frames,
-    /// plus a collect request per chunk.
+    /// Frames and blocks `ops` put through the port: the lowered frames
+    /// that carry blocks, plus a collect request per chunk and a request
+    /// per owned pivot.
     fn scheduled(ops: &[LuOp]) -> (u64, u64) {
-        let frames = lower(ops);
-        let blocks = frames
+        let blocks: Vec<u64> = lower(ops)
             .iter()
             .map(|frame| match frame {
                 mwp_sim::Decision::Send { blocks, .. } | mwp_sim::Decision::Recv { blocks, .. } => *blocks,
                 _ => 0,
             })
-            .sum();
-        let requests = ops.iter().filter(|op| matches!(op.chunk(), Some(PortOp::Collect { .. } | PortOp::Keep { .. }))).count();
-        ((frames.len() + requests) as u64, blocks)
+            .filter(|&blocks| blocks > 0)
+            .collect();
+        let requests = ops
+            .iter()
+            .filter(|op| matches!(op, LuOp::Pivot { .. } | LuOp::Chunk(PortOp::Collect { .. } | PortOp::Keep { .. })))
+            .count();
+        ((blocks.len() + requests) as u64, blocks.iter().sum())
     }
 
     #[test]
     fn one_panel_exchange_per_step() {
-        // 12 blocks in steps of 2 on 2 workers (the perf shape, small q):
-        // 6 panel exchanges, and per step with `rest` = 10, 8, 6, 4, 2
-        // trailing rows one band per worker — one frame back per band row,
-        // 2 B rows and 2 A columns, a collect request each. The C rows go
-        // out at step 0, and then only the row a step that changes band.
+        // 12 blocks in steps of 2 on 2 workers (the perf shape, small q),
+        // whose rows are owned: the 12 block rows dealt, one frame each;
+        // a pivot request and its reply a step; the reply forwarded to the
+        // other worker at the five steps it holds trailing rows; and an
+        // L₂₁ reply from each worker holding trailing rows — both at the
+        // first four steps, worker 1 alone at the fifth.
         let matrix = random_diagonally_dominant(12, 4, 11);
         let out = run_lu(&platform(2), &matrix, 2, 0.0);
-        assert_eq!(out.messages, scheduled(&lu_schedule(12, 2, &[29, 29])).0);
-        let out_rows = 10 + 4;
-        assert_eq!(out.messages, 6 * 2 + out_rows + [10, 8, 6, 4, 2].map(|rest| rest + 2 * 4 + 2).iter().sum::<u64>());
-        assert_eq!(out.messages, 106);
+        assert_eq!(out.messages, scheduled(&lu_schedule(12, 2, &[10, 10])).0);
+        assert_eq!(out.messages, 12 + 6 * 2 + 5 + (4 * 2 + 1));
+        assert_eq!(out.messages, 38);
     }
 
     #[test]
     fn metered_blocks_are_the_lowered_frames_and_the_closed_form() {
-        // Ragged sizes included: (r, µ, workers, m).
-        for (r, mu, p, m) in [(12, 2, 2, 1000), (6, 2, 3, 1000), (7, 3, 2, 1000), (5, 2, 1, 1000), (4, 4, 2, 1000), (8, 2, 2, 12)] {
+        // Ragged sizes included, on both paths: (r, µ, workers, m).
+        for (r, mu, p, m) in [
+            (12, 2, 2, 1000),
+            (6, 2, 3, 1000),
+            (7, 3, 2, 1000),
+            (5, 2, 1, 1000),
+            (4, 4, 2, 1000),
+            (8, 2, 2, 12),
+            (8, 2, 3, 1000),
+            (9, 2, 2, 1000),
+            (6, 2, 2, 1000),
+        ] {
             let matrix = random_diagonally_dominant(r, 2, 60);
             let fleet = Platform::homogeneous(p, 1.0, 1.0, m).unwrap();
             let out = run_lu(&fleet, &matrix, mu, 0.0);
-            let side = MemoryLayout::MaxReuseOverlapped.mu(m);
-            let (frames, blocks) = scheduled(&lu_schedule(r, mu, &vec![side; p]));
+            let sides = chunk_sides(&fleet, r, mu);
+            let (frames, blocks) = scheduled(&lu_schedule(r, mu, &sides));
             assert_eq!((out.blocks_moved, out.messages), (blocks, frames), "{r} x {r}, µ = {mu}, {p} workers, m = {m}");
             if r % mu == 0 {
-                assert_eq!(blocks as f64, scheduled_comm(LuProblem::new(r, mu), p, side));
+                let model = match owners(r, mu, &sides) {
+                    Some(owners) => owned_comm(LuProblem::new(r, mu), owners.len()),
+                    None => scheduled_comm(LuProblem::new(r, mu), p, sides[0]),
+                };
+                assert_eq!(blocks as f64, model, "{r} x {r}, µ = {mu}, {p} workers, m = {m}");
             }
         }
-        // The benchmark's shape: 708 blocks in 106 frames, where the
+        // The benchmark's shape: 368 blocks in 38 frames, where the
         // model's exact closed form counts 1 008.
         let out = run_lu(&platform(2), &random_diagonally_dominant(12, 2, 61), 2, 0.0);
-        assert_eq!((out.blocks_moved, out.messages), (708, 106));
+        assert_eq!((out.blocks_moved, out.messages), (368, 38));
+        assert_eq!(out.blocks_moved as f64, owned_comm(LuProblem::new(12, 2), 2));
         assert_eq!(LuProblem::new(12, 2).total().comm_closed_form_exact(), 1008.0);
     }
 
@@ -808,10 +1099,21 @@ mod tests {
         ("another kind", |task| Frame::new(Tag::new(FrameKind::CResult, 0, 0), task.payload.clone())),
     ];
 
+    /// What a rogue answers an owner-computes pivot request or forward
+    /// with.
+    const OWNER_ROGUES: [(&str, RogueReply); 3] = [
+        ("a torn reply", |frame| Frame::new(frame.tag, Bytes::from(vec![0u8; 8]))),
+        ("the frame echoed as L₂₁", |frame| {
+            Frame::new(Tag::new(FrameKind::LuRow, frame.tag.i as usize, frame.tag.j as usize), frame.payload.clone())
+        }),
+        ("another kind", |_| Frame::new(Tag::new(FrameKind::CResult, 0, 0), Bytes::from(vec![0u8; 8]))),
+    ];
+
     /// A fleet of `p` workers of memory `m` over loopback TCP, each a
     /// thread in this process: the product program where `!rogue(i)`, else
-    /// one that answers every `Panel` task with `reply` and every collect
-    /// with a frame of nothing. Worker `i` dials `i`-th, on the calling
+    /// one that takes every dealt row without a word, answers every `Panel`
+    /// task, pivot request and forwarded pivot with `reply` and every
+    /// collect with a frame of nothing. Worker `i` dials `i`-th, on the calling
     /// thread, so it is enrolled into slot `i`. Returns the session and the
     /// threads.
     fn fleet_with_rogues(
@@ -838,7 +1140,7 @@ mod tests {
                             FrameKind::Control if matches!(frame.tag.i, RUN_END | RUN_ABORT) => {
                                 return RunExit::Completed
                             }
-                            FrameKind::LuPanel => ep.send(reply(&frame)),
+                            FrameKind::LuPanel | FrameKind::LuPivot => ep.send(reply(&frame)),
                             FrameKind::Control => ep.send(Frame::new(Tag::new(FrameKind::CResult, 0, 0), Bytes::new())),
                             _ => {}
                         }
@@ -857,7 +1159,10 @@ mod tests {
         // is stored: each rogue reply costs its sender the link, the op is
         // retried or re-dispatched, and the survivor's result is exact —
         // whether the rogue holds the pivot chain (slot 0) or only chunks.
+        // 6 blocks at µ = 2 on m = 1000 stream: sides of 4 reserve 32
+        // blocks, short of a worker's 4 rows of 6 and a step's 12.
         let matrix = random_diagonally_dominant(6, 4, 51);
+        assert!(owners(6, 2, &chunk_sides(&platform(2), 6, 2)).is_none());
         let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
         for (what, reply) in ROGUE_REPLIES {
             for slot in [0, 1] {
@@ -865,6 +1170,32 @@ mod tests {
                 let out = factor(&session, &matrix, 2);
                 assert!(!out.aborted, "{what} from slot {slot}");
                 assert_eq!(out.packed, healthy, "{what} from slot {slot}");
+                assert_eq!(session.dead_workers(), 1, "{what}: only the rogue is condemned");
+                session.shutdown();
+                threads.into_iter().for_each(|t| t.join().unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn rogue_owners_cost_their_link_and_their_rows_are_adopted() {
+        // 8 blocks at µ = 2 on m = 1000 deal the rows: sides of 6 reserve
+        // 60 blocks, which hold a worker's 4 rows of 8 and a step's 16. A
+        // rogue in slot 0 answers its first pivot request badly, one in
+        // slot 1 its first forwarded pivot: either way the master stores
+        // nothing of it, condemns it, and the survivor adopts its rows —
+        // rebuilt from the stored factors where they took steps — and
+        // finishes the factors bit for bit.
+        let matrix = random_diagonally_dominant(8, 4, 55);
+        assert!(owners(8, 2, &chunk_sides(&platform(2), 8, 2)).is_some());
+        let mut serial = Dense::from_blocks(&matrix);
+        lu_blocked_in_place(&mut serial, 8);
+        for (what, reply) in OWNER_ROGUES {
+            for slot in [0, 1] {
+                let (session, threads) = fleet_with_rogues(2, 1000, |i| i == slot, reply);
+                let out = factor(&session, &matrix, 2);
+                assert!(!out.aborted, "{what} from slot {slot}");
+                assert_eq!(out.packed, serial, "{what} from slot {slot}");
                 assert_eq!(session.dead_workers(), 1, "{what}: only the rogue is condemned");
                 session.shutdown();
                 threads.into_iter().for_each(|t| t.join().unwrap());
@@ -930,7 +1261,11 @@ mod tests {
     #[test]
     fn a_refused_pivot_aborts_the_run_and_condemns_no_worker() {
         // An exact zero leading pivot is refused at step 0. A NaN on block
-        // (2, 2)'s diagonal is met at step 2, after two panels validated.
+        // (2, 2)'s diagonal is met at step 2, after two pivots validated.
+        // The rows are owned (4 blocks at µ = 1: sides of 3 reserve 21
+        // blocks, which hold 2 rows of 4 and a step's 4), so each refusal's
+        // second opinion first deals the pivot rows to the other worker.
+        assert!(owners(4, 1, &chunk_sides(&platform(2), 4, 1)).is_some());
         let mut zero = random_diagonally_dominant(4, 8, 7);
         zero.set(0, 0, 0.0);
         let mut nan = random_diagonally_dominant(4, 8, 7);
@@ -954,17 +1289,22 @@ mod tests {
     fn a_rogue_refusing_every_pivot_is_condemned_and_the_run_finishes() {
         // A refusal gets a second opinion: slot 1 factors every pivot slot
         // 0 refuses, so slot 0 is the rogue, not the input, and cannot veto
-        // the factorization.
-        let matrix = random_diagonally_dominant(6, 4, 54);
-        let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
-        let (session, threads) = fleet_with_rogues(2, 1000, |i| i == 0, |t| Frame::new(t.tag, Bytes::new()));
-        let out = factor(&session, &matrix, 2);
-        assert!(!out.aborted, "one worker's refusal must not abort the run");
-        assert_eq!(out.refused, None, "no pivot was refused twice");
-        assert_eq!(out.packed, healthy);
-        assert_eq!(session.dead_workers(), 1, "the refuser is condemned");
-        session.shutdown();
-        threads.into_iter().for_each(|t| t.join().unwrap());
+        // the factorization — streamed (6 blocks) or with the rows owned
+        // (8 blocks), where slot 1 first adopts the refused pivot's rows.
+        for blocks in [6, 8] {
+            let matrix = random_diagonally_dominant(blocks, 4, 54);
+            let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
+            let owned = owners(blocks, 2, &chunk_sides(&platform(2), blocks, 2)).is_some();
+            assert_eq!(owned, blocks == 8);
+            let (session, threads) = fleet_with_rogues(2, 1000, |i| i == 0, |t| Frame::new(t.tag, Bytes::new()));
+            let out = factor(&session, &matrix, 2);
+            assert!(!out.aborted, "{blocks} blocks: one worker's refusal must not abort the run");
+            assert_eq!(out.refused, None, "{blocks} blocks: no pivot was refused twice");
+            assert_eq!(out.packed, healthy, "{blocks} blocks");
+            assert_eq!(session.dead_workers(), 1, "{blocks} blocks: the refuser is condemned");
+            session.shutdown();
+            threads.into_iter().for_each(|t| t.join().unwrap());
+        }
     }
 
     #[test]

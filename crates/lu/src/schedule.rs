@@ -2,12 +2,9 @@
 //! of the master.
 //!
 //! Section 7.2's LU is, like the paper's products, *an order of port
-//! operations* on the one-port master — and most of it *is* a product:
-//! step `k`'s trailing update `A₂₂ ← A₂₂ − L₂₁·U₁₂` is a rank-µ product
-//! with the product's own chunk exchange and `µ² + 4µ` memory layout.
-//! [`lu_schedule`] is that order — a pure function of the matrix size and
-//! panel width in blocks and of each worker's chunk side — and two
-//! executors walk it:
+//! operations* on the one-port master. [`lu_schedule`] is that order — a
+//! pure function of the matrix size and panel width in blocks and of each
+//! worker's chunk side — and two executors walk it:
 //!
 //! * [`crate::runtime`] sends each op's frames through the product
 //!   runtime's one master executor (`mwp_core::runtime::execute`), which
@@ -18,22 +15,44 @@
 //!   pivot-size search ([`crate::heterogeneous::best_pivot_size`]) and
 //!   `replay_diff` replay the very frames a run puts on the wire.
 //!
-//! One step of the factorization, with pivot block range `p` and the
-//! `rest` blocks after it:
+//! A factorization takes one of two paths, by one rule computed from the
+//! fleet's memory: **owner-computes** when every worker with a chunk side
+//! holds its share of the rows, one step's pivot and `U₁₂` (`µ·r` blocks)
+//! and a block in flight within the `µ_i² + 4µ_i` blocks its side
+//! reserves, **streamed** otherwise.
+//!
+//! # Owner-computes
+//!
+//! The matrix's `µ`-row groups are dealt once, group `g` to the
+//! `g mod P'`-th of the `P'` workers ([`LuOp::Deal`], one frame per block
+//! row), and each worker keeps its rows to the end. Step `k`, pivot group
+//! `p`, with `rest` blocks after it:
+//!
+//! 1. **[`LuOp::Pivot`]**: a request to `p`'s owner, which factors
+//!    `A₁₁`, solves its `U₁₂ = L₁₁⁻¹·A₁₂` and replies with both, final.
+//!    Then its own rows that wait on the pivot take the step. A `Pivot` is
+//!    a barrier on both sides: everything after it reads its reply, and it
+//!    reads rows the whole step before it updated.
+//! 2. **[`LuOp::Forward`]** of that reply, as it is, to every other worker
+//!    holding trailing rows: each solves its own `L₂₁ = A₂₁·U₁₁⁻¹` and
+//!    updates its rows with `−L₂₁·U₁₂`.
+//! 3. **[`LuOp::Lower`]** from each worker holding trailing rows: their
+//!    `L₂₁` blocks, final.
+//!
+//! # Streamed
 //!
 //! 1. **`Panel`** on worker 0: the pivot `(p, p)`, the vertical panel
 //!    `(rest, p)` and the horizontal panel `(p, rest)` go out in one frame
 //!    and come back factored and solved in one reply (the last step is the
-//!    pivot alone). Everything after it reads what it stores, and it reads
-//!    what everything before it stored: a `Panel` is a barrier on both
-//!    sides.
+//!    pivot alone) — a barrier on both sides, as `Pivot` is.
 //! 2. **The trailing update** — the product `C ← C + A·B` with C the
 //!    `rest × rest` trailing grid, A the solved vertical panel (negated),
 //!    B the solved horizontal panel, `t = µ` — as `mwp_core`'s chunk
 //!    exchanges ([`PortOp`], the step index as their `job`, coordinates in
 //!    the trailing grid): the trailing rows are dealt as one band per
-//!    worker that can hold a chunk, each band split down to its worker's
-//!    chunk side in Algorithm 1's rounds (`Schedule::redispatch`).
+//!    worker that can hold a chunk, band `b` cut into pieces of worker
+//!    `b`'s chunk side, and round `i` of Algorithm 1 gives each worker its
+//!    band's `i`-th piece.
 //!
 //! **Rows stay on their worker between steps.** A worker whose last chunk
 //! of one step is a whole band — its rows across the whole trailing grid —
@@ -43,9 +62,7 @@
 //! next pivot rows, rows dealt to another band) and the kept rows'
 //! leftmost blocks (the next vertical panel's), and the next step's
 //! `SendC` ships only the rows the band gains below the kept ones. Every
-//! other chunk streams out and back within its step. So at `r` = 12,
-//! `µ` = 2 on two roomy workers the trailing grid's C crosses the port
-//! 240 blocks an op instead of 440 (`crate::cost` has the count).
+//! other chunk streams out and back within its step.
 
 use mwp_core::chunks::Chunk;
 use mwp_core::schedule::{holding, lost, Lowering, PortOp, Schedule};
@@ -68,8 +85,55 @@ pub enum LuOp {
         /// Blocks of the matrix after the pivot.
         rest: usize,
     },
-    /// One chunk-exchange op of a step's trailing update.
+    /// One chunk-exchange op of a step's trailing update, or of the
+    /// rebuild of rows a lost worker held.
     Chunk(PortOp),
+    /// Block rows `rows`, block columns `cols` of each, dealt to `worker`,
+    /// which keeps them: one frame per row.
+    Deal {
+        /// The worker that keeps them.
+        worker: WorkerId,
+        /// The block rows.
+        rows: Range<usize>,
+        /// Their block columns, to the matrix's right edge.
+        cols: Range<usize>,
+    },
+    /// The pivot `pivot`, with `rest` blocks after it, on the worker whose
+    /// rows it is: a request out, and back the factored pivot and its
+    /// solved `U₁₂`, `p² + p·rest` blocks for a `p`-wide pivot. Then the
+    /// worker's own `rows` block rows that wait on it take the step.
+    Pivot {
+        /// The pivot rows' owner.
+        worker: WorkerId,
+        /// The pivot's block rows (and columns).
+        pivot: Range<usize>,
+        /// Blocks of the matrix after the pivot.
+        rest: usize,
+        /// Block rows of the owner's that wait on the pivot.
+        rows: usize,
+    },
+    /// The pivot's reply, as it came back, to `worker`, whose `rows` block
+    /// rows wait on it and take the step.
+    Forward {
+        /// The worker it goes to.
+        worker: WorkerId,
+        /// The pivot's block rows (and columns).
+        pivot: Range<usize>,
+        /// Blocks of the matrix after the pivot.
+        rest: usize,
+        /// Block rows of `worker`'s that wait on the pivot.
+        rows: usize,
+    },
+    /// The `L₂₁` blocks of `worker`'s `rows` block rows that took the step
+    /// of `pivot`, back: `p` blocks a row.
+    Lower {
+        /// The worker they come from.
+        worker: WorkerId,
+        /// The pivot's block rows (and columns).
+        pivot: Range<usize>,
+        /// Block rows that took the step.
+        rows: usize,
+    },
 }
 
 impl LuOp {
@@ -77,19 +141,88 @@ impl LuOp {
     pub fn chunk(&self) -> Option<&PortOp> {
         match self {
             LuOp::Chunk(op) => Some(op),
-            LuOp::Panel { .. } => None,
+            _ => None,
         }
+    }
+
+    /// The worker it is on.
+    pub fn worker(&self) -> WorkerId {
+        match self {
+            LuOp::Chunk(op) => op.target().1,
+            LuOp::Panel { worker, .. }
+            | LuOp::Deal { worker, .. }
+            | LuOp::Pivot { worker, .. }
+            | LuOp::Forward { worker, .. }
+            | LuOp::Lower { worker, .. } => *worker,
+        }
+    }
+
+    /// Whether it is a step's pivot, a barrier on both sides.
+    pub fn is_pivot(&self) -> bool {
+        matches!(self, LuOp::Panel { .. } | LuOp::Pivot { .. })
     }
 }
 
 /// The right-looking factorization of an `r × r`-block matrix in panels
-/// `mu` blocks wide (the last one narrower when `mu` does not divide `r`),
-/// the trailing updates dealt over the workers whose chunk side `sides[i]`
-/// is positive — the module docs give a step's order.
+/// `mu` blocks wide (the last one narrower when `mu` does not divide `r`)
+/// over the workers whose chunk side `sides[i]` is positive: owner-computes
+/// when [`owners`] deals the rows, streamed otherwise — the module docs
+/// give a step's order on either path.
 ///
 /// # Panics
 /// If the matrix has a trailing update and no worker a chunk side.
 pub fn lu_schedule(r: usize, mu: usize, sides: &[usize]) -> Vec<LuOp> {
+    match owners(r, mu, sides) {
+        Some(owners) => owned_schedule(r, mu, &owners),
+        None => streamed_schedule(r, mu, sides),
+    }
+}
+
+/// Block rows of `µ`-row group `g` of an `r`-block matrix.
+fn group(r: usize, mu: usize, g: usize) -> Range<usize> {
+    g * mu..((g + 1) * mu).min(r)
+}
+
+/// The workers an owner-computes factorization of an `r`-block matrix in
+/// `mu`-block panels deals its rows over — every worker with a chunk side,
+/// `µ`-row group `g` to the `g mod P'`-th of the `P'` — when each one's
+/// rows, one step's pivot and `U₁₂` (`min(µ, r)·r` blocks) and a block in
+/// flight fit the `µ_i² + 4µ_i` blocks its side `sides[i]` reserves;
+/// `None` when one's do not.
+pub fn owners(r: usize, mu: usize, sides: &[usize]) -> Option<Vec<WorkerId>> {
+    let workers: Vec<WorkerId> = (0..sides.len()).filter(|&i| sides[i] > 0).map(WorkerId).collect();
+    let groups = r.div_ceil(mu);
+    let fits = |n: usize, w: &WorkerId| {
+        let rows: usize = (n..groups).step_by(workers.len()).map(|g| group(r, mu, g).len()).sum();
+        rows * r + mu.min(r) * r < MemoryLayout::MaxReuseOverlapped.buffers_used(sides[w.index()])
+    };
+    (!workers.is_empty() && workers.iter().enumerate().all(|(n, w)| fits(n, w))).then_some(workers)
+}
+
+/// The owner-computes schedule over `owners` (module docs).
+fn owned_schedule(r: usize, mu: usize, owners: &[WorkerId]) -> Vec<LuOp> {
+    let groups = r.div_ceil(mu);
+    let owner = |g: usize| owners[g % owners.len()];
+    let mut ops: Vec<LuOp> =
+        (0..groups).map(|g| LuOp::Deal { worker: owner(g), rows: group(r, mu, g), cols: 0..r }).collect();
+    for k in 0..groups {
+        let pivot = group(r, mu, k);
+        let rest = r - pivot.end;
+        let waiting = |w: WorkerId| -> usize { (k + 1..groups).filter(|&g| owner(g) == w).map(|g| group(r, mu, g).len()).sum() };
+        let (o, pivot_rows) = (owner(k), pivot.clone());
+        ops.push(LuOp::Pivot { worker: o, pivot: pivot_rows, rest, rows: waiting(o) });
+        for &w in owners.iter().filter(|&&w| w != o && waiting(w) > 0) {
+            ops.push(LuOp::Forward { worker: w, pivot: pivot.clone(), rest, rows: waiting(w) });
+        }
+        for &w in owners.iter().filter(|&&w| waiting(w) > 0) {
+            ops.push(LuOp::Lower { worker: w, pivot: pivot.clone(), rows: waiting(w) });
+        }
+    }
+    ops
+}
+
+/// The streamed schedule over the workers with a chunk side (module docs).
+fn streamed_schedule(r: usize, mu: usize, sides: &[usize]) -> Vec<LuOp> {
     let workers: Vec<WorkerId> = (0..sides.len()).filter(|&i| sides[i] > 0).map(WorkerId).collect();
     let mut ops = Vec::new();
     // Per worker: where in `ops` its last chunk of the step before ends,
@@ -101,30 +234,38 @@ pub fn lu_schedule(r: usize, mu: usize, sides: &[usize]) -> Vec<LuOp> {
         ops.push(LuOp::Panel { worker: WorkerId(0), pivot, rest });
         let before = std::mem::replace(&mut bands_before, vec![None; sides.len()]);
         if rest > 0 {
-            // Band `b` of `bands` is the trailing rows `b·rest/bands ..`,
-            // handed over last first, so that band `b` lands on worker `b`.
+            // Band `b` is the trailing rows `b·rest/bands ..`, cut into
+            // pieces of worker `b`'s side; round `i` seats each worker's
+            // `i`-th piece.
             let bands = workers.len().min(rest);
-            let band = |b: usize| {
-                let (i0, i1) = (b * rest / bands, (b + 1) * rest / bands);
-                (step, Chunk { i0, j0: 0, height: i1 - i0, width: rest })
-            };
-            let trailing = Schedule::redispatch((0..bands).rev().map(band).collect(), &workers, sides, mu);
+            let pieces: Vec<Vec<Chunk>> = (0..bands)
+                .map(|b| {
+                    let (i0, i1) = (b * rest / bands, (b + 1) * rest / bands);
+                    let band = Chunk { i0, j0: 0, height: i1 - i0, width: rest };
+                    Schedule::pieces(vec![(step, band)], &workers[b..=b], sides).into_iter().map(|(_, c)| c).collect()
+                })
+                .collect();
+            let rounds = pieces.iter().map(Vec::len).max().unwrap_or(0);
             let mut started = vec![false; sides.len()];
-            for op in trailing.ops {
-                let (_, worker, chunk) = op.target();
-                let wi = worker.index();
-                if matches!(op, PortOp::SendC { .. }) && !std::mem::replace(&mut started[wi], true) {
-                    let ends = before[wi].and_then(|(at, band)| Some((at, kept(band, chunk, mu, rest)?)));
-                    if let Some((at, kept)) = ends {
-                        if let LuOp::Chunk(PortOp::Collect { job, worker, chunk }) = ops[at] {
-                            ops[at] = LuOp::Chunk(PortOp::Keep { job, worker, chunk, kept });
+            for i in 0..rounds {
+                let (seated, chunks): (Vec<WorkerId>, Vec<(usize, Chunk)>) =
+                    (0..bands).filter_map(|b| Some((workers[b], (step, *pieces[b].get(i)?)))).unzip();
+                for op in Schedule::rounds(&chunks, &seated, mu).ops {
+                    let (_, worker, chunk) = op.target();
+                    let wi = worker.index();
+                    if matches!(op, PortOp::SendC { .. }) && !std::mem::replace(&mut started[wi], true) {
+                        let ends = before[wi].and_then(|(at, band)| Some((at, kept(band, chunk, mu, rest)?)));
+                        if let Some((at, kept)) = ends {
+                            if let LuOp::Chunk(PortOp::Collect { job, worker, chunk }) = ops[at] {
+                                ops[at] = LuOp::Chunk(PortOp::Keep { job, worker, chunk, kept });
+                            }
                         }
                     }
+                    if matches!(op, PortOp::Collect { .. }) {
+                        bands_before[wi] = (chunk.width == rest).then_some((ops.len(), chunk));
+                    }
+                    ops.push(LuOp::Chunk(op));
                 }
-                if matches!(op, PortOp::Collect { .. }) {
-                    bands_before[wi] = (chunk.width == rest).then_some((ops.len(), chunk));
-                }
-                ops.push(LuOp::Chunk(op));
             }
         }
     }
@@ -156,8 +297,7 @@ pub fn chunk_sides(platform: &Platform, r: usize, mu: usize) -> Vec<usize> {
 /// The simulator's replay of [`lu_schedule`]`(r, mu, sides)` on
 /// `platform`: the [`lower`]ed frames through the one-port engine, which
 /// holds every worker to its memory `m_i` and makes each receive wait
-/// for its worker to drain — the barrier between a step's chunks and the
-/// next pivot.
+/// for its worker to drain — the barrier before each pivot.
 ///
 /// # Panics
 /// If the matrix has a trailing update and no worker a chunk side.
@@ -167,20 +307,13 @@ pub fn replay(platform: &Platform, r: usize, mu: usize, sides: &[usize]) -> Resu
 }
 
 /// The ops that redo, on the `live` workers (ascending), what the `undone`
-/// ops of one phase of a factorization in `mu`-wide panels lost. A lost
-/// `Panel` runs as it was, on the lowest live worker — its operands come
-/// from the master's matrix, untouched until a reply validates. A lost
-/// chunk of step `s`'s trailing update is rebuilt from the master's
-/// images: `fresh(i, j)` is the step at whose start the master's image of
-/// block `(i, j)` was current — the image it last shipped, for a block
-/// kept on a worker since — and the blocks of one `fresh = s₀` are
-/// shipped from that image and streamed every update of steps `s₀..=s`,
-/// the factors those steps' panels stored, in the order the kept blocks
-/// met them; then they come back whole. The rebuilt chunks are split to
-/// fit their adopters and seated as `Schedule::redispatch` seats them, one
-/// whole exchange at a time, and an adopter first brings back what a
-/// `Keep` left on it (`held[i]`, with its job), so it holds one chunk at a
-/// time. `None` when no live worker can adopt them.
+/// ops of one phase of a streamed factorization in `mu`-wide panels lost.
+/// A lost `Panel` runs as it was, on the lowest live worker — its operands
+/// come from the master's matrix, untouched until a reply validates. A
+/// lost chunk of step `s`'s trailing update is [`rebuild`]t, and an
+/// adopter first brings back what a `Keep` left on it (`held[i]`, with its
+/// job), so it holds one chunk at a time. `None` when no live worker can
+/// adopt them.
 pub fn redispatch(
     undone: Vec<LuOp>,
     live: &[WorkerId],
@@ -193,6 +326,30 @@ pub fn redispatch(
     if let Some(LuOp::Panel { pivot, rest, .. }) = undone.first() {
         return Some(vec![LuOp::Panel { worker: lowest, pivot: pivot.clone(), rest: *rest }]);
     }
+    let chunks: Vec<PortOp> = undone.iter().filter_map(LuOp::chunk).copied().collect();
+    let ops = rebuild(lost(&chunks).collect(), live, sides, mu, fresh, held)?;
+    Some(ops.into_iter().map(LuOp::Chunk).collect())
+}
+
+/// The chunk exchanges that rebuild `lost` — each a chunk of step `s`'s
+/// trailing grid with `s` — on the `live` workers with a chunk side, from
+/// the master's images: `fresh(i, j)` is the step at whose start the
+/// master's image of block `(i, j)` was current, and the blocks of one
+/// `fresh = s₀` are shipped from that image and streamed every update of
+/// steps `s₀..=s`, the factors those steps stored, in the order the rows'
+/// worker met them; then they come back whole. The rebuilt chunks are
+/// split to fit their adopters and seated as `Schedule::redispatch` seats
+/// them, one whole exchange at a time, and an adopter first brings back
+/// what a `Keep` left on it (`held[i]`, with its job). `None` when no live
+/// worker holds a chunk.
+pub fn rebuild(
+    lost: Vec<(usize, Chunk)>,
+    live: &[WorkerId],
+    sides: &[usize],
+    mu: usize,
+    fresh: impl Fn(usize, usize) -> usize,
+    held: &[Option<(usize, Chunk)>],
+) -> Option<Vec<PortOp>> {
     let live = holding(live, sides);
     if live.is_empty() {
         return None;
@@ -200,9 +357,8 @@ pub fn redispatch(
     // Step `s`'s grid starts at block `(s + 1)·µ`: only the last pivot is
     // narrower, and it has no trailing update.
     let at = |step: usize| (step + 1) * mu;
-    let chunks: Vec<PortOp> = undone.iter().filter_map(LuOp::chunk).copied().collect();
     let mut groups = Vec::new();
-    for (step, chunk) in lost(&chunks) {
+    for (step, chunk) in lost {
         // Each row's columns as runs `(first, width, fresh)` of one `fresh`;
         // the rows whose runs agree make one group per run.
         let cols: Vec<usize> = chunk.cols().collect();
@@ -233,19 +389,47 @@ pub fn redispatch(
         }
         ops.push(PortOp::Collect { job: step, worker, chunk: piece });
     }
-    Some(ops.into_iter().map(LuOp::Chunk).collect())
+    Some(ops)
+}
+
+/// Block updates a worker's `rows` block rows spawn when they take the
+/// step of a `p`-wide pivot with `rest` blocks after it: their share of
+/// the vertical solve, `⌊p²/2⌋` a row, and of the core update, `p·rest` a
+/// row. (With an odd `p` the half block a row's solve leaves over is
+/// charged to the pivot.)
+fn share(p: usize, rest: usize, rows: usize) -> u64 {
+    (rows * (p * p / 2 + p * rest)) as u64
 }
 
 /// The one lowering of a factorization into simulator frames, one
-/// [`Decision`] per frame the runtime sends: a `Panel` is its frame out,
-/// spawning its step's sequential work
-/// ([`crate::cost::StepCost::sequential_comp`], `p³ + p²·rest` block
-/// operations for a `p`-wide pivot), and its reply; the chunk ops go
-/// through the product's own [`Lowering`], so each worker's C chunk, B row
-/// and A block are charged against its memory exactly as for a product.
-/// The panel exchange's transient blocks stay outside the memory model.
+/// [`Decision`] per frame the runtime sends — and, on the owner-computes
+/// path, one of no blocks where a pivot's owner takes the step on its own
+/// rows, which no frame starts.
+///
+/// * A `Panel` is its frame out, spawning its step's pivot chain
+///   (`p³ + p²·rest` block operations for a `p`-wide pivot), and its
+///   reply; the panel exchange's transient blocks stay outside the memory
+///   model.
+/// * The chunk ops go through the product's own [`Lowering`], so each
+///   worker's C chunk, B row and A block are charged against its memory
+///   exactly as for a product.
+/// * A `Deal` is a frame per row, each charged to the worker until it
+///   comes back; the first to a worker also charges one step's pivot and
+///   `U₁₂`, and a block in flight, to the end of the run. A `Pivot` is its
+///   request, of no blocks, spawning the pivot factor and the `U₁₂` solve
+///   (`p³ + p²·rest/2`), its reply, and the owner's own rows' share —
+///   `⌊p²/2⌋` a row of the vertical solve and `p·rest` of the core update;
+///   a `Forward` spawns the rows' share on its worker, and a `Lower` is
+///   its reply.
 pub fn lower(ops: &[LuOp]) -> Vec<Decision> {
     let mut chunks = Lowering::new(ops.iter().filter_map(LuOp::chunk));
+    // What a worker's first dealt row charges besides itself.
+    let step = |op: &LuOp| match op {
+        LuOp::Pivot { pivot, rest, .. } => pivot.len() * (pivot.len() + rest),
+        _ => 0,
+    };
+    let fixed = ops.iter().map(step).max().unwrap_or(0) as i64 + 1;
+    let mut charged: Vec<WorkerId> = Vec::new();
     let mut frames = Vec::new();
     for op in ops {
         match op {
@@ -258,6 +442,36 @@ pub fn lower(ops: &[LuOp]) -> Vec<Decision> {
                 frames.push(Decision::Recv { from: to, blocks, mem_delta: 0, label: "Panel back".into() });
             }
             LuOp::Chunk(op) => chunks.lower(op, &mut frames),
+            LuOp::Deal { worker, rows, cols } => {
+                for _ in rows.clone() {
+                    let first = !charged.contains(worker);
+                    if first {
+                        charged.push(*worker);
+                    }
+                    let (blocks, mem_delta) = (cols.len() as u64, cols.len() as i64 + if first { fixed } else { 0 });
+                    frames.push(Decision::Send { to: *worker, blocks, spawn_updates: 0, mem_delta, label: "LU row".into() });
+                }
+            }
+            LuOp::Pivot { worker, pivot, rest, rows } => {
+                let (p, to) = (pivot.len(), *worker);
+                let blocks = (p * (p + rest)) as u64;
+                let spawn_updates = (p * p * (p + rest) - rest * (p * p / 2)) as u64;
+                frames.push(Decision::Send { to, blocks: 0, spawn_updates, mem_delta: 0, label: "pivot request".into() });
+                frames.push(Decision::Recv { from: to, blocks, mem_delta: -(blocks as i64), label: "pivot back".into() });
+                if *rows > 0 {
+                    let spawn_updates = share(p, *rest, *rows);
+                    frames.push(Decision::Send { to, blocks: 0, spawn_updates, mem_delta: 0, label: "own rows".into() });
+                }
+            }
+            LuOp::Forward { worker, pivot, rest, rows } => {
+                let p = pivot.len();
+                let (blocks, spawn_updates) = ((p * (p + rest)) as u64, share(p, *rest, *rows));
+                frames.push(Decision::Send { to: *worker, blocks, spawn_updates, mem_delta: 0, label: "pivot forward".into() });
+            }
+            LuOp::Lower { worker, pivot, rows } => {
+                let blocks = (rows * pivot.len()) as u64;
+                frames.push(Decision::Recv { from: *worker, blocks, mem_delta: -(blocks as i64), label: "L back".into() });
+            }
         }
     }
     frames
@@ -266,7 +480,7 @@ pub fn lower(ops: &[LuOp]) -> Vec<Decision> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{scheduled_comm, LuProblem};
+    use crate::cost::{owned_comm, scheduled_comm, LuProblem};
     use mwp_blockmat::Partition;
     use proptest::prelude::*;
 
@@ -304,7 +518,7 @@ mod tests {
         ) {
             // At least one worker holds a chunk: the last one drawn.
             let sides = [sides.0, sides.1, sides.2][3 - n..].to_vec();
-            let ops = lu_schedule(r, mu, &sides);
+            let ops = streamed_schedule(r, mu, &sides);
             let mut steps = steps(&ops);
             // Per worker: what a `Keep` left on it, in block coordinates of
             // the matrix, with the step that kept it.
@@ -368,7 +582,7 @@ mod tests {
         fn lowered_volume_is_the_models_less_the_shared_panel(steps in 1usize..8, mu in 1usize..6, enrolled in 1usize..5) {
             let problem = LuProblem::new(steps * mu, mu);
             let side = problem.r;
-            let ops = lu_schedule(problem.r, mu, &vec![side; enrolled]);
+            let ops = streamed_schedule(problem.r, mu, &vec![side; enrolled]);
             let (blocks, work, _) = volume(&ops);
             prop_assert_eq!(blocks as f64, scheduled_comm(problem, enrolled, side));
             prop_assert_eq!(work as f64, problem.total().comp);
@@ -388,10 +602,89 @@ mod tests {
         #[test]
         fn the_closed_form_counts_split_bands(steps in 1usize..8, mu in 1usize..5, enrolled in 1usize..4, side in 1usize..6) {
             let problem = LuProblem::new(steps * mu, mu);
-            let (blocks, work, _) = volume(&lu_schedule(problem.r, mu, &vec![side; enrolled]));
+            let (blocks, work, _) = volume(&streamed_schedule(problem.r, mu, &vec![side; enrolled]));
             prop_assert_eq!(blocks as f64, scheduled_comm(problem, enrolled, side));
             prop_assert_eq!(work as f64, problem.total().comp);
         }
+
+        /// Owner-computes deals every block row once, over the workers with
+        /// a chunk side, `µ`-row group `g` to the `g mod P'`-th; then each
+        /// step is its pivot on the pivot rows' owner, a forward to every
+        /// other worker whose rows wait on it and an `L₂₁` reply from every
+        /// worker whose rows do — ragged last groups included. Each dealt
+        /// block comes back exactly once, and the frames carry the cost
+        /// model's work and the closed form's blocks.
+        #[test]
+        fn each_owned_step_is_a_pivot_its_forwards_and_its_l21_replies(
+            r in 1usize..15, mu in 1usize..6, sides in (0usize..3, 1usize..3, 0usize..3),
+        ) {
+            let sides = [sides.0, sides.1, sides.2];
+            let owners: Vec<WorkerId> = (0..3).filter(|&i| sides[i] > 0).map(WorkerId).collect();
+            let ops = owned_schedule(r, mu, &owners);
+            let groups = r.div_ceil(mu);
+            let owner = |g: usize| owners[g % owners.len()];
+            let dealt: Vec<LuOp> = (0..groups).map(|g| LuOp::Deal { worker: owner(g), rows: group(r, mu, g), cols: 0..r }).collect();
+            prop_assert_eq!(&ops[..groups], &dealt[..]);
+            let mut rest_of = ops[groups..].iter();
+            for k in 0..groups {
+                let (pivot, rest) = (group(r, mu, k), r - group(r, mu, k).end);
+                let waiting = |w: WorkerId| (k + 1..groups).filter(|&g| owner(g) == w).map(|g| group(r, mu, g).len()).sum::<usize>();
+                let o = owner(k);
+                prop_assert_eq!(rest_of.next(), Some(&LuOp::Pivot { worker: o, pivot: pivot.clone(), rest, rows: waiting(o) }));
+                for &w in owners.iter().filter(|&&w| w != o && waiting(w) > 0) {
+                    prop_assert_eq!(rest_of.next(), Some(&LuOp::Forward { worker: w, pivot: pivot.clone(), rest, rows: waiting(w) }));
+                }
+                for &w in owners.iter().filter(|&&w| waiting(w) > 0) {
+                    prop_assert_eq!(rest_of.next(), Some(&LuOp::Lower { worker: w, pivot: pivot.clone(), rows: waiting(w) }));
+                }
+            }
+            prop_assert!(rest_of.next().is_none());
+            // Every block dealt comes back once: what each worker is sent
+            // as rows is what its pivot and L₂₁ replies return.
+            let frames = lower(&ops);
+            let mut held = vec![0i64; 3];
+            for frame in &frames {
+                match frame {
+                    Decision::Send { to, blocks, label, .. } if label.starts_with("LU row") => held[to.index()] += *blocks as i64,
+                    Decision::Recv { from, blocks, .. } => held[from.index()] -= *blocks as i64,
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(held, vec![0; 3]);
+            if r.is_multiple_of(mu) {
+                let problem = LuProblem::new(r, mu);
+                let (blocks, work, _) = volume(&ops);
+                prop_assert_eq!(blocks as f64, owned_comm(problem, owners.len()));
+                prop_assert_eq!(work as f64, problem.total().comp);
+            }
+        }
+    }
+
+    #[test]
+    fn the_bench_shape_owner_computes_368_blocks_in_38_frames() {
+        // 12 × 12 blocks, µ = 2, 2 workers of m = 100 000, each of side 10:
+        // 6 rows of 12 blocks, one step's pivot and U₁₂ (24 blocks) and a
+        // block in flight are 97 of the 140 a side of 10 reserves, so the
+        // rows are owned. 144 blocks are dealt once; the pivot replies are
+        // Σ(4 + 2·rest) = 84 blocks; the other worker holds trailing rows
+        // at the first five steps, so it is forwarded 24 + 20 + 16 + 12 + 8
+        // = 80; and the L₂₁ replies are 2·Σ rest = 60.
+        let side = mwp_core::MemoryLayout::MaxReuseOverlapped.mu(100_000).min(10);
+        let ops = lu_schedule(12, 2, &[side, side]);
+        assert_eq!(owners(12, 2, &[side, side]), Some(vec![WorkerId(0), WorkerId(1)]));
+        let (blocks, work, _) = volume(&ops);
+        assert_eq!(blocks, 144 + 84 + 80 + 60);
+        assert_eq!(blocks as f64, owned_comm(LuProblem::new(12, 2), 2));
+        assert_eq!(work as f64, LuProblem::new(12, 2).total().comp);
+        // Frames: 12 rows dealt; a request and a reply a step; 5 forwards;
+        // an L₂₁ reply from each worker whose rows wait, 2 at each of the
+        // first four steps and 1 at the fifth.
+        let frames = lower(&ops).iter().filter(|frame| !matches!(frame, Decision::Send { blocks: 0, label, .. } if label.starts_with("own"))).count();
+        assert_eq!(frames, 12 + 6 * 2 + 5 + (4 * 2 + 1));
+        assert_eq!(frames, 38);
+        // A side of 9 reserves 117 blocks, which still hold the 97; a side
+        // of 8 reserves 96, which do not, and the rows stream.
+        assert!(owners(12, 2, &[9, 9]).is_some() && owners(12, 2, &[8, 8]).is_none());
     }
 
     #[test]
@@ -406,7 +699,7 @@ mod tests {
         // 0's rows are all the next pivot's, so band 0 comes back whole.
         let side = mwp_core::MemoryLayout::MaxReuseOverlapped.mu(100_000);
         let problem = LuProblem::new(12, 2);
-        let ops = lu_schedule(12, 2, &[side, side]);
+        let ops = streamed_schedule(12, 2, &[side, side]);
         let (blocks, work, frames) = volume(&ops);
         let c_blocks: u64 = lower(&ops)
             .iter()
@@ -435,15 +728,32 @@ mod tests {
 
     #[test]
     fn each_op_lowers_to_its_steps_cost_terms() {
-        let problem = LuProblem::new(12, 3);
-        let ops = lu_schedule(12, 3, &[12, 12]);
+        let problem = LuProblem::new(12, 2);
+        // Streamed: a Panel spawns the step's pivot chain, its chunks the
+        // core update.
+        let ops = streamed_schedule(12, 2, &[12, 12]);
         for (k, (panel, chunks)) in steps(&ops).enumerate() {
             let cost = problem.step_cost(k + 1);
-            let (_, sequential, _) = volume(std::slice::from_ref(panel));
-            assert_eq!(sequential as f64, cost.sequential_comp());
+            let (_, chain, _) = volume(std::slice::from_ref(panel));
+            assert_eq!(chain as f64, cost.pivot.comp + cost.vertical.comp + cost.horizontal.comp);
             let chunks: Vec<LuOp> = chunks.into_iter().map(LuOp::Chunk).collect();
             let (_, core, _) = volume(&chunks);
             assert_eq!(core as f64, cost.core.comp);
+        }
+        // Owner-computes: a pivot's request spawns the chain the step
+        // serializes, the factor and the U₁₂ solve; the vertical solve runs
+        // on the rows' owners beside the core update, and the step's ops
+        // together spawn the whole step.
+        let ops = lu_schedule(12, 2, &[12, 12]);
+        assert!(matches!(ops[0], LuOp::Deal { .. }), "the rows are owned");
+        for (k, step) in ops.split(LuOp::is_pivot).skip(1).enumerate() {
+            let cost = problem.step_cost(k + 1);
+            let pivot = ops.iter().filter(|op| op.is_pivot()).nth(k).expect("one pivot a step");
+            let request = lower(std::slice::from_ref(pivot))[0].clone();
+            assert!(matches!(request, Decision::Send { blocks: 0, spawn_updates, .. } if spawn_updates as f64 == cost.pivot.comp + cost.horizontal.comp));
+            let (_, pivot_work, _) = volume(std::slice::from_ref(pivot));
+            let (_, work, _) = volume(step);
+            assert_eq!((pivot_work + work) as f64, cost.comp(), "step {k}");
         }
     }
 
@@ -492,7 +802,7 @@ mod tests {
         // it kept at step 1's end: rows 4..7 get step 0's update, in step
         // 0's grid, then step 1's; row 7 only step 1's.
         let sides = [10, 10];
-        let ops = lu_schedule(12, 2, &sides);
+        let ops = streamed_schedule(12, 2, &sides);
         let (_, step1) = steps(&ops).nth(1).expect("six steps");
         let (w0, w1) = (WorkerId(0), WorkerId(1));
         let lost: Vec<LuOp> = step1.iter().filter(|op| op.target().1 == w0).map(|&op| LuOp::Chunk(op)).collect();

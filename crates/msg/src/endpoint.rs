@@ -21,6 +21,8 @@ fn kind_label(k: FrameKind) -> &'static str {
         FrameKind::BlockC => "C",
         FrameKind::CResult => "C result",
         FrameKind::LuPanel => "LU panel",
+        FrameKind::LuRow => "LU row",
+        FrameKind::LuPivot => "LU pivot",
         FrameKind::Control => "control",
         FrameKind::Shutdown => "shutdown",
         FrameKind::Heartbeat => "heartbeat",

@@ -34,6 +34,16 @@ pub enum FrameKind {
     /// panels as blocks, out as a task and back factored and solved (tag =
     /// `(pivot blocks, blocks after it)`).
     LuPanel,
+    /// A block row an owner-computes factorization keeps on its worker
+    /// (Section 7 runtime): out, a row the worker is dealt (tag = `(row,
+    /// first block column)`); back, the `L₂₁` blocks of the worker's rows
+    /// that waited on a pivot (tag = `(first pivot row, end of the pivot)`).
+    LuRow,
+    /// One owner-computes step's pivot (tag = `(first pivot row, end of the
+    /// pivot)`): out with no payload, a request to the rows' owner to factor
+    /// it; back, the factored pivot and its solved `U₁₂`, which the master
+    /// forwards as they are to every other worker whose rows wait on it.
+    LuPivot,
     /// Scheduler-defined control message (no block accounting).
     Control,
     /// Orderly end-of-stream: the worker should drain and exit.
@@ -59,6 +69,8 @@ impl FrameKind {
             FrameKind::Control => 5,
             FrameKind::Shutdown => 6,
             FrameKind::Heartbeat => 7,
+            FrameKind::LuRow => 8,
+            FrameKind::LuPivot => 9,
         }
     }
 
@@ -73,6 +85,8 @@ impl FrameKind {
             5 => FrameKind::Control,
             6 => FrameKind::Shutdown,
             7 => FrameKind::Heartbeat,
+            8 => FrameKind::LuRow,
+            9 => FrameKind::LuPivot,
             _ => return None,
         })
     }
@@ -248,6 +262,8 @@ mod tests {
             FrameKind::BlockC,
             FrameKind::CResult,
             FrameKind::LuPanel,
+            FrameKind::LuRow,
+            FrameKind::LuPivot,
             FrameKind::Control,
             FrameKind::Shutdown,
             FrameKind::Heartbeat,
@@ -283,7 +299,7 @@ mod tests {
         let header_only = Frame::decode_bytes(Bytes::from(full[..13].to_vec())).unwrap();
         assert!(header_only.payload.is_empty());
         // Every unknown kind byte is rejected.
-        for bad_kind in [8u8, 100, 255] {
+        for bad_kind in [10u8, 100, 255] {
             let mut wire = full.clone();
             wire[0] = bad_kind;
             assert!(Frame::decode_bytes(Bytes::from(wire)).is_none(), "kind {bad_kind}");

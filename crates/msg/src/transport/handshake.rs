@@ -64,8 +64,11 @@ pub const REJECT: u32 = u32::MAX - 5;
 /// version it is. v10 lets a collect request name the part of its chunk
 /// the worker keeps (LU's trailing rows stay on their workers between
 /// steps): a v9 worker would return the whole chunk, which the master
-/// reads as a bad reply.
-pub const PROTOCOL_VERSION: u32 = 10;
+/// reads as a bad reply. v11 adds owner-computes LU: the `LuRow` and
+/// `LuPivot` frames, with which a worker keeps its dealt rows for the
+/// whole factorization, factors the pivots it owns and solves its own
+/// `L₂₁` rows. A v10 worker drops the link on either.
+pub const PROTOCOL_VERSION: u32 = 11;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).

@@ -11,8 +11,9 @@
 //! shut down both ways, so the master reads the EOF a killed process
 //! leaves. The matrix-product tests sweep `n` over every result row of a
 //! run, so the death lands in every chunk of the schedule, and the LU
-//! test over every panel reply and trailing C row of the factorization,
-//! in either slot. Workers enroll in the order they are spawned, so each
+//! test over every reply of the factorization — pivot and `L₂₁` replies
+//! where the workers own their rows, panel replies and trailing C rows
+//! where they stream — in either slot. Workers enroll in the order they are spawned, so each
 //! test knows its faulty worker's slot.
 //!
 //! Two tests keep real `mwp-worker` processes: an actual SIGKILL from
@@ -35,7 +36,7 @@ use mwp_core::selection::incremental::SelectionRule;
 use mwp_core::session::RuntimeSession;
 use mwp_core::MemoryLayout;
 use mwp_lu::runtime::{factor, run_lu};
-use mwp_lu::schedule::{lu_schedule, LuOp};
+use mwp_lu::schedule::{chunk_sides, lu_schedule, owners, LuOp};
 use mwp_msg::config::Config;
 use mwp_msg::transport::TransportListener;
 use mwp_msg::TransportMode;
@@ -160,21 +161,23 @@ fn heterogeneous_runtime_recovers_when_a_worker_aborts_mid_run() {
 }
 
 /// Reply frames each slot of a healthy fleet of `workers` of memory `m`
-/// sends during one LU run of `blocks` blocks in steps of `mu` — the pivot
-/// worker's panel replies, each slot's collected C rows and the rows and
-/// row parts its partial collects return — read off the schedule the run
+/// sends during one LU run of `blocks` blocks in steps of `mu` — its pivot
+/// and `L₂₁` replies where it owns rows; the pivot worker's panel replies,
+/// each slot's collected C rows and the rows and row parts its partial
+/// collects return where the rows stream — read off the schedule the run
 /// walks, in order: each `true` where the slot sends it while holding rows
-/// a `Keep` left on it, which a death there loses for the master to
-/// rebuild.
+/// between steps — rows it owns, or rows a `Keep` left on it — which a
+/// death there loses for the master to rebuild.
 fn lu_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<Vec<bool>> {
-    let side = MemoryLayout::MaxReuseOverlapped.mu(m);
+    let platform = Platform::homogeneous(workers, 1.0, 1.0, m).unwrap();
     let (mut replies, mut holding) = (vec![Vec::new(); workers], vec![false; workers]);
-    for op in lu_schedule(blocks, mu, &vec![side; workers]) {
+    for op in lu_schedule(blocks, mu, &chunk_sides(&platform, blocks, mu)) {
         let (worker, sent, holds) = match op {
-            LuOp::Panel { worker, .. } => (worker, 1, None),
+            LuOp::Deal { worker, .. } => (worker, 0, Some(true)),
+            LuOp::Pivot { worker, .. } | LuOp::Lower { worker, .. } | LuOp::Panel { worker, .. } => (worker, 1, None),
             LuOp::Chunk(PortOp::Collect { worker, chunk, .. }) => (worker, chunk.height, Some(false)),
             LuOp::Chunk(PortOp::Keep { worker, chunk, kept, .. }) => (worker, PortOp::returned(chunk, kept).count(), Some(true)),
-            LuOp::Chunk(_) => continue,
+            _ => continue,
         };
         let w = worker.index();
         replies[w].extend(std::iter::repeat_n(holding[w], sent));
@@ -186,60 +189,75 @@ fn lu_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<Vec<boo
 #[test]
 fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
     // Two workers, one of which is killed at its n-th reply — swept over
-    // every reply of the run's op sequence, in either slot: as the pivot
-    // worker the doomed one dies on each step's panel reply and on
-    // each C row of its trailing chunks in turn; as slot 1, on its C rows.
-    // A chunk's rows that stay on their worker between steps are lost with
-    // it. The master must retry the panel exchange on the survivor, or
-    // have it rebuild the lost rows from the images it last shipped and
-    // the stored factors, and every round must match the healthy channel
-    // reference bit for bit. The slots are dealt
+    // every reply of the run's op sequence, in either slot, at two
+    // memories. At m = 1000 (µ = 2) each worker owns its rows for the
+    // whole run: it dies on a pivot reply or an L₂₁ reply, and the
+    // survivor adopts its rows, rebuilt from the input and the stored
+    // factors. At m = 32 (µ = 1) the rows stream: as the pivot worker the doomed one dies on each
+    // step's panel reply and on each C row of its trailing chunks in
+    // turn, as slot 1 on its C rows, and a chunk's rows that stay on their
+    // worker between steps are lost with it. The master must retry the
+    // pivot on the survivor, or have it rebuild the lost rows from the
+    // images it last shipped and the stored factors, and every round must
+    // match the healthy channel reference bit for bit. The slots are dealt
     // deterministically: the first worker enrolls alone, the second is
     // admitted.
-    let (blocks, mu) = (8, 2);
-    let platform = Platform::homogeneous(2, 1.0, 1.0, 1000).unwrap();
-    let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
-    let replies = lu_replies(blocks, mu, 2, 1000);
-    let counts: Vec<usize> = replies.iter().map(Vec::len).collect();
-    assert_eq!(counts, [4 + 6, 6], "4 panel replies; each slot returns a frame per row of its 3 + 2 + 1 trailing rows");
-    // Each slot keeps rows at step 0's end, so the sweep kills it while the
-    // master's image of them is step 0's, and the survivor rebuilds them.
-    for (slot, holding) in replies.iter().enumerate() {
-        assert!(holding.iter().any(|&kept| kept), "slot {slot} dies holding kept rows somewhere in the sweep");
-    }
-    for (slot, in_one_run) in counts.into_iter().enumerate() {
-        for n in 1..=in_one_run {
-            let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
-            let endpoint = listener.endpoint();
-            let fault = |at_slot| (slot == at_slot).then_some((Fault::Kill, n as u64));
-            let first = spawn_in_process(&endpoint, &fleet(), fault(0));
-            let solo = Platform::homogeneous(1, 1.0, 1.0, 1000).unwrap();
-            let mut remote = RuntimeSession::accept_remote(&solo, 0.0, &listener, &fleet()).unwrap();
-            let second = spawn_in_process(&endpoint, &fleet(), fault(1));
-            remote.admit(&listener, WorkerParams { c: 1.0, w: 1.0, m: 1000 }).unwrap();
-
-            let matrix = random_diagonally_dominant(blocks, 4, 8800 + n as u64);
-            let over_socket = factor(&remote, &matrix, mu);
-            let over_channel = factor(&local, &matrix, mu);
-            let doomed = if slot == 0 { &first } else { &second };
-            assert!(doomed.fired(), "slot {slot}: the kill:{n} fault never fired");
-            assert!(!over_socket.aborted, "slot {slot}, kill:{n}");
-            assert_eq!(
-                over_socket.packed.max_abs_diff(&over_channel.packed),
-                0.0,
-                "slot {slot}, kill:{n}: recovered factors must be bit-identical"
-            );
-            assert_eq!(remote.dead_workers(), 1, "slot {slot}, kill:{n}: one worker is dead");
-            // The survivor alone serves the next run just as exactly.
-            let after = factor(&remote, &matrix, mu);
-            let drift = after.packed.max_abs_diff(&over_channel.packed);
-            assert_eq!(drift, 0.0, "slot {slot}, kill:{n}: the run after the death");
-
-            remote.shutdown();
-            join_all(vec![first, second]);
+    let blocks = 8;
+    for (mu, m, counts) in [(2, 1000, [2 + 2, 2 + 3]), (1, 32, [8 + 21, 25])] {
+        let platform = Platform::homogeneous(2, 1.0, 1.0, m).unwrap();
+        let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
+        let replies = lu_replies(blocks, mu, 2, m);
+        // m = 1000: slot 0 owns groups 0 and 2 — 2 pivots, 2 L₂₁ replies;
+        // slot 1 groups 1 and 3 — 2 pivots, 3 L₂₁ replies. µ = 1 on
+        // m = 32 (sides of 4): 8 panel replies; each slot returns a frame
+        // per row of each of its chunks, its bands cut to side 4 while the
+        // trailing grid is wider, and from rest 4 on, where its bands are
+        // one chunk each, a kept row returns only its leftmost block:
+        // 6 + 6 + 4 + 2 + 1 + 1 + 1 frames from slot 0's band, 8 + 6 + 6 +
+        // 2 + 2 + 1 from slot 1's.
+        assert_eq!(replies.iter().map(Vec::len).collect::<Vec<_>>(), counts, "m = {m}");
+        let owned = owners(blocks, mu, &chunk_sides(&platform, blocks, mu)).is_some();
+        assert_eq!(owned, m == 1000, "m = {m}: the rows are owned only where they fit");
+        // Each slot dies holding rows somewhere in the sweep: rows it owns,
+        // or rows it kept at a step's end, whose image on the master is an
+        // earlier step's, so that the survivor rebuilds them.
+        for (slot, holding) in replies.iter().enumerate() {
+            assert!(holding.iter().any(|&kept| kept), "m = {m}: slot {slot} dies holding rows somewhere in the sweep");
         }
+        for (slot, in_one_run) in counts.into_iter().enumerate() {
+            for n in 1..=in_one_run {
+                let listener = TransportListener::bind_tcp("127.0.0.1:0").unwrap();
+                let endpoint = listener.endpoint();
+                let fault = |at_slot| (slot == at_slot).then_some((Fault::Kill, n as u64));
+                let first = spawn_in_process(&endpoint, &fleet(), fault(0));
+                let solo = Platform::homogeneous(1, 1.0, 1.0, m).unwrap();
+                let mut remote = RuntimeSession::accept_remote(&solo, 0.0, &listener, &fleet()).unwrap();
+                let second = spawn_in_process(&endpoint, &fleet(), fault(1));
+                remote.admit(&listener, WorkerParams { c: 1.0, w: 1.0, m }).unwrap();
+
+                let matrix = random_diagonally_dominant(blocks, 4, 8800 + n as u64);
+                let over_socket = factor(&remote, &matrix, mu);
+                let over_channel = factor(&local, &matrix, mu);
+                let doomed = if slot == 0 { &first } else { &second };
+                assert!(doomed.fired(), "m = {m}, slot {slot}: the kill:{n} fault never fired");
+                assert!(!over_socket.aborted, "m = {m}, slot {slot}, kill:{n}");
+                assert_eq!(
+                    over_socket.packed.max_abs_diff(&over_channel.packed),
+                    0.0,
+                    "m = {m}, slot {slot}, kill:{n}: recovered factors must be bit-identical"
+                );
+                assert_eq!(remote.dead_workers(), 1, "m = {m}, slot {slot}, kill:{n}: one worker is dead");
+                // The survivor alone serves the next run just as exactly.
+                let after = factor(&remote, &matrix, mu);
+                let drift = after.packed.max_abs_diff(&over_channel.packed);
+                assert_eq!(drift, 0.0, "m = {m}, slot {slot}, kill:{n}: the run after the death");
+
+                remote.shutdown();
+                join_all(vec![first, second]);
+            }
+        }
+        local.shutdown();
     }
-    local.shutdown();
 }
 
 #[test]

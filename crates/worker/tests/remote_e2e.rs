@@ -19,9 +19,8 @@ use mwp_blockmat::fill::{random_diagonally_dominant, random_matrix};
 use mwp_blockmat::Partition;
 use mwp_core::schedule::{PortOp, Schedule};
 use mwp_core::session::RuntimeSession;
-use mwp_core::MemoryLayout;
 use mwp_lu::runtime::factor;
-use mwp_lu::schedule::{lu_schedule, LuOp};
+use mwp_lu::schedule::{chunk_sides, lu_schedule, LuOp};
 use mwp_msg::transport::TransportListener;
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId};
@@ -170,19 +169,22 @@ fn traced_worker_processes_stream_their_compute_spans() {
     remote.shutdown();
     reap(children);
 
-    // One `Compute` span per A block a `Step` streams, one per `Panel`.
+    // One `Compute` span per A block a `Step` streams, one per `Panel`;
+    // where the rows are owned, one per pivot and one per step a worker's
+    // rows take.
     let step = |op: &PortOp| match op {
         PortOp::Step { worker, chunk, .. } => Some((*worker, chunk.height)),
         _ => None,
     };
     let problem = Partition::from_blocks(r, s, t, q);
     let holm_ops = Schedule::algorithm1(&problem, holm.chunk_side, holm.workers_used, 1).ops;
-    let side = MemoryLayout::MaxReuseOverlapped.mu(60);
-    let lu_ops = lu_schedule(n, mu, &[side, side]);
+    let lu_ops = lu_schedule(n, mu, &chunk_sides(&platform, n, mu));
     let mut want = [0usize; 2];
     let lu_spans = lu_ops.iter().filter_map(|op| match op {
-        LuOp::Panel { worker, .. } => Some((*worker, 1)),
+        LuOp::Panel { worker, .. } | LuOp::Forward { worker, .. } => Some((*worker, 1)),
+        LuOp::Pivot { worker, rows, .. } => Some((*worker, 1 + usize::from(*rows > 0))),
         LuOp::Chunk(op) => step(op),
+        LuOp::Deal { .. } | LuOp::Lower { .. } => None,
     });
     for (worker, spans) in holm_ops.iter().filter_map(step).chain(lu_spans) {
         want[worker.index()] += spans;

@@ -5,10 +5,11 @@
 //! factorization runs on a channel fleet whose workers hold different
 //! chunk sides (`m` = 60, 21 and 32: sides 6, 3 and 4), and the
 //! block-bearing frames the master's port carried must be those lowered
-//! frames one for one — send or receive, peer, blocks. So must those of
-//! the benchmark's shape (12 × 12 blocks, µ = 2, two workers of
-//! `m` = 100 000), where every band's rows stay on their worker between
-//! steps; the mixed fleet keeps some chunks and streams the rest.
+//! frames that carry blocks one for one — send or receive, peer, blocks.
+//! So must those of the benchmark's shape (12 × 12 blocks, µ = 2, two
+//! workers of `m` = 100 000), whose workers own their rows for the whole
+//! run; the mixed fleet's memories cannot hold theirs, so its rows
+//! stream, and it keeps some chunks and streams the rest.
 //!
 //! One `#[test]`: captures are process-global.
 
@@ -17,7 +18,7 @@ use mwp_blockmat::lu::{lu_blocked_in_place, Dense};
 use mwp_core::schedule::PortOp;
 use mwp_core::session::RuntimeSession;
 use mwp_lu::runtime::factor;
-use mwp_lu::schedule::{chunk_sides, lower, lu_schedule, LuOp};
+use mwp_lu::schedule::{chunk_sides, lower, lu_schedule, owners, LuOp};
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId, WorkerParams};
 use mwp_sim::Decision;
@@ -27,8 +28,8 @@ use mwp_trace::{ActivityKind, Resource};
 /// Factor an `r`-block matrix of side-`q` blocks in `mu`-block panels on
 /// a channel fleet of `platform`, check the factors against the serial
 /// ones bit for bit and the port's block-bearing frames against the
-/// lowered schedule's one for one; returns the schedule and the blocks
-/// the run moved.
+/// lowered schedule's that carry blocks, one for one; returns the schedule
+/// and the blocks the run moved.
 fn port_carries_the_lowered_schedule(platform: &Platform, r: usize, mu: usize, q: usize, seed: u64) -> (Vec<LuOp>, u64) {
     let sides = chunk_sides(platform, r, mu);
     let matrix = random_diagonally_dominant(r, q, seed);
@@ -61,6 +62,7 @@ fn port_carries_the_lowered_schedule(platform: &Platform, r: usize, mu: usize, q
             Decision::Recv { from, blocks, .. } => (ActivityKind::Recv, from, blocks),
             other => panic!("the lowering only transfers: {other:?}"),
         })
+        .filter(|transfer| transfer.2 > 0)
         .collect();
     assert_eq!(carried, scheduled, "the port's block-bearing frames are the lowered schedule's");
     assert_eq!(carried.iter().map(|t| t.2).sum::<u64>(), out.blocks_moved);
@@ -87,12 +89,23 @@ fn a_mixed_fleets_port_carries_the_lowered_schedule() {
     let (ops, _) = port_carries_the_lowered_schedule(&platform, r, mu, q, 75);
     let takes = |frame: &Decision| matches!(frame, Decision::Send { to: WorkerId(1), .. });
     assert!(lower(&ops).iter().any(takes), "the side-3 worker takes chunks");
+    // Each band's pieces are seated on its band's worker. A band is one
+    // chunk only on the side-6 worker at rest 6 and the side-4 one at rest
+    // 4, and neither next band starts among its rows: all 27 stream.
+    assert!(owners(r, mu, &sides).is_none(), "the rows stream");
+    assert_eq!(kept_and_streamed(&ops), (0, 27), "chunks that stay and chunks that stream");
+
+    // Two workers of m = 45 (sides of 5) stream the same matrix, and keep
+    // the rows band 1 starts its next band among once the bands are one
+    // chunk each.
+    let tight = Platform::homogeneous(2, 1.0, 1.0, 45).unwrap();
+    let (ops, _) = port_carries_the_lowered_schedule(&tight, r, mu, q, 77);
     let (kept, streamed) = kept_and_streamed(&ops);
     assert!(kept > 0 && streamed > 0, "{kept} chunks stay and {streamed} stream");
 
     let bench = Platform::homogeneous(2, 1.0, 1.0, 100_000).unwrap();
     assert_eq!(chunk_sides(&bench, 12, 2), [10, 10]);
     let (ops, moved) = port_carries_the_lowered_schedule(&bench, 12, 2, 4, 76);
-    assert_eq!(moved, 708);
-    assert_eq!(kept_and_streamed(&ops), (7, 3), "every band stays until its rows join a pivot");
+    assert_eq!(moved, 144 + 84 + 80 + 60, "rows dealt, pivot replies, forwards and L₂₁ replies");
+    assert!(matches!(ops[0], LuOp::Deal { .. }) && kept_and_streamed(&ops) == (0, 0), "the rows are owned");
 }

@@ -35,9 +35,8 @@ use mwp_core::runtime::run_holm;
 use mwp_core::serving::{JobSpec, MatrixServer};
 use mwp_core::session::RuntimeSession;
 use mwp_core::schedule::PortOp;
-use mwp_core::MemoryLayout;
 use mwp_lu::runtime::factor;
-use mwp_lu::schedule::lu_schedule;
+use mwp_lu::schedule::{chunk_sides, lu_schedule, owners};
 use mwp_msg::TransportMode;
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::chrome;
@@ -250,8 +249,11 @@ fn lu_run_records_kernel_spans_inside_compute_spans() {
     assert_eq!(labelled(ActivityKind::Compute, "panel"), 3, "one per step");
     assert_eq!(labelled(ActivityKind::Kernel, "factor"), 3, "one per step");
     assert_eq!(labelled(ActivityKind::Kernel, "trsm"), 2, "one per step with panels");
-    let side = MemoryLayout::MaxReuseOverlapped.mu(1000);
-    let steps: Vec<(usize, usize)> = lu_schedule(6, 2, &[side, side])
+    // Sides of 4 reserve 32 blocks, short of a worker's 4 rows of 6 and a
+    // step's 12: the rows stream.
+    let sides = chunk_sides(&pf, 6, 2);
+    assert!(owners(6, 2, &sides).is_none());
+    let steps: Vec<(usize, usize)> = lu_schedule(6, 2, &sides)
         .iter()
         .filter_map(|op| match op.chunk() {
             Some(PortOp::Step { chunk, .. }) => Some((chunk.height, chunk.width)),
@@ -278,6 +280,44 @@ fn lu_run_records_kernel_spans_inside_compute_spans() {
     // The pivot chain stayed on worker 0.
     let factors = trace.on(Resource::WorkerDetail(WorkerId(0)));
     assert_eq!(factors.filter(|a| &*a.label == "factor").count(), 3);
+}
+
+/// Where the workers own their rows (8 blocks at µ = 2 on m = 1000), each
+/// pivot is one `pivot` `Compute` span on its owner holding its `factor`
+/// and — but on the last step — its `U₁₂` `trsm`, and each step a worker's
+/// rows take is one `L21 update` span holding the `L₂₁` `trsm`, a
+/// `pack U` per block row of the pivot and a `gemm` per row and block row.
+#[test]
+fn owned_lu_records_kernel_spans_inside_compute_spans() {
+    let _serial = capture_lock();
+    let pf = Platform::homogeneous(2, 1.0, 1.0, 1000).expect("valid platform");
+    assert!(owners(8, 2, &chunk_sides(&pf, 8, 2)).is_some());
+    let matrix = random_diagonally_dominant(8, 4, 12); // 4 steps of µ = 2
+    let capture = Capture::begin();
+    let session = RuntimeSession::new(&pf, 0.0);
+    assert!(!factor(&session, &matrix, 2).aborted);
+    let trace = capture.end();
+    session.shutdown();
+    let labelled = |kind: ActivityKind, label: &str| {
+        trace.activities.iter().filter(|a| a.kind == kind && &*a.label == label).count()
+    };
+    // Steps 0 to 3 leave 3, 2, 1 and 0 groups of 2 rows: 3 + 2 + 1 = 6
+    // groups take a step, on 2, 2 and 1 workers.
+    assert_eq!(labelled(ActivityKind::Compute, "pivot"), 4, "one per step");
+    assert_eq!(labelled(ActivityKind::Kernel, "factor"), 4, "one per step");
+    assert_eq!(labelled(ActivityKind::Compute, "L21 update"), 2 + 2 + 1, "one per worker whose rows take a step");
+    assert_eq!(labelled(ActivityKind::Kernel, "trsm"), 3 + 5, "one per U₁₂ and one per L21 update");
+    assert_eq!(labelled(ActivityKind::Pack, "pack U"), 2 * 5, "one per block row of each pivot");
+    assert_eq!(labelled(ActivityKind::Kernel, "gemm"), 2 * 2 * (3 + 2 + 1), "one per row and block row");
+    for detail in trace.activities.iter().filter(|a| a.kind == ActivityKind::Kernel) {
+        let Resource::WorkerDetail(w) = detail.resource else {
+            panic!("kernel span {:?} off the detail track: {:?}", detail.label, detail.resource)
+        };
+        let enclosing = trace.on(Resource::Worker(w)).any(|c| {
+            c.kind == ActivityKind::Compute && c.start <= detail.start && detail.end <= c.end
+        });
+        assert!(enclosing, "{:?} on {w:?} lies outside every Compute span", detail.label);
+    }
 }
 
 /// Checks one line of a streamed trace file — a `chrome::event_json`

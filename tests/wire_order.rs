@@ -7,8 +7,8 @@
 //! (`bytes > 0`) `MasterPort` send/receive spans `(kind, peer, bytes)`
 //! must equal the digest recorded at the commit before the run's schedule
 //! was data (`mwp_core::schedule` for the three products) or, for the
-//! factorization (`mwp_lu::schedule`), when its trailing update became a
-//! product. A paced run's wall time is blocks × link cost *in this order*,
+//! factorization (`mwp_lu::schedule`), when its workers came to own their
+//! rows. A paced run's wall time is blocks × link cost *in this order*,
 //! so the digests are also what keeps the benchmark's paced heterogeneous
 //! control workload where it was.
 //!
@@ -97,12 +97,14 @@ fn block_frame_order_on_the_port_is_unchanged() {
     };
     // The LU digest was re-captured when the factorization's trailing
     // update became the product's chunk exchanges (122 frames a run where
-    // the row-group exchanges took 51), and again when its trailing rows
-    // began to stay on their workers between steps (106 frames); the three
-    // product digests are the ones recorded before any schedule was data.
+    // the row-group exchanges took 51), again when its trailing rows
+    // began to stay on their workers between steps (106 frames), and again
+    // when each worker came to own its rows for the whole run (38 frames,
+    // 32 of them carrying blocks); the three product digests are the ones
+    // recorded before any schedule was data.
     assert_eq!(
         (holm, orroml, het, lu),
-        (2_667_921_220, 2_772_815_128, 1_010_825_030, 2_906_710_118),
+        (2_667_921_220, 2_772_815_128, 1_010_825_030, 2_805_909_331),
         "wire order changed: (run_holm, run_all_workers, run_heterogeneous, factor) digests"
     );
 }
