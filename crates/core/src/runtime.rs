@@ -995,9 +995,10 @@ impl OwnedRow {
 
 /// The block rows an owner-computes LU keeps on this worker for its whole
 /// run (Section 7.2, with rows owned), and the scratch of one step: the
-/// step's factored pivot, its solved `U₁₂`, the `L₂₁` blocks of the rows
-/// that waited on it, one `U₁₂` block row's pack and one negated `L₂₁`
-/// block. Retired rows keep their storage for the next run's.
+/// pivot in hand and its solved `U₁₂`, the `L₂₁` blocks of the rows that
+/// waited on it, one pack per `U₁₂` block row — kept until every row has
+/// taken the step — and one negated `L₂₁` block. Retired rows keep their
+/// storage for the next run's.
 #[derive(Default)]
 struct OwnedRows {
     /// In ascending block row.
@@ -1005,24 +1006,28 @@ struct OwnedRows {
     pivot: Dense,
     upper: Dense,
     lower: Dense,
-    pack: PackedB,
+    packs: Vec<PackedB>,
     minus_l: Vec<f64>,
-    /// Blocks of the pivot and `U₁₂` of the step in hand.
+    /// Blocks of the pivot and `U₁₂` in hand.
     held: usize,
+    /// The one request for pivot rows held that still wait on an earlier
+    /// pivot: answered in the step those rows take it.
+    pending: Option<(usize, usize)>,
     spare: Vec<Dense>,
 }
 
 impl OwnedRows {
     /// Blocks resident: every owned row's from the column it waits on,
-    /// and the step's pivot and `U₁₂`.
+    /// and the pivot and `U₁₂` in hand.
     fn resident(&self) -> usize {
         self.held + self.rows.iter().map(|row| row.end(row.data.rows()) - row.col).sum::<usize>()
     }
 
-    /// Retire every row and the step in hand.
+    /// Retire every row, the step in hand and the pending request.
     fn clear(&mut self) {
         self.spare.extend(self.rows.drain(..).map(|row| row.data));
         self.held = 0;
+        self.pending = None;
     }
 
     /// Take block row `i` from column `j0`, `payload` its blocks. `false`,
@@ -1053,6 +1058,14 @@ impl OwnedRows {
         at.iter().all(|&n| self.rows[n].end(q) == end && end >= p1).then_some((at, end))
     }
 
+    /// Where the rows of the pivot `p0..p1` are, and the column they all
+    /// wait on; `None` unless this worker holds exactly them.
+    fn pivot_rows(&self, (p0, p1): (usize, usize)) -> Option<(Vec<usize>, usize)> {
+        let at: Vec<usize> = (0..self.rows.len()).filter(|&n| (p0..p1).contains(&self.rows[n].i)).collect();
+        let col = self.rows[*at.first()?].col;
+        (at.len() == p1.saturating_sub(p0) && at.iter().all(|&n| self.rows[n].col == col)).then_some((at, col))
+    }
+
     /// Copy columns `cols` of the rows at `at` into `into`, one `q`-row
     /// slab per row.
     fn gather(rows: &[OwnedRow], q: usize, at: &[usize], cols: std::ops::Range<usize>, into: &mut Dense) {
@@ -1067,45 +1080,69 @@ impl OwnedRows {
         }
     }
 
+    /// A request for the pivot at block rows and columns `pivot`: answered
+    /// at once when its rows wait on it — then the rows waiting on it take
+    /// its step — or kept pending when they wait on an earlier pivot.
+    /// `false` when this worker does not hold exactly the pivot's rows, or
+    /// a request is pending already.
+    fn request(&mut self, ep: &WorkerEndpoint, kernel: &Kernel, q: usize, pivot: (usize, usize), run: u32) -> bool {
+        match self.pivot_rows(pivot) {
+            Some((_, col)) if col < pivot.0 => self.pending.replace(pivot).is_none(),
+            Some((_, col)) if col == pivot.0 => match self.factor(ep, kernel, q, pivot, run) {
+                Some(true) => self.step(ep, kernel, q, pivot, run, true),
+                Some(false) => true,
+                None => false,
+            },
+            _ => false,
+        }
+    }
+
     /// The pivot at block rows and columns `p0..p1`, through `kernel`:
-    /// factor it from the rows held and solve their `U₁₂`, and return both
-    /// in the `LuPivot` reply's layout, built in `ep`'s buffer pool — or an
-    /// empty payload, the refusal, when the factor refuses the pivot, the
-    /// rows left as they were. `None` unless this worker holds exactly the
-    /// pivot's rows, all waiting on it.
-    fn factor(&mut self, ep: &WorkerEndpoint, kernel: &Kernel, q: usize, (p0, p1): (usize, usize), run: u32) -> Option<Bytes> {
-        let at: Vec<usize> = (0..self.rows.len()).filter(|&n| (p0..p1).contains(&self.rows[n].i)).collect();
+    /// factor it from the rows held and solve their `U₁₂`, the rows
+    /// retired, and reply with both in the `LuPivot` reply's layout — the
+    /// pivot in hand from then on — or with an empty payload, the refusal,
+    /// when the factor refuses the pivot, the rows left as they were. `None`
+    /// unless this worker holds exactly the pivot's rows, all waiting on
+    /// it; else whether it factored the pivot.
+    fn factor(&mut self, ep: &WorkerEndpoint, kernel: &Kernel, q: usize, (p0, p1): (usize, usize), run: u32) -> Option<bool> {
+        let tc = record::begin();
+        let (at, col) = self.pivot_rows((p0, p1))?;
         let (waiting, end) = self.waiting(q, p0, p1)?;
-        if p1 <= p0 || at.len() != p1 - p0 || !at.iter().all(|n| waiting.contains(n)) {
+        if col != p0 || !at.iter().all(|n| waiting.contains(n)) {
             return None;
         }
         OwnedRows::gather(&self.rows, q, &at, p0..p1, &mut self.pivot);
         OwnedRows::gather(&self.rows, q, &at, p1..end, &mut self.upper);
         let tk = record::begin();
-        let factored = try_lu_blocked_with(kernel, &mut self.pivot, NB);
+        let factored = try_lu_blocked_with(kernel, &mut self.pivot, NB).is_ok();
         record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "factor");
-        if factored.is_err() {
-            return Some(Bytes::new());
+        let tag = Tag::new(FrameKind::LuPivot, p0, p1);
+        if !factored {
+            record::worker_span(ep.id(), ActivityKind::Compute, tc, run, "pivot");
+            ep.send_in(run, Frame::new(tag, Bytes::new()));
+            return Some(false);
         }
         if end > p1 {
             let tk = record::begin();
             trsm_left_unit_lower_with(kernel, &mut self.upper, &self.pivot);
             record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "trsm");
         }
-        let p = p1 - p0;
-        self.held = p * (end - p0);
+        self.held = (p1 - p0) * (end - p0);
         for n in at.into_iter().rev() {
             self.spare.push(self.rows.remove(n).data);
         }
         let (pivot, upper) = (&self.pivot, &self.upper);
-        Some(ep.pooled_payload(self.held * q * q * 8, |buf| {
+        let reply = ep.pooled_payload(self.held * q * q * 8, |buf| {
             pivot.write_block_bytes(q, BlockOrder::RowMajor, buf);
             upper.write_block_bytes(q, BlockOrder::RowMajor, buf);
-        }))
+        });
+        record::worker_span(ep.id(), ActivityKind::Compute, tc, run, "pivot");
+        ep.send_in(run, Frame::new(tag, reply));
+        Some(true)
     }
 
     /// Take a forwarded pivot of block rows `p0..p1` — its factors and
-    /// `U₁₂` in the `LuPivot` reply's layout — as the step in hand.
+    /// `U₁₂` in the `LuPivot` reply's layout — as the pivot in hand.
     /// `false`, taking nothing, unless the payload is exactly a `p × p`
     /// pivot and `p` block rows of `U₁₂`.
     fn take(&mut self, q: usize, (p0, p1): (usize, usize), payload: &[u8]) -> bool {
@@ -1119,45 +1156,80 @@ impl OwnedRows {
         true
     }
 
-    /// The step in hand, pivot `p0..p1`, on the rows waiting on it, through
-    /// `kernel`: solve their `L₂₁ = A₂₁·U₁₁⁻¹`, update them with
-    /// `−L₂₁·U₁₂`, `U₁₂` packed once per block row `k` and each row's
-    /// update one kernel call per `k`, in increasing `k` — the kernel
-    /// calls, operands and order of the product's chunk exchange — and
-    /// return their `L₂₁` blocks, row by row, built in `ep`'s buffer pool.
-    /// `None` when no row waits on it, or the rows do not end where
-    /// `U₁₂` does.
-    fn apply(&mut self, ep: &WorkerEndpoint, kernel: &Kernel, q: usize, (p0, p1): (usize, usize), run: u32) -> Option<Bytes> {
-        let (at, end) = self.waiting(q, p0, p1)?;
+    /// The step of the pivot in hand, `p0..p1`, on the rows waiting on it,
+    /// through `kernel`: solve their `L₂₁ = A₂₁·U₁₁⁻¹`, pack each `U₁₂`
+    /// block row once, and update every row with `−L₂₁·U₁₂`, one kernel
+    /// call per row and `k`, in increasing `k` — the kernel calls, operands
+    /// and order of the product's chunk exchange. The rows of a pending
+    /// request that wait on this pivot go first: then that pivot is
+    /// factored and answered, and the other rows follow. Their `L₂₁`
+    /// blocks go back, row by row, and a pivot factored on the way takes
+    /// its own step next. With no row waiting, `own` — the step after
+    /// this worker's own factor — is nothing; else `false`, as when the
+    /// rows do not end where `U₁₂` does.
+    fn step(&mut self, ep: &WorkerEndpoint, kernel: &Kernel, q: usize, (p0, p1): (usize, usize), run: u32, own: bool) -> bool {
+        let Some((at, end)) = self.waiting(q, p0, p1) else { return own };
         let (p, rest) = (p1 - p0, self.upper.cols() / q);
         if end != p1 + rest || self.pivot.rows() != p * q || self.upper.rows() != p * q {
-            return None;
+            return false;
         }
+        let ids: Vec<usize> = at.iter().map(|&n| self.rows[n].i).collect();
         let tc = record::begin();
         OwnedRows::gather(&self.rows, q, &at, p0..p1, &mut self.lower);
         let tk = record::begin();
         trsm_right_upper_with(kernel, &mut self.lower, &self.pivot);
         record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "trsm");
         let width = rest * q;
+        self.packs.resize_with(p.max(self.packs.len()), PackedB::default);
         for k in (0..p).filter(|_| rest > 0) {
             let tp = record::begin();
-            kernel.pack_into(&mut self.pack, &self.upper.as_slice()[k * q * width..][..q * width], q, width, 1.0);
+            kernel.pack_into(&mut self.packs[k], &self.upper.as_slice()[k * q * width..][..q * width], q, width, 1.0);
             record::worker_span(ep.id(), ActivityKind::Pack, tp, run, "pack U");
-            for (slab, &n) in at.iter().enumerate() {
+        }
+        let next = self.pending.filter(|&(a, b)| a == p1 && b > a && (a..b).all(|i| ids.contains(&i)));
+        let first: Vec<usize> = next.map_or_else(Vec::new, |(a, b)| (a..b).collect());
+        self.update(ep, kernel, q, &ids, &first, (p, p1, rest), run);
+        let (mut tc, mut factored) = (tc, None);
+        if let Some(next) = next {
+            // The factor's own `Compute` span cuts the step's in two.
+            record::worker_span(ep.id(), ActivityKind::Compute, tc, run, "L21 update");
+            self.pending = None;
+            let Some(done) = self.factor(ep, kernel, q, next, run) else { return false };
+            (tc, factored) = (record::begin(), done.then_some(next));
+        }
+        let others: Vec<usize> = ids.iter().copied().filter(|i| !first.contains(i)).collect();
+        self.update(ep, kernel, q, &ids, &others, (p, p1, rest), run);
+        record::worker_span(ep.id(), ActivityKind::Compute, tc, run, "L21 update");
+        let lower = &self.lower;
+        let payload = ep.pooled_payload(ids.len() * p * q * q * 8, |buf| lower.write_block_bytes(q, BlockOrder::RowMajor, buf));
+        ep.send_in(run, Frame::new(Tag::new(FrameKind::LuRow, p0, p1), payload));
+        factored.is_none_or(|next| self.step(ep, kernel, q, next, run, true))
+    }
+
+    /// Update the rows `rows` — of the step's rows `ids`, whose `L₂₁` are
+    /// `lower`'s slabs in that order — with `−L₂₁·U₁₂` from the step's
+    /// packs, a `p`-wide pivot ending at `p1` with `rest` blocks after it,
+    /// in increasing `k`; they then wait on the next pivot.
+    #[allow(clippy::too_many_arguments)]
+    fn update(&mut self, ep: &WorkerEndpoint, kernel: &Kernel, q: usize, ids: &[usize], rows: &[usize], (p, p1, rest): (usize, usize, usize), run: u32) {
+        for k in (0..p).filter(|_| rest > 0) {
+            for &i in rows {
+                let slab = ids.iter().position(|&id| id == i).unwrap_or(0);
                 let lower = &self.lower.as_slice()[slab * q * p * q..][..q * p * q];
                 self.minus_l.clear();
                 self.minus_l.extend(lower.chunks_exact(p * q).flat_map(|line| line[k * q..][..q].iter().map(|x| -x)));
+                let n = self.rows.partition_point(|row| row.i < i);
                 let row = &mut self.rows[n];
                 let (ldc, from) = (row.data.cols(), (p1 - row.j0) * q);
                 let tk = record::begin();
-                kernel.gemm_acc_packed_ld(&mut row.data.as_mut_slice()[from..], ldc, &self.minus_l, &self.pack, q);
+                kernel.gemm_acc_packed_ld(&mut row.data.as_mut_slice()[from..], ldc, &self.minus_l, &self.packs[k], q);
                 record::worker_span(ep.id(), ActivityKind::Kernel, tk, run, "gemm");
             }
         }
-        at.iter().for_each(|&n| self.rows[n].col = p1);
-        record::worker_span(ep.id(), ActivityKind::Compute, tc, run, "L21 update");
-        let lower = &self.lower;
-        Some(ep.pooled_payload(at.len() * p * q * q * 8, |buf| lower.write_block_bytes(q, BlockOrder::RowMajor, buf)))
+        for &i in rows {
+            let n = self.rows.partition_point(|row| row.i < i);
+            self.rows[n].col = p1;
+        }
     }
 }
 
@@ -1260,7 +1332,10 @@ pub(crate) fn program(
 /// `LuRow` for the run; an `LuPivot` request is answered with the factored
 /// pivot and its solved `U₁₂` from the rows held, and then — like a
 /// forwarded `LuPivot` — the rows waiting on that pivot solve their `L₂₁`,
-/// take the update and send their `L₂₁` back in one `LuRow` frame. The
+/// take the update and send their `L₂₁` back in one `LuRow` frame. A
+/// request for pivot rows that still wait on an earlier pivot is held
+/// pending, one at most: the step those rows take updates them first, and
+/// the pivot is factored and answered before the step's other rows. The
 /// worker parks only when its last open generation retires; `Shutdown`
 /// (or a dropped master) ends the thread.
 ///
@@ -1271,8 +1346,10 @@ pub(crate) fn program(
 /// that is not the chunk's next row at its column origin and width, a `B`
 /// row that does not span the chunk's columns, an `A` column that does not
 /// span its rows or comes before its step's `B` row, a `CResult` (the
-/// master never sends one), and a panel whose payload is not the blocks
-/// its tag names. A pivot the worker cannot factor is no such traffic:
+/// master never sends one), a panel whose payload is not the blocks its
+/// tag names, a pivot request for rows the worker does not hold or while
+/// another is pending, and a forwarded pivot no row waits on. A pivot the
+/// worker cannot factor is no such traffic:
 /// the task is answered with a refusal ([`solve_panel`]) and the worker
 /// serves on. Asserts the memory invariant (`resident blocks ≤ m`,
 /// summed over the open generations) the paper's layout — and the
@@ -1427,25 +1504,18 @@ fn serve_run(
                 }
             }
             FrameKind::LuPivot => {
-                // Empty, a request to factor the pivot rows this worker
-                // holds: the factors go back, then its own rows that wait
-                // on the pivot take the step. Else a pivot forwarded from
-                // its owner, which the waiting rows take.
-                let tc = record::begin();
-                let step = if frame.payload.is_empty() {
-                    let Some(reply) = run.owned.factor(ep, kernel, q, (i, j), gen) else { return RunExit::Terminate };
-                    let factored = !reply.is_empty();
-                    record::worker_span(ep.id(), ActivityKind::Compute, tc, gen, "pivot");
-                    ep.send_in(gen, Frame::new(frame.tag, reply));
-                    factored && run.owned.waiting(q, i, j).is_some()
-                } else if run.owned.take(q, (i, j), &frame.payload) {
-                    true
+                // Empty, a request for pivot rows this worker holds:
+                // answered at once, or once those rows take the step they
+                // wait on. Else a pivot forwarded from its owner, which the
+                // waiting rows take.
+                let owned = &mut run.owned;
+                let taken = if frame.payload.is_empty() {
+                    owned.request(ep, kernel, q, (i, j), gen)
                 } else {
-                    return RunExit::Terminate;
+                    owned.take(q, (i, j), &frame.payload) && owned.step(ep, kernel, q, (i, j), gen, false)
                 };
-                if step {
-                    let Some(lower) = run.owned.apply(ep, kernel, q, (i, j), gen) else { return RunExit::Terminate };
-                    ep.send_in(gen, Frame::new(Tag::new(FrameKind::LuRow, i, j), lower));
+                if !taken {
+                    return RunExit::Terminate;
                 }
             }
             FrameKind::Control => {
@@ -1857,6 +1927,61 @@ mod tests {
             assert_eq!(reply.is_some(), answered, "{what}: a reply");
             if let Some((row, _)) = reply {
                 assert_eq!(row.tag, Tag::new(FrameKind::CResult, 0, 0), "{what}: the chunk's first row");
+            }
+            fleet.abort_run_on(&[WorkerId(0)], epoch);
+            assert_eq!(session.shutdown(), 1, "{what}: the worker thread must return, not unwind");
+        }
+    }
+
+    #[test]
+    fn a_pending_pivot_request_is_answered_in_the_step_its_rows_take() {
+        // Block rows 1..4 of a 4 × 4-block matrix, µ = 1, dealt to one
+        // worker. A request for pivot 1, whose row still waits on pivot 0,
+        // is held pending; the forward of pivot 0 then updates row 1,
+        // factors and answers pivot 1, updates rows 2 and 3 and returns
+        // the step's L₂₁ — and rows 2 and 3 take pivot 1's step, whose L₂₁
+        // follows. Every block is the serial factorization's, bit for bit.
+        // A request for rows the worker does not hold, or a second pending
+        // request, closes the link: no reply, and the worker thread returns
+        // instead of unwinding (`shutdown` re-raises a worker's panic).
+        let q = 2;
+        let matrix = mwp_blockmat::fill::random_diagonally_dominant(4, q, 91);
+        let mut serial = Dense::from_blocks(&matrix);
+        mwp_blockmat::lu::lu_blocked_in_place(&mut serial, q);
+        let images = |m: &Dense, blocks: &[(usize, usize)]| {
+            let mut out = Vec::new();
+            blocks.iter().for_each(|&at| m.write_block(q, at, &mut out));
+            out
+        };
+        let input = Dense::from_blocks(&matrix);
+        let row = |i: usize| (Tag::new(FrameKind::LuRow, i, 0), images(&input, &[(i, 0), (i, 1), (i, 2), (i, 3)]));
+        let request = |p0: usize| (Tag::new(FrameKind::LuPivot, p0, p0 + 1), Vec::new());
+        let forward = (Tag::new(FrameKind::LuPivot, 0, 1), images(&serial, &[(0, 0), (0, 1), (0, 2), (0, 3)]));
+        let answered = vec![
+            (Tag::new(FrameKind::LuPivot, 1, 2), images(&serial, &[(1, 1), (1, 2), (1, 3)])),
+            (Tag::new(FrameKind::LuRow, 0, 1), images(&serial, &[(1, 0), (2, 0), (3, 0)])),
+            (Tag::new(FrameKind::LuRow, 1, 2), images(&serial, &[(2, 1), (3, 1)])),
+        ];
+        let dealt = vec![row(1), row(2), row(3)];
+        for (what, frames, replies) in [
+            ("a pending request answered mid-step", [dealt.clone(), vec![request(1), forward.clone()]].concat(), answered),
+            ("a request for rows not held", [dealt.clone(), vec![request(0)]].concat(), vec![]),
+            ("a second pending request", [dealt.clone(), vec![request(2), request(3), forward.clone()]].concat(), vec![]),
+        ] {
+            let session = RuntimeSession::new(&platform(1, 60), 0.0);
+            let fleet = session.fleet();
+            let epoch = fleet.begin_run(1, q as u32);
+            for (tag, payload) in frames {
+                // A send after the link dropped may fail; the replies tell.
+                let _ = fleet.master().try_send(WorkerId(0), Frame::new_in_run(tag, epoch.generation(), payload.into()), 1);
+            }
+            for (tag, payload) in &replies {
+                let reply = fleet.master().recv_deadline(WorkerId(0), epoch.generation(), 1);
+                let Some((reply, _)) = reply else { panic!("{what}: no {tag:?}") };
+                assert_eq!((reply.tag, &reply.payload[..]), (*tag, &payload[..]), "{what}");
+            }
+            if replies.is_empty() {
+                assert!(fleet.master().recv_deadline(WorkerId(0), epoch.generation(), 1).is_none(), "{what}: the link drops");
             }
             fleet.abort_run_on(&[WorkerId(0)], epoch);
             assert_eq!(session.shutdown(), 1, "{what}: the worker thread must return, not unwind");

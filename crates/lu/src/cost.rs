@@ -42,7 +42,10 @@
 //! the benchmark's `r` = 12, `µ` = 2 and `P'` = 2 that is 144 dealt, 84 of
 //! pivot replies, 80 forwarded and 60 of `L₂₁`: **368 blocks** an op, in 38
 //! frames (12 rows dealt, a request and a reply a step, 5 forwards and 9
-//! `L₂₁` replies).
+//! `L₂₁` replies). Requesting the next pivot ahead of the forward that
+//! starts its owner's step — so that it is factored while the other
+//! workers still update their rows — moves frames, not blocks: the count
+//! is the same with or without that lookahead.
 //!
 //! **Streamed.** The paper cuts the core into column groups and re-sends
 //! the whole vertical panel with each; the streamed path runs the core

@@ -24,26 +24,45 @@
 //!
 //! **Owned rows** (the benchmark's shape). The block rows are dealt once,
 //! `µ`-row group `g` to the `g mod P'`-th worker, one `LuRow` frame a row,
-//! and stay there. At each step:
+//! and stay there; the first pivot's owner gets its rows and its request
+//! before the other workers get theirs. At each step:
 //!
-//! 1. the pivot rows' owner gets an `LuPivot` request, factors `A₁₁`,
-//!    solves its own `U₁₂ = L₁₁⁻¹·A₁₂` and replies with both — final, so
-//!    the master stores them — and then solves and updates its own rows
-//!    that wait on the pivot;
-//! 2. the master forwards that reply's bytes, zero-copy, to every other
-//!    worker whose rows wait on the pivot;
+//! 1. the pivot rows' owner, asked by an `LuPivot` request, factors
+//!    `A₁₁`, solves its own `U₁₂ = L₁₁⁻¹·A₁₂` and replies with both —
+//!    final — and then solves and updates its own rows that wait on the
+//!    pivot;
+//! 2. the master checks the reply's tag and length, forwards its bytes,
+//!    zero-copy, to every other worker whose rows wait on the pivot — the
+//!    next pivot's owner first — and only then copies it into the factors,
+//!    while it waits for the next reply;
 //! 3. each such worker solves its rows' `L₂₁ = A₂₁·U₁₁⁻¹`, negates it
-//!    locally (exact) and updates its rows with `−L₂₁·U₁₂`, `U₁₂` packed
-//!    once per `k`, one kernel call per row and `k` in increasing `k` —
-//!    the kernel calls, operands and order of the product's chunk
-//!    exchange, so the factors carry `lu_blocked_in_place`'s bits — and
-//!    replies with its `L₂₁` blocks, final.
+//!    locally (exact) and updates its rows with `−L₂₁·U₁₂`, each `U₁₂`
+//!    block row packed once and kept until all its rows took the step, one
+//!    kernel call per row and `k` in increasing `k` — the kernel calls,
+//!    operands and order of the product's chunk exchange, so the factors
+//!    carry `lu_blocked_in_place`'s bits — and replies with its `L₂₁`
+//!    blocks, final.
+//!
+//! **One pivot of lookahead.** With two owners or more, the request for
+//! pivot `k+1` goes on its owner's link ahead of the forward of pivot
+//! `k`. The worker holds it pending, and when the forward comes it updates
+//! the pivot rows first, factors and answers pivot `k+1`, and only then
+//! updates its other rows and sends step `k`'s `L₂₁`. The master takes
+//! pivot `k+1`'s reply right after step `k`'s forwards, forwards it at
+//! once and then takes step `k`'s `L₂₁` replies. So on each link a pivot
+//! reply comes before the `L₂₁` of the step before, no reply is awaited
+//! before every frame it needs is sent, and the next pivot is factored
+//! while the other workers update their rows. The master keeps, per
+//! worker, the replies it owes in the order they will come and takes them
+//! in that order. A lone owner asks for each pivot once its rows took
+//! the step before, as its own step starts inside its request.
 //!
 //! At the benchmark's shape that is 368 blocks in 38 frames an op
 //! ([`crate::cost`]), and the vertical solve runs on the rows' owners
-//! beside their updates. The owned rows, the step's pivot and `U₁₂` and a
-//! block in flight are what the worker program's `resident ≤ m` invariant
-//! counts.
+//! beside their updates. The owned rows, the pivot in hand and its `U₁₂`
+//! and a block in flight are what the worker program's `resident ≤ m`
+//! invariant counts; a pivot factored within a step replaces its rows one
+//! for one.
 //!
 //! **Streamed rows.** Per step:
 //!
@@ -84,11 +103,18 @@
 //! at the step's next barrier on the live workers.
 //!
 //! *Streamed*, a lost panel exchange runs again on the lowest live worker,
-//! from the identical bytes ([`crate::schedule::redispatch`]). *Owned*, a
-//! lost worker's rows are adopted, `µ`-row group by group, round-robin by
-//! the live workers; the step in hand then goes on — its pivot on the
-//! adopter, or a forward to and an `L₂₁` reply from each worker whose rows
-//! still wait on it. Either way a lost row is rebuilt, not re-collected:
+//! from the identical bytes ([`crate::schedule::redispatch`]). *Owned*, at
+//! most two pivots are in hand: `k`, forwarded, and `k+1`, requested. The
+//! master tracks per row the pivot left of which its `L` blocks are
+//! stored and the pivot it waits on on its worker. Recovery first takes
+//! what every live worker owes; then a lost worker's rows — and those of a
+//! pivot it factored whose `L₂₁` never came back — are adopted, `µ`-row
+//! group by group, round-robin by the live workers, rebuilt to the first
+//! pivot whose `L` they lack. Each stored pivot from there on is forwarded
+//! again to the workers whose rows wait on it, and a pivot asked of the
+//! lost worker — pending or not — is asked of the adopter again, behind
+//! the forwards its rows still need, and taken. Either way a lost row is
+//! rebuilt, not re-collected:
 //! rows a worker held are not on the master as they stand. For each block
 //! the master records the step at whose start its image was current — the
 //! image it last shipped — and a live worker is sent that image and every
@@ -107,7 +133,8 @@
 //! refusal, the request's tag and an empty payload, and any other worker
 //! would answer the same. The executor asks one: the lowest other live
 //! worker of the run gets the same pivot — owned, after the pivot rows are
-//! rebuilt and dealt to it. If it refuses too, nobody is condemned, the
+//! rebuilt and dealt to it, whether the refused request was answered at
+//! once or pending. If it refuses too, nobody is condemned, the
 //! run is aborted, and the fleet serves the next run whole; if it factors
 //! the pivot, the refuser was lying and is condemned like any rogue.
 //!
@@ -231,13 +258,17 @@ pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunO
     let memory: Vec<usize> = fleet.platform().map_or_else(Vec::new, |platform| platform.workers().iter().map(|w| w.m).collect());
     // A run over the whole fleet: the ledger puts slot `i` on worker `i`.
     let ops = |_: &[WorkerId]| schedule.clone();
-    let (port, done) = fleet.execute(&sides, q, ops, |master, gen, _| {
+    let (mut port, done) = fleet.execute(&sides, q, ops, |master, gen, _| {
         let mut chunks = ChunkExchange::new(master, gen, q, vec![RowImages::new(matrix)], sides.to_vec(), mu);
         chunks.expect_keeps(schedule.iter().filter_map(LuOp::chunk));
-        let (packed, fresh) = (Dense::zeros(r * q, r * q), vec![0; r * r]);
-        let (sides, memory) = (&sides[..], &memory[..]);
-        LuPort { chunks, packed, fresh, refused: None, master, sides, memory, mu, q, owned, step: None }
+        let (sides, memory, groups) = (&sides[..], &memory[..], if owned.is_empty() { 0 } else { r.div_ceil(mu) });
+        let (pivots, links) = (vec![PivotState::default(); groups], vec![Link::default(); sides.len()]);
+        // The output is allocated once the first request is out, while
+        // the master waits for its reply.
+        let (packed, fresh) = (Dense::default(), vec![0; r * r]);
+        LuPort { chunks, packed, fresh, refused: None, master, sides, memory, mu, q, r, owned, pivots, links, second_opinion: None }
     });
+    port.store_pivots();
     LuRunOutcome {
         wall: start.elapsed(),
         messages: port.chunks.frames(),
@@ -265,7 +296,8 @@ struct LuPort<'a> {
     chunks: ChunkExchange<'a, RowImages<'a>>,
     /// The packed factors: every block is final in exactly one reply, and
     /// is stored here from it. After an aborted run, the blocks whose
-    /// reply never validated read 0.
+    /// reply never validated read 0. Empty until the first reply is
+    /// awaited.
     packed: Dense,
     /// Per block, row by row: the step at whose start the master's image
     /// of the block was current. A block a worker keeps stays at the step
@@ -285,23 +317,57 @@ struct LuPort<'a> {
     mu: usize,
     /// Block side.
     q: usize,
+    /// Block rows of the matrix.
+    r: usize,
     /// Owner-computes: per block row, where it is. Empty on the streamed
     /// path.
     owned: Vec<Held>,
-    /// Owner-computes: the step in hand's pivot, and the reply its owner
-    /// sent once it validated.
-    step: Option<(Range<usize>, Option<Frame>)>,
+    /// Owner-computes: per `µ`-row group, its pivot.
+    pivots: Vec<PivotState>,
+    /// Owner-computes: per worker, what it owes and holds pending.
+    links: Vec<Link>,
+    /// Owner-computes: the group of the pivot a worker refused, whose rows
+    /// go to the worker asked for a second opinion.
+    second_opinion: Option<usize>,
 }
 
 /// Where one block row of an owner-computes run is: the worker holding it
-/// (none before its deal and once it is final), the pivot column it waits
-/// on, and whether its worker was told of that pivot — by the request or
-/// a forward — and owes its `L₂₁`.
+/// (none before its deal), the pivot column left of which its `L` blocks
+/// are stored (`col`), and the pivot column it waits on on its worker
+/// (`at`) — ahead of `col` while its `L₂₁` reply is on the way, and `r`
+/// once the row is folded into its factored pivot.
 #[derive(Debug, Clone, Copy, Default)]
 struct Held {
     worker: Option<WorkerId>,
     col: usize,
-    told: bool,
+    at: usize,
+}
+
+/// The pivot of one `µ`-row group of an owner-computes run: the worker
+/// last asked for it, and its reply once it validated — kept, to forward,
+/// while a row may still wait on it — and whether `packed` holds it yet.
+#[derive(Debug, Clone, Default)]
+struct PivotState {
+    requested: Option<WorkerId>,
+    validated: bool,
+    reply: Option<Frame>,
+    stored: bool,
+}
+
+/// What a worker of an owner-computes run owes, in the order its frames
+/// will come, and the request it holds pending.
+#[derive(Debug, Clone, Default)]
+struct Link {
+    owed: std::collections::VecDeque<Owed>,
+    pending: Option<usize>,
+}
+
+/// One reply a worker owes: a group's pivot, or the `L₂₁` blocks of its
+/// rows `rows` for a group's pivot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Owed {
+    Pivot(usize),
+    Lower(usize, Vec<usize>),
 }
 
 impl Port for LuPort<'_> {
@@ -311,8 +377,8 @@ impl Port for LuPort<'_> {
         op.worker()
     }
 
-    /// A pivot reads what the whole step before it stored, and the
-    /// whole step after it reads what it stores: a barrier on both sides.
+    /// A pivot's reply is read by what follows it, and a `Panel` reads
+    /// what the whole step before it stored: a barrier on both sides.
     fn same_phase(op: &LuOp, next: &LuOp) -> bool {
         !op.is_pivot() && !next.is_pivot()
     }
@@ -328,9 +394,10 @@ impl Port for LuPort<'_> {
                 performed
             }
             LuOp::Deal { worker, rows, cols } => self.deal(*worker, rows.clone(), cols.clone()),
-            LuOp::Pivot { worker, pivot, rest, .. } => self.pivot(*worker, pivot, *rest),
-            LuOp::Forward { worker, .. } => self.forward(*worker),
-            LuOp::Lower { worker, .. } => self.lower(*worker),
+            LuOp::Request { worker, pivot, .. } => self.request(*worker, pivot.start / self.mu),
+            LuOp::Pivot { worker, pivot, .. } => self.pivot(*worker, pivot.start / self.mu),
+            LuOp::Forward { worker, pivot, .. } => self.forward(*worker, pivot.start / self.mu),
+            LuOp::Lower { worker, pivot, .. } => self.lower(*worker, pivot.start / self.mu),
         }
     }
 
@@ -339,7 +406,7 @@ impl Port for LuPort<'_> {
             return self.adopt(&undone, live);
         }
         let held: Vec<_> = (0..self.sides.len()).map(|i| self.chunks.held(WorkerId(i))).collect();
-        let r = self.r();
+        let r = self.r;
         redispatch(undone, live, self.sides, self.mu, |i, j| self.fresh[i * r + j], &held)
     }
 }
@@ -367,6 +434,7 @@ impl LuPort<'_> {
         if !self.chunks.post(worker, tag, task, n) {
             return Performed::Lost;
         }
+        self.allocate();
         let Some(reply) = self.chunks.take(worker, n) else { return Performed::Lost };
         if reply.tag == tag && reply.payload.is_empty() {
             self.refused = Some(pivot.start);
@@ -390,9 +458,7 @@ impl LuPort<'_> {
         }
         Performed::Done
     }
-}
 
-impl LuPort<'_> {
     /// Note what the validated chunk op `op` brought back: the blocks a
     /// `Collect` or `Keep` returned are current on the master as of the
     /// next step; a kept block stays where it was.
@@ -403,17 +469,31 @@ impl LuPort<'_> {
             PortOp::SendC { .. } | PortOp::Step { .. } => return,
         };
         // Step `s`'s grid starts at block `(s + 1)·µ`, as in the schedule.
-        let (at, r) = ((step + 1) * self.mu, self.r());
+        let (at, r) = ((step + 1) * self.mu, self.r);
         for (i, j0, width) in PortOp::returned(chunk, kept) {
             self.fresh[(at + i) * r + at + j0..][..width].fill(step + 1);
+        }
+    }
+
+    /// The output, all zeros, the first time a reply is awaited.
+    fn allocate(&mut self) {
+        if self.packed.rows() == 0 {
+            self.packed = Dense::zeros(self.r * self.q, self.r * self.q);
         }
     }
 }
 
 impl LuPort<'_> {
-    /// Block rows of the matrix.
-    fn r(&self) -> usize {
-        self.packed.rows() / self.q
+    /// Block rows of the pivot of group `g`.
+    fn group(&self, g: usize) -> Range<usize> {
+        g * self.mu..((g + 1) * self.mu).min(self.r)
+    }
+
+    /// Whether block row `i` is final: its pivot validated and every `L`
+    /// block left of it stored.
+    fn is_final(&self, i: usize) -> bool {
+        let g = i / self.mu;
+        self.owned[i].col == self.group(g).start && self.pivots[g].validated
     }
 
     /// Deal block rows `rows`, columns `cols`, to `worker` from the
@@ -421,7 +501,7 @@ impl LuPort<'_> {
     /// the first frame on, so that a death mid-deal leaves them with it.
     fn deal(&mut self, worker: WorkerId, rows: Range<usize>, cols: Range<usize>) -> Performed {
         for i in rows.clone() {
-            self.owned[i] = Held { worker: Some(worker), col: cols.start, told: false };
+            self.owned[i] = Held { worker: Some(worker), col: cols.start, at: cols.start };
         }
         for i in rows {
             let payload = self.chunks.accumulator().row(self.master, (i, cols.start), cols.len());
@@ -432,130 +512,228 @@ impl LuPort<'_> {
         Performed::Done
     }
 
-    /// The pivot `pivot`, with `rest` blocks after it, on its rows' owner
-    /// `worker`: the request out, and the factored pivot and `U₁₂` back,
-    /// stored as factors only once the reply validates; the owner's rows
-    /// that wait on the pivot then owe their `L₂₁`. `Refused`, with nothing
-    /// stored, when the worker answers with the refusal (the request's
-    /// tag, no payload); `Lost`, with nothing stored, when it dies, stays
-    /// silent past the liveness deadline, or answers with anything else.
-    fn pivot(&mut self, worker: WorkerId, pivot: &Range<usize>, rest: usize) -> Performed {
-        let (p, q, r) = (pivot.len(), self.q, self.r());
-        self.step = Some((pivot.clone(), None));
+    /// Ask `worker` for the pivot of group `g`, unless it does not hold
+    /// the pivot's rows or was asked already. The worker answers at once
+    /// when the rows wait on the pivot, else holds the request pending
+    /// until they take the step they wait on.
+    fn request(&mut self, worker: WorkerId, g: usize) -> Performed {
+        let pivot = self.group(g);
+        let held = pivot.clone().all(|i| self.owned[i].worker == Some(worker));
+        if !held || self.pivots[g].requested == Some(worker) || self.is_final(pivot.start) {
+            return Performed::Done;
+        }
+        self.pivots[g].requested = Some(worker);
+        let link = &mut self.links[worker.index()];
+        if self.owned[pivot.start].at == pivot.start {
+            link.owed.push_back(Owed::Pivot(g));
+        } else {
+            link.pending = Some(g);
+        }
         let tag = Tag::new(FrameKind::LuPivot, pivot.start, pivot.end);
-        if !self.chunks.post(worker, tag, Bytes::new(), 0) {
-            return Performed::Lost;
-        }
-        let Some(reply) = self.chunks.take(worker, (p * (p + rest)) as u64) else { return Performed::Lost };
-        if reply.tag == tag && reply.payload.is_empty() {
-            self.refused = Some(pivot.start);
-            return Performed::Refused;
-        }
-        let rows = || pivot.clone();
-        let blocks: Vec<(usize, usize)> = rows()
-            .flat_map(|i| pivot.clone().map(move |j| (i, j)))
-            .chain(rows().flat_map(|i| (pivot.end..r).map(move |j| (i, j))))
-            .collect();
-        if !store(&mut self.packed, q, &blocks, tag, &reply) {
-            return Performed::Lost;
-        }
-        rows().for_each(|i| self.owned[i].worker = None);
-        for held in self.owned.iter_mut().filter(|held| held.worker == Some(worker) && held.col == pivot.start) {
-            held.told = true;
-        }
-        self.step = Some((pivot.clone(), Some(reply)));
-        Performed::Done
+        if self.chunks.post(worker, tag, Bytes::new(), 0) { Performed::Done } else { Performed::Lost }
     }
 
-    /// The step in hand's pivot and its stored reply, once it validated.
-    fn stored(&self) -> Option<(Range<usize>, Frame)> {
-        let (pivot, reply) = self.step.as_ref()?;
-        Some((pivot.clone(), reply.clone()?))
+    /// Take the pivot of group `g` from `worker`, with every reply it
+    /// sends before it; `Done` at once when it is validated and `worker`
+    /// owes it no more.
+    fn pivot(&mut self, worker: WorkerId, g: usize) -> Performed {
+        if let Some(at) = self.links[worker.index()].owed.iter().position(|owed| *owed == Owed::Pivot(g)) {
+            return self.take_first(worker, at + 1);
+        }
+        if self.pivots[g].validated { Performed::Done } else { Performed::Lost }
     }
 
-    /// The rows `worker` holds that wait on the pivot at column `p0`,
-    /// told of it (`told`) or not.
-    fn waiting(&self, worker: WorkerId, p0: usize, told: bool) -> Vec<usize> {
-        let on = |held: &Held| held.worker == Some(worker) && held.col == p0 && held.told == told;
-        (0..self.owned.len()).filter(|&i| on(&self.owned[i])).collect()
-    }
-
-    /// Forward the stored pivot reply, as it came, to `worker` if it
-    /// holds rows that wait on the pivot and were not told of it.
-    fn forward(&mut self, worker: WorkerId) -> Performed {
-        let Some((pivot, reply)) = self.stored() else { return Performed::Done };
-        let untold = self.waiting(worker, pivot.start, false);
-        if untold.is_empty() {
+    /// Forward the validated pivot of group `g`, as it came, to `worker`
+    /// if rows of its wait on it — once `worker` sent the pivots it owes,
+    /// whose own steps its rows take first.
+    fn forward(&mut self, worker: WorkerId, g: usize) -> Performed {
+        let Some(reply) = self.pivots[g].reply.clone() else { return Performed::Done };
+        while let Some(at) = self.links[worker.index()].owed.iter().position(|owed| matches!(owed, Owed::Pivot(_))) {
+            let taken = self.take_first(worker, at + 1);
+            if taken != Performed::Done {
+                return taken;
+            }
+        }
+        let p0 = self.group(g).start;
+        if !self.owned.iter().any(|held| held.worker == Some(worker) && held.at == p0) {
             return Performed::Done;
         }
         let blocks = (reply.payload.len() / (self.q * self.q * 8)) as u64;
         if !self.chunks.post(worker, reply.tag, reply.payload, blocks) {
             return Performed::Lost;
         }
-        untold.into_iter().for_each(|i| self.owned[i].told = true);
+        self.expect_step(worker, g);
         Performed::Done
     }
 
-    /// Receive the `L₂₁` blocks `worker` owes for the pivot in hand — its
-    /// rows told of it, in ascending order, `p` blocks each — and store
-    /// them once the reply validates; the rows then wait on the next
-    /// pivot.
-    fn lower(&mut self, worker: WorkerId) -> Performed {
-        let Some((pivot, _)) = self.stored() else { return Performed::Done };
-        let owed = self.waiting(worker, pivot.start, true);
-        if owed.is_empty() {
-            return Performed::Done;
+    /// Take every `L₂₁` reply `worker` owes for the pivots of groups up to
+    /// `g`, with every reply it sends before them.
+    fn lower(&mut self, worker: WorkerId, g: usize) -> Performed {
+        let owes = |owed: &Owed| matches!(owed, Owed::Lower(h, _) if *h <= g);
+        while let Some(at) = self.links[worker.index()].owed.iter().rposition(owes) {
+            let taken = self.take_first(worker, at + 1);
+            if taken != Performed::Done {
+                return taken;
+            }
         }
-        let blocks: Vec<(usize, usize)> = owed.iter().flat_map(|&i| pivot.clone().map(move |j| (i, j))).collect();
-        let Some(reply) = self.chunks.take(worker, blocks.len() as u64) else { return Performed::Lost };
-        let tag = Tag::new(FrameKind::LuRow, pivot.start, pivot.end);
-        if !store(&mut self.packed, self.q, &blocks, tag, &reply) {
-            return Performed::Lost;
-        }
-        owed.into_iter().for_each(|i| self.owned[i] = Held { worker: Some(worker), col: pivot.end, told: false });
         Performed::Done
+    }
+
+    /// What `worker` sends for the step of group `g`'s pivot, once it has
+    /// it: the rows it holds that wait on the pivot take the step — the
+    /// rows of its pending request first, whose pivot it then answers —
+    /// and their `L₂₁` come back.
+    fn expect_step(&mut self, worker: WorkerId, g: usize) {
+        let pivot = self.group(g);
+        let rows: Vec<usize> = (0..self.r).filter(|&i| self.owned[i].worker == Some(worker) && self.owned[i].at == pivot.start).collect();
+        if rows.is_empty() {
+            return;
+        }
+        let next = self.links[worker.index()].pending.filter(|&n| n == g + 1 && self.group(n).all(|i| rows.contains(&i)));
+        let link = &mut self.links[worker.index()];
+        if let Some(next) = next {
+            link.pending = None;
+            link.owed.push_back(Owed::Pivot(next));
+        }
+        link.owed.push_back(Owed::Lower(g, rows.clone()));
+        rows.iter().for_each(|&i| self.owned[i].at = pivot.end);
+    }
+
+    /// Take the next `n` replies `worker` owes, in the order it sends
+    /// them.
+    fn take_first(&mut self, worker: WorkerId, n: usize) -> Performed {
+        for _ in 0..n {
+            let Some(owed) = self.links[worker.index()].owed.pop_front() else { return Performed::Lost };
+            let taken = self.take(worker, owed);
+            if taken != Performed::Done {
+                return taken;
+            }
+        }
+        Performed::Done
+    }
+
+    /// Take everything `worker` owes, and what the pivots among it make
+    /// it owe.
+    fn drain(&mut self, worker: WorkerId) -> Performed {
+        while !self.links[worker.index()].owed.is_empty() {
+            let taken = self.take_first(worker, self.links[worker.index()].owed.len());
+            if taken != Performed::Done {
+                return taken;
+            }
+        }
+        Performed::Done
+    }
+
+    /// Take the reply `owed` from `worker` and act on it once it
+    /// validates: a pivot is kept to forward, and the owner's rows that
+    /// wait on it take its step; `L₂₁` blocks are stored, and their rows
+    /// wait on the next pivot. Before it waits, the master stores the
+    /// pivots it forwarded. `Refused` when a pivot comes back refused (its
+    /// rows stay where they are), `Lost` when the worker dies, stays silent
+    /// or sends anything else.
+    fn take(&mut self, worker: WorkerId, owed: Owed) -> Performed {
+        self.allocate();
+        self.store_pivots();
+        let bb = self.q * self.q * 8;
+        match owed {
+            Owed::Pivot(g) => {
+                let pivot = self.group(g);
+                let blocks = pivot.len() * (pivot.len() + self.r - pivot.end);
+                let Some(reply) = self.chunks.take(worker, blocks as u64) else { return Performed::Lost };
+                let tag = Tag::new(FrameKind::LuPivot, pivot.start, pivot.end);
+                if reply.tag == tag && reply.payload.is_empty() {
+                    (self.refused, self.second_opinion) = (Some(pivot.start), Some(g));
+                    return Performed::Refused;
+                }
+                if reply.tag != tag || reply.payload.len() != blocks * bb {
+                    return Performed::Lost;
+                }
+                self.pivots[g] = PivotState { validated: true, reply: Some(reply), stored: false, ..self.pivots[g] };
+                pivot.for_each(|i| self.owned[i].at = self.r);
+                self.expect_step(worker, g);
+            }
+            Owed::Lower(g, rows) => {
+                let pivot = self.group(g);
+                let blocks: Vec<(usize, usize)> = rows.iter().flat_map(|&i| pivot.clone().map(move |j| (i, j))).collect();
+                let Some(reply) = self.chunks.take(worker, blocks.len() as u64) else { return Performed::Lost };
+                if !store(&mut self.packed, self.q, &blocks, Tag::new(FrameKind::LuRow, pivot.start, pivot.end), &reply) {
+                    return Performed::Lost;
+                }
+                rows.iter().for_each(|&i| self.owned[i].col = pivot.end);
+                // A pivot no row still needs forwarded is let go.
+                let needed = (0..self.r).filter(|&i| !self.is_final(i)).map(|i| self.owned[i].col).min().unwrap_or(self.r);
+                for g in 0..self.pivots.len().min(needed / self.mu) {
+                    self.pivots[g].reply = self.pivots[g].reply.take().filter(|_| !self.pivots[g].stored);
+                }
+            }
+        }
+        Performed::Done
+    }
+
+    /// Copy each validated pivot not stored yet into the output.
+    fn store_pivots(&mut self) {
+        if !self.pivots.iter().any(|state| state.validated && !state.stored) {
+            return;
+        }
+        self.allocate();
+        for g in 0..self.pivots.len() {
+            let (pivot, state) = (self.group(g), &self.pivots[g]);
+            let Some(reply) = state.reply.as_ref().filter(|_| state.validated && !state.stored) else { continue };
+            let (rows, r) = (|| pivot.clone(), self.r);
+            let blocks: Vec<(usize, usize)> = rows()
+                .flat_map(|i| pivot.clone().map(move |j| (i, j)))
+                .chain(rows().flat_map(|i| (pivot.end..r).map(move |j| (i, j))))
+                .collect();
+            // The reply validated: its tag and length are the blocks'.
+            store(&mut self.packed, self.q, &blocks, reply.tag, reply);
+            self.pivots[g].stored = true;
+        }
     }
 
     /// What redoes an owner-computes phase the `undone` ops lost, on the
-    /// `live` workers with a chunk side: the rows of every dead worker —
-    /// and, for a pivot its live owner refused, the pivot's rows, which go
-    /// to the one worker asked for a second opinion — are adopted by
-    /// `µ`-row group, round-robin. Each is rebuilt from the master's image
-    /// through the steps it has taken ([`rebuild`], from the stored `−L`
-    /// and `U`), brought back and dealt to its adopter as a row it owns;
-    /// rows an undone deal never delivered count as their dead worker's.
-    /// Then the phase goes on: an undone pivot on the pivot rows' owner,
-    /// or else a forward of the stored pivot to, and the `L₂₁` from, each
-    /// worker whose rows still wait on it. `None` when no live worker holds
-    /// a chunk, or an adopter's memory cannot hold what it adopts.
+    /// `live` workers with a chunk side. Each live worker is first drained
+    /// of what it owes. Then the rows of every dead worker — and, for a
+    /// pivot its live owner refused, the pivot's rows, which go to the one
+    /// worker asked for a second opinion — are adopted by `µ`-row group,
+    /// round-robin: each is rebuilt from the master's image through the
+    /// steps whose `L` it has stored ([`rebuild`], from the stored `−L` and
+    /// `U`), brought back and dealt to its adopter as a row it owns. Then,
+    /// pivot by pivot from the lowest column a row waits on: a pivot asked
+    /// for before whose rows moved is asked of their adopter again, behind
+    /// the forwards its rows need, and taken; and each validated pivot is
+    /// forwarded to every live worker whose rows wait on it. Last, every
+    /// live worker is drained again. `None` when no live worker holds a
+    /// chunk, or an adopter's memory cannot hold what it adopts.
     fn adopt(&mut self, undone: &[LuOp], live: &[WorkerId]) -> Option<Vec<LuOp>> {
-        let (master, mu, r) = (self.master, self.mu, self.r());
-        let live = holding(live, self.sides);
-        if live.is_empty() {
-            return None;
+        let (master, mu, r) = (self.master, self.mu, self.r);
+        let mut live = holding(live, self.sides);
+        loop {
+            live.retain(|&w| !master.is_dead(w));
+            if live.is_empty() {
+                return None;
+            }
+            // A worker that fails its drain is lost with the rest.
+            let Some(failed) = live.iter().copied().find(|&w| self.drain(w) != Performed::Done) else { break };
+            master.mark_dead(failed);
         }
-        // A pivot left undone runs again; one its live owner refused moves
-        // its rows to the worker asked for a second opinion.
-        let pivot = undone.iter().find_map(|op| match op {
-            LuOp::Pivot { worker, pivot, rest, .. } => Some((*worker, pivot.clone(), *rest)),
-            _ => None,
-        });
-        let refused = pivot.as_ref().filter(|(worker, ..)| !master.is_dead(*worker)).map(|(_, pivot, _)| pivot.clone());
+        self.allocate();
+        self.store_pivots();
         // Rows a deal to a worker already dead never reached are its too.
         for op in undone {
             if let LuOp::Deal { worker, rows, cols } = op {
                 for held in self.owned[rows.clone()].iter_mut().filter(|held| held.worker.is_none()) {
-                    *held = Held { worker: Some(*worker), col: cols.start, told: false };
+                    *held = Held { worker: Some(*worker), col: cols.start, at: cols.start };
                 }
             }
         }
-        let lost = |i: usize, held: &Held| {
-            held.worker.is_some_and(|w| master.is_dead(w)) || refused.as_ref().is_some_and(|p| p.contains(&i))
+        let refused = self.second_opinion.take();
+        let lost = |port: &Self, i: usize| {
+            !port.is_final(i) && (port.owned[i].worker.is_some_and(|w| master.is_dead(w)) || refused == Some(i / mu))
         };
         // (row, its adopter), by group, round-robin.
         let mut moved: Vec<(usize, WorkerId)> = Vec::new();
         for g in (0..r).step_by(mu) {
-            let rows: Vec<usize> = (g..(g + mu).min(r)).filter(|&i| lost(i, &self.owned[i])).collect();
+            let rows: Vec<usize> = (g..(g + mu).min(r)).filter(|&i| lost(self, i)).collect();
             if !rows.is_empty() {
                 let adopter = live[moved.len() % live.len()];
                 moved.extend(rows.into_iter().map(|i| (i, adopter)));
@@ -569,8 +747,9 @@ impl LuPort<'_> {
             }
         }
         // What the master's images lack: each moved row's updates from its
-        // image's step to the pivot it waits on, as a chunk of the grid of
-        // the step before that pivot, by runs of rows with one target.
+        // image's step to the pivot column left of which its `L` is
+        // stored, as a chunk of the grid of the step before that pivot, by
+        // runs of rows with one target.
         let mut lost_chunks: Vec<(usize, Chunk)> = Vec::new();
         for &(i, _) in &moved {
             let col = self.owned[i].col;
@@ -593,26 +772,35 @@ impl LuPort<'_> {
             let (worker, col) = (run[0].1, self.owned[run[0].0].col);
             ops.push(LuOp::Deal { worker, rows: run[0].0..run[run.len() - 1].0 + 1, cols: col..r });
         }
-        match (pivot, self.stored()) {
-            (Some((_, pivot, rest)), _) => {
-                let owner = moved.iter().find(|&&(i, _)| i == pivot.start).map(|&(_, w)| w);
-                let worker = owner.or(self.owned[pivot.start].worker)?;
-                ops.push(LuOp::Pivot { worker, pivot, rest, rows: 0 });
+        // Where each row will be once the deals are done, and the lowest
+        // column a row of a live worker waits on.
+        let holder = |i: usize| moved.iter().find(|&&(at, _)| at == i).map(|&(_, w)| w).or(self.owned[i].worker);
+        let waits = |i: usize| if moved.iter().any(|&(at, _)| at == i) { self.owned[i].col } else { self.owned[i].at };
+        let from = (0..r).filter(|&i| !self.is_final(i) && holder(i).is_some_and(|w| live.contains(&w))).map(waits).min().unwrap_or(r);
+        let wanted = |g: usize| {
+            self.pivots[g].requested.is_some()
+                || undone.iter().any(|op| matches!(op, LuOp::Request { pivot, .. } | LuOp::Pivot { pivot, .. } if pivot.start == g * mu))
+        };
+        let upto = (0..self.pivots.len()).filter(|&g| wanted(g)).max();
+        for g in (from / mu)..upto.map_or(0, |g| g + 1) {
+            let (pivot, rest) = (self.group(g), r - self.group(g).end);
+            let owner = holder(pivot.start).filter(|w| live.contains(w));
+            if let Some(worker) = owner.filter(|_| wanted(g) && !self.is_final(pivot.start)) {
+                if self.pivots[g].requested != Some(worker) {
+                    ops.push(LuOp::Request { worker, pivot: pivot.clone(), rest, rows: 0 });
+                }
+                ops.push(LuOp::Pivot { worker, pivot: pivot.clone(), rest });
             }
-            (None, Some((pivot, _))) => {
-                let rest = r - pivot.end;
-                ops.extend(live.iter().map(|&worker| LuOp::Forward { worker, pivot: pivot.clone(), rest, rows: 0 }));
-                ops.extend(live.iter().map(|&worker| LuOp::Lower { worker, pivot: pivot.clone(), rows: 0 }));
-            }
-            (None, None) => {}
+            ops.extend(live.iter().map(|&worker| LuOp::Forward { worker, pivot: pivot.clone(), rest, rows: 0 }));
         }
+        ops.extend(live.iter().map(|&worker| LuOp::Lower { worker, pivot: r..r, rows: 0 }));
         Some(ops)
     }
 
     /// Add step `k`'s trailing update to the chunk exchanges as its job
     /// `k`, from the factors stored: A the negated `L₂₁`, B the `U₁₂`.
     fn push_step(&mut self, k: usize) {
-        let (q, mu, r, bb) = (self.q, self.mu, self.r(), self.q * self.q * 8);
+        let (q, mu, r, bb) = (self.q, self.mu, self.r, self.q * self.q * 8);
         let (k0, k1) = (k * mu, ((k + 1) * mu).min(r));
         let (p, rest, packed) = (k1 - k0, r - k1, &self.packed);
         let minus_l = self.master.pooled_payload(rest * p * bb, |buf| {
@@ -1181,13 +1369,16 @@ mod tests {
     fn rogue_owners_cost_their_link_and_their_rows_are_adopted() {
         // 8 blocks at µ = 2 on m = 1000 deal the rows: sides of 6 reserve
         // 60 blocks, which hold a worker's 4 rows of 8 and a step's 16. A
-        // rogue in slot 0 answers its first pivot request badly, one in
-        // slot 1 its first forwarded pivot: either way the master stores
-        // nothing of it, condemns it, and the survivor adopts its rows —
-        // rebuilt from the stored factors where they took steps — and
-        // finishes the factors bit for bit.
+        // rogue in slot 0 answers its first pivot request badly; one in
+        // slot 1 its first, which is sent ahead of the forward its rows
+        // wait on — a rogue answer to a pending request. Either way the
+        // master stores nothing of it, condemns it, and the survivor adopts
+        // its rows — rebuilt from the stored factors where they took steps
+        // — and finishes the factors bit for bit.
         let matrix = random_diagonally_dominant(8, 4, 55);
-        assert!(owners(8, 2, &chunk_sides(&platform(2), 8, 2)).is_some());
+        let ops = lu_schedule(8, 2, &chunk_sides(&platform(2), 8, 2));
+        let slot1 = ops.iter().position(|op| matches!(op, LuOp::Request { worker, .. } if *worker == WorkerId(1)));
+        assert!(matches!(slot1.map(|at| &ops[at + 1]), Some(LuOp::Forward { worker, .. }) if *worker == WorkerId(1)), "slot 1's first request rides ahead");
         let mut serial = Dense::from_blocks(&matrix);
         lu_blocked_in_place(&mut serial, 8);
         for (what, reply) in OWNER_ROGUES {
@@ -1287,23 +1478,47 @@ mod tests {
 
     #[test]
     fn a_rogue_refusing_every_pivot_is_condemned_and_the_run_finishes() {
-        // A refusal gets a second opinion: slot 1 factors every pivot slot
-        // 0 refuses, so slot 0 is the rogue, not the input, and cannot veto
-        // the factorization — streamed (6 blocks) or with the rows owned
-        // (8 blocks), where slot 1 first adopts the refused pivot's rows.
-        for blocks in [6, 8] {
+        // A refusal gets a second opinion: the other slot factors every
+        // pivot the rogue refuses, so the rogue, not the input, is at
+        // fault and cannot veto the factorization — streamed (6 blocks, the
+        // pivot chain on slot 0) or with the rows owned (8 blocks), where
+        // the other slot first adopts the refused pivot's rows. Owned, slot
+        // 0's first pivot is asked for at once and slot 1's is sent ahead,
+        // pending: a refused pending pivot gets its second opinion too.
+        for (blocks, rogue) in [(6, 0), (8, 0), (8, 1)] {
             let matrix = random_diagonally_dominant(blocks, 4, 54);
             let healthy = run_lu(&platform(2), &matrix, 2, 0.0).packed;
             let owned = owners(blocks, 2, &chunk_sides(&platform(2), blocks, 2)).is_some();
             assert_eq!(owned, blocks == 8);
-            let (session, threads) = fleet_with_rogues(2, 1000, |i| i == 0, |t| Frame::new(t.tag, Bytes::new()));
+            let (session, threads) = fleet_with_rogues(2, 1000, |i| i == rogue, |t| Frame::new(t.tag, Bytes::new()));
             let out = factor(&session, &matrix, 2);
-            assert!(!out.aborted, "{blocks} blocks: one worker's refusal must not abort the run");
-            assert_eq!(out.refused, None, "{blocks} blocks: no pivot was refused twice");
-            assert_eq!(out.packed, healthy, "{blocks} blocks");
-            assert_eq!(session.dead_workers(), 1, "{blocks} blocks: the refuser is condemned");
+            let what = format!("{blocks} blocks, rogue in slot {rogue}");
+            assert!(!out.aborted, "{what}: one worker's refusal must not abort the run");
+            assert_eq!(out.refused, None, "{what}: no pivot was refused twice");
+            assert_eq!(out.packed, healthy, "{what}");
+            assert_eq!(session.dead_workers(), 1, "{what}: the refuser is condemned");
             session.shutdown();
             threads.into_iter().for_each(|t| t.join().unwrap());
+        }
+    }
+
+    #[test]
+    fn owned_factors_are_bit_identical_on_one_two_and_three_workers() {
+        // With rows owned, one owner asks for each pivot after its step
+        // before, two or three overlap the steps by a pivot: the factors
+        // are the serial ones, bit for bit, ragged last groups included.
+        // One worker holds every row only of a small matrix (its side is
+        // clipped to the first trailing grid's).
+        for (blocks, mu, fleets) in [(5, 1, 1..=3), (9, 2, 2..=3), (12, 2, 2..=3)] {
+            let matrix = random_diagonally_dominant(blocks, 8, 57);
+            let mut serial = Dense::from_blocks(&matrix);
+            lu_blocked_in_place(&mut serial, 8 * mu);
+            for p in fleets {
+                let fleet = Platform::homogeneous(p, 1.0, 1.0, 100_000).unwrap();
+                assert!(owners(blocks, mu, &chunk_sides(&fleet, blocks, mu)).is_some(), "{blocks} blocks: {p} workers own the rows");
+                let out = run_lu(&fleet, &matrix, mu, 0.0);
+                assert!(!out.aborted && out.packed == serial, "{blocks} blocks on {p} workers");
+            }
         }
     }
 

@@ -25,26 +25,37 @@
 //!
 //! The matrix's `µ`-row groups are dealt once, group `g` to the
 //! `g mod P'`-th of the `P'` workers ([`LuOp::Deal`], one frame per block
-//! row), and each worker keeps its rows to the end. Step `k`, pivot group
-//! `p`, with `rest` blocks after it:
+//! row) — the first pivot's owner its rows and [`LuOp::Request`] first,
+//! then the others — and each worker keeps its rows to the end. Step `k`,
+//! pivot group `p`, with `rest` blocks after it:
 //!
-//! 1. **[`LuOp::Pivot`]**: a request to `p`'s owner, which factors
-//!    `A₁₁`, solves its `U₁₂ = L₁₁⁻¹·A₁₂` and replies with both, final.
-//!    Then its own rows that wait on the pivot take the step. A `Pivot` is
-//!    a barrier on both sides: everything after it reads its reply, and it
-//!    reads rows the whole step before it updated.
+//! 1. **[`LuOp::Pivot`]**: the reply to `p`'s request from its owner, which
+//!    factors `A₁₁`, solves its `U₁₂ = L₁₁⁻¹·A₁₂` and replies with both,
+//!    final. Then its own rows that wait on the pivot take the step. The
+//!    reply is a barrier: everything after it reads it.
 //! 2. **[`LuOp::Forward`]** of that reply, as it is, to every other worker
-//!    holding trailing rows: each solves its own `L₂₁ = A₂₁·U₁₁⁻¹` and
-//!    updates its rows with `−L₂₁·U₁₂`.
+//!    holding trailing rows, the next pivot's owner first: each solves its
+//!    own `L₂₁ = A₂₁·U₁₁⁻¹` and updates its rows with `−L₂₁·U₁₂`.
 //! 3. **[`LuOp::Lower`]** from each worker holding trailing rows: their
 //!    `L₂₁` blocks, final.
+//!
+//! With two owners or more the steps overlap by one pivot: the request
+//! for pivot `k+1` goes to its owner *ahead of* the forward of pivot `k`,
+//! which starts that owner's step `k`. The owner holds it pending, updates
+//! the pivot rows first when the forward comes, factors and answers, and
+//! only then updates its other rows. So after step `k`'s forwards come
+//! pivot `k+1`'s reply and forwards, and only then step `k`'s `L₂₁`: on
+//! each link a pivot reply comes before the `L₂₁` of the step before. A
+//! lone owner's step starts inside its own request, so it is asked for
+//! each pivot after its `L₂₁` of the step before.
 //!
 //! # Streamed
 //!
 //! 1. **`Panel`** on worker 0: the pivot `(p, p)`, the vertical panel
 //!    `(rest, p)` and the horizontal panel `(p, rest)` go out in one frame
 //!    and come back factored and solved in one reply (the last step is the
-//!    pivot alone) — a barrier on both sides, as `Pivot` is.
+//!    pivot alone) — a barrier on both sides: it reads rows the whole step
+//!    before it updated, and everything after it reads its reply.
 //! 2. **The trailing update** — the product `C ← C + A·B` with C the
 //!    `rest × rest` trailing grid, A the solved vertical panel (negated),
 //!    B the solved horizontal panel, `t = µ` — as `mwp_core`'s chunk
@@ -98,11 +109,13 @@ pub enum LuOp {
         /// Their block columns, to the matrix's right edge.
         cols: Range<usize>,
     },
-    /// The pivot `pivot`, with `rest` blocks after it, on the worker whose
-    /// rows it is: a request out, and back the factored pivot and its
-    /// solved `U₁₂`, `p² + p·rest` blocks for a `p`-wide pivot. Then the
-    /// worker's own `rows` block rows that wait on it take the step.
-    Pivot {
+    /// The request for the pivot `pivot`, with `rest` blocks after it, to
+    /// the worker whose rows it is: answered once those rows wait on it —
+    /// at once, or, sent ahead of the forward that starts the worker's step
+    /// before, in that step once the rows have taken it. After answering,
+    /// the worker's own `rows` block rows that wait on the pivot take its
+    /// step.
+    Request {
         /// The pivot rows' owner.
         worker: WorkerId,
         /// The pivot's block rows (and columns).
@@ -111,6 +124,17 @@ pub enum LuOp {
         rest: usize,
         /// Block rows of the owner's that wait on the pivot.
         rows: usize,
+    },
+    /// The requested pivot's reply from its rows' owner: the factored
+    /// pivot and its solved `U₁₂`, `p² + p·rest` blocks for a `p`-wide
+    /// pivot with `rest` blocks after it.
+    Pivot {
+        /// The pivot rows' owner.
+        worker: WorkerId,
+        /// The pivot's block rows (and columns).
+        pivot: Range<usize>,
+        /// Blocks of the matrix after the pivot.
+        rest: usize,
     },
     /// The pivot's reply, as it came back, to `worker`, whose `rows` block
     /// rows wait on it and take the step.
@@ -151,13 +175,15 @@ impl LuOp {
             LuOp::Chunk(op) => op.target().1,
             LuOp::Panel { worker, .. }
             | LuOp::Deal { worker, .. }
+            | LuOp::Request { worker, .. }
             | LuOp::Pivot { worker, .. }
             | LuOp::Forward { worker, .. }
             | LuOp::Lower { worker, .. } => *worker,
         }
     }
 
-    /// Whether it is a step's pivot, a barrier on both sides.
+    /// Whether it brings back a step's pivot: a `Panel`, a barrier on both
+    /// sides, or an owned pivot's reply, after which every op reads it.
     pub fn is_pivot(&self) -> bool {
         matches!(self, LuOp::Panel { .. } | LuOp::Pivot { .. })
     }
@@ -201,21 +227,41 @@ pub fn owners(r: usize, mu: usize, sides: &[usize]) -> Option<Vec<WorkerId>> {
 
 /// The owner-computes schedule over `owners` (module docs).
 fn owned_schedule(r: usize, mu: usize, owners: &[WorkerId]) -> Vec<LuOp> {
-    let groups = r.div_ceil(mu);
-    let owner = |g: usize| owners[g % owners.len()];
-    let mut ops: Vec<LuOp> =
-        (0..groups).map(|g| LuOp::Deal { worker: owner(g), rows: group(r, mu, g), cols: 0..r }).collect();
+    let (groups, n) = (r.div_ceil(mu), owners.len());
+    let owner = |g: usize| owners[g % n];
+    // Block rows of `w`'s that wait on the pivot of step `k`.
+    let waiting = |k: usize, w: WorkerId| -> usize { (k + 1..groups).filter(|&g| owner(g) == w).map(|g| group(r, mu, g).len()).sum() };
+    let rest = |k: usize| r - group(r, mu, k).end;
+    let request = |k: usize| LuOp::Request { worker: owner(k), pivot: group(r, mu, k), rest: rest(k), rows: waiting(k, owner(k)) };
+    let lowers = |k: usize| {
+        owners.iter().filter(move |&&w| waiting(k, w) > 0).map(move |&worker| LuOp::Lower { worker, pivot: group(r, mu, k), rows: waiting(k, worker) })
+    };
+    let deal = |g: usize| LuOp::Deal { worker: owner(g), rows: group(r, mu, g), cols: 0..r };
+    // The first pivot's owner gets its rows and the request before the
+    // other workers get theirs.
+    let (first, others): (Vec<usize>, Vec<usize>) = (0..groups).partition(|&g| owner(g) == owner(0));
+    let mut ops: Vec<LuOp> = first.into_iter().map(deal).collect();
+    ops.push(request(0));
+    ops.extend(others.into_iter().map(deal));
     for k in 0..groups {
-        let pivot = group(r, mu, k);
-        let rest = r - pivot.end;
-        let waiting = |w: WorkerId| -> usize { (k + 1..groups).filter(|&g| owner(g) == w).map(|g| group(r, mu, g).len()).sum() };
-        let (o, pivot_rows) = (owner(k), pivot.clone());
-        ops.push(LuOp::Pivot { worker: o, pivot: pivot_rows, rest, rows: waiting(o) });
-        for &w in owners.iter().filter(|&&w| w != o && waiting(w) > 0) {
-            ops.push(LuOp::Forward { worker: w, pivot: pivot.clone(), rest, rows: waiting(w) });
+        ops.push(LuOp::Pivot { worker: owner(k), pivot: group(r, mu, k), rest: rest(k) });
+        // Forwards start at the next pivot's owner, whose request goes
+        // ahead of its forward when it is another worker.
+        for w in (1..n).map(|d| owners[(k + d) % n]).filter(|&w| waiting(k, w) > 0) {
+            if k + 1 < groups && w == owner(k + 1) {
+                ops.push(request(k + 1));
+            }
+            ops.push(LuOp::Forward { worker: w, pivot: group(r, mu, k), rest: rest(k), rows: waiting(k, w) });
         }
-        for &w in owners.iter().filter(|&&w| waiting(w) > 0) {
-            ops.push(LuOp::Lower { worker: w, pivot: pivot.clone(), rows: waiting(w) });
+        // The step's L₂₁ come back behind the next pivot and its forwards;
+        // a lone owner's, before its next request.
+        if n == 1 {
+            ops.extend(lowers(k));
+            if k + 1 < groups {
+                ops.push(request(k + 1));
+            }
+        } else if k > 0 {
+            ops.extend(lowers(k - 1));
         }
     }
     ops
@@ -403,8 +449,8 @@ fn share(p: usize, rest: usize, rows: usize) -> u64 {
 
 /// The one lowering of a factorization into simulator frames, one
 /// [`Decision`] per frame the runtime sends — and, on the owner-computes
-/// path, one of no blocks where a pivot's owner takes the step on its own
-/// rows, which no frame starts.
+/// path, one of no blocks where a worker goes on with rows no frame
+/// starts: the model's start of that work.
 ///
 /// * A `Panel` is its frame out, spawning its step's pivot chain
 ///   (`p³ + p²·rest` block operations for a `p`-wide pivot), and its
@@ -415,12 +461,20 @@ fn share(p: usize, rest: usize, rows: usize) -> u64 {
 ///   exactly as for a product.
 /// * A `Deal` is a frame per row, each charged to the worker until it
 ///   comes back; the first to a worker also charges one step's pivot and
-///   `U₁₂`, and a block in flight, to the end of the run. A `Pivot` is its
-///   request, of no blocks, spawning the pivot factor and the `U₁₂` solve
-///   (`p³ + p²·rest/2`), its reply, and the owner's own rows' share —
-///   `⌊p²/2⌋` a row of the vertical solve and `p·rest` of the core update;
-///   a `Forward` spawns the rows' share on its worker, and a `Lower` is
-///   its reply.
+///   `U₁₂`, and a block in flight, to the end of the run.
+/// * A `Request` answered at once is its frame, of no blocks, spawning
+///   the pivot factor and the `U₁₂` solve (`p³ + p²·rest/2`); its `Pivot`
+///   is the reply, then the start of the owner's own rows' share of the
+///   step — `⌊p²/2⌋` a row of the vertical solve and `p·rest` of the core
+///   update.
+/// * A `Request` sent ahead spawns nothing. The `Forward` of the step
+///   before, to that worker, spawns its pivot rows' share of that step and
+///   the pivot's factor and solve; the `Pivot` is the reply, then the
+///   start of the rest of the worker's share; and the worker's `Lower` of
+///   that step is its `L₂₁` back, then the start of its own rows' share of
+///   the requested pivot's step.
+/// * Any other `Forward` spawns its rows' share, and a `Lower` is its
+///   reply.
 pub fn lower(ops: &[LuOp]) -> Vec<Decision> {
     let mut chunks = Lowering::new(ops.iter().filter_map(LuOp::chunk));
     // What a worker's first dealt row charges besides itself.
@@ -429,9 +483,20 @@ pub fn lower(ops: &[LuOp]) -> Vec<Decision> {
         _ => 0,
     };
     let fixed = ops.iter().map(step).max().unwrap_or(0) as i64 + 1;
+    let workers = ops.iter().map(|op| op.worker().index() + 1).max().unwrap_or(0);
     let mut charged: Vec<WorkerId> = Vec::new();
+    // Per worker: the block updates it starts once its pivot reply is
+    // taken, once its L₂₁ reply is, and a request sent ahead — its pivot
+    // rows, factor and own rows' share — until the forward that starts it.
+    let (mut after_reply, mut after_lower) = (vec![0u64; workers], vec![0u64; workers]);
+    let mut ahead: Vec<Option<(usize, u64, u64)>> = vec![None; workers];
     let mut frames = Vec::new();
-    for op in ops {
+    let own = |to: WorkerId, spawn_updates: u64, frames: &mut Vec<Decision>| {
+        if spawn_updates > 0 {
+            frames.push(Decision::Send { to, blocks: 0, spawn_updates, mem_delta: 0, label: "own rows".into() });
+        }
+    };
+    for (n, op) in ops.iter().enumerate() {
         match op {
             LuOp::Panel { worker, pivot, rest } => {
                 let p = pivot.len();
@@ -452,25 +517,42 @@ pub fn lower(ops: &[LuOp]) -> Vec<Decision> {
                     frames.push(Decision::Send { to: *worker, blocks, spawn_updates: 0, mem_delta, label: "LU row".into() });
                 }
             }
-            LuOp::Pivot { worker, pivot, rest, rows } => {
-                let (p, to) = (pivot.len(), *worker);
-                let blocks = (p * (p + rest)) as u64;
-                let spawn_updates = (p * p * (p + rest) - rest * (p * p / 2)) as u64;
-                frames.push(Decision::Send { to, blocks: 0, spawn_updates, mem_delta: 0, label: "pivot request".into() });
-                frames.push(Decision::Recv { from: to, blocks, mem_delta: -(blocks as i64), label: "pivot back".into() });
-                if *rows > 0 {
-                    let spawn_updates = share(p, *rest, *rows);
-                    frames.push(Decision::Send { to, blocks: 0, spawn_updates, mem_delta: 0, label: "own rows".into() });
-                }
+            LuOp::Request { worker, pivot, rest, rows } => {
+                let (p, w) = (pivot.len(), worker.index());
+                let factor = (p * p * (p + rest) - rest * (p * p / 2)) as u64;
+                let starts = ops[n + 1..].iter().find(|next| next.worker() == *worker);
+                let sent_ahead = matches!(starts, Some(LuOp::Forward { pivot: before, .. }) if before.end == pivot.start);
+                let spawn_updates = if sent_ahead {
+                    ahead[w] = Some((p, factor, share(p, *rest, *rows)));
+                    0
+                } else {
+                    after_reply[w] += share(p, *rest, *rows);
+                    factor
+                };
+                frames.push(Decision::Send { to: *worker, blocks: 0, spawn_updates, mem_delta: 0, label: "pivot request".into() });
+            }
+            LuOp::Pivot { worker, pivot, rest } => {
+                let blocks = (pivot.len() * (pivot.len() + rest)) as u64;
+                frames.push(Decision::Recv { from: *worker, blocks, mem_delta: -(blocks as i64), label: "pivot back".into() });
+                own(*worker, std::mem::take(&mut after_reply[worker.index()]), &mut frames);
             }
             LuOp::Forward { worker, pivot, rest, rows } => {
-                let p = pivot.len();
-                let (blocks, spawn_updates) = ((p * (p + rest)) as u64, share(p, *rest, *rows));
+                let (p, w) = (pivot.len(), worker.index());
+                let spawn_updates = match ahead[w].take() {
+                    Some((pivot_rows, factor, own_rows)) => {
+                        after_reply[w] += share(p, *rest, rows - pivot_rows);
+                        after_lower[w] += own_rows;
+                        share(p, *rest, pivot_rows) + factor
+                    }
+                    None => share(p, *rest, *rows),
+                };
+                let blocks = (p * (p + rest)) as u64;
                 frames.push(Decision::Send { to: *worker, blocks, spawn_updates, mem_delta: 0, label: "pivot forward".into() });
             }
             LuOp::Lower { worker, pivot, rows } => {
                 let blocks = (rows * pivot.len()) as u64;
                 frames.push(Decision::Recv { from: *worker, blocks, mem_delta: -(blocks as i64), label: "L back".into() });
+                own(*worker, std::mem::take(&mut after_lower[worker.index()]), &mut frames);
             }
         }
     }
@@ -608,10 +690,15 @@ mod tests {
         }
 
         /// Owner-computes deals every block row once, over the workers with
-        /// a chunk side, `µ`-row group `g` to the `g mod P'`-th; then each
-        /// step is its pivot on the pivot rows' owner, a forward to every
-        /// other worker whose rows wait on it and an `L₂₁` reply from every
-        /// worker whose rows do — ragged last groups included. Each dealt
+        /// a chunk side, `µ`-row group `g` to the `g mod P'`-th — the first
+        /// pivot's owner its rows and the request before any other worker's
+        /// rows. Each step is one pivot reply from the pivot rows' owner, a
+        /// forward to every other worker whose rows wait on it and an `L₂₁`
+        /// reply from every worker whose rows do — ragged last groups
+        /// included. With two owners or more, the next pivot is requested
+        /// ahead of the forward that starts its owner's step, and its reply
+        /// and forwards come before the step's `L₂₁` replies. No reply is
+        /// taken before the frames its worker needs to send it. Each dealt
         /// block comes back exactly once, and the frames carry the cost
         /// model's work and the closed form's blocks.
         #[test]
@@ -623,22 +710,51 @@ mod tests {
             let ops = owned_schedule(r, mu, &owners);
             let groups = r.div_ceil(mu);
             let owner = |g: usize| owners[g % owners.len()];
-            let dealt: Vec<LuOp> = (0..groups).map(|g| LuOp::Deal { worker: owner(g), rows: group(r, mu, g), cols: 0..r }).collect();
-            prop_assert_eq!(&ops[..groups], &dealt[..]);
-            let mut rest_of = ops[groups..].iter();
+            let waiting = |k: usize, w: WorkerId| (k + 1..groups).filter(|&g| owner(g) == w).map(|g| group(r, mu, g).len()).sum::<usize>();
+            let at = |want: &LuOp| ops.iter().position(|op| op == want);
+            // The deal.
+            let deals: Vec<(WorkerId, Range<usize>)> = ops.iter().filter_map(|op| match op {
+                LuOp::Deal { worker, rows, cols } => { assert_eq!(cols, &(0..r)); Some((*worker, rows.clone())) }
+                _ => None,
+            }).collect();
+            let mut dealt: Vec<(WorkerId, Range<usize>)> = (0..groups).map(|g| (owner(g), group(r, mu, g))).collect();
+            dealt.sort_by_key(|(w, rows)| (*w != owner(0), rows.start));
+            prop_assert_eq!(deals, dealt);
+            let first = LuOp::Request { worker: owner(0), pivot: group(r, mu, 0), rest: r - group(r, mu, 0).end, rows: waiting(0, owner(0)) };
+            let others = ops.iter().position(|op| matches!(op, LuOp::Deal { worker, .. } if *worker != owner(0))).unwrap_or(ops.len());
+            prop_assert!(at(&first).is_some_and(|n| n < others), "the first request goes before the other rows");
             for k in 0..groups {
                 let (pivot, rest) = (group(r, mu, k), r - group(r, mu, k).end);
-                let waiting = |w: WorkerId| (k + 1..groups).filter(|&g| owner(g) == w).map(|g| group(r, mu, g).len()).sum::<usize>();
                 let o = owner(k);
-                prop_assert_eq!(rest_of.next(), Some(&LuOp::Pivot { worker: o, pivot: pivot.clone(), rest, rows: waiting(o) }));
-                for &w in owners.iter().filter(|&&w| w != o && waiting(w) > 0) {
-                    prop_assert_eq!(rest_of.next(), Some(&LuOp::Forward { worker: w, pivot: pivot.clone(), rest, rows: waiting(w) }));
+                let request = LuOp::Request { worker: o, pivot: pivot.clone(), rest, rows: waiting(k, o) };
+                let reply = at(&LuOp::Pivot { worker: o, pivot: pivot.clone(), rest });
+                prop_assert!(reply.is_some() && at(&request) < reply, "step {}: the request, then the reply", k);
+                prop_assert_eq!(ops.iter().filter(|op| op.is_pivot()).nth(k), Some(&LuOp::Pivot { worker: o, pivot: pivot.clone(), rest }));
+                for &w in &owners {
+                    let forward = at(&LuOp::Forward { worker: w, pivot: pivot.clone(), rest, rows: waiting(k, w) });
+                    let lower = at(&LuOp::Lower { worker: w, pivot: pivot.clone(), rows: waiting(k, w) });
+                    let count = |f: &dyn Fn(&LuOp) -> bool| ops.iter().filter(|op| f(op)).count();
+                    prop_assert_eq!(count(&|op| matches!(op, LuOp::Forward { worker, pivot: p, .. } if *worker == w && *p == pivot)), usize::from(w != o && waiting(k, w) > 0));
+                    prop_assert_eq!(count(&|op| matches!(op, LuOp::Lower { worker, pivot: p, .. } if *worker == w && *p == pivot)), usize::from(waiting(k, w) > 0));
+                    // A reply is taken after what starts it: the step's
+                    // forward, or the owner's own request.
+                    prop_assert!(forward.is_none_or(|f| reply < Some(f)));
+                    prop_assert!(lower.is_none_or(|l| forward.or(at(&request)) < Some(l)));
+                    if k + 1 < groups && owners.len() > 1 {
+                        // The next pivot's reply and forwards come first.
+                        let next = at(&LuOp::Pivot { worker: owner(k + 1), pivot: group(r, mu, k + 1), rest: r - group(r, mu, k + 1).end });
+                        prop_assert!(lower.is_none_or(|l| next < Some(l)), "step {}: L₂₁ of {} after the next pivot", k, w);
+                    }
                 }
-                for &w in owners.iter().filter(|&&w| waiting(w) > 0) {
-                    prop_assert_eq!(rest_of.next(), Some(&LuOp::Lower { worker: w, pivot: pivot.clone(), rows: waiting(w) }));
+                if k + 1 < groups && owners.len() > 1 {
+                    // The next request rides ahead of its owner's forward.
+                    let n = owner(k + 1);
+                    let next = LuOp::Request { worker: n, pivot: group(r, mu, k + 1), rest: r - group(r, mu, k + 1).end, rows: waiting(k + 1, n) };
+                    let forward = at(&LuOp::Forward { worker: n, pivot: pivot.clone(), rest, rows: waiting(k, n) });
+                    prop_assert!(forward.is_some_and(|f| at(&next) == Some(f - 1)), "step {}", k);
                 }
             }
-            prop_assert!(rest_of.next().is_none());
+            prop_assert_eq!(ops.len(), groups + groups + groups + (0..groups).map(|k| owners.iter().filter(|&&w| waiting(k, w) > 0).count() * 2 - usize::from(waiting(k, owner(k)) > 0)).sum::<usize>());
             // Every block dealt comes back once: what each worker is sent
             // as rows is what its pivot and L₂₁ replies return.
             let frames = lower(&ops);
@@ -740,21 +856,37 @@ mod tests {
             let (_, core, _) = volume(&chunks);
             assert_eq!(core as f64, cost.core.comp);
         }
-        // Owner-computes: a pivot's request spawns the chain the step
-        // serializes, the factor and the U₁₂ solve; the vertical solve runs
-        // on the rows' owners beside the core update, and the step's ops
-        // together spawn the whole step.
+        // Owner-computes on two workers: the first request, answered at
+        // once, spawns the pivot's factor and U₁₂ solve. Each later one is
+        // sent ahead and spawns nothing; the forward it rides ahead of
+        // spawns the pivot rows' share of the step before and that chain.
+        // The step's ops together spawn the whole factorization.
         let ops = lu_schedule(12, 2, &[12, 12]);
-        assert!(matches!(ops[0], LuOp::Deal { .. }), "the rows are owned");
-        for (k, step) in ops.split(LuOp::is_pivot).skip(1).enumerate() {
-            let cost = problem.step_cost(k + 1);
-            let pivot = ops.iter().filter(|op| op.is_pivot()).nth(k).expect("one pivot a step");
-            let request = lower(std::slice::from_ref(pivot))[0].clone();
-            assert!(matches!(request, Decision::Send { blocks: 0, spawn_updates, .. } if spawn_updates as f64 == cost.pivot.comp + cost.horizontal.comp));
-            let (_, pivot_work, _) = volume(std::slice::from_ref(pivot));
-            let (_, work, _) = volume(step);
-            assert_eq!((pivot_work + work) as f64, cost.comp(), "step {k}");
+        let frames = lower(&ops);
+        let requests: Vec<&Decision> = frames.iter().filter(|f| matches!(f, Decision::Send { label, .. } if label == "pivot request")).collect();
+        assert_eq!(requests.len(), 6);
+        for (k, request) in requests.iter().enumerate() {
+            let chain = problem.step_cost(k + 1).pivot.comp + problem.step_cost(k + 1).horizontal.comp;
+            let Decision::Send { spawn_updates, to, .. } = request else { unreachable!("filtered") };
+            assert_eq!(*spawn_updates as f64, if k == 0 { chain } else { 0.0 }, "request {k}");
+            if k > 0 {
+                let at = frames.iter().position(|f| std::ptr::eq(f, *request)).expect("a frame");
+                let forward = frames[at + 1..].iter().find(|f| matches!(f, Decision::Send { to: w, label, .. } if w == to && label == "pivot forward"));
+                let rows_share = share(2, 12 - 2 * k, 2);
+                assert!(matches!(forward, Some(Decision::Send { spawn_updates, .. }) if *spawn_updates as f64 == chain + rows_share as f64), "request {k}");
+            }
         }
+        assert_eq!(volume(&ops).1 as f64, problem.total().comp);
+        // One worker asks for each pivot once its rows took the step
+        // before: every request spawns its chain.
+        let ops = lu_schedule(12, 2, &[12]);
+        let chains: Vec<u64> = lower(&ops).iter().filter_map(|f| match f {
+            Decision::Send { label, spawn_updates, .. } if label == "pivot request" => Some(*spawn_updates),
+            _ => None,
+        }).collect();
+        let want: Vec<u64> = (1..=6).map(|k| (problem.step_cost(k).pivot.comp + problem.step_cost(k).horizontal.comp) as u64).collect();
+        assert_eq!(chains, want);
+        assert_eq!(volume(&ops).1 as f64, problem.total().comp);
     }
 
     #[test]

@@ -81,9 +81,8 @@ impl Sha256 {
                 return self;
             }
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            self.compress(block.try_into().expect("64-byte split"));
+        while let Some((block, tail)) = rest.split_first_chunk::<64>() {
+            self.compress(block);
             rest = tail;
         }
         self.buf[..rest.len()].copy_from_slice(rest);
@@ -111,8 +110,8 @@ impl Sha256 {
     /// One compression round over a 64-byte block (FIPS 180-4 §6.2.2).
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+        for (i, chunk) in block.as_chunks::<4>().0.iter().enumerate() {
+            w[i] = u32::from_be_bytes(*chunk);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -201,7 +200,9 @@ pub fn fresh_nonce() -> [u8; 16] {
         .update(&COUNTER.fetch_add(1, Ordering::Relaxed).to_le_bytes())
         .update(&(&stack_probe as *const u8 as usize as u64).to_le_bytes());
     let digest = h.finish();
-    digest[..16].try_into().expect("32-byte digest has a 16-byte prefix")
+    let mut nonce = [0u8; 16];
+    nonce.copy_from_slice(&digest[..16]);
+    nonce
 }
 
 #[cfg(test)]

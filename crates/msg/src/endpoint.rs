@@ -139,6 +139,7 @@ impl MasterEndpoint {
 
     /// Send `frame` (counted as `blocks` blocks) to `to`, holding the port
     /// for the paced duration. Returns the model-time cost `blocks · c_to`.
+    #[allow(clippy::expect_used, reason = "callers send on links they keep alive; `try_send` is the failure-aware send")]
     pub fn send(&self, to: WorkerId, frame: Frame, blocks: u64) -> f64 {
         self.send_traced(to, frame, |link, frame| link.send(frame, blocks))
             .expect("worker endpoint dropped")

@@ -60,6 +60,8 @@
 //! Worker-side receives do **not** take the port — only the master is
 //! port-limited, exactly as in the model (each worker has its own link).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod auth;
 pub mod checksum;
 pub mod config;

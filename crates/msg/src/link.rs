@@ -20,7 +20,7 @@ use crate::frame::Frame;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The worker's frames the master has not taken yet, filed by generation
@@ -83,7 +83,7 @@ impl ToMaster {
     /// File `frame` in the inbox. Returns `false` once the master's half is
     /// gone.
     pub(crate) fn send(&self, frame: Frame) -> bool {
-        let mut inbox = self.inbox.lock().expect("link inbox poisoned");
+        let mut inbox = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(queue) = inbox.runs.get_mut(&frame.run) {
             queue.frames.push_back(frame);
             queue.wake();
@@ -171,7 +171,7 @@ impl MasterSide {
     }
 
     fn inbox(&self) -> std::sync::MutexGuard<'_, Inbox> {
-        self.inbox.lock().expect("link inbox poisoned")
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Open generation `run` on this link: its frames are filed in a
@@ -242,8 +242,8 @@ impl MasterSide {
             queue.waiting += 1;
             let arrived = Arc::clone(&queue.arrived);
             inbox = match left {
-                Some(left) => arrived.wait_timeout(inbox, left).expect("link inbox poisoned").0,
-                None => arrived.wait(inbox).expect("link inbox poisoned"),
+                Some(left) => arrived.wait_timeout(inbox, left).unwrap_or_else(PoisonError::into_inner).0,
+                None => arrived.wait(inbox).unwrap_or_else(PoisonError::into_inner),
             };
             // The generation may have been deregistered meanwhile.
             let queue = inbox.queue(run);

@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -129,6 +129,7 @@ impl<R> JobHandle<R> {
     /// down (or its dispatcher died) before the job ran — submitting to
     /// a live scheduler and then losing the result is a caller bug, not
     /// a recoverable condition.
+    #[allow(clippy::expect_used, reason = "a job submitted to a live scheduler is answered before its dispatcher exits")]
     pub fn wait(self) -> Completed<R> {
         self.rx.recv().expect("scheduler shut down (or dispatcher died) before the job completed")
     }
@@ -150,6 +151,7 @@ impl<J: Send + 'static, R: Send + 'static> JobScheduler<J, R> {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let executor = Arc::clone(&executor);
+                #[allow(clippy::expect_used, reason = "the scheduler cannot serve without its dispatchers")]
                 thread::Builder::new()
                     .name(format!("mwp-sched-{i}"))
                     .spawn(move || dispatch_loop(&shared, &*executor))
@@ -163,7 +165,7 @@ impl<J: Send + 'static, R: Send + 'static> JobScheduler<J, R> {
     pub fn submit(&self, job: J) -> JobHandle<R> {
         let (tx, rx) = mpsc::channel();
         {
-            let mut queue = self.shared.queue.lock().expect("scheduler queue poisoned");
+            let mut queue = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             assert!(!queue.closed, "submit after scheduler shutdown");
             queue.pending.push_back(Pending { job, submitted: Instant::now(), reply: tx });
         }
@@ -186,7 +188,7 @@ impl<J: Send + 'static, R: Send + 'static> JobScheduler<J, R> {
 
 impl<J, R> JobScheduler<J, R> {
     fn close(&self) {
-        self.shared.queue.lock().expect("scheduler queue poisoned").closed = true;
+        self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
         self.shared.nonempty.notify_all();
     }
 }
@@ -212,7 +214,7 @@ where
 {
     loop {
         let batch = {
-            let mut queue = shared.queue.lock().expect("scheduler queue poisoned");
+            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(lead) = queue.pending.pop_front() {
                     break gather_batch(&mut queue.pending, lead, executor);
@@ -220,7 +222,7 @@ where
                 if queue.closed {
                     return;
                 }
-                queue = shared.nonempty.wait(queue).expect("scheduler queue poisoned");
+                queue = shared.nonempty.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
         };
         let picked = Instant::now();
@@ -265,7 +267,7 @@ where
     let mut idx = 0;
     while batch.len() < limit && idx < pending.len() {
         if executor.compatible(&batch[0].job, &pending[idx].job) {
-            let member = pending.remove(idx).expect("idx < len");
+            let Some(member) = pending.remove(idx) else { break };
             batch.push(member);
         } else {
             idx += 1;

@@ -205,6 +205,7 @@ impl Session {
         where
             P: FnMut(u32, &WorkerEndpoint) -> RunExit + Send + 'static,
         {
+            #[allow(clippy::expect_used, reason = "a session cannot serve without its worker threads")]
             thread::Builder::new()
                 .name(format!("mwp-worker-{}", id.index()))
                 .spawn(move || serve_worker(endpoint(), &mut program))
@@ -238,10 +239,12 @@ impl Session {
         let handles = platform
             .iter()
             .map(|(id, params)| {
+                #[allow(clippy::expect_used, reason = "an in-process session cannot serve without its wired pairs")]
                 let (master, worker) = transport::stream_pair(mode).expect("wire an in-process worker");
                 masters.push(master);
                 spawn_worker(id, factory(id, *params), move || {
                     let enrolled = transport::enroll_with(worker, b"", 0, &Config::default());
+                    #[allow(clippy::expect_used, reason = "the master wired this pair and admits it with the same config")]
                     enrolled.expect("in-process enroll").0
                 })
             })
@@ -250,6 +253,7 @@ impl Session {
         // which then runs out of pairs: this fails instead of hanging.
         let mut masters = masters.into_iter();
         let next = || masters.next().ok_or_else(|| io::Error::other("an in-process worker failed to enroll"));
+        #[allow(clippy::expect_used, reason = "every pair was wired here and enrolls with the same config")]
         let mut session = Self::accept_star(next, platform, time_scale, HANDSHAKE_TIMEOUT, &Config::default())
             .expect("enroll the in-process workers");
         session.handles = handles;
@@ -386,7 +390,9 @@ impl Session {
         self.pumps.extend(link_pumps);
         let mut fleet = self.platform.take().map_or_else(Vec::new, |p| p.workers().to_vec());
         fleet.push(params);
-        self.platform = Some(Platform::new(fleet).expect("fleet is non-empty after admit"));
+        #[allow(clippy::expect_used, reason = "the fleet holds the worker just admitted, with parameters its welcome carried")]
+        let platform = Platform::new(fleet).expect("fleet is non-empty after admit");
+        self.platform = Some(platform);
         Ok(id)
     }
 

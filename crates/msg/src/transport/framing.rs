@@ -161,7 +161,8 @@ pub fn read_frame_from(
     read_result?;
     let image = if checksum {
         let body = wire_len - 4;
-        let presented = u32::from_le_bytes(buf[body..].try_into().expect("4-byte trailer"));
+        let trailer = buf[body..].first_chunk().ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame shorter than its trailer"))?;
+        let presented = u32::from_le_bytes(*trailer);
         let computed = crc32c(&buf[..body]);
         if presented != computed {
             return Err(io::Error::new(

@@ -67,8 +67,11 @@ pub const REJECT: u32 = u32::MAX - 5;
 /// reads as a bad reply. v11 adds owner-computes LU: the `LuRow` and
 /// `LuPivot` frames, with which a worker keeps its dealt rows for the
 /// whole factorization, factors the pivots it owns and solves its own
-/// `L₂₁` rows. A v10 worker drops the link on either.
-pub const PROTOCOL_VERSION: u32 = 11;
+/// `L₂₁` rows. A v10 worker drops the link on either. v12 lets a pivot
+/// request arrive before its rows have taken the step they wait on: the
+/// worker holds it pending and answers it within that step, before the
+/// step's `L₂₁`. A v11 worker drops the link on such a request.
+pub const PROTOCOL_VERSION: u32 = 12;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).
@@ -227,7 +230,7 @@ pub fn parse_hello(frame: &Frame) -> io::Result<Hello> {
             ),
         ));
     }
-    let version = u32::from_le_bytes(p[0..4].try_into().expect("len checked"));
+    let version = u32::from_le_bytes(bytes_at(p, 0)?);
     if version != PROTOCOL_VERSION {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -235,8 +238,8 @@ pub fn parse_hello(frame: &Frame) -> io::Result<Hello> {
         ));
     }
     Ok(Hello {
-        epoch: u64::from_le_bytes(p[4..12].try_into().expect("len checked")),
-        nonce: p[12..28].try_into().expect("len checked"),
+        epoch: u64::from_le_bytes(bytes_at(p, 4)?),
+        nonce: bytes_at(p, 12)?,
         fingerprint: p[HELLO_FIXED_LEN..].to_vec(),
     })
 }
@@ -249,9 +252,8 @@ pub fn hello_authentic(
     secret: &[u8],
     challenge: &[u8; 16],
 ) -> bool {
-    let presented: [u8; 32] = match frame.payload.get(HELLO_MAC_AT..HELLO_FIXED_LEN) {
-        Some(mac) => mac.try_into().expect("32-byte slice"),
-        None => return false,
+    let Some(presented) = frame.payload.get(HELLO_MAC_AT..HELLO_FIXED_LEN).and_then(|mac| <[u8; 32]>::try_from(mac).ok()) else {
+        return false;
     };
     auth::macs_equal(&presented, &hello_mac(secret, challenge, hello))
 }
@@ -284,7 +286,7 @@ pub fn parse_welcome(frame: &Frame, secret: &[u8], worker_nonce: &[u8; 16]) -> i
             format!("welcome payload is {} bytes, expected {WELCOME_WIRE_LEN}", p.len()),
         ));
     }
-    let presented: [u8; 32] = p[WELCOME_MAC_AT..].try_into().expect("len checked");
+    let presented: [u8; 32] = bytes_at(p, WELCOME_MAC_AT)?;
     let expected = welcome_mac(secret, worker_nonce, frame.tag.j, &p[..WELCOME_MAC_AT]);
     if !auth::macs_equal(&presented, &expected) {
         return Err(io::Error::new(
@@ -292,15 +294,22 @@ pub fn parse_welcome(frame: &Frame, secret: &[u8], worker_nonce: &[u8; 16]) -> i
             "welcome MAC does not verify: the master does not hold this fleet's secret",
         ));
     }
-    let f64_at = |o: usize| f64::from_le_bytes(p[o..o + 8].try_into().expect("len checked"));
+    let f64_at = |o: usize| bytes_at(p, o).map(f64::from_le_bytes);
     Ok(Welcome {
         worker: WorkerId(frame.tag.j as usize),
-        c: f64_at(0),
-        w: f64_at(8),
-        m: u64::from_le_bytes(p[16..24].try_into().expect("len checked")),
-        time_scale: f64_at(24),
-        epoch: u64::from_le_bytes(p[32..40].try_into().expect("len checked")),
+        c: f64_at(0)?,
+        w: f64_at(8)?,
+        m: u64::from_le_bytes(bytes_at(p, 16)?),
+        time_scale: f64_at(24)?,
+        epoch: u64::from_le_bytes(bytes_at(p, 32)?),
     })
+}
+
+/// The `N` bytes of a handshake payload `p` from `at`; an error when `p`
+/// ends before them.
+fn bytes_at<const N: usize>(p: &[u8], at: usize) -> io::Result<[u8; N]> {
+    let bytes = p.get(at..).and_then(|tail| tail.first_chunk::<N>());
+    bytes.copied().ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "handshake payload ends early"))
 }
 
 /// Encode a handshake rejection: reason code in `Tag::j`, human-readable

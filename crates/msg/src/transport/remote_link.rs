@@ -59,6 +59,7 @@ impl RemoteLink {
         let (master_side, worker_side) = link(c, pacing);
         let (to_worker_rx, to_master) = worker_side.split();
         let mut writer = writer;
+        #[allow(clippy::expect_used, reason = "a socket link cannot carry frames without its pumps")]
         let out_pump = thread::Builder::new()
             .name(format!("mwp-pump-out-{}", id.index()))
             .spawn(move || {
@@ -106,6 +107,7 @@ impl RemoteLink {
             .expect("spawn transport out-pump");
         let mut reader = reader;
         let death_flag = master_side.death_flag();
+        #[allow(clippy::expect_used, reason = "a socket link cannot carry frames without its pumps")]
         let in_pump = thread::Builder::new()
             .name(format!("mwp-pump-in-{}", id.index()))
             .spawn(move || {

@@ -186,14 +186,34 @@ fn lu_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<Vec<boo
     replies
 }
 
+/// The pivot replies each slot of a healthy owner-computes fleet sends for
+/// a request that rode ahead of the forward its rows waited on: a kill at
+/// one of them lands between a pending request and its reply.
+fn pending_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<usize> {
+    let platform = Platform::homogeneous(workers, 1.0, 1.0, m).unwrap();
+    let ops = lu_schedule(blocks, mu, &chunk_sides(&platform, blocks, mu));
+    let mut pending = vec![0; workers];
+    for (at, op) in ops.iter().enumerate() {
+        if let LuOp::Request { worker, pivot, .. } = op {
+            let next = ops[at + 1..].iter().find(|op| op.worker() == *worker);
+            if matches!(next, Some(LuOp::Forward { pivot: before, .. }) if before.end == pivot.start) {
+                pending[worker.index()] += 1;
+            }
+        }
+    }
+    pending
+}
+
 #[test]
 fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
     // Two workers, one of which is killed at its n-th reply — swept over
     // every reply of the run's op sequence, in either slot, at two
     // memories. At m = 1000 (µ = 2) each worker owns its rows for the
-    // whole run: it dies on a pivot reply or an L₂₁ reply, and the
-    // survivor adopts its rows, rebuilt from the input and the stored
-    // factors. At m = 32 (µ = 1) the rows stream: as the pivot worker the doomed one dies on each
+    // whole run: it dies on a pivot reply — slot 0's first answered at
+    // once, every later one on either slot to a request sent ahead and
+    // held pending — or on an L₂₁ reply, and the survivor adopts its rows,
+    // rebuilt from the input and the stored factors, and is asked for the
+    // pivot the dead one owed. At m = 32 (µ = 1) the rows stream: as the pivot worker the doomed one dies on each
     // step's panel reply and on each C row of its trailing chunks in
     // turn, as slot 1 on its C rows, and a chunk's rows that stay on their
     // worker between steps are lost with it. The master must retry the
@@ -208,7 +228,10 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
         let local = RuntimeSession::with_transport(&platform, 0.0, TransportMode::Channel);
         let replies = lu_replies(blocks, mu, 2, m);
         // m = 1000: slot 0 owns groups 0 and 2 — 2 pivots, 2 L₂₁ replies;
-        // slot 1 groups 1 and 3 — 2 pivots, 3 L₂₁ replies. µ = 1 on
+        // slot 1 groups 1 and 3 — 2 pivots, 3 L₂₁ replies. The requests
+        // for pivots 1, 2 and 3 ride ahead, so the same replies come in
+        // another order (slot 0: pivot 0, L₂₁ 0, pivot 2, L₂₁ 1; slot 1:
+        // pivot 1, L₂₁ 0 and 1, pivot 3, L₂₁ 2). µ = 1 on
         // m = 32 (sides of 4): 8 panel replies; each slot returns a frame
         // per row of each of its chunks, its bands cut to side 4 while the
         // trailing grid is wider, and from rest 4 on, where its bands are
@@ -218,6 +241,10 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
         assert_eq!(replies.iter().map(Vec::len).collect::<Vec<_>>(), counts, "m = {m}");
         let owned = owners(blocks, mu, &chunk_sides(&platform, blocks, mu)).is_some();
         assert_eq!(owned, m == 1000, "m = {m}: the rows are owned only where they fit");
+        // Owned, each slot dies between a pending request and its reply
+        // somewhere in the sweep.
+        let pending = pending_replies(blocks, mu, 2, m);
+        assert_eq!(pending, if owned { vec![1, 2] } else { vec![0, 0] }, "m = {m}");
         // Each slot dies holding rows somewhere in the sweep: rows it owns,
         // or rows it kept at a step's end, whose image on the master is an
         // earlier step's, so that the survivor rebuilds them.

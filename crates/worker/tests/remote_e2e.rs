@@ -171,7 +171,7 @@ fn traced_worker_processes_stream_their_compute_spans() {
 
     // One `Compute` span per A block a `Step` streams, one per `Panel`;
     // where the rows are owned, one per pivot and one per step a worker's
-    // rows take.
+    // rows take, two where a pivot is factored within the step.
     let step = |op: &PortOp| match op {
         PortOp::Step { worker, chunk, .. } => Some((*worker, chunk.height)),
         _ => None,
@@ -180,11 +180,17 @@ fn traced_worker_processes_stream_their_compute_spans() {
     let holm_ops = Schedule::algorithm1(&problem, holm.chunk_side, holm.workers_used, 1).ops;
     let lu_ops = lu_schedule(n, mu, &chunk_sides(&platform, n, mu));
     let mut want = [0usize; 2];
-    let lu_spans = lu_ops.iter().filter_map(|op| match op {
-        LuOp::Panel { worker, .. } | LuOp::Forward { worker, .. } => Some((*worker, 1)),
-        LuOp::Pivot { worker, rows, .. } => Some((*worker, 1 + usize::from(*rows > 0))),
+    let lu_spans = lu_ops.iter().enumerate().filter_map(|(n, op)| match op {
+        LuOp::Panel { worker, .. } => Some((*worker, 1)),
+        // A forward behind a request that rode ahead of it: the step's
+        // span, cut in two by the pivot's.
+        LuOp::Forward { worker, .. } => {
+            let ahead = n > 0 && matches!(lu_ops[n - 1], LuOp::Request { worker: w, .. } if w == *worker);
+            Some((*worker, 1 + usize::from(ahead)))
+        }
+        LuOp::Request { worker, rows, .. } => Some((*worker, 1 + usize::from(*rows > 0))),
         LuOp::Chunk(op) => step(op),
-        LuOp::Deal { .. } | LuOp::Lower { .. } => None,
+        LuOp::Deal { .. } | LuOp::Pivot { .. } | LuOp::Lower { .. } => None,
     });
     for (worker, spans) in holm_ops.iter().filter_map(step).chain(lu_spans) {
         want[worker.index()] += spans;

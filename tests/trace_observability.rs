@@ -286,7 +286,9 @@ fn lu_run_records_kernel_spans_inside_compute_spans() {
 /// pivot is one `pivot` `Compute` span on its owner holding its `factor`
 /// and — but on the last step — its `U₁₂` `trsm`, and each step a worker's
 /// rows take is one `L21 update` span holding the `L₂₁` `trsm`, a
-/// `pack U` per block row of the pivot and a `gemm` per row and block row.
+/// `pack U` per block row of the pivot and a `gemm` per row and block row —
+/// cut in two by the `pivot` span where the worker factors a pivot
+/// requested ahead within the step.
 #[test]
 fn owned_lu_records_kernel_spans_inside_compute_spans() {
     let _serial = capture_lock();
@@ -305,7 +307,9 @@ fn owned_lu_records_kernel_spans_inside_compute_spans() {
     // groups take a step, on 2, 2 and 1 workers.
     assert_eq!(labelled(ActivityKind::Compute, "pivot"), 4, "one per step");
     assert_eq!(labelled(ActivityKind::Kernel, "factor"), 4, "one per step");
-    assert_eq!(labelled(ActivityKind::Compute, "L21 update"), 2 + 2 + 1, "one per worker whose rows take a step");
+    // Pivots 1, 2 and 3 are requested ahead and factored within the step
+    // before theirs: three steps cut in two.
+    assert_eq!(labelled(ActivityKind::Compute, "L21 update"), 2 + 2 + 1 + 3, "one per worker whose rows take a step, two where cut");
     assert_eq!(labelled(ActivityKind::Kernel, "trsm"), 3 + 5, "one per U₁₂ and one per L21 update");
     assert_eq!(labelled(ActivityKind::Pack, "pack U"), 2 * 5, "one per block row of each pivot");
     assert_eq!(labelled(ActivityKind::Kernel, "gemm"), 2 * 2 * (3 + 2 + 1), "one per row and block row");
@@ -382,4 +386,33 @@ fn mwp_run_streams_the_spans_a_capture_of_the_same_run_records() {
     assert_eq!(outcome.workers_used, workers, "every worker streams spans");
     let captured = span_counts(captured.activities.iter().map(|a| (a.kind.name(), chrome::tid_of_resource(a.resource))));
     assert_eq!(streamed, captured, "left: mwp-run's file; right: a capture");
+}
+
+/// At the benchmark's shape (12 × 12 blocks, µ = 2, two workers owning
+/// their rows) the next pivot's owner factors it while the other worker
+/// still takes the step before: some `factor` kernel span on one worker
+/// lies inside an `L21 update` span of the other. With every step a
+/// barrier, none could.
+#[test]
+fn the_next_pivot_is_factored_while_the_other_worker_takes_the_step() {
+    let _serial = capture_lock();
+    let pf = Platform::homogeneous(2, 1.0, 1.0, 100_000).expect("valid platform");
+    assert!(owners(12, 2, &chunk_sides(&pf, 12, 2)).is_some());
+    let matrix = random_diagonally_dominant(12, 80, 13);
+    let session = RuntimeSession::new(&pf, 0.0);
+    let overlapped = (0..5).any(|_| {
+        let capture = Capture::begin();
+        assert!(!factor(&session, &matrix, 2).aborted);
+        let trace = capture.end();
+        let on = |w: usize, kind: ActivityKind, label: &str| -> Vec<(f64, f64)> {
+            let resource = if kind == ActivityKind::Kernel { Resource::WorkerDetail(WorkerId(w)) } else { Resource::Worker(WorkerId(w)) };
+            trace.on(resource).filter(|a| a.kind == kind && &*a.label == label).map(|a| (a.start.value(), a.end.value())).collect()
+        };
+        (0..2).any(|w| {
+            let steps = on(1 - w, ActivityKind::Compute, "L21 update");
+            on(w, ActivityKind::Kernel, "factor").iter().any(|&(s, e)| steps.iter().any(|&(s1, e1)| s1 < e && s < e1))
+        })
+    });
+    session.shutdown();
+    assert!(overlapped, "a pivot's factor overlaps the other worker's step in one of five runs");
 }

@@ -98,13 +98,15 @@ fn block_frame_order_on_the_port_is_unchanged() {
     // The LU digest was re-captured when the factorization's trailing
     // update became the product's chunk exchanges (122 frames a run where
     // the row-group exchanges took 51), again when its trailing rows
-    // began to stay on their workers between steps (106 frames), and again
+    // began to stay on their workers between steps (106 frames), again
     // when each worker came to own its rows for the whole run (38 frames,
-    // 32 of them carrying blocks); the three product digests are the ones
-    // recorded before any schedule was data.
+    // 32 of them carrying blocks), and again when the next pivot came to be
+    // requested ahead and its reply taken before the step's L₂₁ replies
+    // (the same 38 frames, reordered); the three product digests are the
+    // ones recorded before any schedule was data.
     assert_eq!(
         (holm, orroml, het, lu),
-        (2_667_921_220, 2_772_815_128, 1_010_825_030, 2_805_909_331),
+        (2_667_921_220, 2_772_815_128, 1_010_825_030, 436_353_067),
         "wire order changed: (run_holm, run_all_workers, run_heterogeneous, factor) digests"
     );
 }
