@@ -9,7 +9,7 @@
 use mwp_blockmat::Partition;
 
 /// One rectangular chunk of `C` blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chunk {
     /// First block row.
     pub i0: usize,

@@ -50,6 +50,7 @@ use mwp_msg::session::{RunExit, RUN_ABORT, RUN_BEGIN, RUN_END};
 use mwp_msg::{Frame, FrameKind, Tag, WorkerEndpoint};
 use mwp_platform::{Platform, WorkerId};
 use mwp_trace::{record, ActivityKind};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -459,12 +460,12 @@ pub fn execute<'s, P: Port>(
 
 /// What a chunk exchange accumulates into: a matrix read and written one
 /// stretch of a block row at a time, as the wire image of its `q × q`
-/// blocks — a product's [`BlockMatrix`], or the reply images a
-/// factorization keeps its trailing rows in. A chunk ships and commits
+/// blocks — a product's [`BlockMatrix`], or a factorization's borrow of
+/// its input, copied at the first commit. A chunk ships and commits
 /// through it one row per call.
 pub trait Accumulator {
     /// The image of blocks `(i, j0..j0 + w)`, built in `master`'s
-    /// recycled buffers where it cannot be a view of one already held.
+    /// recycled buffers.
     fn row(&self, master: &mwp_msg::MasterEndpoint, at: (usize, usize), w: usize) -> Bytes;
     /// Overwrite blocks `(i, j0..)` with `payload`, the images of as many
     /// blocks as it holds.
@@ -484,18 +485,16 @@ impl Accumulator for BlockMatrix {
     }
 }
 
-/// Where one worker's chunk of an open run stands on the master's side.
-#[derive(Debug, Clone, Copy, Default)]
-struct Seat {
-    /// The job of the chunk last shipped to it: the steps of that job
-    /// finish the chunk, so the last of them asks for it back.
-    job: usize,
-    /// Whether the chunk's collect request went out.
-    requested: bool,
-    /// The part of its last chunk a [`PortOp::Keep`] left on it, with that
-    /// chunk's job, until its next chunk's `SendC` takes it as its first
-    /// rows or a `Collect` of it brings it back.
-    held: Option<(usize, Chunk)>,
+/// A borrowed matrix is copied at its first commit, so a run that commits
+/// nothing copies nothing.
+impl Accumulator for Cow<'_, BlockMatrix> {
+    fn row(&self, master: &mwp_msg::MasterEndpoint, at: (usize, usize), w: usize) -> Bytes {
+        (**self).row(master, at, w)
+    }
+
+    fn commit_row(&mut self, at: (usize, usize), payload: Bytes) {
+        self.to_mut().commit_row(at, payload);
+    }
 }
 
 /// The products of one open run on the master's port: the chunk exchange
@@ -519,12 +518,10 @@ pub struct ChunkExchange<'a, C = BlockMatrix> {
     frames: u64,
     /// Blocks the run's other exchanges ([`ChunkExchange::post`], [`ChunkExchange::take`]) moved.
     exchanged: u64,
-    /// Per worker: where its chunk stands.
-    seats: Vec<Seat>,
-    /// The `kept` part of each `(job, worker, chunk)` a `Keep` ends
-    /// ([`ChunkExchange::expect_keeps`]): what the collect request behind
-    /// the chunk's last step asks the worker to hold on to.
-    keeps: HashMap<(usize, WorkerId, Chunk), Chunk>,
+    /// Per worker: the job of the chunk last shipped to it. The steps of
+    /// that job finish the chunk, so the last of them asks for it back; a
+    /// rebuilt chunk takes the steps of earlier jobs first.
+    shipped: Vec<usize>,
 }
 
 impl<'a, C: Accumulator> ChunkExchange<'a, C> {
@@ -540,24 +537,8 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         mu: Vec<usize>,
         t: usize,
     ) -> Self {
-        let (seats, keeps) = (vec![Seat::default(); mu.len()], HashMap::new());
-        ChunkExchange { master, gen, q, c, jobs: Vec::new(), mu, t, frames: 0, exchanged: 0, seats, keeps }
-    }
-
-    /// Note the `Keep`s among `ops`, so that each chunk's collect request
-    /// names what the worker keeps of it.
-    pub fn expect_keeps<'o>(&mut self, ops: impl IntoIterator<Item = &'o PortOp>) {
-        for op in ops {
-            if let PortOp::Keep { job, worker, chunk, kept } = *op {
-                self.keeps.insert((job, worker, chunk), kept);
-            }
-        }
-    }
-
-    /// What a `Keep` left on `worker` and has not yet been taken up or
-    /// brought back, with the job of the chunk it was part of.
-    pub fn held(&self, worker: WorkerId) -> Option<(usize, Chunk)> {
-        self.seats[worker.index()].held
+        let shipped = vec![0; mu.len()];
+        ChunkExchange { master, gen, q, c, jobs: Vec::new(), mu, t, frames: 0, exchanged: 0, shipped }
     }
 
     /// Add the next product — its `job` index is the number added before
@@ -631,17 +612,13 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     /// Ship chunk `ch` of job `jx`'s C to `wid`: one multi-block frame per
     /// chunk row, each the accumulator's image of that row (C mutates
     /// between chunks, so a product's rows are serialized anew into the
-    /// master endpoint's recycled buffers, which outlive the run) — but
-    /// for the rows a `Keep` left on the worker, the chunk's first rows,
-    /// which it already holds. Returns
+    /// master endpoint's recycled buffers, which outlive the run). Returns
     /// `false` (with the worker condemned) if `wid` died mid-ship — the
     /// chunk is untouched on the master and can be replayed verbatim on a
     /// survivor.
     fn ship_chunk(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
-        let seat = &mut self.seats[wid.index()];
-        let held = seat.held.take().map_or(0, |(_, kept)| kept.height);
-        (seat.job, seat.requested) = (jx, false);
-        ch.rows().skip(held).all(|i| {
+        self.shipped[wid.index()] = jx;
+        ch.rows().all(|i| {
             let (job, c) = (&self.jobs[jx], &self.c[self.jobs[jx].c]);
             let payload = c.row(self.master, (i + job.at, ch.j0 + job.at), ch.width);
             let tag = Tag::new(FrameKind::BlockC, i + job.off[0], ch.j0 + job.off[1]);
@@ -662,7 +639,7 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         let (master, job) = (self.master, &mut self.jobs[jx]);
         let b_tag = Tag::new(FrameKind::BlockB, k + job.off[2], ch.j0 + job.off[1]);
         let a_tag = Tag::new(FrameKind::BlockA, ch.i0 + job.off[0], k + job.off[2]);
-        let last = k + 1 == job.ap.steps && self.seats[wid.index()].job == jx;
+        let last = k + 1 == job.ap.steps && self.shipped[wid.index()] == jx;
         let (b, kb) = job.bp.step(master, k);
         let b_run = b.row_run(kb, ch.j0, ch.width);
         if !self.send(wid, jx, b_tag, b_run, ch.width) {
@@ -673,23 +650,8 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
         if !self.send(wid, jx, a_tag, a_run, ch.height) {
             return false;
         }
-        !last || self.request(wid, jx, ch)
-    }
-
-    /// Ask `wid` for chunk `ch` of job `jx` back: a control frame that
-    /// names nothing — the whole chunk — or, for a chunk a `Keep` ends,
-    /// the wire coordinates of the part it keeps and that part's height.
-    fn request(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
-        let (tag, payload) = match self.keeps.get(&(jx, wid, *ch)) {
-            None => (Tag::new(FrameKind::Control, 0, 0), Bytes::new()),
-            Some(kept) => {
-                let at = self.jobs[jx].at;
-                let height = Bytes::copy_from_slice(&(kept.height as u32).to_le_bytes());
-                (Tag::new(FrameKind::Control, kept.i0 + at, kept.j0 + at), height)
-            }
-        };
-        self.seats[wid.index()].requested = true;
-        self.master.try_send(wid, Frame::new_in_run(tag, self.gen, payload), 0).is_some()
+        let request = || Frame::new_in_run(Tag::new(FrameKind::Control, 0, 0), self.gen, Bytes::new());
+        !last || master.try_send(wid, request(), 0).is_some()
     }
 
     /// Receive chunk `ch` back from `wid` — [`ChunkExchange::send_k_step`]
@@ -703,35 +665,24 @@ impl<'a, C: Accumulator> ChunkExchange<'a, C> {
     /// anything. The all-or-nothing commit is what makes re-dispatch
     /// exact: a half-returned chunk must not leave C half-updated, or
     /// replaying the chunk would double-accumulate the committed rows.
-    ///
-    /// A chunk a `Keep` ends returns only the blocks outside `kept`
-    /// ([`PortOp::returned`]); `kept` stays on the worker, and the
-    /// worker's next `SendC` ships only the rows below it. A chunk whose
-    /// request did not go out behind a last step — a kept part brought
-    /// back whole — is asked for here.
-    fn collect(&mut self, wid: WorkerId, jx: usize, ch: &Chunk, kept: Option<Chunk>) -> bool {
-        if !std::mem::take(&mut self.seats[wid.index()].requested) && !self.request(wid, jx, ch) {
-            return false;
-        }
-        let kept = kept.unwrap_or(Chunk { height: 0, ..*ch });
+    fn collect(&mut self, wid: WorkerId, jx: usize, ch: &Chunk) -> bool {
         let job = &mut self.jobs[jx];
         let bb = self.q * self.q * 8;
         let mut rows = Vec::with_capacity(ch.height);
-        for (i, j0, width) in PortOp::returned(*ch, kept) {
-            let tag = Tag::new(FrameKind::CResult, i + job.off[0], j0 + job.off[1]);
-            let reply = self.master.recv_deadline(wid, self.gen, width as u64);
+        for i in ch.rows() {
+            let tag = Tag::new(FrameKind::CResult, i + job.off[0], ch.j0 + job.off[1]);
+            let reply = self.master.recv_deadline(wid, self.gen, ch.width as u64);
             match reply {
-                Some((f, _)) if f.tag == tag && f.payload.len() == width * bb => rows.push((i, j0, f.payload)),
+                Some((f, _)) if f.tag == tag && f.payload.len() == ch.width * bb => rows.push(f.payload),
                 _ => return false,
             }
         }
         let c = &mut self.c[job.c];
-        job.moved += ch.blocks() - kept.blocks();
-        self.frames += 1 + rows.len() as u64;
-        for (i, j0, payload) in rows {
-            c.commit_row((i + job.at, j0 + job.at), payload);
+        for (i, payload) in ch.rows().zip(rows) {
+            c.commit_row((i + job.at, ch.j0 + job.at), payload);
         }
-        self.seats[wid.index()].held = (kept.height > 0).then_some((jx, kept));
+        job.moved += ch.blocks();
+        self.frames += 1 + ch.height as u64;
         true
     }
 }
@@ -748,8 +699,7 @@ impl<C: Accumulator> Port for ChunkExchange<'_, C> {
         let done = match *op {
             PortOp::SendC { .. } => self.ship_chunk(wid, jx, &ch),
             PortOp::Step { k, .. } => self.send_k_step(wid, jx, &ch, k),
-            PortOp::Collect { .. } => self.collect(wid, jx, &ch, None),
-            PortOp::Keep { kept, .. } => self.collect(wid, jx, &ch, Some(kept)),
+            PortOp::Collect { .. } => self.collect(wid, jx, &ch),
         };
         if done { Performed::Done } else { Performed::Lost }
     }
@@ -950,28 +900,17 @@ impl RunState {
         (self.height() + usize::from(self.b_resident)) * self.width + self.owned.resident()
     }
 
+    /// Drop the chunk and its B row, keeping their storage.
+    fn drop_chunk(&mut self) {
+        self.c.resize(0, 0);
+        self.b_resident = false;
+    }
+
     /// Drop the chunk, its B row and the owned rows, keeping their
     /// storage.
     fn clear(&mut self) {
-        self.c.resize(0, 0);
-        self.b_resident = false;
+        self.drop_chunk();
         self.owned.clear();
-    }
-
-    /// Keep only block rows `rows` of the chunk, from block column `col`
-    /// on: each kept row slides up and left in place, and the kept part
-    /// becomes the chunk, its wire origin moved with it.
-    fn keep(&mut self, rows: std::ops::Range<usize>, col: usize) {
-        let (q, cols) = (self.q, self.c.cols());
-        let (skip, kept_cols) = (col * q, cols - col * q);
-        let data = self.c.as_mut_slice();
-        for (to, from) in (rows.start * q..rows.end * q).enumerate() {
-            data.copy_within(from * cols + skip..(from + 1) * cols, to * kept_cols);
-        }
-        self.c.resize(rows.len() * q, kept_cols);
-        self.origin = (self.origin.0 + rows.start, self.origin.1 + col);
-        self.width -= col;
-        self.b_resident = false;
     }
 }
 
@@ -1233,21 +1172,6 @@ impl OwnedRows {
     }
 }
 
-/// The part of its chunk a collect request asks the worker to keep, in
-/// chunk block coordinates: `(rows, first column)`. A request naming
-/// nothing keeps nothing; one naming a part keeps it if it lies in the
-/// chunk, its columns running to the chunk's right edge. `None` when the
-/// request is neither.
-fn kept_part(run: &RunState, tag: Tag, payload: &[u8]) -> Option<(std::ops::Range<usize>, usize)> {
-    if payload.is_empty() && (tag.i, tag.j) == (0, 0) {
-        return Some((0..0, run.width));
-    }
-    let height = u32::from_le_bytes(payload.try_into().ok()?) as usize;
-    let i = (tag.i as usize).checked_sub(run.origin.0)?;
-    let j = (tag.j as usize).checked_sub(run.origin.1)?;
-    (height > 0 && i.checked_add(height)? <= run.height() && j < run.width).then_some((i..i + height, j))
-}
-
 /// `payload` as `n ≥ 1` block images of `bb` bytes each; `None` unless it
 /// is exactly that.
 fn blocks_of(payload: &[u8], bb: usize, n: usize) -> Option<std::slice::ChunksExact<'_, u8>> {
@@ -1323,9 +1247,9 @@ pub(crate) fn program(
 /// `k`. Every frame routes to its generation by the wire header's `run`
 /// field: the wake-up `RUN_BEGIN` opens the first generation, a further
 /// `RUN_BEGIN` arriving mid-serve opens another alongside it (a run the
-/// session admitted beside the open ones), `Control`
-/// requests that generation's chunk back — its rows in order, as it
-/// stands — and `RUN_END`/`RUN_ABORT` retire it. An `LuPanel` task is one
+/// session admitted beside the open ones), the empty `Control` frame at
+/// `(0, 0)` requests that generation's chunk back — its rows in order,
+/// whole — and `RUN_END`/`RUN_ABORT` retire it. An `LuPanel` task is one
 /// LU step's pivot chain — the pivot factored, both panels solved —
 /// answered in place ([`panel_parts`]); streamed LU's trailing updates are
 /// chunk exchanges like any product's. Owner-computes LU keeps each dealt
@@ -1345,16 +1269,17 @@ pub(crate) fn program(
 /// already open, a `RUN_END`/`RUN_ABORT` of one that is not, a `C` row
 /// that is not the chunk's next row at its column origin and width, a `B`
 /// row that does not span the chunk's columns, an `A` column that does not
-/// span its rows or comes before its step's `B` row, a `CResult` (the
-/// master never sends one), a panel whose payload is not the blocks its
-/// tag names, a pivot request for rows the worker does not hold or while
-/// another is pending, and a forwarded pivot no row waits on. A pivot the
-/// worker cannot factor is no such traffic:
-/// the task is answered with a refusal ([`solve_panel`]) and the worker
-/// serves on. Asserts the memory invariant (`resident blocks ≤ m`,
-/// summed over the open generations) the paper's layout — and the
-/// session's memory ledger — guarantees; the panel exchange's transient
-/// blocks stay outside it.
+/// span its rows or comes before its step's `B` row, a collect request
+/// that is not the empty `(0, 0)` frame, a `CResult` (the master never
+/// sends one), a panel whose payload is not the blocks its tag names, a
+/// pivot request for rows the worker does not hold or while another is
+/// pending, a forwarded pivot no row waits on, and any frame that takes
+/// the worker past the memory invariant (`resident blocks ≤ m`, summed
+/// over the open generations) the paper's layout — and the session's
+/// memory ledger — guarantees; the panel exchange's transient blocks stay
+/// outside it. A pivot the worker cannot factor is no such traffic: the
+/// task is answered with a refusal ([`solve_panel`]) and the worker serves
+/// on.
 ///
 /// The worker allocates only to grow: a run of a block side with no
 /// retired [`RunState`] builds one, and a chunk, `B` row or panel task
@@ -1519,29 +1444,22 @@ fn serve_run(
                 }
             }
             FrameKind::Control => {
-                // A collect request (no lifecycle sentinel): return the
-                // chunk row by row, in order — one run frame per row,
-                // built in the endpoint's buffer pool, stamped with the
-                // generation it belongs to — but for the part the request
-                // names, which stays: a kept row returns only its blocks
-                // left of that part, if any, and the part becomes the
-                // chunk the generation's next chunk starts with. The
+                // A collect request — the empty `(0, 0)` frame, any other
+                // drops the link: return the chunk row by row, in order —
+                // one run frame per row, built in the endpoint's buffer
+                // pool, stamped with the generation it belongs to. The
                 // storage stays for the generation's next chunk.
-                let Some((kept, col)) = kept_part(run, frame.tag, &frame.payload) else {
+                if !frame.payload.is_empty() || (i, j) != (0, 0) {
                     return RunExit::Terminate;
-                };
+                }
                 let (width, (i0, j0)) = (run.width, run.origin);
                 for r in 0..run.height() {
-                    let w = if kept.contains(&r) { col } else { width };
-                    if w == 0 {
-                        continue;
-                    }
-                    let payload = ep.pooled_payload(w * bb, |buf| {
-                        (0..w).for_each(|jj| run.c.write_block(q, (r, jj), buf));
+                    let payload = ep.pooled_payload(width * bb, |buf| {
+                        (0..width).for_each(|jj| run.c.write_block(q, (r, jj), buf));
                     });
                     ep.send_in(gen, Frame::new(Tag::new(FrameKind::CResult, i0 + r, j0), payload));
                 }
-                run.keep(kept, col);
+                run.drop_chunk();
             }
             // A `CResult` (or anything else the master never sends).
             _ => return RunExit::Terminate,
@@ -1550,13 +1468,12 @@ fn serve_run(
         // now summed over every open generation (+1 per generation for
         // its A block in flight; storage kept past the rows held is not
         // resident matrix data). The session's memory ledger keeps
-        // overlapping runs under this bound by construction.
+        // overlapping runs under this bound by construction, so traffic
+        // that breaks it is traffic no master program sends.
         let resident: usize = state.runs.values().map(RunState::resident).sum();
-        assert!(
-            resident + state.runs.len() <= memory_cap,
-            "worker exceeded its memory: {resident} resident + {} in-flight A > {memory_cap}",
-            state.runs.len(),
-        );
+        if resident + state.runs.len() > memory_cap {
+            return RunExit::Terminate;
+        }
     }
 }
 
@@ -1895,15 +1812,20 @@ mod tests {
     fn chunk_traffic_that_misses_its_chunk_drops_the_link_without_unwinding_the_worker() {
         // A 2 × 2 chunk of q = 2 blocks. Its own rows, B row and A column
         // are answered by the chunk at collect; traffic that does not fit
-        // the chunk's shape, reopens its generation or closes another one
-        // closes the link (no reply), and the worker thread returns instead
-        // of panicking (`shutdown` re-raises a worker's panic). Each frame
-        // is stamped with the run's generation plus its offset.
+        // the chunk's shape, takes the worker past its m = 60 blocks,
+        // reopens its generation, closes another one or asks for the chunk
+        // with a collect request that names a part of it closes the link
+        // (no reply), and the worker thread returns instead of panicking
+        // (`shutdown` re-raises a worker's panic). Each frame is stamped
+        // with the run's generation plus its offset.
         let q = 2;
         let stamped = |kind, i, j, blocks: usize, offset: u32| (Tag::new(kind, i, j), offset, vec![0u8; blocks * q * q * 8]);
         let frame = |kind, i, j, blocks| stamped(kind, i, j, blocks, 0);
         let (c0, c1) = (frame(FrameKind::BlockC, 0, 0, 2), frame(FrameKind::BlockC, 1, 0, 2));
         let (b, a) = (frame(FrameKind::BlockB, 0, 0, 2), frame(FrameKind::BlockA, 0, 0, 2));
+        // A collect request naming a part of the chunk: row 1 from column
+        // 1, one row high.
+        let named = (Tag::new(FrameKind::Control, 1, 1), 0, 1u32.to_le_bytes().to_vec());
         for (what, frames, answered) in [
             ("the chunk's own traffic", vec![c0.clone(), c1.clone(), b.clone(), a.clone()], true),
             ("an A column before its B row", vec![c0.clone(), c1.clone(), a.clone()], false),
@@ -1913,6 +1835,9 @@ mod tests {
             ("a CResult sent to the worker", vec![c0.clone(), c1.clone(), frame(FrameKind::CResult, 0, 0, 2)], false),
             ("a RUN_BEGIN of the open generation", vec![c0.clone(), frame(FrameKind::Control, RUN_BEGIN as usize, q, 0)], false),
             ("a RUN_END of an unopened generation", vec![c0.clone(), stamped(FrameKind::Control, RUN_END as usize, 0, 0, 1)], false),
+            ("a first C row of 61 blocks", vec![frame(FrameKind::BlockC, 0, 0, 61)], false),
+            ("rows dealt past 60 blocks", vec![frame(FrameKind::LuRow, 0, 0, 30), frame(FrameKind::LuRow, 1, 0, 30)], false),
+            ("a collect request that names a part", vec![c0.clone(), c1.clone(), b.clone(), a.clone(), named], false),
         ] {
             let session = RuntimeSession::new(&platform(1, 60), 0.0);
             let fleet = session.fleet();

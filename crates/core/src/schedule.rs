@@ -22,9 +22,6 @@
 //! chunk on one worker, in the order `SendC`, `Step 0..t`, `Collect`:
 //! each C block accumulates its `t` updates in `k`-order inside a single
 //! exchange, so any schedule over the same grid yields the same bits.
-//! A product never emits [`PortOp::Keep`]: that form is for schedules of
-//! several products over one matrix (LU's trailing updates), where part of
-//! a chunk stays on its worker as the first rows of its next chunk.
 
 use crate::chunks::{algorithm1_order, Chunk};
 use crate::selection::incremental::{run_selection_with_mu, SelectionRule};
@@ -36,10 +33,7 @@ use mwp_sim::{Decision, MasterPolicy, SimTime, WorkerView};
 /// `job` (its index in the run's job list), resident on `worker`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortOp {
-    /// Ship the chunk's C blocks: one frame per chunk row, for the rows
-    /// the worker does not already hold — after a [`PortOp::Keep`], the
-    /// kept rows are the chunk's first rows and only the rows below them
-    /// cross.
+    /// Ship the chunk's C blocks: one frame per chunk row.
     SendC {
         /// Product the chunk belongs to.
         job: usize,
@@ -70,21 +64,6 @@ pub enum PortOp {
         /// The chunk.
         chunk: Chunk,
     },
-    /// Receive back the chunk's blocks outside `kept`, one frame per chunk
-    /// row that returns any: the rows outside `kept` whole, and each kept
-    /// row's blocks left of `kept`. `kept` — rows within the chunk's, and
-    /// columns from `kept.j0` to the chunk's right edge — stays on the
-    /// worker, where the same worker's next chunk starts with it.
-    Keep {
-        /// Product the chunk belongs to.
-        job: usize,
-        /// Worker the chunk is resident on.
-        worker: WorkerId,
-        /// The chunk.
-        chunk: Chunk,
-        /// What stays resident, in the chunk's coordinates.
-        kept: Chunk,
-    },
 }
 
 impl PortOp {
@@ -92,18 +71,8 @@ impl PortOp {
     pub fn target(&self) -> (usize, WorkerId, Chunk) {
         let (PortOp::SendC { job, worker, chunk }
         | PortOp::Step { job, worker, chunk, .. }
-        | PortOp::Collect { job, worker, chunk }
-        | PortOp::Keep { job, worker, chunk, .. }) = *self;
+        | PortOp::Collect { job, worker, chunk }) = *self;
         (job, worker, chunk)
-    }
-
-    /// Blocks a [`PortOp::Keep`] of `chunk` leaving `kept` returns, per
-    /// returning row in order: `(row, first column, width)`.
-    pub fn returned(chunk: Chunk, kept: Chunk) -> impl Iterator<Item = (usize, usize, usize)> {
-        chunk.rows().filter_map(move |i| {
-            let width = if kept.rows().contains(&i) { kept.j0 - chunk.j0 } else { chunk.width };
-            (width > 0).then_some((i, chunk.j0, width))
-        })
     }
 }
 
@@ -302,9 +271,8 @@ impl Schedule {
 
     /// What redoes the work the `undone` ops of a run lost, on the `live`
     /// workers whose memory holds a chunk at all: a chunk is lost when its
-    /// `Collect` (or `Keep`) did not commit, and the lost chunks run again
-    /// as [`Schedule::redispatch`]. `None` when no live worker holds a
-    /// chunk.
+    /// `Collect` did not commit, and the lost chunks run again as
+    /// [`Schedule::redispatch`]. `None` when no live worker holds a chunk.
     pub fn recover(undone: &[PortOp], live: &[WorkerId], mu: &[usize], t: usize) -> Option<Schedule> {
         let live = holding(live, mu);
         (!live.is_empty()).then(|| Schedule::redispatch(lost(undone).collect(), &live, mu, t))
@@ -325,10 +293,10 @@ pub fn holding(live: &[WorkerId], mu: &[usize]) -> Vec<WorkerId> {
 }
 
 /// The chunks the `undone` ops of a run lost, each with its job: those
-/// whose `Collect` or `Keep` did not commit.
+/// whose `Collect` did not commit.
 pub fn lost(undone: &[PortOp]) -> impl Iterator<Item = (usize, Chunk)> + '_ {
     undone.iter().filter_map(|op| match *op {
-        PortOp::Collect { job, chunk, .. } | PortOp::Keep { job, chunk, .. } => Some((job, chunk)),
+        PortOp::Collect { job, chunk, .. } => Some((job, chunk)),
         _ => None,
     })
 }
@@ -340,10 +308,9 @@ pub fn lost(undone: &[PortOp]) -> impl Iterator<Item = (usize, Chunk)> + '_ {
 /// shared dimension deep (1 on the runtime's layout, up to `µ` for
 /// Toledo's squares), the latter spawning the step's
 /// `height · width · depth` updates; `Collect` is one receive per chunk
-/// row, and `Keep` one per row that returns blocks ([`PortOp::returned`]).
+/// row.
 ///
-/// Memory: the C chunk comes and goes row by row, a kept part staying
-/// charged; everything else a
+/// Memory: the C chunk comes and goes row by row; everything else a
 /// worker holds — its A and B working and prefetch buffers — is `fixed`,
 /// charged with the first C row the worker is ever sent (which zeroes
 /// it) and held to the end of the run.
@@ -374,28 +341,22 @@ pub(crate) fn lower(op: &PortOp, depth: usize, fixed: &mut i64, frames: &mut imp
                 label: "A column".into(),
             },
         ]),
-        PortOp::Collect { .. } => frames.extend((0..height).map(|_| back(peer, width))),
-        PortOp::Keep { kept, .. } => frames.extend(PortOp::returned(chunk, *kept).map(|(_, _, w)| back(peer, w as u64))),
+        PortOp::Collect { .. } => frames.extend((0..height).map(|_| Decision::Recv {
+            from: peer,
+            blocks: width,
+            mem_delta: -(width as i64),
+            label: "C row back".into(),
+        })),
     }
 }
 
-/// The receive of a C row (or its part) of `blocks` blocks from `from`.
-fn back(from: WorkerId, blocks: u64) -> Decision {
-    Decision::Recv { from, blocks, mem_delta: -(blocks as i64), label: "C row back".into() }
-}
-
 /// The one lowering over a whole run: `lower` at depth 1, with each
-/// worker's fixed buffers what the worker program's memory assertion
-/// counts beside the resident C chunk — the B row of its widest chunk and
+/// worker's fixed buffers what the worker program's memory check counts
+/// beside the resident C chunk — the B row of its widest chunk and
 /// one A block in flight. (The program frees the B row between chunks;
-/// holding it throughout bounds it from above.) A `Keep` leaves its kept
-/// rows charged, and the worker's next `SendC` ships only the rows below
-/// them.
+/// holding it throughout bounds it from above.)
 pub struct Lowering {
     fixed: Vec<i64>,
-    /// Per worker: rows a `Keep` left resident, which its next `SendC`
-    /// does not ship.
-    held: Vec<usize>,
 }
 
 impl Lowering {
@@ -410,26 +371,12 @@ impl Lowering {
             }
             fixed[worker.index()] = fixed[worker.index()].max(chunk.width as i64 + 1);
         }
-        let held = vec![0; fixed.len()];
-        Lowering { fixed, held }
+        Lowering { fixed }
     }
 
     /// Append `op`'s frames to `frames`.
     pub fn lower(&mut self, op: &PortOp, frames: &mut impl Extend<Decision>) {
-        let wi = op.target().1.index();
-        let op = match *op {
-            PortOp::SendC { job, worker, chunk } => {
-                let held = std::mem::take(&mut self.held[wi]);
-                let chunk = Chunk { i0: chunk.i0 + held, height: chunk.height - held, ..chunk };
-                PortOp::SendC { job, worker, chunk }
-            }
-            PortOp::Keep { kept, .. } => {
-                self.held[wi] = kept.height;
-                *op
-            }
-            _ => *op,
-        };
-        lower(&op, 1, &mut self.fixed[wi], frames);
+        lower(op, 1, &mut self.fixed[op.target().1.index()], frames);
     }
 }
 
@@ -502,7 +449,6 @@ mod tests {
                     *seat = None;
                     done[job].push(chunk);
                 }
-                PortOp::Keep { .. } => panic!("a product never keeps a chunk"),
             }
         }
         assert!(resident.iter().all(Option::is_none), "a chunk is never collected");
@@ -637,7 +583,7 @@ mod tests {
     }
 
     /// What a worker holds under `Replay` is never less than what the
-    /// worker program's memory assertion counts at its peak: the resident
+    /// worker program's memory check counts at its peak: the resident
     /// chunk, its B row and one A block in flight.
     #[test]
     fn replay_charges_the_chunk_its_b_row_and_an_a_block() {

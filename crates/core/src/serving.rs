@@ -20,9 +20,10 @@
 //! only while even those cannot fit the `MaxReuseOverlapped` footprint
 //! `µ² + 4µ` beside the open runs'. So one-worker jobs from several
 //! dispatchers run side by side on different workers. The worker-side
-//! memory assertion (`crate::runtime::serve_run`) independently checks
-//! the same invariant summed over its open generations, so an admission
-//! or placement bug fails loudly instead of silently overcommitting.
+//! memory check (`crate::runtime::serve_run`) independently holds the
+//! same invariant summed over its open generations, so an admission or
+//! placement bug costs the worker its link — the master sees it dead —
+//! instead of silently overcommitting.
 //!
 //! **Batching tier** (the `batch` argument of
 //! [`MatrixServer::with_options`]): small-`q` runs are

@@ -594,8 +594,9 @@ mod tests {
         // Table 2's platform, µ = (6, 18, 10): the worker with the most
         // memory is the rogue, so every chunk the two-phase schedule gave
         // it — up to 18 × 18 — is lost and must be cut down to the
-        // survivors' 6 × 6 and 10 × 10 before they can adopt it (their
-        // memory assertions, re-raised by `shutdown`, check that it was).
+        // survivors' 6 × 6 and 10 × 10 before they can adopt it (a
+        // survivor past its memory would drop its link, and count among
+        // the dead).
         let platform = Platform::new(vec![
             mwp_platform::WorkerParams::new(2.0, 2.0, 60),
             mwp_platform::WorkerParams::new(3.0, 3.0, 396),
@@ -718,8 +719,8 @@ mod tests {
     #[test]
     fn concurrent_run_holm_callers_take_turns() {
         // µ = 6 fills the whole memory (µ² + 4µ = 60 = m): two overlapping
-        // runs on one worker would trip its memory assertion, which
-        // `shutdown` would re-raise here. Paced links make every send hold
+        // runs on one worker would take it past its memory, and it would
+        // drop its link. Paced links make every send hold
         // the FIFO port for a while, so unserialized callers would
         // alternate frame by frame and both chunks would be resident.
         let platform = Platform::homogeneous(2, 4.0, 1.0, 60).unwrap();
@@ -745,6 +746,7 @@ mod tests {
                 });
             }
         });
+        assert_eq!(session.dead_workers(), 0, "no worker went past its memory");
         assert_eq!(session.shutdown(), 2);
     }
 }

@@ -65,24 +65,10 @@
 //! With every band one chunk (`c ≥ rem`) the update streams
 //! `2·rem² + (P' + 1)·µ·rem` blocks — the model's `3·rem² + µ·rem` less
 //! `rem² − P'·µ·rem`: the horizontal panel crosses once per band, not once
-//! per group.
-//!
-//! Less what stays: while every band is one chunk, band `b`'s rows that
-//! band `b` of the next step starts among stay on their worker, from the
-//! next grid's first column on, so neither come back nor go out again.
-//! Between steps with trailing grids `rem` and `rem' = rem − µ`, with band
-//! `b` rows `[s_b, e_b)` of the first grid and `[s'_b, e'_b)` of the
-//! second, that is
-//!
-//! ```text
-//! kept = Σ_b rem'·(min(e_b, µ + e'_b) − (µ + s'_b))    over the b with s_b ≤ µ + s'_b < e_b
-//! ```
-//!
-//! blocks, and the op moves `2·kept` fewer. At the benchmark's shape, were
-//! it to stream, the sum is 908 blocks and 100 stay, so it would move 708
-//! in 106 frames; the exact closed form
-//! [`LuCost::comm_closed_form_exact`] counts 1 008. A memory-bound `c`
-//! below `rem` re-ships panel blocks per chunk, keeps nothing, and can
+//! per group. At the benchmark's shape, were it to stream, that is 908
+//! blocks in 122 frames (12 panel frames, then `2·rem + 10` a step); the
+//! exact closed form [`LuCost::comm_closed_form_exact`] counts 1 008. A
+//! memory-bound `c` below `rem` re-ships panel blocks per chunk and can
 //! exceed it.
 //!
 //! On either path the runtime's metered volume, the simulated one and the
@@ -227,30 +213,12 @@ impl LuCost {
 #[cfg(test)]
 pub(crate) fn scheduled_comm(problem: LuProblem, enrolled: usize, side: usize) -> f64 {
     let mu = problem.mu;
-    // Band `b` of a `rem`-block trailing grid, as rows of that grid.
-    let band = |rem: usize, b: usize| {
-        let bands = enrolled.min(rem);
-        (b * rem / bands, (b + 1) * rem / bands)
-    };
     let step = |rem: usize| {
         let bands = enrolled.min(rem);
-        let band_chunks: usize = (0..bands).map(|b| (band(rem, b).1 - band(rem, b).0).div_ceil(side)).sum();
+        let band_chunks: usize = (0..bands).map(|b| ((b + 1) * rem / bands - b * rem / bands).div_ceil(side)).sum();
         2 * mu * mu + 4 * mu * rem + 2 * rem * rem + mu * rem * (rem.div_ceil(side) + band_chunks)
     };
-    // What band `b` keeps into the next, `µ` rows further on and `next`
-    // wide, while every band is one chunk.
-    let kept = |rem: usize, next: usize| -> usize {
-        let shared = |b| {
-            let ((start, end), (next_start, next_end)) = (band(rem, b), band(next, b));
-            let (from, to) = (next_start + mu, (next_end + mu).min(end));
-            if (start..end).contains(&from) { (to - from) * next } else { 0 }
-        };
-        if side < rem || next == 0 { 0 } else { (0..enrolled.min(next)).map(shared).sum() }
-    };
-    let rems: Vec<usize> = (1..=problem.steps()).map(|k| problem.r - k * mu).collect();
-    let streamed: usize = rems.iter().map(|&rem| step(rem)).sum();
-    let stayed: usize = rems.windows(2).map(|w| kept(w[0], w[1])).sum();
-    (streamed - 2 * stayed) as f64
+    (1..=problem.steps()).map(|k| step(problem.r - k * mu)).sum::<usize>() as f64
 }
 
 /// The owner-computes closed form of "What the runtime moves" (module

@@ -142,7 +142,7 @@ mod tests {
         assert!(!out.aborted);
         assert_eq!(out.blocks_moved, report.blocks_sent + report.blocks_received);
         let ops = lu_schedule(12, 3, &chunk_sides(&fleet, 12, 3));
-        let requests = ops.iter().filter(|op| matches!(op.chunk(), Some(PortOp::Collect { .. } | PortOp::Keep { .. })));
+        let requests = ops.iter().filter(|op| matches!(op.chunk(), Some(PortOp::Collect { .. })));
         assert_eq!(out.messages, (lower(&ops).len() + requests.count()) as u64);
     }
 

@@ -11,10 +11,12 @@
 //! # Message pattern
 //!
 //! A block is final in exactly one reply, and the master stores it from
-//! there into the [`Dense`] the run returns. The master never copies the
-//! matrix whole: it keeps each block row as the wire images of its `q × q`
-//! blocks — the caller's [`BlockMatrix`] until a reply replaces them —
-//! and ships rows as views of those images. Which of two paths a run takes
+//! there into the [`Dense`] the run returns. The matrix the master ships
+//! rows from is the caller's [`BlockMatrix`], borrowed until the first
+//! chunk commits into it and copied then: on the streamed path at the
+//! first step's first collect, on the owned path only when recovery
+//! rebuilds a lost row, so a healthy owned run never copies the matrix
+//! whole. Which of two paths a run takes
 //! is one rule of the fleet's memory ([`crate::schedule::owners`]): the
 //! rows are **owned** when every worker with a chunk side holds its share
 //! of them, one step's pivot and `U₁₂` and a block in flight within the
@@ -71,29 +73,22 @@
 //!    one frame — blocks in the fixed order of
 //!    [`mwp_core::runtime::panel_parts`], the tag naming the pivot width and
 //!    the blocks after it — and come back factored and solved in one reply
-//!    of the same shape. The last step ships the pivot alone. The master
-//!    then lets go of every row image left of the trailing grid.
+//!    of the same shape. The last step ships the pivot alone.
 //! 2. **The trailing update as a product** ([`ChunkExchange`]): C the
-//!    trailing grid's row images, A the solved vertical panel — negated as
-//!    the master serializes it, which is exact — and B the solved
+//!    trailing grid of the master's matrix, A the solved vertical panel —
+//!    negated as the master serializes it, which is exact — and B the solved
 //!    horizontal panel, re-sent from the reply's own bytes. The trailing
 //!    rows are dealt as one band per worker, cut into chunks its memory
 //!    `m` holds under the product's `µ² + 4µ` layout, so the worker
 //!    program's `resident ≤ m` invariant covers LU too. (The `Panel`
 //!    exchange's `µ² + 2µ·rest` transient blocks stay outside it.)
 //!
-//! A band that is one chunk stays on its worker into the next step when
-//! that step's band on the worker is one chunk too and starts among its
-//! rows: the step ends it with a partial collect (`PortOp::Keep`), whose
-//! request names the part the worker keeps. The worker sends back only
-//! the rows that leave the band and the leftmost `µ` blocks of the rows
-//! it keeps, which are the next vertical panel's; the next step ships
-//! only the rows the band gains. Every other chunk goes out and comes back
-//! within its step.
+//! Every chunk goes out and comes back within its step, so between steps
+//! the master's matrix holds every block as it stands.
 //!
 //! # Recovery
 //!
-//! Every input of every op comes from the master's row images and stored
+//! Every input of every op comes from the master's matrix and stored
 //! factors, which only a *validated* reply changes: a pivot, panel or
 //! `L₂₁` reply must carry the tag the master expects and exactly the
 //! length it computes from its own numbers, a chunk the product's
@@ -103,7 +98,9 @@
 //! at the step's next barrier on the live workers.
 //!
 //! *Streamed*, a lost panel exchange runs again on the lowest live worker,
-//! from the identical bytes ([`crate::schedule::redispatch`]). *Owned*, at
+//! from the identical bytes, and a lost chunk runs again on a live worker
+//! from the master's matrix as of the step's start
+//! ([`crate::schedule::redispatch`]). *Owned*, at
 //! most two pivots are in hand: `k`, forwarded, and `k+1`, requested. The
 //! master tracks per row the pivot left of which its `L` blocks are
 //! stored and the pivot it waits on on its worker. Recovery first takes
@@ -113,16 +110,15 @@
 //! pivot whose `L` they lack. Each stored pivot from there on is forwarded
 //! again to the workers whose rows wait on it, and a pivot asked of the
 //! lost worker — pending or not — is asked of the adopter again, behind
-//! the forwards its rows still need, and taken. Either way a lost row is
-//! rebuilt, not re-collected:
-//! rows a worker held are not on the master as they stand. For each block
-//! the master records the step at whose start its image was current — the
-//! image it last shipped — and a live worker is sent that image and every
-//! update since, through the step the row waits on: the stored factors'
-//! `−L` and `U`, one `k` at a time in increasing order
-//! ([`crate::schedule::rebuild`]). Those are the same kernel calls on the
-//! same values in the same order, so the rebuilt rows carry the healthy
-//! run's bits. They come back whole, and owned rows are then dealt to
+//! the forwards its rows still need, and taken. A lost row is rebuilt, not
+//! re-collected: the rows a worker holds are not on the master as they
+//! stand. For each block the master records the step at whose start its
+//! image was current — the image it last shipped — and a live worker is
+//! sent that image and every update since, through the step the row waits
+//! on: the stored factors' `−L` and `U`, one `k` at a time in increasing
+//! order ([`crate::schedule::rebuild`]). Those are the same kernel calls
+//! on the same values in the same order, so the rebuilt rows carry the
+//! healthy run's bits. They come back whole, and owned rows are then dealt to
 //! their adopter. An adopter that cannot hold what it adopts within its
 //! memory `m` aborts the run, as losing the **whole** fleet does
 //! ([`LuRunOutcome::aborted`]); the fleet serves again once workers are
@@ -160,6 +156,7 @@ use mwp_core::schedule::{holding, PortOp};
 use mwp_core::session::RuntimeSession;
 use mwp_msg::{Frame, FrameKind, MasterEndpoint, Tag, TransportMode};
 use mwp_platform::{Platform, WorkerId};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -259,8 +256,7 @@ pub fn factor(fleet: &RuntimeSession, matrix: &BlockMatrix, mu: usize) -> LuRunO
     // A run over the whole fleet: the ledger puts slot `i` on worker `i`.
     let ops = |_: &[WorkerId]| schedule.clone();
     let (mut port, done) = fleet.execute(&sides, q, ops, |master, gen, _| {
-        let mut chunks = ChunkExchange::new(master, gen, q, vec![RowImages::new(matrix)], sides.to_vec(), mu);
-        chunks.expect_keeps(schedule.iter().filter_map(LuOp::chunk));
+        let chunks = ChunkExchange::new(master, gen, q, vec![Cow::Borrowed(matrix)], sides.to_vec(), mu);
         let (sides, memory, groups) = (&sides[..], &memory[..], if owned.is_empty() { 0 } else { r.div_ceil(mu) });
         let (pivots, links) = (vec![PivotState::default(); groups], vec![Link::default(); sides.len()]);
         // The output is allocated once the first request is out, while
@@ -290,17 +286,18 @@ fn validate_lu(matrix: &BlockMatrix, mu_blocks: usize) {
 
 /// The master's side of one open LU run: the chunk exchanges of its
 /// trailing updates (streamed) or of its rebuilt rows (owner-computes),
-/// one product per step, whose accumulator is the trailing rows' images,
-/// and the factors each validated reply stores.
+/// one product per step, whose accumulator is the caller's matrix,
+/// borrowed until the first commit, and the factors each validated reply
+/// stores.
 struct LuPort<'a> {
-    chunks: ChunkExchange<'a, RowImages<'a>>,
+    chunks: ChunkExchange<'a, Cow<'a, BlockMatrix>>,
     /// The packed factors: every block is final in exactly one reply, and
     /// is stored here from it. After an aborted run, the blocks whose
     /// reply never validated read 0. Empty until the first reply is
     /// awaited.
     packed: Dense,
     /// Per block, row by row: the step at whose start the master's image
-    /// of the block was current. A block a worker keeps stays at the step
+    /// of the block was current. A block of an owned row stays at the step
     /// it was last shipped in, and a lost one is rebuilt from there
     /// ([`crate::schedule::rebuild`]).
     fresh: Vec<usize>,
@@ -405,9 +402,8 @@ impl Port for LuPort<'_> {
         if !self.owned.is_empty() {
             return self.adopt(&undone, live);
         }
-        let held: Vec<_> = (0..self.sides.len()).map(|i| self.chunks.held(WorkerId(i))).collect();
         let r = self.r;
-        redispatch(undone, live, self.sides, self.mu, |i, j| self.fresh[i * r + j], &held)
+        redispatch(undone, live, self.sides, self.mu, |i, j| self.fresh[i * r + j])
     }
 }
 
@@ -415,20 +411,19 @@ impl LuPort<'_> {
     /// The `Panel` exchange on `worker` of the step whose pivot is the
     /// block range `pivot`, with `rest` blocks after it: the pivot and both
     /// panels out in one frame, factored and solved back in one reply,
-    /// stored as factors only once the reply validates — then the rows'
-    /// images let go of what is final, and the step's trailing update is
-    /// added to the chunk exchanges as the product of the negated vertical
-    /// panel and the horizontal one. `Refused`, with nothing stored, when
-    /// the worker answers with the refusal reply (the task's tag, an empty
-    /// payload: it met a pivot it cannot take); `Lost`, with nothing
-    /// stored, when it dies, stays silent past the liveness deadline, or
-    /// answers with anything else.
+    /// stored as factors only once the reply validates — then the step's
+    /// trailing update is added to the chunk exchanges as the product of
+    /// the negated vertical panel and the horizontal one. `Refused`, with
+    /// nothing stored, when the worker answers with the refusal reply (the
+    /// task's tag, an empty payload: it met a pivot it cannot take);
+    /// `Lost`, with nothing stored, when it dies, stays silent past the
+    /// liveness deadline, or answers with anything else.
     fn panel(&mut self, worker: WorkerId, pivot: &Range<usize>, rest: usize) -> Performed {
         let (p, k1, q) = (pivot.len(), pivot.end, self.q);
         let (blocks, bb) = (panel_blocks(pivot, rest), q * q * 8);
-        let rows = &*self.chunks.accumulator();
+        let matrix = &*self.chunks.accumulator();
         let task = self.master.pooled_payload(blocks.len() * bb, |task| {
-            blocks.iter().for_each(|&at| rows.write_block(at, task));
+            blocks.iter().for_each(|&(i, j)| matrix.block(i, j).write_bytes_into(task));
         });
         let (tag, n) = (Tag::new(FrameKind::LuPanel, p, rest), blocks.len() as u64);
         if !self.chunks.post(worker, tag, task, n) {
@@ -443,7 +438,6 @@ impl LuPort<'_> {
         if !store(&mut self.packed, q, &blocks, tag, &reply) {
             return Performed::Lost;
         }
-        self.chunks.accumulator().retire(pivot);
         if rest > 0 {
             // A: the solved vertical panel with every sign bit flipped.
             let (vertical, horizontal) = (p * p * bb, p * (p + rest) * bb);
@@ -460,18 +454,13 @@ impl LuPort<'_> {
     }
 
     /// Note what the validated chunk op `op` brought back: the blocks a
-    /// `Collect` or `Keep` returned are current on the master as of the
-    /// next step; a kept block stays where it was.
+    /// `Collect` returned are current on the master as of the next step.
     fn committed(&mut self, op: &PortOp) {
-        let (step, chunk, kept) = match *op {
-            PortOp::Collect { job, chunk, .. } => (job, chunk, Chunk { height: 0, ..chunk }),
-            PortOp::Keep { job, chunk, kept, .. } => (job, chunk, kept),
-            PortOp::SendC { .. } | PortOp::Step { .. } => return,
-        };
+        let PortOp::Collect { job: step, chunk, .. } = *op else { return };
         // Step `s`'s grid starts at block `(s + 1)·µ`, as in the schedule.
         let (at, r) = ((step + 1) * self.mu, self.r);
-        for (i, j0, width) in PortOp::returned(chunk, kept) {
-            self.fresh[(at + i) * r + at + j0..][..width].fill(step + 1);
+        for i in chunk.rows() {
+            self.fresh[(at + i) * r + at + chunk.j0..][..chunk.width].fill(step + 1);
         }
     }
 
@@ -765,9 +754,8 @@ impl LuPort<'_> {
         if let Some(last) = lost_chunks.iter().map(|&(t, _)| t).max() {
             (self.chunks.products()..=last).for_each(|k| self.push_step(k));
         }
-        let none = vec![None; self.sides.len()];
         let fresh = |i: usize, j: usize| self.fresh[i * r + j];
-        let mut ops: Vec<LuOp> = rebuild(lost_chunks, &live, self.sides, mu, fresh, &none)?.into_iter().map(LuOp::Chunk).collect();
+        let mut ops: Vec<LuOp> = rebuild(lost_chunks, &live, self.sides, mu, fresh)?.into_iter().map(LuOp::Chunk).collect();
         for run in moved.chunk_by(|a, b| b.0 == a.0 + 1 && a.1 == b.1 && self.owned[a.0].col == self.owned[b.0].col) {
             let (worker, col) = (run[0].1, self.owned[run[0].0].col);
             ops.push(LuOp::Deal { worker, rows: run[0].0..run[run.len() - 1].0 + 1, cols: col..r });
@@ -813,87 +801,6 @@ impl LuPort<'_> {
         let a = SharedPayloads::from_bytes(minus_l, rest, p, q, BlockOrder::ColMajor);
         let b = SharedPayloads::from_bytes(upper, p, rest, q, BlockOrder::RowMajor);
         self.chunks.push(a, b, k1);
-    }
-}
-
-/// The master's copy of the matrix a factorization has not yet finished:
-/// each block row a list of non-overlapping segments `(first block column,
-/// image)` in column order — the reply images its trailing chunks came
-/// back in, or what is left of them — over the caller's matrix, which
-/// holds every block no reply has replaced yet. Nothing is copied up
-/// front, a chunk row commits by keeping its reply, and the next step
-/// ships that row's suffix as a view of it.
-struct RowImages<'a> {
-    input: &'a BlockMatrix,
-    rows: Vec<Vec<(usize, Bytes)>>,
-    /// Bytes per block image.
-    bb: usize,
-}
-
-impl<'a> RowImages<'a> {
-    fn new(input: &'a BlockMatrix) -> Self {
-        RowImages { input, rows: vec![Vec::new(); input.rows()], bb: input.q() * input.q() * 8 }
-    }
-
-    /// The segment of row `i` holding column `j`, if a reply replaced it.
-    fn segment(&self, (i, j): (usize, usize)) -> Option<&(usize, Bytes)> {
-        let row = &self.rows[i];
-        let segment = row[..row.partition_point(|&(j0, _)| j0 <= j)].last()?;
-        (j < segment.0 + segment.1.len() / self.bb).then_some(segment)
-    }
-
-    /// Append the image of block `(i, j)` to `out`.
-    fn write_block(&self, (i, j): (usize, usize), out: &mut Vec<u8>) {
-        match self.segment((i, j)) {
-            Some((j0, image)) => out.extend_from_slice(&image[(j - j0) * self.bb..][..self.bb]),
-            None => self.input.block(i, j).write_bytes_into(out),
-        }
-    }
-
-    /// Cut columns `cols` out of row `i`, keeping the remnants either side
-    /// of them; returns where in the row a segment at `cols` would go.
-    fn cut(&mut self, i: usize, cols: Range<usize>) -> usize {
-        let (bb, row) = (self.bb, &mut self.rows[i]);
-        let first = row.partition_point(|(j0, image)| j0 + image.len() / bb <= cols.start);
-        let last = row.partition_point(|&(j0, _)| j0 < cols.end);
-        if first >= last {
-            return first;
-        }
-        let (j0, image) = &row[first];
-        let left = (*j0 < cols.start).then(|| (*j0, image.slice(..(cols.start - j0) * bb)));
-        let (j0, image) = &row[last - 1];
-        let end = j0 + image.len() / bb;
-        let right = (end > cols.end).then(|| (cols.end, image.slice((cols.end - j0) * bb..)));
-        let at = first + usize::from(left.is_some());
-        row.splice(first..last, left.into_iter().chain(right));
-        at
-    }
-
-    /// Let go of what a validated panel made final: the pivot rows, and
-    /// every trailing row left of the trailing grid.
-    fn retire(&mut self, pivot: &Range<usize>) {
-        self.rows[pivot.clone()].iter_mut().for_each(Vec::clear);
-        for i in pivot.end..self.rows.len() {
-            self.cut(i, 0..pivot.end);
-        }
-    }
-}
-
-impl Accumulator for RowImages<'_> {
-    /// A view of the one reply image holding the whole range, else the
-    /// blocks gathered into `master`'s recycled buffers.
-    fn row(&self, master: &MasterEndpoint, (i, j0): (usize, usize), w: usize) -> Bytes {
-        if let Some((s, image)) = self.segment((i, j0)) {
-            if j0 + w <= s + image.len() / self.bb {
-                return image.slice((j0 - s) * self.bb..(j0 + w - s) * self.bb);
-            }
-        }
-        master.pooled_payload(w * self.bb, |buf| (j0..j0 + w).for_each(|j| self.write_block((i, j), buf)))
-    }
-
-    fn commit_row(&mut self, (i, j0): (usize, usize), payload: Bytes) {
-        let at = self.cut(i, j0..j0 + payload.len() / self.bb);
-        self.rows[i].insert(at, (j0, payload));
     }
 }
 
@@ -999,97 +906,6 @@ mod tests {
         }
     }
 
-    /// The images of blocks `(i, cols)` of `matrix`, back to back.
-    fn images(matrix: &BlockMatrix, i: usize, cols: Range<usize>) -> Vec<u8> {
-        let mut out = Vec::new();
-        cols.for_each(|j| matrix.block(i, j).write_bytes_into(&mut out));
-        out
-    }
-
-    /// A master endpoint, whose buffer pool row gathers are built in.
-    fn master() -> MasterEndpoint {
-        mwp_msg::StarNetwork::build(&platform(1), 0.0).into_endpoints().0
-    }
-
-    #[test]
-    fn a_committed_row_ships_its_suffix_as_a_view() {
-        // A 10-block reply committed at column 2: the next step's 8 blocks
-        // from column 4 are the reply's own bytes, 2 blocks in.
-        let (input, reply) = (random_matrix(12, 12, 2, 70), random_matrix(12, 12, 2, 71));
-        let master = master();
-        let mut rows = RowImages::new(&input);
-        let payload = Bytes::from(images(&reply, 3, 2..12));
-        rows.commit_row((3, 2), payload.clone());
-        let suffix = rows.row(&master, (3, 4), 8);
-        assert_eq!(suffix.as_ptr(), payload.as_ptr().wrapping_add(2 * 8 * 2 * 2), "a view, not a copy");
-        assert_eq!(suffix[..], images(&reply, 3, 4..12));
-    }
-
-    #[test]
-    fn a_range_across_segments_gathers_the_blocks_images() {
-        let (input, reply) = (random_matrix(12, 12, 2, 72), random_matrix(12, 12, 2, 73));
-        let master = master();
-        let mut rows = RowImages::new(&input);
-        rows.commit_row((5, 2), Bytes::from(images(&reply, 5, 2..6)));
-        rows.commit_row((5, 6), Bytes::from(images(&reply, 5, 6..10)));
-        assert_eq!(rows.row(&master, (5, 4), 4)[..], images(&reply, 5, 4..8), "across two replies");
-        let past = [images(&reply, 5, 8..10), images(&input, 5, 10..12)].concat();
-        assert_eq!(rows.row(&master, (5, 8), 4)[..], past, "from a reply into the input");
-        let before = [images(&input, 5, 0..2), images(&reply, 5, 2..4)].concat();
-        assert_eq!(rows.row(&master, (5, 0), 4)[..], before, "from the input into a reply");
-    }
-
-    #[test]
-    fn a_commit_inside_a_segment_keeps_both_remnants() {
-        let (input, reply, update) =
-            (random_matrix(12, 12, 2, 74), random_matrix(12, 12, 2, 75), random_matrix(12, 12, 2, 76));
-        let master = master();
-        let mut rows = RowImages::new(&input);
-        rows.commit_row((6, 0), Bytes::from(images(&reply, 6, 0..12)));
-        rows.commit_row((6, 4), Bytes::from(images(&update, 6, 4..7)));
-        assert_eq!(rows.rows[6].iter().map(|(j0, _)| *j0).collect::<Vec<_>>(), [0, 4, 7]);
-        let want = [images(&reply, 6, 0..4), images(&update, 6, 4..7), images(&reply, 6, 7..12)].concat();
-        assert_eq!(rows.row(&master, (6, 0), 12)[..], want);
-        assert_eq!(rows.row(&master, (6, 7), 5)[..], images(&reply, 6, 7..12), "the right remnant");
-        assert_eq!(rows.row(&master, (6, 0), 4)[..], images(&reply, 6, 0..4), "the left remnant");
-    }
-
-    #[test]
-    fn blocks_no_commit_touched_read_as_the_input() {
-        let (input, reply) = (random_matrix(4, 6, 2, 77), random_matrix(4, 6, 2, 78));
-        let master = master();
-        let mut rows = RowImages::new(&input);
-        rows.commit_row((1, 2), Bytes::from(images(&reply, 1, 2..4)));
-        for i in [0, 2, 3] {
-            assert_eq!(rows.row(&master, (i, 0), 6)[..], images(&input, i, 0..6), "row {i}");
-        }
-        for j in [0, 1, 4, 5] {
-            let mut block = Vec::new();
-            rows.write_block((1, j), &mut block);
-            assert_eq!(block, images(&input, 1, j..j + 1), "block (1, {j})");
-        }
-    }
-
-    #[test]
-    fn validated_panels_let_go_of_everything_left_of_the_trailing_grid() {
-        // Every row committed whole, then the panels of steps 0 and 1: the
-        // pivot rows hold nothing, and each trailing row holds its one reply
-        // from column 4 on.
-        let (input, reply) = (random_matrix(8, 8, 2, 79), random_matrix(8, 8, 2, 80));
-        let master = master();
-        let mut rows = RowImages::new(&input);
-        let payloads: Vec<Bytes> = (0..8).map(|i| Bytes::from(images(&reply, i, 0..8))).collect();
-        (0..8).for_each(|i| rows.commit_row((i, 0), payloads[i].clone()));
-        rows.retire(&(0..2));
-        rows.retire(&(2..4));
-        assert!(rows.rows[..4].iter().all(Vec::is_empty), "the pivot rows hold nothing");
-        for (i, payload) in payloads.iter().enumerate().skip(4) {
-            let [(j0, image)] = &rows.rows[i][..] else { panic!("row {i}: {} segments", rows.rows[i].len()) };
-            assert_eq!((*j0, image.as_ptr()), (4, payload.as_ptr().wrapping_add(4 * 32)), "row {i}");
-            assert_eq!(rows.row(&master, (i, 4), 4)[..], images(&reply, i, 4..8));
-        }
-    }
-
     #[test]
     fn parallel_lu_matches_serial_blocked() {
         let matrix = random_diagonally_dominant(4, 6, 31); // 24×24
@@ -1166,7 +982,7 @@ mod tests {
             .collect();
         let requests = ops
             .iter()
-            .filter(|op| matches!(op, LuOp::Pivot { .. } | LuOp::Chunk(PortOp::Collect { .. } | PortOp::Keep { .. })))
+            .filter(|op| matches!(op, LuOp::Pivot { .. } | LuOp::Chunk(PortOp::Collect { .. })))
             .count();
         ((blocks.len() + requests) as u64, blocks.iter().sum())
     }
@@ -1238,8 +1054,8 @@ mod tests {
     fn concurrent_callers_take_turns_on_one_session() {
         // One fleet serves factorizations and products, admitted by its
         // memory ledger. m = 12 is one 2 × 2 chunk's exchange on either
-        // side, so two runs overlapping on a worker would trip its memory
-        // assertion, which `shutdown` re-raises.
+        // side, so two runs overlapping on a worker would take it past its
+        // memory, and it would drop its link.
         let session = RuntimeSession::new(&Platform::homogeneous(2, 1.0, 1.0, 12).unwrap(), 0.0);
         let matrix = random_diagonally_dominant(6, 4, 40);
         let (a, b, c) = (random_matrix(4, 3, 4, 41), random_matrix(3, 4, 4, 42), random_matrix(4, 4, 4, 43));
@@ -1398,9 +1214,9 @@ mod tests {
     fn a_rogue_costs_its_link_where_chunk_rows_straddle_reply_images() {
         // m = 12 holds chunks of side 2, and panels 1 block wide move the
         // trailing grid one column per step, so each chunk row the next
-        // step ships straddles two of the rows this step committed and is
-        // gathered. The rogue's lost work is re-run from those gathers, and
-        // the factors are still the serial ones, bit for bit.
+        // step ships straddles two of the chunks this step committed. The
+        // rogue's lost work is re-run from the master's matrix, and the
+        // factors are still the serial ones, bit for bit.
         let matrix = random_diagonally_dominant(6, 4, 53);
         let mut serial = Dense::from_blocks(&matrix);
         lu_blocked_in_place(&mut serial, 4);

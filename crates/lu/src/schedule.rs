@@ -63,17 +63,8 @@
 //!    the trailing grid): the trailing rows are dealt as one band per
 //!    worker that can hold a chunk, band `b` cut into pieces of worker
 //!    `b`'s chunk side, and round `i` of Algorithm 1 gives each worker its
-//!    band's `i`-th piece.
-//!
-//! **Rows stay on their worker between steps.** A worker whose last chunk
-//! of one step is a whole band — its rows across the whole trailing grid —
-//! and whose first chunk of the next step is a whole band starting inside
-//! it keeps what the two share: the step ends that chunk with a
-//! [`PortOp::Keep`], which returns only the rows that leave the band (the
-//! next pivot rows, rows dealt to another band) and the kept rows'
-//! leftmost blocks (the next vertical panel's), and the next step's
-//! `SendC` ships only the rows the band gains below the kept ones. Every
-//! other chunk streams out and back within its step.
+//!    band's `i`-th piece. Every chunk goes out and comes back within its
+//!    step, so between steps the master holds the whole matrix.
 
 use mwp_core::chunks::Chunk;
 use mwp_core::schedule::{holding, lost, Lowering, PortOp, Schedule};
@@ -271,14 +262,10 @@ fn owned_schedule(r: usize, mu: usize, owners: &[WorkerId]) -> Vec<LuOp> {
 fn streamed_schedule(r: usize, mu: usize, sides: &[usize]) -> Vec<LuOp> {
     let workers: Vec<WorkerId> = (0..sides.len()).filter(|&i| sides[i] > 0).map(WorkerId).collect();
     let mut ops = Vec::new();
-    // Per worker: where in `ops` its last chunk of the step before ends,
-    // and that chunk, if it was a whole band of its trailing grid.
-    let mut bands_before: Vec<Option<(usize, Chunk)>> = vec![None; sides.len()];
     for (step, k0) in (0..r).step_by(mu).enumerate() {
         let pivot = k0..(k0 + mu).min(r);
         let rest = r - pivot.end;
         ops.push(LuOp::Panel { worker: WorkerId(0), pivot, rest });
-        let before = std::mem::replace(&mut bands_before, vec![None; sides.len()]);
         if rest > 0 {
             // Band `b` is the trailing rows `b·rest/bands ..`, cut into
             // pieces of worker `b`'s side; round `i` seats each worker's
@@ -292,42 +279,14 @@ fn streamed_schedule(r: usize, mu: usize, sides: &[usize]) -> Vec<LuOp> {
                 })
                 .collect();
             let rounds = pieces.iter().map(Vec::len).max().unwrap_or(0);
-            let mut started = vec![false; sides.len()];
             for i in 0..rounds {
                 let (seated, chunks): (Vec<WorkerId>, Vec<(usize, Chunk)>) =
                     (0..bands).filter_map(|b| Some((workers[b], (step, *pieces[b].get(i)?)))).unzip();
-                for op in Schedule::rounds(&chunks, &seated, mu).ops {
-                    let (_, worker, chunk) = op.target();
-                    let wi = worker.index();
-                    if matches!(op, PortOp::SendC { .. }) && !std::mem::replace(&mut started[wi], true) {
-                        let ends = before[wi].and_then(|(at, band)| Some((at, kept(band, chunk, mu, rest)?)));
-                        if let Some((at, kept)) = ends {
-                            if let LuOp::Chunk(PortOp::Collect { job, worker, chunk }) = ops[at] {
-                                ops[at] = LuOp::Chunk(PortOp::Keep { job, worker, chunk, kept });
-                            }
-                        }
-                    }
-                    if matches!(op, PortOp::Collect { .. }) {
-                        bands_before[wi] = (chunk.width == rest).then_some((ops.len(), chunk));
-                    }
-                    ops.push(LuOp::Chunk(op));
-                }
+                ops.extend(Schedule::rounds(&chunks, &seated, mu).ops.into_iter().map(LuOp::Chunk));
             }
         }
     }
     ops
-}
-
-/// What a worker keeps of `band`, a whole band of one step's trailing
-/// grid, when its first chunk of the next step — `µ` blocks further on,
-/// with `rest` blocks after its pivot — is `next`: if `next` is a whole
-/// band too, starting among `band`'s rows, the rows the two share, from
-/// the next grid's first column on, in `band`'s coordinates.
-fn kept(band: Chunk, next: Chunk, mu: usize, rest: usize) -> Option<Chunk> {
-    let start = next.i0 + mu;
-    let end = (next.i0 + next.height + mu).min(band.i0 + band.height);
-    let whole = next.width == rest && band.rows().contains(&start);
-    whole.then(|| Chunk { i0: start, j0: mu, height: end - start, width: rest })
 }
 
 /// The chunk side each worker of `platform` is dealt when an `r`-block
@@ -356,24 +315,21 @@ pub fn replay(platform: &Platform, r: usize, mu: usize, sides: &[usize]) -> Resu
 /// ops of one phase of a streamed factorization in `mu`-wide panels lost.
 /// A lost `Panel` runs as it was, on the lowest live worker — its operands
 /// come from the master's matrix, untouched until a reply validates. A
-/// lost chunk of step `s`'s trailing update is [`rebuild`]t, and an
-/// adopter first brings back what a `Keep` left on it (`held[i]`, with its
-/// job), so it holds one chunk at a time. `None` when no live worker can
-/// adopt them.
+/// lost chunk of step `s`'s trailing update is [`rebuild`]t. `None` when
+/// no live worker can adopt them.
 pub fn redispatch(
     undone: Vec<LuOp>,
     live: &[WorkerId],
     sides: &[usize],
     mu: usize,
     fresh: impl Fn(usize, usize) -> usize,
-    held: &[Option<(usize, Chunk)>],
 ) -> Option<Vec<LuOp>> {
     let lowest = *live.first()?;
     if let Some(LuOp::Panel { pivot, rest, .. }) = undone.first() {
         return Some(vec![LuOp::Panel { worker: lowest, pivot: pivot.clone(), rest: *rest }]);
     }
     let chunks: Vec<PortOp> = undone.iter().filter_map(LuOp::chunk).copied().collect();
-    let ops = rebuild(lost(&chunks).collect(), live, sides, mu, fresh, held)?;
+    let ops = rebuild(lost(&chunks).collect(), live, sides, mu, fresh)?;
     Some(ops.into_iter().map(LuOp::Chunk).collect())
 }
 
@@ -385,16 +341,14 @@ pub fn redispatch(
 /// steps `s₀..=s`, the factors those steps stored, in the order the rows'
 /// worker met them; then they come back whole. The rebuilt chunks are
 /// split to fit their adopters and seated as `Schedule::redispatch` seats
-/// them, one whole exchange at a time, and an adopter first brings back
-/// what a `Keep` left on it (`held[i]`, with its job). `None` when no live
-/// worker holds a chunk.
+/// them, one whole exchange at a time. `None` when no live worker holds a
+/// chunk.
 pub fn rebuild(
     lost: Vec<(usize, Chunk)>,
     live: &[WorkerId],
     sides: &[usize],
     mu: usize,
     fresh: impl Fn(usize, usize) -> usize,
-    held: &[Option<(usize, Chunk)>],
 ) -> Option<Vec<PortOp>> {
     let live = holding(live, sides);
     if live.is_empty() {
@@ -419,13 +373,9 @@ pub fn rebuild(
         }
     }
     let seats: Vec<(usize, Chunk)> = groups.iter().enumerate().map(|(g, &(_, chunk))| (g, chunk)).collect();
-    let mut flushed = vec![false; sides.len()];
     let mut ops = Vec::new();
     for (n, (g, piece)) in Schedule::pieces(seats, &live, sides).into_iter().enumerate() {
         let (worker, ((from, step), _)) = (live[n % live.len()], groups[g]);
-        if let (false, Some((job, chunk))) = (std::mem::replace(&mut flushed[worker.index()], true), held[worker.index()]) {
-            ops.push(PortOp::Collect { job, worker, chunk });
-        }
         ops.push(PortOp::SendC { job: step, worker, chunk: piece });
         for s in from..=step {
             // The same blocks in step `s`'s coordinates.
@@ -591,9 +541,7 @@ mod tests {
         /// a product over the `rest × rest` trailing grid, `µ` deep, whose
         /// job is the step: every chunk within its worker's side, one chunk
         /// per worker at a time, the grid tiled exactly once — ragged last
-        /// panels and uneven sides included. What a `Keep` leaves on a
-        /// worker is the first rows of its first chunk of the next step,
-        /// across that chunk's width.
+        /// panels and uneven sides included.
         #[test]
         fn every_step_is_a_panel_then_the_trailing_product(
             r in 1usize..15, mu in 1usize..6, sides in (0usize..5, 0usize..5, 1usize..5), n in 1usize..4,
@@ -602,10 +550,6 @@ mod tests {
             let sides = [sides.0, sides.1, sides.2][3 - n..].to_vec();
             let ops = streamed_schedule(r, mu, &sides);
             let mut steps = steps(&ops);
-            // Per worker: what a `Keep` left on it, in block coordinates of
-            // the matrix, with the step that kept it.
-            let mut held = vec![None; sides.len()];
-            let pivot_end = |step: usize| ((step + 1) * mu).min(r);
             for (step, k0) in (0..r).step_by(mu).enumerate() {
                 let (panel, chunks) = steps.next().expect("one step per panel");
                 let pivot = k0..(k0 + mu).min(r);
@@ -614,7 +558,6 @@ mod tests {
                 prop_assert_eq!(chunks.is_empty(), rest == 0);
                 let mut resident = vec![None; sides.len()];
                 let mut tiles = Vec::new();
-                let at = pivot_end(step);
                 for op in &chunks {
                     let (job, worker, chunk) = op.target();
                     prop_assert_eq!(job, step);
@@ -622,61 +565,36 @@ mod tests {
                     prop_assert!(chunk.height <= side && chunk.width <= side, "{:?} over side {}", chunk, side);
                     let seat = &mut resident[worker.index()];
                     match *op {
-                        PortOp::SendC { .. } => {
-                            prop_assert!(seat.is_none());
-                            if let Some((from, i, j, height, width)) = held[worker.index()].take() {
-                                prop_assert_eq!(from + 1, step, "a kept part is taken up by the next step");
-                                prop_assert_eq!((i, j, width), (chunk.i0 + at, chunk.j0 + at, chunk.width));
-                                prop_assert!(height <= chunk.height);
-                            }
-                            *seat = Some((chunk, 0));
-                        }
+                        PortOp::SendC { .. } => { prop_assert!(seat.is_none()); *seat = Some((chunk, 0)); }
                         PortOp::Step { k, .. } => { prop_assert_eq!(*seat, Some((chunk, k))); *seat = Some((chunk, k + 1)); }
                         PortOp::Collect { .. } => { prop_assert_eq!(*seat, Some((chunk, mu))); *seat = None; tiles.push(chunk); }
-                        PortOp::Keep { kept, .. } => {
-                            prop_assert_eq!(*seat, Some((chunk, mu)));
-                            prop_assert!(chunk.rows().contains(&kept.i0) && kept.i0 + kept.height <= chunk.i0 + chunk.height);
-                            prop_assert!(kept.j0 > chunk.j0 && kept.j0 + kept.width == chunk.j0 + chunk.width);
-                            *seat = None;
-                            tiles.push(chunk);
-                            held[worker.index()] = Some((step, kept.i0 + at, kept.j0 + at, kept.height, kept.width));
-                        }
                     }
                 }
                 prop_assert!(resident.iter().all(Option::is_none));
-                prop_assert!(held.iter().flatten().all(|kept| kept.0 == step), "kept parts outlive one step");
                 if rest > 0 {
                     prop_assert!(mwp_core::chunks::covers_exactly(&Partition::from_blocks(rest, rest, mu, 1), &tiles));
                 }
             }
             prop_assert!(steps.next().is_none());
-            prop_assert!(held.iter().all(Option::is_none));
         }
 
         /// The lowered frames carry the cost model's work exactly and the
         /// scheduled volume — which, with every band one chunk, is the
         /// model's less what sending the horizontal panel once per band
-        /// rather than the vertical one per group saves, `rem² − P'·µ·rem`
-        /// a step (a saving while the bands are at least µ rows deep), and
-        /// less each kept block twice: it neither comes back nor goes out
-        /// again.
+        /// rather than the vertical one per group saves: `rem² − P'·µ·rem`
+        /// a step, a saving while the bands are at least µ rows deep.
         #[test]
         fn lowered_volume_is_the_models_less_the_shared_panel(steps in 1usize..8, mu in 1usize..6, enrolled in 1usize..5) {
             let problem = LuProblem::new(steps * mu, mu);
             let side = problem.r;
-            let ops = streamed_schedule(problem.r, mu, &vec![side; enrolled]);
-            let (blocks, work, _) = volume(&ops);
+            let (blocks, work, _) = volume(&streamed_schedule(problem.r, mu, &vec![side; enrolled]));
             prop_assert_eq!(blocks as f64, scheduled_comm(problem, enrolled, side));
             prop_assert_eq!(work as f64, problem.total().comp);
             let saved: f64 = (1..=steps)
                 .map(|k| problem.r - k * mu)
                 .map(|rem| (rem * rem) as f64 - (enrolled.min(rem) * mu * rem) as f64)
                 .sum();
-            let kept: u64 = ops.iter().filter_map(|op| match op.chunk() {
-                Some(PortOp::Keep { kept, .. }) => Some(kept.blocks()),
-                _ => None,
-            }).sum();
-            prop_assert_eq!(blocks as f64, problem.total().comm - saved - 2.0 * kept as f64);
+            prop_assert_eq!(blocks as f64, problem.total().comm - saved);
         }
 
         /// Chunks cut to a smaller side re-ship A and B per chunk: the
@@ -804,41 +722,20 @@ mod tests {
     }
 
     #[test]
-    fn the_bench_shape_moves_708_blocks_in_106_frames() {
-        // 12 × 12 blocks, µ = 2, 2 workers of m = 100 000, whose sides hold
-        // every trailing grid whole: one band per worker, each one chunk.
-        // C goes out once, 100 blocks at step 0; at each step's end a
-        // worker returns the rows that leave its band and its kept rows'
-        // two leftmost blocks, and keeps the rest. One row a step moves
-        // from band 1 to band 0 — rows 7, 8, 9 and 10, 8 + 6 + 4 + 2 = 20
-        // blocks — going back and out again. At the fourth step's end band
-        // 0's rows are all the next pivot's, so band 0 comes back whole.
+    fn the_bench_shape_moves_908_blocks_in_122_frames() {
+        // 12 × 12 blocks, µ = 2, 2 workers of m = 100 000, were the rows
+        // to stream: 6 panel exchanges of 2 frames; per step with `rest`
+        // trailing rows, one band per worker, each one chunk: `rest` C rows
+        // out and back, 2 steps of a B row and an A column to each worker,
+        // 2 collect requests (frames the lowering does not carry: 10 a
+        // step, 50).
         let side = mwp_core::MemoryLayout::MaxReuseOverlapped.mu(100_000);
         let problem = LuProblem::new(12, 2);
-        let ops = streamed_schedule(12, 2, &[side, side]);
-        let (blocks, work, frames) = volume(&ops);
-        let c_blocks: u64 = lower(&ops)
-            .iter()
-            .filter_map(|frame| match frame {
-                Decision::Send { blocks, label, .. } | Decision::Recv { blocks, label, .. } => {
-                    label.starts_with("C row").then_some(*blocks)
-                }
-                _ => None,
-            })
-            .sum();
-        assert_eq!(c_blocks, 100 + 100 + 20 + 20);
-        assert_eq!((blocks, work), (908 - 440 + 240, problem.total().comp as u64));
+        let (blocks, work, frames) = volume(&streamed_schedule(12, 2, &[side, side]));
+        assert_eq!((blocks, work), (908, problem.total().comp as u64));
         assert_eq!(blocks as f64, scheduled_comm(problem, 2, side));
-        let keeps = ops.iter().filter(|op| matches!(op.chunk(), Some(PortOp::Keep { .. }))).count();
-        assert_eq!(keeps, 7, "both bands at the first three ends, band 1 at the fourth");
-        // Frames: 12 panel frames; C out 10 at step 0, then the moving row,
-        // 1 a step; C back one frame per band row, `rest` a step; 2 steps
-        // of a B row and an A column to each worker and 2 collect requests
-        // a step (the requests carry no blocks and the lowering leaves
-        // them out: 10).
-        let c_frames = (10 + 4) + [10, 8, 6, 4, 2].iter().sum::<usize>();
-        assert_eq!(frames + 5 * 2, 12 + c_frames + 5 * (8 + 2));
-        assert_eq!(frames + 5 * 2, 106);
+        assert_eq!(frames + 5 * 2, 12 + [10, 8, 6, 4, 2].map(|rest| 2 * rest + 10).iter().sum::<usize>());
+        assert_eq!(frames + 5 * 2, 122);
         assert_eq!(problem.total().comm_closed_form_exact(), 1008.0);
     }
 
@@ -897,14 +794,14 @@ mod tests {
         let live = [WorkerId(0), WorkerId(2)];
         // A lost panel is the same exchange on the lowest live worker.
         let LuOp::Panel { pivot, rest, .. } = panel.clone() else { panic!("steps open with a panel") };
-        let (fresh, held) = (|_, _| 0, [None; 3]);
-        let again = redispatch(vec![panel.clone()], &live, &sides, 2, fresh, &held).unwrap();
+        let fresh = |_, _| 0;
+        let again = redispatch(vec![panel.clone()], &live, &sides, 2, fresh).unwrap();
         assert_eq!(again, [LuOp::Panel { worker: WorkerId(0), pivot, rest }]);
         // Worker 1's ops of step 0 lose its chunks: each comes back as a
         // whole exchange, split to fit the side-2 worker it lands on.
         let lost: Vec<LuOp> =
             chunks.iter().filter(|op| op.target().1 == WorkerId(1)).map(|&op| LuOp::Chunk(op)).collect();
-        let redo = redispatch(lost.clone(), &live, &sides, 2, fresh, &held).unwrap();
+        let redo = redispatch(lost.clone(), &live, &sides, 2, fresh).unwrap();
         let collected = |ops: &[LuOp]| -> Vec<(usize, mwp_core::chunks::Chunk)> {
             ops.iter().filter_map(|op| match op.chunk() {
                 Some(&PortOp::Collect { job, chunk, .. }) => Some((job, chunk)),
@@ -921,30 +818,24 @@ mod tests {
             assert!(chunk.height.max(chunk.width) <= sides[worker.index()], "{chunk:?} on {worker}");
         }
         // No live worker, or none with a side: nobody can adopt.
-        assert_eq!(redispatch(lost.clone(), &[], &sides, 2, fresh, &held), None);
-        assert_eq!(redispatch(lost, &[WorkerId(1)], &[4, 0], 2, fresh, &held), None);
+        assert_eq!(redispatch(lost.clone(), &[], &sides, 2, fresh), None);
+        assert_eq!(redispatch(lost, &[WorkerId(1)], &[4, 0], 2, fresh), None);
     }
 
     #[test]
     fn a_lost_kept_chunk_is_rebuilt_from_the_rows_last_shipped() {
-        // The bench shape, worker 0 lost in step 1. Its chunk is rows
-        // 4..8: rows 4, 5 and 6 it kept from step 0, so the master's image
-        // of them is step 0's, and row 7 it was sent at step 1's start.
-        // Worker 1 adopts both groups, after bringing back the rows 9..12
-        // it kept at step 1's end: rows 4..7 get step 0's update, in step
-        // 0's grid, then step 1's; row 7 only step 1's.
+        // The bench shape streamed, worker 0 lost in step 1. Its chunk is
+        // rows 4..8, and the master's image of rows 4, 5 and 6 is step 0's
+        // — rows a worker kept since, as owned rows are — while row 7's is
+        // step 1's. Worker 1 adopts both groups: rows 4..7 get step 0's
+        // update, in step 0's grid, then step 1's; row 7 only step 1's.
         let sides = [10, 10];
         let ops = streamed_schedule(12, 2, &sides);
         let (_, step1) = steps(&ops).nth(1).expect("six steps");
         let (w0, w1) = (WorkerId(0), WorkerId(1));
         let lost: Vec<LuOp> = step1.iter().filter(|op| op.target().1 == w0).map(|&op| LuOp::Chunk(op)).collect();
-        let fresh = |i, _| if [4, 5, 6, 9, 10, 11].contains(&i) { 0 } else { 1 };
-        let kept = step1.iter().find_map(|op| match *op {
-            PortOp::Keep { job, worker, kept, .. } if worker == w1 => Some((job, kept)),
-            _ => None,
-        });
-        assert_eq!(kept, Some((1, Chunk { i0: 5, j0: 2, height: 3, width: 6 })), "rows 9..12 from column 6");
-        let redo = redispatch(lost, &[w1], &sides, 2, fresh, &[None, kept]).unwrap();
+        let fresh = |i, _| if [4, 5, 6].contains(&i) { 0 } else { 1 };
+        let redo = redispatch(lost, &[w1], &sides, 2, fresh).unwrap();
         let exchange = |chunk: Chunk, from: usize| {
             let mut ops = vec![PortOp::SendC { job: 1, worker: w1, chunk }];
             for s in from..=1 {
@@ -955,9 +846,7 @@ mod tests {
             ops.push(PortOp::Collect { job: 1, worker: w1, chunk });
             ops
         };
-        let (job, chunk) = kept.expect("just checked");
-        let mut want = vec![PortOp::Collect { job, worker: w1, chunk }];
-        want.extend(exchange(Chunk { i0: 3, j0: 0, height: 1, width: 8 }, 1));
+        let mut want = exchange(Chunk { i0: 3, j0: 0, height: 1, width: 8 }, 1);
         want.extend(exchange(Chunk { i0: 0, j0: 0, height: 3, width: 8 }, 0));
         assert_eq!(redo, want.into_iter().map(LuOp::Chunk).collect::<Vec<_>>());
     }

@@ -70,8 +70,10 @@ pub const REJECT: u32 = u32::MAX - 5;
 /// `L₂₁` rows. A v10 worker drops the link on either. v12 lets a pivot
 /// request arrive before its rows have taken the step they wait on: the
 /// worker holds it pending and answers it within that step, before the
-/// step's `L₂₁`. A v11 worker drops the link on such a request.
-pub const PROTOCOL_VERSION: u32 = 12;
+/// step's `L₂₁`. A v11 worker drops the link on such a request. v13
+/// takes v10's named part back: a collect request is again only the empty
+/// `(0, 0)` frame, and a worker drops the link on any other.
+pub const PROTOCOL_VERSION: u32 = 13;
 
 /// Reject code: protocol-version mismatch (or a first frame that is not
 /// a hello at all — a peer not speaking this protocol).

@@ -162,12 +162,11 @@ fn heterogeneous_runtime_recovers_when_a_worker_aborts_mid_run() {
 
 /// Reply frames each slot of a healthy fleet of `workers` of memory `m`
 /// sends during one LU run of `blocks` blocks in steps of `mu` — its pivot
-/// and `L₂₁` replies where it owns rows; the pivot worker's panel replies,
-/// each slot's collected C rows and the rows and row parts its partial
-/// collects return where the rows stream — read off the schedule the run
-/// walks, in order: each `true` where the slot sends it while holding rows
-/// between steps — rows it owns, or rows a `Keep` left on it — which a
-/// death there loses for the master to rebuild.
+/// and `L₂₁` replies where it owns rows; the pivot worker's panel replies
+/// and each slot's collected C rows where the rows stream — read off the
+/// schedule the run walks, in order: each `true` where the slot sends it
+/// while holding rows it owns between steps, which a death there loses
+/// for the master to rebuild.
 fn lu_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<Vec<bool>> {
     let platform = Platform::homogeneous(workers, 1.0, 1.0, m).unwrap();
     let (mut replies, mut holding) = (vec![Vec::new(); workers], vec![false; workers]);
@@ -176,7 +175,6 @@ fn lu_replies(blocks: usize, mu: usize, workers: usize, m: usize) -> Vec<Vec<boo
             LuOp::Deal { worker, .. } => (worker, 0, Some(true)),
             LuOp::Pivot { worker, .. } | LuOp::Lower { worker, .. } | LuOp::Panel { worker, .. } => (worker, 1, None),
             LuOp::Chunk(PortOp::Collect { worker, chunk, .. }) => (worker, chunk.height, Some(false)),
-            LuOp::Chunk(PortOp::Keep { worker, chunk, kept, .. }) => (worker, PortOp::returned(chunk, kept).count(), Some(true)),
             _ => continue,
         };
         let w = worker.index();
@@ -213,13 +211,13 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
     // once, every later one on either slot to a request sent ahead and
     // held pending — or on an L₂₁ reply, and the survivor adopts its rows,
     // rebuilt from the input and the stored factors, and is asked for the
-    // pivot the dead one owed. At m = 32 (µ = 1) the rows stream: as the pivot worker the doomed one dies on each
-    // step's panel reply and on each C row of its trailing chunks in
-    // turn, as slot 1 on its C rows, and a chunk's rows that stay on their
-    // worker between steps are lost with it. The master must retry the
-    // pivot on the survivor, or have it rebuild the lost rows from the
-    // images it last shipped and the stored factors, and every round must
-    // match the healthy channel reference bit for bit. The slots are dealt
+    // pivot the dead one owed. At m = 32 (µ = 1) the rows stream: as the
+    // pivot worker the doomed one dies on each step's panel reply and on
+    // each C row of its trailing chunks in turn, as slot 1 on its C rows,
+    // and every chunk goes out and comes back within its step. The master
+    // must retry the pivot on the survivor, or have it redo the lost
+    // chunks from the master's matrix, and every round must match the
+    // healthy channel reference bit for bit. The slots are dealt
     // deterministically: the first worker enrolls alone, the second is
     // admitted.
     let blocks = 8;
@@ -234,10 +232,8 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
         // pivot 1, L₂₁ 0 and 1, pivot 3, L₂₁ 2). µ = 1 on
         // m = 32 (sides of 4): 8 panel replies; each slot returns a frame
         // per row of each of its chunks, its bands cut to side 4 while the
-        // trailing grid is wider, and from rest 4 on, where its bands are
-        // one chunk each, a kept row returns only its leftmost block:
-        // 6 + 6 + 4 + 2 + 1 + 1 + 1 frames from slot 0's band, 8 + 6 + 6 +
-        // 2 + 2 + 1 from slot 1's.
+        // trailing grid is wider: 6 + 6 + 4 + 2 + 1 + 1 + 1 frames from
+        // slot 0's band, 8 + 6 + 6 + 2 + 2 + 1 from slot 1's.
         assert_eq!(replies.iter().map(Vec::len).collect::<Vec<_>>(), counts, "m = {m}");
         let owned = owners(blocks, mu, &chunk_sides(&platform, blocks, mu)).is_some();
         assert_eq!(owned, m == 1000, "m = {m}: the rows are owned only where they fit");
@@ -245,11 +241,11 @@ fn lu_recovers_bit_identically_when_a_worker_aborts_mid_run() {
         // somewhere in the sweep.
         let pending = pending_replies(blocks, mu, 2, m);
         assert_eq!(pending, if owned { vec![1, 2] } else { vec![0, 0] }, "m = {m}");
-        // Each slot dies holding rows somewhere in the sweep: rows it owns,
-        // or rows it kept at a step's end, whose image on the master is an
-        // earlier step's, so that the survivor rebuilds them.
+        // Owned, each slot dies holding rows somewhere in the sweep, whose
+        // image on the master is an earlier step's, so that the survivor
+        // rebuilds them. Streamed, no slot holds rows between steps.
         for (slot, holding) in replies.iter().enumerate() {
-            assert!(holding.iter().any(|&kept| kept), "m = {m}: slot {slot} dies holding rows somewhere in the sweep");
+            assert_eq!(holding.iter().any(|&held| held), owned, "m = {m}: slot {slot} dies holding rows somewhere in the sweep");
         }
         for (slot, in_one_run) in counts.into_iter().enumerate() {
             for n in 1..=in_one_run {

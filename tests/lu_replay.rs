@@ -9,7 +9,7 @@
 //! So must those of the benchmark's shape (12 × 12 blocks, µ = 2, two
 //! workers of `m` = 100 000), whose workers own their rows for the whole
 //! run; the mixed fleet's memories cannot hold theirs, so its rows
-//! stream, and it keeps some chunks and streams the rest.
+//! stream, every chunk out and back within its step.
 //!
 //! One `#[test]`: captures are process-global.
 
@@ -69,15 +69,15 @@ fn port_carries_the_lowered_schedule(platform: &Platform, r: usize, mu: usize, q
     (ops, out.blocks_moved)
 }
 
-/// How many of `ops`' chunks stay on their worker, and how many stream.
-fn kept_and_streamed(ops: &[LuOp]) -> (usize, usize) {
-    let ends = |keep: bool| {
+/// How many of `ops`' chunks go out, and how many come back.
+fn shipped_and_collected(ops: &[LuOp]) -> (usize, usize) {
+    let count = |collect: bool| {
         ops.iter()
-            .filter(|op| matches!(op.chunk(), Some(PortOp::Keep { .. })) == keep)
-            .filter(|op| matches!(op.chunk(), Some(PortOp::Keep { .. } | PortOp::Collect { .. })))
+            .filter_map(LuOp::chunk)
+            .filter(|op| if collect { matches!(op, PortOp::Collect { .. }) } else { matches!(op, PortOp::SendC { .. }) })
             .count()
     };
-    (ends(true), ends(false))
+    (count(false), count(true))
 }
 
 #[test]
@@ -89,23 +89,21 @@ fn a_mixed_fleets_port_carries_the_lowered_schedule() {
     let (ops, _) = port_carries_the_lowered_schedule(&platform, r, mu, q, 75);
     let takes = |frame: &Decision| matches!(frame, Decision::Send { to: WorkerId(1), .. });
     assert!(lower(&ops).iter().any(takes), "the side-3 worker takes chunks");
-    // Each band's pieces are seated on its band's worker. A band is one
-    // chunk only on the side-6 worker at rest 6 and the side-4 one at rest
-    // 4, and neither next band starts among its rows: all 27 stream.
+    // Each band's pieces are seated on its band's worker: 27 chunks, each
+    // out and back.
     assert!(owners(r, mu, &sides).is_none(), "the rows stream");
-    assert_eq!(kept_and_streamed(&ops), (0, 27), "chunks that stay and chunks that stream");
+    assert_eq!(shipped_and_collected(&ops), (27, 27), "chunks shipped and collected");
 
-    // Two workers of m = 45 (sides of 5) stream the same matrix, and keep
-    // the rows band 1 starts its next band among once the bands are one
-    // chunk each.
+    // Two workers of m = 45 (sides of 5) stream the same matrix, every
+    // chunk out and back within its step.
     let tight = Platform::homogeneous(2, 1.0, 1.0, 45).unwrap();
     let (ops, _) = port_carries_the_lowered_schedule(&tight, r, mu, q, 77);
-    let (kept, streamed) = kept_and_streamed(&ops);
-    assert!(kept > 0 && streamed > 0, "{kept} chunks stay and {streamed} stream");
+    let (shipped, collected) = shipped_and_collected(&ops);
+    assert!(shipped > 0 && shipped == collected, "{shipped} chunks shipped, {collected} collected");
 
     let bench = Platform::homogeneous(2, 1.0, 1.0, 100_000).unwrap();
     assert_eq!(chunk_sides(&bench, 12, 2), [10, 10]);
     let (ops, moved) = port_carries_the_lowered_schedule(&bench, 12, 2, 4, 76);
     assert_eq!(moved, 144 + 84 + 80 + 60, "rows dealt, pivot replies, forwards and L₂₁ replies");
-    assert!(matches!(ops[0], LuOp::Deal { .. }) && kept_and_streamed(&ops) == (0, 0), "the rows are owned");
+    assert!(matches!(ops[0], LuOp::Deal { .. }) && shipped_and_collected(&ops) == (0, 0), "the rows are owned");
 }

@@ -159,8 +159,8 @@ fn one_worker_runs_overlap_up_to_the_fleet_never_past_m() {
     // that fills the worker's m. Three arrive at once: the ledger places
     // two of them on the two workers, and the third waits for one to end.
     // Placed beside another, it would hold two chunks on one worker and
-    // trip that worker's `resident ≤ m` assert, which `shutdown`
-    // re-raises. Paced links keep each run open while the others arrive.
+    // break that worker's `resident ≤ m` check, which drops the worker's
+    // link. Paced links keep each run open while the others arrive.
     let platform = Platform::homogeneous(2, 4.0, 1.0, 60).unwrap();
     let session = RuntimeSession::new(&platform, 5e-5);
     let jobs: Vec<_> = (0..3u64)
